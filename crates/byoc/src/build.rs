@@ -5,8 +5,7 @@
 use crate::codegen::NeuronModule;
 use std::collections::HashMap;
 use std::fmt;
-use tvmnp_hwsim::CostModel;
-use tvmnp_hwsim::{FaultInjector, RetryPolicy};
+use tvmnp_hwsim::{CostEntry, CostModel, FaultInjector, RetryPolicy};
 use tvmnp_neuropilot::support::{first_unsupported, NeuronSupport};
 use tvmnp_neuropilot::{CompiledNetwork, NeuronError, TargetPolicy};
 use tvmnp_relay::expr::{ExprKind, Module};
@@ -233,26 +232,15 @@ impl CompiledModel {
         }
     }
 
-    /// Per-node analytic cost attribution (device + simulated µs per
-    /// node), summing exactly to [`CompiledModel::estimate_us`]. TVM-side
-    /// modes report one entry per graph node; NP-only modes map the
-    /// planned Neuron ops and their dispatch/staging/transfer overheads
-    /// into the same shape.
-    pub fn estimate_breakdown(&self) -> Vec<tvmnp_runtime::NodeCost> {
+    /// The model's cost ledger: every charged item (device, µs, µJ) in
+    /// accumulation order, summing exactly to [`CompiledModel::estimate_us`]
+    /// and [`CompiledModel::estimate_energy_uj`]. TVM-side modes tag
+    /// entries with their graph node; NP-only modes with the planned op,
+    /// segment or crossing.
+    pub fn estimate_breakdown(&self) -> &[CostEntry] {
         match self {
-            CompiledModel::Tvm { executor, .. } => executor.estimate_breakdown(),
-            CompiledModel::Neuron { network, .. } => network
-                .estimate_breakdown()
-                .into_iter()
-                .enumerate()
-                .map(|(i, e)| tvmnp_runtime::NodeCost {
-                    index: i,
-                    op: e.label,
-                    device: e.device.name().to_string(),
-                    us: e.us,
-                    external: true,
-                })
-                .collect(),
+            CompiledModel::Tvm { executor, .. } => executor.ledger(),
+            CompiledModel::Neuron { network, .. } => network.ledger(),
         }
     }
 
@@ -272,24 +260,9 @@ impl CompiledModel {
             CompiledModel::Neuron { .. } => 0,
         }
     }
-
-    /// Export a deployable artifact (TVM modes only — NP-only ships through
-    /// the vendor's own packaging, which the paper does not exercise).
-    pub fn export(&self) -> Option<Artifact> {
-        match self {
-            CompiledModel::Tvm { executor, .. } => {
-                // Re-serialize linked modules from the executor graph is not
-                // possible without the modules themselves; exports are
-                // produced by `relay_build_artifact` instead.
-                let _ = executor;
-                None
-            }
-            CompiledModel::Neuron { .. } => None,
-        }
-    }
 }
 
-fn input_names_of(module: &Module) -> Vec<String> {
+pub(crate) fn input_names_of(module: &Module) -> Vec<String> {
     module
         .main()
         .params

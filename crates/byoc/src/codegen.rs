@@ -1,13 +1,13 @@
 //! The NeuroPilot external codegen and runtime-module wrapper.
 
 use serde::{Deserialize, Serialize};
-use tvmnp_hwsim::CostModel;
+use tvmnp_hwsim::{CostEntry, CostModel};
 use tvmnp_neuropilot::{
     convert_function, CompiledNetwork, ExecutionPlan, NeuronError, NeuronGraph, TargetPolicy,
 };
 use tvmnp_relay::Function;
 use tvmnp_runtime::artifact::ModuleLoader;
-use tvmnp_runtime::module::{ExternalModule, KernelProfile, ModuleError};
+use tvmnp_runtime::module::{ExternalModule, ModuleError};
 use tvmnp_tensor::Tensor;
 
 /// Serialized form of a Neuron external module (the artifact payload).
@@ -109,48 +109,10 @@ impl ExternalModule for NeuronModule {
             .map_err(|e| ModuleError(e.to_string()))
     }
 
-    fn estimate_time_us(&self) -> f64 {
-        self.network.estimate_time_us()
-    }
-
-    fn estimate_device_us(&self) -> Vec<(tvmnp_hwsim::DeviceKind, f64)> {
+    fn ledger(&self) -> &[CostEntry] {
         // The plan's own per-op attribution: a CpuApu plan splits its
         // time between the devices it actually placed segments on.
-        use tvmnp_hwsim::DeviceKind;
-        let mut shares = Vec::new();
-        for device in DeviceKind::ALL {
-            let us: f64 = self
-                .network
-                .estimate_breakdown()
-                .iter()
-                .filter(|e| e.device == device)
-                .map(|e| e.us)
-                .sum();
-            if us > 0.0 {
-                shares.push((device, us));
-            }
-        }
-        shares
-    }
-
-    fn estimate_energy_uj(&self) -> f64 {
-        self.network.estimate_energy_uj()
-    }
-
-    fn kernel_profile(&self) -> Vec<KernelProfile> {
-        self.network
-            .kernel_profile()
-            .into_iter()
-            .map(|e| KernelProfile {
-                label: e.label,
-                kind: e.kind,
-                device: e.device,
-                class: e.class,
-                us: e.us,
-                analytic_us: e.analytic_us,
-                energy_uj: e.energy_uj,
-            })
-            .collect()
+        self.network.ledger()
     }
 
     fn serialize(&self) -> serde_json::Value {

@@ -15,10 +15,11 @@
 //! the consequence the paper's introduction claims: the NeuroPilot-direct
 //! flow dominates the NNAPI flow it replaced.
 
-use crate::build::{BuildError, CompiledModel};
+use crate::build::{input_names_of, BuildError, CompiledModel};
 use crate::codegen::NeuronModule;
 use std::collections::HashSet;
 use std::sync::OnceLock;
+use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::CostModel;
 use tvmnp_neuropilot::TargetPolicy;
 use tvmnp_relay::expr::Module;
@@ -89,6 +90,10 @@ impl CompilerSupport for NnapiSupport {
 /// drives the same silicon), plus the HAL round trip per execution.
 pub struct NnapiModule {
     inner: NeuronModule,
+    /// The inner network's entries plus the HAL round trip — real charged
+    /// time, so it is an entry like any other and lands on the dispatch
+    /// device in every per-device view.
+    ledger: Vec<CostEntry>,
 }
 
 impl NnapiModule {
@@ -99,9 +104,17 @@ impl NnapiModule {
         policy: TargetPolicy,
         cost: CostModel,
     ) -> Result<Self, tvmnp_neuropilot::NeuronError> {
-        Ok(NnapiModule {
-            inner: NeuronModule::codegen(symbol, func, policy, cost)?,
-        })
+        let inner = NeuronModule::codegen(symbol, func, policy, cost)?;
+        let mut ledger = Vec::with_capacity(inner.ledger().len() + 1);
+        ledger.extend_from_slice(inner.ledger());
+        ledger.push(CostEntry::fixed(
+            0,
+            "nnapi-hal",
+            CostRole::Hal,
+            inner.dispatch_device(),
+            NNAPI_HAL_OVERHEAD_US,
+        ));
+        Ok(NnapiModule { inner, ledger })
     }
 }
 
@@ -119,33 +132,12 @@ impl ExternalModule for NnapiModule {
     }
 
     fn run(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError> {
-        let (outs, t) = self.inner.run(inputs)?;
-        Ok((outs, t + NNAPI_HAL_OVERHEAD_US))
+        let (outs, _) = self.inner.run(inputs)?;
+        Ok((outs, ledger::total_us(&self.ledger)))
     }
 
-    fn estimate_time_us(&self) -> f64 {
-        self.inner.estimate_time_us() + NNAPI_HAL_OVERHEAD_US
-    }
-
-    fn estimate_energy_uj(&self) -> f64 {
-        self.inner.estimate_energy_uj()
-    }
-
-    fn kernel_profile(&self) -> Vec<tvmnp_runtime::module::KernelProfile> {
-        // The HAL round trip is real charged time, so the profile carries
-        // it as an explicit data-movement item — entries keep summing to
-        // estimate_time_us.
-        let mut entries = self.inner.kernel_profile();
-        entries.push(tvmnp_runtime::module::KernelProfile {
-            label: "nnapi-hal".to_string(),
-            kind: tvmnp_hwsim::WorkKind::DataMovement,
-            device: self.dispatch_device(),
-            class: tvmnp_hwsim::KernelClass::VendorTuned,
-            us: NNAPI_HAL_OVERHEAD_US,
-            analytic_us: NNAPI_HAL_OVERHEAD_US,
-            energy_uj: 0.0,
-        });
-        entries
+    fn ledger(&self) -> &[CostEntry] {
+        &self.ledger
     }
 
     fn serialize(&self) -> serde_json::Value {
@@ -161,15 +153,7 @@ pub fn relay_build_nnapi(
     cost: CostModel,
 ) -> Result<(CompiledModel, PartitionReport), BuildError> {
     let prepared = fold_constants(&simplify(module));
-    let input_names: Vec<String> = prepared
-        .main()
-        .params
-        .iter()
-        .filter_map(|p| match &p.kind {
-            tvmnp_relay::ExprKind::Var(v) => Some(v.name.clone()),
-            _ => None,
-        })
-        .collect();
+    let input_names = input_names_of(&prepared);
     let (partitioned, report) = partition_graph(&prepared, &NnapiSupport)
         .map_err(|e| BuildError::Partition(e.to_string()))?;
     let graph =

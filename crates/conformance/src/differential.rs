@@ -9,7 +9,7 @@
 //! skip itself is a conformance failure.
 
 use crate::generator::{build_case, GraphSpec};
-use crate::invariants::{run_invariants, CheckOptions};
+use crate::invariants::{check_ledger, run_invariants, CheckOptions};
 use std::fmt;
 use tvmnp_byoc::build::{relay_build, BuildError};
 use tvmnp_byoc::permutations::Permutation;
@@ -144,7 +144,7 @@ pub fn check_case(spec: &GraphSpec, opts: &CheckOptions) -> Result<CaseOutcome, 
                 })
             }
         };
-        let (outs, _us) = compiled
+        let (outs, run_us) = compiled
             .run(&built.inputs)
             .map_err(|e| CaseFailure::Build {
                 permutation: p.label().to_string(),
@@ -166,6 +166,7 @@ pub fn check_case(spec: &GraphSpec, opts: &CheckOptions) -> Result<CaseOutcome, 
                 ),
             });
         }
+        check_ledger(&compiled, run_us)?;
         outcome.permutations_compared += 1;
     }
 

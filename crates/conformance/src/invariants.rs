@@ -13,11 +13,15 @@
 //!   simultaneously-live values, and peak accounting is consistent
 //!   (`0 < peak <= pool`);
 //! - **fingerprint stability** — rebuilding the same spec yields the same
-//!   module fingerprint (the artifact-cache key contract).
+//!   module fingerprint (the artifact-cache key contract);
+//! - **ledger reconciliation** ([`check_ledger`], per compiled
+//!   permutation) — a fault-free run's simulated time, the estimates, and
+//!   the per-device attribution are all the same cost ledger.
 
 use crate::differential::CaseFailure;
 use crate::generator::{build_case, BuiltCase, GraphSpec};
-use tvmnp_byoc::build::partition_for_nir;
+use tvmnp_byoc::build::{partition_for_nir, CompiledModel};
+use tvmnp_hwsim::DeviceKind;
 use tvmnp_neuropilot::{convert_function, neuron_supported, NeuronGraph, NeuronOpKind};
 use tvmnp_relay::expr::{CallTarget, ExprKind, Module};
 use tvmnp_relay::interp::run_module;
@@ -225,6 +229,68 @@ fn check_memory_plan(module: &Module, label: &str) -> Result<(), CaseFailure> {
                 plan.peak_bytes, plan.pool_bytes
             ),
         ));
+    }
+    Ok(())
+}
+
+/// Ledger reconciliation for one compiled permutation (built under the
+/// default, unscaled cost model) whose fault-free run took `run_us`: run
+/// time, time estimate and energy estimate are bit-exactly the ledger's
+/// sums; per-device shares add back up to the total; every entry is
+/// finite, non-negative, and — no multiplier being injected — charged at
+/// its analytic prediction.
+pub fn check_ledger(compiled: &CompiledModel, run_us: f64) -> Result<(), CaseFailure> {
+    let ledger = compiled.estimate_breakdown();
+    let estimate_us = compiled.estimate_us();
+    if run_us != estimate_us {
+        return Err(inv(
+            "ledger",
+            format!("fault-free run took {run_us} us, estimate_us() says {estimate_us}"),
+        ));
+    }
+    let energy_uj = ledger.iter().fold(0.0, |e, entry| e + entry.energy_uj);
+    if energy_uj != compiled.estimate_energy_uj() {
+        return Err(inv(
+            "ledger",
+            format!(
+                "entries carry {energy_uj} uJ, estimate_energy_uj() says {}",
+                compiled.estimate_energy_uj()
+            ),
+        ));
+    }
+    let by_device: f64 = DeviceKind::ALL
+        .iter()
+        .map(|&d| {
+            ledger
+                .iter()
+                .filter(|e| e.device == d)
+                .map(|e| e.us)
+                .sum::<f64>()
+        })
+        .sum();
+    if (by_device - estimate_us).abs() > 1e-9 * estimate_us.max(1.0) {
+        return Err(inv(
+            "ledger",
+            format!("per-device shares sum to {by_device} us, total is {estimate_us}"),
+        ));
+    }
+    for (i, e) in ledger.iter().enumerate() {
+        let sane = |v: f64| v.is_finite() && v >= 0.0;
+        if !(sane(e.us) && sane(e.analytic_us) && sane(e.energy_uj)) {
+            return Err(inv(
+                "ledger",
+                format!("entry {i} ({}) is not finite and >= 0: {e:?}", e.label),
+            ));
+        }
+        if e.analytic_us != e.us {
+            return Err(inv(
+                "ledger",
+                format!(
+                    "entry {i} ({}, {:?}) charges {} us against {} analytic with nothing injected",
+                    e.label, e.role, e.us, e.analytic_us
+                ),
+            ));
+        }
     }
     Ok(())
 }

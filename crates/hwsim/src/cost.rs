@@ -173,6 +173,20 @@ impl CostModel {
     /// Time for one kernel on one device, **excluding** launch overhead:
     /// roofline-style `max(compute, memory)`.
     pub fn kernel_body_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
+        self.analytic_body_us(w, device, class)
+            * self.kind_scale[w.kind.index()]
+            * self.device_kind_scale[device_index(device)][w.kind.index()]
+    }
+
+    /// [`CostModel::kernel_body_us`] with every injected multiplier
+    /// removed — bit-identical to `self.unscaled().kernel_body_us(..)`
+    /// without cloning the SoC (the ledger pairs the two per kernel).
+    pub(crate) fn analytic_body_us(
+        &self,
+        w: &WorkItem,
+        device: DeviceKind,
+        class: KernelClass,
+    ) -> f64 {
         let spec = self.soc.device(device);
         let gops = spec.effective_gops(w.int8, class).max(1e-9);
         // MacHeavy kernels use the full MAC array; other kinds are
@@ -187,8 +201,6 @@ impl CostModel {
         let compute_us = ops / (gops * kind_derate * 1e3);
         let memory_us = w.bytes() as f64 / (spec.mem_bw_gbps * 1e3);
         compute_us.max(memory_us)
-            * self.kind_scale[w.kind.index()]
-            * self.device_kind_scale[device_index(device)][w.kind.index()]
     }
 
     /// Time for one kernel including the per-kernel launch overhead.

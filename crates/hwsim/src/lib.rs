@@ -21,6 +21,8 @@
 //! * [`device`] — device kinds, throughput/overhead specs, kernel classes;
 //! * [`soc`] — the Dimensity 800 SoC descriptor (Table 2) and transfer model;
 //! * [`cost`] — work items and the time model;
+//! * [`ledger`] — the per-model list of charged items every estimate,
+//!   run and profile view is read from;
 //! * [`timeline`] — simulated clock, resource reservations, Gantt segments
 //!   (consumed by the pipeline scheduler, paper Fig. 5);
 //! * [`fault`] — deterministic fault injection (seeded [`FaultPlan`]s,
@@ -30,6 +32,7 @@
 pub mod cost;
 pub mod device;
 pub mod fault;
+pub mod ledger;
 pub mod soc;
 pub mod timeline;
 
@@ -39,5 +42,6 @@ pub use fault::{
     CircuitBreaker, Fault, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite,
     FaultSpecError, RetryPolicy,
 };
+pub use ledger::{CostEntry, CostRole};
 pub use soc::{SocSpec, TransferModel};
 pub use timeline::{Segment, SimClock, Timeline};

@@ -34,5 +34,5 @@ pub use error::NeuronError;
 pub use nir::{NeuronGraph, NeuronOp, NeuronOpKind, NeuronTensor, TensorId};
 pub use oplevel::plan_op_level;
 pub use planner::{ExecutionPlan, Planner, TargetPolicy};
-pub use runtime::{CompiledNetwork, CostEntry, ProfileEntry};
+pub use runtime::CompiledNetwork;
 pub use support::{device_supports, neuron_supported, NeuronSupport};

@@ -10,54 +10,17 @@
 use crate::error::NeuronError;
 use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind};
 use crate::planner::{ExecutionPlan, Planner, TargetPolicy};
-use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy, WorkKind};
+use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
+use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy};
 use tvmnp_tensor::kernels::{self, BinaryOp, UnaryOp};
 use tvmnp_tensor::{QuantParams, Tensor};
-
-/// One entry of [`CompiledNetwork::estimate_breakdown`]: a planned op or
-/// an overhead item (`dispatch`, `staging`, `transfer`) with the device it
-/// is charged to.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostEntry {
-    /// Neuron op name, or `dispatch` / `staging` / `transfer`.
-    pub label: String,
-    /// Device the time is charged to.
-    pub device: DeviceKind,
-    /// Simulated microseconds.
-    pub us: f64,
-    /// Whether this is a reference-implementation fallback kernel.
-    pub fallback: bool,
-}
-
-/// One entry of [`CompiledNetwork::kernel_profile`]: the profile-grade
-/// sibling of [`CostEntry`], keeping the work kind and kernel class and
-/// pairing the charged time with the *unscaled* analytic prediction and
-/// an energy estimate. Times sum exactly to
-/// [`CompiledNetwork::estimate_time_us`] and energies to
-/// [`CompiledNetwork::estimate_energy_uj`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileEntry {
-    /// Neuron op name, or `dispatch` / `staging` / `transfer`.
-    pub label: String,
-    /// Work category (overhead entries are data movement).
-    pub kind: WorkKind,
-    /// Device the time is charged to.
-    pub device: DeviceKind,
-    /// Kernel provenance (fallback ops run untuned TVM-style kernels).
-    pub class: KernelClass,
-    /// Charged simulated time, µs (includes injected scaling/throttles).
-    pub us: f64,
-    /// Analytic prediction with every injected multiplier removed, µs.
-    pub analytic_us: f64,
-    /// Estimated energy, µJ.
-    pub energy_uj: f64,
-}
 
 /// A compiled, planned, executable Neuron network.
 pub struct CompiledNetwork {
     graph: NeuronGraph,
     plan: ExecutionPlan,
     cost: CostModel,
+    ledger: Vec<CostEntry>,
 }
 
 impl CompiledNetwork {
@@ -69,13 +32,19 @@ impl CompiledNetwork {
     ) -> Result<Self, NeuronError> {
         let _span = tvmnp_telemetry::span!("neuropilot.compile", "policy" => policy.label());
         let plan = Planner::plan(&graph, policy)?;
-        Ok(CompiledNetwork { graph, plan, cost })
+        Ok(CompiledNetwork::from_plan(graph, plan, cost))
     }
 
     /// Wrap an externally-computed plan (e.g. the op-level scheduler of
     /// [`crate::oplevel`]) into an executable network.
     pub fn from_plan(graph: NeuronGraph, plan: ExecutionPlan, cost: CostModel) -> Self {
-        CompiledNetwork { graph, plan, cost }
+        let ledger = build_ledger(&graph, &plan, &cost);
+        CompiledNetwork {
+            graph,
+            plan,
+            cost,
+            ledger,
+        }
     }
 
     /// The underlying graph.
@@ -88,176 +57,24 @@ impl CompiledNetwork {
         &self.plan
     }
 
+    /// Every charged item of one inference, in accumulation order: per
+    /// segment a `dispatch` (and `staging` off-CPU), then one kernel per
+    /// planned op, then one `transfer` per device crossing.
+    pub fn ledger(&self) -> &[CostEntry] {
+        &self.ledger
+    }
+
     /// Simulated inference time in microseconds (input-independent: static
     /// shapes, static plan).
     pub fn estimate_time_us(&self) -> f64 {
-        self.estimate_breakdown().iter().map(|e| e.us).sum()
-    }
-
-    /// Analytic cost attribution: one entry per planned op (labelled by
-    /// its Neuron op name) plus explicit `dispatch` / `staging` /
-    /// `transfer` overhead entries. Entries sum exactly to
-    /// [`CompiledNetwork::estimate_time_us`].
-    pub fn estimate_breakdown(&self) -> Vec<CostEntry> {
-        let mut out = Vec::new();
-        for seg in &self.plan.segments {
-            out.push(CostEntry {
-                label: "dispatch".to_string(),
-                device: seg.device,
-                us: self.cost.subgraph_dispatch_us(seg.device),
-                fallback: false,
-            });
-            // Off-CPU segments stage their weights through the driver each
-            // dispatch (the prototype runtime does not cache them).
-            if seg.device != DeviceKind::Cpu {
-                let const_bytes: usize = seg
-                    .op_indices
-                    .iter()
-                    .flat_map(|&i| self.graph.ops[i].inputs.iter())
-                    .filter(|&&tid| self.graph.tensors[tid].is_const())
-                    .map(|&tid| self.graph.tensors[tid].size_bytes())
-                    .sum();
-                if const_bytes > 0 {
-                    out.push(CostEntry {
-                        label: "staging".to_string(),
-                        device: seg.device,
-                        us: self.cost.transfer_us(const_bytes),
-                        fallback: false,
-                    });
-                }
-            }
-        }
-        for (i, op) in self.graph.ops.iter().enumerate() {
-            let w = crate::nir::work_item(&self.graph, op);
-            let p = self.plan.placements[i];
-            let (device, us) = if p.fallback {
-                // NNAPI-style reference fallback: untuned CPU kernel.
-                (
-                    DeviceKind::Cpu,
-                    self.cost
-                        .kernel_us(&w, DeviceKind::Cpu, KernelClass::TvmUntuned),
-                )
-            } else {
-                (
-                    p.device,
-                    self.cost.kernel_us(&w, p.device, KernelClass::VendorTuned),
-                )
-            };
-            out.push(CostEntry {
-                label: op.kind.name().to_string(),
-                device,
-                us,
-                fallback: p.fallback,
-            });
-        }
-        for &(_, bytes) in &self.plan.crossings {
-            out.push(CostEntry {
-                label: "transfer".to_string(),
-                device: DeviceKind::Cpu,
-                us: self.cost.transfer_us(bytes),
-                fallback: false,
-            });
-        }
-        out
+        ledger::total_us(&self.ledger)
     }
 
     /// Simulated inference energy in microjoules: per-op kernel energy on
     /// the assigned device (reference-fallback ops burn untuned-CPU
     /// energy) plus boundary-transfer traffic.
     pub fn estimate_energy_uj(&self) -> f64 {
-        let mut e = 0.0;
-        for (i, op) in self.graph.ops.iter().enumerate() {
-            let w = crate::nir::work_item(&self.graph, op);
-            let p = self.plan.placements[i];
-            e += if p.fallback {
-                self.cost
-                    .kernel_energy_uj(&w, DeviceKind::Cpu, KernelClass::TvmUntuned)
-            } else {
-                self.cost
-                    .kernel_energy_uj(&w, p.device, KernelClass::VendorTuned)
-            };
-        }
-        for &(_, bytes) in &self.plan.crossings {
-            e += self.cost.transfer_energy_uj(bytes);
-        }
-        e
-    }
-
-    /// Profile-grade cost attribution: [`CompiledNetwork::estimate_breakdown`]
-    /// entries enriched with work kind, kernel class, energy, and the
-    /// unscaled analytic reference time. The measured-profile ingester
-    /// bins these per (kind, device, class) cell; the calibration layer
-    /// fits `us / analytic_us` per cell, so injected slowdowns and
-    /// thermal throttles surface as scale factors instead of vanishing
-    /// into a workload median.
-    pub fn kernel_profile(&self) -> Vec<ProfileEntry> {
-        let analytic = self.cost.unscaled();
-        let mut out = Vec::new();
-        let overhead = |label: &str, device: DeviceKind, us: f64, energy_uj: f64| ProfileEntry {
-            label: label.to_string(),
-            kind: WorkKind::DataMovement,
-            device,
-            class: KernelClass::VendorTuned,
-            us,
-            // Dispatch and transfer costs are fixed overheads the scale
-            // tables never touch: analytic == charged by construction.
-            analytic_us: us,
-            energy_uj,
-        };
-        for seg in &self.plan.segments {
-            out.push(overhead(
-                "dispatch",
-                seg.device,
-                self.cost.subgraph_dispatch_us(seg.device),
-                0.0,
-            ));
-            if seg.device != DeviceKind::Cpu {
-                let const_bytes: usize = seg
-                    .op_indices
-                    .iter()
-                    .flat_map(|&i| self.graph.ops[i].inputs.iter())
-                    .filter(|&&tid| self.graph.tensors[tid].is_const())
-                    .map(|&tid| self.graph.tensors[tid].size_bytes())
-                    .sum();
-                if const_bytes > 0 {
-                    // Staging energy stays 0 so profile energies reconcile
-                    // with estimate_energy_uj, which does not model it.
-                    out.push(overhead(
-                        "staging",
-                        seg.device,
-                        self.cost.transfer_us(const_bytes),
-                        0.0,
-                    ));
-                }
-            }
-        }
-        for (i, op) in self.graph.ops.iter().enumerate() {
-            let w = crate::nir::work_item(&self.graph, op);
-            let p = self.plan.placements[i];
-            let (device, class) = if p.fallback {
-                (DeviceKind::Cpu, KernelClass::TvmUntuned)
-            } else {
-                (p.device, KernelClass::VendorTuned)
-            };
-            out.push(ProfileEntry {
-                label: op.kind.name().to_string(),
-                kind: w.kind,
-                device,
-                class,
-                us: self.cost.kernel_us(&w, device, class),
-                analytic_us: analytic.kernel_us(&w, device, class),
-                energy_uj: self.cost.kernel_energy_uj(&w, device, class),
-            });
-        }
-        for &(_, bytes) in &self.plan.crossings {
-            out.push(overhead(
-                "transfer",
-                DeviceKind::Cpu,
-                self.cost.transfer_us(bytes),
-                self.cost.transfer_energy_uj(bytes),
-            ));
-        }
-        out
+        ledger::total_energy_uj(&self.ledger)
     }
 
     /// Execute on concrete inputs (in `graph.inputs` order); returns the
@@ -515,11 +332,8 @@ impl CompiledNetwork {
                 .map_err(|err| NeuronError::Execution(err.to_string()))?,
             NeuronOpKind::Transpose { axes } => kernels::transpose(get(0)?, axes).map_err(e)?,
             NeuronOpKind::Concat { axis } => {
-                let parts: Vec<&Tensor> = op
-                    .inputs
-                    .iter()
-                    .map(|&i| slots[i].as_ref().unwrap())
-                    .collect();
+                let parts: Vec<&Tensor> =
+                    (0..op.inputs.len()).map(get).collect::<Result<_, _>>()?;
                 let c = kernels::concat(&parts, *axis).map_err(e)?;
                 match self.graph.tensors[out_slot].quant {
                     Some(q) if c.dtype().is_quantized() => c.with_quant(q),
@@ -562,6 +376,75 @@ impl CompiledNetwork {
         };
         Ok(result)
     }
+}
+
+/// Derive the network's cost ledger — the only place Neuron work is
+/// priced. Per-segment driver dispatch (off-CPU segments also stage their
+/// weights through the driver each dispatch: the prototype runtime does
+/// not cache them), per-kernel time on the assigned device (NNAPI-style
+/// reference fallbacks run an untuned CPU kernel), one transfer per
+/// device-boundary crossing.
+fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> Vec<CostEntry> {
+    let mut ledger =
+        Vec::with_capacity(2 * plan.segments.len() + graph.ops.len() + plan.crossings.len());
+    for (s, seg) in plan.segments.iter().enumerate() {
+        let dispatch_us = cost.subgraph_dispatch_us(seg.device);
+        ledger.push(CostEntry::fixed(
+            s,
+            "dispatch",
+            CostRole::Dispatch,
+            seg.device,
+            dispatch_us,
+        ));
+        if seg.device != DeviceKind::Cpu {
+            let const_bytes: usize = seg
+                .op_indices
+                .iter()
+                .flat_map(|&i| graph.ops[i].inputs.iter())
+                .filter(|&&tid| graph.tensors[tid].is_const())
+                .map(|&tid| graph.tensors[tid].size_bytes())
+                .sum();
+            if const_bytes > 0 {
+                ledger.push(CostEntry::transfer(
+                    cost,
+                    s,
+                    "staging",
+                    CostRole::Staging,
+                    seg.device,
+                    const_bytes,
+                ));
+            }
+        }
+    }
+    for (i, op) in graph.ops.iter().enumerate() {
+        let w = crate::nir::work_item(graph, op);
+        let p = plan.placements[i];
+        let (device, class) = if p.fallback {
+            (DeviceKind::Cpu, KernelClass::TvmUntuned)
+        } else {
+            (p.device, KernelClass::VendorTuned)
+        };
+        ledger.push(CostEntry::kernel(
+            cost,
+            i,
+            op.kind.name(),
+            &w,
+            device,
+            class,
+            p.fallback,
+        ));
+    }
+    for (c, &(_, bytes)) in plan.crossings.iter().enumerate() {
+        ledger.push(CostEntry::transfer(
+            cost,
+            c,
+            "transfer",
+            CostRole::Transfer,
+            DeviceKind::Cpu,
+            bytes,
+        ));
+    }
+    ledger
 }
 
 fn slot_mut(slots: &mut [Option<Tensor>], id: usize) -> Result<&mut Option<Tensor>, NeuronError> {
@@ -636,31 +519,52 @@ mod tests {
     }
 
     #[test]
-    fn kernel_profile_reconciles_with_estimates() {
+    fn ledger_separates_injected_scale_from_analytic_time() {
         let (f, _) = small_net();
         let g = convert_function(&f).unwrap();
         let scaled = CostModel::default().with_kind_scale(WorkKind::MacHeavy, 2.0);
         let net = CompiledNetwork::compile(g, TargetPolicy::CpuApu, scaled).unwrap();
-        let profile = net.kernel_profile();
-        let total_us: f64 = profile.iter().map(|e| e.us).sum();
-        let total_uj: f64 = profile.iter().map(|e| e.energy_uj).sum();
-        assert!((total_us - net.estimate_time_us()).abs() < 1e-9);
-        assert!((total_uj - net.estimate_energy_uj()).abs() < 1e-9);
-        // The injected 2x mac slowdown separates measured from analytic
-        // exactly on mac kernels; overhead entries stay at parity.
-        for e in &profile {
-            match e.kind {
-                WorkKind::MacHeavy => assert!(
-                    e.us > e.analytic_us,
-                    "{}: scaled mac kernel must exceed analytic",
-                    e.label
-                ),
-                _ if e.label == "dispatch" || e.label == "staging" || e.label == "transfer" => {
-                    assert_eq!(e.us, e.analytic_us, "{}: overheads are unscaled", e.label)
-                }
-                _ => assert!((e.us - e.analytic_us).abs() < 1e-9, "{}", e.label),
+        // The injected 2x mac slowdown separates charged from analytic
+        // exactly on mac kernels; everything else stays at parity.
+        assert!(net.ledger().iter().any(|e| e.kind == WorkKind::MacHeavy));
+        for e in net.ledger() {
+            if e.kind == WorkKind::MacHeavy {
+                assert!(e.us > e.analytic_us, "{}: scaled mac kernel", e.label);
+            } else {
+                assert_eq!(e.us, e.analytic_us, "{}", e.label);
             }
         }
+    }
+
+    #[test]
+    fn concat_of_unwritten_slot_is_an_error_not_a_panic() {
+        use crate::nir::NeuronTensor;
+        // What a corrupt blob can hold: a concat whose second operand no
+        // op produces and no constant fills.
+        let t = |name: &str, dims: [usize; 2]| NeuronTensor {
+            name: name.into(),
+            shape: dims.into(),
+            dtype: DType::F32,
+            quant: None,
+            data: None,
+        };
+        let graph = NeuronGraph {
+            tensors: vec![t("x", [1, 2]), t("ghost", [1, 2]), t("y", [1, 4])],
+            ops: vec![NeuronOp {
+                kind: NeuronOpKind::Concat { axis: 1 },
+                inputs: vec![0, 1],
+                outputs: vec![2],
+            }],
+            inputs: vec![0],
+            outputs: vec![2],
+        };
+        let net =
+            CompiledNetwork::compile(graph, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
+        let err = net.execute(&[Tensor::zeros_f32([1, 2])]).unwrap_err();
+        assert!(
+            matches!(err, NeuronError::Execution(ref m) if m.contains("slot 1 empty")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Top-K op cost attribution: where the simulated microseconds go.
 //!
 //! Two sources, one shape: `executor.node` sim spans from a traced run, or
-//! the analytic [`NodeCost`] breakdown of a compiled model (no execution
-//! needed). Grouping is by `(op, device)` so `conv2d@apu` and
+//! the [`CostEntry`] ledger of a compiled model (no execution needed).
+//! Grouping is by `(op, device)` so `conv2d@apu` and
 //! `conv2d@cpu` rank separately — exactly the split the paper's Figs. 4/6
 //! argue about.
 
 use std::collections::BTreeMap;
-use tvmnp_runtime::NodeCost;
+use tvmnp_hwsim::CostEntry;
 use tvmnp_telemetry::Snapshot;
 
 /// Aggregate cost of one `(op, device)` group.
@@ -71,13 +71,13 @@ pub fn attribute_spans(snap: &Snapshot, span_name: &str, k: usize) -> Vec<OpCost
     rank(groups, k)
 }
 
-/// Top-`k` cost groups from an analytic per-node breakdown (`k = 0`
-/// keeps every group).
-pub fn attribute_breakdown(costs: &[NodeCost], k: usize) -> Vec<OpCost> {
+/// Top-`k` cost groups from a model's cost ledger (`k = 0` keeps every
+/// group).
+pub fn attribute_breakdown(costs: &[CostEntry], k: usize) -> Vec<OpCost> {
     let mut groups: BTreeMap<(String, String), (u64, f64)> = BTreeMap::new();
     for c in costs {
         let entry = groups
-            .entry((c.op.clone(), c.device.clone()))
+            .entry((c.label.to_string(), c.device.name().to_string()))
             .or_insert((0, 0.0));
         entry.0 += 1;
         entry.1 += c.us;
@@ -108,14 +108,9 @@ pub fn render_text(rows: &[OpCost]) -> String {
 mod tests {
     use super::*;
 
-    fn cost(op: &str, device: &str, us: f64) -> NodeCost {
-        NodeCost {
-            index: 0,
-            op: op.into(),
-            device: device.into(),
-            us,
-            external: false,
-        }
+    fn cost(op: &'static str, device: &str, us: f64) -> CostEntry {
+        let device = tvmnp_hwsim::DeviceKind::parse(device).unwrap();
+        CostEntry::fixed(0, op, tvmnp_hwsim::CostRole::Kernel, device, us)
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! analytic cost (white = free, deep red = the bottleneck).
 
 use std::collections::HashMap;
-use tvmnp_runtime::{ExecutorGraph, NodeCost, NodeKind};
+use tvmnp_hwsim::CostEntry;
+use tvmnp_runtime::{ExecutorGraph, NodeKind};
 
 /// Escape a string for a double-quoted DOT label.
 fn esc(s: &str) -> String {
@@ -21,14 +22,17 @@ fn heat(share_of_max: f64) -> String {
     format!("/reds9/{level}")
 }
 
-/// Render `graph` as DOT, annotating each node with its analytic cost
-/// from `costs` (match by node index; pass the model's
-/// `estimate_breakdown()`). Output is deterministic: nodes emit in index
-/// order, edges in input order.
-pub fn dot_graph(graph: &ExecutorGraph, costs: &[NodeCost], title: &str) -> String {
-    let by_index: HashMap<usize, &NodeCost> = costs.iter().map(|c| (c.index, c)).collect();
+/// Render `graph` as DOT, annotating each node with its analytic cost:
+/// the sum of its entries in `costs` (pass the executor's ledger).
+/// Output is deterministic: nodes emit in index order, edges in input
+/// order.
+pub fn dot_graph(graph: &ExecutorGraph, costs: &[CostEntry], title: &str) -> String {
+    let mut by_index: HashMap<usize, f64> = HashMap::new();
+    for c in costs {
+        *by_index.entry(c.node).or_default() += c.us;
+    }
     let total_us: f64 = costs.iter().map(|c| c.us).sum();
-    let max_us = costs.iter().map(|c| c.us).fold(0.0, f64::max);
+    let max_us = by_index.values().copied().fold(0.0, f64::max);
     let mut out = String::new();
     out.push_str(&format!("digraph \"{}\" {{\n", esc(title)));
     out.push_str("  rankdir=TB;\n");
@@ -41,16 +45,16 @@ pub fn dot_graph(graph: &ExecutorGraph, costs: &[NodeCost], title: &str) -> Stri
     for (idx, node) in graph.nodes.iter().enumerate() {
         let cost = by_index.get(&idx);
         let annotate = |name: &str| match cost {
-            Some(c) if total_us > 0.0 => format!(
+            Some(us) if total_us > 0.0 => format!(
                 "{}\\n{:.1} us ({:.1}%)",
                 esc(name),
-                c.us,
-                c.us / total_us * 100.0
+                us,
+                us / total_us * 100.0
             ),
             _ => esc(name),
         };
         let fill = match cost {
-            Some(c) if max_us > 0.0 && c.us > 0.0 => heat(c.us / max_us),
+            Some(&us) if max_us > 0.0 && us > 0.0 => heat(us / max_us),
             _ => "white".to_string(),
         };
         match &node.kind {
@@ -117,13 +121,20 @@ mod tests {
             .iter()
             .position(|n| matches!(&n.kind, NodeKind::Op { op, .. } if op.name() == "nn.conv2d"))
             .unwrap();
-        let costs = vec![NodeCost {
-            index: conv_idx,
-            op: "nn.conv2d".into(),
-            device: "cpu".into(),
-            us: 80.0,
-            external: false,
-        }];
+        // Two entries on one node (launch + body) sum into its label.
+        let entry = |role, us| {
+            CostEntry::fixed(
+                conv_idx,
+                "nn.conv2d",
+                role,
+                tvmnp_hwsim::DeviceKind::Cpu,
+                us,
+            )
+        };
+        let costs = vec![
+            entry(tvmnp_hwsim::CostRole::Launch, 5.0),
+            entry(tvmnp_hwsim::CostRole::Kernel, 75.0),
+        ];
         let dot = dot_graph(&g, &costs, "toy");
         assert!(dot.starts_with("digraph \"toy\" {"));
         assert!(dot.ends_with("}\n"));

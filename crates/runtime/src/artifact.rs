@@ -236,7 +236,7 @@ mod tests {
                     .ok_or("missing symbol")?
                     .to_string();
                 let time_us = payload["time_us"].as_f64().ok_or("missing time")?;
-                Ok(Box::new(NegateModule { symbol, time_us }) as Box<dyn ExternalModule>)
+                Ok(Box::new(NegateModule::new(symbol, time_us)) as Box<dyn ExternalModule>)
             }),
         );
         l
@@ -246,10 +246,7 @@ mod tests {
     fn export_load_run_roundtrip() {
         let m = partitioned_module();
         let graph = ExecutorGraph::build(&m).unwrap();
-        let module = NegateModule {
-            symbol: "nir_0".into(),
-            time_us: 7.0,
-        };
+        let module = NegateModule::new("nir_0", 7.0);
         let artifact = Artifact::export(&graph, &[&module]);
 
         let dir = std::env::temp_dir().join("tvmnp_artifact_test");
@@ -272,10 +269,7 @@ mod tests {
     fn missing_loader_fails() {
         let m = partitioned_module();
         let graph = ExecutorGraph::build(&m).unwrap();
-        let module = NegateModule {
-            symbol: "nir_0".into(),
-            time_us: 7.0,
-        };
+        let module = NegateModule::new("nir_0", 7.0);
         let artifact = Artifact::export(&graph, &[&module]);
         let phone = AndroidDevice::new("bare", LoaderRegistry::new(), CostModel::default());
         assert!(phone.load(&artifact).is_err());

@@ -1,12 +1,13 @@
 //! The graph executor — TVM's `GraphModule` (`set_input` / `run` /
 //! `get_output`), with simulated-time accounting.
 
-use crate::graph::{ExecutorGraph, NodeKind, NodeRef};
-use crate::module::{KernelProfile, ModuleRegistry};
+use crate::graph::{ExecutorGraph, GraphNode, NodeKind, NodeRef};
+use crate::module::ModuleRegistry;
 use crate::work::relay_work_item;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy, WorkKind};
+use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
+use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy};
 use tvmnp_relay::interp::{eval_op, Value};
 use tvmnp_relay::TensorType;
 use tvmnp_tensor::Tensor;
@@ -162,29 +163,19 @@ fn kernel_class_label(class: KernelClass) -> &'static str {
     }
 }
 
-/// Profile-detail attributes stamped onto a node span when
-/// `tvmnp_telemetry::detail_enabled()` — work kind, energy estimate,
-/// and the unscaled analytic reference time the calibration layer fits
-/// against. `None` on normal runs keeps spans byte-identical to earlier
-/// releases.
-struct NodeDetail {
-    kind: WorkKind,
-    energy_uj: f64,
-    analytic_us: f64,
-}
-
-/// Emit one detail-gated `executor.kernel` sim span for an internal
-/// kernel of an external module. These spans exist only for the profile
-/// ingester (which bins on the `kind` arg); the flight-recorder forward
-/// filter and the utilization report never see them because detail mode
-/// is confined to dedicated profile-collection passes.
-fn record_kernel(symbol: &str, start_us: f64, k: &KernelProfile) {
+/// Emit one detail-gated `executor.kernel` sim span for a ledger entry of
+/// an external node (boundary transfer or internal kernel). These spans
+/// exist only for the profile ingester (which bins on the `kind` arg);
+/// the flight-recorder forward filter and the utilization report never
+/// see them because detail mode is confined to dedicated
+/// profile-collection passes.
+fn record_kernel(symbol: &str, start_us: f64, k: &CostEntry) {
     tvmnp_telemetry::record_sim_span(
         "executor.kernel",
         start_us,
         k.us,
         vec![
-            ("op".to_string(), k.label.clone()),
+            ("op".to_string(), k.label.to_string()),
             ("symbol".to_string(), symbol.to_string()),
             ("kind".to_string(), k.kind.name().to_string()),
             ("device".to_string(), k.device.name().to_string()),
@@ -193,6 +184,46 @@ fn record_kernel(symbol: &str, start_us: f64, k: &KernelProfile) {
             ("analytic_us".to_string(), format!("{:.6}", k.analytic_us)),
         ],
     );
+}
+
+/// Record one node's simulated interval (span + histogram + counter);
+/// no-op while telemetry is disabled. `detail` carries a host node's
+/// ledger entries when `tvmnp_telemetry::detail_enabled()`: the span then
+/// gains the work kind, energy, and the unscaled analytic reference time
+/// the calibration layer fits against. `None` on normal runs keeps spans
+/// byte-identical to earlier releases.
+fn record_node(
+    start_us: f64,
+    dur_us: f64,
+    op: &str,
+    device: &str,
+    class: KernelClass,
+    detail: Option<&[CostEntry]>,
+) {
+    if !tvmnp_telemetry::is_enabled() {
+        return;
+    }
+    let class = kernel_class_label(class);
+    let mut span_args = vec![
+        ("op".to_string(), op.to_string()),
+        ("device".to_string(), device.to_string()),
+        ("class".to_string(), class.to_string()),
+    ];
+    // A host node's entries end in its kernel body (a launch may precede it).
+    if let Some(entries @ [.., kernel]) = detail {
+        let analytic_us: f64 = entries.iter().map(|e| e.analytic_us).sum();
+        let energy_uj = ledger::total_energy_uj(entries);
+        span_args.push(("kind".to_string(), kernel.kind.name().to_string()));
+        span_args.push(("energy_uj".to_string(), format!("{energy_uj:.6}")));
+        span_args.push(("analytic_us".to_string(), format!("{analytic_us:.6}")));
+    }
+    tvmnp_telemetry::record_sim_span("executor.node", start_us, dur_us, span_args);
+    tvmnp_telemetry::histogram_observe(
+        "executor.node_us",
+        &[("device", device), ("kernel", op), ("class", class)],
+        dur_us,
+    );
+    tvmnp_telemetry::counter_add("executor.nodes", &[("device", device)], 1);
 }
 
 /// Fault-handling knobs for one executor run (see
@@ -283,21 +314,86 @@ fn emit_fault_event(device: DeviceKind, attempt: u32, detail: &str, fatal: bool)
     );
 }
 
-/// One graph node's analytic cost share (see
-/// [`GraphExecutor::estimate_breakdown`]). External nodes charge their
-/// boundary transfers plus the module's own estimate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeCost {
-    /// Index into the executor graph's node list.
-    pub index: usize,
-    /// Relay operator name, or the external symbol for offloaded nodes.
-    pub op: String,
-    /// Device label the node is charged to (`cpu`, `gpu`, `apu`).
-    pub device: String,
-    /// Simulated microseconds attributed to this node.
-    pub us: f64,
-    /// Whether the node dispatches to an external (BYOC) module.
-    pub external: bool,
+/// Derive the executor's cost ledger — the only place host-side work is
+/// priced. Per node, in execution order: a host op charges one launch per
+/// fusion group plus its roofline body on the untuned CPU; an external
+/// node charges a host → module transfer per argument through the
+/// module's dispatch device, the linked module's own entries, and a
+/// module → host transfer per result.
+fn build_ledger(
+    graph: &ExecutorGraph,
+    modules: &ModuleRegistry,
+    cost: &CostModel,
+) -> Result<Vec<CostEntry>, ExecError> {
+    let type_of = |r: &NodeRef| &graph.nodes[r.node].out_types[r.output];
+    let cpu_launch = cost.soc().device(DeviceKind::Cpu).kernel_launch_us;
+    let is_host_op = |n: &&GraphNode| matches!(n.kind, NodeKind::Op { .. });
+    let host_ops = graph.nodes.iter().filter(is_host_op).count();
+    let external_entries = graph.nodes.iter().map(|n| match &n.kind {
+        NodeKind::External { symbol, inputs } => {
+            let inner = modules.get(symbol).map_or(0, |m| m.ledger().len());
+            inputs.len() + inner + n.out_types.len()
+        }
+        _ => 0,
+    });
+    let mut ledger = Vec::with_capacity(2 * host_ops + external_entries.sum::<usize>());
+    let mut groups_dispatched: HashSet<usize> = HashSet::with_capacity(host_ops);
+    let mut arg_types: Vec<&TensorType> = Vec::new();
+    for (idx, node) in graph.nodes.iter().enumerate() {
+        match &node.kind {
+            NodeKind::Input { .. } | NodeKind::Param { .. } => {}
+            NodeKind::Op { op, inputs, group } => {
+                arg_types.clear();
+                arg_types.extend(inputs.iter().map(type_of));
+                let w = relay_work_item(op, &arg_types, &node.out_types[0]);
+                if groups_dispatched.insert(*group) {
+                    ledger.push(CostEntry::fixed(
+                        idx,
+                        op.name(),
+                        CostRole::Launch,
+                        DeviceKind::Cpu,
+                        cpu_launch,
+                    ));
+                }
+                ledger.push(CostEntry::kernel_body(
+                    cost,
+                    idx,
+                    op.name(),
+                    &w,
+                    DeviceKind::Cpu,
+                    KernelClass::TvmUntuned,
+                ));
+            }
+            NodeKind::External { symbol, inputs } => {
+                // The same constraint TVM enforces when linking BYOC
+                // modules: every referenced symbol must be registered.
+                let module = modules.get(symbol).ok_or_else(|| {
+                    ExecError::new(format!("external symbol '{symbol}' is not linked"))
+                        .with_op(symbol)
+                })?;
+                let device = module.dispatch_device();
+                let boundary = |label, t: &TensorType| {
+                    CostEntry::transfer(
+                        cost,
+                        idx,
+                        label,
+                        CostRole::Transfer,
+                        device,
+                        t.size_bytes(),
+                    )
+                };
+                ledger.extend(inputs.iter().map(|r| boundary("boundary-in", type_of(r))));
+                ledger.extend(
+                    module
+                        .ledger()
+                        .iter()
+                        .map(|e| CostEntry { node: idx, ..*e }),
+                );
+                ledger.extend(node.out_types.iter().map(|t| boundary("boundary-out", t)));
+            }
+        }
+    }
+    Ok(ledger)
 }
 
 /// The graph executor: owns the graph, linked external modules, bound
@@ -306,32 +402,28 @@ pub struct GraphExecutor {
     graph: ExecutorGraph,
     modules: ModuleRegistry,
     cost: CostModel,
+    ledger: Vec<CostEntry>,
     inputs: HashMap<String, Tensor>,
     values: HashMap<NodeRef, Tensor>,
     last_run_us: Option<f64>,
 }
 
 impl GraphExecutor {
-    /// Construct from a lowered graph and linked external modules.
+    /// Construct from a lowered graph and linked external modules, and
+    /// derive the cost ledger every run and estimate reads.
     ///
-    /// Every external symbol referenced by the graph must be registered —
-    /// the same constraint TVM enforces when linking BYOC modules.
+    /// Every external symbol referenced by the graph must be registered.
     pub fn new(
         graph: ExecutorGraph,
         modules: ModuleRegistry,
         cost: CostModel,
     ) -> Result<Self, ExecError> {
-        for sym in graph.external_symbols() {
-            if modules.get(sym).is_none() {
-                return Err(
-                    ExecError::new(format!("external symbol '{sym}' is not linked")).with_op(sym),
-                );
-            }
-        }
+        let ledger = build_ledger(&graph, &modules, &cost)?;
         Ok(GraphExecutor {
             graph,
             modules,
             cost,
+            ledger,
             inputs: HashMap::new(),
             values: HashMap::new(),
             last_run_us: None,
@@ -374,13 +466,15 @@ impl GraphExecutor {
     /// with an [`ExecErrorKind::DeviceFault`] error carrying the attempt
     /// count and cause; exceeding `opts.deadline_us` aborts with
     /// [`ExecErrorKind::Deadline`]. With default options this is exactly
-    /// [`GraphExecutor::run`] — same numerics, same time.
+    /// [`GraphExecutor::run`] — same numerics, same time. Simulated time
+    /// is the ledger charged in order (retries only add on top), so a
+    /// fault-free run returns bit-exactly
+    /// [`GraphExecutor::estimate_time_us`].
     pub fn run_with(&mut self, opts: &RunOptions<'_>) -> Result<f64, ExecError> {
         let _run_span = tvmnp_telemetry::span!("executor.run");
         self.values.clear();
         let mut time_us = 0.0;
-        let mut groups_dispatched: HashSet<usize> = HashSet::new();
-        let cpu_launch = self.cost.soc().device(DeviceKind::Cpu).kernel_launch_us;
+        let mut charged = 0;
         let deadline = |time_us: f64, node: usize| -> Result<(), ExecError> {
             if time_us > opts.deadline_us {
                 return Err(ExecError::new(format!(
@@ -392,32 +486,36 @@ impl GraphExecutor {
             }
             Ok(())
         };
+        let fault = |e: ExecError, (attempt, cause): (u32, String)| {
+            e.with_attempt(attempt)
+                .with_kind(ExecErrorKind::DeviceFault)
+                .with_cause(cause)
+        };
 
         for (idx, node) in self.graph.nodes.iter().enumerate() {
+            // This node's slice of the ledger (entries are in node order).
+            let first = charged;
+            while self.ledger.get(charged).is_some_and(|e| e.node == idx) {
+                charged += 1;
+            }
+            let entries = &self.ledger[first..charged];
+            let node_start_us = time_us;
+            let out0 = NodeRef {
+                node: idx,
+                output: 0,
+            };
             match &node.kind {
                 NodeKind::Input { name } => {
                     let v = self.inputs.get(name).ok_or_else(|| {
                         ExecError::new(format!("input '{name}' not set"))
                             .with_node(format!("node#{idx}"))
                     })?;
-                    self.values.insert(
-                        NodeRef {
-                            node: idx,
-                            output: 0,
-                        },
-                        v.clone(),
-                    );
+                    self.values.insert(out0, v.clone());
                 }
                 NodeKind::Param { index } => {
-                    self.values.insert(
-                        NodeRef {
-                            node: idx,
-                            output: 0,
-                        },
-                        self.graph.params[*index].clone(),
-                    );
+                    self.values.insert(out0, self.graph.params[*index].clone());
                 }
-                NodeKind::Op { op, inputs, group } => {
+                NodeKind::Op { op, inputs, .. } => {
                     let err_here = |msg: String| {
                         ExecError::new(msg)
                             .with_node(format!("node#{idx}"))
@@ -438,77 +536,38 @@ impl GraphExecutor {
                         .map_err(|e| err_here(e.to_string()))?
                         .into_tensor()
                         .map_err(|e| err_here(e.to_string()))?;
-                    // Time: one launch per fusion group + roofline body.
-                    let arg_types: Vec<TensorType> = inputs
-                        .iter()
-                        .map(|r| self.graph.nodes[r.node].out_types[r.output].clone())
-                        .collect();
-                    let arg_refs: Vec<&TensorType> = arg_types.iter().collect();
-                    let w = relay_work_item(op, &arg_refs, &node.out_types[0]);
-                    let node_start_us = time_us;
-                    let launched = groups_dispatched.insert(*group);
-                    if launched {
-                        if let Some(injector) = opts.injector {
-                            dispatch_with_retry(
-                                injector,
-                                &opts.retry,
-                                DeviceKind::Cpu,
-                                cpu_launch,
-                                &mut time_us,
-                            )
-                            .map_err(|(attempt, cause)| {
-                                err_here(format!("device fault: {cause}"))
-                                    .with_attempt(attempt)
-                                    .with_kind(ExecErrorKind::DeviceFault)
-                                    .with_cause(cause)
-                            })?;
-                        }
-                        time_us += cpu_launch;
+                    // A fusion group's first node dispatches the kernel.
+                    let launch = entries.first().filter(|e| e.role == CostRole::Launch);
+                    if let (Some(injector), Some(launch)) = (opts.injector, launch) {
+                        dispatch_with_retry(
+                            injector,
+                            &opts.retry,
+                            launch.device,
+                            launch.us,
+                            &mut time_us,
+                        )
+                        .map_err(|f| fault(err_here(format!("device fault: {}", f.1)), f))?;
                     }
-                    time_us +=
-                        self.cost
-                            .kernel_body_us(&w, DeviceKind::Cpu, KernelClass::TvmUntuned);
-                    let detail = tvmnp_telemetry::detail_enabled().then(|| NodeDetail {
-                        kind: w.kind,
-                        energy_uj: self.cost.kernel_energy_uj(
-                            &w,
-                            DeviceKind::Cpu,
-                            KernelClass::TvmUntuned,
-                        ),
-                        // Detail runs only: stripping the injected
-                        // multipliers here keeps GraphExecutor free of a
-                        // second CostModel on the hot path.
-                        analytic_us: self.cost.unscaled().kernel_body_us(
-                            &w,
-                            DeviceKind::Cpu,
-                            KernelClass::TvmUntuned,
-                        ) + if launched { cpu_launch } else { 0.0 },
-                    });
-                    self.record_node(
+                    ledger::charge(&mut time_us, entries);
+                    record_node(
                         node_start_us,
                         time_us - node_start_us,
                         op.name(),
                         DeviceKind::Cpu.name(),
                         KernelClass::TvmUntuned,
-                        detail,
+                        tvmnp_telemetry::detail_enabled().then_some(entries),
                     );
                     deadline(time_us, idx)?;
-                    self.values.insert(
-                        NodeRef {
-                            node: idx,
-                            output: 0,
-                        },
-                        out,
-                    );
+                    self.values.insert(out0, out);
                 }
                 NodeKind::External { symbol, inputs } => {
                     let module = self.modules.get(symbol).expect("checked at construction");
-                    let device = module.dispatch_device().name().to_string();
+                    let dispatch = module.dispatch_device();
                     let err_here = |msg: String| {
                         ExecError::new(msg)
                             .with_node(format!("node#{idx}"))
                             .with_op(symbol.clone())
-                            .with_device(device.clone())
+                            .with_device(dispatch.name())
                     };
                     let args: Vec<Tensor> = inputs
                         .iter()
@@ -519,29 +578,21 @@ impl GraphExecutor {
                                 .ok_or_else(|| err_here(format!("value for {r:?} missing")))
                         })
                         .collect::<Result<_, _>>()?;
-                    let node_start_us = time_us;
-                    // Host → external transfer for each argument.
-                    for a in &args {
-                        time_us += self.cost.transfer_us(a.size_bytes());
-                    }
+                    // Host → external transfers, then the dispatch.
+                    let (transfers_in, rest) = entries.split_at(inputs.len());
+                    ledger::charge(&mut time_us, transfers_in);
                     if let Some(injector) = opts.injector {
-                        let fault_device = module.dispatch_device();
+                        let wasted_us = self.cost.subgraph_dispatch_us(dispatch);
                         dispatch_with_retry(
                             injector,
                             &opts.retry,
-                            fault_device,
-                            self.cost.subgraph_dispatch_us(fault_device),
+                            dispatch,
+                            wasted_us,
                             &mut time_us,
                         )
-                        .map_err(|(attempt, cause)| {
-                            err_here(format!("device fault: {cause}"))
-                                .with_attempt(attempt)
-                                .with_kind(ExecErrorKind::DeviceFault)
-                                .with_cause(cause)
-                        })?;
+                        .map_err(|f| fault(err_here(format!("device fault: {}", f.1)), f))?;
                     }
-                    let (outs, ext_us) = module.run(&args).map_err(|e| err_here(e.to_string()))?;
-                    time_us += ext_us;
+                    let (outs, _) = module.run(&args).map_err(|e| err_here(e.to_string()))?;
                     if outs.len() != node.out_types.len() {
                         return Err(err_here(format!(
                             "'{symbol}' returned {} outputs, expected {}",
@@ -549,9 +600,18 @@ impl GraphExecutor {
                             node.out_types.len()
                         )));
                     }
-                    // External → host transfer for each result.
-                    for (k, o) in outs.into_iter().enumerate() {
-                        time_us += self.cost.transfer_us(o.size_bytes());
+                    // The ledger charged the graph's types at build time,
+                    // so what the module hands back must match them.
+                    for (k, (o, expect)) in outs.into_iter().zip(&node.out_types).enumerate() {
+                        if o.shape() != &expect.shape || o.dtype() != expect.dtype {
+                            return Err(err_here(format!(
+                                "'{symbol}' output {k} expects {} {}, got {} {}",
+                                expect.shape,
+                                expect.dtype,
+                                o.shape(),
+                                o.dtype()
+                            )));
+                        }
                         self.values.insert(
                             NodeRef {
                                 node: idx,
@@ -560,45 +620,25 @@ impl GraphExecutor {
                             o,
                         );
                     }
-                    self.record_node(
+                    // The module's own entries, then external → host.
+                    ledger::charge(&mut time_us, rest);
+                    record_node(
                         node_start_us,
                         time_us - node_start_us,
                         symbol,
-                        &device,
+                        dispatch.name(),
                         KernelClass::VendorTuned,
                         None,
                     );
                     if tvmnp_telemetry::detail_enabled() {
-                        // Per-kernel attribution spans: the boundary
-                        // transfers charged above, then the module's own
-                        // internal kernels, tiled from the node start.
-                        // (The aggregate `executor.node` span above has
-                        // no `kind` arg, so the profile ingester takes
-                        // these and skips it — no double counting.)
+                        // Per-kernel attribution spans, tiled from the
+                        // node start. (The aggregate `executor.node` span
+                        // above has no `kind` arg, so the profile ingester
+                        // takes these and skips it — no double counting.)
                         let mut at_us = node_start_us;
-                        let dispatch = module.dispatch_device();
-                        let boundary = |label: &str, bytes: usize, at_us: &mut f64| {
-                            let entry = KernelProfile {
-                                label: label.to_string(),
-                                kind: WorkKind::DataMovement,
-                                device: dispatch,
-                                class: KernelClass::VendorTuned,
-                                us: self.cost.transfer_us(bytes),
-                                analytic_us: self.cost.transfer_us(bytes),
-                                energy_uj: self.cost.transfer_energy_uj(bytes),
-                            };
-                            record_kernel(symbol, *at_us, &entry);
-                            *at_us += entry.us;
-                        };
-                        for a in &args {
-                            boundary("boundary-in", a.size_bytes(), &mut at_us);
-                        }
-                        for entry in module.kernel_profile() {
-                            record_kernel(symbol, at_us, &entry);
+                        for entry in entries {
+                            record_kernel(symbol, at_us, entry);
                             at_us += entry.us;
-                        }
-                        for t in &node.out_types {
-                            boundary("boundary-out", t.size_bytes(), &mut at_us);
                         }
                     }
                     deadline(time_us, idx)?;
@@ -609,151 +649,24 @@ impl GraphExecutor {
         Ok(time_us)
     }
 
-    /// Record one node's simulated interval (span + histogram + counter);
-    /// no-op while telemetry is disabled.
-    fn record_node(
-        &self,
-        start_us: f64,
-        dur_us: f64,
-        op: &str,
-        device: &str,
-        class: KernelClass,
-        detail: Option<NodeDetail>,
-    ) {
-        if !tvmnp_telemetry::is_enabled() {
-            return;
-        }
-        let class = kernel_class_label(class);
-        let mut span_args = vec![
-            ("op".to_string(), op.to_string()),
-            ("device".to_string(), device.to_string()),
-            ("class".to_string(), class.to_string()),
-        ];
-        if let Some(d) = detail {
-            span_args.push(("kind".to_string(), d.kind.name().to_string()));
-            span_args.push(("energy_uj".to_string(), format!("{:.6}", d.energy_uj)));
-            span_args.push(("analytic_us".to_string(), format!("{:.6}", d.analytic_us)));
-        }
-        tvmnp_telemetry::record_sim_span("executor.node", start_us, dur_us, span_args);
-        tvmnp_telemetry::histogram_observe(
-            "executor.node_us",
-            &[("device", device), ("kernel", op), ("class", class)],
-            dur_us,
-        );
-        tvmnp_telemetry::counter_add("executor.nodes", &[("device", device)], 1);
+    /// Every charged item of one inference, in execution (= accumulation)
+    /// order; external nodes contribute their boundary transfers around
+    /// the linked module's own entries, re-tagged with the node index.
+    pub fn ledger(&self) -> &[CostEntry] {
+        &self.ledger
     }
 
-    /// Simulated time of one inference, computed analytically from shapes
-    /// and the linked modules — no numeric execution needed (static shapes
-    /// make the time input-independent, like the paper's per-model
-    /// measurements).
+    /// Simulated time of one inference, read off the ledger — no numeric
+    /// execution needed (static shapes make the time input-independent,
+    /// like the paper's per-model measurements).
     pub fn estimate_time_us(&self) -> f64 {
-        self.estimate_breakdown().iter().map(|n| n.us).sum()
-    }
-
-    /// Per-node analytic cost attribution: one entry per graph node that
-    /// costs simulated time, in execution order. Durations sum exactly to
-    /// [`GraphExecutor::estimate_time_us`] — the report layer relies on
-    /// this reconciliation.
-    pub fn estimate_breakdown(&self) -> Vec<NodeCost> {
-        let mut out = Vec::new();
-        let mut groups_dispatched: HashSet<usize> = HashSet::new();
-        let cpu_launch = self.cost.soc().device(DeviceKind::Cpu).kernel_launch_us;
-        for (idx, node) in self.graph.nodes.iter().enumerate() {
-            match &node.kind {
-                NodeKind::Input { .. } | NodeKind::Param { .. } => {}
-                NodeKind::Op { op, inputs, group } => {
-                    let arg_types: Vec<TensorType> = inputs
-                        .iter()
-                        .map(|r| self.graph.nodes[r.node].out_types[r.output].clone())
-                        .collect();
-                    let arg_refs: Vec<&TensorType> = arg_types.iter().collect();
-                    let w = relay_work_item(op, &arg_refs, &node.out_types[0]);
-                    let mut us =
-                        self.cost
-                            .kernel_body_us(&w, DeviceKind::Cpu, KernelClass::TvmUntuned);
-                    if groups_dispatched.insert(*group) {
-                        us += cpu_launch;
-                    }
-                    out.push(NodeCost {
-                        index: idx,
-                        op: op.name().to_string(),
-                        device: DeviceKind::Cpu.name().to_string(),
-                        us,
-                        external: false,
-                    });
-                }
-                NodeKind::External { symbol, inputs } => {
-                    let module = self.modules.get(symbol).expect("checked at construction");
-                    let mut transfer_us = 0.0;
-                    for r in inputs {
-                        let t = &self.graph.nodes[r.node].out_types[r.output];
-                        transfer_us += self.cost.transfer_us(t.size_bytes());
-                    }
-                    for t in &node.out_types {
-                        transfer_us += self.cost.transfer_us(t.size_bytes());
-                    }
-                    // Boundary transfers enter through the dispatch
-                    // device; the module's own time is split across the
-                    // devices its plan actually placed work on, so a
-                    // CPU-policy or CPU+APU module no longer shows up as
-                    // pure APU load.
-                    let dispatch = module.dispatch_device();
-                    let mut shares = module.estimate_device_us();
-                    if let Some(entry) = shares.iter_mut().find(|(d, _)| *d == dispatch) {
-                        entry.1 += transfer_us;
-                    } else {
-                        shares.push((dispatch, transfer_us));
-                    }
-                    for (device, us) in shares {
-                        if us > 0.0 {
-                            out.push(NodeCost {
-                                index: idx,
-                                op: symbol.clone(),
-                                device: device.name().to_string(),
-                                us,
-                                external: true,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
+        ledger::total_us(&self.ledger)
     }
 
     /// Simulated inference energy in microjoules (host ops burn untuned
-    /// CPU energy; external modules are consulted via the registry).
+    /// CPU energy; external modules bring their own entries).
     pub fn estimate_energy_uj(&self) -> f64 {
-        let mut e = 0.0;
-        for node in &self.graph.nodes {
-            match &node.kind {
-                NodeKind::Input { .. } | NodeKind::Param { .. } => {}
-                NodeKind::Op { op, inputs, .. } => {
-                    let arg_types: Vec<TensorType> = inputs
-                        .iter()
-                        .map(|r| self.graph.nodes[r.node].out_types[r.output].clone())
-                        .collect();
-                    let arg_refs: Vec<&TensorType> = arg_types.iter().collect();
-                    let w = relay_work_item(op, &arg_refs, &node.out_types[0]);
-                    e += self
-                        .cost
-                        .kernel_energy_uj(&w, DeviceKind::Cpu, KernelClass::TvmUntuned);
-                }
-                NodeKind::External { symbol, inputs } => {
-                    let module = self.modules.get(symbol).expect("checked at construction");
-                    for r in inputs {
-                        let t = &self.graph.nodes[r.node].out_types[r.output];
-                        e += self.cost.transfer_energy_uj(t.size_bytes());
-                    }
-                    e += module.estimate_energy_uj();
-                    for t in &node.out_types {
-                        e += self.cost.transfer_energy_uj(t.size_bytes());
-                    }
-                }
-            }
-        }
-        e
+        ledger::total_energy_uj(&self.ledger)
     }
 
     /// Fetch output `i` after a run (TVM `m.get_output`).
@@ -838,21 +751,41 @@ mod tests {
         m.functions.insert("nir_0".into(), ext);
         let g = ExecutorGraph::build(&m).unwrap();
         let mut reg = ModuleRegistry::new();
-        reg.register(Box::new(NegateModule {
-            symbol: "nir_0".into(),
-            time_us: 42.0,
-        }));
+        reg.register(Box::new(NegateModule::new("nir_0", 42.0)));
         let cost = CostModel::default();
-        let min_transfer = 2.0 * cost.transfer_us(8);
+        let transfer = cost.transfer_us(8);
         let mut ex = GraphExecutor::new(g, reg, cost).unwrap();
         ex.set_input("x", Tensor::from_f32([2], vec![1.0, -2.0]).unwrap())
             .unwrap();
         let t = ex.run().unwrap();
         assert_eq!(ex.get_output(0).unwrap().as_f32().unwrap(), &[-1.0, 2.0]);
-        assert!(
-            t >= 42.0 + min_transfer,
-            "time {t} must include module + transfers"
-        );
+        assert_eq!(t, transfer + 42.0 + transfer, "transfer in, module, out");
+        let labels: Vec<&str> = ex.ledger().iter().map(|e| e.label).collect();
+        assert_eq!(labels, ["boundary-in", "negate", "boundary-out"]);
+    }
+
+    #[test]
+    fn external_output_must_match_graph_type() {
+        // The graph says nir_0 flattens f32[1,2,2] to f32[1,4]; the fake module
+        // hands back its input's shape. Accepting that would run the rest
+        // of the graph on a tensor the ledger never priced.
+        let x = var("x", tvmnp_relay::TensorType::f32([1, 2, 2]));
+        let y = call_global("nir_0", vec![x.clone()]);
+        let px = var("p", tvmnp_relay::TensorType::f32([1, 2, 2]));
+        let ext = Function::new(vec![px.clone()], builder::batch_flatten(px))
+            .with_attr("Compiler", "fake");
+        let mut m = Module::from_main(Function::new(vec![x], y));
+        m.functions.insert("nir_0".into(), ext);
+        let g = ExecutorGraph::build(&m).unwrap();
+        let mut reg = ModuleRegistry::new();
+        reg.register(Box::new(NegateModule::new("nir_0", 1.0)));
+        let mut ex = GraphExecutor::new(g, reg, CostModel::default()).unwrap();
+        ex.set_input("x", Tensor::zeros_f32([1, 2, 2])).unwrap();
+        let err = ex.run().unwrap_err();
+        assert!(err.message().contains("output 0 expects"), "{err}");
+        assert_eq!(err.context().op.as_deref(), Some("nir_0"));
+        assert_eq!(err.context().device.as_deref(), Some("cpu"));
+        assert!(err.context().node.is_some());
     }
 
     #[test]
@@ -946,32 +879,11 @@ mod tests {
             (node_us - total).abs() <= 1e-9 * total.max(1.0),
             "per-node spans ({node_us}) must account for the whole run ({total})"
         );
+        assert_eq!(total, ex.estimate_time_us(), "run is the ledger in order");
         assert!(snap
             .metrics
             .iter()
             .any(|(k, _)| k.to_string().starts_with("executor.node_us{")));
-    }
-
-    #[test]
-    fn breakdown_sums_to_estimate() {
-        let mut rng = TensorRng::new(11);
-        let x = var("x", tvmnp_relay::TensorType::f32([1, 3, 8, 8]));
-        let w = rng.uniform_f32([4, 3, 3, 3], -0.5, 0.5);
-        let y = builder::softmax(builder::batch_flatten(builder::relu(builder::conv2d(
-            x.clone(),
-            w,
-            Conv2dAttrs::same(1),
-        ))));
-        let m = Module::from_main(Function::new(vec![x], y));
-        let g = ExecutorGraph::build(&m).unwrap();
-        let ex = GraphExecutor::new(g, ModuleRegistry::new(), CostModel::default()).unwrap();
-        let breakdown = ex.estimate_breakdown();
-        assert!(!breakdown.is_empty());
-        let sum: f64 = breakdown.iter().map(|n| n.us).sum();
-        let est = ex.estimate_time_us();
-        assert!((sum - est).abs() <= 1e-9 * est.max(1.0), "{sum} vs {est}");
-        assert!(breakdown.iter().any(|n| n.op == "nn.conv2d"));
-        assert!(breakdown.iter().all(|n| n.device == "cpu" && !n.external));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod module;
 pub mod work;
 
 pub use artifact::{AndroidDevice, Artifact, ArtifactError, LoaderRegistry};
-pub use executor::{ExecContext, ExecError, ExecErrorKind, GraphExecutor, NodeCost, RunOptions};
+pub use executor::{ExecContext, ExecError, ExecErrorKind, GraphExecutor, RunOptions};
 pub use graph::{ExecutorGraph, GraphNode, NodeKind, NodeRef};
 pub use memory::{plan_memory, MemoryPlan};
 pub use module::{ExternalModule, ModuleRegistry};

@@ -7,32 +7,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
+use tvmnp_hwsim::{CostEntry, DeviceKind};
 use tvmnp_tensor::Tensor;
-
-/// One internal kernel (or overhead item) of an external module, for
-/// measured-profile collection. Unlike the per-device shares of
-/// [`ExternalModule::estimate_device_us`], entries keep the work kind
-/// and kernel class, carry an energy estimate, and pair the charged
-/// time with the *unscaled* analytic prediction — the reference the
-/// calibration layer fits residuals against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelProfile {
-    /// Human label (op name or overhead kind, e.g. `conv2d`, `dispatch`).
-    pub label: String,
-    /// Work category of the kernel.
-    pub kind: WorkKind,
-    /// Device the time is charged to.
-    pub device: DeviceKind,
-    /// Kernel provenance (untuned TVM vs vendor-tuned).
-    pub class: KernelClass,
-    /// Charged simulated time, µs (includes any injected scaling).
-    pub us: f64,
-    /// Analytic prediction with every injected multiplier removed, µs.
-    pub analytic_us: f64,
-    /// Estimated energy, µJ.
-    pub energy_uj: f64,
-}
 
 /// Error from an external module invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,36 +38,16 @@ pub trait ExternalModule: Send + Sync {
         DeviceKind::Cpu
     }
 
-    /// Per-device shares of [`ExternalModule::estimate_time_us`], for
-    /// cost attribution. The default charges everything to the dispatch
-    /// device; modules whose internal plan spans several devices (e.g. a
-    /// CPU+APU Neuron plan) override this with the planned split. Shares
-    /// must sum to `estimate_time_us`.
-    fn estimate_device_us(&self) -> Vec<(DeviceKind, f64)> {
-        vec![(self.dispatch_device(), self.estimate_time_us())]
-    }
-
     /// Execute on positional inputs; returns outputs and the simulated
-    /// on-device time in microseconds.
+    /// on-device time in microseconds (the sum of [`ExternalModule::ledger`]
+    /// — the executor charges the ledger entries, not this figure).
     fn run(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError>;
 
-    /// Simulated execution time, input-independent (static shapes).
-    fn estimate_time_us(&self) -> f64;
-
-    /// Simulated execution energy in microjoules (0 when the module does
-    /// not model energy).
-    fn estimate_energy_uj(&self) -> f64 {
-        0.0
-    }
-
-    /// Per-internal-kernel attribution for measured-profile collection,
-    /// summing exactly to [`ExternalModule::estimate_time_us`]. Default
-    /// is empty: the module opts out of fine-grained profiling and its
-    /// aggregate node span (which carries no work kind) is skipped by
-    /// the profile ingester rather than mis-binned.
-    fn kernel_profile(&self) -> Vec<KernelProfile> {
-        Vec::new()
-    }
+    /// Every charged item of one invocation, input-independent (static
+    /// shapes), in accumulation order. The executor splices these between
+    /// the node's boundary transfers when it is built; time, energy,
+    /// per-device attribution and profile spans are all read from them.
+    fn ledger(&self) -> &[CostEntry];
 
     /// Serialize for embedding into a deployable artifact.
     fn serialize(&self) -> serde_json::Value;
@@ -146,11 +102,27 @@ impl fmt::Debug for ModuleRegistry {
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
+    use tvmnp_hwsim::CostRole;
 
     /// A fake external module that negates its single input.
     pub struct NegateModule {
-        pub symbol: String,
-        pub time_us: f64,
+        symbol: String,
+        ledger: [CostEntry; 1],
+    }
+
+    impl NegateModule {
+        pub fn new(symbol: impl Into<String>, time_us: f64) -> Self {
+            NegateModule {
+                symbol: symbol.into(),
+                ledger: [CostEntry::fixed(
+                    0,
+                    "negate",
+                    CostRole::Kernel,
+                    DeviceKind::Cpu,
+                    time_us,
+                )],
+            }
+        }
     }
 
     impl ExternalModule for NegateModule {
@@ -167,15 +139,15 @@ pub(crate) mod test_support {
             let out: Vec<f32> = x.iter().map(|v| -v).collect();
             let t = Tensor::from_f32(inputs[0].shape().clone(), out)
                 .map_err(|e| ModuleError(e.to_string()))?;
-            Ok((vec![t], self.time_us))
+            Ok((vec![t], self.ledger[0].us))
         }
 
-        fn estimate_time_us(&self) -> f64 {
-            self.time_us
+        fn ledger(&self) -> &[CostEntry] {
+            &self.ledger
         }
 
         fn serialize(&self) -> serde_json::Value {
-            serde_json::json!({ "symbol": self.symbol, "time_us": self.time_us })
+            serde_json::json!({ "symbol": self.symbol, "time_us": self.ledger[0].us })
         }
     }
 }
@@ -189,10 +161,7 @@ mod tests {
     fn registry_roundtrip() {
         let mut r = ModuleRegistry::new();
         assert!(r.is_empty());
-        r.register(Box::new(NegateModule {
-            symbol: "nir_0".into(),
-            time_us: 5.0,
-        }));
+        r.register(Box::new(NegateModule::new("nir_0", 5.0)));
         assert_eq!(r.len(), 1);
         let m = r.get("nir_0").unwrap();
         assert_eq!(m.compiler(), "fake");

@@ -12,14 +12,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tvmnp_byoc::{relay_build, ArtifactCache, CompiledModel, TargetMode};
-use tvmnp_hwsim::{CostModel, DeviceKind};
+use tvmnp_hwsim::{CostEntry, CostModel, DeviceKind};
 use tvmnp_models::anti_spoofing::anti_spoofing_model;
 use tvmnp_models::emotion::{emotion_model, EMOTIONS};
 use tvmnp_models::object_detection::{mobilenet_ssd_model, ssd_input_quant};
 use tvmnp_models::Model;
 use tvmnp_neuropilot::TargetPolicy;
 use tvmnp_runtime::ExecError;
-use tvmnp_runtime::NodeCost;
 use tvmnp_scheduler::pipeline::PipelineStage;
 use tvmnp_scheduler::threaded::{FrameFailure, PipelineExecutor, ResourceLocks, StageSpec};
 use tvmnp_tensor::{DType, Tensor};
@@ -319,25 +318,25 @@ impl Showcase {
     }
 
     /// Per-stage analytic cost breakdowns: (stage name, devices the stage
-    /// mode occupies, per-node device/µs attribution). One model
+    /// mode occupies, the model's cost ledger). One model
     /// invocation per entry — the serving simulator scales them by
     /// invocation counts.
-    pub fn stage_breakdowns(&self) -> Vec<(&'static str, Vec<DeviceKind>, Vec<NodeCost>)> {
+    pub fn stage_breakdowns(&self) -> Vec<(&'static str, Vec<DeviceKind>, Vec<CostEntry>)> {
         vec![
             (
                 "obj-det",
                 resources_of(self.obj.mode),
-                self.obj.compiled.lock().estimate_breakdown(),
+                self.obj.compiled.lock().estimate_breakdown().to_vec(),
             ),
             (
                 "anti-spoof",
                 resources_of(self.spoof.mode),
-                self.spoof.compiled.lock().estimate_breakdown(),
+                self.spoof.compiled.lock().estimate_breakdown().to_vec(),
             ),
             (
                 "emotion",
                 resources_of(self.emotion.mode),
-                self.emotion.compiled.lock().estimate_breakdown(),
+                self.emotion.compiled.lock().estimate_breakdown().to_vec(),
             ),
         ]
     }

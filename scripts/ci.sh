@@ -8,10 +8,24 @@ cargo test -q
 cargo fmt --check
 cargo clippy -- -D warnings
 
+# Tracked metric (ROADMAP north star), informational: non-test lines per crate.
+bash scripts/loc.sh
+
+# Simulated-clock gate: regenerating the five baselines must reproduce the
+# checked-in files byte for byte. Every figure is a projection of one cost
+# ledger per model, so any diff here is a change to the simulated clock —
+# refresh deliberately with scripts/bench_baseline.sh and review the diff.
+base_dir=$(mktemp -d)
+trap 'rm -rf "$base_dir"' EXIT
+bash scripts/bench_baseline.sh "$base_dir"
+for f in "$base_dir"/BENCH_*.json; do
+    cmp "$f" "$(basename "$f")"
+done
+
 # Bench smoke: one workload against the checked-in baseline. Warn-only
-# for latency drift — the hard gate is scripts/bench_baseline.sh + a
-# reviewed diff; this step only proves the harness runs and surfaces
-# drift in the CI log. --fail-on-missing is a hard gate regardless: a
+# for latency drift — the hard gate is the byte comparison above; this
+# step proves --check-against runs and surfaces drift in the CI log
+# metric by metric. --fail-on-missing is a hard gate regardless: a
 # baseline metric the run never produced means a workload was silently
 # dropped, which --warn-only must not wave through.
 cargo run --release -q -p tvmnp-bench --bin bench -- \
@@ -52,7 +66,7 @@ echo "fault-injection smoke: $recovered run(s) recovered under seeded faults"
 # ids stay unique. (Fallback transitions inside a dump window are
 # covered by the exhaustion path in tests/observe_flow.rs.)
 obs_dir=$(mktemp -d)
-trap 'rm -rf "$obs_dir"' EXIT
+trap 'rm -rf "$base_dir" "$obs_dir"' EXIT
 cargo run --release -q -p tvmnp-bench --bin bench -- \
     --workload serve --runs 1 --bench-out "$obs_dir/serve-observed.json" \
     --inject-fault apu:dispatch:transient --fault-seed 7 \
