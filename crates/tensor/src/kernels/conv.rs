@@ -1,5 +1,14 @@
-//! Float32 2-D convolution (direct algorithm, Rayon-parallel over the
-//! batch × output-channel dimension).
+//! Float32 2-D convolution, blocked over output columns and Rayon-parallel
+//! over the batch × output-channel dimension.
+//!
+//! The result is *defined* per output element: `acc = bias`, then
+//! `acc += x · w` over `ic, ky, kx` ascending with out-of-image taps
+//! skipped. The loop nest here keeps that sequence for every element and
+//! only changes which elements advance together: a block of [`BLOCK`]
+//! adjacent output columns walks the taps in lock-step, so the inner loop is
+//! a contiguous multiply and add the compiler can put in SIMD lanes. A
+//! vector multiply followed by a vector add rounds exactly like the scalar
+//! pair, so the output bits are those of the one-pixel-at-a-time loop.
 
 use super::{kerr, KernelError};
 use crate::tensor::Tensor;
@@ -47,6 +56,12 @@ impl Conv2dParams {
         kw: usize,
     ) -> Result<(usize, usize), KernelError> {
         let (pt, pl, pb, pr) = self.padding;
+        if kh == 0 || kw == 0 || self.strides.0 == 0 || self.strides.1 == 0 {
+            return Err(kerr(format!(
+                "conv2d kernel {kh}x{kw} and strides {:?} must be non-zero",
+                self.strides
+            )));
+        }
         let eff_kh = (kh - 1) * self.dilation.0 + 1;
         let eff_kw = (kw - 1) * self.dilation.1 + 1;
         let ih = h + pt + pb;
@@ -63,6 +78,234 @@ impl Conv2dParams {
     }
 }
 
+/// Output columns that advance through the taps together; their partial
+/// sums live in one stack array.
+const BLOCK: usize = 32;
+
+/// Output channels computed in one pass over the input: each keeps its own
+/// block of partial sums, all share the tap bounds and the input loads.
+const OC_BLOCK: usize = 4;
+
+/// The arithmetic of one convolution flavour. [`conv_planes`] owns the loop
+/// nest, and with it the per-element operation order; an `Arith` says what a
+/// partial sum is, how one tap extends it and how it is stored.
+pub(super) trait Arith: Sync {
+    type X: Copy + Sync;
+    type W: Copy + Sync;
+    type Acc: Copy;
+    type Out: Copy + Send;
+    /// Everything one tap contributes to each of its products, computed
+    /// once per tap so the column loop touches nothing but its operands.
+    type Tap: Copy;
+    /// The sum output channel `o` starts from.
+    fn start(&self, o: usize) -> Self::Acc;
+    /// The per-tap constants for weight `w`.
+    fn tap(&self, w: Self::W) -> Self::Tap;
+    /// `acc + x · w` — for floats a rounded product, then a rounded sum.
+    fn mac(acc: Self::Acc, x: Self::X, tap: Self::Tap) -> Self::Acc;
+    /// The stored value of a finished sum.
+    fn finish(&self, acc: Self::Acc) -> Self::Out;
+}
+
+/// A validated convolution problem (`NCHW` × `OIHW`, weight
+/// `[oc, c/groups, kh, kw]`).
+pub(super) struct ConvGeom {
+    /// Input `[n, c, h, w]`.
+    pub input: [usize; 4],
+    /// Weight `[oc, c/groups, kh, kw]`.
+    pub weight: [usize; 4],
+    /// Output `[n, oc, oh, ow]`.
+    pub output: [usize; 4],
+    params: Conv2dParams,
+}
+
+impl ConvGeom {
+    pub(super) fn new(
+        op: &str,
+        ishape: &[usize],
+        wshape: &[usize],
+        bias: Option<&Tensor>,
+        params: &Conv2dParams,
+    ) -> Result<Self, KernelError> {
+        let (&[n, c, h, w], &[oc, wic, kh, kw]) = (ishape, wshape) else {
+            return Err(kerr(format!(
+                "{op} expects rank-4 input/weight, got {ishape:?} / {wshape:?}"
+            )));
+        };
+        let groups = params.groups;
+        if groups == 0 || c % groups != 0 || oc % groups != 0 || wic != c / groups {
+            return Err(kerr(format!(
+                "{op} group/channel mismatch: C={c}, O={oc}, groups={groups}, w_ic={wic}"
+            )));
+        }
+        if bias.is_some_and(|b| b.num_elements() != oc) {
+            return Err(kerr(format!("{op} bias length != out channels {oc}")));
+        }
+        let (oh, ow) = params.out_hw(h, w, kh, kw)?;
+        Ok(ConvGeom {
+            input: [n, c, h, w],
+            weight: [oc, wic, kh, kw],
+            output: [n, oc, oh, ow],
+            params: *params,
+        })
+    }
+
+    /// Multiply-accumulates behind one output element, padding included.
+    pub(super) fn taps(&self) -> usize {
+        self.weight[1..].iter().product()
+    }
+}
+
+/// The part `[lo, hi)` of one column block whose tap through one kernel
+/// column lands inside the image; `x0` is the input column `lo` reads.
+struct Span {
+    lo: usize,
+    hi: usize,
+    x0: usize,
+}
+
+/// Run the convolution `g` over `x` and `wt`, one [`OC_BLOCK`] of output
+/// planes per parallel task.
+pub(super) fn conv_planes<A: Arith>(
+    g: &ConvGeom,
+    a: &A,
+    x: &[A::X],
+    wt: &[A::W],
+    fill: A::Out,
+) -> Vec<A::Out> {
+    let ([_, c, h, w], [oc, cg, kh, kw], [n, _, oh, ow]) = (g.input, g.weight, g.output);
+    let (sh, sw) = g.params.strides;
+    let (dh, dw) = g.params.dilation;
+    let (pt, pl, _, _) = g.params.padding;
+    let og = oc / g.params.groups;
+    let (x_len, w_len, plane_len) = (cg * h * w, g.taps(), oh * ow);
+
+    // The column test of the direct loop, done once per call: the in-image
+    // span of every (column block, kernel column) pair, `kw` per block.
+    let mut spans = Vec::with_capacity(ow.div_ceil(BLOCK) * kw);
+    for ox0 in (0..ow).step_by(BLOCK) {
+        let ox1 = (ox0 + BLOCK).min(ow);
+        for kx in 0..kw {
+            // Output column `ox` reads input column `ox·sw + off − pl`.
+            let off = kx * dw;
+            let lo = pl.saturating_sub(off).div_ceil(sw).clamp(ox0, ox1);
+            let hi = (w + pl).saturating_sub(off).div_ceil(sw).clamp(lo, ox1);
+            spans.push(Span {
+                lo: lo - ox0,
+                hi: hi - ox0,
+                x0: (lo * sw + off).saturating_sub(pl),
+            });
+        }
+    }
+
+    let mut out = vec![fill; n * oc * plane_len];
+    out.par_chunks_mut(plane_len * OC_BLOCK)
+        .enumerate()
+        .for_each(|(chunk, mut planes)| {
+            // Split the chunk into runs of planes that read one input image
+            // (same batch item, same group).
+            let mut plane = chunk * OC_BLOCK;
+            while !planes.is_empty() {
+                let (ni, o) = (plane / oc, plane % oc);
+                let run = (og - o % og).min(planes.len() / plane_len);
+                let (head, tail) = std::mem::take(&mut planes).split_at_mut(run * plane_len);
+                (plane, planes) = (plane + run, tail);
+                let x_g = &x[(ni * c + o / og * cg) * h * w..][..x_len];
+                let w_run = &wt[o * w_len..][..run * w_len];
+                for oy in 0..oh {
+                    for (blk, ox0) in (0..ow).step_by(BLOCK).enumerate() {
+                        // Rows past `run` are never read.
+                        let mut acc: [[A::Acc; BLOCK]; OC_BLOCK] =
+                            std::array::from_fn(|r| [a.start(o + r.min(run - 1)); BLOCK]);
+                        let spans = &spans[blk * kw..][..kw];
+                        // Every in-image tap, in `ic, ky, kx` order.
+                        for ic in 0..cg {
+                            for ky in 0..kh {
+                                let iy = oy * sh + ky * dh;
+                                if iy < pt || iy - pt >= h {
+                                    continue;
+                                }
+                                let x_row = (ic * h + iy - pt) * w;
+                                let w_row = (ic * kh + ky) * kw;
+                                for (kx, s) in spans.iter().enumerate() {
+                                    if s.lo == s.hi {
+                                        continue;
+                                    }
+                                    let xs = &x_g[x_row + s.x0..];
+                                    for (r, acc) in acc[..run].iter_mut().enumerate() {
+                                        let tap = a.tap(w_run[r * w_len + w_row + kx]);
+                                        mac_row::<A>(&mut acc[s.lo..s.hi], xs, sw, tap);
+                                    }
+                                }
+                            }
+                        }
+                        let cols = ox0..(ox0 + BLOCK).min(ow);
+                        for (acc, plane) in acc.iter().zip(head.chunks_exact_mut(plane_len)) {
+                            for (dst, &sum) in plane[oy * ow..][cols.clone()].iter_mut().zip(acc) {
+                                *dst = a.finish(sum);
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    out
+}
+
+/// `acc[j] = acc[j] + xs[j · step] · w`: the one loop the vectoriser has to
+/// see through, kept behind a signature that tells it the slices are disjoint.
+#[inline]
+fn mac_row<A: Arith>(acc: &mut [A::Acc], xs: &[A::X], step: usize, tap: A::Tap) {
+    if step == 1 {
+        for (sum, &x) in acc.iter_mut().zip(xs) {
+            *sum = A::mac(*sum, x, tap);
+        }
+    } else {
+        for (sum, &x) in acc.iter_mut().zip(xs.iter().step_by(step)) {
+            *sum = A::mac(*sum, x, tap);
+        }
+    }
+}
+
+/// Float arithmetic: bias (or zero), then `acc + x · w` in f32.
+struct F32Arith<'a>(Option<&'a [f32]>);
+
+impl Arith for F32Arith<'_> {
+    type X = f32;
+    type W = f32;
+    type Acc = f32;
+    type Out = f32;
+    type Tap = f32;
+    fn start(&self, o: usize) -> f32 {
+        self.0.map_or(0.0, |b| b[o])
+    }
+    fn tap(&self, w: f32) -> f32 {
+        w
+    }
+    fn mac(acc: f32, x: f32, w: f32) -> f32 {
+        acc + x * w
+    }
+    fn finish(&self, acc: f32) -> f32 {
+        acc
+    }
+}
+
+/// Run `g` in float arithmetic.
+pub(super) fn f32_planes(
+    g: &ConvGeom,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+) -> Result<Vec<f32>, KernelError> {
+    let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
+    let wt = weight.as_f32().map_err(|e| kerr(e.to_string()))?;
+    let b = match bias {
+        Some(t) => Some(t.as_f32().map_err(|e| kerr(e.to_string()))?),
+        None => None,
+    };
+    Ok(conv_planes(g, &F32Arith(b), x, wt, 0.0))
+}
+
 /// `NCHW` × `OIHW` float convolution.
 ///
 /// `weight` has shape `[out_c, in_c/groups, kh, kw]`; `bias`, when present,
@@ -73,87 +316,10 @@ pub fn conv2d_f32(
     bias: Option<&Tensor>,
     params: &Conv2dParams,
 ) -> Result<Tensor, KernelError> {
-    let ishape = input.shape().dims();
-    let wshape = weight.shape().dims();
-    if ishape.len() != 4 || wshape.len() != 4 {
-        return Err(kerr(format!(
-            "conv2d expects rank-4 input/weight, got {:?} / {:?}",
-            ishape, wshape
-        )));
-    }
-    let (n, c, h, w) = (ishape[0], ishape[1], ishape[2], ishape[3]);
-    let (oc, wic, kh, kw) = (wshape[0], wshape[1], wshape[2], wshape[3]);
-    let groups = params.groups;
-    if groups == 0 || c % groups != 0 || oc % groups != 0 {
-        return Err(kerr(format!(
-            "conv2d groups {groups} incompatible with C={c}, O={oc}"
-        )));
-    }
-    if wic != c / groups {
-        return Err(kerr(format!(
-            "conv2d weight in-channels {wic} != input C/groups {}",
-            c / groups
-        )));
-    }
-    let (oh, ow) = params.out_hw(h, w, kh, kw)?;
-    let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
-    let wt = weight.as_f32().map_err(|e| kerr(e.to_string()))?;
-    let b = match bias {
-        Some(t) => Some(t.as_f32().map_err(|e| kerr(e.to_string()))?),
-        None => None,
-    };
-    if let Some(b) = b {
-        if b.len() != oc {
-            return Err(kerr(format!(
-                "conv2d bias length {} != out channels {oc}",
-                b.len()
-            )));
-        }
-    }
-
-    let (pt, pl, _, _) = params.padding;
-    let (sh, sw) = params.strides;
-    let (dh, dw) = params.dilation;
-    let cg = c / groups; // channels per group
-    let og = oc / groups; // output channels per group
-
-    let mut out = vec![0.0f32; n * oc * oh * ow];
-    // One output image plane (fixed n, fixed oc) per parallel task.
-    out.par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(plane, out_plane)| {
-            let ni = plane / oc;
-            let o = plane % oc;
-            let g = o / og;
-            let bias_v = b.map(|b| b[o]).unwrap_or(0.0);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bias_v;
-                    for ic in 0..cg {
-                        let in_c = g * cg + ic;
-                        let x_base = ((ni * c + in_c) * h) * w;
-                        let w_base = ((o * cg + ic) * kh) * kw;
-                        for ky in 0..kh {
-                            let iy = (oy * sh + ky * dh) as isize - pt as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * sw + kx * dw) as isize - pl as isize;
-                                if ix < 0 || ix as usize >= w {
-                                    continue;
-                                }
-                                acc += x[x_base + iy as usize * w + ix as usize]
-                                    * wt[w_base + ky * kw + kx];
-                            }
-                        }
-                    }
-                    out_plane[oy * ow + ox] = acc;
-                }
-            }
-        });
-
-    Tensor::from_f32([n, oc, oh, ow], out).map_err(|e| kerr(e.to_string()))
+    let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
+    let g = ConvGeom::new("conv2d", ishape, wshape, bias, params)?;
+    let out = f32_planes(&g, input, weight, bias)?;
+    Tensor::from_f32(g.output, out).map_err(|e| kerr(e.to_string()))
 }
 
 #[cfg(test)]
@@ -258,5 +424,29 @@ mod tests {
         let x = t4([1, 1, 2, 2], vec![0.0; 4]);
         let w = t4([1, 1, 5, 5], vec![0.0; 25]);
         assert!(conv2d_f32(&x, &w, None, &Conv2dParams::default()).is_err());
+    }
+
+    #[test]
+    fn zero_stride_is_an_error_not_a_division_by_zero() {
+        let x = t4([1, 1, 4, 4], vec![0.0; 16]);
+        let w = t4([1, 1, 1, 1], vec![1.0]);
+        for strides in [(0, 1), (1, 0)] {
+            let p = Conv2dParams {
+                strides,
+                ..Default::default()
+            };
+            assert!(p.out_hw(4, 4, 1, 1).is_err());
+            assert!(conv2d_f32(&x, &w, None, &p).is_err());
+        }
+    }
+
+    #[test]
+    fn empty_kernel_is_an_error_not_an_underflow() {
+        let p = Conv2dParams::default();
+        assert!(p.out_hw(4, 4, 0, 1).is_err());
+        assert!(p.out_hw(4, 4, 1, 0).is_err());
+        let x = t4([1, 1, 4, 4], vec![0.0; 16]);
+        let w = Tensor::from_f32([1, 1, 0, 3], vec![]).unwrap();
+        assert!(conv2d_f32(&x, &w, None, &p).is_err());
     }
 }

@@ -1,10 +1,32 @@
 //! Fully-connected (dense / `nn.dense` / `qnn.dense`) kernels.
+//!
+//! A dense layer is a 1×1 convolution over 1×1 images: `input [n, k]` is `n`
+//! images of `k` channels and `weight [units, k]` is `units` filters. Run
+//! through the convolution loop nest, each unit's sum goes over `k` in order
+//! and a few units advance side by side.
 
+use super::conv::{f32_planes, Conv2dParams, ConvGeom};
+use super::qconv::{quantized_planes, QConvQuant};
 use super::{kerr, KernelError};
 use crate::dtype::DType;
-use crate::quant::{requantize_value, FixedPointMultiplier, QuantParams};
+use crate::quant::QuantParams;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
+
+fn dense_geom(
+    op: &str,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+) -> Result<ConvGeom, KernelError> {
+    let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
+    let (&[n, k], &[units, wk]) = (ishape, wshape) else {
+        return Err(kerr(format!(
+            "{op} expects rank-2 operands, got {ishape:?} / {wshape:?}"
+        )));
+    };
+    let unit = Conv2dParams::default();
+    ConvGeom::new(op, &[n, k, 1, 1], &[units, wk, 1, 1], bias, &unit)
+}
 
 /// Float dense: `input [n, k] × weight [units, k] (+ bias [units]) → [n, units]`.
 pub fn dense_f32(
@@ -12,50 +34,9 @@ pub fn dense_f32(
     weight: &Tensor,
     bias: Option<&Tensor>,
 ) -> Result<Tensor, KernelError> {
-    let ishape = input.shape().dims();
-    let wshape = weight.shape().dims();
-    if ishape.len() != 2 || wshape.len() != 2 {
-        return Err(kerr(format!(
-            "dense expects rank-2 operands, got {ishape:?} / {wshape:?}"
-        )));
-    }
-    let (n, k) = (ishape[0], ishape[1]);
-    let (units, wk) = (wshape[0], wshape[1]);
-    if k != wk {
-        return Err(kerr(format!(
-            "dense reduction mismatch: input k={k}, weight k={wk}"
-        )));
-    }
-    let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
-    let wt = weight.as_f32().map_err(|e| kerr(e.to_string()))?;
-    let b = match bias {
-        Some(t) => {
-            let b = t.as_f32().map_err(|e| kerr(e.to_string()))?;
-            if b.len() != units {
-                return Err(kerr(format!(
-                    "dense bias length {} != units {units}",
-                    b.len()
-                )));
-            }
-            Some(b)
-        }
-        None => None,
-    };
-    let mut out = vec![0.0f32; n * units];
-    out.par_chunks_mut(units)
-        .enumerate()
-        .for_each(|(row, out_row)| {
-            let x_row = &x[row * k..(row + 1) * k];
-            for (u, o) in out_row.iter_mut().enumerate() {
-                let w_row = &wt[u * k..(u + 1) * k];
-                let mut acc = b.map(|b| b[u]).unwrap_or(0.0);
-                for i in 0..k {
-                    acc += x_row[i] * w_row[i];
-                }
-                *o = acc;
-            }
-        });
-    Tensor::from_f32([n, units], out).map_err(|e| kerr(e.to_string()))
+    let g = dense_geom("dense", input, weight, bias)?;
+    let out = f32_planes(&g, input, weight, bias)?;
+    Tensor::from_f32(&g.output[..2], out).map_err(|e| kerr(e.to_string()))
 }
 
 /// Quantized dense with i32 accumulation and requantization.
@@ -68,48 +49,15 @@ pub fn qdense(
     output_q: QuantParams,
     out_dtype: DType,
 ) -> Result<Tensor, KernelError> {
-    let ishape = input.shape().dims();
-    let wshape = weight.shape().dims();
-    if ishape.len() != 2 || wshape.len() != 2 {
-        return Err(kerr("qdense expects rank-2 operands".to_string()));
-    }
-    if !input.dtype().is_quantized() || !weight.dtype().is_quantized() {
-        return Err(kerr("qdense expects quantized operands".to_string()));
-    }
-    let (n, k) = (ishape[0], ishape[1]);
-    let (units, wk) = (wshape[0], wshape[1]);
-    if k != wk {
-        return Err(kerr(format!("qdense reduction mismatch: {k} vs {wk}")));
-    }
-    let x: Vec<i32> = input.iter_int().collect();
-    let wt: Vec<i32> = weight.iter_int().collect();
-    let b: Option<&[i32]> = match bias {
-        Some(t) => Some(t.as_i32().map_err(|e| kerr(e.to_string()))?),
-        None => None,
+    let g = dense_geom("qdense", input, weight, bias)?;
+    let quant = QConvQuant {
+        input: input_q,
+        weight: weight_q,
+        output: output_q,
+        out_dtype,
     };
-    let zx = input_q.zero_point;
-    let zw = weight_q.zero_point;
-    let fpm = FixedPointMultiplier::from_real(
-        input_q.scale as f64 * weight_q.scale as f64 / output_q.scale as f64,
-    );
-    let zo = output_q.zero_point;
-    let mut out = vec![0i32; n * units];
-    out.par_chunks_mut(units)
-        .enumerate()
-        .for_each(|(row, out_row)| {
-            let x_row = &x[row * k..(row + 1) * k];
-            for (u, o) in out_row.iter_mut().enumerate() {
-                let w_row = &wt[u * k..(u + 1) * k];
-                let mut acc: i64 = b.map(|b| b[u]).unwrap_or(0) as i64;
-                for i in 0..k {
-                    acc += (x_row[i] - zx) as i64 * (w_row[i] - zw) as i64;
-                }
-                let acc32 = acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                *o = requantize_value(acc32, fpm, zo, out_dtype);
-            }
-        });
-    Tensor::from_int_values([n, units], &out, out_dtype, Some(output_q))
-        .map_err(|e| kerr(e.to_string()))
+    let data = quantized_planes("qdense", &g, input, weight, bias, &quant)?;
+    Tensor::from_data(&g.output[..2], data, Some(output_q)).map_err(|e| kerr(e.to_string()))
 }
 
 #[cfg(test)]
@@ -171,5 +119,13 @@ mod tests {
         let qy = QuantParams::new(0.2, -3);
         let y = qdense(&x, &w, None, q, QuantParams::new(0.1, 0), qy, DType::I8).unwrap();
         assert!(y.iter_int().all(|v| v == -3));
+    }
+
+    #[test]
+    fn qdense_rejects_float_output_dtype() {
+        let q = QuantParams::new(0.1, 0);
+        let x = Tensor::from_int_values([1, 2], &[1, 2], DType::I8, Some(q)).unwrap();
+        let w = Tensor::from_int_values([1, 2], &[3, 4], DType::I8, Some(q)).unwrap();
+        assert!(qdense(&x, &w, None, q, q, q, DType::F32).is_err());
     }
 }

@@ -3,8 +3,8 @@
 use super::{kerr, KernelError};
 use crate::dtype::DType;
 use crate::quant::QuantParams;
-use crate::shape::Shape;
-use crate::tensor::Tensor;
+use crate::shape::{for_each_row, Shape};
+use crate::tensor::{with_payload, Data, IntElem, Tensor};
 
 /// Unary float op applied element-wise.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,32 +78,31 @@ pub fn unary(input: &Tensor, op: UnaryOp) -> Result<Tensor, KernelError> {
             qp.quantize(hi, input.dtype()).min(dhi),
         )
     };
-    match op {
-        UnaryOp::Relu | UnaryOp::Relu6 | UnaryOp::Clip(..) => {
-            let (qlo, qhi) = match op {
-                UnaryOp::Relu => (qp.zero_point.max(dlo), dhi),
-                UnaryOp::Relu6 => clamp_q(0.0, 6.0),
-                UnaryOp::Clip(lo, hi) => clamp_q(lo, hi),
-                _ => unreachable!(),
-            };
-            let vals: Vec<i32> = input.iter_int().map(|v| v.clamp(qlo, qhi)).collect();
-            Tensor::from_int_values(input.shape().clone(), &vals, input.dtype(), Some(qp))
-                .map_err(|e| kerr(e.to_string()))
-        }
-        _ => {
-            // Dequantize, evaluate, requantize with the same params — the
-            // lookup-table strategy integer runtimes use.
-            let f = input.to_f32();
-            let vals: Vec<i32> = f
-                .as_f32()
-                .unwrap()
-                .iter()
-                .map(|&x| qp.quantize(op.eval(x), input.dtype()))
-                .collect();
-            Tensor::from_int_values(input.shape().clone(), &vals, input.dtype(), Some(qp))
-                .map_err(|e| kerr(e.to_string()))
-        }
-    }
+    // Clamp-family ops stay in the integer domain; the rest dequantize,
+    // evaluate and requantize with the same params — the lookup-table
+    // strategy integer runtimes use.
+    let clamp = match op {
+        UnaryOp::Relu => Some((qp.zero_point.max(dlo), dhi)),
+        UnaryOp::Relu6 => Some(clamp_q(0.0, 6.0)),
+        UnaryOp::Clip(lo, hi) => Some(clamp_q(lo, hi)),
+        _ => None,
+    };
+    let eval = |q: i32| match clamp {
+        Some((qlo, qhi)) => q.clamp(qlo, qhi),
+        None => qp.quantize(op.eval(qp.dequantize(q)), input.dtype()),
+    };
+    let data = with_payload!(
+        input,
+        [I8 U8 I32],
+        |x| map_ints(x, eval),
+        else => unreachable!("float input handled above")
+    );
+    Tensor::from_data(input.shape().clone(), data, Some(qp)).map_err(|e| kerr(e.to_string()))
+}
+
+/// Apply `f` in the widened domain and saturate back into the storage type.
+fn map_ints<T: IntElem>(x: &[T], f: impl Fn(i32) -> i32) -> Data {
+    T::wrap(x.iter().map(|v| T::narrow(f(v.widen()))).collect())
 }
 
 /// Binary float op.
@@ -145,13 +144,9 @@ pub fn binary_f32(a: &Tensor, b: &Tensor, op: BinaryOp) -> Result<Tensor, Kernel
         .ok_or_else(|| kerr(format!("cannot broadcast {} with {}", a.shape(), b.shape())))?;
     let av = a.as_f32().map_err(|e| kerr(e.to_string()))?;
     let bv = b.as_f32().map_err(|e| kerr(e.to_string()))?;
-    let n = out_shape.num_elements();
-    let mut out = vec![0.0f32; n];
-    let a_idx = BroadcastIndexer::new(a.shape(), &out_shape);
-    let b_idx = BroadcastIndexer::new(b.shape(), &out_shape);
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = op.eval(av[a_idx.map(i, &out_shape)], bv[b_idx.map(i, &out_shape)]);
-    }
+    let out = broadcast_map((av, a.shape()), (bv, b.shape()), &out_shape, |x, y| {
+        op.eval(x, y)
+    });
     Tensor::from_f32(out_shape, out).map_err(|e| kerr(e.to_string()))
 }
 
@@ -169,49 +164,85 @@ pub fn qadd(
         .shape()
         .broadcast(b.shape())
         .ok_or_else(|| kerr(format!("cannot broadcast {} with {}", a.shape(), b.shape())))?;
-    if !a.dtype().is_quantized() || !b.dtype().is_quantized() {
-        return Err(kerr("qadd expects quantized operands".to_string()));
-    }
-    let av: Vec<i32> = a.iter_int().collect();
-    let bv: Vec<i32> = b.iter_int().collect();
-    let a_idx = BroadcastIndexer::new(a.shape(), &out_shape);
-    let b_idx = BroadcastIndexer::new(b.shape(), &out_shape);
-    let (lo, hi) = out_dtype.int_range().expect("quantized out dtype");
-    let n = out_shape.num_elements();
-    let mut out = vec![0i32; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        let ra = a_q.dequantize(av[a_idx.map(i, &out_shape)]);
-        let rb = b_q.dequantize(bv[b_idx.map(i, &out_shape)]);
+    let (lo, hi) = out_dtype.int_range().ok_or_else(|| {
+        kerr(format!(
+            "qadd output dtype {out_dtype} is not an integer type"
+        ))
+    })?;
+    let add = |qa: i32, qb: i32| {
+        let (ra, rb) = (a_q.dequantize(qa), b_q.dequantize(qb));
         let q = ((ra + rb) / out_q.scale).round() as i64 + out_q.zero_point as i64;
-        *o = q.clamp(lo as i64, hi as i64) as i32;
-    }
-    Tensor::from_int_values(out_shape, &out, out_dtype, Some(out_q))
-        .map_err(|e| kerr(e.to_string()))
+        q.clamp(lo as i64, hi as i64) as i32
+    };
+    let not_q8 = || kerr("qadd expects quantized operands".to_string());
+    let data = with_payload!(
+        a,
+        [I8 U8],
+        |av| with_payload!(
+            b,
+            [I8 U8],
+            |bv| {
+                let (a, b) = ((&av[..], a.shape()), (&bv[..], b.shape()));
+                match out_dtype {
+                    DType::I8 => qadd_into::<_, _, i8>(a, b, &out_shape, add),
+                    DType::U8 => qadd_into::<_, _, u8>(a, b, &out_shape, add),
+                    _ => qadd_into::<_, _, i32>(a, b, &out_shape, add),
+                }
+            },
+            else => return Err(not_q8())
+        ),
+        else => return Err(not_q8())
+    );
+    Tensor::from_data(out_shape, data, Some(out_q)).map_err(|e| kerr(e.to_string()))
 }
 
-/// Maps a flat output index back to a flat input index under broadcasting.
-struct BroadcastIndexer {
-    /// Stride per output dimension into the input buffer (0 where broadcast).
-    strides: Vec<usize>,
+fn qadd_into<A: IntElem, B: IntElem, O: IntElem>(
+    a: (&[A], &Shape),
+    b: (&[B], &Shape),
+    out_shape: &Shape,
+    add: impl Fn(i32, i32) -> i32,
+) -> Data {
+    O::wrap(broadcast_map(a, b, out_shape, |x, y| {
+        O::narrow(add(x.widen(), y.widen()))
+    }))
 }
 
-impl BroadcastIndexer {
-    fn new(in_shape: &Shape, out_shape: &Shape) -> Self {
-        let in_dims = in_shape.dims();
-        let out_rank = out_shape.rank();
-        let offset = out_rank - in_dims.len();
-        let in_strides = in_shape.strides();
-        let mut strides = vec![0usize; out_rank];
-        for i in 0..in_dims.len() {
-            strides[offset + i] = if in_dims[i] == 1 { 0 } else { in_strides[i] };
-        }
-        BroadcastIndexer { strides }
+/// `f` over two operands broadcast to `out_shape`, in row-major output order.
+fn broadcast_map<A: Copy, B: Copy, O>(
+    (a, a_shape): (&[A], &Shape),
+    (b, b_shape): (&[B], &Shape),
+    out_shape: &Shape,
+    f: impl Fn(A, B) -> O,
+) -> Vec<O> {
+    if a_shape == b_shape {
+        return a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect();
     }
+    let (sa, sb) = (
+        broadcast_strides(a_shape, out_shape),
+        broadcast_strides(b_shape, out_shape),
+    );
+    // Extent and operand steps along a row of the output (a scalar is one
+    // row of one element).
+    let len = out_shape.dims().last().copied().unwrap_or(1);
+    let step_a = sa.last().copied().unwrap_or(0);
+    let step_b = sb.last().copied().unwrap_or(0);
+    let mut out = Vec::with_capacity(out_shape.num_elements());
+    for_each_row(out_shape.dims(), [&sa, &sb], &mut |[oa, ob]| {
+        out.extend((0..len).map(|j| f(a[oa + j * step_a], b[ob + j * step_b])));
+    });
+    out
+}
 
-    fn map(&self, flat_out: usize, out_shape: &Shape) -> usize {
-        let idx = out_shape.unravel(flat_out);
-        idx.iter().zip(&self.strides).map(|(&i, &s)| i * s).sum()
+/// Stride per output dimension into an operand's buffer (0 where broadcast).
+fn broadcast_strides(in_shape: &Shape, out_shape: &Shape) -> Vec<usize> {
+    let in_dims = in_shape.dims();
+    let offset = out_shape.rank() - in_dims.len();
+    let in_strides = in_shape.strides();
+    let mut strides = vec![0usize; out_shape.rank()];
+    for i in 0..in_dims.len() {
+        strides[offset + i] = if in_dims[i] == 1 { 0 } else { in_strides[i] };
     }
+    strides
 }
 
 #[cfg(test)]

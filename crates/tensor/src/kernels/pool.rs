@@ -1,7 +1,8 @@
 //! 2-D pooling kernels over `NCHW` activations, float and quantized.
 
 use super::{kerr, KernelError};
-use crate::tensor::Tensor;
+use crate::tensor::{with_payload, Elem, IntElem, Tensor};
+use std::ops::Range;
 
 /// Attributes of a 2-D pooling op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +33,12 @@ impl Pool2dParams {
         let (pt, pl, pb, pr) = self.padding;
         let ih = h + pt + pb;
         let iw = w + pl + pr;
+        if [self.strides.0, self.strides.1, self.kernel.0, self.kernel.1].contains(&0) {
+            return Err(kerr(format!(
+                "pool window {:?} and strides {:?} must be non-zero",
+                self.kernel, self.strides
+            )));
+        }
         if ih < self.kernel.0 || iw < self.kernel.1 {
             return Err(kerr(format!(
                 "pool window {:?} larger than padded input {ih}x{iw}",
@@ -45,146 +52,117 @@ impl Pool2dParams {
     }
 }
 
-fn pool_shape(
+/// The in-image part of one pooling window, row-major.
+struct Window<'a, T> {
+    plane: &'a [T],
+    width: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl<T: Copy> Window<'_, T> {
+    fn taps(&self) -> impl Iterator<Item = T> + '_ {
+        self.rows
+            .clone()
+            .flat_map(|iy| &self.plane[iy * self.width..][self.cols.clone()])
+            .copied()
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len() * self.cols.len()
+    }
+}
+
+/// `[lo, hi)` of the window starting at `o * stride - pad`, clipped to `len`.
+fn clip(o: usize, stride: usize, k: usize, pad: usize, len: usize) -> Range<usize> {
+    let start = o * stride;
+    let lo = start.saturating_sub(pad).min(len);
+    lo..(start + k).saturating_sub(pad).min(len).max(lo)
+}
+
+/// Reduce every window of `x` with `f`, in output order.
+fn pool<T: Elem>(
     input: &Tensor,
+    x: &[T],
     params: &Pool2dParams,
-) -> Result<(usize, usize, usize, usize, usize, usize), KernelError> {
+    f: impl Fn(Window<'_, T>) -> Result<T, KernelError>,
+) -> Result<Tensor, KernelError> {
     let d = input.shape().dims();
     if d.len() != 4 {
         return Err(kerr(format!("pool2d expects rank-4 input, got {d:?}")));
     }
-    let (oh, ow) = params.out_hw(d[2], d[3])?;
-    Ok((d[0], d[1], d[2], d[3], oh, ow))
+    let (h, w) = (d[2], d[3]);
+    let (oh, ow) = params.out_hw(h, w)?;
+    let (pt, pl, _, _) = params.padding;
+    let (kh, kw) = params.kernel;
+    let (sh, sw) = params.strides;
+    let mut out = Vec::with_capacity(d[0] * d[1] * oh * ow);
+    for plane in x.chunks((h * w).max(1)) {
+        for oy in 0..oh {
+            let rows = clip(oy, sh, kh, pt, h);
+            for ox in 0..ow {
+                out.push(f(Window {
+                    plane,
+                    width: w,
+                    rows: rows.clone(),
+                    cols: clip(ox, sw, kw, pl, w),
+                })?);
+            }
+        }
+    }
+    Tensor::from_data([d[0], d[1], oh, ow], T::wrap(out), input.quant())
+        .map_err(|e| kerr(e.to_string()))
 }
 
 /// Max pooling. Works on float and quantized tensors (max commutes with the
 /// affine map, so the output keeps the input's quantization parameters).
 pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, KernelError> {
-    let (n, c, h, w, oh, ow) = pool_shape(input, params)?;
-    let (pt, pl, _, _) = params.padding;
-    let (kh, kw) = params.kernel;
-    let (sh, sw) = params.strides;
-
-    if input.dtype().is_float() {
-        let x = input.as_f32().unwrap();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        pool_loop(
-            n,
-            c,
-            h,
-            w,
-            oh,
-            ow,
-            kh,
-            kw,
-            sh,
-            sw,
-            pt,
-            pl,
-            |plane_base, taps, oi| {
-                out[oi] = taps
-                    .iter()
-                    .map(|&t| x[plane_base + t])
-                    .fold(f32::NEG_INFINITY, f32::max);
-            },
-        );
-        Tensor::from_f32([n, c, oh, ow], out).map_err(|e| kerr(e.to_string()))
-    } else {
-        let x: Vec<i32> = input.iter_int().collect();
-        let mut out = vec![0i32; n * c * oh * ow];
-        pool_loop(
-            n,
-            c,
-            h,
-            w,
-            oh,
-            ow,
-            kh,
-            kw,
-            sh,
-            sw,
-            pt,
-            pl,
-            |plane_base, taps, oi| {
-                out[oi] = taps.iter().map(|&t| x[plane_base + t]).max().unwrap_or(0);
-            },
-        );
-        Tensor::from_int_values([n, c, oh, ow], &out, input.dtype(), input.quant())
-            .map_err(|e| kerr(e.to_string()))
+    fn int_max<T: IntElem>(win: Window<'_, T>) -> Result<T, KernelError> {
+        Ok(win.taps().max().unwrap_or(T::narrow(0)))
     }
+    with_payload!(
+        input,
+        [I8 U8 I32],
+        |x| pool(input, x, params, int_max),
+        else => pool(input, input.as_f32().unwrap(), params, |win| {
+            Ok(win.taps().fold(f32::NEG_INFINITY, f32::max))
+        })
+    )
 }
 
 /// Average pooling. For quantized input, averages in i32 with round-half-up,
 /// keeping the input quantization parameters (TFLite semantics).
 pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, KernelError> {
-    let (n, c, h, w, oh, ow) = pool_shape(input, params)?;
-    let (pt, pl, _, _) = params.padding;
-    let (kh, kw) = params.kernel;
-    let (sh, sw) = params.strides;
-    let full = (kh * kw) as f32;
-
-    if input.dtype().is_float() {
-        let x = input.as_f32().unwrap();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        pool_loop(
-            n,
-            c,
-            h,
-            w,
-            oh,
-            ow,
-            kh,
-            kw,
-            sh,
-            sw,
-            pt,
-            pl,
-            |plane_base, taps, oi| {
-                let sum: f32 = taps.iter().map(|&t| x[plane_base + t]).sum();
-                let denom = if params.count_include_pad {
-                    full
-                } else {
-                    taps.len() as f32
-                };
-                out[oi] = sum / denom;
-            },
-        );
-        Tensor::from_f32([n, c, oh, ow], out).map_err(|e| kerr(e.to_string()))
-    } else {
-        let x: Vec<i32> = input.iter_int().collect();
-        let mut out = vec![0i32; n * c * oh * ow];
-        pool_loop(
-            n,
-            c,
-            h,
-            w,
-            oh,
-            ow,
-            kh,
-            kw,
-            sh,
-            sw,
-            pt,
-            pl,
-            |plane_base, taps, oi| {
-                let sum: i64 = taps.iter().map(|&t| x[plane_base + t] as i64).sum();
-                let denom = if params.count_include_pad {
-                    (kh * kw) as i64
-                } else {
-                    taps.len() as i64
-                };
-                // round-half-away-from-zero
-                let v = if sum >= 0 {
-                    (sum + denom / 2) / denom
-                } else {
-                    (sum - denom / 2) / denom
-                };
-                out[oi] = v as i32;
-            },
-        );
-        Tensor::from_int_values([n, c, oh, ow], &out, input.dtype(), input.quant())
-            .map_err(|e| kerr(e.to_string()))
+    let full = params.kernel.0 * params.kernel.1;
+    // Divisor of one window; excluding padding, a window wholly inside the
+    // padding has nothing to average.
+    let denom = |taps: usize| match (params.count_include_pad, taps) {
+        (true, _) => Ok(full),
+        (false, 0) => Err(kerr("avg_pool2d window lies wholly in padding".to_string())),
+        (false, taps) => Ok(taps),
+    };
+    let int_avg = |sum: i64, taps: usize| -> Result<i32, KernelError> {
+        let denom = denom(taps)? as i64;
+        // round-half-away-from-zero
+        Ok(if sum >= 0 {
+            (sum + denom / 2) / denom
+        } else {
+            (sum - denom / 2) / denom
+        } as i32)
+    };
+    fn int_sum<T: IntElem>(win: &Window<'_, T>) -> i64 {
+        win.taps().map(|v| v.widen() as i64).sum()
     }
+    with_payload!(
+        input,
+        [I8 U8 I32],
+        |x| pool(input, x, params, |win| {
+            int_avg(int_sum(&win), win.len()).map(IntElem::narrow)
+        }),
+        else => pool(input, input.as_f32().unwrap(), params, |win| {
+            Ok(win.taps().sum::<f32>() / denom(win.len())? as f32)
+        })
+    )
 }
 
 /// Global average pooling to `[n, c, 1, 1]`.
@@ -202,51 +180,6 @@ pub fn global_avg_pool2d(input: &Tensor) -> Result<Tensor, KernelError> {
         count_include_pad: false,
     };
     avg_pool2d(input, &params)
-}
-
-/// Shared window iteration: calls `f(plane_base, in_window_offsets, out_index)`.
-#[allow(clippy::too_many_arguments)]
-fn pool_loop(
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    kh: usize,
-    kw: usize,
-    sh: usize,
-    sw: usize,
-    pt: usize,
-    pl: usize,
-    mut f: impl FnMut(usize, &[usize], usize),
-) {
-    let mut taps = Vec::with_capacity(kh * kw);
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane_base = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    taps.clear();
-                    for ky in 0..kh {
-                        let iy = (oy * sh + ky) as isize - pt as isize;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * sw + kx) as isize - pl as isize;
-                            if ix < 0 || ix as usize >= w {
-                                continue;
-                            }
-                            taps.push(iy as usize * w + ix as usize);
-                        }
-                    }
-                    let oi = ((ni * c + ci) * oh + oy) * ow + ox;
-                    f(plane_base, &taps, oi);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,5 +247,42 @@ mod tests {
     fn window_too_large_rejected() {
         let x = Tensor::zeros_f32([1, 1, 2, 2]);
         assert!(max_pool2d(&x, &Pool2dParams::square(3)).is_err());
+    }
+
+    #[test]
+    fn zero_stride_or_window_is_an_error() {
+        let x = Tensor::zeros_f32([1, 1, 4, 4]);
+        for (kernel, strides) in [((2, 2), (0, 1)), ((2, 2), (1, 0)), ((0, 2), (1, 1))] {
+            let p = Pool2dParams {
+                kernel,
+                strides,
+                ..Pool2dParams::square(2)
+            };
+            assert!(max_pool2d(&x, &p).is_err());
+            assert!(avg_pool2d(&x, &p).is_err());
+        }
+    }
+
+    #[test]
+    fn avg_pool_window_in_padding_is_an_error() {
+        // Two rows of top padding under a 2x2 window: the first output row
+        // averages no element at all. The integer path used to divide by
+        // zero and the float path to emit NaN.
+        let p = Pool2dParams {
+            padding: (2, 0, 0, 0),
+            strides: (1, 1),
+            ..Pool2dParams::square(2)
+        };
+        let xf = Tensor::from_f32([1, 1, 2, 2], vec![1.0; 4]).unwrap();
+        let xq = Tensor::from_int_values([1, 1, 2, 2], &[1; 4], DType::U8, None).unwrap();
+        assert!(avg_pool2d(&xf, &p).is_err());
+        assert!(avg_pool2d(&xq, &p).is_err());
+        // Counting the padding, or taking the maximum, stays defined.
+        let counted = Pool2dParams {
+            count_include_pad: true,
+            ..p
+        };
+        assert_eq!(avg_pool2d(&xf, &counted).unwrap().as_f32().unwrap()[0], 0.0);
+        assert_eq!(max_pool2d(&xq, &p).unwrap().int_at(0), 0);
     }
 }

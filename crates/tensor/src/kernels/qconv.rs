@@ -2,12 +2,12 @@
 //! gemmlowp-style requantization — the arithmetic behind `qnn.conv2d` +
 //! `qnn.requantize` in Relay and behind the APU's integer datapath.
 
-use super::conv::Conv2dParams;
+use super::conv::{conv_planes, Arith, Conv2dParams, ConvGeom};
 use super::{kerr, KernelError};
 use crate::dtype::DType;
-use crate::quant::{requantize_value, FixedPointMultiplier, QuantParams};
-use crate::tensor::Tensor;
-use rayon::prelude::*;
+use crate::quant::{fits_i32, requantize_value, saturate, Acc, FixedPointMultiplier, QuantParams};
+use crate::tensor::{with_payload, Data, IntElem, Tensor};
+use std::marker::PhantomData;
 
 /// Quantization attributes of a quantized convolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +33,10 @@ impl QConvQuant {
 ///
 /// `input` must be i8/u8 activations, `weight` i8/u8 weights, `bias` (when
 /// present) an i32 tensor already scaled by `s_in * s_w`.
+///
+/// Runs the loop nest of [`super::conv2d_f32`] on the 8-bit operands in
+/// place. Out-of-image taps read the input zero point, i.e. real value 0
+/// (TFLite padding semantics), so they add nothing and are skipped.
 pub fn qconv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -40,95 +44,124 @@ pub fn qconv2d(
     params: &Conv2dParams,
     quant: &QConvQuant,
 ) -> Result<Tensor, KernelError> {
-    let ishape = input.shape().dims();
-    let wshape = weight.shape().dims();
-    if ishape.len() != 4 || wshape.len() != 4 {
-        return Err(kerr("qconv2d expects rank-4 input and weight".to_string()));
-    }
-    if !input.dtype().is_quantized() || !weight.dtype().is_quantized() {
-        return Err(kerr(format!(
-            "qconv2d expects quantized operands, got {} / {}",
-            input.dtype(),
-            weight.dtype()
-        )));
-    }
-    let (n, c, h, w) = (ishape[0], ishape[1], ishape[2], ishape[3]);
-    let (oc, wic, kh, kw) = (wshape[0], wshape[1], wshape[2], wshape[3]);
-    let groups = params.groups;
-    if groups == 0 || c % groups != 0 || oc % groups != 0 || wic != c / groups {
-        return Err(kerr(format!(
-            "qconv2d group/channel mismatch: C={c}, O={oc}, groups={groups}, w_ic={wic}"
-        )));
-    }
-    let (oh, ow) = params.out_hw(h, w, kh, kw)?;
+    let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
+    let g = ConvGeom::new("qconv2d", ishape, wshape, bias, params)?;
+    let data = quantized_planes("qconv2d", &g, input, weight, bias, quant)?;
+    Tensor::from_data(g.output, data, Some(quant.output)).map_err(|e| kerr(e.to_string()))
+}
 
-    let x: Vec<i32> = input.iter_int().collect();
-    let wt: Vec<i32> = weight.iter_int().collect();
+/// Run `g` in quantized arithmetic, picking the instantiation for the
+/// operands' storage types, the accumulator width and the output type.
+pub(super) fn quantized_planes(
+    op: &str,
+    g: &ConvGeom,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    quant: &QConvQuant,
+) -> Result<Data, KernelError> {
     let b: Option<&[i32]> = match bias {
         Some(t) => Some(t.as_i32().map_err(|e| kerr(e.to_string()))?),
         None => None,
     };
-    if let Some(b) = b {
-        if b.len() != oc {
-            return Err(kerr(format!(
-                "qconv2d bias length {} != out channels {oc}",
-                b.len()
-            )));
-        }
-    }
-
-    let zx = quant.input.zero_point;
-    let zw = quant.weight.zero_point;
-    let fpm = FixedPointMultiplier::from_real(quant.real_multiplier());
-    let zo = quant.output.zero_point;
     let out_dtype = quant.out_dtype;
+    if out_dtype.is_float() {
+        return Err(kerr(format!(
+            "{op} output dtype {out_dtype} is not an integer type"
+        )));
+    }
+    let fpm = FixedPointMultiplier::from_real(quant.real_multiplier());
+    let (zx, zw, zo) = (
+        quant.input.zero_point,
+        quant.weight.zero_point,
+        quant.output.zero_point,
+    );
+    let q = QArith {
+        bias: b,
+        zx,
+        zw,
+        requantize: |acc: i32| requantize_value(acc, fpm, zo, out_dtype),
+    };
+    let not_q8 = || {
+        kerr(format!(
+            "{op} expects quantized operands, got {} / {}",
+            input.dtype(),
+            weight.dtype()
+        ))
+    };
+    Ok(with_payload!(
+        input,
+        [I8 U8],
+        |x| with_payload!(
+            weight,
+            [I8 U8],
+            |w| match (
+                fits_i32(g.taps(), (range_of(x), zx), (range_of(w), zw), b),
+                out_dtype
+            ) {
+                (true, DType::I8) => q.run::<_, _, i32, i8>(g, x, w),
+                (true, DType::U8) => q.run::<_, _, i32, u8>(g, x, w),
+                (true, _) => q.run::<_, _, i32, i32>(g, x, w),
+                (false, DType::I8) => q.run::<_, _, i64, i8>(g, x, w),
+                (false, DType::U8) => q.run::<_, _, i64, u8>(g, x, w),
+                (false, _) => q.run::<_, _, i64, i32>(g, x, w),
+            },
+            else => return Err(not_q8())
+        ),
+        else => return Err(not_q8())
+    ))
+}
 
-    let (pt, pl, _, _) = params.padding;
-    let (sh, sw) = params.strides;
-    let (dh, dw) = params.dilation;
-    let cg = c / groups;
-    let og = oc / groups;
+/// Storage range of a slice's element type.
+fn range_of<T: IntElem>(_: &[T]) -> (i32, i32) {
+    (T::MIN, T::MAX)
+}
 
-    let mut out = vec![0i32; n * oc * oh * ow];
-    out.par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(plane, out_plane)| {
-            let ni = plane / oc;
-            let o = plane % oc;
-            let g = o / og;
-            let bias_v = b.map(|b| b[o]).unwrap_or(0);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc: i64 = bias_v as i64;
-                    for ic in 0..cg {
-                        let in_c = g * cg + ic;
-                        let x_base = ((ni * c + in_c) * h) * w;
-                        let w_base = ((o * cg + ic) * kh) * kw;
-                        for ky in 0..kh {
-                            let iy = (oy * sh + ky * dh) as isize - pt as isize;
-                            for kx in 0..kw {
-                                let ix = (ox * sw + kx * dw) as isize - pl as isize;
-                                // Out-of-bounds taps read the input zero point,
-                                // i.e. real value 0 (TFLite padding semantics).
-                                let xv = if iy < 0 || iy as usize >= h || ix < 0 || ix as usize >= w
-                                {
-                                    0i64
-                                } else {
-                                    (x[x_base + iy as usize * w + ix as usize] - zx) as i64
-                                };
-                                let wv = (wt[w_base + ky * kw + kx] - zw) as i64;
-                                acc += xv * wv;
-                            }
-                        }
-                    }
-                    let acc32 = acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                    out_plane[oy * ow + ox] = requantize_value(acc32, fpm, zo, out_dtype);
-                }
-            }
-        });
+/// The parameters of one quantized reduction.
+struct QArith<'a, R> {
+    bias: Option<&'a [i32]>,
+    zx: i32,
+    zw: i32,
+    requantize: R,
+}
 
-    Tensor::from_int_values([n, oc, oh, ow], &out, out_dtype, Some(quant.output))
-        .map_err(|e| kerr(e.to_string()))
+/// [`QArith`] at operand types `X`, `W`, accumulator `A` and output `O`,
+/// named by `T = (X, W, A, O)`.
+struct Typed<'q, 'a, R, T>(&'q QArith<'a, R>, PhantomData<T>);
+
+impl<R: Fn(i32) -> i32 + Sync> QArith<'_, R> {
+    fn run<X: IntElem, W: IntElem, A: Acc, O: IntElem>(
+        &self,
+        g: &ConvGeom,
+        x: &[X],
+        w: &[W],
+    ) -> Data {
+        let typed = Typed(self, PhantomData::<(X, W, A, O)>);
+        O::wrap(conv_planes(g, &typed, x, w, O::narrow(0)))
+    }
+}
+
+impl<X: IntElem, W: IntElem, A: Acc, O: IntElem, R: Fn(i32) -> i32 + Sync> Arith
+    for Typed<'_, '_, R, (X, W, A, O)>
+{
+    type X = X;
+    type W = W;
+    type Acc = A;
+    type Out = O;
+    /// `(zx, w − zw)`.
+    type Tap = (i32, i32);
+    fn start(&self, o: usize) -> A {
+        A::from(self.0.bias.map_or(0, |b| b[o]))
+    }
+    fn tap(&self, w: W) -> (i32, i32) {
+        (self.0.zx, w.widen() - self.0.zw)
+    }
+    fn mac(acc: A, x: X, (zx, w): (i32, i32)) -> A {
+        acc + A::from(x.widen() - zx) * A::from(w)
+    }
+    fn finish(&self, acc: A) -> O {
+        O::narrow((self.0.requantize)(saturate(acc)))
+    }
 }
 
 #[cfg(test)]
@@ -235,6 +268,20 @@ mod tests {
             weight: QuantParams::identity(),
             output: QuantParams::identity(),
             out_dtype: DType::I8,
+        };
+        assert!(qconv2d(&x, &w, None, &Conv2dParams::default(), &quant).is_err());
+    }
+
+    #[test]
+    fn rejects_float_output_dtype() {
+        let qp = QuantParams::new(1.0, 0);
+        let x = Tensor::from_int_values([1, 1, 1, 1], &[1], DType::U8, Some(qp)).unwrap();
+        let w = Tensor::from_int_values([1, 1, 1, 1], &[1], DType::I8, Some(qp)).unwrap();
+        let quant = QConvQuant {
+            input: qp,
+            weight: qp,
+            output: qp,
+            out_dtype: DType::F32,
         };
         assert!(qconv2d(&x, &w, None, &Conv2dParams::default(), &quant).is_err());
     }

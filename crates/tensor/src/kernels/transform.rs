@@ -4,27 +4,30 @@
 //! quantized tensors keep their parameters.
 
 use super::{kerr, KernelError};
-use crate::shape::Shape;
-use crate::tensor::Tensor;
+use crate::dtype::DType;
+use crate::shape::{for_each_row, Shape};
+use crate::tensor::{with_payload, Data, Elem, IntElem, Tensor};
 
-/// Gather elements of `input` at flat source offsets into a new tensor of
-/// `out_shape`, preserving dtype and quant params.
-fn gather_by_offsets(
+/// Gather `x[base + Σ idx[d] · strides[d]]` over the row-major `dims` space
+/// into a tensor of `input`'s dtype and quant params.
+fn gather(
     input: &Tensor,
-    out_shape: Shape,
-    offsets: &[usize],
+    dims: Vec<usize>,
+    strides: &[usize],
+    base: usize,
 ) -> Result<Tensor, KernelError> {
-    debug_assert_eq!(out_shape.num_elements(), offsets.len());
-    if input.dtype().is_float() {
-        let x = input.as_f32().unwrap();
-        let out: Vec<f32> = offsets.iter().map(|&o| x[o]).collect();
-        Tensor::from_f32(out_shape, out).map_err(|e| kerr(e.to_string()))
-    } else {
-        let x: Vec<i32> = input.iter_int().collect();
-        let out: Vec<i32> = offsets.iter().map(|&o| x[o]).collect();
-        Tensor::from_int_values(out_shape, &out, input.dtype(), input.quant())
-            .map_err(|e| kerr(e.to_string()))
+    fn rows<T: Elem>(x: &[T], dims: &[usize], strides: &[usize], base: usize) -> Data {
+        let len = dims.last().copied().unwrap_or(1);
+        let step = strides.last().copied().unwrap_or(0);
+        let mut out = Vec::with_capacity(dims.iter().product());
+        for_each_row(dims, [strides], &mut |[o]| match step {
+            1 => out.extend_from_slice(&x[base + o..][..len]),
+            _ => out.extend((0..len).map(|j| x[base + o + j * step])),
+        });
+        T::wrap(out)
     }
+    let data = with_payload!(input, [F32 I8 U8 I32], |x| rows(x, &dims, strides, base));
+    Tensor::from_data(dims, data, input.quant()).map_err(|e| kerr(e.to_string()))
 }
 
 /// Permute axes: `transpose(x, axes)`.
@@ -42,21 +45,10 @@ pub fn transpose(input: &Tensor, axes: &[usize]) -> Result<Tensor, KernelError> 
         }
         seen[a] = true;
     }
-    let out_dims: Vec<usize> = axes.iter().map(|&a| dims[a]).collect();
-    let out_shape = Shape::new(out_dims);
     let in_strides = input.shape().strides();
-    let n = out_shape.num_elements();
-    let mut offsets = Vec::with_capacity(n);
-    for flat in 0..n {
-        let oidx = out_shape.unravel(flat);
-        let src: usize = oidx
-            .iter()
-            .zip(axes)
-            .map(|(&i, &a)| i * in_strides[a])
-            .sum();
-        offsets.push(src);
-    }
-    gather_by_offsets(input, out_shape, &offsets)
+    let (out_dims, src_strides): (Vec<usize>, Vec<usize>) =
+        axes.iter().map(|&a| (dims[a], in_strides[a])).unzip();
+    gather(input, out_dims, &src_strides, 0)
 }
 
 /// Concatenate along `axis`. All inputs must share dtype/rank and agree on
@@ -101,28 +93,29 @@ pub fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor, KernelError> {
     let outer: usize = first.shape().dims()[..axis].iter().product();
     let inner: usize = first.shape().dims()[axis + 1..].iter().product();
 
-    if first.dtype().is_float() {
-        let mut out = Vec::with_capacity(out_shape.num_elements());
+    fn interleave<T: Elem>(inputs: &[&Tensor], axis: usize, outer: usize, inner: usize) -> Data {
+        let parts: Vec<(&[T], usize)> = inputs
+            .iter()
+            .map(|t| {
+                let x = T::payload(t.data()).expect("dtypes checked equal");
+                (x, t.shape().dims()[axis] * inner)
+            })
+            .collect();
+        let mut out = Vec::with_capacity(parts.iter().map(|(x, _)| x.len()).sum());
         for o in 0..outer {
-            for t in inputs {
-                let ax = t.shape().dims()[axis];
-                let x = t.as_f32().unwrap();
-                out.extend_from_slice(&x[o * ax * inner..(o + 1) * ax * inner]);
+            for (x, run) in &parts {
+                out.extend_from_slice(&x[o * run..(o + 1) * run]);
             }
         }
-        Tensor::from_f32(out_shape, out).map_err(|e| kerr(e.to_string()))
-    } else {
-        let mut out: Vec<i32> = Vec::with_capacity(out_shape.num_elements());
-        let ints: Vec<Vec<i32>> = inputs.iter().map(|t| t.iter_int().collect()).collect();
-        for o in 0..outer {
-            for (t, x) in inputs.iter().zip(&ints) {
-                let ax = t.shape().dims()[axis];
-                out.extend_from_slice(&x[o * ax * inner..(o + 1) * ax * inner]);
-            }
-        }
-        Tensor::from_int_values(out_shape, &out, first.dtype(), first.quant())
-            .map_err(|e| kerr(e.to_string()))
+        T::wrap(out)
     }
+    let data = match first.dtype() {
+        DType::F32 => interleave::<f32>(inputs, axis, outer, inner),
+        DType::I8 => interleave::<i8>(inputs, axis, outer, inner),
+        DType::U8 => interleave::<u8>(inputs, axis, outer, inner),
+        DType::I32 => interleave::<i32>(inputs, axis, outer, inner),
+    };
+    Tensor::from_data(out_shape, data, first.quant()).map_err(|e| kerr(e.to_string()))
 }
 
 /// Constant-pad with per-dimension (before, after) amounts.
@@ -141,55 +134,45 @@ pub fn pad(input: &Tensor, pads: &[(usize, usize)], value: f32) -> Result<Tensor
         .map(|(&d, &(b, a))| d + b + a)
         .collect();
     let out_shape = Shape::new(out_dims);
-    let n = out_shape.num_elements();
+    let out_strides = out_shape.strides();
+    // Where input element [0, .., 0] lands in the output.
+    let base: usize = pads
+        .iter()
+        .zip(&out_strides)
+        .map(|(&(b, _), &s)| b * s)
+        .sum();
 
-    if input.dtype().is_float() {
-        let x = input.as_f32().unwrap();
-        let mut out = vec![value; n];
-        for (flat, o) in out.iter_mut().enumerate() {
-            let oidx = out_shape.unravel(flat);
-            let mut in_idx = Vec::with_capacity(dims.len());
-            let mut inside = true;
-            for (d, &i) in oidx.iter().enumerate() {
-                let (b, _) = pads[d];
-                if i < b || i >= b + dims[d] {
-                    inside = false;
-                    break;
-                }
-                in_idx.push(i - b);
-            }
-            if inside {
-                *o = x[input.shape().offset(&in_idx)];
-            }
-        }
-        Tensor::from_f32(out_shape, out).map_err(|e| kerr(e.to_string()))
-    } else {
-        let qp = input.quant();
-        // For quantized tensors, the pad value is in the real domain; store
-        // its quantized image (TFLite pads with the zero point for value 0).
-        let qv = qp
-            .map(|q| q.quantize(value, input.dtype()))
-            .unwrap_or(value as i32);
-        let x: Vec<i32> = input.iter_int().collect();
-        let mut out = vec![qv; n];
-        for (flat, o) in out.iter_mut().enumerate() {
-            let oidx = out_shape.unravel(flat);
-            let mut in_idx = Vec::with_capacity(dims.len());
-            let mut inside = true;
-            for (d, &i) in oidx.iter().enumerate() {
-                let (b, _) = pads[d];
-                if i < b || i >= b + dims[d] {
-                    inside = false;
-                    break;
-                }
-                in_idx.push(i - b);
-            }
-            if inside {
-                *o = x[input.shape().offset(&in_idx)];
-            }
-        }
-        Tensor::from_int_values(out_shape, &out, input.dtype(), qp).map_err(|e| kerr(e.to_string()))
+    /// Copy the rows of `x` into a buffer of `n` fill values.
+    fn place<T: Elem>(
+        x: &[T],
+        dims: &[usize],
+        out_strides: &[usize],
+        base: usize,
+        (fill, n): (T, usize),
+    ) -> Data {
+        let mut out = vec![fill; n];
+        let len = dims.last().copied().unwrap_or(1);
+        let mut rows = x.chunks(len.max(1));
+        for_each_row(dims, [out_strides], &mut |[o]| {
+            let row = rows.next().expect("one chunk per input row");
+            out[base + o..][..len].copy_from_slice(row);
+        });
+        T::wrap(out)
     }
+    let n = out_shape.num_elements();
+    // For quantized tensors, the pad value is in the real domain; store
+    // its quantized image (TFLite pads with the zero point for value 0).
+    let qv = input
+        .quant()
+        .map(|q| q.quantize(value, input.dtype()))
+        .unwrap_or(value as i32);
+    let data = with_payload!(
+        input,
+        [I8 U8 I32],
+        |x| place(x, dims, &out_strides, base, (IntElem::narrow(qv), n)),
+        else => place(input.as_f32().unwrap(), dims, &out_strides, base, (value, n))
+    );
+    Tensor::from_data(out_shape, data, input.quant()).map_err(|e| kerr(e.to_string()))
 }
 
 /// `strided_slice(begin, end)` with unit strides.
@@ -207,15 +190,8 @@ pub fn slice(input: &Tensor, begin: &[usize], end: &[usize]) -> Result<Tensor, K
         }
     }
     let out_dims: Vec<usize> = begin.iter().zip(end).map(|(&b, &e)| e - b).collect();
-    let out_shape = Shape::new(out_dims);
-    let n = out_shape.num_elements();
-    let mut offsets = Vec::with_capacity(n);
-    for flat in 0..n {
-        let oidx = out_shape.unravel(flat);
-        let src_idx: Vec<usize> = oidx.iter().zip(begin).map(|(&i, &b)| i + b).collect();
-        offsets.push(input.shape().offset(&src_idx));
-    }
-    gather_by_offsets(input, out_shape, &offsets)
+    let strides = input.shape().strides();
+    gather(input, out_dims, &strides, input.shape().offset(begin))
 }
 
 /// `batch_flatten`: `[n, ...] → [n, prod(...)]`.
@@ -323,26 +299,35 @@ pub fn mean_f32(input: &Tensor, axes: &[usize]) -> Result<Tensor, KernelError> {
         .collect();
     let out_shape = Shape::new(out_dims);
     let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
-    let mut sums = vec![0.0f32; out_shape.num_elements().max(1)];
-    let mut counts = vec![0usize; sums.len()];
-    for (flat, &v) in x.iter().enumerate() {
-        let idx = input.shape().unravel(flat);
-        let out_idx: Vec<usize> = idx
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| !axes.contains(d))
-            .map(|(_, &i)| i)
-            .collect();
-        let o = if out_idx.is_empty() {
-            0
+    // Output stride of every input dimension: 0 along the reduced axes.
+    let mut out_strides = vec![0usize; dims.len()];
+    let (mut stride, mut count) = (1usize, 1usize);
+    for d in (0..dims.len()).rev() {
+        if axes.contains(&d) {
+            count *= dims[d];
         } else {
-            out_shape.offset(&out_idx)
-        };
-        sums[o] += v;
-        counts[o] += 1;
+            out_strides[d] = stride;
+            stride *= dims[d];
+        }
     }
-    for (s, &c) in sums.iter_mut().zip(&counts) {
-        *s /= c.max(1) as f32;
+    // Each output sees its inputs in flat input order, one row at a time.
+    let mut sums = vec![0.0f32; out_shape.num_elements().max(1)];
+    let len = dims.last().copied().unwrap_or(1);
+    let reduce_rows = out_strides.last() == Some(&0);
+    let mut rows = x.chunks(len.max(1));
+    for_each_row(dims, [&out_strides], &mut |[o]| {
+        let row = rows.next().expect("one chunk per input row");
+        if reduce_rows {
+            row.iter().for_each(|&v| sums[o] += v);
+        } else {
+            sums[o..][..row.len()]
+                .iter_mut()
+                .zip(row)
+                .for_each(|(s, &v)| *s += v);
+        }
+    });
+    for s in sums.iter_mut() {
+        *s /= count.max(1) as f32;
     }
     Tensor::from_f32(out_shape, sums).map_err(|e| kerr(e.to_string()))
 }

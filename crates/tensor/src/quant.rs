@@ -6,6 +6,7 @@
 
 use crate::dtype::DType;
 use serde::{Deserialize, Serialize};
+use std::ops::{Add, Mul};
 
 /// Affine quantization parameters: `real = scale * (q - zero_point)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -179,6 +180,47 @@ pub fn requantize_value(
         .expect("requantize target must be integer");
     let v = real_multiplier.apply(acc) as i64 + out_zero_point as i64;
     v.clamp(lo as i64, hi as i64) as i32
+}
+
+/// Accumulator of a quantized reduction `bias + Σ (x − zx)·(w − zw)`: `i32`
+/// when [`fits_i32`] proves it cannot overflow, `i64` otherwise.
+///
+/// Integer sums are exact, so the order of the additions is free and both
+/// widths give the same value; only the final [`saturate`] +
+/// [`requantize_value`] is ordered.
+pub(crate) trait Acc:
+    Copy + Send + Sync + From<i32> + TryInto<i32> + PartialOrd + Add<Output = Self> + Mul<Output = Self>
+{
+}
+impl Acc for i32 {}
+impl Acc for i64 {}
+
+/// The sum, saturated to the `i32` the requantizer takes.
+pub(crate) fn saturate<A: Acc>(acc: A) -> i32 {
+    let limit = if acc < A::from(0) { i32::MIN } else { i32::MAX };
+    acc.try_into().unwrap_or(limit)
+}
+
+/// Whether `max|bias| + taps · max|x − zx| · max|w − zw|` — a bound on every
+/// partial sum of the reduction — fits an `i32`, for operands stored in the
+/// given `(min, max)` ranges.
+pub(crate) fn fits_i32(
+    taps: usize,
+    (x_range, zx): ((i32, i32), i32),
+    (w_range, zw): ((i32, i32), i32),
+    bias: Option<&[i32]>,
+) -> bool {
+    let spread = |(lo, hi): (i32, i32), z: i32| {
+        let z = z as i128;
+        (lo as i128 - z).abs().max((hi as i128 - z).abs())
+    };
+    let bias = bias
+        .into_iter()
+        .flatten()
+        .map(|&b| (b as i128).abs())
+        .max()
+        .unwrap_or(0);
+    bias + taps as i128 * spread(x_range, zx) * spread(w_range, zw) <= i32::MAX as i128
 }
 
 #[cfg(test)]

@@ -107,6 +107,39 @@ impl Shape {
     }
 }
 
+/// Walk the rows (runs along the last dimension) of a row-major `dims`
+/// space in order, handing `f` the offset `Σ idx[d] · strides[k][d]` of each
+/// row's first element under every stride set — the index math of
+/// broadcasting, transposition, padding, slicing and reduction, with no
+/// per-element division or allocation. The caller steps along the row with
+/// `strides[k][last]`; a rank-0 space is one row of one element.
+pub(crate) fn for_each_row<const K: usize>(
+    dims: &[usize],
+    strides: [&[usize]; K],
+    f: &mut impl FnMut([usize; K]),
+) {
+    fn walk<const K: usize>(
+        dims: &[usize],
+        strides: [&[usize]; K],
+        base: [usize; K],
+        f: &mut impl FnMut([usize; K]),
+    ) {
+        let [extent, _, ..] = *dims else {
+            return f(base);
+        };
+        for i in 0..extent {
+            let mut row = base;
+            for k in 0..K {
+                row[k] += i * strides[k][0];
+            }
+            walk(&dims[1..], strides.map(|s| &s[1..]), row, f);
+        }
+    }
+    if !dims.contains(&0) {
+        walk(dims, strides, [0; K], f);
+    }
+}
+
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;

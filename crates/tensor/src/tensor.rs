@@ -71,6 +71,78 @@ impl Data {
     }
 }
 
+/// A storage element type, tied to its [`Data`] variant so a dtype-generic
+/// kernel is written once and instantiated per type.
+pub(crate) trait Elem: Copy + Send + Sync {
+    /// Wrap a buffer of this type as tensor storage.
+    fn wrap(v: Vec<Self>) -> Data;
+    /// Borrow storage as this type, if that is its type.
+    fn payload(data: &Data) -> Option<&[Self]>;
+}
+
+/// An integer storage element; arithmetic happens widened to `i32`.
+pub(crate) trait IntElem: Elem + Ord {
+    /// Smallest storable value.
+    const MIN: i32;
+    /// Largest storable value.
+    const MAX: i32;
+    /// Lossless widening.
+    fn widen(self) -> i32;
+    /// Saturating narrowing.
+    fn narrow(v: i32) -> Self;
+}
+
+macro_rules! elem {
+    ($t:ty, $variant:ident) => {
+        impl Elem for $t {
+            fn wrap(v: Vec<$t>) -> Data {
+                Data::$variant(v)
+            }
+            fn payload(data: &Data) -> Option<&[$t]> {
+                match data {
+                    Data::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+elem!(f32, F32);
+
+macro_rules! int_elem {
+    ($t:ty, $variant:ident) => {
+        elem!($t, $variant);
+        impl IntElem for $t {
+            const MIN: i32 = <$t>::MIN as i32;
+            const MAX: i32 = <$t>::MAX as i32;
+            #[inline]
+            fn widen(self) -> i32 {
+                self as i32
+            }
+            #[inline]
+            fn narrow(v: i32) -> $t {
+                v.clamp(<$t as IntElem>::MIN, <$t as IntElem>::MAX) as $t
+            }
+        }
+    };
+}
+int_elem!(i8, I8);
+int_elem!(u8, U8);
+int_elem!(i32, I32);
+
+/// Evaluate `$body` with `$x` bound to the typed payload slice of tensor
+/// `$t`, instantiated once per listed storage type (`[F32 I8 U8 I32]` or a
+/// subset); `else =>` covers the types not listed.
+macro_rules! with_payload {
+    ($t:expr, [$($variant:ident)+], |$x:ident| $body:expr $(, else => $other:expr)?) => {
+        match $t.data() {
+            $($crate::tensor::Data::$variant($x) => $body,)+
+            $(_ => $other,)?
+        }
+    };
+}
+pub(crate) use with_payload;
+
 /// A dense row-major tensor.
 ///
 /// Quantized tensors carry their affine [`QuantParams`] alongside the data;
@@ -85,66 +157,10 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    /// Construct a float32 tensor.
-    pub fn from_f32(shape: impl Into<Shape>, data: Vec<f32>) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if shape.num_elements() != data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.num_elements(),
-                got: data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: Data::F32(data),
-            quant: None,
-        })
-    }
-
-    /// Construct an int8 tensor with quantization parameters.
-    pub fn from_i8(
+    /// Wrap typed storage: the one place the shape/length invariant is checked.
+    pub(crate) fn from_data(
         shape: impl Into<Shape>,
-        data: Vec<i8>,
-        quant: QuantParams,
-    ) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if shape.num_elements() != data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.num_elements(),
-                got: data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: Data::I8(data),
-            quant: Some(quant),
-        })
-    }
-
-    /// Construct a uint8 tensor with quantization parameters.
-    pub fn from_u8(
-        shape: impl Into<Shape>,
-        data: Vec<u8>,
-        quant: QuantParams,
-    ) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if shape.num_elements() != data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.num_elements(),
-                got: data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: Data::U8(data),
-            quant: Some(quant),
-        })
-    }
-
-    /// Construct an int32 tensor (bias/accumulator/index).
-    pub fn from_i32(
-        shape: impl Into<Shape>,
-        data: Vec<i32>,
+        data: Data,
         quant: Option<QuantParams>,
     ) -> Result<Self, TensorError> {
         let shape = shape.into();
@@ -154,11 +170,39 @@ impl Tensor {
                 got: data.len(),
             });
         }
-        Ok(Tensor {
-            shape,
-            data: Data::I32(data),
-            quant,
-        })
+        Ok(Tensor { shape, data, quant })
+    }
+
+    /// Construct a float32 tensor.
+    pub fn from_f32(shape: impl Into<Shape>, data: Vec<f32>) -> Result<Self, TensorError> {
+        Self::from_data(shape, Data::F32(data), None)
+    }
+
+    /// Construct an int8 tensor with quantization parameters.
+    pub fn from_i8(
+        shape: impl Into<Shape>,
+        data: Vec<i8>,
+        quant: QuantParams,
+    ) -> Result<Self, TensorError> {
+        Self::from_data(shape, Data::I8(data), Some(quant))
+    }
+
+    /// Construct a uint8 tensor with quantization parameters.
+    pub fn from_u8(
+        shape: impl Into<Shape>,
+        data: Vec<u8>,
+        quant: QuantParams,
+    ) -> Result<Self, TensorError> {
+        Self::from_data(shape, Data::U8(data), Some(quant))
+    }
+
+    /// Construct an int32 tensor (bias/accumulator/index).
+    pub fn from_i32(
+        shape: impl Into<Shape>,
+        data: Vec<i32>,
+        quant: Option<QuantParams>,
+    ) -> Result<Self, TensorError> {
+        Self::from_data(shape, Data::I32(data), quant)
     }
 
     /// A float tensor of zeros.
@@ -195,6 +239,11 @@ impl Tensor {
         &self.shape
     }
 
+    /// Typed storage, for dtype-generic kernels (see [`with_payload`]).
+    pub(crate) fn data(&self) -> &Data {
+        &self.data
+    }
+
     /// Element type.
     pub fn dtype(&self) -> DType {
         self.data.dtype()
@@ -221,15 +270,17 @@ impl Tensor {
         self
     }
 
+    /// Borrow the payload as `T`s, or report the tensor's actual dtype.
+    fn typed<T: Elem>(&self, expected: DType) -> Result<&[T], TensorError> {
+        T::payload(&self.data).ok_or(TensorError::DTypeMismatch {
+            expected,
+            got: self.dtype(),
+        })
+    }
+
     /// Borrow as `&[f32]`.
     pub fn as_f32(&self) -> Result<&[f32], TensorError> {
-        match &self.data {
-            Data::F32(v) => Ok(v),
-            other => Err(TensorError::DTypeMismatch {
-                expected: DType::F32,
-                got: other.dtype(),
-            }),
-        }
+        self.typed(DType::F32)
     }
 
     /// Borrow as `&mut [f32]`.
@@ -245,55 +296,32 @@ impl Tensor {
 
     /// Borrow as `&[i8]`.
     pub fn as_i8(&self) -> Result<&[i8], TensorError> {
-        match &self.data {
-            Data::I8(v) => Ok(v),
-            other => Err(TensorError::DTypeMismatch {
-                expected: DType::I8,
-                got: other.dtype(),
-            }),
-        }
+        self.typed(DType::I8)
     }
 
     /// Borrow as `&[u8]`.
     pub fn as_u8(&self) -> Result<&[u8], TensorError> {
-        match &self.data {
-            Data::U8(v) => Ok(v),
-            other => Err(TensorError::DTypeMismatch {
-                expected: DType::U8,
-                got: other.dtype(),
-            }),
-        }
+        self.typed(DType::U8)
     }
 
     /// Borrow as `&[i32]`.
     pub fn as_i32(&self) -> Result<&[i32], TensorError> {
-        match &self.data {
-            Data::I32(v) => Ok(v),
-            other => Err(TensorError::DTypeMismatch {
-                expected: DType::I32,
-                got: other.dtype(),
-            }),
-        }
+        self.typed(DType::I32)
     }
 
     /// Read element `i` of an integer tensor widened to i32.
     pub fn int_at(&self, i: usize) -> i32 {
-        match &self.data {
-            Data::I8(v) => v[i] as i32,
-            Data::U8(v) => v[i] as i32,
-            Data::I32(v) => v[i],
-            Data::F32(_) => panic!("int_at on float tensor"),
-        }
+        with_payload!(self, [I8 U8 I32], |v| v[i].widen(), else => panic!("int_at on float tensor"))
     }
 
     /// Iterate the integer payload widened to i32.
     pub fn iter_int(&self) -> Box<dyn Iterator<Item = i32> + '_> {
-        match &self.data {
-            Data::I8(v) => Box::new(v.iter().map(|&x| x as i32)),
-            Data::U8(v) => Box::new(v.iter().map(|&x| x as i32)),
-            Data::I32(v) => Box::new(v.iter().copied()),
-            Data::F32(_) => panic!("iter_int on float tensor"),
-        }
+        with_payload!(
+            self,
+            [I8 U8 I32],
+            |v| Box::new(v.iter().map(|x| x.widen())),
+            else => panic!("iter_int on float tensor")
+        )
     }
 
     /// Build an integer tensor of `dtype` from i32 values (saturating).
@@ -303,16 +331,9 @@ impl Tensor {
         dtype: DType,
         quant: Option<QuantParams>,
     ) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if shape.num_elements() != values.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.num_elements(),
-                got: values.len(),
-            });
-        }
         let data = match dtype {
-            DType::I8 => Data::I8(values.iter().map(|&v| v.clamp(-128, 127) as i8).collect()),
-            DType::U8 => Data::U8(values.iter().map(|&v| v.clamp(0, 255) as u8).collect()),
+            DType::I8 => Data::I8(values.iter().map(|&v| i8::narrow(v)).collect()),
+            DType::U8 => Data::U8(values.iter().map(|&v| u8::narrow(v)).collect()),
             DType::I32 => Data::I32(values.to_vec()),
             DType::F32 => {
                 return Err(TensorError::DTypeMismatch {
@@ -321,22 +342,22 @@ impl Tensor {
                 })
             }
         };
-        Ok(Tensor { shape, data, quant })
+        Self::from_data(shape, data, quant)
     }
 
     /// Dequantize (or pass through) to a float32 tensor.
     pub fn to_f32(&self) -> Tensor {
-        match &self.data {
-            Data::F32(_) => self.clone(),
-            _ => {
-                let qp = self.quant.unwrap_or(QuantParams::identity());
-                let vals: Vec<f32> = self.iter_int().map(|q| qp.dequantize(q)).collect();
-                Tensor {
-                    shape: self.shape.clone(),
-                    data: Data::F32(vals),
-                    quant: None,
-                }
-            }
+        let qp = self.quant.unwrap_or(QuantParams::identity());
+        let vals: Vec<f32> = with_payload!(
+            self,
+            [I8 U8 I32],
+            |x| x.iter().map(|q| qp.dequantize(q.widen())).collect(),
+            else => return self.clone()
+        );
+        Tensor {
+            shape: self.shape.clone(),
+            data: Data::F32(vals),
+            quant: None,
         }
     }
 

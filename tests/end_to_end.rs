@@ -128,3 +128,66 @@ fn application_video_roundtrip() {
         assert_eq!(a.faces, b.faces);
     }
 }
+
+/// FNV-1a over a tensor list: dtype name, dims and payload bits of each.
+fn output_digest(outs: &[Tensor]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for t in outs {
+        eat(t.dtype().name().as_bytes());
+        for &d in t.shape().dims() {
+            eat(&(d as u64).to_le_bytes());
+        }
+        match t.as_f32() {
+            Ok(v) => v.iter().for_each(|x| eat(&x.to_bits().to_le_bytes())),
+            Err(_) => t.iter_int().for_each(|q| eat(&q.to_le_bytes())),
+        }
+    }
+    h
+}
+
+/// Model-level numerics anchor that shares no code with the kernels it
+/// pins: the digests were captured at the commit before the tensor kernels
+/// were restructured for vectorisation (PR 14) and must never move — the
+/// kernel contract is "same per-element operation order, same bits".
+#[test]
+fn model_output_digests_are_pinned() {
+    const PINNED: [(&str, u64); 14] = [
+        ("densenet", 0x209e43fec34e00a1),
+        ("inception resnet v2", 0xf0a05da0c03d3d59),
+        ("inception v3", 0x94aca25445a954d6),
+        ("inception v4", 0xe1ab70710f2c9ddd),
+        ("mobilenet v1", 0x4fd82dd5dfbb8e04),
+        ("mobilenet v2", 0x1bdb4802e0bc9e39),
+        ("nasnet", 0x19526c87e0fbc276),
+        ("inception v3 quant", 0xcd0035a290a2fba2),
+        ("mobilenet v1 quant", 0x7d8253432ee7f68e),
+        ("mobilenet v2 quant", 0x3aab75a734a90829),
+        ("anti-spoofing", 0x7697c70981109698),
+        ("emotion-detection", 0x2a5b64baf56eb6f0),
+        ("mobilenet-ssd-quant", 0xdbc95ca400c8118d),
+        ("yolov3-tiny", 0x30a63429b298d523),
+    ];
+    let mut models = zoo::zoo(42);
+    models.extend([
+        anti_spoofing::anti_spoofing_model(42),
+        emotion::emotion_model(43),
+        object_detection::mobilenet_ssd_model(44),
+        object_detection::yolo_model(45),
+    ]);
+    let got: Vec<(String, u64)> = models
+        .iter()
+        .map(|m| {
+            let mut compiled =
+                relay_build(&m.module, Permutation::TvmOnly.mode(), CostModel::default()).unwrap();
+            let (outs, _) = compiled.run(&m.sample_inputs(7)).unwrap();
+            (m.name.clone(), output_digest(&outs))
+        })
+        .collect();
+    let want: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(got, want, "got digests: {got:#x?}");
+}
