@@ -353,7 +353,7 @@ fn run_workload(
                     std::process::exit(1);
                 }
             }
-            let per_frame: Vec<Vec<tvm_neuropilot::serving::SimSegment>> = sequential
+            let per_frame: Vec<_> = sequential
                 .iter()
                 .map(|r| frame_segments(pool.assignment_for(r.frame_index), r))
                 .collect();

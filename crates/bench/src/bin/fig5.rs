@@ -24,12 +24,11 @@ fn main() {
     let stages = proto.stage_profile(901);
     println!("measured stages:");
     for s in &stages {
-        let res: Vec<&str> = s.resources.iter().map(|d| d.name()).collect();
         println!(
             "  {:<12} {:>9.3} ms on {}",
-            s.name,
-            s.duration_us / 1000.0,
-            res.join("+")
+            s.label,
+            s.us / 1000.0,
+            DeviceKind::set_label(s.devices)
         );
     }
 
@@ -37,7 +36,7 @@ fn main() {
     let seq = simulate_sequential(&stages, frames);
     let pipe = simulate_pipelined(&stages, frames);
     assert!(
-        pipe.timeline.check_exclusive().is_none(),
+        pipe.check_exclusive().is_none(),
         "exclusive-resource invariant"
     );
     assert!(pipe.makespan_us < seq.makespan_us, "pipelining must help");
@@ -55,9 +54,9 @@ fn main() {
     println!("gain      : {:9.3}x", seq.makespan_us / pipe.makespan_us);
 
     println!("\nsequential schedule:");
-    print!("{}", seq.timeline.ascii_gantt(72));
+    print!("{}", seq.ascii_gantt(72));
     println!("\npipelined schedule (obj-det of frame k+1 overlaps emotion of frame k):");
-    print!("{}", pipe.timeline.ascii_gantt(72));
+    print!("{}", pipe.ascii_gantt(72));
 
     // Contrast with the greedy assignment that shares CPU+APU everywhere:
     // pipelining cannot overlap and degenerates toward sequential.

@@ -1,8 +1,7 @@
 //! # tvmnp-bench
 //!
 //! The experiment harness: one binary per paper table/figure (run with
-//! `cargo run --release -p tvmnp-bench --bin <figN|tableN|sched>`) plus
-//! Criterion benches over the same workloads.
+//! `cargo run --release -p tvmnp-bench --bin <figN|tableN|sched>`).
 //!
 //! Mapping (see DESIGN.md §4 for the full index):
 //! * `fig4`   — inference time of the three showcase models × 7 permutations

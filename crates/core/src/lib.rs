@@ -40,12 +40,12 @@
 //! | [`frontends`] | PyTorch / Keras / TFLite / Darknet / ONNX importers |
 //! | [`runtime`] | graph executor, storage planner, artifacts, Android deploy |
 //! | [`neuropilot`] | Neuron IR, Relay→Neuron converter, planner, runtime |
-//! | [`hwsim`] | Dimensity 800 cost model, timelines |
+//! | [`hwsim`] | Dimensity 800 cost model, cost ledger, simulated-time schedule engine |
 //! | [`byoc`] | build pipeline + the seven target permutations |
 //! | [`scheduler`] | §5.1 computation + §5.2 pipeline scheduling |
 //! | [`models`] | showcase models + the Table 1 zoo |
 //! | [`vision`] | synthetic video, detectors, the Fig. 1 application |
-//! | [`serving`] | concurrent multi-frame session pool + throughput simulator |
+//! | [`serving`] | concurrent multi-frame session pool + its simulated-time throughput |
 //! | [`telemetry`] | spans, metrics, profile/Chrome-trace exporters |
 //! | [`observe`] | live observability: trace trees, quantile sketches, flight recorder |
 //! | [`profile`] | measured-profile store, differential attribution, calibrated cost models |
@@ -79,7 +79,9 @@ pub mod prelude {
         measure_all, measure_one, relay_build, ArtifactCache, Measurement, Permutation,
         ResilienceError, ResiliencePolicy, ResilientSession, RunOutcome, TargetMode,
     };
-    pub use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, FaultPlan, RetryPolicy, SocSpec};
+    pub use tvmnp_hwsim::{
+        CostModel, DeviceKind, FaultInjector, FaultPlan, RetryPolicy, Schedule, SocSpec, Task,
+    };
     pub use tvmnp_neuropilot::TargetPolicy;
     pub use tvmnp_observe::{ObserveConfig, ObservePlane, StatsSnapshot};
     pub use tvmnp_profile::{

@@ -18,6 +18,22 @@ impl DeviceKind {
     /// All devices, in a stable order.
     pub const ALL: [DeviceKind; 3] = [DeviceKind::Cpu, DeviceKind::Gpu, DeviceKind::Apu];
 
+    /// Position in [`DeviceKind::ALL`]: the device's slot in per-device
+    /// tables and its rank in the global lock order.
+    pub fn index(self) -> usize {
+        match self {
+            DeviceKind::Cpu => 0,
+            DeviceKind::Gpu => 1,
+            DeviceKind::Apu => 2,
+        }
+    }
+
+    /// A device set as one `cpu+apu`-style span attribute / table cell.
+    pub fn set_label(devices: &[DeviceKind]) -> String {
+        let names: Vec<&str> = devices.iter().map(|d| d.name()).collect();
+        names.join("+")
+    }
+
     /// Short display name (also accepted by [`DeviceKind::parse`]).
     pub fn name(self) -> &'static str {
         match self {
@@ -142,6 +158,22 @@ mod tests {
             vendor_efficiency: 0.5,
             pj_per_op_f32: 100.0,
             pj_per_op_int8: 25.0,
+        }
+    }
+
+    #[test]
+    fn set_label_joins_names_in_the_given_order() {
+        assert_eq!(
+            DeviceKind::set_label(&[DeviceKind::Cpu, DeviceKind::Apu]),
+            "cpu+apu"
+        );
+        assert_eq!(DeviceKind::set_label(&[]), "");
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, d) in DeviceKind::ALL.into_iter().enumerate() {
+            assert_eq!(d.index(), i);
         }
     }
 

@@ -23,8 +23,9 @@
 //! * [`cost`] — work items and the time model;
 //! * [`ledger`] — the per-model list of charged items every estimate,
 //!   run and profile view is read from;
-//! * [`timeline`] — simulated clock, resource reservations, Gantt segments
-//!   (consumed by the pipeline scheduler, paper Fig. 5);
+//! * [`timeline`] — simulated time: the one schedule engine (jobs of
+//!   device-exclusive tasks behind an admission window, paper §5.2) and
+//!   the makespan / Gantt / wait-split / critical-path queries over it;
 //! * [`fault`] — deterministic fault injection (seeded [`FaultPlan`]s,
 //!   retry/backoff policy, per-device circuit breaker) so the resilience
 //!   layers above can be exercised reproducibly.
@@ -44,4 +45,4 @@ pub use fault::{
 };
 pub use ledger::{CostEntry, CostRole};
 pub use soc::{SocSpec, TransferModel};
-pub use timeline::{Segment, SimClock, Timeline};
+pub use timeline::{schedule, Bound, JobTimeline, Placement, Schedule, Task};

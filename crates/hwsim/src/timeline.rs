@@ -1,202 +1,295 @@
-//! Simulated clock, per-resource reservations and Gantt segments.
+//! Simulated time: the one schedule engine and the queries read off it.
 //!
-//! The pipeline scheduler (paper §5.2, Fig. 5) needs exactly this: models
-//! may not use the same resource simultaneously, and the schedule is read
-//! as colored intervals per resource.
+//! The paper's §5.2 / Fig. 5 has a single mechanism: the models of a frame
+//! run in order and "could not utilize the same resources at the same
+//! time". [`schedule`] is that mechanism; the sequential baseline, the
+//! pipelined schedule and the serving pool differ only in how many jobs
+//! the admission window lets in at once (1, all of them, `concurrency`).
+//! Everything else — makespan, Gantt, exclusivity, per-job wait/compute
+//! split, critical path — is a query over the returned [`Schedule`].
 
 use crate::device::DeviceKind;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
-/// A simple monotonically advancing clock in microseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimClock {
-    now_us: f64,
+/// One unit of work of a job (one model of a frame): `devices` are held
+/// exclusively for `us` microseconds of simulated time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Task {
+    /// Stage/model name; its first character is the Gantt glyph.
+    pub label: &'static str,
+    /// Devices occupied while the task runs (Fig. 5: yellow = CPU+APU,
+    /// green = APU only, blue = CPU only).
+    pub devices: &'static [DeviceKind],
+    /// Duration under that assignment, microseconds.
+    pub us: f64,
 }
 
-impl SimClock {
-    /// New clock at t = 0.
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// Current time, microseconds.
-    pub fn now_us(&self) -> f64 {
-        self.now_us
-    }
-
-    /// Advance by a non-negative duration.
-    pub fn advance(&mut self, us: f64) {
-        debug_assert!(us >= 0.0, "cannot advance clock backwards");
-        self.now_us += us;
+impl Task {
+    /// Convenience constructor.
+    pub fn new(label: &'static str, devices: &'static [DeviceKind], us: f64) -> Self {
+        Task { label, devices, us }
     }
 }
 
-/// One executed interval on a resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Segment {
-    /// The resource (device) occupied.
-    pub device: DeviceKind,
+/// Which constraint a placement's start time is equal to — recorded when
+/// the task is placed, so the critical path is a walk over these links.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// Nothing: the job was admitted at t = 0 and the devices were free.
+    Origin,
+    /// The previous task of the same job (data dependency).
+    PrevTask,
+    /// The admission window: the job was let in when this job finished.
+    Admission(usize),
+    /// A device last held by the placement at this index.
+    Device(usize),
+}
+
+/// One task placed on the simulated clock.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Placement {
+    /// Index of the job (frame).
+    pub job: usize,
+    /// Index of the task within its job (stage).
+    pub task: usize,
+    /// The task's label.
+    pub label: &'static str,
+    /// Devices held for the whole interval.
+    pub devices: &'static [DeviceKind],
+    /// Compute duration, microseconds.
+    pub us: f64,
+    /// When the task could have started had its devices been free: the
+    /// end of the job's previous task, or the job's admission time.
+    pub ready_us: f64,
     /// Start time, microseconds.
     pub start_us: f64,
     /// End time, microseconds.
     pub end_us: f64,
-    /// Human-readable label ("obj-det frame 3", "nir_0", ...).
-    pub label: String,
+    /// The constraint `start_us` is equal to.
+    pub bound: Bound,
 }
 
-impl Segment {
-    /// Duration in microseconds.
-    pub fn duration_us(&self) -> f64 {
-        self.end_us - self.start_us
+impl Placement {
+    /// Time spent waiting for busy devices after becoming ready.
+    pub fn wait_us(&self) -> f64 {
+        self.start_us - self.ready_us
     }
 }
 
-/// Resource-exclusive timeline: reservations never overlap per device.
-#[derive(Debug, Clone, Default)]
-pub struct Timeline {
-    busy_until: HashMap<DeviceKind, f64>,
-    segments: Vec<Segment>,
+/// Admission record of one job; all jobs arrive at t = 0.
+#[derive(Debug, Clone, PartialEq)]
+struct JobSpan {
+    admit_us: f64,
+    end_us: f64,
+    placements: Range<usize>,
+    /// The placement that ends at `end_us`: the job's last one, or for a
+    /// job without tasks whatever its admission waited on.
+    finish: Option<usize>,
 }
 
-impl Timeline {
-    /// Empty timeline.
-    pub fn new() -> Self {
-        Timeline::default()
+/// One job's slice of a [`Schedule`]: where its time went. Every job
+/// arrives at t = 0.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JobTimeline<'a> {
+    /// When the admission window let the job in: its admission wait.
+    pub admit_us: f64,
+    /// When the job finished its last task: its end-to-end latency.
+    pub end_us: f64,
+    /// The job's placements, in task order.
+    pub segments: &'a [Placement],
+}
+
+impl JobTimeline<'_> {
+    /// Time blocked on busy devices after admission.
+    pub fn device_wait_us(&self) -> f64 {
+        self.segments.iter().map(Placement::wait_us).sum()
     }
 
-    /// Earliest time `device` is free.
-    pub fn free_at(&self, device: DeviceKind) -> f64 {
-        self.busy_until.get(&device).copied().unwrap_or(0.0)
+    /// Total compute time across tasks.
+    pub fn compute_us(&self) -> f64 {
+        self.segments.iter().map(|s| s.us).sum()
     }
+}
 
-    /// Reserve `device` for `duration_us`, starting no earlier than
-    /// `earliest_us`. Returns the actual `(start, end)`.
-    pub fn reserve(
-        &mut self,
-        device: DeviceKind,
-        earliest_us: f64,
-        duration_us: f64,
-        label: impl Into<String>,
-    ) -> (f64, f64) {
-        debug_assert!(duration_us >= 0.0);
-        let start = self.free_at(device).max(earliest_us);
-        let end = start + duration_us;
-        self.busy_until.insert(device, end);
-        self.segments.push(Segment {
-            device,
-            start_us: start,
-            end_us: end,
-            label: label.into(),
-        });
-        (start, end)
-    }
+/// Every task of every job placed on the simulated clock.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Schedule {
+    /// The admission window in force (at least 1).
+    pub window: usize,
+    /// Completion time of the last task, microseconds.
+    pub makespan_us: f64,
+    /// All placements: jobs in admission order, tasks in job order.
+    pub placements: Vec<Placement>,
+    jobs: Vec<JobSpan>,
+}
 
-    /// Reserve several devices *simultaneously* (a CPU+APU co-run): the
-    /// start is the earliest instant every device is free.
-    pub fn reserve_joint(
-        &mut self,
-        devices: &[DeviceKind],
-        earliest_us: f64,
-        duration_us: f64,
-        label: impl Into<String>,
-    ) -> (f64, f64) {
-        let label = label.into();
-        let start = devices
-            .iter()
-            .map(|&d| self.free_at(d))
-            .fold(earliest_us, f64::max);
-        let end = start + duration_us;
-        for &d in devices {
-            self.busy_until.insert(d, end);
-            self.segments.push(Segment {
-                device: d,
-                start_us: start,
-                end_us: end,
-                label: label.clone(),
-            });
+/// Place `jobs` on the simulated clock with at most `window` of them
+/// admitted and unfinished at any instant.
+///
+/// Jobs are admitted in order; when the window is full the next job waits
+/// for the earliest in-flight completion. Within a job, tasks run in
+/// order; each waits for every device in its set (acquired together,
+/// mirroring `ResourceLocks::with_resources`) and then holds them for its
+/// duration, so devices serve tasks in admission order — per-device FIFO
+/// queues. Pure arithmetic (`max` and one `+` per task): byte-deterministic
+/// across runs and hosts.
+pub fn schedule<J: AsRef<[Task]>>(jobs: &[J], window: usize) -> Schedule {
+    let window = window.max(1);
+    let mut placements: Vec<Placement> =
+        Vec::with_capacity(jobs.iter().map(|j| j.as_ref().len()).sum());
+    let mut spans: Vec<JobSpan> = Vec::with_capacity(jobs.len());
+    // Placement that last held each device; its end is when the device frees.
+    let mut holder = [None::<usize>; DeviceKind::ALL.len()];
+    // (completion time, job) of in-flight jobs, earliest first. Simulated
+    // times are non-negative finite f64s, so their IEEE-754 bit patterns
+    // order exactly like the values.
+    let mut in_flight: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut admit_us = 0.0f64;
+    let mut behind = None;
+    let mut makespan_us = 0.0f64;
+    for (job, tasks) in jobs.iter().enumerate() {
+        if in_flight.len() >= window {
+            let Reverse((bits, done)) = in_flight.pop().expect("window is full");
+            admit_us = admit_us.max(f64::from_bits(bits));
+            behind = Some(done);
         }
-        (start, end)
-    }
-
-    /// All recorded segments in reservation order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// Completion time of the whole timeline (max end over segments).
-    pub fn makespan_us(&self) -> f64 {
-        self.segments.iter().map(|s| s.end_us).fold(0.0, f64::max)
-    }
-
-    /// Total time `device` is occupied. Per-device segments never overlap
-    /// (the exclusivity invariant), so this is a plain duration sum.
-    pub fn busy_us(&self, device: DeviceKind) -> f64 {
-        self.segments
-            .iter()
-            .filter(|s| s.device == device)
-            .map(Segment::duration_us)
-            .sum()
-    }
-
-    /// Idle time of `device` within the timeline's makespan.
-    pub fn idle_us(&self, device: DeviceKind) -> f64 {
-        (self.makespan_us() - self.busy_us(device)).max(0.0)
-    }
-
-    /// Idle gaps of `device` as `(start, end)` intervals: the leading gap
-    /// from t=0, every hole between consecutive reservations, and the
-    /// trailing gap up to the makespan. Zero-width gaps are dropped.
-    pub fn gaps(&self, device: DeviceKind) -> Vec<(f64, f64)> {
-        let mut segs: Vec<&Segment> = self
-            .segments
-            .iter()
-            .filter(|s| s.device == device)
-            .collect();
-        segs.sort_by(|a, b| a.start_us.partial_cmp(&b.start_us).unwrap());
-        let mut gaps = Vec::new();
-        let mut cursor = 0.0f64;
-        for s in segs {
-            if s.start_us > cursor + 1e-9 {
-                gaps.push((cursor, s.start_us));
-            }
-            cursor = cursor.max(s.end_us);
-        }
-        let span = self.makespan_us();
-        if span > cursor + 1e-9 {
-            gaps.push((cursor, span));
-        }
-        gaps
-    }
-
-    /// Verify the exclusivity invariant: no two segments on the same
-    /// device overlap. Returns the first violating pair if any.
-    pub fn check_exclusive(&self) -> Option<(Segment, Segment)> {
-        let mut per_dev: HashMap<DeviceKind, Vec<&Segment>> = HashMap::new();
-        for s in &self.segments {
-            per_dev.entry(s.device).or_default().push(s);
-        }
-        for segs in per_dev.values_mut() {
-            segs.sort_by(|a, b| a.start_us.partial_cmp(&b.start_us).unwrap());
-            for w in segs.windows(2) {
-                if w[0].end_us > w[1].start_us + 1e-9 {
-                    return Some(((*w[0]).clone(), (*w[1]).clone()));
+        let first = placements.len();
+        let mut ready_us = admit_us;
+        for (task, t) in tasks.as_ref().iter().enumerate() {
+            let mut start_us = ready_us;
+            let mut bound = match (task, behind) {
+                (0, None) => Bound::Origin,
+                (0, Some(done)) => Bound::Admission(done),
+                _ => Bound::PrevTask,
+            };
+            for d in t.devices {
+                if let Some(i) = holder[d.index()] {
+                    if placements[i].end_us > start_us {
+                        start_us = placements[i].end_us;
+                        bound = Bound::Device(i);
+                    }
                 }
+            }
+            let end_us = start_us + t.us;
+            for d in t.devices {
+                holder[d.index()] = Some(placements.len());
+            }
+            placements.push(Placement {
+                job,
+                task,
+                label: t.label,
+                devices: t.devices,
+                us: t.us,
+                ready_us,
+                start_us,
+                end_us,
+                bound,
+            });
+            makespan_us = makespan_us.max(end_us);
+            ready_us = end_us;
+        }
+        in_flight.push(Reverse((ready_us.to_bits(), job)));
+        let finish = match placements.len() {
+            n if n > first => Some(n - 1),
+            _ => behind.and_then(|done: usize| spans[done].finish),
+        };
+        spans.push(JobSpan {
+            admit_us,
+            end_us: ready_us,
+            placements: first..placements.len(),
+            finish,
+        });
+    }
+    Schedule {
+        window,
+        makespan_us,
+        placements,
+        jobs: spans,
+    }
+}
+
+impl Schedule {
+    /// Average per-job throughput period, microseconds.
+    pub fn period_us(&self) -> f64 {
+        self.makespan_us / self.jobs.len().max(1) as f64
+    }
+
+    /// Summed task durations: the time a window of 1 would take. Added in
+    /// placement order from +0.0 (an empty `sum()` would be -0.0).
+    pub fn compute_us(&self) -> f64 {
+        self.placements.iter().fold(0.0, |acc, p| acc + p.us)
+    }
+
+    /// Every job's timeline, in admission order.
+    pub fn jobs(&self) -> impl ExactSizeIterator<Item = JobTimeline<'_>> {
+        (0..self.jobs.len()).map(|j| self.job(j))
+    }
+
+    /// The timeline of job `job`.
+    pub fn job(&self, job: usize) -> JobTimeline<'_> {
+        let span = &self.jobs[job];
+        JobTimeline {
+            admit_us: span.admit_us,
+            end_us: span.end_us,
+            segments: &self.placements[span.placements.clone()],
+        }
+    }
+
+    /// Placements holding `device`, in placement order.
+    fn on(&self, device: DeviceKind) -> impl Iterator<Item = &Placement> {
+        self.placements
+            .iter()
+            .filter(move |p| p.devices.contains(&device))
+    }
+
+    /// Verify the exclusivity invariant: no two placements on the same
+    /// device overlap. Returns the first violating pair if any.
+    pub fn check_exclusive(&self) -> Option<(Placement, Placement)> {
+        for d in DeviceKind::ALL {
+            let mut held: Vec<&Placement> = self.on(d).collect();
+            held.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+            if let Some(w) = held.windows(2).find(|w| w[0].end_us > w[1].start_us + 1e-9) {
+                return Some((*w[0], *w[1]));
             }
         }
         None
     }
 
+    /// The chain of placements that fixes the makespan, as indices into
+    /// `placements` in time order: from the placement that finishes last
+    /// (the earliest-placed one on ties), follow each recorded [`Bound`]
+    /// back to t = 0. Each link ends exactly where the next starts.
+    pub fn critical_path(&self) -> Vec<usize> {
+        let mut path = Vec::new();
+        let mut next = self
+            .placements
+            .iter()
+            .position(|p| p.end_us == self.makespan_us);
+        while let Some(i) = next {
+            path.push(i);
+            next = match self.placements[i].bound {
+                Bound::Origin => None,
+                Bound::PrevTask => Some(i - 1),
+                Bound::Device(holder) => Some(holder),
+                Bound::Admission(job) => self.jobs[job].finish,
+            };
+        }
+        path.reverse();
+        path
+    }
+
     /// Render a coarse ASCII Gantt chart (for the Fig. 5 harness).
     pub fn ascii_gantt(&self, cols: usize) -> String {
-        let span = self.makespan_us().max(1e-9);
+        let span = self.makespan_us.max(1e-9);
         let mut out = String::new();
         for d in DeviceKind::ALL {
             let mut row = vec!['.'; cols];
-            for s in self.segments.iter().filter(|s| s.device == d) {
-                let a = ((s.start_us / span) * cols as f64) as usize;
-                let b = (((s.end_us / span) * cols as f64).ceil() as usize).min(cols);
-                let ch = s.label.chars().next().unwrap_or('#');
+            for p in self.on(d) {
+                let a = ((p.start_us / span) * cols as f64) as usize;
+                let b = (((p.end_us / span) * cols as f64).ceil() as usize).min(cols);
+                let ch = p.label.chars().next().unwrap_or('#');
                 for c in row.iter_mut().take(b).skip(a.min(cols)) {
                     *c = ch;
                 }
@@ -214,90 +307,75 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DeviceKind::{Apu, Cpu, Gpu};
 
-    #[test]
-    fn clock_advances() {
-        let mut c = SimClock::new();
-        c.advance(10.0);
-        c.advance(5.0);
-        assert!((c.now_us() - 15.0).abs() < 1e-12);
+    fn one(devices: &'static [DeviceKind], us: f64) -> Vec<Task> {
+        vec![Task::new("t", devices, us)]
     }
 
     #[test]
-    fn reservations_serialize_on_one_device() {
-        let mut t = Timeline::new();
-        let (s1, e1) = t.reserve(DeviceKind::Cpu, 0.0, 100.0, "a");
-        let (s2, _e2) = t.reserve(DeviceKind::Cpu, 0.0, 50.0, "b");
-        assert_eq!(s1, 0.0);
-        assert_eq!(s2, e1, "second reservation must wait");
-        assert!(t.check_exclusive().is_none());
+    fn tasks_serialize_on_one_device() {
+        let s = schedule(&[one(&[Cpu], 100.0), one(&[Cpu], 50.0)], 2);
+        assert_eq!(s.placements[0].start_us, 0.0);
+        assert_eq!(s.placements[0].bound, Bound::Origin);
+        assert_eq!(s.placements[1].start_us, 100.0, "second task must wait");
+        assert_eq!(s.placements[1].bound, Bound::Device(0));
+        assert_eq!(s.placements[1].wait_us(), 100.0);
+        assert!(s.check_exclusive().is_none());
     }
 
     #[test]
     fn different_devices_overlap_freely() {
-        let mut t = Timeline::new();
-        t.reserve(DeviceKind::Cpu, 0.0, 100.0, "a");
-        let (s, _) = t.reserve(DeviceKind::Apu, 0.0, 100.0, "b");
-        assert_eq!(s, 0.0);
-        assert!(t.check_exclusive().is_none());
+        let s = schedule(&[one(&[Cpu], 100.0), one(&[Apu], 100.0)], 2);
+        assert_eq!(s.placements[1].start_us, 0.0);
+        assert_eq!(s.makespan_us, 100.0);
     }
 
     #[test]
-    fn joint_reservation_waits_for_all() {
-        let mut t = Timeline::new();
-        t.reserve(DeviceKind::Cpu, 0.0, 100.0, "a");
-        t.reserve(DeviceKind::Apu, 0.0, 40.0, "b");
-        let (s, e) = t.reserve_joint(&[DeviceKind::Cpu, DeviceKind::Apu], 0.0, 10.0, "c");
-        assert_eq!(s, 100.0, "joint run starts when the busiest device frees");
-        assert_eq!(e, 110.0);
-        assert!(t.check_exclusive().is_none());
-    }
-
-    #[test]
-    fn makespan_is_max_end() {
-        let mut t = Timeline::new();
-        t.reserve(DeviceKind::Cpu, 0.0, 100.0, "a");
-        t.reserve(DeviceKind::Apu, 30.0, 200.0, "b");
-        assert!((t.makespan_us() - 230.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn earliest_constraint_respected() {
-        let mut t = Timeline::new();
-        let (s, _) = t.reserve(DeviceKind::Gpu, 500.0, 10.0, "x");
-        assert_eq!(s, 500.0);
-    }
-
-    #[test]
-    fn busy_idle_and_gaps_partition_the_makespan() {
-        let mut t = Timeline::new();
-        t.reserve(DeviceKind::Cpu, 0.0, 50.0, "a");
-        t.reserve(DeviceKind::Cpu, 80.0, 20.0, "b");
-        t.reserve(DeviceKind::Apu, 0.0, 200.0, "c");
-        assert!((t.busy_us(DeviceKind::Cpu) - 70.0).abs() < 1e-9);
-        assert!((t.idle_us(DeviceKind::Cpu) - 130.0).abs() < 1e-9);
-        assert!(
-            (t.busy_us(DeviceKind::Cpu) + t.idle_us(DeviceKind::Cpu) - t.makespan_us()).abs()
-                < 1e-9
+    fn joint_task_waits_for_all_its_devices() {
+        let jobs = [
+            one(&[Cpu], 100.0),
+            one(&[Apu], 40.0),
+            one(&[Cpu, Apu], 10.0),
+        ];
+        let s = schedule(&jobs, 3);
+        let joint = s.placements[2];
+        assert_eq!(
+            joint.start_us, 100.0,
+            "starts when the busiest device frees"
         );
-        // CPU gaps: (50, 80) between reservations, (100, 200) trailing.
-        let gaps = t.gaps(DeviceKind::Cpu);
-        assert_eq!(gaps.len(), 2);
-        assert!((gaps[0].0 - 50.0).abs() < 1e-9 && (gaps[0].1 - 80.0).abs() < 1e-9);
-        assert!((gaps[1].0 - 100.0).abs() < 1e-9 && (gaps[1].1 - 200.0).abs() < 1e-9);
-        // The APU is saturated: no gaps, zero idle.
-        assert!(t.gaps(DeviceKind::Apu).is_empty());
-        assert!(t.idle_us(DeviceKind::Apu) < 1e-9);
-        // A never-used device is one whole-span gap.
-        assert_eq!(t.gaps(DeviceKind::Gpu), vec![(0.0, 200.0)]);
+        assert_eq!(joint.end_us, 110.0);
+        assert_eq!(joint.bound, Bound::Device(0));
+        assert_eq!(s.critical_path(), vec![0, 2]);
+    }
+
+    #[test]
+    fn full_window_admits_behind_the_earliest_completion() {
+        let jobs = [one(&[Cpu], 30.0), one(&[Gpu], 10.0), one(&[Apu], 5.0)];
+        let s = schedule(&jobs, 2);
+        // The APU is idle, but both window slots are taken until job 1 ends.
+        assert_eq!(s.placements[2].bound, Bound::Admission(1));
+        assert_eq!((s.job(2).admit_us, s.job(2).end_us), (10.0, 15.0));
+        assert_eq!(s.compute_us(), 45.0);
+    }
+
+    #[test]
+    fn a_job_without_tasks_finishes_when_admitted() {
+        let jobs = [one(&[Cpu], 30.0), vec![], one(&[Gpu], 5.0)];
+        let s = schedule(&jobs, 1);
+        assert_eq!(s.job(1).end_us, 30.0);
+        assert!(s.job(1).segments.is_empty());
+        assert_eq!(s.placements[1].bound, Bound::Admission(1));
+        assert_eq!(s.critical_path(), vec![0, 1], "seen through to job 0");
     }
 
     #[test]
     fn ascii_gantt_renders() {
-        let mut t = Timeline::new();
-        t.reserve(DeviceKind::Cpu, 0.0, 50.0, "obj");
-        t.reserve(DeviceKind::Apu, 0.0, 100.0, "emo");
-        let g = t.ascii_gantt(20);
+        let jobs = [
+            vec![Task::new("obj", &[Cpu], 50.0)],
+            vec![Task::new("emo", &[Apu], 100.0)],
+        ];
+        let g = schedule(&jobs, 2).ascii_gantt(20);
         assert!(g.contains("cpu"));
         assert!(g.contains('o'));
         assert!(g.contains('e'));

@@ -456,14 +456,9 @@ fn pool_out(x: &TensorType, p: &Pool2dParams, name: &str) -> Result<Type, TypeEr
     if d.len() != 4 {
         return Err(terr(format!("{name}: expects rank-4 input")));
     }
-    let (pt, pl, pb, pr) = p.padding;
-    let ih = d[2] + pt + pb;
-    let iw = d[3] + pl + pr;
-    if ih < p.kernel.0 || iw < p.kernel.1 {
-        return Err(terr(format!("{name}: window larger than padded input")));
-    }
-    let oh = (ih - p.kernel.0) / p.strides.0 + 1;
-    let ow = (iw - p.kernel.1) / p.strides.1 + 1;
+    let (oh, ow) = p
+        .out_hw(d[2], d[3])
+        .map_err(|e| terr(format!("{name}: {e}")))?;
     Ok(Type::Tensor(TensorType::new([d[0], d[1], oh, ow], x.dtype)))
 }
 
@@ -513,6 +508,33 @@ mod tests {
         let m = Module::from_main(Function::new(vec![x], y.clone()));
         let tys = infer_types(&m).unwrap();
         assert_eq!(tys[&y.id].as_tensor().shape.dims(), &[1, 16, 32, 32]);
+    }
+
+    #[test]
+    fn bad_pool_geometry_is_a_type_error() {
+        let pool = |kernel, strides| Pool2dAttrs {
+            kernel,
+            strides,
+            ..Pool2dAttrs::square(2)
+        };
+        for (attrs, why) in [
+            (pool((2, 2), (0, 1)), "non-zero"),
+            (pool((2, 0), (1, 1)), "non-zero"),
+            (pool((9, 2), (1, 1)), "larger than padded input"),
+        ] {
+            let x = f32_var("x", &[1, 3, 8, 8]);
+            let y = call(OpKind::MaxPool2d(attrs), vec![x.clone()]);
+            let m = Module::from_main(Function::new(vec![x], y));
+            let err = infer_types(&m).unwrap_err().to_string();
+            assert!(err.contains("nn.max_pool2d") && err.contains(why), "{err}");
+        }
+        let x = f32_var("x", &[1, 3, 8, 8]);
+        let y = call(OpKind::AvgPool2d(pool((3, 3), (2, 2))), vec![x.clone()]);
+        let m = Module::from_main(Function::new(vec![x], y.clone()));
+        assert_eq!(
+            infer_types(&m).unwrap()[&y.id].as_tensor().shape.dims(),
+            &[1, 3, 3, 3]
+        );
     }
 
     #[test]

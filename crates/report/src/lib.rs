@@ -1,13 +1,13 @@
 //! # tvmnp-report
 //!
 //! Run-report analysis layer on top of `tvmnp-telemetry` and the hwsim
-//! timeline: turns raw spans, Gantt segments, and analytic cost
+//! schedule engine: turns raw spans, placements, and analytic cost
 //! breakdowns into the structured summaries the paper's evaluation
 //! sections reason about.
 //!
 //! * [`util`] — per-device utilization/occupancy (busy, idle, overlap) on
 //!   the simulated timeline, from either a telemetry [`Snapshot`] or an
-//!   hwsim `Timeline`.
+//!   hwsim `Schedule`.
 //! * [`schedule`] — idle-gap and critical-path analysis for pipeline
 //!   schedules (Fig. 5): *which* chain of stage runs sets the makespan
 //!   and where pipelining still leaves devices idle.
@@ -38,7 +38,7 @@ pub use dot::dot_graph;
 pub use resilience::{FallbackEdge, FallbackTransition, ResilienceReport};
 pub use schedule::{analyze_schedule, critical_path, PathStep, ScheduleReport, WaitReason};
 pub use util::{
-    utilization_from_snapshot, utilization_from_timeline, DeviceUtil, UtilizationReport,
+    utilization_from_schedule, utilization_from_snapshot, DeviceUtil, UtilizationReport,
 };
 
 use tvmnp_telemetry::Snapshot;

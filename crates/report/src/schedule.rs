@@ -1,14 +1,12 @@
 //! Idle-gap and critical-path analysis for pipeline schedules (Fig. 5).
 //!
-//! The scheduler already records every `(stage, frame)` interval as a
-//! [`StageRun`]; this module reconstructs *why* the makespan is what it
+//! The schedule engine records, for every placement, which constraint its
+//! start time equals; this module reads off *why* the makespan is what it
 //! is: which chain of runs is tight (the critical path) and where each
 //! device sits idle (the gaps pipelining should be filling).
 
-use crate::util::{devices_used, utilization_from_timeline, UtilizationReport};
-use tvmnp_scheduler::{ScheduleResult, StageRun};
-
-const EPS: f64 = 1e-6;
+use crate::util::{utilization_from_schedule, UtilizationReport};
+use tvmnp_hwsim::{Bound, DeviceKind, Schedule};
 
 /// Idle gaps of one device within the schedule's makespan.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +29,7 @@ pub enum WaitReason {
     /// Waited on the previous stage of the same frame (data dependency).
     Dependency,
     /// Waited on the previous frame: its own previous-frame run
-    /// (single-instance stage) or the sequential frame barrier.
+    /// (single-instance stage) or the admission window.
     PrevFrame,
     /// Waited for a device held by an unrelated run (resource conflict).
     Resource,
@@ -53,7 +51,7 @@ impl WaitReason {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathStep {
     /// Stage name.
-    pub name: String,
+    pub name: &'static str,
     /// Frame number.
     pub frame: usize,
     /// Start time, microseconds.
@@ -120,111 +118,54 @@ impl ScheduleReport {
     }
 }
 
-/// Find the run that made `run` start when it did, with the reason.
-/// Returns `None` when the run starts unblocked at t = 0.
-fn blocker<'a>(runs: &'a [StageRun], run: &StageRun) -> Option<(&'a StageRun, WaitReason)> {
-    let ends_at_start = |q: &StageRun| (q.end_us - run.start_us).abs() < EPS;
-    // Data dependency: previous stage of the same frame.
-    if run.stage_index > 0 {
-        if let Some(q) = runs.iter().find(|q| {
-            q.frame == run.frame && q.stage_index == run.stage_index - 1 && ends_at_start(q)
-        }) {
-            return Some((q, WaitReason::Dependency));
+/// The critical path, in time order: the engine's recorded chain of
+/// placements ending at the makespan, each with the reason it waited.
+pub fn critical_path(schedule: &Schedule) -> Vec<PathStep> {
+    let step = |i: usize| {
+        let p = &schedule.placements[i];
+        let reason = match p.bound {
+            Bound::Origin => WaitReason::Start,
+            Bound::PrevTask => WaitReason::Dependency,
+            Bound::Admission(_) => WaitReason::PrevFrame,
+            Bound::Device(holder) => {
+                let q = &schedule.placements[holder];
+                if (q.job + 1, q.task) == (p.job, p.task) {
+                    WaitReason::PrevFrame
+                } else {
+                    WaitReason::Resource
+                }
+            }
+        };
+        PathStep {
+            name: p.label,
+            frame: p.job,
+            start_us: p.start_us,
+            end_us: p.end_us,
+            reason,
         }
-    }
-    // Single-instance stage: its own run for the previous frame.
-    if run.frame > 0 {
-        if let Some(q) = runs.iter().find(|q| {
-            q.frame == run.frame - 1 && q.stage_index == run.stage_index && ends_at_start(q)
-        }) {
-            return Some((q, WaitReason::PrevFrame));
-        }
-    }
-    // Resource conflict: any other run holding one of our devices until
-    // exactly our start.
-    if let Some(q) = runs.iter().find(|q| {
-        !(q.frame == run.frame && q.stage_index == run.stage_index)
-            && ends_at_start(q)
-            && q.resources.iter().any(|d| run.resources.contains(d))
-    }) {
-        return Some((q, WaitReason::Resource));
-    }
-    // Sequential frame barrier: the driver holds frame f until every
-    // stage of frame f-1 finished, even across disjoint devices.
-    if run.frame > 0 {
-        if let Some(q) = runs
-            .iter()
-            .find(|q| q.frame == run.frame - 1 && ends_at_start(q))
-        {
-            return Some((q, WaitReason::PrevFrame));
-        }
-    }
-    None
-}
-
-/// Reconstruct the critical path: start from the run that finishes last
-/// and follow blockers backwards until a run starts at t = 0.
-pub fn critical_path(runs: &[StageRun]) -> Vec<PathStep> {
-    let Some(mut cur) = runs.iter().max_by(|a, b| {
-        a.end_us
-            .partial_cmp(&b.end_us)
-            .unwrap()
-            // Ties: prefer the earlier run in schedule order (stable).
-            .then_with(|| (b.frame, b.stage_index).cmp(&(a.frame, a.stage_index)))
-    }) else {
-        return Vec::new();
     };
-    let mut path = Vec::new();
-    // The blocker chain strictly walks backwards for positive-duration
-    // runs; the length cap guards against degenerate zero-duration cycles.
-    for _ in 0..=runs.len() {
-        match blocker(runs, cur) {
-            Some((prev, r)) => {
-                path.push(step(cur, r));
-                cur = prev;
-            }
-            None => {
-                path.push(step(cur, WaitReason::Start));
-                break;
-            }
-        }
-    }
-    path.reverse();
-    path
-}
-
-fn step(run: &StageRun, reason: WaitReason) -> PathStep {
-    PathStep {
-        name: run.name.clone(),
-        frame: run.frame,
-        start_us: run.start_us,
-        end_us: run.end_us,
-        reason,
-    }
+    schedule.critical_path().into_iter().map(step).collect()
 }
 
 /// Analyze one schedule simulation end to end.
-pub fn analyze_schedule(result: &ScheduleResult) -> ScheduleReport {
-    let utilization = utilization_from_timeline(&result.timeline);
-    let gaps = devices_used(&result.timeline)
-        .into_iter()
-        .map(|d| {
-            let gaps = result.timeline.gaps(d);
-            let total_us = gaps.iter().map(|(s, e)| e - s).sum();
-            let largest_us = gaps.iter().map(|(s, e)| e - s).fold(0.0, f64::max);
-            DeviceGaps {
-                device: d.name().to_string(),
-                gaps,
-                total_us,
-                largest_us,
-            }
+pub fn analyze_schedule(result: &Schedule) -> ScheduleReport {
+    let utilization = utilization_from_schedule(result);
+    // Devices the schedule never used have no utilization entry.
+    let gaps = DeviceKind::ALL
+        .iter()
+        .filter_map(|d| utilization.device(d.name()))
+        .map(|u| DeviceGaps {
+            device: u.device.clone(),
+            gaps: u.gaps.clone(),
+            total_us: u.gaps.iter().map(|(s, e)| e - s).sum(),
+            largest_us: u.gaps.iter().map(|(s, e)| e - s).fold(0.0, f64::max),
         })
         .collect();
-    let critical_path = critical_path(&result.stage_runs);
+    let critical_path = critical_path(result);
     let critical_path_us = critical_path.iter().map(|s| s.end_us - s.start_us).sum();
     ScheduleReport {
         makespan_us: result.makespan_us,
-        frames: result.frames,
+        frames: result.jobs().len(),
         period_us: result.period_us(),
         utilization,
         gaps,
@@ -239,12 +180,15 @@ mod tests {
     use tvmnp_scheduler::pipeline::paper_prototype_stages;
     use tvmnp_scheduler::{simulate_pipelined, simulate_sequential};
 
-    fn stages() -> Vec<tvmnp_scheduler::PipelineStage> {
+    // Every test takes the crate's telemetry lock: the simulators record
+    // `scheduler.stage` spans whenever another test has telemetry enabled.
+    fn stages() -> Vec<tvmnp_hwsim::Task> {
         paper_prototype_stages(3000.0, 6000.0, 2000.0)
     }
 
     #[test]
     fn critical_path_spans_zero_to_makespan_and_is_contiguous() {
+        let _l = crate::testutil::lock();
         for result in [
             simulate_sequential(&stages(), 4),
             simulate_pipelined(&stages(), 4),
@@ -252,26 +196,25 @@ mod tests {
             let report = analyze_schedule(&result);
             let path = &report.critical_path;
             assert!(!path.is_empty());
-            assert!(path[0].start_us.abs() < EPS, "path starts at t=0");
+            assert_eq!(path[0].start_us, 0.0, "path starts at t=0");
             assert_eq!(path[0].reason, WaitReason::Start);
-            assert!(
-                (path.last().unwrap().end_us - result.makespan_us).abs() < EPS,
+            assert_eq!(
+                path.last().unwrap().end_us,
+                result.makespan_us,
                 "path ends at the makespan"
             );
             for w in path.windows(2) {
-                assert!(
-                    (w[0].end_us - w[1].start_us).abs() < EPS,
-                    "steps chain back-to-back"
-                );
+                assert_eq!(w[0].end_us, w[1].start_us, "steps chain back-to-back");
                 assert_ne!(w[1].reason, WaitReason::Start);
             }
             // A contiguous path's durations sum to the makespan.
-            assert!((report.critical_path_us - result.makespan_us).abs() < EPS);
+            assert!((report.critical_path_us - result.makespan_us).abs() < 1e-6);
         }
     }
 
     #[test]
     fn sequential_path_is_pure_dependency_chain() {
+        let _l = crate::testutil::lock();
         let result = simulate_sequential(&stages(), 3);
         let report = analyze_schedule(&result);
         // 3 stages x 3 frames, every step waiting on the previous.
@@ -285,6 +228,7 @@ mod tests {
 
     #[test]
     fn pipelined_path_blames_the_bottleneck_stage() {
+        let _l = crate::testutil::lock();
         let result = simulate_pipelined(&stages(), 8);
         let report = analyze_schedule(&result);
         // anti-spoof (6000 us on CPU+APU) dominates; the steady-state path
@@ -302,6 +246,7 @@ mod tests {
 
     #[test]
     fn gaps_cover_only_used_devices() {
+        let _l = crate::testutil::lock();
         let result = simulate_pipelined(&stages(), 4);
         let report = analyze_schedule(&result);
         let devices: Vec<&str> = report.gaps.iter().map(|g| g.device.as_str()).collect();
@@ -315,6 +260,7 @@ mod tests {
 
     #[test]
     fn pipelining_shrinks_makespan_and_gaps() {
+        let _l = crate::testutil::lock();
         let seq = analyze_schedule(&simulate_sequential(&stages(), 8));
         let pipe = analyze_schedule(&simulate_pipelined(&stages(), 8));
         assert!(pipe.makespan_us < seq.makespan_us);

@@ -2,10 +2,10 @@
 //!
 //! Two sources feed the same report shape: telemetry [`Snapshot`]s (sim
 //! spans carry a `device` attribute, `cpu+apu` for joint reservations) and
-//! hwsim [`Timeline`]s (one [`Segment`] per device per reservation).
+//! hwsim [`Schedule`]s (each placement occupies every device it holds).
 
 use std::collections::BTreeMap;
-use tvmnp_hwsim::{DeviceKind, Timeline};
+use tvmnp_hwsim::Schedule;
 use tvmnp_telemetry::Snapshot;
 
 /// Busy/idle accounting for one device over a run.
@@ -19,6 +19,10 @@ pub struct DeviceUtil {
     pub idle_us: f64,
     /// Number of merged busy intervals.
     pub intervals: usize,
+    /// Idle `(start, end)` intervals in time order: the leading gap from
+    /// t = 0, every hole between busy intervals, and the trailing gap up
+    /// to the run span.
+    pub gaps: Vec<(f64, f64)>,
 }
 
 impl DeviceUtil {
@@ -99,6 +103,22 @@ fn merge(mut intervals: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     merged
 }
 
+/// The complement of merged busy intervals within `[0, span_us]`.
+fn gaps(busy: &[(f64, f64)], span_us: f64) -> Vec<(f64, f64)> {
+    let mut gaps = Vec::new();
+    let mut cursor = 0.0;
+    for &(s, e) in busy {
+        if s > cursor + EPS {
+            gaps.push((cursor, s));
+        }
+        cursor = e;
+    }
+    if span_us > cursor + EPS {
+        gaps.push((cursor, span_us));
+    }
+    gaps
+}
+
 /// Core: build the report from per-device raw busy intervals.
 pub fn utilization_from_intervals(
     per_device: BTreeMap<String, Vec<(f64, f64)>>,
@@ -121,6 +141,7 @@ pub fn utilization_from_intervals(
                 busy_us,
                 idle_us: (span_us - busy_us).max(0.0),
                 intervals: iv.len(),
+                gaps: gaps(iv, span_us),
             }
         })
         .collect();
@@ -169,24 +190,18 @@ pub fn utilization_from_snapshot(snap: &Snapshot) -> UtilizationReport {
     utilization_from_intervals(per_device)
 }
 
-/// Utilization straight from an hwsim timeline's Gantt segments.
-pub fn utilization_from_timeline(timeline: &Timeline) -> UtilizationReport {
+/// Utilization straight from an hwsim schedule's placements.
+pub fn utilization_from_schedule(schedule: &Schedule) -> UtilizationReport {
     let mut per_device: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-    for s in timeline.segments() {
-        per_device
-            .entry(s.device.name().to_string())
-            .or_default()
-            .push((s.start_us, s.end_us));
+    for p in &schedule.placements {
+        for d in p.devices {
+            per_device
+                .entry(d.name().to_string())
+                .or_default()
+                .push((p.start_us, p.end_us));
+        }
     }
     utilization_from_intervals(per_device)
-}
-
-/// The devices a timeline actually used, in [`DeviceKind::ALL`] order.
-pub fn devices_used(timeline: &Timeline) -> Vec<DeviceKind> {
-    DeviceKind::ALL
-        .into_iter()
-        .filter(|&d| timeline.segments().iter().any(|s| s.device == d))
-        .collect()
 }
 
 #[cfg(test)]
@@ -269,18 +284,27 @@ mod tests {
     }
 
     #[test]
-    fn timeline_report_matches_timeline_accessors() {
-        let mut t = Timeline::new();
-        t.reserve(DeviceKind::Cpu, 0.0, 50.0, "a");
-        t.reserve(DeviceKind::Apu, 0.0, 200.0, "b");
-        t.reserve(DeviceKind::Cpu, 80.0, 20.0, "c");
-        let r = utilization_from_timeline(&t);
-        assert!((r.span_us - t.makespan_us()).abs() < 1e-9);
-        for d in [DeviceKind::Cpu, DeviceKind::Apu] {
-            let u = r.device(d.name()).unwrap();
-            assert!((u.busy_us - t.busy_us(d)).abs() < 1e-9);
-            assert!((u.idle_us - t.idle_us(d)).abs() < 1e-9);
-        }
-        assert_eq!(devices_used(&t), vec![DeviceKind::Cpu, DeviceKind::Apu]);
+    fn schedule_report_partitions_the_makespan() {
+        use tvmnp_hwsim::{schedule, DeviceKind, Task};
+        let jobs = [
+            vec![Task::new("a", &[DeviceKind::Cpu], 50.0)],
+            vec![Task::new("b", &[DeviceKind::Apu], 200.0)],
+            vec![
+                Task::new("w", &[DeviceKind::Gpu], 80.0),
+                Task::new("c", &[DeviceKind::Cpu], 20.0),
+            ],
+        ];
+        let s = schedule(&jobs, 3);
+        let r = utilization_from_schedule(&s);
+        assert!((r.span_us - s.makespan_us).abs() < 1e-9);
+        let cpu = r.device("cpu").unwrap();
+        assert!((cpu.busy_us - 70.0).abs() < 1e-9);
+        assert!((cpu.idle_us - 130.0).abs() < 1e-9);
+        // CPU gaps: (50, 80) between placements, (100, 200) trailing.
+        assert_eq!(cpu.gaps, vec![(50.0, 80.0), (100.0, 200.0)]);
+        // The APU is saturated: no gaps, zero idle.
+        let apu = r.device("apu").unwrap();
+        assert!(apu.gaps.is_empty() && apu.idle_us < 1e-9);
+        assert_eq!(r.device("gpu").unwrap().gaps, vec![(80.0, 200.0)]);
     }
 }

@@ -7,12 +7,14 @@
 //! * [`computation`] — §5.1 model-level computation scheduling: measure
 //!   each model under every target permutation and assign it to its
 //!   fastest one (the paper's "simple method ... on the model-level");
-//! * [`pipeline`] — §5.2 pipeline scheduling: an event-driven simulator
-//!   over the `tvmnp-hwsim` timeline honoring the intra-frame dependency
-//!   chain (object detection → anti-spoofing → emotion) and the
-//!   exclusive-resource constraint ("models could not utilize the same
-//!   resources at the same time"), plus the automatic assignment search
-//!   the paper lists as future work;
+//! * [`pipeline`] — §5.2 pipeline scheduling: the sequential baseline and
+//!   the pipelined schedule as two admission windows (one frame, every
+//!   frame) of the `tvmnp-hwsim` schedule engine, which honors the
+//!   intra-frame dependency chain (object detection → anti-spoofing →
+//!   emotion) and the exclusive-resource constraint ("models could not
+//!   utilize the same resources at the same time"); plus over-deadline
+//!   frame accounting and the automatic assignment search the paper lists
+//!   as future work;
 //! * [`threaded`] — a real multi-threaded pipeline executor (crossbeam
 //!   channels + per-resource locks) used by the application showcase.
 
@@ -22,8 +24,7 @@ pub mod threaded;
 
 pub use computation::{best_assignment, ModelProfile};
 pub use pipeline::{
-    account_dropped_frames, auto_schedule, simulate_pipelined, simulate_sequential,
-    FrameAccounting, PipelineStage, ScheduleResult, StageRun,
+    account_dropped_frames, auto_schedule, simulate_pipelined, simulate_sequential, FrameAccounting,
 };
 pub use threaded::{
     FrameFailure, FrameOutput, PipelineError, PipelineExecutor, ResourceLocks, StageSpec,

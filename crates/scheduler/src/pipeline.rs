@@ -9,170 +9,43 @@
 //! yellow/blue/green bars.
 
 use serde::{Deserialize, Serialize};
-use tvmnp_hwsim::{DeviceKind, Timeline};
+use tvmnp_hwsim::{schedule, DeviceKind, Schedule, Task};
 
-/// One model of the per-frame chain with its resource assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PipelineStage {
-    /// Stage/model name (becomes the Gantt label).
-    pub name: String,
-    /// Devices occupied while the stage runs (Fig. 5: yellow = CPU+APU,
-    /// green = APU only, blue = CPU only).
-    pub resources: Vec<DeviceKind>,
-    /// Stage latency under that assignment, microseconds.
-    pub duration_us: f64,
-}
-
-impl PipelineStage {
-    /// Convenience constructor.
-    pub fn new(name: &str, resources: &[DeviceKind], duration_us: f64) -> Self {
-        PipelineStage {
-            name: name.into(),
-            resources: resources.to_vec(),
-            duration_us,
+/// Place `frames` copies of the stage chain with `window` frames in
+/// flight, recording one `scheduler.stage` sim span per placement.
+fn simulate(name: &str, stages: &[Task], frames: usize, window: usize) -> Schedule {
+    let result = schedule(&vec![stages; frames], window);
+    if tvmnp_telemetry::is_enabled() {
+        for p in &result.placements {
+            tvmnp_telemetry::record_sim_span(
+                "scheduler.stage",
+                p.start_us,
+                p.end_us - p.start_us,
+                vec![
+                    ("schedule".to_string(), name.to_string()),
+                    ("stage".to_string(), p.label.to_string()),
+                    ("frame".to_string(), p.job.to_string()),
+                    ("device".to_string(), DeviceKind::set_label(p.devices)),
+                ],
+            );
         }
     }
-}
-
-/// One scheduled execution of a stage for one frame — the structured
-/// record behind a Gantt segment, kept with explicit stage/frame indices
-/// so analysis layers (idle gaps, critical paths) need not parse labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageRun {
-    /// Index into the stage list handed to the simulator.
-    pub stage_index: usize,
-    /// Stage name.
-    pub name: String,
-    /// Frame number.
-    pub frame: usize,
-    /// Start time, microseconds.
-    pub start_us: f64,
-    /// End time, microseconds.
-    pub end_us: f64,
-    /// Devices held for the whole interval.
-    pub resources: Vec<DeviceKind>,
-}
-
-/// Outcome of a schedule simulation.
-#[derive(Debug, Clone)]
-pub struct ScheduleResult {
-    /// The populated timeline (Gantt data).
-    pub timeline: Timeline,
-    /// Total time to finish all frames, microseconds.
-    pub makespan_us: f64,
-    /// Frames processed.
-    pub frames: usize,
-    /// Every scheduled (stage, frame) interval, in schedule order.
-    pub stage_runs: Vec<StageRun>,
-}
-
-impl ScheduleResult {
-    /// Average per-frame throughput period, microseconds.
-    pub fn period_us(&self) -> f64 {
-        self.makespan_us / self.frames.max(1) as f64
-    }
-}
-
-/// Record one scheduled stage reservation on the simulated timeline.
-fn record_stage_span(
-    schedule: &str,
-    stage: &str,
-    frame: usize,
-    start_us: f64,
-    end_us: f64,
-    resources: &[DeviceKind],
-) {
-    if !tvmnp_telemetry::is_enabled() {
-        return;
-    }
-    let devices = resources
-        .iter()
-        .map(|d| d.name())
-        .collect::<Vec<_>>()
-        .join("+");
-    tvmnp_telemetry::record_sim_span(
-        "scheduler.stage",
-        start_us,
-        end_us - start_us,
-        vec![
-            ("schedule".to_string(), schedule.to_string()),
-            ("stage".to_string(), stage.to_string()),
-            ("frame".to_string(), frame.to_string()),
-            ("device".to_string(), devices),
-        ],
-    );
+    result
 }
 
 /// Sequential baseline: stages of each frame run back-to-back and frames
-/// never overlap (the pre-pipelining execution of §4.4).
-pub fn simulate_sequential(stages: &[PipelineStage], frames: usize) -> ScheduleResult {
-    let mut tl = Timeline::new();
-    let mut runs = Vec::with_capacity(stages.len() * frames);
-    let mut t = 0.0f64;
-    for f in 0..frames {
-        for (si, s) in stages.iter().enumerate() {
-            let (start, end) =
-                tl.reserve_joint(&s.resources, t, s.duration_us, format!("{} f{}", s.name, f));
-            record_stage_span("sequential", &s.name, f, start, end, &s.resources);
-            runs.push(StageRun {
-                stage_index: si,
-                name: s.name.clone(),
-                frame: f,
-                start_us: start,
-                end_us: end,
-                resources: s.resources.clone(),
-            });
-            t = end;
-        }
-    }
-    ScheduleResult {
-        makespan_us: tl.makespan_us(),
-        timeline: tl,
-        frames,
-        stage_runs: runs,
-    }
+/// never overlap (the pre-pipelining execution of §4.4) — an admission
+/// window of one frame.
+pub fn simulate_sequential(stages: &[Task], frames: usize) -> Schedule {
+    simulate("sequential", stages, frames, 1)
 }
 
 /// Pipelined schedule: greedy list scheduling honoring intra-frame
-/// dependencies and per-frame ordering of each stage, with exclusive
-/// device reservations.
-pub fn simulate_pipelined(stages: &[PipelineStage], frames: usize) -> ScheduleResult {
-    let mut tl = Timeline::new();
-    let mut runs = Vec::with_capacity(stages.len() * frames);
-    // finish[s] = completion time of stage s for the previous frame.
-    let mut prev_frame_finish = vec![0.0f64; stages.len()];
-    for f in 0..frames {
-        let mut dep_ready = 0.0f64;
-        for (si, s) in stages.iter().enumerate() {
-            // Ready when the predecessor stage of this frame is done AND
-            // this stage finished the previous frame (stages are
-            // single-instance — one compiled network each).
-            let earliest = dep_ready.max(prev_frame_finish[si]);
-            let (start, end) = tl.reserve_joint(
-                &s.resources,
-                earliest,
-                s.duration_us,
-                format!("{} f{}", s.name, f),
-            );
-            record_stage_span("pipelined", &s.name, f, start, end, &s.resources);
-            runs.push(StageRun {
-                stage_index: si,
-                name: s.name.clone(),
-                frame: f,
-                start_us: start,
-                end_us: end,
-                resources: s.resources.clone(),
-            });
-            prev_frame_finish[si] = end;
-            dep_ready = end;
-        }
-    }
-    ScheduleResult {
-        makespan_us: tl.makespan_us(),
-        timeline: tl,
-        frames,
-        stage_runs: runs,
-    }
+/// dependencies with exclusive device reservations, every frame admitted
+/// at once. Each stage still runs one frame at a time (one compiled
+/// network each): it holds the same devices on every frame.
+pub fn simulate_pipelined(stages: &[Task], frames: usize) -> Schedule {
+    simulate("pipelined", stages, frames, frames)
 }
 
 /// Per-frame accounting of a schedule against a frame deadline: which
@@ -204,23 +77,21 @@ impl FrameAccounting {
 /// from its earliest stage start to its latest stage end; frames over
 /// `frame_deadline_us` are counted dropped (and reported on the
 /// `scheduler.frames_dropped` counter while telemetry is enabled).
-pub fn account_dropped_frames(result: &ScheduleResult, frame_deadline_us: f64) -> FrameAccounting {
-    let mut dropped = 0usize;
-    let mut worst = 0.0f64;
-    for f in 0..result.frames {
-        let mut start = f64::INFINITY;
-        let mut end = 0.0f64;
-        for run in result.stage_runs.iter().filter(|r| r.frame == f) {
-            start = start.min(run.start_us);
-            end = end.max(run.end_us);
-        }
-        if start > end {
-            continue; // no runs recorded for this frame
-        }
-        let latency = end - start;
-        worst = worst.max(latency);
+pub fn account_dropped_frames(result: &Schedule, frame_deadline_us: f64) -> FrameAccounting {
+    let mut acc = FrameAccounting {
+        frames: result.jobs().len(),
+        dropped: 0,
+        worst_latency_us: 0.0,
+        deadline_us: frame_deadline_us,
+    };
+    for frame in result.jobs() {
+        let Some(first) = frame.segments.first() else {
+            continue; // nothing ran for this frame
+        };
+        let latency = frame.end_us - first.start_us;
+        acc.worst_latency_us = acc.worst_latency_us.max(latency);
         if latency > frame_deadline_us {
-            dropped += 1;
+            acc.dropped += 1;
             if tvmnp_telemetry::is_enabled() {
                 tvmnp_telemetry::counter_add(
                     "scheduler.frames_dropped",
@@ -230,31 +101,22 @@ pub fn account_dropped_frames(result: &ScheduleResult, frame_deadline_us: f64) -
             }
         }
     }
-    FrameAccounting {
-        frames: result.frames,
-        dropped,
-        worst_latency_us: worst,
-        deadline_us: frame_deadline_us,
-    }
+    acc
 }
 
 /// The assignment of the paper's Fig. 5 prototype:
 /// anti-spoofing on CPU+APU, object detection forced to CPU-only,
 /// emotion on APU-only — guaranteeing exclusive use so object detection
 /// of the next frame overlaps emotion of the current one.
-pub fn paper_prototype_stages(
-    obj_det_us: f64,
-    anti_spoof_us: f64,
-    emotion_us: f64,
-) -> Vec<PipelineStage> {
+pub fn paper_prototype_stages(obj_det_us: f64, anti_spoof_us: f64, emotion_us: f64) -> Vec<Task> {
     vec![
-        PipelineStage::new("obj-det", &[DeviceKind::Cpu], obj_det_us),
-        PipelineStage::new(
+        Task::new("obj-det", &[DeviceKind::Cpu], obj_det_us),
+        Task::new(
             "anti-spoof",
             &[DeviceKind::Cpu, DeviceKind::Apu],
             anti_spoof_us,
         ),
-        PipelineStage::new("emotion", &[DeviceKind::Apu], emotion_us),
+        Task::new("emotion", &[DeviceKind::Apu], emotion_us),
     ]
 }
 
@@ -266,15 +128,12 @@ pub fn paper_prototype_stages(
 /// The search is exhaustive; with three models and a handful of
 /// permutations each this is the "concatenation algorithm"-style small
 /// combinatorial problem of [Liu & Wu 2019].
-pub fn auto_schedule(
-    options: &[Vec<PipelineStage>],
-    frames: usize,
-) -> Option<(Vec<PipelineStage>, ScheduleResult)> {
+pub fn auto_schedule(options: &[Vec<Task>], frames: usize) -> Option<(Vec<Task>, Schedule)> {
     fn rec(
-        options: &[Vec<PipelineStage>],
-        chosen: &mut Vec<PipelineStage>,
+        options: &[Vec<Task>],
+        chosen: &mut Vec<Task>,
         frames: usize,
-        best: &mut Option<(Vec<PipelineStage>, ScheduleResult)>,
+        best: &mut Option<(Vec<Task>, Schedule)>,
     ) {
         if chosen.len() == options.len() {
             let result = simulate_pipelined(chosen, frames);
@@ -288,7 +147,7 @@ pub fn auto_schedule(
             return;
         }
         for opt in &options[chosen.len()] {
-            chosen.push(opt.clone());
+            chosen.push(*opt);
             rec(options, chosen, frames, best);
             chosen.pop();
         }
@@ -302,7 +161,7 @@ pub fn auto_schedule(
 mod tests {
     use super::*;
 
-    fn stages() -> Vec<PipelineStage> {
+    fn stages() -> Vec<Task> {
         paper_prototype_stages(3000.0, 6000.0, 2000.0)
     }
 
@@ -320,9 +179,9 @@ mod tests {
         // frame k ends.
         let s = stages();
         let r = simulate_pipelined(&s, 3);
-        let segs = r.timeline.segments();
-        let obj_f1 = segs.iter().find(|x| x.label == "obj-det f1").unwrap();
-        let emo_f0 = segs.iter().find(|x| x.label == "emotion f0").unwrap();
+        let obj_f1 = r.job(1).segments[0];
+        let emo_f0 = r.job(0).segments[2];
+        assert_eq!((obj_f1.label, emo_f0.label), ("obj-det", "emotion"));
         assert!(
             obj_f1.start_us < emo_f0.end_us,
             "obj-det f1 ({}) should overlap emotion f0 (ends {})",
@@ -336,7 +195,7 @@ mod tests {
         let s = stages();
         for frames in [1, 4, 16] {
             let r = simulate_pipelined(&s, frames);
-            assert!(r.timeline.check_exclusive().is_none());
+            assert!(r.check_exclusive().is_none());
         }
     }
 
@@ -346,9 +205,9 @@ mod tests {
         // CPU+APU assignment), no overlap with emotion is possible and
         // pipelining degenerates to sequential.
         let all_shared = vec![
-            PipelineStage::new("obj-det", &[DeviceKind::Cpu, DeviceKind::Apu], 3000.0),
-            PipelineStage::new("anti-spoof", &[DeviceKind::Cpu, DeviceKind::Apu], 6000.0),
-            PipelineStage::new("emotion", &[DeviceKind::Apu], 2000.0),
+            Task::new("obj-det", &[DeviceKind::Cpu, DeviceKind::Apu], 3000.0),
+            Task::new("anti-spoof", &[DeviceKind::Cpu, DeviceKind::Apu], 6000.0),
+            Task::new("emotion", &[DeviceKind::Apu], 2000.0),
         ];
         let seq = simulate_sequential(&all_shared, 6);
         let pipe = simulate_pipelined(&all_shared, 6);
@@ -362,24 +221,12 @@ mod tests {
     fn dependencies_respected() {
         let s = stages();
         let r = simulate_pipelined(&s, 4);
-        let segs = r.timeline.segments();
         for f in 0..4 {
-            let obj = segs
-                .iter()
-                .find(|x| x.label == format!("obj-det f{f}"))
-                .unwrap();
-            let spoof_segs: Vec<_> = segs
-                .iter()
-                .filter(|x| x.label == format!("anti-spoof f{f}"))
-                .collect();
-            let emo = segs
-                .iter()
-                .find(|x| x.label == format!("emotion f{f}"))
-                .unwrap();
-            for sp in &spoof_segs {
-                assert!(sp.start_us >= obj.end_us - 1e-9);
-                assert!(emo.start_us >= sp.end_us - 1e-9);
-            }
+            let [obj, sp, emo] = r.job(f).segments else {
+                panic!("frame {f}: three stages");
+            };
+            assert!(sp.start_us >= obj.end_us - 1e-9);
+            assert!(emo.start_us >= sp.end_us - 1e-9);
         }
     }
 
@@ -389,48 +236,52 @@ mod tests {
         // CPU-only (slower), APU-only (fast for emotion).
         let options = vec![
             vec![
-                PipelineStage::new("obj-det", &[DeviceKind::Cpu, DeviceKind::Apu], 2500.0),
-                PipelineStage::new("obj-det", &[DeviceKind::Cpu], 3000.0),
+                Task::new("obj-det", &[DeviceKind::Cpu, DeviceKind::Apu], 2500.0),
+                Task::new("obj-det", &[DeviceKind::Cpu], 3000.0),
             ],
             vec![
-                PipelineStage::new("anti-spoof", &[DeviceKind::Cpu, DeviceKind::Apu], 6000.0),
-                PipelineStage::new("anti-spoof", &[DeviceKind::Cpu], 9000.0),
+                Task::new("anti-spoof", &[DeviceKind::Cpu, DeviceKind::Apu], 6000.0),
+                Task::new("anti-spoof", &[DeviceKind::Cpu], 9000.0),
             ],
             vec![
-                PipelineStage::new("emotion", &[DeviceKind::Apu], 2000.0),
-                PipelineStage::new("emotion", &[DeviceKind::Cpu, DeviceKind::Apu], 1800.0),
+                Task::new("emotion", &[DeviceKind::Apu], 2000.0),
+                Task::new("emotion", &[DeviceKind::Cpu, DeviceKind::Apu], 1800.0),
             ],
         ];
         let (chosen, result) = auto_schedule(&options, 8).unwrap();
         // The paper's insight falls out of the search: obj-det CPU-only
         // wins despite being slower in isolation.
-        assert_eq!(chosen[0].resources, vec![DeviceKind::Cpu]);
+        assert_eq!(chosen[0].devices, [DeviceKind::Cpu]);
         let manual = simulate_pipelined(&paper_prototype_stages(3000.0, 6000.0, 2000.0), 8);
         assert!(result.makespan_us <= manual.makespan_us + 1e-6);
     }
 
     #[test]
-    fn stage_runs_mirror_timeline_segments() {
+    fn placements_mirror_the_stage_list() {
         let s = stages();
         for result in [simulate_sequential(&s, 3), simulate_pipelined(&s, 3)] {
-            assert_eq!(result.stage_runs.len(), s.len() * 3);
-            for run in &result.stage_runs {
-                assert_eq!(run.name, s[run.stage_index].name);
-                assert_eq!(run.resources, s[run.stage_index].resources);
-                // Each run is backed by a reservation on every resource.
-                let label = format!("{} f{}", run.name, run.frame);
-                let matching = result
-                    .timeline
-                    .segments()
-                    .iter()
-                    .filter(|seg| seg.label == label)
-                    .count();
-                assert_eq!(matching, run.resources.len(), "{label}");
+            assert_eq!(result.placements.len(), s.len() * 3);
+            for p in &result.placements {
+                assert_eq!(p.label, s[p.task].label);
+                assert_eq!(p.devices, s[p.task].devices);
+            }
+            // Each run occupies every one of its stage's devices.
+            for d in DeviceKind::ALL {
+                let holding = |devices: &[DeviceKind]| devices.contains(&d);
+                assert_eq!(
+                    result
+                        .placements
+                        .iter()
+                        .filter(|p| holding(p.devices))
+                        .count(),
+                    3 * s.iter().filter(|st| holding(st.devices)).count(),
+                    "{d}"
+                );
             }
             let max_end = result
-                .stage_runs
+                .placements
                 .iter()
-                .map(|r| r.end_us)
+                .map(|p| p.end_us)
                 .fold(0.0, f64::max);
             assert!((max_end - result.makespan_us).abs() < 1e-9);
         }
@@ -441,7 +292,7 @@ mod tests {
         let s = stages();
         let r = simulate_pipelined(&s, 6);
         // A frame's chain is at least the sum of its stage durations.
-        let chain: f64 = s.iter().map(|st| st.duration_us).sum();
+        let chain: f64 = s.iter().map(|st| st.us).sum();
         let generous = account_dropped_frames(&r, r.makespan_us + 1.0);
         assert_eq!(generous.dropped, 0);
         assert_eq!(generous.frames, 6);

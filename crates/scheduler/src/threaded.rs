@@ -190,16 +190,15 @@ impl ResourceLocks {
                 HELD.with(|held| held.borrow_mut().retain(|h| !self.0.contains(h)));
             }
         }
-        let order = |d: DeviceKind| DeviceKind::ALL.iter().position(|&x| x == d).unwrap_or(0);
         let _held = HeldGuard(devices);
         let mut guards = Vec::with_capacity(devices.len());
         for d in DeviceKind::ALL {
             if devices.contains(&d) {
                 HELD.with(|held| {
                     let mut held = held.borrow_mut();
-                    if let Some(&worst) = held.iter().max_by_key(|&&h| order(h)) {
+                    if let Some(&worst) = held.iter().max_by_key(|h| h.index()) {
                         assert!(
-                            order(worst) < order(d),
+                            worst.index() < d.index(),
                             "lock-order inversion: acquiring {d} while holding {worst}"
                         );
                     }

@@ -3,29 +3,24 @@
 //! configurations.
 
 use proptest::prelude::*;
-use tvmnp_hwsim::DeviceKind;
-use tvmnp_scheduler::pipeline::{
-    auto_schedule, simulate_pipelined, simulate_sequential, PipelineStage,
-};
+use tvmnp_hwsim::DeviceKind::{Apu, Cpu, Gpu};
+use tvmnp_hwsim::{DeviceKind, Task};
+use tvmnp_scheduler::pipeline::{auto_schedule, simulate_pipelined, simulate_sequential};
 
-fn stage_strategy() -> impl Strategy<Value = PipelineStage> {
-    (0u8..7, 1.0f64..10_000.0).prop_map(|(mask, dur)| {
-        let mut resources = Vec::new();
-        if mask & 1 != 0 || mask & 7 == 0 {
-            resources.push(DeviceKind::Cpu);
-        }
-        if mask & 2 != 0 {
-            resources.push(DeviceKind::Apu);
-        }
-        if mask & 4 != 0 {
-            resources.push(DeviceKind::Gpu);
-        }
-        PipelineStage {
-            name: "s".into(),
-            resources,
-            duration_us: dur,
-        }
-    })
+/// Device sets by bit mask (1 = CPU, 2 = APU, 4 = GPU); the empty mask
+/// falls back to the CPU.
+const DEVICE_SETS: [&[DeviceKind]; 7] = [
+    &[Cpu],
+    &[Cpu],
+    &[Apu],
+    &[Cpu, Apu],
+    &[Gpu],
+    &[Cpu, Gpu],
+    &[Apu, Gpu],
+];
+
+fn stage_strategy() -> impl Strategy<Value = Task> {
+    (0usize..7, 1.0f64..10_000.0).prop_map(|(mask, dur)| Task::new("s", DEVICE_SETS[mask], dur))
 }
 
 proptest! {
@@ -38,22 +33,13 @@ proptest! {
         stages in prop::collection::vec(stage_strategy(), 1..5),
         frames in 1usize..12,
     ) {
-        // Give stages unique names so the Gantt labels disambiguate.
-        let stages: Vec<PipelineStage> = stages
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut s)| {
-                s.name = format!("s{i}");
-                s
-            })
-            .collect();
         let seq = simulate_sequential(&stages, frames);
         let pipe = simulate_pipelined(&stages, frames);
-        prop_assert!(pipe.timeline.check_exclusive().is_none());
-        prop_assert!(seq.timeline.check_exclusive().is_none());
+        prop_assert!(pipe.check_exclusive().is_none());
+        prop_assert!(seq.check_exclusive().is_none());
         prop_assert!(pipe.makespan_us <= seq.makespan_us + 1e-6);
         // Makespan is at least one frame's critical path.
-        let frame_time: f64 = stages.iter().map(|s| s.duration_us).sum();
+        let frame_time: f64 = stages.iter().map(|s| s.us).sum();
         prop_assert!(pipe.makespan_us + 1e-6 >= frame_time);
         prop_assert!(seq.makespan_us + 1e-6 >= frame_time * frames as f64);
     }
@@ -65,32 +51,12 @@ proptest! {
         stages in prop::collection::vec(stage_strategy(), 2..5),
         frames in 1usize..8,
     ) {
-        let stages: Vec<PipelineStage> = stages
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut s)| {
-                s.name = format!("s{i}");
-                s
-            })
-            .collect();
         let pipe = simulate_pipelined(&stages, frames);
         for f in 0..frames {
             for k in 1..stages.len() {
-                let prev_end = pipe
-                    .timeline
-                    .segments()
-                    .iter()
-                    .filter(|s| s.label == format!("s{} f{f}", k - 1))
-                    .map(|s| s.end_us)
-                    .fold(0.0, f64::max);
-                let start = pipe
-                    .timeline
-                    .segments()
-                    .iter()
-                    .filter(|s| s.label == format!("s{k} f{f}"))
-                    .map(|s| s.start_us)
-                    .fold(f64::INFINITY, f64::min);
-                prop_assert!(start + 1e-9 >= prev_end, "frame {f} stage {k}");
+                let run = pipe.job(f).segments;
+                prop_assert_eq!((run[k].job, run[k].task), (f, k));
+                prop_assert!(run[k].start_us + 1e-9 >= run[k - 1].end_us, "frame {f} stage {k}");
             }
         }
     }
@@ -108,7 +74,7 @@ proptest! {
         };
         for x in &a {
             for y in &b {
-                let manual = simulate_pipelined(&[x.clone(), y.clone()], frames);
+                let manual = simulate_pipelined(&[*x, *y], frames);
                 prop_assert!(best.makespan_us <= manual.makespan_us + 1e-6);
             }
         }

@@ -9,9 +9,10 @@
 //!   bit-identical to sequential processing — concurrency only changes
 //!   the schedule, never the numerics.
 //! * [`simulate`] — the deterministic simulated-time model of that pool:
-//!   per-device FIFO queues fed by a bounded admission window, used by
-//!   the `serve` bench workload to measure frames/sec without depending
-//!   on host parallelism.
+//!   each served frame's measured stages as a job of the `tvmnp-hwsim`
+//!   schedule engine, admitted `concurrency` at a time; used by the
+//!   `serve` bench workload to measure frames/sec without depending on
+//!   host parallelism.
 //!
 //! Compiled artifacts come from one shared [`tvmnp_byoc::ArtifactCache`]:
 //! sessions that agree on (model, permutation, quant config) share a
@@ -24,7 +25,4 @@ pub mod simulate;
 
 pub use observe::{trace_id_for, PIPELINE};
 pub use pool::{serving_rotation, SessionPool};
-pub use simulate::{
-    frame_segments, simulate_serve, simulate_serve_timeline, FrameTimeline, SegmentTiming,
-    ServeSim, SimSegment,
-};
+pub use simulate::{frame_segments, simulate_serve, simulate_serve_timeline, ServeSim};

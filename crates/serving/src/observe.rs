@@ -20,8 +20,8 @@
 //!   propagating them.
 
 use crate::pool::SessionPool;
-use crate::simulate::{frame_segments, simulate_serve_timeline, FrameTimeline, SimSegment};
-use tvmnp_hwsim::DeviceKind;
+use crate::simulate::{frame_segments, simulate_serve_timeline};
+use tvmnp_hwsim::{DeviceKind, JobTimeline, Task};
 use tvmnp_observe::ObservePlane;
 use tvmnp_telemetry::trace::SpanIds;
 use tvmnp_vision::{Frame, FrameResult};
@@ -79,14 +79,6 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-fn device_label(devices: &[DeviceKind]) -> String {
-    devices
-        .iter()
-        .map(|d| d.name())
-        .collect::<Vec<_>>()
-        .join("+")
-}
-
 impl SessionPool {
     /// Serve with full observability. Returns results bit-identical to
     /// [`SessionPool::serve`] on the same frames — observation never
@@ -112,13 +104,13 @@ impl SessionPool {
         // simulator to decompose each frame into admission wait, device
         // wait, and compute — then stitch that timeline onto the traces
         // and into the registry, in frame order (deterministic).
-        let per_frame: Vec<Vec<SimSegment>> = results
+        let per_frame: Vec<Vec<Task>> = results
             .iter()
             .map(|r| frame_segments(self.assignment_for(r.frame_index), r))
             .collect();
         let (_, timelines) = simulate_serve_timeline(&per_frame, concurrency);
-        for ((result, timeline), root) in results.iter().zip(&timelines).zip(&roots) {
-            self.record_frame_observation(plane, result, timeline, *root);
+        for ((result, timeline), root) in results.iter().zip(timelines.jobs()).zip(&roots) {
+            self.record_frame_observation(plane, result, &timeline, *root);
         }
 
         let stats = self.cache().stats();
@@ -140,7 +132,7 @@ impl SessionPool {
         &self,
         plane: &ObservePlane,
         result: &FrameResult,
-        timeline: &FrameTimeline,
+        timeline: &JobTimeline,
         root: u64,
     ) {
         let trace = trace_id_for(result.frame_index);
@@ -161,7 +153,7 @@ impl SessionPool {
             root_ids,
             "serve.frame",
             0.0,
-            timeline.latency_us(),
+            timeline.end_us,
             vec![
                 ("pipeline".to_string(), PIPELINE.to_string()),
                 ("frame".to_string(), result.frame_index.to_string()),
@@ -176,14 +168,16 @@ impl SessionPool {
                 vec![("reason".to_string(), "admission".to_string())],
             );
         }
-        for seg in &timeline.segments {
-            let device = device_label(&seg.devices);
-            if seg.wait_us > 0.0 {
+        for seg in timeline.segments {
+            let device = DeviceKind::set_label(seg.devices);
+            if seg.wait_us() > 0.0 {
                 tvmnp_telemetry::record_sim_span_traced(
                     child(&root_ids),
                     "serve.wait",
-                    seg.start_us - seg.wait_us,
-                    seg.wait_us,
+                    // `ready_us` up to rounding; kept so the span's bits
+                    // match what the traces have always carried.
+                    seg.start_us - seg.wait_us(),
+                    seg.wait_us(),
                     vec![
                         ("reason".to_string(), "device".to_string()),
                         ("device".to_string(), device.clone()),
@@ -196,7 +190,7 @@ impl SessionPool {
                 seg.start_us,
                 seg.us,
                 vec![
-                    ("stage".to_string(), seg.stage.to_string()),
+                    ("stage".to_string(), seg.label.to_string()),
                     ("device".to_string(), device.clone()),
                 ],
             );
@@ -204,7 +198,7 @@ impl SessionPool {
                 "stage_us",
                 &[
                     ("pipeline", PIPELINE),
-                    ("stage", seg.stage),
+                    ("stage", seg.label),
                     ("device", &device),
                 ],
                 seg.us,
@@ -213,7 +207,7 @@ impl SessionPool {
         plane.registry.observe_us(
             "wait_us",
             &[("pipeline", PIPELINE), ("reason", "admission")],
-            timeline.admission_wait_us(),
+            timeline.admit_us,
         );
         plane.registry.observe_us(
             "wait_us",
@@ -227,6 +221,6 @@ impl SessionPool {
         );
         // Last: frame_done runs the SLO check, so a breach dump's window
         // already contains this frame's spans.
-        plane.frame_done(PIPELINE, result.frame_index, timeline.latency_us());
+        plane.frame_done(PIPELINE, result.frame_index, timeline.end_us);
     }
 }

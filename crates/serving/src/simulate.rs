@@ -9,44 +9,25 @@
 //! (sequential) run, so the simulation replays exactly the work the pool
 //! executes — it only re-times it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use tvmnp_hwsim::DeviceKind;
+use tvmnp_hwsim::{schedule, Schedule, Task};
 use tvmnp_vision::{resources_of, FrameResult, ShowcaseAssignment};
 
-/// One model invocation burst of one frame: `devices` are held
-/// exclusively for `us` microseconds of simulated time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSegment {
-    /// Stage name (`obj-det` / `anti-spoof` / `emotion`).
-    pub stage: &'static str,
-    /// Devices the stage's target mode occupies.
-    pub devices: Vec<DeviceKind>,
-    /// Simulated duration, microseconds (all invocations of the stage on
-    /// this frame, e.g. anti-spoofing over every candidate face).
-    pub us: f64,
-}
-
-/// The segments one served frame runs, in stage order, from the frame's
-/// measured result under `assignment`. Stages that did not run on this
-/// frame (no candidate faces, no real faces, dropped) contribute nothing.
-pub fn frame_segments(assignment: ShowcaseAssignment, result: &FrameResult) -> Vec<SimSegment> {
-    let mut segments = Vec::new();
-    for (stage, mode, us) in [
+/// The tasks one served frame runs, in stage order, from the frame's
+/// measured result under `assignment`: each holds its target mode's
+/// devices for the stage's measured time (all invocations of the stage on
+/// this frame, e.g. anti-spoofing over every candidate face). Stages that
+/// did not run on this frame (no candidate faces, no real faces, dropped)
+/// contribute nothing.
+pub fn frame_segments(assignment: ShowcaseAssignment, result: &FrameResult) -> Vec<Task> {
+    [
         ("obj-det", assignment.obj, result.times.obj_us),
         ("anti-spoof", assignment.spoof, result.times.spoof_us),
         ("emotion", assignment.emotion, result.times.emotion_us),
-    ] {
-        if us > 0.0 {
-            segments.push(SimSegment {
-                stage,
-                devices: resources_of(mode),
-                us,
-            });
-        }
-    }
-    segments
+    ]
+    .into_iter()
+    .filter(|&(_, _, us)| us > 0.0)
+    .map(|(stage, mode, us)| Task::new(stage, resources_of(mode), us))
+    .collect()
 }
 
 /// Outcome of one pool simulation.
@@ -83,142 +64,29 @@ impl ServeSim {
     }
 }
 
-/// One segment of a frame's simulated schedule, with its placement on
-/// the concurrent timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentTiming {
-    /// Stage name (`obj-det` / `anti-spoof` / `emotion`).
-    pub stage: &'static str,
-    /// Devices the segment held.
-    pub devices: Vec<DeviceKind>,
-    /// When the segment started running.
-    pub start_us: f64,
-    /// Time spent waiting for its devices before `start_us` (device
-    /// contention with other in-flight frames).
-    pub wait_us: f64,
-    /// Compute duration.
-    pub us: f64,
-}
-
-/// One frame's complete simulated schedule: when it was admitted, where
-/// its time went (queue wait vs compute), and the per-segment placement.
-/// All frames arrive at t = 0, so `end_us` is also the frame's
-/// end-to-end latency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameTimeline {
-    /// When the admission window let the frame in (= admission wait).
-    pub admit_us: f64,
-    /// When the frame finished its last segment.
-    pub end_us: f64,
-    /// Per-segment placements, in stage order.
-    pub segments: Vec<SegmentTiming>,
-}
-
-impl FrameTimeline {
-    /// Time blocked on the admission window.
-    pub fn admission_wait_us(&self) -> f64 {
-        self.admit_us
-    }
-
-    /// Time blocked on busy devices after admission.
-    pub fn device_wait_us(&self) -> f64 {
-        self.segments.iter().map(|s| s.wait_us).sum()
-    }
-
-    /// Total queue wait: admission + device contention.
-    pub fn queue_wait_us(&self) -> f64 {
-        self.admission_wait_us() + self.device_wait_us()
-    }
-
-    /// Total compute time across segments.
-    pub fn compute_us(&self) -> f64 {
-        self.segments.iter().map(|s| s.us).sum()
-    }
-
-    /// End-to-end latency from arrival (t = 0) to completion.
-    pub fn latency_us(&self) -> f64 {
-        self.end_us
-    }
-}
-
-/// Simulate serving `per_frame` segment lists with at most `concurrency`
-/// frames in flight.
-///
-/// Frames are admitted in order; when the window is full the next frame
-/// waits for the earliest in-flight completion. Within a frame, segments
-/// run in order; each waits for every device in its set (acquired
-/// together, mirroring `ResourceLocks::with_resources`) and then holds
-/// them for its duration. Devices therefore serve segments in frame
-/// admission order — per-device FIFO queues. Pure arithmetic on the
-/// simulated clock: byte-deterministic across runs and hosts.
-pub fn simulate_serve(per_frame: &[Vec<SimSegment>], concurrency: usize) -> ServeSim {
+/// Simulate serving `per_frame` task lists with at most `concurrency`
+/// frames in flight: the [`tvmnp_hwsim::schedule`] engine with the
+/// concurrency as its admission window.
+pub fn simulate_serve(per_frame: &[Vec<Task>], concurrency: usize) -> ServeSim {
     simulate_serve_timeline(per_frame, concurrency).0
 }
 
-/// Like [`simulate_serve`], additionally returning every frame's
-/// [`FrameTimeline`] — the queue-wait vs compute decomposition the
-/// observability plane feeds into its live stats and span trees. Same
-/// arithmetic, same admission order: the [`ServeSim`] returned here is
-/// identical to [`simulate_serve`]'s.
+/// Like [`simulate_serve`], additionally returning the [`Schedule`] —
+/// its per-frame [`tvmnp_hwsim::JobTimeline`]s are the queue-wait vs
+/// compute decomposition the observability plane feeds into its live
+/// stats and span trees.
 pub fn simulate_serve_timeline(
-    per_frame: &[Vec<SimSegment>],
+    per_frame: &[Vec<Task>],
     concurrency: usize,
-) -> (ServeSim, Vec<FrameTimeline>) {
-    let concurrency = concurrency.max(1);
-    let device_index = |d: DeviceKind| DeviceKind::ALL.iter().position(|&x| x == d).unwrap();
-    let mut device_free = [0.0f64; DeviceKind::ALL.len()];
-    // Completion times of in-flight frames, earliest first. Simulated
-    // times are non-negative finite f64s, so their IEEE-754 bit patterns
-    // order exactly like the values — BinaryHeap over bits avoids a
-    // float-ordering wrapper.
-    let mut in_flight: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-    let mut admit_at = 0.0f64;
-    let mut sequential_us = 0.0f64;
-    let mut makespan = 0.0f64;
-    let mut timelines = Vec::with_capacity(per_frame.len());
-    for segments in per_frame {
-        if in_flight.len() >= concurrency {
-            let Reverse(bits) = in_flight.pop().unwrap();
-            admit_at = admit_at.max(f64::from_bits(bits));
-        }
-        let mut t = admit_at;
-        let mut timed_segments = Vec::with_capacity(segments.len());
-        for seg in segments {
-            let start = seg
-                .devices
-                .iter()
-                .fold(t, |acc, &d| acc.max(device_free[device_index(d)]));
-            let end = start + seg.us;
-            for &d in &seg.devices {
-                device_free[device_index(d)] = end;
-            }
-            sequential_us += seg.us;
-            timed_segments.push(SegmentTiming {
-                stage: seg.stage,
-                devices: seg.devices.clone(),
-                start_us: start,
-                wait_us: start - t,
-                us: seg.us,
-            });
-            t = end;
-        }
-        in_flight.push(Reverse(t.to_bits()));
-        makespan = makespan.max(t);
-        timelines.push(FrameTimeline {
-            admit_us: admit_at,
-            end_us: t,
-            segments: timed_segments,
-        });
-    }
-    (
-        ServeSim {
-            frames: per_frame.len(),
-            concurrency,
-            sequential_us,
-            concurrent_us: makespan.max(f64::MIN_POSITIVE),
-        },
-        timelines,
-    )
+) -> (ServeSim, Schedule) {
+    let timeline = schedule(per_frame, concurrency);
+    let sim = ServeSim {
+        frames: per_frame.len(),
+        concurrency: timeline.window,
+        sequential_us: timeline.compute_us(),
+        concurrent_us: timeline.makespan_us.max(f64::MIN_POSITIVE),
+    };
+    (sim, timeline)
 }
 
 #[cfg(test)]
@@ -227,15 +95,11 @@ mod tests {
     use crate::pool::{serving_rotation, SessionPool};
     use std::sync::Arc;
     use tvmnp_byoc::ArtifactCache;
-    use tvmnp_hwsim::CostModel;
+    use tvmnp_hwsim::{CostModel, DeviceKind};
     use tvmnp_vision::SyntheticVideo;
 
-    fn seg(devices: &[DeviceKind], us: f64) -> SimSegment {
-        SimSegment {
-            stage: "obj-det",
-            devices: devices.to_vec(),
-            us,
-        }
+    fn seg(devices: &'static [DeviceKind], us: f64) -> Task {
+        Task::new("obj-det", devices, us)
     }
 
     #[test]
@@ -297,17 +161,18 @@ mod tests {
         // Window 1: the second frame waits at admission.
         let (sim1, tl1) = simulate_serve_timeline(&frames, 1);
         assert_eq!(sim1, simulate_serve(&frames, 1));
-        assert_eq!(tl1[1].admission_wait_us(), 10.0);
-        assert_eq!(tl1[1].device_wait_us(), 0.0);
-        assert_eq!(tl1[1].latency_us(), 15.0);
+        assert_eq!(tl1.job(1).admit_us, 10.0);
+        assert_eq!(tl1.job(1).device_wait_us(), 0.0);
+        assert_eq!(tl1.job(1).end_us, 15.0);
         // Window 2: admitted at once, but the shared CPU makes it wait.
         let (_, tl2) = simulate_serve_timeline(&frames, 2);
-        assert_eq!(tl2[1].admission_wait_us(), 0.0);
-        assert_eq!(tl2[1].device_wait_us(), 10.0);
-        assert_eq!(tl2[1].segments[0].start_us, 10.0);
+        assert_eq!(tl2.job(1).admit_us, 0.0);
+        assert_eq!(tl2.job(1).device_wait_us(), 10.0);
+        assert_eq!(tl2.job(1).segments[0].start_us, 10.0);
         // Every frame reconciles: latency = queue wait + compute.
-        for tl in tl1.iter().chain(&tl2) {
-            assert!((tl.latency_us() - tl.queue_wait_us() - tl.compute_us()).abs() < 1e-9);
+        for tl in tl1.jobs().chain(tl2.jobs()) {
+            let queue_wait_us = tl.admit_us + tl.device_wait_us();
+            assert!((tl.end_us - queue_wait_us - tl.compute_us()).abs() < 1e-9);
         }
     }
 
@@ -321,7 +186,7 @@ mod tests {
         );
         let frames = SyntheticVideo::new(42, 64, 64).frames(64);
         let results = pool.serve(&frames, 1);
-        let per_frame: Vec<Vec<SimSegment>> = results
+        let per_frame: Vec<Vec<Task>> = results
             .iter()
             .map(|r| frame_segments(pool.assignment_for(r.frame_index), r))
             .collect();

@@ -29,7 +29,8 @@ impl Pool2dParams {
         }
     }
 
-    fn out_hw(&self, h: usize, w: usize) -> Result<(usize, usize), KernelError> {
+    /// Output spatial size for an input `(h, w)`.
+    pub fn out_hw(&self, h: usize, w: usize) -> Result<(usize, usize), KernelError> {
         let (pt, pl, pb, pr) = self.padding;
         let ih = h + pt + pb;
         let iw = w + pl + pr;

@@ -12,14 +12,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tvmnp_byoc::{relay_build, ArtifactCache, CompiledModel, TargetMode};
-use tvmnp_hwsim::{CostEntry, CostModel, DeviceKind};
+use tvmnp_hwsim::{CostModel, DeviceKind, Task};
 use tvmnp_models::anti_spoofing::anti_spoofing_model;
 use tvmnp_models::emotion::{emotion_model, EMOTIONS};
 use tvmnp_models::object_detection::{mobilenet_ssd_model, ssd_input_quant};
 use tvmnp_models::Model;
 use tvmnp_neuropilot::TargetPolicy;
 use tvmnp_runtime::ExecError;
-use tvmnp_scheduler::pipeline::PipelineStage;
 use tvmnp_scheduler::threaded::{FrameFailure, PipelineExecutor, ResourceLocks, StageSpec};
 use tvmnp_tensor::{DType, Tensor};
 
@@ -59,14 +58,14 @@ impl ShowcaseAssignment {
 
 /// Devices a target mode occupies, for the exclusivity locks and the
 /// Fig. 5 Gantt colors.
-pub fn resources_of(mode: TargetMode) -> Vec<DeviceKind> {
+pub fn resources_of(mode: TargetMode) -> &'static [DeviceKind] {
     match mode {
-        TargetMode::TvmOnly => vec![DeviceKind::Cpu],
+        TargetMode::TvmOnly => &[DeviceKind::Cpu],
         TargetMode::Byoc(p) | TargetMode::NeuroPilotOnly(p) => match p {
-            TargetPolicy::CpuOnly => vec![DeviceKind::Cpu],
-            TargetPolicy::GpuPrefer => vec![DeviceKind::Gpu],
-            TargetPolicy::ApuPrefer => vec![DeviceKind::Apu],
-            TargetPolicy::CpuApu => vec![DeviceKind::Cpu, DeviceKind::Apu],
+            TargetPolicy::CpuOnly => &[DeviceKind::Cpu],
+            TargetPolicy::GpuPrefer => &[DeviceKind::Gpu],
+            TargetPolicy::ApuPrefer => &[DeviceKind::Apu],
+            TargetPolicy::CpuApu => &[DeviceKind::Cpu, DeviceKind::Apu],
         },
     }
 }
@@ -203,7 +202,7 @@ impl CompiledStage {
             None => self.compiled.lock().run(inputs),
         };
         match locks {
-            Some(l) => l.with_resources(&resources_of(self.mode), execute),
+            Some(l) => l.with_resources(resources_of(self.mode), execute),
             None => execute(),
         }
     }
@@ -315,30 +314,6 @@ impl Showcase {
     pub fn with_faults(mut self, faults: ShowcaseFaults) -> Self {
         self.faults = Some(faults);
         self
-    }
-
-    /// Per-stage analytic cost breakdowns: (stage name, devices the stage
-    /// mode occupies, the model's cost ledger). One model
-    /// invocation per entry — the serving simulator scales them by
-    /// invocation counts.
-    pub fn stage_breakdowns(&self) -> Vec<(&'static str, Vec<DeviceKind>, Vec<CostEntry>)> {
-        vec![
-            (
-                "obj-det",
-                resources_of(self.obj.mode),
-                self.obj.compiled.lock().estimate_breakdown().to_vec(),
-            ),
-            (
-                "anti-spoof",
-                resources_of(self.spoof.mode),
-                self.spoof.compiled.lock().estimate_breakdown().to_vec(),
-            ),
-            (
-                "emotion",
-                resources_of(self.emotion.mode),
-                self.emotion.compiled.lock().estimate_breakdown().to_vec(),
-            ),
-        ]
     }
 
     /// Process one frame through the Fig. 1 flow.
@@ -537,26 +512,25 @@ impl Showcase {
         let emotion = self.emotion.clone();
         let threshold = self.liveness_threshold;
 
-        let stage1 =
-            StageSpec::fallible("obj-det", &resources_of(obj.mode), move |mut it: Item| {
-                let input = prepare_ssd_input(&it.frame);
-                let (_, t) = obj
-                    .compiled
-                    .lock()
-                    .run(&obj.model.inputs_from(input))
-                    .map_err(|e| stage_exec_error("obj-det", e))?;
-                it.times.obj_us += t;
-                it.objects = luminance_saliency(&it.frame, 4, 1.8);
-                let face_boxes = match_faces(&it.frame, 0.6);
-                it.candidates = face_boxes
-                    .into_iter()
-                    .filter(|f| it.objects.iter().any(|o| o.overlaps(f)))
-                    .collect();
-                Ok(it)
-            });
+        let stage1 = StageSpec::fallible("obj-det", resources_of(obj.mode), move |mut it: Item| {
+            let input = prepare_ssd_input(&it.frame);
+            let (_, t) = obj
+                .compiled
+                .lock()
+                .run(&obj.model.inputs_from(input))
+                .map_err(|e| stage_exec_error("obj-det", e))?;
+            it.times.obj_us += t;
+            it.objects = luminance_saliency(&it.frame, 4, 1.8);
+            let face_boxes = match_faces(&it.frame, 0.6);
+            it.candidates = face_boxes
+                .into_iter()
+                .filter(|f| it.objects.iter().any(|o| o.overlaps(f)))
+                .collect();
+            Ok(it)
+        });
         let stage2 = StageSpec::fallible(
             "anti-spoof",
-            &resources_of(spoof.mode),
+            resources_of(spoof.mode),
             move |mut it: Item| {
                 for bbox in it.candidates.clone() {
                     let crop = it.frame.crop_resized(bbox.tuple(), 32, 32);
@@ -576,7 +550,7 @@ impl Showcase {
         );
         let stage3 = StageSpec::fallible(
             "emotion",
-            &resources_of(emotion.mode),
+            resources_of(emotion.mode),
             move |mut it: Item| {
                 for (k, bbox) in it.candidates.clone().into_iter().enumerate() {
                     let real = it.real_flags[k];
@@ -644,28 +618,18 @@ impl Showcase {
 
     /// Measured per-stage latencies (for the Fig. 5 simulation), taken
     /// from a representative frame containing a real face.
-    pub fn stage_profile(&self, seed: u64) -> Vec<PipelineStage> {
+    pub fn stage_profile(&self, seed: u64) -> Vec<Task> {
         let mut video = SyntheticVideo::new(seed, 64, 64);
         let frames = video.frames(4);
         // Scene 2 of the cycle holds a real face → all three stages run.
         let r = self.process_frame(&frames[2]);
-        vec![
-            PipelineStage {
-                name: "obj-det".into(),
-                resources: resources_of(self.obj.mode),
-                duration_us: r.times.obj_us.max(1.0),
-            },
-            PipelineStage {
-                name: "anti-spoof".into(),
-                resources: resources_of(self.spoof.mode),
-                duration_us: r.times.spoof_us.max(1.0),
-            },
-            PipelineStage {
-                name: "emotion".into(),
-                resources: resources_of(self.emotion.mode),
-                duration_us: r.times.emotion_us.max(1.0),
-            },
+        [
+            ("obj-det", self.obj.mode, r.times.obj_us),
+            ("anti-spoof", self.spoof.mode, r.times.spoof_us),
+            ("emotion", self.emotion.mode, r.times.emotion_us),
         ]
+        .map(|(stage, mode, us)| Task::new(stage, resources_of(mode), us.max(1.0)))
+        .to_vec()
     }
 }
 
@@ -885,10 +849,10 @@ mod tests {
         let sc = showcase();
         let stages = sc.stage_profile(2000);
         assert_eq!(stages.len(), 3);
-        assert_eq!(stages[0].resources, vec![DeviceKind::Cpu]);
-        assert_eq!(stages[1].resources, vec![DeviceKind::Cpu, DeviceKind::Apu]);
-        assert_eq!(stages[2].resources, vec![DeviceKind::Apu]);
-        assert!(stages.iter().all(|s| s.duration_us > 0.0));
+        assert_eq!(stages[0].devices, [DeviceKind::Cpu]);
+        assert_eq!(stages[1].devices, [DeviceKind::Cpu, DeviceKind::Apu]);
+        assert_eq!(stages[2].devices, [DeviceKind::Apu]);
+        assert!(stages.iter().all(|s| s.us > 0.0));
     }
 
     #[test]
@@ -897,18 +861,18 @@ mod tests {
         // exceeds the other two (many subgraphs).
         let sc = showcase();
         let stages = sc.stage_profile(2000);
-        let spoof = stages[1].duration_us;
+        let spoof = stages[1].us;
         assert!(
-            spoof > stages[0].duration_us,
+            spoof > stages[0].us,
             "spoof {} vs obj {}",
             spoof,
-            stages[0].duration_us
+            stages[0].us
         );
         assert!(
-            spoof > stages[2].duration_us,
+            spoof > stages[2].us,
             "spoof {} vs emo {}",
             spoof,
-            stages[2].duration_us
+            stages[2].us
         );
     }
 }

@@ -55,12 +55,11 @@ fn main() {
     let stages = showcase.stage_profile(2000);
     println!("\n== measured stage profile ==");
     for s in &stages {
-        let res: Vec<&str> = s.resources.iter().map(|d| d.name()).collect();
         println!(
             "{:<12} {:>8.2} ms on {}",
-            s.name,
-            s.duration_us / 1000.0,
-            res.join("+")
+            s.label,
+            s.us / 1000.0,
+            DeviceKind::set_label(s.devices)
         );
     }
 
@@ -75,6 +74,6 @@ fn main() {
         seq.makespan_us / pipe.makespan_us
     );
     println!("\nGantt (o = obj-det CPU, a = anti-spoof CPU+APU, e = emotion APU):");
-    print!("{}", pipe.timeline.ascii_gantt(72));
+    print!("{}", pipe.ascii_gantt(72));
     assert!(pipe.makespan_us <= seq.makespan_us);
 }

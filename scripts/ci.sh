@@ -38,6 +38,13 @@ for f in "$base_dir"/BENCH_*.json; do
     cmp "$f" "$(basename "$f")"
 done
 
+# Wall-clock benchmark smoke (ROADMAP item 1: "so the ruler itself cannot
+# rot"). Hard step: the standalone package under benchmark/ reaches the
+# schedulers, the serving simulator and the device locks through the
+# umbrella crate, and must keep compiling and checking its outputs with no
+# edit under benchmark/.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
 # Bench smoke: one workload against the checked-in baseline. Warn-only
 # for latency drift — the hard gate is the byte comparison above; this
 # step proves --check-against runs and surfaces drift in the CI log

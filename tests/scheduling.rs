@@ -80,7 +80,7 @@ fn pipeline_prototype_beats_sequential_and_greedy() {
     let proto_pipe = pipe(&proto_stages, frames);
     let proto_seq = seq(&proto_stages, frames);
     assert!(proto_pipe.makespan_us < proto_seq.makespan_us);
-    assert!(proto_pipe.timeline.check_exclusive().is_none());
+    assert!(proto_pipe.check_exclusive().is_none());
 
     let greedy = Showcase::new(900, ShowcaseAssignment::greedy(), &cost);
     let greedy_stages = greedy.stage_profile(901);
@@ -105,11 +105,7 @@ fn auto_scheduler_matches_or_beats_prototype() {
     let greedy = Showcase::new(910, ShowcaseAssignment::greedy(), &cost);
     let ps = proto.stage_profile(911);
     let gs = greedy.stage_profile(911);
-    let options: Vec<Vec<_>> = ps
-        .iter()
-        .zip(&gs)
-        .map(|(a, b)| vec![a.clone(), b.clone()])
-        .collect();
+    let options: Vec<Vec<_>> = ps.iter().zip(&gs).map(|(a, b)| vec![*a, *b]).collect();
     let frames = 8;
     let (_, auto) = auto_schedule(&options, frames).unwrap();
     let manual = pipe(&ps, frames);
