@@ -7,33 +7,21 @@
 //! obs_check --flight-dir <dir> [--expect-kind <kind>]...
 //!                                            # schema-check every flight-*.json,
 //!                                            # assert the expected event kinds appear
-//! obs_check --compare <a.json> <b.json> --metric <key> [--warn-at F]
-//!                                            # warn (never fail) when b's median
-//!                                            # exceeds a's by more than F (default 0.05)
 //! obs_check --profile <profile.json>         # schema-check a measured-profile file
 //!                                            # (repeatable)
 //! ```
 //!
-//! Exit code 0 means every requested check passed (the `--compare` gate
-//! is warn-only by design: observability overhead on the *simulated*
-//! metrics is structurally zero — observation never charges simulated
-//! time — so a regression there signals a bug, but the wall-clock cost
-//! of the instrumented path is environment-dependent and must not turn
-//! CI red on a loaded runner).
+//! Exit code 0 means every requested check passed.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tvm_neuropilot::observe::validate_dump;
 use tvm_neuropilot::profile::{validate_profile, Profile};
-use tvm_neuropilot::report::BenchRecord;
 
 struct Args {
     stats: Option<PathBuf>,
     flight_dir: Option<PathBuf>,
     expect_kinds: Vec<String>,
-    compare: Option<(PathBuf, PathBuf)>,
-    metric: Option<String>,
-    warn_at: f64,
     profiles: Vec<PathBuf>,
 }
 
@@ -41,7 +29,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: obs_check [--stats <stats.jsonl>] \
          [--flight-dir <dir>] [--expect-kind <kind>]... \
-         [--compare <a.json> <b.json> --metric <key> [--warn-at F]] \
          [--profile <profile.json>]..."
     );
     std::process::exit(2);
@@ -51,9 +38,6 @@ fn parse_args() -> Args {
     let mut stats = None;
     let mut flight_dir = None;
     let mut expect_kinds = Vec::new();
-    let mut compare = None;
-    let mut metric = None;
-    let mut warn_at = 0.05f64;
     let mut profiles = Vec::new();
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -67,20 +51,7 @@ fn parse_args() -> Args {
             "--stats" => stats = Some(PathBuf::from(value(&mut args, "--stats"))),
             "--flight-dir" => flight_dir = Some(PathBuf::from(value(&mut args, "--flight-dir"))),
             "--expect-kind" => expect_kinds.push(value(&mut args, "--expect-kind")),
-            "--compare" => {
-                let a = PathBuf::from(value(&mut args, "--compare"));
-                let b = PathBuf::from(value(&mut args, "--compare"));
-                compare = Some((a, b));
-            }
-            "--metric" => metric = Some(value(&mut args, "--metric")),
             "--profile" => profiles.push(PathBuf::from(value(&mut args, "--profile"))),
-            "--warn-at" => {
-                let v = value(&mut args, "--warn-at");
-                warn_at = v.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --warn-at expects a float, got '{v}'");
-                    usage();
-                });
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("error: unknown argument '{other}'");
@@ -88,21 +59,14 @@ fn parse_args() -> Args {
             }
         }
     }
-    if stats.is_none() && flight_dir.is_none() && compare.is_none() && profiles.is_empty() {
-        eprintln!("error: nothing to do — pass --stats, --flight-dir, --compare, and/or --profile");
-        usage();
-    }
-    if compare.is_some() && metric.is_none() {
-        eprintln!("error: --compare requires --metric <key>");
+    if stats.is_none() && flight_dir.is_none() && profiles.is_empty() {
+        eprintln!("error: nothing to do — pass --stats, --flight-dir, and/or --profile");
         usage();
     }
     Args {
         stats,
         flight_dir,
         expect_kinds,
-        compare,
-        metric,
-        warn_at,
         profiles,
     }
 }
@@ -235,39 +199,6 @@ fn check_flight(dir: &Path, expect_kinds: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Warn-only median comparison of one metric across two bench records.
-fn check_compare(a: &Path, b: &Path, metric: &str, warn_at: f64) -> Result<(), String> {
-    let rec_a = BenchRecord::read(a).map_err(|e| e.to_string())?;
-    let rec_b = BenchRecord::read(b).map_err(|e| e.to_string())?;
-    let median = |rec: &BenchRecord, path: &Path| {
-        rec.metrics
-            .get(metric)
-            .map(|m| m.median)
-            .ok_or_else(|| format!("{}: metric '{metric}' not found", path.display()))
-    };
-    let ma = median(&rec_a, a)?;
-    let mb = median(&rec_b, b)?;
-    if ma <= 0.0 {
-        println!("compare: baseline median for '{metric}' is {ma}; nothing to compare");
-        return Ok(());
-    }
-    let delta = (mb - ma) / ma;
-    if delta > warn_at {
-        println!(
-            "WARN: '{metric}' median {mb:.4} is {:.1}% over baseline {ma:.4} \
-             (threshold {:.1}%; warn-only)",
-            delta * 100.0,
-            warn_at * 100.0
-        );
-    } else {
-        println!(
-            "compare OK: '{metric}' median {mb:.4} vs baseline {ma:.4} ({:+.1}%)",
-            delta * 100.0
-        );
-    }
-    Ok(())
-}
-
 /// Schema-check one measured-profile file: valid JSON, the
 /// `tvmnp-profile` schema validator passes, and the file round-trips
 /// through the typed loader.
@@ -297,9 +228,6 @@ fn main() -> ExitCode {
     }
     if let Some(dir) = &args.flight_dir {
         checks.push(check_flight(dir, &args.expect_kinds));
-    }
-    if let (Some((a, b)), Some(metric)) = (&args.compare, &args.metric) {
-        checks.push(check_compare(a, b, metric, args.warn_at));
     }
     for path in &args.profiles {
         checks.push(check_profile(path));

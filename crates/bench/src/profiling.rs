@@ -39,7 +39,7 @@ use tvm_neuropilot::models::Model;
 use tvm_neuropilot::observe::{ObserveConfig, ObservePlane};
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::profile::{diff_profiles, DiffOptions, ProfileDiff};
-use tvmnp_telemetry::{profile_table, write_chrome_trace, ProfileOptions};
+use tvmnp_telemetry::{profile_table, write_chrome_trace};
 
 /// Parsed live-observability flags, shared by the bench binaries.
 #[derive(Debug, Clone, Default)]
@@ -470,12 +470,9 @@ impl TelemetryCli {
         tvmnp_telemetry::disable();
         let snap = tvmnp_telemetry::snapshot();
         if self.profile {
-            let opts = ProfileOptions {
-                span_name: Some(self.profile_span.to_string()),
-                total_us: (self.total_run_us > 0.0).then_some(self.total_run_us),
-            };
+            let total_us = (self.total_run_us > 0.0).then_some(self.total_run_us);
             println!("\n== per-op profile (simulated time) ==\n");
-            print!("{}", profile_table(&snap, &opts));
+            print!("{}", profile_table(&snap, self.profile_span, total_us));
         }
         if let Some(path) = &self.trace_out {
             if let Err(e) = write_chrome_trace(&snap, path) {

@@ -298,7 +298,7 @@ fn relay_build_inner(
     mode: TargetMode,
     cost: CostModel,
 ) -> Result<(CompiledModel, Option<Artifact>), BuildError> {
-    let _span = tvmnp_telemetry::span!("byoc.build", "mode" => mode);
+    let _span = tvmnp_telemetry::span!("byoc.build", "mode" => mode.to_string());
     let prepared = fold_constants(&simplify(module));
     let input_names = input_names_of(&prepared);
     match mode {
@@ -334,7 +334,7 @@ fn relay_build_inner(
             let mut modules_for_export: Vec<NeuronModule> = Vec::new();
             for name in partitioned.external_functions() {
                 let func = &partitioned.functions[name];
-                let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => name);
+                let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => name.to_string());
                 let module = NeuronModule::codegen(name, func, policy, cost.clone())
                     .map_err(BuildError::Neuron)?;
                 modules_for_export.push(module);

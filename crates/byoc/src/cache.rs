@@ -353,9 +353,9 @@ impl ArtifactCache {
                 tvmnp_telemetry::emit_event(
                     "cache.evict",
                     vec![
-                        ("key".to_string(), victim),
-                        ("bytes".to_string(), bytes.to_string()),
-                        ("reason".to_string(), "lru-budget".to_string()),
+                        ("key", victim.into()),
+                        ("bytes", bytes.into()),
+                        ("reason", "lru-budget".into()),
                     ],
                 );
             }

@@ -296,10 +296,10 @@ impl ResilientSession {
     }
 
     /// Record one fallback transition as telemetry: a counter, a
-    /// zero-width sim span carrying the structured cause, and — when an
-    /// event sink (flight recorder) is installed — a
-    /// `resilience.fallback` event with the from-permutation,
-    /// to-permutation, and cause stage/detail.
+    /// zero-width sim span carrying the structured cause (model,
+    /// from-permutation, to-permutation, cause stage/detail), and — when
+    /// an event sink (flight recorder) is installed — a
+    /// `resilience.fallback` event with the same fields.
     fn record_fallback(
         &mut self,
         model: &str,
@@ -313,30 +313,16 @@ impl ResilientSession {
             &[("from", from.label()), ("to", to_label)],
             1,
         );
-        tvmnp_telemetry::record_sim_span(
-            "resilience.fallback",
-            self.event_seq as f64,
-            0.0,
-            vec![
-                ("model".into(), model.into()),
-                ("from".into(), from.label().into()),
-                ("to".into(), to_label.into()),
-                ("cause".into(), cause.stage.into()),
-                ("detail".into(), cause.detail.clone()),
-            ],
-        );
-        if tvmnp_telemetry::sink_active() {
-            tvmnp_telemetry::emit_event(
-                "resilience.fallback",
-                vec![
-                    ("model".to_string(), model.to_string()),
-                    ("from".to_string(), from.label().to_string()),
-                    ("to".to_string(), to_label.to_string()),
-                    ("cause".to_string(), cause.stage.to_string()),
-                    ("detail".to_string(), cause.detail.clone()),
-                ],
-            );
-        }
+        let fields: tvmnp_telemetry::Fields = vec![
+            ("model", model.to_string().into()),
+            ("from", from.label().into()),
+            ("to", to_label.into()),
+            ("cause", cause.stage.into()),
+            ("detail", cause.detail.clone().into()),
+        ];
+        let ts_us = self.event_seq as f64;
+        tvmnp_telemetry::record_sim_span("resilience.fallback", ts_us, 0.0, fields.clone());
+        tvmnp_telemetry::emit_event("resilience.fallback", fields);
         self.event_seq += 1;
     }
 
@@ -373,12 +359,12 @@ impl ResilientSession {
                     tvmnp_telemetry::emit_event(
                         "fault.injected",
                         vec![
-                            ("stage".to_string(), "compile".to_string()),
-                            ("device".to_string(), fault.device.name().to_string()),
+                            ("stage", "compile".into()),
+                            ("device", fault.device.name().into()),
                             // `detail` (unindexed), not `cause`: the
                             // description is free text and must not mint
                             // a counter key per distinct fault.
-                            ("detail".to_string(), fault.description.clone()),
+                            ("detail", fault.description.clone().into()),
                         ],
                     );
                 }
@@ -468,14 +454,8 @@ impl ResilientSession {
             tvmnp_telemetry::emit_event(
                 "resilience.exhausted",
                 vec![
-                    ("model".to_string(), model.to_string()),
-                    (
-                        "cause".to_string(),
-                        causes
-                            .last()
-                            .map(|c| c.stage.to_string())
-                            .unwrap_or_else(|| "unknown".to_string()),
-                    ),
+                    ("model", model.to_string().into()),
+                    ("cause", causes.last().map_or("unknown", |c| c.stage).into()),
                 ],
             );
         }

@@ -46,8 +46,8 @@
 //! | [`models`] | showcase models + the Table 1 zoo |
 //! | [`vision`] | synthetic video, detectors, the Fig. 1 application |
 //! | [`serving`] | concurrent multi-frame session pool + its simulated-time throughput |
-//! | [`telemetry`] | spans, metrics, profile/Chrome-trace exporters |
-//! | [`observe`] | live observability: trace trees, quantile sketches, flight recorder |
+//! | [`telemetry`] | the one event model: typed record, labelled registry + quantile sketch, profile/Chrome-trace exporters |
+//! | [`observe`] | live observability over it: plane, flight recorder, trace trees, tail attribution |
 //! | [`profile`] | measured-profile store, differential attribution, calibrated cost models |
 
 pub use tvmnp_byoc as byoc;

@@ -69,6 +69,24 @@ pub enum KernelClass {
     VendorTuned,
 }
 
+impl KernelClass {
+    /// Stable snake-case name: the `class` field of executor spans and
+    /// the third component of a profile cell key.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelClass::TvmUntuned => "tvm_untuned",
+            KernelClass::VendorTuned => "vendor_tuned",
+        }
+    }
+
+    /// Parse a class from its [`KernelClass::name`].
+    pub fn parse(s: &str) -> Option<KernelClass> {
+        [KernelClass::TvmUntuned, KernelClass::VendorTuned]
+            .into_iter()
+            .find(|c| c.name() == s)
+    }
+}
+
 /// Performance specification of one device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSpec {

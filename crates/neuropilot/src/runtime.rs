@@ -167,9 +167,9 @@ impl CompiledNetwork {
                             extra_us,
                             wasted,
                             vec![
-                                ("device".into(), seg.device.name().into()),
-                                ("attempt".into(), attempt.to_string()),
-                                ("cause".into(), fault.description),
+                                ("device", seg.device.name().into()),
+                                ("attempt", attempt.into()),
+                                ("cause", fault.description.into()),
                             ],
                         );
                         tvmnp_telemetry::counter_add(

@@ -1,8 +1,8 @@
 //! Fault-triggered flight recorder: a fixed-size ring of recent
-//! structured events, dumped as a self-contained JSON document when
+//! [`Record`]s, dumped as a self-contained JSON document when
 //! something goes wrong.
 //!
-//! The ring continuously absorbs events (span ends, faults, retries,
+//! The ring continuously absorbs records (span ends, faults, retries,
 //! fallback transitions, cache evictions, frame drops) at O(1) per
 //! event; nothing is written anywhere until a *trigger* fires — fault
 //! exhaustion, an SLO breach, or a worker panic — at which point the
@@ -15,38 +15,43 @@ use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::collections::VecDeque;
 use std::path::PathBuf;
+use tvmnp_telemetry::{Record, TimeDomain};
 
-/// One ring entry: a structured event with a process-monotonic sequence
-/// number as its logical timestamp.
-#[derive(Debug, Clone)]
-pub struct FlightEvent {
-    /// Monotonic logical timestamp (1-based, per recorder).
-    pub seq: u64,
-    /// Dotted event kind, e.g. `fault.injected` or `resilience.fallback`.
-    pub kind: String,
-    /// Key/value payload.
-    pub fields: Vec<(String, String)>,
-}
-
-impl FlightEvent {
-    /// The field's value, if present.
-    pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+/// Dump `kind` of a record: a span end is `span.end`, an event is its
+/// own name.
+pub fn kind(record: &Record) -> &'static str {
+    match record.interval {
+        Some(_) => "span.end",
+        None => record.name,
     }
 }
 
+/// Dump fields of a record as `(key, text)`: a span end leads with its
+/// `name`, simulated `ts_us` (a wall-clock start is not reproducible and
+/// is left out) and `dur_us`; the record's own fields follow.
+pub fn fields(record: &Record) -> Vec<(&'static str, String)> {
+    let mut out = Vec::with_capacity(record.fields.len() + 3);
+    if let Some(interval) = record.interval {
+        out.push(("name", record.name.to_string()));
+        if interval.clock == TimeDomain::Sim {
+            out.push(("ts_us", format!("{:.3}", interval.ts_us)));
+        }
+        out.push(("dur_us", format!("{:.3}", interval.dur_us)));
+    }
+    out.extend(record.fields.iter().map(|(k, v)| (*k, v.to_string())));
+    out
+}
+
 struct Ring {
-    events: VecDeque<FlightEvent>,
+    /// `(seq, record)`: `seq` is a process-monotonic sequence number,
+    /// the record's logical timestamp (1-based, per recorder).
+    events: VecDeque<(u64, Record)>,
     next_seq: u64,
     /// Events evicted from the ring since the start of the run.
     dropped: u64,
     /// Logical timestamp of the last dump (dedupes trigger storms: a
     /// second trigger with no new events writes nothing).
     last_dump_seq: u64,
-    dumps: u64,
 }
 
 /// Fixed-capacity recorder of recent events. See the module docs.
@@ -71,20 +76,13 @@ impl FlightRecorder {
                 next_seq: 1,
                 dropped: 0,
                 last_dump_seq: 0,
-                dumps: 0,
             }),
             out_dir,
         }
     }
 
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Record one event, evicting the oldest when full. Returns the
-    /// event's logical timestamp.
-    pub fn record(&self, kind: &str, fields: Vec<(String, String)>) -> u64 {
+    /// Store one record, evicting the oldest when full.
+    pub fn record(&self, record: Record) {
         let mut ring = self.ring.lock();
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -92,22 +90,12 @@ impl FlightRecorder {
             ring.events.pop_front();
             ring.dropped += 1;
         }
-        ring.events.push_back(FlightEvent {
-            seq,
-            kind: kind.to_string(),
-            fields,
-        });
-        seq
+        ring.events.push_back((seq, record));
     }
 
-    /// Copy of the current window, oldest first.
-    pub fn window(&self) -> Vec<FlightEvent> {
+    /// Copy of the current window as `(seq, record)`, oldest first.
+    pub fn window(&self) -> Vec<(u64, Record)> {
         self.ring.lock().events.iter().cloned().collect()
-    }
-
-    /// Number of dumps produced so far.
-    pub fn dumps(&self) -> u64 {
-        self.ring.lock().dumps
     }
 
     /// Serialize the current window as a self-contained dump document.
@@ -118,13 +106,12 @@ impl FlightRecorder {
         let events: Vec<Value> = ring
             .events
             .iter()
-            .map(|e| {
-                let fields: Vec<Value> = e
-                    .fields
+            .map(|(seq, record)| {
+                let fields: Vec<Value> = fields(record)
                     .iter()
                     .map(|(k, v)| json!({ "key": k, "value": v }))
                     .collect();
-                json!({ "fields": fields, "kind": e.kind, "seq": e.seq })
+                json!({ "fields": fields, "kind": kind(record), "seq": *seq })
             })
             .collect();
         json!({
@@ -135,8 +122,8 @@ impl FlightRecorder {
             "schema": "tvmnp.flight.v1",
             "window": json!({
                 "dropped_before_window": ring.dropped,
-                "first_seq": ring.events.front().map(|e| e.seq).unwrap_or(0),
-                "last_seq": ring.events.back().map(|e| e.seq).unwrap_or(0),
+                "first_seq": ring.events.front().map(|e| e.0).unwrap_or(0),
+                "last_seq": ring.events.back().map(|e| e.0).unwrap_or(0),
             })
         })
     }
@@ -151,12 +138,11 @@ impl FlightRecorder {
         };
         let last_seq = {
             let mut ring = self.ring.lock();
-            let last = ring.events.back().map(|e| e.seq).unwrap_or(0);
+            let last = ring.events.back().map(|e| e.0).unwrap_or(0);
             if last == 0 || last == ring.last_dump_seq {
                 return Ok(None);
             }
             ring.last_dump_seq = last;
-            ring.dumps += 1;
             last
         };
         let doc = self.dump_value(reason, context);
@@ -219,40 +205,37 @@ pub fn validate_dump(doc: &Value) -> Option<String> {
 mod tests {
     use super::*;
 
-    fn fields(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
+    fn event(name: &'static str, fields: &[(&'static str, &'static str)]) -> Record {
+        Record::event(name, fields.iter().map(|&(k, v)| (k, v.into())).collect())
     }
 
     #[test]
     fn ring_is_bounded_and_ordered() {
         let rec = FlightRecorder::new(8, None);
         for i in 0..20 {
-            rec.record("span.end", fields(&[("i", &i.to_string())]));
+            rec.record(Record::event("tick", vec![("i", (i as u64).into())]));
         }
         let window = rec.window();
         assert_eq!(window.len(), 8);
-        assert_eq!(window[0].seq, 13, "oldest events evicted");
-        assert_eq!(window[7].seq, 20);
+        assert_eq!(window[0].0, 13, "oldest events evicted");
+        assert_eq!(window[7].0, 20);
         for pair in window.windows(2) {
-            assert!(pair[0].seq < pair[1].seq);
+            assert!(pair[0].0 < pair[1].0);
         }
     }
 
     #[test]
     fn dump_document_is_valid_and_self_contained() {
         let rec = FlightRecorder::new(16, None);
-        rec.record("fault.injected", fields(&[("device", "apu")]));
-        rec.record(
+        rec.record(event("fault.injected", &[("device", "apu")]));
+        rec.record(event(
             "resilience.fallback",
-            fields(&[
+            &[
                 ("from", "np-apu"),
                 ("to", "np-cpu-apu"),
                 ("cause", "device lost"),
-            ]),
-        );
+            ],
+        ));
         let doc = rec.dump_value("fault-exhaustion", json!({ "frames": 4 }));
         assert_eq!(validate_dump(&doc), None, "{doc}");
         assert_eq!(doc["reason"].as_str(), Some("fault-exhaustion"));
@@ -267,6 +250,34 @@ mod tests {
     }
 
     #[test]
+    fn span_ends_dump_as_span_end_with_interval_fields_first() {
+        use tvmnp_telemetry::{Field, Interval};
+        let span = |clock| Record {
+            name: "resilience.retry",
+            interval: Some(Interval {
+                ts_us: 257.5321,
+                dur_us: 80.0,
+                clock,
+                tid: 0,
+            }),
+            fields: vec![("attempt", Field::U64(1)), ("slo_us", Field::F64(0.5, 3))],
+        };
+        let sim = span(TimeDomain::Sim);
+        assert_eq!(kind(&sim), "span.end");
+        let text: Vec<String> = fields(&sim)
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        assert_eq!(
+            text.join(","),
+            "name=resilience.retry,ts_us=257.532,dur_us=80.000,attempt=1,slo_us=0.500"
+        );
+        let wall = fields(&span(TimeDomain::Wall));
+        assert_eq!(wall[1].0, "dur_us", "wall-clock start is left out");
+        assert_eq!(kind(&event("cache.evict", &[])), "cache.evict");
+    }
+
+    #[test]
     fn dump_writes_file_and_dedupes_triggers() {
         let dir = std::env::temp_dir().join("tvmnp-flight-test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -277,7 +288,7 @@ mod tests {
             "empty ring"
         );
 
-        rec.record("slo.breach", fields(&[("frame", "7")]));
+        rec.record(event("slo.breach", &[("frame", "7")]));
         let path = rec
             .dump("slo-breach", json!({}))
             .unwrap()
@@ -288,10 +299,12 @@ mod tests {
 
         // Same window, second trigger: no new file.
         assert_eq!(rec.dump("slo-breach", json!({})).unwrap(), None);
-        assert_eq!(rec.dumps(), 1);
-        rec.record("slo.breach", fields(&[("frame", "8")]));
-        assert!(rec.dump("slo-breach", json!({})).unwrap().is_some());
-        assert_eq!(rec.dumps(), 2);
+        rec.record(event("slo.breach", &[("frame", "8")]));
+        let second = rec
+            .dump("slo-breach", json!({}))
+            .unwrap()
+            .expect("new events dump again");
+        assert!(second.ends_with("flight-2.json"), "{second:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,7 @@
 //! `tvmnp-observe` — live request-level observability plane.
 //!
-//! Four pieces, built for the serving path of the TVM + NeuroPilot
+//! Three pieces over `tvmnp-telemetry`'s record and registry, built for
+//! the serving path of the TVM + NeuroPilot
 //! reproduction (the paper's showcases are judged on end-to-end pipeline
 //! latency, so this is where "what is p99 right now, and why" must be
 //! answerable *while* the `SessionPool` is serving):
@@ -8,32 +9,29 @@
 //! * **Causal traces** — [`trace_tree`] reassembles per-frame span trees
 //!   from the trace-stamped spans `tvmnp_telemetry::trace` records
 //!   through workers, resilient re-dispatch, and executor nodes.
-//! * **Streaming aggregation** — [`sketch`] (mergeable GK quantile
-//!   sketches) behind the lock-sharded [`registry::StatsRegistry`]:
-//!   live per-{model, device, stage} p50/p95/p99, queue-wait vs compute
-//!   split, cache/retry/fallback rates, via [`StatsRegistry::snapshot`]
-//!   and a periodic JSONL stats stream.
-//! * **Flight recorder** — [`flight`]: a fixed ring of recent structured
-//!   events dumped as self-contained `flight-<seq>.json` on fault
-//!   exhaustion, SLO breach, or worker panic.
+//! * **Flight recorder** — [`flight`]: a fixed ring of recent records
+//!   dumped as self-contained `flight-<seq>.json` on fault exhaustion,
+//!   SLO breach, or worker panic.
 //! * **Tail attribution** — [`tail`]: names the top contributors
 //!   (stage, device, wait-reason) to each pipeline's p99.
 //!
-//! [`ObservePlane`] bundles them and plugs into telemetry as the
-//! process-global [`tvmnp_telemetry::EventSink`]; everything stays on
-//! the one-atomic-load fast path until a plane is installed.
+//! [`ObservePlane`] bundles them with its own [`StatsRegistry`] — live
+//! per-{model, device, stage} p50/p95/p99 ([`QuantileSketch`] series),
+//! queue-wait vs compute split, cache/retry/fallback rates, via
+//! [`StatsRegistry::snapshot`] and a periodic JSONL stats stream — and
+//! plugs into telemetry as the process-global
+//! [`tvmnp_telemetry::EventSink`]; everything stays on the
+//! one-atomic-load fast path until a plane is installed.
 
 pub mod flight;
-pub mod registry;
-pub mod sketch;
 pub mod tail;
 pub mod trace_tree;
 
-pub use flight::{validate_dump, FlightEvent, FlightRecorder};
-pub use registry::{SeriesKey, SeriesStats, StatsRegistry, StatsSnapshot};
-pub use sketch::QuantileSketch;
+pub use flight::{validate_dump, FlightRecorder};
 pub use tail::{attribute, TailAttribution, TailContributor};
 pub use trace_tree::{assemble, SpanNode, TraceTree};
+pub use tvmnp_telemetry::registry::{SeriesKey, SeriesStats, StatsRegistry, StatsSnapshot};
+pub use tvmnp_telemetry::sketch::QuantileSketch;
 
 use parking_lot::Mutex;
 use serde_json::json;
@@ -41,6 +39,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tvmnp_telemetry::{Field, Record};
 
 /// Configuration for an [`ObservePlane`].
 #[derive(Debug, Clone)]
@@ -58,8 +57,6 @@ pub struct ObserveConfig {
     /// Emit a stats line every N observed frames (plus one final line
     /// from [`ObservePlane::finish`]).
     pub stats_every: u64,
-    /// Rank error of the quantile sketches.
-    pub epsilon: f64,
 }
 
 impl Default for ObserveConfig {
@@ -70,7 +67,6 @@ impl Default for ObserveConfig {
             flight_dir: None,
             stats_path: None,
             stats_every: 32,
-            epsilon: sketch::DEFAULT_EPSILON,
         }
     }
 }
@@ -115,7 +111,7 @@ impl ObservePlane {
             None => None,
         };
         Ok(ObservePlane {
-            registry: StatsRegistry::new(config.epsilon),
+            registry: StatsRegistry::new(),
             flight: FlightRecorder::new(config.flight_capacity, config.flight_dir.clone()),
             config,
             stream: Mutex::new(stream),
@@ -133,11 +129,6 @@ impl ObservePlane {
     /// Remove the process-global event sink (whichever plane owns it).
     pub fn uninstall() {
         tvmnp_telemetry::clear_event_sink();
-    }
-
-    /// The configured per-frame SLO, if any.
-    pub fn slo_us(&self) -> Option<f64> {
-        self.config.slo_us
     }
 
     /// Frames observed so far via [`ObservePlane::frame_done`].
@@ -164,15 +155,15 @@ impl ObservePlane {
             if latency_us > slo {
                 self.registry
                     .counter_add("slo.breach", &[("pipeline", pipeline)], 1);
-                self.flight.record(
+                self.flight.record(Record::event(
                     "slo.breach",
                     vec![
-                        ("pipeline".to_string(), pipeline.to_string()),
-                        ("frame".to_string(), frame_index.to_string()),
-                        ("latency_us".to_string(), format!("{latency_us:.3}")),
-                        ("slo_us".to_string(), format!("{slo:.3}")),
+                        ("pipeline", pipeline.to_string().into()),
+                        ("frame", frame_index.into()),
+                        ("latency_us", Field::F64(latency_us, 3)),
+                        ("slo_us", Field::F64(slo, 3)),
                     ],
-                );
+                ));
                 self.trigger_dump("slo-breach");
             }
         }
@@ -184,13 +175,13 @@ impl ObservePlane {
 
     /// Note a worker panic: records it and dumps the flight window.
     pub fn worker_panic(&self, frame_index: usize, detail: &str) {
-        self.flight.record(
+        self.flight.record(Record::event(
             "worker.panic",
             vec![
-                ("frame".to_string(), frame_index.to_string()),
-                ("detail".to_string(), detail.to_string()),
+                ("frame", frame_index.into()),
+                ("detail", detail.to_string().into()),
             ],
-        );
+        ));
         self.registry.counter_add("worker.panic", &[], 1);
         self.trigger_dump("worker-panic");
     }
@@ -234,20 +225,19 @@ impl ObservePlane {
 }
 
 impl tvmnp_telemetry::EventSink for ObservePlane {
-    fn event(&self, kind: &str, fields: &[(String, String)]) {
-        self.flight.record(kind, fields.to_vec());
+    fn record(&self, record: &Record) {
+        self.flight.record(record.clone());
         // Mirror discrete events (not chatty span ends) into counters so
         // retry/fallback/eviction *rates* show up in snapshots.
-        if kind != "span.end" {
-            let labels: Vec<(&str, &str)> = fields
+        if record.interval.is_none() {
+            let labels: Vec<(&str, &str)> = COUNTER_LABELS
                 .iter()
-                .filter(|(k, _)| COUNTER_LABELS.contains(&k.as_str()))
-                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .filter_map(|k| Some((*k, record.str(k)?)))
                 .collect();
-            self.registry.counter_add(kind, &labels, 1);
+            self.registry.counter_add(record.name, &labels, 1);
         }
-        if DUMP_TRIGGERS.contains(&kind) {
-            self.trigger_dump(kind);
+        if DUMP_TRIGGERS.contains(&record.name) {
+            self.trigger_dump(record.name);
         }
     }
 }
@@ -256,11 +246,8 @@ impl tvmnp_telemetry::EventSink for ObservePlane {
 mod tests {
     use super::*;
 
-    fn fields(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
+    fn event(name: &'static str, fields: &[(&'static str, Field)]) -> Record {
+        Record::event(name, fields.to_vec())
     }
 
     #[test]
@@ -306,12 +293,27 @@ mod tests {
         })
         .unwrap();
 
-        plane.event(
+        plane.record(&event(
             "resilience.fallback",
-            &fields(&[("from", "np-apu"), ("to", "np-cpu-apu"), ("trace", "7")]),
-        );
-        plane.event("span.end", &fields(&[("name", "serve.frame")]));
-        plane.event("resilience.exhausted", &fields(&[("model", "emotion")]));
+            &[
+                ("from", "np-apu".into()),
+                ("to", "np-cpu-apu".into()),
+                ("trace", 7u64.into()),
+            ],
+        ));
+        plane.record(&Record {
+            interval: Some(tvmnp_telemetry::Interval {
+                ts_us: 0.0,
+                dur_us: 1.0,
+                clock: tvmnp_telemetry::TimeDomain::Sim,
+                tid: 0,
+            }),
+            ..event("serve.frame", &[("device", "apu".into())])
+        });
+        plane.record(&event(
+            "resilience.exhausted",
+            &[("model", "emotion".into())],
+        ));
 
         let snap = plane.snapshot();
         assert_eq!(
@@ -322,7 +324,11 @@ mod tests {
             1,
             "trace label must not leak into counters"
         );
-        assert_eq!(snap.counter_total("span.end"), 0, "span ends not counted");
+        assert_eq!(
+            snap.counter_total("serve.frame"),
+            0,
+            "span ends not counted"
+        );
         assert_eq!(plane.dump_paths().len(), 1, "exhaustion dumped");
         let window = plane.flight.window();
         assert_eq!(window.len(), 3, "span ends still land in the ring");

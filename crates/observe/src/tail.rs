@@ -7,9 +7,9 @@
 //! (kind, name, device) and ranked, extending `tvmnp-report`'s offline
 //! critical-path analysis to live serving.
 
-use crate::registry::StatsSnapshot;
-use crate::trace_tree::{arg, TraceTree};
+use crate::trace_tree::TraceTree;
 use std::collections::BTreeMap;
+use tvmnp_telemetry::StatsSnapshot;
 
 /// One ranked contributor to tail latency.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +60,8 @@ pub fn attribute(
     for tree in trees {
         let Some(root) = tree.root() else { continue };
         if root.event.name != "serve.frame"
-            || arg(&root.event, "pipeline") != Some(pipeline)
-            || root.event.dur_us + 1e-9 < p99_us
+            || root.event.str("pipeline") != Some(pipeline)
+            || root.event.dur_us() + 1e-9 < p99_us
         {
             continue;
         }
@@ -69,26 +69,21 @@ pub fn attribute(
         let mut seen: std::collections::BTreeSet<(String, String, String)> =
             std::collections::BTreeSet::new();
         for node in &tree.nodes {
-            let key = match node.event.name.as_str() {
-                "serve.stage" => (
-                    "stage".to_string(),
-                    arg(&node.event, "stage").unwrap_or("?").to_string(),
-                    arg(&node.event, "device").unwrap_or("-").to_string(),
-                ),
-                "serve.wait" => (
-                    "wait".to_string(),
-                    arg(&node.event, "reason").unwrap_or("?").to_string(),
-                    arg(&node.event, "device").unwrap_or("-").to_string(),
-                ),
-                "resilience.retry" => (
-                    "retry".to_string(),
-                    arg(&node.event, "cause").unwrap_or("retry").to_string(),
-                    arg(&node.event, "device").unwrap_or("-").to_string(),
-                ),
+            // (contributor kind, field naming it, name when the field is absent)
+            let (kind, name_key, unnamed) = match node.event.name {
+                "serve.stage" => ("stage", "stage", "?"),
+                "serve.wait" => ("wait", "reason", "?"),
+                "resilience.retry" => ("retry", "cause", "retry"),
                 _ => continue,
             };
+            let field = |key, default: &str| node.event.str(key).unwrap_or(default).to_string();
+            let key = (
+                kind.to_string(),
+                field(name_key, unnamed),
+                field("device", "-"),
+            );
             let entry = agg.entry(key.clone()).or_insert((0.0, 0));
-            entry.0 += node.event.dur_us;
+            entry.0 += node.event.dur_us();
             if seen.insert(key) {
                 entry.1 += 1;
             }
@@ -153,31 +148,32 @@ impl TailAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::StatsRegistry;
     use crate::trace_tree::assemble;
-    use tvmnp_telemetry::{Snapshot, SpanEvent, TimeDomain};
+    use tvmnp_telemetry::{Fields, Interval, Record, Snapshot, StatsRegistry, TimeDomain};
 
     fn span(
-        name: &str,
+        name: &'static str,
         trace: u64,
         id: u64,
         parent: u64,
         dur: f64,
-        extra: &[(&str, &str)],
-    ) -> SpanEvent {
-        let mut args = vec![
-            ("trace".to_string(), trace.to_string()),
-            ("span".to_string(), id.to_string()),
-            ("parent".to_string(), parent.to_string()),
+        extra: &[(&'static str, &'static str)],
+    ) -> Record {
+        let mut fields: Fields = vec![
+            ("trace", trace.into()),
+            ("span", id.into()),
+            ("parent", parent.into()),
         ];
-        args.extend(extra.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-        SpanEvent {
-            name: name.to_string(),
-            ts_us: 0.0,
-            dur_us: dur,
-            tid: 0,
-            domain: TimeDomain::Sim,
-            args,
+        fields.extend(extra.iter().map(|&(k, v)| (k, v.into())));
+        Record {
+            name,
+            interval: Some(Interval {
+                ts_us: 0.0,
+                dur_us: dur,
+                clock: TimeDomain::Sim,
+                tid: 0,
+            }),
+            fields,
         }
     }
 
@@ -223,7 +219,7 @@ mod tests {
         ];
         let trees = assemble(&Snapshot {
             events,
-            metrics: Vec::new(),
+            metrics: Default::default(),
         });
 
         let tail = attribute(&reg.snapshot(), &trees, "showcase").expect("attribution");

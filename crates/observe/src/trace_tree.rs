@@ -1,19 +1,19 @@
 //! Reassemble causal span trees from a telemetry snapshot.
 //!
 //! Spans recorded under a trace context carry `trace`/`span`/`parent`
-//! attributes (see `tvmnp_telemetry::trace`); this module groups a
+//! id fields (see `tvmnp_telemetry::trace`); this module groups a
 //! snapshot's spans by trace id and rebuilds each request's tree —
 //! frame root, stage summaries, executor nodes, retries, and fallback
 //! re-dispatches — no matter how the spans of concurrent requests
 //! interleaved in the collector.
 
-use tvmnp_telemetry::{Snapshot, SpanEvent};
+use tvmnp_telemetry::{Record, Snapshot};
 
 /// One span in a reassembled tree.
 #[derive(Debug, Clone)]
 pub struct SpanNode {
-    /// The recorded span (name, timestamps, attributes).
-    pub event: SpanEvent,
+    /// The recorded span (name, interval, fields).
+    pub event: Record,
     /// This span's id.
     pub span_id: u64,
     /// Parent span id (`0` = root of the trace).
@@ -42,11 +42,6 @@ impl TraceTree {
         self.nodes.iter().filter(move |n| n.event.name == name)
     }
 
-    /// Sum of durations of spans with this name.
-    pub fn total_us(&self, name: &str) -> f64 {
-        self.named(name).map(|n| n.event.dur_us).sum()
-    }
-
     /// The single root node, when the tree is complete.
     pub fn root(&self) -> Option<&SpanNode> {
         match self.roots.as_slice() {
@@ -54,36 +49,18 @@ impl TraceTree {
             _ => None,
         }
     }
-
-    /// Attribute value of the root span, if any.
-    pub fn root_arg(&self, key: &str) -> Option<&str> {
-        self.root().and_then(|r| arg(&r.event, key))
-    }
-}
-
-/// Attribute lookup on a span event.
-pub fn arg<'e>(event: &'e SpanEvent, key: &str) -> Option<&'e str> {
-    event
-        .args
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
-
-fn arg_u64(event: &SpanEvent, key: &str) -> Option<u64> {
-    arg(event, key).and_then(|v| v.parse().ok())
 }
 
 /// Group every trace-stamped span in the snapshot into trees, sorted by
-/// trace id. Spans without trace attributes are ignored.
+/// trace id. Spans without trace ids are ignored.
 pub fn assemble(snapshot: &Snapshot) -> Vec<TraceTree> {
     use std::collections::BTreeMap;
     let mut by_trace: BTreeMap<u64, Vec<SpanNode>> = BTreeMap::new();
     for event in &snapshot.events {
-        let (Some(trace), Some(span_id)) = (arg_u64(event, "trace"), arg_u64(event, "span")) else {
+        let (Some(trace), Some(span_id)) = (event.u64("trace"), event.u64("span")) else {
             continue;
         };
-        let parent_id = arg_u64(event, "parent").unwrap_or(0);
+        let parent_id = event.u64("parent").unwrap_or(0);
         by_trace.entry(trace).or_default().push(SpanNode {
             event: event.clone(),
             span_id,
@@ -102,23 +79,13 @@ pub fn assemble(snapshot: &Snapshot) -> Vec<TraceTree> {
                 .collect();
             let mut roots = Vec::new();
             let mut orphans = 0usize;
-            let edges: Vec<(usize, Option<usize>)> = nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| {
-                    if n.parent_id == 0 {
-                        (i, None)
-                    } else {
-                        (i, index.get(&n.parent_id).copied())
-                    }
-                })
-                .collect();
-            for (child, parent) in edges {
-                match parent {
-                    Some(p) if p != child => nodes[p].children.push(child),
-                    Some(_) => orphans += 1, // self-parent: malformed
-                    None if nodes[child].parent_id == 0 => roots.push(child),
-                    None => orphans += 1, // parent span missing from trace
+            for child in 0..nodes.len() {
+                let parent_id = nodes[child].parent_id;
+                match index.get(&parent_id) {
+                    _ if parent_id == 0 => roots.push(child),
+                    Some(&parent) if parent != child => nodes[parent].children.push(child),
+                    // Parent span missing from the trace, or self-parent.
+                    _ => orphans += 1,
                 }
             }
             let complete = roots.len() == 1 && orphans == 0 && !nodes.is_empty();
@@ -135,27 +102,29 @@ pub fn assemble(snapshot: &Snapshot) -> Vec<TraceTree> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvmnp_telemetry::{SpanEvent, TimeDomain};
+    use tvmnp_telemetry::{Interval, TimeDomain};
 
-    fn span(name: &str, trace: u64, id: u64, parent: u64, dur: f64) -> SpanEvent {
-        SpanEvent {
-            name: name.to_string(),
-            ts_us: 0.0,
-            dur_us: dur,
-            tid: 0,
-            domain: TimeDomain::Sim,
-            args: vec![
-                ("trace".to_string(), trace.to_string()),
-                ("span".to_string(), id.to_string()),
-                ("parent".to_string(), parent.to_string()),
+    fn span(name: &'static str, trace: u64, id: u64, parent: u64, dur: f64) -> Record {
+        Record {
+            name,
+            interval: Some(Interval {
+                ts_us: 0.0,
+                dur_us: dur,
+                clock: TimeDomain::Sim,
+                tid: 0,
+            }),
+            fields: vec![
+                ("trace", trace.into()),
+                ("span", id.into()),
+                ("parent", parent.into()),
             ],
         }
     }
 
-    fn snapshot(events: Vec<SpanEvent>) -> Snapshot {
+    fn snapshot(events: Vec<Record>) -> Snapshot {
         Snapshot {
             events,
-            metrics: Vec::new(),
+            metrics: Default::default(),
         }
     }
 
@@ -177,7 +146,8 @@ mod tests {
         let t1 = &trees[0];
         assert_eq!(t1.trace_id, 1);
         assert_eq!(t1.root().unwrap().event.name, "serve.frame");
-        assert_eq!(t1.total_us("executor.node"), 100.0);
+        let node_us: f64 = t1.named("executor.node").map(|n| n.event.dur_us()).sum();
+        assert_eq!(node_us, 100.0);
         let t2 = &trees[1];
         let retry = t2.named("resilience.retry").next().unwrap();
         assert_eq!(retry.parent_id, 21, "retry nests under the node span");
@@ -206,7 +176,7 @@ mod tests {
     #[test]
     fn untraced_spans_are_ignored() {
         let mut plain = span("byoc.build", 1, 1, 0, 1.0);
-        plain.args.clear();
+        plain.fields.clear();
         let snap = snapshot(vec![plain]);
         assert!(assemble(&snap).is_empty());
     }

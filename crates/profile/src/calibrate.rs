@@ -188,6 +188,10 @@ mod tests {
     use crate::store::ProfileKey;
     use tvmnp_hwsim::WorkItem;
 
+    fn cell(key: &str) -> (WorkKind, DeviceKind, KernelClass) {
+        crate::store::parse_cell_key(key).unwrap()
+    }
+
     fn key() -> ProfileKey {
         ProfileKey {
             workload: "t".to_string(),
@@ -202,8 +206,8 @@ mod tests {
     fn skewed_profile() -> Profile {
         let mut p = Profile::new(key());
         for _ in 0..10 {
-            p.record("mac", "apu", "vendor_tuned", 200.0, 100.0, 9.0);
-            p.record("elementwise", "cpu", "tvm_untuned", 4.0, 4.0, 0.3);
+            p.record(cell("mac/apu/vendor_tuned"), 200.0, 100.0, 9.0);
+            p.record(cell("elementwise/cpu/tvm_untuned"), 4.0, 4.0, 0.3);
         }
         p
     }
@@ -249,7 +253,7 @@ mod tests {
     fn perfect_profile_fits_identity() {
         let mut p = Profile::new(key());
         for _ in 0..5 {
-            p.record("reduction", "gpu", "vendor_tuned", 7.0, 7.0, 0.5);
+            p.record(cell("reduction/gpu/vendor_tuned"), 7.0, 7.0, 0.5);
         }
         let cal = CalibratedCostModel::fit(&p, &CostModel::default());
         assert_eq!(cal.scale(DeviceKind::Gpu, WorkKind::Reduction), 1.0);

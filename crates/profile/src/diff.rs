@@ -176,6 +176,11 @@ pub fn diff_profiles(baseline: &Profile, current: &Profile, opts: &DiffOptions) 
 mod tests {
     use super::*;
     use crate::store::ProfileKey;
+    use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
+
+    fn cell(key: &str) -> (WorkKind, DeviceKind, KernelClass) {
+        crate::store::parse_cell_key(key).unwrap()
+    }
 
     fn key() -> ProfileKey {
         ProfileKey {
@@ -189,9 +194,9 @@ mod tests {
     fn profile(mac_us: f64) -> Profile {
         let mut p = Profile::new(key());
         for i in 0..20 {
-            p.record("mac", "apu", "vendor_tuned", mac_us + i as f64, 100.0, 9.0);
-            p.record("elementwise", "cpu", "tvm_untuned", 4.0, 4.0, 0.3);
-            p.record("data-movement", "cpu", "vendor_tuned", 1.5, 1.5, 0.1);
+            p.record(cell("mac/apu/vendor_tuned"), mac_us + i as f64, 100.0, 9.0);
+            p.record(cell("elementwise/cpu/tvm_untuned"), 4.0, 4.0, 0.3);
+            p.record(cell("data-movement/cpu/vendor_tuned"), 1.5, 1.5, 0.1);
         }
         p
     }
@@ -230,7 +235,7 @@ mod tests {
         let base = profile(100.0);
         let mut cur = profile(100.0);
         cur.cells.remove("elementwise/cpu/tvm_untuned");
-        cur.record("reduction", "gpu", "vendor_tuned", 2.0, 2.0, 0.1);
+        cur.record(cell("reduction/gpu/vendor_tuned"), 2.0, 2.0, 0.1);
         let d = diff_profiles(&base, &cur, &DiffOptions::default());
         assert_eq!(d.missing, vec!["elementwise/cpu/tvm_untuned".to_string()]);
         assert_eq!(d.added, vec!["reduction/gpu/vendor_tuned".to_string()]);
@@ -242,8 +247,8 @@ mod tests {
     fn low_count_cells_never_rank_significant() {
         let mut base = profile(100.0);
         let mut cur = profile(100.0);
-        base.record("reduction", "gpu", "vendor_tuned", 1.0, 1.0, 0.0);
-        cur.record("reduction", "gpu", "vendor_tuned", 50.0, 1.0, 0.0);
+        base.record(cell("reduction/gpu/vendor_tuned"), 1.0, 1.0, 0.0);
+        cur.record(cell("reduction/gpu/vendor_tuned"), 50.0, 1.0, 0.0);
         let d = diff_profiles(&base, &cur, &DiffOptions::default());
         let noisy = d
             .deltas

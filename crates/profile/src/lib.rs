@@ -11,8 +11,9 @@
 //!   permutation × quant config × SoC). Telemetry snapshots from any
 //!   detail-mode run ([`tvmnp_telemetry::set_detail`]) are binned into
 //!   per-(work kind, device, kernel class) cells, each holding a
-//!   mergeable [`tvmnp_observe::QuantileSketch`] of kernel latencies
-//!   plus exact µs / analytic-µs / µJ totals. Files are byte-
+//!   mergeable [`tvmnp_telemetry::QuantileSketch`] of kernel latencies
+//!   plus exact µs / analytic-µs / µJ totals — the `f64`s the cost
+//!   ledger holds, carried by typed span fields. Files are byte-
 //!   deterministic under a fixed seed.
 //! * **[`diff`]** — [`ProfileDiff`]: compares two profiles and
 //!   attributes latency/energy movement to specific cells with

@@ -6,9 +6,10 @@
 //! `mac/apu/vendor_tuned`) to latency/energy aggregates. Samples come
 //! from detail-mode executor spans — `executor.node` for host ops,
 //! `executor.kernel` for the internal kernels of external modules —
-//! which carry `kind`, `energy_uj`, and `analytic_us` args only while
+//! which carry `kind`, `energy_uj`, and `analytic_us` fields only while
 //! [`tvmnp_telemetry::set_detail`] is on. Aggregate external-node spans
-//! carry no `kind` and are skipped, so nothing is counted twice.
+//! carry no `kind` and are skipped, so nothing is counted twice. The
+//! energy and analytic time arrive as the `f64`s the cost ledger holds.
 //!
 //! Everything serializes to sorted-key JSON with exact float formatting:
 //! the same seeded run produces byte-identical profile files, which is
@@ -19,8 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
-use tvmnp_observe::QuantileSketch;
-use tvmnp_telemetry::Snapshot;
+use tvmnp_telemetry::{QuantileSketch, Snapshot};
 
 /// Version stamp written into every profile file.
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
@@ -132,19 +132,8 @@ pub fn parse_cell_key(key: &str) -> Option<(WorkKind, DeviceKind, KernelClass)> 
     let mut it = key.splitn(3, '/');
     let kind = WorkKind::parse(it.next()?)?;
     let device = DeviceKind::parse(it.next()?)?;
-    let class = match it.next()? {
-        "tvm_untuned" => KernelClass::TvmUntuned,
-        "vendor_tuned" => KernelClass::VendorTuned,
-        _ => return None,
-    };
+    let class = KernelClass::parse(it.next()?)?;
     Some((kind, device, class))
-}
-
-fn class_label(class: KernelClass) -> &'static str {
-    match class {
-        KernelClass::TvmUntuned => "tvm_untuned",
-        KernelClass::VendorTuned => "vendor_tuned",
-    }
 }
 
 /// A measured cost profile: per-cell latency/energy aggregates under one
@@ -166,19 +155,22 @@ impl Profile {
         }
     }
 
-    /// Record one kernel sample into its cell.
+    /// Record one kernel sample into its `kind/device/class` cell.
     pub fn record(
         &mut self,
-        kind: &str,
-        device: &str,
-        class: &str,
+        (kind, device, class): (WorkKind, DeviceKind, KernelClass),
         us: f64,
         analytic_us: f64,
         energy_uj: f64,
     ) {
         let cell = self
             .cells
-            .entry(format!("{kind}/{device}/{class}"))
+            .entry(format!(
+                "{}/{}/{}",
+                kind.name(),
+                device.name(),
+                class.name()
+            ))
             .or_insert_with(ProfileCell::new);
         cell.count += 1;
         cell.total_us += us;
@@ -187,52 +179,30 @@ impl Profile {
         cell.sketch.insert(us);
     }
 
-    /// Typed variant of [`Profile::record`].
-    pub fn record_typed(
-        &mut self,
-        kind: WorkKind,
-        device: DeviceKind,
-        class: KernelClass,
-        us: f64,
-        analytic_us: f64,
-        energy_uj: f64,
-    ) {
-        self.record(
-            kind.name(),
-            device.name(),
-            class_label(class),
-            us,
-            analytic_us,
-            energy_uj,
-        );
-    }
-
     /// Bin every profile-grade span of a telemetry snapshot into cells.
     /// Only sim spans named `executor.node` / `executor.kernel` that
-    /// carry a `kind` arg qualify — i.e. spans recorded in detail mode.
+    /// carry a `kind` field qualify — i.e. spans recorded in detail mode.
     /// Aggregate external-node spans (no `kind`) are skipped so their
     /// per-kernel children are not double-counted. Returns the number of
     /// samples ingested.
     pub fn ingest_snapshot(&mut self, snapshot: &Snapshot) -> usize {
         let mut ingested = 0;
-        for span in snapshot.sim_spans() {
+        for (span, interval) in snapshot.sim_spans() {
             if span.name != "executor.node" && span.name != "executor.kernel" {
                 continue;
             }
-            let arg = |key: &str| {
-                span.args
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.as_str())
+            let cell = (
+                span.str("kind").and_then(WorkKind::parse),
+                span.str("device").and_then(DeviceKind::parse),
+                span.str("class").and_then(KernelClass::parse),
+            );
+            let (Some(kind), Some(device), Some(class)) = cell else {
+                continue;
             };
-            let Some(kind) = arg("kind") else { continue };
-            let device = arg("device").unwrap_or("cpu").to_string();
-            let class = arg("class").unwrap_or("tvm_untuned").to_string();
-            let parse = |v: Option<&str>| v.and_then(|s| s.parse::<f64>().ok());
-            let energy_uj = parse(arg("energy_uj")).unwrap_or(0.0);
-            let analytic_us = parse(arg("analytic_us")).unwrap_or(span.dur_us);
-            let kind = kind.to_string();
-            self.record(&kind, &device, &class, span.dur_us, analytic_us, energy_uj);
+            let energy_uj = span.f64("energy_uj").unwrap_or(0.0);
+            let analytic_us = span.f64("analytic_us").unwrap_or(interval.dur_us);
+            let us = interval.dur_us;
+            self.record((kind, device, class), us, analytic_us, energy_uj);
             ingested += 1;
         }
         ingested
@@ -490,8 +460,9 @@ mod tests {
     fn sample_profile() -> Profile {
         let mut p = Profile::new(key());
         for i in 0..50 {
-            p.record("mac", "apu", "vendor_tuned", 100.0 + i as f64, 100.0, 7.5);
-            p.record("elementwise", "cpu", "tvm_untuned", 3.0, 3.0, 0.2);
+            let cell = |key| parse_cell_key(key).unwrap();
+            p.record(cell("mac/apu/vendor_tuned"), 100.0 + i as f64, 100.0, 7.5);
+            p.record(cell("elementwise/cpu/tvm_untuned"), 3.0, 3.0, 0.2);
         }
         p
     }
@@ -502,7 +473,7 @@ mod tests {
         for cell_key in p.cells.keys() {
             let (kind, device, class) = parse_cell_key(cell_key).expect("parses");
             assert_eq!(
-                format!("{}/{}/{}", kind.name(), device.name(), class_label(class)),
+                format!("{}/{}/{}", kind.name(), device.name(), class.name()),
                 *cell_key
             );
         }
@@ -530,6 +501,30 @@ mod tests {
         }
         assert!(validate_profile(&broken).is_some());
         assert!(Profile::from_json(&broken).is_err());
+    }
+
+    #[test]
+    fn hostile_sketch_counters_are_a_schema_violation_not_a_panic() {
+        // What `obs_check --profile` runs on a file from disk. The cell's
+        // second tuple claims a rank slack of u64::MAX: once accepted, the
+        // next quantile query overflowed (panic in debug, wrong answer in
+        // release).
+        let doc: Value = serde_json::from_str(
+            r#"{"cells":{"mac/apu/vendor_tuned":{"count":2,
+                "sketch":{"count":2,"entries":[[1.0,1,0],[2.0,1,18446744073709551615]],
+                          "epsilon":0.005,"max":2.0,"min":1.0,"sum":3.0},
+                "total_analytic_us":3.0,"total_energy_uj":1.0,"total_us":3.0}},
+               "key":{"permutation":"byoc-cpu-apu","quant":"f32","soc":"dimensity-800",
+                      "workload":"fig4"},
+               "schema_version":1}"#,
+        )
+        .unwrap();
+        let problem = validate_profile(&doc).expect("must be rejected");
+        assert!(
+            problem.contains("mac/apu/vendor_tuned") && problem.contains("entry 1 bad delta"),
+            "{problem}"
+        );
+        assert!(Profile::from_json(&doc).is_err());
     }
 
     #[test]

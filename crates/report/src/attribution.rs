@@ -53,20 +53,14 @@ fn rank(groups: BTreeMap<(String, String), (u64, f64)>, k: usize) -> Vec<OpCost>
 
 /// Top-`k` cost groups from the `span_name` sim spans of a snapshot
 /// (`k = 0` keeps every group). Spans are grouped by their `op` and
-/// `device` attributes.
+/// `device` fields.
 pub fn attribute_spans(snap: &Snapshot, span_name: &str, k: usize) -> Vec<OpCost> {
     let mut groups: BTreeMap<(String, String), (u64, f64)> = BTreeMap::new();
     for e in snap.spans_named(span_name) {
-        let get = |key: &str| {
-            e.args
-                .iter()
-                .find(|(a, _)| a == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| "?".to_string())
-        };
+        let get = |key: &str| e.str(key).unwrap_or("?").to_string();
         let entry = groups.entry((get("op"), get("device"))).or_insert((0, 0.0));
         entry.0 += 1;
-        entry.1 += e.dur_us;
+        entry.1 += e.dur_us();
     }
     rank(groups, k)
 }
@@ -182,7 +176,7 @@ mod tests {
                 "executor.node",
                 ts,
                 us,
-                vec![("op".into(), op.into()), ("device".into(), device.into())],
+                vec![("op", op.into()), ("device", device.into())],
             );
         }
         tvmnp_telemetry::disable();

@@ -118,7 +118,7 @@ mod tests {
                 "executor.node",
                 ts,
                 us,
-                vec![("op".into(), op.into()), ("device".into(), device.into())],
+                vec![("op", op.into()), ("device", device.into())],
             );
         }
         tvmnp_telemetry::disable();

@@ -2,7 +2,7 @@
 //! fault-injected runs (retries, fallbacks, breaker trips, dropped
 //! frames) into a table the bench binaries print next to the figures.
 //!
-//! The numbers come straight from the metrics registry plus the
+//! The numbers come straight from the collector's registry plus the
 //! simulated-time `resilience.retry` / `resilience.fallback` spans, so a
 //! run with fault injection disabled yields an all-zero report.
 
@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tvmnp_telemetry::{MetricValue, Snapshot};
+use tvmnp_telemetry::Snapshot;
 
 /// One observed degradation step, `from → to`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +24,7 @@ pub struct FallbackEdge {
 }
 
 /// One structured fallback transition, reconstructed from a
-/// `resilience.fallback` span's args — the event-level view (which model,
+/// `resilience.fallback` span's fields — the event-level view (which model,
 /// which cause stage, full detail) that the counter-level
 /// [`FallbackEdge`]s aggregate away.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,50 +76,48 @@ impl ResilienceReport {
     /// Aggregate a traced run's snapshot.
     pub fn from_snapshot(snap: &Snapshot) -> ResilienceReport {
         let mut report = ResilienceReport::default();
-        for (key, value) in &snap.metrics {
-            match (key.name.as_str(), value) {
-                ("resilience.retries", MetricValue::Counter(c)) => {
-                    let device = label(key, "device");
-                    *report.retries.entry(device).or_insert(0) += c;
+        for (key, c) in &snap.metrics.counters {
+            // One label off the counter's key (empty string when absent).
+            let label = |name| key.label(name).unwrap_or_default().to_string();
+            match key.name.as_str() {
+                "resilience.retries" => *report.retries.entry(label("device")).or_insert(0) += c,
+                "resilience.fallback" => report.fallbacks.push(FallbackEdge {
+                    from: label("from"),
+                    to: label("to"),
+                    count: *c,
+                }),
+                "resilience.breaker_trips" => {
+                    *report.breaker_trips.entry(label("device")).or_insert(0) += c;
                 }
-                ("resilience.fallback", MetricValue::Counter(c)) => {
-                    report.fallbacks.push(FallbackEdge {
-                        from: label(key, "from"),
-                        to: label(key, "to"),
-                        count: *c,
-                    });
+                "resilience.recovered" => report.recovered += c,
+                "resilience.failed" => report.failed += c,
+                "vision.frames_dropped" => {
+                    *report.frames_dropped.entry(label("stage")).or_insert(0) += c;
                 }
-                ("resilience.breaker_trips", MetricValue::Counter(c)) => {
-                    let device = label(key, "device");
-                    *report.breaker_trips.entry(device).or_insert(0) += c;
-                }
-                ("resilience.recovered", MetricValue::Counter(c)) => report.recovered += c,
-                ("resilience.failed", MetricValue::Counter(c)) => report.failed += c,
-                ("vision.frames_dropped", MetricValue::Counter(c)) => {
-                    let stage = label(key, "stage");
-                    *report.frames_dropped.entry(stage).or_insert(0) += c;
-                }
-                ("scheduler.frames_dropped", MetricValue::Counter(c)) => {
-                    report.sched_frames_dropped += c;
-                }
-                ("resilience.final_us", MetricValue::Gauge(v)) => {
-                    let key = format!("{} @ {}", label(key, "model"), label(key, "permutation"));
-                    report.final_us.insert(key, *v);
-                }
+                "scheduler.frames_dropped" => report.sched_frames_dropped += c,
                 _ => {}
             }
         }
+        for (key, v) in &snap.metrics.gauges {
+            if key.name == "resilience.final_us" {
+                let label = |name| key.label(name).unwrap_or_default();
+                let key = format!("{} @ {}", label("model"), label("permutation"));
+                report.final_us.insert(key, *v);
+            }
+        }
         for e in &snap.events {
-            match e.name.as_str() {
+            // One field off the span (empty string when absent).
+            let field = |name| e.str(name).unwrap_or_default().to_string();
+            match e.name {
                 "resilience.retry" => report.retry_spans += 1,
                 "resilience.fallback" => {
                     report.fallback_spans += 1;
                     report.transitions.push(FallbackTransition {
-                        model: arg(e, "model"),
-                        from: arg(e, "from"),
-                        to: arg(e, "to"),
-                        cause: arg(e, "cause"),
-                        detail: arg(e, "detail"),
+                        model: field("model"),
+                        from: field("from"),
+                        to: field("to"),
+                        cause: field("cause"),
+                        detail: field("detail"),
                     });
                 }
                 _ => {}
@@ -206,21 +204,6 @@ impl ResilienceReport {
     }
 }
 
-/// Read one label off a metric key (empty string when absent).
-fn label(key: &tvmnp_telemetry::MetricKey, name: &str) -> String {
-    key.labels.get(name).cloned().unwrap_or_default()
-}
-
-/// Read one arg off a span event (empty string when absent).
-fn arg(event: &tvmnp_telemetry::SpanEvent, name: &str) -> String {
-    event
-        .args
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.clone())
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -251,18 +234,18 @@ mod tests {
             "resilience.retry",
             0.0,
             40.0,
-            vec![("device".into(), "apu".into())],
+            vec![("device", "apu".into())],
         );
         tvmnp_telemetry::record_sim_span(
             "resilience.fallback",
             1.0,
             0.0,
             vec![
-                ("model".into(), "anti-spoofing".into()),
-                ("from".into(), "NP-only APU".into()),
-                ("to".into(), "BYOC CPU".into()),
-                ("cause".into(), "run".into()),
-                ("detail".into(), "transient dispatch fault on apu".into()),
+                ("model", "anti-spoofing".into()),
+                ("from", "NP-only APU".into()),
+                ("to", "BYOC CPU".into()),
+                ("cause", "run".into()),
+                ("detail", "transient dispatch fault on apu".into()),
             ],
         );
         tvmnp_telemetry::disable();

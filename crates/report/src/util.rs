@@ -172,19 +172,19 @@ pub fn utilization_from_intervals(
 }
 
 /// Utilization from a telemetry snapshot: every sim-domain span carrying a
-/// `device` attribute contributes a busy interval; `cpu+apu`-style joint
+/// `device` field contributes a busy interval; `cpu+apu`-style joint
 /// values occupy each named device.
 pub fn utilization_from_snapshot(snap: &Snapshot) -> UtilizationReport {
     let mut per_device: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-    for e in snap.sim_spans() {
-        let Some((_, devices)) = e.args.iter().find(|(k, _)| k == "device") else {
+    for (e, interval) in snap.sim_spans() {
+        let Some(devices) = e.str("device") else {
             continue;
         };
         for d in devices.split('+').filter(|d| !d.is_empty()) {
             per_device
                 .entry(d.to_string())
                 .or_default()
-                .push((e.ts_us, e.ts_us + e.dur_us));
+                .push((interval.ts_us, interval.ts_us + interval.dur_us));
         }
     }
     utilization_from_intervals(per_device)
@@ -267,13 +267,13 @@ mod tests {
             "scheduler.stage",
             0.0,
             40.0,
-            vec![("device".into(), "cpu+apu".into())],
+            vec![("device", "cpu+apu".into())],
         );
         tvmnp_telemetry::record_sim_span(
             "scheduler.stage",
             40.0,
             10.0,
-            vec![("device".into(), "apu".into())],
+            vec![("device", "apu".into())],
         );
         tvmnp_telemetry::disable();
         let r = utilization_from_snapshot(&tvmnp_telemetry::snapshot());

@@ -10,6 +10,7 @@ use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy};
 use tvmnp_relay::interp::{eval_op, Value};
 use tvmnp_relay::TensorType;
+use tvmnp_telemetry::Field;
 use tvmnp_tensor::Tensor;
 
 /// Where in the graph an executor failure happened.
@@ -156,16 +157,9 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-fn kernel_class_label(class: KernelClass) -> &'static str {
-    match class {
-        KernelClass::TvmUntuned => "tvm_untuned",
-        KernelClass::VendorTuned => "vendor_tuned",
-    }
-}
-
 /// Emit one detail-gated `executor.kernel` sim span for a ledger entry of
 /// an external node (boundary transfer or internal kernel). These spans
-/// exist only for the profile ingester (which bins on the `kind` arg);
+/// exist only for the profile ingester (which bins on the `kind` field);
 /// the flight-recorder forward filter and the utilization report never
 /// see them because detail mode is confined to dedicated
 /// profile-collection passes.
@@ -175,18 +169,18 @@ fn record_kernel(symbol: &str, start_us: f64, k: &CostEntry) {
         start_us,
         k.us,
         vec![
-            ("op".to_string(), k.label.to_string()),
-            ("symbol".to_string(), symbol.to_string()),
-            ("kind".to_string(), k.kind.name().to_string()),
-            ("device".to_string(), k.device.name().to_string()),
-            ("class".to_string(), kernel_class_label(k.class).to_string()),
-            ("energy_uj".to_string(), format!("{:.6}", k.energy_uj)),
-            ("analytic_us".to_string(), format!("{:.6}", k.analytic_us)),
+            ("op", k.label.into()),
+            ("symbol", symbol.to_string().into()),
+            ("kind", k.kind.name().into()),
+            ("device", k.device.name().into()),
+            ("class", k.class.name().into()),
+            ("energy_uj", Field::F64(k.energy_uj, 6)),
+            ("analytic_us", Field::F64(k.analytic_us, 6)),
         ],
     );
 }
 
-/// Record one node's simulated interval (span + histogram + counter);
+/// Record one node's simulated interval (span + latency series + counter);
 /// no-op while telemetry is disabled. `detail` carries a host node's
 /// ledger entries when `tvmnp_telemetry::detail_enabled()`: the span then
 /// gains the work kind, energy, and the unscaled analytic reference time
@@ -196,29 +190,29 @@ fn record_node(
     start_us: f64,
     dur_us: f64,
     op: &str,
-    device: &str,
+    device: &'static str,
     class: KernelClass,
     detail: Option<&[CostEntry]>,
 ) {
     if !tvmnp_telemetry::is_enabled() {
         return;
     }
-    let class = kernel_class_label(class);
-    let mut span_args = vec![
-        ("op".to_string(), op.to_string()),
-        ("device".to_string(), device.to_string()),
-        ("class".to_string(), class.to_string()),
+    let class = class.name();
+    let mut fields = vec![
+        ("op", op.to_string().into()),
+        ("device", device.into()),
+        ("class", class.into()),
     ];
     // A host node's entries end in its kernel body (a launch may precede it).
     if let Some(entries @ [.., kernel]) = detail {
         let analytic_us: f64 = entries.iter().map(|e| e.analytic_us).sum();
         let energy_uj = ledger::total_energy_uj(entries);
-        span_args.push(("kind".to_string(), kernel.kind.name().to_string()));
-        span_args.push(("energy_uj".to_string(), format!("{energy_uj:.6}")));
-        span_args.push(("analytic_us".to_string(), format!("{analytic_us:.6}")));
+        fields.push(("kind", kernel.kind.name().into()));
+        fields.push(("energy_uj", Field::F64(energy_uj, 6)));
+        fields.push(("analytic_us", Field::F64(analytic_us, 6)));
     }
-    tvmnp_telemetry::record_sim_span("executor.node", start_us, dur_us, span_args);
-    tvmnp_telemetry::histogram_observe(
+    tvmnp_telemetry::record_sim_span("executor.node", start_us, dur_us, fields);
+    tvmnp_telemetry::observe_us(
         "executor.node_us",
         &[("device", device), ("kernel", op), ("class", class)],
         dur_us,
@@ -282,9 +276,9 @@ fn dispatch_with_retry(
                     *time_us,
                     cost,
                     vec![
-                        ("device".into(), device.name().into()),
-                        ("attempt".into(), attempt.to_string()),
-                        ("cause".into(), fault.description),
+                        ("device", device.name().into()),
+                        ("attempt", attempt.into()),
+                        ("cause", fault.description.into()),
                     ],
                 );
                 tvmnp_telemetry::counter_add("resilience.retries", &[("device", device.name())], 1);
@@ -302,14 +296,14 @@ fn emit_fault_event(device: DeviceKind, attempt: u32, detail: &str, fatal: bool)
     tvmnp_telemetry::emit_event(
         "fault.injected",
         vec![
-            ("stage".to_string(), "dispatch".to_string()),
-            ("device".to_string(), device.name().to_string()),
-            ("attempt".to_string(), attempt.to_string()),
+            ("stage", "dispatch".into()),
+            ("device", device.name().into()),
+            ("attempt", attempt.into()),
             // Free-text description goes under `detail`, which the stats
             // sink does not index — `cause` is reserved for bounded
             // vocabularies so counter cardinality stays finite.
-            ("detail".to_string(), detail.to_string()),
-            ("fatal".to_string(), fatal.to_string()),
+            ("detail", detail.to_string().into()),
+            ("fatal", Field::Bool(fatal)),
         ],
     );
 }
@@ -863,17 +857,15 @@ mod tests {
         let total = ex.run().unwrap();
         tvmnp_telemetry::disable();
         let snap = tvmnp_telemetry::snapshot();
-        let my_tid = snap
-            .events
-            .iter()
-            .find(|e| e.name == "test.sentinel")
-            .expect("sentinel recorded")
-            .tid;
+        let tid = |e: &tvmnp_telemetry::Record| e.interval.map(|i| i.tid);
+        let my_tid = tid(snap
+            .spans_named("test.sentinel")
+            .next()
+            .expect("sentinel recorded"));
         let node_us: f64 = snap
-            .events
-            .iter()
-            .filter(|e| e.name == "executor.node" && e.tid == my_tid)
-            .map(|e| e.dur_us)
+            .spans_named("executor.node")
+            .filter(|e| tid(e) == my_tid)
+            .map(|e| e.dur_us())
             .sum();
         assert!(
             (node_us - total).abs() <= 1e-9 * total.max(1.0),
@@ -882,8 +874,9 @@ mod tests {
         assert_eq!(total, ex.estimate_time_us(), "run is the ledger in order");
         assert!(snap
             .metrics
+            .series
             .iter()
-            .any(|(k, _)| k.to_string().starts_with("executor.node_us{")));
+            .any(|s| s.key.name == "executor.node_us" && s.key.label("kernel").is_some()));
     }
 
     #[test]

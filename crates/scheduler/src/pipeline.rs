@@ -13,7 +13,7 @@ use tvmnp_hwsim::{schedule, DeviceKind, Schedule, Task};
 
 /// Place `frames` copies of the stage chain with `window` frames in
 /// flight, recording one `scheduler.stage` sim span per placement.
-fn simulate(name: &str, stages: &[Task], frames: usize, window: usize) -> Schedule {
+fn simulate(name: &'static str, stages: &[Task], frames: usize, window: usize) -> Schedule {
     let result = schedule(&vec![stages; frames], window);
     if tvmnp_telemetry::is_enabled() {
         for p in &result.placements {
@@ -22,10 +22,10 @@ fn simulate(name: &str, stages: &[Task], frames: usize, window: usize) -> Schedu
                 p.start_us,
                 p.end_us - p.start_us,
                 vec![
-                    ("schedule".to_string(), name.to_string()),
-                    ("stage".to_string(), p.label.to_string()),
-                    ("frame".to_string(), p.job.to_string()),
-                    ("device".to_string(), DeviceKind::set_label(p.devices)),
+                    ("schedule", name.into()),
+                    ("stage", p.label.into()),
+                    ("frame", p.job.into()),
+                    ("device", DeviceKind::set_label(p.devices).into()),
                 ],
             );
         }

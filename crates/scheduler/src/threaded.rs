@@ -307,7 +307,7 @@ impl PipelineExecutor {
                             Ok(item) => {
                                 let _span = tvmnp_telemetry::span!(
                                     "scheduler.stage",
-                                    "stage" => stage.name,
+                                    "stage" => stage.name.clone(),
                                     "frame" => seq,
                                 );
                                 run_stage_body(&stage, &locks, seq, item)

@@ -47,8 +47,8 @@ impl TraceRuntime<'_> {
             trace_id_for(frame.index),
             self.roots[slot],
             vec![
-                ("pipeline".to_string(), PIPELINE.to_string()),
-                ("session".to_string(), session_idx.to_string()),
+                ("pipeline", PIPELINE.into()),
+                ("session", session_idx.into()),
             ],
         );
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -155,8 +155,8 @@ impl SessionPool {
             0.0,
             timeline.end_us,
             vec![
-                ("pipeline".to_string(), PIPELINE.to_string()),
-                ("frame".to_string(), result.frame_index.to_string()),
+                ("pipeline", PIPELINE.into()),
+                ("frame", result.frame_index.into()),
             ],
         );
         if timeline.admit_us > 0.0 {
@@ -165,7 +165,7 @@ impl SessionPool {
                 "serve.wait",
                 0.0,
                 timeline.admit_us,
-                vec![("reason".to_string(), "admission".to_string())],
+                vec![("reason", "admission".into())],
             );
         }
         for seg in timeline.segments {
@@ -179,8 +179,8 @@ impl SessionPool {
                     seg.start_us - seg.wait_us(),
                     seg.wait_us(),
                     vec![
-                        ("reason".to_string(), "device".to_string()),
-                        ("device".to_string(), device.clone()),
+                        ("reason", "device".into()),
+                        ("device", device.clone().into()),
                     ],
                 );
             }
@@ -190,8 +190,8 @@ impl SessionPool {
                 seg.start_us,
                 seg.us,
                 vec![
-                    ("stage".to_string(), seg.label.to_string()),
-                    ("device".to_string(), device.clone()),
+                    ("stage", seg.label.into()),
+                    ("device", device.clone().into()),
                 ],
             );
             plane.registry.observe_us(

@@ -7,42 +7,40 @@
 //! buffer; instrumentation sites call [`emit_event`] which costs one
 //! relaxed atomic load when no sink is installed.
 //!
-//! Interesting span ends are forwarded as `span.end` events too (see
-//! [`forward_span_end`]) so the flight recorder's window shows causality
+//! Interesting span ends reach the sink too — the same record the
+//! collector stores, which the flight dump renders as `span.end` (see
+//! [`forward_span_end`]) — so the flight recorder's window shows causality
 //! — which frame / stage / retry surrounded a fault — without drowning
 //! in per-node executor spans (those stay in the stats registry).
 
+use crate::record::{Field, Fields, Record};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Receiver for structured events. Implementations must be cheap and
-/// non-blocking: sites emit while serving.
+/// Receiver for records. A trait because the receiver (`tvmnp-observe`'s
+/// plane) lives one crate above this one. Implementations must be cheap
+/// and non-blocking: sites emit while serving.
 pub trait EventSink: Send + Sync {
-    /// One event: a short dotted `kind` (e.g. `resilience.fallback`)
-    /// plus key/value fields. Events carry a `trace` field when emitted
+    /// One record: an event (no interval, e.g. `resilience.fallback`) or
+    /// a followed span end. Events carry a `trace` field when emitted
     /// under an active trace context.
-    fn event(&self, kind: &str, fields: &[(String, String)]);
+    fn record(&self, record: &Record);
 }
 
 static SINK_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn sink_slot() -> &'static Mutex<Option<Arc<dyn EventSink>>> {
-    static SLOT: std::sync::OnceLock<Mutex<Option<Arc<dyn EventSink>>>> =
-        std::sync::OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
+static SINK: Mutex<Option<Arc<dyn EventSink>>> = Mutex::new(None);
 
 /// Install the process-global event sink (replacing any previous one).
 pub fn set_event_sink(sink: Arc<dyn EventSink>) {
-    *sink_slot().lock() = Some(sink);
+    *SINK.lock() = Some(sink);
     SINK_ACTIVE.store(true, Ordering::Release);
 }
 
 /// Remove the event sink; subsequent [`emit_event`] calls cost one load.
 pub fn clear_event_sink() {
     SINK_ACTIVE.store(false, Ordering::Release);
-    *sink_slot().lock() = None;
+    *SINK.lock() = None;
 }
 
 /// Whether a sink is installed (one relaxed atomic load).
@@ -51,22 +49,29 @@ pub fn sink_active() -> bool {
     SINK_ACTIVE.load(Ordering::Relaxed)
 }
 
+/// Hand `record` to the installed sink, if any.
+pub(crate) fn deliver(record: &Record) {
+    let sink = SINK.lock().clone();
+    if let Some(sink) = sink {
+        sink.record(record);
+    }
+}
+
 /// Emit a structured event to the installed sink, if any. Tags the event
 /// with the current trace id when a trace context is active, so flight
 /// events tie back to the causal span tree of the frame that produced
 /// them.
-pub fn emit_event(kind: &str, mut fields: Vec<(String, String)>) {
+pub fn emit_event(name: &'static str, fields: Fields) {
     if !sink_active() {
         return;
     }
-    let sink = sink_slot().lock().clone();
-    let Some(sink) = sink else { return };
+    let mut record = Record::event(name, fields);
     if let Some(trace) = crate::trace::current_trace_id() {
-        if !fields.iter().any(|(k, _)| k == "trace") {
-            fields.push(("trace".to_string(), trace.to_string()));
+        if record.get("trace").is_none() {
+            record.fields.push(("trace", Field::U64(trace)));
         }
     }
-    sink.event(kind, &fields);
+    deliver(&record);
 }
 
 /// Span names worth forwarding to the sink as `span.end` events. Frame,
@@ -74,22 +79,19 @@ pub fn emit_event(kind: &str, mut fields: Vec<(String, String)>) {
 /// per-node executor spans are far too chatty for a small ring and are
 /// aggregated in the stats registry instead.
 pub(crate) fn forward_span_end(name: &str) -> bool {
-    name.starts_with("serve.")
-        || name.starts_with("resilience.")
-        || name.starts_with("scheduler.")
-        || name.starts_with("vision.")
-        || name.starts_with("cache.")
+    ["serve.", "resilience.", "scheduler.", "vision.", "cache."]
+        .iter()
+        .any(|layer| name.starts_with(layer))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    type CapturedEvent = (String, Vec<(String, String)>);
-    struct Capture(Mutex<Vec<CapturedEvent>>);
+    struct Capture(Mutex<Vec<Record>>);
     impl EventSink for Capture {
-        fn event(&self, kind: &str, fields: &[(String, String)]) {
-            self.0.lock().push((kind.to_string(), fields.to_vec()));
+        fn record(&self, record: &Record) {
+            self.0.lock().push(record.clone());
         }
     }
 
@@ -99,23 +101,20 @@ mod tests {
         let cap = Arc::new(Capture(Mutex::new(Vec::new())));
         set_event_sink(cap.clone());
 
-        emit_event("fault.injected", vec![("device".into(), "apu".into())]);
+        emit_event("fault.injected", vec![("device", "apu".into())]);
         {
             let root = crate::trace::alloc_span_id();
             let _g = crate::trace::begin_trace(9, root, vec![]);
-            emit_event(
-                "resilience.fallback",
-                vec![("from".into(), "np-apu".into())],
-            );
+            emit_event("resilience.fallback", vec![("from", "np-apu".into())]);
         }
         clear_event_sink();
         emit_event("fault.injected", vec![]); // dropped: no sink
 
         let got = cap.0.lock();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, "fault.injected");
-        assert!(!got[0].1.iter().any(|(k, _)| k == "trace"));
-        assert!(got[1].1.contains(&("trace".to_string(), "9".to_string())));
+        assert_eq!(got[0].name, "fault.injected");
+        assert_eq!(got[0].get("trace"), None);
+        assert_eq!(got[1].u64("trace"), Some(9));
     }
 
     #[test]

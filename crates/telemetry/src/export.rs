@@ -1,60 +1,30 @@
-//! Exporters: per-op profile table, Chrome trace-event JSON, and JSONL.
+//! Exporters: per-op profile table and Chrome trace-event JSON. This is
+//! where a [`crate::Field`] becomes text (`Display`).
 
-use crate::{Snapshot, SpanEvent, TimeDomain};
+use crate::{Interval, Record, Snapshot, TimeDomain};
 use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
 
-/// How [`profile_table`] aggregates spans.
-#[derive(Debug, Clone)]
-pub struct ProfileOptions {
-    /// Only aggregate spans with this name (`None` = every span). Rows
-    /// are keyed by the span's `op` attribute (falling back to the span
-    /// name) and its `device` attribute.
-    pub span_name: Option<String>,
-    /// Denominator for the "% of run" column; `None` uses the sum of all
-    /// aggregated rows.
-    pub total_us: Option<f64>,
-}
-
-impl Default for ProfileOptions {
-    fn default() -> Self {
-        ProfileOptions {
-            span_name: Some("executor.node".to_string()),
-            total_us: None,
-        }
-    }
-}
-
-fn arg<'e>(event: &'e SpanEvent, key: &str) -> Option<&'e str> {
-    event
-        .args
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
-
-/// Render the per-op profile table: op name, device, call count, total
-/// microseconds, and share of the run.
-pub fn profile_table(snapshot: &Snapshot, opts: &ProfileOptions) -> String {
+/// Render the per-op profile table of the spans named `span_name`: op
+/// name (the span's `op` field, falling back to `stage`, then the span
+/// name), `device` field, call count, total microseconds, and share of
+/// `total_us` (`None` = the sum of all rows).
+pub fn profile_table(snapshot: &Snapshot, span_name: &str, total_us: Option<f64>) -> String {
     // (op, device) -> (calls, total_us)
     let mut rows: BTreeMap<(String, String), (u64, f64)> = BTreeMap::new();
-    for event in &snapshot.events {
-        if let Some(name) = &opts.span_name {
-            if &event.name != name {
-                continue;
-            }
-        }
-        let op = arg(event, "op")
-            .or_else(|| arg(event, "stage"))
-            .unwrap_or(&event.name)
+    for event in snapshot.spans_named(span_name) {
+        let op = event
+            .str("op")
+            .or_else(|| event.str("stage"))
+            .unwrap_or(event.name)
             .to_string();
-        let device = arg(event, "device").unwrap_or("-").to_string();
+        let device = event.str("device").unwrap_or("-").to_string();
         let entry = rows.entry((op, device)).or_insert((0, 0.0));
         entry.0 += 1;
-        entry.1 += event.dur_us;
+        entry.1 += event.dur_us();
     }
     let sum_us: f64 = rows.values().map(|(_, us)| us).sum();
-    let total_us = opts.total_us.unwrap_or(sum_us).max(f64::MIN_POSITIVE);
+    let total_us = total_us.unwrap_or(sum_us).max(f64::MIN_POSITIVE);
 
     let mut sorted: Vec<((String, String), (u64, f64))> = rows.into_iter().collect();
     // Heaviest ops first; key order breaks exact ties deterministically.
@@ -97,8 +67,8 @@ pub fn profile_table(snapshot: &Snapshot, opts: &ProfileOptions) -> String {
     out
 }
 
-fn domain_pid(domain: TimeDomain) -> u64 {
-    match domain {
+fn pid(interval: &Interval) -> u64 {
+    match interval.clock {
         TimeDomain::Wall => 1,
         TimeDomain::Sim => 2,
     }
@@ -116,77 +86,72 @@ fn domain_pid(domain: TimeDomain) -> u64 {
 /// Output is deterministic: events are sorted by (pid, tid, ts, name)
 /// and all objects use sorted keys.
 pub fn chrome_trace(snapshot: &Snapshot) -> Value {
-    let mut events: Vec<Value> = Vec::new();
-    let mut pids: Vec<u64> = snapshot
+    let mut spans: Vec<(&Record, Interval)> = snapshot
         .events
         .iter()
-        .map(|e| domain_pid(e.domain))
+        .filter_map(|e| Some((e, e.interval?)))
         .collect();
+    let meta = |name: &str, label: String, pid: u64, tid: u64| {
+        json!({
+            "args": json!({ "name": label }),
+            "cat": "__metadata",
+            "name": name,
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "ts": 0.0
+        })
+    };
+    let mut events: Vec<Value> = Vec::new();
+    let mut pids: Vec<u64> = spans.iter().map(|(_, i)| pid(i)).collect();
     pids.sort_unstable();
     pids.dedup();
-    for pid in &pids {
-        let process = if *pid == 1 {
+    for pid in pids {
+        let process = if pid == 1 {
             "wall-clock"
         } else {
             "simulated-time"
         };
-        events.push(json!({
-            "args": json!({ "name": process }),
-            "cat": "__metadata",
-            "name": "process_name",
-            "ph": "M",
-            "pid": *pid,
-            "tid": 0u64,
-            "ts": 0.0
-        }));
+        events.push(meta("process_name", process.to_string(), pid, 0));
     }
-    let mut lanes: Vec<(u64, u64)> = snapshot
-        .events
+    let mut lanes: Vec<(u64, u64)> = spans
         .iter()
-        .filter(|e| e.tid >= crate::WORKER_LANE_BASE)
-        .map(|e| (domain_pid(e.domain), e.tid))
+        .filter(|(_, i)| i.tid >= crate::WORKER_LANE_BASE)
+        .map(|(_, i)| (pid(i), i.tid))
         .collect();
     lanes.sort_unstable();
     lanes.dedup();
-    for (pid, tid) in &lanes {
-        events.push(json!({
-            "args": json!({ "name": format!("worker-{}", tid - crate::WORKER_LANE_BASE) }),
-            "cat": "__metadata",
-            "name": "thread_name",
-            "ph": "M",
-            "pid": *pid,
-            "tid": *tid,
-            "ts": 0.0
-        }));
+    for (pid, tid) in lanes {
+        let lane = format!("worker-{}", tid - crate::WORKER_LANE_BASE);
+        events.push(meta("thread_name", lane, pid, tid));
     }
 
-    let mut spans: Vec<&SpanEvent> = snapshot.events.iter().collect();
-    spans.sort_by(|a, b| {
-        (domain_pid(a.domain), a.tid)
-            .cmp(&(domain_pid(b.domain), b.tid))
+    spans.sort_by(|(a, ai), (b, bi)| {
+        (pid(ai), ai.tid)
+            .cmp(&(pid(bi), bi.tid))
             .then(
-                a.ts_us
-                    .partial_cmp(&b.ts_us)
+                ai.ts_us
+                    .partial_cmp(&bi.ts_us)
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
-            .then_with(|| a.name.cmp(&b.name))
+            .then_with(|| a.name.cmp(b.name))
     });
-    for span in spans {
+    for (span, interval) in spans {
         let mut args = Map::new();
-        for (k, v) in &span.args {
-            args.insert(k.clone(), Value::String(v.clone()));
+        for (k, v) in &span.fields {
+            args.insert(k.to_string(), Value::String(v.to_string()));
         }
         // Category = dotted-name prefix, so Perfetto can filter per layer.
         let cat = span.name.split('.').next().unwrap_or("span");
         events.push(json!({
             "args": Value::Object(args),
             "cat": cat,
-            "dur": span.dur_us,
-            "name": span.name.clone(),
+            "dur": interval.dur_us,
+            "name": span.name,
             "ph": "X",
-            "pid": domain_pid(span.domain),
-            "tid": span.tid,
-            "ts": span.ts_us
+            "pid": pid(&interval),
+            "tid": interval.tid,
+            "ts": interval.ts_us
         }));
     }
     json!({ "displayTimeUnit": "ms", "traceEvents": Value::Array(events) })
@@ -197,48 +162,26 @@ pub fn write_chrome_trace(snapshot: &Snapshot, path: &std::path::Path) -> std::i
     std::fs::write(path, chrome_trace(snapshot).to_string())
 }
 
-/// Render the snapshot as JSON Lines: one `{"type":"span",...}` object
-/// per span, then one `{"type":"metric",...}` object per metric.
-pub fn jsonl(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    for event in &snapshot.events {
-        let mut obj = match serde_json::to_value(event).expect("span serializes") {
-            Value::Object(m) => m,
-            _ => unreachable!("SpanEvent serializes to an object"),
-        };
-        obj.insert("type".to_string(), Value::String("span".to_string()));
-        out.push_str(&Value::Object(obj).to_string());
-        out.push('\n');
-    }
-    for (key, value) in &snapshot.metrics {
-        let line = json!({
-            "type": "metric",
-            "key": key.to_string(),
-            "value": serde_json::to_value(value).expect("metric serializes")
-        });
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricKey;
-    use crate::MetricValue;
+    use crate::{Field, StatsSnapshot};
 
-    fn sim_event(name: &str, ts: f64, dur: f64, args: &[(&str, &str)]) -> SpanEvent {
-        SpanEvent {
-            name: name.to_string(),
-            ts_us: ts,
-            dur_us: dur,
-            tid: 0,
-            domain: TimeDomain::Sim,
-            args: args
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+    fn sim_event(
+        name: &'static str,
+        ts: f64,
+        dur: f64,
+        fields: &[(&'static str, &'static str)],
+    ) -> Record {
+        Record {
+            name,
+            interval: Some(Interval {
+                ts_us: ts,
+                dur_us: dur,
+                clock: TimeDomain::Sim,
+                tid: 0,
+            }),
+            fields: fields.iter().map(|&(k, v)| (k, Field::from(v))).collect(),
         }
     }
 
@@ -265,22 +208,13 @@ mod tests {
                 ),
                 sim_event("executor.run", 0.0, 100.0, &[]),
             ],
-            metrics: vec![(
-                MetricKey::new("executor.nodes", &[("device", "apu")]),
-                MetricValue::Counter(2),
-            )],
+            metrics: StatsSnapshot::default(),
         }
     }
 
     #[test]
     fn profile_table_aggregates_and_ranks() {
-        let table = profile_table(
-            &sample_snapshot(),
-            &ProfileOptions {
-                total_us: Some(100.0),
-                ..Default::default()
-            },
-        );
+        let table = profile_table(&sample_snapshot(), "executor.node", Some(100.0));
         let lines: Vec<&str> = table.lines().collect();
         assert_eq!(lines.len(), 4, "header + 2 rows + total:\n{table}");
         assert!(lines[0].contains("op") && lines[0].contains("% of run"));
@@ -295,25 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_object_per_line() {
-        let text = jsonl(&sample_snapshot());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        for line in &lines[..4] {
-            let v: Value = serde_json::from_str(line).unwrap();
-            assert_eq!(v["type"].as_str(), Some("span"));
-            assert!(v["dur_us"].as_f64().is_some());
-        }
-        let metric: Value = serde_json::from_str(lines[4]).unwrap();
-        assert_eq!(metric["type"].as_str(), Some("metric"));
-        assert_eq!(metric["key"].as_str(), Some("executor.nodes{device=apu}"));
-    }
-
-    #[test]
     fn chrome_trace_names_worker_lanes() {
         let mut snap = sample_snapshot();
         for event in snap.events.iter_mut().take(2) {
-            event.tid = crate::WORKER_LANE_BASE + 3;
+            event.interval.as_mut().unwrap().tid = crate::WORKER_LANE_BASE + 3;
         }
         let doc = chrome_trace(&snap);
         let events = doc["traceEvents"].as_array().unwrap();

@@ -1,19 +1,21 @@
 //! Lightweight observability for the TVM + NeuroPilot reproduction.
 //!
-//! Three pieces, all reachable through a process-global collector:
+//! One event model, reachable through a process-global collector:
 //!
-//! * **Spans** — [`span!`] opens an RAII guard that records a named,
-//!   attribute-tagged interval when dropped. Wall-clock spans time real
-//!   work (pass pipelines, codegen, imports); *simulated-time* spans are
-//!   recorded explicitly via [`record_sim_span`] with timestamps taken
-//!   from the hwsim cost model, so a trace of a simulated run lines up on
-//!   the simulated timeline rather than host wall time.
-//! * **Metrics** — counters, gauges, and fixed-bucket histograms keyed by
-//!   name plus sorted labels, e.g. `executor.node_us{device=apu,kernel=conv2d}`
-//!   (see [`metrics`]).
-//! * **Exporters** — a per-op profile table, Chrome trace-event JSON
-//!   (loadable in Perfetto / `chrome://tracing`), and JSONL (see
-//!   [`export`]).
+//! * **Records** — [`Record`]: a literal name, an optional interval and
+//!   typed [`Field`]s. [`span!`] opens an RAII guard that records a
+//!   wall-clock span when dropped; *simulated-time* spans are recorded
+//!   explicitly via [`record_sim_span`] with timestamps taken from the
+//!   hwsim cost model, so a trace of a simulated run lines up on the
+//!   simulated timeline rather than host wall time; [`emit_event`] hands
+//!   an interval-less record to the installed [`EventSink`].
+//! * **Registry** — [`StatsRegistry`]: counters, gauges and
+//!   [`QuantileSketch`] series keyed by name plus sorted labels, e.g.
+//!   `executor.node_us{class=vendor_tuned,device=apu,kernel=nir_0}`. The
+//!   collector owns one (written by [`counter_add`] / [`gauge_set`] /
+//!   [`observe_us`]); `tvmnp-observe`'s live plane owns the other.
+//! * **Exporters** — a per-op profile table and Chrome trace-event JSON
+//!   (loadable in Perfetto / `chrome://tracing`), see [`export`].
 //!
 //! Collection is disabled by default: every instrumentation point first
 //! checks an atomic flag, so the instrumented hot paths cost one relaxed
@@ -22,50 +24,26 @@
 
 pub mod events;
 pub mod export;
-pub mod metrics;
+pub mod record;
+pub mod registry;
+pub mod sketch;
 pub mod trace;
 
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::ThreadId;
 use std::time::Instant;
 
 pub use events::{clear_event_sink, emit_event, set_event_sink, sink_active, EventSink};
-pub use export::{chrome_trace, jsonl, profile_table, write_chrome_trace, ProfileOptions};
-pub use metrics::{counter_add, gauge_set, histogram_observe, Histogram, MetricKey, MetricValue};
+pub use export::{chrome_trace, profile_table, write_chrome_trace};
+pub use record::{Field, Fields, Interval, Record, TimeDomain};
+pub use registry::{SeriesKey, SeriesStats, StatsRegistry, StatsSnapshot};
+pub use sketch::QuantileSketch;
 pub use trace::{alloc_span_id, begin_trace, set_worker_lane, TraceGuard, WORKER_LANE_BASE};
 
-/// Which clock a span's timestamps come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum TimeDomain {
-    /// Host wall clock, microseconds since [`reset`] (or first use).
-    Wall,
-    /// Simulated time from the hwsim cost model, microseconds since the
-    /// start of the simulated run.
-    Sim,
-}
-
-/// One recorded span interval.
-#[derive(Debug, Clone, Serialize)]
-pub struct SpanEvent {
-    /// Dotted span name, e.g. `byoc.partition` or `executor.node`.
-    pub name: String,
-    /// Start timestamp in microseconds within `domain`.
-    pub ts_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-    /// Dense per-process thread index (0 = first thread seen).
-    pub tid: u64,
-    /// Clock the timestamps belong to.
-    pub domain: TimeDomain,
-    /// Attribute key/value pairs, in the order given at the span site.
-    pub args: Vec<(String, String)>,
-}
-
 struct Collector {
-    events: Vec<SpanEvent>,
+    events: Vec<Record>,
     /// Dense thread ids, assigned in order of each thread's first event.
     thread_ids: HashMap<ThreadId, u64>,
     epoch: Instant,
@@ -88,6 +66,9 @@ impl Collector {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// The collector's labelled store.
+static REGISTRY: StatsRegistry = StatsRegistry::new();
 
 fn collector() -> &'static Mutex<Collector> {
     static COLLECTOR: std::sync::OnceLock<Mutex<Collector>> = std::sync::OnceLock::new();
@@ -121,12 +102,12 @@ static DETAIL: AtomicBool = AtomicBool::new(false);
 
 /// Turn profile-detail collection on or off. While on (and the
 /// collector is enabled), the executor stamps its spans with work-kind,
-/// energy, and analytic-reference attributes and emits per-kernel spans
+/// energy, and analytic-reference fields and emits per-kernel spans
 /// for external modules, so a measured profile can be built from the
 /// snapshot (`tvmnp-profile`). Off by default and off for every normal
 /// run: the extra device-tagged spans would double-count in the
 /// utilization report, which consumes every sim span carrying a
-/// `device` arg. Only dedicated profile-collection passes flip this.
+/// `device` field. Only dedicated profile-collection passes flip this.
 pub fn set_detail(on: bool) {
     DETAIL.store(on, Ordering::Release);
 }
@@ -145,32 +126,53 @@ pub fn reset() {
     c.events.clear();
     c.thread_ids.clear();
     c.epoch = Instant::now();
-    metrics::reset();
+    REGISTRY.clear();
+}
+
+/// Add `delta` to a counter of the collector's registry (created at 0
+/// on first use). No-op while collection is disabled.
+pub fn counter_add(name: &str, labels: &[(&str, &str)], delta: u64) {
+    if is_enabled() {
+        REGISTRY.counter_add(name, labels, delta);
+    }
+}
+
+/// Set a gauge of the collector's registry. No-op while collection is
+/// disabled.
+pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
+    if is_enabled() {
+        REGISTRY.gauge_set(name, labels, value);
+    }
+}
+
+/// Record one sample into a sketch series of the collector's registry.
+/// No-op while collection is disabled.
+pub fn observe_us(name: &str, labels: &[(&str, &str)], us: f64) {
+    if is_enabled() {
+        REGISTRY.observe_us(name, labels, us);
+    }
 }
 
 /// Everything recorded so far, for handing to the exporters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Recorded spans, in completion order.
-    pub events: Vec<SpanEvent>,
-    /// Metrics, sorted by key.
-    pub metrics: Vec<(MetricKey, MetricValue)>,
+    pub events: Vec<Record>,
+    /// The collector's counters, gauges and series, sorted by key.
+    pub metrics: StatsSnapshot,
 }
 
 impl Snapshot {
     /// Spans with the given name, in recorded order.
-    pub fn spans_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanEvent> {
+    pub fn spans_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Record> {
         self.events.iter().filter(move |e| e.name == name)
     }
 
     /// Spans on the simulated timeline only.
-    pub fn sim_spans(&self) -> impl Iterator<Item = &SpanEvent> {
-        self.events.iter().filter(|e| e.domain == TimeDomain::Sim)
-    }
-
-    /// Sum of durations of all spans with the given name.
-    pub fn total_us(&self, name: &str) -> f64 {
-        self.spans_named(name).map(|e| e.dur_us).sum()
+    pub fn sim_spans(&self) -> impl Iterator<Item = (&Record, Interval)> {
+        self.events
+            .iter()
+            .filter_map(|e| Some((e, e.interval.filter(|i| i.clock == TimeDomain::Sim)?)))
     }
 }
 
@@ -179,7 +181,7 @@ pub fn snapshot() -> Snapshot {
     let events = collector().lock().events.clone();
     Snapshot {
         events,
-        metrics: metrics::snapshot(),
+        metrics: REGISTRY.snapshot(),
     }
 }
 
@@ -187,14 +189,17 @@ pub fn snapshot() -> Snapshot {
 /// (microseconds of simulated time). No-op while disabled. Under an
 /// active trace context the span is stamped with `trace`/`span`/`parent`
 /// ids as a leaf of the innermost open span.
-pub fn record_sim_span(name: &str, ts_us: f64, dur_us: f64, mut args: Vec<(String, String)>) {
-    if !is_enabled() {
-        return;
+pub fn record_sim_span(name: &'static str, ts_us: f64, dur_us: f64, fields: Fields) {
+    if is_enabled() {
+        let ids = trace::leaf_ids();
+        store(
+            Record::event(name, fields),
+            ids,
+            TimeDomain::Sim,
+            |_| ts_us,
+            dur_us,
+        );
     }
-    if let Some(ids) = trace::leaf_ids() {
-        trace::stamp(&mut args, ids);
-    }
-    push_sim_event(name, ts_us, dur_us, args);
 }
 
 /// Record a simulated-time span with an *explicit* trace identity,
@@ -206,56 +211,59 @@ pub fn record_sim_span(name: &str, ts_us: f64, dur_us: f64, mut args: Vec<(Strin
 /// summary spans here once the simulated schedule is known.
 pub fn record_sim_span_traced(
     ids: trace::SpanIds,
-    name: &str,
+    name: &'static str,
     ts_us: f64,
     dur_us: f64,
-    mut args: Vec<(String, String)>,
+    fields: Fields,
 ) {
-    if !is_enabled() {
-        return;
-    }
-    trace::stamp(&mut args, ids);
-    push_sim_event(name, ts_us, dur_us, args);
-}
-
-fn push_sim_event(name: &str, ts_us: f64, dur_us: f64, args: Vec<(String, String)>) {
-    // Forward interesting span ends to the flight recorder before moving
-    // the args into the collector; emission happens outside its lock.
-    let forward = (events::sink_active() && events::forward_span_end(name)).then(|| {
-        let mut fields = vec![
-            ("name".to_string(), name.to_string()),
-            ("ts_us".to_string(), format!("{ts_us:.3}")),
-            ("dur_us".to_string(), format!("{dur_us:.3}")),
-        ];
-        fields.extend(args.iter().cloned());
-        fields
-    });
-    {
-        let mut c = collector().lock();
-        let tid = c.tid();
-        c.events.push(SpanEvent {
-            name: name.to_string(),
-            ts_us,
+    if is_enabled() {
+        store(
+            Record::event(name, fields),
+            Some(ids),
+            TimeDomain::Sim,
+            |_| ts_us,
             dur_us,
-            tid,
-            domain: TimeDomain::Sim,
-            args,
+        );
+    }
+}
+
+/// Finish a span: stamp its trace identity, give it its interval (`ts_us`
+/// sees the collector epoch) and lane, store it, and — outside the
+/// collector lock — hand the sink a copy when the flight recorder follows
+/// its name.
+fn store(
+    mut record: Record,
+    ids: Option<trace::SpanIds>,
+    clock: TimeDomain,
+    ts_us: impl FnOnce(Instant) -> f64,
+    dur_us: f64,
+) {
+    if let Some(ids) = ids {
+        trace::stamp(&mut record, ids);
+    }
+    let followed = events::sink_active() && events::forward_span_end(record.name);
+    let copy = {
+        let mut c = collector().lock();
+        record.interval = Some(Interval {
+            ts_us: ts_us(c.epoch),
+            dur_us,
+            clock,
+            tid: c.tid(),
         });
-    }
-    if let Some(fields) = forward {
-        events::emit_event("span.end", fields);
+        let copy = followed.then(|| record.clone());
+        c.events.push(record);
+        copy
+    };
+    if let Some(record) = copy {
+        events::deliver(&record);
     }
 }
 
-/// RAII wall-clock span; records an event when dropped. Construct through
-/// the [`span!`] macro, which skips argument formatting while disabled.
+/// RAII wall-clock span; records a [`Record`] when dropped. Construct
+/// through the [`span!`] macro, which builds nothing while disabled.
 pub struct SpanGuard {
-    active: Option<ActiveSpan>,
-}
-
-struct ActiveSpan {
-    name: String,
-    args: Vec<(String, String)>,
+    name: &'static str,
+    fields: Fields,
     start: Instant,
     /// Trace identity when opened under an active trace context; spans
     /// recorded while this guard lives become its children.
@@ -264,59 +272,27 @@ struct ActiveSpan {
 
 impl SpanGuard {
     /// Open a live span (collection was enabled at entry).
-    pub fn enter(name: &str, args: Vec<(String, String)>) -> SpanGuard {
+    pub fn enter(name: &'static str, fields: Fields) -> SpanGuard {
         SpanGuard {
-            active: Some(ActiveSpan {
-                name: name.to_string(),
-                args,
-                start: Instant::now(),
-                ids: trace::open_span(),
-            }),
+            name,
+            fields,
+            start: Instant::now(),
+            ids: trace::open_span(),
         }
-    }
-
-    /// A guard that records nothing.
-    pub fn disabled() -> SpanGuard {
-        SpanGuard { active: None }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(mut span) = self.active.take() else {
-            return;
-        };
         // Still record if telemetry was disabled mid-span: the guard was
         // opened under an enabled collector, so the interval is wanted.
-        let dur_us = span.start.elapsed().as_secs_f64() * 1e6;
-        if let Some(ids) = span.ids {
+        let dur_us = self.start.elapsed().as_secs_f64() * 1e6;
+        if let Some(ids) = self.ids {
             trace::close_span(ids);
-            trace::stamp(&mut span.args, ids);
         }
-        let forward = (events::sink_active() && events::forward_span_end(&span.name)).then(|| {
-            let mut fields = vec![
-                ("name".to_string(), span.name.clone()),
-                ("dur_us".to_string(), format!("{dur_us:.3}")),
-            ];
-            fields.extend(span.args.iter().cloned());
-            fields
-        });
-        {
-            let mut c = collector().lock();
-            let ts_us = span.start.duration_since(c.epoch).as_secs_f64() * 1e6;
-            let tid = c.tid();
-            c.events.push(SpanEvent {
-                name: span.name,
-                ts_us,
-                dur_us,
-                tid,
-                domain: TimeDomain::Wall,
-                args: span.args,
-            });
-        }
-        if let Some(fields) = forward {
-            events::emit_event("span.end", fields);
-        }
+        let record = Record::event(self.name, std::mem::take(&mut self.fields));
+        let since = |epoch| self.start.duration_since(epoch).as_secs_f64() * 1e6;
+        store(record, self.ids, TimeDomain::Wall, since, dur_us);
     }
 }
 
@@ -327,19 +303,15 @@ impl Drop for SpanGuard {
 /// let _g = tvmnp_telemetry::span!("executor.node", "op" => "conv2d", "device" => "apu");
 /// ```
 ///
-/// Attribute values are formatted with `Display` only when collection is
-/// enabled; otherwise the macro costs one atomic load.
+/// Evaluates to `Option<SpanGuard>`: field values are converted with
+/// `Field::from` only when collection is enabled; otherwise the macro
+/// costs one atomic load and yields `None`.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $k:literal => $v:expr)* $(,)?) => {
-        if $crate::is_enabled() {
-            $crate::SpanGuard::enter(
-                $name,
-                ::std::vec![$((::std::string::String::from($k), ::std::format!("{}", $v))),*],
-            )
-        } else {
-            $crate::SpanGuard::disabled()
-        }
+        $crate::is_enabled().then(|| {
+            $crate::SpanGuard::enter($name, ::std::vec![$(($k, $crate::Field::from($v))),*])
+        })
     };
 }
 
@@ -359,7 +331,7 @@ mod tests {
         disable();
         reset();
         {
-            let _g = span!("unseen", "k" => 1);
+            let _g = span!("unseen", "k" => 1u64);
         }
         record_sim_span("unseen.sim", 0.0, 1.0, vec![]);
         assert!(snapshot().events.is_empty());
@@ -374,7 +346,7 @@ mod tests {
             let _outer = span!("outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = span!("inner", "depth" => 2);
+                let _inner = span!("inner", "depth" => 2u64);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
@@ -386,9 +358,10 @@ mod tests {
         let outer = &snap.events[1];
         assert_eq!(inner.name, "inner");
         assert_eq!(outer.name, "outer");
-        assert!(outer.ts_us <= inner.ts_us);
-        assert!(outer.ts_us + outer.dur_us >= inner.ts_us + inner.dur_us);
-        assert_eq!(inner.args, vec![("depth".to_string(), "2".to_string())]);
+        let (o, i) = (outer.interval.unwrap(), inner.interval.unwrap());
+        assert!(o.ts_us <= i.ts_us);
+        assert!(o.ts_us + o.dur_us >= i.ts_us + i.dur_us);
+        assert_eq!(inner.fields, vec![("depth", Field::U64(2))]);
     }
 
     #[test]
@@ -400,7 +373,7 @@ mod tests {
             for t in 0..4 {
                 s.spawn(move || {
                     for i in 0..8 {
-                        let _g = span!("worker", "t" => t, "i" => i);
+                        let _g = span!("worker", "t" => t as u64, "i" => i as u64);
                     }
                 });
             }
@@ -408,7 +381,11 @@ mod tests {
         disable();
         let snap = snapshot();
         assert_eq!(snap.events.len(), 32);
-        let mut tids: Vec<u64> = snap.events.iter().map(|e| e.tid).collect();
+        let mut tids: Vec<u64> = snap
+            .events
+            .iter()
+            .map(|e| e.interval.unwrap().tid)
+            .collect();
         tids.sort_unstable();
         tids.dedup();
         assert_eq!(tids.len(), 4, "one dense tid per thread");
@@ -420,17 +397,44 @@ mod tests {
         let _l = lock_global();
         enable();
         reset();
-        record_sim_span(
-            "executor.node",
-            10.0,
-            5.5,
-            vec![("op".into(), "conv2d".into())],
-        );
+        record_sim_span("executor.node", 10.0, 5.5, vec![("op", "conv2d".into())]);
         disable();
         let snap = snapshot();
         assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].domain, TimeDomain::Sim);
-        assert_eq!(snap.events[0].ts_us, 10.0);
-        assert_eq!(snap.events[0].dur_us, 5.5);
+        let interval = snap.events[0].interval.unwrap();
+        assert_eq!(interval.clock, TimeDomain::Sim);
+        assert_eq!(interval.ts_us, 10.0);
+        assert_eq!(interval.dur_us, 5.5);
+        assert_eq!(snap.sim_spans().count(), 1);
+    }
+
+    #[test]
+    fn fields_render_the_text_their_artifacts_print() {
+        assert_eq!(Field::from("apu").to_string(), "apu");
+        assert_eq!(Field::from(7usize).to_string(), "7");
+        assert_eq!(Field::F64(9483.4745541, 6).to_string(), "9483.474554");
+        assert_eq!(Field::F64(80.0, 3).to_string(), "80.000");
+        assert_eq!(Field::Bool(false).to_string(), "false");
+    }
+
+    #[test]
+    fn collector_registry_is_gated_and_reset() {
+        let _l = lock_global();
+        enable();
+        reset();
+        counter_add("runs", &[], 1);
+        counter_add("runs", &[], 2);
+        gauge_set("util", &[("device", "apu")], 0.75);
+        observe_us("node_us", &[("device", "apu")], 12.0);
+        disable();
+        // Disabled: must not record.
+        counter_add("runs", &[], 100);
+        let metrics = snapshot().metrics;
+        assert_eq!(metrics.counter("runs", &[]), 3);
+        let (key, util) = metrics.gauges.iter().next().unwrap();
+        assert_eq!((key.render().as_str(), *util), ("util{device=apu}", 0.75));
+        assert_eq!(metrics.series[0].count, 1);
+        reset();
+        assert!(snapshot().metrics.counters.is_empty());
     }
 }

@@ -1,22 +1,18 @@
-//! Lock-sharded live stats registry: labeled quantile series, counters,
-//! and gauges, with a consistent [`StatsRegistry::snapshot`].
+//! The labelled store: quantile series, counters and gauges under one
+//! mutex, with a consistent [`StatsRegistry::snapshot`].
 //!
-//! Writers hash their series key onto one of [`SHARDS`] mutexes, so
-//! concurrent serving workers recording different series almost never
-//! contend; a snapshot walks the shards in order and merges everything
-//! into one deterministic, key-sorted view. Latency series are
-//! [`QuantileSketch`]es (p50/p95/p99 per {pipeline, stage, device,
+//! One lock is enough for the traffic there is: the per-frame series are
+//! written serially after a serve, and the concurrent writers (fault,
+//! eviction and node ticks) hold it for one map update. Latency series
+//! are [`QuantileSketch`]es (p50/p95/p99 per {pipeline, stage, device,
 //! kind}); counters and gauges cover rates (cache hits, retries,
-//! fallbacks, SLO breaches).
+//! fallbacks, SLO breaches). Instantiated twice: the process collector's
+//! (see [`crate::counter_add`]) and the live plane's in `tvmnp-observe`.
 
 use crate::sketch::QuantileSketch;
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-
-/// Number of mutex shards. Power of two, comfortably above the serving
-/// pool's worker counts.
-pub const SHARDS: usize = 16;
 
 /// A series identity: metric name plus sorted labels. Ordered, so
 /// snapshots iterate deterministically.
@@ -31,7 +27,7 @@ pub struct SeriesKey {
 impl SeriesKey {
     /// Build a key; labels are sorted for identity.
     pub fn new(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-        let mut labels: Vec<(String, String)> = labels
+        let mut labels: Vec<_> = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
@@ -50,7 +46,7 @@ impl SeriesKey {
             .map(|(_, v)| v.as_str())
     }
 
-    /// `name{k=v,...}` rendering, matching the telemetry metric style.
+    /// `name{k=v,...}` rendering.
     pub fn render(&self) -> String {
         if self.labels.is_empty() {
             return self.name.clone();
@@ -62,75 +58,55 @@ impl SeriesKey {
             .collect();
         format!("{}{{{}}}", self.name, labels.join(","))
     }
-
-    /// Deterministic shard index (FNV-1a over the rendered key).
-    fn shard(&self) -> usize {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        for byte in self.render().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        (hash as usize) % SHARDS
-    }
 }
 
 #[derive(Default)]
-struct Shard {
+struct Tables {
     series: BTreeMap<SeriesKey, QuantileSketch>,
     counters: BTreeMap<SeriesKey, u64>,
     gauges: BTreeMap<SeriesKey, f64>,
 }
 
-/// Sharded live metrics store. Cheap to write from many threads; cheap
-/// enough to snapshot every few frames.
+/// Live metrics store. Cheap to write from many threads; cheap enough
+/// to snapshot every few frames.
+#[derive(Default)]
 pub struct StatsRegistry {
-    epsilon: f64,
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl Default for StatsRegistry {
-    fn default() -> Self {
-        StatsRegistry::new(crate::sketch::DEFAULT_EPSILON)
-    }
+    tables: Mutex<Tables>,
 }
 
 impl StatsRegistry {
-    /// A registry whose sketches carry rank error `epsilon`.
-    pub fn new(epsilon: f64) -> StatsRegistry {
+    /// An empty registry.
+    pub const fn new() -> StatsRegistry {
         StatsRegistry {
-            epsilon,
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            tables: Mutex::new(Tables {
+                series: BTreeMap::new(),
+                counters: BTreeMap::new(),
+                gauges: BTreeMap::new(),
+            }),
         }
-    }
-
-    fn shard(&self, key: &SeriesKey) -> &Mutex<Shard> {
-        &self.shards[key.shard()]
     }
 
     /// Record one latency/duration sample into a labeled series.
     pub fn observe_us(&self, name: &str, labels: &[(&str, &str)], us: f64) {
         let key = SeriesKey::new(name, labels);
-        let mut shard = self.shard(&key).lock();
-        let epsilon = self.epsilon;
-        shard
-            .series
-            .entry(key)
-            .or_insert_with(|| QuantileSketch::new(epsilon))
-            .insert(us);
+        self.tables.lock().series.entry(key).or_default().insert(us);
     }
 
     /// Add to a labeled counter.
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let key = SeriesKey::new(name, labels);
-        let mut shard = self.shard(&key).lock();
-        *shard.counters.entry(key).or_insert(0) += delta;
+        *self.tables.lock().counters.entry(key).or_insert(0) += delta;
     }
 
     /// Set a labeled gauge to its latest value.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let key = SeriesKey::new(name, labels);
-        let mut shard = self.shard(&key).lock();
-        shard.gauges.insert(key, value);
+        self.tables.lock().gauges.insert(key, value);
+    }
+
+    /// Drop every series, counter and gauge.
+    pub(crate) fn clear(&self) {
+        *self.tables.lock() = Tables::default();
     }
 }
 
@@ -161,51 +137,38 @@ pub struct SeriesStats {
 pub struct StatsSnapshot {
     /// Quantile series, sorted by key.
     pub series: Vec<SeriesStats>,
-    /// Counters, sorted by key.
-    pub counters: Vec<(SeriesKey, u64)>,
-    /// Gauges, sorted by key.
-    pub gauges: Vec<(SeriesKey, f64)>,
+    /// Counters by key.
+    pub counters: BTreeMap<SeriesKey, u64>,
+    /// Gauges by key.
+    pub gauges: BTreeMap<SeriesKey, f64>,
 }
 
 impl StatsRegistry {
-    /// Merge every shard into one deterministic snapshot.
+    /// One deterministic, key-sorted view. Quantiles are asked of a copy
+    /// of each sketch: a query folds the insert buffer, and when a live
+    /// sketch folds must depend on its samples alone, not on who looked.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut series: BTreeMap<SeriesKey, QuantileSketch> = BTreeMap::new();
-        let mut counters: BTreeMap<SeriesKey, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<SeriesKey, f64> = BTreeMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (key, sketch) in &shard.series {
-                match series.get_mut(key) {
-                    Some(existing) => existing.merge(sketch),
-                    None => {
-                        series.insert(key.clone(), sketch.clone());
-                    }
-                }
-            }
-            for (key, v) in &shard.counters {
-                *counters.entry(key.clone()).or_insert(0) += v;
-            }
-            for (key, v) in &shard.gauges {
-                gauges.insert(key.clone(), *v);
-            }
-        }
+        let tables = self.tables.lock();
         StatsSnapshot {
-            series: series
-                .into_iter()
-                .map(|(key, mut sketch)| SeriesStats {
-                    key,
-                    count: sketch.count(),
-                    sum_us: sketch.sum(),
-                    min_us: sketch.min(),
-                    max_us: sketch.max(),
-                    p50_us: sketch.query(0.50),
-                    p95_us: sketch.query(0.95),
-                    p99_us: sketch.query(0.99),
+            series: tables
+                .series
+                .iter()
+                .map(|(key, sketch)| {
+                    let mut sketch = sketch.clone();
+                    SeriesStats {
+                        key: key.clone(),
+                        count: sketch.count(),
+                        sum_us: sketch.sum(),
+                        min_us: sketch.min(),
+                        max_us: sketch.max(),
+                        p50_us: sketch.query(0.50),
+                        p95_us: sketch.query(0.95),
+                        p99_us: sketch.query(0.99),
+                    }
                 })
                 .collect(),
-            counters: counters.into_iter().collect(),
-            gauges: gauges.into_iter().collect(),
+            counters: tables.counters.clone(),
+            gauges: tables.gauges.clone(),
         }
     }
 }
@@ -220,11 +183,7 @@ impl StatsSnapshot {
     /// Counter value (0 when absent).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let key = SeriesKey::new(name, labels);
-        self.counters
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        self.counters.get(&key).copied().unwrap_or(0)
     }
 
     /// Sum of all counters with this name, any labels.
@@ -234,18 +193,6 @@ impl StatsSnapshot {
             .filter(|(k, _)| k.name == name)
             .map(|(_, v)| v)
             .sum()
-    }
-
-    /// `hits / (hits + misses)` for a pair of counters, `None` when both
-    /// are zero.
-    pub fn rate(&self, hits: &str, misses: &str) -> Option<f64> {
-        let h = self.counter_total(hits);
-        let m = self.counter_total(misses);
-        if h + m == 0 {
-            None
-        } else {
-            Some(h as f64 / (h + m) as f64)
-        }
     }
 
     /// Every series satisfies `p50 ≤ p95 ≤ p99` and basic sanity
@@ -283,16 +230,11 @@ impl StatsSnapshot {
                 })
             })
             .collect();
-        let counters: Vec<Value> = self
-            .counters
-            .iter()
-            .map(|(k, v)| json!({ "key": k.render(), "value": *v }))
-            .collect();
-        let gauges: Vec<Value> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| json!({ "key": k.render(), "value": *v }))
-            .collect();
+        fn pairs<V: Copy + serde::Serialize>(values: &BTreeMap<SeriesKey, V>) -> Vec<Value> {
+            let pair = |(k, v): (&SeriesKey, &V)| json!({ "key": k.render(), "value": *v });
+            values.iter().map(pair).collect()
+        }
+        let (counters, gauges) = (pairs(&self.counters), pairs(&self.gauges));
         json!({ "counters": counters, "gauges": gauges, "series": series })
     }
 }
@@ -330,7 +272,7 @@ mod tests {
         assert_eq!(obj.min_us, 100.0);
         assert_eq!(obj.max_us, 199.0);
         assert_eq!(snap.counter("cache.hits", &[]), 3);
-        assert_eq!(snap.rate("cache.hits", "cache.misses"), Some(0.75));
+        assert_eq!(snap.counter_total("cache.misses"), 1);
         assert_eq!(snap.consistency_violation(), None);
     }
 

@@ -9,7 +9,7 @@
 //!
 //! Sketches merge: [`QuantileSketch::merge`] folds another sketch in
 //! with additive error (two ε-sketches merge into a ≤2ε-sketch), so
-//! per-shard / per-worker sketches can be combined at snapshot time.
+//! per-run profile cells can be combined (`tvmnp-profile`).
 //! Inserts are buffered and folded in batches, so the hot path is a
 //! `Vec::push` plus an occasional compress. Everything is deterministic:
 //! same samples in the same order → bit-identical summaries.
@@ -59,11 +59,6 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// Rank error this sketch was built with.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// Number of samples observed.
@@ -127,7 +122,7 @@ impl QuantileSketch {
             };
             Entry { v, g: 1, delta }
         });
-        self.entries = merge_sorted(std::mem::take(&mut self.entries), singles.collect());
+        merge_sorted(&mut self.entries, singles);
         self.compress();
     }
 
@@ -172,9 +167,11 @@ impl QuantileSketch {
         let mut rmin = 0u64;
         let mut prev_v = self.entries[0].v;
         for entry in &self.entries {
-            rmin += entry.g;
-            let rmax = rmin + entry.delta;
-            if rmax > target + allowed {
+            // Saturating: a sketch loaded from disk may carry any `u64`
+            // that passed `from_json`'s checks.
+            rmin = rmin.saturating_add(entry.g);
+            let rmax = rmin.saturating_add(entry.delta);
+            if rmax > target.saturating_add(allowed) {
                 return prev_v;
             }
             prev_v = entry.v;
@@ -190,26 +187,18 @@ impl QuantileSketch {
         }
         self.flush();
         let mut theirs = other.entries.clone();
-        if !other.buffer.is_empty() {
-            let mut batch = other.buffer.clone();
-            batch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let singles = batch
-                .into_iter()
-                .map(|v| Entry { v, g: 1, delta: 0 })
-                .collect();
-            theirs = merge_sorted(theirs, singles);
-        }
-        self.entries = merge_sorted(std::mem::take(&mut self.entries), theirs);
+        let mut batch = other.buffer.clone();
+        batch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        merge_sorted(
+            &mut theirs,
+            batch.into_iter().map(|v| Entry { v, g: 1, delta: 0 }),
+        );
+        merge_sorted(&mut self.entries, theirs);
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.compress();
-    }
-
-    /// Number of summary tuples currently held (memory footprint proxy).
-    pub fn tuples(&self) -> usize {
-        self.entries.len() + self.buffer.len()
     }
 
     /// Serialize the summary as a JSON value. Flushes first so the
@@ -234,9 +223,11 @@ impl QuantileSketch {
     }
 
     /// Rebuild a sketch from [`QuantileSketch::to_json`] output,
-    /// validating the GK invariants (entries value-sorted, tuple counts
-    /// summing to `count`) so a corrupted profile file is rejected
-    /// instead of silently answering wrong quantiles.
+    /// validating the GK invariants (entries value-sorted, every tuple
+    /// covering at least one sample with rank slack at most `count`,
+    /// tuple counts summing to `count` without overflow, `epsilon` in
+    /// range, `min ≤ max`) so a corrupted profile file is rejected
+    /// instead of panicking or silently answering wrong quantiles.
     pub fn from_json(value: &serde_json::Value) -> Result<QuantileSketch, String> {
         let num = |key: &str| {
             value
@@ -249,6 +240,9 @@ impl QuantileSketch {
             .and_then(serde_json::Value::as_u64)
             .ok_or("sketch: missing `count`")?;
         let epsilon = num("epsilon")?;
+        if !(1e-4..=0.5).contains(&epsilon) {
+            return Err(format!("sketch: epsilon {epsilon} outside [1e-4, 0.5]"));
+        }
         let sum = num("sum")?;
         let raw_entries = value
             .get("entries")
@@ -267,9 +261,11 @@ impl QuantileSketch {
                 .ok_or_else(|| format!("sketch: entry {i} has a non-finite value"))?;
             let g = t[1]
                 .as_u64()
+                .filter(|&g| g > 0)
                 .ok_or_else(|| format!("sketch: entry {i} bad g"))?;
             let delta = t[2]
                 .as_u64()
+                .filter(|&delta| delta <= count)
                 .ok_or_else(|| format!("sketch: entry {i} bad delta"))?;
             if let Some(prev) = entries.last() {
                 let prev: &Entry = prev;
@@ -277,7 +273,9 @@ impl QuantileSketch {
                     return Err(format!("sketch: entries not value-sorted at index {i}"));
                 }
             }
-            covered += g;
+            covered = covered
+                .checked_add(g)
+                .ok_or_else(|| format!("sketch: tuple counts overflow at entry {i}"))?;
             entries.push(Entry { v, g, delta });
         }
         if covered != count {
@@ -289,6 +287,9 @@ impl QuantileSketch {
         if count > 0 {
             sketch.min = num("min")?;
             sketch.max = num("max")?;
+            if sketch.min > sketch.max {
+                return Err("sketch: min exceeds max".to_string());
+            }
         }
         sketch.count = count;
         sketch.sum = sum;
@@ -297,27 +298,11 @@ impl QuantileSketch {
     }
 }
 
-/// Merge two value-sorted tuple lists, preserving order and stability
-/// (left list first on ties — deterministic).
-fn merge_sorted(a: Vec<Entry>, b: Vec<Entry>) -> Vec<Entry> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ai = a.into_iter().peekable();
-    let mut bi = b.into_iter().peekable();
-    loop {
-        match (ai.peek(), bi.peek()) {
-            (Some(x), Some(y)) => {
-                if x.v <= y.v {
-                    out.extend(ai.next());
-                } else {
-                    out.extend(bi.next());
-                }
-            }
-            (Some(_), None) => out.extend(ai.next()),
-            (None, Some(_)) => out.extend(bi.next()),
-            (None, None) => break,
-        }
-    }
-    out
+/// Merge value-sorted `more` into value-sorted `entries`. The sort is
+/// stable, so on ties the tuples already held stay first — deterministic.
+fn merge_sorted(entries: &mut Vec<Entry>, more: impl IntoIterator<Item = Entry>) {
+    entries.extend(more);
+    entries.sort_by(|a, b| a.v.partial_cmp(&b.v).unwrap_or(std::cmp::Ordering::Equal));
 }
 
 #[cfg(test)]
@@ -344,6 +329,11 @@ mod tests {
     }
 
     /// Deterministic pseudo-random stream (splitmix64-style).
+    /// Summary tuples currently held (memory footprint proxy).
+    fn tuples(s: &QuantileSketch) -> usize {
+        s.entries.len() + s.buffer.len()
+    }
+
     fn stream(seed: u64, n: usize) -> Vec<f64> {
         let mut x = seed;
         (0..n)
@@ -380,7 +370,7 @@ mod tests {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999] {
             let got = s.query(q);
-            assert_rank_close(&sorted, q, got, s.epsilon());
+            assert_rank_close(&sorted, q, got, s.epsilon);
         }
         assert_eq!(s.count(), 20_000);
         assert_eq!(s.min(), sorted[0]);
@@ -395,9 +385,9 @@ mod tests {
         }
         s.flush();
         assert!(
-            s.tuples() < 2_000,
+            tuples(&s) < 2_000,
             "sketch grew to {} tuples for 50k samples",
-            s.tuples()
+            tuples(&s)
         );
     }
 
@@ -420,7 +410,7 @@ mod tests {
         sorted.sort_by(|x, y| x.partial_cmp(y).unwrap());
         for q in [0.5, 0.95, 0.99] {
             let got = a.query(q);
-            assert_rank_close(&sorted, q, got, 2.0 * a.epsilon());
+            assert_rank_close(&sorted, q, got, 2.0 * a.epsilon);
         }
         let exact_sum: f64 = all.iter().sum();
         assert!((a.sum() - exact_sum).abs() < 1e-6 * exact_sum.abs());
@@ -434,7 +424,7 @@ mod tests {
             for &v in &samples {
                 s.insert(v);
             }
-            (s.query(0.5), s.query(0.95), s.query(0.99), s.tuples())
+            (s.query(0.5), s.query(0.95), s.query(0.99), tuples(&s))
         };
         assert_eq!(run(), run());
     }
@@ -469,6 +459,71 @@ mod tests {
         let mut empty = QuantileSketch::default();
         let back = QuantileSketch::from_json(&empty.to_json()).unwrap();
         assert_eq!(back.count(), 0);
+    }
+
+    /// A two-sample sketch document with the given tuples, `rest` being
+    /// the other fields as JSON text.
+    fn doc_with(entries: &str, rest: &str) -> serde_json::Value {
+        serde_json::from_str(&format!("{{\"entries\":{entries},{rest}}}")).expect("test JSON")
+    }
+
+    fn doc(entries: &str) -> serde_json::Value {
+        let rest = r#""count":2,"epsilon":0.005,"max":2.0,"min":1.0,"sum":3.0"#;
+        doc_with(entries, rest)
+    }
+
+    fn rejection(doc: &serde_json::Value) -> String {
+        QuantileSketch::from_json(doc).expect_err("must be rejected")
+    }
+
+    #[test]
+    fn from_json_accepts_the_well_formed_baseline() {
+        let mut s = QuantileSketch::from_json(&doc("[[1.0,1,0],[2.0,1,0]]")).expect("well-formed");
+        assert_eq!(s.query(1.0), 2.0);
+    }
+
+    #[test]
+    fn from_json_rejects_delta_above_count() {
+        // Used to be accepted; the next `query` then overflowed `rmin + delta`.
+        let err = rejection(&doc("[[1.0,1,0],[2.0,1,18446744073709551615]]"));
+        assert!(err.contains("entry 1 bad delta"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_overflowing_tuple_counts() {
+        // Used to panic inside `from_json` at `covered += g`.
+        let err = rejection(&doc("[[1.0,18446744073709551615,0],[2.0,3,0]]"));
+        assert!(err.contains("overflow at entry 1"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_empty_tuples() {
+        let err = rejection(&doc("[[1.0,2,0],[2.0,0,0]]"));
+        assert!(err.contains("entry 1 bad g"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_out_of_range_epsilon() {
+        for bad in ["0.0", "-1.0", "0.75", "1e300"] {
+            let rest = format!(r#""count":2,"epsilon":{bad},"max":2.0,"min":1.0,"sum":3.0"#);
+            let err = rejection(&doc_with("[[1.0,1,0],[2.0,1,0]]", &rest));
+            assert!(err.contains("epsilon"), "{err}");
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_min_above_max() {
+        let rest = r#""count":2,"epsilon":0.005,"max":2.0,"min":5.0,"sum":3.0"#;
+        let err = rejection(&doc_with("[[1.0,1,0],[2.0,1,0]]", rest));
+        assert!(err.contains("min exceeds max"), "{err}");
+    }
+
+    #[test]
+    fn query_survives_the_largest_accepted_counts() {
+        let rest = r#""count":18446744073709551615,"epsilon":0.005,"max":1.0,"min":1.0,"sum":1.0"#;
+        let huge = doc_with("[[1.0,18446744073709551615,18446744073709551615]]", rest);
+        let mut s = QuantileSketch::from_json(&huge).expect("passes every check");
+        assert_eq!(s.query(0.99), 1.0);
     }
 
     #[test]

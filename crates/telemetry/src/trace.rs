@@ -5,7 +5,7 @@
 //! served frame): the serving pool opens a [`TraceGuard`] on the worker
 //! thread before processing a frame, and every span recorded while the
 //! guard is alive — executor nodes, retries, fallback transitions —
-//! carries three extra attributes:
+//! carries three extra `u64` fields:
 //!
 //! * `trace`  — the trace id (stable per request, chosen by the caller);
 //! * `span`   — a process-unique id for this span;
@@ -19,10 +19,11 @@
 //! hand-off is explicit via [`begin_trace`] with a pre-allocated root id.
 //!
 //! Everything here is off unless a guard is alive on the current thread:
-//! the instrumented span paths ask [`active`] (one thread-local read)
+//! the instrumented span paths ask for ids (one thread-local read)
 //! only after the global enabled flag already passed, so untraced runs
 //! stay on the pre-existing fast path and produce byte-identical output.
 
+use crate::record::{Field, Fields, Record};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,17 +44,12 @@ struct TraceState {
     /// the next span opened on this thread.
     stack: Vec<u64>,
     /// Ambient labels stamped on every span recorded in this trace.
-    labels: Vec<(String, String)>,
+    labels: Fields,
 }
 
 thread_local! {
     static CURRENT: RefCell<Option<TraceState>> = const { RefCell::new(None) };
     static LANE: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-}
-
-/// Whether a trace is active on the current thread.
-pub fn active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// RAII guard for one trace on the current thread; restores the previous
@@ -68,7 +64,7 @@ pub struct TraceGuard {
 /// allocate it with [`alloc_span_id`] and record the root itself later
 /// via [`crate::record_sim_span_traced`]. `labels` are stamped on every
 /// span recorded while the guard lives (tenant / model / permutation).
-pub fn begin_trace(trace_id: u64, root_span: u64, labels: Vec<(String, String)>) -> TraceGuard {
+pub fn begin_trace(trace_id: u64, root_span: u64, labels: Fields) -> TraceGuard {
     let prev = CURRENT.with(|c| {
         c.borrow_mut().replace(TraceState {
             trace_id,
@@ -103,18 +99,13 @@ pub struct SpanIds {
 /// nothing) when no trace is active. Callers must pass the ids back to
 /// [`close_span`] exactly once.
 pub(crate) fn open_span() -> Option<SpanIds> {
+    let ids = leaf_ids()?;
     CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        let state = cur.as_mut()?;
-        let parent = state.stack.last().copied().unwrap_or(0);
-        let span = alloc_span_id();
-        state.stack.push(span);
-        Some(SpanIds {
-            trace: state.trace_id,
-            span,
-            parent,
-        })
-    })
+        if let Some(state) = c.borrow_mut().as_mut() {
+            state.stack.push(ids.span);
+        }
+    });
+    Some(ids)
 }
 
 /// Pop a span opened with [`open_span`]. Tolerates the trace having
@@ -148,17 +139,17 @@ pub(crate) fn leaf_ids() -> Option<SpanIds> {
     })
 }
 
-/// Append the trace identity and ambient labels of the active trace to a
-/// span's attribute list.
-pub(crate) fn stamp(args: &mut Vec<(String, String)>, ids: SpanIds) {
-    args.push(("trace".to_string(), ids.trace.to_string()));
-    args.push(("span".to_string(), ids.span.to_string()));
-    args.push(("parent".to_string(), ids.parent.to_string()));
+/// Append the trace identity and the ambient labels of the trace active
+/// on this thread to a span's fields.
+pub(crate) fn stamp(record: &mut Record, ids: SpanIds) {
+    record.fields.push(("trace", Field::U64(ids.trace)));
+    record.fields.push(("span", Field::U64(ids.span)));
+    record.fields.push(("parent", Field::U64(ids.parent)));
     CURRENT.with(|c| {
         if let Some(state) = c.borrow().as_ref() {
             for (k, v) in &state.labels {
-                if !args.iter().any(|(ak, _)| ak == k) {
-                    args.push((k.clone(), v.clone()));
+                if record.get(k).is_none() {
+                    record.fields.push((k, v.clone()));
                 }
             }
         }
@@ -196,7 +187,7 @@ mod tests {
 
     #[test]
     fn no_trace_means_inactive_and_no_ids() {
-        assert!(!active());
+        assert!(current_trace_id().is_none());
         assert!(leaf_ids().is_none());
         assert!(open_span().is_none());
     }
@@ -204,8 +195,7 @@ mod tests {
     #[test]
     fn spans_nest_under_the_root() {
         let root = alloc_span_id();
-        let _g = begin_trace(42, root, vec![("tenant".into(), "t0".into())]);
-        assert!(active());
+        let _g = begin_trace(42, root, vec![("tenant", "t0".into())]);
         assert_eq!(current_trace_id(), Some(42));
 
         let leaf = leaf_ids().unwrap();
@@ -219,10 +209,10 @@ mod tests {
         close_span(inner);
         assert_eq!(leaf_ids().unwrap().parent, root);
 
-        let mut args = vec![("op".to_string(), "conv2d".to_string())];
-        stamp(&mut args, leaf);
-        assert!(args.contains(&("trace".to_string(), "42".to_string())));
-        assert!(args.contains(&("tenant".to_string(), "t0".to_string())));
+        let mut record = Record::event("executor.node", vec![("op", "conv2d".into())]);
+        stamp(&mut record, leaf);
+        assert_eq!(record.u64("trace"), Some(42));
+        assert_eq!(record.str("tenant"), Some("t0"));
     }
 
     #[test]
@@ -236,7 +226,7 @@ mod tests {
         }
         assert_eq!(current_trace_id(), Some(1));
         drop(g1);
-        assert!(!active());
+        assert!(current_trace_id().is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! schema-valid JSON for a fixed snapshot.
 
 use serde_json::Value;
-use tvmnp_telemetry::{chrome_trace, record_sim_span, snapshot, SpanEvent, TimeDomain};
+use tvmnp_telemetry::{chrome_trace, record_sim_span, snapshot, Interval, Record, TimeDomain};
 
 /// The exact document expected for one sim-domain span: a process_name
 /// metadata record plus one complete ("X") event, keys sorted.
@@ -14,18 +14,17 @@ const GOLDEN: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
 
 fn fixed_snapshot() -> tvmnp_telemetry::Snapshot {
     tvmnp_telemetry::Snapshot {
-        events: vec![SpanEvent {
-            name: "executor.node".to_string(),
-            ts_us: 10.0,
-            dur_us: 5.5,
-            tid: 0,
-            domain: TimeDomain::Sim,
-            args: vec![
-                ("device".to_string(), "apu".to_string()),
-                ("op".to_string(), "conv2d".to_string()),
-            ],
+        events: vec![Record {
+            name: "executor.node",
+            interval: Some(Interval {
+                ts_us: 10.0,
+                dur_us: 5.5,
+                clock: TimeDomain::Sim,
+                tid: 0,
+            }),
+            fields: vec![("device", "apu".into()), ("op", "conv2d".into())],
         }],
-        metrics: vec![],
+        metrics: Default::default(),
     }
 }
 
@@ -43,10 +42,7 @@ fn chrome_trace_matches_golden_and_is_deterministic() {
         "executor.node",
         10.0,
         5.5,
-        vec![
-            ("device".to_string(), "apu".to_string()),
-            ("op".to_string(), "conv2d".to_string()),
-        ],
+        vec![("device", "apu".into()), ("op", "conv2d".into())],
     );
     tvmnp_telemetry::disable();
     let via_collector = chrome_trace(&snapshot()).to_string();

@@ -11,12 +11,12 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use tvm_neuropilot::models::{anti_spoofing, emotion};
 use tvm_neuropilot::observe::{
-    assemble, attribute, trace_tree, validate_dump, ObserveConfig, ObservePlane, QuantileSketch,
+    assemble, attribute, flight, validate_dump, ObserveConfig, ObservePlane, QuantileSketch,
 };
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::report::MetricStats;
 use tvm_neuropilot::serving::{trace_id_for, PIPELINE};
-use tvm_neuropilot::telemetry::{self, trace::SpanIds};
+use tvm_neuropilot::telemetry::{self, trace::SpanIds, Record, TimeDomain};
 use tvm_neuropilot::vision::{FrameResult, ShowcaseFaults};
 
 static TESTS: Mutex<()> = Mutex::new(());
@@ -323,8 +323,8 @@ fn observed_256_frame_serve_reassembles_and_dumps() {
     let lanes: BTreeSet<u64> = snap
         .events
         .iter()
-        .filter(|e| e.tid >= telemetry::WORKER_LANE_BASE)
-        .map(|e| e.tid)
+        .filter_map(|e| Some(e.interval?.tid))
+        .filter(|&tid| tid >= telemetry::WORKER_LANE_BASE)
         .collect();
     assert!(
         (2..=8).contains(&lanes.len()),
@@ -410,11 +410,7 @@ fn fallback_redispatch_is_a_child_span_of_the_frame_trace() {
     let root = telemetry::alloc_span_id();
     let model = emotion::emotion_model(7);
     {
-        let _trace = telemetry::begin_trace(
-            trace_id,
-            root,
-            vec![("pipeline".to_string(), "test".to_string())],
-        );
+        let _trace = telemetry::begin_trace(trace_id, root, vec![("pipeline", "test".into())]);
         let mut session = ResilientSession::new(
             model.module.clone(),
             CostModel::default(),
@@ -438,7 +434,7 @@ fn fallback_redispatch_is_a_child_span_of_the_frame_trace() {
         "serve.frame",
         0.0,
         1000.0,
-        vec![("pipeline".to_string(), "test".to_string())],
+        vec![("pipeline", "test".into())],
     );
     telemetry::disable();
 
@@ -457,8 +453,111 @@ fn fallback_redispatch_is_a_child_span_of_the_frame_trace() {
     for f in &fallbacks {
         assert_ne!(f.parent_id, 0, "fallback must be a child, not a root");
         assert!(
-            trace_tree::arg(&f.event, "cause").is_some(),
+            f.event.str("cause").is_some(),
             "fallback span must carry its cause"
         );
     }
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `k=v,…` of a record's rendered fields, with its `span` / `parent` ids
+/// rebased to `base` (the span-id counter is process-global, so absolute
+/// ids depend on what ran before).
+fn pinned_fields(record: &Record, rendered: &[(&'static str, String)], base: u64) -> String {
+    let text: Vec<String> = rendered
+        .iter()
+        .map(
+            |(k, v)| match record.u64(k).filter(|_| matches!(*k, "span" | "parent")) {
+                Some(id) => format!("{k}={}", id.saturating_sub(base)),
+                None => format!("{k}={v}"),
+            },
+        )
+        .collect();
+    text.join(",")
+}
+
+/// Byte-level pin of what one observed run records. The three digests
+/// were captured on the commit before the typed record replaced string
+/// pairs (PR 17's parent), with this test's body and a string-pair
+/// `pinned_fields`: every simulated-clock span, the plane's stats
+/// snapshot, and the flight window must render to exactly the same text.
+#[test]
+fn observed_artifacts_are_pinned() {
+    let _guard = TESTS.lock().unwrap();
+    let frames = clip(32);
+    let plane = Arc::new(
+        ObservePlane::new(ObserveConfig {
+            slo_us: Some(40_000.0),
+            flight_capacity: 1 << 15,
+            ..Default::default()
+        })
+        .unwrap(),
+    );
+    telemetry::enable();
+    telemetry::reset();
+    telemetry::set_detail(true);
+    plane.install();
+    let faults = ShowcaseFaults {
+        injector: Arc::new(FaultInjector::new(
+            FaultPlan::seeded(7).transient_dispatch(DeviceKind::Apu, 1),
+        )),
+        retry: RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        },
+    };
+    let pool = SessionPool::new_with_faults(
+        900,
+        &serving_rotation(),
+        &CostModel::default(),
+        Arc::new(ArtifactCache::new(usize::MAX)),
+        faults,
+    );
+    let base = telemetry::alloc_span_id();
+    pool.serve_observed(&frames, 1, &plane);
+    ObservePlane::uninstall();
+    telemetry::set_detail(false);
+    telemetry::disable();
+
+    let spans: Vec<String> = telemetry::snapshot()
+        .sim_spans()
+        .map(|(e, interval)| {
+            let rendered: Vec<_> = e.fields.iter().map(|(k, v)| (*k, v.to_string())).collect();
+            format!(
+                "{}|{}|{}|{}",
+                e.name,
+                interval.ts_us.to_bits(),
+                interval.dur_us.to_bits(),
+                pinned_fields(e, &rendered, base)
+            )
+        })
+        .collect();
+    let stats = plane.snapshot();
+    let window: Vec<String> = plane
+        .flight
+        .window()
+        .iter()
+        // Wall-clock span ends carry a host-time duration.
+        .filter(|(_, e)| e.interval.is_none_or(|i| i.clock == TimeDomain::Sim))
+        .map(|(seq, e)| {
+            let fields = pinned_fields(e, &flight::fields(e), base);
+            format!("{seq}|{}|{fields}", flight::kind(e))
+        })
+        .collect();
+
+    assert_eq!(stats.counter("slo.breach", &[("pipeline", PIPELINE)]), 5);
+    assert!(stats.counter_total("fault.injected") >= 1);
+    assert_eq!((spans.len(), window.len()), (2528, 188));
+    assert_eq!(fnv1a(&spans.join("\n")), 0x7984_31d0_919e_eaa8, "sim spans");
+    assert_eq!(
+        fnv1a(&stats.to_json().to_string()),
+        0xfa43_2f43_2e4b_89bb,
+        "stats snapshot"
+    );
+    assert_eq!(fnv1a(&window.join("\n")), 0xc052_adfc_3892_fdbc, "flight");
 }

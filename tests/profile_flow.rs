@@ -180,3 +180,50 @@ fn ingest_without_detail_mode_is_empty() {
     assert_eq!(profile.ingest_snapshot(&snap), 0);
     assert_eq!(profile.total_count(), 0);
 }
+
+/// Every ledger entry reaches the profile exactly once, as the number
+/// the ledger holds: a host node as one sample summing its entries, an
+/// external node as one `executor.kernel` sample per entry. Only float
+/// reassociation (per-cell sums vs one in-order sum) separates the
+/// totals. Failed before the typed record: the `{:.6}` text transport
+/// left up to 5e-7 per sample.
+#[test]
+fn profile_totals_reconcile_with_the_cost_ledger() {
+    let _guard = TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let model = anti_spoofing::anti_spoofing_model(101);
+    let mut compiled = relay_build(
+        &model.module,
+        TargetMode::Byoc(TargetPolicy::CpuApu),
+        CostModel::default(),
+    )
+    .expect("build");
+    telemetry::enable();
+    telemetry::reset();
+    telemetry::set_detail(true);
+    compiled.run(&model.sample_inputs(7)).expect("run");
+    telemetry::set_detail(false);
+    telemetry::disable();
+    let mut profile = Profile::new(ProfileKey {
+        workload: "ledger".to_string(),
+        permutation: "byoc-cpu-apu".to_string(),
+        quant: "f32".to_string(),
+        soc: "dimensity-800".to_string(),
+    });
+    profile.ingest_snapshot(&telemetry::snapshot());
+
+    let close = |got: f64, want: f64, what: &str| {
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs(),
+            "{what}: profile {got} vs ledger {want}"
+        );
+    };
+    let energy_uj: f64 = profile.cells.values().map(|c| c.total_energy_uj).sum();
+    close(energy_uj, compiled.estimate_energy_uj(), "energy_uj");
+    let analytic_us: f64 = profile.cells.values().map(|c| c.total_analytic_us).sum();
+    let ledger_analytic_us: f64 = compiled
+        .estimate_breakdown()
+        .iter()
+        .map(|e| e.analytic_us)
+        .sum();
+    close(analytic_us, ledger_analytic_us, "analytic_us");
+}

@@ -28,7 +28,7 @@ fn byoc_flow_is_fully_observable() {
     assert_eq!(outputs[0].shape().dims(), &[1, 7]);
 
     // Every phase of the flow left spans behind.
-    let names: HashSet<&str> = snap.events.iter().map(|e| e.name.as_str()).collect();
+    let names: HashSet<&str> = snap.events.iter().map(|e| e.name).collect();
     for phase in [
         "relay.pass",
         "byoc.build",
@@ -47,7 +47,7 @@ fn byoc_flow_is_fully_observable() {
         .events
         .iter()
         .filter(|e| e.name == "executor.node")
-        .map(|e| e.dur_us)
+        .map(|e| e.dur_us())
         .sum();
     assert!(
         node_us >= 0.95 * last_run_us,
@@ -61,13 +61,14 @@ fn byoc_flow_is_fully_observable() {
     // Metrics rode along with the spans.
     assert!(
         snap.metrics
+            .series
             .iter()
-            .any(|(k, _)| k.name == "executor.node_us"),
-        "per-node histogram missing"
+            .any(|s| s.key.name == "executor.node_us"),
+        "per-node latency series missing"
     );
 
     // Both exporters render from the same snapshot.
-    let table = telemetry::profile_table(&snap, &Default::default());
+    let table = telemetry::profile_table(&snap, "executor.node", None);
     assert!(table.contains("% of run") && table.contains("apu"));
     let trace = telemetry::chrome_trace(&snap);
     let events = trace["traceEvents"].as_array().expect("trace array");
