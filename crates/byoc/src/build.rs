@@ -141,16 +141,10 @@ impl CompiledModel {
                 network,
                 input_names,
             } => {
-                let ordered: Vec<Tensor> = input_names
-                    .iter()
-                    .map(|n| {
-                        inputs
-                            .get(n)
-                            .cloned()
-                            .ok_or_else(|| BuildError::Runtime(format!("missing input '{n}'")))
-                    })
-                    .collect::<Result<_, _>>()?;
-                network.execute(&ordered).map_err(BuildError::Neuron)
+                let ordered = ordered_inputs(input_names, inputs)?;
+                network
+                    .execute_borrowed(&ordered)
+                    .map_err(BuildError::Neuron)
             }
         }
     }
@@ -198,15 +192,7 @@ impl CompiledModel {
                 network,
                 input_names,
             } => {
-                let ordered: Vec<Tensor> = input_names
-                    .iter()
-                    .map(|n| {
-                        inputs
-                            .get(n)
-                            .cloned()
-                            .ok_or_else(|| BuildError::Runtime(format!("missing input '{n}'")))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let ordered = ordered_inputs(input_names, inputs)?;
                 network
                     .execute_resilient(&ordered, injector, retry, deadline_us)
                     .map_err(BuildError::Neuron)
@@ -260,6 +246,19 @@ impl CompiledModel {
             CompiledModel::Neuron { .. } => 0,
         }
     }
+}
+
+/// The named inputs in parameter order, borrowed.
+fn ordered_inputs<'a>(
+    names: &[String],
+    inputs: &'a HashMap<String, Tensor>,
+) -> Result<Vec<&'a Tensor>, BuildError> {
+    let find = |n: &String| inputs.get(n);
+    let missing = |n: &String| BuildError::Runtime(format!("missing input '{n}'"));
+    names
+        .iter()
+        .map(|n| find(n).ok_or_else(|| missing(n)))
+        .collect()
 }
 
 pub(crate) fn input_names_of(module: &Module) -> Vec<String> {

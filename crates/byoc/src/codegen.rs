@@ -103,9 +103,9 @@ impl ExternalModule for NeuronModule {
         }
     }
 
-    fn run(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError> {
+    fn run(&self, inputs: &[&Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError> {
         self.network
-            .execute(inputs)
+            .execute_borrowed(inputs)
             .map_err(|e| ModuleError(e.to_string()))
     }
 
@@ -153,7 +153,7 @@ mod tests {
         .unwrap();
         let mut rng = TensorRng::new(18);
         let input = rng.uniform_f32([1, 3, 8, 8], -1.0, 1.0);
-        let (outs, t) = m.run(&[input]).unwrap();
+        let (outs, t) = m.run(&[&input]).unwrap();
         assert_eq!(outs.len(), 1);
         assert!(t > 0.0);
         assert_eq!(m.compiler(), "neuropilot");
@@ -172,8 +172,8 @@ mod tests {
         let m2 = NeuronModule::from_blob(&blob, CostModel::default()).unwrap();
         let mut rng = TensorRng::new(19);
         let input = rng.uniform_f32([1, 3, 8, 8], -1.0, 1.0);
-        let (a, ta) = m.run(std::slice::from_ref(&input)).unwrap();
-        let (b, tb) = m2.run(&[input]).unwrap();
+        let (a, ta) = m.run(&[&input]).unwrap();
+        let (b, tb) = m2.run(&[&input]).unwrap();
         assert!(a[0].bit_eq(&b[0]));
         assert_eq!(ta, tb);
     }

@@ -131,7 +131,7 @@ impl ExternalModule for NnapiModule {
         self.inner.dispatch_device()
     }
 
-    fn run(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError> {
+    fn run(&self, inputs: &[&Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError> {
         let (outs, _) = self.inner.run(inputs)?;
         Ok((outs, ledger::total_us(&self.ledger)))
     }

@@ -117,3 +117,36 @@ fn clean_case_replays_as_fixed() {
         7
     );
 }
+
+/// The memory plan is what executes: on 200 generated graphs, TVM-only and
+/// partitioned, the bytes the executor's slots hold between two steps never
+/// exceed the plan's predicted peak. (The executor tracks its held bytes in
+/// debug builds only.)
+#[cfg(debug_assertions)]
+#[test]
+fn executor_never_holds_more_than_the_memory_plan_predicts() {
+    use tvmnp_byoc::{relay_build, CompiledModel, Permutation};
+    use tvmnp_conformance::{build_case, random_spec};
+    use tvmnp_hwsim::CostModel;
+    use tvmnp_runtime::plan_memory;
+    let mut checked = 0;
+    for i in 0..200u64 {
+        let case = build_case(&random_spec(5000 + i, i % 3 == 0)).expect("spec builds");
+        for p in [Permutation::TvmOnly, Permutation::ByocCpuApu] {
+            let mut model = relay_build(&case.module, p.mode(), CostModel::default()).unwrap();
+            model.run(&case.inputs).unwrap();
+            let CompiledModel::Tvm { executor, .. } = &model else {
+                unreachable!("TVM-side modes build an executor");
+            };
+            let plan = plan_memory(executor.graph());
+            assert!(
+                executor.peak_held_bytes() <= plan.peak_bytes,
+                "case {i} / {p:?}: held {} B, planned peak {} B",
+                executor.peak_held_bytes(),
+                plan.peak_bytes
+            );
+            checked += usize::from(executor.peak_held_bytes() > 0);
+        }
+    }
+    assert!(checked >= 300, "only {checked} runs held anything");
+}

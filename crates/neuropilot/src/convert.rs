@@ -23,7 +23,7 @@
 use crate::error::NeuronError;
 use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind, NeuronTensor, TensorId};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tvmnp_relay::expr::{CallTarget, Expr, ExprKind, Function, Module};
 use tvmnp_relay::infer::{infer_types, TypeMap};
 use tvmnp_relay::visit::topo_order;
@@ -430,7 +430,7 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
                     shape: c.value.shape().clone(),
                     dtype: c.value.dtype(),
                     quant: c.value.quant(),
-                    data: Some(c.value.clone()),
+                    data: Some(Arc::new(c.value.clone())),
                 });
                 ctx.node_entry_dict.insert(
                     e.id,

@@ -8,6 +8,7 @@
 //! convolution is just `Conv2d` whose operand tensors are quantized.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tvmnp_hwsim::{WorkItem, WorkKind};
 use tvmnp_tensor::{DType, QuantParams, Shape, Tensor};
 
@@ -26,8 +27,9 @@ pub struct NeuronTensor {
     /// Per-tensor quantization parameters (the tensor-oriented scheme).
     pub quant: Option<QuantParams>,
     /// Constant payload (weights/bias); `None` for activations. Serialized
-    /// with the graph so exported artifacts carry their weights (§4.5).
-    pub data: Option<Tensor>,
+    /// with the graph so exported artifacts carry their weights (§4.5);
+    /// shared, so cloning a graph does not copy them.
+    pub data: Option<Arc<Tensor>>,
 }
 
 impl NeuronTensor {

@@ -268,13 +268,13 @@ mod tests {
         let mut g = NeuronGraph::default();
         let x = g.add_tensor(act("x"));
         let w1 = g.add_tensor(NeuronTensor {
-            data: Some(tvmnp_tensor::Tensor::zeros_f32([8, 8, 1, 1])),
+            data: Some(tvmnp_tensor::Tensor::zeros_f32([8, 8, 1, 1]).into()),
             ..act("w1")
         });
         let t1 = g.add_tensor(act("t1"));
         let t2 = g.add_tensor(act("t2"));
         let w2 = g.add_tensor(NeuronTensor {
-            data: Some(tvmnp_tensor::Tensor::zeros_f32([8, 8, 1, 1])),
+            data: Some(tvmnp_tensor::Tensor::zeros_f32([8, 8, 1, 1]).into()),
             ..act("w2")
         });
         let y = g.add_tensor(act("y"));
@@ -349,7 +349,7 @@ mod tests {
         };
         let x = g.add_tensor(big("x"));
         let w = g.add_tensor(NeuronTensor {
-            data: Some(tvmnp_tensor::Tensor::zeros_f32([64, 64, 3, 3])),
+            data: Some(tvmnp_tensor::Tensor::zeros_f32([64, 64, 3, 3]).into()),
             shape: [64, 64, 3, 3].into(),
             ..big("w")
         });

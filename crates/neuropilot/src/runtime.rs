@@ -8,7 +8,7 @@
 //! ops, and a transfer per device-boundary crossing.
 
 use crate::error::NeuronError;
-use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind};
+use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind, TensorId};
 use crate::planner::{ExecutionPlan, Planner, TargetPolicy};
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy};
@@ -21,6 +21,8 @@ pub struct CompiledNetwork {
     plan: ExecutionPlan,
     cost: CostModel,
     ledger: Vec<CostEntry>,
+    /// Per tensor, the last op to read it: an activation is dropped there.
+    last_reader: Vec<usize>,
 }
 
 impl CompiledNetwork {
@@ -39,11 +41,20 @@ impl CompiledNetwork {
     /// [`crate::oplevel`]) into an executable network.
     pub fn from_plan(graph: NeuronGraph, plan: ExecutionPlan, cost: CostModel) -> Self {
         let ledger = build_ledger(&graph, &plan, &cost);
+        let mut last_reader = vec![usize::MAX; graph.tensors.len()];
+        for (i, op) in graph.ops.iter().enumerate() {
+            for &id in &op.inputs {
+                if let Some(last) = last_reader.get_mut(id) {
+                    *last = i;
+                }
+            }
+        }
         CompiledNetwork {
             graph,
             plan,
             cost,
             ledger,
+            last_reader,
         }
     }
 
@@ -80,22 +91,28 @@ impl CompiledNetwork {
     /// Execute on concrete inputs (in `graph.inputs` order); returns the
     /// output tensors and the simulated time in microseconds.
     pub fn execute(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), NeuronError> {
+        self.execute_borrowed(&inputs.iter().collect::<Vec<_>>())
+    }
+
+    /// [`CompiledNetwork::execute`] on borrowed inputs — what a caller that
+    /// does not own its tensors (the graph executor) uses. Nothing is
+    /// copied in: an operand is read where it is (see
+    /// [`CompiledNetwork::read`]), an activation lives in its slot until its
+    /// last reader has run, and outputs are moved out of theirs.
+    pub fn execute_borrowed(&self, inputs: &[&Tensor]) -> Result<(Vec<Tensor>, f64), NeuronError> {
         let _span = tvmnp_telemetry::span!("neuropilot.execute");
-        if inputs.len() != self.graph.inputs.len() {
+        let graph = &self.graph;
+        if inputs.len() != graph.inputs.len() {
             return Err(NeuronError::Execution(format!(
                 "expected {} inputs, got {}",
-                self.graph.inputs.len(),
+                graph.inputs.len(),
                 inputs.len()
             )));
         }
-        let mut slots: Vec<Option<Tensor>> = vec![None; self.graph.tensors.len()];
-        for (t, slot) in self.graph.tensors.iter().zip(slots.iter_mut()) {
-            if let Some(data) = &t.data {
-                *slot = Some(data.clone());
-            }
-        }
-        for (&id, input) in self.graph.inputs.iter().zip(inputs) {
-            let expect = &self.graph.tensors[id];
+        let mut slots: Vec<Option<Tensor>> = vec![None; graph.tensors.len()];
+        for (&id, input) in graph.inputs.iter().zip(inputs) {
+            let out_of_range = || NeuronError::Execution(format!("slot {id} out of range"));
+            let expect = graph.tensors.get(id).ok_or_else(out_of_range)?;
             if input.shape() != &expect.shape || input.dtype() != expect.dtype {
                 return Err(NeuronError::Execution(format!(
                     "input '{}' expects {} {}, got {} {}",
@@ -106,23 +123,50 @@ impl CompiledNetwork {
                     input.dtype()
                 )));
             }
-            *slot_mut(&mut slots, id)? = Some(input.clone());
         }
 
-        for op in &self.graph.ops {
-            let out = self.eval_op(op, &slots)?;
+        for (i, op) in graph.ops.iter().enumerate() {
+            let args: Vec<&Tensor> = (op.inputs.iter())
+                .map(|&id| self.read(inputs, &slots, id, "input"))
+                .collect::<Result<_, _>>()?;
+            let out = self.eval_op(op, &args)?;
             *slot_mut(&mut slots, op.outputs[0])? = Some(out);
+            for &id in &op.inputs {
+                if self.last_reader.get(id) == Some(&i) && !graph.outputs.contains(&id) {
+                    slots[id] = None;
+                }
+            }
         }
-
-        let mut outputs = Vec::with_capacity(self.graph.outputs.len());
-        for &o in &self.graph.outputs {
-            outputs.push(
-                slots[o]
-                    .clone()
-                    .ok_or_else(|| NeuronError::Execution(format!("output slot {o} empty")))?,
-            );
+        let mut outputs = Vec::with_capacity(graph.outputs.len());
+        for (k, &id) in graph.outputs.iter().enumerate() {
+            // Moved out of its slot, unless the same tensor is listed again.
+            let moved = match slots.get_mut(id) {
+                Some(slot) if !graph.outputs[k + 1..].contains(&id) => slot.take(),
+                _ => None,
+            };
+            outputs.push(match moved {
+                Some(tensor) => tensor,
+                None => self.read(inputs, &slots, id, "output")?.clone(),
+            });
         }
         Ok((outputs, self.estimate_time_us()))
+    }
+
+    /// The value of tensor `id` at this point of a run: what an op has
+    /// written there, else the caller's input, else the graph's constant —
+    /// the order in which a table of all tensors would have been filled.
+    fn read<'a>(
+        &'a self,
+        inputs: &[&'a Tensor],
+        slots: &'a [Option<Tensor>],
+        id: TensorId,
+        what: &str,
+    ) -> Result<&'a Tensor, NeuronError> {
+        let written = slots.get(id).and_then(Option::as_ref);
+        let input = || Some(inputs[self.graph.inputs.iter().position(|&i| i == id)?]);
+        let constant = || self.graph.tensors.get(id)?.data.as_deref();
+        (written.or_else(input).or_else(constant))
+            .ok_or_else(|| NeuronError::Execution(format!("{what} slot {id} empty")))
     }
 
     /// Execute under fault injection: every per-segment driver dispatch
@@ -139,7 +183,7 @@ impl CompiledNetwork {
     /// the `resilience.retries{device=..}` counter.
     pub fn execute_resilient(
         &self,
-        inputs: &[Tensor],
+        inputs: &[&Tensor],
         injector: &FaultInjector,
         retry: &RetryPolicy,
         deadline_us: f64,
@@ -147,43 +191,34 @@ impl CompiledNetwork {
         let mut extra_us = 0.0;
         for seg in &self.plan.segments {
             let mut attempt = 1u32;
-            loop {
-                match injector.on_dispatch(seg.device, attempt) {
-                    None => break,
-                    Some(fault) if fault.fatal || !retry.allows_retry(attempt) => {
-                        return Err(NeuronError::DeviceFault {
-                            device: seg.device.name().to_string(),
-                            attempts: attempt,
-                            cause: fault.description,
-                        });
-                    }
-                    Some(fault) => {
-                        // The failed dispatch still cost a driver entry,
-                        // then we back off before trying again.
-                        let wasted =
-                            self.cost.subgraph_dispatch_us(seg.device) + retry.backoff_us(attempt);
-                        tvmnp_telemetry::record_sim_span(
-                            "resilience.retry",
-                            extra_us,
-                            wasted,
-                            vec![
-                                ("device", seg.device.name().into()),
-                                ("attempt", attempt.into()),
-                                ("cause", fault.description.into()),
-                            ],
-                        );
-                        tvmnp_telemetry::counter_add(
-                            "resilience.retries",
-                            &[("device", seg.device.name())],
-                            1,
-                        );
-                        extra_us += wasted;
-                        attempt += 1;
-                    }
+            while let Some(fault) = injector.on_dispatch(seg.device, attempt) {
+                if fault.fatal || !retry.allows_retry(attempt) {
+                    return Err(NeuronError::DeviceFault {
+                        device: seg.device.name().to_string(),
+                        attempts: attempt,
+                        cause: fault.description,
+                    });
                 }
+                // The failed dispatch still cost a driver entry, then we
+                // back off before trying again.
+                let wasted = self.cost.subgraph_dispatch_us(seg.device) + retry.backoff_us(attempt);
+                tvmnp_telemetry::record_sim_span(
+                    "resilience.retry",
+                    extra_us,
+                    wasted,
+                    vec![
+                        ("device", seg.device.name().into()),
+                        ("attempt", attempt.into()),
+                        ("cause", fault.description.into()),
+                    ],
+                );
+                let device = [("device", seg.device.name())];
+                tvmnp_telemetry::counter_add("resilience.retries", &device, 1);
+                extra_us += wasted;
+                attempt += 1;
             }
         }
-        let (outputs, base_us) = self.execute(inputs)?;
+        let (outputs, base_us) = self.execute_borrowed(inputs)?;
         let total_us = base_us + extra_us;
         if total_us > deadline_us {
             return Err(NeuronError::DeadlineExceeded {
@@ -194,12 +229,11 @@ impl CompiledNetwork {
         Ok((outputs, total_us))
     }
 
-    fn eval_op(&self, op: &NeuronOp, slots: &[Option<Tensor>]) -> Result<Tensor, NeuronError> {
+    fn eval_op(&self, op: &NeuronOp, args: &[&Tensor]) -> Result<Tensor, NeuronError> {
         let get = |i: usize| -> Result<&Tensor, NeuronError> {
-            slots
-                .get(op.inputs[i])
-                .and_then(|s| s.as_ref())
-                .ok_or_else(|| NeuronError::Execution(format!("input slot {} empty", op.inputs[i])))
+            args.get(i).copied().ok_or_else(|| {
+                NeuronError::Execution(format!("{} misses operand {i}", op.kind.name()))
+            })
         };
         let quant = |id: usize| -> Result<QuantParams, NeuronError> {
             self.graph.tensors[id].quant.ok_or_else(|| {
@@ -226,13 +260,7 @@ impl CompiledNetwork {
                     dilation: *dilation,
                     groups: *groups,
                 };
-                let x = get(0)?;
-                let w = get(1)?;
-                let bias = if op.inputs.len() > 2 {
-                    Some(get(2)?)
-                } else {
-                    None
-                };
+                let (x, w, bias) = (get(0)?, get(1)?, args.get(2).copied());
                 if x.dtype().is_quantized() {
                     let q = kernels::QConvQuant {
                         input: quant(op.inputs[0])?,
@@ -246,13 +274,7 @@ impl CompiledNetwork {
                 }
             }
             NeuronOpKind::FullyConnected => {
-                let x = get(0)?;
-                let w = get(1)?;
-                let bias = if op.inputs.len() > 2 {
-                    Some(get(2)?)
-                } else {
-                    None
-                };
+                let (x, w, bias) = (get(0)?, get(1)?, args.get(2).copied());
                 if x.dtype().is_quantized() {
                     kernels::qdense(
                         x,
@@ -273,16 +295,8 @@ impl CompiledNetwork {
                 kernel,
                 strides,
                 padding,
-            } => {
-                let p = kernels::Pool2dParams {
-                    kernel: *kernel,
-                    strides: *strides,
-                    padding: *padding,
-                    count_include_pad: false,
-                };
-                kernels::max_pool2d(get(0)?, &p).map_err(e)?
             }
-            NeuronOpKind::AvgPool2d {
+            | NeuronOpKind::AvgPool2d {
                 kernel,
                 strides,
                 padding,
@@ -293,7 +307,11 @@ impl CompiledNetwork {
                     padding: *padding,
                     count_include_pad: false,
                 };
-                kernels::avg_pool2d(get(0)?, &p).map_err(e)?
+                match op.kind {
+                    NeuronOpKind::MaxPool2d { .. } => kernels::max_pool2d(get(0)?, &p),
+                    _ => kernels::avg_pool2d(get(0)?, &p),
+                }
+                .map_err(e)?
             }
             NeuronOpKind::GlobalAvgPool2d => kernels::global_avg_pool2d(get(0)?).map_err(e)?,
             NeuronOpKind::Relu => kernels::unary(get(0)?, UnaryOp::Relu).map_err(e)?,
@@ -332,9 +350,7 @@ impl CompiledNetwork {
                 .map_err(|err| NeuronError::Execution(err.to_string()))?,
             NeuronOpKind::Transpose { axes } => kernels::transpose(get(0)?, axes).map_err(e)?,
             NeuronOpKind::Concat { axis } => {
-                let parts: Vec<&Tensor> =
-                    (0..op.inputs.len()).map(get).collect::<Result<_, _>>()?;
-                let c = kernels::concat(&parts, *axis).map_err(e)?;
+                let c = kernels::concat(args, *axis).map_err(e)?;
                 match self.graph.tensors[out_slot].quant {
                     Some(q) if c.dtype().is_quantized() => c.with_quant(q),
                     _ => c,
@@ -346,33 +362,15 @@ impl CompiledNetwork {
                 .quantize(quant(out_slot)?, out_meta.dtype)
                 .map_err(|err| NeuronError::Execution(err.to_string()))?,
             NeuronOpKind::Dequantize => {
-                let x = get(0)?;
-                let qp = quant(op.inputs[0])?;
-                let vals: Vec<f32> = x.iter_int().map(|q| qp.dequantize(q)).collect();
-                Tensor::from_f32(x.shape().clone(), vals)
-                    .map_err(|err| NeuronError::Execution(err.to_string()))?
+                kernels::dequantize(get(0)?, quant(op.inputs[0])?).map_err(e)?
             }
-            NeuronOpKind::Requantize => {
-                let x = get(0)?;
-                let in_q = quant(op.inputs[0])?;
-                let out_q = quant(out_slot)?;
-                let fpm = tvmnp_tensor::quant::FixedPointMultiplier::from_real(
-                    in_q.scale as f64 / out_q.scale as f64,
-                );
-                let vals: Vec<i32> = x
-                    .iter_int()
-                    .map(|q| {
-                        tvmnp_tensor::quant::requantize_value(
-                            q - in_q.zero_point,
-                            fpm,
-                            out_q.zero_point,
-                            out_meta.dtype,
-                        )
-                    })
-                    .collect();
-                Tensor::from_int_values(x.shape().clone(), &vals, out_meta.dtype, Some(out_q))
-                    .map_err(|err| NeuronError::Execution(err.to_string()))?
-            }
+            NeuronOpKind::Requantize => kernels::requantize(
+                get(0)?,
+                quant(op.inputs[0])?,
+                quant(out_slot)?,
+                out_meta.dtype,
+            )
+            .map_err(e)?,
         };
         Ok(result)
     }
@@ -644,7 +642,7 @@ mod tests {
             FaultPlan::seeded(7).transient_dispatch(tvmnp_hwsim::DeviceKind::Cpu, 2),
         );
         let (outs, faulted_us) = net
-            .execute_resilient(&[input], &injector, &RetryPolicy::default(), f64::INFINITY)
+            .execute_resilient(&[&input], &injector, &RetryPolicy::default(), f64::INFINITY)
             .unwrap();
         assert!(outs[0].bit_eq(&clean[0]), "faults must not change numerics");
         assert!(
@@ -662,12 +660,7 @@ mod tests {
         let net = CompiledNetwork::compile(g, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
         let lost = FaultInjector::new(FaultPlan::seeded(1).device_lost(DeviceKind::Cpu));
         let err = net
-            .execute_resilient(
-                std::slice::from_ref(&input),
-                &lost,
-                &RetryPolicy::default(),
-                f64::INFINITY,
-            )
+            .execute_resilient(&[&input], &lost, &RetryPolicy::default(), f64::INFINITY)
             .unwrap_err();
         assert!(
             matches!(err, NeuronError::DeviceFault { ref device, .. } if device == "cpu"),
@@ -675,7 +668,7 @@ mod tests {
         );
         let none = FaultInjector::inactive();
         let err = net
-            .execute_resilient(&[input], &none, &RetryPolicy::default(), 0.001)
+            .execute_resilient(&[&input], &none, &RetryPolicy::default(), 0.001)
             .unwrap_err();
         assert!(matches!(err, NeuronError::DeadlineExceeded { .. }), "{err}");
     }

@@ -200,6 +200,10 @@ pub fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
             Ok(Type::Tensor(x.clone()))
         }
         // Shape-preserving unaries.
+        OpKind::Clip(a) if a.min.is_nan() || a.max.is_nan() || a.min > a.max => Err(terr(format!(
+            "{name}: bounds [{}, {}] are not a range",
+            a.min, a.max
+        ))),
         OpKind::Relu
         | OpKind::LeakyRelu(_)
         | OpKind::Clip(_)
@@ -535,6 +539,21 @@ mod tests {
             infer_types(&m).unwrap()[&y.id].as_tensor().shape.dims(),
             &[1, 3, 3, 3]
         );
+    }
+
+    #[test]
+    fn clip_bounds_that_are_not_a_range_are_type_errors() {
+        for (min, max) in [(6.0, 0.0), (f32::NAN, 1.0), (0.0, f32::NAN)] {
+            let x = f32_var("x", &[4]);
+            let y = call(OpKind::Clip(ClipAttrs { min, max }), vec![x.clone()]);
+            let m = Module::from_main(Function::new(vec![x], y));
+            let err = infer_types(&m).expect_err("bounds are not a range");
+            assert!(err.0.contains("not a range"), "{err}");
+        }
+        let x = f32_var("x", &[4]);
+        let attrs = ClipAttrs { min: 0.0, max: 0.0 };
+        let y = call(OpKind::Clip(attrs), vec![x.clone()]);
+        assert!(infer_types(&Module::from_main(Function::new(vec![x], y))).is_ok());
     }
 
     #[test]

@@ -172,9 +172,13 @@ impl<'m> Interpreter<'m> {
                     Value::Tensor(_) => return Err(rerr("TupleGetItem on tensor")),
                 },
                 ExprKind::Call(c) => {
-                    let argv: Vec<Value> = c.args.iter().map(|a| env[&a.id].clone()).collect();
+                    let argv: Vec<&Tensor> = c
+                        .args
+                        .iter()
+                        .map(|a| env[&a.id].tensor())
+                        .collect::<Result<_, _>>()?;
                     match &c.target {
-                        CallTarget::Op(op) => eval_op(op, &argv)?,
+                        CallTarget::Op(op) => Value::Tensor(eval_op(op, &argv)?),
                         CallTarget::Global(g) => {
                             let callee = self
                                 .module
@@ -182,9 +186,9 @@ impl<'m> Interpreter<'m> {
                                 .get(g)
                                 .ok_or_else(|| rerr(format!("unknown global @{g}")))?;
                             let mut named = HashMap::new();
-                            for (p, a) in callee.params.iter().zip(&argv) {
+                            for (p, &a) in callee.params.iter().zip(&argv) {
                                 if let ExprKind::Var(v) = &p.kind {
-                                    named.insert(v.name.clone(), a.tensor()?.clone());
+                                    named.insert(v.name.clone(), a.clone());
                                 }
                             }
                             self.run_function(callee, &named)?
@@ -198,16 +202,15 @@ impl<'m> Interpreter<'m> {
     }
 }
 
-/// Evaluate a primitive op on concrete values.
-pub fn eval_op(op: &OpKind, args: &[Value]) -> Result<Value, RunError> {
+/// Evaluate a primitive op on borrowed argument tensors.
+pub fn eval_op(op: &OpKind, args: &[&Tensor]) -> Result<Tensor, RunError> {
     let t = |i: usize| -> Result<&Tensor, RunError> {
         args.get(i)
-            .ok_or_else(|| rerr(format!("{}: missing arg {i}", op.name())))?
-            .tensor()
+            .copied()
+            .ok_or_else(|| rerr(format!("{}: missing arg {i}", op.name())))
     };
-    let ok = |r: Result<Tensor, kernels::KernelError>| -> Result<Value, RunError> {
-        r.map(Value::Tensor)
-            .map_err(|e| rerr(format!("{}: {e}", op.name())))
+    let ok = |r: Result<Tensor, kernels::KernelError>| -> Result<Tensor, RunError> {
+        r.map_err(|e| rerr(format!("{}: {e}", op.name())))
     };
     match op {
         OpKind::Conv2d(a) => {
@@ -288,17 +291,13 @@ pub fn eval_op(op: &OpKind, args: &[Value]) -> Result<Value, RunError> {
             .reshaped(a.new_shape.clone())
             .map_err(|e| kernels::kerr(e.to_string()))),
         OpKind::Transpose(a) => ok(kernels::transpose(t(0)?, &a.axes)),
-        OpKind::Concatenate(a) => {
-            let parts: Vec<&Tensor> = args.iter().map(|v| v.tensor()).collect::<Result<_, _>>()?;
-            ok(kernels::concat(&parts, a.axis))
-        }
+        OpKind::Concatenate(a) => ok(kernels::concat(args, a.axis)),
         OpKind::QnnConcatenate(a) => {
             // Inputs were pre-aligned to the output scale by the frontend;
             // the data-movement concat keeps the first input's params, then
             // we stamp the declared output params.
-            let parts: Vec<&Tensor> = args.iter().map(|v| v.tensor()).collect::<Result<_, _>>()?;
-            let c = kernels::concat(&parts, a.axis).map_err(|e| rerr(e.to_string()))?;
-            Ok(Value::Tensor(c.with_quant(a.output_q)))
+            let c = kernels::concat(args, a.axis).map_err(|e| rerr(e.to_string()))?;
+            Ok(c.with_quant(a.output_q))
         }
         OpKind::Pad(a) => ok(kernels::pad(t(0)?, &a.pads, a.value)),
         OpKind::StridedSlice(a) => ok(kernels::slice(t(0)?, &a.begin, &a.end)),
@@ -312,38 +311,14 @@ pub fn eval_op(op: &OpKind, args: &[Value]) -> Result<Value, RunError> {
             ok(kernels::resize2d(t(0)?, a.out_h, a.out_w, m))
         }
         OpKind::Mean(a) => ok(kernels::mean_f32(t(0)?, &a.axes)),
-        OpKind::Dropout => Ok(Value::Tensor(t(0)?.clone())),
+        OpKind::Dropout => Ok(t(0)?.clone()),
         OpKind::QnnQuantize(a) => ok(t(0)?
             .quantize(a.out, a.out_dtype)
             .map_err(|e| kernels::kerr(e.to_string()))),
-        OpKind::QnnDequantize(a) => {
-            let x = t(0)?;
-            // Use the declared (operator-oriented) params, not whatever the
-            // tensor carries.
-            let vals: Vec<f32> = x.iter_int().map(|q| a.input.dequantize(q)).collect();
-            ok(Tensor::from_f32(x.shape().clone(), vals).map_err(|e| kernels::kerr(e.to_string())))
-        }
-        OpKind::QnnRequantize(a) => {
-            let x = t(0)?;
-            let fpm = tvmnp_tensor::quant::FixedPointMultiplier::from_real(
-                a.input.scale as f64 / a.output.scale as f64,
-            );
-            let vals: Vec<i32> = x
-                .iter_int()
-                .map(|q| {
-                    tvmnp_tensor::quant::requantize_value(
-                        q - a.input.zero_point,
-                        fpm,
-                        a.output.zero_point,
-                        a.out_dtype,
-                    )
-                })
-                .collect();
-            ok(
-                Tensor::from_int_values(x.shape().clone(), &vals, a.out_dtype, Some(a.output))
-                    .map_err(|e| kernels::kerr(e.to_string())),
-            )
-        }
+        // The declared (operator-oriented) params, not whatever the tensor
+        // carries.
+        OpKind::QnnDequantize(a) => ok(kernels::dequantize(t(0)?, a.input)),
+        OpKind::QnnRequantize(a) => ok(kernels::requantize(t(0)?, a.input, a.output, a.out_dtype)),
     }
 }
 

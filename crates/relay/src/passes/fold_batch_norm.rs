@@ -22,11 +22,10 @@
 //! `nn.batch_norm` survives the pass.
 
 use crate::expr::{constant, Call, CallTarget, Expr, ExprKind, Function, Module};
-use crate::interp::{eval_op, Value};
+use crate::interp::eval_op;
 use crate::op::OpKind;
 use crate::visit::consumers;
 use std::collections::HashMap;
-use tvmnp_tensor::kernels;
 use tvmnp_tensor::Tensor;
 
 /// Per-channel scale/shift derived from batch-norm parameters.
@@ -278,26 +277,11 @@ pub fn reference_bn(
     var: &Tensor,
     eps: f32,
 ) -> Tensor {
-    let p = kernels::BatchNormParams {
-        gamma: gamma.clone(),
-        beta: beta.clone(),
-        mean: mean.clone(),
-        var: var.clone(),
-        epsilon: eps,
-    };
-    match eval_op(
+    eval_op(
         &OpKind::BatchNorm(crate::attrs::BatchNormAttrs { epsilon: eps }),
-        &[
-            Value::Tensor(x.clone()),
-            Value::Tensor(p.gamma.clone()),
-            Value::Tensor(p.beta.clone()),
-            Value::Tensor(p.mean.clone()),
-            Value::Tensor(p.var.clone()),
-        ],
-    ) {
-        Ok(Value::Tensor(t)) => t,
-        _ => panic!("reference bn failed"),
-    }
+        &[x, gamma, beta, mean, var],
+    )
+    .expect("reference bn failed")
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! is evaluated at compile time with the reference interpreter.
 
 use crate::expr::{constant, CallTarget, Expr, ExprKind, Function, Module};
-use crate::interp::{eval_op, Value};
+use crate::interp::eval_op;
 use crate::visit::ExprMutator;
+use tvmnp_tensor::Tensor;
 
 /// Fold constant subgraphs in every function of the module.
 pub fn fold_constants(module: &Module) -> Module {
@@ -31,18 +32,15 @@ fn fold_function(f: &Function) -> Function {
         if !all_const {
             return None;
         }
-        let argv: Vec<Value> = c
+        let argv: Vec<&Tensor> = c
             .args
             .iter()
             .map(|a| match &a.kind {
-                ExprKind::Constant(k) => Value::Tensor(k.value.clone()),
+                ExprKind::Constant(k) => &k.value,
                 _ => unreachable!(),
             })
             .collect();
-        match eval_op(op, &argv) {
-            Ok(Value::Tensor(t)) => Some(constant(t)),
-            _ => None,
-        }
+        eval_op(op, &argv).ok().map(constant)
     });
     let body = m.mutate(&f.body);
     Function {

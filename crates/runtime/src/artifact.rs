@@ -265,6 +265,43 @@ mod tests {
         assert_eq!(ex.get_output(0).unwrap().as_f32().unwrap(), &[-3.0, 4.0]);
     }
 
+    /// A file can hold what type inference would have refused: clip bounds
+    /// that are not a range load fine and must fail the run, not abort it.
+    #[test]
+    fn loaded_clip_with_inverted_bounds_fails_the_run_without_panicking() {
+        use crate::graph::NodeKind;
+        use tvmnp_relay::OpKind;
+        let x = var("x", TensorType::f32([3]));
+        let y = builder::relu6(x.clone());
+        let graph = ExecutorGraph::build(&Module::from_main(Function::new(vec![x], y))).unwrap();
+        let mut artifact = Artifact::export(&graph, &[]);
+        let clips = artifact
+            .graph
+            .nodes
+            .iter_mut()
+            .filter_map(|n| match &mut n.kind {
+                NodeKind::Op {
+                    op: OpKind::Clip(a),
+                    ..
+                } => Some(a),
+                _ => None,
+            });
+        for a in clips {
+            (a.min, a.max) = (6.0, 0.0);
+        }
+        let path = std::env::temp_dir().join("tvmnp_artifact_test_inverted_clip.json");
+        artifact.export_library(&path).unwrap();
+        let loaded = Artifact::load_library(&path).expect("the file parses");
+        let phone = AndroidDevice::new("phone", LoaderRegistry::new(), CostModel::default());
+        let mut ex = phone.load(&loaded).unwrap();
+        ex.set_input("x", Tensor::from_f32([3], vec![-1.0, 3.0, 9.0]).unwrap())
+            .unwrap();
+        let err = ex.run().expect_err("inverted bounds are a kernel error");
+        assert!(err.message().contains("not a range"), "{err}");
+        assert_eq!(err.context().op.as_deref(), Some("clip"));
+        assert!(ex.get_output(0).is_err(), "a failed run has no outputs");
+    }
+
     #[test]
     fn missing_loader_fails() {
         let m = partitioned_module();

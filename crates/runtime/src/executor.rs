@@ -1,14 +1,16 @@
 //! The graph executor — TVM's `GraphModule` (`set_input` / `run` /
 //! `get_output`), with simulated-time accounting.
 
-use crate::graph::{ExecutorGraph, GraphNode, NodeKind, NodeRef};
+use crate::graph::{ExecutorGraph, NodeKind, NodeRef};
+use crate::memory::{plan_memory, MemoryPlan};
 use crate::module::ModuleRegistry;
 use crate::work::relay_work_item;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy};
-use tvmnp_relay::interp::{eval_op, Value};
+use tvmnp_relay::interp::eval_op;
 use tvmnp_relay::TensorType;
 use tvmnp_telemetry::Field;
 use tvmnp_tensor::Tensor;
@@ -246,9 +248,10 @@ impl Default for RunOptions<'_> {
 /// Run the dispatch-retry loop at one dispatch point: consult the
 /// injector, charging `wasted_us` of simulated time per failed attempt
 /// (the aborted dispatch) plus the policy backoff, emitting a
-/// `resilience.retry` span and counter per recovered failure. Returns the
-/// attempts consumed, or `Err((attempts, cause))` when a fatal fault or
-/// retry exhaustion ends the run.
+/// `resilience.retry` span and counter per recovered failure and
+/// forwarding every consumed fault to the installed event sink (flight
+/// recorder). Returns the attempts consumed, or `Err((attempts, cause))`
+/// when a fatal fault or retry exhaustion ends the run.
 fn dispatch_with_retry(
     injector: &FaultInjector,
     retry: &RetryPolicy,
@@ -257,85 +260,131 @@ fn dispatch_with_retry(
     time_us: &mut f64,
 ) -> Result<u32, (u32, String)> {
     let mut attempt = 1u32;
-    loop {
-        match injector.on_dispatch(device, attempt) {
-            None => return Ok(attempt),
-            Some(fault) if fault.fatal || !retry.allows_retry(attempt) => {
-                if tvmnp_telemetry::sink_active() {
-                    emit_fault_event(device, attempt, &fault.description, true);
-                }
-                return Err((attempt, fault.description));
-            }
-            Some(fault) => {
-                let cost = wasted_us + retry.backoff_us(attempt);
-                if tvmnp_telemetry::sink_active() {
-                    emit_fault_event(device, attempt, &fault.description, false);
-                }
-                tvmnp_telemetry::record_sim_span(
-                    "resilience.retry",
-                    *time_us,
-                    cost,
-                    vec![
-                        ("device", device.name().into()),
-                        ("attempt", attempt.into()),
-                        ("cause", fault.description.into()),
-                    ],
-                );
-                tvmnp_telemetry::counter_add("resilience.retries", &[("device", device.name())], 1);
-                *time_us += cost;
-                attempt += 1;
-            }
+    while let Some(fault) = injector.on_dispatch(device, attempt) {
+        // Truly fatal, or out of retries: either way this point gives up.
+        let fatal = fault.fatal || !retry.allows_retry(attempt);
+        if tvmnp_telemetry::sink_active() {
+            tvmnp_telemetry::emit_event(
+                "fault.injected",
+                vec![
+                    ("stage", "dispatch".into()),
+                    ("device", device.name().into()),
+                    ("attempt", attempt.into()),
+                    // Free text goes under `detail`, which the stats sink
+                    // does not index — `cause` is reserved for bounded
+                    // vocabularies so counter cardinality stays finite.
+                    ("detail", fault.description.clone().into()),
+                    ("fatal", Field::Bool(fatal)),
+                ],
+            );
+        }
+        if fatal {
+            return Err((attempt, fault.description));
+        }
+        let cost = wasted_us + retry.backoff_us(attempt);
+        tvmnp_telemetry::record_sim_span(
+            "resilience.retry",
+            *time_us,
+            cost,
+            vec![
+                ("device", device.name().into()),
+                ("attempt", attempt.into()),
+                ("cause", fault.description.into()),
+            ],
+        );
+        tvmnp_telemetry::counter_add("resilience.retries", &[("device", device.name())], 1);
+        *time_us += cost;
+        attempt += 1;
+    }
+    Ok(attempt)
+}
+
+/// Where a step finds one of its operands.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    /// The `k`-th graph input, as bound by `set_input`.
+    Input(usize),
+    /// `graph.params[k]`, borrowed from the graph for the whole run.
+    Param(usize),
+    /// Slot `k` of the memory plan.
+    Slot(usize),
+}
+
+impl Operand {
+    /// The tensor this operand names, if it is there to read.
+    fn read<'a>(
+        self,
+        graph: &'a ExecutorGraph,
+        inputs: &'a [Option<Tensor>],
+        slots: &'a [Option<Tensor>],
+    ) -> Option<&'a Tensor> {
+        match self {
+            Operand::Input(k) => inputs[k].as_ref(),
+            Operand::Param(k) => graph.params.get(k),
+            Operand::Slot(k) => slots[k].as_ref(),
         }
     }
 }
 
-/// Forward one consumed dispatch fault to the installed event sink
-/// (flight recorder). `fatal` covers both truly fatal faults and retry
-/// budget exhaustion — either way this dispatch point gives up.
-fn emit_fault_event(device: DeviceKind, attempt: u32, detail: &str, fatal: bool) {
-    tvmnp_telemetry::emit_event(
-        "fault.injected",
-        vec![
-            ("stage", "dispatch".into()),
-            ("device", device.name().into()),
-            ("attempt", attempt.into()),
-            // Free-text description goes under `detail`, which the stats
-            // sink does not index — `cause` is reserved for bounded
-            // vocabularies so counter cardinality stays finite.
-            ("detail", detail.to_string().into()),
-            ("fatal", Field::Bool(fatal)),
-        ],
-    );
+/// One op/external node with its operands (in `ExecutionPlan::operands`)
+/// and its slice of the ledger resolved: a run hashes and scans nothing.
+struct Step {
+    node: usize,
+    operands: Range<usize>,
+    ledger: Range<usize>,
+}
+
+/// The executor's walk, compiled once. Where a step's outputs go and which
+/// slots die after it are the memory plan's.
+struct ExecutionPlan {
+    steps: Vec<Step>,
+    operands: Vec<Operand>,
+    /// Node of each graph input, in `Operand::Input` order.
+    inputs: Vec<usize>,
+    /// Where each graph output is after a run.
+    outputs: Vec<Operand>,
+    memory: MemoryPlan,
 }
 
 /// Derive the executor's cost ledger — the only place host-side work is
-/// priced. Per node, in execution order: a host op charges one launch per
-/// fusion group plus its roofline body on the untuned CPU; an external
-/// node charges a host → module transfer per argument through the
-/// module's dispatch device, the linked module's own entries, and a
-/// module → host transfer per result.
-fn build_ledger(
+/// priced — and, in the same walk, its execution plan. Per node, in
+/// execution order: a host op charges one launch per fusion group plus its
+/// roofline body on the untuned CPU; an external node charges a host →
+/// module transfer per argument through the module's dispatch device, the
+/// linked module's own entries, and a module → host transfer per result.
+fn compile(
     graph: &ExecutorGraph,
     modules: &ModuleRegistry,
     cost: &CostModel,
-) -> Result<Vec<CostEntry>, ExecError> {
+) -> Result<(Vec<CostEntry>, ExecutionPlan), ExecError> {
     let type_of = |r: &NodeRef| &graph.nodes[r.node].out_types[r.output];
     let cpu_launch = cost.soc().device(DeviceKind::Cpu).kernel_launch_us;
-    let is_host_op = |n: &&GraphNode| matches!(n.kind, NodeKind::Op { .. });
-    let host_ops = graph.nodes.iter().filter(is_host_op).count();
-    let external_entries = graph.nodes.iter().map(|n| match &n.kind {
-        NodeKind::External { symbol, inputs } => {
-            let inner = modules.get(symbol).map_or(0, |m| m.ledger().len());
-            inputs.len() + inner + n.out_types.len()
-        }
-        _ => 0,
-    });
-    let mut ledger = Vec::with_capacity(2 * host_ops + external_entries.sum::<usize>());
-    let mut groups_dispatched: HashSet<usize> = HashSet::with_capacity(host_ops);
+    // Two entries per host op; an external node's come in one `extend`.
+    let mut ledger = Vec::with_capacity(2 * graph.nodes.len());
+    let mut groups_dispatched: HashSet<usize> = HashSet::with_capacity(graph.nodes.len());
     let mut arg_types: Vec<&TensorType> = Vec::new();
+
+    let memory = plan_memory(graph);
+    let mut input_nodes = Vec::new();
+    let locate = |r: &NodeRef, input_nodes: &[usize]| match graph.nodes.get(r.node)?.kind {
+        NodeKind::Input { .. } => {
+            let k = input_nodes.iter().position(|&n| n == r.node);
+            k.filter(|_| r.output == 0).map(Operand::Input)
+        }
+        NodeKind::Param { index } => Some(Operand::Param(index)).filter(|_| r.output == 0),
+        NodeKind::Op { .. } | NodeKind::External { .. } => memory.slot_of(*r).map(Operand::Slot),
+    };
+    let missing = |r: &NodeRef| ExecError::new(format!("value for {r:?} missing"));
+    let mut steps = Vec::with_capacity(graph.nodes.len());
+    let mut operands = Vec::new();
     for (idx, node) in graph.nodes.iter().enumerate() {
-        match &node.kind {
-            NodeKind::Input { .. } | NodeKind::Param { .. } => {}
+        let first = ledger.len();
+        let args = match &node.kind {
+            NodeKind::Input { .. } => {
+                input_nodes.push(idx);
+                continue;
+            }
+            NodeKind::Param { .. } => continue,
             NodeKind::Op { op, inputs, group } => {
                 arg_types.clear();
                 arg_types.extend(inputs.iter().map(type_of));
@@ -357,6 +406,7 @@ fn build_ledger(
                     DeviceKind::Cpu,
                     KernelClass::TvmUntuned,
                 ));
+                inputs
             }
             NodeKind::External { symbol, inputs } => {
                 // The same constraint TVM enforces when linking BYOC
@@ -384,10 +434,35 @@ fn build_ledger(
                         .map(|e| CostEntry { node: idx, ..*e }),
                 );
                 ledger.extend(node.out_types.iter().map(|t| boundary("boundary-out", t)));
+                inputs
             }
+        };
+        let first_operand = operands.len();
+        for r in args {
+            // Only a value an earlier node produced is there to read.
+            let earlier = Some(r).filter(|r| r.node < idx);
+            let found = earlier.and_then(|r| locate(r, &input_nodes));
+            operands.push(found.ok_or_else(|| missing(r).with_node(format!("node#{idx}")))?);
         }
+        steps.push(Step {
+            node: idx,
+            operands: first_operand..operands.len(),
+            ledger: first..ledger.len(),
+        });
     }
-    Ok(ledger)
+    let outputs = graph
+        .outputs
+        .iter()
+        .map(|r| locate(r, &input_nodes).ok_or_else(|| missing(r)))
+        .collect::<Result<_, _>>()?;
+    let plan = ExecutionPlan {
+        steps,
+        operands,
+        inputs: input_nodes,
+        outputs,
+        memory,
+    };
+    Ok((ledger, plan))
 }
 
 /// The graph executor: owns the graph, linked external modules, bound
@@ -397,14 +472,23 @@ pub struct GraphExecutor {
     modules: ModuleRegistry,
     cost: CostModel,
     ledger: Vec<CostEntry>,
-    inputs: HashMap<String, Tensor>,
-    values: HashMap<NodeRef, Tensor>,
+    /// Boxed to keep the executor, and `CompiledModel` around it, small.
+    plan: Box<ExecutionPlan>,
+    /// Bound inputs, in `Operand::Input` order.
+    inputs: Vec<Option<Tensor>>,
+    /// The memory plan's slots; after a run, what the outputs are read from.
+    slots: Vec<Option<Tensor>>,
+    /// `Some` once a run has completed, and until the next one starts.
     last_run_us: Option<f64>,
+    /// Most bytes the slots held between two steps of the last run.
+    #[cfg(debug_assertions)]
+    peak_held_bytes: usize,
 }
 
 impl GraphExecutor {
     /// Construct from a lowered graph and linked external modules, and
-    /// derive the cost ledger every run and estimate reads.
+    /// derive the cost ledger every run and estimate reads and the
+    /// execution plan every run walks.
     ///
     /// Every external symbol referenced by the graph must be registered.
     pub fn new(
@@ -412,25 +496,27 @@ impl GraphExecutor {
         modules: ModuleRegistry,
         cost: CostModel,
     ) -> Result<Self, ExecError> {
-        let ledger = build_ledger(&graph, &modules, &cost)?;
+        let (ledger, plan) = compile(&graph, &modules, &cost)?;
         Ok(GraphExecutor {
+            inputs: vec![None; plan.inputs.len()],
+            slots: vec![None; plan.memory.slot_bytes.len()],
             graph,
             modules,
             cost,
             ledger,
-            inputs: HashMap::new(),
-            values: HashMap::new(),
+            plan: Box::new(plan),
             last_run_us: None,
+            #[cfg(debug_assertions)]
+            peak_held_bytes: 0,
         })
     }
 
     /// Bind a named input (TVM `m.set_input`).
     pub fn set_input(&mut self, name: &str, value: Tensor) -> Result<(), ExecError> {
-        let &idx = self
-            .graph
-            .input_index
-            .get(name)
-            .ok_or_else(|| ExecError::new(format!("unknown input '{name}'")).with_node(name))?;
+        let unknown = || ExecError::new(format!("unknown input '{name}'")).with_node(name);
+        let &idx = self.graph.input_index.get(name).ok_or_else(unknown)?;
+        let k = self.plan.inputs.iter().position(|&n| n == idx);
+        let k = k.ok_or_else(unknown)?;
         let expect = &self.graph.nodes[idx].out_types[0];
         if value.shape() != &expect.shape || value.dtype() != expect.dtype {
             return Err(ExecError::new(format!(
@@ -442,7 +528,7 @@ impl GraphExecutor {
             ))
             .with_node(name));
         }
-        self.inputs.insert(name.to_string(), value);
+        self.inputs[k] = Some(value);
         Ok(())
     }
 
@@ -464,183 +550,172 @@ impl GraphExecutor {
     /// is the ledger charged in order (retries only add on top), so a
     /// fault-free run returns bit-exactly
     /// [`GraphExecutor::estimate_time_us`].
+    ///
+    /// The walk is the execution plan: each step borrows its operands
+    /// (inputs, the graph's parameters, slots), stores its outputs in their
+    /// slots and drops the slots whose last reader it was.
     pub fn run_with(&mut self, opts: &RunOptions<'_>) -> Result<f64, ExecError> {
         let _run_span = tvmnp_telemetry::span!("executor.run");
-        self.values.clear();
+        self.last_run_us = None;
+        self.slots.fill(None);
+        let (graph, plan, slots, inputs) =
+            (&self.graph, &*self.plan, &mut self.slots, &self.inputs);
         let mut time_us = 0.0;
-        let mut charged = 0;
-        let deadline = |time_us: f64, node: usize| -> Result<(), ExecError> {
+        #[cfg(debug_assertions)]
+        {
+            self.peak_held_bytes = 0;
+        }
+        for (k, &idx) in plan.inputs.iter().enumerate() {
+            if inputs[k].is_none() {
+                let NodeKind::Input { name } = &graph.nodes[idx].kind else {
+                    unreachable!("plan.inputs lists input nodes");
+                };
+                return Err(ExecError::new(format!("input '{name}' not set"))
+                    .with_node(format!("node#{idx}")));
+            }
+        }
+
+        // A step's outputs, on their way to their slots; one buffer serves
+        // every host step.
+        let mut outs: Vec<Tensor> = Vec::new();
+        for step in &plan.steps {
+            let (idx, node) = (step.node, &graph.nodes[step.node]);
+            let entries = &self.ledger[step.ledger.clone()];
+            let node_start_us = time_us;
+            // What runs, where, what is charged before its dispatch point
+            // and what an aborted dispatch wastes: a host op launches once
+            // per fusion group (its first node's), an external call
+            // dispatches after its host → module transfers.
+            let (name, module, device, staged, wasted_us) = match &node.kind {
+                NodeKind::Op { op, .. } => {
+                    let launch = entries.first().filter(|e| e.role == CostRole::Launch);
+                    (op.name(), None, DeviceKind::Cpu, 0, launch.map(|l| l.us))
+                }
+                NodeKind::External { symbol, inputs } => {
+                    let module = self.modules.get(symbol).expect("checked at construction");
+                    let device = module.dispatch_device();
+                    let wasted_us = self.cost.subgraph_dispatch_us(device);
+                    (
+                        &**symbol,
+                        Some(module),
+                        device,
+                        inputs.len(),
+                        Some(wasted_us),
+                    )
+                }
+                NodeKind::Input { .. } | NodeKind::Param { .. } => {
+                    unreachable!("steps are op and external nodes")
+                }
+            };
+            let err_here = |msg: String| {
+                ExecError::new(msg)
+                    .with_node(format!("node#{idx}"))
+                    .with_op(name)
+                    .with_device(device.name())
+            };
+            let (before, after) = entries.split_at(staged);
+            ledger::charge(&mut time_us, before);
+            if let (Some(injector), Some(wasted_us)) = (opts.injector, wasted_us) {
+                dispatch_with_retry(injector, &opts.retry, device, wasted_us, &mut time_us)
+                    .map_err(|(attempt, cause)| {
+                        err_here(format!("device fault: {cause}"))
+                            .with_attempt(attempt)
+                            .with_kind(ExecErrorKind::DeviceFault)
+                            .with_cause(cause)
+                    })?;
+            }
+            {
+                let args: Vec<&Tensor> = plan.operands[step.operands.clone()]
+                    .iter()
+                    .map(|operand| operand.read(graph, inputs, slots))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| err_here("an operand is missing".into()))?;
+                match (&node.kind, module) {
+                    (NodeKind::Op { op, .. }, _) => {
+                        outs.push(eval_op(op, &args).map_err(|e| err_here(e.to_string()))?)
+                    }
+                    (_, Some(module)) => {
+                        outs = module.run(&args).map_err(|e| err_here(e.to_string()))?.0
+                    }
+                    _ => unreachable!("an external node has its module"),
+                }
+            }
+            // The ledger charged the graph's types at build time, so what
+            // a module hands back must match them.
+            if module.is_some() {
+                if outs.len() != node.out_types.len() {
+                    return Err(err_here(format!(
+                        "'{name}' returned {} outputs, expected {}",
+                        outs.len(),
+                        node.out_types.len()
+                    )));
+                }
+                for (k, (o, expect)) in outs.iter().zip(&node.out_types).enumerate() {
+                    if o.shape() != &expect.shape || o.dtype() != expect.dtype {
+                        return Err(err_here(format!(
+                            "'{name}' output {k} expects {} {}, got {} {}",
+                            expect.shape,
+                            expect.dtype,
+                            o.shape(),
+                            o.dtype()
+                        )));
+                    }
+                }
+            }
+            ledger::charge(&mut time_us, after);
+            let detail = tvmnp_telemetry::detail_enabled();
+            let class = match module {
+                Some(_) => KernelClass::VendorTuned,
+                None => KernelClass::TvmUntuned,
+            };
+            record_node(
+                node_start_us,
+                time_us - node_start_us,
+                name,
+                device.name(),
+                class,
+                (detail && module.is_none()).then_some(entries),
+            );
+            if detail && module.is_some() {
+                // Per-kernel attribution spans, tiled from the node start.
+                // (The aggregate `executor.node` span above has no `kind`
+                // arg, so the profile ingester takes these and skips it —
+                // no double counting.)
+                let mut at_us = node_start_us;
+                for entry in entries {
+                    record_kernel(name, at_us, entry);
+                    at_us += entry.us;
+                }
+            }
             if time_us > opts.deadline_us {
                 return Err(ExecError::new(format!(
                     "deadline exceeded: {time_us:.1} us past a {:.1} us budget",
                     opts.deadline_us
                 ))
-                .with_node(format!("node#{node}"))
+                .with_node(format!("node#{idx}"))
                 .with_kind(ExecErrorKind::Deadline));
             }
-            Ok(())
-        };
-        let fault = |e: ExecError, (attempt, cause): (u32, String)| {
-            e.with_attempt(attempt)
-                .with_kind(ExecErrorKind::DeviceFault)
-                .with_cause(cause)
-        };
-
-        for (idx, node) in self.graph.nodes.iter().enumerate() {
-            // This node's slice of the ledger (entries are in node order).
-            let first = charged;
-            while self.ledger.get(charged).is_some_and(|e| e.node == idx) {
-                charged += 1;
+            for (out, &slot) in outs.drain(..).zip(plan.memory.slots_of(idx)) {
+                slots[slot] = Some(out);
             }
-            let entries = &self.ledger[first..charged];
-            let node_start_us = time_us;
-            let out0 = NodeRef {
-                node: idx,
-                output: 0,
-            };
-            match &node.kind {
-                NodeKind::Input { name } => {
-                    let v = self.inputs.get(name).ok_or_else(|| {
-                        ExecError::new(format!("input '{name}' not set"))
-                            .with_node(format!("node#{idx}"))
-                    })?;
-                    self.values.insert(out0, v.clone());
-                }
-                NodeKind::Param { index } => {
-                    self.values.insert(out0, self.graph.params[*index].clone());
-                }
-                NodeKind::Op { op, inputs, .. } => {
-                    let err_here = |msg: String| {
-                        ExecError::new(msg)
-                            .with_node(format!("node#{idx}"))
-                            .with_op(op.name())
-                            .with_device(DeviceKind::Cpu.name())
-                    };
-                    let args: Vec<Value> = inputs
-                        .iter()
-                        .map(|r| {
-                            self.values
-                                .get(r)
-                                .cloned()
-                                .map(Value::Tensor)
-                                .ok_or_else(|| err_here(format!("value for {r:?} missing")))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let out = eval_op(op, &args)
-                        .map_err(|e| err_here(e.to_string()))?
-                        .into_tensor()
-                        .map_err(|e| err_here(e.to_string()))?;
-                    // A fusion group's first node dispatches the kernel.
-                    let launch = entries.first().filter(|e| e.role == CostRole::Launch);
-                    if let (Some(injector), Some(launch)) = (opts.injector, launch) {
-                        dispatch_with_retry(
-                            injector,
-                            &opts.retry,
-                            launch.device,
-                            launch.us,
-                            &mut time_us,
-                        )
-                        .map_err(|f| fault(err_here(format!("device fault: {}", f.1)), f))?;
-                    }
-                    ledger::charge(&mut time_us, entries);
-                    record_node(
-                        node_start_us,
-                        time_us - node_start_us,
-                        op.name(),
-                        DeviceKind::Cpu.name(),
-                        KernelClass::TvmUntuned,
-                        tvmnp_telemetry::detail_enabled().then_some(entries),
-                    );
-                    deadline(time_us, idx)?;
-                    self.values.insert(out0, out);
-                }
-                NodeKind::External { symbol, inputs } => {
-                    let module = self.modules.get(symbol).expect("checked at construction");
-                    let dispatch = module.dispatch_device();
-                    let err_here = |msg: String| {
-                        ExecError::new(msg)
-                            .with_node(format!("node#{idx}"))
-                            .with_op(symbol.clone())
-                            .with_device(dispatch.name())
-                    };
-                    let args: Vec<Tensor> = inputs
-                        .iter()
-                        .map(|r| {
-                            self.values
-                                .get(r)
-                                .cloned()
-                                .ok_or_else(|| err_here(format!("value for {r:?} missing")))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    // Host → external transfers, then the dispatch.
-                    let (transfers_in, rest) = entries.split_at(inputs.len());
-                    ledger::charge(&mut time_us, transfers_in);
-                    if let Some(injector) = opts.injector {
-                        let wasted_us = self.cost.subgraph_dispatch_us(dispatch);
-                        dispatch_with_retry(
-                            injector,
-                            &opts.retry,
-                            dispatch,
-                            wasted_us,
-                            &mut time_us,
-                        )
-                        .map_err(|f| fault(err_here(format!("device fault: {}", f.1)), f))?;
-                    }
-                    let (outs, _) = module.run(&args).map_err(|e| err_here(e.to_string()))?;
-                    if outs.len() != node.out_types.len() {
-                        return Err(err_here(format!(
-                            "'{symbol}' returned {} outputs, expected {}",
-                            outs.len(),
-                            node.out_types.len()
-                        )));
-                    }
-                    // The ledger charged the graph's types at build time,
-                    // so what the module hands back must match them.
-                    for (k, (o, expect)) in outs.into_iter().zip(&node.out_types).enumerate() {
-                        if o.shape() != &expect.shape || o.dtype() != expect.dtype {
-                            return Err(err_here(format!(
-                                "'{symbol}' output {k} expects {} {}, got {} {}",
-                                expect.shape,
-                                expect.dtype,
-                                o.shape(),
-                                o.dtype()
-                            )));
-                        }
-                        self.values.insert(
-                            NodeRef {
-                                node: idx,
-                                output: k,
-                            },
-                            o,
-                        );
-                    }
-                    // The module's own entries, then external → host.
-                    ledger::charge(&mut time_us, rest);
-                    record_node(
-                        node_start_us,
-                        time_us - node_start_us,
-                        symbol,
-                        dispatch.name(),
-                        KernelClass::VendorTuned,
-                        None,
-                    );
-                    if tvmnp_telemetry::detail_enabled() {
-                        // Per-kernel attribution spans, tiled from the
-                        // node start. (The aggregate `executor.node` span
-                        // above has no `kind` arg, so the profile ingester
-                        // takes these and skips it — no double counting.)
-                        let mut at_us = node_start_us;
-                        for entry in entries {
-                            record_kernel(symbol, at_us, entry);
-                            at_us += entry.us;
-                        }
-                    }
-                    deadline(time_us, idx)?;
-                }
+            for &slot in plan.memory.dying_after(idx) {
+                slots[slot] = None;
+            }
+            #[cfg(debug_assertions)]
+            {
+                let held: usize = slots.iter().flatten().map(Tensor::size_bytes).sum();
+                self.peak_held_bytes = self.peak_held_bytes.max(held);
             }
         }
         self.last_run_us = Some(time_us);
         Ok(time_us)
+    }
+
+    /// Most bytes the slots held between two steps of the last run — what
+    /// [`MemoryPlan::peak_bytes`] bounds. Tracked in debug builds only.
+    #[cfg(debug_assertions)]
+    pub fn peak_held_bytes(&self) -> usize {
+        self.peak_held_bytes
     }
 
     /// Every charged item of one inference, in execution (= accumulation)
@@ -663,15 +738,16 @@ impl GraphExecutor {
         ledger::total_energy_uj(&self.ledger)
     }
 
-    /// Fetch output `i` after a run (TVM `m.get_output`).
+    /// Fetch output `i` after a run (TVM `m.get_output`). An error before
+    /// the first run and after a failed one: never an earlier run's tensor.
     pub fn get_output(&self, i: usize) -> Result<Tensor, ExecError> {
-        let r = self
-            .graph
+        let operand = self
+            .plan
             .outputs
             .get(i)
             .ok_or_else(|| ExecError::new(format!("output index {i} out of range")))?;
-        self.values
-            .get(r)
+        (operand.read(&self.graph, &self.inputs, &self.slots))
+            .filter(|_| self.last_run_us.is_some())
             .cloned()
             .ok_or_else(|| ExecError::new("run() has not produced outputs yet"))
     }

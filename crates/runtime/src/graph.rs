@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 use tvmnp_relay::expr::{CallTarget, ExprKind, Module};
 use tvmnp_relay::infer::infer_types;
 use tvmnp_relay::passes::fuse_analysis;
@@ -66,8 +67,9 @@ pub struct ExecutorGraph {
     pub nodes: Vec<GraphNode>,
     /// Graph outputs.
     pub outputs: Vec<NodeRef>,
-    /// Weight table referenced by `NodeKind::Param`.
-    pub params: Vec<Tensor>,
+    /// Weight table referenced by `NodeKind::Param`; shared, so cloning a
+    /// graph (one per pooled session) does not copy the weights.
+    pub params: Arc<Vec<Tensor>>,
     /// Input name → node index.
     pub input_index: HashMap<String, usize>,
 }
@@ -101,6 +103,7 @@ impl ExecutorGraph {
             .collect();
 
         let mut g = ExecutorGraph::default();
+        let mut params = Vec::new();
         // expr id -> its output refs
         let mut refs: HashMap<usize, Vec<NodeRef>> = HashMap::new();
 
@@ -140,8 +143,8 @@ impl ExecutorGraph {
                     return Err(BuildError(format!("free variable '{}'", v.name)));
                 }
                 ExprKind::Constant(c) => {
-                    g.params.push(c.value.clone());
-                    let param_index = g.params.len() - 1;
+                    params.push(c.value.clone());
+                    let param_index = params.len() - 1;
                     let tt = TensorType::new(c.value.shape().clone(), c.value.dtype());
                     let idx = add_node(&mut g, NodeKind::Param { index: param_index }, vec![tt]);
                     vec![NodeRef {
@@ -227,6 +230,7 @@ impl ExecutorGraph {
         }
 
         g.outputs = refs[&main.body.id].clone();
+        g.params = Arc::new(params);
         Ok(g)
     }
 

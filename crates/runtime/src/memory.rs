@@ -1,65 +1,91 @@
 //! The storage planner — TVM's `GraphPlanMemory`.
 //!
 //! Assigns each op/external output a storage slot, greedily reusing slots
-//! whose producing value is dead. Inputs and params live in their own
-//! pinned storage. The planner reports slot assignments and peak bytes —
-//! the number that decides whether a model fits a phone's memory budget.
+//! whose value is dead, and says after which node each slot's value dies.
+//! Inputs and params live in their own pinned storage. The executor runs on
+//! these slot ids (see DESIGN.md "The execution plan"); `peak_bytes` is the
+//! number that decides whether a model fits a phone's memory budget.
 
-use crate::graph::{ExecutorGraph, NodeKind, NodeRef};
-use std::collections::HashMap;
+use crate::graph::{ExecutorGraph, GraphNode, NodeKind, NodeRef};
 
 /// Result of memory planning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPlan {
-    /// Storage slot per intermediate value.
-    pub slot_of: HashMap<NodeRef, usize>,
+    /// Storage slot of every op/external output, in node then output order.
+    value_slots: Vec<usize>,
+    /// `value_slots[first_value[n]..first_value[n + 1]]` belong to node `n`.
+    first_value: Vec<usize>,
+    /// Slots whose value dies at each node, in node order.
+    dying: Vec<usize>,
+    /// `dying[first_dying[n]..first_dying[n + 1]]` die after node `n`.
+    first_dying: Vec<usize>,
     /// Size of each slot in bytes.
     pub slot_bytes: Vec<usize>,
     /// Peak transient memory: the maximum, over execution steps, of the
-    /// total bytes of slots holding a live value at that step. This is the
-    /// number that decides whether a model fits a phone's memory budget.
+    /// total bytes of slots holding a live value after that step. This is
+    /// the number that decides whether a model fits a phone's memory budget.
     pub peak_bytes: usize,
     /// Total pool size (sum of all slot sizes) — what the greedy planner
     /// actually reserves. Always `>= peak_bytes`; the gap is reuse slack.
     pub pool_bytes: usize,
 }
 
-/// Plan storage for a lowered graph.
+/// The values a node reads.
+fn inputs_of(node: &GraphNode) -> &[NodeRef] {
+    match &node.kind {
+        NodeKind::Op { inputs, .. } | NodeKind::External { inputs, .. } => inputs,
+        // Inputs/params are pinned outside the transient pool.
+        NodeKind::Input { .. } | NodeKind::Param { .. } => &[],
+    }
+}
+
+/// Index of `r` among the planned values; `None` for inputs, params and
+/// references to outputs that do not exist.
+fn value_index(first_value: &[usize], r: NodeRef) -> Option<usize> {
+    let (&base, &end) = (first_value.get(r.node)?, first_value.get(r.node + 1)?);
+    (r.output < end - base).then_some(base + r.output)
+}
+
+/// Plan storage for a lowered graph: one pass over node-indexed tables.
+///
+/// A value is live from the step that produces it until the step of its
+/// last consumer (graph outputs to the end; a value nothing consumes dies
+/// with its own step, which still writes it). A slot is released *after*
+/// the step its value dies at, so a step's outputs never share a slot with
+/// its inputs or with each other.
 pub fn plan_memory(graph: &ExecutorGraph) -> MemoryPlan {
-    // Reference counts: how many later uses each value has.
-    let mut refcount: HashMap<NodeRef, usize> = HashMap::new();
+    let mut first_value = Vec::with_capacity(graph.nodes.len() + 1);
+    let mut values = 0;
     for node in &graph.nodes {
-        let inputs = match &node.kind {
-            NodeKind::Op { inputs, .. } | NodeKind::External { inputs, .. } => inputs.as_slice(),
-            _ => &[],
+        first_value.push(values);
+        values += match node.kind {
+            NodeKind::Op { .. } | NodeKind::External { .. } => node.out_types.len(),
+            NodeKind::Input { .. } | NodeKind::Param { .. } => 0,
         };
-        for r in inputs {
-            *refcount.entry(*r).or_insert(0) += 1;
+    }
+    first_value.push(values);
+
+    // How many reads each value still has coming; a graph output is one
+    // that never comes.
+    let mut pending = vec![0usize; values];
+    let reads = graph.nodes.iter().flat_map(|n| inputs_of(n).iter());
+    for &r in reads.chain(&graph.outputs) {
+        if let Some(v) = value_index(&first_value, r) {
+            pending[v] += 1;
         }
     }
-    for r in &graph.outputs {
-        *refcount.entry(*r).or_insert(0) += 1;
-    }
 
+    let mut value_slots = Vec::with_capacity(values);
     let mut slot_bytes: Vec<usize> = Vec::new();
-    let mut free: Vec<usize> = Vec::new(); // free slot indices
-    let mut slot_of: HashMap<NodeRef, usize> = HashMap::new();
-    let mut live_refs: HashMap<NodeRef, usize> = HashMap::new(); // value -> remaining uses
-
+    let mut free: Vec<usize> = Vec::new();
+    let mut dying = Vec::with_capacity(values);
+    let mut first_dying = Vec::with_capacity(graph.nodes.len() + 1);
+    let (mut live_bytes, mut peak_bytes) = (0usize, 0usize);
     for (idx, node) in graph.nodes.iter().enumerate() {
-        let (inputs, produces): (&[NodeRef], usize) = match &node.kind {
-            NodeKind::Op { inputs, .. } => (inputs.as_slice(), 1),
-            NodeKind::External { inputs, .. } => (inputs.as_slice(), node.out_types.len()),
-            // Inputs/params are pinned outside the transient pool.
-            _ => (&[], 0),
-        };
+        first_dying.push(dying.len());
         // Allocate outputs: best-fit from the free list, else a new slot.
-        for k in 0..produces {
-            let r = NodeRef {
-                node: idx,
-                output: k,
-            };
-            let need = node.out_types[k].size_bytes();
+        for ty in &node.out_types[..first_value[idx + 1] - first_value[idx]] {
+            let need = ty.size_bytes();
             let fit = free
                 .iter()
                 .enumerate()
@@ -73,115 +99,91 @@ pub fn plan_memory(graph: &ExecutorGraph) -> MemoryPlan {
                     slot_bytes.len() - 1
                 }
             };
-            slot_of.insert(r, slot);
-            live_refs.insert(r, refcount.get(&r).copied().unwrap_or(0));
-            // A value nobody consumes dies immediately.
-            if live_refs[&r] == 0 {
-                free.push(slot);
-            }
+            live_bytes += slot_bytes[slot];
+            value_slots.push(slot);
         }
-        // Release inputs whose last use this was.
-        for r in inputs {
-            if let Some(c) = live_refs.get_mut(r) {
-                *c -= 1;
-                if *c == 0 {
-                    if let Some(&s) = slot_of.get(r) {
-                        free.push(s);
-                    }
+        // Inputs whose last read this was are no longer live...
+        for &r in inputs_of(node) {
+            if let Some(v) = value_index(&first_value, r).filter(|&v| v < first_value[idx]) {
+                pending[v] -= 1;
+                if pending[v] == 0 {
+                    live_bytes -= slot_bytes[value_slots[v]];
+                    dying.push(value_slots[v]);
                 }
             }
         }
-    }
-
-    let pool_bytes = slot_bytes.iter().sum();
-    let peak_bytes = peak_live_bytes(graph, &slot_of, &slot_bytes);
-    MemoryPlan {
-        slot_of,
-        slot_bytes,
-        peak_bytes,
-        pool_bytes,
-    }
-}
-
-/// Max over execution steps of the bytes of slots holding a live value.
-///
-/// A value is live after step `t` when it was produced at or before `t`
-/// and still has a consumer after `t` (graph outputs stay live to the
-/// end); a value is also live at its own production step even if nothing
-/// consumes it, because its buffer is written during that step. Slots are
-/// counted once per step no matter how many values map to them.
-fn peak_live_bytes(
-    graph: &ExecutorGraph,
-    slot_of: &HashMap<NodeRef, usize>,
-    slot_bytes: &[usize],
-) -> usize {
-    let mut last_use: HashMap<NodeRef, usize> = HashMap::new();
-    for (idx, node) in graph.nodes.iter().enumerate() {
-        let inputs = match &node.kind {
-            NodeKind::Op { inputs, .. } | NodeKind::External { inputs, .. } => inputs.as_slice(),
-            _ => &[],
-        };
-        for r in inputs {
-            last_use.insert(*r, idx);
-        }
-    }
-    for r in &graph.outputs {
-        last_use.insert(*r, graph.nodes.len());
-    }
-    let mut peak = 0usize;
-    let mut live_slots: Vec<bool> = vec![false; slot_bytes.len()];
-    for t in 0..graph.nodes.len() {
-        live_slots.iter_mut().for_each(|s| *s = false);
-        for (r, &slot) in slot_of {
-            let produced = r.node;
-            let dies = last_use.get(r).copied().unwrap_or(produced);
-            if (produced <= t && t < dies) || produced == t {
-                live_slots[slot] = true;
+        peak_bytes = peak_bytes.max(live_bytes);
+        // ...and neither, once written, is an output nothing reads.
+        for v in first_value[idx]..first_value[idx + 1] {
+            if pending[v] == 0 {
+                live_bytes -= slot_bytes[value_slots[v]];
+                dying.push(value_slots[v]);
             }
         }
-        let live: usize = live_slots
-            .iter()
-            .zip(slot_bytes)
-            .filter_map(|(&l, &b)| l.then_some(b))
-            .sum();
-        peak = peak.max(live);
+        free.extend_from_slice(&dying[first_dying[idx]..]);
     }
-    peak
+    first_dying.push(dying.len());
+
+    MemoryPlan {
+        pool_bytes: slot_bytes.iter().sum(),
+        value_slots,
+        first_value,
+        dying,
+        first_dying,
+        slot_bytes,
+        peak_bytes,
+    }
 }
 
 impl MemoryPlan {
+    /// Storage slots of a node's outputs, in output order; empty for
+    /// inputs and params.
+    pub fn slots_of(&self, node: usize) -> &[usize] {
+        &self.value_slots[self.first_value[node]..self.first_value[node + 1]]
+    }
+
+    /// Storage slot of an op/external output; `None` for inputs and params.
+    pub fn slot_of(&self, r: NodeRef) -> Option<usize> {
+        value_index(&self.first_value, r).map(|v| self.value_slots[v])
+    }
+
+    /// The slots whose value is dead once node `node` has run.
+    pub fn dying_after(&self, node: usize) -> &[usize] {
+        &self.dying[self.first_dying[node]..self.first_dying[node + 1]]
+    }
+
     /// Verify no two simultaneously-live values share a slot. Liveness is
     /// re-derived from the graph; returns the first conflict found.
     pub fn check_no_alias(&self, graph: &ExecutorGraph) -> Option<(NodeRef, NodeRef)> {
         // A value is live from its producing node until its last consumer.
-        let mut last_use: HashMap<NodeRef, usize> = HashMap::new();
+        let refs: Vec<NodeRef> = (0..graph.nodes.len())
+            .flat_map(|node| {
+                let outputs = self.first_value[node + 1] - self.first_value[node];
+                (0..outputs).map(move |output| NodeRef { node, output })
+            })
+            .collect();
+        let mut last_use: Vec<usize> = refs.iter().map(|r| r.node).collect();
         for (idx, node) in graph.nodes.iter().enumerate() {
-            let inputs = match &node.kind {
-                NodeKind::Op { inputs, .. } | NodeKind::External { inputs, .. } => {
-                    inputs.as_slice()
+            for &r in inputs_of(node) {
+                if let Some(v) = value_index(&self.first_value, r) {
+                    last_use[v] = idx;
                 }
-                _ => &[],
-            };
-            for r in inputs {
-                last_use.insert(*r, idx);
             }
         }
-        for r in &graph.outputs {
-            last_use.insert(*r, graph.nodes.len());
+        for &r in &graph.outputs {
+            if let Some(v) = value_index(&self.first_value, r) {
+                last_use[v] = graph.nodes.len();
+            }
         }
-        let refs: Vec<&NodeRef> = self.slot_of.keys().collect();
-        for (i, a) in refs.iter().enumerate() {
-            for b in refs.iter().skip(i + 1) {
-                if self.slot_of[a] != self.slot_of[b] {
-                    continue;
-                }
-                let (a_start, b_start) = (a.node, b.node);
-                let a_end = last_use.get(a).copied().unwrap_or(a.node);
-                let b_end = last_use.get(b).copied().unwrap_or(b.node);
+        for (a, ra) in refs.iter().enumerate() {
+            for (b, rb) in refs.iter().enumerate().skip(a + 1) {
                 // Live intervals (start, end]: overlap when each starts
                 // strictly before the other ends.
-                if a_start < b_end && b_start < a_end {
-                    return Some((**a, **b));
+                if self.value_slots[a] == self.value_slots[b]
+                    && ra.node < last_use[b]
+                    && rb.node < last_use[a]
+                {
+                    return Some((*ra, *rb));
                 }
             }
         }
@@ -281,7 +283,7 @@ mod tests {
         // The graph output must hold a slot to the very end.
         let g = chain(3);
         let plan = plan_memory(&g);
-        let out_slot = plan.slot_of[&g.outputs[0]];
+        let out_slot = plan.slot_of(g.outputs[0]).expect("an op output has a slot");
         assert!(out_slot < plan.slot_bytes.len());
         assert!(plan.check_no_alias(&g).is_none());
     }

@@ -38,10 +38,11 @@ pub trait ExternalModule: Send + Sync {
         DeviceKind::Cpu
     }
 
-    /// Execute on positional inputs; returns outputs and the simulated
-    /// on-device time in microseconds (the sum of [`ExternalModule::ledger`]
-    /// — the executor charges the ledger entries, not this figure).
-    fn run(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError>;
+    /// Execute on positional, borrowed inputs; returns outputs and the
+    /// simulated on-device time in microseconds (the sum of
+    /// [`ExternalModule::ledger`] — the executor charges the ledger entries,
+    /// not this figure).
+    fn run(&self, inputs: &[&Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError>;
 
     /// Every charged item of one invocation, input-independent (static
     /// shapes), in accumulation order. The executor splices these between
@@ -134,7 +135,7 @@ pub(crate) mod test_support {
             "fake"
         }
 
-        fn run(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError> {
+        fn run(&self, inputs: &[&Tensor]) -> Result<(Vec<Tensor>, f64), ModuleError> {
             let x = inputs[0].as_f32().map_err(|e| ModuleError(e.to_string()))?;
             let out: Vec<f32> = x.iter().map(|v| -v).collect();
             let t = Tensor::from_f32(inputs[0].shape().clone(), out)
@@ -166,7 +167,7 @@ mod tests {
         let m = r.get("nir_0").unwrap();
         assert_eq!(m.compiler(), "fake");
         let (outs, t) = m
-            .run(&[Tensor::from_f32([2], vec![1.0, -2.0]).unwrap()])
+            .run(&[&Tensor::from_f32([2], vec![1.0, -2.0]).unwrap()])
             .unwrap();
         assert_eq!(outs[0].as_f32().unwrap(), &[-1.0, 2.0]);
         assert_eq!(t, 5.0);

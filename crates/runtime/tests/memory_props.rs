@@ -76,6 +76,25 @@ proptest! {
         prop_assert!((est - ran).abs() < 1e-6, "estimate {est} vs run {ran}");
     }
 
+    /// What the executor holds in its slots between two steps never exceeds
+    /// the plan's own prediction — the plan is what executes.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn held_bytes_stay_under_planned_peak(choices in prop::collection::vec(0u8..=255, 1..24), seed in 0u64..10_000) {
+        let m = random_graph(&choices, seed);
+        let g = ExecutorGraph::build(&m).unwrap();
+        let plan = plan_memory(&g);
+        let mut ex = GraphExecutor::new(g, ModuleRegistry::new(), CostModel::default()).unwrap();
+        let mut rng = TensorRng::new(seed);
+        ex.set_input("x", rng.uniform_f32([1, 4, 8, 8], -1.0, 1.0)).unwrap();
+        ex.run().unwrap();
+        prop_assert!(ex.peak_held_bytes() > 0);
+        prop_assert!(
+            ex.peak_held_bytes() <= plan.peak_bytes,
+            "held {} B, planned peak {} B", ex.peak_held_bytes(), plan.peak_bytes
+        );
+    }
+
     /// Lowering and executing equals the interpreter for random graphs.
     #[test]
     fn executor_matches_interpreter(choices in prop::collection::vec(0u8..=255, 1..12), seed in 0u64..10_000) {

@@ -80,31 +80,28 @@ impl Conv2dParams {
 
 /// Output columns that advance through the taps together; their partial
 /// sums live in one stack array.
-const BLOCK: usize = 32;
+pub(super) const BLOCK: usize = 32;
 
 /// Output channels computed in one pass over the input: each keeps its own
 /// block of partial sums, all share the tap bounds and the input loads.
 const OC_BLOCK: usize = 4;
 
 /// The arithmetic of one convolution flavour. [`conv_planes`] owns the loop
-/// nest, and with it the per-element operation order; an `Arith` says what a
-/// partial sum is, how one tap extends it and how it is stored.
+/// nest over planes, rows and column blocks; an `Arith` says what a partial
+/// sum is, how the taps of one block extend it — and with that the
+/// per-element operation order — and how it is stored.
 pub(super) trait Arith: Sync {
     type X: Copy + Sync;
     type W: Copy + Sync;
     type Acc: Copy;
     type Out: Copy + Send;
-    /// Everything one tap contributes to each of its products, computed
-    /// once per tap so the column loop touches nothing but its operands.
-    type Tap: Copy;
     /// The sum output channel `o` starts from.
     fn start(&self, o: usize) -> Self::Acc;
-    /// The per-tap constants for weight `w`.
-    fn tap(&self, w: Self::W) -> Self::Tap;
-    /// `acc + x · w` — for floats a rounded product, then a rounded sum.
-    fn mac(acc: Self::Acc, x: Self::X, tap: Self::Tap) -> Self::Acc;
-    /// The stored value of a finished sum.
-    fn finish(&self, acc: Self::Acc) -> Self::Out;
+    /// Add every tap of `taps` to the partial sums of one column block,
+    /// one row of `acc` per output channel of the run.
+    fn accumulate(&self, acc: &mut [[Self::Acc; BLOCK]], taps: &Taps<'_, Self::X, Self::W>);
+    /// Store a block of finished sums.
+    fn finish(&self, acc: &[Self::Acc], out: &mut [Self::Out]);
 }
 
 /// A validated convolution problem (`NCHW` × `OIHW`, weight
@@ -158,10 +155,44 @@ impl ConvGeom {
 
 /// The part `[lo, hi)` of one column block whose tap through one kernel
 /// column lands inside the image; `x0` is the input column `lo` reads.
-struct Span {
-    lo: usize,
-    hi: usize,
-    x0: usize,
+pub(super) struct Span {
+    pub lo: usize,
+    pub hi: usize,
+    pub x0: usize,
+}
+
+/// The in-image taps behind one column block of one output row, for every
+/// output channel of a run.
+pub(super) struct Taps<'a, X, W> {
+    geom: &'a ConvGeom,
+    oy: usize,
+    /// The group's input image, `[cg, h, w]`.
+    pub x: &'a [X],
+    /// The run's weights, one output channel every `w_len`.
+    pub w: &'a [W],
+    pub w_len: usize,
+    /// The block's in-image span per kernel column.
+    pub spans: &'a [Span],
+    /// Input columns between adjacent output columns.
+    pub step: usize,
+}
+
+impl<X, W> Taps<'_, X, W> {
+    /// `(offset into x, offset into one channel's weights)` of every
+    /// in-image `(ic, ky)` row of taps, in `ic, ky` order; kernel column
+    /// `kx` of a row reads `x[x_row + spans[kx].x0..]` and weight
+    /// `w_row + kx`.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ([_, _, h, w], [_, cg, kh, kw]) = (self.geom.input, self.geom.weight);
+        let (pt, dh) = (self.geom.params.padding.0, self.geom.params.dilation.0);
+        let top = self.oy * self.geom.params.strides.0;
+        (0..cg).flat_map(move |ic| {
+            (0..kh).filter_map(move |ky| {
+                let iy = (top + ky * dh).checked_sub(pt).filter(|&iy| iy < h)?;
+                Some(((ic * h + iy) * w, (ic * kh + ky) * kw))
+            })
+        })
+    }
 }
 
 /// Run the convolution `g` over `x` and `wt`, one [`OC_BLOCK`] of output
@@ -173,10 +204,8 @@ pub(super) fn conv_planes<A: Arith>(
     wt: &[A::W],
     fill: A::Out,
 ) -> Vec<A::Out> {
-    let ([_, c, h, w], [oc, cg, kh, kw], [n, _, oh, ow]) = (g.input, g.weight, g.output);
-    let (sh, sw) = g.params.strides;
-    let (dh, dw) = g.params.dilation;
-    let (pt, pl, _, _) = g.params.padding;
+    let ([_, c, h, w], [oc, cg, _, kw], [n, _, oh, ow]) = (g.input, g.weight, g.output);
+    let (sw, dw, pl) = (g.params.strides.1, g.params.dilation.1, g.params.padding.1);
     let og = oc / g.params.groups;
     let (x_len, w_len, plane_len) = (cg * h * w, g.taps(), oh * ow);
 
@@ -217,33 +246,19 @@ pub(super) fn conv_planes<A: Arith>(
                         // Rows past `run` are never read.
                         let mut acc: [[A::Acc; BLOCK]; OC_BLOCK] =
                             std::array::from_fn(|r| [a.start(o + r.min(run - 1)); BLOCK]);
-                        let spans = &spans[blk * kw..][..kw];
-                        // Every in-image tap, in `ic, ky, kx` order.
-                        for ic in 0..cg {
-                            for ky in 0..kh {
-                                let iy = oy * sh + ky * dh;
-                                if iy < pt || iy - pt >= h {
-                                    continue;
-                                }
-                                let x_row = (ic * h + iy - pt) * w;
-                                let w_row = (ic * kh + ky) * kw;
-                                for (kx, s) in spans.iter().enumerate() {
-                                    if s.lo == s.hi {
-                                        continue;
-                                    }
-                                    let xs = &x_g[x_row + s.x0..];
-                                    for (r, acc) in acc[..run].iter_mut().enumerate() {
-                                        let tap = a.tap(w_run[r * w_len + w_row + kx]);
-                                        mac_row::<A>(&mut acc[s.lo..s.hi], xs, sw, tap);
-                                    }
-                                }
-                            }
-                        }
+                        let taps = Taps {
+                            geom: g,
+                            oy,
+                            x: x_g,
+                            w: w_run,
+                            w_len,
+                            spans: &spans[blk * kw..][..kw],
+                            step: sw,
+                        };
+                        a.accumulate(&mut acc[..run], &taps);
                         let cols = ox0..(ox0 + BLOCK).min(ow);
                         for (acc, plane) in acc.iter().zip(head.chunks_exact_mut(plane_len)) {
-                            for (dst, &sum) in plane[oy * ow..][cols.clone()].iter_mut().zip(acc) {
-                                *dst = a.finish(sum);
-                            }
+                            a.finish(&acc[..cols.len()], &mut plane[oy * ow..][cols.clone()]);
                         }
                     }
                 }
@@ -252,22 +267,8 @@ pub(super) fn conv_planes<A: Arith>(
     out
 }
 
-/// `acc[j] = acc[j] + xs[j · step] · w`: the one loop the vectoriser has to
-/// see through, kept behind a signature that tells it the slices are disjoint.
-#[inline]
-fn mac_row<A: Arith>(acc: &mut [A::Acc], xs: &[A::X], step: usize, tap: A::Tap) {
-    if step == 1 {
-        for (sum, &x) in acc.iter_mut().zip(xs) {
-            *sum = A::mac(*sum, x, tap);
-        }
-    } else {
-        for (sum, &x) in acc.iter_mut().zip(xs.iter().step_by(step)) {
-            *sum = A::mac(*sum, x, tap);
-        }
-    }
-}
-
-/// Float arithmetic: bias (or zero), then `acc + x · w` in f32.
+/// Float arithmetic: bias (or zero), then `acc + x · w` in f32 over
+/// `ic, ky, kx` ascending — the order is the specification.
 struct F32Arith<'a>(Option<&'a [f32]>);
 
 impl Arith for F32Arith<'_> {
@@ -275,18 +276,41 @@ impl Arith for F32Arith<'_> {
     type W = f32;
     type Acc = f32;
     type Out = f32;
-    type Tap = f32;
     fn start(&self, o: usize) -> f32 {
         self.0.map_or(0.0, |b| b[o])
     }
-    fn tap(&self, w: f32) -> f32 {
-        w
+    fn accumulate(&self, acc: &mut [[f32; BLOCK]], taps: &Taps<'_, f32, f32>) {
+        for (x_row, w_row) in taps.rows() {
+            for (kx, s) in taps.spans.iter().enumerate() {
+                if s.lo == s.hi {
+                    continue;
+                }
+                let xs = &taps.x[x_row + s.x0..];
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let w = taps.w[r * taps.w_len + w_row + kx];
+                    mac_row(&mut acc[s.lo..s.hi], xs, taps.step, w);
+                }
+            }
+        }
     }
-    fn mac(acc: f32, x: f32, w: f32) -> f32 {
-        acc + x * w
+    fn finish(&self, acc: &[f32], out: &mut [f32]) {
+        out.copy_from_slice(acc);
     }
-    fn finish(&self, acc: f32) -> f32 {
-        acc
+}
+
+/// `acc[j] = acc[j] + xs[j · step] · w`, a rounded product then a rounded
+/// sum: the one loop the vectoriser has to see through, kept behind a
+/// signature that tells it the slices are disjoint.
+#[inline]
+fn mac_row(acc: &mut [f32], xs: &[f32], step: usize, w: f32) {
+    if step == 1 {
+        for (sum, &x) in acc.iter_mut().zip(xs) {
+            *sum += x * w;
+        }
+    } else {
+        for (sum, &x) in acc.iter_mut().zip(xs.iter().step_by(step)) {
+            *sum += x * w;
+        }
     }
 }
 

@@ -60,14 +60,14 @@ pub fn bias_add(input: &Tensor, bias: &Tensor) -> Result<Tensor, KernelError> {
         return Err(kerr(format!("bias length {} != channel dim {c}", b.len())));
     }
     let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
-    let inner: usize = dims[2..].iter().product();
+    // One run of `inner` elements per (batch item, channel), channels
+    // cycling; an empty tensor has no runs.
+    let inner: usize = dims[2..].iter().product::<usize>().max(1);
     let mut out = vec![0.0f32; x.len()];
-    for ni in 0..dims[0] {
-        for (ci, bias) in b.iter().enumerate() {
-            let base = (ni * c + ci) * inner;
-            for i in 0..inner {
-                out[base + i] = x[base + i] + bias;
-            }
+    let runs = out.chunks_exact_mut(inner).zip(x.chunks_exact(inner));
+    for ((out, x), &bias) in runs.zip(b.iter().cycle()) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = v + bias;
         }
     }
     Tensor::from_f32(input.shape().clone(), out).map_err(|e| kerr(e.to_string()))

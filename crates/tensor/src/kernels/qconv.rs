@@ -2,10 +2,12 @@
 //! gemmlowp-style requantization — the arithmetic behind `qnn.conv2d` +
 //! `qnn.requantize` in Relay and behind the APU's integer datapath.
 
-use super::conv::{conv_planes, Arith, Conv2dParams, ConvGeom};
+use super::conv::{conv_planes, Arith, Conv2dParams, ConvGeom, Taps, BLOCK};
 use super::{kerr, KernelError};
 use crate::dtype::DType;
-use crate::quant::{fits_i32, requantize_value, saturate, Acc, FixedPointMultiplier, QuantParams};
+use crate::quant::{
+    fits_i16, fits_i32, requantize_block, saturate, Acc, FixedPointMultiplier, QuantParams,
+};
 use crate::tensor::{with_payload, Data, IntElem, Tensor};
 use std::marker::PhantomData;
 
@@ -70,17 +72,12 @@ pub(super) fn quantized_planes(
             "{op} output dtype {out_dtype} is not an integer type"
         )));
     }
-    let fpm = FixedPointMultiplier::from_real(quant.real_multiplier());
-    let (zx, zw, zo) = (
-        quant.input.zero_point,
-        quant.weight.zero_point,
-        quant.output.zero_point,
-    );
     let q = QArith {
         bias: b,
-        zx,
-        zw,
-        requantize: |acc: i32| requantize_value(acc, fpm, zo, out_dtype),
+        zx: quant.input.zero_point,
+        zw: quant.weight.zero_point,
+        multiplier: FixedPointMultiplier::from_real(quant.real_multiplier()),
+        zo: quant.output.zero_point,
     };
     let not_q8 = || {
         kerr(format!(
@@ -95,16 +92,21 @@ pub(super) fn quantized_planes(
         |x| with_payload!(
             weight,
             [I8 U8],
-            |w| match (
-                fits_i32(g.taps(), (range_of(x), zx), (range_of(w), zw), b),
-                out_dtype
-            ) {
-                (true, DType::I8) => q.run::<_, _, i32, i8>(g, x, w),
-                (true, DType::U8) => q.run::<_, _, i32, u8>(g, x, w),
-                (true, _) => q.run::<_, _, i32, i32>(g, x, w),
-                (false, DType::I8) => q.run::<_, _, i64, i8>(g, x, w),
-                (false, DType::U8) => q.run::<_, _, i64, u8>(g, x, w),
-                (false, _) => q.run::<_, _, i64, i32>(g, x, w),
+            |w| {
+                // Half-width operands need both proofs: every `q − zero`
+                // fits an `i16` and every partial sum an `i32`.
+                let (xr, wr) = ((range_of(x), q.zx), (range_of(w), q.zw));
+                let narrow = fits_i16(xr.0, xr.1)
+                    && fits_i16(wr.0, wr.1)
+                    && fits_i32(g.taps(), xr, wr, b);
+                match (narrow, out_dtype) {
+                    (true, DType::I8) => q.run::<_, _, i32, i8>(g, x, w),
+                    (true, DType::U8) => q.run::<_, _, i32, u8>(g, x, w),
+                    (true, _) => q.run::<_, _, i32, i32>(g, x, w),
+                    (false, DType::I8) => q.run::<_, _, i64, i8>(g, x, w),
+                    (false, DType::U8) => q.run::<_, _, i64, u8>(g, x, w),
+                    (false, _) => q.run::<_, _, i64, i32>(g, x, w),
+                }
             },
             else => return Err(not_q8())
         ),
@@ -118,18 +120,19 @@ fn range_of<T: IntElem>(_: &[T]) -> (i32, i32) {
 }
 
 /// The parameters of one quantized reduction.
-struct QArith<'a, R> {
+struct QArith<'a> {
     bias: Option<&'a [i32]>,
     zx: i32,
     zw: i32,
-    requantize: R,
+    multiplier: FixedPointMultiplier,
+    zo: i32,
 }
 
 /// [`QArith`] at operand types `X`, `W`, accumulator `A` and output `O`,
 /// named by `T = (X, W, A, O)`.
-struct Typed<'q, 'a, R, T>(&'q QArith<'a, R>, PhantomData<T>);
+struct Typed<'q, 'a, T>(&'q QArith<'a>, PhantomData<T>);
 
-impl<R: Fn(i32) -> i32 + Sync> QArith<'_, R> {
+impl QArith<'_> {
     fn run<X: IntElem, W: IntElem, A: Acc, O: IntElem>(
         &self,
         g: &ConvGeom,
@@ -141,26 +144,72 @@ impl<R: Fn(i32) -> i32 + Sync> QArith<'_, R> {
     }
 }
 
-impl<X: IntElem, W: IntElem, A: Acc, O: IntElem, R: Fn(i32) -> i32 + Sync> Arith
-    for Typed<'_, '_, R, (X, W, A, O)>
-{
+impl<X: IntElem, W: IntElem, A: Acc, O: IntElem> Arith for Typed<'_, '_, (X, W, A, O)> {
     type X = X;
     type W = W;
     type Acc = A;
     type Out = O;
-    /// `(zx, w − zw)`.
-    type Tap = (i32, i32);
     fn start(&self, o: usize) -> A {
         A::from(self.0.bias.map_or(0, |b| b[o]))
     }
-    fn tap(&self, w: W) -> (i32, i32) {
-        (self.0.zx, w.widen() - self.0.zw)
+    /// Integer sums are exact, so the taps may be taken in any grouping:
+    /// two `(ic, ky)` rows at a time, `acc += xa·wa + xb·wb` with both
+    /// products at operand width (a lone last row pairs with itself under a
+    /// zero weight). The zero-point-subtracted input pairs of a span are
+    /// packed once and shared by the run's output channels.
+    fn accumulate(&self, acc: &mut [[A; BLOCK]], taps: &Taps<'_, X, W>) {
+        let (zx, zw) = (self.0.zx, self.0.zw);
+        let zero = A::Operand::default();
+        let (mut xp, mut wp) = ([[zero; 2]; BLOCK], [[zero; 2]; BLOCK]);
+        let mut rows = taps.rows();
+        while let Some((xa, wa)) = rows.next() {
+            let b = rows.next();
+            for (kx, s) in taps.spans.iter().enumerate() {
+                let n = s.hi - s.lo;
+                if n == 0 {
+                    continue;
+                }
+                let xb = b.map_or(xa, |(xb, _)| xb);
+                let (xa, xb) = (&taps.x[xa + s.x0..], &taps.x[xb + s.x0..]);
+                pack::<X, A>(&mut xp[..n], xa, xb, taps.step, zx);
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let w_at =
+                        |row: usize| A::operand(taps.w[r * taps.w_len + row + kx].widen() - zw);
+                    // A row of the pair rather than a splat, so the loop
+                    // below loads both of its operands.
+                    wp[..n].fill([w_at(wa), b.map_or(zero, |(_, wb)| w_at(wb))]);
+                    mac_pairs(&mut acc[s.lo..s.hi], &xp[..n], &wp[..n]);
+                }
+            }
+        }
     }
-    fn mac(acc: A, x: X, (zx, w): (i32, i32)) -> A {
-        acc + A::from(x.widen() - zx) * A::from(w)
+    fn finish(&self, acc: &[A], out: &mut [O]) {
+        requantize_block(acc, saturate, out, self.0.multiplier, self.0.zo);
     }
-    fn finish(&self, acc: A) -> O {
-        O::narrow((self.0.requantize)(saturate(acc)))
+}
+
+/// `xp[j] = [xa[j·step] − zx, xb[j·step] − zx]`.
+#[inline]
+fn pack<X: IntElem, A: Acc>(xp: &mut [[A::Operand; 2]], xa: &[X], xb: &[X], step: usize, zx: i32) {
+    let sub = |x: X| A::operand(x.widen() - zx);
+    if step == 1 {
+        for ((p, &a), &b) in xp.iter_mut().zip(xa).zip(xb) {
+            *p = [sub(a), sub(b)];
+        }
+    } else {
+        let pairs = xa.iter().step_by(step).zip(xb.iter().step_by(step));
+        for (p, (&a, &b)) in xp.iter_mut().zip(pairs) {
+            *p = [sub(a), sub(b)];
+        }
+    }
+}
+
+/// `acc[j] = acc[j] + (xp[j][0] · wp[j][0] + xp[j][1] · wp[j][1])` — with
+/// `i16` operands, the multiply-add-pairs instruction per lane.
+#[inline]
+fn mac_pairs<A: Acc>(acc: &mut [A], xp: &[[A::Operand; 2]], wp: &[[A::Operand; 2]]) {
+    for ((sum, x), w) in acc.iter_mut().zip(xp).zip(wp) {
+        *sum = *sum + (x[0].into() * w[0].into() + x[1].into() * w[1].into());
     }
 }
 

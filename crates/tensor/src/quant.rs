@@ -5,6 +5,7 @@
 //! the paper's §3.3 conversion therefore share this module.
 
 use crate::dtype::DType;
+use crate::tensor::IntElem;
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul};
 
@@ -37,7 +38,7 @@ impl QuantParams {
         let (lo, hi) = dtype
             .int_range()
             .expect("quantize target must be an integer type");
-        let q = (real / self.scale).round() as i64 + self.zero_point as i64;
+        let q = round_to_i64(real / self.scale) + self.zero_point as i64;
         q.clamp(lo as i64, hi as i64) as i32
     }
 
@@ -76,6 +77,16 @@ impl QuantParams {
             zero_point: 0,
         }
     }
+}
+
+/// `v.round() as i64` — half away from zero, NaN to 0, saturating — without
+/// the libm call a baseline x86-64 `round` is: `v` widens exactly to `f64`,
+/// where adding ±0.5 is exact below 2^52 and rounds back to `v` above, and
+/// the cast truncates toward zero.
+#[inline]
+pub(crate) fn round_to_i64(v: f32) -> i64 {
+    let v = v as f64;
+    (v + if v < 0.0 { -0.5 } else { 0.5 }) as i64
 }
 
 /// A requantization multiplier in fixed point, as used by integer-only
@@ -122,6 +133,7 @@ impl FixedPointMultiplier {
 
     /// Saturating rounding doubling high multiply followed by
     /// rounding-divide-by-power-of-two: `round(x * multiplier * 2^shift)`.
+    #[inline]
     pub fn apply(&self, x: i32) -> i32 {
         let v = saturating_rounding_doubling_high_mul(x, self.multiplier);
         rounding_divide_by_pot(v, -self.shift)
@@ -134,20 +146,22 @@ impl FixedPointMultiplier {
 }
 
 /// gemmlowp `SaturatingRoundingDoublingHighMul`.
+#[inline]
 fn saturating_rounding_doubling_high_mul(a: i32, b: i32) -> i32 {
     if a == i32::MIN && b == i32::MIN {
         return i32::MAX;
     }
     let ab = a as i64 * b as i64;
-    let nudge = if ab >= 0 {
-        1i64 << 30
-    } else {
-        1 - (1i64 << 30)
-    };
-    ((ab + nudge) >> 31) as i32
+    // The nudge is `2^30` for `ab >= 0` and `1 - 2^30` below, i.e.
+    // `2^30 + s - s·2^31` with `s` the sign bit — written as adds and shifts
+    // because accumulator signs are data, and a branch on them would be a
+    // coin toss.
+    let s = (ab as u64 >> 63) as i64;
+    (((ab + (1i64 << 30) + s) >> 31) - s) as i32
 }
 
 /// gemmlowp `RoundingDivideByPOT` (round-half-away-from-zero).
+#[inline]
 fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
     if exponent <= 0 {
         // A negative exponent means a left shift (multiplier >= 1).
@@ -160,11 +174,7 @@ fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
     let mask = (1i64 << exponent) - 1;
     let remainder = (x as i64) & mask;
     let threshold = (mask >> 1) + i64::from(x < 0);
-    let mut result = x >> exponent;
-    if remainder > threshold {
-        result = result.wrapping_add(1);
-    }
-    result
+    (x >> exponent).wrapping_add(i32::from(remainder > threshold))
 }
 
 /// Requantize a raw i32 accumulator from (`in_params`) to (`out_params`,
@@ -182,18 +192,60 @@ pub fn requantize_value(
     v.clamp(lo as i64, hi as i64) as i32
 }
 
+/// [`requantize_value`] of `acc(x[i])` over a block, into storage type `O`
+/// — the only ordered step of a quantized reduction. Everything that
+/// depends only on the multiplier (the shift direction, the rounding mask,
+/// its `i32::MIN` corner) is loop-invariant once `apply` is inlined. Two
+/// passes over a few lanes at a time: the fixed-point arithmetic saturating
+/// to `i32`, then the saturating narrow to `O`, which on its own is a
+/// vector loop.
+pub(crate) fn requantize_block<X: Copy, O: IntElem>(
+    x: &[X],
+    acc: impl Fn(X) -> i32,
+    out: &mut [O],
+    multiplier: FixedPointMultiplier,
+    zero_point: i32,
+) {
+    const LANES: usize = 32;
+    let mut wide = [0i32; LANES];
+    for (x, out) in x.chunks(LANES).zip(out.chunks_mut(LANES)) {
+        for (w, &q) in wide.iter_mut().zip(x) {
+            *w = multiplier.apply(acc(q)).saturating_add(zero_point);
+        }
+        for (o, &w) in out.iter_mut().zip(&wide) {
+            *o = O::narrow(w);
+        }
+    }
+}
+
 /// Accumulator of a quantized reduction `bias + Σ (x − zx)·(w − zw)`: `i32`
-/// when [`fits_i32`] proves it cannot overflow, `i64` otherwise.
+/// when [`fits_i32`] and [`fits_i16`] prove it cannot overflow over
+/// half-width operands, `i64` otherwise.
 ///
-/// Integer sums are exact, so the order of the additions is free and both
-/// widths give the same value; only the final [`saturate`] +
-/// [`requantize_value`] is ordered.
+/// Integer sums are exact, so the order and grouping of the additions is
+/// free and both widths give the same value; only the final [`saturate`] +
+/// [`requantize_block`] is ordered.
 pub(crate) trait Acc:
     Copy + Send + Sync + From<i32> + TryInto<i32> + PartialOrd + Add<Output = Self> + Mul<Output = Self>
 {
+    /// A zero-point-subtracted operand, half the accumulator's width: two
+    /// products of operands sum without leaving the accumulator.
+    type Operand: Copy + Send + Sync + Default + Into<Self>;
+    /// `v` as an operand; the caller has proved it fits.
+    fn operand(v: i32) -> Self::Operand;
 }
-impl Acc for i32 {}
-impl Acc for i64 {}
+impl Acc for i32 {
+    type Operand = i16;
+    fn operand(v: i32) -> i16 {
+        v as i16
+    }
+}
+impl Acc for i64 {
+    type Operand = i32;
+    fn operand(v: i32) -> i32 {
+        v
+    }
+}
 
 /// The sum, saturated to the `i32` the requantizer takes.
 pub(crate) fn saturate<A: Acc>(acc: A) -> i32 {
@@ -201,19 +253,21 @@ pub(crate) fn saturate<A: Acc>(acc: A) -> i32 {
     acc.try_into().unwrap_or(limit)
 }
 
+/// `max|q − zero|` over the stored range of an operand.
+fn spread((lo, hi): (i32, i32), zero: i32) -> i128 {
+    let z = zero as i128;
+    (lo as i128 - z).abs().max((hi as i128 - z).abs())
+}
+
 /// Whether `max|bias| + taps · max|x − zx| · max|w − zw|` — a bound on every
-/// partial sum of the reduction — fits an `i32`, for operands stored in the
-/// given `(min, max)` ranges.
+/// partial sum of the reduction, in any order — fits an `i32`, for operands
+/// stored in the given `(min, max)` ranges.
 pub(crate) fn fits_i32(
     taps: usize,
     (x_range, zx): ((i32, i32), i32),
     (w_range, zw): ((i32, i32), i32),
     bias: Option<&[i32]>,
 ) -> bool {
-    let spread = |(lo, hi): (i32, i32), z: i32| {
-        let z = z as i128;
-        (lo as i128 - z).abs().max((hi as i128 - z).abs())
-    };
     let bias = bias
         .into_iter()
         .flatten()
@@ -221,6 +275,13 @@ pub(crate) fn fits_i32(
         .max()
         .unwrap_or(0);
     bias + taps as i128 * spread(x_range, zx) * spread(w_range, zw) <= i32::MAX as i128
+}
+
+/// Whether every `q − zero` of an operand stored in `range` fits an `i16`
+/// with `i16::MIN` to spare, so a sum of two products of such operands
+/// cannot leave `i32`.
+pub(crate) fn fits_i16(range: (i32, i32), zero: i32) -> bool {
+    spread(range, zero) <= i16::MAX as i128
 }
 
 #[cfg(test)]
@@ -292,5 +353,48 @@ mod tests {
     fn zero_multiplier() {
         let fpm = FixedPointMultiplier::from_real(0.0);
         assert_eq!(fpm.apply(12345), 0);
+    }
+
+    /// `round_to_i64` was checked against `f32::round` on all 2^32 bit
+    /// patterns when it was written; this keeps the corners in the suite.
+    #[test]
+    fn round_to_i64_is_round_then_cast() {
+        let mut cases = vec![
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999997,
+            -0.49999997,
+            0.50000006,
+            8388607.5,
+            -8388607.5,
+            8388608.0,
+            16777216.0,
+            4.5e15,
+            -4.5e15,
+            9.3e18,
+            -9.3e18,
+            1e30,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut bits = 0x9E37_79B9u32;
+        for _ in 0..20_000 {
+            bits = bits.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            cases.push(f32::from_bits(bits));
+            cases.push((bits >> 8) as f32 / 512.0 - 16_000.0);
+        }
+        for v in cases {
+            assert_eq!(round_to_i64(v), v.round() as i64, "{v:e}");
+        }
     }
 }

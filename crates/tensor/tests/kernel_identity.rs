@@ -413,6 +413,76 @@ mod reference {
             .map_err(|e| kerr(e.to_string()))
     }
 
+    /// `FixedPointMultiplier::apply` + `requantize_value` as they were
+    /// before the block requantizer: gemmlowp's
+    /// `SaturatingRoundingDoublingHighMul` and `RoundingDivideByPOT`, one
+    /// value at a time.
+    pub fn requantize_value_scalar(
+        acc: i32,
+        m: FixedPointMultiplier,
+        out_zero_point: i32,
+        out_dtype: DType,
+    ) -> i32 {
+        fn saturating_rounding_doubling_high_mul(a: i32, b: i32) -> i32 {
+            if a == i32::MIN && b == i32::MIN {
+                return i32::MAX;
+            }
+            let ab = a as i64 * b as i64;
+            let nudge = if ab >= 0 {
+                1i64 << 30
+            } else {
+                1 - (1i64 << 30)
+            };
+            ((ab + nudge) >> 31) as i32
+        }
+        fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
+            if exponent <= 0 {
+                return x.checked_shl((-exponent) as u32).unwrap_or(if x >= 0 {
+                    i32::MAX
+                } else {
+                    i32::MIN
+                });
+            }
+            let mask = (1i64 << exponent) - 1;
+            let remainder = (x as i64) & mask;
+            let threshold = (mask >> 1) + i64::from(x < 0);
+            let mut result = x >> exponent;
+            if remainder > threshold {
+                result = result.wrapping_add(1);
+            }
+            result
+        }
+        let (lo, hi) = out_dtype
+            .int_range()
+            .expect("requantize target must be integer");
+        let v = saturating_rounding_doubling_high_mul(acc, m.multiplier);
+        let v = rounding_divide_by_pot(v, -m.shift) as i64 + out_zero_point as i64;
+        v.clamp(lo as i64, hi as i64) as i32
+    }
+
+    /// `qnn.requantize` as the interpreter and the Neuron runtime each
+    /// spelled it.
+    pub fn requantize(
+        x: &Tensor,
+        in_q: QuantParams,
+        out_q: QuantParams,
+        out_dtype: DType,
+    ) -> Result<Tensor, KernelError> {
+        let fpm = FixedPointMultiplier::from_real(in_q.scale as f64 / out_q.scale as f64);
+        let vals: Vec<i32> = x
+            .iter_int()
+            .map(|q| requantize_value_scalar(q - in_q.zero_point, fpm, out_q.zero_point, out_dtype))
+            .collect();
+        Tensor::from_int_values(x.shape().clone(), &vals, out_dtype, Some(out_q))
+            .map_err(|e| kerr(e.to_string()))
+    }
+
+    /// `qnn.dequantize`, likewise.
+    pub fn dequantize(x: &Tensor, in_q: QuantParams) -> Result<Tensor, KernelError> {
+        let vals: Vec<f32> = x.iter_int().map(|q| in_q.dequantize(q)).collect();
+        Tensor::from_f32(x.shape().clone(), vals).map_err(|e| kerr(e.to_string()))
+    }
+
     /// Maps a flat output index back to a flat input index under broadcasting.
     struct BroadcastIndexer {
         /// Stride per output dimension into the input buffer (0 where broadcast).
@@ -1151,6 +1221,183 @@ fn dense_kernels_match_direct_loop() {
             &format!("qdense case {case}: {xd}/{wd} [{n},{k}] x [{units},{k}]"),
         );
     }
+}
+
+/// The paired integer walk at its seams: odd channel counts (a lone last
+/// row), `cg = 1` depthwise (rows pair along `ky`, a lone one for odd `kh`),
+/// stride 2, dilation, and zero points at both ends of the storage range —
+/// the widest operands the half-width path takes.
+#[test]
+fn qconv2d_paired_walk_edges_match_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xC4));
+    for (xd, wd) in [(DType::U8, DType::I8), (DType::I8, DType::U8)] {
+        let (xlo, xhi) = xd.int_range().unwrap();
+        let (wlo, whi) = wd.int_range().unwrap();
+        for (zx, zw) in [(xlo, wlo), (xhi, whi), (xlo, whi), (xhi, wlo)] {
+            let quant = QConvQuant {
+                input: QuantParams::new(0.02, zx),
+                weight: QuantParams::new(0.01, zw),
+                output: QuantParams::new(40.0, p.int(-10, 140)),
+                out_dtype: p.of(&[DType::I8, DType::U8]),
+            };
+            for (cg, groups, og) in [
+                (1, 6, 1),
+                (1, 3, 2),
+                (3, 1, 5),
+                (5, 2, 3),
+                (7, 1, 4),
+                (2, 1, 1),
+            ] {
+                for (kh, kw) in [(1, 1), (3, 3), (2, 3), (1, 4)] {
+                    for (strides, dilation) in
+                        [((1, 1), (1, 1)), ((2, 2), (1, 1)), ((1, 2), (2, 2))]
+                    {
+                        let params = Conv2dParams {
+                            strides,
+                            padding: (p.range(0, 2), p.range(0, 2), p.range(0, 2), p.range(0, 2)),
+                            dilation,
+                            groups,
+                        };
+                        let (h, w) = (p.range(5, 9), p.of(&[7, 32, 33, 40]));
+                        let (xs, ws) = ([1, cg * groups, h, w], [og * groups, cg, kh, kw]);
+                        let x = p.ints(&xs, xd, quant.input);
+                        let wt = p.ints(&ws, wd, quant.weight);
+                        let b = p
+                            .coin()
+                            .then(|| p.ints(&[ws[0]], DType::I32, QuantParams::identity()));
+                        assert_same_bits(
+                            kernels::qconv2d(&x, &wt, b.as_ref(), &params, &quant),
+                            reference::qconv2d(&x, &wt, b.as_ref(), &params, &quant),
+                            &format!("paired qconv2d {xd}/{wd} zx={zx} zw={zw}: {xs:?} * {ws:?} {params:?}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // A zero point the sum survives in `i32` but an operand does not in
+    // `i16`: the wide path, same bits.
+    let quant = QConvQuant {
+        input: QuantParams::new(0.02, 40_000),
+        weight: QuantParams::new(0.01, -3),
+        output: QuantParams::new(900.0, 7),
+        out_dtype: DType::U8,
+    };
+    let x = p.ints(&[1, 3, 5, 34], DType::U8, quant.input);
+    let wt = p.ints(&[2, 3, 3, 3], DType::I8, quant.weight);
+    let params = Conv2dParams::same(1);
+    assert_same_bits(
+        kernels::qconv2d(&x, &wt, None, &params, &quant),
+        reference::qconv2d(&x, &wt, None, &params, &quant),
+        "qconv2d with an operand past i16",
+    );
+}
+
+/// The block requantizer against the one-value-at-a-time arithmetic on 10^5
+/// seeded accumulators per multiplier, the `i32` extremes among them:
+/// right shifts, left shifts (multipliers >= 1), a left shift that leaves
+/// `i32`, and multiplier 0.
+#[test]
+fn block_requantizer_matches_scalar_arithmetic() {
+    use tvmnp_tensor::quant::FixedPointMultiplier;
+    let mut p = Pick(TensorRng::new(0xC5));
+    let n = 100_000;
+    let mut accs: Vec<i32> = (0..n)
+        .map(|i| match i % 4 {
+            0 => p.int(-300, 300),
+            1 => p.int(-100_000, 100_000),
+            _ => p.0.next_seed() as i32,
+        })
+        .collect();
+    accs[..6].copy_from_slice(&[i32::MIN, i32::MAX, i32::MIN + 1, -1, 0, 1]);
+    let x = Tensor::from_i32([n], accs.clone(), None).unwrap();
+    // (in scale, out scale): the multiplier is their ratio.
+    for (s_in, s_out) in [
+        (0.05f32, 0.07f32),
+        (1.0, 3.0),
+        (0.001, 1.7),
+        (1.0, 1.0),
+        (3.0, 1.0),
+        (37.2, 0.4),
+        (1.0e9, 0.25),
+        (0.0, 1.0),
+    ] {
+        for (zo, od) in [
+            (3, DType::U8),
+            (-128, DType::I8),
+            (127, DType::I8),
+            (1_000, DType::I32),
+        ] {
+            // Built field by field: a zero scale is the multiplier-0 case.
+            let in_q = QuantParams {
+                scale: s_in,
+                zero_point: 0,
+            };
+            let out_q = QuantParams {
+                scale: s_out,
+                zero_point: zo,
+            };
+            let fpm = FixedPointMultiplier::from_real(s_in as f64 / s_out as f64);
+            let got = kernels::requantize(&x, in_q, out_q, od).unwrap();
+            let want: Vec<i32> = accs
+                .iter()
+                .map(|&a| reference::requantize_value_scalar(a, fpm, zo, od))
+                .collect();
+            assert_eq!(
+                got.iter_int().collect::<Vec<_>>(),
+                want,
+                "multiplier {s_in}/{s_out} = {fpm:?}, zero point {zo}, {od}"
+            );
+            // And the public one-value entry point is the same arithmetic.
+            for &a in &accs[..64] {
+                assert_eq!(
+                    tvmnp_tensor::quant::requantize_value(a, fpm, zo, od),
+                    reference::requantize_value_scalar(a, fpm, zo, od)
+                );
+                assert_eq!(
+                    fpm.apply(a),
+                    reference::requantize_value_scalar(a, fpm, 0, DType::I32)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn requantize_and_dequantize_match_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xC6));
+    for case in 0..40 {
+        let shape = random_shape(&mut p);
+        let in_q = QuantParams::new(p.of(&[0.02, 0.5, 1.0, 3.0]), p.int(-20, 150));
+        let out_q = QuantParams::new(p.of(&[0.01, 0.5, 1.0, 7.0]), p.int(-20, 150));
+        for x in each_dtype(&mut p, &shape) {
+            for od in [DType::I8, DType::U8, DType::I32] {
+                if x.dtype().is_float() {
+                    // The direct loop panics on a float tensor; the kernel
+                    // reports it.
+                    assert!(kernels::requantize(&x, in_q, out_q, od).is_err());
+                    continue;
+                }
+                assert_same_bits(
+                    kernels::requantize(&x, in_q, out_q, od),
+                    reference::requantize(&x, in_q, out_q, od),
+                    &format!("requantize case {case} {} -> {od} {shape:?}", x.dtype()),
+                );
+            }
+            if x.dtype().is_float() {
+                assert!(kernels::dequantize(&x, in_q).is_err());
+            } else {
+                assert_same_bits(
+                    kernels::dequantize(&x, in_q),
+                    reference::dequantize(&x, in_q),
+                    &format!("dequantize case {case} {} {shape:?}", x.dtype()),
+                );
+            }
+        }
+    }
+    let x = p.ints(&[4], DType::U8, QuantParams::identity());
+    let q = QuantParams::identity();
+    assert!(kernels::requantize(&x, q, q, DType::F32).is_err());
 }
 
 /// Operand shape pairs covering equal shapes, per-channel, scalar, rank

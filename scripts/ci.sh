@@ -23,6 +23,14 @@ for f in crates/tensor/src/kernels/*.rs; do
         exit 1
     fi
 done
+# Likewise the run path must not grow its per-run value map back: the
+# executor walks a plan over slot indices (DESIGN.md "The execution plan").
+# The copies a grep cannot see are pinned by tests/run_path_allocs.rs.
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/runtime/src/executor.rs | grep -F 'HashMap<NodeRef'; then
+    echo "run-path gate: crates/runtime/src/executor.rs keys values by NodeRef again" >&2
+    exit 1
+fi
 
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
@@ -49,6 +57,27 @@ done
 cargo metadata --locked --offline --format-version 1 \
     --manifest-path benchmark/Cargo.toml >/dev/null
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
+# int8-vs-f32 kernel gate (ROADMAP item 1: "make int8 as fast as f32"). Hard
+# step: one traced run reports `tensor.qconv2d_ms` and `tensor.conv2d_f32_ms`
+# — the same 2 097 152 MACs, in the same process, so their ratio is free of
+# the runner's clock speed. 3.92 before the paired int8 walk, about 1.75
+# with it (target 2.0); past 3.0 the multiply-add-pairs form has been lost.
+ratio_out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload infer_zoo --seed 1 --seconds 5 --trace 1)
+ratio=$(echo "$ratio_out" | awk '
+    $1 == "tensor.qconv2d_ms" { q = $2 }
+    $1 == "tensor.conv2d_f32_ms" { f = $2 }
+    END { if (q > 0 && f > 0) printf "%.3f %.6f %.6f", q / f, q, f }')
+if [ -z "$ratio" ]; then
+    echo "int8 gate: the traced run printed no tensor.qconv2d_ms / tensor.conv2d_f32_ms" >&2
+    exit 1
+fi
+echo "int8 gate: qconv2d / conv2d_f32 = ${ratio%% *} (qconv2d_ms, conv2d_f32_ms: ${ratio#* })"
+if awk -v r="${ratio%% *}" 'BEGIN { exit !(r > 3.0) }'; then
+    echo "int8 gate: tensor.qconv2d_ms is more than 3.0x tensor.conv2d_f32_ms" >&2
+    exit 1
+fi
 
 # Bench smoke: one workload against the checked-in baseline. Warn-only
 # for latency drift — the hard gate is the byte comparison above; this

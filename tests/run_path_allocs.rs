@@ -1,0 +1,143 @@
+//! Pins what the flat execution plan bought: a steady-state
+//! `CompiledModel::run` allocates its activations and the copies its
+//! signature forces, and nothing the size of a weight.
+//!
+//! One test function: the counting allocator is process-wide, so nothing
+//! else may run beside the measured call.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use tvm_neuropilot::byoc::{relay_build, CompiledModel, Permutation};
+use tvm_neuropilot::hwsim::CostModel;
+use tvm_neuropilot::models::zoo;
+use tvm_neuropilot::runtime::NodeKind;
+
+/// Sizes kept per measured window; a run makes a few hundred allocations.
+const CAP: usize = 1 << 14;
+static ON: AtomicBool = AtomicBool::new(false);
+static COUNT: AtomicUsize = AtomicUsize::new(0);
+static SIZES: [AtomicUsize; CAP] = [const { AtomicUsize::new(0) }; CAP];
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches only atomics and never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ON.load(Relaxed) {
+            let i = COUNT.fetch_add(1, Relaxed);
+            if let Some(slot) = SIZES.get(i) {
+                slot.store(layout.size(), Relaxed);
+            }
+        }
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The sizes of every allocation `f` makes (a `realloc` counts as the
+/// allocation of its new size).
+fn allocations_of(f: impl FnOnce()) -> Vec<usize> {
+    COUNT.store(0, Relaxed);
+    ON.store(true, Relaxed);
+    f();
+    ON.store(false, Relaxed);
+    let n = COUNT.load(Relaxed);
+    assert!(n <= CAP, "{n} allocations overflow the size log");
+    SIZES[..n].iter().map(|s| s.load(Relaxed)).collect()
+}
+
+#[test]
+fn second_run_allocates_activations_and_forced_copies_only() {
+    let cost = CostModel::default();
+    for model in [zoo::mobilenet_v1(1), zoo::mobilenet_v2_quant(2)] {
+        // What one inference has to produce, read off the TVM-only graph:
+        // every op output once. Partitioning moves ops into Neuron
+        // networks (which may fuse some away) but adds no activation.
+        let tvm = relay_build(&model.module, Permutation::TvmOnly.mode(), cost.clone()).unwrap();
+        let CompiledModel::Tvm { executor, .. } = &tvm else {
+            unreachable!("TVM-only builds an executor");
+        };
+        let graph = executor.graph();
+        let produced = |n: &&tvm_neuropilot::runtime::GraphNode| {
+            matches!(n.kind, NodeKind::Op { .. } | NodeKind::External { .. })
+        };
+        let activation_sizes: Vec<usize> = graph
+            .nodes
+            .iter()
+            .filter(produced)
+            .flat_map(|n| n.out_types.iter().map(|t| t.size_bytes()))
+            .collect();
+        let activations: usize = activation_sizes.iter().sum();
+        let inputs = model.sample_inputs(3);
+        let input_bytes: usize = inputs.values().map(|t| t.size_bytes()).sum();
+        // A weight the size of some activation (or input) proves nothing.
+        let ambiguous: HashSet<usize> = activation_sizes
+            .iter()
+            .copied()
+            .chain(inputs.values().map(|t| t.size_bytes()))
+            .collect();
+        let weight_sizes: HashSet<usize> = graph
+            .params
+            .iter()
+            .map(|p| p.size_bytes())
+            .filter(|s| *s >= 256 && !ambiguous.contains(s))
+            .collect();
+        assert!(
+            weight_sizes.len() >= 4,
+            "{}: too few telling weight sizes",
+            model.name
+        );
+
+        for p in [
+            Permutation::TvmOnly,
+            Permutation::ByocCpuApu,
+            Permutation::NpCpuApu,
+        ] {
+            let mut compiled = relay_build(&model.module, p.mode(), cost.clone())
+                .unwrap_or_else(|e| panic!("{} / {p:?}: {e}", model.name));
+            let (first, _) = compiled.run(&inputs).unwrap();
+            let output_bytes: usize = first.iter().map(|t| t.size_bytes()).sum();
+            drop(first);
+            let sizes = allocations_of(|| {
+                std::hint::black_box(compiled.run(&inputs).unwrap());
+            });
+            let allocated: usize = sizes.iter().sum();
+            // `run(&HashMap)` forces an owned copy of each input into the
+            // executor and an owned copy of each output out of it.
+            let budget = activations + activations / 10 + input_bytes + output_bytes;
+            println!(
+                "{} / {p:?}: {allocated} B in {} allocations ({activations} B of activations)",
+                model.name,
+                sizes.len()
+            );
+            assert!(
+                allocated <= budget,
+                "{} / {p:?}: second run allocated {allocated} B in {} allocations; \
+                 {activations} B of activations + {input_bytes} B in + {output_bytes} B out \
+                 allow {budget} B",
+                model.name,
+                sizes.len()
+            );
+            let copied: Vec<usize> = sizes
+                .iter()
+                .copied()
+                .filter(|s| weight_sizes.contains(s))
+                .collect();
+            assert!(
+                copied.is_empty(),
+                "{} / {p:?}: allocations the size of a weight: {copied:?}",
+                model.name
+            );
+        }
+    }
+}
