@@ -2,15 +2,15 @@
 //! `mod = nir.partition_for_nir(mod, params)` followed by
 //! `relay.build(mod, target)` and `GraphModule(...)`.
 
-use crate::codegen::NeuronModule;
+use crate::codegen::NeuronBlob;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use tvmnp_hwsim::{CostEntry, CostModel, FaultInjector, RetryPolicy};
 use tvmnp_neuropilot::support::{first_unsupported, NeuronSupport};
-use tvmnp_neuropilot::{CompiledNetwork, NeuronError, TargetPolicy};
+use tvmnp_neuropilot::{CompiledNetwork, ExecutionPlan, NeuronError, NeuronGraph, TargetPolicy};
 use tvmnp_relay::expr::{ExprKind, Module};
 use tvmnp_relay::passes::{fold_constants, partition_graph, simplify, PartitionReport};
-use tvmnp_runtime::module::ExternalModule;
 use tvmnp_runtime::{
     Artifact, ExecError, ExecutorGraph, GraphExecutor, ModuleRegistry, RunOptions,
 };
@@ -273,13 +273,177 @@ pub(crate) fn input_names_of(module: &Module) -> Vec<String> {
         .collect()
 }
 
+/// The cost-independent products of compiling one module under one target
+/// mode: everything a runnable model is made from except the `CostModel`
+/// that prices it. This is what [`compile`] returns, what the artifact
+/// cache holds in memory (typed — constants are `Arc`s, so a clone copies
+/// no weight) and, serialized, the cache's private disk schema.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum CachedArtifact {
+    /// TVM-side modes (TvmOnly / Byoc): the lowered host graph and one
+    /// planned Neuron blob per offloaded subgraph.
+    Tvm {
+        /// The lowered host graph (with params embedded).
+        graph: ExecutorGraph,
+        /// The compiled external subgraphs, in link order.
+        modules: Vec<NeuronBlob>,
+        /// Input names in parameter order.
+        input_names: Vec<String>,
+        /// Partition report fields (the report type itself is not serde).
+        num_subgraphs: usize,
+        /// Offloaded primitive calls.
+        offloaded_calls: usize,
+        /// Host-side primitive calls.
+        host_calls: usize,
+    },
+    /// NeuroPilot-only modes: converted graph plus its execution plan.
+    Neuron {
+        /// The converted Neuron graph.
+        graph: NeuronGraph,
+        /// The planner's output for this graph/policy.
+        plan: ExecutionPlan,
+        /// Input names in parameter order.
+        input_names: Vec<String>,
+    },
+}
+
+/// The compile half of `relay.build`: passes, partitioning, lowering and
+/// the Neuron codegen. Emits every compile-side span; takes no cost model.
+pub fn compile(module: &Module, mode: TargetMode) -> Result<CachedArtifact, BuildError> {
+    let _span = tvmnp_telemetry::span!("byoc.build", "mode" => mode.to_string());
+    let prepared = fold_constants(&simplify(module));
+    let input_names = input_names_of(&prepared);
+    let lower =
+        |m: &Module| ExecutorGraph::build(m).map_err(|e| BuildError::Runtime(e.to_string()));
+    match mode {
+        TargetMode::TvmOnly => Ok(CachedArtifact::Tvm {
+            graph: lower(&prepared)?,
+            modules: Vec::new(),
+            input_names,
+            num_subgraphs: 0,
+            offloaded_calls: 0,
+            host_calls: prepared.main().num_calls(),
+        }),
+        TargetMode::Byoc(policy) => {
+            let (partitioned, report) = {
+                let _span = tvmnp_telemetry::span!("byoc.partition");
+                partition_graph(&prepared, &NeuronSupport)
+                    .map_err(|e| BuildError::Partition(e.to_string()))?
+            };
+            let graph = lower(&partitioned)?;
+            let mut modules = Vec::new();
+            for name in partitioned.external_functions() {
+                let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => name.to_string());
+                let func = &partitioned.functions[name];
+                modules.push(NeuronBlob::codegen(name, func, policy).map_err(BuildError::Neuron)?);
+            }
+            Ok(CachedArtifact::Tvm {
+                graph,
+                modules,
+                input_names,
+                num_subgraphs: report.num_subgraphs,
+                offloaded_calls: report.offloaded_calls,
+                host_calls: report.host_calls,
+            })
+        }
+        TargetMode::NeuroPilotOnly(policy) => {
+            if let Some(op) = first_unsupported(prepared.main()) {
+                return Err(BuildError::Unsupported(op));
+            }
+            let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => "main");
+            let NeuronBlob { graph, plan, .. } =
+                NeuronBlob::codegen("main", prepared.main(), policy).map_err(BuildError::Neuron)?;
+            Ok(CachedArtifact::Neuron {
+                graph,
+                plan,
+                input_names,
+            })
+        }
+    }
+}
+
+impl CachedArtifact {
+    /// The instantiate half of `relay.build`, and the only place executors
+    /// and networks are made from compile products: price them under the
+    /// caller's `cost`. Pure load — no partition, codegen or planner span.
+    pub fn instantiate(self, cost: &CostModel) -> Result<CompiledModel, BuildError> {
+        match self {
+            CachedArtifact::Tvm {
+                graph,
+                modules,
+                input_names,
+                num_subgraphs,
+                offloaded_calls,
+                host_calls,
+            } => {
+                let mut registry = ModuleRegistry::new();
+                for blob in modules {
+                    registry.register(Box::new(blob.link(cost.clone())));
+                }
+                let executor = GraphExecutor::new(graph, registry, cost.clone())
+                    .map_err(|e| BuildError::Runtime(e.to_string()))?;
+                Ok(CompiledModel::Tvm {
+                    executor,
+                    input_names,
+                    report: PartitionReport {
+                        num_subgraphs,
+                        offloaded_calls,
+                        host_calls,
+                    },
+                })
+            }
+            CachedArtifact::Neuron {
+                graph,
+                plan,
+                input_names,
+            } => Ok(CompiledModel::Neuron {
+                network: CompiledNetwork::from_plan(graph, plan, cost.clone()),
+                input_names,
+            }),
+        }
+    }
+
+    /// The deployable artifact of a TVM-side build (Listing 6's
+    /// `export_library` input), byte for byte what `Artifact::export` over
+    /// the linked modules gives; `None` for NP-only modes. Made on demand:
+    /// this and the cache's disk write are where products become values.
+    pub fn artifact(&self) -> Option<Artifact> {
+        match self {
+            CachedArtifact::Tvm { graph, modules, .. } => {
+                let mut artifact = Artifact::export(graph, &[]);
+                artifact.externals = modules.iter().map(NeuronBlob::to_external).collect();
+                Some(artifact)
+            }
+            CachedArtifact::Neuron { .. } => None,
+        }
+    }
+
+    /// Bytes of weights the products hold (host params plus Neuron
+    /// constants) — what the cache's LRU budget counts.
+    pub(crate) fn weight_bytes(&self) -> usize {
+        match self {
+            CachedArtifact::Tvm { graph, modules, .. } => {
+                let neuron: usize = modules.iter().map(|b| const_bytes(&b.graph)).sum();
+                graph.param_bytes() + neuron
+            }
+            CachedArtifact::Neuron { graph, .. } => const_bytes(graph),
+        }
+    }
+}
+
+/// Bytes of constant data a Neuron graph holds.
+fn const_bytes(graph: &NeuronGraph) -> usize {
+    let consts = graph.tensors.iter().filter_map(|t| t.data.as_ref());
+    consts.map(|d| d.size_bytes()).sum()
+}
+
 /// `relay.build(mod, target)` — compile a Relay module under a target mode.
 pub fn relay_build(
     module: &Module,
     mode: TargetMode,
     cost: CostModel,
 ) -> Result<CompiledModel, BuildError> {
-    relay_build_inner(module, mode, cost).map(|(m, _)| m)
+    compile(module, mode)?.instantiate(&cost)
 }
 
 /// Like [`relay_build`], also returning the deployable artifact for the
@@ -289,92 +453,9 @@ pub fn relay_build_with_artifact(
     mode: TargetMode,
     cost: CostModel,
 ) -> Result<(CompiledModel, Option<Artifact>), BuildError> {
-    relay_build_inner(module, mode, cost)
-}
-
-fn relay_build_inner(
-    module: &Module,
-    mode: TargetMode,
-    cost: CostModel,
-) -> Result<(CompiledModel, Option<Artifact>), BuildError> {
-    let _span = tvmnp_telemetry::span!("byoc.build", "mode" => mode.to_string());
-    let prepared = fold_constants(&simplify(module));
-    let input_names = input_names_of(&prepared);
-    match mode {
-        TargetMode::TvmOnly => {
-            let graph =
-                ExecutorGraph::build(&prepared).map_err(|e| BuildError::Runtime(e.to_string()))?;
-            let artifact = Artifact::export(&graph, &[]);
-            let executor = GraphExecutor::new(graph, ModuleRegistry::new(), cost)
-                .map_err(|e| BuildError::Runtime(e.to_string()))?;
-            let report = PartitionReport {
-                num_subgraphs: 0,
-                offloaded_calls: 0,
-                host_calls: prepared.main().num_calls(),
-            };
-            Ok((
-                CompiledModel::Tvm {
-                    executor,
-                    input_names,
-                    report,
-                },
-                Some(artifact),
-            ))
-        }
-        TargetMode::Byoc(policy) => {
-            let (partitioned, report) = {
-                let _span = tvmnp_telemetry::span!("byoc.partition");
-                partition_graph(&prepared, &NeuronSupport)
-                    .map_err(|e| BuildError::Partition(e.to_string()))?
-            };
-            let graph = ExecutorGraph::build(&partitioned)
-                .map_err(|e| BuildError::Runtime(e.to_string()))?;
-            let mut registry = ModuleRegistry::new();
-            let mut modules_for_export: Vec<NeuronModule> = Vec::new();
-            for name in partitioned.external_functions() {
-                let func = &partitioned.functions[name];
-                let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => name.to_string());
-                let module = NeuronModule::codegen(name, func, policy, cost.clone())
-                    .map_err(BuildError::Neuron)?;
-                modules_for_export.push(module);
-            }
-            let refs: Vec<&dyn ExternalModule> = modules_for_export
-                .iter()
-                .map(|m| m as &dyn ExternalModule)
-                .collect();
-            let artifact = Artifact::export(&graph, &refs);
-            for m in modules_for_export {
-                registry.register(Box::new(m));
-            }
-            let executor = GraphExecutor::new(graph, registry, cost)
-                .map_err(|e| BuildError::Runtime(e.to_string()))?;
-            Ok((
-                CompiledModel::Tvm {
-                    executor,
-                    input_names,
-                    report,
-                },
-                Some(artifact),
-            ))
-        }
-        TargetMode::NeuroPilotOnly(policy) => {
-            if let Some(op) = first_unsupported(prepared.main()) {
-                return Err(BuildError::Unsupported(op));
-            }
-            let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => "main");
-            let graph =
-                tvmnp_neuropilot::convert_function(prepared.main()).map_err(BuildError::Neuron)?;
-            let network =
-                CompiledNetwork::compile(graph, policy, cost).map_err(BuildError::Neuron)?;
-            Ok((
-                CompiledModel::Neuron {
-                    network,
-                    input_names,
-                },
-                None,
-            ))
-        }
-    }
+    let products = compile(module, mode)?;
+    let artifact = products.artifact();
+    Ok((products.instantiate(&cost)?, artifact))
 }
 
 #[cfg(test)]
@@ -495,6 +576,7 @@ mod tests {
 
     #[test]
     fn artifact_roundtrip_through_android_device() {
+        use crate::codegen::NeuronModule;
         use tvmnp_runtime::artifact::LoaderRegistry;
         use tvmnp_runtime::AndroidDevice;
         let (m, inputs) = clean_model();
@@ -514,5 +596,26 @@ mod tests {
         ex.set_input("x", inputs["x"].clone()).unwrap();
         ex.run().unwrap();
         assert!(ex.get_output(0).unwrap().bit_eq(&reference[0]));
+    }
+
+    #[test]
+    fn artifact_of_products_is_the_export_of_their_linked_modules() {
+        use tvmnp_runtime::module::ExternalModule;
+        let (m, _) = mixed_model();
+        let products = compile(&m, TargetMode::Byoc(TargetPolicy::CpuApu)).unwrap();
+        let CachedArtifact::Tvm { graph, modules, .. } = products.clone() else {
+            unreachable!("BYOC products are TVM-side");
+        };
+        assert!(modules.len() >= 2);
+        let link = |b: NeuronBlob| b.link(CostModel::default());
+        let linked: Vec<_> = modules.into_iter().map(link).collect();
+        let refs: Vec<&dyn ExternalModule> =
+            linked.iter().map(|m| m as &dyn ExternalModule).collect();
+        let by_export = serde_json::to_string(&Artifact::export(&graph, &refs)).unwrap();
+        let on_demand = serde_json::to_string(&products.artifact().unwrap()).unwrap();
+        assert!(
+            on_demand == by_export,
+            "artifact() and Artifact::export disagree"
+        );
     }
 }

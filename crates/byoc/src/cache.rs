@@ -5,145 +5,31 @@
 //! paper's seven target permutations: each (module fingerprint, target
 //! permutation, quant config) triple is compiled exactly once, and every
 //! later request — including a resilience-layer fallback re-dispatch —
-//! instantiates an executor from the stored artifact without running the
-//! partitioner, the Neuron codegen, or the planner again.
+//! instantiates an executor from the stored compile products without
+//! running the partitioner, the Neuron codegen, or the planner again.
+//!
+//! The cache sits between the two halves of a build: [`compile`] makes the
+//! cost-independent [`CachedArtifact`], the memory tier holds it typed, and
+//! `instantiate` prices it under the *caller's* cost model on every
+//! request. Bytes exist only at the file boundary: one serialization per
+//! disk write, one parse per disk read, none on a memory hit.
 //!
 //! Bookkeeping is observable: `cache.hit` / `cache.miss` / `cache.evict`
-//! telemetry counters, and an LRU byte budget bounds resident size. With a
-//! cache directory configured (`--cache-dir`), entries also persist as
-//! JSON artifacts that survive the process and LRU eviction.
+//! telemetry counters, and an LRU budget in weight bytes bounds resident
+//! size. With a cache directory configured (`--cache-dir`), entries also
+//! persist as JSON files that survive the process and LRU eviction.
 
-use crate::build::{relay_build_with_artifact, BuildError, CompiledModel, TargetMode};
-use crate::codegen::NeuronModule;
+use crate::build::{compile, BuildError, CachedArtifact, CompiledModel, TargetMode};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use tvmnp_hwsim::CostModel;
-use tvmnp_neuropilot::{CompiledNetwork, ExecutionPlan, NeuronGraph};
 use tvmnp_relay::module_fingerprint;
-use tvmnp_relay::passes::PartitionReport;
 use tvmnp_relay::Module;
-use tvmnp_runtime::{Artifact, GraphExecutor, LoaderRegistry};
-
-/// Serializable cache entry: everything needed to re-instantiate a
-/// [`CompiledModel`] without any codegen.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum CachedArtifact {
-    /// TVM-side modes (TvmOnly / Byoc): the exported artifact, whose
-    /// external blobs embed their execution plans.
-    Tvm {
-        /// The deployable artifact.
-        artifact: Artifact,
-        /// Input names in parameter order.
-        input_names: Vec<String>,
-        /// Partition report fields (the report type itself is not serde).
-        num_subgraphs: usize,
-        /// Offloaded primitive calls.
-        offloaded_calls: usize,
-        /// Host-side primitive calls.
-        host_calls: usize,
-    },
-    /// NeuroPilot-only modes: converted graph plus its execution plan.
-    Neuron {
-        /// The converted Neuron graph.
-        graph: NeuronGraph,
-        /// The planner's output for this graph/policy.
-        plan: ExecutionPlan,
-        /// Input names in parameter order.
-        input_names: Vec<String>,
-    },
-}
-
-impl CachedArtifact {
-    /// Instantiate a runnable model from this entry. Pure load: no
-    /// partition, codegen, or planner spans are emitted.
-    fn instantiate(&self, cost: &CostModel) -> Result<CompiledModel, BuildError> {
-        match self {
-            CachedArtifact::Tvm {
-                artifact,
-                input_names,
-                num_subgraphs,
-                offloaded_calls,
-                host_calls,
-            } => {
-                let mut loaders = LoaderRegistry::new();
-                loaders.register("neuropilot", NeuronModule::loader(cost.clone()));
-                let registry = loaders.load_all(artifact).map_err(BuildError::Runtime)?;
-                let executor = GraphExecutor::new(artifact.graph.clone(), registry, cost.clone())
-                    .map_err(|e| BuildError::Runtime(e.to_string()))?;
-                Ok(CompiledModel::Tvm {
-                    executor,
-                    input_names: input_names.clone(),
-                    report: PartitionReport {
-                        num_subgraphs: *num_subgraphs,
-                        offloaded_calls: *offloaded_calls,
-                        host_calls: *host_calls,
-                    },
-                })
-            }
-            CachedArtifact::Neuron {
-                graph,
-                plan,
-                input_names,
-            } => Ok(CompiledModel::Neuron {
-                network: CompiledNetwork::from_plan(graph.clone(), plan.clone(), cost.clone()),
-                input_names: input_names.clone(),
-            }),
-        }
-    }
-
-    /// Serialized size, used for the LRU byte budget.
-    fn size_bytes(&self) -> usize {
-        serde_json::to_string(self).map(|s| s.len()).unwrap_or(0)
-    }
-}
-
-/// Capture a freshly-built model (plus its exported artifact) as an entry.
-fn entry_from_build(model: &CompiledModel, artifact: Option<Artifact>) -> Option<CachedArtifact> {
-    match (model, artifact) {
-        (
-            CompiledModel::Tvm {
-                input_names,
-                report,
-                ..
-            },
-            Some(artifact),
-        ) => Some(CachedArtifact::Tvm {
-            artifact,
-            input_names: input_names.clone(),
-            num_subgraphs: report.num_subgraphs,
-            offloaded_calls: report.offloaded_calls,
-            host_calls: report.host_calls,
-        }),
-        (
-            CompiledModel::Neuron {
-                network,
-                input_names,
-            },
-            _,
-        ) => Some(CachedArtifact::Neuron {
-            graph: network.graph().clone(),
-            plan: network.plan().clone(),
-            input_names: input_names.clone(),
-        }),
-        _ => None,
-    }
-}
-
-/// On-disk envelope: the entry plus the key it was stored under. The key
-/// embeds the module fingerprint, so a load can verify the file actually
-/// belongs to the requested (module, mode, quant) triple — a renamed,
-/// corrupted, or hand-edited cache file is a miss, never a silently
-/// served wrong artifact.
-#[derive(Serialize, Deserialize)]
-struct DiskEntry {
-    key: String,
-    entry: CachedArtifact,
-}
 
 struct CacheState {
-    /// key → (entry, size); recency tracked in `order` (back = newest).
+    /// key → (entry, weight bytes); recency tracked in `order` (back = newest).
     entries: HashMap<String, (CachedArtifact, usize)>,
     order: Vec<String>,
     total_bytes: usize,
@@ -169,7 +55,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the LRU byte budget.
     pub evictions: u64,
-    /// Bytes currently resident in memory.
+    /// Weight bytes (host params + Neuron constants) the memory tier holds
+    /// — what the LRU budget is charged.
     pub resident_bytes: usize,
 }
 
@@ -186,7 +73,7 @@ impl CacheStats {
 }
 
 impl ArtifactCache {
-    /// In-memory cache with an LRU byte budget.
+    /// In-memory cache with an LRU budget in weight bytes.
     pub fn new(budget_bytes: usize) -> Self {
         ArtifactCache {
             state: Mutex::new(CacheState {
@@ -235,19 +122,18 @@ impl ArtifactCache {
         quant: &str,
     ) -> Result<CompiledModel, BuildError> {
         let key = Self::key(module, mode, quant);
-        if let Some(entry) = self.lookup(&key) {
-            return entry.instantiate(cost);
-        }
-        tvmnp_telemetry::counter_add("cache.miss", &[("mode", &mode.label())], 1);
-        {
-            let mut st = self.state.lock();
-            st.misses += 1;
-        }
-        let (model, artifact) = relay_build_with_artifact(module, mode, cost.clone())?;
-        if let Some(entry) = entry_from_build(&model, artifact) {
-            self.insert(key, entry);
-        }
-        Ok(model)
+        let entry = match self.lookup(&key) {
+            Some(entry) => entry,
+            None => {
+                tvmnp_telemetry::counter_add("cache.miss", &[("mode", &mode.label())], 1);
+                self.state.lock().misses += 1;
+                let entry = compile(module, mode)?;
+                self.persist(&key, &entry);
+                self.admit(key, entry.clone());
+                entry
+            }
+        };
+        entry.instantiate(cost)
     }
 
     /// Whether the key is resident (memory or disk) without touching
@@ -285,48 +171,38 @@ impl ArtifactCache {
             }
         }
         // Miss in memory: an evicted or prior-process entry may be on disk.
-        let path = self.disk_path(key)?;
-        let json = std::fs::read_to_string(&path).ok()?;
-        let disk: DiskEntry = serde_json::from_str(&json).ok()?;
-        if disk.key != key {
-            // Fingerprint/key mismatch: the file does not describe this
-            // build request. Treat as a miss rather than serving a wrong
-            // artifact.
+        // The envelope carries the key the entry was stored under (it
+        // embeds the module fingerprint), so a renamed, corrupted,
+        // hand-edited or old-schema file is a miss, never a silently
+        // served wrong artifact.
+        let json = std::fs::read_to_string(self.disk_path(key)?).ok()?;
+        let disk = serde_json::parse_value(&json).ok()?;
+        if disk["key"].as_str()? != key {
             tvmnp_telemetry::counter_add("cache.disk_key_mismatch", &[], 1);
             return None;
         }
-        let entry = disk.entry;
-        {
-            let mut st = self.state.lock();
-            st.hits += 1;
-        }
+        let entry = CachedArtifact::from_value(&disk["entry"]).ok()?;
+        self.state.lock().hits += 1;
         tvmnp_telemetry::counter_add("cache.hit", &[("source", "disk")], 1);
-        self.admit(key.to_string(), entry.clone(), false);
+        self.admit(key.to_string(), entry.clone());
         Some(entry)
     }
 
-    fn insert(&self, key: String, entry: CachedArtifact) {
-        self.admit(key, entry, true);
+    /// Write the entry under its key to the cache dir, when one is
+    /// configured: the one serialization of an insert, from a borrow.
+    fn persist(&self, key: &str, entry: &CachedArtifact) {
+        if let Some(path) = self.disk_path(key) {
+            if let Some(dir) = path.parent() {
+                let _ = std::fs::create_dir_all(dir);
+            }
+            let disk = serde_json::json!({ "key": key, "entry": entry });
+            let _ = std::fs::write(&path, disk.to_string());
+        }
     }
 
-    /// Put an entry in memory (evicting LRU past the budget) and, when
-    /// `write_disk` and a cache dir are configured, persist it.
-    fn admit(&self, key: String, entry: CachedArtifact, write_disk: bool) {
-        if write_disk {
-            if let Some(path) = self.disk_path(&key) {
-                if let Some(dir) = path.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                let disk = DiskEntry {
-                    key: key.clone(),
-                    entry: entry.clone(),
-                };
-                if let Ok(json) = serde_json::to_string(&disk) {
-                    let _ = std::fs::write(&path, json);
-                }
-            }
-        }
-        let size = entry.size_bytes();
+    /// Put an entry in memory, evicting LRU past the budget.
+    fn admit(&self, key: String, entry: CachedArtifact) {
+        let size = entry.weight_bytes();
         let mut st = self.state.lock();
         if let Some((_, old)) = st.entries.remove(&key) {
             st.total_bytes -= old;
@@ -560,6 +436,57 @@ mod tests {
             .get_or_build(&m, TargetMode::TvmOnly, &CostModel::default(), "fp32")
             .unwrap();
         assert_eq!(cache.stats().misses, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_inserts_of_one_key_keep_resident_bytes_constant() {
+        let cache = ArtifactCache::new(usize::MAX);
+        let entry = compile(&conv_model(7), TargetMode::TvmOnly).unwrap();
+        cache.admit("k".to_string(), entry.clone());
+        let once = cache.stats().resident_bytes;
+        assert_eq!(once, entry.weight_bytes());
+        assert!(once > 0);
+        cache.admit("k".to_string(), entry);
+        assert_eq!(cache.stats().resident_bytes, once);
+    }
+
+    /// A cache file is bytes we did not necessarily write: a tensor whose
+    /// shape lies about its payload does not decode, so it is a miss and a
+    /// correct rebuild — not a served entry that panics in a kernel.
+    #[test]
+    fn disk_entry_with_a_lying_tensor_shape_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("tvmnp-cache-lying-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = conv_model(7);
+        let cost = CostModel::default();
+        ArtifactCache::new(64 << 20)
+            .with_disk_dir(&dir)
+            .get_or_build(&m, TargetMode::TvmOnly, &cost, "fp32")
+            .unwrap();
+        let file = dir.join(format!(
+            "{}.json",
+            ArtifactCache::key(&m, TargetMode::TvmOnly, "fp32")
+        ));
+        let honest = std::fs::read_to_string(&file).unwrap();
+        let weight_shape = "\"quant\":null,\"shape\":[4,3,3,3]";
+        assert_eq!(honest.matches(weight_shape).count(), 1);
+        let lying = honest.replace(weight_shape, "\"quant\":null,\"shape\":[4,3,64,64]");
+        std::fs::write(&file, lying).unwrap();
+
+        let cache = ArtifactCache::new(64 << 20).with_disk_dir(&dir);
+        let mut rebuilt = cache
+            .get_or_build(&m, TargetMode::TvmOnly, &cost, "fp32")
+            .unwrap();
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
+        let inputs = an_input();
+        let (got, _) = rebuilt.run(&inputs).unwrap();
+        let (want, _) = relay_build(&m, TargetMode::TvmOnly, cost)
+            .unwrap()
+            .run(&inputs)
+            .unwrap();
+        assert!(got[0].bit_eq(&want[0]));
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), honest, "rewritten");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,32 +3,77 @@
 use serde::{Deserialize, Serialize};
 use tvmnp_hwsim::{CostEntry, CostModel};
 use tvmnp_neuropilot::{
-    convert_function, CompiledNetwork, ExecutionPlan, NeuronError, NeuronGraph, TargetPolicy,
+    convert_function, CompiledNetwork, ExecutionPlan, NeuronError, NeuronGraph, Planner,
+    TargetPolicy,
 };
 use tvmnp_relay::Function;
-use tvmnp_runtime::artifact::ModuleLoader;
+use tvmnp_runtime::artifact::{ExternalBlob, ModuleLoader};
 use tvmnp_runtime::module::{ExternalModule, ModuleError};
 use tvmnp_tensor::Tensor;
 
-/// Serialized form of a Neuron external module (the artifact payload).
+/// The compiler name external blobs and loaders are keyed by.
+const COMPILER: &str = "neuropilot";
+
+/// One compiled Neuron subgraph, before it is priced: what the external
+/// codegen produces, what the cache holds, and (serialized) the artifact
+/// payload a runtime-only device loads. No cost model went into it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct NeuronBlob {
-    symbol: String,
-    policy: TargetPolicy,
-    graph: NeuronGraph,
-    /// The already-computed execution plan. Shipping it lets a
-    /// runtime-only device (and the artifact cache) instantiate the
-    /// network without re-running the planner — loading is not compiling.
-    /// `None` only for artifacts written before the plan was embedded.
-    #[serde(default)]
-    plan: Option<ExecutionPlan>,
+pub struct NeuronBlob {
+    /// Global symbol the subgraph implements.
+    pub symbol: String,
+    /// Policy the plan was made under.
+    pub policy: TargetPolicy,
+    /// The converted Neuron graph (constants shared, not copied, on clone).
+    pub graph: NeuronGraph,
+    /// The execution plan. Shipping it lets a runtime-only device
+    /// instantiate the network without a planner — loading is not compiling.
+    pub plan: ExecutionPlan,
+}
+
+impl NeuronBlob {
+    /// Run the external codegen on a partitioned Relay function: convert
+    /// to Neuron IR and plan it.
+    pub fn codegen(
+        symbol: impl Into<String>,
+        func: &Function,
+        policy: TargetPolicy,
+    ) -> Result<Self, NeuronError> {
+        let graph = convert_function(func)?;
+        let plan = {
+            let _span = tvmnp_telemetry::span!("neuropilot.compile", "policy" => policy.label());
+            Planner::plan(&graph, policy)?
+        };
+        Ok(NeuronBlob {
+            symbol: symbol.into(),
+            policy,
+            graph,
+            plan,
+        })
+    }
+
+    /// Price the plan under `cost` and expose it to the graph executor.
+    pub fn link(self, cost: CostModel) -> NeuronModule {
+        NeuronModule {
+            symbol: self.symbol,
+            policy: self.policy,
+            network: CompiledNetwork::from_plan(self.graph, self.plan, cost),
+        }
+    }
+
+    /// This subgraph as an artifact's external entry.
+    pub fn to_external(&self) -> ExternalBlob {
+        ExternalBlob {
+            symbol: self.symbol.clone(),
+            compiler: COMPILER.to_string(),
+            payload: serde_json::to_value(self).expect("Neuron blob serializes"),
+        }
+    }
 }
 
 /// A compiled Neuron subgraph exposed as a graph-executor module.
 pub struct NeuronModule {
     symbol: String,
     policy: TargetPolicy,
-    graph: NeuronGraph,
     network: CompiledNetwork,
 }
 
@@ -40,32 +85,15 @@ impl NeuronModule {
         policy: TargetPolicy,
         cost: CostModel,
     ) -> Result<Self, NeuronError> {
-        let graph = convert_function(func)?;
-        let network = CompiledNetwork::compile(graph.clone(), policy, cost)?;
-        Ok(NeuronModule {
-            symbol: symbol.into(),
-            policy,
-            graph,
-            network,
-        })
+        Ok(NeuronBlob::codegen(symbol, func, policy)?.link(cost))
     }
 
-    /// Rebuild from an artifact payload on a runtime-only device. When the
-    /// blob carries its execution plan the network is instantiated
-    /// directly from it — no planner run, no `neuropilot.compile` span.
+    /// Rebuild from an artifact payload on a runtime-only device: the
+    /// network is instantiated from the embedded plan — no planner run, no
+    /// `neuropilot.compile` span.
     pub fn from_blob(value: &serde_json::Value, cost: CostModel) -> Result<Self, String> {
-        let blob: NeuronBlob = serde_json::from_value(value.clone()).map_err(|e| e.to_string())?;
-        let network = match blob.plan {
-            Some(plan) => CompiledNetwork::from_plan(blob.graph.clone(), plan, cost),
-            None => CompiledNetwork::compile(blob.graph.clone(), blob.policy, cost)
-                .map_err(|e| e.to_string())?,
-        };
-        Ok(NeuronModule {
-            symbol: blob.symbol,
-            policy: blob.policy,
-            graph: blob.graph,
-            network,
-        })
+        let blob = NeuronBlob::from_value(value).map_err(|e| e.to_string())?;
+        Ok(blob.link(cost))
     }
 
     /// The runtime-side loader for `LoaderRegistry::register("neuropilot", ...)`.
@@ -88,7 +116,7 @@ impl ExternalModule for NeuronModule {
     }
 
     fn compiler(&self) -> &str {
-        "neuropilot"
+        COMPILER
     }
 
     fn dispatch_device(&self) -> tvmnp_hwsim::DeviceKind {
@@ -119,8 +147,8 @@ impl ExternalModule for NeuronModule {
         serde_json::to_value(NeuronBlob {
             symbol: self.symbol.clone(),
             policy: self.policy,
-            graph: self.graph.clone(),
-            plan: Some(self.network.plan().clone()),
+            graph: self.network.graph().clone(),
+            plan: self.network.plan().clone(),
         })
         .expect("Neuron blob serializes")
     }

@@ -8,7 +8,9 @@
 //!   and exposed to the graph executor as an `ExternalModule` (including
 //!   artifact (de)serialization for runtime-only devices);
 //! * [`build`] — `partition_for_nir` / `relay_build`: the user-facing
-//!   compile pipeline of paper Listings 2/3/4/6;
+//!   compile pipeline of paper Listings 2/3/4/6, as `compile` (to
+//!   cost-independent products) then `instantiate` (under a cost model);
+//! * [`cache`] — the content-addressed cache between those two halves;
 //! * [`permutations`] — the seven target permutations of §5/§6 (TVM-only,
 //!   BYOC×{CPU, APU, CPU+APU}, NeuroPilot-only×{CPU, APU, CPU+APU}) with a
 //!   single `measure` entry point that returns `None` exactly where the
@@ -26,9 +28,11 @@ pub mod nnapi;
 pub mod permutations;
 pub mod resilient;
 
-pub use build::{partition_for_nir, relay_build, BuildError, CompiledModel, TargetMode};
-pub use cache::{ArtifactCache, CacheStats, CachedArtifact};
-pub use codegen::NeuronModule;
+pub use build::{
+    partition_for_nir, relay_build, BuildError, CachedArtifact, CompiledModel, TargetMode,
+};
+pub use cache::{ArtifactCache, CacheStats};
+pub use codegen::{NeuronBlob, NeuronModule};
 pub use nnapi::{nnapi_supported, relay_build_nnapi, NnapiModule, NnapiSupport};
 pub use permutations::{measure_all, measure_one, Measurement, Permutation};
 pub use resilient::{

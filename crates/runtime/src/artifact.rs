@@ -302,6 +302,28 @@ mod tests {
         assert!(ex.get_output(0).is_err(), "a failed run has no outputs");
     }
 
+    /// A parameter whose shape lies about its payload is refused at the
+    /// file boundary, not discovered by a kernel's slice bounds.
+    #[test]
+    fn loaded_tensor_with_lying_shape_is_a_parse_error() {
+        use tvmnp_relay::Conv2dAttrs;
+        let x = var("x", TensorType::f32([1, 1, 64, 64]));
+        let w = Tensor::from_f32([1, 1, 2, 2], vec![1.0, -2.0, 3.0, -4.0]).unwrap();
+        let y = builder::conv2d(x.clone(), w, Conv2dAttrs::same(0));
+        let graph = ExecutorGraph::build(&Module::from_main(Function::new(vec![x], y))).unwrap();
+        let path = std::env::temp_dir().join("tvmnp_artifact_test_lying_shape.json");
+        Artifact::export(&graph, &[]).export_library(&path).unwrap();
+        let honest = std::fs::read_to_string(&path).unwrap();
+        let param_shape = "\"quant\":null,\"shape\":[1,1,2,2]";
+        assert_eq!(honest.matches(param_shape).count(), 1);
+        assert!(Artifact::load_library(&path).is_ok());
+        let lying = honest.replace(param_shape, "\"quant\":null,\"shape\":[1,1,64,64]");
+        std::fs::write(&path, lying).unwrap();
+        let err = Artifact::load_library(&path).unwrap_err();
+        assert!(matches!(err, ArtifactError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("does not match shape"), "{err}");
+    }
+
     #[test]
     fn missing_loader_fails() {
         let m = partitioned_module();

@@ -148,12 +148,29 @@ pub(crate) use with_payload;
 /// Quantized tensors carry their affine [`QuantParams`] alongside the data;
 /// this is exactly the *tensor-oriented* representation Neuron IR requires
 /// and that §3.3 of the paper derives from Relay's operator-oriented QNN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Shape,
     data: Data,
     /// Quantization parameters; `None` for float tensors and raw i32 indices.
     quant: Option<QuantParams>,
+}
+
+/// What a serialized tensor claims to be, before the invariant is checked.
+#[derive(Deserialize)]
+struct TensorRepr {
+    shape: Shape,
+    data: Data,
+    quant: Option<QuantParams>,
+}
+
+impl Deserialize for Tensor {
+    /// Through [`Tensor::from_data`]: a shape that lies about the payload
+    /// length is an error here, not an out-of-bounds slice in a kernel.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let TensorRepr { shape, data, quant } = TensorRepr::from_value(v)?;
+        Tensor::from_data(shape, data, quant).map_err(|e| serde::Error(e.to_string()))
+    }
 }
 
 impl Tensor {
@@ -478,5 +495,28 @@ mod tests {
         let b = Tensor::from_f32([2], vec![1.0, 2.0 + 1e-6]).unwrap();
         assert!(!a.bit_eq(&b));
         assert!(a.approx_eq(&b, 1e-5));
+    }
+
+    /// Derived `Deserialize` would skip `from_data`; a lying shape then
+    /// reaches a kernel as an out-of-bounds slice (conv.rs, reproduced
+    /// with `{"data":{"F32":[..4 values..]},"quant":null,"shape":[1,1,64,64]}`).
+    #[test]
+    fn deserialize_checks_the_shape_against_the_payload() {
+        let honest = Tensor::from_f32([1, 1, 2, 2], vec![1.0, -2.0, 3.0, -4.0]).unwrap();
+        let serde::Value::Object(mut fields) = honest.to_value() else {
+            unreachable!("a tensor serializes as an object");
+        };
+        let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["data", "quant", "shape"], "serialized form moved");
+        assert_eq!(
+            Tensor::from_value(&serde::Value::Object(fields.clone())),
+            Ok(honest)
+        );
+        fields.insert("shape".into(), Shape::from([1, 1, 64, 64]).to_value());
+        let err = Tensor::from_value(&serde::Value::Object(fields)).unwrap_err();
+        assert!(
+            err.0.contains("does not match shape element count 4096"),
+            "{err}"
+        );
     }
 }

@@ -31,6 +31,15 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
     echo "run-path gate: crates/runtime/src/executor.rs keys values by NodeRef again" >&2
     exit 1
 fi
+# And the cache must not take a size by printing an entry (DESIGN.md
+# "Compile products and the file boundary"): the LRU budget counts weight
+# bytes. The serializations a grep cannot see — the discarded export in
+# `relay_build` among them — are pinned by tests/run_path_allocs.rs.
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/byoc/src/cache.rs | grep -F 'to_string(self)'; then
+    echo "file-boundary gate: crates/byoc/src/cache.rs sizes an entry by serializing it" >&2
+    exit 1
+fi
 
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
@@ -76,6 +85,37 @@ fi
 echo "int8 gate: qconv2d / conv2d_f32 = ${ratio%% *} (qconv2d_ms, conv2d_f32_ms: ${ratio#* })"
 if awk -v r="${ratio%% *}" 'BEGIN { exit !(r > 3.0) }'; then
     echo "int8 gate: tensor.qconv2d_ms is more than 3.0x tensor.conv2d_f32_ms" >&2
+    exit 1
+fi
+
+# File-boundary gate (ROADMAP item 2's own criterion). Hard step: one traced
+# `deploy_cache` run times a disk hit, a cold build, a library load and a
+# library export in one process, so both ratios are free of the runner's
+# clock speed. A disk hit parses one file and must beat compiling
+# (6.98x before the parser and the triple serialization were fixed, about
+# 0.6x after); loading a library must stay within 2x of writing it (3.7x
+# before, about 1x after).
+deploy_out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload deploy_cache --seed 1 --seconds 5 --trace 1)
+deploy=$(echo "$deploy_out" | awk '
+    $1 == "byoc.cache_disk_ms" { d = $2 }
+    $1 == "byoc.cache_cold_ms" { c = $2 }
+    $1 == "runtime.artifact_load_ms" { l = $2 }
+    $1 == "runtime.artifact_export_ms" { e = $2 }
+    END { if (d > 0 && c > 0 && l > 0 && e > 0) printf "%.3f %.3f %.4f %.4f %.4f %.4f", d / c, l / e, d, c, l, e }')
+if [ -z "$deploy" ]; then
+    echo "file-boundary gate: the traced run printed no cache / artifact timings" >&2
+    exit 1
+fi
+read -r disk_cold load_export disk_ms cold_ms load_ms export_ms <<<"$deploy"
+echo "file-boundary gate: cache_disk_ms / cache_cold_ms = $disk_cold ($disk_ms / $cold_ms)," \
+    "artifact_load_ms / artifact_export_ms = $load_export ($load_ms / $export_ms)"
+if awk -v r="$disk_cold" 'BEGIN { exit !(r >= 1.0) }'; then
+    echo "file-boundary gate: a disk hit is no faster than a cold build" >&2
+    exit 1
+fi
+if awk -v r="$load_export" 'BEGIN { exit !(r > 2.0) }'; then
+    echo "file-boundary gate: runtime.artifact_load_ms is more than 2.0x runtime.artifact_export_ms" >&2
     exit 1
 fi
 

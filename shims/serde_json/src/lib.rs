@@ -58,6 +58,10 @@ pub fn __to_value_helper<T: Serialize + ?Sized>(value: &T) -> Value {
 
 // ---- parser ----------------------------------------------------------------
 
+/// Deepest array/object nesting accepted: the parser recurses per level,
+/// and it reads files this process did not write.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -70,7 +74,7 @@ pub fn parse_value(s: &str) -> Result<Value, Error> {
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
@@ -116,14 +120,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Parse one value sitting inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(Error(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.array(depth),
+            Some(b'{') => self.object(depth),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -133,7 +141,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, Error> {
+    fn array(&mut self, depth: usize) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -143,7 +151,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -162,7 +170,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, Error> {
+    fn object(&mut self, depth: usize) -> Result<Value, Error> {
         self.expect(b'{')?;
         let mut m = Map::new();
         self.skip_ws();
@@ -176,7 +184,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth + 1)?;
             m.insert(key, val);
             self.skip_ws();
             match self.peek() {
@@ -269,12 +277,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape in one go.
+                    // The input was a `&str` and both are ASCII, so each cut
+                    // is a char boundary; only the run itself is re-checked.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = std::str::from_utf8(&rest[..run.unwrap_or(rest.len())])
                         .map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = rest.chars().next().expect("non-empty checked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
                 None => return Err(Error("unterminated string".into())),
             }
@@ -372,5 +383,57 @@ mod tests {
         assert_eq!(v["time_us"].as_f64(), Some(4.5));
         assert_eq!(v["tags"][1].as_u64(), Some(2));
         assert!(v["none"].is_null());
+    }
+
+    /// Strings used to cost O(string bytes x document bytes): each
+    /// ordinary character re-validated the whole rest of the input.
+    #[test]
+    fn large_document_of_short_strings_parses_in_linear_time() {
+        let item = "\"weights_0123\"";
+        let doc = format!("[{}]", vec![item; 200_000].join(", "));
+        assert!(doc.len() > 3 << 20);
+        let start = std::time::Instant::now();
+        let v = parse_value(&doc).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(v.as_array().unwrap().len(), 200_000);
+        assert_eq!(v[199_999].as_str(), Some("weights_0123"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse_value(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nested("{\"k\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        for doc in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("[{\"k\":", "}]", MAX_DEPTH / 2 + 1).replace(":}", ":1}"),
+            "[".repeat(200_000),
+        ] {
+            let err = parse_value(&doc).unwrap_err();
+            assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    /// Every string of up to three characters over an alphabet of what a
+    /// JSON string must escape or may carry raw, so every escape sits next
+    /// to every width of scalar at least once.
+    #[test]
+    fn awkward_neighbours_roundtrip() {
+        let alphabet = [
+            '"', '\\', '/', '\n', '\u{8}', '\u{1f}', 'a', 'é', '€', '\u{ffff}', '😀',
+        ];
+        let mut strings = vec![String::new()];
+        for len in 0..3 {
+            let longer = strings.iter().filter(|s| s.chars().count() == len);
+            let longer: Vec<String> = longer
+                .flat_map(|s| alphabet.iter().map(move |c| format!("{s}{c}")))
+                .collect();
+            strings.extend(longer);
+        }
+        assert_eq!(strings.len(), 1 + 11 + 121 + 1331);
+        for s in strings {
+            let v = json!({ "k": s });
+            assert_eq!(parse_value(&v.to_string()), Ok(v));
+        }
     }
 }

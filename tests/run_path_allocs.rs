@@ -2,15 +2,20 @@
 //! `CompiledModel::run` allocates its activations and the copies its
 //! signature forces, and nothing the size of a weight.
 //!
-//! One test function: the counting allocator is process-wide, so nothing
-//! else may run beside the measured call.
+//! And what "bytes only at a file boundary" bought: a build, a cache
+//! insert and a memory hit allocate typed metadata, not a serialization
+//! of every weight.
+//!
+//! The counting allocator is process-wide, so nothing else may run beside
+//! a measured call: the tests take `WINDOW` in turn.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
-use tvm_neuropilot::byoc::{relay_build, CompiledModel, Permutation};
+use std::sync::Mutex;
+use tvm_neuropilot::byoc::{relay_build, ArtifactCache, CompiledModel, Permutation};
 use tvm_neuropilot::hwsim::CostModel;
-use tvm_neuropilot::models::zoo;
+use tvm_neuropilot::models::{anti_spoofing, zoo};
 use tvm_neuropilot::runtime::NodeKind;
 
 /// Sizes kept per measured window; a run makes a few hundred allocations.
@@ -44,6 +49,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// One measured window at a time.
+static WINDOW: Mutex<()> = Mutex::new(());
+
 /// The sizes of every allocation `f` makes (a `realloc` counts as the
 /// allocation of its new size).
 fn allocations_of(f: impl FnOnce()) -> Vec<usize> {
@@ -58,6 +66,7 @@ fn allocations_of(f: impl FnOnce()) -> Vec<usize> {
 
 #[test]
 fn second_run_allocates_activations_and_forced_copies_only() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let cost = CostModel::default();
     for model in [zoo::mobilenet_v1(1), zoo::mobilenet_v2_quant(2)] {
         // What one inference has to produce, read off the TVM-only graph:
@@ -139,5 +148,75 @@ fn second_run_allocates_activations_and_forced_copies_only() {
                 model.name
             );
         }
+    }
+}
+
+/// On anti-spoofing (203 104 B of f32 weights): building must not print
+/// the weights into a discarded artifact, inserting must not print them
+/// to take a length, and a memory hit must not copy or decode them.
+#[test]
+fn build_insert_and_hit_allocate_no_serialization_of_the_weights() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let cost = CostModel::default();
+    let model = anti_spoofing::anti_spoofing_model(1);
+    let tvm = relay_build(&model.module, Permutation::TvmOnly.mode(), cost.clone()).unwrap();
+    let CompiledModel::Tvm { executor, .. } = &tvm else {
+        unreachable!("TVM-only builds an executor");
+    };
+    let weights = executor.graph().param_bytes();
+    let params = executor.graph().params.iter();
+    let largest_param = params.map(|p| p.size_bytes()).max().unwrap();
+    assert_eq!(weights, 203_104);
+
+    for p in [Permutation::ByocCpuApu, Permutation::TvmOnly] {
+        let build = || relay_build(&model.module, p.mode(), cost.clone()).unwrap();
+        drop(build()); // one-time initialisation is not the build's
+        let fresh: usize = allocations_of(|| drop(std::hint::black_box(build())))
+            .iter()
+            .sum();
+        assert!(
+            fresh <= 4 * weights,
+            "{p:?}: a fresh build allocated {fresh} B, more than 4 x {weights} B of weights"
+        );
+
+        let cache = ArtifactCache::new(usize::MAX);
+        let get = || {
+            let got = cache.get_or_build(&model.module, p.mode(), &cost, "fp32");
+            drop(std::hint::black_box(got.unwrap()));
+        };
+        let miss = allocations_of(get);
+        let hit = allocations_of(get);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+        let (miss_bytes, hit_bytes) = (miss.iter().sum::<usize>(), hit.iter().sum::<usize>());
+        println!(
+            "{p:?}: fresh build {fresh} B; miss {miss_bytes} B in {} allocations, largest {}; \
+             hit {hit_bytes} B in {} allocations, largest {}",
+            miss.len(),
+            miss.iter().max().unwrap(),
+            hit.len(),
+            hit.iter().max().unwrap()
+        );
+        assert!(
+            miss_bytes <= fresh + weights,
+            "{p:?}: a memory-only miss allocated {miss_bytes} B; the build is {fresh} B and \
+             an insert may add {weights} B"
+        );
+        assert!(
+            miss.iter().all(|&s| s < 1 << 20),
+            "{p:?}: a memory-only miss made an allocation of {} B",
+            miss.iter().max().unwrap()
+        );
+        assert!(
+            hit_bytes < weights,
+            "{p:?}: a memory hit allocated {hit_bytes} B in {} allocations; the weights are \
+             {weights} B and are shared",
+            hit.len()
+        );
+        assert!(
+            hit.iter().all(|&s| s < largest_param),
+            "{p:?}: a memory hit made an allocation of {} B; the largest parameter is \
+             {largest_param} B",
+            hit.iter().max().unwrap()
+        );
     }
 }
