@@ -1,30 +1,30 @@
-//! Ablations of the reproduction's design choices (DESIGN.md §4 calls
-//! these out) plus the paper's what-ifs:
-//!
-//! 1. **BN folding** — the counterfactual for Fig. 4's anti-spoofing
-//!    story: folding batch norms before partitioning collapses the
-//!    subgraph count and unlocks NeuroPilot-only compilation.
-//! 2. **Post-training quantization** — quantize a float showcase model
-//!    with the `relay.quantize`-style pass and compare APU times.
-//! 3. **Operator fusion** — dispatch-count effect on TVM-only times.
-//! 4. **Transfer latency sweep** — how the BYOC win erodes as the
-//!    CPU↔APU boundary gets more expensive (the I/O-cost discussion of
-//!    §5.1).
-//! 5. **Op-level scheduling** — the paper's future work vs its fixed
-//!    policies.
-//!
-//! `cargo run --release -p tvmnp-bench --bin ablation [--profile] [--trace-out <path>]`
+//! The `ablation` subcommand.
 
+use crate::session::Session;
 use tvm_neuropilot::models::{anti_spoofing, emotion, zoo};
 use tvm_neuropilot::neuropilot::{convert_function, plan_op_level, CompiledNetwork};
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::relay::passes::{
     count_batch_norms, fold_batch_norm, quantize_with_calibration, simplify,
 };
-use tvmnp_bench::profiling::TelemetryCli;
 
-fn main() {
-    let mut telem = TelemetryCli::from_env();
+/// Ablations of the reproduction's design choices (DESIGN.md §4 calls
+/// these out) plus the paper's what-ifs:
+///
+/// 1. **BN folding** — the counterfactual for Fig. 4's anti-spoofing
+///    story: folding batch norms before partitioning collapses the
+///    subgraph count and unlocks NeuroPilot-only compilation.
+/// 2. **Post-training quantization** — quantize a float showcase model
+///    with the `relay.quantize`-style pass and compare APU times.
+/// 3. **Operator fusion** — dispatch-count effect on TVM-only times.
+/// 4. **Transfer latency sweep** — how the BYOC win erodes as the
+///    CPU↔APU boundary gets more expensive (the I/O-cost discussion of
+///    §5.1).
+/// 5. **Op-level scheduling** — the paper's future work vs its fixed
+///    policies.
+///
+/// `tvmnp ablation [--profile] [--trace-out <path>]`
+pub fn ablation(telem: &mut Session) {
     let cost = CostModel::default();
 
     // ---- 1. BN folding ---------------------------------------------------
@@ -175,5 +175,4 @@ fn main() {
     );
     println!("\nall ablation checks passed");
     telem.trace_model(&emotion::emotion_model(806), &cost);
-    telem.finish();
 }

@@ -1,7 +1,12 @@
 //! # tvmnp-bench
 //!
-//! The experiment harness: one binary per paper table/figure (run with
-//! `cargo run --release -p tvmnp-bench --bin <figN|tableN|sched>`).
+//! The experiment harness: one binary, `tvmnp`, with one subcommand per
+//! paper table/figure, extension experiment and tool (`cargo run --release
+//! -p tvmnp-bench -- <subcommand> [flags]`; `tvmnp` alone lists them).
+//! `main.rs` holds the subcommand table and alone reads the process
+//! arguments; [`cli`] is the one flag parser, [`session`] the flags and
+//! run lifecycle every subcommand shares, [`workloads`] the set-ups more
+//! than one of them runs.
 //!
 //! Mapping (see DESIGN.md §4 for the full index):
 //! * `fig4`   — inference time of the three showcase models × 7 permutations
@@ -13,7 +18,16 @@
 
 use tvm_neuropilot::prelude::*;
 
-pub mod profiling;
+pub mod ablation;
+pub mod bench;
+pub mod cli;
+pub mod conformance;
+pub mod extensions;
+pub mod figures;
+pub mod obs_check;
+pub mod sched;
+pub mod session;
+pub mod workloads;
 
 /// Render one figure group (a model's seven bars) as an aligned text row
 /// set, using `--` for missing bars as the paper's figures do.

@@ -1,73 +1,44 @@
-//! Observability artifact checker for CI.
-//!
-//! Three modes, composable in one invocation:
-//!
-//! ```text
-//! obs_check --stats <stats.jsonl>            # schema-check the JSONL stats stream
-//! obs_check --flight-dir <dir> [--expect-kind <kind>]...
-//!                                            # schema-check every flight-*.json,
-//!                                            # assert the expected event kinds appear
-//! obs_check --profile <profile.json>         # schema-check a measured-profile file
-//!                                            # (repeatable)
-//! ```
-//!
-//! Exit code 0 means every requested check passed.
+//! The `obs_check` subcommand.
 
+use crate::cli::{parse_or_exit, usage_error, Flag};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tvm_neuropilot::observe::validate_dump;
 use tvm_neuropilot::profile::{validate_profile, Profile};
 
-struct Args {
+/// The parsed `obs_check` flags.
+#[derive(Default)]
+pub struct ObsCheckCli {
     stats: Option<PathBuf>,
     flight_dir: Option<PathBuf>,
     expect_kinds: Vec<String>,
     profiles: Vec<PathBuf>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: obs_check [--stats <stats.jsonl>] \
-         [--flight-dir <dir>] [--expect-kind <kind>]... \
-         [--profile <profile.json>]..."
-    );
-    std::process::exit(2);
+impl ObsCheckCli {
+    /// The four flags.
+    pub fn flags(&mut self) -> Vec<Flag<'_>> {
+        vec![
+            Flag::path("--stats", "stats.jsonl", &mut self.stats),
+            Flag::path("--flight-dir", "dir", &mut self.flight_dir),
+            Flag::repeatable("--expect-kind", "kind", &mut self.expect_kinds),
+            Flag::repeatable("--profile", "profile.json", &mut self.profiles),
+        ]
+    }
 }
 
-fn parse_args() -> Args {
-    let mut stats = None;
-    let mut flight_dir = None;
-    let mut expect_kinds = Vec::new();
-    let mut profiles = Vec::new();
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("error: {flag} requires a value");
-            usage();
-        })
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--stats" => stats = Some(PathBuf::from(value(&mut args, "--stats"))),
-            "--flight-dir" => flight_dir = Some(PathBuf::from(value(&mut args, "--flight-dir"))),
-            "--expect-kind" => expect_kinds.push(value(&mut args, "--expect-kind")),
-            "--profile" => profiles.push(PathBuf::from(value(&mut args, "--profile"))),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument '{other}'");
-                usage();
-            }
-        }
-    }
-    if stats.is_none() && flight_dir.is_none() && profiles.is_empty() {
-        eprintln!("error: nothing to do — pass --stats, --flight-dir, and/or --profile");
-        usage();
-    }
-    Args {
-        stats,
-        flight_dir,
-        expect_kinds,
-        profiles,
+/// Read one JSON artifact and run its schema validator over it.
+fn load_validated(
+    path: &Path,
+    validate: fn(&serde_json::Value) -> Option<String>,
+) -> Result<serde_json::Value, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("{}: unreadable: {e}", path.display()))?;
+    let doc = serde_json::from_str(&text)
+        .map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
+    match validate(&doc) {
+        Some(problem) => Err(format!("{}: schema violation: {problem}", path.display())),
+        None => Ok(doc),
     }
 }
 
@@ -84,32 +55,19 @@ fn check_stats(path: &Path) -> Result<(), String> {
     let mut last_seq = 0u64;
     let mut last_reason = String::new();
     for (i, line) in lines.iter().enumerate() {
-        let v: serde_json::Value = serde_json::from_str(line)
-            .map_err(|e| format!("{}: line {}: invalid JSON: {e}", path.display(), i + 1))?;
+        let at = |problem: String| format!("{}: line {}: {problem}", path.display(), i + 1);
+        let v: serde_json::Value =
+            serde_json::from_str(line).map_err(|e| at(format!("invalid JSON: {e}")))?;
         if v["type"].as_str() != Some("stats") {
-            return Err(format!(
-                "{}: line {}: type != \"stats\"",
-                path.display(),
-                i + 1
-            ));
+            return Err(at("type != \"stats\"".into()));
         }
-        let seq = v["seq"]
-            .as_u64()
-            .ok_or_else(|| format!("{}: line {}: missing seq", path.display(), i + 1))?;
+        let seq = v["seq"].as_u64().ok_or_else(|| at("missing seq".into()))?;
         if seq <= last_seq {
-            return Err(format!(
-                "{}: line {}: seq {seq} not increasing (prev {last_seq})",
-                path.display(),
-                i + 1
-            ));
+            return Err(at(format!("seq {seq} not increasing (prev {last_seq})")));
         }
         last_seq = seq;
         if v["stats"]["series"].as_array().is_none() {
-            return Err(format!(
-                "{}: line {}: stats.series is not an array",
-                path.display(),
-                i + 1
-            ));
+            return Err(at("stats.series is not an array".into()));
         }
         // Internal consistency: every series must satisfy
         // min <= p50 <= p95 <= p99 <= max.
@@ -123,11 +81,7 @@ fn check_stats(path: &Path) -> Result<(), String> {
                     && q("p95_us") <= q("p99_us") + slack
                     && q("p99_us") <= q("max_us") + slack)
                 {
-                    return Err(format!(
-                        "{}: line {}: series '{key}' quantiles not monotone",
-                        path.display(),
-                        i + 1
-                    ));
+                    return Err(at(format!("series '{key}' quantiles not monotone")));
                 }
             }
         }
@@ -166,13 +120,7 @@ fn check_flight(dir: &Path, expect_kinds: &[String]) -> Result<(), String> {
     dumps.sort();
     let mut seen_kinds: Vec<String> = Vec::new();
     for path in &dumps {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: unreadable: {e}", path.display()))?;
-        let doc: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
-        if let Some(problem) = validate_dump(&doc) {
-            return Err(format!("{}: schema violation: {problem}", path.display()));
-        }
+        let doc = load_validated(path, validate_dump)?;
         if let Some(events) = doc["events"].as_array() {
             for e in events {
                 if let Some(kind) = e["kind"].as_str() {
@@ -203,13 +151,7 @@ fn check_flight(dir: &Path, expect_kinds: &[String]) -> Result<(), String> {
 /// `tvmnp-profile` schema validator passes, and the file round-trips
 /// through the typed loader.
 fn check_profile(path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: unreadable: {e}", path.display()))?;
-    let doc: serde_json::Value = serde_json::from_str(&text)
-        .map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
-    if let Some(problem) = validate_profile(&doc) {
-        return Err(format!("{}: schema violation: {problem}", path.display()));
-    }
+    load_validated(path, validate_profile)?;
     let profile = Profile::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
     println!(
         "profile OK: {} ({} cell(s), {} sample(s))",
@@ -220,8 +162,29 @@ fn check_profile(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = parse_args();
+/// Observability artifact checker for CI.
+///
+/// Three modes, composable in one invocation:
+///
+/// ```text
+/// tvmnp obs_check --stats <stats.jsonl>      # schema-check the JSONL stats stream
+/// tvmnp obs_check --flight-dir <dir> [--expect-kind <kind>]...
+///                                            # schema-check every flight-*.json,
+///                                            # assert the expected event kinds appear
+/// tvmnp obs_check --profile <profile.json>   # schema-check a measured-profile file
+///                                            # (repeatable)
+/// ```
+///
+/// Exit code 0 means every requested check passed.
+pub fn obs_check(argv: &[String]) -> ExitCode {
+    let mut args = ObsCheckCli::default();
+    let usage = parse_or_exit("obs_check", args.flags(), argv);
+    if args.stats.is_none() && args.flight_dir.is_none() && args.profiles.is_empty() {
+        usage_error(
+            "nothing to do — pass --stats, --flight-dir, and/or --profile",
+            &usage,
+        );
+    }
     let mut checks: Vec<Result<(), String>> = Vec::new();
     if let Some(path) = &args.stats {
         checks.push(check_stats(path));

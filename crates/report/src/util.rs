@@ -89,7 +89,7 @@ const EPS: f64 = 1e-9;
 
 /// Merge sorted-by-start intervals; touching intervals coalesce.
 fn merge(mut intervals: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut merged: Vec<(f64, f64)> = Vec::new();
     for (s, e) in intervals {
         if e <= s + EPS {
@@ -153,7 +153,7 @@ pub fn utilization_from_intervals(
             events.push((e, -1));
         }
     }
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)));
+    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
     let mut overlap_us = 0.0;
     let mut active = 0;
     let mut prev = 0.0;
@@ -256,6 +256,17 @@ mod tests {
         ]));
         // [50,100] has >= 2 devices active (gpu's [60,90] lies inside it).
         assert!((r.overlap_us - 50.0).abs() < 1e-9);
+    }
+
+    /// A NaN bound (a cost model scaled by NaN produced one) sorts last
+    /// under `total_cmp`; it used to abort in `partial_cmp(..).unwrap()`.
+    #[test]
+    fn a_nan_interval_is_an_ordering_not_an_abort() {
+        let r = utilization_from_intervals(intervals(&[
+            ("cpu", &[(0.0, 10.0), (f64::NAN, f64::NAN)]),
+            ("apu", &[(5.0, f64::NAN), (0.0, 4.0)]),
+        ]));
+        assert_eq!(r.devices.len(), 2);
     }
 
     #[test]

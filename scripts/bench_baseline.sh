@@ -8,11 +8,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+cargo build --release -q -p tvmnp-bench
+
 RUNS="${RUNS:-5}"
 OUT="${1:-.}"
 
 for workload in fig4 fig5 fig6 sched serve; do
-    cargo run --release -q -p tvmnp-bench --bin bench -- \
+    target/release/tvmnp bench \
         --workload "$workload" --runs "$RUNS" \
         --bench-out "$OUT/BENCH_${workload}.json"
 done

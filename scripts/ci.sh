@@ -41,6 +41,22 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
     exit 1
 fi
 
+# And the harness must stay one binary over one flag parser (DESIGN.md,
+# the `bench` crate row): only main.rs reads the process arguments, and
+# no per-figure executable may grow back beside it.
+for f in crates/bench/src/*.rs; do
+    [ "$f" = crates/bench/src/main.rs ] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -F 'env::args'; then
+        echo "one-binary gate: $f reads the process arguments (only main.rs may)" >&2
+        exit 1
+    fi
+done
+if [ -e crates/bench/src/bin ]; then
+    echo "one-binary gate: crates/bench/src/bin exists again" >&2
+    exit 1
+fi
+
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
 
@@ -125,21 +141,21 @@ fi
 # metric by metric. --fail-on-missing is a hard gate regardless: a
 # baseline metric the run never produced means a workload was silently
 # dropped, which --warn-only must not wave through.
-cargo run --release -q -p tvmnp-bench --bin bench -- \
+target/release/tvmnp bench \
     --workload fig6 --runs 2 --check-against BENCH_fig6.json --warn-only \
     --fail-on-missing
 
 # Serving-throughput smoke: frames/sec + cache hit rate against the
 # checked-in baseline. Warn-only, same rationale as above; the workload
 # itself hard-fails if concurrent outputs diverge from sequential.
-cargo run --release -q -p tvmnp-bench --bin bench -- \
+target/release/tvmnp bench \
     --workload serve --runs 2 --check-against BENCH_serve.json --warn-only \
     --fail-on-missing
 
 # Fault-injection smoke: seeded transient APU faults against the showcase.
 # Must exit 0 (the fallback chain absorbs the faults) and the resilience
 # report must show at least one recovered run.
-sched_out=$(cargo run --release -q -p tvmnp-bench --bin sched -- \
+sched_out=$(target/release/tvmnp sched \
     --inject-fault apu:dispatch:transient --fault-seed 7)
 echo "$sched_out" | grep -q "recovered runs" || {
     echo "fault-injection smoke: no resilience report in sched output" >&2
@@ -164,12 +180,12 @@ echo "fault-injection smoke: $recovered run(s) recovered under seeded faults"
 # covered by the exhaustion path in tests/observe_flow.rs.)
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$base_dir" "$obs_dir"' EXIT
-cargo run --release -q -p tvmnp-bench --bin bench -- \
+target/release/tvmnp bench \
     --workload serve --runs 1 --bench-out "$obs_dir/serve-observed.json" \
     --inject-fault apu:dispatch:transient --fault-seed 7 \
     --stats-out "$obs_dir/stats.jsonl" --flight-out "$obs_dir/flight" \
     --slo-ms 50
-cargo run --release -q -p tvmnp-bench --bin obs_check -- \
+target/release/tvmnp obs_check \
     --stats "$obs_dir/stats.jsonl" \
     --flight-dir "$obs_dir/flight" \
     --expect-kind fault.injected \
@@ -181,9 +197,9 @@ cargo run --release -q -p tvmnp-bench --bin obs_check -- \
 # bookkeeping bug. (What observing costs on the wall clock is
 # `telemetry.overhead_frac` / `observe.overhead_frac` of the benchmark's
 # `--trace 1` run, not a CI step: a shared runner is too noisy to gate.)
-cargo run --release -q -p tvmnp-bench --bin bench -- \
+target/release/tvmnp bench \
     --workload serve --runs 2 --bench-out "$obs_dir/serve-plain.json"
-cargo run --release -q -p tvmnp-bench --bin bench -- \
+target/release/tvmnp bench \
     --workload serve --runs 2 --bench-out "$obs_dir/serve-traced.json" \
     --stats-out "$obs_dir/stats-overhead.jsonl"
 cmp "$obs_dir/serve-plain.json" "$obs_dir/serve-traced.json"
@@ -194,10 +210,10 @@ cmp "$obs_dir/serve-plain.json" "$obs_dir/serve-traced.json"
 # schema validator, and the diff's top attribution cell must name the
 # injected kind — if the attribution pipeline ever stops pinning the
 # regression on mac/* cells, CI fails here before a human reads a table.
-cargo run --release -q -p tvmnp-bench --bin bench -- \
+target/release/tvmnp bench \
     --workload fig4 --runs 1 --bench-out "$obs_dir/fig4-clean.json" \
     --profile-store "$obs_dir/prof-base"
-diff_out=$(cargo run --release -q -p tvmnp-bench --bin bench -- \
+diff_out=$(target/release/tvmnp bench \
     --workload fig4 --runs 1 --bench-out "$obs_dir/fig4-slow.json" \
     --inject-slowdown mac=2 \
     --profile-store "$obs_dir/prof-slow" \
@@ -207,7 +223,7 @@ echo "$diff_out" | grep -q "^top regression cell: mac/" || {
     echo "profile-diff smoke: injected mac slowdown not attributed to a mac/* cell" >&2
     exit 1
 }
-cargo run --release -q -p tvmnp-bench --bin obs_check -- \
+target/release/tvmnp obs_check \
     --profile "$obs_dir"/prof-base/profile-*.json \
     --profile "$obs_dir"/prof-slow/profile-*.json
 
@@ -216,4 +232,4 @@ cargo run --release -q -p tvmnp-bench --bin obs_check -- \
 # invariant violation (quant params, partition shape, memory plan) fails
 # the build. The 500-case property suite runs under `cargo test` above;
 # this step additionally proves the CLI entry point works end to end.
-cargo run --release -q -p tvmnp-bench --bin conformance -- --cases 200 --seed 1
+target/release/tvmnp conformance --cases 200 --seed 1
