@@ -22,7 +22,7 @@ use crate::permutations::Permutation;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tvmnp_hwsim::{CircuitBreaker, CostModel, DeviceKind, FaultInjector, FaultPlan, RetryPolicy};
-use tvmnp_neuropilot::{NeuronError, TargetPolicy};
+use tvmnp_neuropilot::NeuronError;
 use tvmnp_relay::expr::Module;
 use tvmnp_runtime::ExecErrorKind;
 use tvmnp_tensor::Tensor;
@@ -148,21 +148,13 @@ pub struct ResilienceStats {
 /// Physical devices a permutation dispatches through — what its faults
 /// strike and what its breaker check consults.
 fn permutation_devices(p: Permutation) -> Vec<DeviceKind> {
-    let policy_devices = |policy: TargetPolicy| -> Vec<DeviceKind> {
-        match policy {
-            TargetPolicy::CpuOnly => vec![DeviceKind::Cpu],
-            TargetPolicy::GpuPrefer => vec![DeviceKind::Gpu],
-            TargetPolicy::ApuPrefer => vec![DeviceKind::Apu],
-            TargetPolicy::CpuApu => vec![DeviceKind::Cpu, DeviceKind::Apu],
-        }
-    };
     match p.mode() {
         TargetMode::TvmOnly => vec![DeviceKind::Cpu],
-        TargetMode::NeuroPilotOnly(policy) => policy_devices(policy),
+        TargetMode::NeuroPilotOnly(policy) => policy.devices().to_vec(),
         TargetMode::Byoc(policy) => {
             // BYOC always keeps a host side: the graph executor dispatches
             // the non-offloaded remainder on the CPU.
-            let mut d = policy_devices(policy);
+            let mut d = policy.devices().to_vec();
             if !d.contains(&DeviceKind::Cpu) {
                 d.push(DeviceKind::Cpu);
             }

@@ -51,6 +51,17 @@ impl TargetPolicy {
             TargetPolicy::CpuApu => "cpu+apu",
         }
     }
+
+    /// Devices a network planned under this policy dispatches to — what
+    /// its device locks hold and what its faults strike.
+    pub fn devices(self) -> &'static [DeviceKind] {
+        match self {
+            TargetPolicy::CpuOnly => &[DeviceKind::Cpu],
+            TargetPolicy::GpuPrefer => &[DeviceKind::Gpu],
+            TargetPolicy::ApuPrefer => &[DeviceKind::Apu],
+            TargetPolicy::CpuApu => &[DeviceKind::Cpu, DeviceKind::Apu],
+        }
+    }
 }
 
 impl fmt::Display for TargetPolicy {

@@ -15,8 +15,9 @@
 //!   utilize the same resources at the same time"); plus over-deadline
 //!   frame accounting and the automatic assignment search the paper lists
 //!   as future work;
-//! * [`threaded`] — a real multi-threaded pipeline executor (crossbeam
-//!   channels + per-resource locks) used by the application showcase.
+//! * [`threaded`] — the one threaded runtime: the per-device locks and
+//!   `run_window`, the admission window every threaded frame loop
+//!   (pipelined video, the serving pool) is a call to.
 
 pub mod computation;
 pub mod pipeline;
@@ -26,6 +27,4 @@ pub use computation::{best_assignment, ModelProfile};
 pub use pipeline::{
     account_dropped_frames, auto_schedule, simulate_pipelined, simulate_sequential, FrameAccounting,
 };
-pub use threaded::{
-    FrameFailure, FrameOutput, PipelineError, PipelineExecutor, ResourceLocks, StageSpec,
-};
+pub use threaded::{run_window, ResourceLocks};

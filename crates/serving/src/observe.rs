@@ -16,8 +16,7 @@
 //! * feeding the stats registry: per-{stage, device} latency sketches,
 //!   the queue-wait vs compute split, cache hit rates, and the SLO
 //!   check that triggers flight-recorder dumps;
-//! * catching worker panics long enough to dump the flight window, then
-//!   propagating them.
+//! * dumping the flight window for every frame lost to a panic.
 
 use crate::pool::SessionPool;
 use crate::simulate::{frame_segments, simulate_serve_timeline};
@@ -39,9 +38,16 @@ pub(crate) struct TraceRuntime<'a> {
 }
 
 impl TraceRuntime<'_> {
-    /// Run one frame under its trace context, recording (and
-    /// propagating) any worker panic.
-    pub(crate) fn run_frame(&self, pool: &SessionPool, slot: usize, frame: &Frame) -> FrameResult {
+    /// Run one frame under its trace context, on the Chrome-trace lane
+    /// of the worker it was handed to (`None`: the caller's own thread).
+    pub(crate) fn run_frame(
+        &self,
+        pool: &SessionPool,
+        worker: Option<usize>,
+        slot: usize,
+        frame: &Frame,
+    ) -> FrameResult {
+        tvmnp_telemetry::set_worker_lane(worker.map(|w| w as u64));
         let session_idx = frame.index % pool.sessions().len();
         let _trace = tvmnp_telemetry::begin_trace(
             trace_id_for(frame.index),
@@ -51,17 +57,7 @@ impl TraceRuntime<'_> {
                 ("session", session_idx.into()),
             ],
         );
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.session_for(frame.index).process_frame(frame)
-        }));
-        match run {
-            Ok(result) => result,
-            Err(payload) => {
-                self.plane
-                    .worker_panic(frame.index, &panic_detail(&payload));
-                std::panic::resume_unwind(payload)
-            }
-        }
+        pool.session_for(frame.index).process_frame(frame)
     }
 }
 
@@ -69,14 +65,6 @@ impl TraceRuntime<'_> {
 /// derived from the frame index, never from a clock).
 pub fn trace_id_for(frame_index: usize) -> u64 {
     frame_index as u64 + 1
-}
-
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 impl SessionPool {

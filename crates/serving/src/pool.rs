@@ -6,14 +6,12 @@
 //! mapping (and therefore every numeric output) is independent of how
 //! many frames run concurrently.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel;
 use tvmnp_byoc::{ArtifactCache, TargetMode};
 use tvmnp_hwsim::CostModel;
 use tvmnp_neuropilot::TargetPolicy;
-use tvmnp_scheduler::ResourceLocks;
+use tvmnp_scheduler::{run_window, ResourceLocks};
 use tvmnp_vision::{Frame, FrameResult, Showcase, ShowcaseAssignment, ShowcaseFaults};
 
 /// The throughput-tuned serving rotation: object detection on the GPU
@@ -54,19 +52,7 @@ impl SessionPool {
         cost: &CostModel,
         cache: Arc<ArtifactCache>,
     ) -> Self {
-        assert!(!rotation.is_empty(), "a pool needs at least one session");
-        let locks = ResourceLocks::new();
-        let sessions = rotation
-            .iter()
-            .map(|a| {
-                Arc::new(Showcase::new_cached(seed, *a, cost, &cache).with_locks(locks.clone()))
-            })
-            .collect();
-        SessionPool {
-            sessions,
-            assignments: rotation.to_vec(),
-            cache,
-        }
+        Self::build(seed, rotation, cost, cache, None)
     }
 
     /// Like [`SessionPool::new`], with every session's model dispatches
@@ -78,16 +64,27 @@ impl SessionPool {
         cache: Arc<ArtifactCache>,
         faults: ShowcaseFaults,
     ) -> Self {
+        Self::build(seed, rotation, cost, cache, Some(faults))
+    }
+
+    fn build(
+        seed: u64,
+        rotation: &[ShowcaseAssignment],
+        cost: &CostModel,
+        cache: Arc<ArtifactCache>,
+        faults: Option<ShowcaseFaults>,
+    ) -> Self {
         assert!(!rotation.is_empty(), "a pool needs at least one session");
         let locks = ResourceLocks::new();
         let sessions = rotation
             .iter()
             .map(|a| {
-                Arc::new(
-                    Showcase::new_cached(seed, *a, cost, &cache)
-                        .with_locks(locks.clone())
-                        .with_faults(faults.clone()),
-                )
+                let session =
+                    Showcase::new_cached(seed, *a, cost, &cache).with_locks(locks.clone());
+                Arc::new(match &faults {
+                    Some(f) => session.with_faults(f.clone()),
+                    None => session,
+                })
             })
             .collect();
         SessionPool {
@@ -118,24 +115,23 @@ impl SessionPool {
     }
 
     /// Serve `frames` with up to `concurrency` frames in flight,
-    /// returning per-frame results in input order. `concurrency <= 1`
-    /// processes sequentially on the caller's thread; otherwise
-    /// `concurrency` workers pull frames from a shared cursor, the §5.2
-    /// locks serialize device access, and a bounded channel carries
-    /// results back — memory stays O(concurrency) beyond the output
-    /// buffer itself. Outputs are bit-identical across concurrency
-    /// levels: the frame → session mapping is by frame index, and device
-    /// exclusivity makes every model run independent of schedule.
+    /// returning per-frame results in input order:
+    /// [`run_window`] at window `concurrency`, so `concurrency <= 1`
+    /// processes sequentially on the caller's thread and otherwise the
+    /// §5.2 locks serialize device access between the workers. Outputs
+    /// are bit-identical across concurrency levels: the frame → session
+    /// mapping is by frame index, and device exclusivity makes every
+    /// model run independent of schedule. A frame whose processing
+    /// panics is returned as [`FrameResult::lost`]; the rest are served.
     pub fn serve(&self, frames: &[Frame], concurrency: usize) -> Vec<FrameResult> {
         self.serve_inner(frames, concurrency, None)
     }
 
     /// Shared serve loop. With a [`crate::observe::TraceRuntime`], each
-    /// frame runs under a per-frame trace context, workers pin their
-    /// spans to stable Chrome-trace lanes, and panics are recorded to
-    /// the flight recorder before propagating. With `None` this is
-    /// exactly the pre-observability hot path — no trace guards, no
-    /// extra atomics.
+    /// frame runs under a per-frame trace context on its worker's
+    /// Chrome-trace lane, and a lost frame dumps the flight recorder.
+    /// With `None` this is exactly the pre-observability hot path — no
+    /// trace guards, no extra atomics.
     pub(crate) fn serve_inner(
         &self,
         frames: &[Frame],
@@ -150,52 +146,22 @@ impl SessionPool {
                 frames.len() as u64,
             );
         }
-        if concurrency <= 1 || frames.len() <= 1 {
-            return frames
-                .iter()
-                .enumerate()
-                .map(|(i, f)| match tracing {
-                    None => self.session_for(f.index).process_frame(f),
-                    Some(rt) => rt.run_frame(self, i, f),
-                })
-                .collect();
-        }
-        let workers = concurrency.min(frames.len());
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<FrameResult>> = (0..frames.len()).map(|_| None).collect();
-        let (tx, rx) = channel::bounded::<(usize, FrameResult)>(workers);
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || {
-                    if tracing.is_some() {
-                        tvmnp_telemetry::set_worker_lane(Some(worker as u64));
-                    }
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(frame) = frames.get(i) else { break };
-                        let result = match tracing {
-                            None => self.session_for(frame.index).process_frame(frame),
-                            Some(rt) => rt.run_frame(self, i, frame),
-                        };
-                        if tx.send((i, result)).is_err() {
-                            break;
-                        }
-                    }
-                    if tracing.is_some() {
-                        tvmnp_telemetry::set_worker_lane(None);
-                    }
-                });
-            }
-            drop(tx);
-            while let Ok((i, result)) = rx.recv() {
-                slots[i] = Some(result);
-            }
+        let served = run_window(frames, concurrency, |worker, slot, f| match tracing {
+            None => self.session_for(f.index).process_frame(f),
+            Some(rt) => rt.run_frame(self, worker, slot, f),
         });
-        slots
+        served
             .into_iter()
-            .map(|r| r.expect("every admitted frame produces a result"))
+            .enumerate()
+            .map(|(slot, result)| {
+                result.unwrap_or_else(|message| {
+                    let index = frames[slot].index;
+                    if let Some(rt) = tracing {
+                        rt.plane.worker_panic(index, &message);
+                    }
+                    FrameResult::lost(index, message)
+                })
+            })
             .collect()
     }
 }

@@ -10,7 +10,7 @@
 //! executes — it only re-times it.
 
 use tvmnp_hwsim::{schedule, Schedule, Task};
-use tvmnp_vision::{resources_of, FrameResult, ShowcaseAssignment};
+use tvmnp_vision::{FrameResult, ShowcaseAssignment};
 
 /// The tasks one served frame runs, in stage order, from the frame's
 /// measured result under `assignment`: each holds its target mode's
@@ -19,15 +19,11 @@ use tvmnp_vision::{resources_of, FrameResult, ShowcaseAssignment};
 /// did not run on this frame (no candidate faces, no real faces, dropped)
 /// contribute nothing.
 pub fn frame_segments(assignment: ShowcaseAssignment, result: &FrameResult) -> Vec<Task> {
-    [
-        ("obj-det", assignment.obj, result.times.obj_us),
-        ("anti-spoof", assignment.spoof, result.times.spoof_us),
-        ("emotion", assignment.emotion, result.times.emotion_us),
-    ]
-    .into_iter()
-    .filter(|&(_, _, us)| us > 0.0)
-    .map(|(stage, mode, us)| Task::new(stage, resources_of(mode), us))
-    .collect()
+    assignment
+        .tasks(&result.times)
+        .into_iter()
+        .filter(|t| t.us > 0.0)
+        .collect()
 }
 
 /// Outcome of one pool simulation.

@@ -3,12 +3,13 @@
 //! Per frame: object detection + face detection → overlap gating →
 //! anti-spoofing on candidate faces → emotion detection on real faces.
 //! The three DNNs are compiled through the BYOC stack under a
-//! per-model target assignment (§5.1) and can run either sequentially or
-//! through the §5.2 pipeline executor.
+//! per-model target assignment (§5.1). There is one frame flow,
+//! [`Showcase::process_frame_with_deadline`]; sequential and §5.2
+//! pipelined processing differ only in how many frames run it at once.
 
 use crate::detect::{luminance_saliency, match_faces, texture_energy, BBox};
 use crate::frame::{FaceKind, Frame, SyntheticVideo};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use tvmnp_byoc::{relay_build, ArtifactCache, CompiledModel, TargetMode};
@@ -18,9 +19,16 @@ use tvmnp_models::emotion::{emotion_model, EMOTIONS};
 use tvmnp_models::object_detection::{mobilenet_ssd_model, ssd_input_quant};
 use tvmnp_models::Model;
 use tvmnp_neuropilot::TargetPolicy;
-use tvmnp_runtime::ExecError;
-use tvmnp_scheduler::threaded::{FrameFailure, PipelineExecutor, ResourceLocks, StageSpec};
+use tvmnp_scheduler::threaded::{run_window, ResourceLocks};
 use tvmnp_tensor::{DType, Tensor};
+
+/// The Fig. 1 model chain in dependency order. Every stage name in a
+/// [`DroppedStage`] or a schedule [`Task`] is an entry of it, and a stage
+/// that is unavailable takes everything after it along.
+const CHAIN: [&str; 3] = ["obj-det", "anti-spoof", "emotion"];
+const OBJ: usize = 0;
+const SPOOF: usize = 1;
+const EMOTION: usize = 2;
 
 /// Target assignment of the three showcase models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +62,14 @@ impl ShowcaseAssignment {
             emotion: TargetMode::NeuroPilotOnly(TargetPolicy::ApuPrefer),
         }
     }
+
+    /// One frame's model stages as schedule tasks, in chain order: each
+    /// holds its target mode's devices for the time the frame spent in it.
+    pub fn tasks(&self, times: &ShowcaseTiming) -> [Task; 3] {
+        let modes = [self.obj, self.spoof, self.emotion];
+        let us = [times.obj_us, times.spoof_us, times.emotion_us];
+        std::array::from_fn(|k| Task::new(CHAIN[k], resources_of(modes[k]), us[k]))
+    }
 }
 
 /// Devices a target mode occupies, for the exclusivity locks and the
@@ -61,12 +77,7 @@ impl ShowcaseAssignment {
 pub fn resources_of(mode: TargetMode) -> &'static [DeviceKind] {
     match mode {
         TargetMode::TvmOnly => &[DeviceKind::Cpu],
-        TargetMode::Byoc(p) | TargetMode::NeuroPilotOnly(p) => match p {
-            TargetPolicy::CpuOnly => &[DeviceKind::Cpu],
-            TargetPolicy::GpuPrefer => &[DeviceKind::Gpu],
-            TargetPolicy::ApuPrefer => &[DeviceKind::Apu],
-            TargetPolicy::CpuApu => &[DeviceKind::Cpu, DeviceKind::Apu],
-        },
+        TargetMode::Byoc(p) | TargetMode::NeuroPilotOnly(p) => p.devices(),
     }
 }
 
@@ -100,7 +111,7 @@ impl DegradedPolicy {
 /// dropped and why (its own overrun, or an unavailable upstream stage).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DroppedStage {
-    /// Stage name (`"obj-det"` / `"anti-spoof"` / `"emotion"`).
+    /// Stage name, as [`ShowcaseAssignment::tasks`] labels its tasks.
     pub stage: &'static str,
     /// Human-readable drop reason.
     pub reason: String,
@@ -165,6 +176,29 @@ impl FrameResult {
     pub fn degraded(&self) -> bool {
         !self.dropped.is_empty()
     }
+
+    /// The result of a frame whose processing panicked: nothing
+    /// delivered, every stage of the chain dropped and counted.
+    pub fn lost(frame_index: usize, message: String) -> Self {
+        let mut dropped = Vec::new();
+        drop_from(&mut dropped, OBJ, format!("frame lost: {message}"));
+        FrameResult::without_detections(frame_index, ShowcaseTiming::default(), dropped)
+    }
+
+    fn without_detections(
+        frame_index: usize,
+        times: ShowcaseTiming,
+        dropped: Vec<DroppedStage>,
+    ) -> Self {
+        record_dropped_stages(&dropped);
+        FrameResult {
+            frame_index,
+            objects: Vec::new(),
+            faces: Vec::new(),
+            times,
+            dropped,
+        }
+    }
 }
 
 /// Fault wiring for a serving showcase: every model run consults the
@@ -185,39 +219,71 @@ struct CompiledStage {
 }
 
 impl CompiledStage {
-    /// Run the stage model, holding its devices exclusively when the
-    /// showcase carries a lock table (concurrent serving).
+    /// Run the stage model on `input` and charge its simulated time to
+    /// `spent_us`, the stage's running total for the frame. The stage's
+    /// devices are held through the showcase's lock table for the whole
+    /// run — devices first, then the model mutex, so two frames never
+    /// wait on each other in opposite orders — and the run dispatches
+    /// through the injector when faults are wired. `Err(reason)` when the
+    /// run failed or the total passed `budget_us`: a failure is an
+    /// overrun with a different reason.
     fn run_model(
         &self,
-        locks: &Option<ResourceLocks>,
-        faults: &Option<ShowcaseFaults>,
-        inputs: &std::collections::HashMap<String, Tensor>,
-    ) -> Result<(Vec<Tensor>, f64), tvmnp_byoc::BuildError> {
-        let execute = || match faults {
+        showcase: &Showcase,
+        input: Tensor,
+        spent_us: &mut f64,
+        budget_us: f64,
+    ) -> Result<Vec<Tensor>, String> {
+        let inputs = self.model.inputs_from(input);
+        let locks = showcase.locks.get_or_init(ResourceLocks::new);
+        let run = locks.with_resources(resources_of(self.mode), || match &showcase.faults {
             Some(f) => {
                 self.compiled
                     .lock()
-                    .run_resilient(inputs, &f.injector, &f.retry, f64::INFINITY)
+                    .run_resilient(&inputs, &f.injector, &f.retry, f64::INFINITY)
             }
-            None => self.compiled.lock().run(inputs),
-        };
-        match locks {
-            Some(l) => l.with_resources(resources_of(self.mode), execute),
-            None => execute(),
+            None => self.compiled.lock().run(&inputs),
+        });
+        let (outputs, us) = run.map_err(|e| format!("run failed: {e}"))?;
+        *spent_us += us;
+        if *spent_us > budget_us {
+            return Err(format!(
+                "deadline passed: {:.1} us of a {budget_us:.1} us budget",
+                *spent_us
+            ));
         }
+        Ok(outputs)
+    }
+}
+
+/// Mark stage `at` of the [`CHAIN`] dropped for `reason`, and every stage
+/// after it unavailable: nothing downstream may run on a result that
+/// never arrived.
+fn drop_from(dropped: &mut Vec<DroppedStage>, at: usize, reason: String) {
+    dropped.push(DroppedStage {
+        stage: CHAIN[at],
+        reason,
+    });
+    for &stage in &CHAIN[at + 1..] {
+        dropped.push(DroppedStage {
+            stage,
+            reason: format!("upstream {} unavailable", CHAIN[at]),
+        });
     }
 }
 
 /// The assembled application.
 pub struct Showcase {
-    obj: Arc<CompiledStage>,
-    spoof: Arc<CompiledStage>,
-    emotion: Arc<CompiledStage>,
+    obj: CompiledStage,
+    spoof: CompiledStage,
+    emotion: CompiledStage,
     liveness_threshold: f32,
-    /// Device-lock table for concurrent serving: when set, every model run
-    /// holds its stage's devices exclusively (the §5.2 constraint enforced
-    /// across *frames*, not just across pipeline stages).
-    locks: Option<ResourceLocks>,
+    /// Device-lock table: every model run holds its stage's devices
+    /// exclusively through it (the §5.2 constraint, across frames as well
+    /// as across stages). The pool's shared table when
+    /// [`Showcase::with_locks`] set one, otherwise this showcase's own,
+    /// made on first use.
+    locks: OnceLock<ResourceLocks>,
     /// Fault wiring: when set, model runs dispatch through the injector
     /// with retries (numerics unchanged, simulated time absorbs backoff).
     faults: Option<ShowcaseFaults>,
@@ -228,7 +294,7 @@ fn compile(
     mode: TargetMode,
     cost: &CostModel,
     cache: Option<&ArtifactCache>,
-) -> Arc<CompiledStage> {
+) -> CompiledStage {
     let compiled = match cache {
         Some(cache) => cache
             .get_or_build(&model.module, mode, cost, &quant_label(&model))
@@ -236,11 +302,11 @@ fn compile(
         None => relay_build(&model.module, mode, cost.clone())
             .unwrap_or_else(|e| panic!("{} fails to build for {mode}: {e}", model.name)),
     };
-    Arc::new(CompiledStage {
+    CompiledStage {
         model,
         compiled: Mutex::new(compiled),
         mode,
-    })
+    }
 }
 
 /// Quant-config label of a model for the artifact-cache key.
@@ -294,23 +360,25 @@ impl Showcase {
             spoof,
             emotion,
             liveness_threshold,
-            locks: None,
+            locks: OnceLock::new(),
             faults: None,
         }
     }
 
-    /// Enforce device exclusivity across concurrent frames: every model
-    /// run in [`Showcase::process_frame`] (and friends) will hold its
-    /// stage's devices through `locks`. Required when multiple threads
-    /// share one showcase (the serving pool).
+    /// Share a device-lock table with other showcases: every model run
+    /// in [`Showcase::process_frame`] (and friends) will hold its stage's
+    /// devices through `locks` instead of a table of this showcase's own.
+    /// Required when several showcases serve frames at once (the serving
+    /// pool), so that exclusivity holds across all of them.
     pub fn with_locks(mut self, locks: ResourceLocks) -> Self {
-        self.locks = Some(locks);
+        self.locks = OnceLock::from(locks);
         self
     }
 
     /// Route every model dispatch through a fault injector with retries.
     /// Transient faults are absorbed (identical outputs, extra simulated
-    /// time); exhausted retries surface as a stage failure.
+    /// time); exhausted retries drop the stage for that frame
+    /// ([`DroppedStage`]), exactly as a deadline overrun does.
     pub fn with_faults(mut self, faults: ShowcaseFaults) -> Self {
         self.faults = Some(faults);
         self
@@ -338,39 +406,14 @@ impl Showcase {
         // the measured quantity); localization comes from the saliency
         // detector, as the untrained SSD cannot localize (DESIGN.md).
         let obj_input = prepare_ssd_input(frame);
-        let (_, t) = self
+        if let Err(reason) = self
             .obj
-            .run_model(
-                &self.locks,
-                &self.faults,
-                &self.obj.model.inputs_from(obj_input),
-            )
-            .expect("object detection runs");
-        times.obj_us += t;
-        if times.obj_us > budget {
+            .run_model(self, obj_input, &mut times.obj_us, budget)
+        {
             // No detections to gate on: the whole downstream chain is
             // unavailable for this frame.
-            dropped.push(DroppedStage {
-                stage: "obj-det",
-                reason: format!(
-                    "stage took {:.1} us of a {budget:.1} us budget",
-                    times.obj_us
-                ),
-            });
-            for stage in ["anti-spoof", "emotion"] {
-                dropped.push(DroppedStage {
-                    stage,
-                    reason: "upstream obj-det unavailable".to_string(),
-                });
-            }
-            record_dropped_stages(&dropped);
-            return FrameResult {
-                frame_index: frame.index,
-                objects: Vec::new(),
-                faces: Vec::new(),
-                times,
-                dropped,
-            };
+            drop_from(&mut dropped, OBJ, reason);
+            return FrameResult::without_detections(frame.index, times, dropped);
         }
         let objects = luminance_saliency(frame, 4, 1.8);
 
@@ -387,35 +430,17 @@ impl Showcase {
         for (k, bbox) in candidates.into_iter().enumerate() {
             // Anti-spoofing on the face crop.
             let crop = frame.crop_resized(bbox.tuple(), 32, 32);
-            let (outs, t) = self
+            if let Err(reason) = self
                 .spoof
-                .run_model(
-                    &self.locks,
-                    &self.faults,
-                    &self.spoof.model.inputs_from(crop),
-                )
-                .expect("anti-spoofing runs");
-            times.spoof_us += t;
-            if times.spoof_us > budget {
-                // The liveness decision arrived past the stage deadline:
+                .run_model(self, crop, &mut times.spoof_us, budget)
+            {
+                // No liveness decision (or one past the stage deadline):
                 // this face and the remaining candidates are reported as
                 // unavailable, not as spoofs, and emotion never sees them.
-                dropped.push(DroppedStage {
-                    stage: "anti-spoof",
-                    reason: format!(
-                        "deadline at face {} of {total_candidates} \
-                         ({:.1} us of a {budget:.1} us budget)",
-                        k + 1,
-                        times.spoof_us
-                    ),
-                });
-                dropped.push(DroppedStage {
-                    stage: "emotion",
-                    reason: "upstream anti-spoof unavailable".to_string(),
-                });
+                let at = format!("face {} of {total_candidates}: {reason}", k + 1);
+                drop_from(&mut dropped, SPOOF, at);
                 break;
             }
-            let _pixel_map = &outs[0];
             // Liveness: texture feature on the same crop (the pixel map of
             // an untrained DeePixBiS is not discriminative; see DESIGN.md).
             let gray = frame.gray_crop_resized(bbox.tuple(), crate::frame::FACE_SIZE);
@@ -425,28 +450,16 @@ impl Showcase {
             // stage budget holds — a late label is withheld, not stale).
             let emotion = if real && !emotion_dropped {
                 let e_in = frame.gray_crop_resized(bbox.tuple(), 48);
-                let (e_out, t) = self
+                match self
                     .emotion
-                    .run_model(
-                        &self.locks,
-                        &self.faults,
-                        &self.emotion.model.inputs_from(e_in),
-                    )
-                    .expect("emotion runs");
-                times.emotion_us += t;
-                if times.emotion_us > budget {
-                    emotion_dropped = true;
-                    dropped.push(DroppedStage {
-                        stage: "emotion",
-                        reason: format!(
-                            "deadline at face {} ({:.1} us of a {budget:.1} us budget)",
-                            k + 1,
-                            times.emotion_us
-                        ),
-                    });
-                    None
-                } else {
-                    Some(EMOTIONS[e_out[0].argmax()])
+                    .run_model(self, e_in, &mut times.emotion_us, budget)
+                {
+                    Ok(e_out) => Some(EMOTIONS[e_out[0].argmax()]),
+                    Err(reason) => {
+                        emotion_dropped = true;
+                        drop_from(&mut dropped, EMOTION, format!("face {}: {reason}", k + 1));
+                        None
+                    }
                 }
             } else {
                 None
@@ -491,129 +504,18 @@ impl Showcase {
         (results, stats)
     }
 
-    /// Pipelined processing: the three model stages run on their own
-    /// threads with exclusive device locks (§5.2). Results are identical
-    /// to [`Showcase::process_video`]; only the wall-clock schedule
-    /// changes. A stage that fails (or panics) on one frame turns into
-    /// [`DroppedStage`] markers for that frame alone — every other frame
+    /// Pipelined processing (§5.2, Fig. 5): the same frame flow with one
+    /// frame per model stage in flight, the device locks deciding what
+    /// overlaps. Results are identical to [`Showcase::process_video`];
+    /// only the wall-clock schedule changes. A frame whose processing
+    /// panics comes back as [`FrameResult::lost`]; every other frame
     /// completes normally.
     pub fn process_video_pipelined(&self, frames: Vec<Frame>) -> Vec<FrameResult> {
-        struct Item {
-            frame: Frame,
-            objects: Vec<BBox>,
-            candidates: Vec<BBox>,
-            real_flags: Vec<bool>,
-            faces: Vec<FaceResult>,
-            times: ShowcaseTiming,
-        }
-
-        let obj = self.obj.clone();
-        let spoof = self.spoof.clone();
-        let emotion = self.emotion.clone();
-        let threshold = self.liveness_threshold;
-
-        let stage1 = StageSpec::fallible("obj-det", resources_of(obj.mode), move |mut it: Item| {
-            let input = prepare_ssd_input(&it.frame);
-            let (_, t) = obj
-                .compiled
-                .lock()
-                .run(&obj.model.inputs_from(input))
-                .map_err(|e| stage_exec_error("obj-det", e))?;
-            it.times.obj_us += t;
-            it.objects = luminance_saliency(&it.frame, 4, 1.8);
-            let face_boxes = match_faces(&it.frame, 0.6);
-            it.candidates = face_boxes
-                .into_iter()
-                .filter(|f| it.objects.iter().any(|o| o.overlaps(f)))
-                .collect();
-            Ok(it)
-        });
-        let stage2 = StageSpec::fallible(
-            "anti-spoof",
-            resources_of(spoof.mode),
-            move |mut it: Item| {
-                for bbox in it.candidates.clone() {
-                    let crop = it.frame.crop_resized(bbox.tuple(), 32, 32);
-                    let (_, t) = spoof
-                        .compiled
-                        .lock()
-                        .run(&spoof.model.inputs_from(crop))
-                        .map_err(|e| stage_exec_error("anti-spoof", e))?;
-                    it.times.spoof_us += t;
-                    let gray = it
-                        .frame
-                        .gray_crop_resized(bbox.tuple(), crate::frame::FACE_SIZE);
-                    it.real_flags.push(texture_energy(&gray) > threshold);
-                }
-                Ok(it)
-            },
-        );
-        let stage3 = StageSpec::fallible(
-            "emotion",
-            resources_of(emotion.mode),
-            move |mut it: Item| {
-                for (k, bbox) in it.candidates.clone().into_iter().enumerate() {
-                    let real = it.real_flags[k];
-                    let label = if real {
-                        let e_in = it.frame.gray_crop_resized(bbox.tuple(), 48);
-                        let (out, t) = emotion
-                            .compiled
-                            .lock()
-                            .run(&emotion.model.inputs_from(e_in))
-                            .map_err(|e| stage_exec_error("emotion", e))?;
-                        it.times.emotion_us += t;
-                        Some(EMOTIONS[out[0].argmax()])
-                    } else {
-                        None
-                    };
-                    it.faces.push(FaceResult {
-                        bbox,
-                        real,
-                        emotion: label,
-                    });
-                }
-                Ok(it)
-            },
-        );
-
-        let frame_indices: Vec<usize> = frames.iter().map(|f| f.index).collect();
-        let items: Vec<Item> = frames
+        run_window(&frames, CHAIN.len(), |_, _, f| self.process_frame(f))
             .into_iter()
-            .map(|frame| Item {
-                frame,
-                objects: Vec::new(),
-                candidates: Vec::new(),
-                real_flags: Vec::new(),
-                faces: Vec::new(),
-                times: ShowcaseTiming::default(),
-            })
-            .collect();
-        let outputs = PipelineExecutor::run_with_failures(vec![stage1, stage2, stage3], items)
-            .expect("pipeline infrastructure intact");
-        let results: Vec<FrameResult> = outputs
-            .into_iter()
-            .enumerate()
-            .map(|(seq, out)| match out {
-                Ok(it) => FrameResult {
-                    frame_index: it.frame.index,
-                    objects: it.objects,
-                    faces: it.faces,
-                    times: it.times,
-                    dropped: Vec::new(),
-                },
-                Err(fail) => FrameResult {
-                    frame_index: frame_indices[seq],
-                    objects: Vec::new(),
-                    faces: Vec::new(),
-                    times: ShowcaseTiming::default(),
-                    dropped: failure_to_dropped(&fail),
-                },
-            })
-            .collect();
-        for r in &results {
-            record_dropped_stages(&r.dropped);
-        }
-        results
+            .zip(&frames)
+            .map(|(r, f)| r.unwrap_or_else(|message| FrameResult::lost(f.index, message)))
+            .collect()
     }
 
     /// Measured per-stage latencies (for the Fig. 5 simulation), taken
@@ -623,42 +525,15 @@ impl Showcase {
         let frames = video.frames(4);
         // Scene 2 of the cycle holds a real face → all three stages run.
         let r = self.process_frame(&frames[2]);
-        [
-            ("obj-det", self.obj.mode, r.times.obj_us),
-            ("anti-spoof", self.spoof.mode, r.times.spoof_us),
-            ("emotion", self.emotion.mode, r.times.emotion_us),
-        ]
-        .map(|(stage, mode, us)| Task::new(stage, resources_of(mode), us.max(1.0)))
-        .to_vec()
-    }
-}
-
-/// Translate a per-frame pipeline failure into the degraded-mode
-/// vocabulary: the failing stage plus every downstream stage become
-/// [`DroppedStage`] markers, mirroring the deadline-overrun path.
-fn failure_to_dropped(fail: &FrameFailure) -> Vec<DroppedStage> {
-    const CHAIN: [&str; 3] = ["obj-det", "anti-spoof", "emotion"];
-    let at = CHAIN.iter().position(|&s| s == fail.stage).unwrap_or(0);
-    let how = if fail.panicked { "panicked" } else { "failed" };
-    let mut dropped = vec![DroppedStage {
-        stage: CHAIN[at],
-        reason: format!("stage {how} on frame {}: {}", fail.frame, fail.error),
-    }];
-    for &stage in &CHAIN[at + 1..] {
-        dropped.push(DroppedStage {
-            stage,
-            reason: format!("upstream {} unavailable", CHAIN[at]),
-        });
-    }
-    dropped
-}
-
-/// Wrap a model-run failure as a typed [`ExecError`] naming the stage,
-/// preserving the typed context when the underlying error already is one.
-fn stage_exec_error(stage: &str, e: tvmnp_byoc::BuildError) -> ExecError {
-    match e {
-        tvmnp_byoc::BuildError::Exec(err) => err.with_op(stage),
-        other => ExecError::new(other.to_string()).with_op(stage),
+        let assignment = ShowcaseAssignment {
+            obj: self.obj.mode,
+            spoof: self.spoof.mode,
+            emotion: self.emotion.mode,
+        };
+        assignment
+            .tasks(&r.times)
+            .map(|t| Task::new(t.label, t.devices, t.us.max(1.0)))
+            .to_vec()
     }
 }
 
@@ -835,13 +710,32 @@ mod tests {
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(8);
         let seq = sc.process_video(&frames);
-        let pipe = sc.process_video_pipelined(frames);
-        assert_eq!(seq.len(), pipe.len());
-        for (a, b) in seq.iter().zip(&pipe) {
-            assert_eq!(a.frame_index, b.frame_index);
-            assert_eq!(a.objects, b.objects);
-            assert_eq!(a.faces, b.faces);
+        assert_eq!(seq, sc.process_video_pipelined(frames));
+    }
+
+    #[test]
+    fn a_lost_apu_drops_emotion_the_same_at_every_window() {
+        // The emotion model runs on the APU alone; with that device gone
+        // its runs fail, on whichever thread the frame is processed.
+        let plan = tvmnp_hwsim::FaultPlan::seeded(5).device_lost(DeviceKind::Apu);
+        let sc = showcase().with_faults(ShowcaseFaults {
+            injector: Arc::new(tvmnp_hwsim::FaultInjector::new(plan)),
+            retry: tvmnp_hwsim::RetryPolicy::default(),
+        });
+        let mut video = SyntheticVideo::new(2000, 64, 64);
+        let frames = video.frames(8);
+        let clean = showcase().process_video(&frames);
+        let seq = sc.process_video(&frames);
+        for (c, r) in clean.iter().zip(&seq) {
+            // Object detection is CPU-only and unaffected.
+            assert_eq!(c.objects, r.objects);
+            let emotion_dropped = r.dropped.iter().any(|d| d.stage == "emotion");
+            let real_face = c.faces.iter().any(|f| f.real);
+            assert!(emotion_dropped || !real_face, "frame {}", r.frame_index);
+            assert!(r.faces.iter().all(|f| f.emotion.is_none()));
         }
+        assert!(seq.iter().any(|r| r.degraded()));
+        assert_eq!(seq, sc.process_video_pipelined(frames));
     }
 
     #[test]

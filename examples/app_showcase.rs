@@ -42,10 +42,7 @@ fn main() {
 
     // Pipelined processing produces identical results.
     let pipelined = showcase.process_video_pipelined(frames);
-    assert_eq!(results.len(), pipelined.len());
-    for (a, b) in results.iter().zip(&pipelined) {
-        assert_eq!(a.faces, b.faces, "pipelining must not change results");
-    }
+    assert_eq!(results, pipelined, "pipelining must not change results");
     println!(
         "\npipelined run produced identical results on all {} frames",
         pipelined.len()

@@ -57,6 +57,19 @@ if [ -e crates/bench/src/bin ]; then
     exit 1
 fi
 
+# And frames run on threads through one runtime (DESIGN.md "Wall clock: one
+# runtime"): only scheduler/src/threaded.rs may start a thread or catch a
+# panic, so a second worker loop or a second failure policy cannot grow
+# back beside `run_window`.
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    [ "$f" = crates/scheduler/src/threaded.rs ] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -E 'thread::spawn|thread::scope|thread::Builder|catch_unwind\('; then
+        echo "one-runtime gate: $f starts a thread or catches a panic (only scheduler/src/threaded.rs may)" >&2
+        exit 1
+    fi
+done
+
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
 
@@ -168,6 +181,18 @@ if [ -z "$recovered" ] || [ "$recovered" -lt 1 ]; then
 fi
 echo "fault-injection smoke: $recovered run(s) recovered under seeded faults"
 
+# Device-lost smoke: a permanently lost APU fails every model run that
+# dispatches to it. Hard step: the serve workload must exit 0 with the
+# record written — the failed runs are dropped stages, not a panic — and
+# it hard-fails itself if the concurrent pass disagrees with the
+# sequential one on what was delivered and dropped.
+lost_dir=$(mktemp -d)
+trap 'rm -rf "$base_dir" "$lost_dir"' EXIT
+target/release/tvmnp bench \
+    --workload serve --runs 1 --bench-out "$lost_dir/serve-lost.json" \
+    --inject-fault apu:dispatch:device-lost
+[ -s "$lost_dir/serve-lost.json" ]
+
 # Observability smoke: serve one observed run under seeded transient APU
 # faults, streaming live stats and arming the flight recorder, then
 # schema-check both artifacts. Hard gate: the stats JSONL must be valid
@@ -179,7 +204,7 @@ echo "fault-injection smoke: $recovered run(s) recovered under seeded faults"
 # ids stay unique. (Fallback transitions inside a dump window are
 # covered by the exhaustion path in tests/observe_flow.rs.)
 obs_dir=$(mktemp -d)
-trap 'rm -rf "$base_dir" "$obs_dir"' EXIT
+trap 'rm -rf "$base_dir" "$lost_dir" "$obs_dir"' EXIT
 target/release/tvmnp bench \
     --workload serve --runs 1 --bench-out "$obs_dir/serve-observed.json" \
     --inject-fault apu:dispatch:transient --fault-seed 7 \

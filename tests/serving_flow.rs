@@ -1,7 +1,8 @@
 //! End-to-end concurrent serving: the session pool must produce
 //! bit-identical outputs at any concurrency level — with and without
-//! injected transient faults — and a second pool stood up on the same
-//! artifact cache must reuse every compiled artifact without a single
+//! injected transient faults — a lost device must degrade frames rather
+//! than panic the serve, and a second pool stood up on the same artifact
+//! cache must reuse every compiled artifact without a single
 //! recompilation span.
 //!
 //! The telemetry collector is process-global, so the tests in this
@@ -82,6 +83,62 @@ fn transient_dispatch_faults_do_not_change_served_outputs() {
         assert_eq!(a.objects, b.objects, "frame {}", a.frame_index);
         assert_eq!(a.faces, b.faces, "frame {}", a.frame_index);
         assert_eq!(a.dropped, b.dropped, "frame {}", a.frame_index);
+    }
+}
+
+/// A permanently lost APU (`--inject-fault apu:dispatch:lost`) fails
+/// every model run that dispatches to it. Those runs must degrade their
+/// frames — a dropped anti-spoofing or emotion stage — not panic the
+/// serve, at any window; what is still delivered must be what a
+/// fault-free run delivers.
+#[test]
+fn a_lost_device_degrades_frames_instead_of_panicking() {
+    let _guard = TESTS.lock().unwrap();
+    let frames = clip(32);
+    let clean = pool(&Arc::new(ArtifactCache::new(usize::MAX))).serve(&frames, 1);
+
+    let plan = FaultPlan::seeded(11)
+        .with_spec("apu:dispatch:lost")
+        .expect("documented fault spec");
+    let faulty = SessionPool::new_with_faults(
+        900,
+        &serving_rotation(),
+        &CostModel::default(),
+        Arc::new(ArtifactCache::new(usize::MAX)),
+        ShowcaseFaults {
+            injector: Arc::new(FaultInjector::new(plan)),
+            retry: RetryPolicy::default(),
+        },
+    );
+    for window in [1, 4] {
+        let served = faulty.serve(&frames, window);
+        assert_eq!(served.len(), frames.len(), "every frame delivered");
+        for (a, b) in served.iter().zip(&clean) {
+            assert_eq!(a.frame_index, b.frame_index);
+            // Object detection is on the GPU in `serving_rotation`.
+            assert_eq!(a.objects, b.objects, "frame {}", a.frame_index);
+            for d in &a.dropped {
+                assert!(
+                    d.stage == "anti-spoof" || d.stage == "emotion",
+                    "frame {} dropped {}: {}",
+                    a.frame_index,
+                    d.stage,
+                    d.reason
+                );
+            }
+            // A delivered face is a prefix entry of the fault-free list:
+            // the same verdict, and the same label or none — never a
+            // different one.
+            assert!(a.faces.len() <= b.faces.len());
+            for (fa, fb) in a.faces.iter().zip(&b.faces) {
+                assert_eq!((fa.bbox, fa.real), (fb.bbox, fb.real));
+                assert!(fa.emotion.is_none() || fa.emotion == fb.emotion);
+            }
+        }
+        assert!(
+            served.iter().any(|r| r.degraded()),
+            "a lost APU must drop at least one stage (window {window})"
+        );
     }
 }
 
