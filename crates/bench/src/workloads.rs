@@ -52,22 +52,20 @@ pub fn serve_clip(
     plane: Option<&ObservePlane>,
     faults: Option<&FaultPlan>,
 ) -> Result<(ServeSim, CacheStats), String> {
-    let pool = match faults {
-        None => SessionPool::new(seed, &serving_rotation(), cost, cache),
-        Some(plan) => SessionPool::new_with_faults(
-            seed,
-            &serving_rotation(),
-            cost,
-            cache,
-            ShowcaseFaults {
-                injector: Arc::new(FaultInjector::new(plan.clone())),
-                retry: RetryPolicy {
-                    max_attempts: 3,
-                    ..RetryPolicy::default()
-                },
+    // No fault plan is the empty one: the injector never fires.
+    let pool = SessionPool::new_with_faults(
+        seed,
+        &serving_rotation(),
+        cost,
+        cache,
+        ShowcaseFaults {
+            injector: Arc::new(FaultInjector::new(faults.cloned().unwrap_or_default())),
+            retry: RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
             },
-        ),
-    };
+        },
+    );
     let frames = SyntheticVideo::new(seed + 1, 64, 64).frames(64);
     let sequential = pool.serve(&frames, 1);
     let concurrent = match plane {

@@ -6,7 +6,7 @@ use crate::codegen::NeuronBlob;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use tvmnp_hwsim::{CostEntry, CostModel, FaultInjector, RetryPolicy};
+use tvmnp_hwsim::{CostEntry, CostModel, CostRole};
 use tvmnp_neuropilot::support::{first_unsupported, NeuronSupport};
 use tvmnp_neuropilot::{CompiledNetwork, ExecutionPlan, NeuronError, NeuronGraph, TargetPolicy};
 use tvmnp_relay::expr::{ExprKind, Module};
@@ -89,6 +89,9 @@ pub fn partition_for_nir(module: &Module) -> Result<(Module, PartitionReport), B
 }
 
 /// A compiled, runnable model under one target mode.
+// One per built model and never moved in bulk: boxing the executor would
+// cost an allocation per build to shrink a value nobody copies.
+#[allow(clippy::large_enum_variant)]
 pub enum CompiledModel {
     /// TVM graph executor (with or without linked Neuron modules).
     Tvm {
@@ -110,57 +113,29 @@ pub enum CompiledModel {
 
 impl CompiledModel {
     /// Run inference on named inputs; returns outputs and simulated µs.
+    /// A clean run: [`CompiledModel::run_with`] under the default options.
     pub fn run(
         &mut self,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<(Vec<Tensor>, f64), BuildError> {
-        match self {
-            CompiledModel::Tvm {
-                executor,
-                input_names,
-                ..
-            } => {
-                for name in input_names.iter() {
-                    let v = inputs
-                        .get(name)
-                        .ok_or_else(|| BuildError::Runtime(format!("missing input '{name}'")))?;
-                    executor
-                        .set_input(name, v.clone())
-                        .map_err(|e| BuildError::Runtime(e.to_string()))?;
-                }
-                let t = executor
-                    .run()
-                    .map_err(|e| BuildError::Runtime(e.to_string()))?;
-                let outs = (0..executor.num_outputs())
-                    .map(|i| executor.get_output(i))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| BuildError::Runtime(e.to_string()))?;
-                Ok((outs, t))
-            }
-            CompiledModel::Neuron {
-                network,
-                input_names,
-            } => {
-                let ordered = ordered_inputs(input_names, inputs)?;
-                network
-                    .execute_borrowed(&ordered)
-                    .map_err(BuildError::Neuron)
-            }
-        }
+        self.run_with(inputs, &RunOptions::default())
     }
 
-    /// Run inference under fault injection: dispatches consult `injector`
-    /// with retries per `retry` (backoff charged in simulated µs) and the
-    /// whole run bounded by `deadline_us` of simulated time. Device-fault
-    /// and deadline failures surface as [`BuildError::Exec`] /
-    /// [`BuildError::Neuron`] with typed context; numerics are identical
-    /// to [`CompiledModel::run`].
-    pub fn run_resilient(
+    /// Run inference under fault-handling options — the one run body.
+    /// Every device dispatch first goes through [`RunOptions::dispatch`]
+    /// (retries per `opts.retry`, the wasted dispatch and backoff charged
+    /// in simulated µs) and the run is bounded by `opts.deadline_us`; a
+    /// device fault or a passed deadline is a [`BuildError::Exec`] whose
+    /// [`ExecError::kind`] says which. Faults change time, never values.
+    ///
+    /// The dispatching runtime consults the injector, never the module it
+    /// dispatches to: the graph executor once per fusion group and external
+    /// call, and for an NP-only model this function, once per planned
+    /// segment in segment order, before the network computes.
+    pub fn run_with(
         &mut self,
         inputs: &HashMap<String, Tensor>,
-        injector: &FaultInjector,
-        retry: &RetryPolicy,
-        deadline_us: f64,
+        opts: &RunOptions<'_>,
     ) -> Result<(Vec<Tensor>, f64), BuildError> {
         match self {
             CompiledModel::Tvm {
@@ -168,20 +143,12 @@ impl CompiledModel {
                 input_names,
                 ..
             } => {
-                for name in input_names.iter() {
-                    let v = inputs
-                        .get(name)
-                        .ok_or_else(|| BuildError::Runtime(format!("missing input '{name}'")))?;
+                for (name, v) in input_names.iter().zip(ordered_inputs(input_names, inputs)) {
                     executor
-                        .set_input(name, v.clone())
+                        .set_input(name, v?.clone())
                         .map_err(BuildError::Exec)?;
                 }
-                let opts = RunOptions {
-                    injector: Some(injector),
-                    retry: *retry,
-                    deadline_us,
-                };
-                let t = executor.run_with(&opts).map_err(BuildError::Exec)?;
+                let t = executor.run_with(opts).map_err(BuildError::Exec)?;
                 let outs = (0..executor.num_outputs())
                     .map(|i| executor.get_output(i))
                     .collect::<Result<Vec<_>, _>>()
@@ -192,10 +159,23 @@ impl CompiledModel {
                 network,
                 input_names,
             } => {
-                let ordered = ordered_inputs(input_names, inputs)?;
-                network
-                    .execute_resilient(&ordered, injector, retry, deadline_us)
-                    .map_err(BuildError::Neuron)
+                let ordered: Vec<&Tensor> =
+                    ordered_inputs(input_names, inputs).collect::<Result<_, _>>()?;
+                // What a segment's aborted dispatch wastes, and on which
+                // device, is its own dispatch entry in the network's ledger.
+                let mut extra_us = 0.0;
+                for seg in network.ledger() {
+                    if seg.role == CostRole::Dispatch {
+                        opts.dispatch(seg.device, seg.us, &mut extra_us)
+                            .map_err(BuildError::Exec)?;
+                    }
+                }
+                let (outputs, base_us) = network
+                    .execute_borrowed(&ordered)
+                    .map_err(BuildError::Neuron)?;
+                let total_us = base_us + extra_us;
+                opts.check_deadline(total_us).map_err(BuildError::Exec)?;
+                Ok((outputs, total_us))
             }
         }
     }
@@ -250,15 +230,13 @@ impl CompiledModel {
 
 /// The named inputs in parameter order, borrowed.
 fn ordered_inputs<'a>(
-    names: &[String],
+    names: &'a [String],
     inputs: &'a HashMap<String, Tensor>,
-) -> Result<Vec<&'a Tensor>, BuildError> {
-    let find = |n: &String| inputs.get(n);
+) -> impl Iterator<Item = Result<&'a Tensor, BuildError>> {
     let missing = |n: &String| BuildError::Runtime(format!("missing input '{n}'"));
     names
         .iter()
-        .map(|n| find(n).ok_or_else(|| missing(n)))
-        .collect()
+        .map(move |n| inputs.get(n).ok_or_else(|| missing(n)))
 }
 
 pub(crate) fn input_names_of(module: &Module) -> Vec<String> {
@@ -572,6 +550,62 @@ mod tests {
             t_tvm > t_byoc,
             "TVM-only ({t_tvm}) must be slower than BYOC-CPU ({t_byoc})"
         );
+    }
+
+    #[test]
+    fn np_only_run_with_charges_each_retry_a_dispatch_and_its_backoff() {
+        use tvmnp_hwsim::{DeviceKind, FaultInjector, FaultPlan};
+        let (m, inputs) = clean_model();
+        let cost = CostModel::default();
+        let mode = TargetMode::NeuroPilotOnly(TargetPolicy::CpuOnly);
+        let mut compiled = relay_build(&m, mode, cost.clone()).unwrap();
+        let (clean, base_us) = compiled.run(&inputs).unwrap();
+        let injector =
+            FaultInjector::new(FaultPlan::seeded(7).transient_dispatch(DeviceKind::Cpu, 2));
+        let opts = RunOptions {
+            injector: Some(&injector),
+            ..RunOptions::default()
+        };
+        let (outs, faulted_us) = compiled.run_with(&inputs, &opts).unwrap();
+        assert!(outs[0].bit_eq(&clean[0]), "faults must not change numerics");
+        // One CPU segment, so every fault is a retry of the same dispatch.
+        let k = injector.faults_injected() as u32;
+        assert!(k >= 1);
+        let dispatch_us = cost.subgraph_dispatch_us(DeviceKind::Cpu);
+        let extra_us = (1..=k).fold(0.0, |us, attempt| {
+            us + (dispatch_us + opts.retry.backoff_us(attempt))
+        });
+        assert_eq!(faulted_us, base_us + extra_us);
+    }
+
+    #[test]
+    fn np_only_run_with_fails_with_the_executors_error_shape() {
+        use tvmnp_hwsim::{DeviceKind, FaultInjector, FaultPlan};
+        use tvmnp_runtime::ExecErrorKind;
+        let (m, inputs) = clean_model();
+        let mode = TargetMode::NeuroPilotOnly(TargetPolicy::CpuOnly);
+        let mut compiled = relay_build(&m, mode, CostModel::default()).unwrap();
+        let lost = FaultInjector::new(FaultPlan::seeded(1).device_lost(DeviceKind::Cpu));
+        let opts = RunOptions {
+            injector: Some(&lost),
+            ..RunOptions::default()
+        };
+        let Err(BuildError::Exec(err)) = compiled.run_with(&inputs, &opts) else {
+            panic!("a lost CPU must fail the run with a typed executor error");
+        };
+        assert_eq!(err.kind(), ExecErrorKind::DeviceFault);
+        assert_eq!(err.context().device.as_deref(), Some("cpu"));
+        assert_eq!(err.context().attempt, Some(1));
+        assert!(!err.causes().is_empty(), "{err}");
+
+        let tight = RunOptions {
+            deadline_us: 0.001,
+            ..RunOptions::default()
+        };
+        let Err(BuildError::Exec(err)) = compiled.run_with(&inputs, &tight) else {
+            panic!("a 1 ns budget must fail the run with a typed executor error");
+        };
+        assert_eq!(err.kind(), ExecErrorKind::Deadline);
     }
 
     #[test]

@@ -22,9 +22,8 @@ use crate::permutations::Permutation;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tvmnp_hwsim::{CircuitBreaker, CostModel, DeviceKind, FaultInjector, FaultPlan, RetryPolicy};
-use tvmnp_neuropilot::NeuronError;
 use tvmnp_relay::expr::Module;
-use tvmnp_runtime::ExecErrorKind;
+use tvmnp_runtime::{ExecErrorKind, RunOptions};
 use tvmnp_tensor::Tensor;
 
 /// Knobs of a resilient run.
@@ -163,17 +162,19 @@ fn permutation_devices(p: Permutation) -> Vec<DeviceKind> {
     }
 }
 
-/// Is this error a fault/coverage condition the chain may degrade past,
-/// and if so, at which stage with what detail?
-fn graceful_cause(err: &BuildError) -> Option<(&'static str, String)> {
-    match err {
-        BuildError::Unsupported(op) => Some(("build", format!("unsupported op '{op}'"))),
-        BuildError::Exec(e) if e.kind() != ExecErrorKind::General => Some(("run", e.to_string())),
-        BuildError::Neuron(n @ NeuronError::DeviceFault { .. })
-        | BuildError::Neuron(n @ NeuronError::DeadlineExceeded { .. }) => {
-            Some(("run", n.to_string()))
+/// A permutation abandoned gracefully: the stage it failed at (`breaker`,
+/// `compile`, `build` or `run`) and why.
+type Abandoned = (&'static str, String);
+
+/// Sort an error into a fault/coverage condition the chain may degrade
+/// past (`Ok(Err(..))`) or a real failure that no fallback may hide.
+fn graceful<T>(err: BuildError) -> Result<Result<T, Abandoned>, BuildError> {
+    match &err {
+        BuildError::Unsupported(op) => Ok(Err(("build", format!("unsupported op '{op}'")))),
+        BuildError::Exec(e) if e.kind() != ExecErrorKind::General => {
+            Ok(Err(("run", e.to_string())))
         }
-        _ => None,
+        _ => Err(err),
     }
 }
 
@@ -318,6 +319,54 @@ impl ResilientSession {
         self.event_seq += 1;
     }
 
+    /// Try one permutation: breaker check, compile-time faults, build, run.
+    /// `Ok(Err(..))` when it was abandoned gracefully and the chain should
+    /// move on; `Err` for a failure falling back would hide.
+    fn attempt(
+        &mut self,
+        perm: Permutation,
+        inputs: &HashMap<String, Tensor>,
+    ) -> Result<Result<(Vec<Tensor>, f64), Abandoned>, BuildError> {
+        // Circuit breakers: skip permutations that need a device the
+        // session has already given up on.
+        let devices = permutation_devices(perm);
+        if let Some(&dead) = devices.iter().find(|&&d| self.breaker.is_open(d)) {
+            return Ok(Err(("breaker", format!("circuit breaker open for {dead}"))));
+        }
+        // Compile-time faults (driver rejecting the network).
+        if let Some(fault) = devices.iter().find_map(|&d| self.injector.on_compile(d)) {
+            self.update_breaker();
+            if tvmnp_telemetry::sink_active() {
+                tvmnp_telemetry::emit_event(
+                    "fault.injected",
+                    vec![
+                        ("stage", "compile".into()),
+                        ("device", fault.device.name().into()),
+                        // `detail` (unindexed), not `cause`: the
+                        // description is free text and must not mint
+                        // a counter key per distinct fault.
+                        ("detail", fault.description.clone().into()),
+                    ],
+                );
+            }
+            return Ok(Err(("compile", fault.description)));
+        }
+        // Build; coverage gaps (NP-only unsupported ops) degrade
+        // gracefully, real build bugs do not.
+        let mut compiled = match self.build_model(perm.mode()) {
+            Ok(compiled) => compiled,
+            Err(err) => return graceful(err),
+        };
+        let opts = RunOptions {
+            injector: Some(&self.injector),
+            retry: self.policy.retry,
+            deadline_us: self.policy.deadline_us,
+        };
+        let ran = compiled.run_with(inputs, &opts);
+        self.update_breaker();
+        ran.map(Ok).or_else(graceful)
+    }
+
     /// Run the model on named `inputs`, starting at permutation `start`
     /// and degrading down [`Permutation::fallback_chain`] as faults
     /// demand. `model` labels telemetry and errors.
@@ -330,77 +379,9 @@ impl ResilientSession {
         let chain = Permutation::fallback_chain(start);
         let mut causes: Vec<FaultCause> = Vec::new();
         for (step, &perm) in chain.iter().enumerate() {
-            let next = chain.get(step + 1).copied();
-            // Circuit breakers: skip permutations that need a device the
-            // session has already given up on.
-            let devices = permutation_devices(perm);
-            if let Some(&dead) = devices.iter().find(|&&d| self.breaker.is_open(d)) {
-                let cause = FaultCause {
-                    permutation: perm,
-                    stage: "breaker",
-                    detail: format!("circuit breaker open for {dead}"),
-                };
-                self.record_fallback(model, perm, next, &cause);
-                causes.push(cause);
-                continue;
-            }
-            // Compile-time faults (driver rejecting the network).
-            if let Some(fault) = devices.iter().find_map(|&d| self.injector.on_compile(d)) {
-                self.update_breaker();
-                if tvmnp_telemetry::sink_active() {
-                    tvmnp_telemetry::emit_event(
-                        "fault.injected",
-                        vec![
-                            ("stage", "compile".into()),
-                            ("device", fault.device.name().into()),
-                            // `detail` (unindexed), not `cause`: the
-                            // description is free text and must not mint
-                            // a counter key per distinct fault.
-                            ("detail", fault.description.clone().into()),
-                        ],
-                    );
-                }
-                let cause = FaultCause {
-                    permutation: perm,
-                    stage: "compile",
-                    detail: fault.description,
-                };
-                self.record_fallback(model, perm, next, &cause);
-                causes.push(cause);
-                continue;
-            }
-            // Build; coverage gaps (NP-only unsupported ops) degrade
-            // gracefully, real build bugs do not.
-            let mut compiled: CompiledModel = match self.build_model(perm.mode()) {
-                Ok(c) => c,
-                Err(err) => match graceful_cause(&err) {
-                    Some((stage, detail)) => {
-                        let cause = FaultCause {
-                            permutation: perm,
-                            stage,
-                            detail,
-                        };
-                        self.record_fallback(model, perm, next, &cause);
-                        causes.push(cause);
-                        continue;
-                    }
-                    None => {
-                        return Err(ResilienceError::Build {
-                            permutation: perm,
-                            error: err,
-                        })
-                    }
-                },
-            };
             let faults_before = self.injector.faults_injected();
-            match compiled.run_resilient(
-                inputs,
-                &self.injector,
-                &self.policy.retry,
-                self.policy.deadline_us,
-            ) {
-                Ok((outputs, time_us)) => {
-                    self.update_breaker();
+            let (stage, detail) = match self.attempt(perm, inputs) {
+                Ok(Ok((outputs, time_us))) => {
                     let recovered =
                         !causes.is_empty() || self.injector.faults_injected() > faults_before;
                     if recovered {
@@ -418,27 +399,21 @@ impl ResilientSession {
                         fallbacks: causes,
                     });
                 }
-                Err(err) => {
-                    self.update_breaker();
-                    match graceful_cause(&err) {
-                        Some((stage, detail)) => {
-                            let cause = FaultCause {
-                                permutation: perm,
-                                stage,
-                                detail,
-                            };
-                            self.record_fallback(model, perm, next, &cause);
-                            causes.push(cause);
-                        }
-                        None => {
-                            return Err(ResilienceError::Build {
-                                permutation: perm,
-                                error: err,
-                            })
-                        }
-                    }
+                Ok(Err(abandoned)) => abandoned,
+                Err(error) => {
+                    return Err(ResilienceError::Build {
+                        permutation: perm,
+                        error,
+                    })
                 }
-            }
+            };
+            let cause = FaultCause {
+                permutation: perm,
+                stage,
+                detail,
+            };
+            self.record_fallback(model, perm, chain.get(step + 1).copied(), &cause);
+            causes.push(cause);
         }
         tvmnp_telemetry::counter_add("resilience.failed", &[], 1);
         if tvmnp_telemetry::sink_active() {

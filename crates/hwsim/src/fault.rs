@@ -235,18 +235,27 @@ impl FaultPlan {
                 let value: f64 = v
                     .parse()
                     .map_err(|_| FaultSpecError(format!("bad numeric value '{v}' in '{spec}'")))?;
-                (k, Some(value))
+                (k, Some((v, value)))
             }
             None => (kind, None),
         };
         let rule = match (site, kind) {
-            ("dispatch", "transient") => FaultRule {
-                device,
-                kind: FaultKind::Transient {
-                    max_failures: value.unwrap_or(2.0).max(1.0) as u32,
-                },
-                work,
-            },
+            ("dispatch", "transient") => {
+                // `u32::MAX as f64` is exact, and NaN fails the range test.
+                let (text, count) = value.unwrap_or(("2", 2.0));
+                if count.fract() != 0.0 || !(1.0..=u32::MAX as f64).contains(&count) {
+                    return Err(FaultSpecError(format!(
+                        "transient failure count '{text}' in '{spec}' is not an integer >= 1"
+                    )));
+                }
+                FaultRule {
+                    device,
+                    kind: FaultKind::Transient {
+                        max_failures: count as u32,
+                    },
+                    work,
+                }
+            }
             ("dispatch", "device-lost") | ("dispatch", "lost") => FaultRule {
                 device,
                 kind: FaultKind::DeviceLost,
@@ -257,13 +266,21 @@ impl FaultPlan {
                 kind: FaultKind::CompileReject,
                 work,
             },
-            ("kernel", "throttle") => FaultRule {
-                device,
-                kind: FaultKind::ThermalThrottle {
-                    factor: value.unwrap_or(2.0),
-                },
-                work,
-            },
+            ("kernel", "throttle") => {
+                // The factor scales simulated time: anything but a finite
+                // positive number would poison the clock.
+                let (text, factor) = value.unwrap_or(("2", 2.0));
+                if !(factor.is_finite() && factor > 0.0) {
+                    return Err(FaultSpecError(format!(
+                        "throttle factor '{text}' in '{spec}' is not a finite number > 0"
+                    )));
+                }
+                FaultRule {
+                    device,
+                    kind: FaultKind::ThermalThrottle { factor },
+                    work,
+                }
+            }
             _ => {
                 return Err(FaultSpecError(format!(
                     "unknown site:kind '{site}:{kind}' in '{spec}' (expected \
@@ -344,7 +361,9 @@ struct InjectorState {
 ///
 /// Thread-safe; the deterministic stream advances per consulted dispatch
 /// invocation, so a fixed sequence of engine calls yields a fixed
-/// sequence of faults.
+/// sequence of faults. The default interprets the empty plan: it never
+/// faults.
+#[derive(Default)]
 pub struct FaultInjector {
     plan: FaultPlan,
     state: Mutex<InjectorState>,
@@ -357,11 +376,6 @@ impl FaultInjector {
             plan,
             state: Mutex::new(InjectorState::default()),
         }
-    }
-
-    /// An injector that never faults (empty plan).
-    pub fn inactive() -> FaultInjector {
-        FaultInjector::new(FaultPlan::default())
     }
 
     /// The plan being interpreted.
@@ -592,8 +606,12 @@ mod tests {
             .with_spec("apu:compile:reject")
             .unwrap()
             .with_spec("cpu:kernel:throttle=2.5@mac")
+            .unwrap()
+            .with_spec("apu:dispatch:transient=3")
+            .unwrap()
+            .with_spec("apu:kernel:throttle=2.5")
             .unwrap();
-        assert_eq!(plan.rules.len(), 4);
+        assert_eq!(plan.rules.len(), 6);
         assert_eq!(plan.rules[0].kind, FaultKind::Transient { max_failures: 2 });
         assert_eq!(plan.rules[1].kind, FaultKind::DeviceLost);
         assert_eq!(plan.rules[2].kind, FaultKind::CompileReject);
@@ -605,9 +623,64 @@ mod tests {
                 work: Some(WorkKind::MacHeavy),
             }
         );
+        assert_eq!(plan.rules[4].kind, FaultKind::Transient { max_failures: 3 });
+        assert_eq!(
+            plan.rules[5],
+            FaultRule {
+                device: DeviceKind::Apu,
+                kind: FaultKind::ThermalThrottle { factor: 2.5 },
+                work: None,
+            }
+        );
         for bad in ["apu", "nope:dispatch:transient", "apu:dispatch:nope"] {
             assert!(FaultPlan::seeded(0).with_spec(bad).is_err(), "{bad}");
         }
+    }
+
+    fn rejected(spec: &str, value: &str) {
+        let err = FaultPlan::seeded(0).with_spec(spec).unwrap_err();
+        assert!(err.0.contains(&format!("'{value}'")), "{spec}: {err}");
+    }
+
+    #[test]
+    fn throttle_factor_nan_rejected() {
+        rejected("apu:kernel:throttle=nan", "nan");
+    }
+
+    #[test]
+    fn throttle_factor_infinite_rejected() {
+        rejected("apu:kernel:throttle=inf", "inf");
+    }
+
+    #[test]
+    fn throttle_factor_zero_rejected() {
+        rejected("apu:kernel:throttle=0", "0");
+    }
+
+    #[test]
+    fn throttle_factor_negative_rejected() {
+        rejected("apu:kernel:throttle=-2@mac", "-2");
+    }
+
+    #[test]
+    fn transient_count_nan_rejected() {
+        rejected("apu:dispatch:transient=nan", "nan");
+    }
+
+    #[test]
+    fn transient_count_negative_rejected() {
+        rejected("apu:dispatch:transient=-3", "-3");
+    }
+
+    #[test]
+    fn transient_count_fractional_rejected() {
+        rejected("apu:dispatch:transient=2.7", "2.7");
+    }
+
+    #[test]
+    fn transient_count_zero_and_infinite_rejected() {
+        rejected("apu:dispatch:transient=0", "0");
+        rejected("apu:dispatch:transient=inf", "inf");
     }
 
     #[test]

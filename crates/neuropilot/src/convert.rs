@@ -75,7 +75,11 @@ impl Ctx<'_> {
             .tensor()
             .ok_or_else(|| NeuronError::Conversion(format!("{} yields a tuple", e.label())))?;
         Ok(self.graph.add_tensor(NeuronTensor {
-            name: format!("{}_{}", e.label().replace('.', "_"), e.id),
+            name: format!(
+                "{}_{}",
+                e.label().replace('.', "_"),
+                self.graph.tensors.len()
+            ),
             shape: tt.shape.clone(),
             dtype: tt.dtype,
             quant,
@@ -117,7 +121,7 @@ type Handler = fn(&mut Ctx, &Expr, &OpKind) -> Result<(), NeuronError>;
 
 /// The op-handler dictionary of Listing 1: Relay op name → conversion
 /// logic. Its key set *is* the NeuroPilot support matrix
-/// ([`crate::support::NEURON_RELAY_OPS`]).
+/// ([`crate::support::neuron_supported`] asks it).
 fn op_handler_dict() -> &'static HashMap<&'static str, Handler> {
     static DICT: OnceLock<HashMap<&'static str, Handler>> = OnceLock::new();
     DICT.get_or_init(|| {
@@ -151,6 +155,11 @@ fn op_handler_dict() -> &'static HashMap<&'static str, Handler> {
         d.insert("qnn.concatenate", h_qnn_concat);
         d
     })
+}
+
+/// Whether the dictionary converts the Relay op named `op_name`.
+pub(crate) fn has_op_handler(op_name: &str) -> bool {
+    op_handler_dict().contains_key(op_name)
 }
 
 /// Map a Relay op to its Neuron opcode (attributes carried over; quant
@@ -426,7 +435,7 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
             }
             ExprKind::Constant(c) => {
                 let id = ctx.graph.add_tensor(NeuronTensor {
-                    name: format!("const_{}", e.id),
+                    name: format!("const_{}", ctx.graph.tensors.len()),
                     shape: c.value.shape().clone(),
                     dtype: c.value.dtype(),
                     quant: c.value.quant(),

@@ -16,22 +16,6 @@ pub enum NeuronError {
     Conversion(String),
     /// Numeric execution failure.
     Execution(String),
-    /// A device fault (injected or real) survived every retry attempt.
-    DeviceFault {
-        /// Device name (`cpu` / `gpu` / `apu`).
-        device: String,
-        /// Dispatch attempts made before giving up.
-        attempts: u32,
-        /// Cause of the final fault, e.g. `device lost: apu driver gone`.
-        cause: String,
-    },
-    /// The run's simulated-time budget was exhausted.
-    DeadlineExceeded {
-        /// Budget, simulated microseconds.
-        budget_us: f64,
-        /// Simulated time the run would have needed.
-        needed_us: f64,
-    },
 }
 
 impl fmt::Display for NeuronError {
@@ -45,21 +29,6 @@ impl fmt::Display for NeuronError {
             }
             NeuronError::Conversion(m) => write!(f, "Neuron conversion error: {m}"),
             NeuronError::Execution(m) => write!(f, "Neuron execution error: {m}"),
-            NeuronError::DeviceFault {
-                device,
-                attempts,
-                cause,
-            } => write!(
-                f,
-                "device fault on {device} after {attempts} attempt(s): {cause}"
-            ),
-            NeuronError::DeadlineExceeded {
-                budget_us,
-                needed_us,
-            } => write!(
-                f,
-                "deadline exceeded: needed {needed_us:.1} us of a {budget_us:.1} us budget"
-            ),
         }
     }
 }

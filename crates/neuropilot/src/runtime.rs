@@ -11,7 +11,7 @@ use crate::error::NeuronError;
 use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind, TensorId};
 use crate::planner::{ExecutionPlan, Planner, TargetPolicy};
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
-use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy};
+use tvmnp_hwsim::{CostModel, DeviceKind, KernelClass};
 use tvmnp_tensor::kernels::{self, BinaryOp, UnaryOp};
 use tvmnp_tensor::{QuantParams, Tensor};
 
@@ -19,7 +19,6 @@ use tvmnp_tensor::{QuantParams, Tensor};
 pub struct CompiledNetwork {
     graph: NeuronGraph,
     plan: ExecutionPlan,
-    cost: CostModel,
     ledger: Vec<CostEntry>,
     /// Per tensor, the last op to read it: an activation is dropped there.
     last_reader: Vec<usize>,
@@ -52,7 +51,6 @@ impl CompiledNetwork {
         CompiledNetwork {
             graph,
             plan,
-            cost,
             ledger,
             last_reader,
         }
@@ -167,66 +165,6 @@ impl CompiledNetwork {
         let constant = || self.graph.tensors.get(id)?.data.as_deref();
         (written.or_else(input).or_else(constant))
             .ok_or_else(|| NeuronError::Execution(format!("{what} slot {id} empty")))
-    }
-
-    /// Execute under fault injection: every per-segment driver dispatch
-    /// first consults `injector`, retrying transient faults up to
-    /// `retry.max_attempts` with exponential backoff charged in
-    /// **simulated** microseconds (an extra dispatch + the backoff per
-    /// retry). Fatal faults (device lost) or exhausted retries surface a
-    /// typed [`NeuronError::DeviceFault`]; a finite `deadline_us` that the
-    /// total simulated time (including retry overhead) exceeds surfaces
-    /// [`NeuronError::DeadlineExceeded`]. Numerics are computed exactly as
-    /// [`CompiledNetwork::execute`] — faults change time, never values.
-    ///
-    /// Each recovered retry emits a `resilience.retry` sim span and bumps
-    /// the `resilience.retries{device=..}` counter.
-    pub fn execute_resilient(
-        &self,
-        inputs: &[&Tensor],
-        injector: &FaultInjector,
-        retry: &RetryPolicy,
-        deadline_us: f64,
-    ) -> Result<(Vec<Tensor>, f64), NeuronError> {
-        let mut extra_us = 0.0;
-        for seg in &self.plan.segments {
-            let mut attempt = 1u32;
-            while let Some(fault) = injector.on_dispatch(seg.device, attempt) {
-                if fault.fatal || !retry.allows_retry(attempt) {
-                    return Err(NeuronError::DeviceFault {
-                        device: seg.device.name().to_string(),
-                        attempts: attempt,
-                        cause: fault.description,
-                    });
-                }
-                // The failed dispatch still cost a driver entry, then we
-                // back off before trying again.
-                let wasted = self.cost.subgraph_dispatch_us(seg.device) + retry.backoff_us(attempt);
-                tvmnp_telemetry::record_sim_span(
-                    "resilience.retry",
-                    extra_us,
-                    wasted,
-                    vec![
-                        ("device", seg.device.name().into()),
-                        ("attempt", attempt.into()),
-                        ("cause", fault.description.into()),
-                    ],
-                );
-                let device = [("device", seg.device.name())];
-                tvmnp_telemetry::counter_add("resilience.retries", &device, 1);
-                extra_us += wasted;
-                attempt += 1;
-            }
-        }
-        let (outputs, base_us) = self.execute_borrowed(inputs)?;
-        let total_us = base_us + extra_us;
-        if total_us > deadline_us {
-            return Err(NeuronError::DeadlineExceeded {
-                budget_us: deadline_us,
-                needed_us: total_us,
-            });
-        }
-        Ok((outputs, total_us))
     }
 
     fn eval_op(&self, op: &NeuronOp, args: &[&Tensor]) -> Result<Tensor, NeuronError> {
@@ -629,48 +567,6 @@ mod tests {
         ins.insert("x".to_string(), input);
         let reference = run_module(&module, &ins).unwrap();
         assert!(outs[0].bit_eq(&reference));
-    }
-
-    #[test]
-    fn resilient_execute_retries_transient_faults_and_charges_sim_time() {
-        use tvmnp_hwsim::{FaultPlan, RetryPolicy};
-        let (f, input) = small_net();
-        let g = convert_function(&f).unwrap();
-        let net = CompiledNetwork::compile(g, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
-        let (clean, base_us) = net.execute(std::slice::from_ref(&input)).unwrap();
-        let injector = FaultInjector::new(
-            FaultPlan::seeded(7).transient_dispatch(tvmnp_hwsim::DeviceKind::Cpu, 2),
-        );
-        let (outs, faulted_us) = net
-            .execute_resilient(&[&input], &injector, &RetryPolicy::default(), f64::INFINITY)
-            .unwrap();
-        assert!(outs[0].bit_eq(&clean[0]), "faults must not change numerics");
-        assert!(
-            faulted_us > base_us,
-            "retries must cost simulated time ({faulted_us} vs {base_us})"
-        );
-        assert!(injector.faults_injected() >= 1);
-    }
-
-    #[test]
-    fn resilient_execute_surfaces_fatal_fault_and_deadline() {
-        use tvmnp_hwsim::{DeviceKind, FaultPlan, RetryPolicy};
-        let (f, input) = small_net();
-        let g = convert_function(&f).unwrap();
-        let net = CompiledNetwork::compile(g, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
-        let lost = FaultInjector::new(FaultPlan::seeded(1).device_lost(DeviceKind::Cpu));
-        let err = net
-            .execute_resilient(&[&input], &lost, &RetryPolicy::default(), f64::INFINITY)
-            .unwrap_err();
-        assert!(
-            matches!(err, NeuronError::DeviceFault { ref device, .. } if device == "cpu"),
-            "{err}"
-        );
-        let none = FaultInjector::inactive();
-        let err = net
-            .execute_resilient(&[&input], &none, &RetryPolicy::default(), 0.001)
-            .unwrap_err();
-        assert!(matches!(err, NeuronError::DeadlineExceeded { .. }), "{err}");
     }
 
     #[test]

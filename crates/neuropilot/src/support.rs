@@ -12,57 +12,19 @@
 //!   what makes the CPU+APU permutations interesting (paper §5.1).
 
 use crate::nir::NeuronOpKind;
-use std::collections::HashSet;
-use std::sync::OnceLock;
 use tvmnp_hwsim::DeviceKind;
 use tvmnp_relay::passes::CompilerSupport;
 use tvmnp_relay::{OpKind, Type};
 
-/// Relay op names the Neuron compiler can convert (keys of the
-/// op-handler dictionary in [`crate::convert`]).
-pub const NEURON_RELAY_OPS: &[&str] = &[
-    "nn.conv2d",
-    "nn.dense",
-    "nn.bias_add",
-    "nn.relu",
-    "nn.leaky_relu",
-    "clip",
-    "sigmoid",
-    "tanh",
-    "nn.max_pool2d",
-    "nn.avg_pool2d",
-    "nn.global_avg_pool2d",
-    "nn.softmax",
-    "add",
-    "multiply",
-    "maximum",
-    "reshape",
-    "transpose",
-    "concatenate",
-    "nn.pad",
-    "nn.batch_flatten",
-    "qnn.quantize",
-    "qnn.dequantize",
-    "qnn.requantize",
-    "qnn.conv2d",
-    "qnn.dense",
-    "qnn.add",
-    "qnn.concatenate",
-];
-
-fn neuron_set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| NEURON_RELAY_OPS.iter().copied().collect())
-}
-
-/// Whether NeuroPilot can take this Relay op at all.
+/// Whether NeuroPilot can take this Relay op at all: whether the
+/// converter's op-handler dictionary has an entry for it.
 ///
 /// Notable gaps (all of which appear in the paper's model set and produce
 /// its missing bars): unfused `nn.batch_norm` (vendor compilers expect BN
 /// folded at export), `exp`/`mean`/`image.resize2d` (detection post-
 /// processing), `strided_slice`, `nn.log_softmax`.
 pub fn neuron_supported(op_name: &str) -> bool {
-    neuron_set().contains(op_name)
+    crate::convert::has_op_handler(op_name)
 }
 
 /// Which Neuron opcodes each device can execute.

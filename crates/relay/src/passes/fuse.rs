@@ -57,56 +57,41 @@ pub fn fuse_analysis(root: &Expr) -> Vec<FusionGroup> {
     let _span = tvmnp_telemetry::span!("relay.pass", "pass" => "fuse_analysis");
     let order = topo_order(root);
     let cons = consumers(root);
-    // node id -> group index
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
+    // Node id -> group index, for the members of groups a follower may
+    // join. Whether a group's anchor is compute-heavy is decided here, once,
+    // when the group opens: the other groups' members are never looked up.
+    let mut absorbing: HashMap<usize, usize> = HashMap::new();
     let mut groups: Vec<FusionGroup> = Vec::new();
 
     for e in &order {
         let ExprKind::Call(c) = &e.kind else { continue };
+        // Calls to globals (already-partitioned externals) dispatch once.
         let op = match &c.target {
-            crate::expr::CallTarget::Op(op) => op,
-            // Calls to globals (already-partitioned externals) dispatch once.
-            crate::expr::CallTarget::Global(_) => {
-                let gi = groups.len();
-                groups.push(FusionGroup {
-                    anchor: e.id,
-                    members: vec![e.id],
-                });
-                group_of.insert(e.id, gi);
-                continue;
-            }
+            crate::expr::CallTarget::Op(op) => Some(op),
+            crate::expr::CallTarget::Global(_) => None,
         };
 
-        // Try to join the producer's group.
-        let mut joined = None;
-        if is_fusable_follower(op) {
-            for a in &c.args {
-                if let Some(&gi) = group_of.get(&a.id) {
-                    let producer_consumers = cons.get(&a.id).map(|v| v.len()).unwrap_or(0);
-                    let anchor_op = order
-                        .iter()
-                        .find(|n| n.id == groups[gi].anchor)
-                        .and_then(|n| n.op().cloned());
-                    let anchor_ok = anchor_op.map(|o| is_anchor(&o)).unwrap_or(false);
-                    if producer_consumers == 1 && anchor_ok {
-                        joined = Some(gi);
-                        break;
-                    }
-                }
-            }
-        }
+        // Try to join the group of a producer this is the only consumer of.
+        let joined = if op.is_some_and(is_fusable_follower) {
+            (c.args.iter())
+                .filter(|a| cons.get(&a.id).is_some_and(|v| v.len() == 1))
+                .find_map(|a| absorbing.get(&a.id).copied())
+        } else {
+            None
+        };
         match joined {
             Some(gi) => {
                 groups[gi].members.push(e.id);
-                group_of.insert(e.id, gi);
+                absorbing.insert(e.id, gi);
             }
             None => {
-                let gi = groups.len();
+                if op.is_some_and(is_anchor) {
+                    absorbing.insert(e.id, groups.len());
+                }
                 groups.push(FusionGroup {
                     anchor: e.id,
                     members: vec![e.id],
                 });
-                group_of.insert(e.id, gi);
             }
         }
     }

@@ -222,11 +222,12 @@ fn record_node(
     tvmnp_telemetry::counter_add("executor.nodes", &[("device", device)], 1);
 }
 
-/// Fault-handling knobs for one executor run (see
-/// [`GraphExecutor::run_with`]).
+/// Fault-handling knobs for one run of a compiled model (see
+/// [`GraphExecutor::run_with`]). The default is a clean run: the empty
+/// fault plan, the default retry policy, no deadline.
 pub struct RunOptions<'a> {
-    /// Fault source consulted at every device dispatch (`None` = clean
-    /// run, identical to [`GraphExecutor::run`]).
+    /// Fault source consulted at every device dispatch (`None` = the
+    /// empty plan).
     pub injector: Option<&'a FaultInjector>,
     /// Retry/backoff policy for transient dispatch faults.
     pub retry: RetryPolicy,
@@ -245,58 +246,83 @@ impl Default for RunOptions<'_> {
     }
 }
 
-/// Run the dispatch-retry loop at one dispatch point: consult the
-/// injector, charging `wasted_us` of simulated time per failed attempt
-/// (the aborted dispatch) plus the policy backoff, emitting a
-/// `resilience.retry` span and counter per recovered failure and
-/// forwarding every consumed fault to the installed event sink (flight
-/// recorder). Returns the attempts consumed, or `Err((attempts, cause))`
-/// when a fatal fault or retry exhaustion ends the run.
-fn dispatch_with_retry(
-    injector: &FaultInjector,
-    retry: &RetryPolicy,
-    device: DeviceKind,
-    wasted_us: f64,
-    time_us: &mut f64,
-) -> Result<u32, (u32, String)> {
-    let mut attempt = 1u32;
-    while let Some(fault) = injector.on_dispatch(device, attempt) {
-        // Truly fatal, or out of retries: either way this point gives up.
-        let fatal = fault.fatal || !retry.allows_retry(attempt);
-        if tvmnp_telemetry::sink_active() {
-            tvmnp_telemetry::emit_event(
-                "fault.injected",
+impl RunOptions<'_> {
+    /// The dispatch-retry loop, and the only consumer of
+    /// [`FaultInjector::on_dispatch`]: whichever runtime dispatches — the
+    /// executor per fusion group and external call, an NP-only run per
+    /// planned segment — calls this at the dispatch point, never the module
+    /// being dispatched to. Each failed attempt charges `wasted_us` (the
+    /// aborted dispatch) plus the policy backoff to `time_us`, records a
+    /// `resilience.retry` span and counter, and every consumed fault goes
+    /// to the installed event sink (flight recorder). A fatal fault or an
+    /// exhausted retry budget is an [`ExecErrorKind::DeviceFault`] error
+    /// with device, attempt and cause filled. No injector, no fault.
+    pub fn dispatch(
+        &self,
+        device: DeviceKind,
+        wasted_us: f64,
+        time_us: &mut f64,
+    ) -> Result<(), ExecError> {
+        let Some(injector) = self.injector else {
+            return Ok(());
+        };
+        let mut attempt = 1u32;
+        while let Some(fault) = injector.on_dispatch(device, attempt) {
+            // Truly fatal, or out of retries: either way this point gives up.
+            let fatal = fault.fatal || !self.retry.allows_retry(attempt);
+            if tvmnp_telemetry::sink_active() {
+                tvmnp_telemetry::emit_event(
+                    "fault.injected",
+                    vec![
+                        ("stage", "dispatch".into()),
+                        ("device", device.name().into()),
+                        ("attempt", attempt.into()),
+                        // Free text goes under `detail`, which the stats sink
+                        // does not index — `cause` is reserved for bounded
+                        // vocabularies so counter cardinality stays finite.
+                        ("detail", fault.description.clone().into()),
+                        ("fatal", Field::Bool(fatal)),
+                    ],
+                );
+            }
+            if fatal {
+                return Err(
+                    ExecError::new(format!("device fault: {}", fault.description))
+                        .with_device(device.name())
+                        .with_attempt(attempt)
+                        .with_kind(ExecErrorKind::DeviceFault)
+                        .with_cause(fault.description),
+                );
+            }
+            let cost = wasted_us + self.retry.backoff_us(attempt);
+            tvmnp_telemetry::record_sim_span(
+                "resilience.retry",
+                *time_us,
+                cost,
                 vec![
-                    ("stage", "dispatch".into()),
                     ("device", device.name().into()),
                     ("attempt", attempt.into()),
-                    // Free text goes under `detail`, which the stats sink
-                    // does not index — `cause` is reserved for bounded
-                    // vocabularies so counter cardinality stays finite.
-                    ("detail", fault.description.clone().into()),
-                    ("fatal", Field::Bool(fatal)),
+                    ("cause", fault.description.into()),
                 ],
             );
+            tvmnp_telemetry::counter_add("resilience.retries", &[("device", device.name())], 1);
+            *time_us += cost;
+            attempt += 1;
         }
-        if fatal {
-            return Err((attempt, fault.description));
-        }
-        let cost = wasted_us + retry.backoff_us(attempt);
-        tvmnp_telemetry::record_sim_span(
-            "resilience.retry",
-            *time_us,
-            cost,
-            vec![
-                ("device", device.name().into()),
-                ("attempt", attempt.into()),
-                ("cause", fault.description.into()),
-            ],
-        );
-        tvmnp_telemetry::counter_add("resilience.retries", &[("device", device.name())], 1);
-        *time_us += cost;
-        attempt += 1;
+        Ok(())
     }
-    Ok(attempt)
+
+    /// An [`ExecErrorKind::Deadline`] error once `time_us` is past the budget.
+    pub fn check_deadline(&self, time_us: f64) -> Result<(), ExecError> {
+        if time_us <= self.deadline_us {
+            return Ok(());
+        }
+        Err(ExecError::new(format!(
+            "deadline exceeded: {time_us:.1} us past a {:.1} us budget",
+            self.deadline_us
+        ))
+        .with_kind(ExecErrorKind::Deadline))
+    }
 }
 
 /// Where a step finds one of its operands.
@@ -607,22 +633,14 @@ impl GraphExecutor {
                     unreachable!("steps are op and external nodes")
                 }
             };
-            let err_here = |msg: String| {
-                ExecError::new(msg)
-                    .with_node(format!("node#{idx}"))
-                    .with_op(name)
-                    .with_device(device.name())
-            };
+            let at_node = |e: ExecError| e.with_node(format!("node#{idx}"));
+            let err_here =
+                |msg: String| at_node(ExecError::new(msg).with_op(name).with_device(device.name()));
             let (before, after) = entries.split_at(staged);
             ledger::charge(&mut time_us, before);
-            if let (Some(injector), Some(wasted_us)) = (opts.injector, wasted_us) {
-                dispatch_with_retry(injector, &opts.retry, device, wasted_us, &mut time_us)
-                    .map_err(|(attempt, cause)| {
-                        err_here(format!("device fault: {cause}"))
-                            .with_attempt(attempt)
-                            .with_kind(ExecErrorKind::DeviceFault)
-                            .with_cause(cause)
-                    })?;
+            if let Some(wasted_us) = wasted_us {
+                opts.dispatch(device, wasted_us, &mut time_us)
+                    .map_err(|e| at_node(e.with_op(name)))?;
             }
             {
                 let args: Vec<&Tensor> = plan.operands[step.operands.clone()]
@@ -687,14 +705,7 @@ impl GraphExecutor {
                     at_us += entry.us;
                 }
             }
-            if time_us > opts.deadline_us {
-                return Err(ExecError::new(format!(
-                    "deadline exceeded: {time_us:.1} us past a {:.1} us budget",
-                    opts.deadline_us
-                ))
-                .with_node(format!("node#{idx}"))
-                .with_kind(ExecErrorKind::Deadline));
-            }
+            opts.check_deadline(time_us).map_err(at_node)?;
             for (out, &slot) in outs.drain(..).zip(plan.memory.slots_of(idx)) {
                 slots[slot] = Some(out);
             }

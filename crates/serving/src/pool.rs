@@ -52,7 +52,7 @@ impl SessionPool {
         cost: &CostModel,
         cache: Arc<ArtifactCache>,
     ) -> Self {
-        Self::build(seed, rotation, cost, cache, None)
+        Self::new_with_faults(seed, rotation, cost, cache, ShowcaseFaults::default())
     }
 
     /// Like [`SessionPool::new`], with every session's model dispatches
@@ -64,27 +64,17 @@ impl SessionPool {
         cache: Arc<ArtifactCache>,
         faults: ShowcaseFaults,
     ) -> Self {
-        Self::build(seed, rotation, cost, cache, Some(faults))
-    }
-
-    fn build(
-        seed: u64,
-        rotation: &[ShowcaseAssignment],
-        cost: &CostModel,
-        cache: Arc<ArtifactCache>,
-        faults: Option<ShowcaseFaults>,
-    ) -> Self {
         assert!(!rotation.is_empty(), "a pool needs at least one session");
         let locks = ResourceLocks::new();
         let sessions = rotation
             .iter()
             .map(|a| {
-                let session =
-                    Showcase::new_cached(seed, *a, cost, &cache).with_locks(locks.clone());
-                Arc::new(match &faults {
-                    Some(f) => session.with_faults(f.clone()),
-                    None => session,
-                })
+                let session = Showcase::new_cached(seed, *a, cost, &cache);
+                Arc::new(
+                    session
+                        .with_locks(locks.clone())
+                        .with_faults(faults.clone()),
+                )
             })
             .collect();
         SessionPool {

@@ -19,6 +19,7 @@ use tvmnp_models::emotion::{emotion_model, EMOTIONS};
 use tvmnp_models::object_detection::{mobilenet_ssd_model, ssd_input_quant};
 use tvmnp_models::Model;
 use tvmnp_neuropilot::TargetPolicy;
+use tvmnp_runtime::RunOptions;
 use tvmnp_scheduler::threaded::{run_window, ResourceLocks};
 use tvmnp_tensor::{DType, Tensor};
 
@@ -202,9 +203,9 @@ impl FrameResult {
 }
 
 /// Fault wiring for a serving showcase: every model run consults the
-/// injector and retries transient dispatch faults per `retry`. Numerics
-/// are unchanged — only simulated time absorbs the backoff.
-#[derive(Clone)]
+/// injector and retries transient dispatch faults per `retry` (numerics
+/// unchanged, simulated time absorbs the backoff). Default: the empty plan.
+#[derive(Clone, Default)]
 pub struct ShowcaseFaults {
     /// Shared fault source (shared so fault history spans all stages).
     pub injector: Arc<tvmnp_hwsim::FaultInjector>,
@@ -224,9 +225,9 @@ impl CompiledStage {
     /// devices are held through the showcase's lock table for the whole
     /// run — devices first, then the model mutex, so two frames never
     /// wait on each other in opposite orders — and the run dispatches
-    /// through the injector when faults are wired. `Err(reason)` when the
-    /// run failed or the total passed `budget_us`: a failure is an
-    /// overrun with a different reason.
+    /// through the showcase's fault plan. `Err(reason)` when the run
+    /// failed or the total passed `budget_us`: a failure is an overrun
+    /// with a different reason.
     fn run_model(
         &self,
         showcase: &Showcase,
@@ -236,13 +237,13 @@ impl CompiledStage {
     ) -> Result<Vec<Tensor>, String> {
         let inputs = self.model.inputs_from(input);
         let locks = showcase.locks.get_or_init(ResourceLocks::new);
-        let run = locks.with_resources(resources_of(self.mode), || match &showcase.faults {
-            Some(f) => {
-                self.compiled
-                    .lock()
-                    .run_resilient(&inputs, &f.injector, &f.retry, f64::INFINITY)
-            }
-            None => self.compiled.lock().run(&inputs),
+        let opts = RunOptions {
+            injector: Some(&showcase.faults.injector),
+            retry: showcase.faults.retry,
+            ..RunOptions::default()
+        };
+        let run = locks.with_resources(resources_of(self.mode), || {
+            self.compiled.lock().run_with(&inputs, &opts)
         });
         let (outputs, us) = run.map_err(|e| format!("run failed: {e}"))?;
         *spent_us += us;
@@ -284,9 +285,9 @@ pub struct Showcase {
     /// [`Showcase::with_locks`] set one, otherwise this showcase's own,
     /// made on first use.
     locks: OnceLock<ResourceLocks>,
-    /// Fault wiring: when set, model runs dispatch through the injector
-    /// with retries (numerics unchanged, simulated time absorbs backoff).
-    faults: Option<ShowcaseFaults>,
+    /// Fault wiring: model runs dispatch through its injector with
+    /// retries (numerics unchanged, simulated time absorbs backoff).
+    faults: ShowcaseFaults,
 }
 
 fn compile(
@@ -295,16 +296,14 @@ fn compile(
     cost: &CostModel,
     cache: Option<&ArtifactCache>,
 ) -> CompiledStage {
-    let compiled = match cache {
-        Some(cache) => cache
-            .get_or_build(&model.module, mode, cost, &quant_label(&model))
-            .unwrap_or_else(|e| panic!("{} fails to build for {mode}: {e}", model.name)),
-        None => relay_build(&model.module, mode, cost.clone())
-            .unwrap_or_else(|e| panic!("{} fails to build for {mode}: {e}", model.name)),
+    let built = match cache {
+        Some(cache) => cache.get_or_build(&model.module, mode, cost, &quant_label(&model)),
+        None => relay_build(&model.module, mode, cost.clone()),
     };
+    let built = built.unwrap_or_else(|e| panic!("{} fails to build for {mode}: {e}", model.name));
     CompiledStage {
         model,
-        compiled: Mutex::new(compiled),
+        compiled: Mutex::new(built),
         mode,
     }
 }
@@ -361,7 +360,7 @@ impl Showcase {
             emotion,
             liveness_threshold,
             locks: OnceLock::new(),
-            faults: None,
+            faults: ShowcaseFaults::default(),
         }
     }
 
@@ -380,7 +379,7 @@ impl Showcase {
     /// time); exhausted retries drop the stage for that frame
     /// ([`DroppedStage`]), exactly as a deadline overrun does.
     pub fn with_faults(mut self, faults: ShowcaseFaults) -> Self {
-        self.faults = Some(faults);
+        self.faults = faults;
         self
     }
 

@@ -70,6 +70,24 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
     fi
 done
 
+# And faults strike at one layer (DESIGN.md "Faults: one layer"): the
+# runtime that dispatches consults the injector, through
+# `RunOptions::dispatch` in runtime/src/executor.rs, so a second retry
+# loop cannot grow back beside it — least of all in the Neuron runtime,
+# which only computes and must not know fault injection exists.
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    case "$f" in crates/hwsim/src/fault.rs | crates/runtime/src/executor.rs) continue ;; esac
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -F 'on_dispatch('; then
+        echo "one-fault-path gate: $f consults the injector at dispatch (only runtime/src/executor.rs may)" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'FaultInjector|RetryPolicy' crates/neuropilot/src; then
+    echo "one-fault-path gate: crates/neuropilot/src names the fault injector or the retry policy" >&2
+    exit 1
+fi
+
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use serde::Deserialize;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use tvm_neuropilot::byoc::build::relay_build_with_artifact;
+use tvm_neuropilot::byoc::build::{compile, relay_build_with_artifact};
 use tvm_neuropilot::byoc::{
     relay_build, ArtifactCache, BuildError, CompiledModel, NeuronModule, Permutation, TargetMode,
 };
@@ -252,21 +252,6 @@ fn resident_bytes_is_the_weight_bytes_of_the_entries() {
     assert!(want > 0);
 }
 
-/// Neuron tensor names embed Relay expression ids, which differ between
-/// two builds of one module; everything else in an export is stable.
-fn without_expr_ids(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    while let Some(at) = rest.find("\"name\":\"") {
-        let (head, tail) = rest.split_at(at + "\"name\":\"".len());
-        out.push_str(head);
-        let end = tail.find('"').expect("names are closed");
-        out.push_str(tail[..end].trim_end_matches(|c: char| c.is_ascii_digit()));
-        rest = &tail[end..];
-    }
-    out + rest
-}
-
 /// `relay_build_with_artifact` hands back exactly what `Artifact::export`
 /// over the graph and its linked modules produces (the file schema of
 /// §4.5 did not move when the cache stopped holding artifacts).
@@ -295,8 +280,16 @@ fn the_built_artifact_is_the_export_of_the_linked_modules() {
         let by_hand = serde_json::to_string(&Artifact::export(&graph, &refs)).unwrap();
 
         assert!(
-            without_expr_ids(&built) == without_expr_ids(&by_hand),
+            built == by_hand,
             "{}: built artifact differs from the hand export",
+            model.name
+        );
+        // An export is a pure function of the model: a second compile in
+        // the same process, with other expression ids, gives the same bytes.
+        let again = compile(&model.module, TargetMode::Byoc(policy)).unwrap();
+        assert!(
+            serde_json::to_string(&again.artifact().unwrap()).unwrap() == built,
+            "{}: two compiles of one model export different bytes",
             model.name
         );
 

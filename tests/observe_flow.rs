@@ -16,7 +16,7 @@ use tvm_neuropilot::observe::{
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::report::MetricStats;
 use tvm_neuropilot::serving::{trace_id_for, PIPELINE};
-use tvm_neuropilot::telemetry::{self, trace::SpanIds, Record, TimeDomain};
+use tvm_neuropilot::telemetry::{self, trace::SpanIds, Field, Record, TimeDomain};
 use tvm_neuropilot::vision::{FrameResult, ShowcaseFaults};
 
 static TESTS: Mutex<()> = Mutex::new(());
@@ -481,11 +481,14 @@ fn pinned_fields(record: &Record, rendered: &[(&'static str, String)], base: u64
     text.join(",")
 }
 
-/// Byte-level pin of what one observed run records. The three digests
-/// were captured on the commit before the typed record replaced string
-/// pairs (PR 17's parent), with this test's body and a string-pair
-/// `pinned_fields`: every simulated-clock span, the plane's stats
-/// snapshot, and the flight window must render to exactly the same text.
+/// Byte-level pin of what one observed run records: every simulated-clock
+/// span, the plane's stats snapshot, and the flight window must render to
+/// exactly the same text. The sim-span digest was captured on the commit
+/// before the typed record replaced string pairs (PR 17's parent), with
+/// this test's body and a string-pair `pinned_fields`. The stats and flight
+/// digests were re-pinned when the NP-only emotion stage began announcing
+/// its dispatch faults: two `fault.injected` events more (window 188 → 190),
+/// one per `resilience.retry` span that stage records.
 #[test]
 fn observed_artifacts_are_pinned() {
     let _guard = TESTS.lock().unwrap();
@@ -524,7 +527,8 @@ fn observed_artifacts_are_pinned() {
     telemetry::set_detail(false);
     telemetry::disable();
 
-    let spans: Vec<String> = telemetry::snapshot()
+    let snap = telemetry::snapshot();
+    let spans: Vec<String> = snap
         .sim_spans()
         .map(|(e, interval)| {
             let rendered: Vec<_> = e.fields.iter().map(|(k, v)| (*k, v.to_string())).collect();
@@ -538,9 +542,8 @@ fn observed_artifacts_are_pinned() {
         })
         .collect();
     let stats = plane.snapshot();
-    let window: Vec<String> = plane
-        .flight
-        .window()
+    let flight_window = plane.flight.window();
+    let window: Vec<String> = flight_window
         .iter()
         // Wall-clock span ends carry a host-time duration.
         .filter(|(_, e)| e.interval.is_none_or(|i| i.clock == TimeDomain::Sim))
@@ -550,14 +553,31 @@ fn observed_artifacts_are_pinned() {
         })
         .collect();
 
+    // Every consumed dispatch fault is announced exactly once, whichever
+    // runtime dispatched it (the emotion stage is NP-only, the others run
+    // under the graph executor): per device, `fault.injected` events =
+    // retries + faults that ended a run.
+    for device in ["cpu", "gpu", "apu"] {
+        let at_device = |e: &&Record| e.str("device") == Some(device);
+        let injected: Vec<&Record> = (flight_window.iter().map(|(_, e)| e))
+            .filter(|e| e.name == "fault.injected" && e.str("stage") == Some("dispatch"))
+            .filter(at_device)
+            .collect();
+        let fatal = injected
+            .iter()
+            .filter(|e| e.get("fatal") == Some(&Field::Bool(true)));
+        let retries = snap.spans_named("resilience.retry").filter(at_device);
+        assert_eq!(injected.len(), retries.count() + fatal.count(), "{device}");
+    }
+
     assert_eq!(stats.counter("slo.breach", &[("pipeline", PIPELINE)]), 5);
     assert!(stats.counter_total("fault.injected") >= 1);
-    assert_eq!((spans.len(), window.len()), (2528, 188));
+    assert_eq!((spans.len(), window.len()), (2528, 190));
     assert_eq!(fnv1a(&spans.join("\n")), 0x7984_31d0_919e_eaa8, "sim spans");
     assert_eq!(
         fnv1a(&stats.to_json().to_string()),
-        0xfa43_2f43_2e4b_89bb,
+        0xd298_dc43_782d_bf5d,
         "stats snapshot"
     );
-    assert_eq!(fnv1a(&window.join("\n")), 0xc052_adfc_3892_fdbc, "flight");
+    assert_eq!(fnv1a(&window.join("\n")), 0x90af_fd01_5292_4f64, "flight");
 }

@@ -10,8 +10,13 @@
 //! 3. the same [`FaultPlan`] seed reproduces the same outcome, byte for
 //!    byte.
 
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
+use tvm_neuropilot::byoc::BuildError;
 use tvm_neuropilot::models::emotion;
 use tvm_neuropilot::prelude::*;
+use tvm_neuropilot::runtime::{ExecErrorKind, RunOptions};
+use tvm_neuropilot::telemetry::{self, EventSink, Field, Record};
 
 fn policy_with_breaker(threshold: u64) -> ResiliencePolicy {
     ResiliencePolicy {
@@ -132,4 +137,69 @@ fn same_fault_seed_reproduces_the_same_outcome() {
     for (x, y) in a.outputs.iter().zip(&b.outputs) {
         assert!(x.bit_eq(y));
     }
+}
+
+/// Keeps the records emitted on the thread that made it: the sink is
+/// process-global and the other tests of this binary inject faults too.
+struct ThisThreadSink {
+    thread: ThreadId,
+    seen: Mutex<Vec<Record>>,
+}
+
+impl EventSink for ThisThreadSink {
+    fn record(&self, record: &Record) {
+        if thread::current().id() == self.thread {
+            self.seen.lock().unwrap().push(record.clone());
+        }
+    }
+}
+
+/// An NP-only model has no graph executor under it, yet its dispatch
+/// faults are announced like everyone else's: one `fault.injected` event
+/// per consumed fault, and a lost device fails the run with the executor's
+/// typed error.
+#[test]
+fn np_only_dispatch_faults_reach_the_event_sink() {
+    let model = emotion::emotion_model(41);
+    let inputs = model.sample_inputs(9);
+    let mode = TargetMode::NeuroPilotOnly(TargetPolicy::ApuPrefer);
+    let mut compiled = relay_build(&model.module, mode, CostModel::default()).expect("NP build");
+    let sink = Arc::new(ThisThreadSink {
+        thread: thread::current().id(),
+        seen: Mutex::new(Vec::new()),
+    });
+    telemetry::set_event_sink(sink.clone());
+    let mut run_under = |plan: FaultPlan| {
+        let injector = FaultInjector::new(plan);
+        let opts = RunOptions {
+            injector: Some(&injector),
+            ..RunOptions::default()
+        };
+        let ran = compiled.run_with(&inputs, &opts);
+        let events: Vec<Record> = sink.seen.lock().unwrap().drain(..).collect();
+        for e in &events {
+            assert_eq!(e.name, "fault.injected");
+            assert_eq!(e.str("stage"), Some("dispatch"));
+            assert_eq!(e.str("device"), Some("apu"));
+        }
+        (ran, events, injector.faults_injected())
+    };
+
+    let (ran, events, faults) =
+        run_under(FaultPlan::seeded(7).transient_dispatch(DeviceKind::Apu, 2));
+    ran.expect("retries absorb transient faults");
+    assert!(faults >= 1, "seeded transient plan must actually fire");
+    assert_eq!(events.len() as u64, faults, "one event per retry");
+    assert!(events
+        .iter()
+        .all(|e| e.get("fatal") == Some(&Field::Bool(false))));
+
+    let (ran, events, _) = run_under(FaultPlan::seeded(7).device_lost(DeviceKind::Apu));
+    telemetry::clear_event_sink();
+    let Err(BuildError::Exec(err)) = ran else {
+        panic!("a lost APU must fail the run with a typed executor error");
+    };
+    assert_eq!(err.kind(), ExecErrorKind::DeviceFault);
+    assert_eq!(events.len(), 1, "a fatal fault is announced exactly once");
+    assert_eq!(events[0].get("fatal"), Some(&Field::Bool(true)));
 }
