@@ -210,15 +210,6 @@ impl CompiledModel {
         }
     }
 
-    /// The partition report (`None` for NP-only modes, which never
-    /// partition).
-    pub fn partition_report(&self) -> Option<&PartitionReport> {
-        match self {
-            CompiledModel::Tvm { report, .. } => Some(report),
-            CompiledModel::Neuron { .. } => None,
-        }
-    }
-
     /// Number of external subgraphs (0 for TVM-only and NP-only modes).
     pub fn num_subgraphs(&self) -> usize {
         match self {

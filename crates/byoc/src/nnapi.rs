@@ -17,11 +17,9 @@
 
 use crate::build::{input_names_of, BuildError, CompiledModel};
 use crate::codegen::NeuronModule;
-use std::collections::HashSet;
-use std::sync::OnceLock;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::CostModel;
-use tvmnp_neuropilot::TargetPolicy;
+use tvmnp_neuropilot::{neuron_supported, TargetPolicy};
 use tvmnp_relay::expr::Module;
 use tvmnp_relay::passes::{
     fold_constants, partition_graph, simplify, CompilerSupport, PartitionReport,
@@ -35,42 +33,14 @@ use tvmnp_tensor::Tensor;
 /// (scaled with the rest of the overhead model; see DESIGN.md).
 pub const NNAPI_HAL_OVERHEAD_US: f64 = 40.0;
 
-/// Relay ops the NNAPI C API can express (a strict subset of the Neuron
-/// handler dictionary).
-pub const NNAPI_RELAY_OPS: &[&str] = &[
-    "nn.conv2d",
-    "nn.dense",
-    "nn.bias_add",
-    "nn.relu",
-    "clip",
-    "sigmoid",
-    "tanh",
-    "nn.max_pool2d",
-    "nn.avg_pool2d",
-    "nn.global_avg_pool2d",
-    "nn.softmax",
-    "add",
-    "multiply",
-    "reshape",
-    "concatenate",
-    "nn.batch_flatten",
-    "qnn.quantize",
-    "qnn.dequantize",
-    "qnn.requantize",
-    "qnn.conv2d",
-    "qnn.dense",
-    "qnn.add",
-    "qnn.concatenate",
-];
+/// Relay ops Neuron IR converts but the NNAPI C API cannot express.
+pub const NNAPI_GAPS: &[&str] = &["nn.leaky_relu", "maximum", "nn.pad", "transpose"];
 
-fn nnapi_set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| NNAPI_RELAY_OPS.iter().copied().collect())
-}
-
-/// Whether the NNAPI flow can take this Relay op.
-pub fn nnapi_supported(op_name: &str) -> bool {
-    nnapi_set().contains(op_name)
+/// Whether the NNAPI flow can take this Relay op: NNAPI drives the same
+/// compiled network underneath, so its surface is NeuroPilot's
+/// ([`neuron_supported`]) less [`NNAPI_GAPS`].
+pub fn nnapi_supported(op: &OpKind) -> bool {
+    neuron_supported(op) && !NNAPI_GAPS.contains(&op.name())
 }
 
 /// The `CompilerSupport` oracle of the NNAPI flow.
@@ -82,7 +52,7 @@ impl CompilerSupport for NnapiSupport {
     }
 
     fn supported(&self, op: &OpKind, _arg_types: &[&Type]) -> bool {
-        nnapi_supported(op.name())
+        nnapi_supported(op)
     }
 }
 
@@ -212,16 +182,24 @@ mod tests {
 
     #[test]
     fn nnapi_surface_is_a_strict_subset_of_neuron() {
-        for op in NNAPI_RELAY_OPS {
-            assert!(
-                tvmnp_neuropilot::support::neuron_supported(op),
-                "{op} in NNAPI but not Neuron?"
-            );
-        }
+        use tvmnp_relay::{LeakyReluAttrs, PadAttrs, TransposeAttrs};
+        assert!(nnapi_supported(&OpKind::Relu));
         // The gaps that motivated the NeuroPilot-direct flow.
-        for op in ["nn.leaky_relu", "maximum", "nn.pad", "transpose"] {
-            assert!(tvmnp_neuropilot::support::neuron_supported(op));
-            assert!(!nnapi_supported(op), "{op} should be an NNAPI gap");
+        for op in [
+            OpKind::LeakyRelu(LeakyReluAttrs { alpha: 0.1 }),
+            OpKind::Maximum,
+            OpKind::Pad(PadAttrs {
+                pads: vec![(0, 0)],
+                value: 0.0,
+            }),
+            OpKind::Transpose(TransposeAttrs { axes: vec![0] }),
+        ] {
+            assert!(neuron_supported(&op));
+            assert!(
+                !nnapi_supported(&op),
+                "{} should be an NNAPI gap",
+                op.name()
+            );
         }
     }
 

@@ -14,9 +14,9 @@ use std::fmt;
 use tvmnp_byoc::build::{relay_build, BuildError};
 use tvmnp_byoc::permutations::Permutation;
 use tvmnp_hwsim::CostModel;
-use tvmnp_relay::expr::{CallTarget, ExprKind, Module};
+use tvmnp_neuropilot::support::first_unsupported;
+use tvmnp_relay::expr::Module;
 use tvmnp_relay::interp::run_module;
-use tvmnp_relay::visit::post_order;
 
 /// Why a case failed. The discriminating [`CaseFailure::kind`] string is
 /// what the shrinker preserves while minimizing.
@@ -99,17 +99,7 @@ pub struct CaseOutcome {
 /// Whether `main` contains a primitive call outside the NeuroPilot
 /// support matrix (the justification for an NP-only `Unsupported` skip).
 pub fn has_unsupported_op(module: &Module) -> bool {
-    let mut found = false;
-    post_order(&module.main().body, |e| {
-        if let ExprKind::Call(c) = &e.kind {
-            if let CallTarget::Op(op) = &c.target {
-                if !tvmnp_neuropilot::neuron_supported(op.name()) {
-                    found = true;
-                }
-            }
-        }
-    });
-    found
+    first_unsupported(module.main()).is_some()
 }
 
 /// Check one spec: golden-run it, execute all seven permutations against

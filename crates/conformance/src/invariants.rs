@@ -22,7 +22,8 @@ use crate::differential::CaseFailure;
 use crate::generator::{build_case, BuiltCase, GraphSpec};
 use tvmnp_byoc::build::{partition_for_nir, CompiledModel};
 use tvmnp_hwsim::DeviceKind;
-use tvmnp_neuropilot::{convert_function, neuron_supported, NeuronGraph, NeuronOpKind};
+use tvmnp_neuropilot::convert::quant_transparent;
+use tvmnp_neuropilot::{convert_function, neuron_supported, NeuronGraph};
 use tvmnp_relay::expr::{CallTarget, ExprKind, Module};
 use tvmnp_relay::interp::run_module;
 use tvmnp_relay::module_fingerprint;
@@ -55,26 +56,9 @@ fn inv(name: &str, detail: impl Into<String>) -> CaseFailure {
     }
 }
 
-/// Mirror of the converter's quantization-transparent op set — the ops a
-/// propagation bug would leave without parameters.
-fn quant_transparent(kind: &NeuronOpKind) -> bool {
-    matches!(
-        kind,
-        NeuronOpKind::MaxPool2d { .. }
-            | NeuronOpKind::AvgPool2d { .. }
-            | NeuronOpKind::GlobalAvgPool2d
-            | NeuronOpKind::Relu
-            | NeuronOpKind::Clip { .. }
-            | NeuronOpKind::Reshape { .. }
-            | NeuronOpKind::Transpose { .. }
-            | NeuronOpKind::Concat { .. }
-            | NeuronOpKind::Pad { .. }
-            | NeuronOpKind::BatchFlatten
-    )
-}
-
 /// The test-only quant-propagation bug: forget the parameters that
-/// propagation stamped onto transparent ops' outputs.
+/// propagation stamped onto the outputs of the converter's
+/// quantization-transparent ops.
 fn inject_quant_bug(graph: &mut NeuronGraph) {
     for i in 0..graph.ops.len() {
         if !quant_transparent(&graph.ops[i].kind) {
@@ -140,7 +124,7 @@ fn check_partition(built: &BuiltCase, reference: &Tensor) -> Result<(Module, usi
         post_order(&func.body, |e| {
             if let ExprKind::Call(c) = &e.kind {
                 match &c.target {
-                    CallTarget::Op(op) if !neuron_supported(op.name()) => {
+                    CallTarget::Op(op) if !neuron_supported(op) => {
                         bad_op = Some(op.name().to_string());
                     }
                     CallTarget::Global(g) => bad_op = Some(format!("nested global @{g}")),

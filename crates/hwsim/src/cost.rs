@@ -79,13 +79,6 @@ impl WorkItem {
     }
 }
 
-fn device_index(device: DeviceKind) -> usize {
-    DeviceKind::ALL
-        .iter()
-        .position(|&d| d == device)
-        .unwrap_or(0)
-}
-
 /// The analytic time model over a [`SocSpec`].
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -139,13 +132,13 @@ impl CostModel {
         factor: f64,
     ) -> Self {
         debug_assert!(factor > 0.0, "scale factor must be positive");
-        self.device_kind_scale[device_index(device)][kind.index()] *= factor;
+        self.device_kind_scale[device.index()][kind.index()] *= factor;
         self
     }
 
     /// Current (device, kind) multiplier (1.0 unless a throttle applied).
     pub fn device_kind_scale(&self, device: DeviceKind, kind: WorkKind) -> f64 {
-        self.device_kind_scale[device_index(device)][kind.index()]
+        self.device_kind_scale[device.index()][kind.index()]
     }
 
     /// The same SoC with every injected multiplier removed: the pure
@@ -175,7 +168,7 @@ impl CostModel {
     pub fn kernel_body_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
         self.analytic_body_us(w, device, class)
             * self.kind_scale[w.kind.index()]
-            * self.device_kind_scale[device_index(device)][w.kind.index()]
+            * self.device_kind_scale[device.index()][w.kind.index()]
     }
 
     /// [`CostModel::kernel_body_us`] with every injected multiplier

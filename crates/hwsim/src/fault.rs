@@ -336,13 +336,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn device_index(device: DeviceKind) -> usize {
-    DeviceKind::ALL
-        .iter()
-        .position(|&d| d == device)
-        .unwrap_or(0)
-}
-
 #[derive(Default)]
 struct DispatchState {
     /// Dispatch invocations seen so far (per device).
@@ -383,11 +376,6 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Whether any rule can fire.
-    pub fn is_active(&self) -> bool {
-        !self.plan.is_empty()
-    }
-
     fn dispatch_rule(&self, device: DeviceKind) -> Option<&FaultRule> {
         self.plan
             .rules
@@ -401,7 +389,7 @@ impl FaultInjector {
     /// per-invocation failure count is drawn at attempt 1.
     pub fn on_dispatch(&self, device: DeviceKind, attempt: u32) -> Option<Fault> {
         let rule = *self.dispatch_rule(device)?;
-        let di = device_index(device);
+        let di = device.index();
         let mut st = self.state.lock();
         match rule.kind {
             FaultKind::DeviceLost => {
@@ -461,7 +449,7 @@ impl FaultInjector {
             .find(|r| r.device == device && r.kind.site() == FaultSite::Compile)?;
         debug_assert!(matches!(rule.kind, FaultKind::CompileReject));
         let mut st = self.state.lock();
-        st.faults[device_index(device)] += 1;
+        st.faults[device.index()] += 1;
         Some(Fault {
             device,
             site: FaultSite::Compile,
@@ -477,7 +465,7 @@ impl FaultInjector {
 
     /// Faults injected on one device so far.
     pub fn faults_on(&self, device: DeviceKind) -> u64 {
-        self.state.lock().faults[device_index(device)]
+        self.state.lock().faults[device.index()]
     }
 }
 
@@ -554,7 +542,7 @@ impl CircuitBreaker {
     /// [`FaultInjector::faults_on`]); returns `true` when this report
     /// trips the breaker open (exactly once per device).
     pub fn note(&mut self, device: DeviceKind, fault_count: u64) -> bool {
-        let di = device_index(device);
+        let di = device.index();
         if !self.open[di] && fault_count >= self.threshold {
             self.open[di] = true;
             self.trips += 1;
@@ -565,7 +553,7 @@ impl CircuitBreaker {
 
     /// Whether the breaker is open for `device`.
     pub fn is_open(&self, device: DeviceKind) -> bool {
-        self.open[device_index(device)]
+        self.open[device.index()]
     }
 
     /// Devices tripped so far.

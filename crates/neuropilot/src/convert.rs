@@ -22,12 +22,17 @@
 
 use crate::error::NeuronError;
 use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind, NeuronTensor, TensorId};
+use crate::support::neuron_supported;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use tvmnp_relay::expr::{CallTarget, Expr, ExprKind, Function, Module};
 use tvmnp_relay::infer::{infer_types, TypeMap};
 use tvmnp_relay::visit::topo_order;
-use tvmnp_relay::OpKind;
+use tvmnp_relay::{
+    ClipAttrs, ConcatAttrs, Conv2dAttrs, DequantizeAttrs, LeakyReluAttrs, OpKind, PadAttrs,
+    Pool2dAttrs, QnnAddAttrs, QnnConcatAttrs, QnnConv2dAttrs, QnnDenseAttrs, QuantizeAttrs,
+    RequantizeAttrs, ReshapeAttrs, TransposeAttrs,
+};
 use tvmnp_tensor::QuantParams;
 
 /// Per-expression bookkeeping, as in paper Listing 1.
@@ -120,16 +125,16 @@ impl Ctx<'_> {
 type Handler = fn(&mut Ctx, &Expr, &OpKind) -> Result<(), NeuronError>;
 
 /// The op-handler dictionary of Listing 1: Relay op name → conversion
-/// logic. Its key set *is* the NeuroPilot support matrix
-/// ([`crate::support::neuron_supported`] asks it).
+/// logic. Its key set, less the attributes Neuron IR cannot express, is
+/// the NeuroPilot support matrix ([`neuron_supported`] asks it).
 fn op_handler_dict() -> &'static HashMap<&'static str, Handler> {
     static DICT: OnceLock<HashMap<&'static str, Handler>> = OnceLock::new();
     DICT.get_or_init(|| {
         let mut d: HashMap<&'static str, Handler> = HashMap::new();
-        d.insert("nn.conv2d", h_conv2d);
-        d.insert("qnn.conv2d", h_conv2d);
-        d.insert("nn.dense", h_dense);
-        d.insert("qnn.dense", h_dense);
+        d.insert("nn.conv2d", h_mac);
+        d.insert("qnn.conv2d", h_mac);
+        d.insert("nn.dense", h_mac);
+        d.insert("qnn.dense", h_mac);
         d.insert("nn.bias_add", h_simple);
         d.insert("nn.relu", h_simple);
         d.insert("nn.leaky_relu", h_simple);
@@ -224,6 +229,151 @@ fn neuron_kind(op: &OpKind) -> Result<NeuronOpKind, NeuronError> {
     })
 }
 
+/// Lift a Neuron op back to the Relay operator it computes — the inverse
+/// of the converter's opcode map. A quantized `Conv2d` / `FullyConnected` / `Add` /
+/// `Concat` becomes its `qnn.*` form, and every quantization parameter is
+/// read back off the operand and result tensors §3.3 stamped it on. Pools
+/// average over valid taps only (`count_include_pad: false`), the one
+/// behaviour Neuron IR expresses.
+///
+/// A graph this cannot express — an id out of range, a missing operand or
+/// result, a quantized tensor without parameters — is an error.
+pub fn relay_op(graph: &NeuronGraph, op: &NeuronOp) -> Result<OpKind, NeuronError> {
+    let name = op.kind.name();
+    let tensor = |id: &TensorId| {
+        (graph.tensors.get(*id))
+            .ok_or_else(|| NeuronError::Execution(format!("{name}: tensor {id} out of range")))
+    };
+    let operand = |i: usize| match op.inputs.get(i) {
+        Some(id) => tensor(id),
+        None => Err(NeuronError::Execution(format!("{name} misses operand {i}"))),
+    };
+    let quant = |t: &NeuronTensor| {
+        t.quant.ok_or_else(|| {
+            NeuronError::Execution(format!("tensor '{}' misses quant params", t.name))
+        })
+    };
+    let out = match op.outputs.first() {
+        Some(id) => tensor(id)?,
+        None => return Err(NeuronError::Execution(format!("{name} has no result"))),
+    };
+    let pool = |kernel, strides, padding| Pool2dAttrs {
+        kernel,
+        strides,
+        padding,
+        count_include_pad: false,
+    };
+    Ok(match &op.kind {
+        NeuronOpKind::Conv2d {
+            strides,
+            padding,
+            dilation,
+            groups,
+        } => {
+            let conv = Conv2dAttrs {
+                strides: *strides,
+                padding: *padding,
+                dilation: *dilation,
+                groups: *groups,
+            };
+            let x = operand(0)?;
+            if x.dtype.is_quantized() {
+                OpKind::QnnConv2d(QnnConv2dAttrs {
+                    conv,
+                    input_q: quant(x)?,
+                    weight_q: quant(operand(1)?)?,
+                    output_q: quant(out)?,
+                    out_dtype: out.dtype,
+                })
+            } else {
+                OpKind::Conv2d(conv)
+            }
+        }
+        NeuronOpKind::FullyConnected => {
+            let x = operand(0)?;
+            if x.dtype.is_quantized() {
+                OpKind::QnnDense(QnnDenseAttrs {
+                    input_q: quant(x)?,
+                    weight_q: quant(operand(1)?)?,
+                    output_q: quant(out)?,
+                    out_dtype: out.dtype,
+                })
+            } else {
+                OpKind::Dense
+            }
+        }
+        NeuronOpKind::BiasAdd => OpKind::BiasAdd,
+        NeuronOpKind::MaxPool2d {
+            kernel,
+            strides,
+            padding,
+        } => OpKind::MaxPool2d(pool(*kernel, *strides, *padding)),
+        NeuronOpKind::AvgPool2d {
+            kernel,
+            strides,
+            padding,
+        } => OpKind::AvgPool2d(pool(*kernel, *strides, *padding)),
+        NeuronOpKind::GlobalAvgPool2d => OpKind::GlobalAvgPool2d,
+        NeuronOpKind::Relu => OpKind::Relu,
+        NeuronOpKind::LeakyRelu { alpha } => OpKind::LeakyRelu(LeakyReluAttrs { alpha: *alpha }),
+        NeuronOpKind::Clip { min, max } => OpKind::Clip(ClipAttrs {
+            min: *min,
+            max: *max,
+        }),
+        NeuronOpKind::Sigmoid => OpKind::Sigmoid,
+        NeuronOpKind::Tanh => OpKind::Tanh,
+        NeuronOpKind::Softmax => OpKind::Softmax,
+        NeuronOpKind::Add => {
+            let a = operand(0)?;
+            if a.dtype.is_quantized() {
+                OpKind::QnnAdd(QnnAddAttrs {
+                    lhs_q: quant(a)?,
+                    rhs_q: quant(operand(1)?)?,
+                    output_q: quant(out)?,
+                    out_dtype: out.dtype,
+                })
+            } else {
+                OpKind::Add
+            }
+        }
+        NeuronOpKind::Mul => OpKind::Multiply,
+        NeuronOpKind::Max => OpKind::Maximum,
+        NeuronOpKind::Reshape { new_shape } => OpKind::Reshape(ReshapeAttrs {
+            new_shape: new_shape.clone(),
+        }),
+        NeuronOpKind::Transpose { axes } => {
+            OpKind::Transpose(TransposeAttrs { axes: axes.clone() })
+        }
+        NeuronOpKind::Concat { axis } if out.dtype.is_quantized() => {
+            OpKind::QnnConcatenate(QnnConcatAttrs {
+                axis: *axis,
+                input_qs: (0..op.inputs.len())
+                    .map(|i| quant(operand(i)?))
+                    .collect::<Result<_, _>>()?,
+                output_q: quant(out)?,
+            })
+        }
+        NeuronOpKind::Concat { axis } => OpKind::Concatenate(ConcatAttrs { axis: *axis }),
+        NeuronOpKind::Pad { pads, value } => OpKind::Pad(PadAttrs {
+            pads: pads.clone(),
+            value: *value,
+        }),
+        NeuronOpKind::BatchFlatten => OpKind::BatchFlatten,
+        NeuronOpKind::Quantize => OpKind::QnnQuantize(QuantizeAttrs {
+            out: quant(out)?,
+            out_dtype: out.dtype,
+        }),
+        NeuronOpKind::Dequantize => OpKind::QnnDequantize(DequantizeAttrs {
+            input: quant(operand(0)?)?,
+        }),
+        NeuronOpKind::Requantize => OpKind::QnnRequantize(RequantizeAttrs {
+            input: quant(operand(0)?)?,
+            output: quant(out)?,
+            out_dtype: out.dtype,
+        }),
+    })
+}
+
 /// Generic handler: convert opcode, propagate input quant to the output
 /// when the result stays quantized (§3.3 forward propagation).
 fn h_simple(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
@@ -237,32 +387,20 @@ fn h_simple(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
     Ok(())
 }
 
-/// conv2d / qnn.conv2d: for the QNN form, stamp the operator-declared
-/// params onto input/weight/output tensors.
-fn h_conv2d(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
+/// conv2d / dense and their `qnn.*` forms: the QNN form stamps the
+/// operator-declared params onto input/weight/output tensors.
+fn h_mac(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
     let inputs = ctx.arg_ids(e)?;
-    let out_quant = if let OpKind::QnnConv2d(a) = op {
-        ctx.set_quant(inputs[0], a.input_q);
-        ctx.set_quant(inputs[1], a.weight_q);
-        Some(a.output_q)
-    } else {
-        None
+    let qnn = match op {
+        OpKind::QnnConv2d(a) => Some((a.input_q, a.weight_q, a.output_q)),
+        OpKind::QnnDense(a) => Some((a.input_q, a.weight_q, a.output_q)),
+        _ => None,
     };
-    let out = ctx.new_output(e, out_quant)?;
-    ctx.push(e, neuron_kind(op)?, inputs, out);
-    Ok(())
-}
-
-/// dense / qnn.dense.
-fn h_dense(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
-    let inputs = ctx.arg_ids(e)?;
-    let out_quant = if let OpKind::QnnDense(a) = op {
-        ctx.set_quant(inputs[0], a.input_q);
-        ctx.set_quant(inputs[1], a.weight_q);
-        Some(a.output_q)
-    } else {
-        None
-    };
+    let out_quant = qnn.map(|(input_q, weight_q, output_q)| {
+        ctx.set_quant(inputs[0], input_q);
+        ctx.set_quant(inputs[1], weight_q);
+        output_q
+    });
     let out = ctx.new_output(e, out_quant)?;
     ctx.push(e, neuron_kind(op)?, inputs, out);
     Ok(())
@@ -317,7 +455,7 @@ fn h_qnn_concat(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError>
 
 /// Ops that neither create nor consume quantization information: their
 /// input and output share parameters, in both directions.
-fn quant_transparent(kind: &NeuronOpKind) -> bool {
+pub fn quant_transparent(kind: &NeuronOpKind) -> bool {
     matches!(
         kind,
         NeuronOpKind::MaxPool2d { .. }
@@ -478,8 +616,8 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
             }
             ExprKind::Call(call) => match &call.target {
                 CallTarget::Op(op) => {
-                    let handler = op_handler_dict()
-                        .get(op.name())
+                    let handler = (op_handler_dict().get(op.name()))
+                        .filter(|_| neuron_supported(op))
                         .ok_or_else(|| NeuronError::UnsupportedOp(op.name().to_string()))?;
                     handler(&mut ctx, &e, op)?;
                 }

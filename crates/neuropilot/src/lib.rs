@@ -13,9 +13,11 @@
 //!   parameters into per-tensor parameters and propagates them through
 //!   non-QNN ops. The **Execution Planner** ([`planner`]) then assigns
 //!   each Neuron op to a back-end target (mobile CPU / GPU / APU).
-//! * **Runtime** — [`runtime`] executes the planned network: numerically
-//!   on the host kernels (bit-identical to the Relay interpreter) while
-//!   charging simulated time on the `tvmnp-hwsim` cost model.
+//! * **Runtime** — [`runtime`] executes the planned network: each op is
+//!   lifted back to its Relay operator ([`convert::relay_op`]) and
+//!   evaluated by the Relay interpreter's op table (bit-identical to it by
+//!   construction), while simulated time is charged on the `tvmnp-hwsim`
+//!   cost model.
 //!
 //! [`support`] holds the op-coverage matrices. NeuroPilot supporting
 //! *fewer* ops than TVM is what produces the missing NeuroPilot-only bars

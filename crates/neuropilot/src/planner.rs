@@ -115,17 +115,6 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Distinct devices used.
-    pub fn devices_used(&self) -> Vec<DeviceKind> {
-        let mut out = Vec::new();
-        for p in &self.placements {
-            if !out.contains(&p.device) {
-                out.push(p.device);
-            }
-        }
-        out
-    }
-
     /// Number of fallback-placed ops.
     pub fn fallback_ops(&self) -> usize {
         self.placements.iter().filter(|p| p.fallback).count()

@@ -1,19 +1,25 @@
 //! The Neuron runtime: executes a planned network.
 //!
-//! Numeric results are computed on the host kernels (bit-identical to the
-//! Relay interpreter — the correctness check the paper performs against
-//! the origin frameworks), while *simulated* time is charged on the
+//! The runtime dispatches; it owns no op → kernel table. Each Neuron op is
+//! lifted once, on the first run, back to the Relay operator it computes
+//! ([`relay_op`]) and evaluated by the Relay interpreter's
+//! [`eval_op`] — so numeric results are bit-identical to the interpreter
+//! (the correctness check the paper performs against the origin
+//! frameworks) by construction, while *simulated* time is charged on the
 //! `tvmnp-hwsim` cost model: per-segment driver dispatch, per-kernel time
 //! on the assigned device, reference-implementation penalty for fallback
 //! ops, and a transfer per device-boundary crossing.
 
+use crate::convert::relay_op;
 use crate::error::NeuronError;
-use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind, TensorId};
+use crate::nir::{NeuronGraph, TensorId};
 use crate::planner::{ExecutionPlan, Planner, TargetPolicy};
+use std::sync::OnceLock;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{CostModel, DeviceKind, KernelClass};
-use tvmnp_tensor::kernels::{self, BinaryOp, UnaryOp};
-use tvmnp_tensor::{QuantParams, Tensor};
+use tvmnp_relay::interp::eval_op;
+use tvmnp_relay::OpKind;
+use tvmnp_tensor::Tensor;
 
 /// A compiled, planned, executable Neuron network.
 pub struct CompiledNetwork {
@@ -22,6 +28,9 @@ pub struct CompiledNetwork {
     ledger: Vec<CostEntry>,
     /// Per tensor, the last op to read it: an activation is dropped there.
     last_reader: Vec<usize>,
+    /// `graph.ops` lifted to Relay operators, made on the first run: a
+    /// network that is only priced (every Fig. 4/6 bar) never pays for it.
+    relay_ops: OnceLock<Result<Vec<OpKind>, NeuronError>>,
 }
 
 impl CompiledNetwork {
@@ -53,6 +62,7 @@ impl CompiledNetwork {
             plan,
             ledger,
             last_reader,
+            relay_ops: OnceLock::new(),
         }
     }
 
@@ -107,6 +117,10 @@ impl CompiledNetwork {
                 inputs.len()
             )));
         }
+        let relay_ops = (self.relay_ops)
+            .get_or_init(|| graph.ops.iter().map(|op| relay_op(graph, op)).collect())
+            .as_ref()
+            .map_err(NeuronError::clone)?;
         let mut slots: Vec<Option<Tensor>> = vec![None; graph.tensors.len()];
         for (&id, input) in graph.inputs.iter().zip(inputs) {
             let out_of_range = || NeuronError::Execution(format!("slot {id} out of range"));
@@ -123,12 +137,13 @@ impl CompiledNetwork {
             }
         }
 
-        for (i, op) in graph.ops.iter().enumerate() {
+        for (i, (op, kind)) in graph.ops.iter().zip(relay_ops).enumerate() {
             let args: Vec<&Tensor> = (op.inputs.iter())
                 .map(|&id| self.read(inputs, &slots, id, "input"))
                 .collect::<Result<_, _>>()?;
-            let out = self.eval_op(op, &args)?;
-            *slot_mut(&mut slots, op.outputs[0])? = Some(out);
+            let out = eval_op(kind, &args).map_err(|e| NeuronError::Execution(e.to_string()))?;
+            // In range: the lift checked every op's result id.
+            slots[op.outputs[0]] = Some(out);
             for &id in &op.inputs {
                 if self.last_reader.get(id) == Some(&i) && !graph.outputs.contains(&id) {
                     slots[id] = None;
@@ -165,152 +180,6 @@ impl CompiledNetwork {
         let constant = || self.graph.tensors.get(id)?.data.as_deref();
         (written.or_else(input).or_else(constant))
             .ok_or_else(|| NeuronError::Execution(format!("{what} slot {id} empty")))
-    }
-
-    fn eval_op(&self, op: &NeuronOp, args: &[&Tensor]) -> Result<Tensor, NeuronError> {
-        let get = |i: usize| -> Result<&Tensor, NeuronError> {
-            args.get(i).copied().ok_or_else(|| {
-                NeuronError::Execution(format!("{} misses operand {i}", op.kind.name()))
-            })
-        };
-        let quant = |id: usize| -> Result<QuantParams, NeuronError> {
-            self.graph.tensors[id].quant.ok_or_else(|| {
-                NeuronError::Execution(format!(
-                    "tensor '{}' misses quant params",
-                    self.graph.tensors[id].name
-                ))
-            })
-        };
-        let out_slot = op.outputs[0];
-        let out_meta = &self.graph.tensors[out_slot];
-        let e = |err: kernels::KernelError| NeuronError::Execution(err.to_string());
-
-        let result = match &op.kind {
-            NeuronOpKind::Conv2d {
-                strides,
-                padding,
-                dilation,
-                groups,
-            } => {
-                let params = kernels::Conv2dParams {
-                    strides: *strides,
-                    padding: *padding,
-                    dilation: *dilation,
-                    groups: *groups,
-                };
-                let (x, w, bias) = (get(0)?, get(1)?, args.get(2).copied());
-                if x.dtype().is_quantized() {
-                    let q = kernels::QConvQuant {
-                        input: quant(op.inputs[0])?,
-                        weight: quant(op.inputs[1])?,
-                        output: quant(out_slot)?,
-                        out_dtype: out_meta.dtype,
-                    };
-                    kernels::qconv2d(x, w, bias, &params, &q).map_err(e)?
-                } else {
-                    kernels::conv2d_f32(x, w, bias, &params).map_err(e)?
-                }
-            }
-            NeuronOpKind::FullyConnected => {
-                let (x, w, bias) = (get(0)?, get(1)?, args.get(2).copied());
-                if x.dtype().is_quantized() {
-                    kernels::qdense(
-                        x,
-                        w,
-                        bias,
-                        quant(op.inputs[0])?,
-                        quant(op.inputs[1])?,
-                        quant(out_slot)?,
-                        out_meta.dtype,
-                    )
-                    .map_err(e)?
-                } else {
-                    kernels::dense_f32(x, w, bias).map_err(e)?
-                }
-            }
-            NeuronOpKind::BiasAdd => kernels::bias_add(get(0)?, get(1)?).map_err(e)?,
-            NeuronOpKind::MaxPool2d {
-                kernel,
-                strides,
-                padding,
-            }
-            | NeuronOpKind::AvgPool2d {
-                kernel,
-                strides,
-                padding,
-            } => {
-                let p = kernels::Pool2dParams {
-                    kernel: *kernel,
-                    strides: *strides,
-                    padding: *padding,
-                    count_include_pad: false,
-                };
-                match op.kind {
-                    NeuronOpKind::MaxPool2d { .. } => kernels::max_pool2d(get(0)?, &p),
-                    _ => kernels::avg_pool2d(get(0)?, &p),
-                }
-                .map_err(e)?
-            }
-            NeuronOpKind::GlobalAvgPool2d => kernels::global_avg_pool2d(get(0)?).map_err(e)?,
-            NeuronOpKind::Relu => kernels::unary(get(0)?, UnaryOp::Relu).map_err(e)?,
-            NeuronOpKind::LeakyRelu { alpha } => {
-                kernels::unary(get(0)?, UnaryOp::LeakyRelu(*alpha)).map_err(e)?
-            }
-            NeuronOpKind::Clip { min, max } => {
-                kernels::unary(get(0)?, UnaryOp::Clip(*min, *max)).map_err(e)?
-            }
-            NeuronOpKind::Sigmoid => kernels::unary(get(0)?, UnaryOp::Sigmoid).map_err(e)?,
-            NeuronOpKind::Tanh => kernels::unary(get(0)?, UnaryOp::Tanh).map_err(e)?,
-            NeuronOpKind::Softmax => kernels::softmax_f32(&get(0)?.to_f32()).map_err(e)?,
-            NeuronOpKind::Add => {
-                let a = get(0)?;
-                let b = get(1)?;
-                if a.dtype().is_quantized() {
-                    kernels::qadd(
-                        a,
-                        b,
-                        quant(op.inputs[0])?,
-                        quant(op.inputs[1])?,
-                        quant(out_slot)?,
-                        out_meta.dtype,
-                    )
-                    .map_err(e)?
-                } else {
-                    kernels::binary_f32(a, b, BinaryOp::Add).map_err(e)?
-                }
-            }
-            NeuronOpKind::Mul => kernels::binary_f32(get(0)?, get(1)?, BinaryOp::Mul).map_err(e)?,
-            NeuronOpKind::Max => {
-                kernels::binary_f32(get(0)?, get(1)?, BinaryOp::Maximum).map_err(e)?
-            }
-            NeuronOpKind::Reshape { new_shape } => get(0)?
-                .reshaped(new_shape.clone())
-                .map_err(|err| NeuronError::Execution(err.to_string()))?,
-            NeuronOpKind::Transpose { axes } => kernels::transpose(get(0)?, axes).map_err(e)?,
-            NeuronOpKind::Concat { axis } => {
-                let c = kernels::concat(args, *axis).map_err(e)?;
-                match self.graph.tensors[out_slot].quant {
-                    Some(q) if c.dtype().is_quantized() => c.with_quant(q),
-                    _ => c,
-                }
-            }
-            NeuronOpKind::Pad { pads, value } => kernels::pad(get(0)?, pads, *value).map_err(e)?,
-            NeuronOpKind::BatchFlatten => kernels::batch_flatten(get(0)?).map_err(e)?,
-            NeuronOpKind::Quantize => get(0)?
-                .quantize(quant(out_slot)?, out_meta.dtype)
-                .map_err(|err| NeuronError::Execution(err.to_string()))?,
-            NeuronOpKind::Dequantize => {
-                kernels::dequantize(get(0)?, quant(op.inputs[0])?).map_err(e)?
-            }
-            NeuronOpKind::Requantize => kernels::requantize(
-                get(0)?,
-                quant(op.inputs[0])?,
-                quant(out_slot)?,
-                out_meta.dtype,
-            )
-            .map_err(e)?,
-        };
-        Ok(result)
     }
 }
 
@@ -383,25 +252,19 @@ fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> 
     ledger
 }
 
-fn slot_mut(slots: &mut [Option<Tensor>], id: usize) -> Result<&mut Option<Tensor>, NeuronError> {
-    slots
-        .get_mut(id)
-        .ok_or_else(|| NeuronError::Execution(format!("slot {id} out of range")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convert::convert_function;
-    use crate::nir::work_item;
+    use crate::nir::{work_item, NeuronOp, NeuronOpKind};
     use std::collections::HashMap;
     use tvmnp_hwsim::WorkKind;
     use tvmnp_relay::builder;
-    use tvmnp_relay::expr::{var, Function, Module};
+    use tvmnp_relay::expr::{call, var, Function, Module};
     use tvmnp_relay::interp::run_module;
-    use tvmnp_relay::{Conv2dAttrs, TensorType};
+    use tvmnp_relay::{Conv2dAttrs, DequantizeAttrs, QnnConv2dAttrs, QuantizeAttrs, TensorType};
     use tvmnp_tensor::rng::TensorRng;
-    use tvmnp_tensor::DType;
+    use tvmnp_tensor::{DType, QuantParams};
 
     fn small_net() -> (Function, Tensor) {
         let mut rng = TensorRng::new(21);
@@ -524,10 +387,8 @@ mod tests {
         assert!(!w.int8);
     }
 
-    #[test]
-    fn quantized_network_runs_end_to_end() {
-        use tvmnp_relay::expr::call;
-        use tvmnp_relay::{DequantizeAttrs, OpKind, QnnConv2dAttrs, QuantizeAttrs};
+    /// quantize → qnn.conv2d → dequantize, and an input for it.
+    fn quantized_net() -> (Function, Tensor) {
         let mut rng = TensorRng::new(31);
         let qx = QuantParams::new(1.0 / 64.0, 128);
         let qw = QuantParams::new(1.0 / 128.0, 0);
@@ -555,11 +416,16 @@ mod tests {
             OpKind::QnnDequantize(DequantizeAttrs { input: qy }),
             vec![conv],
         );
-        let f = Function::new(vec![x.clone()], d);
+        let input = rng.uniform_f32([1, 2, 6, 6], -1.0, 1.0);
+        (Function::new(vec![x], d), input)
+    }
+
+    #[test]
+    fn quantized_network_runs_end_to_end() {
+        let (f, input) = quantized_net();
         let g = convert_function(&f).unwrap();
         let net =
             CompiledNetwork::compile(g, TargetPolicy::ApuPrefer, CostModel::default()).unwrap();
-        let input = rng.uniform_f32([1, 2, 6, 6], -1.0, 1.0);
         let (outs, _) = net.execute(std::slice::from_ref(&input)).unwrap();
         // Reference through the Relay interpreter.
         let module = Module::from_main(f);
@@ -570,9 +436,25 @@ mod tests {
     }
 
     #[test]
+    fn quantized_tensor_without_params_is_an_error_not_a_panic() {
+        // What a corrupt blob can hold: the conv's result stripped of the
+        // parameters §3.3 stamped on it. Nothing can lift that conv.
+        let (f, input) = quantized_net();
+        let mut g = convert_function(&f).unwrap();
+        let conv_out = g.ops[1].outputs[0];
+        g.tensors[conv_out].quant = None;
+        let net = CompiledNetwork::compile(g, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
+        let err = net.execute(std::slice::from_ref(&input)).unwrap_err();
+        assert!(
+            matches!(err, NeuronError::Execution(ref m) if m.contains("misses quant params")),
+            "{err}"
+        );
+        // The lift is made once; a second run reports the same error.
+        assert_eq!(net.execute(&[input]).unwrap_err(), err);
+    }
+
+    #[test]
     fn apu_faster_than_cpu_for_quantized_conv_heavy_graph() {
-        use tvmnp_relay::expr::call;
-        use tvmnp_relay::{OpKind, QnnConv2dAttrs};
         let mut rng = TensorRng::new(41);
         let qx = QuantParams::new(0.02, 128);
         let qw = QuantParams::new(0.01, 0);

@@ -16,15 +16,22 @@ use tvmnp_hwsim::DeviceKind;
 use tvmnp_relay::passes::CompilerSupport;
 use tvmnp_relay::{OpKind, Type};
 
-/// Whether NeuroPilot can take this Relay op at all: whether the
-/// converter's op-handler dictionary has an entry for it.
+/// Whether NeuroPilot can take this Relay op: the converter's op-handler
+/// dictionary has an entry for it, and Neuron IR can express its
+/// attributes. The one attribute it cannot is an average pool that counts
+/// padding taps (`count_include_pad` with nonzero padding): Neuron pools
+/// average over the valid taps only.
 ///
 /// Notable gaps (all of which appear in the paper's model set and produce
 /// its missing bars): unfused `nn.batch_norm` (vendor compilers expect BN
 /// folded at export), `exp`/`mean`/`image.resize2d` (detection post-
 /// processing), `strided_slice`, `nn.log_softmax`.
-pub fn neuron_supported(op_name: &str) -> bool {
-    crate::convert::has_op_handler(op_name)
+pub fn neuron_supported(op: &OpKind) -> bool {
+    let counts_padding = matches!(
+        op,
+        OpKind::AvgPool2d(a) if a.count_include_pad && a.padding != (0, 0, 0, 0)
+    );
+    crate::convert::has_op_handler(op.name()) && !counts_padding
 }
 
 /// Which Neuron opcodes each device can execute.
@@ -55,7 +62,7 @@ impl CompilerSupport for NeuronSupport {
     }
 
     fn supported(&self, op: &OpKind, _arg_types: &[&Type]) -> bool {
-        neuron_supported(op.name())
+        neuron_supported(op)
     }
 }
 
@@ -69,7 +76,7 @@ pub fn first_unsupported(func: &tvmnp_relay::Function) -> Option<String> {
             return;
         }
         if let Some(op) = e.op() {
-            if !neuron_supported(op.name()) {
+            if !neuron_supported(op) {
                 bad = Some(op.name().to_string());
             }
         }
@@ -80,31 +87,53 @@ pub fn first_unsupported(func: &tvmnp_relay::Function) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvmnp_relay::{
+        BatchNormAttrs, Conv2dAttrs, MeanAttrs, Pool2dAttrs, Resize2dAttrs, SliceAttrs,
+    };
 
     #[test]
     fn core_cnn_ops_supported() {
         for op in [
-            "nn.conv2d",
-            "nn.dense",
-            "nn.relu",
-            "nn.softmax",
-            "qnn.conv2d",
+            OpKind::Conv2d(Conv2dAttrs::default()),
+            OpKind::Dense,
+            OpKind::Relu,
+            OpKind::Softmax,
+            OpKind::AvgPool2d(Pool2dAttrs::square(2)),
         ] {
-            assert!(neuron_supported(op), "{op} must be supported");
+            assert!(neuron_supported(&op), "{} must be supported", op.name());
         }
     }
 
     #[test]
     fn known_gaps_unsupported() {
+        let padded = Pool2dAttrs {
+            padding: (1, 1, 1, 1),
+            count_include_pad: true,
+            ..Pool2dAttrs::square(3)
+        };
         for op in [
-            "nn.batch_norm",
-            "exp",
-            "mean",
-            "image.resize2d",
-            "strided_slice",
+            OpKind::BatchNorm(BatchNormAttrs { epsilon: 1e-5 }),
+            OpKind::Exp,
+            OpKind::Mean(MeanAttrs { axes: vec![1] }),
+            OpKind::Resize2d(Resize2dAttrs {
+                out_h: 2,
+                out_w: 2,
+                bilinear: true,
+            }),
+            OpKind::StridedSlice(SliceAttrs {
+                begin: vec![0],
+                end: vec![1],
+            }),
+            OpKind::AvgPool2d(padded),
         ] {
-            assert!(!neuron_supported(op), "{op} must be unsupported");
+            assert!(!neuron_supported(&op), "{op:?} must be unsupported");
         }
+        // Without padding, counting the padding taps changes nothing.
+        let unpadded = Pool2dAttrs {
+            count_include_pad: true,
+            ..Pool2dAttrs::square(2)
+        };
+        assert!(neuron_supported(&OpKind::AvgPool2d(unpadded)));
     }
 
     #[test]

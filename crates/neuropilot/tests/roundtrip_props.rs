@@ -1,17 +1,22 @@
 //! Property tests: Relay→Neuron conversion and planned execution preserve
-//! semantics on randomly generated NP-supported graphs, and plans always
-//! satisfy their structural invariants.
+//! semantics on randomly generated NP-supported graphs, conversion and the
+//! lift back to Relay are inverses, and plans always satisfy their
+//! structural invariants.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use tvmnp_hwsim::CostModel;
+use tvmnp_neuropilot::convert::relay_op;
 use tvmnp_neuropilot::{convert_function, plan_op_level, CompiledNetwork, Planner, TargetPolicy};
 use tvmnp_relay::builder;
 use tvmnp_relay::expr::{call, var, Expr, Function, Module};
 use tvmnp_relay::interp::run_module;
-use tvmnp_relay::{Conv2dAttrs, OpKind, TensorType};
+use tvmnp_relay::visit::topo_order;
+use tvmnp_relay::{
+    Conv2dAttrs, DequantizeAttrs, OpKind, QnnConv2dAttrs, QuantizeAttrs, TensorType,
+};
 use tvmnp_tensor::rng::TensorRng;
-use tvmnp_tensor::Tensor;
+use tvmnp_tensor::{DType, QuantParams, Tensor};
 
 /// Random graph over the NP-supported float op set.
 fn random_supported_graph(choices: &[u8], seed: u64) -> (Function, Tensor) {
@@ -48,6 +53,67 @@ fn random_supported_graph(choices: &[u8], seed: u64) -> (Function, Tensor) {
     (Function::new(vec![x], body), input)
 }
 
+/// quantize → `depth` × (qnn.conv2d → max_pool2d) → dequantize. The pool
+/// between convs is quantization-transparent, so it exercises §3.3
+/// propagation.
+fn quantized_chain(depth: usize, seed: u64) -> Function {
+    let mut rng = TensorRng::new(seed);
+    let qp = QuantParams::new(0.03, 128);
+    let qw = QuantParams::new(0.01, 128);
+    let x = var("x", TensorType::f32([1, 4, 8, 8]));
+    let mut e = call(
+        OpKind::QnnQuantize(QuantizeAttrs {
+            out: qp,
+            out_dtype: DType::U8,
+        }),
+        vec![x.clone()],
+    );
+    for _ in 0..depth {
+        let w = rng.uniform_quantized([4, 4, 3, 3], DType::U8, qw);
+        e = call(
+            OpKind::QnnConv2d(QnnConv2dAttrs {
+                conv: Conv2dAttrs::same(1),
+                input_q: qp,
+                weight_q: qw,
+                output_q: qp,
+                out_dtype: DType::U8,
+            }),
+            vec![e, tvmnp_relay::expr::constant(w)],
+        );
+        e = builder::max_pool2d(
+            e,
+            tvmnp_relay::Pool2dAttrs {
+                kernel: (3, 3),
+                strides: (1, 1),
+                padding: (1, 1, 1, 1),
+                count_include_pad: false,
+            },
+        );
+    }
+    e = call(
+        OpKind::QnnDequantize(DequantizeAttrs { input: qp }),
+        vec![e],
+    );
+    Function::new(vec![x], e)
+}
+
+/// Every op of `convert_function(f)` lifts to exactly the `OpKind` of the
+/// Relay call it came from, quantization parameters included. The Neuron
+/// runtime evaluates the lifted ops with the interpreter's own `eval_op`,
+/// so this — not a bit comparison — is what checks conversion, §3.3
+/// propagation and the lift independently of the shared kernels.
+fn lifts_back_to_its_calls(f: &Function) -> Result<(), TestCaseError> {
+    let graph = convert_function(f).unwrap();
+    let calls: Vec<OpKind> = (topo_order(&f.body).iter())
+        .filter_map(|e| e.op().cloned())
+        .collect();
+    prop_assert_eq!(graph.ops.len(), calls.len());
+    for (op, call) in graph.ops.iter().zip(&calls) {
+        prop_assert_eq!(&relay_op(&graph, op).unwrap(), call);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -71,6 +137,22 @@ proptest! {
         let (outs, t) = net.execute(&[input]).unwrap();
         prop_assert!(outs[0].bit_eq(&reference), "policy {policy} diverged");
         prop_assert!(t > 0.0);
+    }
+
+    /// Conversion then lift is the identity on the float op set.
+    #[test]
+    fn float_ops_lift_back_to_their_calls(
+        choices in prop::collection::vec(0u8..=255, 1..16),
+        seed in 0u64..10_000,
+    ) {
+        lifts_back_to_its_calls(&random_supported_graph(&choices, seed).0)?;
+    }
+
+    /// Conversion then lift is the identity on quantized chains: every
+    /// `qnn.*` attribute comes back off the tensors it was stamped on.
+    #[test]
+    fn quantized_chains_lift_back_to_their_calls(depth in 1usize..6, seed in 0u64..10_000) {
+        lifts_back_to_its_calls(&quantized_chain(depth, seed))?;
     }
 
     /// Plan invariants: placements cover every op exactly once, segments
@@ -133,42 +215,7 @@ proptest! {
     /// quantized tensor without parameters (validated inside convert).
     #[test]
     fn quantized_chains_validate(depth in 1usize..6, seed in 0u64..10_000) {
-        use tvmnp_relay::{QnnConv2dAttrs, QuantizeAttrs, DequantizeAttrs};
-        use tvmnp_tensor::{DType, QuantParams};
-        let mut rng = TensorRng::new(seed);
-        let qp = QuantParams::new(0.03, 128);
-        let qw = QuantParams::new(0.01, 128);
-        let x = var("x", TensorType::f32([1, 4, 8, 8]));
-        let mut e = call(
-            OpKind::QnnQuantize(QuantizeAttrs { out: qp, out_dtype: DType::U8 }),
-            vec![x.clone()],
-        );
-        for _ in 0..depth {
-            let w = rng.uniform_quantized([4, 4, 3, 3], DType::U8, qw);
-            e = call(
-                OpKind::QnnConv2d(QnnConv2dAttrs {
-                    conv: Conv2dAttrs::same(1),
-                    input_q: qp,
-                    weight_q: qw,
-                    output_q: qp,
-                    out_dtype: DType::U8,
-                }),
-                vec![e, tvmnp_relay::expr::constant(w)],
-            );
-            // A quant-transparent op between convs exercises propagation.
-            e = builder::max_pool2d(
-                e,
-                tvmnp_relay::Pool2dAttrs {
-                    kernel: (3, 3),
-                    strides: (1, 1),
-                    padding: (1, 1, 1, 1),
-                    count_include_pad: false,
-                },
-            );
-        }
-        e = call(OpKind::QnnDequantize(DequantizeAttrs { input: qp }), vec![e]);
-        let f = Function::new(vec![x], e);
-        let graph = convert_function(&f).unwrap();
+        let graph = convert_function(&quantized_chain(depth, seed)).unwrap();
         for t in &graph.tensors {
             if t.dtype.is_quantized() {
                 prop_assert!(t.quant.is_some(), "tensor '{}' lost its params", t.name);

@@ -22,9 +22,8 @@
 //! `nn.batch_norm` survives the pass.
 
 use crate::expr::{constant, Call, CallTarget, Expr, ExprKind, Function, Module};
-use crate::interp::eval_op;
 use crate::op::OpKind;
-use crate::visit::consumers;
+use crate::visit::{consumers, rebuild};
 use std::collections::HashMap;
 use tvmnp_tensor::Tensor;
 
@@ -124,40 +123,6 @@ fn fold_function(f: &Function) -> Function {
         params: f.params.clone(),
         body,
         attrs: f.attrs.clone(),
-    }
-}
-
-/// Rebuild a node with rewritten children (identity when unchanged).
-fn rebuild(e: &Expr, map: &HashMap<usize, Expr>) -> Expr {
-    match &e.kind {
-        ExprKind::Var(_) | ExprKind::Constant(_) => e.clone(),
-        ExprKind::Call(c) => {
-            let args: Vec<Expr> = c.args.iter().map(|a| map[&a.id].clone()).collect();
-            if args.iter().zip(&c.args).all(|(n, o)| n.id == o.id) {
-                e.clone()
-            } else {
-                crate::expr::mk(ExprKind::Call(Call {
-                    target: c.target.clone(),
-                    args,
-                }))
-            }
-        }
-        ExprKind::Tuple(fs) => {
-            let fields: Vec<Expr> = fs.iter().map(|a| map[&a.id].clone()).collect();
-            if fields.iter().zip(fs).all(|(n, o)| n.id == o.id) {
-                e.clone()
-            } else {
-                crate::expr::tuple(fields)
-            }
-        }
-        ExprKind::TupleGetItem(t, i) => {
-            let nt = map[&t.id].clone();
-            if nt.id == t.id {
-                e.clone()
-            } else {
-                crate::expr::tuple_get(nt, *i)
-            }
-        }
     }
 }
 
@@ -266,22 +231,6 @@ pub fn count_batch_norms(module: &Module) -> usize {
         });
     }
     n
-}
-
-/// Evaluate `batch_norm` semantics directly (reference for tests).
-pub fn reference_bn(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
-    eps: f32,
-) -> Tensor {
-    eval_op(
-        &OpKind::BatchNorm(crate::attrs::BatchNormAttrs { epsilon: eps }),
-        &[x, gamma, beta, mean, var],
-    )
-    .expect("reference bn failed")
 }
 
 #[cfg(test)]

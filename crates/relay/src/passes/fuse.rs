@@ -98,11 +98,6 @@ pub fn fuse_analysis(root: &Expr) -> Vec<FusionGroup> {
     groups
 }
 
-/// Number of runtime dispatches implied by the fusion analysis.
-pub fn dispatch_count(root: &Expr) -> usize {
-    fuse_analysis(root).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

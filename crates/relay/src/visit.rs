@@ -38,13 +38,48 @@ pub fn topo_order(root: &Expr) -> Vec<Expr> {
     out
 }
 
+/// `e` with each child replaced by its rewrite in `memo` (keyed by the
+/// child's id); `e` itself when no child changed.
+pub(crate) fn rebuild(e: &Expr, memo: &HashMap<usize, Expr>) -> Expr {
+    match &e.kind {
+        ExprKind::Var(_) | ExprKind::Constant(_) => e.clone(),
+        ExprKind::Call(c) => {
+            let args: Vec<Expr> = c.args.iter().map(|a| memo[&a.id].clone()).collect();
+            if args.iter().zip(&c.args).all(|(n, o)| n.id == o.id) {
+                e.clone()
+            } else {
+                mk(ExprKind::Call(Call {
+                    target: c.target.clone(),
+                    args,
+                }))
+            }
+        }
+        ExprKind::Tuple(fs) => {
+            let fields: Vec<Expr> = fs.iter().map(|a| memo[&a.id].clone()).collect();
+            if fields.iter().zip(fs).all(|(n, o)| n.id == o.id) {
+                e.clone()
+            } else {
+                mk(ExprKind::Tuple(fields))
+            }
+        }
+        ExprKind::TupleGetItem(t, i) => {
+            let nt = memo[&t.id].clone();
+            if nt.id == t.id {
+                e.clone()
+            } else {
+                mk(ExprKind::TupleGetItem(nt, *i))
+            }
+        }
+    }
+}
+
+/// Boxed rewrite rule: maps a node to an optional replacement.
+type RewriteFn<'a> = Box<dyn FnMut(&Expr) -> Option<Expr> + 'a>;
+
 /// Rewrite the DAG bottom-up. `f` receives a node whose children are
 /// already rewritten and may return a replacement; returning `None` keeps
 /// the (child-rewritten) node. Sharing is preserved: a node reached twice
 /// is rewritten once.
-/// Boxed rewrite rule: maps a node to an optional replacement.
-type RewriteFn<'a> = Box<dyn FnMut(&Expr) -> Option<Expr> + 'a>;
-
 pub struct ExprMutator<'a> {
     memo: HashMap<usize, Expr>,
     rewrite: RewriteFn<'a>,
@@ -65,37 +100,7 @@ impl<'a> ExprMutator<'a> {
             if self.memo.contains_key(&e.id) {
                 continue;
             }
-            let rebuilt = match &e.kind {
-                ExprKind::Var(_) | ExprKind::Constant(_) => e.clone(),
-                ExprKind::Call(c) => {
-                    let new_args: Vec<Expr> =
-                        c.args.iter().map(|a| self.memo[&a.id].clone()).collect();
-                    if new_args.iter().zip(&c.args).all(|(n, o)| n.id == o.id) {
-                        e.clone()
-                    } else {
-                        mk(ExprKind::Call(Call {
-                            target: c.target.clone(),
-                            args: new_args,
-                        }))
-                    }
-                }
-                ExprKind::Tuple(fs) => {
-                    let new_fs: Vec<Expr> = fs.iter().map(|a| self.memo[&a.id].clone()).collect();
-                    if new_fs.iter().zip(fs).all(|(n, o)| n.id == o.id) {
-                        e.clone()
-                    } else {
-                        mk(ExprKind::Tuple(new_fs))
-                    }
-                }
-                ExprKind::TupleGetItem(t, i) => {
-                    let nt = self.memo[&t.id].clone();
-                    if nt.id == t.id {
-                        e.clone()
-                    } else {
-                        mk(ExprKind::TupleGetItem(nt, *i))
-                    }
-                }
-            };
+            let rebuilt = rebuild(&e, &self.memo);
             let result = (self.rewrite)(&rebuilt).unwrap_or(rebuilt);
             self.memo.insert(e.id, result);
         }

@@ -4,7 +4,7 @@ use tvmnp_hwsim::{WorkItem, WorkKind};
 use tvmnp_relay::{OpKind, TensorType};
 
 /// Estimate the device-neutral work of one Relay op given its argument and
-/// output types. Mirrors `tvmnp_neuropilot::runtime::work_item` so both
+/// output types. Mirrors `tvmnp_neuropilot::nir::work_item` so both
 /// runtimes charge comparable costs for comparable kernels.
 pub fn relay_work_item(op: &OpKind, args: &[&TensorType], out: &TensorType) -> WorkItem {
     let out_elems = out.shape.num_elements() as u64;

@@ -53,11 +53,6 @@ impl ServeSim {
     pub fn fps_concurrent(&self) -> f64 {
         self.frames as f64 / (self.concurrent_us / 1e6)
     }
-
-    /// Sequential throughput in frames per second of simulated time.
-    pub fn fps_sequential(&self) -> f64 {
-        self.frames as f64 / (self.sequential_us / 1e6)
-    }
 }
 
 /// Simulate serving `per_frame` task lists with at most `concurrency`

@@ -195,15 +195,6 @@ impl Tensor {
         Self::from_data(shape, Data::F32(data), None)
     }
 
-    /// Construct an int8 tensor with quantization parameters.
-    pub fn from_i8(
-        shape: impl Into<Shape>,
-        data: Vec<i8>,
-        quant: QuantParams,
-    ) -> Result<Self, TensorError> {
-        Self::from_data(shape, Data::I8(data), Some(quant))
-    }
-
     /// Construct a uint8 tensor with quantization parameters.
     pub fn from_u8(
         shape: impl Into<Shape>,
@@ -238,15 +229,6 @@ impl Tensor {
         Tensor {
             shape: Shape::scalar(),
             data: Data::F32(vec![v]),
-            quant: None,
-        }
-    }
-
-    /// An int32 scalar.
-    pub fn scalar_i32(v: i32) -> Self {
-        Tensor {
-            shape: Shape::scalar(),
-            data: Data::I32(vec![v]),
             quant: None,
         }
     }

@@ -88,6 +88,18 @@ if grep -rnE 'FaultInjector|RetryPolicy' crates/neuropilot/src; then
     exit 1
 fi
 
+# And both runtimes call kernels through one op table (DESIGN.md "The
+# execution plan"): the Neuron runtime lifts each op back to its Relay
+# operator and evaluates it with `relay::interp::eval_op`, so a second
+# op → kernel dispatch cannot grow back in the Neuron stack.
+for f in $(find crates/neuropilot/src -name '*.rs' | sort); do
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -F 'kernels::'; then
+        echo "one-op-table gate: $f calls tensor kernels (only relay::interp::eval_op may)" >&2
+        exit 1
+    fi
+done
+
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
 

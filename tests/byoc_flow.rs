@@ -132,6 +132,52 @@ fn missing_bars_have_named_causes() {
     }
 }
 
+/// An average pool that counts its padding taps computes the same bits
+/// under every flow: NeuroPilot and NNAPI pools average over valid taps
+/// only, so BYOC and NNAPI keep it on the host and an NP-only build names
+/// it as the unsupported op.
+#[test]
+fn padding_counting_avg_pool_stays_on_the_host() {
+    use std::collections::HashMap;
+    use tvm_neuropilot::byoc::build::BuildError;
+    use tvm_neuropilot::byoc::relay_build_nnapi;
+    use tvm_neuropilot::relay::expr::{call, var, Function};
+    use tvm_neuropilot::relay::{builder, OpKind, Pool2dAttrs, TensorType};
+    use tvm_neuropilot::tensor::rng::TensorRng;
+    let x = var("x", TensorType::f32([1, 2, 5, 5]));
+    let pool = Pool2dAttrs {
+        kernel: (3, 3),
+        strides: (1, 1),
+        padding: (1, 1, 1, 1),
+        count_include_pad: true,
+    };
+    let body = call(OpKind::AvgPool2d(pool), vec![builder::relu(x.clone())]);
+    let module = Module::from_main(Function::new(vec![x], builder::relu(body)));
+    let mut inputs = HashMap::new();
+    let input = TensorRng::new(70).uniform_f32([1, 2, 5, 5], 0.5, 1.5);
+    inputs.insert("x".to_string(), input);
+    let reference = run_module(&module, &inputs).unwrap();
+    let cost = CostModel::default();
+    for mode in [
+        TargetMode::TvmOnly,
+        TargetMode::Byoc(TargetPolicy::CpuOnly),
+        TargetMode::Byoc(TargetPolicy::ApuPrefer),
+    ] {
+        let mut compiled = relay_build(&module, mode, cost.clone()).unwrap();
+        let (outs, _) = compiled.run(&inputs).unwrap();
+        assert!(outs[0].bit_eq(&reference), "{mode} diverged");
+    }
+    let (mut nnapi, _) = relay_build_nnapi(&module, TargetPolicy::CpuOnly, cost.clone()).unwrap();
+    let (outs, _) = nnapi.run(&inputs).unwrap();
+    assert!(outs[0].bit_eq(&reference), "NNAPI diverged");
+    let np_only = TargetMode::NeuroPilotOnly(TargetPolicy::CpuOnly);
+    match relay_build(&module, np_only, cost) {
+        Err(BuildError::Unsupported(op)) => assert_eq!(op, "nn.avg_pool2d"),
+        Err(e) => panic!("expected Unsupported(nn.avg_pool2d), got {e}"),
+        Ok(_) => panic!("expected Unsupported(nn.avg_pool2d), got a build"),
+    }
+}
+
 /// The memory planner produces alias-free storage for every showcase model.
 #[test]
 fn storage_planning_is_sound_on_real_models() {
