@@ -542,6 +542,36 @@ mod tests {
     }
 
     #[test]
+    fn geometry_past_usize_is_a_type_error() {
+        let conv = Conv2dAttrs {
+            padding: (usize::MAX, 0, 1, 0),
+            ..Default::default()
+        };
+        let dilated = Conv2dAttrs {
+            dilation: (usize::MAX, 1),
+            ..Default::default()
+        };
+        let pool = Pool2dAttrs {
+            padding: (0, 3, 0, usize::MAX - 2),
+            ..Pool2dAttrs::square(2)
+        };
+        for (op, name) in [
+            (OpKind::Conv2d(conv), "nn.conv2d"),
+            (OpKind::Conv2d(dilated), "nn.conv2d"),
+            (OpKind::MaxPool2d(pool), "nn.max_pool2d"),
+        ] {
+            let x = f32_var("x", &[1, 3, 8, 8]);
+            let mut args = vec![x.clone()];
+            if name == "nn.conv2d" {
+                args.push(constant(Tensor::zeros_f32([4, 3, 3, 3])));
+            }
+            let m = Module::from_main(Function::new(vec![x], call(op, args)));
+            let err = infer_types(&m).unwrap_err().to_string();
+            assert!(err.contains(name) && err.contains("overflows"), "{err}");
+        }
+    }
+
+    #[test]
     fn clip_bounds_that_are_not_a_range_are_type_errors() {
         for (min, max) in [(6.0, 0.0), (f32::NAN, 1.0), (0.0, f32::NAN)] {
             let x = f32_var("x", &[4]);

@@ -62,10 +62,18 @@ impl Conv2dParams {
                 self.strides
             )));
         }
-        let eff_kh = (kh - 1) * self.dilation.0 + 1;
-        let eff_kw = (kw - 1) * self.dilation.1 + 1;
-        let ih = h + pt + pb;
-        let iw = w + pl + pr;
+        let extent = |k: usize, d: usize| (k - 1).checked_mul(d)?.checked_add(1);
+        let (Some(eff_kh), Some(eff_kw), Some(ih), Some(iw)) = (
+            extent(kh, self.dilation.0),
+            extent(kw, self.dilation.1),
+            padded(h, pt, pb),
+            padded(w, pl, pr),
+        ) else {
+            let (p, d) = (self.padding, self.dilation);
+            return Err(kerr(format!(
+                "conv2d padding {p:?} or dilation {d:?} overflows"
+            )));
+        };
         if ih < eff_kh || iw < eff_kw {
             return Err(kerr(format!(
                 "conv2d kernel {eff_kh}x{eff_kw} larger than padded input {ih}x{iw}"
@@ -76,6 +84,11 @@ impl Conv2dParams {
             (iw - eff_kw) / self.strides.1 + 1,
         ))
     }
+}
+
+/// `x + before + after`, or `None` past `usize`.
+pub(super) fn padded(x: usize, before: usize, after: usize) -> Option<usize> {
+    x.checked_add(before)?.checked_add(after)
 }
 
 /// Output columns that advance through the taps together; their partial
@@ -113,7 +126,8 @@ pub(super) struct ConvGeom {
     pub weight: [usize; 4],
     /// Output `[n, oc, oh, ow]`.
     pub output: [usize; 4],
-    params: Conv2dParams,
+    /// Strides, padding, dilation and groups.
+    pub params: Conv2dParams,
 }
 
 impl ConvGeom {
@@ -472,5 +486,32 @@ mod tests {
         let x = t4([1, 1, 4, 4], vec![0.0; 16]);
         let w = Tensor::from_f32([1, 1, 0, 3], vec![]).unwrap();
         assert!(conv2d_f32(&x, &w, None, &p).is_err());
+    }
+
+    /// Padding or dilation a file can hold used to overflow the padded
+    /// extent: a panic under overflow checks, a wrong shape without them.
+    #[test]
+    fn geometry_past_usize_is_an_error_not_an_overflow() {
+        let big = usize::MAX - 1;
+        for p in [
+            Conv2dParams {
+                padding: (big, 0, 2, 0),
+                ..Default::default()
+            },
+            Conv2dParams {
+                padding: (0, 1, 0, big),
+                ..Default::default()
+            },
+            Conv2dParams {
+                dilation: (1, big),
+                ..Default::default()
+            },
+        ] {
+            let err = p.out_hw(4, 4, 3, 3).unwrap_err();
+            assert!(err.0.contains("overflows"), "{err}");
+            let x = t4([1, 1, 4, 4], vec![0.0; 16]);
+            let w = t4([1, 1, 3, 3], vec![0.0; 9]);
+            assert!(conv2d_f32(&x, &w, None, &p).is_err());
+        }
     }
 }

@@ -56,7 +56,7 @@ pub fn qdense(
         output: output_q,
         out_dtype,
     };
-    let data = quantized_planes("qdense", &g, input, weight, bias, &quant)?;
+    let data = quantized_planes("qdense", &g, input, weight, bias, &quant, true)?;
     Tensor::from_data(&g.output[..2], data, Some(output_q)).map_err(|e| kerr(e.to_string()))
 }
 

@@ -1,5 +1,6 @@
 //! 2-D pooling kernels over `NCHW` activations, float and quantized.
 
+use super::conv::padded;
 use super::{kerr, KernelError};
 use crate::tensor::{with_payload, Elem, IntElem, Tensor};
 use std::ops::Range;
@@ -32,14 +33,16 @@ impl Pool2dParams {
     /// Output spatial size for an input `(h, w)`.
     pub fn out_hw(&self, h: usize, w: usize) -> Result<(usize, usize), KernelError> {
         let (pt, pl, pb, pr) = self.padding;
-        let ih = h + pt + pb;
-        let iw = w + pl + pr;
         if [self.strides.0, self.strides.1, self.kernel.0, self.kernel.1].contains(&0) {
             return Err(kerr(format!(
                 "pool window {:?} and strides {:?} must be non-zero",
                 self.kernel, self.strides
             )));
         }
+        let (Some(ih), Some(iw)) = (padded(h, pt, pb), padded(w, pl, pr)) else {
+            let padding = self.padding;
+            return Err(kerr(format!("pool padding {padding:?} overflows")));
+        };
         if ih < self.kernel.0 || iw < self.kernel.1 {
             return Err(kerr(format!(
                 "pool window {:?} larger than padded input {ih}x{iw}",
@@ -261,6 +264,20 @@ mod tests {
             };
             assert!(max_pool2d(&x, &p).is_err());
             assert!(avg_pool2d(&x, &p).is_err());
+        }
+    }
+
+    #[test]
+    fn padding_past_usize_is_an_error_not_an_overflow() {
+        let x = Tensor::zeros_f32([1, 1, 4, 4]);
+        for padding in [(usize::MAX, 0, 1, 0), (0, 2, 0, usize::MAX - 1)] {
+            let p = Pool2dParams {
+                padding,
+                ..Pool2dParams::square(2)
+            };
+            let err = p.out_hw(4, 4).unwrap_err();
+            assert!(err.0.contains("overflows"), "{err}");
+            assert!(max_pool2d(&x, &p).is_err());
         }
     }
 

@@ -36,9 +36,11 @@ impl QConvQuant {
 /// `input` must be i8/u8 activations, `weight` i8/u8 weights, `bias` (when
 /// present) an i32 tensor already scaled by `s_in * s_w`.
 ///
-/// Runs the loop nest of [`super::conv2d_f32`] on the 8-bit operands in
-/// place. Out-of-image taps read the input zero point, i.e. real value 0
-/// (TFLite padding semantics), so they add nothing and are skipped.
+/// Out-of-image taps read the input zero point, i.e. real value 0 (TFLite
+/// padding semantics), so they add nothing. Dense and depthwise
+/// convolutions with `i16` operands run on a packed copy of the input
+/// (see `sse2`); the rest runs the loop nest of [`super::conv2d_f32`] on
+/// the 8-bit operands in place, skipping those taps.
 pub fn qconv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -46,14 +48,30 @@ pub fn qconv2d(
     params: &Conv2dParams,
     quant: &QConvQuant,
 ) -> Result<Tensor, KernelError> {
+    qconv2d_with(input, weight, bias, params, quant, true)
+}
+
+/// [`qconv2d`], on the portable walk alone unless `packed`: the walk `i64`
+/// accumulators and non-SSE2 targets run, kept comparable bit for bit with
+/// the packed path.
+#[doc(hidden)]
+pub fn qconv2d_with(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    params: &Conv2dParams,
+    quant: &QConvQuant,
+    packed: bool,
+) -> Result<Tensor, KernelError> {
     let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
     let g = ConvGeom::new("qconv2d", ishape, wshape, bias, params)?;
-    let data = quantized_planes("qconv2d", &g, input, weight, bias, quant)?;
+    let data = quantized_planes("qconv2d", &g, input, weight, bias, quant, packed)?;
     Tensor::from_data(g.output, data, Some(quant.output)).map_err(|e| kerr(e.to_string()))
 }
 
 /// Run `g` in quantized arithmetic, picking the instantiation for the
-/// operands' storage types, the accumulator width and the output type.
+/// operands' storage types, the accumulator width and the output type;
+/// `packed` lets `i16` operands take the packed path where it applies.
 pub(super) fn quantized_planes(
     op: &str,
     g: &ConvGeom,
@@ -61,6 +79,7 @@ pub(super) fn quantized_planes(
     weight: &Tensor,
     bias: Option<&Tensor>,
     quant: &QConvQuant,
+    packed: bool,
 ) -> Result<Data, KernelError> {
     let b: Option<&[i32]> = match bias {
         Some(t) => Some(t.as_i32().map_err(|e| kerr(e.to_string()))?),
@@ -100,9 +119,9 @@ pub(super) fn quantized_planes(
                     && fits_i16(wr.0, wr.1)
                     && fits_i32(g.taps(), xr, wr, b);
                 match (narrow, out_dtype) {
-                    (true, DType::I8) => q.run::<_, _, i32, i8>(g, x, w),
-                    (true, DType::U8) => q.run::<_, _, i32, u8>(g, x, w),
-                    (true, _) => q.run::<_, _, i32, i32>(g, x, w),
+                    (true, DType::I8) => q.narrow::<_, _, i8>(g, x, w, packed)?,
+                    (true, DType::U8) => q.narrow::<_, _, u8>(g, x, w, packed)?,
+                    (true, _) => q.narrow::<_, _, i32>(g, x, w, packed)?,
                     (false, DType::I8) => q.run::<_, _, i64, i8>(g, x, w),
                     (false, DType::U8) => q.run::<_, _, i64, u8>(g, x, w),
                     (false, _) => q.run::<_, _, i64, i32>(g, x, w),
@@ -133,6 +152,24 @@ struct QArith<'a> {
 struct Typed<'q, 'a, T>(&'q QArith<'a>, PhantomData<T>);
 
 impl QArith<'_> {
+    /// `i16` operands into an `i32` accumulator: the packed path where it
+    /// covers `g`, the walk elsewhere.
+    fn narrow<X: IntElem, W: IntElem, O: IntElem>(
+        &self,
+        g: &ConvGeom,
+        x: &[X],
+        w: &[W],
+        packed: bool,
+    ) -> Result<Data, KernelError> {
+        if packed {
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            if let Some(out) = sse2::conv::<X, W, O>(self, g, x, w)? {
+                return Ok(O::wrap(out));
+            }
+        }
+        Ok(self.run::<X, W, i32, O>(g, x, w))
+    }
+
     fn run<X: IntElem, W: IntElem, A: Acc, O: IntElem>(
         &self,
         g: &ConvGeom,
@@ -152,33 +189,17 @@ impl<X: IntElem, W: IntElem, A: Acc, O: IntElem> Arith for Typed<'_, '_, (X, W, 
     fn start(&self, o: usize) -> A {
         A::from(self.0.bias.map_or(0, |b| b[o]))
     }
-    /// Integer sums are exact, so the taps may be taken in any grouping:
-    /// two `(ic, ky)` rows at a time, `acc += xa·wa + xb·wb` with both
-    /// products at operand width (a lone last row pairs with itself under a
-    /// zero weight). The zero-point-subtracted input pairs of a span are
-    /// packed once and shared by the run's output channels.
+    /// The float walk's taps, one product `(x − zx)·(w − zw)` each.
     fn accumulate(&self, acc: &mut [[A; BLOCK]], taps: &Taps<'_, X, W>) {
         let (zx, zw) = (self.0.zx, self.0.zw);
-        let zero = A::Operand::default();
-        let (mut xp, mut wp) = ([[zero; 2]; BLOCK], [[zero; 2]; BLOCK]);
-        let mut rows = taps.rows();
-        while let Some((xa, wa)) = rows.next() {
-            let b = rows.next();
-            for (kx, s) in taps.spans.iter().enumerate() {
-                let n = s.hi - s.lo;
-                if n == 0 {
-                    continue;
-                }
-                let xb = b.map_or(xa, |(xb, _)| xb);
-                let (xa, xb) = (&taps.x[xa + s.x0..], &taps.x[xb + s.x0..]);
-                pack::<X, A>(&mut xp[..n], xa, xb, taps.step, zx);
+        for (x_row, w_row) in taps.rows() {
+            for (kx, s) in taps.spans.iter().enumerate().filter(|(_, s)| s.lo < s.hi) {
+                let xs = taps.x[x_row + s.x0..].iter().step_by(taps.step);
                 for (r, acc) in acc.iter_mut().enumerate() {
-                    let w_at =
-                        |row: usize| A::operand(taps.w[r * taps.w_len + row + kx].widen() - zw);
-                    // A row of the pair rather than a splat, so the loop
-                    // below loads both of its operands.
-                    wp[..n].fill([w_at(wa), b.map_or(zero, |(_, wb)| w_at(wb))]);
-                    mac_pairs(&mut acc[s.lo..s.hi], &xp[..n], &wp[..n]);
+                    let w = A::from(taps.w[r * taps.w_len + w_row + kx].widen() - zw);
+                    for (sum, x) in acc[s.lo..s.hi].iter_mut().zip(xs.clone()) {
+                        *sum = *sum + A::from(x.widen() - zx) * w;
+                    }
                 }
             }
         }
@@ -188,28 +209,302 @@ impl<X: IntElem, W: IntElem, A: Acc, O: IntElem> Arith for Typed<'_, '_, (X, W, 
     }
 }
 
-/// `xp[j] = [xa[j·step] − zx, xb[j·step] − zx]`.
-#[inline]
-fn pack<X: IntElem, A: Acc>(xp: &mut [[A::Operand; 2]], xa: &[X], xb: &[X], step: usize, zx: i32) {
-    let sub = |x: X| A::operand(x.widen() - zx);
-    if step == 1 {
-        for ((p, &a), &b) in xp.iter_mut().zip(xa).zip(xb) {
-            *p = [sub(a), sub(b)];
-        }
-    } else {
-        let pairs = xa.iter().step_by(step).zip(xb.iter().step_by(step));
-        for (p, (&a, &b)) in xp.iter_mut().zip(pairs) {
-            *p = [sub(a), sub(b)];
+/// The packed path, for dense (`groups = 1`) and depthwise
+/// (`groups = C = OC`) convolutions with `i16` operands and an `i32`
+/// accumulator. Each call packs the input once: zero point subtracted,
+/// spatial zero padding materialised (an exact integer sum gains exactly 0
+/// from it), two `i16` operands per `i32` — two input channels of one
+/// column (dense) or two kernel columns of one channel (depthwise, the
+/// last odd column beside a zero weight). The weights are packed once per
+/// call in the same pairing. A register tile of [`R`] output channels ×
+/// [`V`] output columns then runs the whole tap loop as one `pmaddwd` +
+/// `paddd` per tap and register; the sums are requantized [`SPAN`]
+/// columns at a time.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+mod sse2 {
+    use super::{requantize_block, ConvGeom, IntElem, KernelError, QArith};
+    use crate::kernels::kerr;
+    use core::arch::x86_64::*;
+    use rayon::prelude::*;
+    use std::cell::RefCell;
+
+    /// Output channels of a register tile.
+    const R: usize = 4;
+    /// Output columns of a register tile, four per xmm register.
+    const V: usize = 8;
+    /// Output columns requantized together: the requantizer's block.
+    const SPAN: usize = 4 * V;
+    /// Depthwise channels packed at a time: a block reads only its own
+    /// planes, so the scratch need not hold them all.
+    const DW_GROUP: usize = 32;
+
+    /// A call's packed operands and the input offset of each tap.
+    #[derive(Default)]
+    struct Scratch {
+        x: Vec<i32>,
+        pad: Vec<i32>,
+        w: Vec<i32>,
+        taps: Vec<usize>,
+    }
+
+    thread_local! {
+        /// Grown to the largest call of its thread and reused: a steady
+        /// state run allocates nothing here.
+        static SCRATCH: RefCell<Scratch> = RefCell::default();
+    }
+
+    /// Where the packed input of one image keeps a padded input element:
+    /// `[plane][padded row][column phase][entry]`, padded column `cc` at
+    /// phase `cc % sw`, entry `cc / sw`, so the columns a tap reads for
+    /// adjacent outputs are adjacent at any stride.
+    struct Layout {
+        depthwise: bool,
+        /// Entries per phase: the output columns rounded up to [`V`], plus
+        /// the furthest kernel column.
+        wq: usize,
+        row: usize,
+        plane: usize,
+    }
+
+    /// `a` and `b` as the low and high `i16` of one `pmaddwd` lane.
+    fn pair(a: i32, b: i32) -> i32 {
+        (a as u16 as u32 | (b as u32) << 16) as i32
+    }
+
+    /// The packed path's output, or `None` where it does not apply.
+    pub(super) fn conv<X: IntElem, W: IntElem, O: IntElem>(
+        q: &QArith<'_>,
+        g: &ConvGeom,
+        x: &[X],
+        wt: &[W],
+    ) -> Result<Option<Vec<O>>, KernelError> {
+        let ([n, c, h, w], [oc, cg, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
+        let ((sh, sw), (dh, dw)) = (g.params.strides, g.params.dilation);
+        let depthwise = match g.params.groups {
+            _ if x.is_empty() || oc == 0 => return Ok(None),
+            1 => false,
+            groups if groups == c && oc == c => true,
+            _ => return Ok(None),
+        };
+        // Planes per pack; depthwise tiles read R channels' planes.
+        let (planes, tap_planes, kstep) = if depthwise {
+            (c.next_multiple_of(R).min(DW_GROUP), 1, 2)
+        } else {
+            (c.div_ceil(2), c.div_ceil(2), 1)
+        };
+        let wq = ow.next_multiple_of(V) + (kw - 1) * dw / sw;
+        let rows = (oh - 1) * sh + (kh - 1) * dh + 1;
+        let Some(x_len) = [wq, rows, planes]
+            .into_iter()
+            .try_fold(sw, usize::checked_mul)
+        else {
+            return Err(kerr("qconv2d packed input overflows usize"));
+        };
+        let (row, plane) = (sw * wq, rows * sw * wq);
+        let lay = Layout {
+            depthwise,
+            wq,
+            row,
+            plane,
+        };
+        let plane_len = oh * ow;
+        let mut out = vec![O::narrow(0); n * oc * plane_len];
+        SCRATCH.with_borrow_mut(|s| {
+            // Taps in `(plane, ky, kx)` order.
+            s.taps.clear();
+            for (i, ky) in (0..tap_planes).flat_map(|i| (0..kh).map(move |ky| (i, ky))) {
+                s.taps.extend((0..kw).step_by(kstep).map(|kx| {
+                    let col = kx * dw;
+                    i * plane + ky * dh * row + col % sw * wq + col / sw
+                }));
+            }
+            // Weights `[block][tap][r]`, each output channel's in tap order.
+            let t_len = s.taps.len();
+            s.w.clear();
+            s.w.resize(oc.div_ceil(R) * t_len * R, 0);
+            let sub = |w: &W| w.widen() - q.zw;
+            for (o, wo) in wt.chunks_exact(cg * kh * kw).enumerate() {
+                let mut put =
+                    |t: usize, a: i32, b: i32| s.w[(o / R * t_len + t) * R + o % R] = pair(a, b);
+                if depthwise {
+                    for (t, p) in wo.chunks(kw).flat_map(|row| row.chunks(2)).enumerate() {
+                        put(t, sub(&p[0]), p.get(1).map_or(0, sub));
+                    }
+                } else {
+                    for (i, two) in wo.chunks(2 * kh * kw).enumerate() {
+                        let (a, b) = two.split_at(kh * kw);
+                        for (j, a) in a.iter().enumerate() {
+                            put(i * kh * kw + j, sub(a), b.get(j).map_or(0, sub));
+                        }
+                    }
+                }
+            }
+            if s.x.len() < x_len {
+                s.x.resize(x_len, 0);
+            }
+            let (xp, pad, taps, wp) = (&mut s.x[..x_len], &mut s.pad, &s.taps[..], &s.w[..]);
+            let block_w = taps.len() * R;
+            let images = x.chunks_exact(c * h * w);
+            for (image, out) in images.zip(out.chunks_exact_mut(oc * plane_len)) {
+                // The output planes that read one pack: all, or its channels.
+                let per_pack = if depthwise { planes } else { oc } * plane_len;
+                for (first, out) in (0..).step_by(planes).zip(out.chunks_mut(per_pack)) {
+                    pack(xp, pad, image, g, &lay, first, q.zx);
+                    let xp = &*xp;
+                    out.par_chunks_mut(R * plane_len)
+                        .enumerate()
+                        .for_each(|(b, out)| {
+                            let xp = if depthwise { &xp[b * R * plane..] } else { xp };
+                            let b = first / R + b;
+                            let w = &wp[b * block_w..][..block_w];
+                            if depthwise {
+                                block::<true, O>(q, g, &lay, xp, taps, w, b, out)
+                            } else {
+                                block::<false, O>(q, g, &lay, xp, taps, w, b, out)
+                            }
+                        });
+                }
+            }
+        });
+        Ok(Some(out))
+    }
+
+    /// Pack the planes of one image `[c, h, w]` from plane `first` on into
+    /// `xp` as [`Layout`] says, through `pad`: the zero-padded input row of
+    /// each lane.
+    fn pack<X: IntElem>(
+        xp: &mut [i32],
+        pad: &mut Vec<i32>,
+        x: &[X],
+        g: &ConvGeom,
+        lay: &Layout,
+        first: usize,
+        zx: i32,
+    ) {
+        let ([_, c, h, w], (pt, pl, _, _)) = (g.input, g.params.padding);
+        let (sw, dw) = (g.params.strides.1, g.params.dilation.1);
+        // The high lane reads `db` padded columns past the low one.
+        let db = if lay.depthwise { dw } else { 0 };
+        let span = lay.row + db;
+        pad.clear();
+        pad.resize(2 * span, 0);
+        let (lo, hi) = pad.split_at_mut(span);
+        // Only the image's columns are ever written: the rest stays 0.
+        let image = pl.min(span)..(pl + w).min(span);
+        let load = |pad: &mut [i32], src: Option<&[X]>| {
+            let pad = &mut pad[image.clone()];
+            pad.fill(0);
+            let src = src.into_iter().flatten();
+            pad.iter_mut()
+                .zip(src)
+                .for_each(|(p, x)| *p = x.widen() - zx);
+        };
+        for (i, plane) in (first..).zip(xp.chunks_exact_mut(lay.plane)) {
+            let ca = if lay.depthwise { i } else { 2 * i };
+            let cb = if lay.depthwise { i } else { ca + 1 };
+            for (py, row) in plane.chunks_exact_mut(lay.row).enumerate() {
+                let iy = py.wrapping_sub(pt);
+                let src = |ch: usize| (ch < c && iy < h).then(|| &x[(ch * h + iy) * w..][..w]);
+                let Some(a) = src(ca) else {
+                    row.fill(0);
+                    continue;
+                };
+                load(lo, Some(a));
+                if !lay.depthwise {
+                    load(hi, src(cb));
+                }
+                let b = if lay.depthwise { &lo[db..] } else { &hi[..] };
+                for (phase, run) in row.chunks_exact_mut(lay.wq).enumerate() {
+                    let (a, b) = (&lo[phase..], &b[phase..]);
+                    if sw == 1 {
+                        for (v, (&a, &b)) in run.iter_mut().zip(a.iter().zip(b)) {
+                            *v = pair(a, b);
+                        }
+                    } else {
+                        let last = (run.len() - 1) * sw;
+                        let (a, b) = (&a[..=last], &b[..=last]);
+                        for (e, v) in run.iter_mut().enumerate() {
+                            *v = pair(a[e * sw], b[e * sw]);
+                        }
+                    }
+                }
+            }
         }
     }
-}
 
-/// `acc[j] = acc[j] + (xp[j][0] · wp[j][0] + xp[j][1] · wp[j][1])` — with
-/// `i16` operands, the multiply-add-pairs instruction per lane.
-#[inline]
-fn mac_pairs<A: Acc>(acc: &mut [A], xp: &[[A::Operand; 2]], wp: &[[A::Operand; 2]]) {
-    for ((sum, x), w) in acc.iter_mut().zip(xp).zip(wp) {
-        *sum = *sum + (x[0].into() * w[0].into() + x[1].into() * w[1].into());
+    /// Every tile of output-channel block `b`, into its `out` planes;
+    /// depthwise, `xp` starts at the block's first plane.
+    #[allow(clippy::too_many_arguments)]
+    fn block<const DW: bool, O: IntElem>(
+        q: &QArith<'_>,
+        g: &ConvGeom,
+        lay: &Layout,
+        xp: &[i32],
+        taps: &[usize],
+        w: &[i32],
+        b: usize,
+        out: &mut [O],
+    ) {
+        let [_, _, oh, ow] = g.output;
+        let bias = std::array::from_fn(|r| q.bias.and_then(|bias| bias.get(b * R + r)).copied());
+        let bias = bias.map(|b| b.unwrap_or(0));
+        for oy in 0..oh {
+            let x_row = &xp[oy * g.params.strides.0 * lay.row..];
+            // Tiles are requantized `SPAN` columns at a time.
+            for ox0 in (0..ow).step_by(SPAN) {
+                let cols = (ow - ox0).min(SPAN);
+                let mut acc = [[0; SPAN]; R];
+                for v0 in (0..cols).step_by(V) {
+                    // SAFETY: `tile` enables SSE2 alone, which every x86_64
+                    // CPU has and this module is compiled only for.
+                    let sums = unsafe { tile::<DW>(&x_row[ox0 + v0..], lay.plane, taps, w, bias) };
+                    for (acc, sums) in acc.iter_mut().zip(sums) {
+                        acc[v0..][..V].copy_from_slice(&sums);
+                    }
+                }
+                for (acc, plane) in acc.iter().zip(out.chunks_exact_mut(oh * ow)) {
+                    let out = &mut plane[oy * ow + ox0..][..cols];
+                    requantize_block(&acc[..cols], |a| a, out, q.multiplier, q.zo);
+                }
+            }
+        }
+    }
+
+    /// `bias[r] + Σ x[tap + r·plane + v] ⋅ w[tap][r]` over every tap, a
+    /// `pmaddwd` of `i16` pairs with the accumulators in xmm registers
+    /// throughout; dense tiles (`!DW`) read one input for all `r`.
+    #[target_feature(enable = "sse2")]
+    fn tile<const DW: bool>(
+        x: &[i32],
+        plane: usize,
+        taps: &[usize],
+        w: &[i32],
+        bias: [i32; R],
+    ) -> [[i32; V]; R] {
+        let mut a = [[_mm_setzero_si128(); V / 4]; R];
+        for (a, &b) in a.iter_mut().zip(&bias) {
+            *a = [_mm_set1_epi32(b); V / 4];
+        }
+        for (&tap, w) in taps.iter().zip(w.chunks_exact(R)) {
+            for (r, (a, &w)) in a.iter_mut().zip(w).enumerate() {
+                let xs = &x[tap + if DW { r * plane } else { 0 }..][..V];
+                let w = _mm_set1_epi32(w);
+                for (a, s) in a.iter_mut().zip(xs.chunks_exact(4)) {
+                    let xv = _mm_setr_epi32(s[0], s[1], s[2], s[3]);
+                    *a = _mm_add_epi32(*a, _mm_madd_epi16(xv, w));
+                }
+            }
+        }
+        let mut acc = [[0; V]; R];
+        for (acc, a) in acc.iter_mut().zip(a) {
+            for (lanes, mut a) in acc.chunks_exact_mut(4).zip(a) {
+                for lane in lanes {
+                    *lane = _mm_cvtsi128_si32(a);
+                    a = _mm_srli_si128::<4>(a);
+                }
+            }
+        }
+        acc
     }
 }
 

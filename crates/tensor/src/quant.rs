@@ -228,24 +228,9 @@ pub(crate) fn requantize_block<X: Copy, O: IntElem>(
 pub(crate) trait Acc:
     Copy + Send + Sync + From<i32> + TryInto<i32> + PartialOrd + Add<Output = Self> + Mul<Output = Self>
 {
-    /// A zero-point-subtracted operand, half the accumulator's width: two
-    /// products of operands sum without leaving the accumulator.
-    type Operand: Copy + Send + Sync + Default + Into<Self>;
-    /// `v` as an operand; the caller has proved it fits.
-    fn operand(v: i32) -> Self::Operand;
 }
-impl Acc for i32 {
-    type Operand = i16;
-    fn operand(v: i32) -> i16 {
-        v as i16
-    }
-}
-impl Acc for i64 {
-    type Operand = i32;
-    fn operand(v: i32) -> i32 {
-        v
-    }
-}
+impl Acc for i32 {}
+impl Acc for i64 {}
 
 /// The sum, saturated to the `i32` the requantizer takes.
 pub(crate) fn saturate<A: Acc>(acc: A) -> i32 {

@@ -10,6 +10,7 @@
 
 use tvmnp_models::{anti_spoofing, emotion, object_detection, zoo};
 use tvmnp_relay::{infer_types, visit::topo_order, ExprKind, OpKind};
+use tvmnp_tensor::kernels::qconv::qconv2d_with;
 use tvmnp_tensor::kernels::{
     self, BinaryOp, Conv2dParams, KernelError, Pool2dParams, QConvQuant, UnaryOp,
 };
@@ -1027,6 +1028,25 @@ fn assert_same_bits(
     assert!(same, "{what}: payload bits differ");
 }
 
+/// `qconv2d` against the direct loop, and the portable walk, forced, against
+/// `qconv2d`: the packed path bypasses the walk on x86_64, and the walk is
+/// what `i64` accumulators, grouped convolutions and other targets run.
+#[track_caller]
+fn assert_qconv(
+    (x, w, b): (&Tensor, &Tensor, Option<&Tensor>),
+    params: &Conv2dParams,
+    quant: &QConvQuant,
+    what: &str,
+) {
+    let got = kernels::qconv2d(x, w, b, params, quant);
+    assert_same_bits(
+        qconv2d_with(x, w, b, params, quant, false),
+        got.clone(),
+        &format!("{what}: portable walk vs qconv2d"),
+    );
+    assert_same_bits(got, reference::qconv2d(x, w, b, params, quant), what);
+}
+
 /// A random convolution geometry whose output is non-empty:
 /// `(input dims, weight dims, params)`.
 fn conv_geometry(p: &mut Pick) -> ([usize; 4], [usize; 4], Conv2dParams) {
@@ -1114,9 +1134,10 @@ fn qconv2d_matches_direct_loop_for_every_operand_pairing() {
             let b = p
                 .coin()
                 .then(|| p.ints(&[ws[0]], DType::I32, QuantParams::identity()));
-            assert_same_bits(
-                kernels::qconv2d(&x, &w, b.as_ref(), &params, &quant),
-                reference::qconv2d(&x, &w, b.as_ref(), &params, &quant),
+            assert_qconv(
+                (&x, &w, b.as_ref()),
+                &params,
+                &quant,
                 &format!("qconv2d {xd}/{wd} case {case}: {xs:?} * {ws:?} {params:?} {quant:?}"),
             );
         }
@@ -1146,9 +1167,10 @@ fn qconv2d_and_qdense_wide_accumulator() {
         let w = p.ints(&[3, 4, 3, 3], DType::I8, quant.weight);
         let b = Tensor::from_i32([3], vec![bias, -bias / 2, 5], None).unwrap();
         let params = Conv2dParams::same(1);
-        assert_same_bits(
-            kernels::qconv2d(&x, &w, Some(&b), &params, &quant),
-            reference::qconv2d(&x, &w, Some(&b), &params, &quant),
+        assert_qconv(
+            (&x, &w, Some(&b)),
+            &params,
+            &quant,
             &format!("wide qconv2d zx={zx} zw={zw} bias={bias}"),
         );
         let xd = p.ints(&[2, 300], DType::U8, quant.input);
@@ -1223,10 +1245,10 @@ fn dense_kernels_match_direct_loop() {
     }
 }
 
-/// The paired integer walk at its seams: odd channel counts (a lone last
-/// row), `cg = 1` depthwise (rows pair along `ky`, a lone one for odd `kh`),
-/// stride 2, dilation, and zero points at both ends of the storage range —
-/// the widest operands the half-width path takes.
+/// The integer kernels at their seams: odd channel counts, `cg = 1`
+/// depthwise, grouped convolutions, stride 2, dilation, and zero points at
+/// both ends of the storage range — the widest operands the half-width
+/// path takes.
 #[test]
 fn qconv2d_paired_walk_edges_match_direct_loop() {
     let mut p = Pick(TensorRng::new(0xC4));
@@ -1265,10 +1287,13 @@ fn qconv2d_paired_walk_edges_match_direct_loop() {
                         let b = p
                             .coin()
                             .then(|| p.ints(&[ws[0]], DType::I32, QuantParams::identity()));
-                        assert_same_bits(
-                            kernels::qconv2d(&x, &wt, b.as_ref(), &params, &quant),
-                            reference::qconv2d(&x, &wt, b.as_ref(), &params, &quant),
-                            &format!("paired qconv2d {xd}/{wd} zx={zx} zw={zw}: {xs:?} * {ws:?} {params:?}"),
+                        assert_qconv(
+                            (&x, &wt, b.as_ref()),
+                            &params,
+                            &quant,
+                            &format!(
+                                "qconv2d {xd}/{wd} zx={zx} zw={zw}: {xs:?} * {ws:?} {params:?}"
+                            ),
                         );
                     }
                 }
@@ -1286,11 +1311,98 @@ fn qconv2d_paired_walk_edges_match_direct_loop() {
     let x = p.ints(&[1, 3, 5, 34], DType::U8, quant.input);
     let wt = p.ints(&[2, 3, 3, 3], DType::I8, quant.weight);
     let params = Conv2dParams::same(1);
-    assert_same_bits(
-        kernels::qconv2d(&x, &wt, None, &params, &quant),
-        reference::qconv2d(&x, &wt, None, &params, &quant),
+    assert_qconv(
+        (&x, &wt, None),
+        &params,
+        &quant,
         "qconv2d with an operand past i16",
     );
+}
+
+/// The packed path at its seams: odd `C` and `C = 1`; `OC` off the
+/// 4-channel tile and `OW` off the 8-column tile; asymmetric padding, some
+/// wider than the kernel; stride 2 and dilation 2; depthwise kernel widths
+/// 1, 3 and 5, and a channel multiplier of 2, which takes the walk — every
+/// operand pairing into every output type, with and without bias.
+#[test]
+fn qconv2d_packed_path_edges_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xC7));
+    // (C, OC, groups, (kh, kw), strides, dilation, padding, W)
+    type Case = (
+        usize,
+        usize,
+        usize,
+        (usize, usize),
+        (usize, usize),
+        (usize, usize),
+        (usize, usize, usize, usize),
+        usize,
+    );
+    let cases: [Case; 10] = [
+        (3, 5, 1, (3, 3), (1, 1), (1, 1), (1, 1, 1, 1), 9),
+        (1, 6, 1, (3, 3), (2, 2), (1, 1), (0, 2, 1, 0), 17),
+        (5, 1, 1, (1, 1), (1, 1), (1, 1), (0, 3, 0, 4), 7),
+        (7, 9, 1, (2, 3), (1, 2), (2, 2), (3, 1, 0, 2), 13),
+        (2, 3, 1, (1, 1), (2, 2), (1, 1), (4, 4, 4, 4), 1),
+        (6, 6, 6, (3, 1), (1, 1), (1, 1), (1, 0, 1, 0), 9),
+        (5, 5, 5, (3, 3), (2, 2), (1, 1), (0, 1, 1, 0), 17),
+        (3, 3, 3, (1, 5), (1, 2), (1, 2), (0, 4, 2, 7), 13),
+        (4, 4, 4, (3, 3), (1, 1), (2, 2), (2, 2, 2, 2), 8),
+        (3, 6, 3, (3, 3), (1, 1), (1, 1), (1, 1, 1, 1), 9),
+    ];
+    let ints = [DType::I8, DType::U8];
+    for (xd, wd) in ints.into_iter().flat_map(|x| ints.map(|w| (x, w))) {
+        for (c, oc, groups, (kh, kw), strides, dilation, padding, width) in cases {
+            for out_dtype in [DType::I8, DType::U8, DType::I32] {
+                let mut quant = qconv_quant(&mut p, xd, wd);
+                quant.output = QuantParams::new(1.0, p.int(-10, 140));
+                quant.out_dtype = out_dtype;
+                let params = Conv2dParams {
+                    strides,
+                    padding,
+                    dilation,
+                    groups,
+                };
+                let (xs, ws) = (
+                    [p.of(&[1, 2]), c, p.range(4, 9), width],
+                    [oc, c / groups, kh, kw],
+                );
+                let x = p.ints(&xs, xd, quant.input);
+                let w = p.ints(&ws, wd, quant.weight);
+                let b = p.ints(&[oc], DType::I32, QuantParams::identity());
+                for b in [None, Some(&b)] {
+                    let what = format!("{xd}/{wd} -> {out_dtype}: {xs:?} * {ws:?} {params:?}");
+                    assert_qconv((&x, &w, b), &params, &quant, &what);
+                }
+            }
+        }
+    }
+    // Zero points at the edge of the `i16` proof, `|q − zero| = 32767`, and
+    // one past it, which must take the `i64` walk: there a `u8` 255 or an
+    // `i8` 127 is 32768 from its zero point, and an `i16` lane holding it
+    // would wrap to −32768. I32 outputs show every bit of the sum.
+    let (x_edge, w_edge) = (255 - 32767, 127 - 32767);
+    for (zx, zw) in [(x_edge, 0), (x_edge - 1, 0), (3, w_edge), (3, w_edge - 1)] {
+        let quant = QConvQuant {
+            input: QuantParams::new(0.02, zx),
+            weight: QuantParams::new(0.01, zw),
+            output: QuantParams::new(0.05, -7),
+            out_dtype: DType::I32,
+        };
+        let (xs, ws) = ([1, 3, 6, 11], [5, 3, 3, 3]);
+        let n: usize = xs.iter().product();
+        let xv: Vec<i32> = (0..n).map(|i| [255, 0, 254, 1][i % 4]).collect();
+        let x = Tensor::from_int_values(xs, &xv, DType::U8, Some(quant.input)).unwrap();
+        let w = Tensor::from_int_values(ws, &[127, -128, 3].repeat(45), DType::I8, None).unwrap();
+        let dw_w = Tensor::from_int_values([3, 1, 3, 3], &[127; 27], DType::I8, None).unwrap();
+        let depthwise = Conv2dParams {
+            groups: 3,
+            ..Conv2dParams::same(1)
+        };
+        let what = format!("zero points {zx} / {zw}");
+        assert_qconv((&x, &w, None), &Conv2dParams::same(1), &quant, &what);
+        assert_qconv((&x, &dw_w, None), &depthwise, &quant, &what);
+    }
 }
 
 /// The block requantizer against the one-value-at-a-time arithmetic on 10^5

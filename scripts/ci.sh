@@ -100,6 +100,19 @@ for f in $(find crates/neuropilot/src -name '*.rs' | sort); do
     fi
 done
 
+# And `unsafe` stays where DESIGN.md "Kernel numerics contract" argues it:
+# the one call of the SSE2 int8 microkernel. Every other line of non-test
+# source under crates/*/src is safe code.
+unsafe_sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+    awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -w 'unsafe' || true)
+if [ "$(grep -c . <<<"$unsafe_sites")" -ne 1 ] ||
+    ! grep -qE '^crates/tensor/src/kernels/qconv\.rs:[0-9]+: .*unsafe \{ tile::<' <<<"$unsafe_sites"; then
+    echo "$unsafe_sites" >&2
+    echo "one-unsafe gate: non-test crates/*/src must say unsafe exactly once, at the microkernel call in crates/tensor/src/kernels/qconv.rs" >&2
+    exit 1
+fi
+
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
 
@@ -126,11 +139,12 @@ cargo metadata --locked --offline --format-version 1 \
     --manifest-path benchmark/Cargo.toml >/dev/null
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
-# int8-vs-f32 kernel gate (ROADMAP item 1: "make int8 as fast as f32"). Hard
+# int8-vs-f32 kernel gate (DESIGN.md "Kernel numerics contract"). Hard
 # step: one traced run reports `tensor.qconv2d_ms` and `tensor.conv2d_f32_ms`
 # — the same 2 097 152 MACs, in the same process, so their ratio is free of
-# the runner's clock speed. 3.92 before the paired int8 walk, about 1.75
-# with it (target 2.0); past 3.0 the multiply-add-pairs form has been lost.
+# the runner's clock speed. 3.92 before the paired int8 walk, about 1.69
+# with it, about 0.8 on the packed path with register-resident `pmaddwd`
+# accumulators; past 1.25 the packed path has been lost.
 ratio_out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload infer_zoo --seed 1 --seconds 5 --trace 1)
 ratio=$(echo "$ratio_out" | awk '
@@ -142,8 +156,8 @@ if [ -z "$ratio" ]; then
     exit 1
 fi
 echo "int8 gate: qconv2d / conv2d_f32 = ${ratio%% *} (qconv2d_ms, conv2d_f32_ms: ${ratio#* })"
-if awk -v r="${ratio%% *}" 'BEGIN { exit !(r > 3.0) }'; then
-    echo "int8 gate: tensor.qconv2d_ms is more than 3.0x tensor.conv2d_f32_ms" >&2
+if awk -v r="${ratio%% *}" 'BEGIN { exit !(r > 1.25) }'; then
+    echo "int8 gate: tensor.qconv2d_ms is more than 1.25x tensor.conv2d_f32_ms" >&2
     exit 1
 fi
 

@@ -1,6 +1,8 @@
 //! Pins what the flat execution plan bought: a steady-state
 //! `CompiledModel::run` allocates its activations and the copies its
-//! signature forces, and nothing the size of a weight.
+//! signature forces, and nothing the size of a weight. On the int8 models
+//! it pins the count too: the packed convolutions reuse a per-thread
+//! scratch, so a per-call buffer cannot come back unnoticed.
 //!
 //! And what "bytes only at a file boundary" bought: a build, a cache
 //! insert and a memory hit allocate typed metadata, not a serialization
@@ -13,9 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
-use tvm_neuropilot::byoc::{relay_build, ArtifactCache, CompiledModel, Permutation};
+use tvm_neuropilot::byoc::{relay_build, ArtifactCache, CompiledModel, Permutation, TargetMode};
 use tvm_neuropilot::hwsim::CostModel;
-use tvm_neuropilot::models::{anti_spoofing, zoo};
+use tvm_neuropilot::models::{anti_spoofing, object_detection, zoo};
+use tvm_neuropilot::prelude::{TargetPolicy, Tensor};
 use tvm_neuropilot::runtime::NodeKind;
 
 /// Sizes kept per measured window; a run makes a few hundred allocations.
@@ -64,11 +67,62 @@ fn allocations_of(f: impl FnOnce()) -> Vec<usize> {
     SIZES[..n].iter().map(|s| s.load(Relaxed)).collect()
 }
 
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+/// `f` with the calling thread on one CPU: the kernels' `par_chunks_mut`
+/// then runs inline, so an allocation count does not depend on the number
+/// of cores (the benchmark pins the same way).
+fn on_one_cpu<T>(f: impl FnOnce() -> T) -> T {
+    let (mut all, mut one) = ([0u64; 16], [0u64; 16]);
+    let bytes = std::mem::size_of_val(&all);
+    // SAFETY: `all` is a live, writable buffer of `bytes` bytes; pid 0 is
+    // the calling thread.
+    assert_eq!(unsafe { sched_getaffinity(0, bytes, all.as_mut_ptr()) }, 0);
+    let word = all
+        .iter()
+        .position(|&w| w != 0)
+        .expect("some CPU is allowed");
+    one[word] = all[word] & all[word].wrapping_neg();
+    // SAFETY: `one` and `all` are live buffers of `bytes` bytes, only read.
+    assert_eq!(unsafe { sched_setaffinity(0, bytes, one.as_ptr()) }, 0);
+    let out = f();
+    // SAFETY: as above.
+    assert_eq!(unsafe { sched_setaffinity(0, bytes, all.as_ptr()) }, 0);
+    out
+}
+
 #[test]
 fn second_run_allocates_activations_and_forced_copies_only() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let cost = CostModel::default();
-    for model in [zoo::mobilenet_v1(1), zoo::mobilenet_v2_quant(2)] {
+    let (tvm, byoc, np) = (
+        Permutation::TvmOnly.mode(),
+        Permutation::ByocCpuApu.mode(),
+        Permutation::NpCpuApu.mode(),
+    );
+    let gpu = TargetMode::Byoc(TargetPolicy::GpuPrefer);
+    // Per model, the modes it is built under and, for the int8 models, the
+    // second run's allocation count as measured with the packed path.
+    let cases = [
+        (
+            zoo::mobilenet_v1(1),
+            vec![(tvm, None), (byoc, None), (np, None)],
+        ),
+        (
+            zoo::mobilenet_v2_quant(2),
+            vec![(tvm, Some(87)), (byoc, Some(89)), (np, Some(84))],
+        ),
+        // The showcase's int8 model, also under the BYOC GPU mode it is
+        // served in on every frame.
+        (
+            object_detection::mobilenet_ssd_model(3),
+            vec![(tvm, Some(68)), (gpu, Some(70))],
+        ),
+    ];
+    for (model, modes) in cases {
         // What one inference has to produce, read off the TVM-only graph:
         // every op output once. Partitioning moves ops into Neuron
         // networks (which may fuse some away) but adds no activation.
@@ -89,11 +143,14 @@ fn second_run_allocates_activations_and_forced_copies_only() {
         let activations: usize = activation_sizes.iter().sum();
         let inputs = model.sample_inputs(3);
         let input_bytes: usize = inputs.values().map(|t| t.size_bytes()).sum();
-        // A weight the size of some activation (or input) proves nothing.
+        // A weight the size of some activation (or input), or of the
+        // executor's `Vec<Tensor>` of a few outputs, proves nothing.
+        let outputs = (1..=8).map(|n| n * std::mem::size_of::<Tensor>());
         let ambiguous: HashSet<usize> = activation_sizes
             .iter()
             .copied()
             .chain(inputs.values().map(|t| t.size_bytes()))
+            .chain(outputs)
             .collect();
         let weight_sizes: HashSet<usize> = graph
             .params
@@ -107,33 +164,37 @@ fn second_run_allocates_activations_and_forced_copies_only() {
             model.name
         );
 
-        for p in [
-            Permutation::TvmOnly,
-            Permutation::ByocCpuApu,
-            Permutation::NpCpuApu,
-        ] {
-            let mut compiled = relay_build(&model.module, p.mode(), cost.clone())
-                .unwrap_or_else(|e| panic!("{} / {p:?}: {e}", model.name));
+        for (p, max_allocations) in modes {
+            let mut compiled = relay_build(&model.module, p, cost.clone())
+                .unwrap_or_else(|e| panic!("{} / {p}: {e}", model.name));
             let (first, _) = compiled.run(&inputs).unwrap();
             let output_bytes: usize = first.iter().map(|t| t.size_bytes()).sum();
             drop(first);
-            let sizes = allocations_of(|| {
-                std::hint::black_box(compiled.run(&inputs).unwrap());
+            let sizes = on_one_cpu(|| {
+                allocations_of(|| {
+                    std::hint::black_box(compiled.run(&inputs).unwrap());
+                })
             });
             let allocated: usize = sizes.iter().sum();
             // `run(&HashMap)` forces an owned copy of each input into the
             // executor and an owned copy of each output out of it.
             let budget = activations + activations / 10 + input_bytes + output_bytes;
             println!(
-                "{} / {p:?}: {allocated} B in {} allocations ({activations} B of activations)",
+                "{} / {p}: {allocated} B in {} allocations ({activations} B of activations)",
                 model.name,
                 sizes.len()
             );
             assert!(
                 allocated <= budget,
-                "{} / {p:?}: second run allocated {allocated} B in {} allocations; \
+                "{} / {p}: second run allocated {allocated} B in {} allocations; \
                  {activations} B of activations + {input_bytes} B in + {output_bytes} B out \
                  allow {budget} B",
+                model.name,
+                sizes.len()
+            );
+            assert!(
+                max_allocations.is_none_or(|max| sizes.len() <= max),
+                "{} / {p}: second run made {} allocations, more than {max_allocations:?}",
                 model.name,
                 sizes.len()
             );
@@ -144,7 +205,7 @@ fn second_run_allocates_activations_and_forced_copies_only() {
                 .collect();
             assert!(
                 copied.is_empty(),
-                "{} / {p:?}: allocations the size of a weight: {copied:?}",
+                "{} / {p}: allocations the size of a weight: {copied:?}",
                 model.name
             );
         }
