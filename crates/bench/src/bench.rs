@@ -1,7 +1,7 @@
 //! The `bench` subcommand.
 
 use crate::cli::{fail, parse_or_exit, usage_error, Flag};
-use crate::session::ObsCli;
+use crate::session::{measured_profile_of, ObsCli};
 use crate::workloads::{resilient_showcase, run_traced, serve_clip, showcase_models};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -370,19 +370,14 @@ pub fn bench(argv: &[String]) -> ExitCode {
         tvm_neuropilot::telemetry::disable();
     }
 
-    // Measured-profile pass, after every analytic/aggregate pass so the
-    // detail-mode spans stay confined to their own snapshot and cannot
-    // leak into the report-layer utilization aggregates: execute the
-    // workload's showcase models once through the BYOC CPU+APU flow with
-    // telemetry detail mode on, and bin the per-kernel executor spans.
+    // Measured-profile pass: execute the workload's showcase models once
+    // through the BYOC CPU+APU flow and bin their cost ledgers.
     let profile_diff = if run.obs.measuring() {
-        tvm_neuropilot::telemetry::enable();
-        tvm_neuropilot::telemetry::reset();
-        tvm_neuropilot::telemetry::set_detail(true);
+        let mut profile = measured_profile_of(workload.name);
         for model in &showcase_models(workload.showcase_seed) {
-            run_traced(model, &run.cost);
+            profile.record_ledger(run_traced(model, &run.cost).0.estimate_breakdown());
         }
-        run.obs.measured_profile(workload.name)
+        run.obs.measured_profile(profile)
     } else {
         None
     };

@@ -28,7 +28,7 @@
 //! * `--slo-ms <f>` — per-frame latency SLO; a breach triggers a dump.
 //!
 //! The measured-profile flags collect a `tvmnp-profile` cost database
-//! from the run (telemetry detail mode):
+//! from the cost ledgers of the models the run executes:
 //!
 //! * `--profile-store <dir>` — save the measured profile into the
 //!   content-addressed store at `dir`;
@@ -183,23 +183,12 @@ impl ObsCli {
         }
     }
 
-    /// Close a detail-mode collection and bin its executor spans into the
-    /// measured profile of `workload`, then save and/or diff it per the
-    /// flags, printing the store path, the ranked attribution table, and
-    /// the greppable `top regression cell:` line. Returns the diff when
-    /// one was made.
-    pub fn measured_profile(&self, workload: &str) -> Option<ProfileDiff> {
-        tvmnp_telemetry::set_detail(false);
-        tvmnp_telemetry::disable();
-        let mut profile = Profile::new(ProfileKey {
-            workload: workload.to_string(),
-            permutation: "byoc-cpu-apu".to_string(),
-            quant: "f32".to_string(),
-            soc: "dimensity-800".to_string(),
-        });
-        profile.ingest_snapshot(&tvmnp_telemetry::snapshot());
+    /// Save and/or diff a measured profile per the flags, printing the
+    /// store path, the ranked attribution table, and the greppable
+    /// `top regression cell:` line. Returns the diff when one was made.
+    pub fn measured_profile(&self, mut profile: Profile) -> Option<ProfileDiff> {
         if profile.total_count() == 0 {
-            eprintln!("warning: measured profile is empty (no detail-mode executor spans)");
+            eprintln!("warning: measured profile is empty (no model ran)");
         }
         if let Some(dir) = &self.profile_store {
             let path = ProfileStore::open(dir)
@@ -235,6 +224,17 @@ impl ObsCli {
     }
 }
 
+/// The empty measured profile of subcommand or workload `workload`, which
+/// the ledgers of the models it runs fill.
+pub fn measured_profile_of(workload: &str) -> Profile {
+    Profile::new(ProfileKey {
+        workload: workload.to_string(),
+        permutation: "byoc-cpu-apu".to_string(),
+        quant: "f32".to_string(),
+        soc: "dimensity-800".to_string(),
+    })
+}
+
 /// One experiment subcommand's observed run: the parsed flags plus the
 /// state accumulated while tracing.
 pub struct Session {
@@ -249,8 +249,10 @@ pub struct Session {
     /// Span name the profile table aggregates (subcommands that execute
     /// no graph override this, e.g. `scheduler.stage` for fig5).
     pub profile_span: &'static str,
-    /// Subcommand name, stamped into the measured profile's key.
-    workload: &'static str,
+    /// The measured profile (keyed by the subcommand name) the models run
+    /// via [`Session::trace_model`] record their ledgers into; `None`
+    /// unless `--profile-store` / `--profile-diff` was given.
+    profile: Option<Profile>,
     /// Frames run so far via [`Session::trace_model`]; feeds
     /// [`ObservePlane::frame_done`].
     frames: usize,
@@ -266,25 +268,19 @@ impl Session {
         let mut obs = ObsCli::default();
         let usage = crate::cli::parse_or_exit(workload, obs.flags(), args);
         let fault_plan = obs.fault_plan(&usage);
-        if obs.reporting() || fault_plan.is_some() || obs.measuring() {
+        if obs.reporting() || fault_plan.is_some() {
             tvmnp_telemetry::enable();
             tvmnp_telemetry::reset();
         }
         // Last: the plane's build enables + resets the collector itself,
         // so any prior enable above is subsumed, not double-counted.
         let plane = obs.build_plane();
-        if obs.measuring() {
-            // Detail mode stamps kind/energy/analytic args onto executor
-            // spans so the profile store can bin them. Confined to this
-            // run: finish() clears it before any report is rendered.
-            tvmnp_telemetry::set_detail(true);
-        }
         Session {
+            profile: obs.measuring().then(|| measured_profile_of(workload)),
             obs,
             fault_plan,
             plane,
             profile_span: "executor.node",
-            workload,
             frames: 0,
             total_run_us: 0.0,
         }
@@ -297,10 +293,13 @@ impl Session {
     /// requested (the figure harnesses measure analytically and never
     /// execute).
     pub fn trace_model(&mut self, model: &Model, cost: &CostModel) {
-        if !(self.obs.reporting() || self.obs.measuring() || self.plane.is_some()) {
+        if !(self.obs.reporting() || self.profile.is_some() || self.plane.is_some()) {
             return;
         }
-        let us = run_traced(model, cost);
+        let (compiled, us) = run_traced(model, cost);
+        if let Some(profile) = &mut self.profile {
+            profile.record_ledger(compiled.estimate_breakdown());
+        }
         if let Some(plane) = &self.plane {
             plane.frame_done(&model.name, self.frames, us);
         }
@@ -313,8 +312,8 @@ impl Session {
         if let Some(plane) = &self.plane {
             self.obs.finish_plane(plane);
         }
-        if self.obs.measuring() {
-            self.obs.measured_profile(self.workload);
+        if let Some(profile) = self.profile {
+            self.obs.measured_profile(profile);
         }
         tvmnp_telemetry::disable();
         if !self.obs.reporting() {

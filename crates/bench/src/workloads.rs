@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 use tvm_neuropilot::byoc::cache::CacheStats;
+use tvm_neuropilot::byoc::CompiledModel;
 use tvm_neuropilot::models::{anti_spoofing, emotion, object_detection, Model};
 use tvm_neuropilot::observe::ObservePlane;
 use tvm_neuropilot::prelude::*;
@@ -20,10 +21,11 @@ pub fn showcase_models(seed: u64) -> [Model; 3] {
 }
 
 /// Build `model` through the BYOC CPU+APU flow and run one inference on
-/// its seed-7 sample inputs, returning the simulated µs. With the
-/// telemetry collector enabled this is what gives a trace its execute
-/// phase.
-pub fn run_traced(model: &Model, cost: &CostModel) -> f64 {
+/// its seed-7 sample inputs, returning the model that ran and the
+/// simulated µs. With the telemetry collector enabled this is what gives
+/// a trace its execute phase; the model's ledger is what a measured
+/// profile records.
+pub fn run_traced(model: &Model, cost: &CostModel) -> (CompiledModel, f64) {
     let mut compiled = relay_build(
         &model.module,
         TargetMode::Byoc(TargetPolicy::CpuApu),
@@ -31,7 +33,7 @@ pub fn run_traced(model: &Model, cost: &CostModel) -> f64 {
     )
     .expect("traced build");
     let (_, us) = compiled.run(&model.sample_inputs(7)).expect("traced run");
-    us
+    (compiled, us)
 }
 
 /// Serve a 64-frame clip (video seed `seed + 1`) through a session pool

@@ -331,3 +331,27 @@ fn the_profile_key_is_the_subcommand_name() {
     assert_eq!(stored.len(), 1, "{stored:?}");
     assert!(stored[0].starts_with("profile-energy-"), "{stored:?}");
 }
+
+/// A measured profile is read off the cost ledgers, so asking for one
+/// adds nothing to the simulated-time half (pid 2) of a trace.
+#[test]
+fn a_profile_flag_leaves_the_simulated_trace_alone() {
+    let dir = scratch("profile-trace");
+    let sim_events = |extra: &[&str]| {
+        let trace = dir.join("trace.json");
+        let mut args = vec!["energy", "--trace-out", path_arg(&trace)];
+        args.extend(extra);
+        let out = tvmnp(&args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let doc: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let events = doc["traceEvents"].as_array().expect("trace events");
+        let sim = events.iter().filter(|e| e["pid"].as_u64() == Some(2));
+        sim.cloned().collect::<Vec<_>>()
+    };
+    let plain = sim_events(&[]);
+    let profiled = sim_events(&["--profile-store", path_arg(&dir.join("store"))]);
+    assert!(plain.len() > 1, "the run must leave simulated spans");
+    assert_eq!(plain.len(), profiled.len(), "simulated-time event count");
+    assert_eq!(plain, profiled);
+}

@@ -4,8 +4,8 @@
 //! Static shapes make simulated cost input-independent, so the two
 //! compiled objects (`neuropilot::CompiledNetwork`, `runtime::GraphExecutor`)
 //! derive it exactly once, into a `Vec<CostEntry>`, and everything else —
-//! run-time accounting, `estimate_*`, per-device attribution, detail-mode
-//! profile spans — reads that vector. Total time is the sum of the entries
+//! run-time accounting, `estimate_*`, per-device attribution, measured
+//! profiles — reads that vector. Total time is the sum of the entries
 //! **in ledger order** ([`charge`]); no consumer adds them any other way,
 //! so a fault-free run returns bit-exactly the estimate.
 

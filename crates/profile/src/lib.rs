@@ -3,18 +3,17 @@
 //!
 //! The benches gate on opaque workload medians and the scheduler trusts
 //! the analytic `tvmnp-hwsim::CostModel` alone; this crate closes the
-//! loop from *measured* spans back to both (ROADMAP item 2's feedback
+//! loop from *measured* costs back to both (ROADMAP item 2's feedback
 //! signal). Three pieces:
 //!
 //! * **[`store`]** — [`Profile`]/[`ProfileStore`]: an on-disk measured-
 //!   cost database, content-addressed by (workload fingerprint ×
-//!   permutation × quant config × SoC). Telemetry snapshots from any
-//!   detail-mode run ([`tvmnp_telemetry::set_detail`]) are binned into
+//!   permutation × quant config × SoC). The cost ledger of each model a
+//!   run executed ([`Profile::record_ledger`]) is binned into
 //!   per-(work kind, device, kernel class) cells, each holding a
 //!   mergeable [`tvmnp_telemetry::QuantileSketch`] of kernel latencies
-//!   plus exact µs / analytic-µs / µJ totals — the `f64`s the cost
-//!   ledger holds, carried by typed span fields. Files are byte-
-//!   deterministic under a fixed seed.
+//!   plus exact µs / analytic-µs / µJ totals — the `f64`s the ledger
+//!   holds. Files are byte-deterministic under a fixed seed.
 //! * **[`diff`]** — [`ProfileDiff`]: compares two profiles and
 //!   attributes latency/energy movement to specific cells with
 //!   significance filtering, rendered as a ranked attribution table.

@@ -1,15 +1,11 @@
-//! The measured-profile database: in-memory [`Profile`]s binned from
-//! telemetry snapshots, and the content-addressed on-disk
-//! [`ProfileStore`] they persist into.
+//! The measured-profile database: in-memory [`Profile`]s binned from the
+//! cost ledgers of the models a run executed, and the content-addressed
+//! on-disk [`ProfileStore`] they persist into.
 //!
 //! A profile is a map from `kind/device/class` cells (e.g.
-//! `mac/apu/vendor_tuned`) to latency/energy aggregates. Samples come
-//! from detail-mode executor spans — `executor.node` for host ops,
-//! `executor.kernel` for the internal kernels of external modules —
-//! which carry `kind`, `energy_uj`, and `analytic_us` fields only while
-//! [`tvmnp_telemetry::set_detail`] is on. Aggregate external-node spans
-//! carry no `kind` and are skipped, so nothing is counted twice. The
-//! energy and analytic time arrive as the `f64`s the cost ledger holds.
+//! `mac/apu/vendor_tuned`) to latency/energy aggregates. Samples are
+//! ledger entries ([`Profile::record_ledger`]): one per kernel and one
+//! per other charged item, each carrying the `f64`s the ledger holds.
 //!
 //! Everything serializes to sorted-key JSON with exact float formatting:
 //! the same seeded run produces byte-identical profile files, which is
@@ -19,8 +15,9 @@ use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use tvmnp_hwsim::ledger::{CostEntry, CostRole};
 use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
-use tvmnp_telemetry::{QuantileSketch, Snapshot};
+use tvmnp_telemetry::QuantileSketch;
 
 /// Version stamp written into every profile file.
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
@@ -179,33 +176,27 @@ impl Profile {
         cell.sketch.insert(us);
     }
 
-    /// Bin every profile-grade span of a telemetry snapshot into cells.
-    /// Only sim spans named `executor.node` / `executor.kernel` that
-    /// carry a `kind` field qualify — i.e. spans recorded in detail mode.
-    /// Aggregate external-node spans (no `kind`) are skipped so their
-    /// per-kernel children are not double-counted. Returns the number of
-    /// samples ingested.
-    pub fn ingest_snapshot(&mut self, snapshot: &Snapshot) -> usize {
-        let mut ingested = 0;
-        for (span, interval) in snapshot.sim_spans() {
-            if span.name != "executor.node" && span.name != "executor.kernel" {
+    /// Bin one model's cost ledger into cells, in ledger order: one sample
+    /// per kernel and one per other entry. A host fusion group's `Launch`
+    /// folds into the kernel after it, as a Neuron kernel entry already
+    /// carries its own launch.
+    pub fn record_ledger(&mut self, ledger: &[CostEntry]) {
+        let mut launch: Option<&CostEntry> = None;
+        for e in ledger {
+            if e.role == CostRole::Launch {
+                launch = Some(e);
                 continue;
             }
-            let cell = (
-                span.str("kind").and_then(WorkKind::parse),
-                span.str("device").and_then(DeviceKind::parse),
-                span.str("class").and_then(KernelClass::parse),
-            );
-            let (Some(kind), Some(device), Some(class)) = cell else {
-                continue;
+            let (us, analytic_us, energy_uj) = match launch.take() {
+                Some(l) => (
+                    l.us + e.us,
+                    l.analytic_us + e.analytic_us,
+                    l.energy_uj + e.energy_uj,
+                ),
+                None => (e.us, e.analytic_us, e.energy_uj),
             };
-            let energy_uj = span.f64("energy_uj").unwrap_or(0.0);
-            let analytic_us = span.f64("analytic_us").unwrap_or(interval.dur_us);
-            let us = interval.dur_us;
-            self.record((kind, device, class), us, analytic_us, energy_uj);
-            ingested += 1;
+            self.record((e.kind, e.device, e.class), us, analytic_us, energy_uj);
         }
-        ingested
     }
 
     /// Total measured time across all cells, µs.

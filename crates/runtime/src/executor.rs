@@ -159,67 +159,19 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Emit one detail-gated `executor.kernel` sim span for a ledger entry of
-/// an external node (boundary transfer or internal kernel). These spans
-/// exist only for the profile ingester (which bins on the `kind` field);
-/// the flight-recorder forward filter and the utilization report never
-/// see them because detail mode is confined to dedicated
-/// profile-collection passes.
-fn record_kernel(symbol: &str, start_us: f64, k: &CostEntry) {
-    tvmnp_telemetry::record_sim_span(
-        "executor.kernel",
-        start_us,
-        k.us,
-        vec![
-            ("op", k.label.into()),
-            ("symbol", symbol.to_string().into()),
-            ("kind", k.kind.name().into()),
-            ("device", k.device.name().into()),
-            ("class", k.class.name().into()),
-            ("energy_uj", Field::F64(k.energy_uj, 6)),
-            ("analytic_us", Field::F64(k.analytic_us, 6)),
-        ],
-    );
-}
-
-/// Record one node's simulated interval (span + latency series + counter);
-/// no-op while telemetry is disabled. `detail` carries a host node's
-/// ledger entries when `tvmnp_telemetry::detail_enabled()`: the span then
-/// gains the work kind, energy, and the unscaled analytic reference time
-/// the calibration layer fits against. `None` on normal runs keeps spans
-/// byte-identical to earlier releases.
-fn record_node(
-    start_us: f64,
-    dur_us: f64,
-    op: &str,
-    device: &'static str,
-    class: KernelClass,
-    detail: Option<&[CostEntry]>,
-) {
+/// Record one node's simulated interval as its one `executor.node` sim
+/// span; no-op while telemetry is disabled. What the node cost, kernel by
+/// kernel, is its slice of the ledger.
+fn record_node(start_us: f64, dur_us: f64, op: &str, device: &'static str, class: KernelClass) {
     if !tvmnp_telemetry::is_enabled() {
         return;
     }
-    let class = class.name();
-    let mut fields = vec![
+    let fields = vec![
         ("op", op.to_string().into()),
         ("device", device.into()),
-        ("class", class.into()),
+        ("class", class.name().into()),
     ];
-    // A host node's entries end in its kernel body (a launch may precede it).
-    if let Some(entries @ [.., kernel]) = detail {
-        let analytic_us: f64 = entries.iter().map(|e| e.analytic_us).sum();
-        let energy_uj = ledger::total_energy_uj(entries);
-        fields.push(("kind", kernel.kind.name().into()));
-        fields.push(("energy_uj", Field::F64(energy_uj, 6)));
-        fields.push(("analytic_us", Field::F64(analytic_us, 6)));
-    }
     tvmnp_telemetry::record_sim_span("executor.node", start_us, dur_us, fields);
-    tvmnp_telemetry::observe_us(
-        "executor.node_us",
-        &[("device", device), ("kernel", op), ("class", class)],
-        dur_us,
-    );
-    tvmnp_telemetry::counter_add("executor.nodes", &[("device", device)], 1);
 }
 
 /// Fault-handling knobs for one run of a compiled model (see
@@ -681,7 +633,6 @@ impl GraphExecutor {
                 }
             }
             ledger::charge(&mut time_us, after);
-            let detail = tvmnp_telemetry::detail_enabled();
             let class = match module {
                 Some(_) => KernelClass::VendorTuned,
                 None => KernelClass::TvmUntuned,
@@ -692,19 +643,7 @@ impl GraphExecutor {
                 name,
                 device.name(),
                 class,
-                (detail && module.is_none()).then_some(entries),
             );
-            if detail && module.is_some() {
-                // Per-kernel attribution spans, tiled from the node start.
-                // (The aggregate `executor.node` span above has no `kind`
-                // arg, so the profile ingester takes these and skips it —
-                // no double counting.)
-                let mut at_us = node_start_us;
-                for entry in entries {
-                    record_kernel(name, at_us, entry);
-                    at_us += entry.us;
-                }
-            }
             opts.check_deadline(time_us).map_err(at_node)?;
             for (out, &slot) in outs.drain(..).zip(plan.memory.slots_of(idx)) {
                 slots[slot] = Some(out);
@@ -959,11 +898,6 @@ mod tests {
             "per-node spans ({node_us}) must account for the whole run ({total})"
         );
         assert_eq!(total, ex.estimate_time_us(), "run is the ledger in order");
-        assert!(snap
-            .metrics
-            .series
-            .iter()
-            .any(|s| s.key.name == "executor.node_us" && s.key.label("kernel").is_some()));
     }
 
     #[test]

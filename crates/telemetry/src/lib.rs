@@ -11,9 +11,9 @@
 //!   an interval-less record to the installed [`EventSink`].
 //! * **Registry** — [`StatsRegistry`]: counters, gauges and
 //!   [`QuantileSketch`] series keyed by name plus sorted labels, e.g.
-//!   `executor.node_us{class=vendor_tuned,device=apu,kernel=nir_0}`. The
-//!   collector owns one (written by [`counter_add`] / [`gauge_set`] /
-//!   [`observe_us`]); `tvmnp-observe`'s live plane owns the other.
+//!   `latency_us{pipeline=showcase,stage=obj-det}`. The collector owns
+//!   one (written by [`counter_add`] / [`gauge_set`]); `tvmnp-observe`'s
+//!   live plane owns the other.
 //! * **Exporters** — a per-op profile table and Chrome trace-event JSON
 //!   (loadable in Perfetto / `chrome://tracing`), see [`export`].
 //!
@@ -98,27 +98,6 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-static DETAIL: AtomicBool = AtomicBool::new(false);
-
-/// Turn profile-detail collection on or off. While on (and the
-/// collector is enabled), the executor stamps its spans with work-kind,
-/// energy, and analytic-reference fields and emits per-kernel spans
-/// for external modules, so a measured profile can be built from the
-/// snapshot (`tvmnp-profile`). Off by default and off for every normal
-/// run: the extra device-tagged spans would double-count in the
-/// utilization report, which consumes every sim span carrying a
-/// `device` field. Only dedicated profile-collection passes flip this.
-pub fn set_detail(on: bool) {
-    DETAIL.store(on, Ordering::Release);
-}
-
-/// Whether profile-detail collection is on *and* the collector is
-/// enabled (detail spans are never recorded while collection is off).
-#[inline]
-pub fn detail_enabled() -> bool {
-    is_enabled() && DETAIL.load(Ordering::Relaxed)
-}
-
 /// Clear all recorded spans and metrics and re-anchor the wall-clock
 /// epoch at "now". Does not change the enabled flag.
 pub fn reset() {
@@ -142,14 +121,6 @@ pub fn counter_add(name: &str, labels: &[(&str, &str)], delta: u64) {
 pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
     if is_enabled() {
         REGISTRY.gauge_set(name, labels, value);
-    }
-}
-
-/// Record one sample into a sketch series of the collector's registry.
-/// No-op while collection is disabled.
-pub fn observe_us(name: &str, labels: &[(&str, &str)], us: f64) {
-    if is_enabled() {
-        REGISTRY.observe_us(name, labels, us);
     }
 }
 
@@ -425,7 +396,6 @@ mod tests {
         counter_add("runs", &[], 1);
         counter_add("runs", &[], 2);
         gauge_set("util", &[("device", "apu")], 0.75);
-        observe_us("node_us", &[("device", "apu")], 12.0);
         disable();
         // Disabled: must not record.
         counter_add("runs", &[], 100);
@@ -433,7 +403,6 @@ mod tests {
         assert_eq!(metrics.counter("runs", &[]), 3);
         let (key, util) = metrics.gauges.iter().next().unwrap();
         assert_eq!((key.render().as_str(), *util), ("util{device=apu}", 0.75));
-        assert_eq!(metrics.series[0].count, 1);
         reset();
         assert!(snapshot().metrics.counters.is_empty());
     }

@@ -130,14 +130,6 @@ impl Record {
         }
     }
 
-    /// The field's unrounded value, if present and a [`Field::F64`].
-    pub fn f64(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            Field::F64(v, _) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Span duration in microseconds (0 for an event).
     pub fn dur_us(&self) -> f64 {
         self.interval.map_or(0.0, |i| i.dur_us)

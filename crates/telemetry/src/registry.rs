@@ -2,8 +2,8 @@
 //! mutex, with a consistent [`StatsRegistry::snapshot`].
 //!
 //! One lock is enough for the traffic there is: the per-frame series are
-//! written serially after a serve, and the concurrent writers (fault,
-//! eviction and node ticks) hold it for one map update. Latency series
+//! written serially after a serve, and the concurrent writers (fault and
+//! eviction) hold it for one map update. Latency series
 //! are [`QuantileSketch`]es (p50/p95/p99 per {pipeline, stage, device,
 //! kind}); counters and gauges cover rates (cache hits, retries,
 //! fallbacks, SLO breaches). Instantiated twice: the process collector's

@@ -100,6 +100,14 @@ for f in $(find crates/neuropilot/src -name '*.rs' | sort); do
     fi
 done
 
+# And a node is one span (DESIGN.md "The cost ledger"): a measured profile
+# is read off the cost ledger, so no telemetry detail mode, per-kernel
+# executor span or per-node series may grow back as a second copy of it.
+if grep -rnE 'set_detail|detail_enabled|executor\.kernel|executor\.node_us|"executor\.nodes"' crates/*/src; then
+    echo "one-span-per-node gate: crates/*/src restores profile detail spans or per-node series" >&2
+    exit 1
+fi
+
 # And `unsafe` stays where DESIGN.md "Kernel numerics contract" argues it:
 # the one call of the SSE2 int8 microkernel. Every other line of non-test
 # source under crates/*/src is safe code.

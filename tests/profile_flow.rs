@@ -1,20 +1,16 @@
-//! End-to-end measured-profile flow: telemetry detail mode feeds the
-//! profile store, a differential diff pins an injected slowdown on the
-//! responsible (op kind, device) cells, calibration fits the analytic
-//! cost model to the measurements, and the on-disk artifact is
-//! byte-deterministic.
-//!
-//! The telemetry collector is process-global, so every test that touches
-//! it serializes through `TESTS`.
+//! End-to-end measured-profile flow: the cost ledgers of the models a run
+//! executed feed the profile store, a differential diff pins an injected
+//! slowdown on the responsible (op kind, device) cells, calibration fits
+//! the analytic cost model to the measurements, and the on-disk artifact
+//! is byte-deterministic.
 
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 use tvm_neuropilot::models::{anti_spoofing, emotion, object_detection, Model};
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::profile::{DiffOptions, DRIFT_THRESHOLD};
 use tvm_neuropilot::telemetry;
+use tvmnp_hwsim::ledger::CostRole;
 use tvmnp_hwsim::WorkKind;
-
-static TESTS: Mutex<()> = Mutex::new(());
 
 fn showcase_trio() -> [Model; 3] {
     [
@@ -24,12 +20,19 @@ fn showcase_trio() -> [Model; 3] {
     ]
 }
 
-/// Run the showcase trio through the BYOC CPU+APU flow with telemetry
-/// detail mode on and ingest the executor spans into a fresh profile.
+fn key(workload: &str) -> ProfileKey {
+    ProfileKey {
+        workload: workload.to_string(),
+        permutation: "byoc-cpu-apu".to_string(),
+        quant: "f32".to_string(),
+        soc: "dimensity-800".to_string(),
+    }
+}
+
+/// Run the showcase trio through the BYOC CPU+APU flow and record each
+/// model's ledger into a fresh profile.
 fn collect(cost: &CostModel) -> Profile {
-    telemetry::enable();
-    telemetry::reset();
-    telemetry::set_detail(true);
+    let mut profile = Profile::new(key("profile-flow"));
     for model in &showcase_trio() {
         let mut compiled = relay_build(
             &model.module,
@@ -38,18 +41,12 @@ fn collect(cost: &CostModel) -> Profile {
         )
         .expect("build");
         compiled.run(&model.sample_inputs(7)).expect("run");
+        profile.record_ledger(compiled.estimate_breakdown());
     }
-    telemetry::set_detail(false);
-    telemetry::disable();
-    let snap = telemetry::snapshot();
-    let mut profile = Profile::new(ProfileKey {
-        workload: "profile-flow".to_string(),
-        permutation: "byoc-cpu-apu".to_string(),
-        quant: "f32".to_string(),
-        soc: "dimensity-800".to_string(),
-    });
-    let ingested = profile.ingest_snapshot(&snap);
-    assert!(ingested > 0, "detail-mode run must yield profile samples");
+    assert!(
+        profile.total_count() > 0,
+        "a run must yield profile samples"
+    );
     profile
 }
 
@@ -58,7 +55,6 @@ fn collect(cost: &CostModel) -> Profile {
 /// kind, with the measured ratio near the injected factor.
 #[test]
 fn injected_mac_slowdown_is_attributed_to_mac_cells() {
-    let _guard = TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = collect(&CostModel::default());
     let slowed = collect(&CostModel::default().with_kind_scale(WorkKind::MacHeavy, 2.0));
 
@@ -90,7 +86,6 @@ fn injected_mac_slowdown_is_attributed_to_mac_cells() {
 /// calibrated residuals must shrink versus the uncalibrated model.
 #[test]
 fn calibration_recovers_injected_scale_and_shrinks_residuals() {
-    let _guard = TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let skewed = collect(&CostModel::default().with_kind_scale(WorkKind::MacHeavy, 2.0));
 
     let cal = CalibratedCostModel::fit(&skewed, &CostModel::default());
@@ -134,7 +129,6 @@ fn calibration_recovers_injected_scale_and_shrinks_residuals() {
 /// artifact must be byte-identical across collections.
 #[test]
 fn profile_artifacts_are_byte_deterministic() {
-    let _guard = TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let mut a = collect(&CostModel::default());
     let mut b = collect(&CostModel::default());
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
@@ -153,63 +147,73 @@ fn profile_artifacts_are_byte_deterministic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Without detail mode the executor emits no kind-stamped spans, so
-/// ingestion finds nothing — the guard that keeps ordinary telemetry
-/// runs (and their utilization aggregates) free of detail spans.
+/// The profile is the ledger of what ran, not a reading of telemetry:
+/// collecting with the span collector off gives exactly the profile
+/// collected with it on.
 #[test]
-fn ingest_without_detail_mode_is_empty() {
-    let _guard = TESTS.lock().unwrap_or_else(|e| e.into_inner());
+fn the_collector_does_not_change_the_profile() {
+    telemetry::disable();
+    let mut off = collect(&CostModel::default());
     telemetry::enable();
     telemetry::reset();
-    let model = emotion::emotion_model(103);
-    let mut compiled = relay_build(
-        &model.module,
-        TargetMode::Byoc(TargetPolicy::CpuApu),
-        CostModel::default(),
-    )
-    .expect("build");
-    compiled.run(&model.sample_inputs(7)).expect("run");
+    let mut on = collect(&CostModel::default());
     telemetry::disable();
-    let snap = telemetry::snapshot();
-    let mut profile = Profile::new(ProfileKey {
-        workload: "no-detail".to_string(),
-        permutation: "byoc-cpu-apu".to_string(),
-        quant: "f32".to_string(),
-        soc: "dimensity-800".to_string(),
-    });
-    assert_eq!(profile.ingest_snapshot(&snap), 0);
-    assert_eq!(profile.total_count(), 0);
+    assert_eq!(off.to_json().to_string(), on.to_json().to_string());
 }
 
 /// Every ledger entry reaches the profile exactly once, as the number
-/// the ledger holds: a host node as one sample summing its entries, an
-/// external node as one `executor.kernel` sample per entry. Only float
-/// reassociation (per-cell sums vs one in-order sum) separates the
-/// totals. Failed before the typed record: the `{:.6}` text transport
-/// left up to 5e-7 per sample.
+/// the ledger holds: one sample per kernel and per other entry, a host
+/// fusion group's launch folded into the kernel after it. Per cell, the
+/// count is the ledger's sample count and the analytic / energy totals
+/// are those samples summed in ledger order, to the bit; across cells
+/// only float reassociation separates them from the model's totals.
 #[test]
 fn profile_totals_reconcile_with_the_cost_ledger() {
-    let _guard = TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let model = anti_spoofing::anti_spoofing_model(101);
-    let mut compiled = relay_build(
+    let compiled = relay_build(
         &model.module,
         TargetMode::Byoc(TargetPolicy::CpuApu),
         CostModel::default(),
     )
     .expect("build");
-    telemetry::enable();
-    telemetry::reset();
-    telemetry::set_detail(true);
-    compiled.run(&model.sample_inputs(7)).expect("run");
-    telemetry::set_detail(false);
-    telemetry::disable();
-    let mut profile = Profile::new(ProfileKey {
-        workload: "ledger".to_string(),
-        permutation: "byoc-cpu-apu".to_string(),
-        quant: "f32".to_string(),
-        soc: "dimensity-800".to_string(),
-    });
-    profile.ingest_snapshot(&telemetry::snapshot());
+    let ledger = compiled.estimate_breakdown();
+    let mut profile = Profile::new(key("ledger"));
+    profile.record_ledger(ledger);
+
+    let mut want: BTreeMap<String, (u64, f64, f64)> = BTreeMap::new();
+    let mut launch = None;
+    for e in ledger {
+        if e.role == CostRole::Launch {
+            launch = Some(e);
+            continue;
+        }
+        let (analytic_us, energy_uj) = match launch.take() {
+            Some(l) => (l.analytic_us + e.analytic_us, l.energy_uj + e.energy_uj),
+            None => (e.analytic_us, e.energy_uj),
+        };
+        let cell = format!("{}/{}/{}", e.kind.name(), e.device.name(), e.class.name());
+        let (count, analytic, energy) = want.entry(cell).or_default();
+        *count += 1;
+        *analytic += analytic_us;
+        *energy += energy_uj;
+    }
+    let launches = ledger.iter().filter(|e| e.role == CostRole::Launch).count();
+    assert!(launches > 0, "the model must have host fusion groups");
+    assert_eq!(profile.total_count() as usize, ledger.len() - launches);
+    assert_eq!(
+        profile.cells.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>()
+    );
+    for (cell, (count, analytic_us, energy_uj)) in &want {
+        let got = &profile.cells[cell];
+        assert_eq!(got.count, *count, "{cell}: count");
+        assert_eq!(
+            got.total_analytic_us.to_bits(),
+            analytic_us.to_bits(),
+            "{cell}"
+        );
+        assert_eq!(got.total_energy_uj.to_bits(), energy_uj.to_bits(), "{cell}");
+    }
 
     let close = |got: f64, want: f64, what: &str| {
         assert!(
@@ -219,11 +223,6 @@ fn profile_totals_reconcile_with_the_cost_ledger() {
     };
     let energy_uj: f64 = profile.cells.values().map(|c| c.total_energy_uj).sum();
     close(energy_uj, compiled.estimate_energy_uj(), "energy_uj");
-    let analytic_us: f64 = profile.cells.values().map(|c| c.total_analytic_us).sum();
-    let ledger_analytic_us: f64 = compiled
-        .estimate_breakdown()
-        .iter()
-        .map(|e| e.analytic_us)
-        .sum();
-    close(analytic_us, ledger_analytic_us, "analytic_us");
+    let us: f64 = profile.cells.values().map(|c| c.total_us).sum();
+    close(us, compiled.estimate_us(), "us");
 }

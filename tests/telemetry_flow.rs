@@ -58,15 +58,6 @@ fn byoc_flow_is_fully_observable() {
         "profile cannot exceed the run"
     );
 
-    // Metrics rode along with the spans.
-    assert!(
-        snap.metrics
-            .series
-            .iter()
-            .any(|s| s.key.name == "executor.node_us"),
-        "per-node latency series missing"
-    );
-
     // Both exporters render from the same snapshot.
     let table = telemetry::profile_table(&snap, "executor.node", None);
     assert!(table.contains("% of run") && table.contains("apu"));
