@@ -200,13 +200,13 @@ fn run_fig5(w: &Workload, run: &Run) -> Metrics {
         metric("fig5.pipelined.makespan.ms", pipe.makespan_us / 1e3),
         metric("fig5.pipelined.period.ms", pipe.period_us() / 1e3),
     ];
-    let sched = report::analyze_schedule(&pipe);
-    for d in &sched.utilization.devices {
+    let util = report::utilization_from_schedule(&pipe);
+    for d in &util.devices {
         out.push(metric(format!("fig5.util.{}", d.device), d.utilization()));
     }
-    let overlap = sched.utilization.overlap_us / sched.makespan_us;
+    let overlap = util.overlap_us / pipe.makespan_us;
     out.push(metric("fig5.overlap_frac", overlap));
-    let steps = sched.critical_path.len() as f64;
+    let steps = pipe.critical_path().len() as f64;
     out.push(metric("fig5.critical_path.steps", steps));
     out
 }

@@ -49,6 +49,7 @@
 //! | [`telemetry`] | the one event model: typed record, labelled registry + quantile sketch, profile/Chrome-trace exporters |
 //! | [`observe`] | live observability over it: plane, flight recorder, trace trees, tail attribution |
 //! | [`profile`] | measured-profile store, differential attribution, calibrated cost models |
+//! | [`report`] | device utilization of a snapshot or schedule, bench baselines + regression gate, resilience report |
 
 pub use tvmnp_byoc as byoc;
 pub use tvmnp_frontends as frontends;

@@ -195,16 +195,8 @@ pub fn gated(key: &str) -> bool {
     key.ends_with(".ms") || key.ends_with(".us")
 }
 
-/// Direction of a gated-metric change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChangeKind {
-    /// Median grew beyond the threshold.
-    Regression,
-    /// Median shrank beyond the threshold (baseline is stale-fast).
-    Improvement,
-}
-
-/// One gated metric whose median moved beyond the noise threshold.
+/// One gated metric whose median moved beyond the noise threshold; the
+/// [`Comparison`] list it sits in says which way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricChange {
     /// Metric key.
@@ -215,8 +207,6 @@ pub struct MetricChange {
     pub current: f64,
     /// `current / baseline`.
     pub ratio: f64,
-    /// Which way it moved.
-    pub kind: ChangeKind,
 }
 
 /// Outcome of comparing a current record against a baseline.
@@ -299,17 +289,16 @@ pub fn compare(baseline: &BenchRecord, current: &BenchRecord, threshold: f64) ->
             continue; // zero baseline: ratio undefined, skip gating
         }
         let ratio = cur.median / base.median;
-        let change = |kind| MetricChange {
+        let change = || MetricChange {
             key: key.clone(),
             baseline: base.median,
             current: cur.median,
             ratio,
-            kind,
         };
         if ratio > 1.0 + threshold {
-            cmp.regressions.push(change(ChangeKind::Regression));
+            cmp.regressions.push(change());
         } else if ratio < 1.0 - threshold {
-            cmp.improvements.push(change(ChangeKind::Improvement));
+            cmp.improvements.push(change());
         }
     }
     for key in current.metrics.keys().filter(|k| gated(k)) {

@@ -8,10 +8,9 @@
 //! * [`util`] — per-device utilization/occupancy (busy, idle, overlap) on
 //!   the simulated timeline, from either a telemetry
 //!   [`Snapshot`](tvmnp_telemetry::Snapshot) or an
-//!   hwsim `Schedule`.
-//! * [`schedule`] — idle-gap and critical-path analysis for pipeline
-//!   schedules (Fig. 5): *which* chain of stage runs sets the makespan
-//!   and where pipelining still leaves devices idle.
+//!   hwsim `Schedule`. Everything else Fig. 5 reads off a schedule — its
+//!   makespan, period and critical path — is a query on the
+//!   `Schedule` itself.
 //! * [`bench`] — benchmark baselines: a stable, byte-deterministic JSON
 //!   record of a workload's metrics plus threshold-gated regression
 //!   comparison (`--bench-out` / `--check-against` of `tvmnp bench`).
@@ -21,12 +20,10 @@
 
 pub mod bench;
 pub mod resilience;
-pub mod schedule;
 pub mod util;
 
 pub use bench::{compare, BenchIoError, BenchRecord, Comparison, MetricStats, SCHEMA_VERSION};
 pub use resilience::{FallbackEdge, FallbackTransition, ResilienceReport};
-pub use schedule::{analyze_schedule, critical_path, PathStep, ScheduleReport, WaitReason};
 pub use util::{
     utilization_from_schedule, utilization_from_snapshot, DeviceUtil, UtilizationReport,
 };

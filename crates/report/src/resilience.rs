@@ -2,9 +2,10 @@
 //! fault-injected runs (retries, fallbacks, breaker trips, dropped
 //! frames) into a table the bench binaries print next to the figures.
 //!
-//! The numbers come straight from the collector's registry plus the
-//! simulated-time `resilience.retry` / `resilience.fallback` spans, so a
-//! run with fault injection disabled yields an all-zero report.
+//! Retries and fallbacks are read once, off the simulated-time
+//! `resilience.retry` / `resilience.fallback` spans; everything else comes
+//! straight from the collector's registry. A run with fault injection
+//! disabled yields an all-zero report.
 
 #![deny(clippy::unwrap_used)]
 
@@ -44,9 +45,10 @@ pub struct FallbackTransition {
 /// Aggregated resilience telemetry for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceReport {
-    /// Retries per device (`resilience.retries{device=}`).
+    /// Retries per device (`resilience.retry` spans by `device`).
     pub retries: BTreeMap<String, u64>,
-    /// Degradation edges taken (`resilience.fallback{from=,to=}`).
+    /// Degradation edges taken, ordered by `(from, to)`: the
+    /// [`transitions`](Self::transitions) counted per edge.
     pub fallbacks: Vec<FallbackEdge>,
     /// Circuit-breaker trips per device (`resilience.breaker_trips{device=}`).
     pub breaker_trips: BTreeMap<String, u64>,
@@ -57,16 +59,9 @@ pub struct ResilienceReport {
     /// Vision frames with dropped stages, per stage
     /// (`vision.frames_dropped{stage=}`).
     pub frames_dropped: BTreeMap<String, u64>,
-    /// Frames a real-time consumer would drop from the schedule
-    /// (`scheduler.frames_dropped`).
-    pub sched_frames_dropped: u64,
     /// Final simulated latency per `model @ permutation`
     /// (`resilience.final_us{model=,permutation=}`).
     pub final_us: BTreeMap<String, f64>,
-    /// Number of `resilience.retry` simulated-time spans in the trace.
-    pub retry_spans: usize,
-    /// Number of `resilience.fallback` simulated-time spans in the trace.
-    pub fallback_spans: usize,
     /// Structured fallback transitions in trace order, each carrying the
     /// model, the edge, and the cause stage/detail.
     pub transitions: Vec<FallbackTransition>,
@@ -80,12 +75,6 @@ impl ResilienceReport {
             // One label off the counter's key (empty string when absent).
             let label = |name| key.label(name).unwrap_or_default().to_string();
             match key.name.as_str() {
-                "resilience.retries" => *report.retries.entry(label("device")).or_insert(0) += c,
-                "resilience.fallback" => report.fallbacks.push(FallbackEdge {
-                    from: label("from"),
-                    to: label("to"),
-                    count: *c,
-                }),
                 "resilience.breaker_trips" => {
                     *report.breaker_trips.entry(label("device")).or_insert(0) += c;
                 }
@@ -94,7 +83,6 @@ impl ResilienceReport {
                 "vision.frames_dropped" => {
                     *report.frames_dropped.entry(label("stage")).or_insert(0) += c;
                 }
-                "scheduler.frames_dropped" => report.sched_frames_dropped += c,
                 _ => {}
             }
         }
@@ -109,20 +97,29 @@ impl ResilienceReport {
             // One field off the span (empty string when absent).
             let field = |name| e.str(name).unwrap_or_default().to_string();
             match e.name {
-                "resilience.retry" => report.retry_spans += 1,
-                "resilience.fallback" => {
-                    report.fallback_spans += 1;
-                    report.transitions.push(FallbackTransition {
-                        model: field("model"),
-                        from: field("from"),
-                        to: field("to"),
-                        cause: field("cause"),
-                        detail: field("detail"),
-                    });
-                }
+                "resilience.retry" => *report.retries.entry(field("device")).or_insert(0) += 1,
+                "resilience.fallback" => report.transitions.push(FallbackTransition {
+                    model: field("model"),
+                    from: field("from"),
+                    to: field("to"),
+                    cause: field("cause"),
+                    detail: field("detail"),
+                }),
                 _ => {}
             }
         }
+        let mut edges: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+        for t in &report.transitions {
+            *edges.entry((&t.from, &t.to)).or_insert(0) += 1;
+        }
+        report.fallbacks = edges
+            .into_iter()
+            .map(|((from, to), count)| FallbackEdge {
+                from: from.to_string(),
+                to: to.to_string(),
+                count,
+            })
+            .collect();
         report
     }
 
@@ -187,13 +184,6 @@ impl ResilienceReport {
                 let _ = writeln!(out, "  {stage:<12} {n}");
             }
         }
-        if self.sched_frames_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "schedule frames dropped: {}",
-                self.sched_frames_dropped
-            );
-        }
         if !self.final_us.is_empty() {
             out.push_str("final latency after degradation:\n");
             for (key, us) in &self.final_us {
@@ -214,55 +204,64 @@ mod tests {
         let _l = crate::testutil::lock();
         tvmnp_telemetry::enable();
         tvmnp_telemetry::reset();
-        tvmnp_telemetry::counter_add("resilience.retries", &[("device", "apu")], 2);
-        tvmnp_telemetry::counter_add("resilience.retries", &[("device", "cpu")], 1);
-        tvmnp_telemetry::counter_add(
-            "resilience.fallback",
-            &[("from", "NP-only APU"), ("to", "BYOC CPU")],
-            1,
-        );
         tvmnp_telemetry::counter_add("resilience.breaker_trips", &[("device", "apu")], 1);
         tvmnp_telemetry::counter_add("resilience.recovered", &[], 1);
         tvmnp_telemetry::counter_add("vision.frames_dropped", &[("stage", "emotion")], 3);
-        tvmnp_telemetry::counter_add("scheduler.frames_dropped", &[("frame", "over-deadline")], 2);
         tvmnp_telemetry::gauge_set(
             "resilience.final_us",
             &[("model", "anti-spoofing"), ("permutation", "BYOC CPU")],
             123.5,
         );
-        tvmnp_telemetry::record_sim_span(
-            "resilience.retry",
-            0.0,
-            40.0,
-            vec![("device", "apu".into())],
-        );
-        tvmnp_telemetry::record_sim_span(
-            "resilience.fallback",
-            1.0,
-            0.0,
-            vec![
-                ("model", "anti-spoofing".into()),
-                ("from", "NP-only APU".into()),
-                ("to", "BYOC CPU".into()),
-                ("cause", "run".into()),
-                ("detail", "transient dispatch fault on apu".into()),
-            ],
-        );
+        for device in ["apu", "cpu", "apu"] {
+            tvmnp_telemetry::record_sim_span(
+                "resilience.retry",
+                0.0,
+                40.0,
+                vec![("device", device.into())],
+            );
+        }
+        let fallback = |ts_us, model: &str, from: &str, to: &str| {
+            tvmnp_telemetry::record_sim_span(
+                "resilience.fallback",
+                ts_us,
+                0.0,
+                vec![
+                    ("model", model.to_string().into()),
+                    ("from", from.to_string().into()),
+                    ("to", to.to_string().into()),
+                    ("cause", "run".into()),
+                    ("detail", "transient dispatch fault on apu".into()),
+                ],
+            );
+        };
+        fallback(1.0, "anti-spoofing", "NP-only APU", "BYOC CPU");
+        fallback(2.0, "emotion", "NP-only CPU+APU", "BYOC CPU");
+        fallback(3.0, "emotion", "NP-only APU", "BYOC CPU");
         tvmnp_telemetry::disable();
 
         let report = ResilienceReport::from_snapshot(&tvmnp_telemetry::snapshot());
         assert_eq!(report.total_retries(), 3);
         assert_eq!(report.retries["apu"], 2);
-        assert_eq!(report.total_fallbacks(), 1);
-        assert_eq!(report.fallbacks[0].from, "NP-only APU");
+        assert_eq!(report.retries["cpu"], 1);
+        // One edge per `(from, to)`, in that order, counted over the spans.
+        assert_eq!(report.total_fallbacks(), 3);
+        let edges: Vec<(&str, &str, u64)> = report
+            .fallbacks
+            .iter()
+            .map(|f| (f.from.as_str(), f.to.as_str(), f.count))
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                ("NP-only APU", "BYOC CPU", 2),
+                ("NP-only CPU+APU", "BYOC CPU", 1)
+            ]
+        );
         assert_eq!(report.breaker_trips["apu"], 1);
         assert_eq!(report.recovered, 1);
         assert_eq!(report.failed, 0);
         assert_eq!(report.frames_dropped["emotion"], 3);
-        assert_eq!(report.sched_frames_dropped, 2);
-        assert_eq!(report.retry_spans, 1);
-        assert_eq!(report.fallback_spans, 1);
-        assert_eq!(report.transitions.len(), 1);
+        assert_eq!(report.transitions.len(), 3);
         assert_eq!(report.transitions[0].model, "anti-spoofing");
         assert_eq!(report.transitions[0].cause, "run");
         assert!(report.transitions[0].detail.contains("apu"));
@@ -274,6 +273,24 @@ mod tests {
         assert!(text.contains("cause=run"));
         assert!(text.contains("anti-spoofing @ BYOC CPU"));
         assert!(text.contains("recovered runs: 1"));
+    }
+
+    /// Retries and fallbacks are read off their spans only: the counters
+    /// emitted beside them restate the same facts.
+    #[test]
+    fn retry_and_fallback_counters_are_not_read_twice() {
+        let _l = crate::testutil::lock();
+        tvmnp_telemetry::enable();
+        tvmnp_telemetry::reset();
+        tvmnp_telemetry::counter_add("resilience.retries", &[("device", "apu")], 2);
+        tvmnp_telemetry::counter_add(
+            "resilience.fallback",
+            &[("from", "NP-only APU"), ("to", "BYOC CPU")],
+            1,
+        );
+        tvmnp_telemetry::disable();
+        let report = ResilienceReport::from_snapshot(&tvmnp_telemetry::snapshot());
+        assert!(report.is_quiet(), "{report:?}");
     }
 
     #[test]

@@ -19,10 +19,6 @@ pub struct DeviceUtil {
     pub idle_us: f64,
     /// Number of merged busy intervals.
     pub intervals: usize,
-    /// Idle `(start, end)` intervals in time order: the leading gap from
-    /// t = 0, every hole between busy intervals, and the trailing gap up
-    /// to the run span.
-    pub gaps: Vec<(f64, f64)>,
 }
 
 impl DeviceUtil {
@@ -59,30 +55,6 @@ impl UtilizationReport {
     pub fn total_busy_us(&self) -> f64 {
         self.devices.iter().map(|d| d.busy_us).sum()
     }
-
-    /// Render as an aligned text table.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<8} {:>12} {:>12} {:>8} {:>10}\n",
-            "device", "busy us", "idle us", "util %", "intervals"
-        ));
-        for d in &self.devices {
-            out.push_str(&format!(
-                "{:<8} {:>12.1} {:>12.1} {:>8.1} {:>10}\n",
-                d.device,
-                d.busy_us,
-                d.idle_us,
-                d.utilization() * 100.0,
-                d.intervals
-            ));
-        }
-        out.push_str(&format!(
-            "span {:.1} us, device overlap {:.1} us\n",
-            self.span_us, self.overlap_us
-        ));
-        out
-    }
 }
 
 const EPS: f64 = 1e-9;
@@ -103,26 +75,8 @@ fn merge(mut intervals: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     merged
 }
 
-/// The complement of merged busy intervals within `[0, span_us]`.
-fn gaps(busy: &[(f64, f64)], span_us: f64) -> Vec<(f64, f64)> {
-    let mut gaps = Vec::new();
-    let mut cursor = 0.0;
-    for &(s, e) in busy {
-        if s > cursor + EPS {
-            gaps.push((cursor, s));
-        }
-        cursor = e;
-    }
-    if span_us > cursor + EPS {
-        gaps.push((cursor, span_us));
-    }
-    gaps
-}
-
 /// Core: build the report from per-device raw busy intervals.
-pub fn utilization_from_intervals(
-    per_device: BTreeMap<String, Vec<(f64, f64)>>,
-) -> UtilizationReport {
+fn utilization_from_intervals(per_device: BTreeMap<String, Vec<(f64, f64)>>) -> UtilizationReport {
     let merged: BTreeMap<String, Vec<(f64, f64)>> = per_device
         .into_iter()
         .map(|(d, iv)| (d, merge(iv)))
@@ -141,7 +95,6 @@ pub fn utilization_from_intervals(
                 busy_us,
                 idle_us: (span_us - busy_us).max(0.0),
                 intervals: iv.len(),
-                gaps: gaps(iv, span_us),
             }
         })
         .collect();
@@ -308,14 +261,70 @@ mod tests {
         let s = schedule(&jobs, 3);
         let r = utilization_from_schedule(&s);
         assert!((r.span_us - s.makespan_us).abs() < 1e-9);
+        // CPU runs (0, 50) and (80, 100): two busy intervals, idle between
+        // and after them.
         let cpu = r.device("cpu").unwrap();
         assert!((cpu.busy_us - 70.0).abs() < 1e-9);
         assert!((cpu.idle_us - 130.0).abs() < 1e-9);
-        // CPU gaps: (50, 80) between placements, (100, 200) trailing.
-        assert_eq!(cpu.gaps, vec![(50.0, 80.0), (100.0, 200.0)]);
-        // The APU is saturated: no gaps, zero idle.
+        assert_eq!(cpu.intervals, 2);
+        // The APU is saturated: one interval, zero idle.
         let apu = r.device("apu").unwrap();
-        assert!(apu.gaps.is_empty() && apu.idle_us < 1e-9);
-        assert_eq!(r.device("gpu").unwrap().gaps, vec![(80.0, 200.0)]);
+        assert_eq!(apu.intervals, 1);
+        assert!(apu.idle_us < 1e-9);
+        let gpu = r.device("gpu").unwrap();
+        assert!((gpu.busy_us - 80.0).abs() < 1e-9 && (gpu.idle_us - 120.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pipelining_overlaps_devices_and_shrinks_idle_time() {
+        // The simulators record `scheduler.stage` spans whenever another
+        // test has telemetry enabled.
+        let _l = crate::testutil::lock();
+        use tvmnp_scheduler::pipeline::paper_prototype_stages;
+        let stages = paper_prototype_stages(3000.0, 6000.0, 2000.0);
+        let seq = utilization_from_schedule(&tvmnp_scheduler::simulate_sequential(&stages, 8));
+        let pipe = utilization_from_schedule(&tvmnp_scheduler::simulate_pipelined(&stages, 8));
+        let idle = |r: &UtilizationReport| -> f64 { r.devices.iter().map(|d| d.idle_us).sum() };
+        assert!(pipe.overlap_us > 0.0, "stages overlap");
+        assert!(idle(&pipe) < idle(&seq), "pipelining fills idle time");
+    }
+
+    #[test]
+    fn schedule_utilization_covers_only_used_devices() {
+        let _l = crate::testutil::lock();
+        use tvmnp_scheduler::pipeline::paper_prototype_stages;
+        let stages = paper_prototype_stages(3000.0, 6000.0, 2000.0);
+        let s = tvmnp_scheduler::simulate_pipelined(&stages, 4);
+        let r = utilization_from_schedule(&s);
+        // gpu is unused and has no entry.
+        let devices: Vec<&str> = r.devices.iter().map(|d| d.device.as_str()).collect();
+        assert_eq!(devices, ["apu", "cpu"]);
+        for d in &r.devices {
+            // A device never runs two placements at once, so its busy time
+            // is the summed duration of the placements holding it.
+            let held: f64 = s
+                .placements
+                .iter()
+                .filter(|p| p.devices.iter().any(|k| k.name() == d.device))
+                .map(|p| p.us)
+                .sum();
+            assert!((d.busy_us - held).abs() < 1e-6, "{}", d.device);
+            assert!((d.busy_us + d.idle_us - r.span_us).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn pipelining_shrinks_the_span_not_the_work() {
+        let _l = crate::testutil::lock();
+        use tvmnp_scheduler::pipeline::paper_prototype_stages;
+        let stages = paper_prototype_stages(3000.0, 6000.0, 2000.0);
+        let seq = utilization_from_schedule(&tvmnp_scheduler::simulate_sequential(&stages, 8));
+        let pipe = utilization_from_schedule(&tvmnp_scheduler::simulate_pipelined(&stages, 8));
+        assert!(pipe.span_us < seq.span_us);
+        assert!((pipe.total_busy_us() - seq.total_busy_us()).abs() < 1e-6);
+        for d in &pipe.devices {
+            let before = seq.device(&d.device).unwrap().utilization();
+            assert!(d.utilization() > before, "{} busier", d.device);
+        }
     }
 }

@@ -12,9 +12,8 @@
 //!   frame) of the `tvmnp-hwsim` schedule engine, which honors the
 //!   intra-frame dependency chain (object detection → anti-spoofing →
 //!   emotion) and the exclusive-resource constraint ("models could not
-//!   utilize the same resources at the same time"); plus over-deadline
-//!   frame accounting and the automatic assignment search the paper lists
-//!   as future work;
+//!   utilize the same resources at the same time"); plus the automatic
+//!   assignment search the paper lists as future work;
 //! * [`threaded`] — the one threaded runtime: the per-device locks and
 //!   `run_window`, the admission window every threaded frame loop
 //!   (pipelined video, the serving pool) is a call to.
@@ -24,7 +23,5 @@ pub mod pipeline;
 pub mod threaded;
 
 pub use computation::{best_assignment, ModelProfile};
-pub use pipeline::{
-    account_dropped_frames, auto_schedule, simulate_pipelined, simulate_sequential, FrameAccounting,
-};
+pub use pipeline::{auto_schedule, simulate_pipelined, simulate_sequential};
 pub use threaded::{run_window, ResourceLocks};

@@ -8,7 +8,6 @@
 //! frame *k+1* overlaps emotion detection (APU) of frame *k* — Fig. 5's
 //! yellow/blue/green bars.
 
-use serde::{Deserialize, Serialize};
 use tvmnp_hwsim::{schedule, DeviceKind, Schedule, Task};
 
 /// Place `frames` copies of the stage chain with `window` frames in
@@ -46,62 +45,6 @@ pub fn simulate_sequential(stages: &[Task], frames: usize) -> Schedule {
 /// network each): it holds the same devices on every frame.
 pub fn simulate_pipelined(stages: &[Task], frames: usize) -> Schedule {
     simulate("pipelined", stages, frames, frames)
-}
-
-/// Per-frame accounting of a schedule against a frame deadline: which
-/// frames would be dropped by a real-time consumer because their full
-/// stage chain took longer than the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FrameAccounting {
-    /// Frames scheduled.
-    pub frames: usize,
-    /// Frames whose chain latency exceeded the deadline.
-    pub dropped: usize,
-    /// Largest per-frame chain latency observed, microseconds.
-    pub worst_latency_us: f64,
-    /// The deadline the frames were held to, microseconds.
-    pub deadline_us: f64,
-}
-
-impl FrameAccounting {
-    /// Fraction of frames delivered on time.
-    pub fn delivered_ratio(&self) -> f64 {
-        if self.frames == 0 {
-            return 1.0;
-        }
-        (self.frames - self.dropped) as f64 / self.frames as f64
-    }
-}
-
-/// Account lost frames in a schedule: a frame's chain latency is the span
-/// from its earliest stage start to its latest stage end; frames over
-/// `frame_deadline_us` are counted dropped (and reported on the
-/// `scheduler.frames_dropped` counter while telemetry is enabled).
-pub fn account_dropped_frames(result: &Schedule, frame_deadline_us: f64) -> FrameAccounting {
-    let mut acc = FrameAccounting {
-        frames: result.jobs().len(),
-        dropped: 0,
-        worst_latency_us: 0.0,
-        deadline_us: frame_deadline_us,
-    };
-    for frame in result.jobs() {
-        let Some(first) = frame.segments.first() else {
-            continue; // nothing ran for this frame
-        };
-        let latency = frame.end_us - first.start_us;
-        acc.worst_latency_us = acc.worst_latency_us.max(latency);
-        if latency > frame_deadline_us {
-            acc.dropped += 1;
-            if tvmnp_telemetry::is_enabled() {
-                tvmnp_telemetry::counter_add(
-                    "scheduler.frames_dropped",
-                    &[("frame", "over-deadline")],
-                    1,
-                );
-            }
-        }
-    }
-    acc
 }
 
 /// The assignment of the paper's Fig. 5 prototype:
@@ -160,6 +103,7 @@ pub fn auto_schedule(options: &[Vec<Task>], frames: usize) -> Option<(Vec<Task>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvmnp_hwsim::Bound;
 
     fn stages() -> Vec<Task> {
         paper_prototype_stages(3000.0, 6000.0, 2000.0)
@@ -288,20 +232,49 @@ mod tests {
     }
 
     #[test]
-    fn frame_accounting_counts_over_deadline_frames() {
-        let s = stages();
-        let r = simulate_pipelined(&s, 6);
-        // A frame's chain is at least the sum of its stage durations.
-        let chain: f64 = s.iter().map(|st| st.us).sum();
-        let generous = account_dropped_frames(&r, r.makespan_us + 1.0);
-        assert_eq!(generous.dropped, 0);
-        assert_eq!(generous.frames, 6);
-        assert!((generous.delivered_ratio() - 1.0).abs() < 1e-12);
-        assert!(generous.worst_latency_us >= chain - 1e-6);
-        // An impossible deadline drops every frame.
-        let strict = account_dropped_frames(&r, chain - 1.0);
-        assert_eq!(strict.dropped, 6);
-        assert_eq!(strict.delivered_ratio(), 0.0);
+    fn critical_path_spans_zero_to_makespan_and_is_contiguous() {
+        for r in [
+            simulate_sequential(&stages(), 4),
+            simulate_pipelined(&stages(), 4),
+        ] {
+            let path: Vec<_> = r.critical_path().iter().map(|&i| r.placements[i]).collect();
+            assert!(!path.is_empty());
+            assert_eq!(path[0].start_us, 0.0, "path starts at t=0");
+            assert_eq!(path[0].bound, Bound::Origin);
+            assert_eq!(path.last().unwrap().end_us, r.makespan_us);
+            for w in path.windows(2) {
+                assert_eq!(w[0].end_us, w[1].start_us, "steps chain back-to-back");
+                assert_ne!(w[1].bound, Bound::Origin);
+            }
+            // A contiguous path's durations sum to the makespan.
+            let sum: f64 = path.iter().map(|p| p.us).sum();
+            assert!((sum - r.makespan_us).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn sequential_path_is_pure_dependency_chain() {
+        let r = simulate_sequential(&stages(), 3);
+        let path = r.critical_path();
+        // 3 stages x 3 frames, every step waiting on the previous one of
+        // its frame or on the frame before it; never on a busy device.
+        assert_eq!(path.len(), 9);
+        assert!(path
+            .iter()
+            .skip(1)
+            .all(|&i| matches!(r.placements[i].bound, Bound::PrevTask | Bound::Admission(_))));
+    }
+
+    #[test]
+    fn pipelined_critical_path_runs_through_the_bottleneck() {
+        let r = simulate_pipelined(&stages(), 8);
+        let path: Vec<_> = r.critical_path().iter().map(|&i| r.placements[i]).collect();
+        assert_eq!(path[0].start_us, 0.0, "path starts at t=0");
+        assert_eq!(path.last().unwrap().end_us, r.makespan_us);
+        // anti-spoof (6000 us on CPU+APU) dominates; the steady-state path
+        // runs through it every frame.
+        let spoof = path.iter().filter(|p| p.label == "anti-spoof").count();
+        assert!(spoof >= 7, "bottleneck stage on path {spoof}/8 frames");
     }
 
     #[test]

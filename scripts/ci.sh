@@ -108,6 +108,15 @@ if grep -rnE 'set_detail|detail_enabled|executor\.kernel|executor\.node_us|"exec
     exit 1
 fi
 
+# And a schedule report is the schedule (DESIGN.md "Everything read off a
+# schedule"): Fig. 5's metrics are `hwsim::Schedule` queries plus
+# `report::utilization_from_schedule`, so no second model of placements,
+# wait reasons or over-deadline frames may grow back beside it.
+if grep -rnE 'ScheduleReport|WaitReason|PathStep|DeviceGaps|analyze_schedule|account_dropped_frames|FrameAccounting|scheduler\.frames_dropped' crates/*/src; then
+    echo "one-schedule-model gate: crates/*/src restores a second model of a schedule" >&2
+    exit 1
+fi
+
 # And `unsafe` stays where DESIGN.md "Kernel numerics contract" argues it:
 # the one call of the SSE2 int8 microkernel. Every other line of non-test
 # source under crates/*/src is safe code.
