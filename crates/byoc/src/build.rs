@@ -265,7 +265,8 @@ pub enum CachedArtifact {
         /// Host-side primitive calls.
         host_calls: usize,
     },
-    /// NeuroPilot-only modes: converted graph plus its execution plan.
+    /// NeuroPilot-only modes: converted graph plus its execution plan (one
+    /// placement per op).
     Neuron {
         /// The converted Neuron graph.
         graph: NeuronGraph,
@@ -384,6 +385,17 @@ impl CachedArtifact {
                 Some(artifact)
             }
             CachedArtifact::Neuron { .. } => None,
+        }
+    }
+
+    /// Check every Neuron graph and plan of products read from bytes
+    /// ([`ExecutionPlan::validate`]) before they are priced.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        match self {
+            CachedArtifact::Tvm { modules, .. } => {
+                (modules.iter()).try_for_each(|blob| blob.plan.validate(&blob.graph))
+            }
+            CachedArtifact::Neuron { graph, plan, .. } => plan.validate(graph),
         }
     }
 

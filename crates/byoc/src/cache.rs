@@ -174,7 +174,8 @@ impl ArtifactCache {
         // The envelope carries the key the entry was stored under (it
         // embeds the module fingerprint), so a renamed, corrupted,
         // hand-edited or old-schema file is a miss, never a silently
-        // served wrong artifact.
+        // served wrong artifact; so is a Neuron graph or plan that does not
+        // validate.
         let json = std::fs::read_to_string(self.disk_path(key)?).ok()?;
         let disk = serde_json::parse_value(&json).ok()?;
         if disk["key"].as_str()? != key {
@@ -182,6 +183,7 @@ impl ArtifactCache {
             return None;
         }
         let entry = CachedArtifact::from_value(&disk["entry"]).ok()?;
+        entry.validate().ok()?;
         self.state.lock().hits += 1;
         tvmnp_telemetry::counter_add("cache.hit", &[("source", "disk")], 1);
         self.admit(key.to_string(), entry.clone());
@@ -249,6 +251,7 @@ impl ArtifactCache {
 mod tests {
     use super::*;
     use crate::build::relay_build;
+    use crate::codegen::NeuronBlob;
     use std::collections::HashMap as Map;
     use tvmnp_neuropilot::TargetPolicy;
     use tvmnp_relay::builder;
@@ -488,5 +491,59 @@ mod tests {
         assert!(got[0].bit_eq(&want[0]));
         assert_eq!(std::fs::read_to_string(&file).unwrap(), honest, "rewritten");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A Neuron graph or plan read from a cache file is checked before it
+    /// is priced: under NP-only and BYOC, a malformed one is a miss and a
+    /// correct rebuild — not a panic in the ledger.
+    fn assert_malformed_entry_is_a_miss(
+        tag: &str,
+        corrupt: impl Fn(&mut tvmnp_neuropilot::NeuronGraph, &mut tvmnp_neuropilot::ExecutionPlan),
+    ) {
+        let dir = std::env::temp_dir().join(format!("tvmnp-cache-{tag}-{}", std::process::id()));
+        let m = conv_model(11);
+        let cost = CostModel::default();
+        for mode in [
+            TargetMode::NeuroPilotOnly(TargetPolicy::ApuPrefer),
+            TargetMode::Byoc(TargetPolicy::ApuPrefer),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut entry = compile(&m, mode).unwrap();
+            match &mut entry {
+                CachedArtifact::Neuron { graph, plan, .. } => corrupt(graph, plan),
+                CachedArtifact::Tvm { modules, .. } => {
+                    let NeuronBlob { graph, plan, .. } = &mut modules[0];
+                    corrupt(graph, plan)
+                }
+            }
+            let key = ArtifactCache::key(&m, mode, "fp32");
+            ArtifactCache::new(64 << 20)
+                .with_disk_dir(&dir)
+                .persist(&key, &entry);
+
+            let cache = ArtifactCache::new(64 << 20).with_disk_dir(&dir);
+            let rebuilt = cache.get_or_build(&m, mode, &cost, "fp32").unwrap();
+            assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0), "{mode}");
+            let direct = relay_build(&m, mode, cost.clone()).unwrap();
+            assert_eq!(rebuilt.estimate_breakdown(), direct.estimate_breakdown());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_entry_with_fewer_placements_than_ops_is_a_miss() {
+        assert_malformed_entry_is_a_miss("placements", |_, plan| {
+            plan.placements.pop();
+        });
+    }
+
+    #[test]
+    fn disk_entry_with_an_out_of_range_input_is_a_miss() {
+        assert_malformed_entry_is_a_miss("input", |graph, _| graph.ops[0].inputs[0] = 999);
+    }
+
+    #[test]
+    fn disk_entry_with_an_op_without_output_is_a_miss() {
+        assert_malformed_entry_is_a_miss("output", |graph, _| graph.ops[0].outputs.clear());
     }
 }

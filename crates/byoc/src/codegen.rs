@@ -25,8 +25,9 @@ pub struct NeuronBlob {
     pub policy: TargetPolicy,
     /// The converted Neuron graph (constants shared, not copied, on clone).
     pub graph: NeuronGraph,
-    /// The execution plan. Shipping it lets a runtime-only device
-    /// instantiate the network without a planner — loading is not compiling.
+    /// The execution plan (one placement per op). Shipping it lets a runtime-
+    /// only device instantiate the network without a planner — loading is
+    /// not compiling.
     pub plan: ExecutionPlan,
 }
 
@@ -90,9 +91,10 @@ impl NeuronModule {
 
     /// Rebuild from an artifact payload on a runtime-only device: the
     /// network is instantiated from the embedded plan — no planner run, no
-    /// `neuropilot.compile` span.
+    /// `neuropilot.compile` span. A malformed graph or plan is an error.
     pub fn from_blob(value: &serde_json::Value, cost: CostModel) -> Result<Self, String> {
         let blob = NeuronBlob::from_value(value).map_err(|e| e.to_string())?;
+        blob.plan.validate(&blob.graph)?;
         Ok(blob.link(cost))
     }
 
@@ -204,6 +206,36 @@ mod tests {
         let (b, tb) = m2.run(&[&input]).unwrap();
         assert!(a[0].bit_eq(&b[0]));
         assert_eq!(ta, tb);
+    }
+
+    /// Load a planned APU blob after `corrupt` has changed it, as bytes we
+    /// did not write can.
+    fn load_corrupted(corrupt: impl FnOnce(&mut NeuronBlob)) -> String {
+        let mut blob = NeuronBlob::codegen("neuropilot_0", &subgraph(), TargetPolicy::ApuPrefer)
+            .expect("codegen");
+        corrupt(&mut blob);
+        let loaded = NeuronModule::from_blob(&blob.to_external().payload, CostModel::default());
+        loaded.err().expect("a malformed blob is an error")
+    }
+
+    #[test]
+    fn blob_with_fewer_placements_than_ops_is_an_error_not_a_panic() {
+        let err = load_corrupted(|blob| {
+            blob.plan.placements.pop();
+        });
+        assert_eq!(err, "1 placements for 2 ops");
+    }
+
+    #[test]
+    fn blob_with_an_out_of_range_input_is_an_error_not_a_panic() {
+        let err = load_corrupted(|blob| blob.graph.ops[0].inputs[0] = 999);
+        assert_eq!(err, "op 0 input id 999 out of range");
+    }
+
+    #[test]
+    fn blob_with_an_op_without_output_is_an_error_not_a_panic() {
+        let err = load_corrupted(|blob| blob.graph.ops[0].outputs.clear());
+        assert_eq!(err, "op 0 (CONV_2D) has 0 outputs");
     }
 
     #[test]

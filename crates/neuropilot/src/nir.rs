@@ -225,7 +225,8 @@ impl NeuronGraph {
 
     /// Validate structural invariants: ids in range, ops topologically
     /// ordered (an op's activation inputs are graph inputs, constants, or
-    /// outputs of earlier ops), every quantized tensor carries params.
+    /// outputs of earlier ops), one output per op, every quantized tensor
+    /// carries params.
     pub fn validate(&self) -> Result<(), String> {
         let mut defined: Vec<bool> = vec![false; self.tensors.len()];
         for &i in &self.inputs {
@@ -256,6 +257,10 @@ impl NeuronGraph {
                         op.kind.name()
                     ));
                 }
+            }
+            if op.outputs.len() != 1 {
+                let n = op.outputs.len();
+                return Err(format!("op {k} ({}) has {n} outputs", op.kind.name()));
             }
             for &o in &op.outputs {
                 if o >= self.tensors.len() {

@@ -14,10 +14,12 @@
 //! the paper) the DP is exact; on DAGs the transfer term uses the true
 //! producer edges while dispatch counting follows the (topological)
 //! execution order, which is the order the runtime issues work in anyway.
+//! The result is placements only, like the fixed policies' plans: the
+//! runtime's cost ledger derives the dispatches and transfers from them.
 
 use crate::error::NeuronError;
 use crate::nir::{work_item, NeuronGraph};
-use crate::planner::{ExecutionPlan, Placement, PlanSegment, TargetPolicy};
+use crate::planner::{ExecutionPlan, Placement};
 use crate::support::device_supports;
 use std::collections::HashMap;
 use tvmnp_hwsim::{CostModel, DeviceKind, KernelClass};
@@ -27,17 +29,13 @@ const CANDIDATES: [DeviceKind; 2] = [DeviceKind::Cpu, DeviceKind::Apu];
 
 /// Plan `graph` with the op-level dynamic program over `cost`.
 ///
-/// Returns an [`ExecutionPlan`] tagged [`TargetPolicy::CpuApu`] (it uses
-/// the same device set; only the assignment algorithm differs).
+/// Returns an [`ExecutionPlan`] over the device set of
+/// [`TargetPolicy::CpuApu`](crate::TargetPolicy::CpuApu); only the
+/// assignment algorithm differs.
 pub fn plan_op_level(graph: &NeuronGraph, cost: &CostModel) -> Result<ExecutionPlan, NeuronError> {
     let n = graph.ops.len();
     if n == 0 {
-        return Ok(ExecutionPlan {
-            policy: TargetPolicy::CpuApu,
-            placements: Vec::new(),
-            segments: Vec::new(),
-            crossings: Vec::new(),
-        });
+        return Ok(ExecutionPlan::default());
     }
 
     // producer[tensor] = op index
@@ -202,57 +200,13 @@ pub fn plan_op_level(graph: &NeuronGraph, cost: &CostModel) -> Result<ExecutionP
         }
     }
 
-    // Materialize the plan structures the runtime consumes.
-    let placements: Vec<Placement> = assigned
-        .iter()
-        .map(|&device| Placement {
-            device,
-            fallback: false,
-        })
-        .collect();
-    let mut segments: Vec<PlanSegment> = Vec::new();
-    for (i, p) in placements.iter().enumerate() {
-        match segments.last_mut() {
-            Some(seg) if seg.device == p.device => seg.op_indices.push(i),
-            _ => segments.push(PlanSegment {
-                device: p.device,
-                op_indices: vec![i],
-            }),
-        }
-    }
-    let mut crossings = Vec::new();
-    for (i, op) in graph.ops.iter().enumerate() {
-        for &t in &op.inputs {
-            if let Some(&pi) = producer.get(&t) {
-                if placements[pi].device != placements[i].device {
-                    crossings.push((t, graph.tensors[t].size_bytes()));
-                }
-            }
-        }
-    }
-    for &t in &graph.inputs {
-        let consumed_off_cpu = graph
-            .ops
-            .iter()
-            .enumerate()
-            .any(|(i, op)| op.inputs.contains(&t) && placements[i].device != DeviceKind::Cpu);
-        if consumed_off_cpu {
-            crossings.push((t, graph.tensors[t].size_bytes()));
-        }
-    }
-    for &t in &graph.outputs {
-        if let Some(&pi) = producer.get(&t) {
-            if placements[pi].device != DeviceKind::Cpu {
-                crossings.push((t, graph.tensors[t].size_bytes()));
-            }
-        }
-    }
-
+    // Every candidate placement runs natively: nothing is a fallback.
+    let fallback = false;
+    let placements = assigned
+        .into_iter()
+        .map(|device| Placement { device, fallback });
     Ok(ExecutionPlan {
-        policy: TargetPolicy::CpuApu,
-        placements,
-        segments,
-        crossings,
+        placements: placements.collect(),
     })
 }
 
@@ -260,6 +214,7 @@ pub fn plan_op_level(graph: &NeuronGraph, cost: &CostModel) -> Result<ExecutionP
 mod tests {
     use super::*;
     use crate::convert::convert_function;
+    use crate::planner::TargetPolicy;
     use crate::runtime::CompiledNetwork;
     use tvmnp_relay::builder;
     use tvmnp_relay::expr::{var, Function};

@@ -1,12 +1,13 @@
 //! The Execution Planner (paper §2.1): assigns each Neuron op to a
-//! back-end target under a target policy, and derives the segment/crossing
-//! structure the runtime charges time for.
+//! back-end target under a target policy. A plan is its placements; the
+//! device runs each costing a driver dispatch, and the tensors crossing
+//! devices, follow from them and are derived where they are priced — the
+//! network's cost ledger.
 
 use crate::error::NeuronError;
 use crate::nir::{work_item, NeuronGraph};
 use crate::support::device_supports;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use tvmnp_hwsim::DeviceKind;
 
@@ -90,34 +91,32 @@ pub struct Placement {
     pub fallback: bool,
 }
 
-/// A maximal run of consecutive ops on one device — dispatched to the
-/// driver as a unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlanSegment {
-    /// Device executing the segment.
-    pub device: DeviceKind,
-    /// Indices into `NeuronGraph::ops`, consecutive.
-    pub op_indices: Vec<usize>,
-}
-
-/// The planner's output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The planner's output: one decision per op. The driver dispatches and
+/// the cross-device transfers that follow from it are priced, from the
+/// placements, by the network's cost ledger
+/// ([`crate::CompiledNetwork::ledger`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionPlan {
-    /// Policy that produced the plan.
-    pub policy: TargetPolicy,
     /// Per-op placement, parallel to `NeuronGraph::ops`.
     pub placements: Vec<Placement>,
-    /// Device segments in execution order.
-    pub segments: Vec<PlanSegment>,
-    /// Data edges whose producer and consumer sit on different devices
-    /// (each costs a transfer at runtime): `(tensor_id, bytes)`.
-    pub crossings: Vec<(usize, usize)>,
 }
 
 impl ExecutionPlan {
     /// Number of fallback-placed ops.
     pub fn fallback_ops(&self) -> usize {
         self.placements.iter().filter(|p| p.fallback).count()
+    }
+
+    /// Check a plan read from bytes against its graph before it is priced:
+    /// the graph is well formed ([`NeuronGraph::validate`]) and every op has
+    /// exactly one placement.
+    pub fn validate(&self, graph: &NeuronGraph) -> Result<(), String> {
+        graph.validate()?;
+        let (placed, ops) = (self.placements.len(), graph.ops.len());
+        if placed != ops {
+            return Err(format!("{placed} placements for {ops} ops"));
+        }
+        Ok(())
     }
 }
 
@@ -129,35 +128,14 @@ impl Planner {
     pub fn plan(graph: &NeuronGraph, policy: TargetPolicy) -> Result<ExecutionPlan, NeuronError> {
         let mut placements = Vec::with_capacity(graph.ops.len());
         for op in &graph.ops {
-            let placement = match policy {
-                TargetPolicy::CpuOnly => Placement {
-                    device: DeviceKind::Cpu,
-                    fallback: false,
-                },
-                TargetPolicy::GpuPrefer => {
-                    if device_supports(DeviceKind::Gpu, &op.kind) {
-                        Placement {
-                            device: DeviceKind::Gpu,
-                            fallback: false,
-                        }
+            let (device, fallback) = match policy {
+                TargetPolicy::CpuOnly => (DeviceKind::Cpu, false),
+                TargetPolicy::GpuPrefer | TargetPolicy::ApuPrefer => {
+                    let preferred = policy.devices()[0];
+                    if device_supports(preferred, &op.kind) {
+                        (preferred, false)
                     } else {
-                        Placement {
-                            device: DeviceKind::Cpu,
-                            fallback: true,
-                        }
-                    }
-                }
-                TargetPolicy::ApuPrefer => {
-                    if device_supports(DeviceKind::Apu, &op.kind) {
-                        Placement {
-                            device: DeviceKind::Apu,
-                            fallback: false,
-                        }
-                    } else {
-                        Placement {
-                            device: DeviceKind::Cpu,
-                            fallback: true,
-                        }
+                        (DeviceKind::Cpu, true)
                     }
                 }
                 TargetPolicy::CpuApu => {
@@ -169,81 +147,21 @@ impl Planner {
                     };
                     let big_enough = op.kind.is_mac_heavy() && w.macs >= threshold;
                     if big_enough && device_supports(DeviceKind::Apu, &op.kind) {
-                        Placement {
-                            device: DeviceKind::Apu,
-                            fallback: false,
-                        }
+                        (DeviceKind::Apu, false)
                     } else {
-                        Placement {
-                            device: DeviceKind::Cpu,
-                            fallback: false,
-                        }
+                        (DeviceKind::Cpu, false)
                     }
                 }
             };
-            if !device_supports(placement.device, &op.kind) {
+            if !device_supports(device, &op.kind) {
                 return Err(NeuronError::NoCapableDevice {
                     op: op.kind.name().to_string(),
                     policy: policy.label().to_string(),
                 });
             }
-            placements.push(placement);
+            placements.push(Placement { device, fallback });
         }
-
-        // Segments: maximal consecutive same-device runs.
-        let mut segments: Vec<PlanSegment> = Vec::new();
-        for (i, p) in placements.iter().enumerate() {
-            match segments.last_mut() {
-                Some(seg) if seg.device == p.device => seg.op_indices.push(i),
-                _ => segments.push(PlanSegment {
-                    device: p.device,
-                    op_indices: vec![i],
-                }),
-            }
-        }
-
-        // Crossings: producer/consumer device mismatches over tensor edges.
-        let mut producer: HashMap<usize, usize> = HashMap::new(); // tensor -> op idx
-        for (i, op) in graph.ops.iter().enumerate() {
-            for &o in &op.outputs {
-                producer.insert(o, i);
-            }
-        }
-        let mut crossings = Vec::new();
-        for (i, op) in graph.ops.iter().enumerate() {
-            for &t in &op.inputs {
-                if let Some(&pi) = producer.get(&t) {
-                    if placements[pi].device != placements[i].device {
-                        crossings.push((t, graph.tensors[t].size_bytes()));
-                    }
-                }
-            }
-        }
-        // Host boundary: graph inputs consumed off-CPU, outputs produced
-        // off-CPU (the host application lives on the CPU side).
-        for &t in &graph.inputs {
-            let consumed_off_cpu =
-                graph.ops.iter().enumerate().any(|(i, op)| {
-                    op.inputs.contains(&t) && placements[i].device != DeviceKind::Cpu
-                });
-            if consumed_off_cpu {
-                crossings.push((t, graph.tensors[t].size_bytes()));
-            }
-        }
-        for &t in &graph.outputs {
-            if let Some(&pi) = producer.get(&t) {
-                if placements[pi].device != DeviceKind::Cpu {
-                    crossings.push((t, graph.tensors[t].size_bytes()));
-                }
-            }
-        }
-
-        Ok(ExecutionPlan {
-            policy,
-            placements,
-            segments,
-            crossings,
-        })
+        Ok(ExecutionPlan { placements })
     }
 }
 
@@ -251,7 +169,21 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::nir::{NeuronOp, NeuronOpKind, NeuronTensor};
+    use crate::CompiledNetwork;
+    use tvmnp_hwsim::{CostEntry, CostModel, CostRole};
     use tvmnp_tensor::DType;
+
+    /// The `dispatch` and `transfer` entries of `g` compiled under `policy`:
+    /// one per device run and one per device crossing of its plan.
+    fn dispatches_and_transfers(
+        g: &NeuronGraph,
+        policy: TargetPolicy,
+    ) -> (Vec<CostEntry>, Vec<CostEntry>) {
+        let net = CompiledNetwork::compile(g.clone(), policy, CostModel::default()).unwrap();
+        let entries = |role| net.ledger().iter().filter(move |e| e.role == role).copied();
+        let dispatches = entries(CostRole::Dispatch).collect();
+        (dispatches, entries(CostRole::Transfer).collect())
+    }
 
     fn act(name: &str) -> NeuronTensor {
         NeuronTensor {
@@ -308,8 +240,9 @@ mod tests {
     fn cpu_only_single_segment() {
         let g = conv_sigmoid_conv();
         let p = Planner::plan(&g, TargetPolicy::CpuOnly).unwrap();
-        assert_eq!(p.segments.len(), 1);
-        assert!(p.crossings.is_empty());
+        let (dispatches, transfers) = dispatches_and_transfers(&g, TargetPolicy::CpuOnly);
+        assert_eq!(dispatches.len(), 1);
+        assert!(transfers.is_empty());
         assert_eq!(p.fallback_ops(), 0);
     }
 
@@ -321,9 +254,10 @@ mod tests {
         assert_eq!(p.placements[1].device, DeviceKind::Cpu);
         assert!(p.placements[1].fallback);
         assert_eq!(p.placements[2].device, DeviceKind::Apu);
-        assert_eq!(p.segments.len(), 3);
+        let (dispatches, transfers) = dispatches_and_transfers(&g, TargetPolicy::ApuPrefer);
+        assert_eq!(dispatches.len(), 3);
         // t1 crosses APU->CPU, t2 crosses CPU->APU, x host->APU, y APU->host.
-        assert_eq!(p.crossings.len(), 4);
+        assert_eq!(transfers.len(), 4);
     }
 
     #[test]
@@ -334,7 +268,10 @@ mod tests {
         let p = Planner::plan(&g, TargetPolicy::CpuApu).unwrap();
         assert!(p.placements.iter().all(|pl| pl.device == DeviceKind::Cpu));
         assert_eq!(p.fallback_ops(), 0);
-        assert_eq!(p.segments.len(), 1);
+        assert_eq!(
+            dispatches_and_transfers(&g, TargetPolicy::CpuApu).0.len(),
+            1
+        );
     }
 
     #[test]
@@ -400,11 +337,11 @@ mod tests {
             inputs: vec![t],
             outputs: vec![y],
         });
-        let p = Planner::plan(&g, TargetPolicy::ApuPrefer).unwrap();
-        assert_eq!(p.segments.len(), 1);
-        assert_eq!(p.segments[0].device, DeviceKind::Apu);
+        let (dispatches, transfers) = dispatches_and_transfers(&g, TargetPolicy::ApuPrefer);
+        assert_eq!(dispatches.len(), 1);
+        assert_eq!(dispatches[0].device, DeviceKind::Apu);
         // Only host-boundary crossings.
-        assert_eq!(p.crossings.len(), 2);
+        assert_eq!(transfers.len(), 2);
     }
 
     #[test]

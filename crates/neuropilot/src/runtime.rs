@@ -6,14 +6,14 @@
 //! [`eval_op`] — so numeric results are bit-identical to the interpreter
 //! (the correctness check the paper performs against the origin
 //! frameworks) by construction, while *simulated* time is charged on the
-//! `tvmnp-hwsim` cost model: per-segment driver dispatch, per-kernel time
-//! on the assigned device, reference-implementation penalty for fallback
-//! ops, and a transfer per device-boundary crossing.
+//! `tvmnp-hwsim` cost model: a driver dispatch per device run of the plan,
+//! per-kernel time on the assigned device, reference-implementation penalty
+//! for fallback ops, and a transfer per device-boundary crossing.
 
 use crate::convert::relay_op;
 use crate::error::NeuronError;
 use crate::nir::{NeuronGraph, TensorId};
-use crate::planner::{ExecutionPlan, Planner, TargetPolicy};
+use crate::planner::{ExecutionPlan, Placement, Planner, TargetPolicy};
 use std::sync::OnceLock;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{CostModel, DeviceKind, KernelClass};
@@ -77,8 +77,9 @@ impl CompiledNetwork {
     }
 
     /// Every charged item of one inference, in accumulation order: per
-    /// segment a `dispatch` (and `staging` off-CPU), then one kernel per
-    /// planned op, then one `transfer` per device crossing.
+    /// device run a `dispatch` (and `staging` off-CPU), then one kernel per
+    /// planned op, then one `transfer` per device crossing. The plan holds
+    /// placements only; its runs and crossings exist as these entries.
     pub fn ledger(&self) -> &[CostEntry] {
         &self.ledger
     }
@@ -184,28 +185,27 @@ impl CompiledNetwork {
 }
 
 /// Derive the network's cost ledger — the only place Neuron work is
-/// priced. Per-segment driver dispatch (off-CPU segments also stage their
-/// weights through the driver each dispatch: the prototype runtime does
-/// not cache them), per-kernel time on the assigned device (NNAPI-style
-/// reference fallbacks run an untuned CPU kernel), one transfer per
-/// device-boundary crossing.
+/// priced, and the only place a plan's placements are walked into what they
+/// imply. Per device run (a maximal run of consecutive ops on one device) a
+/// driver dispatch; off-CPU runs also stage their weights through the
+/// driver each dispatch (the prototype runtime does not cache them). Per op
+/// its kernel on the assigned device (NNAPI-style reference fallbacks run an
+/// untuned CPU kernel). Per tensor crossing devices one transfer.
 fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> Vec<CostEntry> {
-    let mut ledger =
-        Vec::with_capacity(2 * plan.segments.len() + graph.ops.len() + plan.crossings.len());
-    for (s, seg) in plan.segments.iter().enumerate() {
-        let dispatch_us = cost.subgraph_dispatch_us(seg.device);
-        ledger.push(CostEntry::fixed(
-            s,
-            "dispatch",
-            CostRole::Dispatch,
-            seg.device,
-            dispatch_us,
-        ));
-        if seg.device != DeviceKind::Cpu {
-            let const_bytes: usize = seg
-                .op_indices
-                .iter()
-                .flat_map(|&i| graph.ops[i].inputs.iter())
+    let placements = &plan.placements;
+    let runs = || placements.chunk_by(|a, b| a.device == b.device);
+    let crossings = crossing_bytes(graph, placements);
+    let mut ledger = Vec::with_capacity(2 * runs().count() + graph.ops.len() + crossings.len());
+    let mut first = 0;
+    for (s, run) in runs().enumerate() {
+        let device = run[0].device;
+        let ops = &graph.ops[first..first + run.len()];
+        first += run.len();
+        let dispatch_us = cost.subgraph_dispatch_us(device);
+        let dispatch = CostEntry::fixed(s, "dispatch", CostRole::Dispatch, device, dispatch_us);
+        ledger.push(dispatch);
+        if device != DeviceKind::Cpu {
+            let const_bytes: usize = (ops.iter().flat_map(|op| &op.inputs))
                 .filter(|&&tid| graph.tensors[tid].is_const())
                 .map(|&tid| graph.tensors[tid].size_bytes())
                 .sum();
@@ -215,31 +215,23 @@ fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> 
                     s,
                     "staging",
                     CostRole::Staging,
-                    seg.device,
+                    device,
                     const_bytes,
                 ));
             }
         }
     }
-    for (i, op) in graph.ops.iter().enumerate() {
+    for (i, (op, p)) in graph.ops.iter().zip(placements).enumerate() {
         let w = crate::nir::work_item(graph, op);
-        let p = plan.placements[i];
         let (device, class) = if p.fallback {
             (DeviceKind::Cpu, KernelClass::TvmUntuned)
         } else {
             (p.device, KernelClass::VendorTuned)
         };
-        ledger.push(CostEntry::kernel(
-            cost,
-            i,
-            op.kind.name(),
-            &w,
-            device,
-            class,
-            p.fallback,
-        ));
+        let kernel = CostEntry::kernel(cost, i, op.kind.name(), &w, device, class, p.fallback);
+        ledger.push(kernel);
     }
-    for (c, &(_, bytes)) in plan.crossings.iter().enumerate() {
+    for (c, bytes) in crossings.into_iter().enumerate() {
         ledger.push(CostEntry::transfer(
             cost,
             c,
@@ -250,6 +242,44 @@ fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> 
         ));
     }
     ledger
+}
+
+/// The size of every tensor that crosses devices under `placements`, in
+/// charge order: producer/consumer mismatches in op order, then graph
+/// inputs read off the CPU, then graph outputs produced off it (the host
+/// application lives on the CPU side).
+fn crossing_bytes(graph: &NeuronGraph, placements: &[Placement]) -> Vec<usize> {
+    let placed = || graph.ops.iter().zip(placements);
+    let mut produced_on = vec![None; graph.tensors.len()];
+    for (op, p) in placed() {
+        for &id in &op.outputs {
+            produced_on[id] = Some(p.device);
+        }
+    }
+    let off = |id: TensorId, device: DeviceKind| produced_on[id].is_some_and(|d| d != device);
+    let size = |&id: &TensorId| graph.tensors[id].size_bytes();
+    let mut bytes = Vec::new();
+    for (op, p) in placed() {
+        bytes.extend(op.inputs.iter().filter(|&&id| off(id, p.device)).map(size));
+    }
+    let read_off_cpu = |id: TensorId| {
+        placed().any(|(op, p)| op.inputs.contains(&id) && p.device != DeviceKind::Cpu)
+    };
+    bytes.extend(
+        graph
+            .inputs
+            .iter()
+            .filter(|&&id| read_off_cpu(id))
+            .map(size),
+    );
+    bytes.extend(
+        graph
+            .outputs
+            .iter()
+            .filter(|&&id| off(id, DeviceKind::Cpu))
+            .map(size),
+    );
+    bytes
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Property tests: Relay→Neuron conversion and planned execution preserve
 //! semantics on randomly generated NP-supported graphs, conversion and the
-//! lift back to Relay are inverses, and plans always satisfy their
-//! structural invariants.
+//! lift back to Relay are inverses, and the ledger pricing a plan always
+//! satisfies its structural invariants.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use tvmnp_hwsim::CostModel;
+use tvmnp_hwsim::{CostEntry, CostModel, CostRole, DeviceKind};
 use tvmnp_neuropilot::convert::relay_op;
 use tvmnp_neuropilot::{convert_function, plan_op_level, CompiledNetwork, Planner, TargetPolicy};
 use tvmnp_relay::builder;
@@ -155,9 +155,10 @@ proptest! {
         lifts_back_to_its_calls(&quantized_chain(depth, seed))?;
     }
 
-    /// Plan invariants: placements cover every op exactly once, segments
-    /// partition the op sequence in order, and crossings reference real
-    /// tensors.
+    /// Plan invariants, read off the ledger that prices the plan: one
+    /// kernel per op, in op order, on its placement's device (the CPU for
+    /// fallbacks); one dispatch per maximal run of equal placement; one
+    /// transfer per tensor that crosses devices, sized by that tensor.
     #[test]
     fn plan_structural_invariants(
         choices in prop::collection::vec(0u8..=255, 1..16),
@@ -169,22 +170,48 @@ proptest! {
         let policy = TargetPolicy::ALL[policy_pick];
         let plan = Planner::plan(&graph, policy).unwrap();
         prop_assert_eq!(plan.placements.len(), graph.ops.len());
-        let mut covered = vec![false; graph.ops.len()];
-        let mut expected_next = 0usize;
-        for seg in &plan.segments {
-            for &i in &seg.op_indices {
-                prop_assert_eq!(i, expected_next, "segments must be in order");
-                expected_next += 1;
-                prop_assert!(!covered[i]);
-                covered[i] = true;
-                prop_assert_eq!(plan.placements[i].device, seg.device);
+        let cost = CostModel::default();
+        let net = CompiledNetwork::from_plan(graph.clone(), plan.clone(), cost.clone());
+        let entries = |role| net.ledger().iter().filter(move |e| e.role == role);
+
+        let kernels: Vec<_> = entries(CostRole::Kernel).collect();
+        prop_assert_eq!(kernels.len(), graph.ops.len());
+        for (i, (k, p)) in kernels.iter().zip(&plan.placements).enumerate() {
+            prop_assert_eq!((k.node, k.label), (i, graph.ops[i].kind.name()));
+            let device = if p.fallback { DeviceKind::Cpu } else { p.device };
+            prop_assert_eq!(k.device, device);
+        }
+
+        let mut runs: Vec<DeviceKind> = Vec::new();
+        for p in &plan.placements {
+            if runs.last() != Some(&p.device) {
+                runs.push(p.device);
             }
         }
-        prop_assert!(covered.iter().all(|&c| c));
-        for &(tid, bytes) in &plan.crossings {
-            prop_assert!(tid < graph.tensors.len());
-            prop_assert_eq!(bytes, graph.tensors[tid].size_bytes());
+        let dispatches: Vec<_> = entries(CostRole::Dispatch).map(|e| (e.node, e.device)).collect();
+        prop_assert_eq!(dispatches, runs.into_iter().enumerate().collect::<Vec<_>>());
+
+        // Producer/consumer mismatches in op order, then the host boundary:
+        // graph inputs read off the CPU, graph outputs produced off it.
+        let device = |i: usize| plan.placements[i].device;
+        let producer = |t| graph.ops.iter().position(|op| op.outputs.contains(&t));
+        let mut crossing = Vec::new();
+        for (i, op) in graph.ops.iter().enumerate() {
+            let crosses = |&&t: &&usize| producer(t).is_some_and(|p| device(p) != device(i));
+            crossing.extend(op.inputs.iter().filter(crosses));
         }
+        crossing.extend(graph.inputs.iter().filter(|&&t| {
+            (0..graph.ops.len()).any(|i| graph.ops[i].inputs.contains(&t) && device(i) != DeviceKind::Cpu)
+        }));
+        crossing.extend(graph.outputs.iter().filter(|&&t| {
+            producer(t).is_some_and(|p| device(p) != DeviceKind::Cpu)
+        }));
+        let bytes = |t: usize| graph.tensors[t].size_bytes();
+        let want: Vec<CostEntry> = (crossing.iter().enumerate())
+            .map(|(c, &t)| CostEntry::transfer(&cost, c, "transfer", CostRole::Transfer, DeviceKind::Cpu, bytes(t)))
+            .collect();
+        let got: Vec<CostEntry> = entries(CostRole::Transfer).copied().collect();
+        prop_assert_eq!(got, want);
     }
 
     /// The op-level DP never plans worse than the fixed CPU/APU policies

@@ -3,10 +3,18 @@
 //!
 //! Run with: `cargo run --release --example op_level_scheduling`
 
+use tvm_neuropilot::hwsim::CostRole;
 use tvm_neuropilot::models::emotion::emotion_model;
 use tvm_neuropilot::neuropilot::{convert_function, plan_op_level, CompiledNetwork};
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::relay::passes::simplify;
+
+/// The plan's device segments and crossings, as its ledger charges them:
+/// one `dispatch` per segment, one `transfer` per crossing.
+fn segments_and_crossings(net: &CompiledNetwork) -> (usize, usize) {
+    let count = |role| net.ledger().iter().filter(|e| e.role == role).count();
+    (count(CostRole::Dispatch), count(CostRole::Transfer))
+}
 
 fn main() {
     let cost = CostModel::default();
@@ -26,23 +34,25 @@ fn main() {
         TargetPolicy::CpuApu,
     ] {
         let net = CompiledNetwork::compile(graph.clone(), policy, cost.clone()).unwrap();
+        let (segments, crossings) = segments_and_crossings(&net);
         println!(
             "{:<18} {:>10.3} {:>10} {:>10}",
             policy.label(),
             net.estimate_time_us() / 1000.0,
-            net.plan().segments.len(),
-            net.plan().crossings.len()
+            segments,
+            crossings
         );
     }
 
     let plan = plan_op_level(&graph, &cost).expect("op-level plan");
     let net = CompiledNetwork::from_plan(graph.clone(), plan, cost.clone());
+    let (segments, crossings) = segments_and_crossings(&net);
     println!(
         "{:<18} {:>10.3} {:>10} {:>10}",
         "op-level DP",
         net.estimate_time_us() / 1000.0,
-        net.plan().segments.len(),
-        net.plan().crossings.len()
+        segments,
+        crossings
     );
 
     println!("\nper-op placement chosen by the DP:");

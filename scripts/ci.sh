@@ -117,6 +117,14 @@ if grep -rnE 'ScheduleReport|WaitReason|PathStep|DeviceGaps|analyze_schedule|acc
     exit 1
 fi
 
+# A Neuron plan is its placements: the device runs and crossings they imply
+# are derived once, by the cost ledger (`neuropilot::runtime::build_ledger`),
+# so no stored copy of them may grow back beside it.
+if grep -rnE 'PlanSegment|op_indices|\.(segments|crossings)\b' crates/neuropilot/src crates/byoc/src examples; then
+    echo "one-plan gate: a Neuron plan stores segments or crossings beside its placements" >&2
+    exit 1
+fi
+
 # And `unsafe` stays where DESIGN.md "Kernel numerics contract" argues it:
 # the one call of the SSE2 int8 microkernel. Every other line of non-test
 # source under crates/*/src is safe code.
