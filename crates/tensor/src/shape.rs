@@ -35,6 +35,16 @@ impl Shape {
         self.0.iter().product()
     }
 
+    /// [`Shape::num_elements`], or `None` when the count does not fit a
+    /// `usize` — a shape read from a file can claim any dimensions. A shape
+    /// with a zero dimension has no elements, whatever the others are.
+    pub fn checked_num_elements(&self) -> Option<usize> {
+        if self.0.contains(&0) {
+            return Some(0);
+        }
+        self.0.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+    }
+
     /// Row-major strides, in elements.
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.rank()];
@@ -182,6 +192,15 @@ mod tests {
         assert_eq!(s.num_elements(), 24);
         assert_eq!(s.strides(), vec![12, 4, 1]);
         assert_eq!(Shape::scalar().num_elements(), 1);
+    }
+
+    #[test]
+    fn checked_element_count() {
+        let big = usize::MAX / 2 + 1;
+        assert_eq!(Shape::from([2, 3, 4]).checked_num_elements(), Some(24));
+        assert_eq!(Shape::scalar().checked_num_elements(), Some(1));
+        assert_eq!(Shape::from([big, 2]).checked_num_elements(), None);
+        assert_eq!(Shape::from([big, 2, 0]).checked_num_elements(), Some(0));
     }
 
     #[test]

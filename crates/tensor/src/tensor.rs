@@ -15,6 +15,8 @@ pub enum TensorError {
     DTypeMismatch { expected: DType, got: DType },
     /// Two shapes that had to agree did not.
     ShapeMismatch { left: Shape, right: Shape },
+    /// The shape's element count does not fit a `usize`.
+    TooManyElements { shape: Shape },
 }
 
 impl fmt::Display for TensorError {
@@ -31,6 +33,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::ShapeMismatch { left, right } => {
                 write!(f, "shape mismatch: {left} vs {right}")
+            }
+            TensorError::TooManyElements { shape } => {
+                write!(f, "shape {shape} has more elements than a usize counts")
             }
         }
     }
@@ -181,9 +186,12 @@ impl Tensor {
         quant: Option<QuantParams>,
     ) -> Result<Self, TensorError> {
         let shape = shape.into();
-        if shape.num_elements() != data.len() {
+        let Some(expected) = shape.checked_num_elements() else {
+            return Err(TensorError::TooManyElements { shape });
+        };
+        if expected != data.len() {
             return Err(TensorError::LengthMismatch {
-                expected: shape.num_elements(),
+                expected,
                 got: data.len(),
             });
         }
@@ -438,6 +446,22 @@ mod tests {
                 expected: 4,
                 got: 1
             })
+        ));
+    }
+
+    /// The unchecked element count panicked here under overflow checks
+    /// and, without them, wrapped `[2^63, 2]` to zero elements, so an
+    /// empty buffer passed for it.
+    #[test]
+    fn element_count_past_usize_rejected() {
+        let shape = [usize::MAX / 2 + 1, 2];
+        assert!(matches!(
+            Tensor::from_f32(shape, vec![]),
+            Err(TensorError::TooManyElements { .. })
+        ));
+        assert!(matches!(
+            Tensor::from_i32(shape, vec![], None),
+            Err(TensorError::TooManyElements { .. })
         ));
     }
 

@@ -10,6 +10,7 @@
 
 use tvmnp_models::{anti_spoofing, emotion, object_detection, zoo};
 use tvmnp_relay::{infer_types, visit::topo_order, ExprKind, OpKind};
+use tvmnp_tensor::kernels::conv::conv2d_f32_with;
 use tvmnp_tensor::kernels::qconv::qconv2d_with;
 use tvmnp_tensor::kernels::{
     self, BinaryOp, Conv2dParams, KernelError, Pool2dParams, QConvQuant, UnaryOp,
@@ -1052,8 +1053,9 @@ fn assert_qconv(
 fn conv_geometry(p: &mut Pick) -> ([usize; 4], [usize; 4], Conv2dParams) {
     loop {
         let cg = p.range(1, 4);
-        let og = p.range(1, 6);
         let groups = p.of(&[1, 1, 2, 3, 5]);
+        // Dense convolutions reach past three 4-channel blocks.
+        let og = p.range(1, if groups == 1 { 13 } else { 6 });
         let (kh, kw) = (p.range(1, 5), p.range(1, 5));
         let params = Conv2dParams {
             strides: (p.range(1, 3), p.range(1, 3)),
@@ -1071,6 +1073,25 @@ fn conv_geometry(p: &mut Pick) -> ([usize; 4], [usize; 4], Conv2dParams) {
     }
 }
 
+/// `conv2d_f32` against the direct loop, and the portable walk, forced,
+/// against `conv2d_f32`: dense convolutions bypass the walk on x86_64, and
+/// the walk is what grouped convolutions, dense layers and other targets
+/// run.
+#[track_caller]
+fn assert_conv_f32(
+    (x, w, b): (&Tensor, &Tensor, Option<&Tensor>),
+    params: &Conv2dParams,
+    what: &str,
+) {
+    let got = kernels::conv2d_f32(x, w, b, params);
+    assert_same_bits(
+        conv2d_f32_with(x, w, b, params, false),
+        got.clone(),
+        &format!("{what}: portable walk vs conv2d_f32"),
+    );
+    assert_same_bits(got, reference::conv2d_f32(x, w, b, params), what);
+}
+
 #[test]
 fn conv2d_f32_matches_direct_loop() {
     let mut p = Pick(TensorRng::new(0xC0));
@@ -1079,11 +1100,92 @@ fn conv2d_f32_matches_direct_loop() {
         let x = p.f32s(&xs);
         let w = p.f32s(&ws);
         let b = p.coin().then(|| p.f32s(&[ws[0]]));
-        assert_same_bits(
-            kernels::conv2d_f32(&x, &w, b.as_ref(), &params),
-            reference::conv2d_f32(&x, &w, b.as_ref(), &params),
-            &format!("conv2d_f32 case {case}: {xs:?} * {ws:?} {params:?}"),
-        );
+        let what = format!("conv2d_f32 case {case}: {xs:?} * {ws:?} {params:?}");
+        assert_conv_f32((&x, &w, b.as_ref()), &params, &what);
+    }
+}
+
+/// The packed float path's edges: every output width around the 8-column
+/// tile (a row narrower than one tile, one tile, overlapping last tiles),
+/// channel counts around the 4-channel block, no left padding (the first
+/// tile starts at column 0), dilation, and stride 2 beside stride 1.
+#[test]
+fn conv2d_f32_packed_path_edges_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xC8));
+    // (padding, strides, dilation)
+    let shapes = [
+        ((1, 1, 1, 1), (1, 1), (1, 1)),
+        ((0, 0, 0, 0), (1, 1), (1, 1)),
+        ((1, 0, 2, 2), (1, 1), (1, 1)),
+        ((2, 2, 2, 2), (1, 1), (2, 2)),
+        ((0, 0, 1, 1), (2, 2), (1, 1)),
+        ((1, 1, 1, 1), (2, 1), (1, 2)),
+    ];
+    for ow in (1..=9).chain([15, 16, 17, 31, 33]) {
+        for oc in [4, 5, 8, 12, 33] {
+            for (padding, strides, dilation) in shapes {
+                let params = Conv2dParams {
+                    strides,
+                    padding,
+                    dilation,
+                    groups: 1,
+                };
+                // The input width that gives `ow` output columns of a 3×3.
+                let w = (ow - 1) * strides.1 + 2 * dilation.1 + 1 - padding.1 - padding.3;
+                let (xs, ws) = ([p.of(&[1, 2]), 3, p.range(3, 6), w], [oc, 3, 3, 3]);
+                assert_eq!(params.out_hw(xs[2], w, 3, 3).map(|(_, w)| w), Ok(ow));
+                let (x, wt, b) = (p.f32s(&xs), p.f32s(&ws), p.f32s(&[oc]));
+                for b in [None, Some(&b)] {
+                    let what = format!("{xs:?} * {ws:?} {params:?}");
+                    assert_conv_f32((&x, &wt, b), &params, &what);
+                }
+            }
+        }
+    }
+}
+
+/// Signed zeros, infinities and NaNs through the packed float path: a zero
+/// input times a negative weight is `−0.0`, which a `+0.0` start absorbs
+/// and a `−0.0` bias keeps; `∞ · 0` and `∞ − ∞` are NaN. A NaN's payload
+/// is not specified by IEEE 754 or Rust, so NaN outputs need only agree in
+/// being NaN; every other output agrees bit for bit.
+#[test]
+fn conv2d_f32_special_values_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xC9));
+    let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let same = |a: &Tensor, b: &Tensor| {
+        let (a, b) = (a.as_f32().unwrap(), b.as_f32().unwrap());
+        a.iter()
+            .zip(b)
+            .all(|(a, b)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan())
+    };
+    for (params, width) in [(Conv2dParams::same(1), 19), (Conv2dParams::default(), 5)] {
+        let (xs, ws) = ([1, 3, 4, width], [6, 3, 3, 3]);
+        // All-zero inputs against negative weights, with and without a
+        // `−0.0` bias: every sum is a signed zero.
+        let zeros = Tensor::from_f32(xs, vec![0.0; 3 * 4 * width]).unwrap();
+        let negative = Tensor::from_f32(ws, vec![-0.5; 162]).unwrap();
+        let minus_zero = Tensor::from_f32([6], vec![-0.0; 6]).unwrap();
+        for b in [None, Some(&minus_zero)] {
+            assert_conv_f32((&zeros, &negative, b), &params, "zeros * negative weights");
+        }
+        // Special values sprinkled through x, w and the bias, a few at a
+        // time so that most outputs stay finite.
+        for case in 0..40 {
+            let (mut x, mut w, mut b) = (p.f32s(&xs), p.f32s(&ws), p.f32s(&[6]));
+            for t in [&mut x, &mut w, &mut b] {
+                let v = t.as_f32_mut().unwrap();
+                for _ in 0..p.range(0, 2) {
+                    let i = p.range(0, v.len() - 1);
+                    v[i] = p.of(&special);
+                }
+            }
+            let got = kernels::conv2d_f32(&x, &w, Some(&b), &params).unwrap();
+            let walk = conv2d_f32_with(&x, &w, Some(&b), &params, false).unwrap();
+            let want = reference::conv2d_f32(&x, &w, Some(&b), &params).unwrap();
+            assert!(same(&got, &walk), "special values case {case}: walk");
+            assert!(same(&got, &want), "special values case {case}: direct loop");
+        }
     }
 }
 

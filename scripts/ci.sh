@@ -126,15 +126,17 @@ if grep -rnE 'PlanSegment|op_indices|\.(segments|crossings)\b' crates/neuropilot
 fi
 
 # And `unsafe` stays where DESIGN.md "Kernel numerics contract" argues it:
-# the one call of the SSE2 int8 microkernel. Every other line of non-test
-# source under crates/*/src is safe code.
+# the one call of each SSE2 microkernel, the int8 `tile` in qconv.rs and
+# the float `block` in conv.rs. Every other line of non-test source under
+# crates/*/src is safe code.
 unsafe_sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do
     awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
 done | grep -w 'unsafe' || true)
-if [ "$(grep -c . <<<"$unsafe_sites")" -ne 1 ] ||
-    ! grep -qE '^crates/tensor/src/kernels/qconv\.rs:[0-9]+: .*unsafe \{ tile::<' <<<"$unsafe_sites"; then
+if [ "$(grep -c . <<<"$unsafe_sites")" -ne 2 ] ||
+    ! grep -qE '^crates/tensor/src/kernels/qconv\.rs:[0-9]+: .*unsafe \{ tile::<' <<<"$unsafe_sites" ||
+    ! grep -qE '^crates/tensor/src/kernels/conv\.rs:[0-9]+: .*unsafe \{ block\(' <<<"$unsafe_sites"; then
     echo "$unsafe_sites" >&2
-    echo "one-unsafe gate: non-test crates/*/src must say unsafe exactly once, at the microkernel call in crates/tensor/src/kernels/qconv.rs" >&2
+    echo "one-unsafe gate: non-test crates/*/src must say unsafe exactly twice, at the microkernel calls in crates/tensor/src/kernels/{qconv,conv}.rs" >&2
     exit 1
 fi
 

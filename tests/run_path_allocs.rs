@@ -1,8 +1,8 @@
 //! Pins what the flat execution plan bought: a steady-state
 //! `CompiledModel::run` allocates its activations and the copies its
-//! signature forces, and nothing the size of a weight. On the int8 models
-//! it pins the count too: the packed convolutions reuse a per-thread
-//! scratch, so a per-call buffer cannot come back unnoticed.
+//! signature forces, and nothing the size of a weight. It pins the count
+//! too, on a float and two int8 models: the packed convolutions reuse a
+//! per-thread scratch, so a per-call buffer cannot come back unnoticed.
 //!
 //! And what "bytes only at a file boundary" bought: a build, a cache
 //! insert and a memory hit allocate typed metadata, not a serialization
@@ -104,22 +104,21 @@ fn second_run_allocates_activations_and_forced_copies_only() {
         Permutation::NpCpuApu.mode(),
     );
     let gpu = TargetMode::Byoc(TargetPolicy::GpuPrefer);
-    // Per model, the modes it is built under and, for the int8 models, the
-    // second run's allocation count as measured with the packed path.
+    // Per model, the modes it is built under and the second run's
+    // allocation count as measured with the packed paths. (On the walk,
+    // each of MobileNet v1's five dense convolutions also allocates its
+    // column spans: 83, 85 and 80.)
     let cases = [
-        (
-            zoo::mobilenet_v1(1),
-            vec![(tvm, None), (byoc, None), (np, None)],
-        ),
+        (zoo::mobilenet_v1(1), vec![(tvm, 78), (byoc, 80), (np, 75)]),
         (
             zoo::mobilenet_v2_quant(2),
-            vec![(tvm, Some(87)), (byoc, Some(89)), (np, Some(84))],
+            vec![(tvm, 87), (byoc, 89), (np, 84)],
         ),
         // The showcase's int8 model, also under the BYOC GPU mode it is
         // served in on every frame.
         (
             object_detection::mobilenet_ssd_model(3),
-            vec![(tvm, Some(68)), (gpu, Some(70))],
+            vec![(tvm, 68), (gpu, 70)],
         ),
     ];
     for (model, modes) in cases {
@@ -193,8 +192,8 @@ fn second_run_allocates_activations_and_forced_copies_only() {
                 sizes.len()
             );
             assert!(
-                max_allocations.is_none_or(|max| sizes.len() <= max),
-                "{} / {p}: second run made {} allocations, more than {max_allocations:?}",
+                sizes.len() <= max_allocations,
+                "{} / {p}: second run made {} allocations, more than {max_allocations}",
                 model.name,
                 sizes.len()
             );
