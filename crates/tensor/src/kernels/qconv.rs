@@ -216,14 +216,17 @@ impl<X: IntElem, W: IntElem, A: Acc, O: IntElem> Arith for Typed<'_, '_, (X, W, 
 /// from it), two `i16` operands per `i32` — two input channels of one
 /// column (dense) or two kernel columns of one channel (depthwise, the
 /// last odd column beside a zero weight). The weights are packed once per
-/// call in the same pairing. A register tile of [`R`] output channels ×
+/// call in the same pairing, each pair in all four lanes of an aligned
+/// [`Splat`]. A register tile of [`R`] output channels ×
 /// [`V`] output columns then runs the whole tap loop as one `pmaddwd` +
-/// `paddd` per tap and register; the sums are requantized [`SPAN`]
-/// columns at a time.
+/// `paddd` per tap and register, and requantizes and narrows the sums in
+/// those registers (`quant::sse2::Requantizer`, `requantize_block`'s
+/// arithmetic four lanes at a time).
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod sse2 {
-    use super::{requantize_block, ConvGeom, IntElem, KernelError, QArith};
+    use super::{ConvGeom, IntElem, KernelError, QArith};
     use crate::kernels::kerr;
+    use crate::quant::sse2::{lanes, Requantizer};
     use core::arch::x86_64::*;
     use rayon::prelude::*;
     use std::cell::RefCell;
@@ -232,8 +235,6 @@ mod sse2 {
     const R: usize = 4;
     /// Output columns of a register tile, four per xmm register.
     const V: usize = 8;
-    /// Output columns requantized together: the requantizer's block.
-    const SPAN: usize = 4 * V;
     /// Depthwise channels packed at a time: a block reads only its own
     /// planes, so the scratch need not hold them all.
     const DW_GROUP: usize = 32;
@@ -243,9 +244,15 @@ mod sse2 {
     struct Scratch {
         x: Vec<i32>,
         pad: Vec<i32>,
-        w: Vec<i32>,
+        w: Vec<Splat>,
         taps: Vec<usize>,
     }
+
+    /// One packed weight pair in all four lanes of a register, aligned so
+    /// that `pmaddwd` can read it from memory as it is.
+    #[derive(Clone, Copy, Default)]
+    #[repr(align(16))]
+    struct Splat([i32; 4]);
 
     thread_local! {
         /// Grown to the largest call of its thread and reused: a steady
@@ -321,11 +328,12 @@ mod sse2 {
             // Weights `[block][tap][r]`, each output channel's in tap order.
             let t_len = s.taps.len();
             s.w.clear();
-            s.w.resize(oc.div_ceil(R) * t_len * R, 0);
+            s.w.resize(oc.div_ceil(R) * t_len * R, Splat::default());
             let sub = |w: &W| w.widen() - q.zw;
             for (o, wo) in wt.chunks_exact(cg * kh * kw).enumerate() {
-                let mut put =
-                    |t: usize, a: i32, b: i32| s.w[(o / R * t_len + t) * R + o % R] = pair(a, b);
+                let mut put = |t: usize, a: i32, b: i32| {
+                    s.w[(o / R * t_len + t) * R + o % R] = Splat([pair(a, b); 4])
+                };
                 if depthwise {
                     for (t, p) in wo.chunks(kw).flat_map(|row| row.chunks(2)).enumerate() {
                         put(t, sub(&p[0]), p.get(1).map_or(0, sub));
@@ -409,6 +417,26 @@ mod sse2 {
                     row.fill(0);
                     continue;
                 };
+                if !lay.depthwise && sw == 1 {
+                    // One phase, no lane offset: the padded row is the
+                    // packed row.
+                    let (left, rest) = row.split_at_mut(image.start);
+                    let (mid, right) = rest.split_at_mut(image.len());
+                    left.fill(0);
+                    right.fill(0);
+                    let sub = |x: &X| x.widen() - zx;
+                    match src(cb) {
+                        Some(b) => mid
+                            .iter_mut()
+                            .zip(a.iter().zip(b))
+                            .for_each(|(v, (a, b))| *v = pair(sub(a), sub(b))),
+                        None => mid
+                            .iter_mut()
+                            .zip(a)
+                            .for_each(|(v, a)| *v = pair(sub(a), 0)),
+                    }
+                    continue;
+                }
                 load(lo, Some(a));
                 if !lay.depthwise {
                     load(hi, src(cb));
@@ -441,30 +469,27 @@ mod sse2 {
         lay: &Layout,
         xp: &[i32],
         taps: &[usize],
-        w: &[i32],
+        w: &[Splat],
         b: usize,
         out: &mut [O],
     ) {
         let [_, _, oh, ow] = g.output;
         let bias = std::array::from_fn(|r| q.bias.and_then(|bias| bias.get(b * R + r)).copied());
         let bias = bias.map(|b| b.unwrap_or(0));
+        let (plane_len, planes) = (oh * ow, out.len() / (oh * ow));
         for oy in 0..oh {
             let x_row = &xp[oy * g.params.strides.0 * lay.row..];
-            // Tiles are requantized `SPAN` columns at a time.
-            for ox0 in (0..ow).step_by(SPAN) {
-                let cols = (ow - ox0).min(SPAN);
-                let mut acc = [[0; SPAN]; R];
-                for v0 in (0..cols).step_by(V) {
-                    // SAFETY: `tile` enables SSE2 alone, which every x86_64
-                    // CPU has and this module is compiled only for.
-                    let sums = unsafe { tile::<DW>(&x_row[ox0 + v0..], lay.plane, taps, w, bias) };
-                    for (acc, sums) in acc.iter_mut().zip(sums) {
-                        acc[v0..][..V].copy_from_slice(&sums);
+            for ox in (0..ow).step_by(V) {
+                // SAFETY: `tile` enables SSE2 alone, which every x86_64
+                // CPU has and this module is compiled only for.
+                let tile = unsafe { tile::<DW, O>(&x_row[ox..], lay.plane, taps, w, bias, q) };
+                for (r, sums) in tile.iter().enumerate().take(planes) {
+                    let out = &mut out[r * plane_len + oy * ow + ox..];
+                    // A whole tile is one fixed-size store.
+                    match out.get_mut(..V) {
+                        Some(out) if ow - ox >= V => out.copy_from_slice(sums),
+                        _ => out[..ow - ox].copy_from_slice(&sums[..ow - ox]),
                     }
-                }
-                for (acc, plane) in acc.iter().zip(out.chunks_exact_mut(oh * ow)) {
-                    let out = &mut plane[oy * ow + ox0..][..cols];
-                    requantize_block(&acc[..cols], |a| a, out, q.multiplier, q.zo);
                 }
             }
         }
@@ -472,39 +497,56 @@ mod sse2 {
 
     /// `bias[r] + Σ x[tap + r·plane + v] ⋅ w[tap][r]` over every tap, a
     /// `pmaddwd` of `i16` pairs with the accumulators in xmm registers
-    /// throughout; dense tiles (`!DW`) read one input for all `r`.
+    /// throughout, then requantized and narrowed to `O` in the same
+    /// registers; dense tiles (`!DW`) read one input for all `r`.
     #[target_feature(enable = "sse2")]
-    fn tile<const DW: bool>(
+    fn tile<const DW: bool, O: IntElem>(
         x: &[i32],
         plane: usize,
         taps: &[usize],
-        w: &[i32],
+        w: &[Splat],
         bias: [i32; R],
-    ) -> [[i32; V]; R] {
+        q: &QArith<'_>,
+    ) -> [[O; V]; R] {
         let mut a = [[_mm_setzero_si128(); V / 4]; R];
         for (a, &b) in a.iter_mut().zip(&bias) {
             *a = [_mm_set1_epi32(b); V / 4];
         }
         for (&tap, w) in taps.iter().zip(w.chunks_exact(R)) {
-            for (r, (a, &w)) in a.iter_mut().zip(w).enumerate() {
+            for (r, (a, Splat(w))) in a.iter_mut().zip(w).enumerate() {
                 let xs = &x[tap + if DW { r * plane } else { 0 }..][..V];
-                let w = _mm_set1_epi32(w);
+                let w = _mm_setr_epi32(w[0], w[1], w[2], w[3]);
                 for (a, s) in a.iter_mut().zip(xs.chunks_exact(4)) {
                     let xv = _mm_setr_epi32(s[0], s[1], s[2], s[3]);
                     *a = _mm_add_epi32(*a, _mm_madd_epi16(xv, w));
                 }
             }
         }
-        let mut acc = [[0; V]; R];
-        for (acc, a) in acc.iter_mut().zip(a) {
-            for (lanes, mut a) in acc.chunks_exact_mut(4).zip(a) {
-                for lane in lanes {
-                    *lane = _mm_cvtsi128_si32(a);
-                    a = _mm_srli_si128::<4>(a);
-                }
+        let rq = Requantizer::new(q.multiplier, q.zo);
+        let mut sums = [[O::narrow(0); V]; R];
+        for (sums, [a0, a1]) in sums.iter_mut().zip(a) {
+            *sums = narrow(rq.apply(a0), rq.apply(a1));
+        }
+        sums
+    }
+
+    /// `O::narrow` of the eight lanes of `lo` then `hi`. For 8-bit `O`,
+    /// `packssdw` saturates to `i16` and `packuswb` / `packsswb` to `O`'s
+    /// range: the same clamp, eight lanes at a time.
+    #[target_feature(enable = "sse2")]
+    fn narrow<O: IntElem>(lo: __m128i, hi: __m128i) -> [O; V] {
+        let bytes = |v: __m128i| (_mm_cvtsi128_si64(v) as u64).to_le_bytes();
+        let words = _mm_packs_epi32(lo, hi);
+        match (O::MIN, O::MAX) {
+            (0, 255) => bytes(_mm_packus_epi16(words, words)).map(|b| O::narrow(b.into())),
+            (-128, 127) => {
+                bytes(_mm_packs_epi16(words, words)).map(|b| O::narrow((b as i8).into()))
+            }
+            _ => {
+                let (l0, l1) = (lanes(lo), lanes(hi));
+                std::array::from_fn(|v| O::narrow(if v < 4 { l0[v] } else { l1[v - 4] }))
             }
         }
-        acc
     }
 }
 

@@ -218,6 +218,136 @@ pub(crate) fn requantize_block<X: Copy, O: IntElem>(
     }
 }
 
+/// [`requantize_block`]'s fixed-point step on four `i32` lanes at once, for
+/// a packed kernel whose sums are still in a register.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+pub(crate) mod sse2 {
+    use super::FixedPointMultiplier;
+    use core::arch::x86_64::*;
+
+    /// `multiplier.apply(v).saturating_add(zero_point)` per lane, with every
+    /// constant of the multiplier and zero point in a register. The vector
+    /// arithmetic covers a positive significand with an exponent that
+    /// shifts right by at most 31 — every non-zero multiplier `from_real`
+    /// makes below 1 — and other multipliers go lane by lane through
+    /// `apply`.
+    pub(crate) struct Requantizer {
+        multiplier: FixedPointMultiplier,
+        zero_point: i32,
+        vector: bool,
+        /// Whether `saturating_add` can saturate: not once the rounding
+        /// shift has halved the range and the zero point is small.
+        saturate: bool,
+        m: __m128i,
+        nudge: __m128i,
+        /// What a negative lane adds to the nudge: `1 − 2^30` less `2^30`.
+        nudge_neg: __m128i,
+        mask: __m128i,
+        half: __m128i,
+        exponent: __m128i,
+        zero: __m128i,
+        /// The last lane value `saturating_add` leaves alone, above a
+        /// non-negative zero point or below a negative one.
+        bound: __m128i,
+        limit: __m128i,
+    }
+
+    impl Requantizer {
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        pub(crate) fn new(multiplier: FixedPointMultiplier, zero_point: i32) -> Self {
+            let (m, exponent) = (multiplier.multiplier, -multiplier.shift);
+            let vector = m > 0 && (0..=31).contains(&exponent);
+            let small = (-(1 << 30)..(1 << 30)).contains(&zero_point);
+            let mask = ((1i64 << exponent.clamp(0, 31)) - 1) as i32;
+            let (bound, limit) = if zero_point >= 0 {
+                (i32::MAX - zero_point, i32::MAX)
+            } else {
+                (i32::MIN - zero_point, i32::MIN)
+            };
+            Requantizer {
+                multiplier,
+                zero_point,
+                vector,
+                saturate: exponent < 1 || !small,
+                m: _mm_set1_epi32(m),
+                nudge: _mm_set1_epi64x(1 << 30),
+                nudge_neg: _mm_set1_epi64x(1 - (1 << 31)),
+                mask: _mm_set1_epi32(mask),
+                half: _mm_set1_epi32(mask >> 1),
+                exponent: _mm_cvtsi32_si128(exponent.clamp(0, 31)),
+                zero: _mm_set1_epi32(zero_point),
+                bound: _mm_set1_epi32(bound),
+                limit: _mm_set1_epi32(limit),
+            }
+        }
+
+        /// The requantized lanes of `v`, saturated to `i32`.
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        pub(crate) fn apply(&self, v: __m128i) -> __m128i {
+            if !self.vector {
+                let [a, b, c, d] =
+                    lanes(v).map(|v| self.multiplier.apply(v).saturating_add(self.zero_point));
+                return _mm_setr_epi32(a, b, c, d);
+            }
+            // `saturating_rounding_doubling_high_mul`: with `u = x + 2^31`
+            // as an unsigned lane, `x·m + nudge = u·m + nudge − m·2^31`, so
+            // the high half is that of the unsigned product plus the nudge,
+            // less `m`. Only bits 31 to 62 of the 64-bit sum are kept, and
+            // a logical shift leaves them as an arithmetic one would. Even
+            // lanes sit in the low half of each 64-bit lane, odd lanes are
+            // shifted there.
+            let sign = _mm_srai_epi32::<31>(v);
+            let u = _mm_xor_si128(v, _mm_set1_epi32(i32::MIN));
+            let even = self.high(_mm_mul_epu32(u, self.m), _mm_shuffle_epi32::<0xA0>(sign));
+            let odd = _mm_mul_epu32(_mm_srli_epi64::<32>(u), self.m);
+            let odd = self.high(odd, _mm_shuffle_epi32::<0xF5>(sign));
+            let high = _mm_set_epi32(-1, 0, -1, 0);
+            let v = _mm_or_si128(_mm_andnot_si128(high, even), _mm_slli_epi64::<32>(odd));
+            let v = _mm_sub_epi32(v, self.m);
+            // `rounding_divide_by_pot`: round half away from zero.
+            let threshold = _mm_sub_epi32(self.half, _mm_srai_epi32::<31>(v));
+            let up = _mm_cmpgt_epi32(_mm_and_si128(v, self.mask), threshold);
+            let v = _mm_sub_epi32(_mm_sra_epi32(v, self.exponent), up);
+            let sum = _mm_add_epi32(v, self.zero);
+            if !self.saturate {
+                return sum;
+            }
+            // `saturating_add`: only one end can be passed, by the zero
+            // point's sign.
+            let past = if self.zero_point >= 0 {
+                _mm_cmpgt_epi32(v, self.bound)
+            } else {
+                _mm_cmplt_epi32(v, self.bound)
+            };
+            _mm_or_si128(_mm_and_si128(past, self.limit), _mm_andnot_si128(past, sum))
+        }
+
+        /// Bits 31 to 62 of `product + nudge`, the nudge taken for the
+        /// lanes whose 64-bit `sign` is set, in the low half of each 64-bit
+        /// lane.
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        fn high(&self, product: __m128i, sign: __m128i) -> __m128i {
+            let nudge = _mm_add_epi64(self.nudge, _mm_and_si128(sign, self.nudge_neg));
+            _mm_srli_epi64::<31>(_mm_add_epi64(product, nudge))
+        }
+    }
+
+    /// The four lanes of `v`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub(crate) fn lanes(v: __m128i) -> [i32; 4] {
+        [
+            _mm_cvtsi128_si32(v),
+            _mm_cvtsi128_si32(_mm_shuffle_epi32::<0x55>(v)),
+            _mm_cvtsi128_si32(_mm_shuffle_epi32::<0xAA>(v)),
+            _mm_cvtsi128_si32(_mm_shuffle_epi32::<0xFF>(v)),
+        ]
+    }
+}
+
 /// Accumulator of a quantized reduction `bias + Σ (x − zx)·(w − zw)`: `i32`
 /// when [`fits_i32`] and [`fits_i16`] prove it cannot overflow over
 /// half-width operands, `i64` otherwise.
@@ -380,6 +510,63 @@ mod tests {
         }
         for v in cases {
             assert_eq!(round_to_i64(v), v.round() as i64, "{v:e}");
+        }
+    }
+
+    /// The packed kernels' four-lane requantizer against `apply` then
+    /// `saturating_add`: every multiplier kind (vector, left shift, zero),
+    /// the `i32` ends, rounding ties, and both signs of zero point.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    #[test]
+    fn sse2_requantizer_matches_the_scalar_one() {
+        use super::sse2::{lanes, Requantizer};
+        use core::arch::x86_64::_mm_setr_epi32;
+        let mut multipliers: Vec<_> = [
+            0.0, 4.7e-10, 1e-6, 0.0004, 0.02, 0.25, 0.3333, 0.4999, 0.5, 0.75, 0.999_999, 1.0, 1.5,
+            3.0, 1e5,
+        ]
+        .into_iter()
+        .map(FixedPointMultiplier::from_real)
+        .collect();
+        multipliers.extend([
+            FixedPointMultiplier {
+                multiplier: i32::MAX,
+                shift: -31,
+            },
+            FixedPointMultiplier {
+                multiplier: 1 << 30,
+                shift: 0,
+            },
+            FixedPointMultiplier {
+                multiplier: -7,
+                shift: -3,
+            },
+        ]);
+        let mut xs = vec![i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX, i32::MAX - 1];
+        for k in [1 << 30, (1 << 30) - 1, (1 << 30) + 1, 1 << 15, 3 << 20] {
+            xs.extend([k, -k]);
+        }
+        let mut bits = 0x2545_F491u32;
+        for shift in (0..32).step_by(4) {
+            for _ in 0..64 {
+                bits = bits.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                xs.push(bits as i32 >> shift);
+            }
+        }
+        while xs.len() % 4 != 0 {
+            xs.push(0);
+        }
+        for m in multipliers {
+            for zo in [0, 1, -1, 128, -128, 255, i32::MAX, i32::MIN] {
+                // SAFETY: SSE2 is part of every x86_64 target.
+                let rq = unsafe { Requantizer::new(m, zo) };
+                for x in xs.chunks_exact(4) {
+                    // SAFETY: as above.
+                    let got = unsafe { lanes(rq.apply(_mm_setr_epi32(x[0], x[1], x[2], x[3]))) };
+                    let want = [0, 1, 2, 3].map(|i| m.apply(x[i]).saturating_add(zo));
+                    assert_eq!(got, want, "{m:?} zero point {zo} on {x:?}");
+                }
+            }
         }
     }
 }
