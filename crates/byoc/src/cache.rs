@@ -543,6 +543,14 @@ mod tests {
     }
 
     #[test]
+    fn disk_entry_with_a_rank_2_conv_weight_is_a_miss() {
+        assert_malformed_entry_is_a_miss("weight-rank", |graph, _| {
+            let w = graph.ops[0].inputs[1];
+            graph.tensors[w].shape = [4, 27].into();
+        });
+    }
+
+    #[test]
     fn disk_entry_with_an_op_without_output_is_a_miss() {
         assert_malformed_entry_is_a_miss("output", |graph, _| graph.ops[0].outputs.clear());
     }

@@ -239,6 +239,40 @@ mod tests {
     }
 
     #[test]
+    fn blob_with_a_one_operand_conv_is_an_error_not_a_panic() {
+        let err = load_corrupted(|blob| blob.graph.ops[0].inputs.truncate(1));
+        assert_eq!(err, "op 0 (CONV_2D) has 1 operands, expects 2 or 3");
+    }
+
+    #[test]
+    fn blob_with_a_rank_2_conv_weight_is_an_error_not_a_panic() {
+        let err = load_corrupted(|blob| {
+            let w = blob.graph.ops[0].inputs[1];
+            blob.graph.tensors[w].shape = [4, 27].into();
+        });
+        assert_eq!(err, "op 0 (CONV_2D) weight has rank 2, expects 4");
+    }
+
+    #[test]
+    fn blob_with_an_overflowing_tensor_size_is_an_error_not_a_panic() {
+        let err = load_corrupted(|blob| {
+            let x = blob.graph.ops[0].inputs[0];
+            blob.graph.tensors[x].shape = [1 << 33, 1 << 33].into();
+        });
+        assert_eq!(
+            err,
+            "tensor 0 ('nir_in0') of shape (8589934592, 8589934592) overflows a byte size"
+        );
+    }
+
+    #[test]
+    fn blob_with_a_tensor_written_twice_is_an_error() {
+        let err =
+            load_corrupted(|blob| blob.graph.ops[1].outputs[0] = blob.graph.ops[0].outputs[0]);
+        assert_eq!(err, "op 1 (RELU) writes tensor 2, already defined");
+    }
+
+    #[test]
     fn unsupported_function_fails_codegen() {
         let x = var("p", TensorType::f32([1, 4]));
         let body = tvmnp_relay::expr::call(tvmnp_relay::OpKind::Exp, vec![x.clone()]);

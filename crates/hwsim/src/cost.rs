@@ -3,6 +3,7 @@
 use crate::device::{DeviceKind, KernelClass};
 use crate::soc::SocSpec;
 use serde::{Deserialize, Serialize};
+use tvmnp_tensor::{DType, Shape};
 
 /// Broad kernel categories — they differ in how well devices run them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -62,21 +63,70 @@ pub struct WorkItem {
 }
 
 impl WorkItem {
-    /// A zero-cost placeholder (identity ops).
-    pub fn empty() -> Self {
-        WorkItem {
-            macs: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            int8: false,
-            kind: WorkKind::DataMovement,
-        }
-    }
-
     /// Total bytes touched.
     pub fn bytes(&self) -> u64 {
         self.bytes_in + self.bytes_out
     }
+
+    /// The work of one op — the only op → work formula table. Both IRs
+    /// key their operators into it (Relay's `OpKind` in the graph
+    /// executor, `NeuronOpKind` in the Neuron runtime), so an op costs the
+    /// same whichever runtime runs it. `operands` and `out` are borrowed
+    /// `(shape, dtype)` pairs, in operator order.
+    pub fn price<'a>(
+        key: WorkKey,
+        operands: impl IntoIterator<Item = (&'a Shape, DType)>,
+        (out_shape, out_dtype): (&Shape, DType),
+    ) -> WorkItem {
+        let elems = |shape: &Shape| shape.num_elements() as u64;
+        let (mut bytes_in, mut int8, mut first_elems, mut weight_per_out) = (0, false, 0, 0);
+        for (i, (shape, dtype)) in operands.into_iter().enumerate() {
+            bytes_in += (shape.num_elements() * dtype.size_bytes()) as u64;
+            match i {
+                0 => (int8, first_elems) = (dtype.is_quantized(), elems(shape)),
+                1 => weight_per_out = shape.dims().iter().skip(1).map(|&d| d as u64).product(),
+                _ => {}
+            }
+        }
+        let out_elems = elems(out_shape);
+        let per_out = |per: u64| out_elems.saturating_mul(per);
+        let (macs, kind) = match key {
+            WorkKey::Mac => (per_out(weight_per_out), WorkKind::MacHeavy),
+            WorkKey::Window(kh, kw) => (
+                per_out((kh as u64).saturating_mul(kw as u64)),
+                WorkKind::Reduction,
+            ),
+            WorkKey::ReduceInput => (first_elems, WorkKind::Reduction),
+            WorkKey::Softmax => (per_out(4), WorkKind::Reduction),
+            WorkKey::DataMovement => (0, WorkKind::DataMovement),
+            WorkKey::Elementwise(per) => (per_out(per), WorkKind::Elementwise),
+        };
+        WorkItem {
+            macs,
+            bytes_in,
+            bytes_out: (out_shape.num_elements() * out_dtype.size_bytes()) as u64,
+            int8: out_dtype.is_quantized() || int8,
+            kind,
+        }
+    }
+}
+
+/// Which formula of [`WorkItem::price`] an op is priced by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkKey {
+    /// Output elements × the product of the weight's (operand 1's) dims
+    /// after the first: convolution and dense.
+    Mac,
+    /// Output elements × the `(kh, kw)` pooling window.
+    Window(usize, usize),
+    /// One step per element of operand 0 (global pooling, mean).
+    ReduceInput,
+    /// Four steps per output element (max, exp, sum, divide).
+    Softmax,
+    /// No arithmetic (reshape, transpose, concat, pad, slice).
+    DataMovement,
+    /// The given number of operations per output element.
+    Elementwise(u64),
 }
 
 /// The analytic time model over a [`SocSpec`].
@@ -236,6 +286,90 @@ impl Default for CostModel {
 mod tests {
     use super::*;
 
+    /// One row per [`WorkKey`]: operands and result as `(dims, dtype)`,
+    /// and the MACs and kind [`WorkItem::price`] must charge.
+    #[test]
+    fn price_table() {
+        use DType::{F32, U8};
+        type Operand = (&'static [usize], DType);
+        let rows: [(WorkKey, &[Operand], Operand, u64, WorkKind); 8] = [
+            // conv: out 1x16x8x8 = 1024 elems, 3*3*3 = 27 MACs each.
+            (
+                WorkKey::Mac,
+                &[(&[1, 3, 8, 8], F32), (&[16, 3, 3, 3], F32)],
+                (&[1, 16, 8, 8], F32),
+                1024 * 27,
+                WorkKind::MacHeavy,
+            ),
+            // dense: 10 outputs of 8 MACs, the bias adds bytes only.
+            (
+                WorkKey::Mac,
+                &[(&[1, 8], F32), (&[10, 8], F32), (&[10], F32)],
+                (&[1, 10], F32),
+                80,
+                WorkKind::MacHeavy,
+            ),
+            (
+                WorkKey::Window(3, 3),
+                &[(&[1, 4, 8, 8], F32)],
+                (&[1, 4, 6, 6], F32),
+                144 * 9,
+                WorkKind::Reduction,
+            ),
+            (
+                WorkKey::ReduceInput,
+                &[(&[1, 4, 8, 8], F32)],
+                (&[1, 4, 1, 1], F32),
+                256,
+                WorkKind::Reduction,
+            ),
+            (
+                WorkKey::Softmax,
+                &[(&[1, 10], F32)],
+                (&[1, 10], F32),
+                40,
+                WorkKind::Reduction,
+            ),
+            (
+                WorkKey::DataMovement,
+                &[(&[2, 8], F32)],
+                (&[4, 4], F32),
+                0,
+                WorkKind::DataMovement,
+            ),
+            // int8 is read off the first operand as well as the result.
+            (
+                WorkKey::Elementwise(1),
+                &[(&[1, 4], U8)],
+                (&[1, 4], F32),
+                4,
+                WorkKind::Elementwise,
+            ),
+            // bilinear resize: eight operations per output element.
+            (
+                WorkKey::Elementwise(8),
+                &[(&[1, 1, 2, 2], F32)],
+                (&[1, 1, 4, 4], F32),
+                128,
+                WorkKind::Elementwise,
+            ),
+        ];
+        for (key, operands, (out, out_dtype), macs, kind) in rows {
+            let shapes: Vec<(Shape, DType)> =
+                operands.iter().map(|&(d, t)| (Shape::from(d), t)).collect();
+            let out = Shape::from(out);
+            let w = WorkItem::price(key, shapes.iter().map(|(s, t)| (s, *t)), (&out, out_dtype));
+            let bytes_in: usize = operands
+                .iter()
+                .map(|(d, t)| d.iter().product::<usize>() * t.size_bytes())
+                .sum();
+            assert_eq!((w.macs, w.kind), (macs, kind), "{key:?}");
+            assert_eq!(w.bytes_in, bytes_in as u64, "{key:?}");
+            assert_eq!(w.bytes_out, (out.num_elements() * 4) as u64, "{key:?}");
+            assert_eq!(w.int8, operands[0].1 == U8, "{key:?}");
+        }
+    }
+
     fn conv_item(macs: u64, int8: bool) -> WorkItem {
         WorkItem {
             macs,
@@ -350,11 +484,9 @@ mod tests {
     #[test]
     fn empty_item_costs_only_overhead() {
         let m = CostModel::default();
-        let t = m.kernel_us(
-            &WorkItem::empty(),
-            DeviceKind::Cpu,
-            KernelClass::VendorTuned,
-        );
+        let empty = Shape::from([0]);
+        let w = WorkItem::price(WorkKey::DataMovement, [], (&empty, DType::F32));
+        let t = m.kernel_us(&w, DeviceKind::Cpu, KernelClass::VendorTuned);
         assert!((t - m.soc().device(DeviceKind::Cpu).kernel_launch_us).abs() < 1e-9);
     }
 }

@@ -37,7 +37,7 @@ pub mod ledger;
 pub mod soc;
 pub mod timeline;
 
-pub use cost::{CostModel, WorkItem, WorkKind};
+pub use cost::{CostModel, WorkItem, WorkKey, WorkKind};
 pub use device::{DeviceKind, DeviceSpec, KernelClass};
 pub use fault::{
     CircuitBreaker, Fault, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite,

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tvmnp_hwsim::{WorkItem, WorkKind};
+use tvmnp_hwsim::{WorkItem, WorkKey};
 use tvmnp_tensor::{DType, QuantParams, Shape, Tensor};
 
 /// Index of a tensor within its [`NeuronGraph`].
@@ -173,12 +173,23 @@ impl NeuronOpKind {
         }
     }
 
-    /// Whether this op is MAC-dominated (for the planner's cost heuristic).
-    pub fn is_mac_heavy(&self) -> bool {
-        matches!(
-            self,
-            NeuronOpKind::Conv2d { .. } | NeuronOpKind::FullyConnected
-        )
+    /// The formula [`WorkItem::price`] prices this op by: the key of the
+    /// Relay operator it lifts to ([`crate::convert::relay_op`]).
+    pub fn work_key(&self) -> WorkKey {
+        match self {
+            NeuronOpKind::Conv2d { .. } | NeuronOpKind::FullyConnected => WorkKey::Mac,
+            NeuronOpKind::MaxPool2d { kernel, .. } | NeuronOpKind::AvgPool2d { kernel, .. } => {
+                WorkKey::Window(kernel.0, kernel.1)
+            }
+            NeuronOpKind::GlobalAvgPool2d => WorkKey::ReduceInput,
+            NeuronOpKind::Softmax => WorkKey::Softmax,
+            NeuronOpKind::Reshape { .. }
+            | NeuronOpKind::Transpose { .. }
+            | NeuronOpKind::Concat { .. }
+            | NeuronOpKind::Pad { .. }
+            | NeuronOpKind::BatchFlatten => WorkKey::DataMovement,
+            _ => WorkKey::Elementwise(1),
+        }
     }
 }
 
@@ -223,10 +234,34 @@ impl NeuronGraph {
         self.ops.len()
     }
 
+    /// Per tensor, the op that writes it; `None` for inputs and constants.
+    /// A result id out of range names no tensor and is skipped.
+    pub fn writers(&self) -> Vec<Option<usize>> {
+        let mut writer = vec![None; self.tensors.len()];
+        for (i, op) in self.ops.iter().enumerate() {
+            for &o in &op.outputs {
+                if let Some(w) = writer.get_mut(o) {
+                    *w = Some(i);
+                }
+            }
+        }
+        writer
+    }
+
+    /// The device-neutral work of `op`, priced by its kind's key.
+    pub fn work(&self, op: &NeuronOp) -> WorkItem {
+        let operand = |&id: &TensorId| (&self.tensors[id].shape, self.tensors[id].dtype);
+        let out = operand(&op.outputs[0]);
+        WorkItem::price(op.kind.work_key(), op.inputs.iter().map(operand), out)
+    }
+
     /// Validate structural invariants: ids in range, ops topologically
     /// ordered (an op's activation inputs are graph inputs, constants, or
-    /// outputs of earlier ops), one output per op, every quantized tensor
-    /// carries params.
+    /// outputs of earlier ops), one output per op, no tensor written twice
+    /// or written though it is an input or constant, every quantized tensor
+    /// carries params, every tensor's byte size fits a `usize`, and a
+    /// convolution or fully-connected op reads an input, a weight of the
+    /// rank [`WorkItem::price`] multiplies out and an optional bias.
     pub fn validate(&self) -> Result<(), String> {
         let mut defined: Vec<bool> = vec![false; self.tensors.len()];
         for &i in &self.inputs {
@@ -245,26 +280,59 @@ impl NeuronGraph {
                     t.name, t.dtype
                 ));
             }
+            let elems = t.shape.checked_num_elements();
+            if elems
+                .and_then(|n| n.checked_mul(t.dtype.size_bytes()))
+                .is_none()
+            {
+                let (name, shape) = (&t.name, &t.shape);
+                return Err(format!(
+                    "tensor {i} ('{name}') of shape {shape} overflows a byte size"
+                ));
+            }
         }
         for (k, op) in self.ops.iter().enumerate() {
+            let name = op.kind.name();
+            let rank = match op.kind {
+                NeuronOpKind::Conv2d { .. } => 4,
+                NeuronOpKind::FullyConnected => 2,
+                _ => 0,
+            };
+            let weight = match op.inputs[..] {
+                _ if rank == 0 => None,
+                [_, w] | [_, w, _] => self.tensors.get(w),
+                ref inputs => {
+                    let n = inputs.len();
+                    return Err(format!("op {k} ({name}) has {n} operands, expects 2 or 3"));
+                }
+            };
+            if let Some(got) = weight.map(|w| w.shape.rank()).filter(|&got| got != rank) {
+                return Err(format!(
+                    "op {k} ({name}) weight has rank {got}, expects {rank}"
+                ));
+            }
             for &i in &op.inputs {
                 if i >= self.tensors.len() {
                     return Err(format!("op {k} input id {i} out of range"));
                 }
                 if !defined[i] {
                     return Err(format!(
-                        "op {k} ({}) reads tensor {i} before it is defined",
-                        op.kind.name()
+                        "op {k} ({name}) reads tensor {i} before it is defined"
                     ));
                 }
             }
             if op.outputs.len() != 1 {
                 let n = op.outputs.len();
-                return Err(format!("op {k} ({}) has {n} outputs", op.kind.name()));
+                return Err(format!("op {k} ({name}) has {n} outputs"));
             }
             for &o in &op.outputs {
                 if o >= self.tensors.len() {
                     return Err(format!("op {k} output id {o} out of range"));
+                }
+                if defined[o] {
+                    return Err(format!(
+                        "op {k} ({name}) writes tensor {o}, already defined"
+                    ));
                 }
                 defined[o] = true;
             }
@@ -275,60 +343,6 @@ impl NeuronGraph {
             }
         }
         Ok(())
-    }
-}
-
-/// Estimate the device-neutral work of one Neuron op.
-pub fn work_item(graph: &NeuronGraph, op: &NeuronOp) -> WorkItem {
-    let out = &graph.tensors[op.outputs[0]];
-    let out_elems = out.shape.num_elements() as u64;
-    let bytes_in: u64 = op
-        .inputs
-        .iter()
-        .map(|&i| graph.tensors[i].size_bytes() as u64)
-        .sum();
-    let bytes_out = out.size_bytes() as u64;
-    let int8 = out.dtype.is_quantized()
-        || op
-            .inputs
-            .first()
-            .map(|&i| graph.tensors[i].dtype.is_quantized())
-            .unwrap_or(false);
-    let (macs, kind) = match &op.kind {
-        NeuronOpKind::Conv2d { groups, .. } => {
-            let w = &graph.tensors[op.inputs[1]];
-            let wd = w.shape.dims();
-            // per output element: (C/groups) * kh * kw MACs.
-            let per = (wd[1] * wd[2] * wd[3]) as u64;
-            let _ = groups;
-            (out_elems * per, WorkKind::MacHeavy)
-        }
-        NeuronOpKind::FullyConnected => {
-            let w = &graph.tensors[op.inputs[1]];
-            (out_elems * w.shape.dims()[1] as u64, WorkKind::MacHeavy)
-        }
-        NeuronOpKind::MaxPool2d { kernel, .. } | NeuronOpKind::AvgPool2d { kernel, .. } => (
-            out_elems * (kernel.0 * kernel.1) as u64,
-            WorkKind::Reduction,
-        ),
-        NeuronOpKind::GlobalAvgPool2d => {
-            let x = &graph.tensors[op.inputs[0]];
-            (x.shape.num_elements() as u64, WorkKind::Reduction)
-        }
-        NeuronOpKind::Softmax => (4 * out_elems, WorkKind::Reduction),
-        NeuronOpKind::Reshape { .. }
-        | NeuronOpKind::Transpose { .. }
-        | NeuronOpKind::Concat { .. }
-        | NeuronOpKind::Pad { .. }
-        | NeuronOpKind::BatchFlatten => (0, WorkKind::DataMovement),
-        _ => (out_elems, WorkKind::Elementwise),
-    };
-    WorkItem {
-        macs,
-        bytes_in,
-        bytes_out,
-        int8,
-        kind,
     }
 }
 
@@ -398,7 +412,5 @@ mod tests {
     #[test]
     fn opcode_names() {
         assert_eq!(NeuronOpKind::Sigmoid.name(), "LOGISTIC");
-        assert!(NeuronOpKind::FullyConnected.is_mac_heavy());
-        assert!(!NeuronOpKind::Relu.is_mac_heavy());
     }
 }

@@ -18,7 +18,7 @@
 //! runtime's cost ledger derives the dispatches and transfers from them.
 
 use crate::error::NeuronError;
-use crate::nir::{work_item, NeuronGraph};
+use crate::nir::NeuronGraph;
 use crate::planner::{ExecutionPlan, Placement};
 use crate::support::device_supports;
 use std::collections::HashMap;
@@ -38,13 +38,7 @@ pub fn plan_op_level(graph: &NeuronGraph, cost: &CostModel) -> Result<ExecutionP
         return Ok(ExecutionPlan::default());
     }
 
-    // producer[tensor] = op index
-    let mut producer: HashMap<usize, usize> = HashMap::new();
-    for (i, op) in graph.ops.iter().enumerate() {
-        for &o in &op.outputs {
-            producer.insert(o, i);
-        }
-    }
+    let producer = graph.writers();
 
     // kernel_time[i][d]: op i on device d (infinity when unsupported).
     let time_of = |i: usize, d: DeviceKind| -> f64 {
@@ -52,7 +46,7 @@ pub fn plan_op_level(graph: &NeuronGraph, cost: &CostModel) -> Result<ExecutionP
         if !device_supports(d, &op.kind) {
             return f64::INFINITY;
         }
-        let w = work_item(graph, op);
+        let w = graph.work(op);
         cost.kernel_us(&w, d, KernelClass::VendorTuned)
     };
 
@@ -65,8 +59,8 @@ pub fn plan_op_level(graph: &NeuronGraph, cost: &CostModel) -> Result<ExecutionP
             if graph.tensors[tid].is_const() {
                 continue; // weights ship with the compiled segment
             }
-            let src = match producer.get(&tid) {
-                Some(&pi) => assigned[pi],
+            let src = match producer[tid] {
+                Some(pi) => assigned[pi],
                 None => DeviceKind::Cpu, // graph input arrives on the host side
             };
             if src != d {
@@ -181,7 +175,7 @@ pub fn plan_op_level(graph: &NeuronGraph, cost: &CostModel) -> Result<ExecutionP
                             continue;
                         }
                         for &tid in &op.inputs {
-                            if producer.get(&tid) == Some(&i) && assigned[j] != dev {
+                            if producer[tid] == Some(i) && assigned[j] != dev {
                                 t += cost.transfer_us(graph.tensors[tid].size_bytes());
                             }
                         }

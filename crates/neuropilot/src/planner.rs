@@ -5,11 +5,11 @@
 //! network's cost ledger.
 
 use crate::error::NeuronError;
-use crate::nir::{work_item, NeuronGraph};
+use crate::nir::NeuronGraph;
 use crate::support::device_supports;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tvmnp_hwsim::DeviceKind;
+use tvmnp_hwsim::{DeviceKind, WorkKind};
 
 /// Back-end target selection policy — the `nir_targets=[...]` argument of
 /// the paper's Listing 6, and the axis of its seven permutations.
@@ -139,13 +139,13 @@ impl Planner {
                     }
                 }
                 TargetPolicy::CpuApu => {
-                    let w = work_item(graph, op);
+                    let w = graph.work(op);
                     let threshold = if w.int8 {
                         APU_OFFLOAD_MIN_MACS_INT8
                     } else {
                         APU_OFFLOAD_MIN_MACS_F32
                     };
-                    let big_enough = op.kind.is_mac_heavy() && w.macs >= threshold;
+                    let big_enough = w.kind == WorkKind::MacHeavy && w.macs >= threshold;
                     if big_enough && device_supports(DeviceKind::Apu, &op.kind) {
                         (DeviceKind::Apu, false)
                     } else {

@@ -8,7 +8,9 @@
 //! frameworks) by construction, while *simulated* time is charged on the
 //! `tvmnp-hwsim` cost model: a driver dispatch per device run of the plan,
 //! per-kernel time on the assigned device, reference-implementation penalty
-//! for fallback ops, and a transfer per device-boundary crossing.
+//! for fallback ops, and a transfer per device-boundary crossing. Its
+//! activations live in the slots of the graph executor's storage planner
+//! ([`plan_memory`]), made with the lift.
 
 use crate::convert::relay_op;
 use crate::error::NeuronError;
@@ -18,6 +20,7 @@ use std::sync::OnceLock;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{CostModel, DeviceKind, KernelClass};
 use tvmnp_relay::interp::eval_op;
+use tvmnp_relay::memory::{plan_memory, MemoryPlan, NodeRef, Program};
 use tvmnp_relay::OpKind;
 use tvmnp_tensor::Tensor;
 
@@ -26,11 +29,73 @@ pub struct CompiledNetwork {
     graph: NeuronGraph,
     plan: ExecutionPlan,
     ledger: Vec<CostEntry>,
-    /// Per tensor, the last op to read it: an activation is dropped there.
-    last_reader: Vec<usize>,
-    /// `graph.ops` lifted to Relay operators, made on the first run: a
-    /// network that is only priced (every Fig. 4/6 bar) never pays for it.
-    relay_ops: OnceLock<Result<Vec<OpKind>, NeuronError>>,
+    /// What a run needs, made on the first one: a network that is only
+    /// priced (every Fig. 4/6 bar) never pays for it.
+    run_plan: OnceLock<Result<RunPlan, NeuronError>>,
+}
+
+/// `graph.ops` lifted to Relay operators, and where their results live.
+struct RunPlan {
+    relay_ops: Vec<OpKind>,
+    memory: MemoryPlan,
+    /// Per tensor, the op that writes it; `None` for inputs and constants.
+    writer: Vec<Option<usize>>,
+}
+
+impl RunPlan {
+    fn new(graph: &NeuronGraph) -> Result<RunPlan, NeuronError> {
+        let relay_ops = (graph.ops.iter())
+            .map(|op| relay_op(graph, op))
+            .collect::<Result<_, _>>()?;
+        let writer = graph.writers();
+        let memory = plan_memory(&Steps(graph, &writer));
+        Ok(RunPlan {
+            relay_ops,
+            memory,
+            writer,
+        })
+    }
+
+    /// The slot tensor `id` lives in, if an op writes it. Every op has a
+    /// slot: the lift checked that each has a result.
+    fn slot(&self, id: TensorId) -> Option<usize> {
+        let op = self.writer.get(id).copied()??;
+        Some(self.memory.slots_of(op)[0])
+    }
+}
+
+/// A Neuron graph, with the op that writes each tensor, as a [`Program`]
+/// of the storage planner: op `i` is step `i` and writes one value, its
+/// result tensor.
+struct Steps<'a>(&'a NeuronGraph, &'a [Option<usize>]);
+
+impl Steps<'_> {
+    /// The value tensor `id` is, if an op writes it.
+    fn value(&self, &id: &TensorId) -> Option<NodeRef> {
+        let node = self.1.get(id).copied()??;
+        Some(NodeRef { node, output: 0 })
+    }
+}
+
+impl Program for Steps<'_> {
+    fn num_steps(&self) -> usize {
+        self.0.ops.len()
+    }
+
+    fn writes(&self, step: usize) -> impl Iterator<Item = usize> {
+        std::iter::once(self.0.tensors[self.0.ops[step].outputs[0]].size_bytes())
+    }
+
+    fn reads(&self, step: usize) -> impl Iterator<Item = NodeRef> {
+        self.0.ops[step]
+            .inputs
+            .iter()
+            .filter_map(|id| self.value(id))
+    }
+
+    fn outputs(&self) -> impl Iterator<Item = NodeRef> {
+        self.0.outputs.iter().filter_map(|id| self.value(id))
+    }
 }
 
 impl CompiledNetwork {
@@ -49,20 +114,11 @@ impl CompiledNetwork {
     /// [`crate::oplevel`]) into an executable network.
     pub fn from_plan(graph: NeuronGraph, plan: ExecutionPlan, cost: CostModel) -> Self {
         let ledger = build_ledger(&graph, &plan, &cost);
-        let mut last_reader = vec![usize::MAX; graph.tensors.len()];
-        for (i, op) in graph.ops.iter().enumerate() {
-            for &id in &op.inputs {
-                if let Some(last) = last_reader.get_mut(id) {
-                    *last = i;
-                }
-            }
-        }
         CompiledNetwork {
             graph,
             plan,
             ledger,
-            last_reader,
-            relay_ops: OnceLock::new(),
+            run_plan: OnceLock::new(),
         }
     }
 
@@ -106,8 +162,8 @@ impl CompiledNetwork {
     /// [`CompiledNetwork::execute`] on borrowed inputs — what a caller that
     /// does not own its tensors (the graph executor) uses. Nothing is
     /// copied in: an operand is read where it is (see
-    /// [`CompiledNetwork::read`]), an activation lives in its slot until its
-    /// last reader has run, and outputs are moved out of theirs.
+    /// [`CompiledNetwork::read`]), an activation lives in its planned slot
+    /// until the plan says it dies, and outputs are moved out of theirs.
     pub fn execute_borrowed(&self, inputs: &[&Tensor]) -> Result<(Vec<Tensor>, f64), NeuronError> {
         let _span = tvmnp_telemetry::span!("neuropilot.execute");
         let graph = &self.graph;
@@ -118,11 +174,10 @@ impl CompiledNetwork {
                 inputs.len()
             )));
         }
-        let relay_ops = (self.relay_ops)
-            .get_or_init(|| graph.ops.iter().map(|op| relay_op(graph, op)).collect())
+        let run_plan = (self.run_plan)
+            .get_or_init(|| RunPlan::new(graph))
             .as_ref()
             .map_err(NeuronError::clone)?;
-        let mut slots: Vec<Option<Tensor>> = vec![None; graph.tensors.len()];
         for (&id, input) in graph.inputs.iter().zip(inputs) {
             let out_of_range = || NeuronError::Execution(format!("slot {id} out of range"));
             let expect = graph.tensors.get(id).ok_or_else(out_of_range)?;
@@ -138,45 +193,44 @@ impl CompiledNetwork {
             }
         }
 
-        for (i, (op, kind)) in graph.ops.iter().zip(relay_ops).enumerate() {
+        let memory = &run_plan.memory;
+        let mut slots: Vec<Option<Tensor>> = vec![None; memory.slot_bytes.len()];
+        for (i, (op, kind)) in graph.ops.iter().zip(&run_plan.relay_ops).enumerate() {
             let args: Vec<&Tensor> = (op.inputs.iter())
-                .map(|&id| self.read(inputs, &slots, id, "input"))
+                .map(|&id| self.read(inputs, run_plan, &slots, id, "input"))
                 .collect::<Result<_, _>>()?;
             let out = eval_op(kind, &args).map_err(|e| NeuronError::Execution(e.to_string()))?;
-            // In range: the lift checked every op's result id.
-            slots[op.outputs[0]] = Some(out);
-            for &id in &op.inputs {
-                if self.last_reader.get(id) == Some(&i) && !graph.outputs.contains(&id) {
-                    slots[id] = None;
-                }
+            slots[memory.slots_of(i)[0]] = Some(out);
+            for &slot in memory.dying_after(i) {
+                slots[slot] = None;
             }
         }
         let mut outputs = Vec::with_capacity(graph.outputs.len());
         for (k, &id) in graph.outputs.iter().enumerate() {
             // Moved out of its slot, unless the same tensor is listed again.
-            let moved = match slots.get_mut(id) {
-                Some(slot) if !graph.outputs[k + 1..].contains(&id) => slot.take(),
-                _ => None,
-            };
+            let moved = (run_plan.slot(id))
+                .filter(|_| !graph.outputs[k + 1..].contains(&id))
+                .and_then(|slot| slots[slot].take());
             outputs.push(match moved {
                 Some(tensor) => tensor,
-                None => self.read(inputs, &slots, id, "output")?.clone(),
+                None => self.read(inputs, run_plan, &slots, id, "output")?.clone(),
             });
         }
         Ok((outputs, self.estimate_time_us()))
     }
 
     /// The value of tensor `id` at this point of a run: what an op has
-    /// written there, else the caller's input, else the graph's constant —
-    /// the order in which a table of all tensors would have been filled.
+    /// written to its slot, else the caller's input, else the graph's
+    /// constant.
     fn read<'a>(
         &'a self,
         inputs: &[&'a Tensor],
+        run_plan: &RunPlan,
         slots: &'a [Option<Tensor>],
         id: TensorId,
         what: &str,
     ) -> Result<&'a Tensor, NeuronError> {
-        let written = slots.get(id).and_then(Option::as_ref);
+        let written = run_plan.slot(id).and_then(|slot| slots[slot].as_ref());
         let input = || Some(inputs[self.graph.inputs.iter().position(|&i| i == id)?]);
         let constant = || self.graph.tensors.get(id)?.data.as_deref();
         (written.or_else(input).or_else(constant))
@@ -184,13 +238,14 @@ impl CompiledNetwork {
     }
 }
 
-/// Derive the network's cost ledger — the only place Neuron work is
-/// priced, and the only place a plan's placements are walked into what they
-/// imply. Per device run (a maximal run of consecutive ops on one device) a
-/// driver dispatch; off-CPU runs also stage their weights through the
-/// driver each dispatch (the prototype runtime does not cache them). Per op
-/// its kernel on the assigned device (NNAPI-style reference fallbacks run an
-/// untuned CPU kernel). Per tensor crossing devices one transfer.
+/// Derive the network's cost ledger — the only place a Neuron network is
+/// charged, and the only place a plan's placements are walked into what
+/// they imply. Per device run (a maximal run of consecutive ops on one
+/// device) a driver dispatch; off-CPU runs also stage their weights
+/// through the driver each dispatch (the prototype runtime does not cache
+/// them). Per op its kernel on the assigned device (NNAPI-style reference
+/// fallbacks run an untuned CPU kernel). Per tensor crossing devices one
+/// transfer.
 fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> Vec<CostEntry> {
     let placements = &plan.placements;
     let runs = || placements.chunk_by(|a, b| a.device == b.device);
@@ -222,7 +277,7 @@ fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> 
         }
     }
     for (i, (op, p)) in graph.ops.iter().zip(placements).enumerate() {
-        let w = crate::nir::work_item(graph, op);
+        let w = graph.work(op);
         let (device, class) = if p.fallback {
             (DeviceKind::Cpu, KernelClass::TvmUntuned)
         } else {
@@ -286,7 +341,7 @@ fn crossing_bytes(graph: &NeuronGraph, placements: &[Placement]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::convert::convert_function;
-    use crate::nir::{work_item, NeuronOp, NeuronOpKind};
+    use crate::nir::{NeuronOp, NeuronOpKind};
     use std::collections::HashMap;
     use tvmnp_hwsim::WorkKind;
     use tvmnp_relay::builder;
@@ -396,6 +451,48 @@ mod tests {
         );
     }
 
+    /// The executor's storage planner, run on a converted network: a value
+    /// read by three ops and a result nothing reads never share a slot
+    /// with a live value, and the run still matches the interpreter.
+    #[test]
+    fn shared_planner_never_aliases_a_neuron_network() {
+        use crate::nir::NeuronTensor;
+        let x = var("x", TensorType::f32([1, 64]));
+        let a = builder::relu(x.clone());
+        let f = Function::new(vec![x], builder::add(a.clone(), builder::sigmoid(a)));
+        let mut g = convert_function(&f).unwrap();
+        let relu = g.ops[0].outputs[0];
+        let dead = g.add_tensor(NeuronTensor {
+            name: "dead".into(),
+            shape: [1, 64].into(),
+            dtype: DType::F32,
+            quant: None,
+            data: None,
+        });
+        g.add_op(NeuronOp {
+            kind: NeuronOpKind::Tanh,
+            inputs: vec![relu],
+            outputs: vec![dead],
+        });
+        g.validate().unwrap();
+
+        let run_plan = RunPlan::new(&g).unwrap();
+        let steps = Steps(&g, &run_plan.writer);
+        let memory = &run_plan.memory;
+        assert_eq!(memory.check_no_alias(&steps), None);
+        let tanh = g.ops.len() - 1;
+        assert!(memory.dying_after(tanh).contains(&memory.slots_of(tanh)[0]));
+        assert!(0 < memory.peak_bytes && memory.peak_bytes <= memory.pool_bytes);
+
+        let input = TensorRng::new(5).uniform_f32([1, 64], -1.0, 1.0);
+        let net = CompiledNetwork::compile(g, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
+        let (outs, _) = net.execute(std::slice::from_ref(&input)).unwrap();
+        let mut ins = HashMap::new();
+        ins.insert("x".to_string(), input);
+        let reference = run_module(&Module::from_main(f), &ins).unwrap();
+        assert!(outs[0].bit_eq(&reference));
+    }
+
     #[test]
     fn wrong_input_shape_rejected() {
         let (f, _) = small_net();
@@ -403,18 +500,6 @@ mod tests {
         let net = CompiledNetwork::compile(g, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
         let bad = Tensor::zeros_f32([1, 3, 4, 4]);
         assert!(net.execute(&[bad]).is_err());
-    }
-
-    #[test]
-    fn work_item_conv_macs() {
-        let (f, _) = small_net();
-        let g = convert_function(&f).unwrap();
-        let conv = &g.ops[0];
-        let w = work_item(&g, conv);
-        // out 1x4x8x8 = 256 elems, 3*3*3 = 27 MACs each.
-        assert_eq!(w.macs, 256 * 27);
-        assert_eq!(w.kind, WorkKind::MacHeavy);
-        assert!(!w.int8);
     }
 
     /// quantize → qnn.conv2d → dequantize, and an input for it.

@@ -11,6 +11,8 @@
 //! * a reference interpreter that executes a module on the host with the
 //!   `tvmnp-tensor` kernels ([`interp`]) — the semantic ground truth every
 //!   backend is checked against;
+//! * the storage planner both runtimes run on ([`memory`], TVM's
+//!   `GraphPlanMemory`);
 //! * graph passes ([`passes`]): constant folding, dead-code elimination,
 //!   operator fusion, and the BYOC *annotate → merge regions → partition*
 //!   pipeline that splits a module into a TVM-native part and external
@@ -25,6 +27,7 @@ pub mod expr;
 pub mod fingerprint;
 pub mod infer;
 pub mod interp;
+pub mod memory;
 pub mod op;
 pub mod passes;
 pub mod printer;

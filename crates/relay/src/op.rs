@@ -149,24 +149,8 @@ impl OpKind {
         self.name().starts_with("qnn.")
     }
 
-    /// Whether this op only moves/renames data (no arithmetic). Used by the
-    /// cost model and by the QNN parameter propagation of §3.3: these ops
-    /// pass their input's quantization through unchanged.
-    pub fn is_data_movement(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Reshape(_)
-                | OpKind::Transpose(_)
-                | OpKind::Pad(_)
-                | OpKind::StridedSlice(_)
-                | OpKind::BatchFlatten
-                | OpKind::Dropout
-        )
-    }
-
-    /// Approximate multiply-accumulate count for cost modelling, given the
-    /// argument and result element counts. Conv/dense-style ops dominate;
-    /// everything else is charged per output element.
+    /// Whether this op anchors a fusion group (convolution and dense; see
+    /// [`crate::passes::fuse_analysis`]).
     pub fn is_compute_heavy(&self) -> bool {
         matches!(
             self,
@@ -206,12 +190,5 @@ mod tests {
         })
         .is_qnn());
         assert!(!OpKind::Add.is_qnn());
-    }
-
-    #[test]
-    fn data_movement_class() {
-        assert!(OpKind::Reshape(ReshapeAttrs { new_shape: vec![1] }).is_data_movement());
-        assert!(OpKind::Dropout.is_data_movement());
-        assert!(!OpKind::Relu.is_data_movement());
     }
 }

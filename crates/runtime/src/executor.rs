@@ -2,16 +2,17 @@
 //! `get_output`), with simulated-time accounting.
 
 use crate::graph::{ExecutorGraph, NodeKind, NodeRef};
-use crate::memory::{plan_memory, MemoryPlan};
 use crate::module::ModuleRegistry;
-use crate::work::relay_work_item;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
-use tvmnp_hwsim::{CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy};
+use tvmnp_hwsim::{
+    CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy, WorkItem, WorkKey,
+};
 use tvmnp_relay::interp::eval_op;
-use tvmnp_relay::TensorType;
+use tvmnp_relay::memory::{plan_memory, MemoryPlan};
+use tvmnp_relay::{OpKind, TensorType};
 use tvmnp_telemetry::Field;
 use tvmnp_tensor::Tensor;
 
@@ -324,6 +325,29 @@ struct ExecutionPlan {
     memory: MemoryPlan,
 }
 
+/// The formula [`WorkItem::price`] prices a host op by.
+pub fn work_key(op: &OpKind) -> WorkKey {
+    match op {
+        OpKind::Conv2d(_) | OpKind::QnnConv2d(_) | OpKind::Dense | OpKind::QnnDense(_) => {
+            WorkKey::Mac
+        }
+        OpKind::MaxPool2d(a) | OpKind::AvgPool2d(a) => WorkKey::Window(a.kernel.0, a.kernel.1),
+        OpKind::GlobalAvgPool2d | OpKind::Mean(_) => WorkKey::ReduceInput,
+        OpKind::Softmax | OpKind::LogSoftmax => WorkKey::Softmax,
+        OpKind::BatchNorm(_) => WorkKey::Elementwise(2),
+        OpKind::Resize2d(a) if a.bilinear => WorkKey::Elementwise(8),
+        OpKind::Reshape(_)
+        | OpKind::Transpose(_)
+        | OpKind::Concatenate(_)
+        | OpKind::QnnConcatenate(_)
+        | OpKind::Pad(_)
+        | OpKind::StridedSlice(_)
+        | OpKind::BatchFlatten
+        | OpKind::Dropout => WorkKey::DataMovement,
+        _ => WorkKey::Elementwise(1),
+    }
+}
+
 /// Derive the executor's cost ledger — the only place host-side work is
 /// priced — and, in the same walk, its execution plan. Per node, in
 /// execution order: a host op charges one launch per fusion group plus its
@@ -340,7 +364,6 @@ fn compile(
     // Two entries per host op; an external node's come in one `extend`.
     let mut ledger = Vec::with_capacity(2 * graph.nodes.len());
     let mut groups_dispatched: HashSet<usize> = HashSet::with_capacity(graph.nodes.len());
-    let mut arg_types: Vec<&TensorType> = Vec::new();
 
     let memory = plan_memory(graph);
     let mut input_nodes = Vec::new();
@@ -364,9 +387,9 @@ fn compile(
             }
             NodeKind::Param { .. } => continue,
             NodeKind::Op { op, inputs, group } => {
-                arg_types.clear();
-                arg_types.extend(inputs.iter().map(type_of));
-                let w = relay_work_item(op, &arg_types, &node.out_types[0]);
+                let args = inputs.iter().map(type_of).map(|t| (&t.shape, t.dtype));
+                let out = &node.out_types[0];
+                let w = WorkItem::price(work_key(op), args, (&out.shape, out.dtype));
                 if groups_dispatched.insert(*group) {
                     ledger.push(CostEntry::fixed(
                         idx,

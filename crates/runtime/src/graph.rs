@@ -5,19 +5,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tvmnp_relay::expr::{CallTarget, ExprKind, Module};
 use tvmnp_relay::infer::infer_types;
+use tvmnp_relay::memory::Program;
 use tvmnp_relay::passes::fuse_analysis;
 use tvmnp_relay::visit::topo_order;
 use tvmnp_relay::{OpKind, TensorType, Type};
 use tvmnp_tensor::Tensor;
 
-/// Reference to one output of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct NodeRef {
-    /// Producing node index.
-    pub node: usize,
-    /// Which of its outputs.
-    pub output: usize,
-}
+pub use tvmnp_relay::memory::NodeRef;
 
 /// Executor node payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -256,6 +250,36 @@ impl ExecutorGraph {
     /// Total parameter bytes.
     pub fn param_bytes(&self) -> usize {
         self.params.iter().map(Tensor::size_bytes).sum()
+    }
+}
+
+/// The executor graph as the storage planner sees it: every node is a
+/// step; an op or external call writes its outputs, while inputs and
+/// params are pinned outside the transient pool and write nothing.
+impl Program for ExecutorGraph {
+    fn num_steps(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn writes(&self, step: usize) -> impl Iterator<Item = usize> {
+        let node = &self.nodes[step];
+        let planned = match node.kind {
+            NodeKind::Op { .. } | NodeKind::External { .. } => &node.out_types[..],
+            NodeKind::Input { .. } | NodeKind::Param { .. } => &[],
+        };
+        planned.iter().map(TensorType::size_bytes)
+    }
+
+    fn reads(&self, step: usize) -> impl Iterator<Item = NodeRef> {
+        let inputs = match &self.nodes[step].kind {
+            NodeKind::Op { inputs, .. } | NodeKind::External { inputs, .. } => &inputs[..],
+            NodeKind::Input { .. } | NodeKind::Param { .. } => &[],
+        };
+        inputs.iter().copied()
+    }
+
+    fn outputs(&self) -> impl Iterator<Item = NodeRef> {
+        self.outputs.iter().copied()
     }
 }
 

@@ -10,13 +10,13 @@
 //!
 //! * [`graph`] — lowering a (possibly partitioned) Relay module into a
 //!   flat executor graph: input/param/op/external-call nodes with checked
-//!   output types, plus fusion groups for dispatch accounting;
+//!   output types, plus fusion groups for dispatch accounting — and, as
+//!   a `Program`, what the storage planner ([`plan_memory`], TVM's
+//!   `GraphPlanMemory`, shared with the Neuron runtime) assigns slots for;
 //! * [`executor`] — the `GraphModule` equivalent: `set_input` / `run` /
 //!   `get_output`, executing host ops with TVM-untuned kernels on the
 //!   simulated mobile CPU and delegating external calls to linked
 //!   [`module::ExternalModule`]s (the BYOC runtime linkage);
-//! * [`memory`] — the storage planner (TVM's `GraphPlanMemory`): greedy
-//!   buffer reuse with liveness, reported as slot assignments + peak bytes;
 //! * [`artifact`] — `export_library` / load: a serialized artifact that a
 //!   compiler-less [`artifact::AndroidDevice`] can load and run, which is
 //!   how the paper deploys to the phone.
@@ -24,12 +24,10 @@
 pub mod artifact;
 pub mod executor;
 pub mod graph;
-pub mod memory;
 pub mod module;
-pub mod work;
 
 pub use artifact::{AndroidDevice, Artifact, ArtifactError, LoaderRegistry};
 pub use executor::{ExecContext, ExecError, ExecErrorKind, GraphExecutor, RunOptions};
 pub use graph::{ExecutorGraph, GraphNode, NodeKind, NodeRef};
-pub use memory::{plan_memory, MemoryPlan};
 pub use module::{ExternalModule, ModuleRegistry};
+pub use tvmnp_relay::memory::{plan_memory, MemoryPlan};

@@ -1,5 +1,5 @@
 //! Property tests for the storage planner and the executor's analytic
-//! time estimate.
+//! time estimate, and the planner on hand-built chains and diamonds.
 
 use proptest::prelude::*;
 use tvmnp_hwsim::CostModel;
@@ -110,4 +110,94 @@ proptest! {
         let reference = tvmnp_relay::interp::run_module(&m, &ins).unwrap();
         prop_assert!(ex.get_output(0).unwrap().bit_eq(&reference));
     }
+}
+
+fn chain(n: usize) -> ExecutorGraph {
+    let x = var("x", TensorType::f32([64]));
+    let mut e = x.clone();
+    for _ in 0..n {
+        e = builder::relu(e);
+    }
+    ExecutorGraph::build(&Module::from_main(Function::new(vec![x], e))).unwrap()
+}
+
+#[test]
+fn chain_reuses_two_slots() {
+    let g = chain(10);
+    let plan = plan_memory(&g);
+    // Ping-pong between two buffers regardless of depth.
+    assert!(
+        plan.slot_bytes.len() <= 2,
+        "got {} slots",
+        plan.slot_bytes.len()
+    );
+    assert!(plan.check_no_alias(&g).is_none());
+}
+
+#[test]
+fn diamond_needs_extra_slot() {
+    let x = var("x", TensorType::f32([64]));
+    let a = builder::relu(x.clone());
+    let b = builder::sigmoid(a.clone());
+    let c = builder::add(a.clone(), b); // `a` stays live across `b`
+    let g = ExecutorGraph::build(&Module::from_main(Function::new(vec![x], c))).unwrap();
+    let plan = plan_memory(&g);
+    assert!(plan.slot_bytes.len() >= 2);
+    assert!(plan.check_no_alias(&g).is_none());
+}
+
+#[test]
+fn peak_bytes_positive_and_bounded() {
+    // On a chain the planner ping-pongs two slots (pool = 2 buffers),
+    // but only one value crosses any step boundary: the true live peak
+    // is a single buffer, strictly below the pool size.
+    let g = chain(5);
+    let plan = plan_memory(&g);
+    assert_eq!(plan.peak_bytes, 64 * 4, "one live buffer at a time");
+    assert_eq!(plan.pool_bytes, 2 * 64 * 4, "two slots reserved");
+    assert!(
+        plan.peak_bytes < plan.pool_bytes,
+        "peak must report live bytes, not pool size"
+    );
+}
+
+#[test]
+fn deep_chain_peak_stays_one_buffer() {
+    let g = chain(10);
+    let plan = plan_memory(&g);
+    assert_eq!(plan.peak_bytes, 64 * 4);
+    assert!(plan.peak_bytes < plan.pool_bytes);
+}
+
+#[test]
+fn diamond_peak_counts_both_live_values() {
+    // `a` stays live across `b`: two values genuinely coexist, so the
+    // peak equals the pool (no reuse slack to reclaim).
+    let x = var("x", TensorType::f32([64]));
+    let a = builder::relu(x.clone());
+    let b = builder::sigmoid(a.clone());
+    let c = builder::add(a.clone(), b);
+    let g = ExecutorGraph::build(&Module::from_main(Function::new(vec![x], c))).unwrap();
+    let plan = plan_memory(&g);
+    assert_eq!(plan.peak_bytes, 2 * 64 * 4);
+    assert!(plan.peak_bytes <= plan.pool_bytes);
+}
+
+#[test]
+fn peak_never_exceeds_pool() {
+    for n in 1..12 {
+        let plan = plan_memory(&chain(n));
+        assert!(plan.peak_bytes <= plan.pool_bytes, "chain({n})");
+        assert!(plan.peak_bytes > 0, "chain({n})");
+    }
+}
+
+#[test]
+fn outputs_never_recycled_early() {
+    // The graph output must hold a slot to the very end.
+    let g = chain(3);
+    let plan = plan_memory(&g);
+    let out_slot = plan.slot_of(g.outputs[0]).expect("an op output has a slot");
+    assert!(out_slot < plan.slot_bytes.len());
+    assert!(plan.check_no_alias(&g).is_none());
 }

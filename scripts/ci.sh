@@ -125,6 +125,23 @@ if grep -rnE 'PlanSegment|op_indices|\.(segments|crossings)\b' crates/neuropilot
     exit 1
 fi
 
+# And an op is priced by one rule and its values freed by one liveness
+# analysis (DESIGN.md "The execution plan"): `hwsim::WorkItem::price` is
+# the only op -> work formula table and `relay::memory::plan_memory` plans
+# storage for both runtimes, so no second table or last-reader map may grow
+# back, and no non-test code outside hwsim writes a `WorkItem` literal.
+if grep -rnE 'fn work_item|relay_work_item|last_reader' crates/*/src; then
+    echo "one-cost-table gate: crates/*/src restores a second pricing table or liveness map" >&2
+    exit 1
+fi
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/hwsim/src/*' | sort); do
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -F 'WorkItem {' | grep -vF -- '-> WorkItem {'; then
+        echo "one-cost-table gate: $f builds a WorkItem (only WorkItem::price may)" >&2
+        exit 1
+    fi
+done
+
 # And `unsafe` stays where DESIGN.md "Kernel numerics contract" argues it:
 # the one call of each SSE2 microkernel, the int8 `tile` in qconv.rs and
 # the float `block` in conv.rs. Every other line of non-test source under

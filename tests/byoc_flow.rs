@@ -198,3 +198,47 @@ fn storage_planning_is_sound_on_real_models() {
         );
     }
 }
+
+/// One pricing rule: every op the converter emits is priced by the same
+/// formula as the Relay operator it lifts back to, so a Neuron op costs
+/// the `WorkItem` its host twin would.
+#[test]
+fn neuron_work_keys_match_their_lifts() {
+    use tvm_neuropilot::hwsim::WorkKey;
+    use tvm_neuropilot::models::object_detection;
+    use tvm_neuropilot::neuropilot::{convert::relay_op, convert_function};
+    use tvm_neuropilot::runtime::executor::work_key;
+    let mut models = zoo::zoo(41);
+    models.extend([
+        anti_spoofing::anti_spoofing_model(42),
+        emotion::emotion_model(43),
+        object_detection::yolo_model(44),
+        object_detection::mobilenet_ssd_model(45),
+    ]);
+    let mut seen: Vec<WorkKey> = Vec::new();
+    for model in &models {
+        let (partitioned, _) = partition_for_nir(&model.module).unwrap();
+        for name in partitioned.external_functions() {
+            let graph = convert_function(&partitioned.functions[name]).unwrap();
+            for op in &graph.ops {
+                let lifted = relay_op(&graph, op).unwrap();
+                let key = op.kind.work_key();
+                assert_eq!(key, work_key(&lifted), "{}: {}", model.name, op.kind.name());
+                if !seen.contains(&key) {
+                    seen.push(key);
+                }
+            }
+        }
+    }
+    // Every formula a Neuron op can take is exercised.
+    assert!(seen.iter().any(|k| matches!(k, WorkKey::Window(..))));
+    for key in [
+        WorkKey::Mac,
+        WorkKey::ReduceInput,
+        WorkKey::Softmax,
+        WorkKey::DataMovement,
+        WorkKey::Elementwise(1),
+    ] {
+        assert!(seen.contains(&key), "no converted op priced by {key:?}");
+    }
+}
