@@ -133,13 +133,11 @@ pub enum WorkKey {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     soc: SocSpec,
-    /// Per-[`WorkKind`] time multipliers (indexed by `WorkKind::index`).
-    /// All 1.0 by default; the bench harness injects synthetic slowdowns
-    /// here to validate regression detection end to end.
-    kind_scale: [f64; 4],
     /// Per-(device, kind) time multipliers (`[device][kind]`), all 1.0 by
     /// default. Thermal-throttle fault rules scale individual cells here
-    /// so a fault plan can slow one device without touching the others.
+    /// so a fault plan can slow one device without touching the others;
+    /// the bench harness's synthetic slowdowns scale a kind's cell on
+    /// every device.
     device_kind_scale: [[f64; 4]; 3],
 }
 
@@ -148,7 +146,6 @@ impl CostModel {
     pub fn new(soc: SocSpec) -> Self {
         CostModel {
             soc,
-            kind_scale: [1.0; 4],
             device_kind_scale: [[1.0; 4]; 3],
         }
     }
@@ -159,17 +156,11 @@ impl CostModel {
     }
 
     /// Scale the body time of every kernel of `kind` by `factor` (> 1.0 =
-    /// slower). Used to inject controlled slowdowns when exercising the
-    /// benchmark regression harness.
-    pub fn with_kind_scale(mut self, kind: WorkKind, factor: f64) -> Self {
-        debug_assert!(factor > 0.0, "scale factor must be positive");
-        self.kind_scale[kind.index()] *= factor;
-        self
-    }
-
-    /// Current time multiplier for `kind` (1.0 unless injected).
-    pub fn kind_scale(&self, kind: WorkKind) -> f64 {
-        self.kind_scale[kind.index()]
+    /// slower): that kind's cell on every device. Used to inject controlled
+    /// slowdowns when exercising the benchmark regression harness.
+    pub fn with_kind_scale(self, kind: WorkKind, factor: f64) -> Self {
+        let every_device = DeviceKind::ALL.map(|device| (device, kind, factor));
+        self.with_device_kind_scales(every_device)
     }
 
     /// Scale the body time of kernels of `kind` **on `device` only** by
@@ -217,7 +208,6 @@ impl CostModel {
     /// roofline-style `max(compute, memory)`.
     pub fn kernel_body_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
         self.analytic_body_us(w, device, class)
-            * self.kind_scale[w.kind.index()]
             * self.device_kind_scale[device.index()][w.kind.index()]
     }
 
@@ -453,7 +443,9 @@ mod tests {
         let e0 = base.kernel_body_us(&ew, DeviceKind::Cpu, KernelClass::VendorTuned);
         let e1 = scaled.kernel_body_us(&ew, DeviceKind::Cpu, KernelClass::VendorTuned);
         assert_eq!(e0, e1, "other kinds untouched");
-        assert_eq!(scaled.kind_scale(WorkKind::MacHeavy), 2.0);
+        for device in DeviceKind::ALL {
+            assert_eq!(scaled.device_kind_scale(device, WorkKind::MacHeavy), 2.0);
+        }
         assert_eq!(WorkKind::parse("mac"), Some(WorkKind::MacHeavy));
         assert_eq!(WorkKind::parse("bogus"), None);
     }

@@ -246,7 +246,11 @@ impl CompiledNetwork {
 /// them). Per op its kernel on the assigned device (NNAPI-style reference
 /// fallbacks run an untuned CPU kernel). Per tensor crossing devices one
 /// transfer.
-fn build_ledger(graph: &NeuronGraph, plan: &ExecutionPlan, cost: &CostModel) -> Vec<CostEntry> {
+pub(crate) fn build_ledger(
+    graph: &NeuronGraph,
+    plan: &ExecutionPlan,
+    cost: &CostModel,
+) -> Vec<CostEntry> {
     let placements = &plan.placements;
     let runs = || placements.chunk_by(|a, b| a.device == b.device);
     let crossings = crossing_bytes(graph, placements);

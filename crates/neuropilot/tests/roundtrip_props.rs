@@ -214,7 +214,7 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The op-level DP never plans worse than the fixed CPU/APU policies
+    /// The op-level search never plans worse than the fixed CPU/APU policies
     /// under the same cost model.
     #[test]
     fn op_level_dominates_fixed_policies(
@@ -232,7 +232,7 @@ proptest! {
             let t_fixed =
                 CompiledNetwork::from_plan(graph.clone(), fixed, cost.clone()).estimate_time_us();
             prop_assert!(
-                t_op <= t_fixed * 1.001,
+                t_op <= t_fixed,
                 "op-level {t_op:.1} vs {policy} {t_fixed:.1}"
             );
         }

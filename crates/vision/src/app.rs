@@ -118,15 +118,6 @@ pub struct DroppedStage {
     pub reason: String,
 }
 
-/// Aggregate drop accounting over a clip.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropStats {
-    /// Frames with at least one dropped stage.
-    pub degraded_frames: usize,
-    /// Total dropped-stage records across all frames.
-    pub stages_dropped: usize,
-}
-
 /// Per-face outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaceResult {
@@ -485,24 +476,6 @@ impl Showcase {
         frames.iter().map(|f| self.process_frame(f)).collect()
     }
 
-    /// Sequential processing under a degraded-mode policy, with aggregate
-    /// drop accounting for the resilience report.
-    pub fn process_video_with_deadline(
-        &self,
-        frames: &[Frame],
-        policy: &DegradedPolicy,
-    ) -> (Vec<FrameResult>, DropStats) {
-        let results: Vec<FrameResult> = frames
-            .iter()
-            .map(|f| self.process_frame_with_deadline(f, policy))
-            .collect();
-        let stats = DropStats {
-            degraded_frames: results.iter().filter(|r| r.degraded()).count(),
-            stages_dropped: results.iter().map(|r| r.dropped.len()).sum(),
-        };
-        (results, stats)
-    }
-
     /// Pipelined processing (§5.2, Fig. 5): the same frame flow with one
     /// frame per model stage in flight, the device locks deciding what
     /// overlaps. Results are identical to [`Showcase::process_video`];
@@ -629,9 +602,12 @@ mod tests {
         let sc = showcase();
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(4);
-        let (results, stats) = sc.process_video_with_deadline(&frames, &DegradedPolicy::default());
-        assert_eq!(stats, DropStats::default());
+        let policy = DegradedPolicy::default();
+        let results: Vec<FrameResult> = (frames.iter())
+            .map(|f| sc.process_frame_with_deadline(f, &policy))
+            .collect();
         assert!(results.iter().all(|r| !r.degraded()));
+        assert_eq!(results.iter().map(|r| r.dropped.len()).sum::<usize>(), 0);
         // Identical to the plain path.
         let plain = sc.process_video(&frames);
         for (a, b) in results.iter().zip(&plain) {
@@ -697,10 +673,14 @@ mod tests {
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(4);
         let policy = DegradedPolicy::with_stage_deadline(1.0);
-        let (results, stats) = sc.process_video_with_deadline(&frames, &policy);
+        let results: Vec<FrameResult> = (frames.iter())
+            .map(|f| sc.process_frame_with_deadline(f, &policy))
+            .collect();
         // Every frame runs obj-det, and 1 us is under any model latency.
-        assert_eq!(stats.degraded_frames, results.len());
-        assert_eq!(stats.stages_dropped, 3 * results.len());
+        let degraded_frames = results.iter().filter(|r| r.degraded()).count();
+        let stages_dropped: usize = results.iter().map(|r| r.dropped.len()).sum();
+        assert_eq!(degraded_frames, results.len());
+        assert_eq!(stages_dropped, 3 * results.len());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod detect;
 pub mod frame;
 
 pub use app::{
-    resources_of, DegradedPolicy, DropStats, DroppedStage, FaceResult, FrameResult, Showcase,
+    resources_of, DegradedPolicy, DroppedStage, FaceResult, FrameResult, Showcase,
     ShowcaseAssignment, ShowcaseFaults, ShowcaseTiming,
 };
 pub use detect::{iou, luminance_saliency, match_faces, BBox};

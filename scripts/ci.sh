@@ -142,6 +142,17 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/hwsim/src/*' | sort
     fi
 done
 
+# A Neuron placement is priced where it is charged: only the runtime's
+# `build_ledger` asks the cost model for a kernel, dispatch or transfer
+# time, so the op-level planner searches against the ledger that judges it.
+for f in $(find crates/neuropilot/src -name '*.rs' -not -path crates/neuropilot/src/runtime.rs | sort); do
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -E '(kernel_us|subgraph_dispatch_us|transfer_us)\('; then
+        echo "one-cost-table gate: $f prices placements outside runtime::build_ledger" >&2
+        exit 1
+    fi
+done
+
 # And `unsafe` stays where DESIGN.md "Kernel numerics contract" argues it:
 # the one call of each SSE2 microkernel, the int8 `tile` in qconv.rs and
 # the float `block` in conv.rs. Every other line of non-test source under

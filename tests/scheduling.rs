@@ -135,3 +135,36 @@ fn threaded_pipeline_wall_clock_benefit() {
     // catastrophically slower (the semantic equality is the hard check).
     assert!(pipelined < sequential * 3);
 }
+
+/// §5.1 operation-level placement searches against the network's own cost
+/// ledger, so it never loses to a fixed CPU/APU policy — also when a
+/// throttled APU makes the ledger's I/O terms decide the placement.
+#[test]
+fn op_level_dominates_fixed_policies_on_a_throttled_apu() {
+    use tvm_neuropilot::models::zoo;
+    use tvm_neuropilot::neuropilot::{convert_function, plan_op_level, CompiledNetwork, Planner};
+    use tvm_neuropilot::relay::passes::simplify;
+
+    let throttle = FaultPlan::seeded(0)
+        .with_spec("apu:kernel:throttle=3@mac")
+        .unwrap();
+    let cost = throttle.throttled_cost(CostModel::default());
+    for model in [zoo::mobilenet_v2(1), emotion::emotion_model(805)] {
+        let graph = convert_function(simplify(&model.module).main()).unwrap();
+        let time =
+            |plan| CompiledNetwork::from_plan(graph.clone(), plan, cost.clone()).estimate_time_us();
+        let t_op = time(plan_op_level(&graph, &cost).unwrap());
+        for policy in [
+            TargetPolicy::CpuOnly,
+            TargetPolicy::ApuPrefer,
+            TargetPolicy::CpuApu,
+        ] {
+            let t_fixed = time(Planner::plan(&graph, policy).unwrap());
+            assert!(
+                t_op <= t_fixed,
+                "{}: op-level {t_op:.2} us vs {policy} {t_fixed:.2} us",
+                model.name
+            );
+        }
+    }
+}
