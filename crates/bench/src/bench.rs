@@ -3,7 +3,6 @@
 use crate::cli::{fail, parse_or_exit, usage_error, Flag};
 use crate::session::{measured_profile_of, ObsCli};
 use crate::workloads::{resilient_showcase, run_traced, serve_clip, showcase_models};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -13,23 +12,22 @@ use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::report::{self, BenchRecord};
 use tvmnp_hwsim::WorkKind;
 
-/// `(metric key, sample)` pairs. Keys ending in `.ms`/`.us` are latency
-/// metrics and gate regressions.
+/// `(metric key, value)` pairs.
 type Metrics = Vec<(String, f64)>;
 
-fn metric(key: impl Into<String>, sample: f64) -> (String, f64) {
-    (key.into(), sample)
+fn metric(key: impl Into<String>, value: f64) -> (String, f64) {
+    (key.into(), value)
 }
 
-/// One figure workload: what a repetition measures and which models
-/// stand in for it.
+/// One figure workload: what its run measures and which models stand in
+/// for it.
 struct Workload {
     name: &'static str,
     /// Seed of the workload's showcase-model triple: what `fig4` and
     /// `sched` measure, what `fig5` and `serve` build their application
     /// from, and what the measured-profile pass executes.
     showcase_seed: u64,
-    /// One repetition.
+    /// The workload's run.
     run: fn(&Workload, &Run) -> Metrics,
     /// The model whose partition and traced run give the
     /// `<name>.report.*` aggregates; `None` where they come from the
@@ -65,7 +63,7 @@ static WORKLOADS: [Workload; 5] = [
                 .iter()
                 .map(|model| {
                     let ms = measure_all(&model.module, &run.cost).expect("measure");
-                    // §5.1 assignment quality: only the best target gates.
+                    // §5.1 assignment quality: the best target.
                     let best = ms
                         .iter()
                         .filter_map(|m| m.time_ms)
@@ -107,31 +105,19 @@ impl FromStr for Slowdown {
 #[derive(Default)]
 pub struct BenchCli {
     workload: Option<&'static Workload>,
-    runs: Option<usize>,
     bench_out: Option<PathBuf>,
     check_against: Option<PathBuf>,
-    threshold: Option<f64>,
-    warn_only: bool,
-    fail_on_missing: bool,
     inject: Option<Slowdown>,
     obs: ObsCli,
 }
 
 impl BenchCli {
-    /// `bench`'s own eight flags, then the shared observability flags.
+    /// `bench`'s own four flags, then the shared observability flags.
     pub fn flags(&mut self) -> Vec<Flag<'_>> {
         let mut flags = vec![
             Flag::value("--workload", WORKLOAD_NAMES, &mut self.workload, |_| true),
-            Flag::value("--runs", "n", &mut self.runs, |&n| n > 0),
             Flag::path("--bench-out", "path", &mut self.bench_out),
             Flag::path("--check-against", "baseline", &mut self.check_against),
-            // A NaN or negative threshold would compare false against
-            // every ratio and silently disable the regression gate.
-            Flag::value("--threshold", "f", &mut self.threshold, |&t| {
-                t.is_finite() && t >= 0.0
-            }),
-            Flag::switch("--warn-only", &mut self.warn_only),
-            Flag::switch("--fail-on-missing", &mut self.fail_on_missing),
             // A factor <= 0 or NaN would write negative or NaN latencies
             // into a bench record.
             Flag::value("--inject-slowdown", "kind=factor", &mut self.inject, |s| {
@@ -143,7 +129,7 @@ impl BenchCli {
     }
 }
 
-/// What a repetition needs beyond its workload.
+/// What a workload's run needs beyond the workload.
 struct Run {
     cost: CostModel,
     obs: ObsCli,
@@ -212,9 +198,9 @@ fn run_fig5(w: &Workload, run: &Run) -> Metrics {
 }
 
 fn run_serve(w: &Workload, run: &Run) -> Metrics {
-    // Fresh in-memory cache per repetition (byte-determinism);
-    // `--cache-dir` additionally spills artifacts to disk so a later
-    // bench invocation starts warm.
+    // Fresh in-memory cache (byte-determinism); `--cache-dir`
+    // additionally spills artifacts to disk so a later bench invocation
+    // starts warm.
     let cache = run.obs.cache();
     // Stand the pool up twice: the second build exercises the cache-hit
     // path (zero recompilation) and is the pool that serves.
@@ -246,7 +232,6 @@ fn run_serve(w: &Workload, run: &Run) -> Metrics {
 
 /// Report-layer aggregates for one representative model: partition
 /// coverage plus device utilization from a traced BYOC CPU+APU run.
-/// Computed once per record (deterministic, so repetition buys nothing).
 fn report_aggregates(w: &Workload, cost: &CostModel) -> Metrics {
     let Some(representative) = w.representative else {
         return Vec::new();
@@ -276,9 +261,8 @@ fn report_aggregates(w: &Workload, cost: &CostModel) -> Metrics {
 
 /// Deterministic resilience metrics: run the showcase models through
 /// shared-injector resilient sessions under the fault plan and record the
-/// outcome (final latency, fallback depth, injected faults). Computed
-/// once per record — the plan is seeded, so repetition buys nothing and
-/// re-running with the same seed is byte-identical.
+/// outcome (final latency, fallback depth, injected faults). The plan is
+/// seeded, so re-running with the same seed is byte-identical.
 fn resilience_metrics(plan: &FaultPlan, cost: &CostModel) -> Metrics {
     let mut out = Vec::new();
     let mut recovered = 0u64;
@@ -300,30 +284,30 @@ fn resilience_metrics(plan: &FaultPlan, cost: &CostModel) -> Metrics {
     out
 }
 
-/// Benchmark baseline/regression harness.
+/// Benchmark baseline harness and exact gate.
 ///
-/// Runs one of the figure workloads N times, records median/p95/min/max
-/// simulated latency plus report aggregates in a stable JSON schema, and
+/// Runs one of the figure workloads once, records its simulated latencies
+/// plus report aggregates (and, under `--inject-fault`, resilience
+/// metrics) as one value per metric in a stable JSON schema, and
 /// optionally gates against a checked-in baseline:
 ///
 /// ```text
-/// tvmnp bench --workload fig6 --runs 5 --bench-out BENCH_fig6.json
-/// tvmnp bench --workload fig6 --check-against BENCH_fig6.json [--threshold 0.05] [--warn-only]
+/// tvmnp bench --workload fig6 --bench-out BENCH_fig6.json
+/// tvmnp bench --workload fig6 --check-against BENCH_fig6.json
 /// ```
 ///
 /// The simulation is fully deterministic, so recording twice on the same
-/// commit produces byte-identical `BENCH_*.json` files; `--check-against`
-/// exits nonzero when any latency metric's median regresses beyond the
-/// noise threshold (default 5%). `--inject-slowdown <kind>=<factor>`
+/// commit produces byte-identical `BENCH_*.json` files, and
+/// `--check-against` exits 1 when any metric is missing, new, or not
+/// bit-equal to the baseline's. `--inject-slowdown <kind>=<factor>`
 /// scales one hwsim work kind (`mac`, `elementwise`, `data-movement`,
-/// `reduction`) — the hook the regression-detection test uses.
+/// `reduction`) — the hook the gate's tests use.
 pub fn bench(argv: &[String]) -> ExitCode {
     let mut args = BenchCli::default();
     let usage = parse_or_exit("bench", args.flags(), argv);
     let Some(workload) = args.workload else {
         usage_error("missing required --workload", &usage);
     };
-    let (runs, threshold) = (args.runs.unwrap_or(5), args.threshold.unwrap_or(0.05));
     if args.bench_out.is_none() && args.check_against.is_none() && !args.obs.measuring() {
         usage_error(
             "nothing to do — pass --bench-out, --check-against, \
@@ -339,30 +323,23 @@ pub fn bench(argv: &[String]) -> ExitCode {
     }
 
     // The observability plane (when any --stats-out/--flight-*/--slo-ms
-    // flag is given) watches the serve workload live. Per-frame trace
-    // ids repeat across repetitions, so trace trees are per-rep: use
-    // `--runs 1` when inspecting traces; sketches and counters
-    // accumulate across reps by design.
+    // flag is given) watches the serve workload live.
     let run = Run {
         cost,
         fault_plan: args.obs.fault_plan(&usage),
         plane: args.obs.build_plane(),
         obs: args.obs,
     };
-    let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    let mut record_samples = |metrics: Metrics| {
-        for (key, v) in metrics {
-            samples.entry(key).or_default().push(v);
-        }
-    };
-    for _ in 0..runs {
-        record_samples((workload.run)(workload, &run));
-    }
-    record_samples(report_aggregates(workload, &run.cost));
+    let mut record = BenchRecord::new(workload.name);
+    let mut metrics = (workload.run)(workload, &run);
+    metrics.extend(report_aggregates(workload, &run.cost));
     if let Some(plan) = &run.fault_plan {
         let rules = plan.rules.len();
         eprintln!("note: injecting seeded faults ({rules} rule(s))");
-        record_samples(resilience_metrics(plan, &run.cost));
+        metrics.extend(resilience_metrics(plan, &run.cost));
+    }
+    for (key, value) in metrics {
+        record.insert(key, value);
     }
 
     if let Some(plane) = &run.plane {
@@ -382,16 +359,8 @@ pub fn bench(argv: &[String]) -> ExitCode {
         None
     };
 
-    let mut record = BenchRecord::new(workload.name.to_string(), runs);
-    for (key, vals) in &samples {
-        record.insert(key.clone(), vals);
-    }
-    println!(
-        "workload '{}': {} metrics over {} run(s)",
-        workload.name,
-        record.metrics.len(),
-        runs
-    );
+    let count = record.metrics.len();
+    println!("workload '{}': {count} metrics", workload.name);
 
     if let Some(path) = &args.bench_out {
         if let Err(e) = record.write(path) {
@@ -409,45 +378,25 @@ pub fn bench(argv: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let cmp = report::compare(&baseline, &record, threshold);
-        print!("{}", cmp.render());
-        // Silently-dropped workload metrics must hard-fail even under
-        // --warn-only: a baseline key the current run never produced is a
-        // harness break, not a latency regression to be waved through.
-        let missing_failure = args.fail_on_missing && cmp.missing() > 0;
-        if !cmp.ok() || missing_failure {
-            if args.warn_only && !missing_failure {
-                println!(
-                    "WARN: regressions beyond {:.1}% vs {} (ignored: --warn-only)",
-                    threshold * 100.0,
-                    path.display()
-                );
-            } else {
-                if missing_failure {
-                    eprintln!(
-                        "error: {} baseline metric(s) missing from the current run \
-                         (--fail-on-missing)",
-                        cmp.missing()
-                    );
-                }
-                if !cmp.regressions.is_empty() {
-                    eprintln!(
-                        "error: regression beyond {:.1}% vs {}",
-                        threshold * 100.0,
-                        path.display()
-                    );
-                    if let Some(top) = profile_diff.as_ref().and_then(|d| d.top()) {
-                        eprintln!(
-                            "likely cause: {} (ratio {:.2}x, {:+.1} us total)",
-                            top.cell, top.ratio, top.delta_total_us
-                        );
-                    }
-                }
-                return ExitCode::FAILURE;
+        let mismatches = report::mismatches(&baseline, &record);
+        if !mismatches.is_empty() {
+            for m in &mismatches {
+                println!("MISMATCH {m}");
             }
-        } else {
-            println!("OK: within {:.1}% of {}", threshold * 100.0, path.display());
+            eprintln!(
+                "error: {} metric(s) differ from {}",
+                mismatches.len(),
+                path.display()
+            );
+            if let Some(top) = profile_diff.as_ref().and_then(|d| d.top()) {
+                eprintln!(
+                    "likely cause: {} (ratio {:.2}x, {:+.1} us total)",
+                    top.cell, top.ratio, top.delta_total_us
+                );
+            }
+            return ExitCode::FAILURE;
         }
+        println!("OK: {count} metrics bit-equal to {}", path.display());
     }
     ExitCode::SUCCESS
 }

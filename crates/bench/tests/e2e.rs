@@ -91,25 +91,20 @@ fn experiment_stdout_matches_the_pre_fold_binaries() {
     }
 }
 
+/// The checked-in `BENCH_<workload>.json`.
+fn baseline(workload: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{workload}.json"))
+}
+
 fn bench_reproduces(workloads: &[&str]) {
     let dir = scratch(workloads[0]);
     for w in workloads {
         let written = dir.join(format!("BENCH_{w}.json"));
-        let out = tvmnp(&[
-            "bench",
-            "--workload",
-            w,
-            "--runs",
-            "5",
-            "--bench-out",
-            path_arg(&written),
-        ]);
+        let out = tvmnp(&["bench", "--workload", w, "--bench-out", path_arg(&written)]);
         assert!(out.status.success(), "{w}: {}", stderr(&out));
-        let checked_in =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{w}.json"));
         assert_eq!(
             std::fs::read(&written).unwrap(),
-            std::fs::read(&checked_in).unwrap(),
+            std::fs::read(baseline(w)).unwrap(),
             "BENCH_{w}.json moved"
         );
     }
@@ -120,11 +115,60 @@ fn bench_reproduces_the_analytic_baselines() {
     bench_reproduces(&["fig4", "fig5", "fig6", "sched"]);
 }
 
-/// Apart from the four above because it executes 2 x 64 frames per run
-/// and takes most of this file's time.
+/// Apart from the four above because it executes 2 x 64 frames and takes
+/// most of this file's time.
 #[test]
 fn bench_reproduces_the_serve_baseline() {
     bench_reproduces(&["serve"]);
+}
+
+/// `--check-against` is exact: the unchanged baseline passes, and a
+/// slower clock or one changed non-latency metric fails, naming the key.
+#[test]
+fn the_check_against_gate_is_exact() {
+    let check = |against: &Path, extra: &[&str]| {
+        let mut args = vec!["bench", "--workload", "fig4", "--check-against"];
+        args.push(path_arg(against));
+        args.extend(extra);
+        tvmnp(&args)
+    };
+    let fig4 = baseline("fig4");
+    let out = check(&fig4, &[]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("OK: 24 metrics bit-equal"),
+        "{}",
+        stdout(&out)
+    );
+
+    let out = check(&fig4, &["--inject-slowdown", "mac=2"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let named = stdout(&out);
+    assert!(
+        named
+            .lines()
+            .any(|l| l.starts_with("MISMATCH fig4.") && l.contains(".ms: ")),
+        "no .ms key named: {named}"
+    );
+
+    // Only a subgraph count moves: a gate on latency keys alone would let
+    // this through.
+    let dir = scratch("exact-gate");
+    let tampered = dir.join("BENCH_fig4.json");
+    let text = std::fs::read_to_string(&fig4).unwrap();
+    let edited = text.replace(
+        "\"fig4.anti-spoofing.subgraphs\":9.0",
+        "\"fig4.anti-spoofing.subgraphs\":10.0",
+    );
+    assert_ne!(edited, text, "the subgraph count moved in BENCH_fig4.json");
+    std::fs::write(&tampered, edited).unwrap();
+    let out = check(&tampered, &[]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("MISMATCH fig4.anti-spoofing.subgraphs: 10 -> 9"),
+        "{}",
+        stdout(&out)
+    );
 }
 
 /// A value every listed flag accepts, by flag name. `--profile` is a
@@ -145,12 +189,11 @@ fn sample_value(flag: &str, dir: &Path) -> String {
         "--slo-ms" => "0.001".into(),
         "--profile-store" | "--profile-diff" => file("store"),
         "--workload" => "fig5".into(),
-        "--runs" => "1".into(),
         "--bench-out" => file("bench.json"),
-        "--check-against" => {
-            path_arg(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fig5.json")).into()
-        }
-        "--threshold" => "0.05".into(),
+        // The record the same run writes: with `--inject-fault` it holds
+        // resilience keys the checked-in fig5 baseline lacks, and the gate
+        // is exact.
+        "--check-against" => file("bench.json"),
         "--inject-slowdown" => "mac=1".into(),
         "--out-dir" => file("repro"),
         "--expect-kind" => "slo.breach".into(),
@@ -208,7 +251,7 @@ fn every_listed_flag_is_accepted() {
     }
 
     let bench: Vec<String> = listed_flags("bench").into_iter().map(|(f, _)| f).collect();
-    assert_eq!(bench.len(), 8 + obs_flags.len() - 2);
+    assert_eq!(bench.len(), 4 + obs_flags.len() - 2);
     assert!(bench.iter().all(|f| f != "--profile" && f != "--trace-out"));
     run_with_all("bench", &[]);
 
@@ -245,8 +288,11 @@ fn bad_command_lines_exit_2_naming_the_flag() {
         args.extend(rest);
         assert_usage_error(&args, names);
     };
-    bench(&["--runs", "0"], "--runs");
-    bench(&["--runs"], "--runs");
+    // No repetition count and no noise-gate knobs: one run is the
+    // measurement and the gate is exact.
+    for flag in ["--runs", "--threshold", "--warn-only", "--fail-on-missing"] {
+        bench(&[flag], &format!("unknown argument '{flag}'"));
+    }
     bench(&["--concurrency", "0"], "--concurrency");
     bench(&["--flight-buffer", "0"], "--flight-buffer");
     bench(&["--slo-ms", "-1"], "--slo-ms");
@@ -254,11 +300,8 @@ fn bad_command_lines_exit_2_naming_the_flag() {
     // `bench` never honoured these two, so it does not accept them.
     bench(&["--profile"], "--profile");
     bench(&["--trace-out", "t.json"], "--trace-out");
-    // The three defects the hand-written parser let through: a NaN
-    // threshold disabled the regression gate, a non-positive factor wrote
-    // negative latencies into a bench record, a NaN factor panicked.
-    bench(&["--threshold", "nan"], "--threshold");
-    bench(&["--threshold", "-0.5"], "--threshold");
+    // Defects the hand-written parser let through: a non-positive factor
+    // wrote negative latencies into a bench record, a NaN factor panicked.
     bench(&["--inject-slowdown", "mac=0"], "--inject-slowdown");
     bench(&["--inject-slowdown", "mac=-1"], "--inject-slowdown");
     bench(&["--inject-slowdown", "mac=nan"], "--inject-slowdown");

@@ -14,8 +14,9 @@
 //! request. Bytes exist only at the file boundary: one serialization per
 //! disk write, one parse per disk read, none on a memory hit.
 //!
-//! Bookkeeping is observable: `cache.hit` / `cache.miss` / `cache.evict`
-//! telemetry counters, and an LRU budget in weight bytes bounds resident
+//! Bookkeeping is observable: [`ArtifactCache::stats`] counts hits,
+//! misses and evictions, each eviction is a `cache.evict` event for the
+//! installed event sink, and an LRU budget in weight bytes bounds resident
 //! size. With a cache directory configured (`--cache-dir`), entries also
 //! persist as JSON files that survive the process and LRU eviction.
 
@@ -125,7 +126,6 @@ impl ArtifactCache {
         let entry = match self.lookup(&key) {
             Some(entry) => entry,
             None => {
-                tvmnp_telemetry::counter_add("cache.miss", &[("mode", &mode.label())], 1);
                 self.state.lock().misses += 1;
                 let entry = compile(module, mode)?;
                 self.persist(&key, &entry);
@@ -165,8 +165,6 @@ impl ArtifactCache {
                 st.order.retain(|k| k != key);
                 st.order.push(key.to_string());
                 st.hits += 1;
-                drop(st);
-                tvmnp_telemetry::counter_add("cache.hit", &[("source", "memory")], 1);
                 return Some(entry);
             }
         }
@@ -179,13 +177,11 @@ impl ArtifactCache {
         let json = std::fs::read_to_string(self.disk_path(key)?).ok()?;
         let disk = serde_json::parse_value(&json).ok()?;
         if disk["key"].as_str()? != key {
-            tvmnp_telemetry::counter_add("cache.disk_key_mismatch", &[], 1);
             return None;
         }
         let entry = CachedArtifact::from_value(&disk["entry"]).ok()?;
         entry.validate().ok()?;
         self.state.lock().hits += 1;
-        tvmnp_telemetry::counter_add("cache.hit", &[("source", "disk")], 1);
         self.admit(key.to_string(), entry.clone());
         Some(entry)
     }
@@ -219,7 +215,6 @@ impl ArtifactCache {
             if let Some((_, bytes)) = st.entries.remove(&victim) {
                 st.total_bytes -= bytes;
                 st.evictions += 1;
-                tvmnp_telemetry::counter_add("cache.evict", &[], 1);
                 evicted.push((victim, bytes));
             }
         }

@@ -288,11 +288,11 @@ impl ResilientSession {
         }
     }
 
-    /// Record one fallback transition as telemetry: a counter, a
-    /// zero-width sim span carrying the structured cause (model,
-    /// from-permutation, to-permutation, cause stage/detail), and — when
-    /// an event sink (flight recorder) is installed — a
-    /// `resilience.fallback` event with the same fields.
+    /// Record one fallback transition as telemetry: a zero-width sim span
+    /// carrying the structured cause (model, from-permutation,
+    /// to-permutation, cause stage/detail), and — when an event sink
+    /// (flight recorder) is installed — a `resilience.fallback` event with
+    /// the same fields.
     fn record_fallback(
         &mut self,
         model: &str,
@@ -301,11 +301,6 @@ impl ResilientSession {
         cause: &FaultCause,
     ) {
         let to_label = to.map(|p| p.label()).unwrap_or("<exhausted>");
-        tvmnp_telemetry::counter_add(
-            "resilience.fallback",
-            &[("from", from.label()), ("to", to_label)],
-            1,
-        );
         let fields: tvmnp_telemetry::Fields = vec![
             ("model", model.to_string().into()),
             ("from", from.label().into()),

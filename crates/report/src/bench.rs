@@ -1,61 +1,28 @@
-//! Benchmark baselines and regression gating.
+//! Benchmark baselines and the exact gate.
 //!
-//! A [`BenchRecord`] captures one workload's metrics (median/p95/min/max
-//! over N runs) in a stable JSON schema: keys sort deterministically and
+//! A [`BenchRecord`] holds one value per metric of one workload run. Every
+//! metric is a deterministic function of shapes on the simulated clock,
+//! so one run is the whole measurement: keys sort deterministically and
 //! floats round-trip exactly, so re-recording on the same commit produces
-//! byte-identical files — the property the `--check-against` gate and the
-//! checked-in `BENCH_*.json` baselines rely on.
+//! byte-identical files, and [`mismatches`] compares two records bit for
+//! bit — the `--check-against` gate the checked-in `BENCH_*.json`
+//! baselines rely on.
 
 use serde_json::{json, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Bump when the JSON layout changes incompatibly.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Order statistics of one metric over the benchmark runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricStats {
-    /// Median (nearest-rank) of the samples.
-    pub median: f64,
-    /// 95th percentile (nearest-rank).
-    pub p95: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl MetricStats {
-    /// Compute stats from raw samples. Panics on an empty slice.
-    pub fn from_samples(samples: &[f64]) -> MetricStats {
-        assert!(!samples.is_empty(), "metric needs at least one sample");
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pct = |p: f64| {
-            let rank = (p * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
-        MetricStats {
-            median: pct(0.50),
-            p95: pct(0.95),
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-        }
-    }
-}
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One workload's recorded benchmark: named metrics in a stable schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Workload name (`fig4`, `fig6`, ...).
     pub name: String,
-    /// Number of repetitions each latency metric was sampled over.
-    pub runs: usize,
-    /// Metrics keyed by dotted name. Keys ending in `.ms` or `.us` are
-    /// latency metrics and participate in regression gating.
-    pub metrics: BTreeMap<String, MetricStats>,
+    /// Metrics keyed by dotted name.
+    pub metrics: BTreeMap<String, f64>,
 }
 
 /// An I/O or parse failure, carrying the offending path.
@@ -76,39 +43,30 @@ impl fmt::Display for BenchIoError {
 impl std::error::Error for BenchIoError {}
 
 impl BenchRecord {
-    /// Empty record for `name` over `runs` repetitions.
-    pub fn new(name: impl Into<String>, runs: usize) -> BenchRecord {
+    /// Empty record for `name`.
+    pub fn new(name: impl Into<String>) -> BenchRecord {
         BenchRecord {
             name: name.into(),
-            runs,
             metrics: BTreeMap::new(),
         }
     }
 
-    /// Record a metric from raw samples.
-    pub fn insert(&mut self, key: impl Into<String>, samples: &[f64]) {
-        self.metrics
-            .insert(key.into(), MetricStats::from_samples(samples));
+    /// Record a metric. A run measures each key once; a second value for
+    /// a key is a harness bug and panics.
+    pub fn insert(&mut self, key: impl Into<String>, value: f64) {
+        let key = key.into();
+        assert!(
+            !self.metrics.contains_key(&key),
+            "metric '{key}' measured twice"
+        );
+        self.metrics.insert(key, value);
     }
 
     /// The stable JSON form (sorted keys at every level).
     pub fn to_json(&self) -> Value {
-        let mut metrics = serde_json::Map::new();
-        for (key, s) in &self.metrics {
-            metrics.insert(
-                key.clone(),
-                json!({
-                    "max": s.max,
-                    "median": s.median,
-                    "min": s.min,
-                    "p95": s.p95,
-                }),
-            );
-        }
         json!({
-            "metrics": Value::Object(metrics),
+            "metrics": self.metrics,
             "name": self.name,
-            "runs": self.runs as u64,
             "schema_version": SCHEMA_VERSION,
         })
     }
@@ -121,44 +79,26 @@ impl BenchRecord {
             .ok_or("missing schema_version")?;
         if version != SCHEMA_VERSION {
             return Err(format!(
-                "schema_version {version} unsupported (expected {SCHEMA_VERSION})"
+                "schema_version {version} unsupported (expected {SCHEMA_VERSION}); \
+                 regenerate it with scripts/bench_baseline.sh"
             ));
         }
         let name = v
             .get("name")
             .and_then(Value::as_str)
-            .ok_or("missing name")?
-            .to_string();
-        let runs = v
-            .get("runs")
-            .and_then(Value::as_u64)
-            .ok_or("missing runs")? as usize;
-        let mut metrics = BTreeMap::new();
+            .ok_or("missing name")?;
         let obj = v
             .get("metrics")
             .and_then(Value::as_object)
             .ok_or("missing metrics object")?;
-        for (key, m) in obj {
-            let field = |f: &str| {
-                m.get(f)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("metric '{key}' missing field '{f}'"))
-            };
-            metrics.insert(
-                key.clone(),
-                MetricStats {
-                    median: field("median")?,
-                    p95: field("p95")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                },
-            );
+        let mut record = BenchRecord::new(name);
+        for (key, value) in obj {
+            let value = value
+                .as_f64()
+                .ok_or_else(|| format!("metric '{key}' is not a number"))?;
+            record.metrics.insert(key.clone(), value);
         }
-        Ok(BenchRecord {
-            name,
-            runs,
-            metrics,
-        })
+        Ok(record)
     }
 
     /// Write the record as JSON (trailing newline). Deterministic: the
@@ -173,140 +113,58 @@ impl BenchRecord {
 
     /// Read a record written by [`BenchRecord::write`].
     pub fn read(path: &Path) -> Result<BenchRecord, BenchIoError> {
-        let text = std::fs::read_to_string(path).map_err(|e| BenchIoError {
+        let error = |message| BenchIoError {
             path: path.to_path_buf(),
-            message: format!("failed to read bench baseline: {e}"),
-        })?;
-        let value = serde_json::parse_value(&text).map_err(|e| BenchIoError {
-            path: path.to_path_buf(),
-            message: format!("invalid JSON: {e}"),
-        })?;
-        BenchRecord::from_json(&value).map_err(|m| BenchIoError {
-            path: path.to_path_buf(),
-            message: m,
-        })
+            message,
+        };
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| error(format!("failed to read bench baseline: {e}")))?;
+        let value =
+            serde_json::parse_value(&text).map_err(|e| error(format!("invalid JSON: {e}")))?;
+        BenchRecord::from_json(&value).map_err(error)
     }
 }
 
-/// Whether `key` names a latency metric that participates in regression
-/// gating (lower is better). Aggregate context metrics (counts,
-/// utilization fractions) are recorded but never gate.
-pub fn gated(key: &str) -> bool {
-    key.ends_with(".ms") || key.ends_with(".us")
-}
-
-/// One gated metric whose median moved beyond the noise threshold; the
-/// [`Comparison`] list it sits in says which way.
+/// One key on which two records are not bit-equal: its value in each,
+/// `None` where a record lacks the key.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricChange {
+pub struct Mismatch {
     /// Metric key.
     pub key: String,
-    /// Baseline median.
-    pub baseline: f64,
-    /// Current median.
-    pub current: f64,
-    /// `current / baseline`.
-    pub ratio: f64,
+    /// The baseline's value.
+    pub old: Option<f64>,
+    /// The current run's value.
+    pub new: Option<f64>,
 }
 
-/// Outcome of comparing a current record against a baseline.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Comparison {
-    /// Gated metrics slower than `baseline * (1 + threshold)`.
-    pub regressions: Vec<MetricChange>,
-    /// Gated metrics faster than `baseline * (1 - threshold)`.
-    pub improvements: Vec<MetricChange>,
-    /// Gated baseline metrics absent from the current record.
-    pub missing_in_current: Vec<String>,
-    /// Gated current metrics absent from the baseline.
-    pub new_in_current: Vec<String>,
-    /// Gated metrics compared.
-    pub compared: usize,
-}
-
-impl Comparison {
-    /// True when nothing regressed and no gated metric disappeared.
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty() && self.missing_in_current.is_empty()
-    }
-
-    /// Number of gated baseline metrics the current run never produced —
-    /// the signal `bench --fail-on-missing` hard-fails on, since a
-    /// silently dropped workload would otherwise pass the gate.
-    pub fn missing(&self) -> usize {
-        self.missing_in_current.len()
-    }
-
-    /// Human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for c in &self.regressions {
-            out.push_str(&format!(
-                "REGRESSION {}: {:.3} -> {:.3} ({:+.1}%)\n",
-                c.key,
-                c.baseline,
-                c.current,
-                (c.ratio - 1.0) * 100.0
-            ));
-        }
-        for c in &self.improvements {
-            out.push_str(&format!(
-                "improvement {}: {:.3} -> {:.3} ({:+.1}%)\n",
-                c.key,
-                c.baseline,
-                c.current,
-                (c.ratio - 1.0) * 100.0
-            ));
-        }
-        for k in &self.missing_in_current {
-            out.push_str(&format!("MISSING {k}: in baseline but not re-measured\n"));
-        }
-        for k in &self.new_in_current {
-            out.push_str(&format!("new metric {k}: not in baseline\n"));
-        }
-        out.push_str(&format!(
-            "{} gated metrics compared: {} regressed, {} improved\n",
-            self.compared,
-            self.regressions.len(),
-            self.improvements.len()
-        ));
-        out
+impl fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let side = |v: Option<f64>| v.map_or("missing".to_string(), |v| v.to_string());
+        write!(f, "{}: {} -> {}", self.key, side(self.old), side(self.new))
     }
 }
 
-/// Compare `current` against `baseline` on the gated (latency) metrics.
-/// A metric regresses when its median exceeds the baseline median by more
-/// than `threshold` (e.g. `0.05` = 5% noise allowance).
-pub fn compare(baseline: &BenchRecord, current: &BenchRecord, threshold: f64) -> Comparison {
-    let mut cmp = Comparison::default();
-    for (key, base) in baseline.metrics.iter().filter(|(k, _)| gated(k)) {
-        let Some(cur) = current.metrics.get(key) else {
-            cmp.missing_in_current.push(key.clone());
-            continue;
-        };
-        cmp.compared += 1;
-        if base.median.abs() < 1e-12 {
-            continue; // zero baseline: ratio undefined, skip gating
-        }
-        let ratio = cur.median / base.median;
-        let change = || MetricChange {
-            key: key.clone(),
-            baseline: base.median,
-            current: cur.median,
-            ratio,
-        };
-        if ratio > 1.0 + threshold {
-            cmp.regressions.push(change());
-        } else if ratio < 1.0 - threshold {
-            cmp.improvements.push(change());
-        }
-    }
-    for key in current.metrics.keys().filter(|k| gated(k)) {
-        if !baseline.metrics.contains_key(key) {
-            cmp.new_in_current.push(key.clone());
-        }
-    }
-    cmp
+/// Every key missing from `current`, new in it, or holding a value whose
+/// bits differ from `baseline`'s, in key order. Empty means the records
+/// are the same measurement.
+pub fn mismatches(baseline: &BenchRecord, current: &BenchRecord) -> Vec<Mismatch> {
+    let keys: BTreeSet<&String> = baseline
+        .metrics
+        .keys()
+        .chain(current.metrics.keys())
+        .collect();
+    keys.into_iter()
+        .filter_map(|key| {
+            let old = baseline.metrics.get(key).copied();
+            let new = current.metrics.get(key).copied();
+            let equal = matches!((old, new), (Some(a), Some(b)) if a.to_bits() == b.to_bits());
+            (!equal).then(|| Mismatch {
+                key: key.clone(),
+                old,
+                new,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -314,53 +172,44 @@ mod tests {
     use super::*;
 
     fn record(pairs: &[(&str, f64)]) -> BenchRecord {
-        let mut r = BenchRecord::new("t", 3);
+        let mut r = BenchRecord::new("t");
         for (k, v) in pairs {
-            r.insert(*k, &[*v]);
+            r.insert(*k, *v);
         }
         r
     }
 
-    #[test]
-    fn stats_order_statistics() {
-        let s = MetricStats::from_samples(&[5.0, 1.0, 3.0, 2.0, 4.0]);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.p95, 5.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        let one = MetricStats::from_samples(&[7.5]);
-        assert_eq!(one.median, 7.5);
-        assert_eq!(one.p95, 7.5);
+    fn scratch(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tvmnp_report_bench_{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn json_roundtrip_is_byte_identical() {
-        let mut r = BenchRecord::new("fig6", 5);
-        r.insert("fig6.mobilenet_v2.tvm.ms", &[12.5, 12.5, 13.0]);
-        r.insert("fig6.subgraphs", &[3.0]);
+        let r = record(&[("fig6.mobilenet_v2.tvm.ms", 12.5), ("fig6.subgraphs", 3.0)]);
         let first = format!("{}\n", r.to_json());
-        let second = format!("{}\n", r.to_json());
-        assert_eq!(first, second);
+        assert_eq!(first, format!("{}\n", r.to_json()));
         let parsed = BenchRecord::from_json(&serde_json::parse_value(first.trim()).unwrap());
         assert_eq!(parsed.unwrap(), r);
         // Keys appear in sorted order in the serialized form.
         let a = first.find("fig6.mobilenet_v2.tvm.ms").unwrap();
         let b = first.find("fig6.subgraphs").unwrap();
         assert!(a < b);
+        assert!(!first.contains("runs"), "one run per record: {first}");
     }
 
     #[test]
-    fn write_read_roundtrip_and_error_paths_carry_the_path() {
-        let dir = std::env::temp_dir().join("tvmnp_report_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_t.json");
-        let r = record(&[("t.x.ms", 10.0)]);
-        r.write(&path).unwrap();
-        assert_eq!(BenchRecord::read(&path).unwrap(), r);
-        // Same record, written twice: identical bytes.
-        let bytes1 = std::fs::read(&path).unwrap();
-        r.write(&path).unwrap();
-        assert_eq!(bytes1, std::fs::read(&path).unwrap());
+    fn write_read_write_is_byte_identical_and_errors_carry_the_path() {
+        let dir = scratch("roundtrip");
+        let (a, b) = (dir.join("BENCH_a.json"), dir.join("BENCH_b.json"));
+        // A value that only round-trips through the shortest exact form.
+        let r = record(&[("t.x.ms", 1.8124601142857142), ("t.n", 9.0)]);
+        r.write(&a).unwrap();
+        let read = BenchRecord::read(&a).unwrap();
+        assert_eq!(read, r);
+        read.write(&b).unwrap();
+        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
 
         let missing = dir.join("does_not_exist.json");
         let err = BenchRecord::read(&missing).unwrap_err();
@@ -373,46 +222,63 @@ mod tests {
     }
 
     #[test]
-    fn only_latency_suffixes_gate() {
-        assert!(gated("fig6.mobilenet_v2.tvm.ms"));
-        assert!(gated("sched.pipeline.makespan.us"));
-        assert!(!gated("fig6.subgraphs"));
-        assert!(!gated("fig5.cpu.utilization"));
+    fn a_version_1_file_is_an_error_naming_the_file() {
+        let dir = scratch("v1");
+        let path = dir.join("BENCH_old.json");
+        let v1 = r#"{"metrics":{"t.a.ms":{"max":1.0,"median":1.0,"min":1.0,"p95":1.0}},"name":"t","runs":5,"schema_version":1}"#;
+        std::fs::write(&path, v1).unwrap();
+        let err = BenchRecord::read(&path).unwrap_err().to_string();
+        assert!(err.contains("BENCH_old.json"), "{err}");
+        assert!(err.contains("schema_version 1"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn regression_detected_beyond_threshold() {
+    fn a_non_numeric_metric_is_an_error_naming_the_key() {
+        let v = serde_json::parse_value(
+            r#"{"metrics":{"t.a.ms":1.5,"t.b.ms":{"median":2.0}},"name":"t","schema_version":2}"#,
+        )
+        .unwrap();
+        let err = BenchRecord::from_json(&v).unwrap_err();
+        assert!(err.contains("'t.b.ms'"), "{err}");
+    }
+
+    #[test]
+    fn identical_records_pass() {
+        let r = record(&[("t.a.ms", 10.0), ("t.count", 3.0), ("t.zero.ms", 0.0)]);
+        assert_eq!(mismatches(&r, &r.clone()), []);
+    }
+
+    #[test]
+    fn one_flipped_bit_fails() {
         let base = record(&[("t.a.ms", 10.0), ("t.count", 3.0)]);
-        let slow = record(&[("t.a.ms", 20.0), ("t.count", 99.0)]);
-        let cmp = compare(&base, &slow, 0.05);
-        assert!(!cmp.ok());
-        assert_eq!(cmp.regressions.len(), 1);
-        assert_eq!(cmp.regressions[0].key, "t.a.ms");
-        assert!((cmp.regressions[0].ratio - 2.0).abs() < 1e-9);
-        assert!(cmp.render().contains("REGRESSION t.a.ms"));
-        // Non-gated metric movement is ignored.
-        assert_eq!(cmp.compared, 1);
+        for key in ["t.a.ms", "t.count"] {
+            let mut cur = base.clone();
+            let v = cur.metrics.get_mut(key).unwrap();
+            *v = f64::from_bits(v.to_bits() ^ 1);
+            let found = mismatches(&base, &cur);
+            assert_eq!(found.len(), 1, "{key}");
+            assert_eq!(found[0].key, key);
+            assert_ne!(found[0].old, found[0].new);
+            // The shortest exact form tells the two values apart.
+            let line = found[0].to_string();
+            let (old, new) = line.split_once(": ").unwrap().1.split_once(" -> ").unwrap();
+            assert_ne!(old, new, "{line}");
+        }
     }
 
     #[test]
-    fn noise_within_threshold_passes() {
-        let base = record(&[("t.a.ms", 10.0)]);
-        let near = record(&[("t.a.ms", 10.4)]);
-        assert!(compare(&base, &near, 0.05).ok());
-        let faster = record(&[("t.a.ms", 5.0)]);
-        let cmp = compare(&base, &faster, 0.05);
-        assert!(cmp.ok());
-        assert_eq!(cmp.improvements.len(), 1);
-    }
-
-    #[test]
-    fn missing_gated_metric_fails_new_metric_does_not() {
+    fn a_missing_key_and_a_new_key_each_fail() {
         let base = record(&[("t.a.ms", 10.0), ("t.b.ms", 5.0)]);
-        let cur = record(&[("t.a.ms", 10.0), ("t.c.ms", 1.0)]);
-        let cmp = compare(&base, &cur, 0.05);
-        assert!(!cmp.ok());
-        assert_eq!(cmp.missing(), 1);
-        assert_eq!(cmp.missing_in_current, vec!["t.b.ms".to_string()]);
-        assert_eq!(cmp.new_in_current, vec!["t.c.ms".to_string()]);
+        let missing = record(&[("t.a.ms", 10.0)]);
+        let found = mismatches(&base, &missing);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].to_string(), "t.b.ms: 5 -> missing");
+
+        let mut new = base.clone();
+        new.insert("t.c", 1.0);
+        let found = mismatches(&base, &new);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].to_string(), "t.c: missing -> 1");
     }
 }

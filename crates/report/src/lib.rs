@@ -12,8 +12,8 @@
 //!   makespan, period and critical path — is a query on the
 //!   `Schedule` itself.
 //! * [`bench`] — benchmark baselines: a stable, byte-deterministic JSON
-//!   record of a workload's metrics plus threshold-gated regression
-//!   comparison (`--bench-out` / `--check-against` of `tvmnp bench`).
+//!   record of one value per metric of a workload run, and the exact
+//!   bit-for-bit gate (`--bench-out` / `--check-against` of `tvmnp bench`).
 //! * [`resilience`] — aggregation of the `resilience.*` telemetry from
 //!   fault-injected runs: retries, fallbacks, breaker trips, dropped
 //!   frames, and post-degradation latency.
@@ -22,7 +22,7 @@ pub mod bench;
 pub mod resilience;
 pub mod util;
 
-pub use bench::{compare, BenchIoError, BenchRecord, Comparison, MetricStats, SCHEMA_VERSION};
+pub use bench::{mismatches, BenchIoError, BenchRecord, Mismatch, SCHEMA_VERSION};
 pub use resilience::{FallbackEdge, FallbackTransition, ResilienceReport};
 pub use util::{
     utilization_from_schedule, utilization_from_snapshot, DeviceUtil, UtilizationReport,

@@ -275,8 +275,8 @@ mod tests {
         assert!(text.contains("recovered runs: 1"));
     }
 
-    /// Retries and fallbacks are read off their spans only: the counters
-    /// emitted beside them restate the same facts.
+    /// Retries and fallbacks are read off their spans only: a counter
+    /// under either name is not a second source of the same fact.
     #[test]
     fn retry_and_fallback_counters_are_not_read_twice() {
         let _l = crate::testutil::lock();

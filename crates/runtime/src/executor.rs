@@ -206,7 +206,7 @@ impl RunOptions<'_> {
     /// planned segment — calls this at the dispatch point, never the module
     /// being dispatched to. Each failed attempt charges `wasted_us` (the
     /// aborted dispatch) plus the policy backoff to `time_us`, records a
-    /// `resilience.retry` span and counter, and every consumed fault goes
+    /// `resilience.retry` span, and every consumed fault goes
     /// to the installed event sink (flight recorder). A fatal fault or an
     /// exhausted retry budget is an [`ExecErrorKind::DeviceFault`] error
     /// with device, attempt and cause filled. No injector, no fault.
@@ -258,7 +258,6 @@ impl RunOptions<'_> {
                     ("cause", fault.description.into()),
                 ],
             );
-            tvmnp_telemetry::counter_add("resilience.retries", &[("device", device.name())], 1);
             *time_us += cost;
             attempt += 1;
         }

@@ -128,14 +128,6 @@ impl SessionPool {
         concurrency: usize,
         tracing: Option<&crate::observe::TraceRuntime<'_>>,
     ) -> Vec<FrameResult> {
-        if tvmnp_telemetry::is_enabled() {
-            let label = if concurrency <= 1 { "1" } else { "n" };
-            tvmnp_telemetry::counter_add(
-                "serve.frames",
-                &[("concurrent", label)],
-                frames.len() as u64,
-            );
-        }
         let served = run_window(frames, concurrency, |worker, slot, f| match tracing {
             None => self.session_for(f.index).process_frame(f),
             Some(rt) => rt.run_frame(self, worker, slot, f),

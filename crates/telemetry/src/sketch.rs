@@ -3,9 +3,9 @@
 //! Holds an ε-approximate summary of a stream of latency samples in
 //! `O(1/ε · log(εn))` memory: [`QuantileSketch::query`] returns a value
 //! whose *rank* in the observed stream is within `ε·n` of the requested
-//! quantile's nearest rank — the same nearest-rank convention
-//! `tvmnp-report::MetricStats` uses for its offline percentiles, which
-//! is what lets the tests reconcile the two within rank tolerance.
+//! quantile's nearest rank (the `⌈q·n⌉`-th smallest sample), which is
+//! what lets the tests check it against the sorted samples within rank
+//! tolerance.
 //!
 //! Sketches merge: [`QuantileSketch::merge`] folds another sketch in
 //! with additive error (two ε-sketches merge into a ≤2ε-sketch), so

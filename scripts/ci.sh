@@ -247,22 +247,15 @@ if awk -v r="$load_export" 'BEGIN { exit !(r > 2.0) }'; then
     exit 1
 fi
 
-# Bench smoke: one workload against the checked-in baseline. Warn-only
-# for latency drift — the hard gate is the byte comparison above; this
-# step proves --check-against runs and surfaces drift in the CI log
-# metric by metric. --fail-on-missing is a hard gate regardless: a
-# baseline metric the run never produced means a workload was silently
-# dropped, which --warn-only must not wave through.
-target/release/tvmnp bench \
-    --workload fig6 --runs 2 --check-against BENCH_fig6.json --warn-only \
-    --fail-on-missing
+# Bench gate: one workload against the checked-in baseline. Hard step:
+# --check-against is exact, so a missing, new or moved metric fails and
+# each is listed as `old -> new` in the CI log.
+target/release/tvmnp bench --workload fig6 --check-against BENCH_fig6.json
 
-# Serving-throughput smoke: frames/sec + cache hit rate against the
-# checked-in baseline. Warn-only, same rationale as above; the workload
-# itself hard-fails if concurrent outputs diverge from sequential.
-target/release/tvmnp bench \
-    --workload serve --runs 2 --check-against BENCH_serve.json --warn-only \
-    --fail-on-missing
+# Serving-throughput gate: frames/sec + cache hit rate against the
+# checked-in baseline, exact as above; the workload itself hard-fails if
+# concurrent outputs diverge from sequential.
+target/release/tvmnp bench --workload serve --check-against BENCH_serve.json
 
 # Fault-injection smoke: seeded transient APU faults against the showcase.
 # Must exit 0 (the fallback chain absorbs the faults) and the resilience
@@ -288,7 +281,7 @@ echo "fault-injection smoke: $recovered run(s) recovered under seeded faults"
 lost_dir=$(mktemp -d)
 trap 'rm -rf "$base_dir" "$lost_dir"' EXIT
 target/release/tvmnp bench \
-    --workload serve --runs 1 --bench-out "$lost_dir/serve-lost.json" \
+    --workload serve --bench-out "$lost_dir/serve-lost.json" \
     --inject-fault apu:dispatch:device-lost
 [ -s "$lost_dir/serve-lost.json" ]
 
@@ -299,13 +292,12 @@ target/release/tvmnp bench \
 # must validate and carry the injected dispatch faults plus the
 # SLO-breach trigger. The 50 ms SLO sits between the serve clip's
 # deterministic p95 (~50.5 ms) and max (~53.5 ms) simulated frame
-# latencies, so only the tail frames dump. --runs 1 so per-frame trace
-# ids stay unique. (Fallback transitions inside a dump window are
-# covered by the exhaustion path in tests/observe_flow.rs.)
+# latencies, so only the tail frames dump. (Fallback transitions inside a
+# dump window are covered by the exhaustion path in tests/observe_flow.rs.)
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$base_dir" "$lost_dir" "$obs_dir"' EXIT
 target/release/tvmnp bench \
-    --workload serve --runs 1 --bench-out "$obs_dir/serve-observed.json" \
+    --workload serve --bench-out "$obs_dir/serve-observed.json" \
     --inject-fault apu:dispatch:transient --fault-seed 7 \
     --stats-out "$obs_dir/stats.jsonl" --flight-out "$obs_dir/flight" \
     --slo-ms 50
@@ -322,9 +314,9 @@ target/release/tvmnp obs_check \
 # `telemetry.overhead_frac` / `observe.overhead_frac` of the benchmark's
 # `--trace 1` run, not a CI step: a shared runner is too noisy to gate.)
 target/release/tvmnp bench \
-    --workload serve --runs 2 --bench-out "$obs_dir/serve-plain.json"
+    --workload serve --bench-out "$obs_dir/serve-plain.json"
 target/release/tvmnp bench \
-    --workload serve --runs 2 --bench-out "$obs_dir/serve-traced.json" \
+    --workload serve --bench-out "$obs_dir/serve-traced.json" \
     --stats-out "$obs_dir/stats-overhead.jsonl"
 cmp "$obs_dir/serve-plain.json" "$obs_dir/serve-traced.json"
 
@@ -335,10 +327,10 @@ cmp "$obs_dir/serve-plain.json" "$obs_dir/serve-traced.json"
 # injected kind — if the attribution pipeline ever stops pinning the
 # regression on mac/* cells, CI fails here before a human reads a table.
 target/release/tvmnp bench \
-    --workload fig4 --runs 1 --bench-out "$obs_dir/fig4-clean.json" \
+    --workload fig4 --bench-out "$obs_dir/fig4-clean.json" \
     --profile-store "$obs_dir/prof-base"
 diff_out=$(target/release/tvmnp bench \
-    --workload fig4 --runs 1 --bench-out "$obs_dir/fig4-slow.json" \
+    --workload fig4 --bench-out "$obs_dir/fig4-slow.json" \
     --inject-slowdown mac=2 \
     --profile-store "$obs_dir/prof-slow" \
     --profile-diff "$obs_dir/prof-base")

@@ -14,7 +14,6 @@ use tvm_neuropilot::observe::{
     assemble, attribute, flight, validate_dump, ObserveConfig, ObservePlane, QuantileSketch,
 };
 use tvm_neuropilot::prelude::*;
-use tvm_neuropilot::report::MetricStats;
 use tvm_neuropilot::serving::{trace_id_for, PIPELINE};
 use tvm_neuropilot::telemetry::{self, trace::SpanIds, Field, Record, TimeDomain};
 use tvm_neuropilot::vision::{FrameResult, ShowcaseFaults};
@@ -35,12 +34,11 @@ fn assert_same_numerics(a: &[FrameResult], b: &[FrameResult]) {
     }
 }
 
-/// The GK sketch must agree with `tvmnp-report`'s nearest-rank order
-/// statistics within the sketch's rank tolerance: both answers (and the
-/// exact nearest-rank value) must fall inside the same ±(⌈εn⌉+1)-rank
-/// bracket of the sorted samples.
+/// The GK sketch must agree with the exact nearest-rank order statistics
+/// within the sketch's rank tolerance: its answer must fall inside the
+/// ±(⌈εn⌉+1)-rank bracket of the sorted samples around the nearest rank.
 #[test]
-fn sketch_quantiles_agree_with_report_nearest_rank() {
+fn sketch_quantiles_agree_with_exact_nearest_rank() {
     let epsilon = 0.005;
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut samples = Vec::with_capacity(5000);
@@ -54,12 +52,11 @@ fn sketch_quantiles_agree_with_report_nearest_rank() {
     for &s in &samples {
         sketch.insert(s);
     }
-    let stats = MetricStats::from_samples(&samples);
-    let mut sorted = samples.clone();
+    let mut sorted = samples;
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let n = sorted.len();
     let allowed = (epsilon * n as f64).ceil() as usize + 1;
-    let mut check = |q: f64, report_value: f64| {
+    for q in [0.50, 0.95] {
         let target = ((q * n as f64).ceil() as usize).clamp(1, n);
         let lo = sorted[target.saturating_sub(allowed + 1).max(1) - 1];
         let hi = sorted[(target + allowed).min(n) - 1];
@@ -68,13 +65,7 @@ fn sketch_quantiles_agree_with_report_nearest_rank() {
             (lo..=hi).contains(&got),
             "sketch q{q}: {got} outside rank bracket [{lo}, {hi}]"
         );
-        assert!(
-            (lo..=hi).contains(&report_value),
-            "report q{q}: {report_value} outside rank bracket [{lo}, {hi}]"
-        );
-    };
-    check(0.50, stats.median);
-    check(0.95, stats.p95);
+    }
 }
 
 /// Deterministic splitmix64 sample stream for the merge tests.

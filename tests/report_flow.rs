@@ -1,6 +1,6 @@
 //! Report-layer flow: device utilization reconciles with the executor's
 //! measured run, bench records are byte-deterministic, and an injected
-//! hwsim slowdown trips the regression gate.
+//! hwsim slowdown trips the exact bench gate.
 //!
 //! Kept as a single test function: the telemetry collector is
 //! process-global, so a concurrent test's spans would pollute the
@@ -76,9 +76,9 @@ fn bench_records_are_byte_deterministic() {
     let b = dir.join("tvmnp_report_flow_b.json");
     let c = dir.join("tvmnp_report_flow_c.json");
     let make = || {
-        let mut r = BenchRecord::new("unit".to_string(), 3);
-        r.insert("emotion.byoc-apu.ms".to_string(), &[1.5, 1.25, 2.0]);
-        r.insert("emotion.report.util.apu".to_string(), &[0.75]);
+        let mut r = BenchRecord::new("unit");
+        r.insert("emotion.byoc-apu.ms", 1.25);
+        r.insert("emotion.report.util.apu", 0.75);
         r
     };
     make().write(&a).unwrap();
@@ -100,25 +100,26 @@ fn bench_records_are_byte_deterministic() {
     }
 }
 
-/// A 2x slowdown injected into one hwsim work kind must register as a
-/// regression against the unperturbed baseline, while a record always
-/// compares clean against itself.
+/// A 2x slowdown injected into one hwsim work kind must fail the exact
+/// gate against the unperturbed baseline, naming the moved key, while a
+/// record always compares clean against a rebuild of itself.
 fn injected_slowdown_trips_the_gate() {
     let model = emotion::emotion_model(55);
-    let ms = |cost: CostModel| {
-        relay_build(&model.module, TargetMode::Byoc(TargetPolicy::CpuApu), cost)
-            .unwrap()
-            .estimate_us()
-            / 1000.0
+    let record = |cost: CostModel| {
+        let compiled =
+            relay_build(&model.module, TargetMode::Byoc(TargetPolicy::CpuApu), cost).unwrap();
+        let mut r = BenchRecord::new("unit");
+        r.insert("emotion.ms", compiled.estimate_us() / 1000.0);
+        r
     };
-    let mut baseline = BenchRecord::new("unit".to_string(), 1);
-    baseline.insert("emotion.ms".to_string(), &[ms(CostModel::default())]);
-    let mut current = BenchRecord::new("unit".to_string(), 1);
+    let baseline = record(CostModel::default());
     let slow = CostModel::default().with_kind_scale(WorkKind::parse("mac").unwrap(), 2.0);
-    current.insert("emotion.ms".to_string(), &[ms(slow)]);
-
-    let cmp = report::compare(&baseline, &current, 0.05);
-    assert!(!cmp.ok(), "2x mac slowdown must trip the gate");
-    assert_eq!(cmp.regressions.len(), 1);
-    assert!(report::compare(&baseline, &baseline, 0.05).ok());
+    let found = report::mismatches(&baseline, &record(slow));
+    assert_eq!(found.len(), 1, "2x mac slowdown must trip the gate");
+    assert_eq!(found[0].key, "emotion.ms");
+    assert!(found[0].new > found[0].old, "{}", found[0]);
+    assert_eq!(
+        report::mismatches(&baseline, &record(CostModel::default())),
+        []
+    );
 }
