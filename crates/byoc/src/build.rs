@@ -563,8 +563,11 @@ mod tests {
         let mode = TargetMode::NeuroPilotOnly(TargetPolicy::CpuOnly);
         let mut compiled = relay_build(&m, mode, cost.clone()).unwrap();
         let (clean, base_us) = compiled.run(&inputs).unwrap();
-        let injector =
-            FaultInjector::new(FaultPlan::seeded(7).transient_dispatch(DeviceKind::Cpu, 2));
+        let injector = FaultInjector::new(
+            FaultPlan::seeded(7)
+                .with_spec("cpu:dispatch:transient=2")
+                .unwrap(),
+        );
         let opts = RunOptions {
             injector: Some(&injector),
             ..RunOptions::default()
@@ -583,12 +586,16 @@ mod tests {
 
     #[test]
     fn np_only_run_with_fails_with_the_executors_error_shape() {
-        use tvmnp_hwsim::{DeviceKind, FaultInjector, FaultPlan};
+        use tvmnp_hwsim::{FaultInjector, FaultPlan};
         use tvmnp_runtime::ExecErrorKind;
         let (m, inputs) = clean_model();
         let mode = TargetMode::NeuroPilotOnly(TargetPolicy::CpuOnly);
         let mut compiled = relay_build(&m, mode, CostModel::default()).unwrap();
-        let lost = FaultInjector::new(FaultPlan::seeded(1).device_lost(DeviceKind::Cpu));
+        let lost = FaultInjector::new(
+            FaultPlan::seeded(1)
+                .with_spec("cpu:dispatch:device-lost")
+                .unwrap(),
+        );
         let opts = RunOptions {
             injector: Some(&lost),
             ..RunOptions::default()

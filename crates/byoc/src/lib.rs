@@ -20,6 +20,7 @@
 //!   demonstrating BYOC generality and why NeuroPilot-direct replaced it;
 //! * [`resilient`] — retries, deadlines, circuit breakers, and graceful
 //!   fallback down the permutation chain under (injected) device faults.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod build;
 pub mod cache;

@@ -475,7 +475,9 @@ mod tests {
         let mut s = ResilientSession::new(
             m,
             CostModel::default(),
-            FaultPlan::seeded(7).device_lost(DeviceKind::Apu),
+            FaultPlan::seeded(7)
+                .with_spec("apu:dispatch:device-lost")
+                .unwrap(),
             ResiliencePolicy {
                 // One APU loss opens its breaker, so the chain skips every
                 // permutation that still needs the APU.
@@ -500,8 +502,10 @@ mod tests {
             m,
             CostModel::default(),
             FaultPlan::seeded(3)
-                .device_lost(DeviceKind::Apu)
-                .device_lost(DeviceKind::Cpu),
+                .with_spec("apu:dispatch:device-lost")
+                .unwrap()
+                .with_spec("cpu:dispatch:device-lost")
+                .unwrap(),
             ResiliencePolicy::default(),
         );
         let err = s.run("m", Permutation::NpApu, &inputs).unwrap_err();
@@ -529,7 +533,9 @@ mod tests {
         let mut s = ResilientSession::new(
             m,
             CostModel::default(),
-            FaultPlan::seeded(11).compile_reject(DeviceKind::Apu),
+            FaultPlan::seeded(11)
+                .with_spec("apu:compile:reject")
+                .unwrap(),
             policy,
         );
         let out = s.run("m", Permutation::NpApu, &inputs).unwrap();
@@ -553,7 +559,9 @@ mod tests {
             let mut s = ResilientSession::new(
                 m.clone(),
                 CostModel::default(),
-                FaultPlan::seeded(7).transient_dispatch(DeviceKind::Apu, 3),
+                FaultPlan::seeded(7)
+                    .with_spec("apu:dispatch:transient=3")
+                    .unwrap(),
                 ResiliencePolicy::default(),
             );
             let out = s.run("m", Permutation::NpApu, &inputs).unwrap();

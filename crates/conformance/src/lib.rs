@@ -13,6 +13,7 @@
 //! bench binary ([`repro`]).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod differential;
 pub mod generator;

@@ -48,7 +48,7 @@
 //! | [`serving`] | concurrent multi-frame session pool + its simulated-time throughput |
 //! | [`telemetry`] | the one event model: typed record, labelled registry + quantile sketch, profile/Chrome-trace exporters |
 //! | [`observe`] | live observability over it: plane, flight recorder, trace trees, tail attribution |
-//! | [`profile`] | measured-profile store, differential attribution, calibrated cost models |
+//! | [`profile`] | measured-profile store, differential attribution |
 //! | [`report`] | device utilization of a snapshot or schedule, bench baselines + regression gate, resilience report |
 
 pub use tvmnp_byoc as byoc;
@@ -85,9 +85,7 @@ pub mod prelude {
     };
     pub use tvmnp_neuropilot::TargetPolicy;
     pub use tvmnp_observe::{ObserveConfig, ObservePlane, StatsSnapshot};
-    pub use tvmnp_profile::{
-        diff_profiles, CalibratedCostModel, Profile, ProfileDiff, ProfileKey, ProfileStore,
-    };
+    pub use tvmnp_profile::{diff_profiles, Profile, ProfileDiff, ProfileKey, ProfileStore};
     pub use tvmnp_relay::expr::Module;
     pub use tvmnp_relay::interp::run_module;
     pub use tvmnp_scheduler::{simulate_pipelined, simulate_sequential};

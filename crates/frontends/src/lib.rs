@@ -25,6 +25,7 @@
 //!   both, as `relay.frontend.from_mxnet` does.
 //!
 //! [`Module`]: tvmnp_relay::Module
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod darknet;
 pub mod keras;

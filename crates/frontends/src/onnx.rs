@@ -244,10 +244,9 @@ pub fn from_onnx(model: &OnnxModel) -> Result<Module, ImportError> {
                 .ok_or_else(|| ierr(format!("output '{n}' never produced")))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let body = if outs.len() == 1 {
-        outs.into_iter().next().unwrap()
-    } else {
-        tvmnp_relay::expr::tuple(outs)
+    let body = match <[_; 1]>::try_from(outs) {
+        Ok([only]) => only,
+        Err(outs) => tvmnp_relay::expr::tuple(outs),
     };
     let module = Module::from_main(Function::new(params, body));
     tvmnp_relay::infer_types(&module)
@@ -312,6 +311,16 @@ mod tests {
         m.nodes.push(OnnxNode::new("LSTM", &["probs"], &["bad"]));
         m.outputs = vec!["bad".into()];
         assert!(from_onnx(&m).unwrap_err().0.contains("LSTM"));
+    }
+
+    #[test]
+    fn single_output_graph_is_not_a_tuple() {
+        let module = from_onnx(&tiny_onnx()).unwrap();
+        let ty = tvmnp_relay::infer_types(&module).unwrap();
+        assert!(matches!(
+            ty[&module.main().body.id],
+            tvmnp_relay::Type::Tensor(_)
+        ));
     }
 
     #[test]

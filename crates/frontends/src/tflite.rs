@@ -408,10 +408,9 @@ pub fn from_tflite(model: &TfliteModel) -> Result<Module, ImportError> {
         .iter()
         .map(|&i| imp.expr(i))
         .collect::<Result<Vec<_>, _>>()?;
-    let body = if body_parts.len() == 1 {
-        body_parts.into_iter().next().unwrap()
-    } else {
-        tvmnp_relay::expr::tuple(body_parts)
+    let body = match <[_; 1]>::try_from(body_parts) {
+        Ok([only]) => only,
+        Err(body_parts) => tvmnp_relay::expr::tuple(body_parts),
     };
     let module = Module::from_main(Function::new(params, body));
     tvmnp_relay::infer_types(&module)
@@ -544,6 +543,31 @@ mod tests {
             .filter_map(|e| e.op().map(|o| o.name()))
             .collect();
         assert_eq!(names, vec!["qnn.dequantize", "nn.softmax", "qnn.quantize"]);
+    }
+
+    /// One graph output is the body itself; two make a tuple, in order.
+    #[test]
+    fn outputs_shape_the_body() {
+        let q = QuantParams::new(1.0 / 256.0, 0);
+        let mut model = TfliteModel {
+            tensors: vec![act("input", vec![1, 10], q), act("probs", vec![1, 10], q)],
+            ops: vec![TfliteOp::new("SOFTMAX", vec![0], vec![1])],
+            inputs: vec![0],
+            outputs: vec![1],
+        };
+        let m = from_tflite(&model).unwrap();
+        let ty = tvmnp_relay::infer_types(&m).unwrap();
+        assert!(matches!(
+            ty[&m.main().body.id],
+            tvmnp_relay::Type::Tensor(_)
+        ));
+        model.outputs = vec![1, 0];
+        let m = from_tflite(&model).unwrap();
+        let ty = tvmnp_relay::infer_types(&m).unwrap();
+        match &ty[&m.main().body.id] {
+            tvmnp_relay::Type::Tuple(parts) => assert_eq!(parts.len(), 2),
+            other => panic!("expected a tuple body, got {other:?}"),
+        }
     }
 
     #[test]

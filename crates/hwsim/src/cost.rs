@@ -182,18 +182,8 @@ impl CostModel {
         self.device_kind_scale[device.index()][kind.index()]
     }
 
-    /// The same SoC with every injected multiplier removed: the pure
-    /// analytic prediction. The profile layer compares measured spans
-    /// against this reference, so an injected slowdown (or a throttle)
-    /// shows up as a residual instead of silently moving the baseline.
-    pub fn unscaled(&self) -> CostModel {
-        CostModel::new(self.soc.clone())
-    }
-
-    /// Apply a batch of measured per-(device, kind) multipliers — the
-    /// constructor `tvmnp-profile::CalibratedCostModel` feeds its fitted
-    /// scale factors through to turn a measured profile back into a
-    /// usable cost model.
+    /// Apply a batch of per-(device, kind) multipliers, each as
+    /// [`CostModel::with_device_kind_scale`] would.
     pub fn with_device_kind_scales(
         mut self,
         scales: impl IntoIterator<Item = (DeviceKind, WorkKind, f64)>,
@@ -236,11 +226,6 @@ impl CostModel {
         compute_us.max(memory_us)
     }
 
-    /// Time for one kernel including the per-kernel launch overhead.
-    pub fn kernel_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
-        self.soc.device(device).kernel_launch_us + self.kernel_body_us(w, device, class)
-    }
-
     /// Fixed cost of dispatching one compiled subgraph to `device`.
     pub fn subgraph_dispatch_us(&self, device: DeviceKind) -> f64 {
         self.soc.device(device).subgraph_dispatch_us
@@ -269,6 +254,21 @@ impl CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel::new(SocSpec::dimensity_800())
+    }
+}
+
+#[cfg(test)]
+impl CostModel {
+    /// The same SoC with every injected multiplier removed: the pure
+    /// analytic prediction the ledger's `analytic_us` must equal.
+    pub(crate) fn unscaled(&self) -> CostModel {
+        CostModel::new(self.soc.clone())
+    }
+
+    /// Time for one kernel including the per-kernel launch overhead: the
+    /// reference the cost ledger's kernel entry is checked against.
+    pub(crate) fn kernel_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
+        self.soc.device(device).kernel_launch_us + self.kernel_body_us(w, device, class)
     }
 }
 
@@ -448,6 +448,38 @@ mod tests {
         }
         assert_eq!(WorkKind::parse("mac"), Some(WorkKind::MacHeavy));
         assert_eq!(WorkKind::parse("bogus"), None);
+    }
+
+    /// Scaling one (device, kind) cell by 2 doubles that cell's kernel
+    /// body time exactly and leaves every other (device, kind, class)
+    /// cell bit-equal.
+    #[test]
+    fn device_kind_scales_touch_only_their_cell() {
+        let base = CostModel::default();
+        let scaled = CostModel::default().with_device_kind_scales([(
+            DeviceKind::Apu,
+            WorkKind::MacHeavy,
+            2.0,
+        )]);
+        for device in DeviceKind::ALL {
+            for kind in WorkKind::ALL {
+                for class in [KernelClass::TvmUntuned, KernelClass::VendorTuned] {
+                    for int8 in [false, true] {
+                        let w = WorkItem {
+                            kind,
+                            ..conv_item(50_000_000, int8)
+                        };
+                        let t0 = base.kernel_body_us(&w, device, class);
+                        let t1 = scaled.kernel_body_us(&w, device, class);
+                        if (device, kind) == (DeviceKind::Apu, WorkKind::MacHeavy) {
+                            assert_eq!(t1, 2.0 * t0, "{device:?}/{kind:?}/{class:?}");
+                        } else {
+                            assert_eq!(t1.to_bits(), t0.to_bits(), "{device:?}/{kind:?}/{class:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

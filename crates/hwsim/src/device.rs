@@ -132,13 +132,6 @@ impl DeviceSpec {
         peak * eff
     }
 
-    /// Whether TVM's own codegen can target this device at all. In the
-    /// paper's setting TVM targets the mobile CPU; the APU is reachable
-    /// only through NeuroPilot (that is the entire point of the BYOC flow).
-    pub fn tvm_can_target(&self) -> bool {
-        matches!(self.kind, DeviceKind::Cpu)
-    }
-
     /// Energy for `ops` operations under a kernel class, microjoules.
     ///
     /// Inefficient code spends the same silicon energy over more cycles
@@ -210,16 +203,6 @@ mod tests {
             s.effective_gops(false, KernelClass::VendorTuned)
                 > s.effective_gops(false, KernelClass::TvmUntuned)
         );
-    }
-
-    #[test]
-    fn only_cpu_is_tvm_targetable() {
-        assert!(spec().tvm_can_target());
-        let apu = DeviceSpec {
-            kind: DeviceKind::Apu,
-            ..spec()
-        };
-        assert!(!apu.tvm_can_target());
     }
 
     #[test]

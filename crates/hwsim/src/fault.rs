@@ -8,10 +8,11 @@
 //! splitmix64 stream keyed on `(seed, device, invocation)`. No wall-clock
 //! randomness: the same plan injected twice produces byte-identical runs.
 //!
-//! The plan is data ([`serde`] round-trips it), built either fluently
-//! ([`FaultPlan::seeded`] + `transient_dispatch`/`device_lost`/…) or from
-//! the CLI spec grammar of [`FaultPlan::with_spec`]
-//! (`<device>:<site>:<kind>[=<value>]`, e.g. `apu:dispatch:transient`).
+//! The plan is data ([`serde`] round-trips it), built from a seed
+//! ([`FaultPlan::seeded`]) and one rule per spec string in the grammar of
+//! [`FaultPlan::with_spec`] (`<device>:<site>:<kind>[=<value>][@<work>]`,
+//! e.g. `apu:dispatch:transient`) — the same strings `--inject-fault`
+//! takes.
 //!
 //! A [`FaultInjector`] interprets the plan at runtime: execution engines
 //! consult it at each subgraph dispatch / compile and receive `Some(Fault)`
@@ -135,7 +136,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan with the given seed (fluent-builder entry point).
+    /// An empty plan with the given seed.
     pub fn seeded(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -146,56 +147,6 @@ impl FaultPlan {
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Add an arbitrary rule.
-    pub fn with_rule(mut self, rule: FaultRule) -> FaultPlan {
-        self.rules.push(rule);
-        self
-    }
-
-    /// Add a transient-dispatch-failure rule for `device`.
-    pub fn transient_dispatch(self, device: DeviceKind, max_failures: u32) -> FaultPlan {
-        self.with_rule(FaultRule {
-            device,
-            kind: FaultKind::Transient {
-                max_failures: max_failures.max(1),
-            },
-            work: None,
-        })
-    }
-
-    /// Add a device-lost rule for `device`.
-    pub fn device_lost(self, device: DeviceKind) -> FaultPlan {
-        self.with_rule(FaultRule {
-            device,
-            kind: FaultKind::DeviceLost,
-            work: None,
-        })
-    }
-
-    /// Add a compile-rejection rule for `device`.
-    pub fn compile_reject(self, device: DeviceKind) -> FaultPlan {
-        self.with_rule(FaultRule {
-            device,
-            kind: FaultKind::CompileReject,
-            work: None,
-        })
-    }
-
-    /// Add a thermal-throttle rule for `device` (`work = None` throttles
-    /// every kind).
-    pub fn thermal_throttle(
-        self,
-        device: DeviceKind,
-        work: Option<WorkKind>,
-        factor: f64,
-    ) -> FaultPlan {
-        self.with_rule(FaultRule {
-            device,
-            kind: FaultKind::ThermalThrottle { factor },
-            work,
-        })
     }
 
     /// Add one rule from a CLI spec string, mirroring the
@@ -575,52 +526,64 @@ mod tests {
     #[test]
     fn plan_serde_round_trip() {
         let plan = FaultPlan::seeded(7)
-            .transient_dispatch(DeviceKind::Apu, 2)
-            .device_lost(DeviceKind::Gpu)
-            .compile_reject(DeviceKind::Apu)
-            .thermal_throttle(DeviceKind::Cpu, Some(WorkKind::MacHeavy), 2.5);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn spec_grammar_parses() {
-        let plan = FaultPlan::seeded(7)
-            .with_spec("apu:dispatch:transient")
+            .with_spec("apu:dispatch:transient=2")
             .unwrap()
             .with_spec("gpu:dispatch:device-lost")
             .unwrap()
             .with_spec("apu:compile:reject")
             .unwrap()
             .with_spec("cpu:kernel:throttle=2.5@mac")
-            .unwrap()
-            .with_spec("apu:dispatch:transient=3")
-            .unwrap()
-            .with_spec("apu:kernel:throttle=2.5")
             .unwrap();
-        assert_eq!(plan.rules.len(), 6);
-        assert_eq!(plan.rules[0].kind, FaultKind::Transient { max_failures: 2 });
-        assert_eq!(plan.rules[1].kind, FaultKind::DeviceLost);
-        assert_eq!(plan.rules[2].kind, FaultKind::CompileReject);
-        assert_eq!(
-            plan.rules[3],
-            FaultRule {
-                device: DeviceKind::Cpu,
-                kind: FaultKind::ThermalThrottle { factor: 2.5 },
-                work: Some(WorkKind::MacHeavy),
-            }
-        );
-        assert_eq!(plan.rules[4].kind, FaultKind::Transient { max_failures: 3 });
-        assert_eq!(
-            plan.rules[5],
-            FaultRule {
-                device: DeviceKind::Apu,
-                kind: FaultKind::ThermalThrottle { factor: 2.5 },
-                work: None,
-            }
-        );
-        for bad in ["apu", "nope:dispatch:transient", "apu:dispatch:nope"] {
+        let json = serde_json::to_string(&plan).unwrap();
+        let back: FaultPlan = serde_json::from_str(&json).unwrap();
+        assert_eq!(plan, back);
+    }
+
+    /// Each spec form yields exactly one rule, pinned field by field.
+    #[test]
+    fn spec_grammar_parses() {
+        use DeviceKind::{Apu, Cpu, Gpu};
+        let rule = |device, kind, work| FaultRule { device, kind, work };
+        let table = [
+            (
+                "apu:dispatch:transient",
+                rule(Apu, FaultKind::Transient { max_failures: 2 }, None),
+            ),
+            (
+                "apu:dispatch:transient=3",
+                rule(Apu, FaultKind::Transient { max_failures: 3 }, None),
+            ),
+            (
+                "gpu:dispatch:device-lost",
+                rule(Gpu, FaultKind::DeviceLost, None),
+            ),
+            (
+                "apu:compile:reject",
+                rule(Apu, FaultKind::CompileReject, None),
+            ),
+            (
+                "cpu:kernel:throttle=2.5@mac",
+                rule(
+                    Cpu,
+                    FaultKind::ThermalThrottle { factor: 2.5 },
+                    Some(WorkKind::MacHeavy),
+                ),
+            ),
+            (
+                "apu:kernel:throttle=2.5",
+                rule(Apu, FaultKind::ThermalThrottle { factor: 2.5 }, None),
+            ),
+        ];
+        for (spec, want) in table {
+            let plan = FaultPlan::seeded(7).with_spec(spec).unwrap();
+            assert_eq!(plan.rules, [want], "{spec}");
+        }
+        for bad in [
+            "apu",
+            "nope:dispatch:transient",
+            "apu:dispatch:nope",
+            "apu:dispatch:transient=0",
+        ] {
             assert!(FaultPlan::seeded(0).with_spec(bad).is_err(), "{bad}");
         }
     }
@@ -672,10 +635,81 @@ mod tests {
     }
 
     #[test]
+    fn bad_value_and_unknown_work_rejected() {
+        rejected("apu:dispatch:transient=x", "x");
+        rejected("apu:kernel:throttle=2@nope", "nope");
+    }
+
+    #[test]
+    fn lost_is_an_alias_of_device_lost() {
+        let short = FaultPlan::seeded(1).with_spec("gpu:dispatch:lost").unwrap();
+        let long = FaultPlan::seeded(1)
+            .with_spec("gpu:dispatch:device-lost")
+            .unwrap();
+        assert_eq!(short, long);
+    }
+
+    /// Specs append in order, and the first rule for a site wins: a
+    /// throttle rule ahead of them does not shadow the dispatch rules.
+    #[test]
+    fn specs_append_in_order_and_first_dispatch_rule_wins() {
+        let plan = FaultPlan::seeded(5);
+        assert!(plan.is_empty());
+        let plan = plan
+            .with_spec("apu:kernel:throttle=2")
+            .unwrap()
+            .with_spec("apu:dispatch:device-lost")
+            .unwrap()
+            .with_spec("apu:dispatch:transient=1")
+            .unwrap();
+        assert!(!plan.is_empty());
+        let kinds: Vec<FaultKind> = plan.rules.iter().map(|r| r.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                FaultKind::ThermalThrottle { factor: 2.0 },
+                FaultKind::DeviceLost,
+                FaultKind::Transient { max_failures: 1 },
+            ]
+        );
+        let inj = FaultInjector::new(plan);
+        for attempt in 1..4 {
+            assert!(inj.on_dispatch(DeviceKind::Apu, attempt).unwrap().fatal);
+        }
+    }
+
+    #[test]
+    fn throttle_without_work_scales_every_kind_on_its_device() {
+        let plan = FaultPlan::seeded(0)
+            .with_spec("gpu:kernel:throttle=2@mac")
+            .unwrap()
+            .with_spec("gpu:kernel:throttle=1.5")
+            .unwrap();
+        let cost = plan.throttled_cost(CostModel::default());
+        for device in DeviceKind::ALL {
+            for kind in WorkKind::ALL {
+                let want = match (device, kind) {
+                    (DeviceKind::Gpu, WorkKind::MacHeavy) => 3.0,
+                    (DeviceKind::Gpu, _) => 1.5,
+                    _ => 1.0,
+                };
+                assert_eq!(
+                    cost.device_kind_scale(device, kind),
+                    want,
+                    "{device} {kind:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn transient_faults_deterministic_and_recoverable() {
         let run = || {
-            let inj =
-                FaultInjector::new(FaultPlan::seeded(7).transient_dispatch(DeviceKind::Apu, 2));
+            let inj = FaultInjector::new(
+                FaultPlan::seeded(7)
+                    .with_spec("apu:dispatch:transient=2")
+                    .unwrap(),
+            );
             let mut pattern = Vec::new();
             for _ in 0..16 {
                 let mut attempt = 1;
@@ -697,8 +731,11 @@ mod tests {
         // A different seed draws a different pattern (with 16 invocations
         // of 0..=2 failures a collision is astronomically unlikely).
         let other = {
-            let inj =
-                FaultInjector::new(FaultPlan::seeded(1234).transient_dispatch(DeviceKind::Apu, 2));
+            let inj = FaultInjector::new(
+                FaultPlan::seeded(1234)
+                    .with_spec("apu:dispatch:transient=2")
+                    .unwrap(),
+            );
             let mut pattern = Vec::new();
             for _ in 0..16 {
                 let mut attempt = 1;
@@ -714,7 +751,11 @@ mod tests {
 
     #[test]
     fn device_lost_is_fatal_and_scoped() {
-        let inj = FaultInjector::new(FaultPlan::seeded(3).device_lost(DeviceKind::Apu));
+        let inj = FaultInjector::new(
+            FaultPlan::seeded(3)
+                .with_spec("apu:dispatch:device-lost")
+                .unwrap(),
+        );
         let f = inj.on_dispatch(DeviceKind::Apu, 1).unwrap();
         assert!(f.fatal);
         assert_eq!(f.site, FaultSite::Dispatch);
@@ -726,7 +767,11 @@ mod tests {
 
     #[test]
     fn compile_reject_hits_compile_site_only() {
-        let inj = FaultInjector::new(FaultPlan::seeded(3).compile_reject(DeviceKind::Apu));
+        let inj = FaultInjector::new(
+            FaultPlan::seeded(3)
+                .with_spec("apu:compile:reject")
+                .unwrap(),
+        );
         assert!(inj.on_dispatch(DeviceKind::Apu, 1).is_none());
         let f = inj.on_compile(DeviceKind::Apu).unwrap();
         assert!(f.fatal);
@@ -737,8 +782,9 @@ mod tests {
     fn throttled_cost_scales_matched_cells_only() {
         use crate::cost::WorkItem;
         use crate::device::KernelClass;
-        let plan =
-            FaultPlan::seeded(0).thermal_throttle(DeviceKind::Apu, Some(WorkKind::MacHeavy), 3.0);
+        let plan = FaultPlan::seeded(0)
+            .with_spec("apu:kernel:throttle=3.0@mac")
+            .unwrap();
         let base = CostModel::default();
         let hot = plan.throttled_cost(base.clone());
         let w = WorkItem {

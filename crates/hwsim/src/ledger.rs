@@ -50,7 +50,7 @@ pub struct CostEntry {
     /// Charged simulated time, µs (includes injected scaling/throttles).
     pub us: f64,
     /// Analytic prediction with every injected multiplier removed, µs —
-    /// the reference the calibration layer fits `us` against.
+    /// what a measured profile compares `us` against.
     pub analytic_us: f64,
     /// Estimated energy, µJ.
     pub energy_uj: f64,

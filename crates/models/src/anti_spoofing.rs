@@ -204,15 +204,6 @@ pub fn anti_spoofing_model(seed: u64) -> Model {
     }
 }
 
-/// Decision rule used by the application: mean pixel liveness > threshold
-/// means the face is real.
-pub fn is_real_face(pixel_map: &Tensor, threshold: f32) -> bool {
-    let f = pixel_map.to_f32();
-    let v = f.as_f32().unwrap();
-    let mean = v.iter().sum::<f32>() / v.len().max(1) as f32;
-    mean > threshold
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,13 +257,5 @@ mod tests {
             "the Fig. 4 story needs many subgraphs, got {}",
             report.num_subgraphs
         );
-    }
-
-    #[test]
-    fn decision_rule() {
-        let hot = Tensor::from_f32([1, 1, 2, 2], vec![0.9, 0.8, 0.95, 0.9]).unwrap();
-        let cold = Tensor::from_f32([1, 1, 2, 2], vec![0.1, 0.2, 0.05, 0.1]).unwrap();
-        assert!(is_real_face(&hot, 0.5));
-        assert!(!is_real_face(&cold, 0.5));
     }
 }

@@ -554,7 +554,7 @@ mod tests {
         ] {
             let qnn = tvmnp_relay::visit::topo_order(&m.module.main().body)
                 .iter()
-                .filter(|e| e.op().map(|o| o.is_qnn()).unwrap_or(false))
+                .filter(|e| e.op().is_some_and(|o| o.name().starts_with("qnn.")))
                 .count();
             assert!(qnn >= 5, "{} has only {qnn} qnn ops", m.name);
         }

@@ -22,6 +22,7 @@
 //! [`support`] holds the op-coverage matrices. NeuroPilot supporting
 //! *fewer* ops than TVM is what produces the missing NeuroPilot-only bars
 //! in the paper's Figs. 4 and 6, and what makes the BYOC flow valuable.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod convert;
 pub mod error;

@@ -22,6 +22,7 @@
 //! plugs into telemetry as the process-global
 //! [`tvmnp_telemetry::EventSink`]; everything stays on the
 //! one-atomic-load fast path until a plane is installed.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod flight;
 pub mod tail;
@@ -272,7 +273,8 @@ mod tests {
         assert_eq!(doc["reason"].as_str(), Some("slo-breach"));
 
         let snap = plane.snapshot();
-        assert_eq!(snap.counter("slo.breach", &[("pipeline", "showcase")]), 1);
+        let breaches = SeriesKey::new("slo.breach", &[("pipeline", "showcase")]);
+        assert_eq!(snap.counters[&breaches], 1);
         assert_eq!(
             snap.series_named(tail::FRAME_SERIES, &[("pipeline", "showcase")])
                 .unwrap()
@@ -316,17 +318,17 @@ mod tests {
         ));
 
         let snap = plane.snapshot();
-        assert_eq!(
-            snap.counter(
-                "resilience.fallback",
-                &[("from", "np-apu"), ("to", "np-cpu-apu")]
-            ),
-            1,
-            "trace label must not leak into counters"
+        let fallback = SeriesKey::new(
+            "resilience.fallback",
+            &[("from", "np-apu"), ("to", "np-cpu-apu")],
         );
         assert_eq!(
-            snap.counter_total("serve.frame"),
-            0,
+            snap.counters.get(&fallback),
+            Some(&1),
+            "trace label must not leak into counters"
+        );
+        assert!(
+            !snap.counters.keys().any(|k| k.name == "serve.frame"),
             "span ends not counted"
         );
         assert_eq!(plane.dump_paths().len(), 1, "exhaustion dumped");

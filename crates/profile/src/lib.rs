@@ -1,10 +1,10 @@
-//! `tvmnp-profile` — measured-profile store, differential regression
-//! attribution, and telemetry-calibrated cost models.
+//! `tvmnp-profile` — measured-profile store and differential regression
+//! attribution.
 //!
-//! The benches gate on opaque workload medians and the scheduler trusts
-//! the analytic `tvmnp-hwsim::CostModel` alone; this crate closes the
-//! loop from *measured* costs back to both (ROADMAP item 2's feedback
-//! signal). Three pieces:
+//! A bench gate that only compares workload totals cannot say which ops
+//! moved; this crate records the *measured* costs behind a run and
+//! attributes a difference between two runs to the cells that caused it.
+//! Two pieces:
 //!
 //! * **[`store`]** — [`Profile`]/[`ProfileStore`]: an on-disk measured-
 //!   cost database, content-addressed by (workload fingerprint ×
@@ -19,17 +19,11 @@
 //!   significance filtering, rendered as a ranked attribution table.
 //!   The bench regression gate prints it so a failure names the
 //!   responsible ops ("mac on apu regressed 2.0×"), not just a median.
-//! * **[`calibrate`]** — [`CalibratedCostModel`]: fits per-(device,
-//!   kind) scale factors from a measured profile back onto the analytic
-//!   cost model, reports measured-vs-analytic residuals, and flags
-//!   drifted cells. `to_cost_model()` returns a `CostModel` whose
-//!   predictions track the measurements.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod calibrate;
 pub mod diff;
 pub mod store;
 
-pub use calibrate::{CalibratedCostModel, CellResidual, DRIFT_THRESHOLD};
 pub use diff::{diff_profiles, CellDelta, DiffOptions, ProfileDiff};
 pub use store::{
     parse_cell_key, validate_profile, Profile, ProfileCell, ProfileKey, ProfileStore,

@@ -30,7 +30,6 @@ pub mod interp;
 pub mod memory;
 pub mod op;
 pub mod passes;
-pub mod printer;
 pub mod ty;
 pub mod visit;
 
@@ -40,5 +39,4 @@ pub use fingerprint::module_fingerprint;
 pub use infer::{infer_types, TypeError};
 pub use interp::{Interpreter, RunError};
 pub use op::OpKind;
-pub use printer::print_module;
 pub use ty::{TensorType, Type};

@@ -144,11 +144,6 @@ impl OpKind {
         }
     }
 
-    /// Whether this is a QNN-dialect operator (quant params on the call).
-    pub fn is_qnn(&self) -> bool {
-        self.name().starts_with("qnn.")
-    }
-
     /// Whether this op anchors a fusion group (convolution and dense; see
     /// [`crate::passes::fuse_analysis`]).
     pub fn is_compute_heavy(&self) -> bool {
@@ -178,17 +173,5 @@ mod tests {
             .name(),
             "qnn.conv2d"
         );
-    }
-
-    #[test]
-    fn qnn_detection() {
-        assert!(OpKind::QnnAdd(QnnAddAttrs {
-            lhs_q: tvmnp_tensor::QuantParams::identity(),
-            rhs_q: tvmnp_tensor::QuantParams::identity(),
-            output_q: tvmnp_tensor::QuantParams::identity(),
-            out_dtype: tvmnp_tensor::DType::U8,
-        })
-        .is_qnn());
-        assert!(!OpKind::Add.is_qnn());
     }
 }

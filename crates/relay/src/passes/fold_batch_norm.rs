@@ -285,7 +285,11 @@ mod tests {
         assert_eq!(count_batch_norms(&folded), 0);
         let a = run(&m, &input);
         let b = run(&folded, &input);
-        assert!(a.approx_eq(&b, 1e-4), "max diff {}", a.max_abs_diff(&b));
+        assert!(
+            a.max_abs_diff(&b) <= 1e-4,
+            "max diff {}",
+            a.max_abs_diff(&b)
+        );
     }
 
     #[test]
@@ -293,7 +297,7 @@ mod tests {
         let (m, input) = conv_bn_net(true, 2);
         let folded = fold_batch_norm(&m);
         assert_eq!(count_batch_norms(&folded), 0);
-        assert!(run(&m, &input).approx_eq(&run(&folded, &input), 1e-4));
+        assert!(run(&m, &input).max_abs_diff(&run(&folded, &input)) <= 1e-4);
         // The folded graph is a conv (with bias) + relu: 2 calls.
         assert_eq!(folded.main().num_calls(), 2);
     }
@@ -322,7 +326,7 @@ mod tests {
         ins.insert("x".to_string(), rng.uniform_f32([1, 2, 4, 4], -1.0, 1.0));
         let a = run_module(&m, &ins).unwrap();
         let b = run_module(&folded, &ins).unwrap();
-        assert!(a.approx_eq(&b, 1e-4));
+        assert!(a.max_abs_diff(&b) <= 1e-4);
     }
 
     #[test]
@@ -342,9 +346,12 @@ mod tests {
         assert_eq!(count_batch_norms(&folded), 0);
         let mut ins = Map::new();
         ins.insert("x".to_string(), rng.uniform_f32([1, 2, 4, 4], -1.0, 1.0));
-        assert!(run_module(&m, &ins)
-            .unwrap()
-            .approx_eq(&run_module(&folded, &ins).unwrap(), 1e-5));
+        assert!(
+            run_module(&m, &ins)
+                .unwrap()
+                .max_abs_diff(&run_module(&folded, &ins).unwrap())
+                <= 1e-5
+        );
     }
 
     #[test]
@@ -383,8 +390,11 @@ mod tests {
         assert!(all_supported);
         let mut ins = Map::new();
         ins.insert("x".to_string(), rng.uniform_f32([1, 4, 8, 8], -1.0, 1.0));
-        assert!(run_module(&m, &ins)
-            .unwrap()
-            .approx_eq(&run_module(&folded, &ins).unwrap(), 1e-3));
+        assert!(
+            run_module(&m, &ins)
+                .unwrap()
+                .max_abs_diff(&run_module(&folded, &ins).unwrap())
+                <= 1e-3
+        );
     }
 }

@@ -56,7 +56,7 @@ mod tests {
     use crate::expr::{call, var};
     use crate::op::OpKind;
     use crate::ty::TensorType;
-    use crate::visit::node_count;
+    use crate::visit::topo_order;
     use tvmnp_tensor::Tensor;
 
     #[test]
@@ -69,7 +69,7 @@ mod tests {
         let m = Module::from_main(Function::new(vec![x], y));
         let folded = fold_constants(&m);
         // add(const, const) collapsed: x, const, add = 3 nodes.
-        assert_eq!(node_count(&folded.main().body), 3);
+        assert_eq!(topo_order(&folded.main().body).len(), 3);
         let body = &folded.main().body;
         let args = body.args();
         match &args[1].kind {
@@ -96,6 +96,6 @@ mod tests {
         let y = call(OpKind::Add, vec![x.clone(), n2]);
         let m = Module::from_main(Function::new(vec![x], y));
         let folded = fold_constants(&m);
-        assert_eq!(node_count(&folded.main().body), 3);
+        assert_eq!(topo_order(&folded.main().body).len(), 3);
     }
 }

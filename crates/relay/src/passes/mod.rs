@@ -30,4 +30,4 @@ pub use partition::{
     partition_graph, CompilerSupport, PartitionError, PartitionReport, SupportAll, SupportByName,
 };
 pub use quantize::{calibrate, quantize_module, quantize_with_calibration, QuantizeError};
-pub use simplify::{remove_unused_functions, simplify};
+pub use simplify::simplify;

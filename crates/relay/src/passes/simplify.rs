@@ -2,8 +2,7 @@
 
 use crate::expr::{CallTarget, Expr, ExprKind, Function, Module};
 use crate::op::OpKind;
-use crate::visit::{post_order, ExprMutator};
-use std::collections::HashSet;
+use crate::visit::ExprMutator;
 
 /// Simplify every function:
 /// * `TupleGetItem(Tuple(f0..fn), i)` → `fi`
@@ -36,40 +35,12 @@ pub fn simplify(module: &Module) -> Module {
     out
 }
 
-/// Drop module functions never referenced from `main` (directly or
-/// transitively).
-pub fn remove_unused_functions(module: &Module) -> Module {
-    let mut live: HashSet<String> = HashSet::new();
-    let mut stack = vec!["main".to_string()];
-    while let Some(name) = stack.pop() {
-        if !live.insert(name.clone()) {
-            continue;
-        }
-        if let Some(f) = module.functions.get(&name) {
-            post_order(&f.body, |e| {
-                if let ExprKind::Call(c) = &e.kind {
-                    if let CallTarget::Global(g) = &c.target {
-                        stack.push(g.clone());
-                    }
-                }
-            });
-        }
-    }
-    let mut out = Module::default();
-    for (name, f) in &module.functions {
-        if live.contains(name) {
-            out.functions.insert(name.clone(), f.clone());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{call, call_global, tuple, tuple_get, var};
+    use crate::expr::{call, tuple, tuple_get, var};
     use crate::ty::TensorType;
-    use crate::visit::node_count;
+    use crate::visit::topo_order;
 
     fn v(name: &str) -> Expr {
         var(name, TensorType::f32([2]))
@@ -92,20 +63,6 @@ mod tests {
         let r = call(OpKind::Relu, vec![d]);
         let m = Module::from_main(Function::new(vec![x], r));
         let s = simplify(&m);
-        assert_eq!(node_count(&s.main().body), 2);
-    }
-
-    #[test]
-    fn unused_functions_swept() {
-        let x = v("x");
-        let main = Function::new(vec![x.clone()], call_global("used", vec![x.clone()]));
-        let mut m = Module::from_main(main);
-        m.functions
-            .insert("used".into(), Function::new(vec![v("p")], v("p")));
-        m.functions
-            .insert("dead".into(), Function::new(vec![v("q")], v("q")));
-        let swept = remove_unused_functions(&m);
-        assert!(swept.functions.contains_key("used"));
-        assert!(!swept.functions.contains_key("dead"));
+        assert_eq!(topo_order(&s.main().body).len(), 2);
     }
 }

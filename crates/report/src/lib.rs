@@ -17,6 +17,7 @@
 //! * [`resilience`] — aggregation of the `resilience.*` telemetry from
 //!   fault-injected runs: retries, fallbacks, breaker trips, dropped
 //!   frames, and post-degradation latency.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod bench;
 pub mod resilience;

@@ -50,11 +50,6 @@ impl UtilizationReport {
     pub fn device(&self, device: &str) -> Option<&DeviceUtil> {
         self.devices.iter().find(|d| d.device == device)
     }
-
-    /// Sum of busy time across devices (counts co-runs once per device).
-    pub fn total_busy_us(&self) -> f64 {
-        self.devices.iter().map(|d| d.busy_us).sum()
-    }
 }
 
 const EPS: f64 = 1e-9;
@@ -160,6 +155,17 @@ pub fn utilization_from_schedule(schedule: &Schedule) -> UtilizationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvmnp_hwsim::{DeviceKind, Task};
+
+    /// The paper's Fig. 5 prototype: object detection on the CPU,
+    /// anti-spoofing on CPU+APU, emotion on the APU.
+    fn prototype_stages() -> Vec<Task> {
+        vec![
+            Task::new("obj-det", &[DeviceKind::Cpu], 3000.0),
+            Task::new("anti-spoof", &[DeviceKind::Cpu, DeviceKind::Apu], 6000.0),
+            Task::new("emotion", &[DeviceKind::Apu], 2000.0),
+        ]
+    }
 
     fn intervals(v: &[(&str, &[(f64, f64)])]) -> BTreeMap<String, Vec<(f64, f64)>> {
         v.iter()
@@ -249,7 +255,7 @@ mod tests {
 
     #[test]
     fn schedule_report_partitions_the_makespan() {
-        use tvmnp_hwsim::{schedule, DeviceKind, Task};
+        use tvmnp_hwsim::schedule;
         let jobs = [
             vec![Task::new("a", &[DeviceKind::Cpu], 50.0)],
             vec![Task::new("b", &[DeviceKind::Apu], 200.0)],
@@ -280,8 +286,7 @@ mod tests {
         // The simulators record `scheduler.stage` spans whenever another
         // test has telemetry enabled.
         let _l = crate::testutil::lock();
-        use tvmnp_scheduler::pipeline::paper_prototype_stages;
-        let stages = paper_prototype_stages(3000.0, 6000.0, 2000.0);
+        let stages = prototype_stages();
         let seq = utilization_from_schedule(&tvmnp_scheduler::simulate_sequential(&stages, 8));
         let pipe = utilization_from_schedule(&tvmnp_scheduler::simulate_pipelined(&stages, 8));
         let idle = |r: &UtilizationReport| -> f64 { r.devices.iter().map(|d| d.idle_us).sum() };
@@ -292,8 +297,7 @@ mod tests {
     #[test]
     fn schedule_utilization_covers_only_used_devices() {
         let _l = crate::testutil::lock();
-        use tvmnp_scheduler::pipeline::paper_prototype_stages;
-        let stages = paper_prototype_stages(3000.0, 6000.0, 2000.0);
+        let stages = prototype_stages();
         let s = tvmnp_scheduler::simulate_pipelined(&stages, 4);
         let r = utilization_from_schedule(&s);
         // gpu is unused and has no entry.
@@ -316,12 +320,12 @@ mod tests {
     #[test]
     fn pipelining_shrinks_the_span_not_the_work() {
         let _l = crate::testutil::lock();
-        use tvmnp_scheduler::pipeline::paper_prototype_stages;
-        let stages = paper_prototype_stages(3000.0, 6000.0, 2000.0);
+        let stages = prototype_stages();
         let seq = utilization_from_schedule(&tvmnp_scheduler::simulate_sequential(&stages, 8));
         let pipe = utilization_from_schedule(&tvmnp_scheduler::simulate_pipelined(&stages, 8));
         assert!(pipe.span_us < seq.span_us);
-        assert!((pipe.total_busy_us() - seq.total_busy_us()).abs() < 1e-6);
+        let busy = |r: &UtilizationReport| -> f64 { r.devices.iter().map(|d| d.busy_us).sum() };
+        assert!((busy(&pipe) - busy(&seq)).abs() < 1e-6);
         for d in &pipe.devices {
             let before = seq.device(&d.device).unwrap().utilization();
             assert!(d.utilization() > before, "{} busier", d.device);

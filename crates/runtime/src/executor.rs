@@ -942,8 +942,11 @@ mod tests {
         let clean_us = clean.run().unwrap();
         let clean_out = clean.get_output(0).unwrap();
 
-        let injector =
-            FaultInjector::new(FaultPlan::seeded(7).transient_dispatch(DeviceKind::Cpu, 2));
+        let injector = FaultInjector::new(
+            FaultPlan::seeded(7)
+                .with_spec("cpu:dispatch:transient=2")
+                .unwrap(),
+        );
         let mut faulted = build();
         let opts = RunOptions {
             injector: Some(&injector),
@@ -971,7 +974,11 @@ mod tests {
         let g = ExecutorGraph::build(&m).unwrap();
         let mut ex = GraphExecutor::new(g, ModuleRegistry::new(), CostModel::default()).unwrap();
         ex.set_input("x", rng.uniform_f32([2], -1.0, 1.0)).unwrap();
-        let injector = FaultInjector::new(FaultPlan::seeded(1).device_lost(DeviceKind::Cpu));
+        let injector = FaultInjector::new(
+            FaultPlan::seeded(1)
+                .with_spec("cpu:dispatch:device-lost")
+                .unwrap(),
+        );
         let err = ex
             .run_with(&RunOptions {
                 injector: Some(&injector),

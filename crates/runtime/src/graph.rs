@@ -228,25 +228,6 @@ impl ExecutorGraph {
         Ok(g)
     }
 
-    /// Names of external symbols this graph calls.
-    pub fn external_symbols(&self) -> Vec<&str> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match &n.kind {
-                NodeKind::External { symbol, .. } => Some(symbol.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Number of host-side op nodes.
-    pub fn num_host_ops(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Op { .. }))
-            .count()
-    }
-
     /// Total parameter bytes.
     pub fn param_bytes(&self) -> usize {
         self.params.iter().map(Tensor::size_bytes).sum()
@@ -291,6 +272,13 @@ mod tests {
     use tvmnp_relay::Conv2dAttrs;
     use tvmnp_tensor::rng::TensorRng;
 
+    fn host_ops(g: &ExecutorGraph) -> usize {
+        g.nodes
+            .iter()
+            .filter(|n| matches!(n.kind, NodeKind::Op { .. }))
+            .count()
+    }
+
     #[test]
     fn lowers_plain_cnn() {
         let mut rng = TensorRng::new(1);
@@ -299,7 +287,7 @@ mod tests {
         let y = builder::relu(builder::conv2d(x.clone(), w, Conv2dAttrs::same(1)));
         let m = Module::from_main(Function::new(vec![x], y));
         let g = ExecutorGraph::build(&m).unwrap();
-        assert_eq!(g.num_host_ops(), 2);
+        assert_eq!(host_ops(&g), 2);
         assert_eq!(g.params.len(), 1);
         assert!(g.input_index.contains_key("x"));
         assert_eq!(g.outputs.len(), 1);
@@ -325,8 +313,14 @@ mod tests {
         let mut m = Module::from_main(Function::new(vec![x], y));
         m.functions.insert("neuropilot_0".into(), ext);
         let g = ExecutorGraph::build(&m).unwrap();
-        assert_eq!(g.external_symbols(), vec!["neuropilot_0"]);
-        assert_eq!(g.num_host_ops(), 0);
+        let symbols: Vec<&str> = (g.nodes.iter())
+            .filter_map(|n| match &n.kind {
+                NodeKind::External { symbol, .. } => Some(symbol.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(symbols, ["neuropilot_0"]);
+        assert_eq!(host_ops(&g), 0);
     }
 
     #[test]

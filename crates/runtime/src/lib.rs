@@ -20,6 +20,7 @@
 //! * [`artifact`] — `export_library` / load: a serialized artifact that a
 //!   compiler-less [`artifact::AndroidDevice`] can load and run, which is
 //!   how the paper deploys to the phone.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod artifact;
 pub mod executor;

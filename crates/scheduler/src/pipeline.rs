@@ -47,22 +47,6 @@ pub fn simulate_pipelined(stages: &[Task], frames: usize) -> Schedule {
     simulate("pipelined", stages, frames, frames)
 }
 
-/// The assignment of the paper's Fig. 5 prototype:
-/// anti-spoofing on CPU+APU, object detection forced to CPU-only,
-/// emotion on APU-only — guaranteeing exclusive use so object detection
-/// of the next frame overlaps emotion of the current one.
-pub fn paper_prototype_stages(obj_det_us: f64, anti_spoof_us: f64, emotion_us: f64) -> Vec<Task> {
-    vec![
-        Task::new("obj-det", &[DeviceKind::Cpu], obj_det_us),
-        Task::new(
-            "anti-spoof",
-            &[DeviceKind::Cpu, DeviceKind::Apu],
-            anti_spoof_us,
-        ),
-        Task::new("emotion", &[DeviceKind::Apu], emotion_us),
-    ]
-}
-
 /// Automatic pipeline scheduling (the paper's stated future work): search
 /// over candidate per-stage assignments — each stage offers
 /// `(resource set, duration)` options from the §5.1 measurements — and
@@ -105,8 +89,16 @@ mod tests {
     use super::*;
     use tvmnp_hwsim::Bound;
 
+    /// The assignment of the paper's Fig. 5 prototype: anti-spoofing on
+    /// CPU+APU, object detection forced to CPU-only, emotion on APU-only —
+    /// exclusive use, so object detection of the next frame overlaps
+    /// emotion of the current one.
     fn stages() -> Vec<Task> {
-        paper_prototype_stages(3000.0, 6000.0, 2000.0)
+        vec![
+            Task::new("obj-det", &[DeviceKind::Cpu], 3000.0),
+            Task::new("anti-spoof", &[DeviceKind::Cpu, DeviceKind::Apu], 6000.0),
+            Task::new("emotion", &[DeviceKind::Apu], 2000.0),
+        ]
     }
 
     #[test]
@@ -196,7 +188,7 @@ mod tests {
         // The paper's insight falls out of the search: obj-det CPU-only
         // wins despite being slower in isolation.
         assert_eq!(chosen[0].devices, [DeviceKind::Cpu]);
-        let manual = simulate_pipelined(&paper_prototype_stages(3000.0, 6000.0, 2000.0), 8);
+        let manual = simulate_pipelined(&stages(), 8);
         assert!(result.makespan_us <= manual.makespan_us + 1e-6);
     }
 

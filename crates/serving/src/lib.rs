@@ -18,6 +18,7 @@
 //! sessions that agree on (model, permutation, quant config) share a
 //! single compilation, so standing up a pool re-runs codegen only for
 //! configurations never built before.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod observe;
 pub mod pool;

@@ -21,6 +21,7 @@
 //! checks an atomic flag, so the instrumented hot paths cost one relaxed
 //! load when telemetry is off. Bench binaries flip it on for `--profile`
 //! / `--trace-out`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod events;
 pub mod export;
@@ -400,7 +401,7 @@ mod tests {
         // Disabled: must not record.
         counter_add("runs", &[], 100);
         let metrics = snapshot().metrics;
-        assert_eq!(metrics.counter("runs", &[]), 3);
+        assert_eq!(metrics.counters[&SeriesKey::new("runs", &[])], 3);
         let (key, util) = metrics.gauges.iter().next().unwrap();
         assert_eq!((key.render().as_str(), *util), ("util{device=apu}", 0.75));
         reset();

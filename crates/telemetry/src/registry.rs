@@ -180,37 +180,6 @@ impl StatsSnapshot {
         self.series.iter().find(|s| s.key == key)
     }
 
-    /// Counter value (0 when absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = SeriesKey::new(name, labels);
-        self.counters.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Sum of all counters with this name, any labels.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// Every series satisfies `p50 ≤ p95 ≤ p99` and basic sanity
-    /// (`min ≤ p50`, `p99 ≤ max`, non-negative count). Returns the first
-    /// violating series key, `None` when consistent.
-    pub fn consistency_violation(&self) -> Option<String> {
-        for s in &self.series {
-            let ordered = s.min_us <= s.p50_us + 1e-9
-                && s.p50_us <= s.p95_us + 1e-9
-                && s.p95_us <= s.p99_us + 1e-9
-                && s.p99_us <= s.max_us + 1e-9;
-            if !ordered {
-                return Some(s.key.render());
-            }
-        }
-        None
-    }
-
     /// JSON rendering for the periodic stats stream: one self-contained
     /// object, sorted keys throughout.
     pub fn to_json(&self) -> Value {
@@ -243,6 +212,18 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
+    /// Every series satisfies `min ≤ p50 ≤ p95 ≤ p99 ≤ max`.
+    fn assert_quantiles_ordered(snap: &StatsSnapshot) {
+        for s in &snap.series {
+            let q = [s.min_us, s.p50_us, s.p95_us, s.p99_us, s.max_us];
+            assert!(
+                q.windows(2).all(|w| w[0] <= w[1] + 1e-9),
+                "{}",
+                s.key.render()
+            );
+        }
+    }
+
     #[test]
     fn series_accumulate_and_snapshot_sorts() {
         let reg = StatsRegistry::default();
@@ -271,9 +252,9 @@ mod tests {
         assert_eq!(obj.count, 100);
         assert_eq!(obj.min_us, 100.0);
         assert_eq!(obj.max_us, 199.0);
-        assert_eq!(snap.counter("cache.hits", &[]), 3);
-        assert_eq!(snap.counter_total("cache.misses"), 1);
-        assert_eq!(snap.consistency_violation(), None);
+        assert_eq!(snap.counters[&SeriesKey::new("cache.hits", &[])], 3);
+        assert_eq!(snap.counters[&SeriesKey::new("cache.misses", &[])], 1);
+        assert_quantiles_ordered(&snap);
     }
 
     #[test]
@@ -294,8 +275,8 @@ mod tests {
         let snap = reg.snapshot();
         let total: u64 = snap.series.iter().map(|s| s.count).sum();
         assert_eq!(total, 8000);
-        assert_eq!(snap.counter_total("frames"), 8000);
-        assert_eq!(snap.consistency_violation(), None);
+        assert_eq!(snap.counters.values().sum::<u64>(), 8000);
+        assert_quantiles_ordered(&snap);
     }
 
     #[test]

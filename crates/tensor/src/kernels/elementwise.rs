@@ -440,13 +440,20 @@ mod tests {
         assert!(unary(&x, UnaryOp::Clip(6.0, 0.0)).is_err());
         assert!(unary(&x, UnaryOp::Clip(f32::NAN, 1.0)).is_err());
         assert!(unary(&x, UnaryOp::Clip(0.0, f32::NAN)).is_err());
-        let q = Tensor::from_u8([1], vec![7], QuantParams::new(0.1, 3)).unwrap();
+        let q =
+            Tensor::from_int_values([1], &[7], DType::U8, Some(QuantParams::new(0.1, 3))).unwrap();
         assert!(unary(&q, UnaryOp::Clip(6.0, 0.0)).is_err());
     }
 
     #[test]
     fn zero_point_past_the_storage_range_is_an_error_not_a_panic() {
-        let x = Tensor::from_u8([3], vec![0, 100, 255], QuantParams::new(0.1, 300)).unwrap();
+        let x = Tensor::from_int_values(
+            [3],
+            &[0, 100, 255],
+            DType::U8,
+            Some(QuantParams::new(0.1, 300)),
+        )
+        .unwrap();
         let err = unary(&x, UnaryOp::Relu).unwrap_err();
         assert!(err.0.contains("empty"), "{err}");
     }
@@ -463,7 +470,7 @@ mod tests {
     fn requantize_rescales_and_rejects_floats() {
         let qa = QuantParams::new(0.5, 10);
         let qb = QuantParams::new(0.25, 0);
-        let x = Tensor::from_u8([3], vec![10, 12, 255], qa).unwrap();
+        let x = Tensor::from_int_values([3], &[10, 12, 255], DType::U8, Some(qa)).unwrap();
         let y = requantize(&x, qa, qb, DType::I8).unwrap();
         // (q - 10) * 0.5 / 0.25 = 0, 4, 490 -> saturates.
         assert_eq!(y.iter_int().collect::<Vec<_>>(), vec![0, 4, 127]);

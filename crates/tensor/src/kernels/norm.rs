@@ -96,7 +96,7 @@ mod tests {
             epsilon: 0.0,
         };
         let y = batch_norm_f32(&x, &p).unwrap();
-        assert!(y.approx_eq(&x, 1e-6));
+        assert!(y.max_abs_diff(&x) <= 1e-6);
     }
 
     #[test]

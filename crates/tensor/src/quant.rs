@@ -138,11 +138,6 @@ impl FixedPointMultiplier {
         let v = saturating_rounding_doubling_high_mul(x, self.multiplier);
         rounding_divide_by_pot(v, -self.shift)
     }
-
-    /// Recover the approximate real multiplier (for tests/diagnostics).
-    pub fn to_real(&self) -> f64 {
-        self.multiplier as f64 / (1i64 << 31) as f64 * 2f64.powi(self.shift)
-    }
 }
 
 /// gemmlowp `SaturatingRoundingDoublingHighMul`.
@@ -439,7 +434,7 @@ mod tests {
     fn fixed_point_roundtrip() {
         for real in [0.00037_f64, 0.25, 0.4999, 0.75, 1.0, 1.5, 37.2] {
             let fpm = FixedPointMultiplier::from_real(real);
-            let back = fpm.to_real();
+            let back = fpm.multiplier as f64 / (1i64 << 31) as f64 * 2f64.powi(fpm.shift);
             assert!(
                 (back - real).abs() / real < 1e-6,
                 "real {real} decomposed to {back}"

@@ -203,15 +203,6 @@ impl Tensor {
         Self::from_data(shape, Data::F32(data), None)
     }
 
-    /// Construct a uint8 tensor with quantization parameters.
-    pub fn from_u8(
-        shape: impl Into<Shape>,
-        data: Vec<u8>,
-        quant: QuantParams,
-    ) -> Result<Self, TensorError> {
-        Self::from_data(shape, Data::U8(data), Some(quant))
-    }
-
     /// Construct an int32 tensor (bias/accumulator/index).
     pub fn from_i32(
         shape: impl Into<Shape>,
@@ -402,11 +393,6 @@ impl Tensor {
             .fold(0.0f32, f32::max)
     }
 
-    /// Approximate float equality within `tol`.
-    pub fn approx_eq(&self, other: &Tensor, tol: f32) -> bool {
-        self.shape == other.shape && self.max_abs_diff(other) <= tol
-    }
-
     /// Bit-exact equality of shape, dtype and payload.
     pub fn bit_eq(&self, other: &Tensor) -> bool {
         self.shape == other.shape && self.data == other.data
@@ -500,7 +486,7 @@ mod tests {
         let a = Tensor::from_f32([2], vec![1.0, 2.0]).unwrap();
         let b = Tensor::from_f32([2], vec![1.0, 2.0 + 1e-6]).unwrap();
         assert!(!a.bit_eq(&b));
-        assert!(a.approx_eq(&b, 1e-5));
+        assert!(a.max_abs_diff(&b) <= 1e-5);
     }
 
     /// Derived `Deserialize` would skip `from_data`; a lying shape then

@@ -101,13 +101,6 @@ impl Default for DegradedPolicy {
     }
 }
 
-impl DegradedPolicy {
-    /// Policy with the given per-stage deadline, microseconds.
-    pub fn with_stage_deadline(stage_deadline_us: f64) -> Self {
-        DegradedPolicy { stage_deadline_us }
-    }
-}
-
 /// Explicit "stage unavailable" record for one frame: which stage was
 /// dropped and why (its own overrun, or an unavailable upstream stage).
 #[derive(Debug, Clone, PartialEq)]
@@ -622,7 +615,9 @@ mod tests {
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(4);
         // Deadline below any model's latency: obj-det always overruns.
-        let policy = DegradedPolicy::with_stage_deadline(1.0);
+        let policy = DegradedPolicy {
+            stage_deadline_us: 1.0,
+        };
         let r = sc.process_frame_with_deadline(&frames[2], &policy);
         assert!(r.degraded());
         assert!(r.objects.is_empty());
@@ -648,7 +643,9 @@ mod tests {
         let base = sc.process_frame(&frames[2]);
         assert!(base.times.spoof_us > base.times.obj_us);
         let budget = (base.times.obj_us + base.times.spoof_us) / 2.0;
-        let policy = DegradedPolicy::with_stage_deadline(budget);
+        let policy = DegradedPolicy {
+            stage_deadline_us: budget,
+        };
         let r = sc.process_frame_with_deadline(&frames[2], &policy);
         assert!(r.degraded());
         // Objects survived (obj-det met its budget) …
@@ -672,7 +669,9 @@ mod tests {
         let sc = showcase();
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(4);
-        let policy = DegradedPolicy::with_stage_deadline(1.0);
+        let policy = DegradedPolicy {
+            stage_deadline_us: 1.0,
+        };
         let results: Vec<FrameResult> = (frames.iter())
             .map(|f| sc.process_frame_with_deadline(f, &policy))
             .collect();
@@ -696,7 +695,9 @@ mod tests {
     fn a_lost_apu_drops_emotion_the_same_at_every_window() {
         // The emotion model runs on the APU alone; with that device gone
         // its runs fail, on whichever thread the frame is processed.
-        let plan = tvmnp_hwsim::FaultPlan::seeded(5).device_lost(DeviceKind::Apu);
+        let plan = tvmnp_hwsim::FaultPlan::seeded(5)
+            .with_spec("apu:dispatch:device-lost")
+            .unwrap();
         let sc = showcase().with_faults(ShowcaseFaults {
             injector: Arc::new(tvmnp_hwsim::FaultInjector::new(plan)),
             retry: tvmnp_hwsim::RetryPolicy::default(),

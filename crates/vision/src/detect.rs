@@ -28,16 +28,6 @@ impl BBox {
         BBox { x, y, w, h }
     }
 
-    /// From a ground-truth tuple.
-    pub fn from_tuple(t: (usize, usize, usize, usize)) -> Self {
-        BBox {
-            x: t.0,
-            y: t.1,
-            w: t.2,
-            h: t.3,
-        }
-    }
-
     /// As a tuple.
     pub fn tuple(&self) -> (usize, usize, usize, usize) {
         (self.x, self.y, self.w, self.h)
@@ -244,7 +234,7 @@ mod tests {
             let gt_faces: Vec<BBox> = f
                 .objects
                 .iter()
-                .filter_map(|o| o.face.map(|(b, _)| BBox::from_tuple(b)))
+                .filter_map(|o| o.face.map(|((x, y, w, h), _)| BBox::new(x, y, w, h)))
                 .collect();
             assert_eq!(found.len(), gt_faces.len(), "frame {}", f.index);
             for gt in &gt_faces {
@@ -267,7 +257,8 @@ mod tests {
         assert!(luminance_saliency(&frames[0], 4, 1.8).is_empty());
         let boxes = luminance_saliency(&frames[1], 4, 1.8);
         assert!(!boxes.is_empty());
-        let gt = BBox::from_tuple(frames[1].objects[0].bbox);
+        let (x, y, w, h) = frames[1].objects[0].bbox;
+        let gt = BBox::new(x, y, w, h);
         assert!(
             boxes.iter().any(|b| iou(b, &gt) > 0.4),
             "boxes {boxes:?} vs gt {gt:?}"

@@ -19,7 +19,7 @@ fn face_detector_perfect_on_synthetic_video() {
         let gt: Vec<BBox> = f
             .objects
             .iter()
-            .filter_map(|o| o.face.map(|(b, _)| BBox::from_tuple(b)))
+            .filter_map(|o| o.face.map(|((x, y, w, h), _)| BBox::new(x, y, w, h)))
             .collect();
         for g in &gt {
             if found.iter().any(|b| iou(b, g) > 0.4) {
@@ -53,7 +53,8 @@ fn saliency_localizer_high_recall() {
         }
         for o in &f.objects {
             total_persons += 1;
-            let gt = BBox::from_tuple(o.bbox);
+            let (x, y, w, h) = o.bbox;
+            let gt = BBox::new(x, y, w, h);
             if boxes.iter().any(|b| iou(b, &gt) > 0.4) {
                 found_persons += 1;
             }

@@ -168,6 +168,11 @@ if [ "$(grep -c . <<<"$unsafe_sites")" -ne 2 ] ||
     exit 1
 fi
 
+# And what nothing calls stays deleted (ROADMAP north star: least code):
+# every pub item in non-test source needs a non-test caller, or a reason in
+# scripts/dead_pub.allow.
+bash scripts/dead_pub.sh
+
 # Tracked metric (ROADMAP north star), informational: non-test lines per crate.
 bash scripts/loc.sh
 

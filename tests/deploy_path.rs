@@ -18,7 +18,7 @@ use tvm_neuropilot::neuropilot::support::NeuronSupport;
 use tvm_neuropilot::neuropilot::NeuronGraph;
 use tvm_neuropilot::relay::passes::{fold_constants, partition_graph, simplify};
 use tvm_neuropilot::runtime::module::ExternalModule;
-use tvm_neuropilot::runtime::{AndroidDevice, Artifact, ExecutorGraph, LoaderRegistry};
+use tvm_neuropilot::runtime::{AndroidDevice, Artifact, ExecutorGraph, LoaderRegistry, NodeKind};
 use tvm_neuropilot::tensor::Tensor;
 
 const MODES: [Permutation; 3] = [
@@ -184,7 +184,9 @@ fn every_way_to_a_compiled_model_gives_the_same_model() {
             assert_eq!(ex.estimate_time_us(), want.estimate_us, "{label}: phone");
             assert_eq!(ex.ledger().len(), want.ledger_len, "{label}: phone ledger");
             assert_eq!(
-                ex.graph().external_symbols().len(),
+                (ex.graph().nodes.iter())
+                    .filter(|n| matches!(n.kind, NodeKind::External { .. }))
+                    .count(),
                 loaded.externals.len(),
                 "{label}: every external symbol has its blob"
             );

@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex};
 use tvm_neuropilot::models::{anti_spoofing, emotion};
 use tvm_neuropilot::observe::{
     assemble, attribute, flight, validate_dump, ObserveConfig, ObservePlane, QuantileSketch,
+    SeriesKey,
 };
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::serving::{trace_id_for, PIPELINE};
@@ -247,7 +248,9 @@ fn observed_256_frame_serve_reassembles_and_dumps() {
     plane.install();
     let faults = ShowcaseFaults {
         injector: Arc::new(FaultInjector::new(
-            FaultPlan::seeded(11).transient_dispatch(DeviceKind::Apu, 1),
+            FaultPlan::seeded(11)
+                .with_spec("apu:dispatch:transient=1")
+                .unwrap(),
         )),
         retry: RetryPolicy {
             max_attempts: 3,
@@ -271,8 +274,10 @@ fn observed_256_frame_serve_reassembles_and_dumps() {
         model.module.clone(),
         CostModel::default(),
         FaultPlan::seeded(3)
-            .device_lost(DeviceKind::Apu)
-            .device_lost(DeviceKind::Cpu),
+            .with_spec("apu:dispatch:device-lost")
+            .unwrap()
+            .with_spec("cpu:dispatch:device-lost")
+            .unwrap(),
         ResiliencePolicy::default(),
     );
     let err = session.run(&model.name, Permutation::NpApu, &model.sample_inputs(7));
@@ -325,7 +330,14 @@ fn observed_256_frame_serve_reassembles_and_dumps() {
     // Stats snapshot: quantiles monotone, and the frame series
     // reconciles with the wait + compute split.
     let stats = plane.snapshot();
-    assert_eq!(stats.consistency_violation(), None);
+    for s in &stats.series {
+        let q = [s.min_us, s.p50_us, s.p95_us, s.p99_us, s.max_us];
+        assert!(
+            q.windows(2).all(|w| w[0] <= w[1] + 1e-9),
+            "{}",
+            s.key.render()
+        );
+    }
     let frame_series = stats
         .series_named("frame_us", &[("pipeline", PIPELINE)])
         .expect("frame series recorded");
@@ -405,7 +417,9 @@ fn fallback_redispatch_is_a_child_span_of_the_frame_trace() {
         let mut session = ResilientSession::new(
             model.module.clone(),
             CostModel::default(),
-            FaultPlan::seeded(7).device_lost(DeviceKind::Apu),
+            FaultPlan::seeded(7)
+                .with_spec("apu:dispatch:device-lost")
+                .unwrap(),
             ResiliencePolicy {
                 breaker_threshold: 1,
                 ..ResiliencePolicy::default()
@@ -498,7 +512,9 @@ fn observed_artifacts_are_pinned() {
     plane.install();
     let faults = ShowcaseFaults {
         injector: Arc::new(FaultInjector::new(
-            FaultPlan::seeded(7).transient_dispatch(DeviceKind::Apu, 1),
+            FaultPlan::seeded(7)
+                .with_spec("apu:dispatch:transient=1")
+                .unwrap(),
         )),
         retry: RetryPolicy {
             max_attempts: 3,
@@ -560,8 +576,9 @@ fn observed_artifacts_are_pinned() {
         assert_eq!(injected.len(), retries.count() + fatal.count(), "{device}");
     }
 
-    assert_eq!(stats.counter("slo.breach", &[("pipeline", PIPELINE)]), 5);
-    assert!(stats.counter_total("fault.injected") >= 1);
+    let breaches = SeriesKey::new("slo.breach", &[("pipeline", PIPELINE)]);
+    assert_eq!(stats.counters[&breaches], 5);
+    assert!((stats.counters.iter()).any(|(k, &n)| k.name == "fault.injected" && n >= 1));
     assert_eq!((spans.len(), window.len()), (488, 190));
     assert_eq!(fnv1a(&spans.join("\n")), 0xda70_8fc2_ff83_da60, "sim spans");
     assert_eq!(

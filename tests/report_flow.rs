@@ -55,7 +55,7 @@ fn utilization_reconciles_with_executor() {
     }
     // Per-node spans are the executor's own attribution, so their total
     // busy time matches the reported run and the span cannot exceed it.
-    let busy = util.total_busy_us();
+    let busy: f64 = util.devices.iter().map(|d| d.busy_us).sum();
     assert!(
         busy >= 0.95 * last_run_us && busy <= last_run_us * 1.0001,
         "busy {busy:.2} us does not reconcile with run {last_run_us:.2} us"

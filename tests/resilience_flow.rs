@@ -44,7 +44,9 @@ fn apu_loss_degrades_bit_identical_to_fault_free_cpu_run() {
     let mut session = ResilientSession::new(
         model.module.clone(),
         CostModel::default(),
-        FaultPlan::seeded(7).device_lost(DeviceKind::Apu),
+        FaultPlan::seeded(7)
+            .with_spec("apu:dispatch:device-lost")
+            .unwrap(),
         policy_with_breaker(1),
     );
     let out = session
@@ -77,8 +79,10 @@ fn exhausted_chain_yields_typed_error_with_full_cause_chain() {
         model.module.clone(),
         CostModel::default(),
         FaultPlan::seeded(3)
-            .device_lost(DeviceKind::Apu)
-            .device_lost(DeviceKind::Cpu),
+            .with_spec("apu:dispatch:device-lost")
+            .unwrap()
+            .with_spec("cpu:dispatch:device-lost")
+            .unwrap(),
         ResiliencePolicy::default(),
     );
     let err = session
@@ -118,7 +122,9 @@ fn same_fault_seed_reproduces_the_same_outcome() {
         let mut session = ResilientSession::new(
             model.module.clone(),
             CostModel::default(),
-            FaultPlan::seeded(seed).transient_dispatch(DeviceKind::Apu, 3),
+            FaultPlan::seeded(seed)
+                .with_spec("apu:dispatch:transient=3")
+                .unwrap(),
             ResiliencePolicy::default(),
         );
         let out = session
@@ -185,8 +191,11 @@ fn np_only_dispatch_faults_reach_the_event_sink() {
         (ran, events, injector.faults_injected())
     };
 
-    let (ran, events, faults) =
-        run_under(FaultPlan::seeded(7).transient_dispatch(DeviceKind::Apu, 2));
+    let (ran, events, faults) = run_under(
+        FaultPlan::seeded(7)
+            .with_spec("apu:dispatch:transient=2")
+            .unwrap(),
+    );
     ran.expect("retries absorb transient faults");
     assert!(faults >= 1, "seeded transient plan must actually fire");
     assert_eq!(events.len() as u64, faults, "one event per retry");
@@ -194,7 +203,11 @@ fn np_only_dispatch_faults_reach_the_event_sink() {
         .iter()
         .all(|e| e.get("fatal") == Some(&Field::Bool(false))));
 
-    let (ran, events, _) = run_under(FaultPlan::seeded(7).device_lost(DeviceKind::Apu));
+    let (ran, events, _) = run_under(
+        FaultPlan::seeded(7)
+            .with_spec("apu:dispatch:device-lost")
+            .unwrap(),
+    );
     telemetry::clear_event_sink();
     let Err(BuildError::Exec(err)) = ran else {
         panic!("a lost APU must fail the run with a typed executor error");

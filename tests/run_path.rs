@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 use tvm_neuropilot::byoc::{relay_build, NeuronModule, Permutation};
-use tvm_neuropilot::hwsim::{CostModel, DeviceKind, FaultInjector, FaultPlan};
+use tvm_neuropilot::hwsim::{CostModel, FaultInjector, FaultPlan};
 use tvm_neuropilot::neuropilot::TargetPolicy;
 use tvm_neuropilot::relay::builder;
 use tvm_neuropilot::relay::expr::{
@@ -192,7 +192,11 @@ fn outputs_exist_only_after_a_completed_run() {
     ex.run().unwrap();
     assert!(ex.get_output(0).is_ok() && ex.get_output(1).is_ok());
 
-    let lost = FaultInjector::new(FaultPlan::seeded(1).device_lost(DeviceKind::Cpu));
+    let lost = FaultInjector::new(
+        FaultPlan::seeded(1)
+            .with_spec("cpu:dispatch:device-lost")
+            .unwrap(),
+    );
     let failed = ex.run_with(&RunOptions {
         injector: Some(&lost),
         ..RunOptions::default()
@@ -224,7 +228,11 @@ fn retried_run_keeps_the_bits_and_charges_estimate_plus_retries() {
     assert_eq!(clean_us, ex.estimate_time_us());
     let want = reference(&module, &ins);
 
-    let injector = FaultInjector::new(FaultPlan::seeded(7).transient_dispatch(DeviceKind::Cpu, 2));
+    let injector = FaultInjector::new(
+        FaultPlan::seeded(7)
+            .with_spec("cpu:dispatch:transient=2")
+            .unwrap(),
+    );
     let opts = RunOptions {
         injector: Some(&injector),
         ..RunOptions::default()

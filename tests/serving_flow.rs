@@ -60,7 +60,9 @@ fn transient_dispatch_faults_do_not_change_served_outputs() {
     let frames = clip(32);
     let clean = pool(&Arc::new(ArtifactCache::new(usize::MAX))).serve(&frames, 1);
 
-    let plan = FaultPlan::seeded(11).transient_dispatch(DeviceKind::Apu, 1);
+    let plan = FaultPlan::seeded(11)
+        .with_spec("apu:dispatch:transient=1")
+        .unwrap();
     let faults = ShowcaseFaults {
         injector: Arc::new(FaultInjector::new(plan)),
         retry: RetryPolicy {
