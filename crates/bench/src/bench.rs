@@ -1,7 +1,7 @@
 //! The `bench` subcommand.
 
 use crate::cli::{fail, parse_or_exit, usage_error, Flag};
-use crate::session::{measured_profile_of, ObsCli};
+use crate::session::{measured_profile_of, ObsCli, ServeCli};
 use crate::workloads::{resilient_showcase, run_traced, serve_clip, showcase_models};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -108,11 +108,13 @@ pub struct BenchCli {
     bench_out: Option<PathBuf>,
     check_against: Option<PathBuf>,
     inject: Option<Slowdown>,
+    serve: ServeCli,
     obs: ObsCli,
 }
 
 impl BenchCli {
-    /// `bench`'s own four flags, then the shared observability flags.
+    /// `bench`'s own four flags, then the serving flags, then the shared
+    /// observability flags.
     pub fn flags(&mut self) -> Vec<Flag<'_>> {
         let mut flags = vec![
             Flag::value("--workload", WORKLOAD_NAMES, &mut self.workload, |_| true),
@@ -124,6 +126,7 @@ impl BenchCli {
                 s.1.is_finite() && s.1 > 0.0
             }),
         ];
+        flags.extend(self.serve.flags());
         flags.extend(self.obs.flags_without_report());
         flags
     }
@@ -132,7 +135,7 @@ impl BenchCli {
 /// What a workload's run needs beyond the workload.
 struct Run {
     cost: CostModel,
-    obs: ObsCli,
+    serve: ServeCli,
     fault_plan: Option<FaultPlan>,
     plane: Option<std::sync::Arc<ObservePlane>>,
 }
@@ -201,7 +204,7 @@ fn run_serve(w: &Workload, run: &Run) -> Metrics {
     // Fresh in-memory cache (byte-determinism); `--cache-dir`
     // additionally spills artifacts to disk so a later bench invocation
     // starts warm.
-    let cache = run.obs.cache();
+    let cache = run.serve.cache();
     // Stand the pool up twice: the second build exercises the cache-hit
     // path (zero recompilation) and is the pool that serves.
     drop(SessionPool::new(
@@ -214,7 +217,7 @@ fn run_serve(w: &Workload, run: &Run) -> Metrics {
         w.showcase_seed,
         &run.cost,
         cache,
-        run.obs.concurrency(),
+        run.serve.concurrency(),
         run.plane.as_deref(),
         run.fault_plan.as_ref(),
     )
@@ -326,9 +329,9 @@ pub fn bench(argv: &[String]) -> ExitCode {
     // flag is given) watches the serve workload live.
     let run = Run {
         cost,
-        fault_plan: args.obs.fault_plan(&usage),
+        fault_plan: args.serve.fault_plan(&usage),
         plane: args.obs.build_plane(),
-        obs: args.obs,
+        serve: args.serve,
     };
     let mut record = BenchRecord::new(workload.name);
     let mut metrics = (workload.run)(workload, &run);
@@ -343,18 +346,18 @@ pub fn bench(argv: &[String]) -> ExitCode {
     }
 
     if let Some(plane) = &run.plane {
-        run.obs.finish_plane(plane);
+        args.obs.finish_plane(plane);
         tvm_neuropilot::telemetry::disable();
     }
 
     // Measured-profile pass: execute the workload's showcase models once
     // through the BYOC CPU+APU flow and bin their cost ledgers.
-    let profile_diff = if run.obs.measuring() {
+    let profile_diff = if args.obs.measuring() {
         let mut profile = measured_profile_of(workload.name);
         for model in &showcase_models(workload.showcase_seed) {
             profile.record_ledger(run_traced(model, &run.cost).0.estimate_breakdown());
         }
-        run.obs.measured_profile(profile)
+        args.obs.measured_profile(profile)
     } else {
         None
     };

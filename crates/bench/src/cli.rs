@@ -209,17 +209,21 @@ mod tests {
         );
     }
 
-    /// `bench` concatenates its own flags with `ObsCli`'s, and
-    /// `obs_check --profile <file>` shares a name with `ObsCli`'s switch:
-    /// within one table a name must still be declared once.
+    /// `sched` and `bench` concatenate `ServeCli`'s flags with
+    /// `ObsCli`'s (`bench` its own too), and `obs_check --profile <file>`
+    /// shares a name with `ObsCli`'s switch: within one table a name must
+    /// still be declared once.
     #[test]
     fn no_subcommand_declares_a_name_twice() {
         let mut obs = crate::session::ObsCli::default();
+        let mut serve = crate::session::ServeCli::default();
         let mut bench = crate::bench::BenchCli::default();
         let mut conformance = crate::conformance::ConformanceCli::default();
         let mut obs_check = crate::obs_check::ObsCheckCli::default();
+        let mut sched = obs.flags();
+        sched.extend(serve.flags());
         for (command, flags) in [
-            ("experiments", obs.flags()),
+            ("sched", sched),
             ("bench", bench.flags()),
             ("conformance", conformance.flags()),
             ("obs_check", obs_check.flags()),

@@ -9,12 +9,14 @@ use tvmnp_bench::figures::{fig4, fig5, fig6, table1, table2};
 use tvmnp_bench::obs_check::obs_check;
 use tvmnp_bench::sched::sched;
 use tvmnp_bench::session::Session;
-use Run::{Experiment, Tool};
+use Run::{Experiment, Serving, Tool};
 
 enum Run {
     /// A figure, table or extension experiment: takes the shared
     /// observability flags, asserts its expected shape, exits 0 or panics.
     Experiment(fn(&mut Session)),
+    /// An experiment that serves frames: takes the serving flags too.
+    Serving(fn(&mut Session)),
     /// A tool with its own flag table and exit code.
     Tool(fn(&[String]) -> ExitCode),
 }
@@ -25,7 +27,7 @@ const SUBCOMMANDS: [(&str, Run, &str); 13] = [
     ("fig6", Experiment(fig6), "model zoo x 7 permutations"),
     ("table1", Experiment(table1), "zoo models and data types"),
     ("table2", Experiment(table2), "testbed spec and calibration"),
-    ("sched", Experiment(sched), "fastest-target assignment"),
+    ("sched", Serving(sched), "fastest-target assignment"),
     ("ablation", Experiment(ablation), "design-choice ablations"),
     ("nnapi", Experiment(nnapi), "NNAPI vs NeuroPilot-direct"),
     ("gpu_ext", Experiment(gpu_ext), "mobile-GPU back-end"),
@@ -50,8 +52,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     match run {
-        Experiment(body) => {
-            let mut session = Session::start(name, &args[1..]);
+        Experiment(body) | Serving(body) => {
+            let serves = matches!(run, Serving(_));
+            let mut session = Session::start(name, serves, &args[1..]);
             body(&mut session);
             session.finish();
             ExitCode::SUCCESS

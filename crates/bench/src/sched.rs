@@ -48,8 +48,8 @@ pub fn sched(telem: &mut Session) {
     println!("\n== Concurrent serving (session pool) ==\n");
     // The cache outlives the pool so the resilient section's fallback
     // re-dispatch reuses the compiled artifacts.
-    let cache = telem.obs.cache();
-    let concurrency = telem.obs.concurrency();
+    let cache = telem.serve.cache();
+    let concurrency = telem.serve.concurrency();
     let plane = telem.plane.as_deref();
     let (sim, pool_cache) = serve_clip(83, &cost, cache.clone(), concurrency, plane, None)
         .unwrap_or_else(|e| panic!("concurrent serving must match sequential bitwise: {e}"));

@@ -1,5 +1,5 @@
-//! The observability flags every subcommand shares, and the lifecycle of
-//! one observed run.
+//! The observability flags every subcommand shares, the serving flags of
+//! the two that serve frames, and the lifecycle of one observed run.
 //!
 //! Every experiment subcommand accepts:
 //!
@@ -7,15 +7,7 @@
 //!   µs, % of run) after the figure output;
 //! * `--trace-out <path>` — write a Chrome trace-event JSON file
 //!   (loadable in Perfetto / `chrome://tracing`) covering the compile,
-//!   partition, and execute phases of the run;
-//! * `--inject-fault <spec>` (repeatable) — add one deterministic fault
-//!   rule, `<device>:<site>:<kind>[=<value>][@<work>]`, e.g.
-//!   `apu:dispatch:transient` or `apu:kernel:throttle=2.5@mac`;
-//! * `--fault-seed <n>` — seed for the fault plan's deterministic draws
-//!   (default 0);
-//! * `--concurrency <n>` — frames in flight for the serving pool
-//!   (default 4);
-//! * `--cache-dir <path>` — spill the compiled-artifact cache to disk.
+//!   partition, and execute phases of the run.
 //!
 //! The live-observability flags stand up an
 //! [`ObservePlane`](tvm_neuropilot::observe::ObservePlane) for the run:
@@ -37,26 +29,35 @@
 //!   ranked attribution table.
 //!
 //! `bench` takes the same flags minus `--profile` / `--trace-out`.
+//!
+//! Only `sched` and `bench` serve frames through the session pool and the
+//! resilient sessions, so only they accept the serving flags
+//! ([`ServeCli`]):
+//!
+//! * `--inject-fault <spec>` (repeatable) — add one deterministic fault
+//!   rule, `<device>:<site>:<kind>[=<value>][@<work>]`, e.g.
+//!   `apu:dispatch:transient` or `apu:kernel:throttle=2.5@mac`;
+//! * `--fault-seed <n>` — seed for the fault plan's deterministic draws
+//!   (default 0);
+//! * `--concurrency <n>` — frames in flight for the serving pool
+//!   (default 4);
+//! * `--cache-dir <path>` — spill the compiled-artifact cache to disk.
 
 use crate::cli::{fail, usage_error, Flag};
 use crate::workloads::run_traced;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tvm_neuropilot::models::Model;
-use tvm_neuropilot::observe::{ObserveConfig, ObservePlane};
+use tvm_neuropilot::observe::{flight, ObserveConfig, ObservePlane};
 use tvm_neuropilot::prelude::*;
-use tvm_neuropilot::profile::{diff_profiles, DiffOptions, ProfileDiff};
+use tvm_neuropilot::profile::{diff_profiles, ProfileDiff};
 use tvmnp_telemetry::{profile_table, write_chrome_trace};
 
-/// The parsed observability flags, one field per flag above.
+/// The parsed observability flags, one field per shared flag above.
 #[derive(Debug, Clone, Default)]
 pub struct ObsCli {
     profile: bool,
     trace_out: Option<PathBuf>,
-    fault_specs: Vec<String>,
-    fault_seed: Option<u64>,
-    concurrency: Option<usize>,
-    cache_dir: Option<PathBuf>,
     stats_out: Option<PathBuf>,
     flight_out: Option<PathBuf>,
     flight_buffer: Option<usize>,
@@ -66,15 +67,11 @@ pub struct ObsCli {
 }
 
 impl ObsCli {
-    /// The twelve flags, the two report flags first.
+    /// The eight shared flags, the two report flags first.
     pub fn flags(&mut self) -> Vec<Flag<'_>> {
         vec![
             Flag::switch("--profile", &mut self.profile),
             Flag::path("--trace-out", "path", &mut self.trace_out),
-            Flag::repeatable("--inject-fault", "spec", &mut self.fault_specs),
-            Flag::value("--fault-seed", "n", &mut self.fault_seed, |_| true),
-            Flag::value("--concurrency", "n", &mut self.concurrency, |&n| n > 0),
-            Flag::path("--cache-dir", "path", &mut self.cache_dir),
             Flag::path("--stats-out", "path", &mut self.stats_out),
             Flag::path("--flight-out", "dir", &mut self.flight_out),
             Flag::value("--flight-buffer", "n", &mut self.flight_buffer, |&n| n > 0),
@@ -93,11 +90,6 @@ impl ObsCli {
         self.flags().split_off(2)
     }
 
-    /// Frames in flight for the serving pool (`--concurrency`, default 4).
-    pub fn concurrency(&self) -> usize {
-        self.concurrency.unwrap_or(4)
-    }
-
     /// Whether a report of the run itself (`--profile` / `--trace-out`)
     /// was requested.
     pub fn reporting(&self) -> bool {
@@ -107,30 +99,6 @@ impl ObsCli {
     /// Whether measured-profile collection was requested.
     pub fn measuring(&self) -> bool {
         self.profile_store.is_some() || self.profile_diff.is_some()
-    }
-
-    /// Fold the `--inject-fault` specs into a seeded [`FaultPlan`]; `None`
-    /// when no spec was given. A malformed spec is a usage error.
-    pub fn fault_plan(&self, usage: &str) -> Option<FaultPlan> {
-        if self.fault_specs.is_empty() {
-            return None;
-        }
-        let mut plan = FaultPlan::seeded(self.fault_seed.unwrap_or(0));
-        for spec in &self.fault_specs {
-            plan = plan
-                .with_spec(spec)
-                .unwrap_or_else(|e| usage_error(&format!("bad --inject-fault spec: {e}"), usage));
-        }
-        Some(plan)
-    }
-
-    /// A fresh artifact cache, spilling to `--cache-dir` when given.
-    pub fn cache(&self) -> Arc<ArtifactCache> {
-        let mut cache = ArtifactCache::new(16 << 20);
-        if let Some(dir) = &self.cache_dir {
-            cache = cache.with_disk_dir(dir);
-        }
-        Arc::new(cache)
     }
 
     /// Stand up (and install) the observability plane the four live flags
@@ -146,10 +114,9 @@ impl ObsCli {
         }
         let config = ObserveConfig {
             slo_us: self.slo_ms.map(|ms| ms * 1e3),
-            flight_capacity: self.flight_buffer.unwrap_or(1024),
+            flight_capacity: self.flight_buffer.unwrap_or(flight::DEFAULT_CAPACITY),
             flight_dir: self.flight_out.clone(),
             stats_path: self.stats_out.clone(),
-            ..ObserveConfig::default()
         };
         let plane = ObservePlane::new(config)
             .unwrap_or_else(|e| fail(&format!("failed to stand up observability plane: {e}")));
@@ -210,7 +177,7 @@ impl ObsCli {
             Profile::read(base)
         }
         .unwrap_or_else(|e| fail(&format!("cannot load the --profile-diff baseline: {e}")));
-        let diff = diff_profiles(&baseline, &profile, &DiffOptions::default());
+        let diff = diff_profiles(&baseline, &profile);
         println!();
         print!("{}", diff.render());
         match diff.top() {
@@ -221,6 +188,58 @@ impl ObsCli {
             None => println!("no significant cell movement vs baseline"),
         }
         Some(diff)
+    }
+}
+
+/// The parsed serving flags of `sched` and `bench`, one field per flag
+/// above; the other experiments accept none of them, so for them this is
+/// the default: no fault plan, concurrency 4, an in-memory cache.
+#[derive(Debug, Clone, Default)]
+pub struct ServeCli {
+    fault_specs: Vec<String>,
+    fault_seed: Option<u64>,
+    concurrency: Option<usize>,
+    cache_dir: Option<PathBuf>,
+}
+
+impl ServeCli {
+    /// The four serving flags.
+    pub fn flags(&mut self) -> Vec<Flag<'_>> {
+        vec![
+            Flag::repeatable("--inject-fault", "spec", &mut self.fault_specs),
+            Flag::value("--fault-seed", "n", &mut self.fault_seed, |_| true),
+            Flag::value("--concurrency", "n", &mut self.concurrency, |&n| n > 0),
+            Flag::path("--cache-dir", "path", &mut self.cache_dir),
+        ]
+    }
+
+    /// Frames in flight for the serving pool (`--concurrency`, default 4).
+    pub fn concurrency(&self) -> usize {
+        self.concurrency.unwrap_or(4)
+    }
+
+    /// Fold the `--inject-fault` specs into a seeded [`FaultPlan`]; `None`
+    /// when no spec was given. A malformed spec is a usage error.
+    pub fn fault_plan(&self, usage: &str) -> Option<FaultPlan> {
+        if self.fault_specs.is_empty() {
+            return None;
+        }
+        let mut plan = FaultPlan::seeded(self.fault_seed.unwrap_or(0));
+        for spec in &self.fault_specs {
+            plan = plan
+                .with_spec(spec)
+                .unwrap_or_else(|e| usage_error(&format!("bad --inject-fault spec: {e}"), usage));
+        }
+        Some(plan)
+    }
+
+    /// A fresh artifact cache, spilling to `--cache-dir` when given.
+    pub fn cache(&self) -> Arc<ArtifactCache> {
+        let mut cache = ArtifactCache::new(16 << 20);
+        if let Some(dir) = &self.cache_dir {
+            cache = cache.with_disk_dir(dir);
+        }
+        Arc::new(cache)
     }
 }
 
@@ -238,8 +257,11 @@ pub fn measured_profile_of(workload: &str) -> Profile {
 /// One experiment subcommand's observed run: the parsed flags plus the
 /// state accumulated while tracing.
 pub struct Session {
-    /// The parsed flags.
+    /// The parsed shared flags.
     pub obs: ObsCli,
+    /// The parsed serving flags (the defaults unless the subcommand
+    /// serves frames).
+    pub serve: ServeCli,
     /// Seeded fault plan from `--inject-fault` / `--fault-seed`; `None`
     /// when no fault was requested.
     pub fault_plan: Option<FaultPlan>,
@@ -260,14 +282,20 @@ pub struct Session {
 }
 
 impl Session {
-    /// Parse `args` as the observability flags of subcommand `workload`
-    /// and enable the telemetry collector if any output needs it
-    /// (fault-injected runs are always traced so the resilience report
-    /// has data).
-    pub fn start(workload: &'static str, args: &[String]) -> Session {
+    /// Parse `args` as the flags of subcommand `workload` — the shared
+    /// ones, plus the serving flags when it `serves` frames — and enable
+    /// the telemetry collector if any output needs it (fault-injected runs
+    /// are always traced so the resilience report has data).
+    pub fn start(workload: &'static str, serves: bool, args: &[String]) -> Session {
         let mut obs = ObsCli::default();
-        let usage = crate::cli::parse_or_exit(workload, obs.flags(), args);
-        let fault_plan = obs.fault_plan(&usage);
+        let mut serve = ServeCli::default();
+        let mut flags = obs.flags();
+        if serves {
+            // After the two report flags, as `bench` lists them.
+            flags.splice(2..2, serve.flags());
+        }
+        let usage = crate::cli::parse_or_exit(workload, flags, args);
+        let fault_plan = serve.fault_plan(&usage);
         if obs.reporting() || fault_plan.is_some() {
             tvmnp_telemetry::enable();
             tvmnp_telemetry::reset();
@@ -278,6 +306,7 @@ impl Session {
         Session {
             profile: obs.measuring().then(|| measured_profile_of(workload)),
             obs,
+            serve,
             fault_plan,
             plane,
             profile_span: "executor.node",

@@ -40,9 +40,10 @@ pub fn run_traced(model: &Model, cost: &CostModel) -> (CompiledModel, f64) {
 /// seeded `seed`, once sequentially and once at `concurrency`, and
 /// simulate the concurrent schedule. With an observability plane the
 /// concurrent pass runs observed (per-frame traces, live sketches). With
-/// a fault plan the pool itself is faulted: every model dispatch consults
-/// one shared injector, so transient faults hit the retry path (and the
-/// flight recorder) in-band. Returns the simulated sequential-versus-
+/// a fault plan the pool itself is faulted: its thermal throttles slow
+/// the pool's cost model, and every model dispatch consults one shared
+/// injector, so transient faults hit the retry path (and the flight
+/// recorder) in-band. Returns the simulated sequential-versus-
 /// concurrent timing of the clip and the pool's artifact-cache counters
 /// after serving; `Err` says how the concurrent pass diverged from the
 /// sequential one.
@@ -54,18 +55,17 @@ pub fn serve_clip(
     plane: Option<&ObservePlane>,
     faults: Option<&FaultPlan>,
 ) -> Result<(ServeSim, CacheStats), String> {
-    // No fault plan is the empty one: the injector never fires.
+    // No fault plan is the empty one: the injector never fires and the
+    // cost model is unthrottled.
+    let plan = faults.cloned().unwrap_or_default();
     let pool = SessionPool::new_with_faults(
         seed,
         &serving_rotation(),
-        cost,
+        &plan.throttled_cost(cost.clone()),
         cache,
         ShowcaseFaults {
-            injector: Arc::new(FaultInjector::new(faults.cloned().unwrap_or_default())),
-            retry: RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
+            injector: Arc::new(FaultInjector::new(plan)),
+            retry: RetryPolicy { max_attempts: 3 },
         },
     );
     let frames = SyntheticVideo::new(seed + 1, 64, 64).frames(64);
@@ -117,7 +117,8 @@ pub fn serve_clip(
 /// Run `models` through resilient sessions sharing one fault injector,
 /// each starting at NP-only APU and degrading down the fallback chain as
 /// the injected faults demand; `served` sees each outcome as it lands.
-/// The injector is shared so fault history carries across models: a
+/// The plan's thermal throttles slow every session's cost model. The
+/// injector is shared so fault history carries across models: a
 /// device that died serving model 1 is known dead when models 2 and 3
 /// plan. With a `cache`, fallback re-dispatch reuses any permutation
 /// built before. Returns the number of faults injected; `Err` names the
@@ -130,22 +131,17 @@ pub fn resilient_showcase(
     mut served: impl FnMut(&Model, &RunOutcome),
 ) -> Result<u64, String> {
     let injector = Arc::new(FaultInjector::new(plan.clone()));
+    let cost = plan.throttled_cost(cost.clone());
     // Two dispatch attempts per segment: a single transient fault is
     // retried and absorbed, a burst exhausts the budget and degrades the
     // model down the fallback chain instead of failing the run.
-    let policy = ResiliencePolicy {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
-        ..ResiliencePolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
     for model in models {
         let mut session = ResilientSession::with_injector(
             model.module.clone(),
             cost.clone(),
             injector.clone(),
-            policy,
+            retry,
         );
         if let Some(cache) = cache {
             session =

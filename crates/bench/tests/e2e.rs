@@ -5,17 +5,59 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const EXPERIMENTS: [(&str, &str); 10] = [
-    ("fig4", include_str!("golden/fig4.txt")),
-    ("fig5", include_str!("golden/fig5.txt")),
-    ("fig6", include_str!("golden/fig6.txt")),
-    ("table1", include_str!("golden/table1.txt")),
-    ("table2", include_str!("golden/table2.txt")),
-    ("sched", include_str!("golden/sched.txt")),
-    ("ablation", include_str!("golden/ablation.txt")),
-    ("nnapi", include_str!("golden/nnapi.txt")),
-    ("gpu_ext", include_str!("golden/gpu_ext.txt")),
-    ("energy", include_str!("golden/energy.txt")),
+/// The eight flags every experiment lists, in usage order.
+const SHARED_FLAGS: [&str; 8] = [
+    "--profile",
+    "--trace-out",
+    "--stats-out",
+    "--flight-out",
+    "--flight-buffer",
+    "--slo-ms",
+    "--profile-store",
+    "--profile-diff",
+];
+
+/// The serving flags: only the subcommands that serve frames (`sched`,
+/// `bench`) take them.
+const SERVING_FLAGS: [&str; 4] = [
+    "--inject-fault",
+    "--fault-seed",
+    "--concurrency",
+    "--cache-dir",
+];
+
+/// `sched` lists the serving flags after the two report flags.
+const SCHED_FLAGS: [&str; 12] = [
+    "--profile",
+    "--trace-out",
+    "--inject-fault",
+    "--fault-seed",
+    "--concurrency",
+    "--cache-dir",
+    "--stats-out",
+    "--flight-out",
+    "--flight-buffer",
+    "--slo-ms",
+    "--profile-store",
+    "--profile-diff",
+];
+
+/// Each experiment: its name, its stdout golden and its flag list.
+const EXPERIMENTS: [(&str, &str, &[&str]); 10] = [
+    ("fig4", include_str!("golden/fig4.txt"), &SHARED_FLAGS),
+    ("fig5", include_str!("golden/fig5.txt"), &SHARED_FLAGS),
+    ("fig6", include_str!("golden/fig6.txt"), &SHARED_FLAGS),
+    ("table1", include_str!("golden/table1.txt"), &SHARED_FLAGS),
+    ("table2", include_str!("golden/table2.txt"), &SHARED_FLAGS),
+    ("sched", include_str!("golden/sched.txt"), &SCHED_FLAGS),
+    (
+        "ablation",
+        include_str!("golden/ablation.txt"),
+        &SHARED_FLAGS,
+    ),
+    ("nnapi", include_str!("golden/nnapi.txt"), &SHARED_FLAGS),
+    ("gpu_ext", include_str!("golden/gpu_ext.txt"), &SHARED_FLAGS),
+    ("energy", include_str!("golden/energy.txt"), &SHARED_FLAGS),
 ];
 const TOOLS: [&str; 3] = ["bench", "conformance", "obs_check"];
 
@@ -84,7 +126,7 @@ fn listed_flags(subcommand: &str) -> Vec<(String, Option<String>)> {
 
 #[test]
 fn experiment_stdout_matches_the_pre_fold_binaries() {
-    for (name, golden) in EXPERIMENTS {
+    for (name, golden, _) in EXPERIMENTS {
         let out = tvmnp(&[name]);
         assert!(out.status.success(), "{name}: {}", stderr(&out));
         assert_eq!(stdout(&out), golden, "{name}: stdout moved");
@@ -203,20 +245,6 @@ fn sample_value(flag: &str, dir: &Path) -> String {
 
 #[test]
 fn every_listed_flag_is_accepted() {
-    let obs_flags = [
-        "--profile",
-        "--trace-out",
-        "--inject-fault",
-        "--fault-seed",
-        "--concurrency",
-        "--cache-dir",
-        "--stats-out",
-        "--flight-out",
-        "--flight-buffer",
-        "--slo-ms",
-        "--profile-store",
-        "--profile-diff",
-    ];
     let dir = scratch("flags");
     // All flags of a subcommand in one run: each must parse, and the run
     // they describe must succeed.
@@ -244,15 +272,16 @@ fn every_listed_flag_is_accepted() {
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
     };
 
-    for (name, _) in EXPERIMENTS {
+    for (name, _, flags) in EXPERIMENTS {
         let listed: Vec<String> = listed_flags(name).into_iter().map(|(f, _)| f).collect();
-        assert_eq!(listed, obs_flags, "{name}: the twelve observability flags");
+        assert_eq!(listed, flags, "{name}: its flag list");
         run_with_all(name, &[]);
     }
 
     let bench: Vec<String> = listed_flags("bench").into_iter().map(|(f, _)| f).collect();
-    assert_eq!(bench.len(), 4 + obs_flags.len() - 2);
+    assert_eq!(bench.len(), 4 + SCHED_FLAGS.len() - 2);
     assert!(bench.iter().all(|f| f != "--profile" && f != "--trace-out"));
+    assert!(SERVING_FLAGS.iter().all(|f| bench.contains(&f.to_string())));
     run_with_all("bench", &[]);
 
     // `--replay` answers for a file rather than a run; its exit codes
@@ -266,14 +295,23 @@ fn every_listed_flag_is_accepted() {
 
 #[test]
 fn bad_command_lines_exit_2_naming_the_flag() {
-    for (name, _) in EXPERIMENTS {
+    for (name, _, _) in EXPERIMENTS {
         assert_usage_error(&[name, "--nope"], "--nope");
         assert_usage_error(&[name, "--trace-out"], "--trace-out");
-        assert_usage_error(&[name, "--concurrency", "0"], "--concurrency");
         assert_usage_error(&[name, "--flight-buffer", "0"], "--flight-buffer");
         assert_usage_error(&[name, "--slo-ms", "-1"], "--slo-ms");
-        assert_usage_error(&[name, "--inject-fault", "apu:nowhere"], "--inject-fault");
     }
+    assert_usage_error(&["sched", "--concurrency", "0"], "--concurrency");
+    assert_usage_error(
+        &["sched", "--inject-fault", "apu:nowhere"],
+        "--inject-fault",
+    );
+    // A spec part its fault kind does not read is refused, naming it.
+    assert_usage_error(
+        &["sched", "--inject-fault", "apu:dispatch:transient@mac"],
+        "'@mac'",
+    );
+    assert_usage_error(&["sched", "--inject-fault", "apu:compile:reject=5"], "'=5'");
     for name in TOOLS {
         assert_usage_error(&[name, "--nope"], "--nope");
     }
@@ -294,6 +332,8 @@ fn bad_command_lines_exit_2_naming_the_flag() {
         bench(&[flag], &format!("unknown argument '{flag}'"));
     }
     bench(&["--concurrency", "0"], "--concurrency");
+    bench(&["--inject-fault", "apu:dispatch:transient@mac"], "'@mac'");
+    bench(&["--inject-fault", "apu:compile:reject=5"], "'=5'");
     bench(&["--flight-buffer", "0"], "--flight-buffer");
     bench(&["--slo-ms", "-1"], "--slo-ms");
     bench(&["--workload", "nope"], "--workload");
@@ -319,7 +359,7 @@ fn a_missing_or_unknown_subcommand_lists_all_thirteen() {
         assert_eq!(out.status.code(), Some(2));
         assert_eq!(stdout(&out), "");
         let err = stderr(&out);
-        for name in EXPERIMENTS.iter().map(|(n, _)| n).chain(&TOOLS) {
+        for name in EXPERIMENTS.iter().map(|(n, ..)| n).chain(&TOOLS) {
             assert!(
                 err.lines()
                     .any(|l| l.split_whitespace().next() == Some(name)),
@@ -337,6 +377,48 @@ fn conformance_exit_codes() {
     let out = tvmnp(&["conformance", "--replay", "/nonexistent"]);
     assert_eq!(out.status.code(), Some(2), "an unreadable .repro exits 2");
     assert!(stderr(&out).contains("cannot load /nonexistent"));
+}
+
+/// An experiment that runs no fault and serves no frame refuses the
+/// serving flags instead of printing its clean figure under them.
+#[test]
+fn fault_flags_are_refused_where_no_fault_runs() {
+    let values = ["apu:dispatch:device-lost", "7", "2", "cache"];
+    for (name, _, flags) in EXPERIMENTS {
+        for (flag, value) in SERVING_FLAGS.into_iter().zip(values) {
+            if flags.contains(&flag) {
+                continue;
+            }
+            let refused = format!("unknown argument '{flag}'");
+            assert_usage_error(&[name, flag, value], &refused);
+        }
+    }
+}
+
+/// A plan's thermal throttles slow the served clip, not just the
+/// resilient sessions: fewer simulated frames per second than the clean
+/// baseline.
+#[test]
+fn a_throttled_plan_lowers_the_served_frame_rate() {
+    let dir = scratch("throttled-serve");
+    let written = dir.join("BENCH_serve.json");
+    let out = tvmnp(&[
+        "bench",
+        "--workload",
+        "serve",
+        "--inject-fault",
+        "apu:kernel:throttle=3",
+        "--bench-out",
+        path_arg(&written),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let fps = |path: &Path| {
+        let doc: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        doc["metrics"]["serve.fps"].as_f64().expect("serve.fps")
+    };
+    let (throttled, clean) = (fps(&written), fps(&baseline("serve")));
+    assert!(throttled < clean, "serve.fps {throttled} not below {clean}");
 }
 
 #[test]

@@ -58,8 +58,8 @@ pub enum BuildError {
     Neuron(NeuronError),
     /// Graph lowering/linking failed.
     Runtime(String),
-    /// Typed executor failure (device fault / deadline, with node context
-    /// and fault cause chain).
+    /// Typed executor failure (a device fault, with node context and fault
+    /// cause chain).
     Exec(ExecError),
 }
 
@@ -124,9 +124,9 @@ impl CompiledModel {
     /// Run inference under fault-handling options — the one run body.
     /// Every device dispatch first goes through [`RunOptions::dispatch`]
     /// (retries per `opts.retry`, the wasted dispatch and backoff charged
-    /// in simulated µs) and the run is bounded by `opts.deadline_us`; a
-    /// device fault or a passed deadline is a [`BuildError::Exec`] whose
-    /// [`ExecError::kind`] says which. Faults change time, never values.
+    /// in simulated µs); a device fault that survives them is a
+    /// [`BuildError::Exec`] whose [`ExecError::kind`] is `DeviceFault`.
+    /// Faults change time, never values.
     ///
     /// The dispatching runtime consults the injector, never the module it
     /// dispatches to: the graph executor once per fusion group and external
@@ -173,9 +173,7 @@ impl CompiledModel {
                 let (outputs, base_us) = network
                     .execute_borrowed(&ordered)
                     .map_err(BuildError::Neuron)?;
-                let total_us = base_us + extra_us;
-                opts.check_deadline(total_us).map_err(BuildError::Exec)?;
-                Ok((outputs, total_us))
+                Ok((outputs, base_us + extra_us))
             }
         }
     }
@@ -607,15 +605,6 @@ mod tests {
         assert_eq!(err.context().device.as_deref(), Some("cpu"));
         assert_eq!(err.context().attempt, Some(1));
         assert!(!err.causes().is_empty(), "{err}");
-
-        let tight = RunOptions {
-            deadline_us: 0.001,
-            ..RunOptions::default()
-        };
-        let Err(BuildError::Exec(err)) = compiled.run_with(&inputs, &tight) else {
-            panic!("a 1 ns budget must fail the run with a typed executor error");
-        };
-        assert_eq!(err.kind(), ExecErrorKind::Deadline);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`nnapi`] — the team's *previous* NNAPI BYOC flow (paper Fig. 3 /
 //!   ref \[11\]): a second external compiler over the same framework,
 //!   demonstrating BYOC generality and why NeuroPilot-direct replaced it;
-//! * [`resilient`] — retries, deadlines, circuit breakers, and graceful
+//! * [`resilient`] — retries, circuit breakers, and graceful
 //!   fallback down the permutation chain under (injected) device faults.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -36,6 +36,4 @@ pub use cache::{ArtifactCache, CacheStats};
 pub use codegen::{NeuronBlob, NeuronModule};
 pub use nnapi::{nnapi_supported, relay_build_nnapi, NnapiModule, NnapiSupport};
 pub use permutations::{measure_all, measure_one, Measurement, Permutation};
-pub use resilient::{
-    FaultCause, ResilienceError, ResiliencePolicy, ResilienceStats, ResilientSession, RunOutcome,
-};
+pub use resilient::{FaultCause, ResilienceError, ResilientSession, RunOutcome};

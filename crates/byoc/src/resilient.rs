@@ -21,32 +21,10 @@ use crate::build::{relay_build, BuildError, CompiledModel, TargetMode};
 use crate::permutations::Permutation;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tvmnp_hwsim::{CircuitBreaker, CostModel, DeviceKind, FaultInjector, FaultPlan, RetryPolicy};
+use tvmnp_hwsim::{CircuitBreaker, CostModel, DeviceKind, FaultInjector, RetryPolicy};
 use tvmnp_relay::expr::Module;
 use tvmnp_runtime::{ExecErrorKind, RunOptions};
 use tvmnp_tensor::Tensor;
-
-/// Knobs of a resilient run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResiliencePolicy {
-    /// Per-dispatch retry/backoff policy.
-    pub retry: RetryPolicy,
-    /// Simulated-time budget per permutation attempt, microseconds.
-    pub deadline_us: f64,
-    /// Faults per device before its circuit breaker opens and the session
-    /// stops routing work to it.
-    pub breaker_threshold: u64,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        ResiliencePolicy {
-            retry: RetryPolicy::default(),
-            deadline_us: f64::INFINITY,
-            breaker_threshold: 3,
-        }
-    }
-}
 
 /// Why one permutation was abandoned on the way down the chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,8 +56,8 @@ pub enum ResilienceError {
         /// One entry per abandoned permutation, in order.
         causes: Vec<FaultCause>,
     },
-    /// A permutation failed for a reason that is not a device fault,
-    /// deadline, or coverage gap — falling back would hide a real bug.
+    /// A permutation failed for a reason that is neither a device fault
+    /// nor a coverage gap — falling back would hide a real bug.
     Build {
         /// Permutation that failed.
         permutation: Permutation,
@@ -133,17 +111,6 @@ impl RunOutcome {
     }
 }
 
-/// Summary of a session's fault history so far.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceStats {
-    /// Faults injected across all devices.
-    pub faults_injected: u64,
-    /// Circuit breakers tripped.
-    pub breaker_trips: u64,
-    /// Devices whose breaker is open.
-    pub open_devices: Vec<DeviceKind>,
-}
-
 /// Physical devices a permutation dispatches through — what its faults
 /// strike and what its breaker check consults.
 fn permutation_devices(p: Permutation) -> Vec<DeviceKind> {
@@ -171,26 +138,25 @@ type Abandoned = (&'static str, String);
 fn graceful<T>(err: BuildError) -> Result<Result<T, Abandoned>, BuildError> {
     match &err {
         BuildError::Unsupported(op) => Ok(Err(("build", format!("unsupported op '{op}'")))),
-        BuildError::Exec(e) if e.kind() != ExecErrorKind::General => {
+        BuildError::Exec(e) if e.kind() == ExecErrorKind::DeviceFault => {
             Ok(Err(("run", e.to_string())))
         }
         _ => Err(err),
     }
 }
 
-/// Runs one Relay model with retries, deadlines, a per-device circuit
-/// breaker, and graceful fallback down the permutation chain.
+/// Runs one Relay model with retries, a per-device circuit breaker, and
+/// graceful fallback down the permutation chain.
 ///
-/// Sessions can share one [`FaultInjector`] (see
-/// [`ResilientSession::with_injector`]): a showcase pipeline running three
-/// models shares fault history, so a device that died during model 1
-/// trips its breaker and models 2 and 3 skip it outright instead of
+/// Sessions can share one [`FaultInjector`]: a showcase pipeline running
+/// three models shares fault history, so a device that died during model
+/// 1 trips its breaker and models 2 and 3 skip it outright instead of
 /// rediscovering the fault.
 pub struct ResilientSession {
     module: Module,
     cost: CostModel,
     injector: Arc<FaultInjector>,
-    policy: ResiliencePolicy,
+    retry: RetryPolicy,
     breaker: CircuitBreaker,
     /// Ordinal of the next resilience event, used as the sim-span
     /// timestamp so fallback events order deterministically in traces.
@@ -202,34 +168,22 @@ pub struct ResilientSession {
 }
 
 impl ResilientSession {
-    /// Session over `module` with its own injector interpreting `plan`.
-    /// Thermal-throttle rules are folded into the cost model here, so a
-    /// plan with no such rules leaves timings bit-identical.
-    pub fn new(
-        module: Module,
-        cost: CostModel,
-        plan: FaultPlan,
-        policy: ResiliencePolicy,
-    ) -> ResilientSession {
-        let injector = Arc::new(FaultInjector::new(plan));
-        ResilientSession::with_injector(module, cost, injector, policy)
-    }
-
-    /// Session sharing an existing injector (cross-model fault history).
+    /// Session over `module` whose runs dispatch through `injector`,
+    /// retrying transient faults per `retry`. The plan's thermal throttles
+    /// are the caller's to price into `cost`
+    /// ([`tvmnp_hwsim::FaultPlan::throttled_cost`]).
     pub fn with_injector(
         module: Module,
         cost: CostModel,
         injector: Arc<FaultInjector>,
-        policy: ResiliencePolicy,
+        retry: RetryPolicy,
     ) -> ResilientSession {
-        let cost = injector.plan().throttled_cost(cost);
-        let breaker = CircuitBreaker::new(policy.breaker_threshold);
         ResilientSession {
             module,
             cost,
             injector,
-            policy,
-            breaker,
+            retry,
+            breaker: CircuitBreaker::default(),
             event_seq: 0,
             cache: None,
         }
@@ -253,24 +207,6 @@ impl ResilientSession {
         match &self.cache {
             Some((cache, quant)) => cache.get_or_build(&self.module, mode, &self.cost, quant),
             None => relay_build(&self.module, mode, self.cost.clone()),
-        }
-    }
-
-    /// The shared fault injector.
-    pub fn injector(&self) -> &Arc<FaultInjector> {
-        &self.injector
-    }
-
-    /// Fault history summary.
-    pub fn stats(&self) -> ResilienceStats {
-        ResilienceStats {
-            faults_injected: self.injector.faults_injected(),
-            breaker_trips: self.breaker.trips(),
-            open_devices: DeviceKind::ALL
-                .iter()
-                .copied()
-                .filter(|&d| self.breaker.is_open(d))
-                .collect(),
         }
     }
 
@@ -354,8 +290,7 @@ impl ResilientSession {
         };
         let opts = RunOptions {
             injector: Some(&self.injector),
-            retry: self.policy.retry,
-            deadline_us: self.policy.deadline_us,
+            retry: self.retry,
         };
         let ran = compiled.run_with(inputs, &opts);
         self.update_breaker();
@@ -432,6 +367,7 @@ impl ResilientSession {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use tvmnp_hwsim::FaultPlan;
     use tvmnp_relay::builder;
     use tvmnp_relay::expr::{var, Function};
     use tvmnp_relay::{Conv2dAttrs, TensorType};
@@ -449,48 +385,49 @@ mod tests {
         (m, inputs)
     }
 
+    /// A session over `m` under `plan`, and the injector it consults.
+    fn session(m: Module, plan: FaultPlan) -> (ResilientSession, Arc<FaultInjector>) {
+        let injector = Arc::new(FaultInjector::new(plan));
+        let session = ResilientSession::with_injector(
+            m,
+            CostModel::default(),
+            injector.clone(),
+            RetryPolicy::default(),
+        );
+        (session, injector)
+    }
+
+    /// The seed-7 plan of one spec.
+    fn plan(spec: &str) -> FaultPlan {
+        FaultPlan::seeded(7).with_spec(spec).unwrap()
+    }
+
     #[test]
     fn no_faults_no_degradation() {
         let (m, inputs) = model();
-        let mut s = ResilientSession::new(
-            m,
-            CostModel::default(),
-            FaultPlan::seeded(0),
-            ResiliencePolicy::default(),
-        );
+        let (mut s, injector) = session(m, FaultPlan::seeded(0));
         let out = s.run("m", Permutation::NpApu, &inputs).unwrap();
         assert_eq!(out.permutation, Permutation::NpApu);
         assert!(!out.degraded());
-        assert_eq!(s.stats().faults_injected, 0);
+        assert_eq!(injector.faults_injected(), 0);
     }
 
     #[test]
     fn apu_loss_falls_back_with_identical_numerics() {
         let (m, inputs) = model();
-        // Fault-free reference on the CPU permutation the chain lands on.
-        let mut reference =
-            relay_build(&m, Permutation::ByocCpu.mode(), CostModel::default()).unwrap();
-        let (ref_outs, _) = reference.run(&inputs).unwrap();
-
-        let mut s = ResilientSession::new(
-            m,
-            CostModel::default(),
-            FaultPlan::seeded(7)
-                .with_spec("apu:dispatch:device-lost")
-                .unwrap(),
-            ResiliencePolicy {
-                // One APU loss opens its breaker, so the chain skips every
-                // permutation that still needs the APU.
-                breaker_threshold: 1,
-                ..ResiliencePolicy::default()
-            },
-        );
+        // NP-only APU needs the lost device; NP-only CPU+APU plans this
+        // small model on the CPU alone and serves it.
+        let (mut s, _) = session(m.clone(), plan("apu:dispatch:device-lost"));
         let out = s.run("m", Permutation::NpApu, &inputs).unwrap();
         assert!(out.degraded(), "APU loss must force a fallback");
-        assert_eq!(out.permutation, Permutation::ByocCpu);
+        assert_eq!(out.permutation, Permutation::NpCpuApu);
+        // Fault-free reference on the permutation the chain lands on.
+        let mut reference =
+            relay_build(&m, Permutation::NpCpuApu.mode(), CostModel::default()).unwrap();
+        let (ref_outs, _) = reference.run(&inputs).unwrap();
         assert!(
             out.outputs[0].bit_eq(&ref_outs[0]),
-            "degraded run must be bit-identical to fault-free CPU run"
+            "degraded run must be bit-identical to the fault-free run"
         );
         assert!(out.fallbacks.iter().any(|c| c.detail.contains("apu")));
     }
@@ -498,16 +435,10 @@ mod tests {
     #[test]
     fn exhausted_chain_carries_full_cause_chain() {
         let (m, inputs) = model();
-        let mut s = ResilientSession::new(
-            m,
-            CostModel::default(),
-            FaultPlan::seeded(3)
-                .with_spec("apu:dispatch:device-lost")
-                .unwrap()
-                .with_spec("cpu:dispatch:device-lost")
-                .unwrap(),
-            ResiliencePolicy::default(),
-        );
+        let both_lost = plan("apu:dispatch:device-lost")
+            .with_spec("cpu:dispatch:device-lost")
+            .unwrap();
+        let (mut s, _) = session(m, both_lost);
         let err = s.run("m", Permutation::NpApu, &inputs).unwrap_err();
         let ResilienceError::Exhausted { model, causes } = err else {
             panic!("expected Exhausted, got {err}");
@@ -523,53 +454,42 @@ mod tests {
         assert!(causes.iter().any(|c| c.detail.contains("cpu")));
     }
 
+    /// Each rejected compile is one APU fault; the third opens the APU's
+    /// breaker, after which the chain skips the APU permutations without
+    /// asking the driver again.
     #[test]
-    fn compile_reject_degrades_and_trips_breaker() {
+    fn compile_rejects_trip_the_breaker_at_its_threshold() {
         let (m, inputs) = model();
-        let policy = ResiliencePolicy {
-            breaker_threshold: 1,
-            ..ResiliencePolicy::default()
-        };
-        let mut s = ResilientSession::new(
-            m,
-            CostModel::default(),
-            FaultPlan::seeded(11)
-                .with_spec("apu:compile:reject")
-                .unwrap(),
-            policy,
+        let (mut s, injector) = session(m, plan("apu:compile:reject"));
+        let mut stages = Vec::new();
+        for _ in 0..3 {
+            let out = s.run("m", Permutation::NpApu, &inputs).unwrap();
+            assert_eq!(out.permutation, Permutation::ByocCpu);
+            let run: Vec<&str> = out.fallbacks.iter().map(|c| c.stage).collect();
+            stages.push((run, injector.faults_injected()));
+        }
+        assert_eq!(CircuitBreaker::THRESHOLD, 3);
+        assert_eq!(
+            stages,
+            [
+                (vec!["compile", "compile"], 2),
+                (vec!["compile", "breaker"], 3),
+                (vec!["breaker", "breaker"], 3),
+            ]
         );
-        let out = s.run("m", Permutation::NpApu, &inputs).unwrap();
-        assert_eq!(out.permutation, Permutation::ByocCpu);
-        let stats = s.stats();
-        assert!(stats.breaker_trips >= 1, "{stats:?}");
-        assert!(stats.open_devices.contains(&DeviceKind::Apu));
-        // A second run now skips APU permutations via the breaker, without
-        // consulting the driver again.
-        let faults = s.injector().faults_injected();
-        let out2 = s.run("m", Permutation::NpApu, &inputs).unwrap();
-        assert_eq!(out2.permutation, Permutation::ByocCpu);
-        assert!(out2.fallbacks.iter().all(|c| c.stage == "breaker"));
-        assert_eq!(s.injector().faults_injected(), faults);
     }
 
     #[test]
     fn same_seed_same_outcome() {
         let (m, inputs) = model();
         let run = || {
-            let mut s = ResilientSession::new(
-                m.clone(),
-                CostModel::default(),
-                FaultPlan::seeded(7)
-                    .with_spec("apu:dispatch:transient=3")
-                    .unwrap(),
-                ResiliencePolicy::default(),
-            );
+            let (mut s, injector) = session(m.clone(), plan("apu:dispatch:transient=3"));
             let out = s.run("m", Permutation::NpApu, &inputs).unwrap();
             (
                 out.permutation,
                 out.time_us,
                 out.fallbacks.len(),
-                s.stats().faults_injected,
+                injector.faults_injected(),
             )
         };
         assert_eq!(run(), run(), "seeded runs must be reproducible");

@@ -125,7 +125,8 @@ fn clean_case_replays_as_fixed() {
 #[cfg(debug_assertions)]
 #[test]
 fn executor_never_holds_more_than_the_memory_plan_predicts() {
-    use tvmnp_byoc::{relay_build, CompiledModel, Permutation};
+    use tvmnp_byoc::build::relay_build_with_artifact;
+    use tvmnp_byoc::{CompiledModel, Permutation};
     use tvmnp_conformance::{build_case, random_spec};
     use tvmnp_hwsim::CostModel;
     use tvmnp_runtime::plan_memory;
@@ -133,12 +134,13 @@ fn executor_never_holds_more_than_the_memory_plan_predicts() {
     for i in 0..200u64 {
         let case = build_case(&random_spec(5000 + i, i % 3 == 0)).expect("spec builds");
         for p in [Permutation::TvmOnly, Permutation::ByocCpuApu] {
-            let mut model = relay_build(&case.module, p.mode(), CostModel::default()).unwrap();
+            let (mut model, artifact) =
+                relay_build_with_artifact(&case.module, p.mode(), CostModel::default()).unwrap();
             model.run(&case.inputs).unwrap();
-            let CompiledModel::Tvm { executor, .. } = &model else {
-                unreachable!("TVM-side modes build an executor");
+            let (CompiledModel::Tvm { executor, .. }, Some(artifact)) = (&model, artifact) else {
+                unreachable!("TVM-side modes build an executor and export its graph");
             };
-            let plan = plan_memory(executor.graph());
+            let plan = plan_memory(&artifact.graph);
             assert!(
                 executor.peak_held_bytes() <= plan.peak_bytes,
                 "case {i} / {p:?}: held {} B, planned peak {} B",

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::nir;
     pub use tvmnp_byoc::{
         measure_all, measure_one, relay_build, ArtifactCache, Measurement, Permutation,
-        ResilienceError, ResiliencePolicy, ResilientSession, RunOutcome, TargetMode,
+        ResilienceError, ResilientSession, RunOutcome, TargetMode,
     };
     pub use tvmnp_hwsim::{
         CostModel, DeviceKind, FaultInjector, FaultPlan, RetryPolicy, Schedule, SocSpec, Task,

@@ -28,28 +28,6 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Where in the execution stack a fault strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FaultSite {
-    /// Compiling / planning a network for the device.
-    Compile,
-    /// Dispatching a compiled subgraph to the device driver.
-    Dispatch,
-    /// Kernel execution (thermal throttling).
-    Kernel,
-}
-
-impl FaultSite {
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::Compile => "compile",
-            FaultSite::Dispatch => "dispatch",
-            FaultSite::Kernel => "kernel",
-        }
-    }
-}
-
 /// What kind of fault a rule injects.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
@@ -73,41 +51,18 @@ pub enum FaultKind {
     ThermalThrottle {
         /// Slowdown multiplier (> 1.0 = slower).
         factor: f64,
+        /// The one work kind throttled (`None` = all kinds).
+        work: Option<WorkKind>,
     },
 }
 
-impl FaultKind {
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Transient { .. } => "transient",
-            FaultKind::DeviceLost => "device-lost",
-            FaultKind::CompileReject => "compile-reject",
-            FaultKind::ThermalThrottle { .. } => "thermal-throttle",
-        }
-    }
-
-    /// The site this kind strikes at.
-    pub fn site(self) -> FaultSite {
-        match self {
-            FaultKind::Transient { .. } | FaultKind::DeviceLost => FaultSite::Dispatch,
-            FaultKind::CompileReject => FaultSite::Compile,
-            FaultKind::ThermalThrottle { .. } => FaultSite::Kernel,
-        }
-    }
-}
-
-/// One injection rule: a kind of fault striking one device (optionally
-/// restricted to one work kind, for thermal throttles).
+/// One injection rule: a kind of fault striking one device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultRule {
     /// Device the rule applies to.
     pub device: DeviceKind,
     /// What to inject.
     pub kind: FaultKind,
-    /// For [`FaultKind::ThermalThrottle`]: restrict to one work kind
-    /// (`None` = all kinds). Ignored by the other fault kinds.
-    pub work: Option<WorkKind>,
 }
 
 /// Error from parsing a `--inject-fault` spec string.
@@ -177,7 +132,7 @@ impl FaultPlan {
                 let work = WorkKind::parse(w).ok_or_else(|| {
                     FaultSpecError(format!("unknown work kind '{w}' in '{spec}'"))
                 })?;
-                (k, Some(work))
+                (k, Some((w, work)))
             }
             None => (kind, None),
         };
@@ -190,8 +145,23 @@ impl FaultPlan {
             }
             None => (kind, None),
         };
-        let rule = match (site, kind) {
+        // A kind reads only its own parts; a stray one is an error, never
+        // silently dropped.
+        let no_work = || match work {
+            Some((w, _)) => Err(FaultSpecError(format!(
+                "'@{w}' in '{spec}': only kernel:throttle takes @<work>"
+            ))),
+            None => Ok(()),
+        };
+        let no_value = || match value {
+            Some((v, _)) => Err(FaultSpecError(format!(
+                "'={v}' in '{spec}': {site}:{kind} takes no =<value>"
+            ))),
+            None => Ok(()),
+        };
+        let fault = match (site, kind) {
             ("dispatch", "transient") => {
+                no_work()?;
                 // `u32::MAX as f64` is exact, and NaN fails the range test.
                 let (text, count) = value.unwrap_or(("2", 2.0));
                 if count.fract() != 0.0 || !(1.0..=u32::MAX as f64).contains(&count) {
@@ -199,24 +169,20 @@ impl FaultPlan {
                         "transient failure count '{text}' in '{spec}' is not an integer >= 1"
                     )));
                 }
-                FaultRule {
-                    device,
-                    kind: FaultKind::Transient {
-                        max_failures: count as u32,
-                    },
-                    work,
+                FaultKind::Transient {
+                    max_failures: count as u32,
                 }
             }
-            ("dispatch", "device-lost") | ("dispatch", "lost") => FaultRule {
-                device,
-                kind: FaultKind::DeviceLost,
-                work,
-            },
-            ("compile", "reject") => FaultRule {
-                device,
-                kind: FaultKind::CompileReject,
-                work,
-            },
+            ("dispatch", "device-lost") | ("dispatch", "lost") => {
+                no_work()?;
+                no_value()?;
+                FaultKind::DeviceLost
+            }
+            ("compile", "reject") => {
+                no_work()?;
+                no_value()?;
+                FaultKind::CompileReject
+            }
             ("kernel", "throttle") => {
                 // The factor scales simulated time: anything but a finite
                 // positive number would poison the clock.
@@ -226,10 +192,9 @@ impl FaultPlan {
                         "throttle factor '{text}' in '{spec}' is not a finite number > 0"
                     )));
                 }
-                FaultRule {
-                    device,
-                    kind: FaultKind::ThermalThrottle { factor },
-                    work,
+                FaultKind::ThermalThrottle {
+                    factor,
+                    work: work.map(|(_, w)| w),
                 }
             }
             _ => {
@@ -240,7 +205,10 @@ impl FaultPlan {
                 )))
             }
         };
-        self.rules.push(rule);
+        self.rules.push(FaultRule {
+            device,
+            kind: fault,
+        });
         Ok(self)
     }
 
@@ -250,8 +218,8 @@ impl FaultPlan {
     /// (bit-identical timings).
     pub fn throttled_cost(&self, mut cost: CostModel) -> CostModel {
         for rule in &self.rules {
-            if let FaultKind::ThermalThrottle { factor } = rule.kind {
-                match rule.work {
+            if let FaultKind::ThermalThrottle { factor, work } = rule.kind {
+                match work {
                     Some(kind) => cost = cost.with_device_kind_scale(rule.device, kind, factor),
                     None => {
                         for kind in WorkKind::ALL {
@@ -270,8 +238,6 @@ impl FaultPlan {
 pub struct Fault {
     /// Device the fault struck.
     pub device: DeviceKind,
-    /// Site it struck at.
-    pub site: FaultSite,
     /// Whether retrying the same device is pointless (device-lost,
     /// compile-reject) as opposed to transient.
     pub fatal: bool,
@@ -322,16 +288,11 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being interpreted.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     fn dispatch_rule(&self, device: DeviceKind) -> Option<&FaultRule> {
-        self.plan
-            .rules
-            .iter()
-            .find(|r| r.device == device && r.kind.site() == FaultSite::Dispatch)
+        self.plan.rules.iter().find(|r| {
+            r.device == device
+                && matches!(r.kind, FaultKind::Transient { .. } | FaultKind::DeviceLost)
+        })
     }
 
     /// Consult at dispatch attempt `attempt` (1-based) of one subgraph
@@ -347,7 +308,6 @@ impl FaultInjector {
                 st.faults[di] += 1;
                 Some(Fault {
                     device,
-                    site: FaultSite::Dispatch,
                     fatal: true,
                     description: format!("device lost: {device} driver gone (attempt {attempt})"),
                 })
@@ -380,7 +340,6 @@ impl FaultInjector {
                 st.faults[di] += 1;
                 Some(Fault {
                     device,
-                    site: FaultSite::Dispatch,
                     fatal: false,
                     description: format!(
                         "transient dispatch failure on {device} (invocation {inv}, attempt {attempt})"
@@ -393,17 +352,14 @@ impl FaultInjector {
 
     /// Consult before compiling / planning a network for `device`.
     pub fn on_compile(&self, device: DeviceKind) -> Option<Fault> {
-        let rule = self
-            .plan
+        self.plan
             .rules
             .iter()
-            .find(|r| r.device == device && r.kind.site() == FaultSite::Compile)?;
-        debug_assert!(matches!(rule.kind, FaultKind::CompileReject));
+            .find(|r| r.device == device && matches!(r.kind, FaultKind::CompileReject))?;
         let mut st = self.state.lock();
         st.faults[device.index()] += 1;
         Some(Fault {
             device,
-            site: FaultSite::Compile,
             fatal: true,
             description: format!("compile rejected: {device} driver refused the network"),
         })
@@ -429,37 +385,31 @@ impl fmt::Debug for FaultInjector {
     }
 }
 
-/// Retry policy for faulted dispatches: exponential backoff charged in
-/// **simulated** microseconds (the backoff is cost-model time, not host
-/// sleep).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Retry policy for faulted dispatches: up to `max_attempts` attempts per
+/// invocation, with exponential backoff charged in **simulated**
+/// microseconds (the backoff is cost-model time, not host sleep).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Attempts per invocation, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Backoff before the second attempt, simulated microseconds.
-    pub base_backoff_us: f64,
-    /// Multiplier applied per further attempt.
-    pub backoff_multiplier: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff_us: 50.0,
-            backoff_multiplier: 2.0,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
 impl RetryPolicy {
+    /// Backoff before the second attempt, simulated microseconds.
+    const BASE_BACKOFF_US: f64 = 50.0;
+    /// Multiplier applied per further attempt.
+    const BACKOFF_MULTIPLIER: f64 = 2.0;
+
     /// Simulated backoff charged after failed attempt `attempt` (1-based):
     /// `base * multiplier^(attempt-1)`.
     pub fn backoff_us(&self, attempt: u32) -> f64 {
-        self.base_backoff_us
-            * self
-                .backoff_multiplier
-                .powi(attempt.saturating_sub(1) as i32)
+        Self::BASE_BACKOFF_US * Self::BACKOFF_MULTIPLIER.powi(attempt.saturating_sub(1) as i32)
     }
 
     /// Whether another attempt is allowed after `attempt` failed.
@@ -468,35 +418,27 @@ impl RetryPolicy {
     }
 }
 
-/// Per-device circuit breaker: once a device accumulates `threshold`
-/// faults, the breaker opens and the fallback layer stops routing work to
-/// it (degrading along the paper-ordered permutation chain instead of
-/// retrying a dying device forever).
-#[derive(Debug, Clone)]
+/// Per-device circuit breaker: once a device accumulates
+/// [`CircuitBreaker::THRESHOLD`] faults, the breaker opens and the
+/// fallback layer stops routing work to it (degrading along the
+/// paper-ordered permutation chain instead of retrying a dying device
+/// forever).
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    threshold: u64,
     open: [bool; 3],
-    trips: u64,
 }
 
 impl CircuitBreaker {
-    /// Breaker tripping after `threshold` faults per device (≥ 1).
-    pub fn new(threshold: u64) -> CircuitBreaker {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            open: [false; 3],
-            trips: 0,
-        }
-    }
+    /// Faults per device before its breaker opens.
+    pub const THRESHOLD: u64 = 3;
 
     /// Report the current fault count of `device` (from
     /// [`FaultInjector::faults_on`]); returns `true` when this report
     /// trips the breaker open (exactly once per device).
     pub fn note(&mut self, device: DeviceKind, fault_count: u64) -> bool {
         let di = device.index();
-        if !self.open[di] && fault_count >= self.threshold {
+        if !self.open[di] && fault_count >= Self::THRESHOLD {
             self.open[di] = true;
-            self.trips += 1;
             return true;
         }
         false
@@ -505,16 +447,6 @@ impl CircuitBreaker {
     /// Whether the breaker is open for `device`.
     pub fn is_open(&self, device: DeviceKind) -> bool {
         self.open[device.index()]
-    }
-
-    /// Devices tripped so far.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// The configured trip threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 }
 
@@ -543,36 +475,24 @@ mod tests {
     #[test]
     fn spec_grammar_parses() {
         use DeviceKind::{Apu, Cpu, Gpu};
-        let rule = |device, kind, work| FaultRule { device, kind, work };
+        let rule = |device, kind| FaultRule { device, kind };
+        let throttle = |factor, work| FaultKind::ThermalThrottle { factor, work };
         let table = [
             (
                 "apu:dispatch:transient",
-                rule(Apu, FaultKind::Transient { max_failures: 2 }, None),
+                rule(Apu, FaultKind::Transient { max_failures: 2 }),
             ),
             (
                 "apu:dispatch:transient=3",
-                rule(Apu, FaultKind::Transient { max_failures: 3 }, None),
+                rule(Apu, FaultKind::Transient { max_failures: 3 }),
             ),
-            (
-                "gpu:dispatch:device-lost",
-                rule(Gpu, FaultKind::DeviceLost, None),
-            ),
-            (
-                "apu:compile:reject",
-                rule(Apu, FaultKind::CompileReject, None),
-            ),
+            ("gpu:dispatch:device-lost", rule(Gpu, FaultKind::DeviceLost)),
+            ("apu:compile:reject", rule(Apu, FaultKind::CompileReject)),
             (
                 "cpu:kernel:throttle=2.5@mac",
-                rule(
-                    Cpu,
-                    FaultKind::ThermalThrottle { factor: 2.5 },
-                    Some(WorkKind::MacHeavy),
-                ),
+                rule(Cpu, throttle(2.5, Some(WorkKind::MacHeavy))),
             ),
-            (
-                "apu:kernel:throttle=2.5",
-                rule(Apu, FaultKind::ThermalThrottle { factor: 2.5 }, None),
-            ),
+            ("apu:kernel:throttle=2.5", rule(Apu, throttle(2.5, None))),
         ];
         for (spec, want) in table {
             let plan = FaultPlan::seeded(7).with_spec(spec).unwrap();
@@ -583,6 +503,11 @@ mod tests {
             "nope:dispatch:transient",
             "apu:dispatch:nope",
             "apu:dispatch:transient=0",
+            "apu:dispatch:transient@mac",
+            "apu:dispatch:device-lost=1",
+            "apu:dispatch:lost@mac",
+            "apu:compile:reject=5",
+            "apu:compile:reject@mac",
         ] {
             assert!(FaultPlan::seeded(0).with_spec(bad).is_err(), "{bad}");
         }
@@ -640,6 +565,17 @@ mod tests {
         rejected("apu:kernel:throttle=2@nope", "nope");
     }
 
+    /// Only a throttle reads `@<work>`, and only a transient or throttle
+    /// `=<value>`: a stray part is named, not dropped.
+    #[test]
+    fn a_part_its_kind_does_not_read_is_rejected() {
+        rejected("apu:dispatch:transient@mac", "@mac");
+        rejected("apu:dispatch:device-lost@data-movement", "@data-movement");
+        rejected("apu:dispatch:device-lost=2", "=2");
+        rejected("apu:compile:reject=5", "=5");
+        rejected("apu:compile:reject@mac", "@mac");
+    }
+
     #[test]
     fn lost_is_an_alias_of_device_lost() {
         let short = FaultPlan::seeded(1).with_spec("gpu:dispatch:lost").unwrap();
@@ -667,7 +603,10 @@ mod tests {
         assert_eq!(
             kinds,
             [
-                FaultKind::ThermalThrottle { factor: 2.0 },
+                FaultKind::ThermalThrottle {
+                    factor: 2.0,
+                    work: None
+                },
                 FaultKind::DeviceLost,
                 FaultKind::Transient { max_failures: 1 },
             ]
@@ -758,7 +697,6 @@ mod tests {
         );
         let f = inj.on_dispatch(DeviceKind::Apu, 1).unwrap();
         assert!(f.fatal);
-        assert_eq!(f.site, FaultSite::Dispatch);
         assert!(inj.on_dispatch(DeviceKind::Cpu, 1).is_none());
         assert!(inj.on_compile(DeviceKind::Apu).is_none());
         assert_eq!(inj.faults_on(DeviceKind::Apu), 1);
@@ -775,7 +713,6 @@ mod tests {
         assert!(inj.on_dispatch(DeviceKind::Apu, 1).is_none());
         let f = inj.on_compile(DeviceKind::Apu).unwrap();
         assert!(f.fatal);
-        assert_eq!(f.site, FaultSite::Compile);
     }
 
     #[test]
@@ -822,13 +759,12 @@ mod tests {
 
     #[test]
     fn breaker_trips_once_per_device() {
-        let mut b = CircuitBreaker::new(3);
+        let mut b = CircuitBreaker::default();
         assert!(!b.note(DeviceKind::Apu, 2));
         assert!(!b.is_open(DeviceKind::Apu));
         assert!(b.note(DeviceKind::Apu, 3), "threshold reached trips");
         assert!(b.is_open(DeviceKind::Apu));
         assert!(!b.note(DeviceKind::Apu, 5), "only trips once");
         assert!(!b.is_open(DeviceKind::Cpu));
-        assert_eq!(b.trips(), 1);
     }
 }

@@ -40,8 +40,8 @@ pub mod timeline;
 pub use cost::{CostModel, WorkItem, WorkKey, WorkKind};
 pub use device::{DeviceKind, DeviceSpec, KernelClass};
 pub use fault::{
-    CircuitBreaker, Fault, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite,
-    FaultSpecError, RetryPolicy,
+    CircuitBreaker, Fault, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSpecError,
+    RetryPolicy,
 };
 pub use ledger::{CostEntry, CostRole};
 pub use soc::{SocSpec, TransferModel};

@@ -55,10 +55,11 @@ pub struct ObserveConfig {
     pub flight_dir: Option<PathBuf>,
     /// Path of the JSONL stats stream (`None` = no stream file).
     pub stats_path: Option<PathBuf>,
-    /// Emit a stats line every N observed frames (plus one final line
-    /// from [`ObservePlane::finish`]).
-    pub stats_every: u64,
 }
+
+/// A periodic stats line goes out every this many observed frames (plus
+/// one final line from [`ObservePlane::finish`]).
+const STATS_EVERY: u64 = 32;
 
 impl Default for ObserveConfig {
     fn default() -> Self {
@@ -67,7 +68,6 @@ impl Default for ObserveConfig {
             flight_capacity: flight::DEFAULT_CAPACITY,
             flight_dir: None,
             stats_path: None,
-            stats_every: 32,
         }
     }
 }
@@ -148,7 +148,7 @@ impl ObservePlane {
     }
 
     /// Note a completed frame: records its latency, checks the SLO, and
-    /// emits a periodic stats line every `stats_every` frames.
+    /// emits a periodic stats line every 32nd frame.
     pub fn frame_done(&self, pipeline: &str, frame_index: usize, latency_us: f64) {
         self.registry
             .observe_us(tail::FRAME_SERIES, &[("pipeline", pipeline)], latency_us);
@@ -169,7 +169,7 @@ impl ObservePlane {
             }
         }
         let n = self.frames.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.config.stats_every > 0 && n.is_multiple_of(self.config.stats_every) {
+        if n.is_multiple_of(STATS_EVERY) {
             self.emit_stats("periodic");
         }
     }
@@ -344,18 +344,18 @@ mod tests {
         let stats_path = dir.join("stats.jsonl");
         let plane = ObservePlane::new(ObserveConfig {
             stats_path: Some(stats_path.clone()),
-            stats_every: 2,
             ..Default::default()
         })
         .unwrap();
-        for i in 0..5 {
+        let frames = 2 * STATS_EVERY + 1;
+        for i in 0..frames as usize {
             plane.frame_done("showcase", i, 100.0 + i as f64);
         }
         plane.finish().unwrap();
 
         let text = std::fs::read_to_string(&stats_path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "frames 2 and 4 + final:\n{text}");
+        assert_eq!(lines.len(), 3, "two periodic lines + final:\n{text}");
         for (i, line) in lines.iter().enumerate() {
             let v: serde_json::Value = serde_json::from_str(line).unwrap();
             assert_eq!(v["type"].as_str(), Some("stats"));
@@ -364,7 +364,7 @@ mod tests {
         }
         let last: serde_json::Value = serde_json::from_str(lines[2]).unwrap();
         assert_eq!(last["reason"].as_str(), Some("final"));
-        assert_eq!(last["frames"].as_u64(), Some(5));
+        assert_eq!(last["frames"].as_u64(), Some(frames));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -37,11 +37,6 @@ pub struct TraceTree {
 }
 
 impl TraceTree {
-    /// Nodes whose span name matches, in recorded order.
-    pub fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanNode> {
-        self.nodes.iter().filter(move |n| n.event.name == name)
-    }
-
     /// The single root node, when the tree is complete.
     pub fn root(&self) -> Option<&SpanNode> {
         match self.roots.as_slice() {
@@ -146,10 +141,15 @@ mod tests {
         let t1 = &trees[0];
         assert_eq!(t1.trace_id, 1);
         assert_eq!(t1.root().unwrap().event.name, "serve.frame");
-        let node_us: f64 = t1.named("executor.node").map(|n| n.event.dur_us()).sum();
+        let node_us: f64 = (t1.nodes.iter())
+            .filter(|n| n.event.name == "executor.node")
+            .map(|n| n.event.dur_us())
+            .sum();
         assert_eq!(node_us, 100.0);
         let t2 = &trees[1];
-        let retry = t2.named("resilience.retry").next().unwrap();
+        let retry = (t2.nodes.iter())
+            .find(|n| n.event.name == "resilience.retry")
+            .unwrap();
         assert_eq!(retry.parent_id, 21, "retry nests under the node span");
     }
 

@@ -8,25 +8,13 @@
 
 use crate::store::{Profile, ProfileCell};
 
-/// Significance knobs for [`diff_profiles`].
-#[derive(Debug, Clone, Copy)]
-pub struct DiffOptions {
-    /// Cells with fewer samples than this on either side are reported
-    /// but never ranked as significant (too noisy to attribute).
-    pub min_count: u64,
-    /// Minimum relative per-sample movement (|ratio − 1|) for a cell to
-    /// count as significant.
-    pub threshold: f64,
-}
+/// Cells with fewer samples than this on either side are reported but
+/// never ranked as significant (too noisy to attribute).
+const MIN_COUNT: u64 = 3;
 
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            min_count: 3,
-            threshold: 0.05,
-        }
-    }
-}
+/// Minimum relative per-sample movement (|ratio − 1|) for a cell to count
+/// as significant.
+const THRESHOLD: f64 = 0.05;
 
 /// One cell's movement between baseline and current profile.
 #[derive(Debug, Clone)]
@@ -47,7 +35,8 @@ pub struct CellDelta {
     pub delta_total_us: f64,
     /// Total energy movement, µJ (current − baseline).
     pub delta_energy_uj: f64,
-    /// Whether the movement clears [`DiffOptions`] significance.
+    /// Whether the movement is significant: at least 3 samples on each
+    /// side and a per-sample mean moved by more than 5 %.
     pub significant: bool,
 }
 
@@ -116,7 +105,7 @@ fn p50(cell: &ProfileCell) -> f64 {
 }
 
 /// Compare `current` against `baseline`, attributing movement per cell.
-pub fn diff_profiles(baseline: &Profile, current: &Profile, opts: &DiffOptions) -> ProfileDiff {
+pub fn diff_profiles(baseline: &Profile, current: &Profile) -> ProfileDiff {
     let mut deltas = Vec::new();
     let mut missing = Vec::new();
     let mut added = Vec::new();
@@ -130,9 +119,8 @@ pub fn diff_profiles(baseline: &Profile, current: &Profile, opts: &DiffOptions) 
         } else {
             1.0
         };
-        let significant = base.count >= opts.min_count
-            && cur.count >= opts.min_count
-            && (ratio - 1.0).abs() > opts.threshold;
+        let significant =
+            base.count >= MIN_COUNT && cur.count >= MIN_COUNT && (ratio - 1.0).abs() > THRESHOLD;
         deltas.push(CellDelta {
             cell: cell_key.clone(),
             base_count: base.count,
@@ -205,7 +193,7 @@ mod tests {
     fn doubled_mac_cell_ranks_first() {
         let base = profile(100.0);
         let cur = profile(200.0);
-        let d = diff_profiles(&base, &cur, &DiffOptions::default());
+        let d = diff_profiles(&base, &cur);
         let top = d.top().expect("a significant cell");
         assert_eq!(top.cell, "mac/apu/vendor_tuned");
         assert!(top.ratio > 1.8 && top.ratio < 2.2, "ratio {}", top.ratio);
@@ -224,7 +212,7 @@ mod tests {
     #[test]
     fn identical_profiles_have_no_significant_cells() {
         let base = profile(100.0);
-        let d = diff_profiles(&base, &base.clone(), &DiffOptions::default());
+        let d = diff_profiles(&base, &base.clone());
         assert!(d.top().is_none());
         assert!(d.missing.is_empty() && d.added.is_empty());
         assert_eq!(d.base_total_us, d.cur_total_us);
@@ -236,7 +224,7 @@ mod tests {
         let mut cur = profile(100.0);
         cur.cells.remove("elementwise/cpu/tvm_untuned");
         cur.record(cell("reduction/gpu/vendor_tuned"), 2.0, 2.0, 0.1);
-        let d = diff_profiles(&base, &cur, &DiffOptions::default());
+        let d = diff_profiles(&base, &cur);
         assert_eq!(d.missing, vec!["elementwise/cpu/tvm_untuned".to_string()]);
         assert_eq!(d.added, vec!["reduction/gpu/vendor_tuned".to_string()]);
         let table = d.render();
@@ -249,7 +237,7 @@ mod tests {
         let mut cur = profile(100.0);
         base.record(cell("reduction/gpu/vendor_tuned"), 1.0, 1.0, 0.0);
         cur.record(cell("reduction/gpu/vendor_tuned"), 50.0, 1.0, 0.0);
-        let d = diff_profiles(&base, &cur, &DiffOptions::default());
+        let d = diff_profiles(&base, &cur);
         let noisy = d
             .deltas
             .iter()

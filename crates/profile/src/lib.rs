@@ -11,7 +11,7 @@
 //!   permutation × quant config × SoC). The cost ledger of each model a
 //!   run executed ([`Profile::record_ledger`]) is binned into
 //!   per-(work kind, device, kernel class) cells, each holding a
-//!   mergeable [`tvmnp_telemetry::QuantileSketch`] of kernel latencies
+//!   [`tvmnp_telemetry::QuantileSketch`] of kernel latencies
 //!   plus exact µs / analytic-µs / µJ totals — the `f64`s the ledger
 //!   holds. Files are byte-deterministic under a fixed seed.
 //! * **[`diff`]** — [`ProfileDiff`]: compares two profiles and
@@ -24,7 +24,7 @@
 pub mod diff;
 pub mod store;
 
-pub use diff::{diff_profiles, CellDelta, DiffOptions, ProfileDiff};
+pub use diff::{diff_profiles, CellDelta, ProfileDiff};
 pub use store::{
     parse_cell_key, validate_profile, Profile, ProfileCell, ProfileKey, ProfileStore,
     PROFILE_SCHEMA_VERSION,

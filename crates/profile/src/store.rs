@@ -90,7 +90,7 @@ pub struct ProfileCell {
     pub total_analytic_us: f64,
     /// Exact sum of estimated energy, µJ.
     pub total_energy_uj: f64,
-    /// Mergeable latency distribution of the per-kernel samples.
+    /// Latency distribution of the per-kernel samples.
     pub sketch: QuantileSketch,
 }
 
@@ -112,15 +112,6 @@ impl ProfileCell {
         } else {
             self.total_us / self.count as f64
         }
-    }
-
-    /// Fold another cell's samples in (used when merging shard profiles).
-    pub fn merge(&mut self, other: &ProfileCell) {
-        self.count += other.count;
-        self.total_us += other.total_us;
-        self.total_analytic_us += other.total_analytic_us;
-        self.total_energy_uj += other.total_energy_uj;
-        self.sketch.merge(&other.sketch);
     }
 }
 
@@ -207,16 +198,6 @@ impl Profile {
     /// Total samples across all cells.
     pub fn total_count(&self) -> u64 {
         self.cells.values().map(|c| c.count).sum()
-    }
-
-    /// Fold another profile's cells in (shard merge). Keys must match.
-    pub fn merge(&mut self, other: &Profile) {
-        for (key, cell) in &other.cells {
-            self.cells
-                .entry(key.clone())
-                .or_insert_with(ProfileCell::new)
-                .merge(cell);
-        }
     }
 
     /// Serialize to a JSON value (sorted keys, exact floats — the
@@ -386,11 +367,6 @@ impl ProfileStore {
         Ok(ProfileStore { dir })
     }
 
-    /// Directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The file a key addresses.
     pub fn path_for(&self, key: &ProfileKey) -> PathBuf {
         self.dir.join(key.file_name())
@@ -414,24 +390,6 @@ impl ProfileStore {
             )));
         }
         Profile::read(&path)
-    }
-
-    /// All profile files currently stored, sorted by name.
-    pub fn list(&self) -> Vec<PathBuf> {
-        let mut out: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| {
-                p.extension().is_some_and(|x| x == "json")
-                    && p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("profile-"))
-            })
-            .collect();
-        out.sort();
-        out
     }
 }
 
@@ -531,7 +489,9 @@ mod tests {
         assert_eq!(first, std::fs::read(&path).unwrap());
         let loaded = store.load(&key()).unwrap();
         assert_eq!(loaded.total_count(), p.total_count());
-        assert_eq!(store.list(), vec![path]);
+        let stored: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(stored.len(), 1);
+        assert_eq!(stored[0].path(), path);
         assert!(store
             .load(&ProfileKey {
                 workload: "other".to_string(),
@@ -539,17 +499,6 @@ mod tests {
             })
             .is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_merge_accumulates_exactly() {
-        let mut a = sample_profile();
-        let b = sample_profile();
-        a.merge(&b);
-        assert_eq!(a.total_count(), 200);
-        let cell = &a.cells["mac/apu/vendor_tuned"];
-        assert_eq!(cell.count, 100);
-        assert_eq!(cell.sketch.count(), 100);
     }
 
     #[test]

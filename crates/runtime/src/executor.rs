@@ -38,8 +38,6 @@ pub enum ExecErrorKind {
     General,
     /// A device fault survived every retry attempt.
     DeviceFault,
-    /// The run's simulated-time budget was exhausted.
-    Deadline,
 }
 
 /// Executor failure: a message plus structured context identifying the
@@ -177,26 +175,14 @@ fn record_node(start_us: f64, dur_us: f64, op: &str, device: &'static str, class
 
 /// Fault-handling knobs for one run of a compiled model (see
 /// [`GraphExecutor::run_with`]). The default is a clean run: the empty
-/// fault plan, the default retry policy, no deadline.
+/// fault plan and the default retry policy.
+#[derive(Default)]
 pub struct RunOptions<'a> {
     /// Fault source consulted at every device dispatch (`None` = the
     /// empty plan).
     pub injector: Option<&'a FaultInjector>,
     /// Retry/backoff policy for transient dispatch faults.
     pub retry: RetryPolicy,
-    /// Simulated-time budget for the whole run, microseconds; exceeding
-    /// it aborts with an [`ExecErrorKind::Deadline`] error.
-    pub deadline_us: f64,
-}
-
-impl Default for RunOptions<'_> {
-    fn default() -> Self {
-        RunOptions {
-            injector: None,
-            retry: RetryPolicy::default(),
-            deadline_us: f64::INFINITY,
-        }
-    }
 }
 
 impl RunOptions<'_> {
@@ -262,18 +248,6 @@ impl RunOptions<'_> {
             attempt += 1;
         }
         Ok(())
-    }
-
-    /// An [`ExecErrorKind::Deadline`] error once `time_us` is past the budget.
-    pub fn check_deadline(&self, time_us: f64) -> Result<(), ExecError> {
-        if time_us <= self.deadline_us {
-            return Ok(());
-        }
-        Err(ExecError::new(format!(
-            "deadline exceeded: {time_us:.1} us past a {:.1} us budget",
-            self.deadline_us
-        ))
-        .with_kind(ExecErrorKind::Deadline))
     }
 }
 
@@ -544,8 +518,7 @@ impl GraphExecutor {
     /// per `opts.retry` with the wasted dispatch + backoff charged in
     /// simulated microseconds. Fatal faults or exhausted retries abort
     /// with an [`ExecErrorKind::DeviceFault`] error carrying the attempt
-    /// count and cause; exceeding `opts.deadline_us` aborts with
-    /// [`ExecErrorKind::Deadline`]. With default options this is exactly
+    /// count and cause. With default options this is exactly
     /// [`GraphExecutor::run`] — same numerics, same time. Simulated time
     /// is the ledger charged in order (retries only add on top), so a
     /// fault-free run returns bit-exactly
@@ -666,7 +639,6 @@ impl GraphExecutor {
                 device.name(),
                 class,
             );
-            opts.check_deadline(time_us).map_err(at_node)?;
             for (out, &slot) in outs.drain(..).zip(plan.memory.slots_of(idx)) {
                 slots[slot] = Some(out);
             }
@@ -732,11 +704,6 @@ impl GraphExecutor {
     /// Simulated time of the last run.
     pub fn last_run_us(&self) -> Option<f64> {
         self.last_run_us
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &ExecutorGraph {
-        &self.graph
     }
 }
 
@@ -990,26 +957,6 @@ mod tests {
         assert_eq!(err.context().device.as_deref(), Some("cpu"));
         assert!(!err.causes().is_empty(), "{err}");
         assert!(err.to_string().contains("caused by"), "{err}");
-    }
-
-    #[test]
-    fn run_with_enforces_simulated_deadline() {
-        let mut rng = TensorRng::new(19);
-        let x = var("x", tvmnp_relay::TensorType::f32([1, 3, 8, 8]));
-        let w = rng.uniform_f32([4, 3, 3, 3], -0.5, 0.5);
-        let y = builder::relu(builder::conv2d(x.clone(), w, Conv2dAttrs::same(1)));
-        let m = Module::from_main(Function::new(vec![x], y));
-        let g = ExecutorGraph::build(&m).unwrap();
-        let mut ex = GraphExecutor::new(g, ModuleRegistry::new(), CostModel::default()).unwrap();
-        ex.set_input("x", rng.uniform_f32([1, 3, 8, 8], -1.0, 1.0))
-            .unwrap();
-        let err = ex
-            .run_with(&RunOptions {
-                deadline_us: 1e-6,
-                ..RunOptions::default()
-            })
-            .unwrap_err();
-        assert_eq!(err.kind(), ExecErrorKind::Deadline);
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Mergeable streaming quantile sketch (Greenwald–Khanna style).
+//! Streaming quantile sketch (Greenwald–Khanna style).
 //!
 //! Holds an ε-approximate summary of a stream of latency samples in
-//! `O(1/ε · log(εn))` memory: [`QuantileSketch::query`] returns a value
+//! `O(1/ε · log(εn))` memory, ε being [`EPSILON`]:
+//! [`QuantileSketch::query`] returns a value
 //! whose *rank* in the observed stream is within `ε·n` of the requested
 //! quantile's nearest rank (the `⌈q·n⌉`-th smallest sample), which is
 //! what lets the tests check it against the sorted samples within rank
 //! tolerance.
 //!
-//! Sketches merge: [`QuantileSketch::merge`] folds another sketch in
-//! with additive error (two ε-sketches merge into a ≤2ε-sketch), so
-//! per-run profile cells can be combined (`tvmnp-profile`).
 //! Inserts are buffered and folded in batches, so the hot path is a
 //! `Vec::push` plus an occasional compress. Everything is deterministic:
 //! same samples in the same order → bit-identical summaries.
@@ -26,7 +24,6 @@ struct Entry {
 /// Streaming ε-approximate quantile summary. See the module docs.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    epsilon: f64,
     /// Summary tuples, sorted by value.
     entries: Vec<Entry>,
     /// Pending inserts, folded in on flush.
@@ -37,21 +34,13 @@ pub struct QuantileSketch {
     max: f64,
 }
 
-/// Default rank error: 0.5% of the stream (p99 of 10k samples is off by
-/// at most ~50 ranks).
-pub const DEFAULT_EPSILON: f64 = 0.005;
+/// Rank error: 0.5% of the stream (p99 of 10k samples is off by at most
+/// ~50 ranks).
+pub const EPSILON: f64 = 0.005;
 
 impl Default for QuantileSketch {
     fn default() -> Self {
-        QuantileSketch::new(DEFAULT_EPSILON)
-    }
-}
-
-impl QuantileSketch {
-    /// A sketch with rank error `epsilon` (clamped to a sane range).
-    pub fn new(epsilon: f64) -> QuantileSketch {
         QuantileSketch {
-            epsilon: epsilon.clamp(1e-4, 0.5),
             entries: Vec::new(),
             buffer: Vec::new(),
             count: 0,
@@ -60,7 +49,9 @@ impl QuantileSketch {
             max: f64::NEG_INFINITY,
         }
     }
+}
 
+impl QuantileSketch {
     /// Number of samples observed.
     pub fn count(&self) -> u64 {
         self.count
@@ -99,7 +90,7 @@ impl QuantileSketch {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.buffer.push(v);
-        if self.buffer.len() >= (0.5 / self.epsilon).ceil() as usize {
+        if self.buffer.len() >= (0.5 / EPSILON).ceil() as usize {
             self.flush();
         }
     }
@@ -128,7 +119,7 @@ impl QuantileSketch {
 
     /// Maximum allowed `g + delta` per tuple: `2·ε·n`, the GK invariant.
     fn rank_slack(&self) -> u64 {
-        (2.0 * self.epsilon * self.count as f64).floor() as u64
+        (2.0 * EPSILON * self.count as f64).floor() as u64
     }
 
     fn compress(&mut self) {
@@ -163,7 +154,7 @@ impl QuantileSketch {
         }
         let n = self.count as f64;
         let target = (q.clamp(0.0, 1.0) * n).ceil().max(1.0) as u64;
-        let allowed = (self.epsilon * n).ceil() as u64;
+        let allowed = (EPSILON * n).ceil() as u64;
         let mut rmin = 0u64;
         let mut prev_v = self.entries[0].v;
         for entry in &self.entries {
@@ -177,28 +168,6 @@ impl QuantileSketch {
             prev_v = entry.v;
         }
         prev_v
-    }
-
-    /// Fold `other` into `self`. Error is additive: merging two
-    /// ε-sketches yields rank error at most `2ε`.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        self.flush();
-        let mut theirs = other.entries.clone();
-        let mut batch = other.buffer.clone();
-        batch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        merge_sorted(
-            &mut theirs,
-            batch.into_iter().map(|v| Entry { v, g: 1, delta: 0 }),
-        );
-        merge_sorted(&mut self.entries, theirs);
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.compress();
     }
 
     /// Serialize the summary as a JSON value. Flushes first so the
@@ -215,7 +184,7 @@ impl QuantileSketch {
         serde_json::json!({
             "count": self.count,
             "entries": entries,
-            "epsilon": self.epsilon,
+            "epsilon": EPSILON,
             "max": self.max(),
             "min": self.min(),
             "sum": self.sum
@@ -225,8 +194,8 @@ impl QuantileSketch {
     /// Rebuild a sketch from [`QuantileSketch::to_json`] output,
     /// validating the GK invariants (entries value-sorted, every tuple
     /// covering at least one sample with rank slack at most `count`,
-    /// tuple counts summing to `count` without overflow, `epsilon` in
-    /// range, `min ≤ max`) so a corrupted profile file is rejected
+    /// tuple counts summing to `count` without overflow, `epsilon` equal
+    /// to [`EPSILON`], `min ≤ max`) so a corrupted profile file is rejected
     /// instead of panicking or silently answering wrong quantiles.
     pub fn from_json(value: &serde_json::Value) -> Result<QuantileSketch, String> {
         let num = |key: &str| {
@@ -240,8 +209,8 @@ impl QuantileSketch {
             .and_then(serde_json::Value::as_u64)
             .ok_or("sketch: missing `count`")?;
         let epsilon = num("epsilon")?;
-        if !(1e-4..=0.5).contains(&epsilon) {
-            return Err(format!("sketch: epsilon {epsilon} outside [1e-4, 0.5]"));
+        if epsilon != EPSILON {
+            return Err(format!("sketch: epsilon {epsilon} is not {EPSILON}"));
         }
         let sum = num("sum")?;
         let raw_entries = value
@@ -283,7 +252,7 @@ impl QuantileSketch {
                 "sketch: tuple counts sum to {covered}, expected {count}"
             ));
         }
-        let mut sketch = QuantileSketch::new(epsilon);
+        let mut sketch = QuantileSketch::default();
         if count > 0 {
             sketch.min = num("min")?;
             sketch.max = num("max")?;
@@ -362,7 +331,7 @@ mod tests {
     #[test]
     fn quantiles_track_nearest_rank_within_epsilon() {
         let samples = stream(3, 20_000);
-        let mut s = QuantileSketch::new(0.005);
+        let mut s = QuantileSketch::default();
         for &v in &samples {
             s.insert(v);
         }
@@ -370,7 +339,7 @@ mod tests {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999] {
             let got = s.query(q);
-            assert_rank_close(&sorted, q, got, s.epsilon);
+            assert_rank_close(&sorted, q, got, EPSILON);
         }
         assert_eq!(s.count(), 20_000);
         assert_eq!(s.min(), sorted[0]);
@@ -379,7 +348,7 @@ mod tests {
 
     #[test]
     fn memory_stays_sublinear() {
-        let mut s = QuantileSketch::new(0.01);
+        let mut s = QuantileSketch::default();
         for &v in &stream(9, 50_000) {
             s.insert(v);
         }
@@ -392,35 +361,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_single_sketch_within_double_epsilon() {
-        let all = stream(7, 12_000);
-        let (a_half, b_half) = all.split_at(5_000);
-        let mut a = QuantileSketch::new(0.005);
-        let mut b = QuantileSketch::new(0.005);
-        for &v in a_half {
-            a.insert(v);
-        }
-        for &v in b_half {
-            b.insert(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 12_000);
-
-        let mut sorted = all.clone();
-        sorted.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        for q in [0.5, 0.95, 0.99] {
-            let got = a.query(q);
-            assert_rank_close(&sorted, q, got, 2.0 * a.epsilon);
-        }
-        let exact_sum: f64 = all.iter().sum();
-        assert!((a.sum() - exact_sum).abs() < 1e-6 * exact_sum.abs());
-    }
-
-    #[test]
     fn determinism_same_stream_same_summary() {
         let samples = stream(11, 8_000);
         let run = || {
-            let mut s = QuantileSketch::new(0.005);
+            let mut s = QuantileSketch::default();
             for &v in &samples {
                 s.insert(v);
             }
@@ -431,7 +375,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip_preserves_summary_exactly() {
-        let mut s = QuantileSketch::new(0.005);
+        let mut s = QuantileSketch::default();
         for &v in &stream(13, 9_000) {
             s.insert(v);
         }
@@ -503,8 +447,8 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_out_of_range_epsilon() {
-        for bad in ["0.0", "-1.0", "0.75", "1e300"] {
+    fn from_json_rejects_any_other_epsilon() {
+        for bad in ["0.0", "-1.0", "0.01", "0.75", "1e300"] {
             let rest = format!(r#""count":2,"epsilon":{bad},"max":2.0,"min":1.0,"sum":3.0"#);
             let err = rejection(&doc_with("[[1.0,1,0],[2.0,1,0]]", &rest));
             assert!(err.contains("epsilon"), "{err}");

@@ -4,7 +4,7 @@
 //! anti-spoofing on candidate faces → emotion detection on real faces.
 //! The three DNNs are compiled through the BYOC stack under a
 //! per-model target assignment (§5.1). There is one frame flow,
-//! [`Showcase::process_frame_with_deadline`]; sequential and §5.2
+//! [`Showcase::process_frame`]; sequential and §5.2
 //! pipelined processing differ only in how many frames run it at once.
 
 use crate::detect::{luminance_saliency, match_faces, texture_energy, BBox};
@@ -82,27 +82,10 @@ pub fn resources_of(mode: TargetMode) -> &'static [DeviceKind] {
     }
 }
 
-/// Degraded-mode policy: per-stage simulated-time deadlines for the
-/// frame flow. When a stage overruns its budget the frame is *degraded*,
-/// not wedged — downstream models see an explicit
-/// [`DroppedStage`] marker instead of stale tensors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradedPolicy {
-    /// Simulated-time budget per stage per frame, microseconds.
-    /// `f64::INFINITY` disables degradation entirely.
-    pub stage_deadline_us: f64,
-}
-
-impl Default for DegradedPolicy {
-    fn default() -> Self {
-        DegradedPolicy {
-            stage_deadline_us: f64::INFINITY,
-        }
-    }
-}
-
 /// Explicit "stage unavailable" record for one frame: which stage was
-/// dropped and why (its own overrun, or an unavailable upstream stage).
+/// dropped and why (its own failed run, or an unavailable upstream stage).
+/// A frame is *degraded*, not wedged: downstream models see this marker
+/// instead of stale tensors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DroppedStage {
     /// Stage name, as [`ShowcaseAssignment::tasks`] labels its tasks.
@@ -151,8 +134,8 @@ pub struct FrameResult {
     pub faces: Vec<FaceResult>,
     /// Stage timing.
     pub times: ShowcaseTiming,
-    /// Stages dropped under the degraded-mode policy (empty when every
-    /// stage met its deadline — always empty for [`Showcase::process_frame`]).
+    /// Stages dropped because a model run failed (empty when every stage
+    /// delivered).
     pub dropped: Vec<DroppedStage>,
 }
 
@@ -210,33 +193,24 @@ impl CompiledStage {
     /// run — devices first, then the model mutex, so two frames never
     /// wait on each other in opposite orders — and the run dispatches
     /// through the showcase's fault plan. `Err(reason)` when the run
-    /// failed or the total passed `budget_us`: a failure is an overrun
-    /// with a different reason.
+    /// failed; a failed run charges nothing.
     fn run_model(
         &self,
         showcase: &Showcase,
         input: Tensor,
         spent_us: &mut f64,
-        budget_us: f64,
     ) -> Result<Vec<Tensor>, String> {
         let inputs = self.model.inputs_from(input);
         let locks = showcase.locks.get_or_init(ResourceLocks::new);
         let opts = RunOptions {
             injector: Some(&showcase.faults.injector),
             retry: showcase.faults.retry,
-            ..RunOptions::default()
         };
         let run = locks.with_resources(resources_of(self.mode), || {
             self.compiled.lock().run_with(&inputs, &opts)
         });
         let (outputs, us) = run.map_err(|e| format!("run failed: {e}"))?;
         *spent_us += us;
-        if *spent_us > budget_us {
-            return Err(format!(
-                "deadline passed: {:.1} us of a {budget_us:.1} us budget",
-                *spent_us
-            ));
-        }
         Ok(outputs)
     }
 }
@@ -360,28 +334,17 @@ impl Showcase {
 
     /// Route every model dispatch through a fault injector with retries.
     /// Transient faults are absorbed (identical outputs, extra simulated
-    /// time); exhausted retries drop the stage for that frame
-    /// ([`DroppedStage`]), exactly as a deadline overrun does.
+    /// time); a fatal fault or exhausted retries drop the stage for that
+    /// frame ([`DroppedStage`]).
     pub fn with_faults(mut self, faults: ShowcaseFaults) -> Self {
         self.faults = faults;
         self
     }
 
-    /// Process one frame through the Fig. 1 flow.
+    /// Process one frame through the Fig. 1 flow. A stage whose model run
+    /// fails is dropped, and every downstream stage sees an explicit
+    /// [`DroppedStage`] record instead of stale results.
     pub fn process_frame(&self, frame: &Frame) -> FrameResult {
-        self.process_frame_with_deadline(frame, &DegradedPolicy::default())
-    }
-
-    /// Process one frame under a degraded-mode policy: any stage whose
-    /// cumulative simulated time for this frame exceeds
-    /// `policy.stage_deadline_us` is dropped, and every downstream stage
-    /// sees an explicit [`DroppedStage`] record instead of stale results.
-    pub fn process_frame_with_deadline(
-        &self,
-        frame: &Frame,
-        policy: &DegradedPolicy,
-    ) -> FrameResult {
-        let budget = policy.stage_deadline_us;
         let mut times = ShowcaseTiming::default();
         let mut dropped: Vec<DroppedStage> = Vec::new();
 
@@ -389,10 +352,7 @@ impl Showcase {
         // the measured quantity); localization comes from the saliency
         // detector, as the untrained SSD cannot localize (DESIGN.md).
         let obj_input = prepare_ssd_input(frame);
-        if let Err(reason) = self
-            .obj
-            .run_model(self, obj_input, &mut times.obj_us, budget)
-        {
+        if let Err(reason) = self.obj.run_model(self, obj_input, &mut times.obj_us) {
             // No detections to gate on: the whole downstream chain is
             // unavailable for this frame.
             drop_from(&mut dropped, OBJ, reason);
@@ -413,13 +373,10 @@ impl Showcase {
         for (k, bbox) in candidates.into_iter().enumerate() {
             // Anti-spoofing on the face crop.
             let crop = frame.crop_resized(bbox.tuple(), 32, 32);
-            if let Err(reason) = self
-                .spoof
-                .run_model(self, crop, &mut times.spoof_us, budget)
-            {
-                // No liveness decision (or one past the stage deadline):
-                // this face and the remaining candidates are reported as
-                // unavailable, not as spoofs, and emotion never sees them.
+            if let Err(reason) = self.spoof.run_model(self, crop, &mut times.spoof_us) {
+                // No liveness decision: this face and the remaining
+                // candidates are reported as unavailable, not as spoofs,
+                // and emotion never sees them.
                 let at = format!("face {} of {total_candidates}: {reason}", k + 1);
                 drop_from(&mut dropped, SPOOF, at);
                 break;
@@ -429,14 +386,11 @@ impl Showcase {
             let gray = frame.gray_crop_resized(bbox.tuple(), crate::frame::FACE_SIZE);
             let real = texture_energy(&gray) > self.liveness_threshold;
 
-            // Emotion detection only on real faces (and only while its own
-            // stage budget holds — a late label is withheld, not stale).
+            // Emotion detection only on real faces (and only while its
+            // stage delivers — a missing label is withheld, not stale).
             let emotion = if real && !emotion_dropped {
                 let e_in = frame.gray_crop_resized(bbox.tuple(), 48);
-                match self
-                    .emotion
-                    .run_model(self, e_in, &mut times.emotion_us, budget)
-                {
+                match self.emotion.run_model(self, e_in, &mut times.emotion_us) {
                     Ok(e_out) => Some(EMOTIONS[e_out[0].argmax()]),
                     Err(reason) => {
                         emotion_dropped = true;
@@ -590,96 +544,111 @@ mod tests {
         assert_eq!(r3.times.emotion_us, 0.0);
     }
 
-    #[test]
-    fn infinite_deadline_never_degrades() {
-        let sc = showcase();
-        let mut video = SyntheticVideo::new(2000, 64, 64);
-        let frames = video.frames(4);
-        let policy = DegradedPolicy::default();
-        let results: Vec<FrameResult> = (frames.iter())
-            .map(|f| sc.process_frame_with_deadline(f, &policy))
-            .collect();
-        assert!(results.iter().all(|r| !r.degraded()));
-        assert_eq!(results.iter().map(|r| r.dropped.len()).sum::<usize>(), 0);
-        // Identical to the plain path.
-        let plain = sc.process_video(&frames);
-        for (a, b) in results.iter().zip(&plain) {
-            assert_eq!(a.faces, b.faces);
-            assert_eq!(a.objects, b.objects);
-        }
+    /// The showcase with every model run dispatching under `spec`.
+    fn faulted(spec: &str) -> Showcase {
+        let plan = tvmnp_hwsim::FaultPlan::seeded(5).with_spec(spec).unwrap();
+        showcase().with_faults(ShowcaseFaults {
+            injector: Arc::new(tvmnp_hwsim::FaultInjector::new(plan)),
+            retry: tvmnp_hwsim::RetryPolicy::default(),
+        })
     }
 
     #[test]
-    fn obj_det_overrun_drops_whole_frame_chain() {
-        let sc = showcase();
+    fn obj_det_failure_drops_whole_frame_chain() {
+        // Object detection runs on the CPU alone: with it lost, the frame
+        // has nothing to gate faces on.
+        let sc = faulted("cpu:dispatch:device-lost");
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(4);
-        // Deadline below any model's latency: obj-det always overruns.
-        let policy = DegradedPolicy {
-            stage_deadline_us: 1.0,
-        };
-        let r = sc.process_frame_with_deadline(&frames[2], &policy);
+        let r = sc.process_frame(&frames[2]);
         assert!(r.degraded());
         assert!(r.objects.is_empty());
         assert!(r.faces.is_empty());
         let stages: Vec<&str> = r.dropped.iter().map(|d| d.stage).collect();
         assert_eq!(stages, vec!["obj-det", "anti-spoof", "emotion"]);
+        assert!(r.dropped[0].reason.contains("run failed"));
         // Downstream drops carry the explicit upstream-unavailable reason.
-        assert!(r.dropped[1].reason.contains("obj-det unavailable"));
-        // Only obj-det actually consumed simulated time.
-        assert!(r.times.obj_us > 0.0);
-        assert_eq!(r.times.spoof_us, 0.0);
-        assert_eq!(r.times.emotion_us, 0.0);
+        assert!(r.dropped[1].reason.contains("upstream obj-det unavailable"));
+        assert!(r.dropped[2].reason.contains("upstream obj-det unavailable"));
+        // A failed run charges nothing, and nothing downstream ran.
+        assert_eq!(r.times, ShowcaseTiming::default());
     }
 
     #[test]
-    fn spoof_overrun_skips_emotion_with_explicit_marker() {
-        let sc = showcase();
+    fn spoof_failure_skips_emotion_with_explicit_marker() {
+        // Anti-spoofing runs on CPU+APU: with the APU lost, object
+        // detection (CPU) delivers and the real face's liveness does not.
+        let sc = faulted("apu:dispatch:device-lost");
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(4);
-        // Per-stage budget between obj-det's latency and the (larger)
-        // anti-spoofing latency: obj-det fits, the liveness decision on
-        // the real-face frame arrives past the deadline.
-        let base = sc.process_frame(&frames[2]);
-        assert!(base.times.spoof_us > base.times.obj_us);
-        let budget = (base.times.obj_us + base.times.spoof_us) / 2.0;
-        let policy = DegradedPolicy {
-            stage_deadline_us: budget,
-        };
-        let r = sc.process_frame_with_deadline(&frames[2], &policy);
+        let base = showcase().process_frame(&frames[2]);
+        let r = sc.process_frame(&frames[2]);
         assert!(r.degraded());
-        // Objects survived (obj-det met its budget) …
+        // Objects survived (obj-det ran) …
         assert_eq!(r.objects, base.objects);
+        assert_eq!(r.times.obj_us, base.times.obj_us);
         // … but the face is unavailable, not misclassified as spoof.
         assert!(r.faces.is_empty());
         let stages: Vec<&str> = r.dropped.iter().map(|d| d.stage).collect();
         assert_eq!(stages, vec!["anti-spoof", "emotion"]);
-        assert!(r.dropped[0].reason.contains("deadline"));
+        assert!(r.dropped[0].reason.contains("run failed"));
         assert!(r.dropped[1].reason.contains("anti-spoof unavailable"));
         // Emotion never ran.
         assert_eq!(r.times.emotion_us, 0.0);
-        // Deterministic: same inputs, same policy, same outcome.
-        let r2 = sc.process_frame_with_deadline(&frames[2], &policy);
+        // Deterministic: same inputs, same plan, same outcome.
+        let r2 = sc.process_frame(&frames[2]);
         assert_eq!(r.faces, r2.faces);
         assert_eq!(r.dropped, r2.dropped);
     }
 
     #[test]
     fn drop_stats_account_degraded_frames() {
-        let sc = showcase();
+        let sc = faulted("cpu:dispatch:device-lost");
         let mut video = SyntheticVideo::new(2000, 64, 64);
-        let frames = video.frames(4);
-        let policy = DegradedPolicy {
-            stage_deadline_us: 1.0,
-        };
-        let results: Vec<FrameResult> = (frames.iter())
-            .map(|f| sc.process_frame_with_deadline(f, &policy))
-            .collect();
-        // Every frame runs obj-det, and 1 us is under any model latency.
+        let results = sc.process_video(&video.frames(4));
+        // Every frame runs obj-det, and every obj-det run fails.
         let degraded_frames = results.iter().filter(|r| r.degraded()).count();
         let stages_dropped: usize = results.iter().map(|r| r.dropped.len()).sum();
         assert_eq!(degraded_frames, results.len());
         assert_eq!(stages_dropped, 3 * results.len());
+    }
+
+    #[test]
+    fn a_plan_that_never_fires_never_degrades() {
+        // No stage of the paper prototype runs on the GPU: the fault-wired
+        // path with nothing firing is the plain path, time included.
+        let sc = faulted("gpu:dispatch:device-lost");
+        let mut video = SyntheticVideo::new(2000, 64, 64);
+        let frames = video.frames(4);
+        let results = sc.process_video(&frames);
+        let plain = showcase().process_video(&frames);
+        assert!(results.iter().all(|r| !r.degraded()));
+        for (a, b) in results.iter().zip(&plain) {
+            assert_eq!(a.objects, b.objects);
+            assert_eq!(a.faces, b.faces);
+            assert_eq!(a.times, b.times);
+        }
+        assert_eq!(sc.faults.injector.faults_injected(), 0);
+    }
+
+    #[test]
+    fn transient_faults_keep_results_and_charge_retry_time() {
+        // Retries absorb leading APU failures: the real face keeps its
+        // liveness and emotion, and only simulated time grows.
+        let sc = faulted("apu:dispatch:transient=1");
+        let mut video = SyntheticVideo::new(2000, 64, 64);
+        let frames = video.frames(4);
+        let base = showcase().process_frame(&frames[2]);
+        let r = sc.process_frame(&frames[2]);
+        assert!(!r.degraded(), "{:?}", r.dropped);
+        assert_eq!(r.objects, base.objects);
+        assert_eq!(r.faces, base.faces);
+        assert!(r.faces[0].emotion.is_some());
+        // Object detection is CPU-only and unaffected.
+        assert_eq!(r.times.obj_us, base.times.obj_us);
+        assert!(sc.faults.injector.faults_injected() >= 1);
+        let apu_us = |t: &ShowcaseTiming| t.spoof_us + t.emotion_us;
+        assert!(apu_us(&r.times) > apu_us(&base.times));
     }
 
     #[test]
@@ -695,13 +664,7 @@ mod tests {
     fn a_lost_apu_drops_emotion_the_same_at_every_window() {
         // The emotion model runs on the APU alone; with that device gone
         // its runs fail, on whichever thread the frame is processed.
-        let plan = tvmnp_hwsim::FaultPlan::seeded(5)
-            .with_spec("apu:dispatch:device-lost")
-            .unwrap();
-        let sc = showcase().with_faults(ShowcaseFaults {
-            injector: Arc::new(tvmnp_hwsim::FaultInjector::new(plan)),
-            retry: tvmnp_hwsim::RetryPolicy::default(),
-        });
+        let sc = faulted("apu:dispatch:device-lost");
         let mut video = SyntheticVideo::new(2000, 64, 64);
         let frames = video.frames(8);
         let clean = showcase().process_video(&frames);

@@ -19,8 +19,8 @@ pub mod detect;
 pub mod frame;
 
 pub use app::{
-    resources_of, DegradedPolicy, DroppedStage, FaceResult, FrameResult, Showcase,
-    ShowcaseAssignment, ShowcaseFaults, ShowcaseTiming,
+    resources_of, DroppedStage, FaceResult, FrameResult, Showcase, ShowcaseAssignment,
+    ShowcaseFaults, ShowcaseTiming,
 };
 pub use detect::{iou, luminance_saliency, match_faces, BBox};
 pub use frame::{FaceKind, Frame, GtObject, SyntheticVideo};

@@ -115,10 +115,10 @@ fn weight_bytes(model: &CompiledModel, artifact: Option<&Artifact>) -> usize {
     };
     match (model, artifact) {
         (CompiledModel::Neuron { network, .. }, _) => neuron(network.graph()),
-        (CompiledModel::Tvm { executor, .. }, Some(artifact)) => {
+        (CompiledModel::Tvm { .. }, Some(artifact)) => {
             let blobs = artifact.externals.iter();
             let graphs = blobs.map(|b| NeuronGraph::from_value(&b.payload["graph"]).unwrap());
-            executor.graph().param_bytes() + graphs.map(|g| neuron(&g)).sum::<usize>()
+            artifact.graph.param_bytes() + graphs.map(|g| neuron(&g)).sum::<usize>()
         }
         (CompiledModel::Tvm { .. }, None) => unreachable!("TVM-side builds export artifacts"),
     }
@@ -184,7 +184,7 @@ fn every_way_to_a_compiled_model_gives_the_same_model() {
             assert_eq!(ex.estimate_time_us(), want.estimate_us, "{label}: phone");
             assert_eq!(ex.ledger().len(), want.ledger_len, "{label}: phone ledger");
             assert_eq!(
-                (ex.graph().nodes.iter())
+                (loaded.graph.nodes.iter())
                     .filter(|n| matches!(n.kind, NodeKind::External { .. }))
                     .count(),
                 loaded.externals.len(),

@@ -6,7 +6,6 @@
 use std::collections::BTreeMap;
 use tvm_neuropilot::models::{anti_spoofing, emotion, object_detection, Model};
 use tvm_neuropilot::prelude::*;
-use tvm_neuropilot::profile::DiffOptions;
 use tvm_neuropilot::telemetry;
 use tvmnp_hwsim::ledger::CostRole;
 use tvmnp_hwsim::WorkKind;
@@ -57,7 +56,7 @@ fn injected_mac_slowdown_is_attributed_to_mac_cells() {
     let baseline = collect(&CostModel::default());
     let slowed = collect(&CostModel::default().with_kind_scale(WorkKind::MacHeavy, 2.0));
 
-    let diff = diff_profiles(&baseline, &slowed, &DiffOptions::default());
+    let diff = diff_profiles(&baseline, &slowed);
     assert!(diff.cur_total_us > diff.base_total_us);
     let top = diff.top().expect("a significant cell must surface");
     assert!(

@@ -13,16 +13,29 @@
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 use tvm_neuropilot::byoc::BuildError;
-use tvm_neuropilot::models::emotion;
+use tvm_neuropilot::hwsim::CircuitBreaker;
+use tvm_neuropilot::models::{emotion, Model};
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::runtime::{ExecErrorKind, RunOptions};
 use tvm_neuropilot::telemetry::{self, EventSink, Field, Record};
 
-fn policy_with_breaker(threshold: u64) -> ResiliencePolicy {
-    ResiliencePolicy {
-        breaker_threshold: threshold,
-        ..ResiliencePolicy::default()
-    }
+/// A resilient session over `model` under `plan`, and the injector it
+/// consults.
+fn resilient(model: &Model, plan: FaultPlan) -> (ResilientSession, Arc<FaultInjector>) {
+    let injector = Arc::new(FaultInjector::new(plan));
+    let session = ResilientSession::with_injector(
+        model.module.clone(),
+        CostModel::default(),
+        injector.clone(),
+        RetryPolicy::default(),
+    );
+    (session, injector)
+}
+
+fn apu_lost() -> FaultPlan {
+    FaultPlan::seeded(7)
+        .with_spec("apu:dispatch:device-lost")
+        .unwrap()
 }
 
 #[test]
@@ -39,16 +52,8 @@ fn apu_loss_degrades_bit_identical_to_fault_free_cpu_run() {
     .expect("reference build");
     let (ref_outs, _) = reference.run(&inputs).expect("reference run");
 
-    // Kill the APU; one loss trips its breaker so every APU-dependent
-    // permutation is skipped.
-    let mut session = ResilientSession::new(
-        model.module.clone(),
-        CostModel::default(),
-        FaultPlan::seeded(7)
-            .with_spec("apu:dispatch:device-lost")
-            .unwrap(),
-        policy_with_breaker(1),
-    );
+    // Kill the APU: both NP-only permutations need it, BYOC-CPU does not.
+    let (mut session, _) = resilient(&model, apu_lost());
     let out = session
         .run(&model.name, Permutation::NpApu, &inputs)
         .expect("chain must recover on the CPU");
@@ -75,16 +80,12 @@ fn exhausted_chain_yields_typed_error_with_full_cause_chain() {
     let inputs = model.sample_inputs(9);
 
     // Every device the chain can reach is gone.
-    let mut session = ResilientSession::new(
-        model.module.clone(),
-        CostModel::default(),
-        FaultPlan::seeded(3)
-            .with_spec("apu:dispatch:device-lost")
-            .unwrap()
-            .with_spec("cpu:dispatch:device-lost")
-            .unwrap(),
-        ResiliencePolicy::default(),
-    );
+    let plan = FaultPlan::seeded(3)
+        .with_spec("apu:dispatch:device-lost")
+        .unwrap()
+        .with_spec("cpu:dispatch:device-lost")
+        .unwrap();
+    let (mut session, _) = resilient(&model, plan);
     let err = session
         .run(&model.name, Permutation::NpApu, &inputs)
         .expect_err("no device left to serve the run");
@@ -119,19 +120,14 @@ fn same_fault_seed_reproduces_the_same_outcome() {
     let model = emotion::emotion_model(41);
     let inputs = model.sample_inputs(9);
     let run = |seed: u64| {
-        let mut session = ResilientSession::new(
-            model.module.clone(),
-            CostModel::default(),
-            FaultPlan::seeded(seed)
-                .with_spec("apu:dispatch:transient=3")
-                .unwrap(),
-            ResiliencePolicy::default(),
-        );
+        let plan = FaultPlan::seeded(seed)
+            .with_spec("apu:dispatch:transient=3")
+            .unwrap();
+        let (mut session, injector) = resilient(&model, plan);
         let out = session
             .run(&model.name, Permutation::NpApu, &inputs)
             .expect("transient faults must recover via retry");
-        let faults = session.injector().faults_injected();
-        (out, faults)
+        (out, injector.faults_injected())
     };
     let (a, fa) = run(7);
     let (b, fb) = run(7);
@@ -143,6 +139,34 @@ fn same_fault_seed_reproduces_the_same_outcome() {
     for (x, y) in a.outputs.iter().zip(&b.outputs) {
         assert!(x.bit_eq(y));
     }
+}
+
+/// Every APU-bound attempt of a lost APU is one fault; once the device
+/// has [`CircuitBreaker::THRESHOLD`] of them its breaker is open, and the
+/// chain skips the APU permutations without dispatching to it again.
+#[test]
+fn a_lost_apu_trips_its_breaker_at_the_threshold() {
+    let model = emotion::emotion_model(41);
+    let inputs = model.sample_inputs(9);
+    let (mut session, injector) = resilient(&model, apu_lost());
+    let mut runs = Vec::new();
+    for _ in 0..3 {
+        let out = session
+            .run(&model.name, Permutation::NpApu, &inputs)
+            .expect("chain must recover on the CPU");
+        assert_eq!(out.permutation, Permutation::ByocCpu);
+        let stages: Vec<&str> = out.fallbacks.iter().map(|c| c.stage).collect();
+        runs.push((stages, injector.faults_injected()));
+    }
+    assert_eq!(CircuitBreaker::THRESHOLD, 3);
+    assert_eq!(
+        runs,
+        [
+            (vec!["run", "run"], 2),
+            (vec!["run", "breaker"], 3),
+            (vec!["breaker", "breaker"], 3),
+        ]
+    );
 }
 
 /// Keeps the records emitted on the thread that made it: the sink is

@@ -205,13 +205,6 @@ fn outputs_exist_only_after_a_completed_run() {
     for i in 0..ex.num_outputs() {
         assert!(ex.get_output(i).is_err(), "output {i} after a failed run");
     }
-    let past_deadline = ex.run_with(&RunOptions {
-        deadline_us: 1e-6,
-        ..RunOptions::default()
-    });
-    assert!(past_deadline.is_err());
-    assert!(ex.get_output(1).is_err(), "output after a deadline miss");
-
     ex.run().unwrap();
     assert!(ex.get_output(1).is_ok(), "and a clean run brings them back");
 }
@@ -266,6 +259,7 @@ fn retried_run_keeps_the_bits_and_charges_estimate_plus_retries() {
 #[cfg(debug_assertions)]
 #[test]
 fn executor_holds_no_more_than_the_memory_plan_predicts_on_every_model() {
+    use tvm_neuropilot::byoc::build::relay_build_with_artifact;
     use tvm_neuropilot::byoc::CompiledModel;
     use tvm_neuropilot::models::{anti_spoofing, emotion, object_detection, zoo};
     use tvm_neuropilot::runtime::plan_memory;
@@ -278,12 +272,14 @@ fn executor_holds_no_more_than_the_memory_plan_predicts_on_every_model() {
     ]);
     for model in &models {
         for p in [Permutation::TvmOnly, Permutation::ByocCpuApu] {
-            let mut compiled = relay_build(&model.module, p.mode(), CostModel::default()).unwrap();
+            let (mut compiled, artifact) =
+                relay_build_with_artifact(&model.module, p.mode(), CostModel::default()).unwrap();
             compiled.run(&model.sample_inputs(1)).unwrap();
-            let CompiledModel::Tvm { executor, .. } = &compiled else {
-                unreachable!("TVM-side modes build an executor");
+            let (CompiledModel::Tvm { executor, .. }, Some(artifact)) = (&compiled, artifact)
+            else {
+                unreachable!("TVM-side modes build an executor and export its graph");
             };
-            let (held, plan) = (executor.peak_held_bytes(), plan_memory(executor.graph()));
+            let (held, plan) = (executor.peak_held_bytes(), plan_memory(&artifact.graph));
             assert!(held > 0, "{} / {p:?} held nothing", model.name);
             assert!(
                 held <= plan.peak_bytes,

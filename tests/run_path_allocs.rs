@@ -15,11 +15,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
-use tvm_neuropilot::byoc::{relay_build, ArtifactCache, CompiledModel, Permutation, TargetMode};
+use tvm_neuropilot::byoc::build::relay_build_with_artifact;
+use tvm_neuropilot::byoc::{relay_build, ArtifactCache, Permutation, TargetMode};
 use tvm_neuropilot::hwsim::CostModel;
 use tvm_neuropilot::models::{anti_spoofing, object_detection, zoo};
 use tvm_neuropilot::prelude::{TargetPolicy, Tensor};
-use tvm_neuropilot::runtime::NodeKind;
+use tvm_neuropilot::runtime::{ExecutorGraph, NodeKind};
 
 /// Sizes kept per measured window; a run makes a few hundred allocations.
 const CAP: usize = 1 << 14;
@@ -94,6 +95,14 @@ fn on_one_cpu<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// The host graph a TVM-only build of `module` runs, as its artifact
+/// exports it.
+fn tvm_only_graph(module: &tvm_neuropilot::relay::Module, cost: &CostModel) -> ExecutorGraph {
+    let (_, artifact) =
+        relay_build_with_artifact(module, Permutation::TvmOnly.mode(), cost.clone()).unwrap();
+    artifact.expect("a TVM-only build exports its graph").graph
+}
+
 #[test]
 fn second_run_allocates_activations_and_forced_copies_only() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
@@ -125,11 +134,7 @@ fn second_run_allocates_activations_and_forced_copies_only() {
         // What one inference has to produce, read off the TVM-only graph:
         // every op output once. Partitioning moves ops into Neuron
         // networks (which may fuse some away) but adds no activation.
-        let tvm = relay_build(&model.module, Permutation::TvmOnly.mode(), cost.clone()).unwrap();
-        let CompiledModel::Tvm { executor, .. } = &tvm else {
-            unreachable!("TVM-only builds an executor");
-        };
-        let graph = executor.graph();
+        let graph = tvm_only_graph(&model.module, &cost);
         let produced = |n: &&tvm_neuropilot::runtime::GraphNode| {
             matches!(n.kind, NodeKind::Op { .. } | NodeKind::External { .. })
         };
@@ -219,12 +224,9 @@ fn build_insert_and_hit_allocate_no_serialization_of_the_weights() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let cost = CostModel::default();
     let model = anti_spoofing::anti_spoofing_model(1);
-    let tvm = relay_build(&model.module, Permutation::TvmOnly.mode(), cost.clone()).unwrap();
-    let CompiledModel::Tvm { executor, .. } = &tvm else {
-        unreachable!("TVM-only builds an executor");
-    };
-    let weights = executor.graph().param_bytes();
-    let params = executor.graph().params.iter();
+    let graph = tvm_only_graph(&model.module, &cost);
+    let weights = graph.param_bytes();
+    let params = graph.params.iter();
     let largest_param = params.map(|p| p.size_bytes()).max().unwrap();
     assert_eq!(weights, 203_104);
 

@@ -65,10 +65,7 @@ fn transient_dispatch_faults_do_not_change_served_outputs() {
         .unwrap();
     let faults = ShowcaseFaults {
         injector: Arc::new(FaultInjector::new(plan)),
-        retry: RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_attempts: 3 },
     };
     let faulty = SessionPool::new_with_faults(
         900,
