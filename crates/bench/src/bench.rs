@@ -311,6 +311,10 @@ pub fn bench(argv: &[String]) -> ExitCode {
     let Some(workload) = args.workload else {
         usage_error("missing required --workload", &usage);
     };
+    if let Some(flag) = args.serve.pool_flag().filter(|_| workload.name != "serve") {
+        let message = format!("{flag} is read only by --workload serve");
+        usage_error(&message, &usage);
+    }
     if args.bench_out.is_none() && args.check_against.is_none() && !args.obs.measuring() {
         usage_error(
             "nothing to do — pass --bench-out, --check-against, \

@@ -14,9 +14,8 @@
 //!
 //! * `--stats-out <path>` — stream periodic quantile-sketch snapshots as
 //!   JSONL;
-//! * `--flight-out <dir>` — write flight-recorder dumps into `dir` on
-//!   fault exhaustion, SLO breach, or worker panic;
-//! * `--flight-buffer <n>` — flight-recorder ring capacity (default 1024);
+//! * `--flight-out <dir>` — write flight-recorder dumps (the last 1024
+//!   events) into `dir` on fault exhaustion, SLO breach, or worker panic;
 //! * `--slo-ms <f>` — per-frame latency SLO; a breach triggers a dump.
 //!
 //! The measured-profile flags collect a `tvmnp-profile` cost database
@@ -48,7 +47,7 @@ use crate::workloads::run_traced;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tvm_neuropilot::models::Model;
-use tvm_neuropilot::observe::{flight, ObserveConfig, ObservePlane};
+use tvm_neuropilot::observe::{ObserveConfig, ObservePlane};
 use tvm_neuropilot::prelude::*;
 use tvm_neuropilot::profile::{diff_profiles, ProfileDiff};
 use tvmnp_telemetry::{profile_table, write_chrome_trace};
@@ -60,21 +59,19 @@ pub struct ObsCli {
     trace_out: Option<PathBuf>,
     stats_out: Option<PathBuf>,
     flight_out: Option<PathBuf>,
-    flight_buffer: Option<usize>,
     slo_ms: Option<f64>,
     profile_store: Option<PathBuf>,
     profile_diff: Option<PathBuf>,
 }
 
 impl ObsCli {
-    /// The eight shared flags, the two report flags first.
+    /// The seven shared flags, the two report flags first.
     pub fn flags(&mut self) -> Vec<Flag<'_>> {
         vec![
             Flag::switch("--profile", &mut self.profile),
             Flag::path("--trace-out", "path", &mut self.trace_out),
             Flag::path("--stats-out", "path", &mut self.stats_out),
             Flag::path("--flight-out", "dir", &mut self.flight_out),
-            Flag::value("--flight-buffer", "n", &mut self.flight_buffer, |&n| n > 0),
             Flag::value("--slo-ms", "f", &mut self.slo_ms, |&ms| {
                 ms.is_finite() && ms > 0.0
             }),
@@ -101,20 +98,15 @@ impl ObsCli {
         self.profile_store.is_some() || self.profile_diff.is_some()
     }
 
-    /// Stand up (and install) the observability plane the four live flags
-    /// describe; `None` when none was given. Also enables the telemetry
+    /// Stand up (and install) the observability plane the three live
+    /// flags describe; `None` when none was given. Also enables the telemetry
     /// collector — traced spans are the plane's raw material.
     pub fn build_plane(&self) -> Option<Arc<ObservePlane>> {
-        if self.stats_out.is_none()
-            && self.flight_out.is_none()
-            && self.flight_buffer.is_none()
-            && self.slo_ms.is_none()
-        {
+        if self.stats_out.is_none() && self.flight_out.is_none() && self.slo_ms.is_none() {
             return None;
         }
         let config = ObserveConfig {
             slo_us: self.slo_ms.map(|ms| ms * 1e3),
-            flight_capacity: self.flight_buffer.unwrap_or(flight::DEFAULT_CAPACITY),
             flight_dir: self.flight_out.clone(),
             stats_path: self.stats_out.clone(),
         };
@@ -153,13 +145,13 @@ impl ObsCli {
     /// Save and/or diff a measured profile per the flags, printing the
     /// store path, the ranked attribution table, and the greppable
     /// `top regression cell:` line. Returns the diff when one was made.
-    pub fn measured_profile(&self, mut profile: Profile) -> Option<ProfileDiff> {
+    pub fn measured_profile(&self, profile: Profile) -> Option<ProfileDiff> {
         if profile.total_count() == 0 {
             eprintln!("warning: measured profile is empty (no model ran)");
         }
         if let Some(dir) = &self.profile_store {
             let path = ProfileStore::open(dir)
-                .and_then(|store| store.save(&mut profile))
+                .and_then(|store| store.save(&profile))
                 .unwrap_or_else(|e| fail(&e.to_string()));
             println!(
                 "measured profile written to {} ({} cells, {} samples)",
@@ -211,6 +203,19 @@ impl ServeCli {
             Flag::value("--concurrency", "n", &mut self.concurrency, |&n| n > 0),
             Flag::path("--cache-dir", "path", &mut self.cache_dir),
         ]
+    }
+
+    /// The first given flag that only sizes or backs the serving pool
+    /// (`--concurrency`, `--cache-dir`): a run that serves no frame
+    /// refuses it rather than ignore it.
+    pub fn pool_flag(&self) -> Option<&'static str> {
+        if self.concurrency.is_some() {
+            Some("--concurrency")
+        } else if self.cache_dir.is_some() {
+            Some("--cache-dir")
+        } else {
+            None
+        }
     }
 
     /// Frames in flight for the serving pool (`--concurrency`, default 4).

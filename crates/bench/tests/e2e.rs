@@ -5,13 +5,12 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// The eight flags every experiment lists, in usage order.
-const SHARED_FLAGS: [&str; 8] = [
+/// The seven flags every experiment lists, in usage order.
+const SHARED_FLAGS: [&str; 7] = [
     "--profile",
     "--trace-out",
     "--stats-out",
     "--flight-out",
-    "--flight-buffer",
     "--slo-ms",
     "--profile-store",
     "--profile-diff",
@@ -27,7 +26,7 @@ const SERVING_FLAGS: [&str; 4] = [
 ];
 
 /// `sched` lists the serving flags after the two report flags.
-const SCHED_FLAGS: [&str; 12] = [
+const SCHED_FLAGS: [&str; 11] = [
     "--profile",
     "--trace-out",
     "--inject-fault",
@@ -36,7 +35,6 @@ const SCHED_FLAGS: [&str; 12] = [
     "--cache-dir",
     "--stats-out",
     "--flight-out",
-    "--flight-buffer",
     "--slo-ms",
     "--profile-store",
     "--profile-diff",
@@ -226,7 +224,6 @@ fn sample_value(flag: &str, dir: &Path) -> String {
         "--cache-dir" => file("cache"),
         "--stats-out" | "--stats" => file("stats.jsonl"),
         "--flight-out" | "--flight-dir" => file("flight"),
-        "--flight-buffer" => "64".into(),
         // Below every simulated frame time, so each traced frame dumps.
         "--slo-ms" => "0.001".into(),
         "--profile-store" | "--profile-diff" => file("store"),
@@ -282,7 +279,9 @@ fn every_listed_flag_is_accepted() {
     assert_eq!(bench.len(), 4 + SCHED_FLAGS.len() - 2);
     assert!(bench.iter().all(|f| f != "--profile" && f != "--trace-out"));
     assert!(SERVING_FLAGS.iter().all(|f| bench.contains(&f.to_string())));
-    run_with_all("bench", &[]);
+    // Only `--workload serve` reads the pool flags (see
+    // `pool_flags_are_refused_off_the_serve_workload`).
+    run_with_all("bench", &["--concurrency", "--cache-dir"]);
 
     // `--replay` answers for a file rather than a run; its exit codes
     // are checked in `conformance_exit_codes`.
@@ -298,7 +297,9 @@ fn bad_command_lines_exit_2_naming_the_flag() {
     for (name, _, _) in EXPERIMENTS {
         assert_usage_error(&[name, "--nope"], "--nope");
         assert_usage_error(&[name, "--trace-out"], "--trace-out");
-        assert_usage_error(&[name, "--flight-buffer", "0"], "--flight-buffer");
+        // The flight ring is a fixed 1024 events, not a knob.
+        let gone = "unknown argument '--flight-buffer'";
+        assert_usage_error(&[name, "--flight-buffer", "64"], gone);
         assert_usage_error(&[name, "--slo-ms", "-1"], "--slo-ms");
     }
     assert_usage_error(&["sched", "--concurrency", "0"], "--concurrency");
@@ -334,7 +335,6 @@ fn bad_command_lines_exit_2_naming_the_flag() {
     bench(&["--concurrency", "0"], "--concurrency");
     bench(&["--inject-fault", "apu:dispatch:transient@mac"], "'@mac'");
     bench(&["--inject-fault", "apu:compile:reject=5"], "'=5'");
-    bench(&["--flight-buffer", "0"], "--flight-buffer");
     bench(&["--slo-ms", "-1"], "--slo-ms");
     bench(&["--workload", "nope"], "--workload");
     // `bench` never honoured these two, so it does not accept them.
@@ -393,6 +393,29 @@ fn fault_flags_are_refused_where_no_fault_runs() {
             assert_usage_error(&[name, flag, value], &refused);
         }
     }
+}
+
+/// `--concurrency` and `--cache-dir` size and back the serving pool, so
+/// only `bench --workload serve` reads them: on any other workload they
+/// are a usage error and nothing is written.
+#[test]
+fn pool_flags_are_refused_off_the_serve_workload() {
+    let dir = scratch("pool-flags");
+    let (written, cache) = (dir.join("bench.json"), dir.join("cache"));
+    let out = ["--bench-out", path_arg(&written)];
+    for workload in ["fig4", "fig5", "fig6", "sched"] {
+        for (flag, value) in [("--concurrency", "2"), ("--cache-dir", path_arg(&cache))] {
+            let args = [&["bench", "--workload", workload, flag, value][..], &out].concat();
+            assert_usage_error(&args, &format!("{flag} is read only by --workload serve"));
+        }
+    }
+    assert!(!written.exists() && !cache.exists(), "a refused run wrote");
+    let pool = ["--concurrency", "2", "--cache-dir", path_arg(&cache)];
+    let served = tvmnp(&[&["bench", "--workload", "serve"][..], &pool, &out].concat());
+    assert!(served.status.success(), "{}", stderr(&served));
+    assert!(written.exists());
+    let spilled = std::fs::read_dir(&cache).expect("the cache dir").count();
+    assert!(spilled > 0, "the serving pool spilled no artifact");
 }
 
 /// A plan's thermal throttles slow the served clip, not just the

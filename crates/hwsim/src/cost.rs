@@ -195,21 +195,9 @@ impl CostModel {
     }
 
     /// Time for one kernel on one device, **excluding** launch overhead:
-    /// roofline-style `max(compute, memory)`.
+    /// roofline-style `max(compute, memory)`, times the (device, kind)
+    /// multiplier.
     pub fn kernel_body_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
-        self.analytic_body_us(w, device, class)
-            * self.device_kind_scale[device.index()][w.kind.index()]
-    }
-
-    /// [`CostModel::kernel_body_us`] with every injected multiplier
-    /// removed — bit-identical to `self.unscaled().kernel_body_us(..)`
-    /// without cloning the SoC (the ledger pairs the two per kernel).
-    pub(crate) fn analytic_body_us(
-        &self,
-        w: &WorkItem,
-        device: DeviceKind,
-        class: KernelClass,
-    ) -> f64 {
         let spec = self.soc.device(device);
         let gops = spec.effective_gops(w.int8, class).max(1e-9);
         // MacHeavy kernels use the full MAC array; other kinds are
@@ -223,7 +211,7 @@ impl CostModel {
         let ops = 2.0 * w.macs as f64;
         let compute_us = ops / (gops * kind_derate * 1e3);
         let memory_us = w.bytes() as f64 / (spec.mem_bw_gbps * 1e3);
-        compute_us.max(memory_us)
+        compute_us.max(memory_us) * self.device_kind_scale[device.index()][w.kind.index()]
     }
 
     /// Fixed cost of dispatching one compiled subgraph to `device`.
@@ -259,12 +247,6 @@ impl Default for CostModel {
 
 #[cfg(test)]
 impl CostModel {
-    /// The same SoC with every injected multiplier removed: the pure
-    /// analytic prediction the ledger's `analytic_us` must equal.
-    pub(crate) fn unscaled(&self) -> CostModel {
-        CostModel::new(self.soc.clone())
-    }
-
     /// Time for one kernel including the per-kernel launch overhead: the
     /// reference the cost ledger's kernel entry is checked against.
     pub(crate) fn kernel_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
@@ -483,25 +465,25 @@ mod tests {
     }
 
     #[test]
-    fn unscaled_strips_every_injected_multiplier() {
-        let scaled = CostModel::default()
-            .with_kind_scale(WorkKind::MacHeavy, 2.0)
-            .with_device_kind_scale(DeviceKind::Apu, WorkKind::MacHeavy, 1.5);
-        let clean = scaled.unscaled();
-        let w = conv_item(50_000_000, true);
-        let reference =
-            CostModel::default().kernel_body_us(&w, DeviceKind::Apu, KernelClass::VendorTuned);
-        let stripped = clean.kernel_body_us(&w, DeviceKind::Apu, KernelClass::VendorTuned);
-        assert!((stripped - reference).abs() < 1e-12);
-        assert_eq!(clean.soc(), scaled.soc());
-        // The batch constructor composes like repeated single applications.
-        let batch = clean.with_device_kind_scales([
+    fn batch_scales_compose_like_single_applications() {
+        let batch = CostModel::default().with_device_kind_scales([
             (DeviceKind::Apu, WorkKind::MacHeavy, 1.5),
             (DeviceKind::Apu, WorkKind::MacHeavy, 2.0),
         ]);
+        let single = CostModel::default()
+            .with_device_kind_scale(DeviceKind::Apu, WorkKind::MacHeavy, 1.5)
+            .with_device_kind_scale(DeviceKind::Apu, WorkKind::MacHeavy, 2.0);
         assert_eq!(
             batch.device_kind_scale(DeviceKind::Apu, WorkKind::MacHeavy),
             3.0
+        );
+        let w = conv_item(50_000_000, true);
+        let (d, c) = (DeviceKind::Apu, KernelClass::VendorTuned);
+        let reference = CostModel::default().kernel_body_us(&w, d, c);
+        assert_eq!(batch.kernel_body_us(&w, d, c), 3.0 * reference);
+        assert_eq!(
+            batch.kernel_body_us(&w, d, c).to_bits(),
+            single.kernel_body_us(&w, d, c).to_bits()
         );
     }
 

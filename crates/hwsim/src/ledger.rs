@@ -5,7 +5,8 @@
 //! compiled objects (`neuropilot::CompiledNetwork`, `runtime::GraphExecutor`)
 //! derive it exactly once, into a `Vec<CostEntry>`, and everything else —
 //! run-time accounting, `estimate_*`, per-device attribution, measured
-//! profiles — reads that vector. Total time is the sum of the entries
+//! profiles — reads that vector. An entry holds what it charges, nothing
+//! else: a profile cell is the sum of its entries' `us` and `energy_uj`. Total time is the sum of the entries
 //! **in ledger order** ([`charge`]); no consumer adds them any other way,
 //! so a fault-free run returns bit-exactly the estimate.
 
@@ -49,18 +50,13 @@ pub struct CostEntry {
     pub class: KernelClass,
     /// Charged simulated time, µs (includes injected scaling/throttles).
     pub us: f64,
-    /// Analytic prediction with every injected multiplier removed, µs —
-    /// what a measured profile compares `us` against.
-    pub analytic_us: f64,
     /// Estimated energy, µJ.
     pub energy_uj: f64,
-    /// Whether this is a reference-implementation fallback kernel.
-    pub fallback: bool,
 }
 
 impl CostEntry {
     /// A fixed overhead (launch, dispatch, HAL): the scale tables never
-    /// touch it, so analytic == charged, and it burns no modelled energy.
+    /// touch it, and it burns no modelled energy.
     pub fn fixed(
         node: usize,
         label: &'static str,
@@ -76,9 +72,7 @@ impl CostEntry {
             device,
             class: KernelClass::VendorTuned,
             us,
-            analytic_us: us,
             energy_uj: 0.0,
-            fallback: false,
         }
     }
 
@@ -99,7 +93,8 @@ impl CostEntry {
         entry
     }
 
-    /// One kernel including its own launch overhead (Neuron ops).
+    /// One kernel including its own launch overhead (Neuron ops; a
+    /// fallback op is a `TvmUntuned` kernel on the CPU).
     pub fn kernel(
         cost: &CostModel,
         node: usize,
@@ -107,14 +102,10 @@ impl CostEntry {
         w: &WorkItem,
         device: DeviceKind,
         class: KernelClass,
-        fallback: bool,
     ) -> CostEntry {
         // Agrees bit for bit with `CostModel::kernel_us` (launch + body).
-        let launch_us = cost.soc().device(device).kernel_launch_us;
         let mut entry = CostEntry::kernel_body(cost, node, label, w, device, class);
-        entry.us += launch_us;
-        entry.analytic_us += launch_us;
-        entry.fallback = fallback;
+        entry.us += cost.soc().device(device).kernel_launch_us;
         entry
     }
 
@@ -136,9 +127,7 @@ impl CostEntry {
             device,
             class,
             us: cost.kernel_body_us(w, device, class),
-            analytic_us: cost.analytic_body_us(w, device, class),
             energy_uj: cost.kernel_energy_uj(w, device, class),
-            fallback: false,
         }
     }
 }
@@ -177,17 +166,20 @@ mod tests {
     }
 
     #[test]
-    fn kernel_entries_pair_charged_with_unscaled_time() {
+    fn kernel_entries_charge_the_scaled_model_against_the_default() {
         let scaled = CostModel::default().with_kind_scale(WorkKind::MacHeavy, 2.0);
-        let plain = scaled.unscaled();
+        let plain = CostModel::default();
         let (d, c) = (DeviceKind::Apu, KernelClass::VendorTuned);
-        let e = CostEntry::kernel(&scaled, 3, "CONV_2D", &conv(), d, c, false);
+        let e = CostEntry::kernel(&scaled, 3, "CONV_2D", &conv(), d, c);
+        let clean = CostEntry::kernel(&plain, 3, "CONV_2D", &conv(), d, c);
         assert_eq!(e.us, scaled.kernel_us(&conv(), d, c));
-        assert_eq!(e.analytic_us, plain.kernel_us(&conv(), d, c));
-        assert!(e.us > e.analytic_us);
+        assert_eq!(clean.us, plain.kernel_us(&conv(), d, c));
+        assert!(e.us > clean.us);
         let b = CostEntry::kernel_body(&scaled, 3, "nn.conv2d", &conv(), d, c);
-        assert_eq!(b.analytic_us, plain.kernel_body_us(&conv(), d, c));
+        let clean_b = CostEntry::kernel_body(&plain, 3, "nn.conv2d", &conv(), d, c);
+        assert_eq!(b.us, 2.0 * clean_b.us);
         assert_eq!(b.energy_uj, e.energy_uj);
+        assert_eq!(e.energy_uj, clean.energy_uj);
     }
 
     #[test]
@@ -210,7 +202,7 @@ mod tests {
             4096,
         );
         assert_eq!(t.us, s.us);
-        assert_eq!((t.analytic_us, s.analytic_us), (t.us, s.us));
+        assert_eq!(t.us, cost.transfer_us(4096));
         assert!(t.energy_uj > 0.0);
         assert_eq!(s.energy_uj, 0.0);
     }

@@ -287,7 +287,7 @@ pub(crate) fn build_ledger(
         } else {
             (p.device, KernelClass::VendorTuned)
         };
-        let kernel = CostEntry::kernel(cost, i, op.kind.name(), &w, device, class, p.fallback);
+        let kernel = CostEntry::kernel(cost, i, op.kind.name(), &w, device, class);
         ledger.push(kernel);
     }
     for (c, bytes) in crossings.into_iter().enumerate() {
@@ -407,21 +407,57 @@ mod tests {
     }
 
     #[test]
-    fn ledger_separates_injected_scale_from_analytic_time() {
+    fn an_injected_mac_scale_moves_only_mac_kernels() {
         let (f, _) = small_net();
         let g = convert_function(&f).unwrap();
         let scaled = CostModel::default().with_kind_scale(WorkKind::MacHeavy, 2.0);
+        let plain = CompiledNetwork::compile(g.clone(), TargetPolicy::CpuApu, CostModel::default())
+            .unwrap();
         let net = CompiledNetwork::compile(g, TargetPolicy::CpuApu, scaled).unwrap();
-        // The injected 2x mac slowdown separates charged from analytic
-        // exactly on mac kernels; everything else stays at parity.
+        // Against the same network under the default model, the injected
+        // 2x mac slowdown raises exactly the mac kernels; every other
+        // entry keeps its bits.
         assert!(net.ledger().iter().any(|e| e.kind == WorkKind::MacHeavy));
-        for e in net.ledger() {
+        assert_eq!(net.ledger().len(), plain.ledger().len());
+        for (e, clean) in net.ledger().iter().zip(plain.ledger()) {
+            assert_eq!(
+                (e.label, e.role, e.device),
+                (clean.label, clean.role, clean.device)
+            );
             if e.kind == WorkKind::MacHeavy {
-                assert!(e.us > e.analytic_us, "{}: scaled mac kernel", e.label);
+                assert!(e.us > clean.us, "{}: scaled mac kernel", e.label);
             } else {
-                assert_eq!(e.us, e.analytic_us, "{}", e.label);
+                assert_eq!(e.us.to_bits(), clean.us.to_bits(), "{}", e.label);
             }
         }
+    }
+
+    #[test]
+    fn a_fallback_op_is_charged_as_an_untuned_cpu_kernel() {
+        let mut rng = TensorRng::new(5);
+        let x = var("x", TensorType::f32([1, 3, 8, 8]));
+        let mut conv = |input| {
+            let w = rng.uniform_f32([3, 3, 3, 3], -0.5, 0.5);
+            builder::conv2d(input, w, Conv2dAttrs::same(1))
+        };
+        let hidden = builder::sigmoid(conv(x.clone()));
+        let body = conv(hidden);
+        let g = convert_function(&Function::new(vec![x], body)).unwrap();
+        let net =
+            CompiledNetwork::compile(g, TargetPolicy::ApuPrefer, CostModel::default()).unwrap();
+        assert!(net.plan().fallback_ops() > 0, "the APU runs no sigmoid");
+        let kernels = || net.ledger().iter().filter(|e| e.role == CostRole::Kernel);
+        for (i, p) in net.plan().placements.iter().enumerate() {
+            let e = kernels().find(|e| e.node == i).expect("a kernel per op");
+            let want = if p.fallback {
+                (DeviceKind::Cpu, KernelClass::TvmUntuned)
+            } else {
+                (p.device, KernelClass::VendorTuned)
+            };
+            assert_eq!((e.device, e.class), want, "op {i} ({})", e.label);
+        }
+        let untuned = kernels().filter(|e| e.class == KernelClass::TvmUntuned);
+        assert_eq!(untuned.count(), net.plan().fallback_ops());
     }
 
     #[test]

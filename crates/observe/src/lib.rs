@@ -42,14 +42,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tvmnp_telemetry::{Field, Record};
 
-/// Configuration for an [`ObservePlane`].
-#[derive(Debug, Clone)]
+/// Configuration for an [`ObservePlane`]. The flight-recorder ring holds
+/// the last [`flight::DEFAULT_CAPACITY`] events.
+#[derive(Debug, Clone, Default)]
 pub struct ObserveConfig {
     /// Per-frame latency SLO in µs; a frame exceeding it triggers a
     /// flight dump. `None` disables the SLO trigger.
     pub slo_us: Option<f64>,
-    /// Flight-recorder ring capacity in events.
-    pub flight_capacity: usize,
     /// Directory flight dumps are written into (`None` = keep the ring
     /// in memory only).
     pub flight_dir: Option<PathBuf>,
@@ -60,17 +59,6 @@ pub struct ObserveConfig {
 /// A periodic stats line goes out every this many observed frames (plus
 /// one final line from [`ObservePlane::finish`]).
 const STATS_EVERY: u64 = 32;
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            slo_us: None,
-            flight_capacity: flight::DEFAULT_CAPACITY,
-            flight_dir: None,
-            stats_path: None,
-        }
-    }
-}
 
 /// Event kinds that trigger an immediate flight dump when they reach the
 /// plane through the event sink.
@@ -113,7 +101,7 @@ impl ObservePlane {
         };
         Ok(ObservePlane {
             registry: StatsRegistry::new(),
-            flight: FlightRecorder::new(config.flight_capacity, config.flight_dir.clone()),
+            flight: FlightRecorder::new(flight::DEFAULT_CAPACITY, config.flight_dir.clone()),
             config,
             stream: Mutex::new(stream),
             stream_seq: AtomicU64::new(0),
@@ -335,6 +323,18 @@ mod tests {
         let window = plane.flight.window();
         assert_eq!(window.len(), 3, "span ends still land in the ring");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_flight_ring_keeps_the_last_default_capacity_events() {
+        use tvmnp_telemetry::EventSink;
+        let plane = ObservePlane::new(ObserveConfig::default()).unwrap();
+        for _ in 0..flight::DEFAULT_CAPACITY + 5 {
+            plane.record(&event("fault.injected", &[("device", "apu".into())]));
+        }
+        let window = plane.flight.window();
+        assert_eq!(window.len(), flight::DEFAULT_CAPACITY);
+        assert_eq!(window[0].0, 6, "the five oldest events evicted");
     }
 
     #[test]

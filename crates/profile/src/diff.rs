@@ -6,7 +6,7 @@
 //! bench regression gate renders the ranked table next to a failing
 //! comparison so the failure names the responsible ops.
 
-use crate::store::{Profile, ProfileCell};
+use crate::store::Profile;
 
 /// Cells with fewer samples than this on either side are reported but
 /// never ranked as significant (too noisy to attribute).
@@ -21,15 +21,15 @@ const THRESHOLD: f64 = 0.05;
 pub struct CellDelta {
     /// `kind/device/class` cell key.
     pub cell: String,
-    /// Baseline / current sample counts.
+    /// Baseline sample count.
     pub base_count: u64,
     /// Current sample count.
     pub cur_count: u64,
-    /// Baseline / current median latency, µs (from the cell sketches).
-    pub base_p50_us: f64,
-    /// Current median latency, µs.
-    pub cur_p50_us: f64,
-    /// Per-sample mean ratio current/baseline (1.0 = unchanged).
+    /// Baseline per-sample mean latency, µs.
+    pub base_mean_us: f64,
+    /// Current per-sample mean latency, µs.
+    pub cur_mean_us: f64,
+    /// `cur_mean_us / base_mean_us` (1.0 = unchanged, or no baseline time).
     pub ratio: f64,
     /// Total measured-time movement, µs (current − baseline).
     pub delta_total_us: f64,
@@ -73,15 +73,15 @@ impl ProfileDiff {
         ));
         out.push_str(&format!(
             "  {:<34} {:>6} {:>11} {:>11} {:>7} {:>13} {:>13}\n",
-            "cell", "n", "p50 base", "p50 cur", "ratio", "d-total us", "d-energy uJ"
+            "cell", "n", "mean base", "mean cur", "ratio", "d-total us", "d-energy uJ"
         ));
         for d in &self.deltas {
             out.push_str(&format!(
                 "  {:<34} {:>6} {:>11.2} {:>11.2} {:>6.2}x {:>+13.1} {:>+13.1}{}\n",
                 d.cell,
                 d.cur_count,
-                d.base_p50_us,
-                d.cur_p50_us,
+                d.base_mean_us,
+                d.cur_mean_us,
                 d.ratio,
                 d.delta_total_us,
                 d.delta_energy_uj,
@@ -98,12 +98,6 @@ impl ProfileDiff {
     }
 }
 
-fn p50(cell: &ProfileCell) -> f64 {
-    // Sketches answer quantiles through &mut self (they flush buffered
-    // inserts); the diff works on borrowed profiles, so query a clone.
-    cell.sketch.clone().query(0.5)
-}
-
 /// Compare `current` against `baseline`, attributing movement per cell.
 pub fn diff_profiles(baseline: &Profile, current: &Profile) -> ProfileDiff {
     let mut deltas = Vec::new();
@@ -114,8 +108,9 @@ pub fn diff_profiles(baseline: &Profile, current: &Profile) -> ProfileDiff {
             missing.push(cell_key.clone());
             continue;
         };
-        let ratio = if base.mean_us() > 0.0 {
-            cur.mean_us() / base.mean_us()
+        let (base_mean_us, cur_mean_us) = (base.mean_us(), cur.mean_us());
+        let ratio = if base_mean_us > 0.0 {
+            cur_mean_us / base_mean_us
         } else {
             1.0
         };
@@ -125,8 +120,8 @@ pub fn diff_profiles(baseline: &Profile, current: &Profile) -> ProfileDiff {
             cell: cell_key.clone(),
             base_count: base.count,
             cur_count: cur.count,
-            base_p50_us: p50(base),
-            cur_p50_us: p50(cur),
+            base_mean_us,
+            cur_mean_us,
             ratio,
             delta_total_us: cur.total_us - base.total_us,
             delta_energy_uj: cur.total_energy_uj - base.total_energy_uj,
@@ -182,9 +177,9 @@ mod tests {
     fn profile(mac_us: f64) -> Profile {
         let mut p = Profile::new(key());
         for i in 0..20 {
-            p.record(cell("mac/apu/vendor_tuned"), mac_us + i as f64, 100.0, 9.0);
-            p.record(cell("elementwise/cpu/tvm_untuned"), 4.0, 4.0, 0.3);
-            p.record(cell("data-movement/cpu/vendor_tuned"), 1.5, 1.5, 0.1);
+            p.record(cell("mac/apu/vendor_tuned"), mac_us + i as f64, 9.0);
+            p.record(cell("elementwise/cpu/tvm_untuned"), 4.0, 0.3);
+            p.record(cell("data-movement/cpu/vendor_tuned"), 1.5, 0.1);
         }
         p
     }
@@ -210,6 +205,36 @@ mod tests {
     }
 
     #[test]
+    fn each_rows_mean_columns_divide_to_its_ratio() {
+        let d = diff_profiles(&profile(100.0), &profile(200.0));
+        let top = d.top().expect("a significant cell");
+        assert_eq!(top.cur_mean_us, 209.5);
+        assert_eq!(top.base_mean_us, 109.5);
+        assert_eq!(top.ratio, top.cur_mean_us / top.base_mean_us);
+        let table = d.render();
+        assert!(
+            table.lines().nth(1).unwrap().contains("mean base"),
+            "{table}"
+        );
+        for row in d.deltas.iter() {
+            assert_eq!(
+                row.ratio,
+                row.cur_mean_us / row.base_mean_us,
+                "{}",
+                row.cell
+            );
+            let line = table
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(row.cell.as_str()))
+                .expect("a row per delta");
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            let num = |i: usize| cols[i].trim_end_matches('x').parse::<f64>().unwrap();
+            let printed_ratio = format!("{:.2}", num(3) / num(2));
+            assert_eq!(cols[4], format!("{printed_ratio}x"), "{line}");
+        }
+    }
+
+    #[test]
     fn identical_profiles_have_no_significant_cells() {
         let base = profile(100.0);
         let d = diff_profiles(&base, &base.clone());
@@ -223,7 +248,7 @@ mod tests {
         let base = profile(100.0);
         let mut cur = profile(100.0);
         cur.cells.remove("elementwise/cpu/tvm_untuned");
-        cur.record(cell("reduction/gpu/vendor_tuned"), 2.0, 2.0, 0.1);
+        cur.record(cell("reduction/gpu/vendor_tuned"), 2.0, 0.1);
         let d = diff_profiles(&base, &cur);
         assert_eq!(d.missing, vec!["elementwise/cpu/tvm_untuned".to_string()]);
         assert_eq!(d.added, vec!["reduction/gpu/vendor_tuned".to_string()]);
@@ -232,11 +257,33 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_with_no_baseline_time_reads_unchanged() {
+        let mut base = profile(100.0);
+        let mut cur = profile(100.0);
+        for _ in 0..MIN_COUNT {
+            base.record(cell("reduction/gpu/vendor_tuned"), 0.0, 0.0);
+            cur.record(cell("reduction/gpu/vendor_tuned"), 2.0, 0.0);
+        }
+        let d = diff_profiles(&base, &cur);
+        let row = d
+            .deltas
+            .iter()
+            .find(|c| c.cell == "reduction/gpu/vendor_tuned")
+            .unwrap();
+        assert_eq!(
+            (row.base_mean_us, row.cur_mean_us, row.ratio),
+            (0.0, 2.0, 1.0)
+        );
+        assert!(!row.significant);
+        assert_eq!(row.delta_total_us, 2.0 * MIN_COUNT as f64);
+    }
+
+    #[test]
     fn low_count_cells_never_rank_significant() {
         let mut base = profile(100.0);
         let mut cur = profile(100.0);
-        base.record(cell("reduction/gpu/vendor_tuned"), 1.0, 1.0, 0.0);
-        cur.record(cell("reduction/gpu/vendor_tuned"), 50.0, 1.0, 0.0);
+        base.record(cell("reduction/gpu/vendor_tuned"), 1.0, 0.0);
+        cur.record(cell("reduction/gpu/vendor_tuned"), 50.0, 0.0);
         let d = diff_profiles(&base, &cur);
         let noisy = d
             .deltas

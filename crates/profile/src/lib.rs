@@ -10,10 +10,9 @@
 //!   cost database, content-addressed by (workload fingerprint ×
 //!   permutation × quant config × SoC). The cost ledger of each model a
 //!   run executed ([`Profile::record_ledger`]) is binned into
-//!   per-(work kind, device, kernel class) cells, each holding a
-//!   [`tvmnp_telemetry::QuantileSketch`] of kernel latencies
-//!   plus exact µs / analytic-µs / µJ totals — the `f64`s the ledger
-//!   holds. Files are byte-deterministic under a fixed seed.
+//!   per-(work kind, device, kernel class) cells, each holding its
+//!   sample count and exact µs / µJ totals — the sums of the `f64`s the
+//!   ledger holds. Files are byte-deterministic under a fixed seed.
 //! * **[`diff`]** — [`ProfileDiff`]: compares two profiles and
 //!   attributes latency/energy movement to specific cells with
 //!   significance filtering, rendered as a ranked attribution table.

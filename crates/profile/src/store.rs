@@ -3,9 +3,9 @@
 //! on-disk [`ProfileStore`] they persist into.
 //!
 //! A profile is a map from `kind/device/class` cells (e.g.
-//! `mac/apu/vendor_tuned`) to latency/energy aggregates. Samples are
-//! ledger entries ([`Profile::record_ledger`]): one per kernel and one
-//! per other charged item, each carrying the `f64`s the ledger holds.
+//! `mac/apu/vendor_tuned`) to latency/energy sums. Samples are ledger
+//! entries ([`Profile::record_ledger`]): one per kernel and one per other
+//! charged item, each carrying the `us` and `energy_uj` the ledger holds.
 //!
 //! Everything serializes to sorted-key JSON with exact float formatting:
 //! the same seeded run produces byte-identical profile files, which is
@@ -17,10 +17,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use tvmnp_hwsim::ledger::{CostEntry, CostRole};
 use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
-use tvmnp_telemetry::QuantileSketch;
 
 /// Version stamp written into every profile file.
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// Identity of one measured profile: what ran and how it was compiled.
 /// Two runs with the same key land in the same store slot and are
@@ -79,32 +78,19 @@ impl ProfileKey {
     }
 }
 
-/// One `(work kind, device, kernel class)` cell of a profile.
-#[derive(Debug, Clone)]
+/// One `(work kind, device, kernel class)` cell of a profile: the sums
+/// of its ledger entries.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileCell {
     /// Samples observed.
     pub count: u64,
     /// Exact sum of measured simulated time, µs.
     pub total_us: f64,
-    /// Exact sum of the unscaled analytic predictions, µs.
-    pub total_analytic_us: f64,
     /// Exact sum of estimated energy, µJ.
     pub total_energy_uj: f64,
-    /// Latency distribution of the per-kernel samples.
-    pub sketch: QuantileSketch,
 }
 
 impl ProfileCell {
-    fn new() -> ProfileCell {
-        ProfileCell {
-            count: 0,
-            total_us: 0.0,
-            total_analytic_us: 0.0,
-            total_energy_uj: 0.0,
-            sketch: QuantileSketch::default(),
-        }
-    }
-
     /// Mean measured latency, µs (0 when empty).
     pub fn mean_us(&self) -> f64 {
         if self.count == 0 {
@@ -124,13 +110,13 @@ pub fn parse_cell_key(key: &str) -> Option<(WorkKind, DeviceKind, KernelClass)> 
     Some((kind, device, class))
 }
 
-/// A measured cost profile: per-cell latency/energy aggregates under one
+/// A measured cost profile: per-cell latency/energy sums under one
 /// [`ProfileKey`].
 #[derive(Debug, Clone)]
 pub struct Profile {
     /// Identity of the run this profile measures.
     pub key: ProfileKey,
-    /// `kind/device/class` → aggregates, deterministically ordered.
+    /// `kind/device/class` → sums, deterministically ordered.
     pub cells: BTreeMap<String, ProfileCell>,
 }
 
@@ -148,7 +134,6 @@ impl Profile {
         &mut self,
         (kind, device, class): (WorkKind, DeviceKind, KernelClass),
         us: f64,
-        analytic_us: f64,
         energy_uj: f64,
     ) {
         let cell = self
@@ -159,12 +144,10 @@ impl Profile {
                 device.name(),
                 class.name()
             ))
-            .or_insert_with(ProfileCell::new);
+            .or_default();
         cell.count += 1;
         cell.total_us += us;
-        cell.total_analytic_us += analytic_us;
         cell.total_energy_uj += energy_uj;
-        cell.sketch.insert(us);
     }
 
     /// Bin one model's cost ledger into cells, in ledger order: one sample
@@ -178,15 +161,11 @@ impl Profile {
                 launch = Some(e);
                 continue;
             }
-            let (us, analytic_us, energy_uj) = match launch.take() {
-                Some(l) => (
-                    l.us + e.us,
-                    l.analytic_us + e.analytic_us,
-                    l.energy_uj + e.energy_uj,
-                ),
-                None => (e.us, e.analytic_us, e.energy_uj),
+            let (us, energy_uj) = match launch.take() {
+                Some(l) => (l.us + e.us, l.energy_uj + e.energy_uj),
+                None => (e.us, e.energy_uj),
             };
-            self.record((e.kind, e.device, e.class), us, analytic_us, energy_uj);
+            self.record((e.kind, e.device, e.class), us, energy_uj);
         }
     }
 
@@ -201,17 +180,14 @@ impl Profile {
     }
 
     /// Serialize to a JSON value (sorted keys, exact floats — the
-    /// byte-determinism contract). Mutable because the cell sketches
-    /// flush their insert buffers first.
-    pub fn to_json(&mut self) -> Value {
+    /// byte-determinism contract).
+    pub fn to_json(&self) -> Value {
         let mut cells = serde_json::Map::new();
-        for (key, cell) in self.cells.iter_mut() {
+        for (key, cell) in &self.cells {
             cells.insert(
                 key.clone(),
                 json!({
                     "count": cell.count,
-                    "sketch": cell.sketch.to_json(),
-                    "total_analytic_us": cell.total_analytic_us,
                     "total_energy_uj": cell.total_energy_uj,
                     "total_us": cell.total_us
                 }),
@@ -262,10 +238,7 @@ impl Profile {
                     .as_u64()
                     .ok_or_else(|| ProfileError(format!("cell {cell_key}: count missing")))?,
                 total_us: num("total_us")?,
-                total_analytic_us: num("total_analytic_us")?,
                 total_energy_uj: num("total_energy_uj")?,
-                sketch: QuantileSketch::from_json(&raw["sketch"])
-                    .map_err(|e| ProfileError(format!("cell {cell_key}: {e}")))?,
             };
             profile.cells.insert(cell_key.clone(), cell);
         }
@@ -273,7 +246,7 @@ impl Profile {
     }
 
     /// Write as a profile file (one JSON document plus trailing newline).
-    pub fn write(&mut self, path: &Path) -> Result<(), ProfileError> {
+    pub fn write(&self, path: &Path) -> Result<(), ProfileError> {
         let text = serde_json::to_string(&self.to_json())
             .map_err(|e| ProfileError(format!("serialize {}: {e}", path.display())))?;
         std::fs::write(path, format!("{text}\n"))
@@ -308,31 +281,24 @@ pub fn validate_profile(doc: &Value) -> Option<String> {
     let Some(cells) = doc["cells"].as_object() else {
         return Some("cells is not an object".to_string());
     };
+    // `Profile::total_count` sums the counts, so together they must fit.
+    let mut samples = 0u64;
     for (key, cell) in cells {
         if parse_cell_key(key).is_none() {
             return Some(format!("cell key `{key}` is not kind/device/class"));
         }
-        let count = cell["count"].as_u64();
-        if count.is_none_or(|c| c == 0) {
+        let Some(count) = cell["count"].as_u64().filter(|&c| c > 0) else {
             return Some(format!("cell {key}: count missing or zero"));
-        }
-        for field in ["total_us", "total_analytic_us", "total_energy_uj"] {
+        };
+        let Some(sum) = samples.checked_add(count) else {
+            return Some(format!("cell {key}: counts overflow a u64 sum"));
+        };
+        samples = sum;
+        for field in ["total_us", "total_energy_uj"] {
             match cell[field].as_f64() {
                 Some(v) if v.is_finite() && v >= 0.0 => {}
                 _ => return Some(format!("cell {key}: {field} missing or invalid")),
             }
-        }
-        match QuantileSketch::from_json(&cell["sketch"]) {
-            Ok(sketch) => {
-                if sketch.count() != count.unwrap_or(0) {
-                    return Some(format!(
-                        "cell {key}: sketch count {} != cell count {}",
-                        sketch.count(),
-                        count.unwrap_or(0)
-                    ));
-                }
-            }
-            Err(e) => return Some(format!("cell {key}: {e}")),
         }
     }
     None
@@ -373,7 +339,7 @@ impl ProfileStore {
     }
 
     /// Persist a profile into its slot; returns the path written.
-    pub fn save(&self, profile: &mut Profile) -> Result<PathBuf, ProfileError> {
+    pub fn save(&self, profile: &Profile) -> Result<PathBuf, ProfileError> {
         let path = self.path_for(&profile.key);
         profile.write(&path)?;
         Ok(path)
@@ -410,8 +376,8 @@ mod tests {
         let mut p = Profile::new(key());
         for i in 0..50 {
             let cell = |key| parse_cell_key(key).unwrap();
-            p.record(cell("mac/apu/vendor_tuned"), 100.0 + i as f64, 100.0, 7.5);
-            p.record(cell("elementwise/cpu/tvm_untuned"), 3.0, 3.0, 0.2);
+            p.record(cell("mac/apu/vendor_tuned"), 100.0 + i as f64, 7.5);
+            p.record(cell("elementwise/cpu/tvm_untuned"), 3.0, 0.2);
         }
         p
     }
@@ -432,7 +398,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip_and_validation() {
-        let mut p = sample_profile();
+        let p = sample_profile();
         let doc = p.to_json();
         assert!(
             validate_profile(&doc).is_none(),
@@ -441,8 +407,7 @@ mod tests {
         );
         let back = Profile::from_json(&doc).unwrap();
         assert_eq!(back.key, p.key);
-        assert_eq!(back.total_count(), p.total_count());
-        assert!((back.total_us() - p.total_us()).abs() < 1e-9);
+        assert_eq!(back.cells, p.cells);
         // A truncated cell is rejected with a pointed message.
         let mut broken = doc.clone();
         if let Value::Object(m) = &mut broken {
@@ -453,39 +418,82 @@ mod tests {
     }
 
     #[test]
-    fn hostile_sketch_counters_are_a_schema_violation_not_a_panic() {
-        // What `obs_check --profile` runs on a file from disk. The cell's
-        // second tuple claims a rank slack of u64::MAX: once accepted, the
-        // next quantile query overflowed (panic in debug, wrong answer in
-        // release).
-        let doc: Value = serde_json::from_str(
-            r#"{"cells":{"mac/apu/vendor_tuned":{"count":2,
-                "sketch":{"count":2,"entries":[[1.0,1,0],[2.0,1,18446744073709551615]],
-                          "epsilon":0.005,"max":2.0,"min":1.0,"sum":3.0},
-                "total_analytic_us":3.0,"total_energy_uj":1.0,"total_us":3.0}},
-               "key":{"permutation":"byoc-cpu-apu","quant":"f32","soc":"dimensity-800",
-                      "workload":"fig4"},
-               "schema_version":1}"#,
-        )
-        .unwrap();
-        let problem = validate_profile(&doc).expect("must be rejected");
-        assert!(
-            problem.contains("mac/apu/vendor_tuned") && problem.contains("entry 1 bad delta"),
-            "{problem}"
-        );
-        assert!(Profile::from_json(&doc).is_err());
+    fn a_cell_is_written_as_its_three_sums() {
+        let doc = sample_profile().to_json();
+        let cell = doc["cells"]["mac/apu/vendor_tuned"].as_object().unwrap();
+        let fields: Vec<&str> = cell.keys().map(String::as_str).collect();
+        assert_eq!(fields, ["count", "total_energy_uj", "total_us"]);
+        assert_eq!(cell["count"].as_u64(), Some(50));
+        // 100 + 101 + ... + 149, and 50 samples of 7.5 µJ.
+        assert_eq!(cell["total_us"].as_f64(), Some(6225.0));
+        assert_eq!(cell["total_energy_uj"].as_f64(), Some(375.0));
+        assert_eq!(doc["schema_version"].as_u64(), Some(PROFILE_SCHEMA_VERSION));
+    }
+
+    /// A document over `cells`, the cell map's entries as JSON text.
+    fn doc_with(cells: &str) -> Value {
+        serde_json::from_str(&format!(
+            r#"{{"cells":{{{cells}}},
+               "key":{{"permutation":"byoc-cpu-apu","quant":"f32","soc":"dimensity-800",
+                      "workload":"fig4"}},
+               "schema_version":{PROFILE_SCHEMA_VERSION}}}"#
+        ))
+        .unwrap()
+    }
+
+    /// A one-cell document, `cell` being the cell's fields as JSON text.
+    fn doc(cell: &str) -> Value {
+        doc_with(&format!(r#""mac/apu/vendor_tuned":{{{cell}}}"#))
+    }
+
+    #[test]
+    fn hostile_cells_are_a_schema_violation_not_a_panic() {
+        // What `obs_check --profile` runs on a file from disk.
+        let well_formed = doc(r#""count":2,"total_energy_uj":1.0,"total_us":3.0"#);
+        assert_eq!(validate_profile(&well_formed), None);
+        for (cell, want) in [
+            (r#""count":0,"total_energy_uj":1.0,"total_us":3.0"#, "count"),
+            (
+                r#""count":-1,"total_energy_uj":1.0,"total_us":3.0"#,
+                "count",
+            ),
+            (
+                r#""count":2,"total_energy_uj":1.0,"total_us":-3.0"#,
+                "total_us",
+            ),
+            (r#""count":2,"total_us":3.0"#, "total_energy_uj"),
+            (
+                r#""count":2,"total_energy_uj":"1","total_us":3.0"#,
+                "total_energy_uj",
+            ),
+        ] {
+            let hostile = doc(cell);
+            let problem = validate_profile(&hostile).expect("must be rejected");
+            assert!(
+                problem.contains("mac/apu/vendor_tuned") && problem.contains(want),
+                "{cell}: {problem}"
+            );
+            assert!(Profile::from_json(&hostile).is_err());
+        }
+        // Each count fits, their sum does not: `total_count` would wrap
+        // (release) or panic (debug).
+        let half = r#"{"count":9223372036854775808,"total_energy_uj":1.0,"total_us":3.0}"#;
+        let two = doc_with(&format!(
+            r#""mac/apu/vendor_tuned":{half},"mac/cpu/vendor_tuned":{half}"#
+        ));
+        let problem = validate_profile(&two).expect("must be rejected");
+        assert!(problem.contains("counts overflow"), "{problem}");
     }
 
     #[test]
     fn store_roundtrip_is_byte_deterministic() {
         let dir = std::env::temp_dir().join(format!("tvmnp-profile-test-{}", std::process::id()));
         let store = ProfileStore::open(&dir).unwrap();
-        let mut p = sample_profile();
-        let path = store.save(&mut p).unwrap();
+        let p = sample_profile();
+        let path = store.save(&p).unwrap();
         let first = std::fs::read(&path).unwrap();
         // Re-building the same profile from scratch writes identical bytes.
-        let mut again = sample_profile();
-        store.save(&mut again).unwrap();
+        store.save(&sample_profile()).unwrap();
         assert_eq!(first, std::fs::read(&path).unwrap());
         let loaded = store.load(&key()).unwrap();
         assert_eq!(loaded.total_count(), p.total_count());

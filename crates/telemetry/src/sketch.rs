@@ -96,7 +96,7 @@ impl QuantileSketch {
     }
 
     /// Fold buffered inserts into the summary and compress it.
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
@@ -158,112 +158,13 @@ impl QuantileSketch {
         let mut rmin = 0u64;
         let mut prev_v = self.entries[0].v;
         for entry in &self.entries {
-            // Saturating: a sketch loaded from disk may carry any `u64`
-            // that passed `from_json`'s checks.
-            rmin = rmin.saturating_add(entry.g);
-            let rmax = rmin.saturating_add(entry.delta);
-            if rmax > target.saturating_add(allowed) {
+            rmin += entry.g;
+            if rmin + entry.delta > target + allowed {
                 return prev_v;
             }
             prev_v = entry.v;
         }
         prev_v
-    }
-
-    /// Serialize the summary as a JSON value. Flushes first so the
-    /// output depends only on the observed stream, not on buffering
-    /// state — same samples, same order → byte-identical JSON (the
-    /// profile store's determinism contract rests on this).
-    pub fn to_json(&mut self) -> serde_json::Value {
-        self.flush();
-        let entries: Vec<serde_json::Value> = self
-            .entries
-            .iter()
-            .map(|e| serde_json::json!([e.v, e.g, e.delta]))
-            .collect();
-        serde_json::json!({
-            "count": self.count,
-            "entries": entries,
-            "epsilon": EPSILON,
-            "max": self.max(),
-            "min": self.min(),
-            "sum": self.sum
-        })
-    }
-
-    /// Rebuild a sketch from [`QuantileSketch::to_json`] output,
-    /// validating the GK invariants (entries value-sorted, every tuple
-    /// covering at least one sample with rank slack at most `count`,
-    /// tuple counts summing to `count` without overflow, `epsilon` equal
-    /// to [`EPSILON`], `min ≤ max`) so a corrupted profile file is rejected
-    /// instead of panicking or silently answering wrong quantiles.
-    pub fn from_json(value: &serde_json::Value) -> Result<QuantileSketch, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(serde_json::Value::as_f64)
-                .ok_or_else(|| format!("sketch: missing numeric field `{key}`"))
-        };
-        let count = value
-            .get("count")
-            .and_then(serde_json::Value::as_u64)
-            .ok_or("sketch: missing `count`")?;
-        let epsilon = num("epsilon")?;
-        if epsilon != EPSILON {
-            return Err(format!("sketch: epsilon {epsilon} is not {EPSILON}"));
-        }
-        let sum = num("sum")?;
-        let raw_entries = value
-            .get("entries")
-            .and_then(serde_json::Value::as_array)
-            .ok_or("sketch: missing `entries` array")?;
-        let mut entries = Vec::with_capacity(raw_entries.len());
-        let mut covered = 0u64;
-        for (i, triple) in raw_entries.iter().enumerate() {
-            let t = triple
-                .as_array()
-                .filter(|t| t.len() == 3)
-                .ok_or_else(|| format!("sketch: entry {i} is not a [v, g, delta] triple"))?;
-            let v = t[0]
-                .as_f64()
-                .filter(|v| v.is_finite())
-                .ok_or_else(|| format!("sketch: entry {i} has a non-finite value"))?;
-            let g = t[1]
-                .as_u64()
-                .filter(|&g| g > 0)
-                .ok_or_else(|| format!("sketch: entry {i} bad g"))?;
-            let delta = t[2]
-                .as_u64()
-                .filter(|&delta| delta <= count)
-                .ok_or_else(|| format!("sketch: entry {i} bad delta"))?;
-            if let Some(prev) = entries.last() {
-                let prev: &Entry = prev;
-                if v < prev.v {
-                    return Err(format!("sketch: entries not value-sorted at index {i}"));
-                }
-            }
-            covered = covered
-                .checked_add(g)
-                .ok_or_else(|| format!("sketch: tuple counts overflow at entry {i}"))?;
-            entries.push(Entry { v, g, delta });
-        }
-        if covered != count {
-            return Err(format!(
-                "sketch: tuple counts sum to {covered}, expected {count}"
-            ));
-        }
-        let mut sketch = QuantileSketch::default();
-        if count > 0 {
-            sketch.min = num("min")?;
-            sketch.max = num("max")?;
-            if sketch.min > sketch.max {
-                return Err("sketch: min exceeds max".to_string());
-            }
-        }
-        sketch.count = count;
-        sketch.sum = sum;
-        sketch.entries = entries;
-        Ok(sketch)
     }
 }
 
@@ -374,100 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_summary_exactly() {
+    fn a_two_sample_sketch_answers_its_extremes() {
         let mut s = QuantileSketch::default();
-        for &v in &stream(13, 9_000) {
-            s.insert(v);
-        }
-        let dumped = s.to_json();
-        let mut back = QuantileSketch::from_json(&dumped).expect("roundtrip parses");
-        assert_eq!(back.count(), s.count());
-        assert_eq!(back.sum(), s.sum());
-        assert_eq!(back.min(), s.min());
-        assert_eq!(back.max(), s.max());
-        for q in [0.01, 0.5, 0.95, 0.99] {
-            assert_eq!(back.query(q), s.query(q), "q={q} diverged after roundtrip");
-        }
-        // Serialization is stable: dumping the rebuilt sketch is byte-identical.
-        assert_eq!(
-            serde_json::to_string(&back.to_json()).unwrap(),
-            serde_json::to_string(&dumped).unwrap()
-        );
-        // Corruption is rejected, not silently accepted.
-        let mut broken = dumped.clone();
-        if let serde_json::Value::Object(m) = &mut broken {
-            m.insert("count".into(), serde_json::json!(1));
-        }
-        assert!(QuantileSketch::from_json(&broken).is_err());
-        // Empty sketches roundtrip too.
-        let mut empty = QuantileSketch::default();
-        let back = QuantileSketch::from_json(&empty.to_json()).unwrap();
-        assert_eq!(back.count(), 0);
-    }
-
-    /// A two-sample sketch document with the given tuples, `rest` being
-    /// the other fields as JSON text.
-    fn doc_with(entries: &str, rest: &str) -> serde_json::Value {
-        serde_json::from_str(&format!("{{\"entries\":{entries},{rest}}}")).expect("test JSON")
-    }
-
-    fn doc(entries: &str) -> serde_json::Value {
-        let rest = r#""count":2,"epsilon":0.005,"max":2.0,"min":1.0,"sum":3.0"#;
-        doc_with(entries, rest)
-    }
-
-    fn rejection(doc: &serde_json::Value) -> String {
-        QuantileSketch::from_json(doc).expect_err("must be rejected")
-    }
-
-    #[test]
-    fn from_json_accepts_the_well_formed_baseline() {
-        let mut s = QuantileSketch::from_json(&doc("[[1.0,1,0],[2.0,1,0]]")).expect("well-formed");
+        s.insert(2.0);
+        s.insert(1.0);
         assert_eq!(s.query(1.0), 2.0);
-    }
-
-    #[test]
-    fn from_json_rejects_delta_above_count() {
-        // Used to be accepted; the next `query` then overflowed `rmin + delta`.
-        let err = rejection(&doc("[[1.0,1,0],[2.0,1,18446744073709551615]]"));
-        assert!(err.contains("entry 1 bad delta"), "{err}");
-    }
-
-    #[test]
-    fn from_json_rejects_overflowing_tuple_counts() {
-        // Used to panic inside `from_json` at `covered += g`.
-        let err = rejection(&doc("[[1.0,18446744073709551615,0],[2.0,3,0]]"));
-        assert!(err.contains("overflow at entry 1"), "{err}");
-    }
-
-    #[test]
-    fn from_json_rejects_empty_tuples() {
-        let err = rejection(&doc("[[1.0,2,0],[2.0,0,0]]"));
-        assert!(err.contains("entry 1 bad g"), "{err}");
-    }
-
-    #[test]
-    fn from_json_rejects_any_other_epsilon() {
-        for bad in ["0.0", "-1.0", "0.01", "0.75", "1e300"] {
-            let rest = format!(r#""count":2,"epsilon":{bad},"max":2.0,"min":1.0,"sum":3.0"#);
-            let err = rejection(&doc_with("[[1.0,1,0],[2.0,1,0]]", &rest));
-            assert!(err.contains("epsilon"), "{err}");
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_min_above_max() {
-        let rest = r#""count":2,"epsilon":0.005,"max":2.0,"min":5.0,"sum":3.0"#;
-        let err = rejection(&doc_with("[[1.0,1,0],[2.0,1,0]]", rest));
-        assert!(err.contains("min exceeds max"), "{err}");
-    }
-
-    #[test]
-    fn query_survives_the_largest_accepted_counts() {
-        let rest = r#""count":18446744073709551615,"epsilon":0.005,"max":1.0,"min":1.0,"sum":1.0"#;
-        let huge = doc_with("[[1.0,18446744073709551615,18446744073709551615]]", rest);
-        let mut s = QuantileSketch::from_json(&huge).expect("passes every check");
-        assert_eq!(s.query(0.99), 1.0);
+        assert_eq!((s.min(), s.max(), s.sum()), (1.0, 2.0, 3.0));
     }
 
     #[test]

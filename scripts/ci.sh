@@ -108,6 +108,15 @@ if grep -rnE 'set_detail|detail_enabled|executor\.kernel|executor\.node_us|"exec
     exit 1
 fi
 
+# And a profile cell is the ledger's sums (DESIGN.md "One registry, two
+# instances"): a ledger entry holds what it charges and a cell its count,
+# µs and µJ totals, so no unscaled copy of the charged time and no
+# per-cell quantile sketch (nor its file format) may grow back.
+if grep -rnE 'analytic_us|analytic_body_us|total_analytic|QuantileSketch|sketch' crates/profile/src crates/hwsim/src/ledger.rs; then
+    echo "one-profile-cell gate: crates/profile/src or hwsim's ledger restores an analytic-us copy or a sketch" >&2
+    exit 1
+fi
+
 # And a schedule report is the schedule (DESIGN.md "Everything read off a
 # schedule"): Fig. 5's metrics are `hwsim::Schedule` queries plus
 # `report::utilization_from_schedule`, so no second model of placements,

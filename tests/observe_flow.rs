@@ -138,7 +138,6 @@ fn observed_256_frame_serve_reassembles_and_dumps() {
     // Observed run with transient dispatch faults on the APU.
     let plane = Arc::new(
         ObservePlane::new(ObserveConfig {
-            flight_capacity: 1 << 15,
             flight_dir: Some(flight_dir.clone()),
             stats_path: Some(stats_path.clone()),
             ..Default::default()
@@ -396,7 +395,6 @@ fn observed_artifacts_are_pinned() {
     let plane = Arc::new(
         ObservePlane::new(ObserveConfig {
             slo_us: Some(40_000.0),
-            flight_capacity: 1 << 15,
             ..Default::default()
         })
         .unwrap(),

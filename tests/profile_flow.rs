@@ -83,20 +83,21 @@ fn injected_mac_slowdown_is_attributed_to_mac_cells() {
 /// artifact must be byte-identical across collections.
 #[test]
 fn profile_artifacts_are_byte_deterministic() {
-    let mut a = collect(&CostModel::default());
-    let mut b = collect(&CostModel::default());
+    let a = collect(&CostModel::default());
+    let b = collect(&CostModel::default());
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
 
     let dir = std::env::temp_dir().join(format!("tvmnp-profile-det-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ProfileStore::open(dir.join("s1")).unwrap();
-    let p1 = store.save(&mut a).unwrap();
+    let p1 = store.save(&a).unwrap();
     let store2 = ProfileStore::open(dir.join("s2")).unwrap();
-    let p2 = store2.save(&mut b).unwrap();
+    let p2 = store2.save(&b).unwrap();
     assert_eq!(p1.file_name(), p2.file_name());
     assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
     // Round-trip through the store preserves the profile exactly.
-    let mut loaded = store.load(&a.key).unwrap();
+    let loaded = store.load(&a.key).unwrap();
+    assert_eq!(loaded.cells, a.cells);
     assert_eq!(loaded.to_json().to_string(), a.to_json().to_string());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -107,10 +108,10 @@ fn profile_artifacts_are_byte_deterministic() {
 #[test]
 fn the_collector_does_not_change_the_profile() {
     telemetry::disable();
-    let mut off = collect(&CostModel::default());
+    let off = collect(&CostModel::default());
     telemetry::enable();
     telemetry::reset();
-    let mut on = collect(&CostModel::default());
+    let on = collect(&CostModel::default());
     telemetry::disable();
     assert_eq!(off.to_json().to_string(), on.to_json().to_string());
 }
@@ -118,9 +119,9 @@ fn the_collector_does_not_change_the_profile() {
 /// Every ledger entry reaches the profile exactly once, as the number
 /// the ledger holds: one sample per kernel and per other entry, a host
 /// fusion group's launch folded into the kernel after it. Per cell, the
-/// count is the ledger's sample count and the analytic / energy totals
-/// are those samples summed in ledger order, to the bit; across cells
-/// only float reassociation separates them from the model's totals.
+/// count is the ledger's sample count and the time / energy totals are
+/// those samples summed in ledger order, to the bit; across cells only
+/// float reassociation separates them from the model's totals.
 #[test]
 fn profile_totals_reconcile_with_the_cost_ledger() {
     let model = anti_spoofing::anti_spoofing_model(101);
@@ -141,14 +142,14 @@ fn profile_totals_reconcile_with_the_cost_ledger() {
             launch = Some(e);
             continue;
         }
-        let (analytic_us, energy_uj) = match launch.take() {
-            Some(l) => (l.analytic_us + e.analytic_us, l.energy_uj + e.energy_uj),
-            None => (e.analytic_us, e.energy_uj),
+        let (us, energy_uj) = match launch.take() {
+            Some(l) => (l.us + e.us, l.energy_uj + e.energy_uj),
+            None => (e.us, e.energy_uj),
         };
         let cell = format!("{}/{}/{}", e.kind.name(), e.device.name(), e.class.name());
-        let (count, analytic, energy) = want.entry(cell).or_default();
+        let (count, total_us, energy) = want.entry(cell).or_default();
         *count += 1;
-        *analytic += analytic_us;
+        *total_us += us;
         *energy += energy_uj;
     }
     let launches = ledger.iter().filter(|e| e.role == CostRole::Launch).count();
@@ -158,14 +159,10 @@ fn profile_totals_reconcile_with_the_cost_ledger() {
         profile.cells.keys().collect::<Vec<_>>(),
         want.keys().collect::<Vec<_>>()
     );
-    for (cell, (count, analytic_us, energy_uj)) in &want {
+    for (cell, (count, us, energy_uj)) in &want {
         let got = &profile.cells[cell];
         assert_eq!(got.count, *count, "{cell}: count");
-        assert_eq!(
-            got.total_analytic_us.to_bits(),
-            analytic_us.to_bits(),
-            "{cell}"
-        );
+        assert_eq!(got.total_us.to_bits(), us.to_bits(), "{cell}");
         assert_eq!(got.total_energy_uj.to_bits(), energy_uj.to_bits(), "{cell}");
     }
 
@@ -179,4 +176,24 @@ fn profile_totals_reconcile_with_the_cost_ledger() {
     close(energy_uj, compiled.estimate_energy_uj(), "energy_uj");
     let us: f64 = profile.cells.values().map(|c| c.total_us).sum();
     close(us, compiled.estimate_us(), "us");
+}
+
+/// A file the store wrote while each cell also carried a quantile sketch
+/// and an analytic-µs total is an older schema: refused, by its version.
+#[test]
+fn a_schema_v1_profile_is_rejected_naming_schema_version() {
+    use tvm_neuropilot::profile::validate_profile;
+    let v1: serde_json::Value = serde_json::from_str(
+        r#"{"cells":{"mac/apu/vendor_tuned":{"count":2,
+            "sketch":{"count":2,"entries":[[1.0,1,0],[2.0,1,0]],
+                      "epsilon":0.005,"max":2.0,"min":1.0,"sum":3.0},
+            "total_analytic_us":3.0,"total_energy_uj":1.0,"total_us":3.0}},
+           "key":{"permutation":"byoc-cpu-apu","quant":"f32","soc":"dimensity-800",
+                  "workload":"fig4"},
+           "schema_version":1}"#,
+    )
+    .unwrap();
+    let problem = validate_profile(&v1).expect("a v1 document must be rejected");
+    assert!(problem.contains("schema_version"), "{problem}");
+    assert!(Profile::from_json(&v1).is_err());
 }
