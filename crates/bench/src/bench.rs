@@ -1,7 +1,7 @@
 //! The `bench` subcommand.
 
 use crate::cli::{fail, parse_or_exit, usage_error, Flag};
-use crate::session::{measured_profile_of, ObsCli, ServeCli};
+use crate::session::ServeCli;
 use crate::workloads::{resilient_showcase, run_traced, serve_clip, showcase_models};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -9,6 +9,7 @@ use std::str::FromStr;
 use tvm_neuropilot::models::{anti_spoofing, zoo, Model};
 use tvm_neuropilot::observe::ObservePlane;
 use tvm_neuropilot::prelude::*;
+use tvm_neuropilot::profile::profile_path;
 use tvm_neuropilot::report::{self, BenchRecord};
 use tvmnp_hwsim::WorkKind;
 
@@ -24,9 +25,12 @@ fn metric(key: impl Into<String>, value: f64) -> (String, f64) {
 struct Workload {
     name: &'static str,
     /// Seed of the workload's showcase-model triple: what `fig4` and
-    /// `sched` measure, what `fig5` and `serve` build their application
-    /// from, and what the measured-profile pass executes.
+    /// `sched` measure and what `fig5` and `serve` build their application
+    /// from.
     showcase_seed: u64,
+    /// The workload's models, from its showcase seed: what `fig4`, `fig6`
+    /// and `sched` measure, and what the measured-profile pass executes.
+    models: fn(u64) -> Vec<Model>,
     /// The workload's run.
     run: fn(&Workload, &Run) -> Metrics,
     /// The model whose partition and traced run give the
@@ -40,26 +44,30 @@ static WORKLOADS: [Workload; 5] = [
     Workload {
         name: "fig4",
         showcase_seed: 101,
-        run: |w, run| permutation_metrics(w, run, &showcase_models(w.showcase_seed)),
+        models: |seed| showcase_models(seed).into(),
+        run: permutation_metrics,
         representative: Some(anti_spoofing::anti_spoofing_model),
     },
     Workload {
         name: "fig5",
         showcase_seed: 900,
+        models: |seed| showcase_models(seed).into(),
         run: run_fig5,
         representative: None,
     },
     Workload {
         name: "fig6",
         showcase_seed: 101,
-        run: |w, run| permutation_metrics(w, run, &zoo::zoo(600)),
+        models: |_| zoo::zoo(600),
+        run: permutation_metrics,
         representative: Some(|_| zoo::mobilenet_v2(600)),
     },
     Workload {
         name: "sched",
         showcase_seed: 80,
+        models: |seed| showcase_models(seed).into(),
         run: |w, run| {
-            showcase_models(w.showcase_seed)
+            (w.models)(w.showcase_seed)
                 .iter()
                 .map(|model| {
                     let ms = measure_all(&model.module, &run.cost).expect("measure");
@@ -77,6 +85,7 @@ static WORKLOADS: [Workload; 5] = [
     Workload {
         name: "serve",
         showcase_seed: 910,
+        models: |seed| showcase_models(seed).into(),
         run: run_serve,
         representative: None,
     },
@@ -109,12 +118,13 @@ pub struct BenchCli {
     check_against: Option<PathBuf>,
     inject: Option<Slowdown>,
     serve: ServeCli,
-    obs: ObsCli,
+    profile_store: Option<PathBuf>,
+    profile_diff: Option<PathBuf>,
 }
 
 impl BenchCli {
-    /// `bench`'s own four flags, then the serving flags, then the shared
-    /// observability flags.
+    /// `bench`'s own four flags, then the serving flags, then the two
+    /// measured-profile flags.
     pub fn flags(&mut self) -> Vec<Flag<'_>> {
         let mut flags = vec![
             Flag::value("--workload", WORKLOAD_NAMES, &mut self.workload, |_| true),
@@ -127,8 +137,52 @@ impl BenchCli {
             }),
         ];
         flags.extend(self.serve.flags());
-        flags.extend(self.obs.flags_without_report());
+        flags.extend([
+            Flag::path("--profile-store", "dir", &mut self.profile_store),
+            Flag::path("--profile-diff", "path", &mut self.profile_diff),
+        ]);
         flags
+    }
+
+    /// Whether a measured profile was requested.
+    fn measuring(&self) -> bool {
+        self.profile_store.is_some() || self.profile_diff.is_some()
+    }
+
+    /// Save and/or diff the measured profile per the flags, printing the
+    /// path written, the ranked attribution table, and the greppable
+    /// `top regression cell:` line. Returns the diff when one was made.
+    fn measured_profile(&self, profile: &Profile) -> Option<ProfileDiff> {
+        if let Some(dir) = &self.profile_store {
+            let path = profile.write(dir).unwrap_or_else(|e| fail(&e.to_string()));
+            println!(
+                "measured profile written to {} ({} cells, {} samples)",
+                path.display(),
+                profile.cells.len(),
+                profile.total_count()
+            );
+        }
+        // A directory holds the workload's profile file; a file is one
+        // profile.
+        let base = self.profile_diff.as_ref()?;
+        let base = if base.is_dir() {
+            profile_path(base, &profile.workload)
+        } else {
+            base.clone()
+        };
+        let baseline = Profile::read(&base)
+            .unwrap_or_else(|e| fail(&format!("cannot load the --profile-diff baseline: {e}")));
+        let diff = diff_profiles(&baseline, profile);
+        println!();
+        print!("{}", diff.render());
+        match diff.top() {
+            Some(top) => println!(
+                "top regression cell: {} (ratio {:.2}x, {:+.1} us total)",
+                top.cell, top.ratio, top.delta_total_us
+            ),
+            None => println!("no significant cell movement vs baseline"),
+        }
+        Some(diff)
     }
 }
 
@@ -152,10 +206,11 @@ fn key_part(s: &str) -> String {
         .join("-")
 }
 
-/// Every compiling permutation's time plus the subgraph count, per model.
-fn permutation_metrics(w: &Workload, run: &Run, models: &[Model]) -> Metrics {
+/// Every compiling permutation's time plus the subgraph count, per model
+/// of the workload.
+fn permutation_metrics(w: &Workload, run: &Run) -> Metrics {
     let mut out = Vec::new();
-    for model in models {
+    for model in &(w.models)(w.showcase_seed) {
         let ms = measure_all(&model.module, &run.cost).expect("measure");
         let model_key = key_part(&model.name);
         for m in &ms {
@@ -305,6 +360,14 @@ fn resilience_metrics(plan: &FaultPlan, cost: &CostModel) -> Metrics {
 /// bit-equal to the baseline's. `--inject-slowdown <kind>=<factor>`
 /// scales one hwsim work kind (`mac`, `elementwise`, `data-movement`,
 /// `reduction`) — the hook the gate's tests use.
+///
+/// `bench` is the one producer of a measured profile:
+/// `--profile-store <dir>` executes the workload's models once through
+/// the BYOC CPU+APU flow and saves their binned cost ledgers as
+/// `<dir>/profile-<workload>.json`; `--profile-diff <path>` (that
+/// directory, or one profile file) prints the ranked attribution against
+/// it, and a failing `--check-against` names its top cell as the likely
+/// cause.
 pub fn bench(argv: &[String]) -> ExitCode {
     let mut args = BenchCli::default();
     let usage = parse_or_exit("bench", args.flags(), argv);
@@ -315,7 +378,7 @@ pub fn bench(argv: &[String]) -> ExitCode {
         let message = format!("{flag} is read only by --workload serve");
         usage_error(&message, &usage);
     }
-    if args.bench_out.is_none() && args.check_against.is_none() && !args.obs.measuring() {
+    if args.bench_out.is_none() && args.check_against.is_none() && !args.measuring() {
         usage_error(
             "nothing to do — pass --bench-out, --check-against, \
              --profile-store, and/or --profile-diff",
@@ -329,13 +392,13 @@ pub fn bench(argv: &[String]) -> ExitCode {
         cost = cost.with_kind_scale(kind, factor);
     }
 
-    // The observability plane (when any --stats-out/--flight-*/--slo-ms
+    // The observability plane (when any --stats-out/--flight-out/--slo-ms
     // flag is given) watches the serve workload live.
     let run = Run {
         cost,
         fault_plan: args.serve.fault_plan(&usage),
-        plane: args.obs.build_plane(),
-        serve: args.serve,
+        plane: args.serve.build_plane(),
+        serve: args.serve.clone(),
     };
     let mut record = BenchRecord::new(workload.name);
     let mut metrics = (workload.run)(workload, &run);
@@ -350,18 +413,19 @@ pub fn bench(argv: &[String]) -> ExitCode {
     }
 
     if let Some(plane) = &run.plane {
-        args.obs.finish_plane(plane);
+        run.serve.finish_plane(plane);
         tvm_neuropilot::telemetry::disable();
     }
 
-    // Measured-profile pass: execute the workload's showcase models once
-    // through the BYOC CPU+APU flow and bin their cost ledgers.
-    let profile_diff = if args.obs.measuring() {
-        let mut profile = measured_profile_of(workload.name);
-        for model in &showcase_models(workload.showcase_seed) {
+    // Measured-profile pass: execute the workload's models once through
+    // the BYOC CPU+APU flow and bin their cost ledgers into a profile
+    // keyed by the workload.
+    let profile_diff = if args.measuring() {
+        let mut profile = Profile::new(workload.name);
+        for model in &(workload.models)(workload.showcase_seed) {
             profile.record_ledger(run_traced(model, &run.cost).0.estimate_breakdown());
         }
-        args.obs.measured_profile(profile)
+        args.measured_profile(&profile)
     } else {
         None
     };

@@ -209,8 +209,8 @@ mod tests {
         );
     }
 
-    /// `sched` and `bench` concatenate `ServeCli`'s flags with
-    /// `ObsCli`'s (`bench` its own too), and `obs_check --profile <file>`
+    /// `sched` concatenates `ObsCli`'s flags with `ServeCli`'s, `bench`
+    /// its own with `ServeCli`'s, and `obs_check --profile <file>`
     /// shares a name with `ObsCli`'s switch: within one table a name must
     /// still be declared once.
     #[test]

@@ -233,9 +233,7 @@ pub fn table1(telem: &mut Session) {
     }
     // The table itself runs nothing; trace one zoo model so --profile /
     // --trace-out show where its simulated time goes.
-    if telem.obs.reporting() {
-        telem.trace_model(&zoo::mobilenet_v2(600), &CostModel::default());
-    }
+    telem.trace_model(&zoo::mobilenet_v2(600), &CostModel::default());
 }
 
 /// Table 2: specifications of the experiment environment (OPPO Reno4 Z
@@ -269,7 +267,5 @@ pub fn table2(telem: &mut Session) {
     );
     // The spec dump runs nothing; trace one model against this SoC so
     // --profile / --trace-out have an execute phase to show.
-    if telem.obs.reporting() {
-        telem.trace_model(&zoo::mobilenet_v2(600), &CostModel::default());
-    }
+    telem.trace_model(&zoo::mobilenet_v2(600), &CostModel::default());
 }

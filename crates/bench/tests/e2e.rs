@@ -5,19 +5,11 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// The seven flags every experiment lists, in usage order.
-const SHARED_FLAGS: [&str; 7] = [
-    "--profile",
-    "--trace-out",
-    "--stats-out",
-    "--flight-out",
-    "--slo-ms",
-    "--profile-store",
-    "--profile-diff",
-];
+/// The two report flags every experiment lists, in usage order.
+const SHARED_FLAGS: [&str; 2] = ["--profile", "--trace-out"];
 
-/// The serving flags: only the subcommands that serve frames (`sched`,
-/// `bench`) take them.
+/// The fault and pool flags: only the subcommands that serve frames
+/// (`sched`, `bench`) take them.
 const SERVING_FLAGS: [&str; 4] = [
     "--inject-fault",
     "--fault-seed",
@@ -25,8 +17,20 @@ const SERVING_FLAGS: [&str; 4] = [
     "--cache-dir",
 ];
 
-/// `sched` lists the serving flags after the two report flags.
-const SCHED_FLAGS: [&str; 11] = [
+/// The flags that observe served frames (the live plane) or write a
+/// measured profile: an experiment that serves no frame takes none, and
+/// only `bench` writes a profile.
+const MEASURING_FLAGS: [&str; 5] = [
+    "--stats-out",
+    "--flight-out",
+    "--slo-ms",
+    "--profile-store",
+    "--profile-diff",
+];
+
+/// `sched` lists the serving flags, then the live-plane flags, after the
+/// two report flags.
+const SCHED_FLAGS: [&str; 9] = [
     "--profile",
     "--trace-out",
     "--inject-fault",
@@ -36,8 +40,6 @@ const SCHED_FLAGS: [&str; 11] = [
     "--stats-out",
     "--flight-out",
     "--slo-ms",
-    "--profile-store",
-    "--profile-diff",
 ];
 
 /// Each experiment: its name, its stdout golden and its flag list.
@@ -213,7 +215,7 @@ fn the_check_against_gate_is_exact() {
 
 /// A value every listed flag accepts, by flag name. `--profile` is a
 /// switch on the experiments and a file on `obs_check`, which
-/// `every_listed_flag_is_accepted` feeds from an `energy` run.
+/// `every_listed_flag_is_accepted` feeds from a `bench` run.
 fn sample_value(flag: &str, dir: &Path) -> String {
     let file = |name: &str| path_arg(&dir.join(name)).to_string();
     match flag {
@@ -276,9 +278,10 @@ fn every_listed_flag_is_accepted() {
     }
 
     let bench: Vec<String> = listed_flags("bench").into_iter().map(|(f, _)| f).collect();
-    assert_eq!(bench.len(), 4 + SCHED_FLAGS.len() - 2);
+    assert_eq!(bench.len(), 13, "{bench:?}");
     assert!(bench.iter().all(|f| f != "--profile" && f != "--trace-out"));
-    assert!(SERVING_FLAGS.iter().all(|f| bench.contains(&f.to_string())));
+    let served = SERVING_FLAGS.iter().chain(&MEASURING_FLAGS);
+    assert!(served.into_iter().all(|f| bench.contains(&f.to_string())));
     // Only `--workload serve` reads the pool flags (see
     // `pool_flags_are_refused_off_the_serve_workload`).
     run_with_all("bench", &["--concurrency", "--cache-dir"]);
@@ -287,7 +290,7 @@ fn every_listed_flag_is_accepted() {
     // are checked in `conformance_exit_codes`.
     run_with_all("conformance", &["--replay"]);
 
-    // The experiments above left a stats stream, flight dumps carrying
+    // `sched` and `bench` above left a stats stream, flight dumps carrying
     // SLO breaches and a stored profile behind: exactly obs_check's input.
     run_with_all("obs_check", &[]);
 }
@@ -300,8 +303,11 @@ fn bad_command_lines_exit_2_naming_the_flag() {
         // The flight ring is a fixed 1024 events, not a knob.
         let gone = "unknown argument '--flight-buffer'";
         assert_usage_error(&[name, "--flight-buffer", "64"], gone);
-        assert_usage_error(&[name, "--slo-ms", "-1"], "--slo-ms");
     }
+    assert_usage_error(
+        &["sched", "--slo-ms", "-1"],
+        "invalid value '-1' for --slo-ms",
+    );
     assert_usage_error(&["sched", "--concurrency", "0"], "--concurrency");
     assert_usage_error(
         &["sched", "--inject-fault", "apu:nowhere"],
@@ -464,42 +470,114 @@ fn sched_recovers_under_seeded_faults() {
     assert!(recovered >= 1);
 }
 
-/// The measured profile's workload key is the subcommand, not the file
-/// stem of `argv[0]` (which is `tvmnp` for every subcommand).
+/// The live-plane flags observe served frames and a measured profile has
+/// one producer, `bench`: an experiment that serves no frame refuses all
+/// five flags, `sched` refuses the profile flags, and nothing is written.
+#[test]
+fn observability_flags_are_refused_where_nothing_is_measured() {
+    let dir = scratch("measuring-flags");
+    let value = |flag: &str| match flag {
+        "--slo-ms" => "50".to_string(),
+        _ => path_arg(&dir.join(&flag[2..])).to_string(),
+    };
+    let mut refusals: Vec<(&str, &str)> = Vec::new();
+    for (name, _, flags) in EXPERIMENTS {
+        for flag in MEASURING_FLAGS {
+            if !flags.contains(&flag) {
+                refusals.push((name, flag));
+            }
+        }
+    }
+    assert_eq!(refusals.len(), 9 * 5 + 2, "{refusals:?}");
+    for (name, flag) in refusals {
+        let refused = format!("unknown argument '{flag}'");
+        assert_usage_error(&[name, flag, &value(flag)], &refused);
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert!(written.is_empty(), "{name} {flag} wrote {written:?}");
+    }
+
+    // The plane counts the frames `sched` serves, its 64-frame clip, and
+    // nothing else.
+    let stats = dir.join("stats.jsonl");
+    let out = tvmnp(&["sched", "--stats-out", path_arg(&stats)]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("(64 frame(s) observed)"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+/// The measured profile is keyed by the workload alone: one file, named
+/// after it.
 #[test]
 fn the_profile_key_is_the_subcommand_name() {
     let dir = scratch("profile-key");
-    let out = tvmnp(&["energy", "--profile-store", path_arg(&dir)]);
+    let store = ["--profile-store", path_arg(&dir)];
+    let out = tvmnp(&[&["bench", "--workload", "sched"][..], &store].concat());
     assert!(out.status.success(), "{}", stderr(&out));
     let stored: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .collect();
-    assert_eq!(stored.len(), 1, "{stored:?}");
-    assert!(stored[0].starts_with("profile-energy-"), "{stored:?}");
+    assert_eq!(stored, ["profile-sched.json"]);
 }
 
-/// A measured profile is read off the cost ledgers, so asking for one
-/// adds nothing to the simulated-time half (pid 2) of a trace.
+/// `--profile-diff` takes the store directory, read as the workload's
+/// file in it, or that one file; both give the same attribution, and a
+/// store without the workload's file is a named failure.
 #[test]
-fn a_profile_flag_leaves_the_simulated_trace_alone() {
-    let dir = scratch("profile-trace");
-    let sim_events = |extra: &[&str]| {
-        let trace = dir.join("trace.json");
-        let mut args = vec!["energy", "--trace-out", path_arg(&trace)];
-        args.extend(extra);
-        let out = tvmnp(&args);
-        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-        let events = doc["traceEvents"].as_array().expect("trace events");
-        let sim = events.iter().filter(|e| e["pid"].as_u64() == Some(2));
-        sim.cloned().collect::<Vec<_>>()
+fn the_profile_diff_baseline_is_a_store_or_its_workload_file() {
+    let dir = scratch("profile-diff-baseline");
+    let store = dir.join("store");
+    let bench = ["bench", "--workload", "sched"];
+    let out = tvmnp(&[&bench[..], &["--profile-store", path_arg(&store)]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let file = store.join("profile-sched.json");
+    let diff = |baseline: &Path| {
+        let out = tvmnp(&[&bench[..], &["--profile-diff", path_arg(baseline)]].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+        stdout(&out)
     };
-    let plain = sim_events(&[]);
-    let profiled = sim_events(&["--profile-store", path_arg(&dir.join("store"))]);
-    assert!(plain.len() > 1, "the run must leave simulated spans");
-    assert_eq!(plain.len(), profiled.len(), "simulated-time event count");
-    assert_eq!(plain, profiled);
+    let by_dir = diff(&store);
+    assert!(
+        by_dir.contains("no significant cell movement vs baseline"),
+        "{by_dir}"
+    );
+    assert_eq!(by_dir, diff(&file));
+
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    let out = tvmnp(&[&bench[..], &["--profile-diff", path_arg(&empty)]].concat());
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(
+        err.contains("--profile-diff baseline") && err.contains("profile-sched.json"),
+        "{err}"
+    );
+}
+
+/// `bench --workload fig6` profiles the models fig6 measures: one sample
+/// per non-launch ledger entry of every zoo model under BYOC CPU+APU.
+#[test]
+fn the_fig6_profile_covers_the_zoo_fig6_measures() {
+    use tvm_neuropilot::hwsim::ledger::CostRole;
+    use tvm_neuropilot::models::zoo;
+    use tvm_neuropilot::prelude::*;
+    let dir = scratch("fig6-profile");
+    let store = ["--profile-store", path_arg(&dir)];
+    let out = tvmnp(&[&["bench", "--workload", "fig6"][..], &store].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let profile = Profile::read(&dir.join("profile-fig6.json")).expect("the fig6 profile");
+    let samples: usize = zoo::zoo(600)
+        .iter()
+        .map(|model| {
+            let mode = TargetMode::Byoc(TargetPolicy::CpuApu);
+            let compiled = relay_build(&model.module, mode, CostModel::default()).expect("build");
+            let ledger = compiled.estimate_breakdown();
+            ledger.iter().filter(|e| e.role != CostRole::Launch).count()
+        })
+        .sum();
+    assert_eq!(profile.total_count() as usize, samples);
 }

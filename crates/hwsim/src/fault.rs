@@ -8,11 +8,10 @@
 //! splitmix64 stream keyed on `(seed, device, invocation)`. No wall-clock
 //! randomness: the same plan injected twice produces byte-identical runs.
 //!
-//! The plan is data ([`serde`] round-trips it), built from a seed
-//! ([`FaultPlan::seeded`]) and one rule per spec string in the grammar of
-//! [`FaultPlan::with_spec`] (`<device>:<site>:<kind>[=<value>][@<work>]`,
-//! e.g. `apu:dispatch:transient`) — the same strings `--inject-fault`
-//! takes.
+//! A plan is built from a seed ([`FaultPlan::seeded`]) and one rule per
+//! spec string in the grammar of [`FaultPlan::with_spec`]
+//! (`<device>:<site>:<kind>[=<value>][@<work>]`, e.g.
+//! `apu:dispatch:transient`) — the same strings `--inject-fault` takes.
 //!
 //! A [`FaultInjector`] interprets the plan at runtime: execution engines
 //! consult it at each subgraph dispatch / compile and receive `Some(Fault)`
@@ -25,11 +24,10 @@
 use crate::cost::{CostModel, WorkKind};
 use crate::device::DeviceKind;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What kind of fault a rule injects.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Transient dispatch failure: each invocation fails a seeded number
     /// of leading attempts (`0..=max_failures`), then succeeds — a retry
@@ -57,7 +55,7 @@ pub enum FaultKind {
 }
 
 /// One injection rule: a kind of fault striking one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRule {
     /// Device the rule applies to.
     pub device: DeviceKind,
@@ -77,12 +75,11 @@ impl fmt::Display for FaultSpecError {
 
 impl std::error::Error for FaultSpecError {}
 
-/// A seeded, serializable set of fault-injection rules.
+/// A seeded set of fault-injection rules.
 ///
 /// The seed drives every probabilistic decision, so a plan is a complete,
-/// reproducible description of a fault scenario — it can be logged,
-/// checked into a repro case, or loaded from CLI/JSON.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// reproducible description of a fault scenario.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the deterministic fault stream.
     pub seed: u64,
@@ -388,7 +385,7 @@ impl fmt::Debug for FaultInjector {
 /// Retry policy for faulted dispatches: up to `max_attempts` attempts per
 /// invocation, with exponential backoff charged in **simulated**
 /// microseconds (the backoff is cost-model time, not host sleep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per invocation, including the first (≥ 1).
     pub max_attempts: u32,
@@ -454,22 +451,6 @@ impl CircuitBreaker {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_serde_round_trip() {
-        let plan = FaultPlan::seeded(7)
-            .with_spec("apu:dispatch:transient=2")
-            .unwrap()
-            .with_spec("gpu:dispatch:device-lost")
-            .unwrap()
-            .with_spec("apu:compile:reject")
-            .unwrap()
-            .with_spec("cpu:kernel:throttle=2.5@mac")
-            .unwrap();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
-    }
 
     /// Each spec form yields exactly one rule, pinned field by field.
     #[test]

@@ -158,24 +158,14 @@ pub fn diff_profiles(baseline: &Profile, current: &Profile) -> ProfileDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ProfileKey;
     use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
 
     fn cell(key: &str) -> (WorkKind, DeviceKind, KernelClass) {
         crate::store::parse_cell_key(key).unwrap()
     }
 
-    fn key() -> ProfileKey {
-        ProfileKey {
-            workload: "t".to_string(),
-            permutation: "byoc-cpu-apu".to_string(),
-            quant: "f32".to_string(),
-            soc: "dimensity-800".to_string(),
-        }
-    }
-
     fn profile(mac_us: f64) -> Profile {
-        let mut p = Profile::new(key());
+        let mut p = Profile::new("t");
         for i in 0..20 {
             p.record(cell("mac/apu/vendor_tuned"), mac_us + i as f64, 9.0);
             p.record(cell("elementwise/cpu/tvm_untuned"), 4.0, 0.3);

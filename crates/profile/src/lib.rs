@@ -1,18 +1,19 @@
-//! `tvmnp-profile` — measured-profile store and differential regression
+//! `tvmnp-profile` — measured profiles and differential regression
 //! attribution.
 //!
 //! A bench gate that only compares workload totals cannot say which ops
 //! moved; this crate records the *measured* costs behind a run and
 //! attributes a difference between two runs to the cells that caused it.
-//! Two pieces:
+//! `tvmnp bench --profile-store` is the one producer of a profile. Two
+//! pieces:
 //!
-//! * **[`store`]** — [`Profile`]/[`ProfileStore`]: an on-disk measured-
-//!   cost database, content-addressed by (workload fingerprint ×
-//!   permutation × quant config × SoC). The cost ledger of each model a
-//!   run executed ([`Profile::record_ledger`]) is binned into
-//!   per-(work kind, device, kernel class) cells, each holding its
-//!   sample count and exact µs / µJ totals — the sums of the `f64`s the
-//!   ledger holds. Files are byte-deterministic under a fixed seed.
+//! * **[`store`]** — [`Profile`]: the cost ledger of each model a run
+//!   executed ([`Profile::record_ledger`]) binned into per-(work kind,
+//!   device, kernel class) cells, each holding its sample count and exact
+//!   µs / µJ totals — the sums of the `f64`s the ledger holds. A profile
+//!   is keyed by its workload alone and saved as
+//!   `profile-<workload>.json` ([`profile_path`]); files are
+//!   byte-deterministic under a fixed seed.
 //! * **[`diff`]** — [`ProfileDiff`]: compares two profiles and
 //!   attributes latency/energy movement to specific cells with
 //!   significance filtering, rendered as a ranked attribution table.
@@ -25,6 +26,5 @@ pub mod store;
 
 pub use diff::{diff_profiles, CellDelta, ProfileDiff};
 pub use store::{
-    parse_cell_key, validate_profile, Profile, ProfileCell, ProfileKey, ProfileStore,
-    PROFILE_SCHEMA_VERSION,
+    parse_cell_key, profile_path, validate_profile, Profile, ProfileCell, PROFILE_SCHEMA_VERSION,
 };

@@ -1,15 +1,15 @@
-//! The measured-profile database: in-memory [`Profile`]s binned from the
-//! cost ledgers of the models a run executed, and the content-addressed
-//! on-disk [`ProfileStore`] they persist into.
+//! The measured profile: the cost ledgers of the models a run executed,
+//! binned into cells, and the one file a profile is saved as.
 //!
 //! A profile is a map from `kind/device/class` cells (e.g.
 //! `mac/apu/vendor_tuned`) to latency/energy sums. Samples are ledger
 //! entries ([`Profile::record_ledger`]): one per kernel and one per other
 //! charged item, each carrying the `us` and `energy_uj` the ledger holds.
 //!
-//! Everything serializes to sorted-key JSON with exact float formatting:
-//! the same seeded run produces byte-identical profile files, which is
-//! what lets CI diff them and the bench gate cache them.
+//! A profile is keyed by its workload alone and saved as
+//! [`profile_path`]`(dir, workload)`, sorted-key JSON with exact float
+//! formatting: the same seeded run produces byte-identical profile files,
+//! which is what lets CI diff them.
 
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
@@ -19,64 +19,7 @@ use tvmnp_hwsim::ledger::{CostEntry, CostRole};
 use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
 
 /// Version stamp written into every profile file.
-pub const PROFILE_SCHEMA_VERSION: u64 = 2;
-
-/// Identity of one measured profile: what ran and how it was compiled.
-/// Two runs with the same key land in the same store slot and are
-/// directly comparable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileKey {
-    /// Workload (or module) fingerprint, e.g. `fig4`.
-    pub workload: String,
-    /// Target permutation the run was compiled for, e.g. `byoc-cpu-apu`.
-    pub permutation: String,
-    /// Quantization config, e.g. `f32` or `int8`.
-    pub quant: String,
-    /// SoC / device the cost model simulated, e.g. `dimensity-800`.
-    pub soc: String,
-}
-
-impl ProfileKey {
-    /// Canonical string form (the content-address input).
-    pub fn canonical(&self) -> String {
-        format!(
-            "{}|{}|{}|{}",
-            self.workload, self.permutation, self.quant, self.soc
-        )
-    }
-
-    /// Stable 16-hex-digit content hash of the canonical key (FNV-1a).
-    pub fn hash(&self) -> String {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self.canonical().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        format!("{h:016x}")
-    }
-
-    /// File name this key addresses inside a [`ProfileStore`].
-    pub fn file_name(&self) -> String {
-        let sanitize = |s: &str| {
-            s.chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() || c == '-' {
-                        c
-                    } else {
-                        '_'
-                    }
-                })
-                .collect::<String>()
-        };
-        format!(
-            "profile-{}-{}-{}-{}.json",
-            sanitize(&self.workload),
-            sanitize(&self.permutation),
-            sanitize(&self.quant),
-            &self.hash()[..8]
-        )
-    }
-}
+pub const PROFILE_SCHEMA_VERSION: u64 = 3;
 
 /// One `(work kind, device, kernel class)` cell of a profile: the sums
 /// of its ledger entries.
@@ -110,21 +53,21 @@ pub fn parse_cell_key(key: &str) -> Option<(WorkKind, DeviceKind, KernelClass)> 
     Some((kind, device, class))
 }
 
-/// A measured cost profile: per-cell latency/energy sums under one
-/// [`ProfileKey`].
+/// A measured cost profile of one workload: per-cell latency/energy
+/// sums.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    /// Identity of the run this profile measures.
-    pub key: ProfileKey,
+    /// The workload the profile measures, e.g. `fig4`; it names the file.
+    pub workload: String,
     /// `kind/device/class` → sums, deterministically ordered.
     pub cells: BTreeMap<String, ProfileCell>,
 }
 
 impl Profile {
-    /// An empty profile under `key`.
-    pub fn new(key: ProfileKey) -> Profile {
+    /// An empty profile of `workload`.
+    pub fn new(workload: &str) -> Profile {
         Profile {
-            key,
+            workload: workload.to_string(),
             cells: BTreeMap::new(),
         }
     }
@@ -193,16 +136,10 @@ impl Profile {
                 }),
             );
         }
-        let key = json!({
-            "permutation": self.key.permutation,
-            "quant": self.key.quant,
-            "soc": self.key.soc,
-            "workload": self.key.workload
-        });
         json!({
             "cells": Value::Object(cells),
-            "key": key,
-            "schema_version": PROFILE_SCHEMA_VERSION
+            "schema_version": PROFILE_SCHEMA_VERSION,
+            "workload": self.workload
         })
     }
 
@@ -211,19 +148,10 @@ impl Profile {
         if let Some(problem) = validate_profile(doc) {
             return Err(ProfileError(problem));
         }
-        let key_field = |name: &str| {
-            doc["key"][name]
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| ProfileError(format!("key.{name} missing")))
-        };
-        let key = ProfileKey {
-            workload: key_field("workload")?,
-            permutation: key_field("permutation")?,
-            quant: key_field("quant")?,
-            soc: key_field("soc")?,
-        };
-        let mut profile = Profile::new(key);
+        let workload = doc["workload"]
+            .as_str()
+            .ok_or_else(|| ProfileError("workload missing".to_string()))?;
+        let mut profile = Profile::new(workload);
         let cells = doc["cells"]
             .as_object()
             .ok_or_else(|| ProfileError("cells is not an object".to_string()))?;
@@ -245,12 +173,18 @@ impl Profile {
         Ok(profile)
     }
 
-    /// Write as a profile file (one JSON document plus trailing newline).
-    pub fn write(&self, path: &Path) -> Result<(), ProfileError> {
+    /// Save into `dir`, creating it if needed, as [`profile_path`] (one
+    /// JSON document plus trailing newline); returns the path written.
+    /// Saving the same workload again overwrites its file.
+    pub fn write(&self, dir: &Path) -> Result<PathBuf, ProfileError> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| ProfileError(format!("create {}: {e}", dir.display())))?;
+        let path = profile_path(dir, &self.workload);
         let text = serde_json::to_string(&self.to_json())
             .map_err(|e| ProfileError(format!("serialize {}: {e}", path.display())))?;
-        std::fs::write(path, format!("{text}\n"))
-            .map_err(|e| ProfileError(format!("write {}: {e}", path.display())))
+        std::fs::write(&path, format!("{text}\n"))
+            .map_err(|e| ProfileError(format!("write {}: {e}", path.display())))?;
+        Ok(path)
     }
 
     /// Read a profile file written by [`Profile::write`].
@@ -263,6 +197,11 @@ impl Profile {
     }
 }
 
+/// The file a profile of `workload` is saved as inside `dir`.
+pub fn profile_path(dir: &Path, workload: &str) -> PathBuf {
+    dir.join(format!("profile-{workload}.json"))
+}
+
 /// Schema validation for a profile document; `None` when well-formed,
 /// otherwise a description of the first problem (the `obs_check` CI
 /// binary surfaces it).
@@ -273,10 +212,8 @@ pub fn validate_profile(doc: &Value) -> Option<String> {
             doc["schema_version"]
         ));
     }
-    for field in ["workload", "permutation", "quant", "soc"] {
-        if doc["key"][field].as_str().is_none_or(str::is_empty) {
-            return Some(format!("key.{field} missing or empty"));
-        }
+    if doc["workload"].as_str().is_none_or(str::is_empty) {
+        return Some("workload missing or empty".to_string());
     }
     let Some(cells) = doc["cells"].as_object() else {
         return Some("cells is not an object".to_string());
@@ -304,7 +241,7 @@ pub fn validate_profile(doc: &Value) -> Option<String> {
     None
 }
 
-/// Error from profile (de)serialization or store I/O.
+/// Error from profile (de)serialization or file I/O.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileError(pub String);
 
@@ -316,64 +253,12 @@ impl fmt::Display for ProfileError {
 
 impl std::error::Error for ProfileError {}
 
-/// Content-addressed on-disk profile database: one file per
-/// [`ProfileKey`], named by the key's hash so distinct configurations
-/// never collide and re-saving the same run overwrites in place.
-#[derive(Debug, Clone)]
-pub struct ProfileStore {
-    dir: PathBuf,
-}
-
-impl ProfileStore {
-    /// Open (creating if needed) a store rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<ProfileStore, ProfileError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| ProfileError(format!("create {}: {e}", dir.display())))?;
-        Ok(ProfileStore { dir })
-    }
-
-    /// The file a key addresses.
-    pub fn path_for(&self, key: &ProfileKey) -> PathBuf {
-        self.dir.join(key.file_name())
-    }
-
-    /// Persist a profile into its slot; returns the path written.
-    pub fn save(&self, profile: &Profile) -> Result<PathBuf, ProfileError> {
-        let path = self.path_for(&profile.key);
-        profile.write(&path)?;
-        Ok(path)
-    }
-
-    /// Load the profile stored for `key`.
-    pub fn load(&self, key: &ProfileKey) -> Result<Profile, ProfileError> {
-        let path = self.path_for(key);
-        if !path.exists() {
-            return Err(ProfileError(format!(
-                "no profile for {} in {}",
-                key.canonical(),
-                self.dir.display()
-            )));
-        }
-        Profile::read(&path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn key() -> ProfileKey {
-        ProfileKey {
-            workload: "fig4".to_string(),
-            permutation: "byoc-cpu-apu".to_string(),
-            quant: "f32".to_string(),
-            soc: "dimensity-800".to_string(),
-        }
-    }
-
     fn sample_profile() -> Profile {
-        let mut p = Profile::new(key());
+        let mut p = Profile::new("fig4");
         for i in 0..50 {
             let cell = |key| parse_cell_key(key).unwrap();
             p.record(cell("mac/apu/vendor_tuned"), 100.0 + i as f64, 7.5);
@@ -406,7 +291,7 @@ mod tests {
             validate_profile(&doc)
         );
         let back = Profile::from_json(&doc).unwrap();
-        assert_eq!(back.key, p.key);
+        assert_eq!(back.workload, p.workload);
         assert_eq!(back.cells, p.cells);
         // A truncated cell is rejected with a pointed message.
         let mut broken = doc.clone();
@@ -433,10 +318,8 @@ mod tests {
     /// A document over `cells`, the cell map's entries as JSON text.
     fn doc_with(cells: &str) -> Value {
         serde_json::from_str(&format!(
-            r#"{{"cells":{{{cells}}},
-               "key":{{"permutation":"byoc-cpu-apu","quant":"f32","soc":"dimensity-800",
-                      "workload":"fig4"}},
-               "schema_version":{PROFILE_SCHEMA_VERSION}}}"#
+            r#"{{"cells":{{{cells}}},"schema_version":{PROFILE_SCHEMA_VERSION},
+               "workload":"fig4"}}"#
         ))
         .unwrap()
     }
@@ -486,37 +369,44 @@ mod tests {
     }
 
     #[test]
-    fn store_roundtrip_is_byte_deterministic() {
-        let dir = std::env::temp_dir().join(format!("tvmnp-profile-test-{}", std::process::id()));
-        let store = ProfileStore::open(&dir).unwrap();
-        let p = sample_profile();
-        let path = store.save(&p).unwrap();
-        let first = std::fs::read(&path).unwrap();
-        // Re-building the same profile from scratch writes identical bytes.
-        store.save(&sample_profile()).unwrap();
-        assert_eq!(first, std::fs::read(&path).unwrap());
-        let loaded = store.load(&key()).unwrap();
-        assert_eq!(loaded.total_count(), p.total_count());
-        let stored: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
-        assert_eq!(stored.len(), 1);
-        assert_eq!(stored[0].path(), path);
-        assert!(store
-            .load(&ProfileKey {
-                workload: "other".to_string(),
-                ..key()
-            })
-            .is_err());
-        std::fs::remove_dir_all(&dir).ok();
+    fn a_profile_without_a_workload_is_refused_naming_workload() {
+        // The workload names the file, so a document must carry one.
+        let with = |workload: &str| -> Value {
+            serde_json::from_str(&format!(
+                r#"{{"cells":{{}},"schema_version":{PROFILE_SCHEMA_VERSION}{workload}}}"#
+            ))
+            .unwrap()
+        };
+        for workload in ["", r#","workload":"""#, r#","workload":4"#] {
+            let doc = with(workload);
+            let problem = validate_profile(&doc).expect("must be rejected");
+            assert!(problem.contains("workload"), "{workload}: {problem}");
+            assert!(Profile::from_json(&doc).is_err());
+        }
+        let named = with(r#","workload":"sched""#);
+        assert_eq!(validate_profile(&named), None);
+        assert_eq!(Profile::from_json(&named).unwrap().workload, "sched");
     }
 
     #[test]
-    fn distinct_keys_address_distinct_files() {
-        let a = key();
-        let b = ProfileKey {
-            quant: "int8".to_string(),
-            ..key()
-        };
-        assert_ne!(a.file_name(), b.file_name());
-        assert_eq!(a.file_name(), key().file_name());
+    fn a_profile_is_saved_as_its_workload_file_byte_deterministically() {
+        let dir = std::env::temp_dir().join(format!("tvmnp-profile-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The directory is created on save.
+        let path = sample_profile().write(&dir).unwrap();
+        assert_eq!(path, dir.join("profile-fig4.json"));
+        assert_eq!(path, profile_path(&dir, "fig4"));
+        let first = std::fs::read(&path).unwrap();
+        // Re-building the same profile from scratch writes identical bytes
+        // over the same file.
+        sample_profile().write(&dir).unwrap();
+        assert_eq!(first, std::fs::read(&path).unwrap());
+        let stored: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(stored.len(), 1);
+        let loaded = Profile::read(&path).unwrap();
+        assert_eq!(loaded.workload, "fig4");
+        assert_eq!(loaded.cells, sample_profile().cells);
+        assert!(Profile::read(&profile_path(&dir, "other")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -117,6 +117,23 @@ if grep -rnE 'analytic_us|analytic_body_us|total_analytic|QuantileSketch|sketch'
     exit 1
 fi
 
+# And a measured profile has one producer (DESIGN.md "One registry, two
+# instances"): `tvmnp bench --profile-store` bins the ledgers of the
+# workload's models into a profile keyed by the workload alone, so no
+# multi-field key, content-addressed store or second recording site in the
+# harness may grow back.
+if grep -rnE 'ProfileKey|ProfileStore|fn canonical|fn hash' crates/profile/src crates/bench/src crates/core/src; then
+    echo "one-profile-producer gate: a profile key, a profile store or a key hash is back" >&2
+    exit 1
+fi
+for f in $(find crates/bench/src -name '*.rs' ! -name bench.rs | sort); do
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -F 'record_ledger('; then
+        echo "one-profile-producer gate: $f records a measured profile (only bench.rs may)" >&2
+        exit 1
+    fi
+done
+
 # And a schedule report is the schedule (DESIGN.md "Everything read off a
 # schedule"): Fig. 5's metrics are `hwsim::Schedule` queries plus
 # `report::utilization_from_schedule`, so no second model of placements,
@@ -354,8 +371,8 @@ echo "$diff_out" | grep -q "^top regression cell: mac/" || {
     exit 1
 }
 target/release/tvmnp obs_check \
-    --profile "$obs_dir"/prof-base/profile-*.json \
-    --profile "$obs_dir"/prof-slow/profile-*.json
+    --profile "$obs_dir/prof-base/profile-fig4.json" \
+    --profile "$obs_dir/prof-slow/profile-fig4.json"
 
 # Conformance smoke: fixed-seed differential run across the seven target
 # permutations. Hard gate — any divergence from the interpreter or any

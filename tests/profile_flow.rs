@@ -1,5 +1,5 @@
 //! End-to-end measured-profile flow: the cost ledgers of the models a run
-//! executed feed the profile store, a differential diff pins an injected
+//! executed feed a profile, a differential diff pins an injected
 //! slowdown on the responsible (op kind, device) cells, and the on-disk
 //! artifact is byte-deterministic.
 
@@ -18,19 +18,10 @@ fn showcase_trio() -> [Model; 3] {
     ]
 }
 
-fn key(workload: &str) -> ProfileKey {
-    ProfileKey {
-        workload: workload.to_string(),
-        permutation: "byoc-cpu-apu".to_string(),
-        quant: "f32".to_string(),
-        soc: "dimensity-800".to_string(),
-    }
-}
-
 /// Run the showcase trio through the BYOC CPU+APU flow and record each
 /// model's ledger into a fresh profile.
 fn collect(cost: &CostModel) -> Profile {
-    let mut profile = Profile::new(key("profile-flow"));
+    let mut profile = Profile::new("profile-flow");
     for model in &showcase_trio() {
         let mut compiled = relay_build(
             &model.module,
@@ -79,8 +70,8 @@ fn injected_mac_slowdown_is_attributed_to_mac_cells() {
     assert!(rendered.contains("mac/"));
 }
 
-/// Fixed seeds in, identical bytes out: the profile JSON and the store
-/// artifact must be byte-identical across collections.
+/// Fixed seeds in, identical bytes out: the profile JSON and the saved
+/// file must be byte-identical across collections.
 #[test]
 fn profile_artifacts_are_byte_deterministic() {
     let a = collect(&CostModel::default());
@@ -89,14 +80,12 @@ fn profile_artifacts_are_byte_deterministic() {
 
     let dir = std::env::temp_dir().join(format!("tvmnp-profile-det-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = ProfileStore::open(dir.join("s1")).unwrap();
-    let p1 = store.save(&a).unwrap();
-    let store2 = ProfileStore::open(dir.join("s2")).unwrap();
-    let p2 = store2.save(&b).unwrap();
+    let p1 = a.write(&dir.join("s1")).unwrap();
+    let p2 = b.write(&dir.join("s2")).unwrap();
     assert_eq!(p1.file_name(), p2.file_name());
     assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
-    // Round-trip through the store preserves the profile exactly.
-    let loaded = store.load(&a.key).unwrap();
+    // Round-trip through the file preserves the profile exactly.
+    let loaded = Profile::read(&p1).unwrap();
     assert_eq!(loaded.cells, a.cells);
     assert_eq!(loaded.to_json().to_string(), a.to_json().to_string());
     let _ = std::fs::remove_dir_all(&dir);
@@ -132,7 +121,7 @@ fn profile_totals_reconcile_with_the_cost_ledger() {
     )
     .expect("build");
     let ledger = compiled.estimate_breakdown();
-    let mut profile = Profile::new(key("ledger"));
+    let mut profile = Profile::new("ledger");
     profile.record_ledger(ledger);
 
     let mut want: BTreeMap<String, (u64, f64, f64)> = BTreeMap::new();
@@ -178,22 +167,28 @@ fn profile_totals_reconcile_with_the_cost_ledger() {
     close(us, compiled.estimate_us(), "us");
 }
 
-/// A file the store wrote while each cell also carried a quantile sketch
-/// and an analytic-µs total is an older schema: refused, by its version.
+/// Files of older schemas are refused, by their version: v1, whose cells
+/// also carried a quantile sketch and an analytic-µs total, and v2, keyed
+/// by (workload, permutation, quant, SoC).
 #[test]
 fn a_schema_v1_profile_is_rejected_naming_schema_version() {
     use tvm_neuropilot::profile::validate_profile;
-    let v1: serde_json::Value = serde_json::from_str(
-        r#"{"cells":{"mac/apu/vendor_tuned":{"count":2,
+    let v1 = r#"{"cells":{"mac/apu/vendor_tuned":{"count":2,
             "sketch":{"count":2,"entries":[[1.0,1,0],[2.0,1,0]],
                       "epsilon":0.005,"max":2.0,"min":1.0,"sum":3.0},
             "total_analytic_us":3.0,"total_energy_uj":1.0,"total_us":3.0}},
            "key":{"permutation":"byoc-cpu-apu","quant":"f32","soc":"dimensity-800",
                   "workload":"fig4"},
-           "schema_version":1}"#,
-    )
-    .unwrap();
-    let problem = validate_profile(&v1).expect("a v1 document must be rejected");
-    assert!(problem.contains("schema_version"), "{problem}");
-    assert!(Profile::from_json(&v1).is_err());
+           "schema_version":1}"#;
+    let v2 = r#"{"cells":{"mac/apu/vendor_tuned":{"count":2,
+            "total_energy_uj":1.0,"total_us":3.0}},
+           "key":{"permutation":"byoc-cpu-apu","quant":"f32","soc":"dimensity-800",
+                  "workload":"fig4"},
+           "schema_version":2}"#;
+    for old in [v1, v2] {
+        let doc: serde_json::Value = serde_json::from_str(old).unwrap();
+        let problem = validate_profile(&doc).expect("an older document must be rejected");
+        assert!(problem.contains("schema_version"), "{problem}");
+        assert!(Profile::from_json(&doc).is_err());
+    }
 }
