@@ -144,17 +144,20 @@ impl ServeCli {
         }
     }
 
-    /// The first given flag that only sizes or backs the serving pool
-    /// (`--concurrency`, `--cache-dir`): a run that serves no frame
-    /// refuses it rather than ignore it.
+    /// The first given flag that only the serving pool reads (its size and
+    /// cache, `--concurrency` / `--cache-dir`, or the live plane it feeds,
+    /// `--stats-out` / `--flight-out` / `--slo-ms`): a run that serves no
+    /// frame refuses it rather than ignore it.
     pub fn pool_flag(&self) -> Option<&'static str> {
-        if self.concurrency.is_some() {
-            Some("--concurrency")
-        } else if self.cache_dir.is_some() {
-            Some("--cache-dir")
-        } else {
-            None
-        }
+        [
+            (self.concurrency.is_some(), "--concurrency"),
+            (self.cache_dir.is_some(), "--cache-dir"),
+            (self.stats_out.is_some(), "--stats-out"),
+            (self.flight_out.is_some(), "--flight-out"),
+            (self.slo_ms.is_some(), "--slo-ms"),
+        ]
+        .into_iter()
+        .find_map(|(given, flag)| given.then_some(flag))
     }
 
     /// Frames in flight for the serving pool (`--concurrency`, default 4).

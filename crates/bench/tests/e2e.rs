@@ -282,16 +282,23 @@ fn every_listed_flag_is_accepted() {
     assert!(bench.iter().all(|f| f != "--profile" && f != "--trace-out"));
     let served = SERVING_FLAGS.iter().chain(&MEASURING_FLAGS);
     assert!(served.into_iter().all(|f| bench.contains(&f.to_string())));
-    // Only `--workload serve` reads the pool flags (see
+    // Only `--workload serve` reads the pool and live-plane flags (see
     // `pool_flags_are_refused_off_the_serve_workload`).
-    run_with_all("bench", &["--concurrency", "--cache-dir"]);
+    let serve_only = [
+        "--concurrency",
+        "--cache-dir",
+        "--stats-out",
+        "--flight-out",
+        "--slo-ms",
+    ];
+    run_with_all("bench", &serve_only);
 
     // `--replay` answers for a file rather than a run; its exit codes
     // are checked in `conformance_exit_codes`.
     run_with_all("conformance", &["--replay"]);
 
-    // `sched` and `bench` above left a stats stream, flight dumps carrying
-    // SLO breaches and a stored profile behind: exactly obs_check's input.
+    // `sched` above left a stats stream and flight dumps carrying SLO
+    // breaches behind, `bench` a stored profile: exactly obs_check's input.
     run_with_all("obs_check", &[]);
 }
 
@@ -401,25 +408,36 @@ fn fault_flags_are_refused_where_no_fault_runs() {
     }
 }
 
-/// `--concurrency` and `--cache-dir` size and back the serving pool, so
-/// only `bench --workload serve` reads them: on any other workload they
-/// are a usage error and nothing is written.
+/// `--concurrency` and `--cache-dir` size and back the serving pool, and
+/// `--stats-out`, `--flight-out` and `--slo-ms` watch the frames it
+/// serves, so only `bench --workload serve` reads them: on any other
+/// workload they are a usage error and nothing is written.
 #[test]
 fn pool_flags_are_refused_off_the_serve_workload() {
     let dir = scratch("pool-flags");
     let (written, cache) = (dir.join("bench.json"), dir.join("cache"));
+    let (stats, flight) = (dir.join("stats.jsonl"), dir.join("flight"));
     let out = ["--bench-out", path_arg(&written)];
+    let serve_only = [
+        ("--concurrency", "2"),
+        ("--cache-dir", path_arg(&cache)),
+        ("--stats-out", path_arg(&stats)),
+        ("--flight-out", path_arg(&flight)),
+        ("--slo-ms", "50"),
+    ];
     for workload in ["fig4", "fig5", "fig6", "sched"] {
-        for (flag, value) in [("--concurrency", "2"), ("--cache-dir", path_arg(&cache))] {
+        for (flag, value) in serve_only {
             let args = [&["bench", "--workload", workload, flag, value][..], &out].concat();
             assert_usage_error(&args, &format!("{flag} is read only by --workload serve"));
         }
     }
-    assert!(!written.exists() && !cache.exists(), "a refused run wrote");
-    let pool = ["--concurrency", "2", "--cache-dir", path_arg(&cache)];
-    let served = tvmnp(&[&["bench", "--workload", "serve"][..], &pool, &out].concat());
+    let wrote = [&written, &cache, &stats, &flight].map(|p| p.exists());
+    assert_eq!(wrote, [false; 4], "a refused run wrote");
+    let all = serve_only.iter().flat_map(|&(flag, value)| [flag, value]);
+    let all: Vec<&str> = all.collect();
+    let served = tvmnp(&[&["bench", "--workload", "serve"][..], &all, &out].concat());
     assert!(served.status.success(), "{}", stderr(&served));
-    assert!(written.exists());
+    assert!(written.exists() && stats.exists());
     let spilled = std::fs::read_dir(&cache).expect("the cache dir").count();
     assert!(spilled > 0, "the serving pool spilled no artifact");
 }

@@ -234,20 +234,6 @@ impl NeuronGraph {
         self.ops.len()
     }
 
-    /// Per tensor, the op that writes it; `None` for inputs and constants.
-    /// A result id out of range names no tensor and is skipped.
-    pub fn writers(&self) -> Vec<Option<usize>> {
-        let mut writer = vec![None; self.tensors.len()];
-        for (i, op) in self.ops.iter().enumerate() {
-            for &o in &op.outputs {
-                if let Some(w) = writer.get_mut(o) {
-                    *w = Some(i);
-                }
-            }
-        }
-        writer
-    }
-
     /// The device-neutral work of `op`, priced by its kind's key.
     pub fn work(&self, op: &NeuronOp) -> WorkItem {
         let operand = |&id: &TensorId| (&self.tensors[id].shape, self.tensors[id].dtype);

@@ -8,9 +8,9 @@
 //! frameworks) by construction, while *simulated* time is charged on the
 //! `tvmnp-hwsim` cost model: a driver dispatch per device run of the plan,
 //! per-kernel time on the assigned device, reference-implementation penalty
-//! for fallback ops, and a transfer per device-boundary crossing. Its
-//! activations live in the slots of the graph executor's storage planner
-//! ([`plan_memory`]), made with the lift.
+//! for fallback ops, and a transfer per device-boundary crossing. It runs
+//! on the graph executor's run loop ([`StepPlan::run`]), planned with the
+//! lift.
 
 use crate::convert::relay_op;
 use crate::error::NeuronError;
@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{CostModel, DeviceKind, KernelClass};
 use tvmnp_relay::interp::eval_op;
-use tvmnp_relay::memory::{plan_memory, MemoryPlan, NodeRef, Program};
+use tvmnp_relay::memory::{Missing, NodeRef, Program, Read, StepPlan};
 use tvmnp_relay::OpKind;
 use tvmnp_tensor::Tensor;
 
@@ -34,67 +34,71 @@ pub struct CompiledNetwork {
     run_plan: OnceLock<Result<RunPlan, NeuronError>>,
 }
 
-/// `graph.ops` lifted to Relay operators, and where their results live.
-struct RunPlan {
-    relay_ops: Vec<OpKind>,
-    memory: MemoryPlan,
-    /// Per tensor, the op that writes it; `None` for inputs and constants.
-    writer: Vec<Option<usize>>,
+/// `graph.ops` lifted to Relay operators, and the step plan they run on.
+type RunPlan = (Vec<OpKind>, StepPlan);
+
+fn run_plan(graph: &NeuronGraph) -> Result<RunPlan, NeuronError> {
+    let relay_ops = (graph.ops.iter())
+        .map(|op| relay_op(graph, op))
+        .collect::<Result<_, _>>()?;
+    let steps = StepPlan::new(graph).map_err(|missing| {
+        let (what, id) = match missing {
+            Missing::Operand(op, k) => ("input", graph.ops[op].inputs[k]),
+            Missing::Output(k) => ("output", graph.outputs[k]),
+        };
+        NeuronError::Execution(format!("{what} slot {id} empty"))
+    })?;
+    Ok((relay_ops, steps))
 }
 
-impl RunPlan {
-    fn new(graph: &NeuronGraph) -> Result<RunPlan, NeuronError> {
-        let relay_ops = (graph.ops.iter())
-            .map(|op| relay_op(graph, op))
-            .collect::<Result<_, _>>()?;
-        let writer = graph.writers();
-        let memory = plan_memory(&Steps(graph, &writer));
-        Ok(RunPlan {
-            relay_ops,
-            memory,
-            writer,
+impl NeuronGraph {
+    /// What tensor `id` is to op `before` (past the last op: to the
+    /// graph's caller): a constant, graph input `k`, or the result of the
+    /// last op before it that writes it.
+    fn source(&self, id: TensorId, before: usize) -> Read {
+        if self.tensors.get(id).is_some_and(|t| t.is_const()) {
+            return Read::Const(id);
+        }
+        if let Some(k) = self.inputs.iter().position(|&i| i == id) {
+            return Read::Input(k);
+        }
+        let writer = self.ops[..before]
+            .iter()
+            .rposition(|op| op.outputs.first() == Some(&id));
+        writer.map_or(Read::Nothing, |node| {
+            Read::Value(NodeRef { node, output: 0 })
         })
     }
-
-    /// The slot tensor `id` lives in, if an op writes it. Every op has a
-    /// slot: the lift checked that each has a result.
-    fn slot(&self, id: TensorId) -> Option<usize> {
-        let op = self.writer.get(id).copied()??;
-        Some(self.memory.slots_of(op)[0])
-    }
 }
 
-/// A Neuron graph, with the op that writes each tensor, as a [`Program`]
-/// of the storage planner: op `i` is step `i` and writes one value, its
-/// result tensor.
-struct Steps<'a>(&'a NeuronGraph, &'a [Option<usize>]);
-
-impl Steps<'_> {
-    /// The value tensor `id` is, if an op writes it.
-    fn value(&self, &id: &TensorId) -> Option<NodeRef> {
-        let node = self.1.get(id).copied()??;
-        Some(NodeRef { node, output: 0 })
-    }
-}
-
-impl Program for Steps<'_> {
+/// A Neuron graph as a [`Program`] of the storage planner: op `i` is step
+/// `i` and writes one value, its result tensor. Constant `k` is tensor `k`.
+impl Program for NeuronGraph {
     fn num_steps(&self) -> usize {
-        self.0.ops.len()
+        self.ops.len()
     }
 
     fn writes(&self, step: usize) -> impl Iterator<Item = usize> {
-        std::iter::once(self.0.tensors[self.0.ops[step].outputs[0]].size_bytes())
+        std::iter::once(self.tensors[self.ops[step].outputs[0]].size_bytes())
     }
 
-    fn reads(&self, step: usize) -> impl Iterator<Item = NodeRef> {
-        self.0.ops[step]
+    fn reads(&self, step: usize) -> impl Iterator<Item = Read> {
+        self.ops[step]
             .inputs
             .iter()
-            .filter_map(|id| self.value(id))
+            .map(move |&id| self.source(id, step))
     }
 
-    fn outputs(&self) -> impl Iterator<Item = NodeRef> {
-        self.0.outputs.iter().filter_map(|id| self.value(id))
+    fn outputs(&self) -> impl Iterator<Item = Read> {
+        self.outputs
+            .iter()
+            .map(|&id| self.source(id, self.ops.len()))
+    }
+}
+
+impl From<Missing> for NeuronError {
+    fn from(missing: Missing) -> NeuronError {
+        NeuronError::Execution(format!("{missing} has no value"))
     }
 }
 
@@ -161,9 +165,9 @@ impl CompiledNetwork {
 
     /// [`CompiledNetwork::execute`] on borrowed inputs — what a caller that
     /// does not own its tensors (the graph executor) uses. Nothing is
-    /// copied in: an operand is read where it is (see
-    /// [`CompiledNetwork::read`]), an activation lives in its planned slot
-    /// until the plan says it dies, and outputs are moved out of theirs.
+    /// copied in: an operand is read where it is, an activation lives in
+    /// its planned slot until the plan says it dies, and outputs are moved
+    /// out of theirs ([`StepPlan::run`]).
     pub fn execute_borrowed(&self, inputs: &[&Tensor]) -> Result<(Vec<Tensor>, f64), NeuronError> {
         let _span = tvmnp_telemetry::span!("neuropilot.execute");
         let graph = &self.graph;
@@ -174,8 +178,8 @@ impl CompiledNetwork {
                 inputs.len()
             )));
         }
-        let run_plan = (self.run_plan)
-            .get_or_init(|| RunPlan::new(graph))
+        let (relay_ops, steps) = (self.run_plan)
+            .get_or_init(|| run_plan(graph))
             .as_ref()
             .map_err(NeuronError::clone)?;
         for (&id, input) in graph.inputs.iter().zip(inputs) {
@@ -193,48 +197,22 @@ impl CompiledNetwork {
             }
         }
 
-        let memory = &run_plan.memory;
-        let mut slots: Vec<Option<Tensor>> = vec![None; memory.slot_bytes.len()];
-        for (i, (op, kind)) in graph.ops.iter().zip(&run_plan.relay_ops).enumerate() {
-            let args: Vec<&Tensor> = (op.inputs.iter())
-                .map(|&id| self.read(inputs, run_plan, &slots, id, "input"))
-                .collect::<Result<_, _>>()?;
-            let out = eval_op(kind, &args).map_err(|e| NeuronError::Execution(e.to_string()))?;
-            slots[memory.slots_of(i)[0]] = Some(out);
-            for &slot in memory.dying_after(i) {
-                slots[slot] = None;
-            }
-        }
-        let mut outputs = Vec::with_capacity(graph.outputs.len());
-        for (k, &id) in graph.outputs.iter().enumerate() {
-            // Moved out of its slot, unless the same tensor is listed again.
-            let moved = (run_plan.slot(id))
-                .filter(|_| !graph.outputs[k + 1..].contains(&id))
-                .and_then(|slot| slots[slot].take());
-            outputs.push(match moved {
-                Some(tensor) => tensor,
-                None => self.read(inputs, run_plan, &slots, id, "output")?.clone(),
-            });
-        }
-        Ok((outputs, self.estimate_time_us()))
-    }
-
-    /// The value of tensor `id` at this point of a run: what an op has
-    /// written to its slot, else the caller's input, else the graph's
-    /// constant.
-    fn read<'a>(
-        &'a self,
-        inputs: &[&'a Tensor],
-        run_plan: &RunPlan,
-        slots: &'a [Option<Tensor>],
-        id: TensorId,
-        what: &str,
-    ) -> Result<&'a Tensor, NeuronError> {
-        let written = run_plan.slot(id).and_then(|slot| slots[slot].as_ref());
-        let input = || Some(inputs[self.graph.inputs.iter().position(|&i| i == id)?]);
-        let constant = || self.graph.tensors.get(id)?.data.as_deref();
-        (written.or_else(input).or_else(constant))
-            .ok_or_else(|| NeuronError::Execution(format!("{what} slot {id} empty")))
+        let pinned = |read| match read {
+            Read::Input(k) => inputs.get(k).copied(),
+            Read::Const(id) => graph.tensors.get(id)?.data.as_deref(),
+            _ => None,
+        };
+        // Every op writes one result.
+        let (mut slots, mut outs) = (Vec::new(), Vec::with_capacity(1));
+        steps.run(pinned, &mut slots, &mut outs, |i, args, outs| {
+            let out = eval_op(&relay_ops[i], args);
+            outs.push(out.map_err(|e| NeuronError::Execution(e.to_string()))?);
+            Ok::<_, NeuronError>(())
+        })?;
+        Ok((
+            steps.take_outputs(pinned, &mut slots)?,
+            self.estimate_time_us(),
+        ))
     }
 }
 
@@ -491,6 +469,39 @@ mod tests {
         );
     }
 
+    #[test]
+    fn outputs_repeat_a_result_pass_an_input_through_and_return_a_constant() {
+        use crate::nir::NeuronTensor;
+        let t = |name: &str, data: Option<Tensor>| NeuronTensor {
+            name: name.into(),
+            shape: [1, 2].into(),
+            dtype: DType::F32,
+            quant: None,
+            data: data.map(std::sync::Arc::new),
+        };
+        let c = Tensor::from_f32([1, 2], vec![0.5, -4.0]).unwrap();
+        let graph = NeuronGraph {
+            tensors: vec![t("x", None), t("c", Some(c.clone())), t("y", None)],
+            ops: vec![NeuronOp {
+                kind: NeuronOpKind::Add,
+                inputs: vec![0, 1],
+                outputs: vec![2],
+            }],
+            inputs: vec![0],
+            outputs: vec![2, 0, 2, 1],
+        };
+        let net =
+            CompiledNetwork::compile(graph, TargetPolicy::CpuOnly, CostModel::default()).unwrap();
+        let x = Tensor::from_f32([1, 2], vec![1.0, 2.0]).unwrap();
+        let y = Tensor::from_f32([1, 2], vec![1.5, -2.0]).unwrap();
+        let (outs, _) = net.execute(std::slice::from_ref(&x)).unwrap();
+        let want = [&y, &x, &y, &c];
+        assert_eq!(outs.len(), want.len());
+        for (k, (got, want)) in outs.iter().zip(want).enumerate() {
+            assert!(got.bit_eq(want), "output {k}: {got:?} vs {want:?}");
+        }
+    }
+
     /// The executor's storage planner, run on a converted network: a value
     /// read by three ops and a result nothing reads never share a slot
     /// with a live value, and the run still matches the interpreter.
@@ -516,10 +527,8 @@ mod tests {
         });
         g.validate().unwrap();
 
-        let run_plan = RunPlan::new(&g).unwrap();
-        let steps = Steps(&g, &run_plan.writer);
-        let memory = &run_plan.memory;
-        assert_eq!(memory.check_no_alias(&steps), None);
+        let memory = &tvmnp_relay::memory::plan_memory(&g);
+        assert_eq!(memory.check_no_alias(&g), None);
         let tanh = g.ops.len() - 1;
         assert!(memory.dying_after(tanh).contains(&memory.slots_of(tanh)[0]));
         assert!(0 < memory.peak_bytes && memory.peak_bytes <= memory.pool_bytes);

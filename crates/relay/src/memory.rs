@@ -1,15 +1,21 @@
-//! The storage planner — TVM's `GraphPlanMemory` — for both runtimes.
+//! The storage planner — TVM's `GraphPlanMemory` — and the one run loop,
+//! for both runtimes.
 //!
 //! A [`Program`] is a list of steps; each writes some values and reads
-//! values earlier steps wrote. The planner assigns every value a storage
-//! slot, greedily reusing slots whose value is dead, and says after which
-//! step each slot's value dies. Whatever a step reads that no step wrote
-//! (graph inputs, parameters, constants) lives in its own pinned storage.
-//! The graph executor plans its `ExecutorGraph` and the Neuron runtime its
-//! `NeuronGraph` with [`plan_memory`]; both run on the slot ids and free by
-//! [`MemoryPlan::dying_after`].
+//! values earlier steps wrote, graph inputs or constants. The planner
+//! assigns every value a storage slot, greedily reusing slots whose value
+//! is dead, and says after which step each slot's value dies. Inputs and
+//! constants live in the caller's storage, not in a slot.
+//!
+//! A [`StepPlan`] is that memory plan plus where every operand and output
+//! is, resolved once; [`StepPlan::run`] walks it, handing each step its
+//! operands and freeing each slot after its value's last reader. The graph
+//! executor runs its `ExecutorGraph` and the Neuron runtime its
+//! `NeuronGraph` on it: each supplies only what one step does.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use tvmnp_tensor::Tensor;
 
 /// Reference to one output of a step (a node of the graph executor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -20,17 +26,30 @@ pub struct NodeRef {
     pub output: usize,
 }
 
+/// What a step reads, or the program returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Read {
+    /// A value a step writes.
+    Value(NodeRef),
+    /// The caller's input `k`.
+    Input(usize),
+    /// The caller's constant `k`.
+    Const(usize),
+    /// Nothing the program holds.
+    Nothing,
+}
+
 /// A program as the storage planner sees it.
 pub trait Program {
     /// Number of steps, in execution order.
     fn num_steps(&self) -> usize;
     /// The byte size of each value step `step` writes, in output order.
     fn writes(&self, step: usize) -> impl Iterator<Item = usize>;
-    /// The values step `step` reads. A reference to anything but a value
-    /// an earlier step wrote is not the planner's and is ignored.
-    fn reads(&self, step: usize) -> impl Iterator<Item = NodeRef>;
-    /// The values the program returns: they live to its end.
-    fn outputs(&self) -> impl Iterator<Item = NodeRef>;
+    /// What step `step` reads, in argument order. Only a [`Read::Value`]
+    /// of an earlier step is the planner's.
+    fn reads(&self, step: usize) -> impl Iterator<Item = Read>;
+    /// What the program returns: its values live to its end.
+    fn outputs(&self) -> impl Iterator<Item = Read>;
 }
 
 /// Result of memory planning.
@@ -55,9 +74,10 @@ pub struct MemoryPlan {
     pub pool_bytes: usize,
 }
 
-/// Index of `r` among the planned values; `None` for a reference to a
-/// value no step writes.
-fn value_index(first_value: &[usize], r: NodeRef) -> Option<usize> {
+/// Index of the value `read` reads among the planned values; `None` for
+/// anything no step writes.
+fn value_index(first_value: &[usize], read: Read) -> Option<usize> {
+    let Read::Value(r) = read else { return None };
     let (&base, &end) = (first_value.get(r.node)?, first_value.get(r.node + 1)?);
     (r.output < end - base).then_some(base + r.output)
 }
@@ -83,8 +103,8 @@ pub fn plan_memory(program: &impl Program) -> MemoryPlan {
     // never comes.
     let mut pending = vec![0usize; values];
     let reads = (0..steps).flat_map(|step| program.reads(step));
-    for r in reads.chain(program.outputs()) {
-        if let Some(v) = value_index(&first_value, r) {
+    for read in reads.chain(program.outputs()) {
+        if let Some(v) = value_index(&first_value, read) {
             pending[v] += 1;
         }
     }
@@ -116,8 +136,8 @@ pub fn plan_memory(program: &impl Program) -> MemoryPlan {
             value_slots.push(slot);
         }
         // Inputs whose last read this was are no longer live...
-        for r in program.reads(step) {
-            if let Some(v) = value_index(&first_value, r).filter(|&v| v < first_value[step]) {
+        for read in program.reads(step) {
+            if let Some(v) = value_index(&first_value, read).filter(|&v| v < first_value[step]) {
                 pending[v] -= 1;
                 if pending[v] == 0 {
                     live_bytes -= slot_bytes[value_slots[v]];
@@ -157,7 +177,7 @@ impl MemoryPlan {
 
     /// Storage slot of a value; `None` for anything no step writes.
     pub fn slot_of(&self, r: NodeRef) -> Option<usize> {
-        value_index(&self.first_value, r).map(|v| self.value_slots[v])
+        value_index(&self.first_value, Read::Value(r)).map(|v| self.value_slots[v])
     }
 
     /// The slots whose value is dead once step `step` has run.
@@ -173,8 +193,8 @@ impl MemoryPlan {
         let writer = |v: usize| self.first_value.partition_point(|&f| f <= v) - 1;
         let mut last_use: Vec<usize> = (0..self.value_slots.len()).map(writer).collect();
         let reads = (0..steps).flat_map(|step| program.reads(step).map(move |r| (step, r)));
-        for (step, r) in reads.chain(program.outputs().map(|r| (steps, r))) {
-            if let Some(v) = value_index(&self.first_value, r) {
+        for (step, read) in reads.chain(program.outputs().map(|r| (steps, r))) {
+            if let Some(v) = value_index(&self.first_value, read) {
                 last_use[v] = step;
             }
         }
@@ -198,6 +218,173 @@ impl MemoryPlan {
     }
 }
 
+/// A read with no value. [`StepPlan::new`] refuses one that names neither
+/// an earlier step's value, an input nor a constant; [`StepPlan::run`] one
+/// the caller has no tensor for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Missing {
+    /// `Operand(step, k)`: operand `k` of step `step`.
+    Operand(usize, usize),
+    /// The program's output `k`.
+    Output(usize),
+}
+
+impl fmt::Display for Missing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Missing::Operand(step, k) => write!(f, "operand {k} of step {step}"),
+            Missing::Output(k) => write!(f, "output {k}"),
+        }
+    }
+}
+
+/// A program's execution, compiled once: what each step reads, what the
+/// program returns, and the memory plan that says where values live.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepPlan {
+    /// Every step's operands, in step then argument order.
+    operands: Vec<Read>,
+    /// `operands[first_operand[s]..first_operand[s + 1]]` belong to step `s`.
+    first_operand: Vec<usize>,
+    outputs: Vec<Read>,
+    memory: MemoryPlan,
+}
+
+impl StepPlan {
+    /// Plan `program`. Every read must be an earlier step's value, an
+    /// input or a constant; every output, any step's value, an input or a
+    /// constant.
+    pub fn new(program: &impl Program) -> Result<StepPlan, Missing> {
+        let memory = plan_memory(program);
+        let placed = |read: Read, before: usize| match read {
+            Read::Value(r) => r.node < before && memory.slot_of(r).is_some(),
+            Read::Input(_) | Read::Const(_) => true,
+            Read::Nothing => false,
+        };
+        let steps = program.num_steps();
+        let mut operands = Vec::new();
+        let mut first_operand = Vec::with_capacity(steps + 1);
+        for step in 0..steps {
+            first_operand.push(operands.len());
+            for (index, read) in program.reads(step).enumerate() {
+                if !placed(read, step) {
+                    return Err(Missing::Operand(step, index));
+                }
+                operands.push(read);
+            }
+        }
+        first_operand.push(operands.len());
+        let outputs: Vec<Read> = program.outputs().collect();
+        if let Some(index) = outputs.iter().position(|&read| !placed(read, steps)) {
+            return Err(Missing::Output(index));
+        }
+        Ok(StepPlan {
+            operands,
+            first_operand,
+            outputs,
+            memory,
+        })
+    }
+
+    /// The tensor `read` names: a value from its slot, anything else from
+    /// `pinned`.
+    fn resolve<'a, 't: 'a>(
+        &self,
+        read: Read,
+        pinned: &impl Fn(Read) -> Option<&'t Tensor>,
+        slots: &'a [Option<Tensor>],
+    ) -> Option<&'a Tensor> {
+        match read {
+            Read::Value(r) => slots.get(self.memory.slot_of(r)?)?.as_ref(),
+            _ => pinned(read),
+        }
+    }
+
+    /// Run the program: per step, `step` gets the step's index, its
+    /// operands and `outs` to push its results to; the
+    /// runner stores them in the step's slots and then drops every slot
+    /// whose value this step read last. `pinned` answers the inputs and
+    /// constants; `slots` is emptied first and holds the values after.
+    ///
+    /// Returns the most bytes the slots held after a step, which the plan's
+    /// `peak_bytes` bounds (asserted in debug builds).
+    pub fn run<'t, E: From<Missing>>(
+        &self,
+        pinned: impl Fn(Read) -> Option<&'t Tensor>,
+        slots: &mut Vec<Option<Tensor>>,
+        outs: &mut Vec<Tensor>,
+        mut step: impl FnMut(usize, &[&Tensor], &mut Vec<Tensor>) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let n = self.memory.slot_bytes.len();
+        slots.clear();
+        slots.reserve_exact(n);
+        slots.resize(n, None);
+        let (mut held, mut peak) = (0usize, 0usize);
+        // One operand buffer serves every step: emptied, it is collected
+        // into a fresh borrow, which reuses its allocation.
+        let mut spare: Vec<&Tensor> = Vec::new();
+        for s in 0..self.first_operand.len() - 1 {
+            let mut args: Vec<&Tensor> = spare.into_iter().map_while(|_| None).collect();
+            let operands = &self.operands[self.first_operand[s]..self.first_operand[s + 1]];
+            for (k, &read) in operands.iter().enumerate() {
+                args.push(
+                    self.resolve(read, &pinned, slots)
+                        .ok_or(Missing::Operand(s, k))?,
+                );
+            }
+            step(s, &args, outs)?;
+            spare = args.into_iter().map_while(|_| None).collect();
+            // A slot is empty when written: its last value died first.
+            for (out, &slot) in outs.drain(..).zip(self.memory.slots_of(s)) {
+                held += out.size_bytes();
+                slots[slot] = Some(out);
+            }
+            for &slot in self.memory.dying_after(s) {
+                if let Some(dead) = slots[slot].take() {
+                    held -= dead.size_bytes();
+                }
+            }
+            debug_assert!(
+                held <= self.memory.peak_bytes,
+                "step {s}: slots hold {held} B, the plan's peak is {} B",
+                self.memory.peak_bytes
+            );
+            peak = peak.max(held);
+        }
+        Ok(peak)
+    }
+
+    /// Output `k` after a run.
+    pub fn output<'a, 't: 'a>(
+        &self,
+        k: usize,
+        pinned: impl Fn(Read) -> Option<&'t Tensor>,
+        slots: &'a [Option<Tensor>],
+    ) -> Option<&'a Tensor> {
+        self.resolve(*self.outputs.get(k)?, &pinned, slots)
+    }
+
+    /// Every output after a run: moved out of its slot unless the same
+    /// value is returned again, else cloned.
+    pub fn take_outputs<'t>(
+        &self,
+        pinned: impl Fn(Read) -> Option<&'t Tensor>,
+        slots: &mut [Option<Tensor>],
+    ) -> Result<Vec<Tensor>, Missing> {
+        let mut outputs = Vec::with_capacity(self.outputs.len());
+        for (index, &read) in self.outputs.iter().enumerate() {
+            let moved = match read {
+                Read::Value(r) if !self.outputs[index + 1..].contains(&read) => {
+                    (self.memory.slot_of(r)).and_then(|slot| slots.get_mut(slot)?.take())
+                }
+                _ => self.resolve(read, &pinned, slots).cloned(),
+            };
+            outputs.push(moved.ok_or(Missing::Output(index))?);
+        }
+        Ok(outputs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,11 +399,11 @@ mod tests {
         fn writes(&self, step: usize) -> impl Iterator<Item = usize> {
             self.0[step].0.iter().copied()
         }
-        fn reads(&self, step: usize) -> impl Iterator<Item = NodeRef> {
-            self.0[step].1.iter().copied()
+        fn reads(&self, step: usize) -> impl Iterator<Item = Read> {
+            self.0[step].1.iter().copied().map(Read::Value)
         }
-        fn outputs(&self) -> impl Iterator<Item = NodeRef> {
-            self.1.iter().copied()
+        fn outputs(&self) -> impl Iterator<Item = Read> {
+            self.1.iter().copied().map(Read::Value)
         }
     }
 
@@ -241,5 +428,29 @@ mod tests {
         // `a` is live across step 1, so `b` may not take its slot.
         plan.value_slots[1] = plan.value_slots[0];
         assert_eq!(plan.check_no_alias(&toy), Some((r(0, 0), r(1, 0))));
+    }
+
+    /// A program whose steps write more than it declares: the runner's
+    /// held bytes pass the plan's peak.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the plan's peak")]
+    fn holding_more_than_the_plan_trips_the_runner() {
+        // Each step declares 4 bytes and writes a 2-float (8-byte) tensor.
+        let toy = Toy(
+            vec![(vec![4], vec![]), (vec![4], vec![r(0, 0)])],
+            vec![r(1, 0)],
+        );
+        let plan = StepPlan::new(&toy).unwrap();
+        let (mut slots, mut outs) = (Vec::new(), Vec::new());
+        let _ = plan.run(
+            |_| None,
+            &mut slots,
+            &mut outs,
+            |_, _, outs: &mut Vec<Tensor>| -> Result<(), Missing> {
+                outs.push(Tensor::zeros_f32([2]));
+                Ok(())
+            },
+        );
     }
 }

@@ -2,16 +2,15 @@
 //! `get_output`), with simulated-time accounting.
 
 use crate::graph::{ExecutorGraph, NodeKind, NodeRef};
-use crate::module::ModuleRegistry;
+use crate::module::{ExternalModule, ModuleRegistry};
 use std::collections::HashSet;
 use std::fmt;
-use std::ops::Range;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::{
     CostModel, DeviceKind, FaultInjector, KernelClass, RetryPolicy, WorkItem, WorkKey,
 };
 use tvmnp_relay::interp::eval_op;
-use tvmnp_relay::memory::{plan_memory, MemoryPlan};
+use tvmnp_relay::memory::{Missing, Read, StepPlan};
 use tvmnp_relay::{OpKind, TensorType};
 use tvmnp_telemetry::Field;
 use tvmnp_tensor::Tensor;
@@ -251,53 +250,6 @@ impl RunOptions<'_> {
     }
 }
 
-/// Where a step finds one of its operands.
-#[derive(Debug, Clone, Copy)]
-enum Operand {
-    /// The `k`-th graph input, as bound by `set_input`.
-    Input(usize),
-    /// `graph.params[k]`, borrowed from the graph for the whole run.
-    Param(usize),
-    /// Slot `k` of the memory plan.
-    Slot(usize),
-}
-
-impl Operand {
-    /// The tensor this operand names, if it is there to read.
-    fn read<'a>(
-        self,
-        graph: &'a ExecutorGraph,
-        inputs: &'a [Option<Tensor>],
-        slots: &'a [Option<Tensor>],
-    ) -> Option<&'a Tensor> {
-        match self {
-            Operand::Input(k) => inputs[k].as_ref(),
-            Operand::Param(k) => graph.params.get(k),
-            Operand::Slot(k) => slots[k].as_ref(),
-        }
-    }
-}
-
-/// One op/external node with its operands (in `ExecutionPlan::operands`)
-/// and its slice of the ledger resolved: a run hashes and scans nothing.
-struct Step {
-    node: usize,
-    operands: Range<usize>,
-    ledger: Range<usize>,
-}
-
-/// The executor's walk, compiled once. Where a step's outputs go and which
-/// slots die after it are the memory plan's.
-struct ExecutionPlan {
-    steps: Vec<Step>,
-    operands: Vec<Operand>,
-    /// Node of each graph input, in `Operand::Input` order.
-    inputs: Vec<usize>,
-    /// Where each graph output is after a run.
-    outputs: Vec<Operand>,
-    memory: MemoryPlan,
-}
-
 /// The formula [`WorkItem::price`] prices a host op by.
 pub fn work_key(op: &OpKind) -> WorkKey {
     match op {
@@ -322,43 +274,25 @@ pub fn work_key(op: &OpKind) -> WorkKey {
 }
 
 /// Derive the executor's cost ledger — the only place host-side work is
-/// priced — and, in the same walk, its execution plan. Per node, in
-/// execution order: a host op charges one launch per fusion group plus its
-/// roofline body on the untuned CPU; an external node charges a host →
-/// module transfer per argument through the module's dispatch device, the
-/// linked module's own entries, and a module → host transfer per result.
+/// priced — and its step plan. Per node, in execution order: a host op
+/// charges one launch per fusion group plus its roofline body on the
+/// untuned CPU; an external node charges a host → module transfer per
+/// argument through the module's dispatch device, the linked module's own
+/// entries, and a module → host transfer per result. Every entry carries
+/// its node, so a node's entries are the next run of that node index.
 fn compile(
     graph: &ExecutorGraph,
     modules: &ModuleRegistry,
     cost: &CostModel,
-) -> Result<(Vec<CostEntry>, ExecutionPlan), ExecError> {
+) -> Result<(Vec<CostEntry>, StepPlan), ExecError> {
     let type_of = |r: &NodeRef| &graph.nodes[r.node].out_types[r.output];
     let cpu_launch = cost.soc().device(DeviceKind::Cpu).kernel_launch_us;
     // Two entries per host op; an external node's come in one `extend`.
     let mut ledger = Vec::with_capacity(2 * graph.nodes.len());
     let mut groups_dispatched: HashSet<usize> = HashSet::with_capacity(graph.nodes.len());
-
-    let memory = plan_memory(graph);
-    let mut input_nodes = Vec::new();
-    let locate = |r: &NodeRef, input_nodes: &[usize]| match graph.nodes.get(r.node)?.kind {
-        NodeKind::Input { .. } => {
-            let k = input_nodes.iter().position(|&n| n == r.node);
-            k.filter(|_| r.output == 0).map(Operand::Input)
-        }
-        NodeKind::Param { index } => Some(Operand::Param(index)).filter(|_| r.output == 0),
-        NodeKind::Op { .. } | NodeKind::External { .. } => memory.slot_of(*r).map(Operand::Slot),
-    };
-    let missing = |r: &NodeRef| ExecError::new(format!("value for {r:?} missing"));
-    let mut steps = Vec::with_capacity(graph.nodes.len());
-    let mut operands = Vec::new();
     for (idx, node) in graph.nodes.iter().enumerate() {
-        let first = ledger.len();
-        let args = match &node.kind {
-            NodeKind::Input { .. } => {
-                input_nodes.push(idx);
-                continue;
-            }
-            NodeKind::Param { .. } => continue,
+        match &node.kind {
+            NodeKind::Input { .. } | NodeKind::Param { .. } => {}
             NodeKind::Op { op, inputs, group } => {
                 let args = inputs.iter().map(type_of).map(|t| (&t.shape, t.dtype));
                 let out = &node.out_types[0];
@@ -380,15 +314,11 @@ fn compile(
                     DeviceKind::Cpu,
                     KernelClass::TvmUntuned,
                 ));
-                inputs
             }
             NodeKind::External { symbol, inputs } => {
                 // The same constraint TVM enforces when linking BYOC
                 // modules: every referenced symbol must be registered.
-                let module = modules.get(symbol).ok_or_else(|| {
-                    ExecError::new(format!("external symbol '{symbol}' is not linked"))
-                        .with_op(symbol)
-                })?;
+                let module = modules.get(symbol).ok_or_else(|| unlinked(symbol))?;
                 let device = module.dispatch_device();
                 let boundary = |label, t: &TensorType| {
                     CostEntry::transfer(
@@ -408,35 +338,43 @@ fn compile(
                         .map(|e| CostEntry { node: idx, ..*e }),
                 );
                 ledger.extend(node.out_types.iter().map(|t| boundary("boundary-out", t)));
-                inputs
             }
-        };
-        let first_operand = operands.len();
-        for r in args {
-            // Only a value an earlier node produced is there to read.
-            let earlier = Some(r).filter(|r| r.node < idx);
-            let found = earlier.and_then(|r| locate(r, &input_nodes));
-            operands.push(found.ok_or_else(|| missing(r).with_node(format!("node#{idx}")))?);
         }
-        steps.push(Step {
-            node: idx,
-            operands: first_operand..operands.len(),
-            ledger: first..ledger.len(),
-        });
     }
-    let outputs = graph
-        .outputs
-        .iter()
-        .map(|r| locate(r, &input_nodes).ok_or_else(|| missing(r)))
-        .collect::<Result<_, _>>()?;
-    let plan = ExecutionPlan {
-        steps,
-        operands,
-        inputs: input_nodes,
-        outputs,
-        memory,
-    };
-    Ok((ledger, plan))
+    Ok((ledger, StepPlan::new(graph)?))
+}
+
+fn unlinked(symbol: &str) -> ExecError {
+    ExecError::new(format!("external symbol '{symbol}' is not linked")).with_op(symbol)
+}
+
+/// The tensors a run reads but no step writes: input node `node`'s bound
+/// tensor and `params[k]`.
+fn pinned<'a>(
+    inputs: &'a [(usize, Option<Tensor>)],
+    params: &'a [Tensor],
+) -> impl Fn(Read) -> Option<&'a Tensor> + Copy {
+    move |read| match read {
+        Read::Input(node) => inputs.iter().find(|(n, _)| *n == node)?.1.as_ref(),
+        Read::Const(k) => params.get(k),
+        _ => None,
+    }
+}
+
+/// What one node calls.
+enum Callee<'a> {
+    Host(&'a OpKind),
+    Module(&'a dyn ExternalModule),
+}
+
+impl From<Missing> for ExecError {
+    fn from(missing: Missing) -> ExecError {
+        let e = ExecError::new(format!("{missing} has no value"));
+        match missing {
+            Missing::Operand(idx, _) => e.with_node(format!("node#{idx}")),
+            Missing::Output(_) => e,
+        }
+    }
 }
 
 /// The graph executor: owns the graph, linked external modules, bound
@@ -447,22 +385,21 @@ pub struct GraphExecutor {
     cost: CostModel,
     ledger: Vec<CostEntry>,
     /// Boxed to keep the executor, and `CompiledModel` around it, small.
-    plan: Box<ExecutionPlan>,
-    /// Bound inputs, in `Operand::Input` order.
-    inputs: Vec<Option<Tensor>>,
-    /// The memory plan's slots; after a run, what the outputs are read from.
+    plan: Box<StepPlan>,
+    /// Every input node, with its bound tensor.
+    inputs: Vec<(usize, Option<Tensor>)>,
+    /// The step plan's slots; after a run, what the outputs are read from.
     slots: Vec<Option<Tensor>>,
     /// `Some` once a run has completed, and until the next one starts.
     last_run_us: Option<f64>,
     /// Most bytes the slots held between two steps of the last run.
-    #[cfg(debug_assertions)]
     peak_held_bytes: usize,
 }
 
 impl GraphExecutor {
     /// Construct from a lowered graph and linked external modules, and
-    /// derive the cost ledger every run and estimate reads and the
-    /// execution plan every run walks.
+    /// derive the cost ledger every run and estimate reads and the step
+    /// plan every run walks.
     ///
     /// Every external symbol referenced by the graph must be registered.
     pub fn new(
@@ -472,15 +409,17 @@ impl GraphExecutor {
     ) -> Result<Self, ExecError> {
         let (ledger, plan) = compile(&graph, &modules, &cost)?;
         Ok(GraphExecutor {
-            inputs: vec![None; plan.inputs.len()],
-            slots: vec![None; plan.memory.slot_bytes.len()],
+            inputs: (graph.nodes.iter().enumerate())
+                .filter(|(_, n)| matches!(n.kind, NodeKind::Input { .. }))
+                .map(|(idx, _)| (idx, None))
+                .collect(),
+            slots: Vec::new(),
             graph,
             modules,
             cost,
             ledger,
             plan: Box::new(plan),
             last_run_us: None,
-            #[cfg(debug_assertions)]
             peak_held_bytes: 0,
         })
     }
@@ -489,8 +428,8 @@ impl GraphExecutor {
     pub fn set_input(&mut self, name: &str, value: Tensor) -> Result<(), ExecError> {
         let unknown = || ExecError::new(format!("unknown input '{name}'")).with_node(name);
         let &idx = self.graph.input_index.get(name).ok_or_else(unknown)?;
-        let k = self.plan.inputs.iter().position(|&n| n == idx);
-        let k = k.ok_or_else(unknown)?;
+        let bound = self.inputs.iter_mut().find(|(node, _)| *node == idx);
+        let (_, bound) = bound.ok_or_else(unknown)?;
         let expect = &self.graph.nodes[idx].out_types[0];
         if value.shape() != &expect.shape || value.dtype() != expect.dtype {
             return Err(ExecError::new(format!(
@@ -502,7 +441,7 @@ impl GraphExecutor {
             ))
             .with_node(name));
         }
-        self.inputs[k] = Some(value);
+        *bound = Some(value);
         Ok(())
     }
 
@@ -524,61 +463,55 @@ impl GraphExecutor {
     /// fault-free run returns bit-exactly
     /// [`GraphExecutor::estimate_time_us`].
     ///
-    /// The walk is the execution plan: each step borrows its operands
-    /// (inputs, the graph's parameters, slots), stores its outputs in their
-    /// slots and drops the slots whose last reader it was.
+    /// The walk is the step plan's [`StepPlan::run`]; a step here charges
+    /// its slice of the ledger around its dispatch point and calls its op
+    /// or linked module.
     pub fn run_with(&mut self, opts: &RunOptions<'_>) -> Result<f64, ExecError> {
         let _run_span = tvmnp_telemetry::span!("executor.run");
         self.last_run_us = None;
-        self.slots.fill(None);
-        let (graph, plan, slots, inputs) =
-            (&self.graph, &*self.plan, &mut self.slots, &self.inputs);
-        let mut time_us = 0.0;
-        #[cfg(debug_assertions)]
-        {
-            self.peak_held_bytes = 0;
-        }
-        for (k, &idx) in plan.inputs.iter().enumerate() {
-            if inputs[k].is_none() {
-                let NodeKind::Input { name } = &graph.nodes[idx].kind else {
-                    unreachable!("plan.inputs lists input nodes");
-                };
-                return Err(ExecError::new(format!("input '{name}' not set"))
-                    .with_node(format!("node#{idx}")));
-            }
+        let graph = &self.graph;
+        if let Some(&(idx, _)) = self.inputs.iter().find(|(_, bound)| bound.is_none()) {
+            let name = graph.input_index.iter().find(|&(_, &node)| node == idx);
+            let name = name.map_or("?", |(name, _)| name);
+            return Err(
+                ExecError::new(format!("input '{name}' not set")).with_node(format!("node#{idx}"))
+            );
         }
 
-        // A step's outputs, on their way to their slots; one buffer serves
-        // every host step.
-        let mut outs: Vec<Tensor> = Vec::new();
-        for step in &plan.steps {
-            let (idx, node) = (step.node, &graph.nodes[step.node]);
-            let entries = &self.ledger[step.ledger.clone()];
+        let (modules, cost, ledger) = (&self.modules, &self.cost, &self.ledger[..]);
+        let mut time_us = 0.0;
+        // The next node's ledger entries start here.
+        let mut next = 0;
+        let step = |idx: usize, args: &[&Tensor], outs: &mut Vec<Tensor>| {
+            let node = &graph.nodes[idx];
+            let len = ledger[next..].iter().take_while(|e| e.node == idx).count();
+            let entries = &ledger[next..next + len];
+            next += len;
             let node_start_us = time_us;
             // What runs, where, what is charged before its dispatch point
             // and what an aborted dispatch wastes: a host op launches once
             // per fusion group (its first node's), an external call
             // dispatches after its host → module transfers.
-            let (name, module, device, staged, wasted_us) = match &node.kind {
+            let (name, callee, device, staged, wasted_us) = match &node.kind {
                 NodeKind::Op { op, .. } => {
                     let launch = entries.first().filter(|e| e.role == CostRole::Launch);
-                    (op.name(), None, DeviceKind::Cpu, 0, launch.map(|l| l.us))
+                    let wasted_us = launch.map(|l| l.us);
+                    (op.name(), Callee::Host(op), DeviceKind::Cpu, 0, wasted_us)
                 }
-                NodeKind::External { symbol, inputs } => {
-                    let module = self.modules.get(symbol).expect("checked at construction");
+                NodeKind::External { symbol, .. } => {
+                    let module = modules.get(symbol).ok_or_else(|| unlinked(symbol))?;
                     let device = module.dispatch_device();
-                    let wasted_us = self.cost.subgraph_dispatch_us(device);
+                    let wasted_us = Some(cost.subgraph_dispatch_us(device));
                     (
                         &**symbol,
-                        Some(module),
+                        Callee::Module(module),
                         device,
-                        inputs.len(),
-                        Some(wasted_us),
+                        args.len(),
+                        wasted_us,
                     )
                 }
-                NodeKind::Input { .. } | NodeKind::Param { .. } => {
-                    unreachable!("steps are op and external nodes")
-                }
+                // A value, not a call: nothing runs.
+                NodeKind::Input { .. } | NodeKind::Param { .. } => return Ok(()),
             };
             let at_node = |e: ExecError| e.with_node(format!("node#{idx}"));
             let err_here =
@@ -589,49 +522,37 @@ impl GraphExecutor {
                 opts.dispatch(device, wasted_us, &mut time_us)
                     .map_err(|e| at_node(e.with_op(name)))?;
             }
-            {
-                let args: Vec<&Tensor> = plan.operands[step.operands.clone()]
-                    .iter()
-                    .map(|operand| operand.read(graph, inputs, slots))
-                    .collect::<Option<_>>()
-                    .ok_or_else(|| err_here("an operand is missing".into()))?;
-                match (&node.kind, module) {
-                    (NodeKind::Op { op, .. }, _) => {
-                        outs.push(eval_op(op, &args).map_err(|e| err_here(e.to_string()))?)
-                    }
-                    (_, Some(module)) => {
-                        outs = module.run(&args).map_err(|e| err_here(e.to_string()))?.0
-                    }
-                    _ => unreachable!("an external node has its module"),
+            let class = match callee {
+                Callee::Host(op) => {
+                    outs.push(eval_op(op, args).map_err(|e| err_here(e.to_string()))?);
+                    KernelClass::TvmUntuned
                 }
-            }
-            // The ledger charged the graph's types at build time, so what
-            // a module hands back must match them.
-            if module.is_some() {
-                if outs.len() != node.out_types.len() {
-                    return Err(err_here(format!(
-                        "'{name}' returned {} outputs, expected {}",
-                        outs.len(),
-                        node.out_types.len()
-                    )));
-                }
-                for (k, (o, expect)) in outs.iter().zip(&node.out_types).enumerate() {
-                    if o.shape() != &expect.shape || o.dtype() != expect.dtype {
+                Callee::Module(module) => {
+                    *outs = module.run(args).map_err(|e| err_here(e.to_string()))?.0;
+                    // The ledger charged the graph's types at build time,
+                    // so what a module hands back must match them.
+                    if outs.len() != node.out_types.len() {
                         return Err(err_here(format!(
-                            "'{name}' output {k} expects {} {}, got {} {}",
-                            expect.shape,
-                            expect.dtype,
-                            o.shape(),
-                            o.dtype()
+                            "'{name}' returned {} outputs, expected {}",
+                            outs.len(),
+                            node.out_types.len()
                         )));
                     }
+                    for (k, (o, expect)) in outs.iter().zip(&node.out_types).enumerate() {
+                        if o.shape() != &expect.shape || o.dtype() != expect.dtype {
+                            return Err(err_here(format!(
+                                "'{name}' output {k} expects {} {}, got {} {}",
+                                expect.shape,
+                                expect.dtype,
+                                o.shape(),
+                                o.dtype()
+                            )));
+                        }
+                    }
+                    KernelClass::VendorTuned
                 }
-            }
-            ledger::charge(&mut time_us, after);
-            let class = match module {
-                Some(_) => KernelClass::VendorTuned,
-                None => KernelClass::TvmUntuned,
             };
+            ledger::charge(&mut time_us, after);
             record_node(
                 node_start_us,
                 time_us - node_start_us,
@@ -639,25 +560,19 @@ impl GraphExecutor {
                 device.name(),
                 class,
             );
-            for (out, &slot) in outs.drain(..).zip(plan.memory.slots_of(idx)) {
-                slots[slot] = Some(out);
-            }
-            for &slot in plan.memory.dying_after(idx) {
-                slots[slot] = None;
-            }
-            #[cfg(debug_assertions)]
-            {
-                let held: usize = slots.iter().flatten().map(Tensor::size_bytes).sum();
-                self.peak_held_bytes = self.peak_held_bytes.max(held);
-            }
-        }
+            Ok(())
+        };
+        let pinned = pinned(&self.inputs, &graph.params);
+        // A step's outputs, on their way to their slots; one buffer serves
+        // every host step.
+        let mut outs = Vec::new();
+        self.peak_held_bytes = self.plan.run(pinned, &mut self.slots, &mut outs, step)?;
         self.last_run_us = Some(time_us);
         Ok(time_us)
     }
 
     /// Most bytes the slots held between two steps of the last run — what
-    /// [`MemoryPlan::peak_bytes`] bounds. Tracked in debug builds only.
-    #[cfg(debug_assertions)]
+    /// [`tvmnp_relay::memory::MemoryPlan::peak_bytes`] bounds.
     pub fn peak_held_bytes(&self) -> usize {
         self.peak_held_bytes
     }
@@ -685,12 +600,11 @@ impl GraphExecutor {
     /// Fetch output `i` after a run (TVM `m.get_output`). An error before
     /// the first run and after a failed one: never an earlier run's tensor.
     pub fn get_output(&self, i: usize) -> Result<Tensor, ExecError> {
-        let operand = self
-            .plan
-            .outputs
-            .get(i)
-            .ok_or_else(|| ExecError::new(format!("output index {i} out of range")))?;
-        (operand.read(&self.graph, &self.inputs, &self.slots))
+        if i >= self.graph.outputs.len() {
+            return Err(ExecError::new(format!("output index {i} out of range")));
+        }
+        let pinned = pinned(&self.inputs, &self.graph.params);
+        (self.plan.output(i, pinned, &self.slots))
             .filter(|_| self.last_run_us.is_some())
             .cloned()
             .ok_or_else(|| ExecError::new("run() has not produced outputs yet"))

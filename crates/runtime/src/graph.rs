@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tvmnp_relay::expr::{CallTarget, ExprKind, Module};
 use tvmnp_relay::infer::infer_types;
-use tvmnp_relay::memory::Program;
+use tvmnp_relay::memory::{Program, Read};
 use tvmnp_relay::passes::fuse_analysis;
 use tvmnp_relay::visit::topo_order;
 use tvmnp_relay::{OpKind, TensorType, Type};
@@ -232,11 +232,25 @@ impl ExecutorGraph {
     pub fn param_bytes(&self) -> usize {
         self.params.iter().map(Tensor::size_bytes).sum()
     }
+
+    /// What reading `r` reads: an op or external call's output, an input,
+    /// a parameter, or nothing the graph holds.
+    fn read(&self, r: NodeRef) -> Read {
+        match self.nodes.get(r.node).map(|n| &n.kind) {
+            Some(NodeKind::Op { .. } | NodeKind::External { .. }) => Read::Value(r),
+            Some(NodeKind::Input { .. }) if r.output == 0 => Read::Input(r.node),
+            Some(&NodeKind::Param { index }) if r.output == 0 && index < self.params.len() => {
+                Read::Const(index)
+            }
+            _ => Read::Nothing,
+        }
+    }
 }
 
 /// The executor graph as the storage planner sees it: every node is a
 /// step; an op or external call writes its outputs, while inputs and
-/// params are pinned outside the transient pool and write nothing.
+/// params are pinned outside the transient pool and write nothing. Input
+/// `k` is input node `k`, constant `k` is `params[k]`.
 impl Program for ExecutorGraph {
     fn num_steps(&self) -> usize {
         self.nodes.len()
@@ -251,16 +265,16 @@ impl Program for ExecutorGraph {
         planned.iter().map(TensorType::size_bytes)
     }
 
-    fn reads(&self, step: usize) -> impl Iterator<Item = NodeRef> {
+    fn reads(&self, step: usize) -> impl Iterator<Item = Read> {
         let inputs = match &self.nodes[step].kind {
             NodeKind::Op { inputs, .. } | NodeKind::External { inputs, .. } => &inputs[..],
             NodeKind::Input { .. } | NodeKind::Param { .. } => &[],
         };
-        inputs.iter().copied()
+        inputs.iter().map(|&r| self.read(r))
     }
 
-    fn outputs(&self) -> impl Iterator<Item = NodeRef> {
-        self.outputs.iter().copied()
+    fn outputs(&self) -> impl Iterator<Item = Read> {
+        self.outputs.iter().map(|&r| self.read(r))
     }
 }
 

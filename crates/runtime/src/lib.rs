@@ -11,12 +11,15 @@
 //! * [`graph`] — lowering a (possibly partitioned) Relay module into a
 //!   flat executor graph: input/param/op/external-call nodes with checked
 //!   output types, plus fusion groups for dispatch accounting — and, as
-//!   a `Program`, what the storage planner ([`plan_memory`], TVM's
-//!   `GraphPlanMemory`, shared with the Neuron runtime) assigns slots for;
+//!   a `Program`, what `relay`'s step plan ([`plan_memory`], TVM's
+//!   `GraphPlanMemory`, and the run loop, both shared with the Neuron
+//!   runtime) assigns slots for and walks;
 //! * [`executor`] — the `GraphModule` equivalent: `set_input` / `run` /
-//!   `get_output`, executing host ops with TVM-untuned kernels on the
-//!   simulated mobile CPU and delegating external calls to linked
-//!   [`module::ExternalModule`]s (the BYOC runtime linkage);
+//!   `get_output`, where each step of that run loop charges its ledger
+//!   slice, dispatches under the fault loop, and executes a host op with
+//!   TVM-untuned kernels on the simulated mobile CPU or delegates an
+//!   external call to a linked [`module::ExternalModule`] (the BYOC
+//!   runtime linkage);
 //! * [`artifact`] — `export_library` / load: a serialized artifact that a
 //!   compiler-less [`artifact::AndroidDevice`] can load and run, which is
 //!   how the paper deploys to the phone.

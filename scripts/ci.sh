@@ -23,14 +23,28 @@ for f in crates/tensor/src/kernels/*.rs; do
         exit 1
     fi
 done
-# Likewise the run path must not grow its per-run value map back: the
-# executor walks a plan over slot indices (DESIGN.md "The execution plan").
-# The copies a grep cannot see are pinned by tests/run_path_allocs.rs.
-if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
-    crates/runtime/src/executor.rs | grep -F 'HashMap<NodeRef'; then
-    echo "run-path gate: crates/runtime/src/executor.rs keys values by NodeRef again" >&2
-    exit 1
-fi
+# Likewise the run path must not grow its per-run value map back: both
+# runtimes walk a step plan over slot indices (DESIGN.md "The execution
+# plan"). The copies a grep cannot see are pinned by tests/run_path_allocs.rs.
+for f in crates/runtime/src/executor.rs crates/relay/src/memory.rs; do
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -F 'HashMap<NodeRef'; then
+        echo "run-path gate: $f keys values by NodeRef again" >&2
+        exit 1
+    fi
+done
+# And there is one run loop (DESIGN.md "The execution plan"): only
+# `StepPlan::run` in relay/src/memory.rs stores a step's results in their
+# slots and frees the dying ones, so a second walk cannot grow back in
+# either runtime.
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    [ "$f" = crates/relay/src/memory.rs ] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+        grep -E 'dying_after\(|slots_of\('; then
+        echo "one-run-loop gate: $f walks slots itself (only StepPlan::run in relay/src/memory.rs may)" >&2
+        exit 1
+    fi
+done
 # And the cache must not take a size by printing an entry (DESIGN.md
 # "Compile products and the file boundary"): the LRU budget counts weight
 # bytes. The serializations a grep cannot see — the discarded export in

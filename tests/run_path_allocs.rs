@@ -116,18 +116,18 @@ fn second_run_allocates_activations_and_forced_copies_only() {
     // Per model, the modes it is built under and the second run's
     // allocation count as measured with the packed paths. (On the walk,
     // each of MobileNet v1's five dense convolutions also allocates its
-    // column spans: 83, 85 and 80.)
+    // column spans: 62, 65 and 60.)
     let cases = [
-        (zoo::mobilenet_v1(1), vec![(tvm, 78), (byoc, 80), (np, 75)]),
+        (zoo::mobilenet_v1(1), vec![(tvm, 57), (byoc, 60), (np, 55)]),
         (
             zoo::mobilenet_v2_quant(2),
-            vec![(tvm, 87), (byoc, 89), (np, 84)],
+            vec![(tvm, 64), (byoc, 67), (np, 62)],
         ),
         // The showcase's int8 model, also under the BYOC GPU mode it is
         // served in on every frame.
         (
             object_detection::mobilenet_ssd_model(3),
-            vec![(tvm, 68), (gpu, 70)],
+            vec![(tvm, 50), (gpu, 53)],
         ),
     ];
     for (model, modes) in cases {
