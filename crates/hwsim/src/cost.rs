@@ -42,8 +42,14 @@ impl WorkKind {
         WorkKind::ALL.iter().copied().find(|k| k.name() == s)
     }
 
+    /// Position in [`WorkKind::ALL`].
     fn index(self) -> usize {
-        WorkKind::ALL.iter().position(|&k| k == self).unwrap()
+        match self {
+            WorkKind::MacHeavy => 0,
+            WorkKind::Elementwise => 1,
+            WorkKind::DataMovement => 2,
+            WorkKind::Reduction => 3,
+        }
     }
 }
 
@@ -257,6 +263,13 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn work_kind_index_is_the_position_in_all() {
+        for (i, k) in WorkKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i);
+        }
+    }
 
     /// One row per [`WorkKey`]: operands and result as `(dims, dtype)`,
     /// and the MACs and kind [`WorkItem::price`] must charge.

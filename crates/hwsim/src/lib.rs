@@ -29,6 +29,7 @@
 //! * [`fault`] — deterministic fault injection (seeded [`FaultPlan`]s,
 //!   retry/backoff policy, per-device circuit breaker) so the resilience
 //!   layers above can be exercised reproducibly.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cost;
 pub mod device;

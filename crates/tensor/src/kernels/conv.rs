@@ -1,7 +1,9 @@
 //! Float32 2-D convolution, blocked over output columns and Rayon-parallel
-//! over the batch × output-channel dimension; dense convolutions take a
-//! packed SSE2 register tile on x86_64 (`sse2`), under the same
-//! per-element specification.
+//! over the batch × output-channel dimension. Dense convolutions take a
+//! packed SSE2 register tile on x86_64 (`sse2`) and depthwise ones a
+//! register tile in plain Rust (`depthwise_planes`), both over the input's
+//! column phases (`Phases`), under the same per-element specification;
+//! the rest run the walk, `conv_planes`.
 //!
 //! The result is *defined* per output element: `acc = bias`, then
 //! `acc += x · w` over `ic, ky, kx` ascending with out-of-image taps
@@ -15,6 +17,8 @@
 use super::{kerr, KernelError};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Spatial attributes of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,8 +342,10 @@ pub(super) fn f32_payload(t: &Tensor) -> Result<&[f32], KernelError> {
 /// `NCHW` × `OIHW` float convolution.
 ///
 /// `weight` has shape `[out_c, in_c/groups, kh, kw]`; `bias`, when present,
-/// has shape `[out_c]`. Dense (`groups = 1`) convolutions run on the packed
-/// SSE2 path on x86_64 (see `sse2`), the rest on the portable walk.
+/// has shape `[out_c]`. Dense (`groups = 1`) convolutions run the packed
+/// SSE2 tile on x86_64 (see `sse2`) and depthwise (`in_c/groups = 1`) ones
+/// the depthwise tile, both over the input's column phases; the rest run
+/// the portable walk.
 pub fn conv2d_f32(
     input: &Tensor,
     weight: &Tensor,
@@ -350,8 +356,8 @@ pub fn conv2d_f32(
 }
 
 /// [`conv2d_f32`], on the portable walk alone unless `packed`: the walk
-/// grouped convolutions, dense layers and non-SSE2 targets run, kept
-/// comparable bit for bit with the packed path.
+/// grouped convolutions between dense and depthwise, and dense ones off
+/// SSE2, run — the reference the tiles are compared with bit for bit.
 #[doc(hidden)]
 pub fn conv2d_f32_with(
     input: &Tensor,
@@ -364,173 +370,380 @@ pub fn conv2d_f32_with(
     let g = ConvGeom::new("conv2d", ishape, wshape, bias, params)?;
     let (x, wt) = (f32_payload(input)?, f32_payload(weight)?);
     let b = bias.map(f32_payload).transpose()?;
-    let out = 'out: {
-        if packed {
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            if sse2::applies(&g, x) {
-                break 'out sse2::conv(&g, x, wt, b);
-            }
-        }
+    let out = if packed {
+        f32_conv(&g, x, wt, b)?
+    } else {
         conv_planes(&g, &F32Arith(b), x, wt, 0.0)
     };
     Tensor::from_f32(g.output, out).map_err(|e| kerr(e.to_string()))
 }
 
-/// The packed path, for dense (`groups = 1`) convolutions. Each call
-/// packs the weights `[oc / R][tap][R]`, each output channel's taps in
-/// `ic, ky, kx` order and zero past the last channel, and lists the taps
-/// of every output row: `(input offset, packed weight offset)` of each tap
-/// in an in-image kernel row, in that order, `kw` per `(ic, ky)`. At unit
-/// stride, a row's interior columns — those whose every kernel column
-/// lands inside the image — run a register tile of
-/// [`R`] output channels × [`V`] output columns whose eight xmm
-/// accumulators start from the bias and take one `mulps` + `addps` per tap
-/// and register; the last tile overlaps its neighbour and starts from the
-/// bias again, so no column is left to a scalar loop. Every other column
-/// (all of them in a row with fewer than [`V`] interior columns, or at a
-/// larger stride) runs a column kernel over its own in-image taps: one
-/// register of [`R`] output channels, the input broadcast, the same packed
-/// weight quads. Each output element is thus `bias`, then `+ x·w` over its
-/// in-image taps in the walk's order — the walk's bits — and padding is
-/// never materialised.
+/// The float convolution `g`: dense and depthwise ones on their tiles,
+/// the rest on the walk.
+pub(super) fn f32_conv(
+    g: &ConvGeom,
+    x: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
+) -> Result<Vec<f32>, KernelError> {
+    let dense = g.params.groups == 1 && cfg!(all(target_arch = "x86_64", target_feature = "sse2"));
+    let depthwise = g.params.groups > 1 && g.weight[1] == 1;
+    if x.is_empty() || g.weight[0] == 0 || !(dense || depthwise) {
+        return Ok(conv_planes(g, &F32Arith(bias), x, wt, 0.0));
+    }
+    SCRATCH.with_borrow_mut(|s| {
+        let lay = Phases::new(g);
+        let x = lay.fill(g, x, &mut s.x)?;
+        let reads = lay.reads(g, &mut s.taps, &mut s.rows, &mut s.edges);
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        if dense {
+            return Ok(sse2::conv(g, &reads, x, wt, bias, &mut s.w));
+        }
+        Ok(depthwise_conv(g, &reads, x, wt, bias))
+    })
+}
+
+/// A call's column phases, tap lists and packed weights.
+#[derive(Default)]
+struct Scratch {
+    /// The input's column phases, at a stride above 1.
+    x: Vec<f32>,
+    taps: Vec<(usize, usize)>,
+    rows: Vec<usize>,
+    edges: Vec<(usize, Range<usize>)>,
+    /// Dense weights, packed `[oc / R][tap][R]`.
+    w: Vec<f32>,
+}
+
+thread_local! {
+    /// Grown to the largest call of its thread and reused: a steady state
+    /// run allocates nothing here.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Output columns of a register tile.
+const V: usize = 8;
+
+/// Where a tile reads the input: each input row as `sw` column phases,
+/// padded column `cc` at phase `cc % sw`, entry `cc / sw − lead`, so the
+/// columns one tap reads for adjacent outputs are adjacent at any stride.
+/// Only the image's columns are written — padding is never materialised,
+/// and only in-image taps are read. At unit stride this is the image
+/// itself.
+struct Phases {
+    /// Input columns between adjacent output columns.
+    sw: usize,
+    /// Entries per phase.
+    wq: usize,
+    /// Entries before the first one that holds an image column: `pl / sw`.
+    lead: usize,
+}
+
+/// What the tiles and columns of one call read, listed once per call.
+struct Reads<'a> {
+    /// Entries of one input plane.
+    plane: usize,
+    /// [`Phases::lead`].
+    lead: usize,
+    /// `(offset into one image's phases, tap)` of every kernel column of
+    /// every in-image `(ic, ky)` row of every output row, in `ic, ky, kx`
+    /// order, `kw` per `(ic, ky)`, where a tap is `(ic·kh + ky)·kw + kx`.
+    /// Kernel column `kx` of output column `ox` reads entry
+    /// `offset + ox − lead`.
+    taps: &'a [(usize, usize)],
+    /// Where each output row's taps start in `taps`, and their end.
+    rows: &'a [usize],
+    /// Each column tiles do not cover, with its in-image kernel columns.
+    edges: &'a [(usize, Range<usize>)],
+    /// The columns tiles cover: those whose every kernel column lands
+    /// inside the image, when there are [`V`] of them.
+    inner: Range<usize>,
+}
+
+impl Phases {
+    fn new(g: &ConvGeom) -> Self {
+        let (w, sw, pl) = (g.input[3], g.params.strides.1, g.params.padding.1);
+        // `out_hw` checked that `w + pl` fits and that `sw > 0`.
+        let lead = pl / sw;
+        Phases {
+            sw,
+            wq: (w + pl).div_ceil(sw) - lead,
+            lead,
+        }
+    }
+
+    /// Entries per input row.
+    fn row(&self) -> usize {
+        self.sw * self.wq
+    }
+
+    /// The input `x` in this layout: `x` itself at unit stride, else its
+    /// phases copied into `buf`.
+    fn fill<'a>(
+        &self,
+        g: &ConvGeom,
+        x: &'a [f32],
+        buf: &'a mut Vec<f32>,
+    ) -> Result<&'a [f32], KernelError> {
+        let (w, pl, sw) = (g.input[3], g.params.padding.1, self.sw);
+        if sw == 1 {
+            return Ok(x);
+        }
+        let len = (x.len() / w)
+            .checked_mul(self.row())
+            .ok_or_else(|| kerr("conv2d column phases overflow usize"))?;
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        for (src, dst) in x.chunks_exact(w).zip(buf.chunks_exact_mut(self.row())) {
+            for (ph, dst) in dst.chunks_exact_mut(self.wq).enumerate() {
+                // The first entry of phase `ph` at or past column `pl`.
+                let e = pl.saturating_sub(ph).div_ceil(sw);
+                let src = src.iter().skip(e * sw + ph - pl).step_by(sw);
+                dst[e - self.lead..]
+                    .iter_mut()
+                    .zip(src)
+                    .for_each(|(d, &s)| *d = s);
+            }
+        }
+        Ok(&buf[..len])
+    }
+
+    /// List what `g` reads in this layout into the three buffers.
+    fn reads<'a>(
+        &self,
+        g: &ConvGeom,
+        taps: &'a mut Vec<(usize, usize)>,
+        rows: &'a mut Vec<usize>,
+        edges: &'a mut Vec<(usize, Range<usize>)>,
+    ) -> Reads<'a> {
+        let ([_, _, h, w], [_, cg, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
+        let ((sh, sw), (dh, dw)) = (g.params.strides, g.params.dilation);
+        let (pt, pl) = (g.params.padding.0, g.params.padding.1);
+        taps.clear();
+        rows.clear();
+        rows.push(0);
+        for oy in 0..oh {
+            // Row `oy` reads input row `oy·sh + ky·dh − pt`.
+            let top = oy * sh;
+            for ic in 0..cg {
+                for ky in in_image(top, pt, h, kh, dh) {
+                    let x_row = (ic * h + top + ky * dh - pt) * self.row();
+                    let t_row = (ic * kh + ky) * kw;
+                    taps.extend((0..kw).map(|kx| {
+                        let off = kx * dw;
+                        (x_row + off % sw * self.wq + off / sw, t_row + kx)
+                    }));
+                }
+            }
+            rows.push(taps.len());
+        }
+        // Output column `ox` reads input columns `ox·sw − pl` to
+        // `ox·sw − pl + (kw − 1)·dw`; `out_hw` checked both sums.
+        let lo = pl.div_ceil(sw).min(ow);
+        let hi = (w + pl)
+            .saturating_sub((kw - 1) * dw)
+            .div_ceil(sw)
+            .clamp(lo, ow);
+        let inner = if hi - lo >= V { lo..hi } else { 0..0 };
+        edges.clear();
+        edges.extend(
+            (0..inner.start)
+                .chain(inner.end..ow)
+                .map(|ox| (ox, in_image(ox * sw, pl, w, kw, dw))),
+        );
+        Reads {
+            plane: h * self.row(),
+            lead: self.lead,
+            taps,
+            rows,
+            edges,
+            inner,
+        }
+    }
+}
+
+impl Reads<'_> {
+    /// Where each tile of a row starts: [`V`] apart, the last one ending
+    /// at the interior's end.
+    fn tiles(&self) -> impl Iterator<Item = usize> {
+        let Range { start, end } = self.inner;
+        let last = end.saturating_sub(V);
+        (start..last)
+            .step_by(V)
+            .chain((start < end).then_some(last))
+    }
+}
+
+/// The kernel rows (or columns) of an output row (or column) whose input
+/// row (or column) `start + k·d − pad` lies in `0..len`.
+fn in_image(start: usize, pad: usize, len: usize, k: usize, d: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(start).div_ceil(d).min(k);
+    lo..(len + pad).saturating_sub(start).div_ceil(d).clamp(lo, k)
+}
+
+/// The depthwise (`c / groups = 1`) convolution `g` over the column phases
+/// `x`, one [`OC_BLOCK`] of output planes per parallel task.
+fn depthwise_conv(
+    g: &ConvGeom,
+    r: &Reads<'_>,
+    x: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
+) -> Vec<f32> {
+    let [n, oc, oh, ow] = g.output;
+    let plane_len = oh * ow;
+    let mut out = vec![0.0; n * oc * plane_len];
+    out.par_chunks_mut(plane_len * OC_BLOCK)
+        .enumerate()
+        .for_each(|(chunk, out)| {
+            let first = chunk * OC_BLOCK;
+            if out.len() == plane_len * OC_BLOCK {
+                depthwise_planes::<OC_BLOCK>(g, r, x, wt, bias, first, out);
+            } else {
+                for (p, out) in (first..).zip(out.chunks_exact_mut(plane_len)) {
+                    depthwise_planes::<1>(g, r, x, wt, bias, p, out);
+                }
+            }
+        });
+    out
+}
+
+/// Output planes `first..first + P` of the depthwise convolution `g`, into
+/// `out`. Border columns run their in-image taps one column at a time;
+/// interior columns run a tile of `P` planes × [`V`] columns whose sums
+/// stay in registers, the last tile overlapping its neighbour. Every
+/// element is `bias`, then `+ x·w` over its in-image taps in `ky, kx`
+/// order — the walk's bits.
+fn depthwise_planes<const P: usize>(
+    g: &ConvGeom,
+    r: &Reads<'_>,
+    x: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
+    first: usize,
+    out: &mut [f32],
+) {
+    let ([_, c, _, _], [oc, _, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
+    let (og, plane_len, lead) = (oc / c, oh * ow, r.lead);
+    // Plane `p` is output channel `p % oc` of image `p / oc`.
+    let xs: [&[f32]; P] = std::array::from_fn(|i| {
+        let p = first + i;
+        &x[(p / oc * c + p % oc / og) * r.plane..][..r.plane]
+    });
+    let ws: [&[f32]; P] = std::array::from_fn(|i| &wt[(first + i) % oc * kh * kw..][..kh * kw]);
+    let start: [f32; P] = std::array::from_fn(|i| bias.map_or(0.0, |b| b[(first + i) % oc]));
+    for (oy, row) in r.rows.windows(2).enumerate() {
+        let taps = &r.taps[row[0]..row[1]];
+        let at = |i: usize, ox: usize| i * plane_len + oy * ow + ox;
+        for (ox, kx) in r.edges {
+            let mut acc = start;
+            for row in taps.chunks_exact(kw) {
+                for &(xo, t) in &row[kx.clone()] {
+                    for (i, acc) in acc.iter_mut().enumerate() {
+                        *acc += xs[i][xo + ox - lead] * ws[i][t];
+                    }
+                }
+            }
+            for (i, acc) in acc.into_iter().enumerate() {
+                out[at(i, *ox)] = acc;
+            }
+        }
+        for ox in r.tiles() {
+            let mut acc = start.map(|s| [s; V]);
+            for &(xo, t) in taps {
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let (x, w) = (&xs[i][xo + ox - lead..][..V], ws[i][t]);
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a += x * w;
+                    }
+                }
+            }
+            for (i, acc) in acc.iter().enumerate() {
+                out[at(i, ox)..][..V].copy_from_slice(acc);
+            }
+        }
+    }
+}
+
+/// The dense (`groups = 1`) tile. Each call packs the weights
+/// `[oc / R][tap][R]`, each output channel's taps in `ic, ky, kx` order
+/// and zero past the last channel. A row's interior columns — those whose
+/// every kernel column lands inside the image — run a register tile of
+/// [`R`] output channels × [`V`] output columns over the column phases,
+/// at any stride; its eight xmm accumulators start from the bias and take
+/// one `mulps` + `addps` per tap and register, and the last tile overlaps
+/// its neighbour and starts from the bias again, so no column is left to a
+/// scalar loop. Every other column (all of them in a row with fewer than
+/// [`V`] interior columns) runs a column kernel over its own in-image
+/// taps: one register of [`R`] output channels, the input broadcast, the
+/// same packed weight quads. Each output element is thus `bias`, then
+/// `+ x·w` over its in-image taps in the walk's order — the walk's bits.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod sse2 {
-    use super::ConvGeom;
+    use super::{ConvGeom, Reads, V};
     use core::arch::x86_64::*;
     use rayon::prelude::*;
-    use std::cell::RefCell;
     use std::ops::Range;
 
     /// Output channels of a tile or a column: the lanes of one register.
     const R: usize = 4;
-    /// Output columns of a register tile, four per register.
-    const V: usize = 8;
 
-    /// A call's packed weights and tap lists.
-    #[derive(Default)]
-    struct Scratch {
-        w: Vec<f32>,
-        taps: Vec<(usize, usize)>,
-        /// Where each output row's taps start in `taps`, and their end.
-        rows: Vec<usize>,
-    }
-
-    thread_local! {
-        /// Grown to the largest call of its thread and reused: a steady
-        /// state run allocates nothing here.
-        static SCRATCH: RefCell<Scratch> = RefCell::default();
-    }
-
-    /// The output columns tiles cover: at unit stride, those whose every
-    /// kernel column lands inside the image, when there are [`V`] of them.
-    fn tiled(g: &ConvGeom) -> Range<usize> {
-        let ([_, _, _, w], [_, _, _, kw], [_, _, _, ow]) = (g.input, g.weight, g.output);
-        let (pl, dw) = (g.params.padding.1, g.params.dilation.1);
-        // Output column `ox` reads input columns `ox − pl` to
-        // `ox − pl + (kw − 1)·dw`; `out_hw` checked both sums.
-        let lo = pl.min(ow);
-        let hi = (w + pl).saturating_sub((kw - 1) * dw).clamp(lo, ow);
-        if g.params.strides.1 == 1 && hi - lo >= V {
-            lo..hi
-        } else {
-            0..0
-        }
-    }
-
-    /// Whether the packed path covers `g` over the input `x`.
-    pub(super) fn applies(g: &ConvGeom, x: &[f32]) -> bool {
-        g.params.groups == 1 && !x.is_empty() && g.weight[0] > 0
-    }
-
-    /// The packed path's output for `g`, which [`applies`].
-    pub(super) fn conv(g: &ConvGeom, x: &[f32], wt: &[f32], bias: Option<&[f32]>) -> Vec<f32> {
-        let ([n, c, h, w], [oc, cg, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
-        let (pt, sh) = (g.params.padding.0, g.params.strides.0);
-        let (dh, dw) = g.params.dilation;
+    /// The dense convolution `g` over the column phases `x`, reading what
+    /// `r` lists; the weights are packed into `wp`.
+    pub(super) fn conv(
+        g: &ConvGeom,
+        r: &Reads<'_>,
+        x: &[f32],
+        wt: &[f32],
+        bias: Option<&[f32]>,
+        wp: &mut Vec<f32>,
+    ) -> Vec<f32> {
+        let ([n, c, _, _], [oc, cg, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
         let (t_len, plane_len) = (cg * kh * kw, oh * ow);
+        wp.clear();
+        wp.resize(oc.div_ceil(R) * t_len * R, 0.0);
+        for (o, wo) in wt.chunks_exact(t_len).enumerate() {
+            for (t, &v) in wo.iter().enumerate() {
+                wp[(o / R * t_len + t) * R + o % R] = v;
+            }
+        }
         let mut out = vec![0.0; n * oc * plane_len];
-        SCRATCH.with_borrow_mut(|s| {
-            s.w.clear();
-            s.w.resize(oc.div_ceil(R) * t_len * R, 0.0);
-            for (o, wo) in wt.chunks_exact(t_len).enumerate() {
-                for (t, &v) in wo.iter().enumerate() {
-                    s.w[(o / R * t_len + t) * R + o % R] = v;
-                }
-            }
-            // Row `oy` reads input row `oy·sh + ky·dh − pt`.
-            s.taps.clear();
-            s.rows.clear();
-            s.rows.push(0);
-            for oy in 0..oh {
-                let top = oy * sh;
-                let lo = pt.saturating_sub(top).div_ceil(dh).min(kh);
-                let hi = (h + pt).saturating_sub(top).div_ceil(dh).clamp(lo, kh);
-                for ic in 0..cg {
-                    for ky in lo..hi {
-                        let x_row = (ic * h + top + ky * dh - pt) * w;
-                        let w_row = (ic * kh + ky) * kw;
-                        s.taps
-                            .extend((0..kw).map(|kx| (x_row + kx * dw, (w_row + kx) * R)));
-                    }
-                }
-                s.rows.push(s.taps.len());
-            }
-            let (wp, taps, rows) = (&s.w[..], &s.taps[..], &s.rows[..]);
-            let images = x.chunks_exact(c * h * w);
-            for (image, out) in images.zip(out.chunks_exact_mut(oc * plane_len)) {
-                out.par_chunks_mut(R * plane_len)
-                    .enumerate()
-                    .for_each(|(b, out)| {
-                        let w = &wp[b * t_len * R..][..t_len * R];
-                        let bias = std::array::from_fn(|r| {
-                            bias.and_then(|bias| bias.get(b * R + r).copied())
-                                .unwrap_or(0.0)
-                        });
-                        // SAFETY: `block` enables SSE2 alone, which every
-                        // x86_64 CPU has and this module is compiled only for.
-                        unsafe { block(g, image, rows, taps, w, bias, out) }
+        let images = x.chunks_exact(c * r.plane);
+        for (image, out) in images.zip(out.chunks_exact_mut(oc * plane_len)) {
+            out.par_chunks_mut(R * plane_len)
+                .enumerate()
+                .for_each(|(b, out)| {
+                    let w = &wp[b * t_len * R..][..t_len * R];
+                    let bias = std::array::from_fn(|r| {
+                        bias.and_then(|bias| bias.get(b * R + r).copied())
+                            .unwrap_or(0.0)
                     });
-            }
-        });
+                    // SAFETY: `block` enables SSE2 alone, which every
+                    // x86_64 CPU has and this module is compiled only for.
+                    unsafe { block(g, r, image, w, bias, out) }
+                });
+        }
         out
     }
 
     /// Every output row of one block of [`R`] channels, into its `out`
     /// planes: border columns one at a time, interior columns by tiles.
     #[target_feature(enable = "sse2")]
-    fn block(
-        g: &ConvGeom,
-        x: &[f32],
-        rows: &[usize],
-        taps: &[(usize, usize)],
-        w: &[f32],
-        bias: [f32; R],
-        out: &mut [f32],
-    ) {
-        let ([_, _, _, iw], [_, _, _, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
-        let (sw, pl, dw) = (g.params.strides.1, g.params.padding.1, g.params.dilation.1);
-        let inner = tiled(g);
+    fn block(g: &ConvGeom, r: &Reads<'_>, x: &[f32], w: &[f32], bias: [f32; R], out: &mut [f32]) {
+        let ([_, _, _, kw], [_, _, oh, ow], lead) = (g.weight, g.output, r.lead);
         let bias = _mm_setr_ps(bias[0], bias[1], bias[2], bias[3]);
-        for (oy, row) in rows.windows(2).enumerate() {
-            let taps = &taps[row[0]..row[1]];
+        for (oy, row) in r.rows.windows(2).enumerate() {
+            let taps = &r.taps[row[0]..row[1]];
             let at = |ox: usize| oy * ow + ox;
-            for ox in (0..inner.start).chain(inner.end..ow) {
-                // Kernel column `kx` lands on `ox·sw + kx·dw − pl`.
-                let left = ox * sw;
-                let lo = pl.saturating_sub(left).div_ceil(dw).min(kw);
-                let kx = lo..(iw + pl).saturating_sub(left).div_ceil(dw).clamp(lo, kw);
-                let sums = column(x, taps, kw, kx, left, pl, w, bias);
+            for (ox, kx) in r.edges {
+                let sums = column(x, taps, kw, kx.clone(), *ox, lead, w, bias);
                 for (plane, s) in out.chunks_exact_mut(oh * ow).zip(sums) {
-                    plane[at(ox)] = s;
+                    plane[at(*ox)] = s;
                 }
             }
-            if inner.is_empty() {
-                continue;
-            }
-            // The last tile ends at the interior's end.
-            let last = inner.end - V;
-            for ox in (inner.start..last).step_by(V).chain([last]) {
-                let sums = tile(&x[ox - pl..], taps, w, bias);
+            for ox in r.tiles() {
+                let sums = tile(&x[ox - lead..], taps, w, bias);
                 for (plane, s) in out.chunks_exact_mut(oh * ow).zip(sums) {
                     plane[at(ox)..][..V].copy_from_slice(&s);
                 }
@@ -555,16 +768,16 @@ mod sse2 {
         splats(v).map(|v| _mm_cvtss_f32(v))
     }
 
-    /// The packed weight quad at `w[at..]`.
+    /// The packed weight quad of tap `t`.
     #[target_feature(enable = "sse2")]
-    fn quad(w: &[f32], at: usize) -> __m128 {
-        let q = &w[at..][..R];
+    fn quad(w: &[f32], t: usize) -> __m128 {
+        let q = &w[t * R..][..R];
         _mm_setr_ps(q[0], q[1], q[2], q[3])
     }
 
-    /// `bias[r] + Σ x[tap + left − pl] ⋅ w[tap][r]` over the taps of kernel
-    /// columns `kx` of every `(ic, ky)` row of `taps`, the [`R`] channels
-    /// one per lane.
+    /// `bias[r] + Σ x[offset + ox − lead] ⋅ w[tap][r]` over the taps of
+    /// kernel columns `kx` of every `(ic, ky)` row of `taps`, the [`R`]
+    /// channels one per lane.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "sse2")]
     fn column(
@@ -572,32 +785,32 @@ mod sse2 {
         taps: &[(usize, usize)],
         kw: usize,
         kx: Range<usize>,
-        left: usize,
-        pl: usize,
+        ox: usize,
+        lead: usize,
         w: &[f32],
         bias: __m128,
     ) -> [f32; R] {
         let mut a = bias;
         for row in taps.chunks_exact(kw) {
-            for &(xo, wo) in &row[kx.clone()] {
-                let xv = _mm_set1_ps(x[xo + left - pl]);
-                a = _mm_add_ps(a, _mm_mul_ps(xv, quad(w, wo)));
+            for &(xo, t) in &row[kx.clone()] {
+                let xv = _mm_set1_ps(x[xo + ox - lead]);
+                a = _mm_add_ps(a, _mm_mul_ps(xv, quad(w, t)));
             }
         }
         lanes(a)
     }
 
-    /// `bias[r] + Σ x[tap + v] ⋅ w[tap][r]` over every tap for the [`V`]
-    /// columns `v` and [`R`] channels `r` of a tile, the accumulators in
-    /// xmm registers throughout.
+    /// `bias[r] + Σ x[offset + v] ⋅ w[tap][r]` over every tap for the
+    /// [`V`] columns `v` and [`R`] channels `r` of a tile, the accumulators
+    /// in xmm registers throughout.
     #[target_feature(enable = "sse2")]
     fn tile(x: &[f32], taps: &[(usize, usize)], w: &[f32], bias: __m128) -> [[f32; V]; R] {
         let mut a = splats(bias).map(|b| [b; V / 4]);
-        for &(xo, wo) in taps {
+        for &(xo, t) in taps {
             let xs = &x[xo..][..V];
             let x0 = _mm_setr_ps(xs[0], xs[1], xs[2], xs[3]);
             let x1 = _mm_setr_ps(xs[4], xs[5], xs[6], xs[7]);
-            for (a, w) in a.iter_mut().zip(splats(quad(w, wo))) {
+            for (a, w) in a.iter_mut().zip(splats(quad(w, t))) {
                 a[0] = _mm_add_ps(a[0], _mm_mul_ps(x0, w));
                 a[1] = _mm_add_ps(a[1], _mm_mul_ps(x1, w));
             }

@@ -2,10 +2,11 @@
 //!
 //! A dense layer is a 1×1 convolution over 1×1 images: `input [n, k]` is `n`
 //! images of `k` channels and `weight [units, k]` is `units` filters. Run
-//! through the convolution loop nest, each unit's sum goes over `k` in order
-//! and a few units advance side by side.
+//! as that convolution — the float one on the packed dense path, the
+//! quantized one through `qconv`'s — each unit's sum goes over `k` in
+//! order and a few units advance side by side.
 
-use super::conv::{conv_planes, f32_payload, Conv2dParams, ConvGeom, F32Arith};
+use super::conv::{f32_conv, f32_payload, Conv2dParams, ConvGeom};
 use super::qconv::{quantized_planes, QConvQuant};
 use super::{kerr, KernelError};
 use crate::dtype::DType;
@@ -37,7 +38,7 @@ pub fn dense_f32(
     let g = dense_geom("dense", input, weight, bias)?;
     let (x, wt) = (f32_payload(input)?, f32_payload(weight)?);
     let b = bias.map(f32_payload).transpose()?;
-    let out = conv_planes(&g, &F32Arith(b), x, wt, 0.0);
+    let out = f32_conv(&g, x, wt, b)?;
     Tensor::from_f32(&g.output[..2], out).map_err(|e| kerr(e.to_string()))
 }
 

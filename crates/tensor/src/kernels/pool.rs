@@ -1,8 +1,15 @@
 //! 2-D pooling kernels over `NCHW` activations, float and quantized.
+//!
+//! A pooled element is *defined* as its window's reduction: a starting
+//! value, then `+` (or the maximum) over the window's in-image elements
+//! row-major, then a finish with their count. The walk blocks output
+//! columns as the convolution walk does, so a block's partial results
+//! advance through the window together in SIMD lanes while each element
+//! keeps that sequence.
 
-use super::conv::padded;
+use super::conv::{f32_payload, padded, BLOCK};
 use super::{kerr, KernelError};
-use crate::tensor::{with_payload, Elem, IntElem, Tensor};
+use crate::tensor::{with_payload, Data, Elem, IntElem, Tensor};
 use std::ops::Range;
 
 /// Attributes of a 2-D pooling op.
@@ -56,27 +63,6 @@ impl Pool2dParams {
     }
 }
 
-/// The in-image part of one pooling window, row-major.
-struct Window<'a, T> {
-    plane: &'a [T],
-    width: usize,
-    rows: Range<usize>,
-    cols: Range<usize>,
-}
-
-impl<T: Copy> Window<'_, T> {
-    fn taps(&self) -> impl Iterator<Item = T> + '_ {
-        self.rows
-            .clone()
-            .flat_map(|iy| &self.plane[iy * self.width..][self.cols.clone()])
-            .copied()
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len() * self.cols.len()
-    }
-}
-
 /// `[lo, hi)` of the window starting at `o * stride - pad`, clipped to `len`.
 fn clip(o: usize, stride: usize, k: usize, pad: usize, len: usize) -> Range<usize> {
     let start = o * stride;
@@ -84,53 +70,92 @@ fn clip(o: usize, stride: usize, k: usize, pad: usize, len: usize) -> Range<usiz
     lo..(start + k).saturating_sub(pad).min(len).max(lo)
 }
 
-/// Reduce every window of `x` with `f`, in output order.
-fn pool<T: Elem>(
+/// Reduce every window of `x`: `start`, then `step` over the window's
+/// in-image elements row-major, then `finish` with their count. A block of
+/// [`BLOCK`] adjacent output columns walks the window's rows and columns in
+/// lock-step, so each element sees exactly that sequence while the inner
+/// loop runs over contiguous partial sums.
+fn pool<T: Elem + Default, A: Copy>(
     input: &Tensor,
     x: &[T],
     params: &Pool2dParams,
-    f: impl Fn(Window<'_, T>) -> Result<T, KernelError>,
+    start: A,
+    step: impl Fn(A, T) -> A,
+    finish: impl Fn(A, usize) -> Result<T, KernelError>,
 ) -> Result<Tensor, KernelError> {
     let d = input.shape().dims();
-    if d.len() != 4 {
+    let &[n, c, h, w] = d else {
         return Err(kerr(format!("pool2d expects rank-4 input, got {d:?}")));
-    }
-    let (h, w) = (d[2], d[3]);
+    };
     let (oh, ow) = params.out_hw(h, w)?;
     let (pt, pl, _, _) = params.padding;
     let (kh, kw) = params.kernel;
     let (sh, sw) = params.strides;
-    let mut out = Vec::with_capacity(d[0] * d[1] * oh * ow);
-    for plane in x.chunks((h * w).max(1)) {
-        for oy in 0..oh {
-            let rows = clip(oy, sh, kh, pt, h);
-            for ox in 0..ow {
-                out.push(f(Window {
-                    plane,
-                    width: w,
-                    rows: rows.clone(),
-                    cols: clip(ox, sw, kw, pl, w),
-                })?);
+    // Output columns before input column `v`; no division at unit stride.
+    let per_stride = |v: usize| if sw == 1 { v } else { v.div_ceil(sw) };
+    let mut out = vec![T::default(); n * c * oh * ow];
+    // `out_hw` made `oh · ow` non-zero.
+    for (p, out) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let plane = &x[p * h * w..][..h * w];
+        for ox0 in (0..ow).step_by(BLOCK) {
+            let ox1 = (ox0 + BLOCK).min(ow);
+            // In-image window columns of each output column of the block.
+            let cols: [usize; BLOCK] = std::array::from_fn(|j| clip(ox0 + j, sw, kw, pl, w).len());
+            for (oy, out) in out.chunks_exact_mut(ow).enumerate() {
+                let rows = clip(oy, sh, kh, pt, h);
+                let mut acc = [start; BLOCK];
+                for iy in rows.clone() {
+                    let row = &plane[iy * w..][..w];
+                    for kx in 0..kw {
+                        // Output column `ox` reads input column `ox·sw + kx − pl`.
+                        let lo = per_stride(pl.saturating_sub(kx)).clamp(ox0, ox1);
+                        let hi = per_stride((w + pl).saturating_sub(kx)).clamp(lo, ox1);
+                        if lo == hi {
+                            continue;
+                        }
+                        let acc = &mut acc[lo - ox0..hi - ox0];
+                        let xs = &row[lo * sw + kx - pl..];
+                        if sw == 1 {
+                            for (a, &x) in acc.iter_mut().zip(xs) {
+                                *a = step(*a, x);
+                            }
+                        } else {
+                            for (a, &x) in acc.iter_mut().zip(xs.iter().step_by(sw)) {
+                                *a = step(*a, x);
+                            }
+                        }
+                    }
+                }
+                let sums = acc.iter().zip(&cols);
+                for (o, (&acc, &cols)) in out[ox0..ox1].iter_mut().zip(sums) {
+                    *o = finish(acc, rows.len() * cols)?;
+                }
             }
         }
     }
-    Tensor::from_data([d[0], d[1], oh, ow], T::wrap(out), input.quant())
-        .map_err(|e| kerr(e.to_string()))
+    Tensor::from_data([n, c, oh, ow], T::wrap(out), input.quant()).map_err(|e| kerr(e.to_string()))
 }
 
 /// Max pooling. Works on float and quantized tensors (max commutes with the
 /// affine map, so the output keeps the input's quantization parameters).
 pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, KernelError> {
-    fn int_max<T: IntElem>(win: Window<'_, T>) -> Result<T, KernelError> {
-        Ok(win.taps().max().unwrap_or(T::narrow(0)))
+    fn int_max<T: IntElem + Default>(
+        input: &Tensor,
+        x: &[T],
+        params: &Pool2dParams,
+    ) -> Result<Tensor, KernelError> {
+        // An empty window's maximum is 0.
+        let finish = |m: T, taps: usize| Ok(if taps == 0 { T::narrow(0) } else { m });
+        pool(input, x, params, T::narrow(T::MIN), Ord::max, finish)
     }
     with_payload!(
         input,
         [I8 U8 I32],
-        |x| pool(input, x, params, int_max),
-        else => pool(input, input.as_f32().unwrap(), params, |win| {
-            Ok(win.taps().fold(f32::NEG_INFINITY, f32::max))
-        })
+        |x| int_max(input, x, params),
+        else => {
+            let x = f32_payload(input)?;
+            pool(input, x, params, f32::NEG_INFINITY, f32::max, |m, _| Ok(m))
+        }
     )
 }
 
@@ -154,37 +179,86 @@ pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, Kerne
             (sum - denom / 2) / denom
         } as i32)
     };
-    fn int_sum<T: IntElem>(win: &Window<'_, T>) -> i64 {
-        win.taps().map(|v| v.widen() as i64).sum()
+    fn int_sum<T: IntElem + Default>(
+        input: &Tensor,
+        x: &[T],
+        params: &Pool2dParams,
+        avg: impl Fn(i64, usize) -> Result<i32, KernelError>,
+    ) -> Result<Tensor, KernelError> {
+        let sum = |s: i64, v: T| s + v.widen() as i64;
+        pool(input, x, params, 0, sum, |s, taps| {
+            avg(s, taps).map(T::narrow)
+        })
     }
     with_payload!(
         input,
         [I8 U8 I32],
-        |x| pool(input, x, params, |win| {
-            int_avg(int_sum(&win), win.len()).map(IntElem::narrow)
-        }),
-        else => pool(input, input.as_f32().unwrap(), params, |win| {
-            Ok(win.taps().sum::<f32>() / denom(win.len())? as f32)
-        })
+        |x| int_sum(input, x, params, int_avg),
+        else => {
+            let x = f32_payload(input)?;
+            let avg = |s: f32, taps: usize| Ok(s / denom(taps)? as f32);
+            pool(input, x, params, empty_sum(), |s, v| s + v, avg)
+        }
     )
 }
 
-/// Global average pooling to `[n, c, 1, 1]`.
+/// Where `Iterator::sum` of `f32`s starts, which the window sums keep.
+fn empty_sum() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// Global average pooling to `[n, c, 1, 1]`: each plane's elements summed
+/// row-major from [`empty_sum`], then divided by their count, with
+/// [`LANES`] planes advancing side by side.
 pub fn global_avg_pool2d(input: &Tensor) -> Result<Tensor, KernelError> {
     let d = input.shape().dims();
-    if d.len() != 4 {
+    let &[n, c, h, w] = d else {
         return Err(kerr(format!(
             "global_avg_pool2d expects rank-4 input, got {d:?}"
         )));
-    }
+    };
     let params = Pool2dParams {
-        kernel: (d[2], d[3]),
+        kernel: (h, w),
         strides: (1, 1),
         padding: (0, 0, 0, 0),
         count_include_pad: false,
     };
-    avg_pool2d(input, &params)
+    let Data::F32(x) = input.data() else {
+        return avg_pool2d(input, &params);
+    };
+    params.out_hw(h, w)?;
+    let len = h * w;
+    let mut out = Vec::with_capacity(n * c);
+    for planes in x.chunks(len * LANES) {
+        if planes.len() == len * LANES {
+            out.extend(plane_sums::<LANES>(planes, len));
+        } else {
+            for plane in planes.chunks_exact(len) {
+                out.extend(plane_sums::<1>(plane, len));
+            }
+        }
+    }
+    for s in &mut out {
+        *s /= len as f32;
+    }
+    Tensor::from_f32([n, c, 1, 1], out).map_err(|e| kerr(e.to_string()))
 }
+
+/// The row-major sums of the `L` planes of `len` elements in `x`, side by
+/// side.
+fn plane_sums<const L: usize>(x: &[f32], len: usize) -> [f32; L] {
+    let planes: [&[f32]; L] = std::array::from_fn(|p| &x[p * len..][..len]);
+    let mut acc = [empty_sum(); L];
+    for i in 0..len {
+        for (a, plane) in acc.iter_mut().zip(&planes) {
+            *a += plane[i];
+        }
+    }
+    acc
+}
+
+/// Planes a global pool sums side by side.
+const LANES: usize = 8;
 
 #[cfg(test)]
 mod tests {

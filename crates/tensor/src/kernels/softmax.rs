@@ -5,14 +5,14 @@ use crate::tensor::Tensor;
 
 /// Numerically-stable softmax along the last axis.
 pub fn softmax_f32(input: &Tensor) -> Result<Tensor, KernelError> {
-    let dims = input.shape().dims();
-    if dims.is_empty() {
+    let Some(&axis_len) = input.shape().dims().last() else {
         return Err(kerr("softmax needs rank >= 1".to_string()));
-    }
-    let axis_len = *dims.last().unwrap();
+    };
     let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
     let mut out = vec![0.0f32; x.len()];
-    for (row_in, row_out) in x.chunks_exact(axis_len).zip(out.chunks_exact_mut(axis_len)) {
+    // An empty last axis leaves `x` empty: no rows, whatever the width.
+    let row = axis_len.max(1);
+    for (row_in, row_out) in x.chunks_exact(row).zip(out.chunks_exact_mut(row)) {
         let max = row_in.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
         let mut sum = 0.0f32;
         for (o, &v) in row_out.iter_mut().zip(row_in) {
@@ -31,7 +31,7 @@ pub fn log_softmax_f32(input: &Tensor) -> Result<Tensor, KernelError> {
     let s = softmax_f32(input)?;
     let v: Vec<f32> = s
         .as_f32()
-        .unwrap()
+        .map_err(|e| kerr(e.to_string()))?
         .iter()
         .map(|&p| p.max(f32::MIN_POSITIVE).ln())
         .collect();
@@ -65,6 +65,15 @@ mod tests {
         let v = y.as_f32().unwrap();
         assert!(v.iter().all(|p| p.is_finite()));
         assert!((v[0] + v[1] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn an_empty_last_axis_gives_the_empty_tensor() {
+        let x = Tensor::from_f32([1, 0], vec![]).unwrap();
+        for y in [softmax_f32(&x).unwrap(), log_softmax_f32(&x).unwrap()] {
+            assert_eq!(y.shape(), x.shape());
+            assert!(y.as_f32().unwrap().is_empty());
+        }
     }
 
     #[test]

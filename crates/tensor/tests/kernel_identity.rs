@@ -1189,6 +1189,158 @@ fn conv2d_f32_special_values_match_walk_and_direct_loop() {
     }
 }
 
+/// Bit-equal, except that a NaN need only meet a NaN: IEEE 754 and Rust
+/// leave a NaN's payload unspecified.
+#[track_caller]
+fn assert_same_or_nan(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    let (g, w) = (got.as_f32().unwrap(), want.as_f32().unwrap());
+    let same = g
+        .iter()
+        .zip(w)
+        .all(|(a, b)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan());
+    assert!(same, "{what}: payload bits differ");
+}
+
+/// `t` with `0..=2` of its elements replaced by a signed zero, an
+/// infinity or a NaN.
+fn sprinkle(p: &mut Pick, t: &mut Tensor) {
+    let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let v = t.as_f32_mut().unwrap();
+    for _ in 0..p.range(0, 2) {
+        let i = p.range(0, v.len() - 1);
+        v[i] = p.of(&special);
+    }
+}
+
+/// The depthwise float tile's edges: channel counts off the 4-plane block
+/// (so the last task runs planes one at a time) and a channel multiplier
+/// of 2; output widths around the 8-column tile; stride 2 and 3, dilation
+/// 2, and left padding 0 to 2.
+#[test]
+fn conv2d_f32_depthwise_edges_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xCA));
+    for c in [2, 3, 5, 9] {
+        for mult in [1, 2] {
+            for ((sh, sw), (dh, dw)) in [
+                ((1, 1), (1, 1)),
+                ((2, 2), (1, 1)),
+                ((1, 3), (1, 1)),
+                ((1, 1), (2, 2)),
+                ((2, 2), (1, 2)),
+            ] {
+                for pl in 0..=2 {
+                    for ow in [1usize, 2, 7, 8, 9, 15, 16, 17] {
+                        let pr = 2 - pl;
+                        let k = p.of(&[1, 3, 3, 5]);
+                        // The input width that gives `ow` output columns.
+                        let w = ((ow - 1) * sw + (k - 1) * dw + 1).checked_sub(pl + pr);
+                        let Some(w) = w.filter(|&w| w > 0) else {
+                            continue;
+                        };
+                        let params = Conv2dParams {
+                            strides: (sh, sw),
+                            padding: (1, pl, 1, pr),
+                            dilation: (dh, dw),
+                            groups: c,
+                        };
+                        let (xs, ws) = ([p.of(&[1, 2]), c, p.range(2, 5), w], [c * mult, 1, k, k]);
+                        // Too short for the kernel's dilated height.
+                        let Ok((_, got)) = params.out_hw(xs[2], w, k, k) else {
+                            continue;
+                        };
+                        assert_eq!(got, ow);
+                        let (x, wt, b) = (p.f32s(&xs), p.f32s(&ws), p.f32s(&[c * mult]));
+                        for b in [None, Some(&b)] {
+                            let what = format!("depthwise {xs:?} * {ws:?} {params:?}");
+                            assert_conv_f32((&x, &wt, b), &params, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Signed zeros, infinities and NaNs through the depthwise tile, at unit
+/// stride and at stride 2 with dilation 2: all-zero inputs against
+/// negative weights with a `−0.0` bias or none, then special values
+/// sprinkled through x, w and the bias.
+#[test]
+fn conv2d_f32_depthwise_special_values_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xCB));
+    let strided = Conv2dParams {
+        strides: (2, 2),
+        padding: (2, 2, 2, 2),
+        dilation: (2, 2),
+        groups: 6,
+    };
+    let unit = Conv2dParams {
+        groups: 6,
+        ..Conv2dParams::same(1)
+    };
+    for params in [unit, strided] {
+        let (xs, ws) = ([1, 6, 5, 21], [6, 1, 3, 3]);
+        let zeros = Tensor::from_f32(xs, vec![0.0; 6 * 5 * 21]).unwrap();
+        let negative = Tensor::from_f32(ws, vec![-0.5; 54]).unwrap();
+        let minus_zero = Tensor::from_f32([6], vec![-0.0; 6]).unwrap();
+        for b in [None, Some(&minus_zero)] {
+            assert_conv_f32(
+                (&zeros, &negative, b),
+                &params,
+                "depthwise zeros * negative weights",
+            );
+        }
+        for case in 0..40 {
+            let (mut x, mut w, mut b) = (p.f32s(&xs), p.f32s(&ws), p.f32s(&[6]));
+            for t in [&mut x, &mut w, &mut b] {
+                sprinkle(&mut p, t);
+            }
+            let got = kernels::conv2d_f32(&x, &w, Some(&b), &params).unwrap();
+            let walk = conv2d_f32_with(&x, &w, Some(&b), &params, false).unwrap();
+            let want = reference::conv2d_f32(&x, &w, Some(&b), &params).unwrap();
+            let what = format!("depthwise special values case {case} {params:?}");
+            assert_same_or_nan(&got, &walk, &format!("{what}: walk"));
+            assert_same_or_nan(&got, &want, &format!("{what}: direct loop"));
+        }
+    }
+}
+
+/// The dense float tile at strides 2 and 3, where it reads the input's
+/// column phases: output widths around the 8-column tile, left padding 0
+/// to 2, channel counts on and off the 4-channel block.
+#[test]
+fn conv2d_f32_strided_dense_edges_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xCC));
+    for sw in [2usize, 3] {
+        for pl in 0..=2 {
+            for ow in (1usize..=9).chain([15, 16, 17]) {
+                for oc in [4, 5] {
+                    let dw = p.of(&[1, 1, 2]);
+                    let params = Conv2dParams {
+                        strides: (p.range(1, 3), sw),
+                        padding: (1, pl, 0, 1),
+                        dilation: (1, dw),
+                        groups: 1,
+                    };
+                    // The input width that gives `ow` output columns of a 3×3.
+                    let Some(w) = ((ow - 1) * sw + 2 * dw + 1).checked_sub(pl + 1) else {
+                        continue;
+                    };
+                    let xs = [p.of(&[1, 2]), p.range(1, 3), p.range(3, 6), w];
+                    let ws = [oc, xs[1], 3, 3];
+                    assert_eq!(params.out_hw(xs[2], w, 3, 3).map(|(_, w)| w), Ok(ow));
+                    let (x, wt, b) = (p.f32s(&xs), p.f32s(&ws), p.f32s(&[oc]));
+                    for b in [None, Some(&b)] {
+                        let what = format!("strided dense {xs:?} * {ws:?} {params:?}");
+                        assert_conv_f32((&x, &wt, b), &params, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn conv2d_kernel_covering_the_padded_input() {
     // Kernel extent == padded input edge: a single output pixel, most taps
@@ -1872,6 +2024,65 @@ fn pooling_matches_direct_loop() {
             ),
             &format!("global_avg_pool2d case {case} {shape:?}"),
         );
+    }
+}
+
+/// Pooling over widths that span several 32-column blocks, on windows
+/// that mix signed zeros, NaNs and infinities: the float max ignores a NaN
+/// and the float sum propagates it, so each element's sequence shows.
+#[test]
+fn pooling_across_column_blocks_with_special_values_matches_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xF3));
+    for w in [33, 65] {
+        for case in 0..12 {
+            let kernel = (p.range(1, 3), p.range(1, 4));
+            let params = Pool2dParams {
+                kernel,
+                strides: (p.range(1, 2), p.range(1, 3)),
+                padding: (p.range(0, kernel.0 - 1), p.range(0, kernel.1 - 1), 0, 0),
+                count_include_pad: p.coin(),
+            };
+            let shape = [p.range(1, 2), p.range(1, 3), p.range(3, 5), w];
+            let mut x = p.f32s(&shape);
+            for _ in 0..8 {
+                sprinkle(&mut p, &mut x);
+            }
+            let what = format!("case {case} {shape:?} {params:?}");
+            let pairs = [
+                (
+                    kernels::max_pool2d(&x, &params),
+                    reference::max_pool2d(&x, &params),
+                ),
+                (
+                    kernels::avg_pool2d(&x, &params),
+                    reference::avg_pool2d(&x, &params),
+                ),
+            ];
+            for (got, want) in pairs {
+                assert_same_or_nan(&got.unwrap(), &want.unwrap(), &what);
+            }
+        }
+    }
+}
+
+/// The global pool sums eight planes side by side: plane counts off and
+/// past that, over two images, with special values among the elements.
+#[test]
+fn global_avg_pool_over_many_planes_matches_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xF4));
+    for c in [1, 7, 8, 9, 17, 20] {
+        let shape = [2, c, p.range(1, 6), p.of(&[1, 3, 8, 33])];
+        let mut x = p.f32s(&shape);
+        sprinkle(&mut p, &mut x);
+        let full = Pool2dParams {
+            kernel: (shape[2], shape[3]),
+            strides: (1, 1),
+            padding: (0, 0, 0, 0),
+            count_include_pad: false,
+        };
+        let got = kernels::global_avg_pool2d(&x).unwrap();
+        let want = reference::avg_pool2d(&x, &full).unwrap();
+        assert_same_or_nan(&got, &want, &format!("global_avg_pool2d {shape:?}"));
     }
 }
 
