@@ -399,7 +399,11 @@ pub(super) fn f32_conv(
         if dense {
             return Ok(sse2::conv(g, &reads, x, wt, bias, &mut s.w));
         }
-        Ok(depthwise_conv(g, &reads, x, wt, bias))
+        Ok(if reads.width() == V {
+            depthwise_conv::<V>(g, &reads, x, wt, bias)
+        } else {
+            depthwise_conv::<{ V / 2 }>(g, &reads, x, wt, bias)
+        })
     })
 }
 
@@ -421,7 +425,8 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// Output columns of a register tile.
+/// Output columns of a register tile; a row with fewer than `V` interior
+/// columns takes tiles half as wide.
 const V: usize = 8;
 
 /// Where a tile reads the input: each input row as `sw` column phases,
@@ -456,7 +461,7 @@ struct Reads<'a> {
     /// Each column tiles do not cover, with its in-image kernel columns.
     edges: &'a [(usize, Range<usize>)],
     /// The columns tiles cover: those whose every kernel column lands
-    /// inside the image, when there are [`V`] of them.
+    /// inside the image, when there are at least `V / 2` of them.
     inner: Range<usize>,
 }
 
@@ -545,7 +550,7 @@ impl Phases {
             .saturating_sub((kw - 1) * dw)
             .div_ceil(sw)
             .clamp(lo, ow);
-        let inner = if hi - lo >= V { lo..hi } else { 0..0 };
+        let inner = if hi - lo >= V / 2 { lo..hi } else { 0..0 };
         edges.clear();
         edges.extend(
             (0..inner.start)
@@ -564,13 +569,23 @@ impl Phases {
 }
 
 impl Reads<'_> {
-    /// Where each tile of a row starts: [`V`] apart, the last one ending
-    /// at the interior's end.
+    /// Output columns of this call's tiles: [`V`], or `V / 2` when the
+    /// interior is narrower than `V`.
+    fn width(&self) -> usize {
+        if self.inner.len() >= V {
+            V
+        } else {
+            V / 2
+        }
+    }
+
+    /// Where each tile of a row starts: [`Self::width`] apart, the last
+    /// one ending at the interior's end.
     fn tiles(&self) -> impl Iterator<Item = usize> {
-        let Range { start, end } = self.inner;
-        let last = end.saturating_sub(V);
+        let (Range { start, end }, v) = (self.inner.clone(), self.width());
+        let last = end.saturating_sub(v);
         (start..last)
-            .step_by(V)
+            .step_by(v)
             .chain((start < end).then_some(last))
     }
 }
@@ -583,14 +598,16 @@ fn in_image(start: usize, pad: usize, len: usize, k: usize, d: usize) -> Range<u
 }
 
 /// The depthwise (`c / groups = 1`) convolution `g` over the column phases
-/// `x`, one [`OC_BLOCK`] of output planes per parallel task.
-fn depthwise_conv(
+/// `x`, one [`OC_BLOCK`] of output planes per parallel task, on tiles `C`
+/// columns wide (`r`'s [`Reads::width`]).
+fn depthwise_conv<const C: usize>(
     g: &ConvGeom,
     r: &Reads<'_>,
     x: &[f32],
     wt: &[f32],
     bias: Option<&[f32]>,
 ) -> Vec<f32> {
+    debug_assert_eq!(r.width(), C);
     let [n, oc, oh, ow] = g.output;
     let plane_len = oh * ow;
     let mut out = vec![0.0; n * oc * plane_len];
@@ -599,10 +616,10 @@ fn depthwise_conv(
         .for_each(|(chunk, out)| {
             let first = chunk * OC_BLOCK;
             if out.len() == plane_len * OC_BLOCK {
-                depthwise_planes::<OC_BLOCK>(g, r, x, wt, bias, first, out);
+                depthwise_planes::<OC_BLOCK, C>(g, r, x, wt, bias, first, out);
             } else {
                 for (p, out) in (first..).zip(out.chunks_exact_mut(plane_len)) {
-                    depthwise_planes::<1>(g, r, x, wt, bias, p, out);
+                    depthwise_planes::<1, C>(g, r, x, wt, bias, p, out);
                 }
             }
         });
@@ -611,11 +628,11 @@ fn depthwise_conv(
 
 /// Output planes `first..first + P` of the depthwise convolution `g`, into
 /// `out`. Border columns run their in-image taps one column at a time;
-/// interior columns run a tile of `P` planes × [`V`] columns whose sums
+/// interior columns run a tile of `P` planes × `C` columns whose sums
 /// stay in registers, the last tile overlapping its neighbour. Every
 /// element is `bias`, then `+ x·w` over its in-image taps in `ky, kx`
 /// order — the walk's bits.
-fn depthwise_planes<const P: usize>(
+fn depthwise_planes<const P: usize, const C: usize>(
     g: &ConvGeom,
     r: &Reads<'_>,
     x: &[f32],
@@ -650,17 +667,17 @@ fn depthwise_planes<const P: usize>(
             }
         }
         for ox in r.tiles() {
-            let mut acc = start.map(|s| [s; V]);
+            let mut acc = start.map(|s| [s; C]);
             for &(xo, t) in taps {
                 for (i, acc) in acc.iter_mut().enumerate() {
-                    let (x, w) = (&xs[i][xo + ox - lead..][..V], ws[i][t]);
+                    let (x, w) = (&xs[i][xo + ox - lead..][..C], ws[i][t]);
                     for (a, &x) in acc.iter_mut().zip(x) {
                         *a += x * w;
                     }
                 }
             }
             for (i, acc) in acc.iter().enumerate() {
-                out[at(i, ox)..][..V].copy_from_slice(acc);
+                out[at(i, ox)..][..C].copy_from_slice(acc);
             }
         }
     }
@@ -671,14 +688,16 @@ fn depthwise_planes<const P: usize>(
 /// and zero past the last channel. A row's interior columns — those whose
 /// every kernel column lands inside the image — run a register tile of
 /// [`R`] output channels × [`V`] output columns over the column phases,
-/// at any stride; its eight xmm accumulators start from the bias and take
-/// one `mulps` + `addps` per tap and register, and the last tile overlaps
-/// its neighbour and starts from the bias again, so no column is left to a
-/// scalar loop. Every other column (all of them in a row with fewer than
-/// [`V`] interior columns) runs a column kernel over its own in-image
-/// taps: one register of [`R`] output channels, the input broadcast, the
-/// same packed weight quads. Each output element is thus `bias`, then
-/// `+ x·w` over its in-image taps in the walk's order — the walk's bits.
+/// at any stride (`V / 2` columns when the row has fewer than `V`
+/// interior ones); its eight (four) xmm accumulators start from the bias
+/// and take one `mulps` + `addps` per tap and register, and the last tile
+/// overlaps its neighbour and starts from the bias again, so no column is
+/// left to a scalar loop. Every other column (all of them in a row with
+/// fewer than `V / 2` interior columns) runs a column kernel over its own
+/// in-image taps: one register of [`R`] output channels, the input
+/// broadcast, the same packed weight quads. Each output element is thus
+/// `bias`, then `+ x·w` over its in-image taps in the walk's order — the
+/// walk's bits.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod sse2 {
     use super::{ConvGeom, Reads, V};
@@ -743,9 +762,11 @@ mod sse2 {
                 }
             }
             for ox in r.tiles() {
-                let sums = tile(&x[ox - lead..], taps, w, bias);
-                for (plane, s) in out.chunks_exact_mut(oh * ow).zip(sums) {
-                    plane[at(ox)..][..V].copy_from_slice(&s);
+                let x = &x[ox - lead..];
+                if r.width() == V {
+                    tile::<{ V / 4 }>(x, taps, w, bias, out, oh * ow, at(ox));
+                } else {
+                    tile::<{ V / 8 }>(x, taps, w, bias, out, oh * ow, at(ox));
                 }
             }
         }
@@ -801,24 +822,37 @@ mod sse2 {
     }
 
     /// `bias[r] + Σ x[offset + v] ⋅ w[tap][r]` over every tap for the
-    /// [`V`] columns `v` and [`R`] channels `r` of a tile, the accumulators
-    /// in xmm registers throughout.
+    /// `4·Q` columns `v` and [`R`] channels `r` of a tile, the accumulators
+    /// in xmm registers throughout (`Q` per channel), stored at `at` of
+    /// each of `out`'s planes of `plane` elements.
     #[target_feature(enable = "sse2")]
-    fn tile(x: &[f32], taps: &[(usize, usize)], w: &[f32], bias: __m128) -> [[f32; V]; R] {
-        let mut a = splats(bias).map(|b| [b; V / 4]);
+    fn tile<const Q: usize>(
+        x: &[f32],
+        taps: &[(usize, usize)],
+        w: &[f32],
+        bias: __m128,
+        out: &mut [f32],
+        plane: usize,
+        at: usize,
+    ) {
+        let mut a = splats(bias).map(|b| [b; Q]);
         for &(xo, t) in taps {
-            let xs = &x[xo..][..V];
-            let x0 = _mm_setr_ps(xs[0], xs[1], xs[2], xs[3]);
-            let x1 = _mm_setr_ps(xs[4], xs[5], xs[6], xs[7]);
+            let xs = &x[xo..][..4 * Q];
+            let xv: [__m128; Q] = std::array::from_fn(|q| {
+                let s = &xs[4 * q..][..4];
+                _mm_setr_ps(s[0], s[1], s[2], s[3])
+            });
             for (a, w) in a.iter_mut().zip(splats(quad(w, t))) {
-                a[0] = _mm_add_ps(a[0], _mm_mul_ps(x0, w));
-                a[1] = _mm_add_ps(a[1], _mm_mul_ps(x1, w));
+                for (a, &x) in a.iter_mut().zip(&xv) {
+                    *a = _mm_add_ps(*a, _mm_mul_ps(x, w));
+                }
             }
         }
-        a.map(|[a0, a1]| {
-            let (l0, l1) = (lanes(a0), lanes(a1));
-            std::array::from_fn(|v| if v < 4 { l0[v] } else { l1[v - 4] })
-        })
+        for (plane, a) in out.chunks_exact_mut(plane).zip(a) {
+            for (out, a) in plane[at..][..4 * Q].chunks_exact_mut(4).zip(a) {
+                out.copy_from_slice(&lanes(a));
+            }
+        }
     }
 }
 

@@ -243,7 +243,6 @@ mod sse2 {
     #[derive(Default)]
     struct Scratch {
         x: Vec<i32>,
-        pad: Vec<i32>,
         w: Vec<Splat>,
         taps: Vec<usize>,
     }
@@ -350,14 +349,14 @@ mod sse2 {
             if s.x.len() < x_len {
                 s.x.resize(x_len, 0);
             }
-            let (xp, pad, taps, wp) = (&mut s.x[..x_len], &mut s.pad, &s.taps[..], &s.w[..]);
+            let (xp, taps, wp) = (&mut s.x[..x_len], &s.taps[..], &s.w[..]);
             let block_w = taps.len() * R;
             let images = x.chunks_exact(c * h * w);
             for (image, out) in images.zip(out.chunks_exact_mut(oc * plane_len)) {
                 // The output planes that read one pack: all, or its channels.
                 let per_pack = if depthwise { planes } else { oc } * plane_len;
                 for (first, out) in (0..).step_by(planes).zip(out.chunks_mut(per_pack)) {
-                    pack(xp, pad, image, g, &lay, first, q.zx);
+                    pack(xp, image, g, &lay, first, q.zx);
                     let xp = &*xp;
                     out.par_chunks_mut(R * plane_len)
                         .enumerate()
@@ -378,11 +377,9 @@ mod sse2 {
     }
 
     /// Pack the planes of one image `[c, h, w]` from plane `first` on into
-    /// `xp` as [`Layout`] says, through `pad`: the zero-padded input row of
-    /// each lane.
+    /// `xp` as [`Layout`] says, each pair straight from its source rows.
     fn pack<X: IntElem>(
         xp: &mut [i32],
-        pad: &mut Vec<i32>,
         x: &[X],
         g: &ConvGeom,
         lay: &Layout,
@@ -390,69 +387,65 @@ mod sse2 {
         zx: i32,
     ) {
         let ([_, c, h, w], (pt, pl, _, _)) = (g.input, g.params.padding);
-        let (sw, dw) = (g.params.strides.1, g.params.dilation.1);
+        let (sw, dw, wq) = (g.params.strides.1, g.params.dilation.1, lay.wq);
         // The high lane reads `db` padded columns past the low one.
         let db = if lay.depthwise { dw } else { 0 };
-        let span = lay.row + db;
-        pad.clear();
-        pad.resize(2 * span, 0);
-        let (lo, hi) = pad.split_at_mut(span);
-        // Only the image's columns are ever written: the rest stays 0.
-        let image = pl.min(span)..(pl + w).min(span);
-        let load = |pad: &mut [i32], src: Option<&[X]>| {
-            let pad = &mut pad[image.clone()];
-            pad.fill(0);
-            let src = src.into_iter().flatten();
-            pad.iter_mut()
-                .zip(src)
-                .for_each(|(p, x)| *p = x.widen() - zx);
-        };
-        for (i, plane) in (first..).zip(xp.chunks_exact_mut(lay.plane)) {
-            let ca = if lay.depthwise { i } else { 2 * i };
-            let cb = if lay.depthwise { i } else { ca + 1 };
-            for (py, row) in plane.chunks_exact_mut(lay.row).enumerate() {
-                let iy = py.wrapping_sub(pt);
-                let src = |ch: usize| (ch < c && iy < h).then(|| &x[(ch * h + iy) * w..][..w]);
-                let Some(a) = src(ca) else {
-                    row.fill(0);
-                    continue;
-                };
-                if !lay.depthwise && sw == 1 {
-                    // One phase, no lane offset: the padded row is the
-                    // packed row.
-                    let (left, rest) = row.split_at_mut(image.start);
-                    let (mid, right) = rest.split_at_mut(image.len());
-                    left.fill(0);
-                    right.fill(0);
-                    let sub = |x: &X| x.widen() - zx;
-                    match src(cb) {
-                        Some(b) => mid
+        let sub = |x: &X| x.widen() - zx;
+        // Padded column `cc` of an input row: 0 off the image.
+        let at = |src: &[X], cc: usize| src.get(cc.wrapping_sub(pl)).map_or(0, sub);
+        for phase in 0..sw {
+            // Entry `e` of the phase pairs padded column `e·sw + phase` of
+            // the low lane's row with that `+ db` of the high lane's; in
+            // entries `lo..hi` both land in the image, the low one at `i`.
+            let start = |d: usize| pl.saturating_sub(phase + d).div_ceil(sw);
+            let stop = |d: usize| (pl + w).saturating_sub(phase + d).div_ceil(sw);
+            let lo = start(0).max(start(db)).min(wq);
+            let hi = stop(0).min(stop(db)).clamp(lo, wq);
+            let i = (lo * sw + phase).saturating_sub(pl);
+            for (k, plane) in (first..).zip(xp.chunks_exact_mut(lay.plane)) {
+                let ca = if lay.depthwise { k } else { 2 * k };
+                let cb = if lay.depthwise { k } else { ca + 1 };
+                for (py, row) in plane.chunks_exact_mut(lay.row).enumerate() {
+                    let run = &mut row[phase * wq..][..wq];
+                    let iy = py.wrapping_sub(pt);
+                    let src = |ch: usize| (ch < c && iy < h).then(|| &x[(ch * h + iy) * w..][..w]);
+                    let Some(a) = src(ca) else {
+                        run.fill(0);
+                        continue;
+                    };
+                    // A dense pack's last odd channel pairs with zeros.
+                    let b = src(cb);
+                    let (left, rest) = run.split_at_mut(lo);
+                    let (mid, right) = rest.split_at_mut(hi - lo);
+                    let edge = |e: usize| {
+                        let cc = e * sw + phase;
+                        pair(at(a, cc), b.map_or(0, |b| at(b, cc + db)))
+                    };
+                    for (e, v) in left.iter_mut().enumerate() {
+                        *v = edge(e);
+                    }
+                    for (e, v) in (hi..).zip(right) {
+                        *v = edge(e);
+                    }
+                    let Some(last) = mid.len().checked_sub(1).map(|j| j * sw) else {
+                        continue;
+                    };
+                    // Entry `lo + j` reads `a[j·sw]` and `b[j·sw]`.
+                    let a = &a[i..][..=last];
+                    match b.map(|b| &b[i + db..][..=last]) {
+                        Some(b) if sw == 1 => mid
                             .iter_mut()
                             .zip(a.iter().zip(b))
                             .for_each(|(v, (a, b))| *v = pair(sub(a), sub(b))),
-                        None => mid
-                            .iter_mut()
-                            .zip(a)
-                            .for_each(|(v, a)| *v = pair(sub(a), 0)),
-                    }
-                    continue;
-                }
-                load(lo, Some(a));
-                if !lay.depthwise {
-                    load(hi, src(cb));
-                }
-                let b = if lay.depthwise { &lo[db..] } else { &hi[..] };
-                for (phase, run) in row.chunks_exact_mut(lay.wq).enumerate() {
-                    let (a, b) = (&lo[phase..], &b[phase..]);
-                    if sw == 1 {
-                        for (v, (&a, &b)) in run.iter_mut().zip(a.iter().zip(b)) {
-                            *v = pair(a, b);
+                        Some(b) => {
+                            for (j, v) in mid.iter_mut().enumerate() {
+                                *v = pair(sub(&a[j * sw]), sub(&b[j * sw]));
+                            }
                         }
-                    } else {
-                        let last = (run.len() - 1) * sw;
-                        let (a, b) = (&a[..=last], &b[..=last]);
-                        for (e, v) in run.iter_mut().enumerate() {
-                            *v = pair(a[e * sw], b[e * sw]);
+                        None => {
+                            for (j, v) in mid.iter_mut().enumerate() {
+                                *v = pair(sub(&a[j * sw]), 0);
+                            }
                         }
                     }
                 }

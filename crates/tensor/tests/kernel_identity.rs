@@ -1341,6 +1341,64 @@ fn conv2d_f32_strided_dense_edges_match_walk_and_direct_loop() {
     }
 }
 
+/// Rows with 4 to 7 interior columns — too few for the 8-column tile, so
+/// they take the 4-column one, its last tile overlapping — through the
+/// dense and the depthwise float tiles: a 3×3 "same" convolution on 8×8,
+/// 16 → 8 at stride 2, and widths 5 to 11 with left and right padding 0
+/// to 2 at dilation 1 and 2; 5 and 6 channels (off the 4-channel block);
+/// each geometry with random values and with signed zeros, infinities and
+/// NaNs sprinkled in.
+#[test]
+fn conv2d_f32_narrow_rows_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xCD));
+    // (width, stride, left and right padding, dilation)
+    let mut geometries = vec![(8usize, 1usize, 1usize, 1usize, 1usize), (16, 2, 1, 1, 1)];
+    for w in 5..=11 {
+        for (pl, pr) in (0..=2).flat_map(|pl| (0..=2).map(move |pr| (pl, pr))) {
+            for dw in [1, 2] {
+                geometries.push((w, 1, pl, pr, dw));
+            }
+        }
+    }
+    let mut interiors = std::collections::BTreeSet::new();
+    for (w, sw, pl, pr, dw) in geometries {
+        // The columns whose every kernel column lands in the image.
+        let Some(ow) = (w + pl + pr).checked_sub(2 * dw + 1).map(|e| e / sw + 1) else {
+            continue;
+        };
+        let lo = pl.div_ceil(sw).min(ow);
+        let hi = (w + pl).saturating_sub(2 * dw).div_ceil(sw).clamp(lo, ow);
+        interiors.insert(hi - lo);
+        for (c, groups, oc) in [(3, 1, 5), (6, 6, 6), (5, 5, 10)] {
+            let params = Conv2dParams {
+                strides: (sw, sw),
+                padding: (1, pl, 1, pr),
+                dilation: (p.of(&[1, dw]), dw),
+                groups,
+            };
+            let (xs, ws) = ([1, c, p.range(5, 8), w], [oc, c / groups, 3, 3]);
+            let Ok((_, got)) = params.out_hw(xs[2], w, 3, 3) else {
+                continue;
+            };
+            assert_eq!(got, ow);
+            let (mut x, mut wt, mut b) = (p.f32s(&xs), p.f32s(&ws), p.f32s(&[oc]));
+            let what = format!("narrow row {xs:?} * {ws:?} {params:?}");
+            assert_conv_f32((&x, &wt, Some(&b)), &params, &what);
+            for t in [&mut x, &mut wt, &mut b] {
+                sprinkle(&mut p, t);
+            }
+            let got = kernels::conv2d_f32(&x, &wt, Some(&b), &params).unwrap();
+            let walk = conv2d_f32_with(&x, &wt, Some(&b), &params, false).unwrap();
+            let want = reference::conv2d_f32(&x, &wt, Some(&b), &params).unwrap();
+            assert_same_or_nan(&got, &walk, &format!("{what}, special values: walk"));
+            assert_same_or_nan(&got, &want, &format!("{what}, special values: direct loop"));
+        }
+    }
+    for n in 4..=7 {
+        assert!(interiors.contains(&n), "no row with {n} interior columns");
+    }
+}
+
 #[test]
 fn conv2d_kernel_covering_the_padded_input() {
     // Kernel extent == padded input edge: a single output pixel, most taps
@@ -1656,6 +1714,43 @@ fn qconv2d_packed_path_edges_match_walk_and_direct_loop() {
         let what = format!("zero points {zx} / {zw}");
         assert_qconv((&x, &w, None), &Conv2dParams::same(1), &quant, &what);
         assert_qconv((&x, &dw_w, None), &depthwise, &quant, &what);
+    }
+}
+
+/// The int8 pack, which pairs each word straight from its source rows:
+/// dense and depthwise at strides 1 to 3 and dilation 1 and 2, left and
+/// right padding 0 to 2, 3, 5 and 33 channels (a dense pack's last odd
+/// channel pairs with zeros), widths around the 8-column tile, and input
+/// zero points away from 0 (so a wrong padding word shows).
+#[test]
+fn qconv2d_pack_geometries_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xCE));
+    for c in [3, 5, 33] {
+        for groups in [1, c] {
+            for (sw, dw) in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)] {
+                let (pl, pr) = (p.range(0, 2), p.range(0, 2));
+                let k = p.of(&[1, 3, 3, 5]);
+                let width = p.of(&[(k - 1) * dw + 1, 7, 9, 16, 17, 23]);
+                let params = Conv2dParams {
+                    strides: (p.range(1, 2), sw),
+                    padding: (1, pl, 1, pr),
+                    dilation: (1, dw),
+                    groups,
+                };
+                let oc = if groups == 1 { c.min(7) } else { c };
+                let (xs, ws) = ([1, c, p.range(3, 6), width], [oc, c / groups, 3, k]);
+                if params.out_hw(xs[2], width, 3, k).is_err() {
+                    continue;
+                }
+                let mut quant = qconv_quant(&mut p, DType::U8, DType::I8);
+                quant.input = QuantParams::new(0.02, p.int(1, 255));
+                let x = p.ints(&xs, DType::U8, quant.input);
+                let w = p.ints(&ws, DType::I8, quant.weight);
+                let b = p.ints(&[ws[0]], DType::I32, QuantParams::identity());
+                let what = format!("pack {xs:?} * {ws:?} {params:?}");
+                assert_qconv((&x, &w, Some(&b)), &params, &quant, &what);
+            }
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 
 use crate::frame::{face_template, Frame, FACE_SIZE};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// An axis-aligned box in pixels.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,48 +72,41 @@ pub fn iou(a: &BBox, b: &BBox) -> f64 {
 /// Normalized cross-correlation face detector: slide the canonical face
 /// template over the grayscale frame; peaks above `threshold` (with local
 /// non-max suppression) are face boxes.
+///
+/// Window positions are `0..h − 16` × `0..w − 16` for the 16 × 16
+/// template: the last row and column of positions that would fit are not
+/// scored. A window's score is defined by one sequence: `mean += g` over
+/// its pixels row-major, `mean /= 256`, then `v = g − mean`, `dot += v·t`
+/// and `norm += v·v` in the same order, then `dot / (√norm · |t|)` (0 for
+/// a flat window). Sixteen adjacent windows of a row run that sequence
+/// side by side, one lane each, which changes no bit of any score.
 pub fn match_faces(frame: &Frame, threshold: f32) -> Vec<BBox> {
     let g = frame.gray();
     let (h, w) = (frame.height(), frame.width());
-    let tpl = face_template();
-    let t = tpl.as_f32().unwrap();
+    let t = face_template();
     let n = (FACE_SIZE * FACE_SIZE) as f32;
     let t_mean = t.iter().sum::<f32>() / n;
-    let t_dev: Vec<f32> = t.iter().map(|&v| v - t_mean).collect();
+    let t_dev = t.map(|v| v - t_mean);
     let t_norm = t_dev.iter().map(|v| v * v).sum::<f32>().sqrt();
+    let ncc = Ncc {
+        g: &g,
+        w,
+        t_dev: &t_dev,
+        t_norm,
+    };
 
     let mut scores: Vec<(f32, BBox)> = Vec::new();
-    let stride = 1usize;
-    for y in (0..h.saturating_sub(FACE_SIZE)).step_by(stride) {
-        for x in (0..w.saturating_sub(FACE_SIZE)).step_by(stride) {
-            let mut mean = 0.0f32;
-            for dy in 0..FACE_SIZE {
-                for dx in 0..FACE_SIZE {
-                    mean += g[(y + dy) * w + x + dx];
-                }
-            }
-            mean /= n;
-            let mut dot = 0.0f32;
-            let mut norm = 0.0f32;
-            for dy in 0..FACE_SIZE {
-                for dx in 0..FACE_SIZE {
-                    let v = g[(y + dy) * w + x + dx] - mean;
-                    dot += v * t_dev[dy * FACE_SIZE + dx];
-                    norm += v * v;
-                }
-            }
-            let ncc = if norm > 1e-9 {
-                dot / (norm.sqrt() * t_norm)
-            } else {
-                0.0
-            };
-            if ncc >= threshold {
-                scores.push((ncc, BBox::new(x, y, FACE_SIZE, FACE_SIZE)));
-            }
+    let cols = w.saturating_sub(FACE_SIZE);
+    for y in 0..h.saturating_sub(FACE_SIZE) {
+        if cols >= LANES {
+            ncc.row::<LANES>(y, cols, threshold, &mut scores);
+        } else {
+            ncc.row::<1>(y, cols, threshold, &mut scores);
         }
     }
-    // Non-max suppression: keep the best box, drop overlaps, repeat.
-    scores.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    // Non-max suppression: keep the best box, drop overlaps, repeat. No
+    // score is NaN: `ncc >= threshold` is false for one.
+    scores.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
     let mut kept: Vec<BBox> = Vec::new();
     for (_, b) in scores {
         if kept.iter().all(|k| iou(k, &b) < 0.2) {
@@ -120,6 +114,82 @@ pub fn match_faces(frame: &Frame, threshold: f32) -> Vec<BBox> {
         }
     }
     kept
+}
+
+/// Windows of one frame row scored side by side.
+const LANES: usize = 16;
+
+/// The template correlation over one grayscale frame.
+struct Ncc<'a> {
+    /// Grayscale pixels, `[h, w]` row-major.
+    g: &'a [f32],
+    w: usize,
+    /// Template minus its mean, row-major.
+    t_dev: &'a [f32; FACE_SIZE * FACE_SIZE],
+    /// `|t_dev|`.
+    t_norm: f32,
+}
+
+impl Ncc<'_> {
+    /// Push `(score, box)` of each of the first `cols` windows of row `y`
+    /// that scores at least `threshold`, in `x` order: blocks of `L`
+    /// windows, the last one overlapping its neighbour and pushing only
+    /// the windows its neighbour did not. Needs `cols >= L`.
+    fn row<const L: usize>(
+        &self,
+        y: usize,
+        cols: usize,
+        threshold: f32,
+        scores: &mut Vec<(f32, BBox)>,
+    ) {
+        let last = cols.saturating_sub(L);
+        let mut next = 0;
+        for x0 in (0..last).step_by(L).chain((cols > 0).then_some(last)) {
+            let block = self.scores::<L>(y, x0);
+            for (x, ncc) in (x0..).zip(block).skip(next - x0) {
+                if ncc >= threshold {
+                    scores.push((ncc, BBox::new(x, y, FACE_SIZE, FACE_SIZE)));
+                }
+            }
+            next = x0 + L;
+        }
+    }
+
+    /// The scores of windows `(x0 + l, y)`, lane `l` running exactly the
+    /// one-window sequence of [`match_faces`].
+    fn scores<const L: usize>(&self, y: usize, x0: usize) -> [f32; L] {
+        // Lane `l` of row `dy` at column `dx` reads `rows(dy)[dx + l]`.
+        let rows = || (0..FACE_SIZE).map(|dy| &self.g[(y + dy) * self.w + x0..]);
+        let mut mean = [0.0f32; L];
+        for row in rows() {
+            for dx in 0..FACE_SIZE {
+                for (m, &p) in mean.iter_mut().zip(&row[dx..][..L]) {
+                    *m += p;
+                }
+            }
+        }
+        for m in &mut mean {
+            *m /= (FACE_SIZE * FACE_SIZE) as f32;
+        }
+        let (mut dot, mut norm) = ([0.0f32; L], [0.0f32; L]);
+        for (row, t_row) in rows().zip(self.t_dev.chunks_exact(FACE_SIZE)) {
+            for (dx, &t) in t_row.iter().enumerate() {
+                let px = &row[dx..][..L];
+                for l in 0..L {
+                    let v = px[l] - mean[l];
+                    dot[l] += v * t;
+                    norm[l] += v * v;
+                }
+            }
+        }
+        std::array::from_fn(|l| {
+            if norm[l] > 1e-9 {
+                dot[l] / (norm[l].sqrt() * self.t_norm)
+            } else {
+                0.0
+            }
+        })
+    }
 }
 
 /// Luminance-saliency object localization: grid cells markedly brighter

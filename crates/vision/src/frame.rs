@@ -140,8 +140,8 @@ fn draw_face(
 }
 
 /// The noiseless face template used by the detector.
-pub fn face_template() -> Tensor {
-    let mut g = vec![0.0f32; FACE_SIZE * FACE_SIZE];
+pub fn face_template() -> [f32; FACE_SIZE * FACE_SIZE] {
+    let mut g = [0.0f32; FACE_SIZE * FACE_SIZE];
     let c = (FACE_SIZE / 2) as f32 - 0.5;
     for dy in 0..FACE_SIZE {
         for dx in 0..FACE_SIZE {
@@ -149,7 +149,7 @@ pub fn face_template() -> Tensor {
             g[dy * FACE_SIZE + dx] = 0.55 + 0.35 * (r * std::f32::consts::PI * 2.5).cos();
         }
     }
-    Tensor::from_f32([FACE_SIZE, FACE_SIZE], g).unwrap()
+    g
 }
 
 /// Deterministic synthetic video generator.

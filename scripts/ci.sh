@@ -11,12 +11,14 @@ cargo clippy -- -D warnings
 # Kernel numerics gate (DESIGN.md "kernel numerics contract"). Hard step:
 # the tensor kernels must reproduce, bit for bit, the direct loops kept as
 # test-only references — in release, the profile the benchmark measures
-# (`cargo test` above ran the same suite under the dev profile).
+# (`cargo test` above ran the same suite under the dev profile). The face
+# matcher is held to its one-window loop the same way.
 cargo test --release -q -p tvmnp-tensor --test kernel_identity
+cargo test --release -q -p tvmnp-vision --test face_matcher_identity
 # And they must not reach for what would break the contract or bring the
 # per-element allocations back: fused multiply-add, boxed iterators,
 # per-element index division. Only non-test source is checked.
-for f in crates/tensor/src/kernels/*.rs; do
+for f in crates/tensor/src/kernels/*.rs crates/vision/src/detect.rs; do
     if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
         grep -E 'mul_add|Box<dyn Iterator|\.unravel\('; then
         echo "kernel gate: forbidden construct in $f (see above)" >&2
