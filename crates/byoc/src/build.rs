@@ -3,16 +3,16 @@
 //! `relay.build(mod, target)` and `GraphModule(...)`.
 
 use crate::codegen::NeuronBlob;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Map, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use tvmnp_hwsim::{CostEntry, CostModel, CostRole};
 use tvmnp_neuropilot::support::{first_unsupported, NeuronSupport};
-use tvmnp_neuropilot::{CompiledNetwork, ExecutionPlan, NeuronError, NeuronGraph, TargetPolicy};
-use tvmnp_relay::expr::{ExprKind, Module};
+use tvmnp_neuropilot::{CompiledNetwork, NeuronError, NeuronGraph, TargetPolicy};
+use tvmnp_relay::expr::Module;
 use tvmnp_relay::passes::{fold_constants, partition_graph, simplify, PartitionReport};
 use tvmnp_runtime::{
-    Artifact, ExecError, ExecutorGraph, GraphExecutor, ModuleRegistry, RunOptions,
+    Artifact, ExecError, ExecutorGraph, GraphExecutor, ModuleRegistry, NodeKind, RunOptions,
 };
 use tvmnp_tensor::Tensor;
 
@@ -99,8 +99,6 @@ pub enum CompiledModel {
         executor: GraphExecutor,
         /// Input names in parameter order.
         input_names: Vec<String>,
-        /// Partition report (empty subgraphs for TVM-only).
-        report: PartitionReport,
     },
     /// Whole-model Neuron network (NeuroPilot-only modes).
     Neuron {
@@ -208,10 +206,11 @@ impl CompiledModel {
         }
     }
 
-    /// Number of external subgraphs (0 for TVM-only and NP-only modes).
+    /// Number of external subgraphs — the executor's linked modules (0 for
+    /// TVM-only and NP-only modes).
     pub fn num_subgraphs(&self) -> usize {
         match self {
-            CompiledModel::Tvm { report, .. } => report.num_subgraphs,
+            CompiledModel::Tvm { executor, .. } => executor.num_modules(),
             CompiledModel::Neuron { .. } => 0,
         }
     }
@@ -228,24 +227,20 @@ fn ordered_inputs<'a>(
         .map(move |n| inputs.get(n).ok_or_else(|| missing(n)))
 }
 
-pub(crate) fn input_names_of(module: &Module) -> Vec<String> {
-    module
-        .main()
-        .params
-        .iter()
-        .filter_map(|p| match &p.kind {
-            ExprKind::Var(v) => Some(v.name.clone()),
-            _ => None,
-        })
-        .collect()
+/// Input names in parameter order: `ExecutorGraph::build` adds main's first.
+pub(crate) fn graph_input_names(graph: &ExecutorGraph) -> Vec<String> {
+    let inputs = graph.nodes.iter().filter_map(|n| match &n.kind {
+        NodeKind::Input { name } => Some(name.clone()),
+        _ => None,
+    });
+    inputs.collect()
 }
 
 /// The cost-independent products of compiling one module under one target
-/// mode: everything a runnable model is made from except the `CostModel`
-/// that prices it. This is what [`compile`] returns, what the artifact
-/// cache holds in memory (typed — constants are `Arc`s, so a clone copies
-/// no weight) and, serialized, the cache's private disk schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// mode: what a runnable model is made of, less the `CostModel` that prices
+/// it. What [`compile`] returns and the artifact cache holds in memory
+/// (typed: constants are `Arc`s, so a clone copies no weight).
+#[derive(Debug, Clone)]
 pub enum CachedArtifact {
     /// TVM-side modes (TvmOnly / Byoc): the lowered host graph and one
     /// planned Neuron blob per offloaded subgraph.
@@ -254,25 +249,9 @@ pub enum CachedArtifact {
         graph: ExecutorGraph,
         /// The compiled external subgraphs, in link order.
         modules: Vec<NeuronBlob>,
-        /// Input names in parameter order.
-        input_names: Vec<String>,
-        /// Partition report fields (the report type itself is not serde).
-        num_subgraphs: usize,
-        /// Offloaded primitive calls.
-        offloaded_calls: usize,
-        /// Host-side primitive calls.
-        host_calls: usize,
     },
-    /// NeuroPilot-only modes: converted graph plus its execution plan (one
-    /// placement per op).
-    Neuron {
-        /// The converted Neuron graph.
-        graph: NeuronGraph,
-        /// The planner's output for this graph/policy.
-        plan: ExecutionPlan,
-        /// Input names in parameter order.
-        input_names: Vec<String>,
-    },
+    /// NeuroPilot-only modes: the whole model as one blob (symbol `main`).
+    Neuron(NeuronBlob),
 }
 
 /// The compile half of `relay.build`: passes, partitioning, lowering and
@@ -280,20 +259,15 @@ pub enum CachedArtifact {
 pub fn compile(module: &Module, mode: TargetMode) -> Result<CachedArtifact, BuildError> {
     let _span = tvmnp_telemetry::span!("byoc.build", "mode" => mode.to_string());
     let prepared = fold_constants(&simplify(module));
-    let input_names = input_names_of(&prepared);
     let lower =
         |m: &Module| ExecutorGraph::build(m).map_err(|e| BuildError::Runtime(e.to_string()));
     match mode {
         TargetMode::TvmOnly => Ok(CachedArtifact::Tvm {
             graph: lower(&prepared)?,
             modules: Vec::new(),
-            input_names,
-            num_subgraphs: 0,
-            offloaded_calls: 0,
-            host_calls: prepared.main().num_calls(),
         }),
         TargetMode::Byoc(policy) => {
-            let (partitioned, report) = {
+            let (partitioned, _) = {
                 let _span = tvmnp_telemetry::span!("byoc.partition");
                 partition_graph(&prepared, &NeuronSupport)
                     .map_err(|e| BuildError::Partition(e.to_string()))?
@@ -305,27 +279,16 @@ pub fn compile(module: &Module, mode: TargetMode) -> Result<CachedArtifact, Buil
                 let func = &partitioned.functions[name];
                 modules.push(NeuronBlob::codegen(name, func, policy).map_err(BuildError::Neuron)?);
             }
-            Ok(CachedArtifact::Tvm {
-                graph,
-                modules,
-                input_names,
-                num_subgraphs: report.num_subgraphs,
-                offloaded_calls: report.offloaded_calls,
-                host_calls: report.host_calls,
-            })
+            Ok(CachedArtifact::Tvm { graph, modules })
         }
         TargetMode::NeuroPilotOnly(policy) => {
             if let Some(op) = first_unsupported(prepared.main()) {
                 return Err(BuildError::Unsupported(op));
             }
             let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => "main");
-            let NeuronBlob { graph, plan, .. } =
+            let blob =
                 NeuronBlob::codegen("main", prepared.main(), policy).map_err(BuildError::Neuron)?;
-            Ok(CachedArtifact::Neuron {
-                graph,
-                plan,
-                input_names,
-            })
+            Ok(CachedArtifact::Neuron(blob))
         }
     }
 }
@@ -336,14 +299,8 @@ impl CachedArtifact {
     /// caller's `cost`. Pure load — no partition, codegen or planner span.
     pub fn instantiate(self, cost: &CostModel) -> Result<CompiledModel, BuildError> {
         match self {
-            CachedArtifact::Tvm {
-                graph,
-                modules,
-                input_names,
-                num_subgraphs,
-                offloaded_calls,
-                host_calls,
-            } => {
+            CachedArtifact::Tvm { graph, modules } => {
+                let input_names = graph_input_names(&graph);
                 let mut registry = ModuleRegistry::new();
                 for blob in modules {
                     registry.register(Box::new(blob.link(cost.clone())));
@@ -353,48 +310,63 @@ impl CachedArtifact {
                 Ok(CompiledModel::Tvm {
                     executor,
                     input_names,
-                    report: PartitionReport {
-                        num_subgraphs,
-                        offloaded_calls,
-                        host_calls,
-                    },
                 })
             }
-            CachedArtifact::Neuron {
-                graph,
-                plan,
-                input_names,
-            } => Ok(CompiledModel::Neuron {
-                network: CompiledNetwork::from_plan(graph, plan, cost.clone()),
-                input_names,
-            }),
+            CachedArtifact::Neuron(NeuronBlob { graph, plan, .. }) => {
+                let tensors = graph.inputs.iter().map(|&id| &graph.tensors[id]);
+                let input_names = tensors.map(|t| t.name.clone()).collect();
+                Ok(CompiledModel::Neuron {
+                    network: CompiledNetwork::from_plan(graph, plan, cost.clone()),
+                    input_names,
+                })
+            }
         }
     }
 
     /// The deployable artifact of a TVM-side build (Listing 6's
     /// `export_library` input), byte for byte what `Artifact::export` over
-    /// the linked modules gives; `None` for NP-only modes. Made on demand:
-    /// this and the cache's disk write are where products become values.
+    /// the linked modules gives; `None` for NP-only modes. Made on demand.
     pub fn artifact(&self) -> Option<Artifact> {
         match self {
-            CachedArtifact::Tvm { graph, modules, .. } => {
+            CachedArtifact::Tvm { graph, modules } => {
                 let mut artifact = Artifact::export(graph, &[]);
                 artifact.externals = modules.iter().map(NeuronBlob::to_external).collect();
                 Some(artifact)
             }
-            CachedArtifact::Neuron { .. } => None,
+            CachedArtifact::Neuron(_) => None,
         }
     }
 
-    /// Check every Neuron graph and plan of products read from bytes
-    /// ([`ExecutionPlan::validate`]) before they are priced.
-    pub(crate) fn validate(&self) -> Result<(), String> {
+    /// The export's own file as one value tree, each weight rendered once:
+    /// what `export_library` writes of [`CachedArtifact::artifact`], or an
+    /// NP-only build's `neuropilot` payload.
+    pub(crate) fn to_library_value(&self) -> Value {
         match self {
-            CachedArtifact::Tvm { modules, .. } => {
-                (modules.iter()).try_for_each(|blob| blob.plan.validate(&blob.graph))
+            CachedArtifact::Tvm { graph, modules } => {
+                let externals = modules.iter().map(NeuronBlob::external_value);
+                let mut library = Map::new();
+                library.insert("externals".into(), Value::Array(externals.collect()));
+                library.insert("graph".into(), graph.to_value());
+                library.insert("version".into(), Artifact::VERSION.to_value());
+                Value::Object(library)
             }
-            CachedArtifact::Neuron { graph, plan, .. } => plan.validate(graph),
+            CachedArtifact::Neuron(blob) => blob.to_value(),
         }
+    }
+
+    /// Decode [`CachedArtifact::to_library_value`]'s file by reference:
+    /// `None` unless every blob [loads](NeuronBlob::load).
+    pub(crate) fn from_library_value(library: &Value, mode: TargetMode) -> Option<Self> {
+        if let TargetMode::NeuroPilotOnly(_) = mode {
+            return NeuronBlob::load(library).ok().map(CachedArtifact::Neuron);
+        }
+        let externals = library["externals"].as_array()?.iter();
+        Some(CachedArtifact::Tvm {
+            graph: ExecutorGraph::from_value(&library["graph"]).ok()?,
+            modules: externals
+                .map(NeuronBlob::from_external)
+                .collect::<Option<_>>()?,
+        })
     }
 
     /// Bytes of weights the products hold (host params plus Neuron
@@ -405,7 +377,7 @@ impl CachedArtifact {
                 let neuron: usize = modules.iter().map(|b| const_bytes(&b.graph)).sum();
                 graph.param_bytes() + neuron
             }
-            CachedArtifact::Neuron { graph, .. } => const_bytes(graph),
+            CachedArtifact::Neuron(blob) => const_bytes(&blob.graph),
         }
     }
 }

@@ -18,11 +18,13 @@
 //! misses and evictions, each eviction is a `cache.evict` event for the
 //! installed event sink, and an LRU budget in weight bytes bounds resident
 //! size. With a cache directory configured (`--cache-dir`), entries also
-//! persist as JSON files that survive the process and LRU eviction.
+//! persist, surviving the process and LRU eviction, as the export's own
+//! file plus a `key` member: a library `Artifact::load_library` reads, or
+//! an NP-only build's `neuropilot` payload.
 
 use crate::build::{compile, BuildError, CachedArtifact, CompiledModel, TargetMode};
 use parking_lot::Mutex;
-use serde::Deserialize;
+use serde_json::Value;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use tvmnp_hwsim::CostModel;
@@ -123,7 +125,7 @@ impl ArtifactCache {
         quant: &str,
     ) -> Result<CompiledModel, BuildError> {
         let key = Self::key(module, mode, quant);
-        let entry = match self.lookup(&key) {
+        let entry = match self.lookup(&key, mode) {
             Some(entry) => entry,
             None => {
                 self.state.lock().misses += 1;
@@ -157,7 +159,7 @@ impl ArtifactCache {
         }
     }
 
-    fn lookup(&self, key: &str) -> Option<CachedArtifact> {
+    fn lookup(&self, key: &str, mode: TargetMode) -> Option<CachedArtifact> {
         {
             let mut st = self.state.lock();
             if let Some((entry, _)) = st.entries.get(key) {
@@ -169,31 +171,32 @@ impl ArtifactCache {
             }
         }
         // Miss in memory: an evicted or prior-process entry may be on disk.
-        // The envelope carries the key the entry was stored under (it
-        // embeds the module fingerprint), so a renamed, corrupted,
-        // hand-edited or old-schema file is a miss, never a silently
-        // served wrong artifact; so is a Neuron graph or plan that does not
-        // validate.
+        // The file carries the key it was stored under (it embeds the
+        // module fingerprint), so a renamed, corrupted, hand-edited or
+        // old-schema file is a miss, never a silently served wrong
+        // artifact; so is a Neuron graph or plan that does not validate.
         let json = std::fs::read_to_string(self.disk_path(key)?).ok()?;
         let disk = serde_json::parse_value(&json).ok()?;
         if disk["key"].as_str()? != key {
             return None;
         }
-        let entry = CachedArtifact::from_value(&disk["entry"]).ok()?;
-        entry.validate().ok()?;
+        let entry = CachedArtifact::from_library_value(&disk, mode)?;
         self.state.lock().hits += 1;
         self.admit(key.to_string(), entry.clone());
         Some(entry)
     }
 
-    /// Write the entry under its key to the cache dir, when one is
-    /// configured: the one serialization of an insert, from a borrow.
+    /// Write the entry's library file plus its key to the cache dir, when
+    /// one is configured: the one serialization of an insert, from a borrow.
     fn persist(&self, key: &str, entry: &CachedArtifact) {
         if let Some(path) = self.disk_path(key) {
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            let disk = serde_json::json!({ "key": key, "entry": entry });
+            let mut disk = entry.to_library_value();
+            if let Value::Object(members) = &mut disk {
+                members.insert("key".into(), key.into());
+            }
             let _ = std::fs::write(&path, disk.to_string());
         }
     }
@@ -488,6 +491,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An external entry another compiler wrote is not a `neuropilot` blob,
+    /// even when its payload would decode as one: a miss and a rebuild.
+    #[test]
+    fn disk_entry_of_another_compiler_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("tvmnp-cache-nnapi-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = conv_model(7);
+        let (mode, cost) = (TargetMode::Byoc(TargetPolicy::CpuApu), CostModel::default());
+        let writer = ArtifactCache::new(64 << 20).with_disk_dir(&dir);
+        writer.get_or_build(&m, mode, &cost, "fp32").unwrap();
+        let file = dir.join(format!("{}.json", ArtifactCache::key(&m, mode, "fp32")));
+        let honest = std::fs::read_to_string(&file).unwrap();
+        let neuropilot = "\"compiler\":\"neuropilot\"";
+        assert_eq!(honest.matches(neuropilot).count(), 1);
+        std::fs::write(&file, honest.replace(neuropilot, "\"compiler\":\"nnapi\"")).unwrap();
+
+        let cache = ArtifactCache::new(64 << 20).with_disk_dir(&dir);
+        let rebuilt = cache.get_or_build(&m, mode, &cost, "fp32").unwrap();
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
+        let direct = relay_build(&m, mode, cost).unwrap();
+        assert_eq!(rebuilt.estimate_breakdown(), direct.estimate_breakdown());
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), honest, "rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A Neuron graph or plan read from a cache file is checked before it
     /// is priced: under NP-only and BYOC, a malformed one is a miss and a
     /// correct rebuild — not a panic in the ledger.
@@ -505,7 +533,7 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let mut entry = compile(&m, mode).unwrap();
             match &mut entry {
-                CachedArtifact::Neuron { graph, plan, .. } => corrupt(graph, plan),
+                CachedArtifact::Neuron(NeuronBlob { graph, plan, .. }) => corrupt(graph, plan),
                 CachedArtifact::Tvm { modules, .. } => {
                     let NeuronBlob { graph, plan, .. } = &mut modules[0];
                     corrupt(graph, plan)

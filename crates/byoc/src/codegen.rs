@@ -1,6 +1,7 @@
 //! The NeuroPilot external codegen and runtime-module wrapper.
 
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use tvmnp_hwsim::{CostEntry, CostModel};
 use tvmnp_neuropilot::{
     convert_function, CompiledNetwork, ExecutionPlan, NeuronError, NeuronGraph, Planner,
@@ -69,6 +70,27 @@ impl NeuronBlob {
             payload: serde_json::to_value(self).expect("Neuron blob serializes"),
         }
     }
+
+    /// [`NeuronBlob::to_external`] as a value tree, its payload rendered once.
+    pub(crate) fn external_value(&self) -> Value {
+        serde_json::json!({ "compiler": COMPILER, "payload": self, "symbol": self.symbol })
+    }
+
+    /// Decode an external entry the `neuropilot` compiler wrote.
+    pub(crate) fn from_external(entry: &Value) -> Option<Self> {
+        if entry["compiler"].as_str() != Some(COMPILER) {
+            return None;
+        }
+        NeuronBlob::load(&entry["payload"]).ok()
+    }
+
+    /// Decode a payload read from bytes and [validate](ExecutionPlan::validate)
+    /// it: how every blob from a file (a library or a cache entry) enters.
+    pub fn load(payload: &Value) -> Result<Self, String> {
+        let blob = NeuronBlob::from_value(payload).map_err(|e| e.to_string())?;
+        blob.plan.validate(&blob.graph)?;
+        Ok(blob)
+    }
 }
 
 /// A compiled Neuron subgraph exposed as a graph-executor module.
@@ -92,10 +114,8 @@ impl NeuronModule {
     /// Rebuild from an artifact payload on a runtime-only device: the
     /// network is instantiated from the embedded plan — no planner run, no
     /// `neuropilot.compile` span. A malformed graph or plan is an error.
-    pub fn from_blob(value: &serde_json::Value, cost: CostModel) -> Result<Self, String> {
-        let blob = NeuronBlob::from_value(value).map_err(|e| e.to_string())?;
-        blob.plan.validate(&blob.graph)?;
-        Ok(blob.link(cost))
+    pub fn from_blob(value: &Value, cost: CostModel) -> Result<Self, String> {
+        Ok(NeuronBlob::load(value)?.link(cost))
     }
 
     /// The runtime-side loader for `LoaderRegistry::register("neuropilot", ...)`.
@@ -145,7 +165,7 @@ impl ExternalModule for NeuronModule {
         self.network.ledger()
     }
 
-    fn serialize(&self) -> serde_json::Value {
+    fn serialize(&self) -> Value {
         serde_json::to_value(NeuronBlob {
             symbol: self.symbol.clone(),
             policy: self.policy,

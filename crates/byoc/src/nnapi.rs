@@ -15,7 +15,7 @@
 //! the consequence the paper's introduction claims: the NeuroPilot-direct
 //! flow dominates the NNAPI flow it replaced.
 
-use crate::build::{input_names_of, BuildError, CompiledModel};
+use crate::build::{graph_input_names, BuildError, CompiledModel};
 use crate::codegen::NeuronModule;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::CostModel;
@@ -123,11 +123,11 @@ pub fn relay_build_nnapi(
     cost: CostModel,
 ) -> Result<(CompiledModel, PartitionReport), BuildError> {
     let prepared = fold_constants(&simplify(module));
-    let input_names = input_names_of(&prepared);
     let (partitioned, report) = partition_graph(&prepared, &NnapiSupport)
         .map_err(|e| BuildError::Partition(e.to_string()))?;
     let graph =
         ExecutorGraph::build(&partitioned).map_err(|e| BuildError::Runtime(e.to_string()))?;
+    let input_names = graph_input_names(&graph);
     let mut registry = ModuleRegistry::new();
     for name in partitioned.external_functions() {
         let func = &partitioned.functions[name];
@@ -141,7 +141,6 @@ pub fn relay_build_nnapi(
         CompiledModel::Tvm {
             executor,
             input_names,
-            report: report.clone(),
         },
         report,
     ))

@@ -1,7 +1,7 @@
 //! The dead-pub gate (`scripts/dead_pub.sh`) on small synthetic trees: a
 //! called item passes, and an item reached only through its own
-//! definition, a `pub use`, a comment or a test module fails unless
-//! `scripts/dead_pub.allow` names it with a reason.
+//! definition, a `pub use`, a comment, a string literal or a test module
+//! fails unless `scripts/dead_pub.allow` names it with a reason.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -115,6 +115,40 @@ fn test_and_comment_mentions_are_no_callers() {
     let (ok, text) = tree.gate();
     assert!(!ok, "{text}");
     assert!(text.contains("helper has no non-test caller"), "{text}");
+}
+
+/// Words in a literal are no callers: `quoted` is named only in a panic
+/// message, a string continued over a line break, a raw string and an
+/// escaped `{{quoted}}`, while the `'"'` before the real calls must not
+/// open a string and a `format!` capture of `CAPTURED` is a use.
+#[test]
+fn a_name_in_a_string_literal_is_no_caller() {
+    let lib = format!("{LIB}pub fn quoted() {{}}\npub const CAPTURED: u32 = 1;\n");
+    let main = r##"fn main() {
+    let _q = '"';
+    let _ = a::used();
+    let _k = a::Kept;
+    let _m = "see \
+        quoted()";
+    let _r = r#"quoted() "here""#;
+    let _f = format!("{CAPTURED:>4} {{quoted}}");
+    if _q == 'x' { panic!("quoted() is never called"); }
+}
+"##;
+    let tree = Tree::new(
+        "literal",
+        &[
+            ("crates/a/src/lib.rs", &lib),
+            ("benchmark/src/main.rs", main),
+        ],
+        "",
+    );
+    let (ok, text) = tree.gate();
+    assert!(!ok, "{text}");
+    assert!(text.contains("quoted has no non-test caller"), "{text}");
+    for live in ["used has", "Kept has", "CAPTURED has"] {
+        assert!(!text.contains(live), "{text}");
+    }
 }
 
 #[test]

@@ -183,11 +183,6 @@ impl CostModel {
         self
     }
 
-    /// Current (device, kind) multiplier (1.0 unless a throttle applied).
-    pub fn device_kind_scale(&self, device: DeviceKind, kind: WorkKind) -> f64 {
-        self.device_kind_scale[device.index()][kind.index()]
-    }
-
     /// Apply a batch of per-(device, kind) multipliers, each as
     /// [`CostModel::with_device_kind_scale`] would.
     pub fn with_device_kind_scales(
@@ -439,7 +434,9 @@ mod tests {
         let e1 = scaled.kernel_body_us(&ew, DeviceKind::Cpu, KernelClass::VendorTuned);
         assert_eq!(e0, e1, "other kinds untouched");
         for device in DeviceKind::ALL {
-            assert_eq!(scaled.device_kind_scale(device, WorkKind::MacHeavy), 2.0);
+            let t0 = base.kernel_body_us(&conv, device, KernelClass::VendorTuned);
+            let t1 = scaled.kernel_body_us(&conv, device, KernelClass::VendorTuned);
+            assert_eq!(t1, 2.0 * t0, "{device:?}");
         }
         assert_eq!(WorkKind::parse("mac"), Some(WorkKind::MacHeavy));
         assert_eq!(WorkKind::parse("bogus"), None);
@@ -486,10 +483,6 @@ mod tests {
         let single = CostModel::default()
             .with_device_kind_scale(DeviceKind::Apu, WorkKind::MacHeavy, 1.5)
             .with_device_kind_scale(DeviceKind::Apu, WorkKind::MacHeavy, 2.0);
-        assert_eq!(
-            batch.device_kind_scale(DeviceKind::Apu, WorkKind::MacHeavy),
-            3.0
-        );
         let w = conv_item(50_000_000, true);
         let (d, c) = (DeviceKind::Apu, KernelClass::VendorTuned);
         let reference = CostModel::default().kernel_body_us(&w, d, c);

@@ -600,12 +600,15 @@ mod tests {
 
     #[test]
     fn throttle_without_work_scales_every_kind_on_its_device() {
+        use crate::cost::WorkItem;
+        use crate::device::KernelClass;
         let plan = FaultPlan::seeded(0)
             .with_spec("gpu:kernel:throttle=2@mac")
             .unwrap()
             .with_spec("gpu:kernel:throttle=1.5")
             .unwrap();
-        let cost = plan.throttled_cost(CostModel::default());
+        let base = CostModel::default();
+        let cost = plan.throttled_cost(base.clone());
         for device in DeviceKind::ALL {
             for kind in WorkKind::ALL {
                 let want = match (device, kind) {
@@ -613,9 +616,17 @@ mod tests {
                     (DeviceKind::Gpu, _) => 1.5,
                     _ => 1.0,
                 };
+                let w = WorkItem {
+                    macs: 50_000_000,
+                    bytes_in: 1 << 20,
+                    bytes_out: 1 << 18,
+                    int8: false,
+                    kind,
+                };
+                let class = KernelClass::VendorTuned;
                 assert_eq!(
-                    cost.device_kind_scale(device, kind),
-                    want,
+                    cost.kernel_body_us(&w, device, class),
+                    want * base.kernel_body_us(&w, device, class),
                     "{device} {kind:?}"
                 );
             }

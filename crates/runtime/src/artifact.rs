@@ -95,6 +95,9 @@ pub struct Artifact {
 }
 
 impl Artifact {
+    /// The format version [`Artifact::export`] writes.
+    pub const VERSION: u32 = 1;
+
     /// Bundle a lowered graph with its linked external modules.
     pub fn export(graph: &ExecutorGraph, modules: &[&dyn ExternalModule]) -> Artifact {
         let externals = modules
@@ -106,7 +109,7 @@ impl Artifact {
             })
             .collect();
         Artifact {
-            version: 1,
+            version: Artifact::VERSION,
             graph: graph.clone(),
             externals,
         }

@@ -610,6 +610,11 @@ impl GraphExecutor {
             .ok_or_else(|| ExecError::new("run() has not produced outputs yet"))
     }
 
+    /// Number of linked external modules.
+    pub fn num_modules(&self) -> usize {
+        self.modules.len()
+    }
+
     /// Number of outputs.
     pub fn num_outputs(&self) -> usize {
         self.graph.outputs.len()

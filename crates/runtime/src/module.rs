@@ -76,11 +76,6 @@ impl ModuleRegistry {
         self.modules.get(symbol).map(|b| b.as_ref())
     }
 
-    /// Registered symbols.
-    pub fn symbols(&self) -> Vec<&str> {
-        self.modules.keys().map(String::as_str).collect()
-    }
-
     /// Number of linked modules.
     pub fn len(&self) -> usize {
         self.modules.len()
@@ -89,14 +84,6 @@ impl ModuleRegistry {
     /// Whether no modules are linked.
     pub fn is_empty(&self) -> bool {
         self.modules.is_empty()
-    }
-}
-
-impl fmt::Debug for ModuleRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ModuleRegistry")
-            .field("symbols", &self.symbols())
-            .finish()
     }
 }
 

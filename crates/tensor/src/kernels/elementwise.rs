@@ -394,7 +394,7 @@ mod tests {
         let x = Tensor::from_int_values([1], &[0], DType::I8, Some(qp)).unwrap();
         let y = unary(&x, UnaryOp::Sigmoid).unwrap();
         // sigmoid(0) = 0.5 → 0.5/0.05 = 10.
-        assert_eq!(y.int_at(0), 10);
+        assert_eq!(y.iter_int().next(), Some(10));
     }
 
     #[test]
@@ -430,7 +430,7 @@ mod tests {
         let a = Tensor::from_int_values([1], &[100], DType::I8, Some(q)).unwrap();
         let b = Tensor::from_int_values([1], &[100], DType::I8, Some(q)).unwrap();
         let y = qadd(&a, &b, q, q, q, DType::I8).unwrap();
-        assert_eq!(y.int_at(0), 127);
+        assert_eq!(y.iter_int().next(), Some(127));
     }
 
     /// What a file can hold and `f32::clamp` / `Ord::clamp` abort on.

@@ -308,7 +308,7 @@ mod tests {
         let qp = QuantParams::new(0.5, 3);
         let x = Tensor::from_int_values([1, 1, 2, 2], &[1, 9, 4, 2], DType::U8, Some(qp)).unwrap();
         let y = max_pool2d(&x, &Pool2dParams::square(2)).unwrap();
-        assert_eq!(y.int_at(0), 9);
+        assert_eq!(y.iter_int().next(), Some(9));
         assert_eq!(y.quant(), Some(qp));
     }
 
@@ -318,7 +318,7 @@ mod tests {
         let x = Tensor::from_int_values([1, 1, 2, 2], &[1, 2, 2, 2], DType::U8, Some(qp)).unwrap();
         let y = avg_pool2d(&x, &Pool2dParams::square(2)).unwrap();
         // (1+2+2+2)/4 = 1.75 → rounds to 2.
-        assert_eq!(y.int_at(0), 2);
+        assert_eq!(y.iter_int().next(), Some(2));
     }
 
     #[test]
@@ -375,6 +375,6 @@ mod tests {
             ..p
         };
         assert_eq!(avg_pool2d(&xf, &counted).unwrap().as_f32().unwrap()[0], 0.0);
-        assert_eq!(max_pool2d(&xq, &p).unwrap().int_at(0), 0);
+        assert_eq!(max_pool2d(&xq, &p).unwrap().iter_int().next(), Some(0));
     }
 }

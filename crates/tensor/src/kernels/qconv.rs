@@ -616,7 +616,7 @@ mod tests {
         };
         let y = qconv2d(&x, &w, Some(&b), &Conv2dParams::default(), &quant).unwrap();
         // acc 100 * (0.1*0.1/0.01 = 1.0) = 100 quanta = 1.0 real.
-        assert_eq!(y.int_at(0), 100);
+        assert_eq!(y.iter_int().next(), Some(100));
     }
 
     #[test]

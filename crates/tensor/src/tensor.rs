@@ -307,11 +307,6 @@ impl Tensor {
         self.typed(DType::I32)
     }
 
-    /// Read element `i` of an integer tensor widened to i32.
-    pub fn int_at(&self, i: usize) -> i32 {
-        with_payload!(self, [I8 U8 I32], |v| v[i].widen(), else => panic!("int_at on float tensor"))
-    }
-
     /// Iterate the integer payload widened to i32.
     pub fn iter_int(&self) -> Box<dyn Iterator<Item = i32> + '_> {
         with_payload!(

@@ -56,6 +56,22 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
     echo "file-boundary gate: crates/byoc/src/cache.rs sizes an entry by serializing it" >&2
     exit 1
 fi
+# And a compiled model has one file format (DESIGN.md "Compile products and
+# the file boundary"): the disk tier writes the export's own schema, so the
+# cache's products carry no serde schema of their own and no cache file
+# wraps one in an `"entry"` member again.
+byoc_code=$(for f in $(find crates/byoc/src -name '*.rs' | sort); do
+    awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if awk '/#\[derive\(/ { derive = $0 }
+        /(enum|struct) CachedArtifact[ {]/ && derive ~ /Serialize|Deserialize/ { print derive; bad = 1 }
+        /: *(pub(\([a-z]+\))? )?(enum|struct|fn|impl|mod|use) / { derive = "" }
+        END { exit !bad }' <<<"$byoc_code" ||
+    grep -E '(Serialize|Deserialize) for CachedArtifact' <<<"$byoc_code" ||
+    grep -E '^crates/byoc/src/cache\.rs:.*"entry"' <<<"$byoc_code"; then
+    echo "one-file-format gate: the cache gives a compiled model a second file schema" >&2
+    exit 1
+fi
 
 # And the harness must stay one binary over one flag parser (DESIGN.md,
 # the `bench` crate row): only main.rs reads the process arguments, and

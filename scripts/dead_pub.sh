@@ -20,17 +20,51 @@ allow=scripts/dead_pub.allow
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Non-test code as `file:line<TAB>text`, without comment lines, trailing
-# `// ...` comments, or `pub use` items (which may span lines).
+# Non-test code as `file:line<TAB>text`, without comment lines, `// ...`
+# comments, `pub use` items (which may span lines) or the contents of
+# string and char literals: a name in a message is no caller. `scrub`
+# blanks literals (`"..."` -> `""`, raw and byte strings too; a string
+# left open carries to the next line) but for `format!` captures
+# (`{NAME}`, `{NAME:>4}`; not `{{escaped}}`), which are uses, and cuts a
+# `//` outside them.
 find crates/*/src benchmark/src examples -name '*.rs' -print0 | sort -z |
     xargs -0 awk '
-        FNR == 1 { skip = 0; reexport = 0 }
+        function scrub(s,    out, i, n, c) {
+            out = ""; n = length(s)
+            for (i = 1; i <= n;) {
+                c = substr(s, i, 1)
+                if (term != "") {
+                    if (!raw && c == "\\") { i += 2; continue }
+                    if (substr(s, i, 2) == "{{") { i += 2; continue }
+                    if (match(substr(s, i), /^\{[A-Za-z_][A-Za-z0-9_]*[}:]/)) {
+                        out = out substr(s, i + 1, RLENGTH - 2) " "; i += RLENGTH; continue
+                    }
+                    if (substr(s, i, length(term)) == term) {
+                        out = out term; i += length(term); term = ""
+                    } else i++
+                    continue
+                }
+                if (substr(s, i, 2) == "//") break
+                if (c == "\"") { term = "\""; raw = 0; out = out c; i++; continue }
+                if (c ~ /[br]/ && substr(s, i - 1, 1) !~ /[A-Za-z0-9_]/ &&
+                    match(substr(s, i), /^b?r#*"/)) {
+                    term = substr(s, i, RLENGTH); gsub(/[^#]/, "", term)
+                    term = "\"" term; raw = 1; out = out "\""; i += RLENGTH; continue
+                }
+                if (c == "\047" && match(substr(s, i), /^\047(\\[^\047]+|[^\\\047])\047/)) {
+                    out = out "\047\047"; i += RLENGTH; continue
+                }
+                out = out c; i++
+            }
+            return out
+        }
+        FNR == 1 { skip = 0; reexport = 0; term = "" }
         /#\[cfg\(test\)\]/ { skip = 1 }
         skip { next }
-        reexport { if (/;/) reexport = 0; next }
-        /^[[:space:]]*pub(\([a-z]+\))? use / { if (!/;/) reexport = 1; next }
-        /^[[:space:]]*\/\// { next }
-        { line = $0; sub(/[[:space:]]\/\/.*$/, "", line); print FILENAME ":" FNR "\t" line }
+        term == "" && reexport { if (/;/) reexport = 0; next }
+        term == "" && /^[[:space:]]*pub(\([a-z]+\))? use / { if (!/;/) reexport = 1; next }
+        term == "" && /^[[:space:]]*\/\// { next }
+        { print FILENAME ":" FNR "\t" scrub($0) }
     ' >"$tmp/code"
 
 # Definitions as `name<TAB>file:line`.

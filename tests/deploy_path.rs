@@ -6,11 +6,13 @@
 
 use proptest::prelude::*;
 use serde::Deserialize;
+use serde_json::Value;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use tvm_neuropilot::byoc::build::{compile, relay_build_with_artifact};
 use tvm_neuropilot::byoc::{
-    relay_build, ArtifactCache, BuildError, CompiledModel, NeuronModule, Permutation, TargetMode,
+    relay_build, ArtifactCache, BuildError, CachedArtifact, CompiledModel, NeuronModule,
+    Permutation, TargetMode,
 };
 use tvm_neuropilot::hwsim::{CostModel, WorkKind};
 use tvm_neuropilot::models::{anti_spoofing, emotion, object_detection, Model};
@@ -307,48 +309,164 @@ fn the_built_artifact_is_the_export_of_the_linked_modules() {
     }
 }
 
-/// The cache's disk schema is private and moved: a file an older build
-/// wrote (`Tvm { artifact, .. }`) under the right key is a miss, rebuilt
-/// correctly and overwritten — never an error, never a wrong model.
+/// A disk-tier file is the export itself: a TVM-side entry loads with
+/// `Artifact::load_library` and runs on the phone as the fresh build does,
+/// and without its `key` member it is byte for byte what `export_library`
+/// writes; an NP-only entry is a payload the `neuropilot` loader decodes.
+#[test]
+fn a_disk_tier_file_is_the_exported_library() {
+    let cost = CostModel::default();
+    let phone = phone(&cost);
+    let load_neuron = NeuronModule::loader(cost.clone());
+    let dir = scratch_dir("library");
+    for model in showcase_models() {
+        let inputs = model.sample_inputs(7);
+        let input = &inputs[&model.input_name];
+        for p in MODES {
+            let label = format!("{} / {}", model.name, p.label());
+            let Ok(mut fresh) = relay_build(&model.module, p.mode(), cost.clone()) else {
+                assert_eq!(p, Permutation::NpCpuApu, "{label}: builds");
+                continue;
+            };
+            let (want, want_us) = fresh.run(&inputs).unwrap();
+            let cache = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
+            cache
+                .get_or_build(&model.module, p.mode(), &cost, &quant(&model))
+                .unwrap();
+            let key = ArtifactCache::key(&model.module, p.mode(), &quant(&model));
+            let file = dir.join(format!("{key}.json"));
+            let text = std::fs::read_to_string(&file).unwrap();
+            let mut library = serde_json::parse_value(&text).unwrap();
+            let Value::Object(members) = &mut library else {
+                panic!("{label}: the file is an object");
+            };
+            assert_eq!(members.remove("key"), Some(Value::from(key.as_str())));
+
+            if p == Permutation::NpCpuApu {
+                let module = load_neuron("main", &library).unwrap();
+                let (outputs, run_us) = module.run(&[input]).unwrap();
+                assert!(
+                    same_bits(&outputs, &want),
+                    "{label}: loaded payload outputs"
+                );
+                assert_eq!(run_us, want_us, "{label}: loaded payload run time");
+                continue;
+            }
+            let mut ex = phone.load(&Artifact::load_library(&file).unwrap()).unwrap();
+            ex.set_input(&model.input_name, input.clone()).unwrap();
+            let run_us = ex.run().unwrap();
+            let outputs: Vec<Tensor> = (0..ex.num_outputs())
+                .map(|i| ex.get_output(i).unwrap())
+                .collect();
+            assert!(same_bits(&outputs, &want), "{label}: phone outputs");
+            assert_eq!(run_us, want_us, "{label}: phone run time");
+
+            let (_, artifact) =
+                relay_build_with_artifact(&model.module, p.mode(), cost.clone()).unwrap();
+            let lib = dir.join("model.so.json");
+            artifact.unwrap().export_library(&lib).unwrap();
+            assert!(
+                library.to_string() == std::fs::read_to_string(&lib).unwrap(),
+                "{label}: the cache file less its key is not the exported library"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache's disk schema moved twice: a file an older build wrote under
+/// the right key — the `{"key", "entry"}` envelope around
+/// `Tvm { artifact, .. }`, or around the products with their four derived
+/// facts — is a miss, rebuilt correctly and overwritten: never an error,
+/// never a wrong model.
 #[test]
 fn an_entry_in_the_old_disk_schema_is_a_miss_and_is_overwritten() {
+    use serde_json::json;
     let cost = CostModel::default();
     let dir = scratch_dir("old-schema");
-    let model = emotion::emotion_model(2);
-    let mode = Permutation::ByocCpuApu.mode();
-    let (mut fresh, artifact) =
-        relay_build_with_artifact(&model.module, mode, cost.clone()).unwrap();
-    let key = ArtifactCache::key(&model.module, mode, &quant(&model));
-    let old = serde_json::json!({
-        "key": key,
-        "entry": serde_json::json!({ "Tvm": serde_json::json!({
-            "artifact": artifact.unwrap(),
-            "input_names": vec![model.input_name.clone()],
-            "num_subgraphs": fresh.num_subgraphs(),
-            "offloaded_calls": 0usize,
-            "host_calls": 0usize
-        }) })
-    })
-    .to_string();
-    let file = dir.join(format!("{key}.json"));
-    std::fs::write(&file, &old).unwrap();
+    let models = showcase_models();
+    let mut cases = Vec::new();
+    for model in &models {
+        for p in [Permutation::ByocCpuApu, Permutation::NpCpuApu] {
+            let Ok((fresh, artifact)) =
+                relay_build_with_artifact(&model.module, p.mode(), cost.clone())
+            else {
+                continue;
+            };
+            let names = vec![model.input_name.clone()];
+            let entry = match compile(&model.module, p.mode()).unwrap() {
+                CachedArtifact::Tvm { graph, modules } => json!({ "Tvm": json!({
+                    "graph": graph,
+                    "modules": modules,
+                    "input_names": names,
+                    "num_subgraphs": fresh.num_subgraphs(),
+                    "offloaded_calls": 0usize,
+                    "host_calls": 0usize
+                }) }),
+                CachedArtifact::Neuron(blob) => json!({ "Neuron": json!({
+                    "graph": blob.graph,
+                    "plan": blob.plan,
+                    "input_names": names
+                }) }),
+            };
+            cases.push((model, p, entry));
+            if let Some(artifact) = artifact {
+                let entry = json!({ "Tvm": json!({
+                    "artifact": artifact,
+                    "input_names": names,
+                    "num_subgraphs": fresh.num_subgraphs(),
+                    "offloaded_calls": 0usize,
+                    "host_calls": 0usize
+                }) });
+                cases.push((model, p, entry));
+            }
+        }
+    }
+    assert_eq!(
+        cases.len(),
+        9,
+        "two schemas per BYOC build, one per NP-only build"
+    );
+    for (model, p, entry) in cases {
+        let label = format!("{} / {}", model.name, p.label());
+        let mode = p.mode();
+        let key = ArtifactCache::key(&model.module, mode, &quant(&model));
+        let old = json!({ "key": key, "entry": entry }).to_string();
+        let file = dir.join(format!("{key}.json"));
+        std::fs::write(&file, &old).unwrap();
 
-    let inputs = model.sample_inputs(7);
-    let want = facts_of(&mut fresh, &inputs);
-    let cache = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
-    let mut rebuilt = cache
-        .get_or_build(&model.module, mode, &cost, &quant(&model))
-        .unwrap();
-    assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
-    assert_eq!(facts_of(&mut rebuilt, &inputs), want);
-    assert_ne!(std::fs::read_to_string(&file).unwrap(), old, "overwritten");
+        let inputs = model.sample_inputs(7);
+        let want = facts_of(
+            &mut relay_build(&model.module, mode, cost.clone()).unwrap(),
+            &inputs,
+        );
+        let cache = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
+        let mut rebuilt = cache
+            .get_or_build(&model.module, mode, &cost, &quant(&model))
+            .unwrap();
+        assert_eq!(
+            (cache.stats().misses, cache.stats().hits),
+            (1, 0),
+            "{label}"
+        );
+        assert_eq!(facts_of(&mut rebuilt, &inputs), want, "{label}");
+        assert_ne!(
+            std::fs::read_to_string(&file).unwrap(),
+            old,
+            "{label}: overwritten"
+        );
 
-    let reader = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
-    let mut reread = reader
-        .get_or_build(&model.module, mode, &cost, &quant(&model))
-        .unwrap();
-    assert_eq!((reader.stats().misses, reader.stats().hits), (0, 1));
-    assert_eq!(facts_of(&mut reread, &inputs), want);
+        let reader = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
+        let mut reread = reader
+            .get_or_build(&model.module, mode, &cost, &quant(&model))
+            .unwrap();
+        assert_eq!(
+            (reader.stats().misses, reader.stats().hits),
+            (0, 1),
+            "{label}"
+        );
+        assert_eq!(facts_of(&mut reread, &inputs), want, "{label}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
