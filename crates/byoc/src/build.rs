@@ -2,17 +2,17 @@
 //! `mod = nir.partition_for_nir(mod, params)` followed by
 //! `relay.build(mod, target)` and `GraphModule(...)`.
 
-use crate::codegen::NeuronBlob;
+use crate::codegen::{payload, NeuronBlob};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
-use tvmnp_hwsim::{CostEntry, CostModel, CostRole};
+use tvmnp_hwsim::{ledger, CostEntry, CostModel, CostRole};
 use tvmnp_neuropilot::support::{first_unsupported, NeuronSupport};
 use tvmnp_neuropilot::{CompiledNetwork, NeuronError, NeuronGraph, TargetPolicy};
 use tvmnp_relay::expr::Module;
 use tvmnp_relay::passes::{fold_constants, partition_graph, simplify, PartitionReport};
 use tvmnp_runtime::{
-    Artifact, ExecError, ExecutorGraph, GraphExecutor, ModuleRegistry, NodeKind, RunOptions,
+    Artifact, ExecError, ExecutorGraph, GraphExecutor, ModuleRegistry, RunOptions,
 };
 use tvmnp_tensor::Tensor;
 
@@ -180,18 +180,12 @@ impl CompiledModel {
     /// execution): static shapes make the time input-independent, so the
     /// figure harnesses measure without running each model.
     pub fn estimate_us(&self) -> f64 {
-        match self {
-            CompiledModel::Tvm { executor, .. } => executor.estimate_time_us(),
-            CompiledModel::Neuron { network, .. } => network.estimate_time_us(),
-        }
+        ledger::total_us(self.estimate_breakdown())
     }
 
     /// Simulated inference energy, microjoules.
     pub fn estimate_energy_uj(&self) -> f64 {
-        match self {
-            CompiledModel::Tvm { executor, .. } => executor.estimate_energy_uj(),
-            CompiledModel::Neuron { network, .. } => network.estimate_energy_uj(),
-        }
+        ledger::total_energy_uj(self.estimate_breakdown())
     }
 
     /// The model's cost ledger: every charged item (device, µs, µJ) in
@@ -227,13 +221,22 @@ fn ordered_inputs<'a>(
         .map(move |n| inputs.get(n).ok_or_else(|| missing(n)))
 }
 
-/// Input names in parameter order: `ExecutorGraph::build` adds main's first.
-pub(crate) fn graph_input_names(graph: &ExecutorGraph) -> Vec<String> {
-    let inputs = graph.nodes.iter().filter_map(|n| match &n.kind {
-        NodeKind::Input { name } => Some(name.clone()),
-        _ => None,
-    });
-    inputs.collect()
+/// A TVM-side model: `graph` with `modules` linked into an executor priced
+/// under `cost`. Its input names, in parameter order, are the graph's
+/// `Input` nodes (`ExecutorGraph::build` adds main's first).
+pub(crate) fn tvm_model(
+    graph: ExecutorGraph,
+    modules: ModuleRegistry,
+    cost: CostModel,
+) -> Result<CompiledModel, BuildError> {
+    let names = (0..graph.nodes.len()).filter_map(|node| graph.input_name(node));
+    let input_names = names.map(str::to_string).collect();
+    let executor =
+        GraphExecutor::new(graph, modules, cost).map_err(|e| BuildError::Runtime(e.to_string()))?;
+    Ok(CompiledModel::Tvm {
+        executor,
+        input_names,
+    })
 }
 
 /// The cost-independent products of compiling one module under one target
@@ -300,17 +303,11 @@ impl CachedArtifact {
     pub fn instantiate(self, cost: &CostModel) -> Result<CompiledModel, BuildError> {
         match self {
             CachedArtifact::Tvm { graph, modules } => {
-                let input_names = graph_input_names(&graph);
                 let mut registry = ModuleRegistry::new();
                 for blob in modules {
                     registry.register(Box::new(blob.link(cost.clone())));
                 }
-                let executor = GraphExecutor::new(graph, registry, cost.clone())
-                    .map_err(|e| BuildError::Runtime(e.to_string()))?;
-                Ok(CompiledModel::Tvm {
-                    executor,
-                    input_names,
-                })
+                tvm_model(graph, registry, cost.clone())
             }
             CachedArtifact::Neuron(NeuronBlob { graph, plan, .. }) => {
                 let tensors = graph.inputs.iter().map(|&id| &graph.tensors[id]);
@@ -339,26 +336,33 @@ impl CachedArtifact {
 
     /// The export's own file as one value tree, each weight rendered once:
     /// what `export_library` writes of [`CachedArtifact::artifact`], or an
-    /// NP-only build's `neuropilot` payload.
+    /// NP-only build's `neuropilot` payload; both state the layout version.
     pub(crate) fn to_library_value(&self) -> Value {
-        match self {
+        let mut library = match self {
             CachedArtifact::Tvm { graph, modules } => {
                 let externals = modules.iter().map(NeuronBlob::external_value);
                 let mut library = Map::new();
                 library.insert("externals".into(), Value::Array(externals.collect()));
                 library.insert("graph".into(), graph.to_value());
-                library.insert("version".into(), Artifact::VERSION.to_value());
-                Value::Object(library)
+                library
             }
-            CachedArtifact::Neuron(blob) => blob.to_value(),
-        }
+            CachedArtifact::Neuron(blob) => payload(blob.policy, &blob.graph, &blob.plan),
+        };
+        library.insert("version".into(), Artifact::VERSION.to_value());
+        Value::Object(library)
     }
 
     /// Decode [`CachedArtifact::to_library_value`]'s file by reference:
-    /// `None` unless every blob [loads](NeuronBlob::load).
+    /// `None` unless it states [`Artifact::VERSION`] and every blob
+    /// [loads](NeuronBlob::load).
     pub(crate) fn from_library_value(library: &Value, mode: TargetMode) -> Option<Self> {
+        if library["version"].as_u64() != Some(Artifact::VERSION.into()) {
+            return None;
+        }
         if let TargetMode::NeuroPilotOnly(_) = mode {
-            return NeuronBlob::load(library).ok().map(CachedArtifact::Neuron);
+            return NeuronBlob::load("main", library)
+                .ok()
+                .map(CachedArtifact::Neuron);
         }
         let externals = library["externals"].as_array()?.iter();
         Some(CachedArtifact::Tvm {

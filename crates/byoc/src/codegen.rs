@@ -1,6 +1,7 @@
-//! The NeuroPilot external codegen and runtime-module wrapper.
+//! The NeuroPilot external codegen and runtime-module wrapper. A payload
+//! is `{graph, plan, policy}`; the symbol is its external entry's alone.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Map, Serialize};
 use serde_json::Value;
 use tvmnp_hwsim::{CostEntry, CostModel};
 use tvmnp_neuropilot::{
@@ -16,9 +17,9 @@ use tvmnp_tensor::Tensor;
 const COMPILER: &str = "neuropilot";
 
 /// One compiled Neuron subgraph, before it is priced: what the external
-/// codegen produces, what the cache holds, and (serialized) the artifact
-/// payload a runtime-only device loads. No cost model went into it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// codegen produces, what the cache holds, and (less its symbol) the
+/// artifact payload a runtime-only device loads. No cost model went in.
+#[derive(Debug, Clone)]
 pub struct NeuronBlob {
     /// Global symbol the subgraph implements.
     pub symbol: String,
@@ -67,13 +68,18 @@ impl NeuronBlob {
         ExternalBlob {
             symbol: self.symbol.clone(),
             compiler: COMPILER.to_string(),
-            payload: serde_json::to_value(self).expect("Neuron blob serializes"),
+            payload: Value::Object(payload(self.policy, &self.graph, &self.plan)),
         }
     }
 
     /// [`NeuronBlob::to_external`] as a value tree, its payload rendered once.
     pub(crate) fn external_value(&self) -> Value {
-        serde_json::json!({ "compiler": COMPILER, "payload": self, "symbol": self.symbol })
+        let mut entry = Map::new();
+        entry.insert("compiler".into(), COMPILER.into());
+        let payload = payload(self.policy, &self.graph, &self.plan);
+        entry.insert("payload".into(), Value::Object(payload));
+        entry.insert("symbol".into(), self.symbol.as_str().into());
+        Value::Object(entry)
     }
 
     /// Decode an external entry the `neuropilot` compiler wrote.
@@ -81,16 +87,32 @@ impl NeuronBlob {
         if entry["compiler"].as_str() != Some(COMPILER) {
             return None;
         }
-        NeuronBlob::load(&entry["payload"]).ok()
+        NeuronBlob::load(entry["symbol"].as_str()?, &entry["payload"]).ok()
     }
 
-    /// Decode a payload read from bytes and [validate](ExecutionPlan::validate)
+    /// Decode `symbol`'s payload read from bytes and [validate](ExecutionPlan::validate)
     /// it: how every blob from a file (a library or a cache entry) enters.
-    pub fn load(payload: &Value) -> Result<Self, String> {
-        let blob = NeuronBlob::from_value(payload).map_err(|e| e.to_string())?;
+    pub fn load(symbol: &str, payload: &Value) -> Result<Self, String> {
+        let err = |e: serde::Error| e.to_string();
+        let blob = NeuronBlob {
+            symbol: symbol.to_string(),
+            policy: TargetPolicy::from_value(&payload["policy"]).map_err(err)?,
+            graph: NeuronGraph::from_value(&payload["graph"]).map_err(err)?,
+            plan: ExecutionPlan::from_value(&payload["plan"]).map_err(err)?,
+        };
         blob.plan.validate(&blob.graph)?;
         Ok(blob)
     }
+}
+
+/// A Neuron payload, `{graph, plan, policy}`, rendered from borrowed parts:
+/// the one writer of the schema [`NeuronBlob::load`] reads.
+pub(crate) fn payload(policy: TargetPolicy, graph: &NeuronGraph, plan: &ExecutionPlan) -> Map {
+    let mut payload = Map::new();
+    payload.insert("graph".into(), graph.to_value());
+    payload.insert("plan".into(), plan.to_value());
+    payload.insert("policy".into(), policy.to_value());
+    payload
 }
 
 /// A compiled Neuron subgraph exposed as a graph-executor module.
@@ -111,18 +133,14 @@ impl NeuronModule {
         Ok(NeuronBlob::codegen(symbol, func, policy)?.link(cost))
     }
 
-    /// Rebuild from an artifact payload on a runtime-only device: the
-    /// network is instantiated from the embedded plan — no planner run, no
-    /// `neuropilot.compile` span. A malformed graph or plan is an error.
-    pub fn from_blob(value: &Value, cost: CostModel) -> Result<Self, String> {
-        Ok(NeuronBlob::load(value)?.link(cost))
-    }
-
-    /// The runtime-side loader for `LoaderRegistry::register("neuropilot", ...)`.
+    /// The runtime-side loader for `LoaderRegistry::register("neuropilot", ...)`:
+    /// a module implementing the entry's `symbol`, its network instantiated
+    /// from the payload's plan — no planner run, no `neuropilot.compile`
+    /// span. A malformed graph or plan is an error.
     pub fn loader(cost: CostModel) -> ModuleLoader {
-        Box::new(move |_symbol, payload| {
-            NeuronModule::from_blob(payload, cost.clone())
-                .map(|m| Box::new(m) as Box<dyn ExternalModule>)
+        Box::new(move |symbol, payload| {
+            let module = NeuronBlob::load(symbol, payload)?.link(cost.clone());
+            Ok(Box::new(module) as Box<dyn ExternalModule>)
         })
     }
 
@@ -166,13 +184,8 @@ impl ExternalModule for NeuronModule {
     }
 
     fn serialize(&self) -> Value {
-        serde_json::to_value(NeuronBlob {
-            symbol: self.symbol.clone(),
-            policy: self.policy,
-            graph: self.network.graph().clone(),
-            plan: self.network.plan().clone(),
-        })
-        .expect("Neuron blob serializes")
+        let (graph, plan) = (self.network.graph(), self.network.plan());
+        Value::Object(payload(self.policy, graph, plan))
     }
 }
 
@@ -218,8 +231,17 @@ mod tests {
             CostModel::default(),
         )
         .unwrap();
-        let blob = m.serialize();
-        let m2 = NeuronModule::from_blob(&blob, CostModel::default()).unwrap();
+        let payload = m.serialize();
+        assert!(
+            payload.get("symbol").is_none(),
+            "the entry states the symbol"
+        );
+        let load = NeuronModule::loader(CostModel::default());
+        let m2 = load("neuropilot_0", &payload).unwrap();
+        assert_eq!(
+            load("neuropilot_7", &payload).unwrap().symbol(),
+            "neuropilot_7"
+        );
         let mut rng = TensorRng::new(19);
         let input = rng.uniform_f32([1, 3, 8, 8], -1.0, 1.0);
         let (a, ta) = m.run(&[&input]).unwrap();
@@ -234,7 +256,8 @@ mod tests {
         let mut blob = NeuronBlob::codegen("neuropilot_0", &subgraph(), TargetPolicy::ApuPrefer)
             .expect("codegen");
         corrupt(&mut blob);
-        let loaded = NeuronModule::from_blob(&blob.to_external().payload, CostModel::default());
+        let load = NeuronModule::loader(CostModel::default());
+        let loaded = load("neuropilot_0", &blob.to_external().payload);
         loaded.err().expect("a malformed blob is an error")
     }
 
@@ -267,10 +290,25 @@ mod tests {
     #[test]
     fn blob_with_a_rank_2_conv_weight_is_an_error_not_a_panic() {
         let err = load_corrupted(|blob| {
-            let w = blob.graph.ops[0].inputs[1];
-            blob.graph.tensors[w].shape = [4, 27].into();
+            // Declaration and data agree: only the rank is wrong.
+            let w = &mut blob.graph.tensors[blob.graph.ops[0].inputs[1]];
+            let flat = w.data.as_ref().unwrap().reshaped([4, 27]).unwrap();
+            (w.shape, w.data) = (flat.shape().clone(), Some(flat.into()));
         });
         assert_eq!(err, "op 0 (CONV_2D) weight has rank 2, expects 4");
+    }
+
+    #[test]
+    fn blob_with_a_constant_declared_over_other_data_is_an_error() {
+        let err = load_corrupted(|blob| {
+            let w = blob.graph.ops[0].inputs[1];
+            blob.graph.tensors[w].shape = [8, 3, 3, 3].into();
+        });
+        assert!(
+            err.starts_with("tensor 1 (")
+                && err.ends_with("declared (8, 3, 3, 3) float32 but holds (4, 3, 3, 3) float32"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! the consequence the paper's introduction claims: the NeuroPilot-direct
 //! flow dominates the NNAPI flow it replaced.
 
-use crate::build::{graph_input_names, BuildError, CompiledModel};
+use crate::build::{tvm_model, BuildError, CompiledModel};
 use crate::codegen::NeuronModule;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::CostModel;
@@ -26,7 +26,7 @@ use tvmnp_relay::passes::{
 };
 use tvmnp_relay::{OpKind, Type};
 use tvmnp_runtime::module::{ExternalModule, ModuleError};
-use tvmnp_runtime::{ExecutorGraph, GraphExecutor, ModuleRegistry};
+use tvmnp_runtime::{ExecutorGraph, ModuleRegistry};
 use tvmnp_tensor::Tensor;
 
 /// Fixed HAL/binder round-trip charged per NNAPI execution, microseconds
@@ -127,7 +127,6 @@ pub fn relay_build_nnapi(
         .map_err(|e| BuildError::Partition(e.to_string()))?;
     let graph =
         ExecutorGraph::build(&partitioned).map_err(|e| BuildError::Runtime(e.to_string()))?;
-    let input_names = graph_input_names(&graph);
     let mut registry = ModuleRegistry::new();
     for name in partitioned.external_functions() {
         let func = &partitioned.functions[name];
@@ -135,15 +134,7 @@ pub fn relay_build_nnapi(
             NnapiModule::codegen(name, func, policy, cost.clone()).map_err(BuildError::Neuron)?;
         registry.register(Box::new(module));
     }
-    let executor = GraphExecutor::new(graph, registry, cost)
-        .map_err(|e| BuildError::Runtime(e.to_string()))?;
-    Ok((
-        CompiledModel::Tvm {
-            executor,
-            input_names,
-        },
-        report,
-    ))
+    Ok((tvm_model(graph, registry, cost)?, report))
 }
 
 #[cfg(test)]
@@ -151,6 +142,7 @@ mod tests {
     use super::*;
     use crate::build::{relay_build, TargetMode};
     use tvmnp_models_testutil::*;
+    use tvmnp_runtime::GraphExecutor;
 
     // Local mini-model helpers (the models crate depends on byoc's
     // downstream siblings, so tests build their own graphs).

@@ -245,7 +245,8 @@ impl NeuronGraph {
     /// ordered (an op's activation inputs are graph inputs, constants, or
     /// outputs of earlier ops), one output per op, no tensor written twice
     /// or written though it is an input or constant, every quantized tensor
-    /// carries params, every tensor's byte size fits a `usize`, and a
+    /// carries params, every constant is declared with its data's shape and
+    /// dtype, every tensor's byte size fits a `usize`, and a
     /// convolution or fully-connected op reads an input, a weight of the
     /// rank [`WorkItem::price`] multiplies out and an optional bias.
     pub fn validate(&self) -> Result<(), String> {
@@ -257,7 +258,15 @@ impl NeuronGraph {
             defined[i] = true;
         }
         for (i, t) in self.tensors.iter().enumerate() {
-            if t.is_const() {
+            if let Some(data) = &t.data {
+                let (shape, dtype) = (data.shape(), data.dtype());
+                if shape != &t.shape || dtype != t.dtype {
+                    let (name, declared) = (&t.name, format!("{} {}", t.shape, t.dtype));
+                    let held = format!("{shape} {dtype}");
+                    return Err(format!(
+                        "tensor {i} ('{name}') is declared {declared} but holds {held}"
+                    ));
+                }
                 defined[i] = true;
             }
             if t.dtype.is_quantized() && t.quant.is_none() {
@@ -393,6 +402,42 @@ mod tests {
             g.validate().is_err(),
             "tensor-oriented IR demands per-tensor params"
         );
+    }
+
+    /// A constant's declaration is checked against its data: a `[32]` bias
+    /// over 64 values, or f32 data declared u8, is refused by tensor.
+    #[test]
+    fn constant_declared_over_other_data_is_refused() {
+        let bias = |shape: [usize; 1], dtype| NeuronTensor {
+            name: "b".into(),
+            shape: shape.into(),
+            dtype,
+            quant: Some(QuantParams::new(0.5, 0)),
+            data: Some(Arc::new(Tensor::zeros_f32([64]))),
+        };
+        for (declared, dtype, what) in [
+            ([32], DType::F32, "(32) float32"),
+            ([64], DType::U8, "(64) uint8"),
+            ([64], DType::F32, ""),
+        ] {
+            let mut g = NeuronGraph::default();
+            let x = g.add_tensor(act("x", [1, 64]));
+            let b = g.add_tensor(bias(declared, dtype));
+            let y = g.add_tensor(act("y", [1, 64]));
+            (g.inputs, g.outputs) = (vec![x], vec![y]);
+            g.add_op(NeuronOp {
+                kind: NeuronOpKind::BiasAdd,
+                inputs: vec![x, b],
+                outputs: vec![y],
+            });
+            match g.validate() {
+                Ok(()) => assert_eq!(what, "", "declared as its data"),
+                Err(e) => assert_eq!(
+                    e,
+                    format!("tensor 1 ('b') is declared {what} but holds (64) float32")
+                ),
+            }
+        }
     }
 
     #[test]

@@ -109,12 +109,20 @@ impl ExecutionPlan {
 
     /// Check a plan read from bytes against its graph before it is priced:
     /// the graph is well formed ([`NeuronGraph::validate`]) and every op has
-    /// exactly one placement.
+    /// exactly one placement, on a device that can run it, falling back
+    /// only to the CPU — as [`Planner::plan`] and `plan_op_level` place.
     pub fn validate(&self, graph: &NeuronGraph) -> Result<(), String> {
         graph.validate()?;
         let (placed, ops) = (self.placements.len(), graph.ops.len());
         if placed != ops {
             return Err(format!("{placed} placements for {ops} ops"));
+        }
+        for (k, (op, p)) in graph.ops.iter().zip(&self.placements).enumerate() {
+            let falls_back_off_cpu = p.fallback && p.device != DeviceKind::Cpu;
+            if falls_back_off_cpu || !device_supports(p.device, &op.kind) {
+                let name = op.kind.name();
+                return Err(format!("op {k} ({name}): no planner makes {p:?}"));
+            }
         }
         Ok(())
     }
@@ -200,12 +208,14 @@ mod tests {
         let mut g = NeuronGraph::default();
         let x = g.add_tensor(act("x"));
         let w1 = g.add_tensor(NeuronTensor {
+            shape: [8, 8, 1, 1].into(),
             data: Some(tvmnp_tensor::Tensor::zeros_f32([8, 8, 1, 1]).into()),
             ..act("w1")
         });
         let t1 = g.add_tensor(act("t1"));
         let t2 = g.add_tensor(act("t2"));
         let w2 = g.add_tensor(NeuronTensor {
+            shape: [8, 8, 1, 1].into(),
             data: Some(tvmnp_tensor::Tensor::zeros_f32([8, 8, 1, 1]).into()),
             ..act("w2")
         });
@@ -342,6 +352,39 @@ mod tests {
         assert_eq!(dispatches[0].device, DeviceKind::Apu);
         // Only host-boundary crossings.
         assert_eq!(transfers.len(), 2);
+    }
+
+    /// A plan read from bytes may place what the planner never would: an op
+    /// on a device that cannot run it, or a fallback off the CPU.
+    #[test]
+    fn validate_refuses_placements_the_planner_cannot_make() {
+        let g = conv_sigmoid_conv();
+        for policy in TargetPolicy::ALL {
+            Planner::plan(&g, policy).unwrap().validate(&g).unwrap();
+        }
+        let op_level = crate::plan_op_level(&g, &CostModel::default()).unwrap();
+        op_level.validate(&g).unwrap();
+
+        let mut sigmoid_on_apu = Planner::plan(&g, TargetPolicy::ApuPrefer).unwrap();
+        sigmoid_on_apu.placements[1] = Placement {
+            device: DeviceKind::Apu,
+            fallback: false,
+        };
+        assert_eq!(
+            sigmoid_on_apu.validate(&g),
+            Err(
+                "op 1 (LOGISTIC): no planner makes Placement { device: Apu, fallback: false }"
+                    .into()
+            )
+        );
+        let mut fallback_on_gpu = Planner::plan(&g, TargetPolicy::GpuPrefer).unwrap();
+        fallback_on_gpu.placements[0].fallback = true;
+        assert_eq!(
+            fallback_on_gpu.validate(&g),
+            Err(
+                "op 0 (CONV_2D): no planner makes Placement { device: Gpu, fallback: true }".into()
+            )
+        );
     }
 
     #[test]

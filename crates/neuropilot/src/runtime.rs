@@ -150,13 +150,6 @@ impl CompiledNetwork {
         ledger::total_us(&self.ledger)
     }
 
-    /// Simulated inference energy in microjoules: per-op kernel energy on
-    /// the assigned device (reference-fallback ops burn untuned-CPU
-    /// energy) plus boundary-transfer traffic.
-    pub fn estimate_energy_uj(&self) -> f64 {
-        ledger::total_energy_uj(&self.ledger)
-    }
-
     /// Execute on concrete inputs (in `graph.inputs` order); returns the
     /// output tensors and the simulated time in microseconds.
     pub fn execute(&self, inputs: &[Tensor]) -> Result<(Vec<Tensor>, f64), NeuronError> {

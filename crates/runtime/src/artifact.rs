@@ -5,6 +5,8 @@
 //! module into one JSON artifact; "push" it to an [`AndroidDevice`], which
 //! holds only the *runtime* (a [`LoaderRegistry`] of external-module
 //! deserializers — no compiler), loads the artifact, and runs inference.
+//! The file states each fact once (layout [`Artifact::VERSION`]); one of
+//! another version is refused ([`ArtifactError::Version`]).
 
 use crate::executor::{ExecError, GraphExecutor};
 use crate::graph::ExecutorGraph;
@@ -18,13 +20,6 @@ use tvmnp_hwsim::CostModel;
 /// involved so deployment scripts can report actionable errors.
 #[derive(Debug)]
 pub enum ArtifactError {
-    /// The artifact could not be serialized to JSON.
-    Serialize {
-        /// Destination file.
-        path: PathBuf,
-        /// Underlying serde error.
-        source: serde_json::Error,
-    },
     /// Reading or writing the artifact file failed.
     Io {
         /// File involved.
@@ -39,23 +34,26 @@ pub enum ArtifactError {
         /// Underlying serde error.
         source: serde_json::Error,
     },
+    /// The file states a layout version other than [`Artifact::VERSION`].
+    Version {
+        /// Source file.
+        path: PathBuf,
+        /// The version it states, if any.
+        version: Option<u64>,
+    },
 }
 
 impl std::fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ArtifactError::Serialize { path, source } => {
-                write!(
-                    f,
-                    "{}: artifact does not serialize: {source}",
-                    path.display()
-                )
-            }
-            ArtifactError::Io { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
+            ArtifactError::Io { path, source } => write!(f, "{}: {source}", path.display()),
             ArtifactError::Parse { path, source } => {
                 write!(f, "{}: not a valid artifact: {source}", path.display())
+            }
+            ArtifactError::Version { path, version } => {
+                let found = version.map_or("none".to_string(), |v| v.to_string());
+                let (path, want) = (path.display(), Artifact::VERSION);
+                write!(f, "{path}: library layout version {found}, expects {want}")
             }
         }
     }
@@ -64,10 +62,9 @@ impl std::fmt::Display for ArtifactError {
 impl std::error::Error for ArtifactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ArtifactError::Serialize { source, .. } | ArtifactError::Parse { source, .. } => {
-                Some(source)
-            }
+            ArtifactError::Parse { source, .. } => Some(source),
             ArtifactError::Io { source, .. } => Some(source),
+            ArtifactError::Version { .. } => None,
         }
     }
 }
@@ -95,8 +92,9 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// The format version [`Artifact::export`] writes.
-    pub const VERSION: u32 = 1;
+    /// The layout version [`Artifact::export`] writes and the only one
+    /// [`Artifact::load_library`] reads.
+    pub const VERSION: u32 = 2;
 
     /// Bundle a lowered graph with its linked external modules.
     pub fn export(graph: &ExecutorGraph, modules: &[&dyn ExternalModule]) -> Artifact {
@@ -118,27 +116,30 @@ impl Artifact {
     /// Write to disk (the `export_library` call of Listing 6).
     pub fn export_library(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
         let path = path.as_ref();
-        let json = serde_json::to_string(self).map_err(|source| ArtifactError::Serialize {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        std::fs::write(path, json).map_err(|source| ArtifactError::Io {
+        std::fs::write(path, self.to_value().to_string()).map_err(|source| ArtifactError::Io {
             path: path.to_path_buf(),
             source,
         })
     }
 
-    /// Read back from disk.
+    /// Read back from disk: a library of [`Artifact::VERSION`] only.
     pub fn load_library(path: impl AsRef<Path>) -> Result<Artifact, ArtifactError> {
         let path = path.as_ref();
         let json = std::fs::read_to_string(path).map_err(|source| ArtifactError::Io {
             path: path.to_path_buf(),
             source,
         })?;
-        serde_json::from_str(&json).map_err(|source| ArtifactError::Parse {
+        let parse = |source| ArtifactError::Parse {
             path: path.to_path_buf(),
             source,
-        })
+        };
+        let library = serde_json::parse_value(&json).map_err(parse)?;
+        let version = library["version"].as_u64();
+        if version != Some(Artifact::VERSION.into()) {
+            let path = path.to_path_buf();
+            return Err(ArtifactError::Version { path, version });
+        }
+        Artifact::from_value(&library).map_err(parse)
     }
 
     /// Artifact size in bytes when serialized (model-size discussions of
@@ -213,6 +214,7 @@ impl AndroidDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeKind;
     use crate::module::test_support::NegateModule;
     use tvmnp_relay::builder;
     use tvmnp_relay::expr::{call_global, var, Function, Module};
@@ -233,11 +235,7 @@ mod tests {
         let mut l = LoaderRegistry::new();
         l.register(
             "fake",
-            Box::new(|_sym, payload| {
-                let symbol = payload["symbol"]
-                    .as_str()
-                    .ok_or("missing symbol")?
-                    .to_string();
+            Box::new(|symbol, payload| {
                 let time_us = payload["time_us"].as_f64().ok_or("missing time")?;
                 Ok(Box::new(NegateModule::new(symbol, time_us)) as Box<dyn ExternalModule>)
             }),
@@ -257,7 +255,7 @@ mod tests {
         let path = dir.join("lib.json");
         artifact.export_library(&path).unwrap();
         let loaded = Artifact::load_library(&path).unwrap();
-        assert_eq!(loaded.version, 1);
+        assert_eq!(loaded.version, 2);
         assert_eq!(loaded.externals.len(), 1);
 
         let phone = AndroidDevice::new("oppo-reno4z", fake_loaders(), CostModel::default());
@@ -272,7 +270,6 @@ mod tests {
     /// that are not a range load fine and must fail the run, not abort it.
     #[test]
     fn loaded_clip_with_inverted_bounds_fails_the_run_without_panicking() {
-        use crate::graph::NodeKind;
         use tvmnp_relay::OpKind;
         let x = var("x", TensorType::f32([3]));
         let y = builder::relu6(x.clone());
@@ -325,6 +322,74 @@ mod tests {
         let err = Artifact::load_library(&path).unwrap_err();
         assert!(matches!(err, ArtifactError::Parse { .. }), "{err}");
         assert!(err.to_string().contains("does not match shape"), "{err}");
+    }
+
+    /// A library states a param's type once, in its tensor: a file whose
+    /// `Param` node declares a type as well — here a lying one — parses,
+    /// and the device refuses it by node instead of running it.
+    #[test]
+    fn loaded_param_that_declares_a_type_is_refused_by_node() {
+        use tvmnp_relay::Conv2dAttrs;
+        let x = var("x", TensorType::f32([1, 1, 64, 64]));
+        let w = Tensor::from_f32([1, 1, 2, 2], vec![1.0, -2.0, 3.0, -4.0]).unwrap();
+        let y = builder::conv2d(x.clone(), w, Conv2dAttrs::same(0));
+        let graph = ExecutorGraph::build(&Module::from_main(Function::new(vec![x], y))).unwrap();
+        let path = std::env::temp_dir().join("tvmnp_artifact_test_typed_param.json");
+        Artifact::export(&graph, &[]).export_library(&path).unwrap();
+        let honest = std::fs::read_to_string(&path).unwrap();
+        let untyped = "\"out_types\":[]";
+        assert_eq!(honest.matches(untyped).count(), 1, "one param, no type");
+        let lie = serde_json::to_string(&TensorType::f32([4, 1, 2, 2])).unwrap();
+        std::fs::write(
+            &path,
+            honest.replace(untyped, &format!("\"out_types\":[{lie}]")),
+        )
+        .unwrap();
+        let loaded = Artifact::load_library(&path).expect("the file parses");
+        let phone = AndroidDevice::new("phone", LoaderRegistry::new(), CostModel::default());
+        let err = phone.load(&loaded).err().expect("a typed param is refused");
+        let param = (graph.nodes.iter()).position(|n| matches!(n.kind, NodeKind::Param { .. }));
+        assert_eq!(
+            err.context().node,
+            param.map(|k| format!("node#{k}")),
+            "{err}"
+        );
+        assert!(
+            err.message().ends_with("is a param that declares a type"),
+            "{err}"
+        );
+    }
+
+    /// Only the layout this runtime writes is read: a library stating
+    /// another version, or none, is refused by path and version.
+    #[test]
+    fn a_library_of_another_version_is_refused_by_name() {
+        let graph = ExecutorGraph::build(&partitioned_module()).unwrap();
+        let path = std::env::temp_dir().join("tvmnp_artifact_test_version.json");
+        Artifact::export(&graph, &[]).export_library(&path).unwrap();
+        let current = std::fs::read_to_string(&path).unwrap();
+        let stated = "\"version\":2";
+        assert_eq!(current.matches(stated).count(), 1);
+        let others = [
+            ("\"version\":99", Some(99)),
+            ("\"version\":1", Some(1)),
+            ("\"versio\":2", None),
+        ];
+        for (other, version) in others {
+            std::fs::write(&path, current.replace(stated, other)).unwrap();
+            let err = Artifact::load_library(&path).unwrap_err();
+            assert!(
+                matches!(&err, ArtifactError::Version { path: p, version: v }
+                    if *p == path && *v == version),
+                "{other}: {err}"
+            );
+            assert!(err.to_string().contains("tvmnp_artifact_test_version.json"));
+        }
+        let err = Artifact::load_library(&path).unwrap_err();
+        assert!(
+            err.to_string().ends_with("layout version none, expects 2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,9 +11,9 @@ use tvmnp_hwsim::{
 };
 use tvmnp_relay::interp::eval_op;
 use tvmnp_relay::memory::{Missing, Read, StepPlan};
-use tvmnp_relay::{OpKind, TensorType};
+use tvmnp_relay::OpKind;
 use tvmnp_telemetry::Field;
-use tvmnp_tensor::Tensor;
+use tvmnp_tensor::{DType, Shape, Tensor};
 
 /// Where in the graph an executor failure happened.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -279,23 +279,36 @@ pub fn work_key(op: &OpKind) -> WorkKey {
 /// untuned CPU; an external node charges a host → module transfer per
 /// argument through the module's dispatch device, the linked module's own
 /// entries, and a module → host transfer per result. Every entry carries
-/// its node, so a node's entries are the next run of that node index.
+/// its node, so a node's entries are the next run of that node index. A
+/// param's shape and dtype are its tensor's; a param node declaring a type
+/// too is refused by node.
 fn compile(
     graph: &ExecutorGraph,
     modules: &ModuleRegistry,
     cost: &CostModel,
 ) -> Result<(Vec<CostEntry>, StepPlan), ExecError> {
-    let type_of = |r: &NodeRef| &graph.nodes[r.node].out_types[r.output];
+    // Every read is now an earlier output, an input or a param in range.
+    let plan = StepPlan::new(graph)?;
+    let operand = |r: &NodeRef| match graph.nodes[r.node].kind {
+        NodeKind::Param { index } => (graph.params[index].shape(), graph.params[index].dtype()),
+        _ => {
+            let t = &graph.nodes[r.node].out_types[r.output];
+            (&t.shape, t.dtype)
+        }
+    };
     let cpu_launch = cost.soc().device(DeviceKind::Cpu).kernel_launch_us;
     // Two entries per host op; an external node's come in one `extend`.
     let mut ledger = Vec::with_capacity(2 * graph.nodes.len());
     let mut groups_dispatched: HashSet<usize> = HashSet::with_capacity(graph.nodes.len());
     for (idx, node) in graph.nodes.iter().enumerate() {
         match &node.kind {
+            NodeKind::Param { .. } if !node.out_types.is_empty() => {
+                let msg = format!("node#{idx} is a param that declares a type");
+                return Err(ExecError::new(msg).with_node(format!("node#{idx}")));
+            }
             NodeKind::Input { .. } | NodeKind::Param { .. } => {}
             NodeKind::Op { op, inputs, group } => {
-                let args = inputs.iter().map(type_of).map(|t| (&t.shape, t.dtype));
-                let out = &node.out_types[0];
+                let (args, out) = (inputs.iter().map(operand), &node.out_types[0]);
                 let w = WorkItem::price(work_key(op), args, (&out.shape, out.dtype));
                 if groups_dispatched.insert(*group) {
                     ledger.push(CostEntry::fixed(
@@ -320,28 +333,23 @@ fn compile(
                 // modules: every referenced symbol must be registered.
                 let module = modules.get(symbol).ok_or_else(|| unlinked(symbol))?;
                 let device = module.dispatch_device();
-                let boundary = |label, t: &TensorType| {
-                    CostEntry::transfer(
-                        cost,
-                        idx,
-                        label,
-                        CostRole::Transfer,
-                        device,
-                        t.size_bytes(),
-                    )
+                let boundary = |label, (shape, dtype): (&Shape, DType)| {
+                    let bytes = shape.num_elements() * dtype.size_bytes();
+                    CostEntry::transfer(cost, idx, label, CostRole::Transfer, device, bytes)
                 };
-                ledger.extend(inputs.iter().map(|r| boundary("boundary-in", type_of(r))));
+                ledger.extend(inputs.iter().map(|r| boundary("boundary-in", operand(r))));
                 ledger.extend(
                     module
                         .ledger()
                         .iter()
                         .map(|e| CostEntry { node: idx, ..*e }),
                 );
-                ledger.extend(node.out_types.iter().map(|t| boundary("boundary-out", t)));
+                let results = node.out_types.iter().map(|t| (&t.shape, t.dtype));
+                ledger.extend(results.map(|t| boundary("boundary-out", t)));
             }
         }
     }
-    Ok((ledger, StepPlan::new(graph)?))
+    Ok((ledger, plan))
 }
 
 fn unlinked(symbol: &str) -> ExecError {
@@ -424,13 +432,15 @@ impl GraphExecutor {
         })
     }
 
-    /// Bind a named input (TVM `m.set_input`).
+    /// Bind a named input (TVM `m.set_input`): the input node of that name.
     pub fn set_input(&mut self, name: &str, value: Tensor) -> Result<(), ExecError> {
-        let unknown = || ExecError::new(format!("unknown input '{name}'")).with_node(name);
-        let &idx = self.graph.input_index.get(name).ok_or_else(unknown)?;
-        let bound = self.inputs.iter_mut().find(|(node, _)| *node == idx);
-        let (_, bound) = bound.ok_or_else(unknown)?;
-        let expect = &self.graph.nodes[idx].out_types[0];
+        let graph = &self.graph;
+        let bound =
+            (self.inputs.iter_mut()).find(|(node, _)| graph.input_name(*node) == Some(name));
+        let Some((idx, bound)) = bound else {
+            return Err(ExecError::new(format!("unknown input '{name}'")).with_node(name));
+        };
+        let expect = &graph.nodes[*idx].out_types[0];
         if value.shape() != &expect.shape || value.dtype() != expect.dtype {
             return Err(ExecError::new(format!(
                 "input '{name}' expects {} {}, got {} {}",
@@ -471,8 +481,7 @@ impl GraphExecutor {
         self.last_run_us = None;
         let graph = &self.graph;
         if let Some(&(idx, _)) = self.inputs.iter().find(|(_, bound)| bound.is_none()) {
-            let name = graph.input_index.iter().find(|&(_, &node)| node == idx);
-            let name = name.map_or("?", |(name, _)| name);
+            let name = graph.input_name(idx).unwrap_or("?");
             return Err(
                 ExecError::new(format!("input '{name}' not set")).with_node(format!("node#{idx}"))
             );
@@ -591,12 +600,6 @@ impl GraphExecutor {
         ledger::total_us(&self.ledger)
     }
 
-    /// Simulated inference energy in microjoules (host ops burn untuned
-    /// CPU energy; external modules bring their own entries).
-    pub fn estimate_energy_uj(&self) -> f64 {
-        ledger::total_energy_uj(&self.ledger)
-    }
-
     /// Fetch output `i` after a run (TVM `m.get_output`). An error before
     /// the first run and after a failed one: never an earlier run's tensor.
     pub fn get_output(&self, i: usize) -> Result<Tensor, ExecError> {
@@ -618,11 +621,6 @@ impl GraphExecutor {
     /// Number of outputs.
     pub fn num_outputs(&self) -> usize {
         self.graph.outputs.len()
-    }
-
-    /// Simulated time of the last run.
-    pub fn last_run_us(&self) -> Option<f64> {
-        self.last_run_us
     }
 }
 
@@ -652,6 +650,27 @@ mod tests {
         let out = ex.get_output(0).unwrap();
         assert_eq!(out.shape().dims(), &[1, 4, 8, 8]);
         assert!(out.as_f32().unwrap().iter().all(|&v| v >= 0.0));
+    }
+
+    /// A param's type is its tensor's: a param node that declares one as
+    /// well — a lying one here, the conv weight is `[4, 3, 3, 3]` — is
+    /// refused by node, never priced or run.
+    #[test]
+    fn a_param_that_declares_a_type_is_refused_by_node() {
+        let mut rng = TensorRng::new(2);
+        let x = var("x", tvmnp_relay::TensorType::f32([1, 3, 8, 8]));
+        let w = rng.uniform_f32([4, 3, 3, 3], -0.5, 0.5);
+        let y = builder::conv2d(x.clone(), w, Conv2dAttrs::same(1));
+        let mut g = ExecutorGraph::build(&Module::from_main(Function::new(vec![x], y))).unwrap();
+        let param = (g.nodes.iter())
+            .position(|n| matches!(n.kind, NodeKind::Param { .. }))
+            .unwrap();
+        (g.nodes[param].out_types).push(tvmnp_relay::TensorType::f32([64, 3, 3, 3]));
+        let ex = GraphExecutor::new(g, ModuleRegistry::new(), CostModel::default());
+        let err = ex.err().expect("a typed param is refused");
+        assert_eq!(err.context().node, Some(format!("node#{param}")));
+        let msg = format!("node#{param} is a param that declares a type");
+        assert_eq!(err.message(), msg);
     }
 
     #[test]

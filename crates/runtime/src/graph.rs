@@ -21,7 +21,7 @@ pub enum NodeKind {
         /// Input name (for `set_input`).
         name: String,
     },
-    /// A weight/constant, stored in the artifact's param table.
+    /// A weight/constant in the artifact's param table; its type is its tensor's.
     Param {
         /// Index into [`ExecutorGraph::params`].
         index: usize,
@@ -49,7 +49,7 @@ pub enum NodeKind {
 pub struct GraphNode {
     /// Payload.
     pub kind: NodeKind,
-    /// Output types (usually one; external calls may produce several).
+    /// Output types, one per value; none for a param (its tensor's type).
     pub out_types: Vec<TensorType>,
 }
 
@@ -64,8 +64,6 @@ pub struct ExecutorGraph {
     /// Weight table referenced by `NodeKind::Param`; shared, so cloning a
     /// graph (one per pooled session) does not copy the weights.
     pub params: Arc<Vec<Tensor>>,
-    /// Input name → node index.
-    pub input_index: HashMap<String, usize>,
 }
 
 /// Failure while lowering a module to an executor graph.
@@ -101,28 +99,23 @@ impl ExecutorGraph {
         // expr id -> its output refs
         let mut refs: HashMap<usize, Vec<NodeRef>> = HashMap::new();
 
-        fn add_node(g: &mut ExecutorGraph, kind: NodeKind, out_types: Vec<TensorType>) -> usize {
-            g.nodes.push(GraphNode { kind, out_types });
-            g.nodes.len() - 1
+        // A node's refs, one per value it makes: a param makes one and
+        // declares no type.
+        fn add_node(g: &mut ExecutorGraph, kind: NodeKind, types: Vec<TensorType>) -> Vec<NodeRef> {
+            let (node, values) = (g.nodes.len(), types.len().max(1));
+            g.nodes.push(GraphNode {
+                kind,
+                out_types: types,
+            });
+            (0..values).map(|output| NodeRef { node, output }).collect()
         }
 
         for p in &main.params {
             if let ExprKind::Var(v) = &p.kind {
-                let idx = add_node(
-                    &mut g,
-                    NodeKind::Input {
-                        name: v.name.clone(),
-                    },
-                    vec![v.ty.clone()],
-                );
-                g.input_index.insert(v.name.clone(), idx);
-                refs.insert(
-                    p.id,
-                    vec![NodeRef {
-                        node: idx,
-                        output: 0,
-                    }],
-                );
+                let input = NodeKind::Input {
+                    name: v.name.clone(),
+                };
+                refs.insert(p.id, add_node(&mut g, input, vec![v.ty.clone()]));
             } else {
                 return Err(BuildError("main parameter is not a Var".into()));
             }
@@ -138,13 +131,10 @@ impl ExecutorGraph {
                 }
                 ExprKind::Constant(c) => {
                     params.push(c.value.clone());
-                    let param_index = params.len() - 1;
-                    let tt = TensorType::new(c.value.shape().clone(), c.value.dtype());
-                    let idx = add_node(&mut g, NodeKind::Param { index: param_index }, vec![tt]);
-                    vec![NodeRef {
-                        node: idx,
-                        output: 0,
-                    }]
+                    let param = NodeKind::Param {
+                        index: params.len() - 1,
+                    };
+                    add_node(&mut g, param, Vec::new())
                 }
                 ExprKind::Tuple(fields) => {
                     let mut rs = Vec::new();
@@ -175,19 +165,12 @@ impl ExecutorGraph {
                                 .ok_or_else(|| BuildError(format!("{} yields tuple", op.name())))?
                                 .clone();
                             let group = group_of.get(&e.id).copied().unwrap_or(usize::MAX);
-                            let idx = add_node(
-                                &mut g,
-                                NodeKind::Op {
-                                    op: op.clone(),
-                                    inputs,
-                                    group,
-                                },
-                                vec![tt],
-                            );
-                            vec![NodeRef {
-                                node: idx,
-                                output: 0,
-                            }]
+                            let op = NodeKind::Op {
+                                op: op.clone(),
+                                inputs,
+                                group,
+                            };
+                            add_node(&mut g, op, vec![tt])
                         }
                         CallTarget::Global(symbol) => {
                             let out_types: Vec<TensorType> = match &types[&e.id] {
@@ -201,21 +184,11 @@ impl ExecutorGraph {
                                     })
                                     .collect::<Result<_, _>>()?,
                             };
-                            let n = out_types.len();
-                            let idx = add_node(
-                                &mut g,
-                                NodeKind::External {
-                                    symbol: symbol.clone(),
-                                    inputs,
-                                },
-                                out_types,
-                            );
-                            (0..n)
-                                .map(|k| NodeRef {
-                                    node: idx,
-                                    output: k,
-                                })
-                                .collect()
+                            let call = NodeKind::External {
+                                symbol: symbol.clone(),
+                                inputs,
+                            };
+                            add_node(&mut g, call, out_types)
                         }
                     }
                 }
@@ -231,6 +204,14 @@ impl ExecutorGraph {
     /// Total parameter bytes.
     pub fn param_bytes(&self) -> usize {
         self.params.iter().map(Tensor::size_bytes).sum()
+    }
+
+    /// The name of input node `node`; `None` if it is not an input.
+    pub fn input_name(&self, node: usize) -> Option<&str> {
+        match &self.nodes.get(node)?.kind {
+            NodeKind::Input { name } => Some(name),
+            _ => None,
+        }
     }
 
     /// What reading `r` reads: an op or external call's output, an input,
@@ -303,7 +284,12 @@ mod tests {
         let g = ExecutorGraph::build(&m).unwrap();
         assert_eq!(host_ops(&g), 2);
         assert_eq!(g.params.len(), 1);
-        assert!(g.input_index.contains_key("x"));
+        assert_eq!(g.input_name(0), Some("x"));
+        let param_types: Vec<usize> = (g.nodes.iter())
+            .filter(|n| matches!(n.kind, NodeKind::Param { .. }))
+            .map(|n| n.out_types.len())
+            .collect();
+        assert_eq!(param_types, [0], "a parameter's type is its tensor's");
         assert_eq!(g.outputs.len(), 1);
         // conv+relu share a fusion group.
         let groups: Vec<usize> = g

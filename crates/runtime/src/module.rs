@@ -50,7 +50,8 @@ pub trait ExternalModule: Send + Sync {
     /// per-device attribution and profile spans are all read from them.
     fn ledger(&self) -> &[CostEntry];
 
-    /// Serialize for embedding into a deployable artifact.
+    /// Serialize for embedding into a deployable artifact: the payload,
+    /// without the symbol and compiler its external entry states.
     fn serialize(&self) -> serde_json::Value;
 }
 
@@ -135,7 +136,7 @@ pub(crate) mod test_support {
         }
 
         fn serialize(&self) -> serde_json::Value {
-            serde_json::json!({ "symbol": self.symbol, "time_us": self.ledger[0].us })
+            serde_json::json!({ "time_us": self.ledger[0].us })
         }
     }
 }

@@ -15,6 +15,12 @@ cargo clippy -- -D warnings
 # matcher is held to its one-window loop the same way.
 cargo test --release -q -p tvmnp-tensor --test kernel_identity
 cargo test --release -q -p tvmnp-vision --test face_matcher_identity
+# Listing 6 end to end (DESIGN.md "Compile products and the file
+# boundary"): `cargo test` compiles the deploy example but runs none of
+# it. Hard step: export on the host, `load_library` on a runtime-only
+# phone, and the example asserts the phone's outputs bit-identical to the
+# server's.
+cargo run --release --offline --quiet --example deploy_android
 # And they must not reach for what would break the contract or bring the
 # per-element allocations back: fused multiply-add, boxed iterators,
 # per-element index division. Only non-test source is checked.

@@ -5,20 +5,21 @@
 //! the same model: same output bits, same simulated time, same ledger.
 
 use proptest::prelude::*;
-use serde::Deserialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use tvm_neuropilot::byoc::build::{compile, relay_build_with_artifact};
 use tvm_neuropilot::byoc::{
-    relay_build, ArtifactCache, BuildError, CachedArtifact, CompiledModel, NeuronModule,
-    Permutation, TargetMode,
+    relay_build, ArtifactCache, BuildError, CachedArtifact, CompiledModel, NeuronBlob,
+    NeuronModule, Permutation, TargetMode,
 };
 use tvm_neuropilot::hwsim::{CostModel, WorkKind};
 use tvm_neuropilot::models::{anti_spoofing, emotion, object_detection, Model};
 use tvm_neuropilot::neuropilot::support::NeuronSupport;
 use tvm_neuropilot::neuropilot::NeuronGraph;
 use tvm_neuropilot::relay::passes::{fold_constants, partition_graph, simplify};
+use tvm_neuropilot::relay::TensorType;
 use tvm_neuropilot::runtime::module::ExternalModule;
 use tvm_neuropilot::runtime::{AndroidDevice, Artifact, ExecutorGraph, LoaderRegistry, NodeKind};
 use tvm_neuropilot::tensor::Tensor;
@@ -374,14 +375,68 @@ fn a_disk_tier_file_is_the_exported_library() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The cache's disk schema moved twice: a file an older build wrote under
-/// the right key — the `{"key", "entry"}` envelope around
+/// A Neuron payload as layout version 1 wrote it: with its symbol.
+fn v1_payload(blob: &NeuronBlob) -> Value {
+    json!({
+        "graph": blob.graph,
+        "plan": blob.plan,
+        "policy": blob.policy,
+        "symbol": blob.symbol
+    })
+}
+
+/// A library as layout version 1 wrote it: an input index beside the
+/// `Input` nodes, a type on every `Param` node beside its tensor's, and
+/// every Neuron symbol in its payload as well as in its entry.
+fn v1_library(graph: &ExecutorGraph, modules: &[NeuronBlob]) -> Value {
+    let mut v1_graph = graph.to_value();
+    let Value::Object(members) = &mut v1_graph else {
+        unreachable!("a graph is an object")
+    };
+    let inputs = graph
+        .nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(k, n)| match &n.kind {
+            NodeKind::Input { name } => Some((name.clone(), Value::from(k as u64))),
+            _ => None,
+        });
+    members.insert("input_index".into(), Value::Object(inputs.collect()));
+    let Some(Value::Array(nodes)) = members.get_mut("nodes") else {
+        unreachable!("a graph has nodes")
+    };
+    for (node, typed) in nodes.iter_mut().zip(&graph.nodes) {
+        if let (Value::Object(node), NodeKind::Param { index }) = (node, &typed.kind) {
+            let t = &graph.params[*index];
+            let declared = TensorType::new(t.shape().clone(), t.dtype());
+            node.insert("out_types".into(), json!([declared]));
+        }
+    }
+    let entry = |b: &NeuronBlob| {
+        let payload = v1_payload(b);
+        json!({ "compiler": "neuropilot", "payload": payload, "symbol": b.symbol })
+    };
+    let externals: Vec<Value> = modules.iter().map(entry).collect();
+    json!({ "externals": externals, "graph": v1_graph, "version": 1u32 })
+}
+
+/// `file` plus the `key` member the disk tier stores it under.
+fn with_key(mut file: Value, key: &str) -> Value {
+    let Value::Object(members) = &mut file else {
+        unreachable!("a cache file is an object")
+    };
+    members.insert("key".into(), key.into());
+    file
+}
+
+/// The cache's disk schema moved three times: a file an older build wrote
+/// under the right key — the `{"key", "entry"}` envelope around
 /// `Tvm { artifact, .. }`, or around the products with their four derived
-/// facts — is a miss, rebuilt correctly and overwritten: never an error,
-/// never a wrong model.
+/// facts, or a library (an NP-only payload) of layout version 1 — is a
+/// miss, rebuilt correctly and overwritten: never an error, never a wrong
+/// model.
 #[test]
 fn an_entry_in_the_old_disk_schema_is_a_miss_and_is_overwritten() {
-    use serde_json::json;
     let cost = CostModel::default();
     let dir = scratch_dir("old-schema");
     let models = showcase_models();
@@ -393,23 +448,34 @@ fn an_entry_in_the_old_disk_schema_is_a_miss_and_is_overwritten() {
             else {
                 continue;
             };
+            let key = ArtifactCache::key(&model.module, p.mode(), &quant(model));
+            let old = |entry: Value| json!({ "key": key, "entry": entry });
             let names = vec![model.input_name.clone()];
-            let entry = match compile(&model.module, p.mode()).unwrap() {
-                CachedArtifact::Tvm { graph, modules } => json!({ "Tvm": json!({
-                    "graph": graph,
-                    "modules": modules,
-                    "input_names": names,
-                    "num_subgraphs": fresh.num_subgraphs(),
-                    "offloaded_calls": 0usize,
-                    "host_calls": 0usize
-                }) }),
-                CachedArtifact::Neuron(blob) => json!({ "Neuron": json!({
-                    "graph": blob.graph,
-                    "plan": blob.plan,
-                    "input_names": names
-                }) }),
+            let (entry, v1) = match compile(&model.module, p.mode()).unwrap() {
+                CachedArtifact::Tvm { graph, modules } => {
+                    let v1 = v1_library(&graph, &modules);
+                    let modules: Vec<Value> = modules.iter().map(v1_payload).collect();
+                    let entry = json!({ "Tvm": json!({
+                        "graph": graph,
+                        "modules": modules,
+                        "input_names": names,
+                        "num_subgraphs": fresh.num_subgraphs(),
+                        "offloaded_calls": 0usize,
+                        "host_calls": 0usize
+                    }) });
+                    (entry, v1)
+                }
+                CachedArtifact::Neuron(blob) => {
+                    let entry = json!({ "Neuron": json!({
+                        "graph": blob.graph,
+                        "plan": blob.plan,
+                        "input_names": names
+                    }) });
+                    (entry, v1_payload(&blob))
+                }
             };
-            cases.push((model, p, entry));
+            cases.push((model, p, old(entry)));
+            cases.push((model, p, with_key(v1, &key)));
             if let Some(artifact) = artifact {
                 let entry = json!({ "Tvm": json!({
                     "artifact": artifact,
@@ -418,22 +484,22 @@ fn an_entry_in_the_old_disk_schema_is_a_miss_and_is_overwritten() {
                     "offloaded_calls": 0usize,
                     "host_calls": 0usize
                 }) });
-                cases.push((model, p, entry));
+                cases.push((model, p, old(entry)));
             }
         }
     }
     assert_eq!(
         cases.len(),
-        9,
-        "two schemas per BYOC build, one per NP-only build"
+        14,
+        "three schemas per BYOC build, two per NP-only build"
     );
-    for (model, p, entry) in cases {
+    for (model, p, file) in cases {
         let label = format!("{} / {}", model.name, p.label());
         let mode = p.mode();
-        let key = ArtifactCache::key(&model.module, mode, &quant(&model));
-        let old = json!({ "key": key, "entry": entry }).to_string();
-        let file = dir.join(format!("{key}.json"));
-        std::fs::write(&file, &old).unwrap();
+        let key = ArtifactCache::key(&model.module, mode, &quant(model));
+        let old = file.to_string();
+        let path = dir.join(format!("{key}.json"));
+        std::fs::write(&path, &old).unwrap();
 
         let inputs = model.sample_inputs(7);
         let want = facts_of(
@@ -442,7 +508,7 @@ fn an_entry_in_the_old_disk_schema_is_a_miss_and_is_overwritten() {
         );
         let cache = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
         let mut rebuilt = cache
-            .get_or_build(&model.module, mode, &cost, &quant(&model))
+            .get_or_build(&model.module, mode, &cost, &quant(model))
             .unwrap();
         assert_eq!(
             (cache.stats().misses, cache.stats().hits),
@@ -451,14 +517,14 @@ fn an_entry_in_the_old_disk_schema_is_a_miss_and_is_overwritten() {
         );
         assert_eq!(facts_of(&mut rebuilt, &inputs), want, "{label}");
         assert_ne!(
-            std::fs::read_to_string(&file).unwrap(),
+            std::fs::read_to_string(&path).unwrap(),
             old,
             "{label}: overwritten"
         );
 
         let reader = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
         let mut reread = reader
-            .get_or_build(&model.module, mode, &cost, &quant(&model))
+            .get_or_build(&model.module, mode, &cost, &quant(model))
             .unwrap();
         assert_eq!(
             (reader.stats().misses, reader.stats().hits),
@@ -467,6 +533,112 @@ fn an_entry_in_the_old_disk_schema_is_a_miss_and_is_overwritten() {
         );
         assert_eq!(facts_of(&mut reread, &inputs), want, "{label}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every member of `value`, at any depth, with its name.
+fn members<'a>(value: &'a Value, out: &mut Vec<(&'a str, &'a Value)>) {
+    match value {
+        Value::Object(map) => {
+            for (name, member) in map {
+                out.push((name, member));
+                members(member, out);
+            }
+        }
+        Value::Array(items) => items.iter().for_each(|item| members(item, out)),
+        _ => {}
+    }
+}
+
+/// The names of `value`'s members, at any depth.
+fn member_names(value: &Value) -> Vec<&str> {
+    let mut all = Vec::new();
+    members(value, &mut all);
+    all.into_iter().map(|(name, _)| name).collect()
+}
+
+/// A compiled model's file states each fact once (layout version 2): an
+/// input's name is its `Input` node, with no index beside it; a param's
+/// type is its tensor's, so a `Param` node declares none; an external's
+/// symbol is its entry's, in no payload. Checked on the library of every
+/// showcase model under TVM-only and BYOC CPU+APU, and on the NP-only
+/// disk-tier file, a bare payload.
+#[test]
+fn a_library_states_each_fact_once() {
+    let cost = CostModel::default();
+    let dir = scratch_dir("each-fact-once");
+    let (mut libraries, mut param_nodes) = (0, 0);
+    for model in showcase_models() {
+        for p in MODES {
+            let label = format!("{} / {}", model.name, p.label());
+            if p == Permutation::NpCpuApu {
+                let cache = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
+                let quant = quant(&model);
+                if cache
+                    .get_or_build(&model.module, p.mode(), &cost, &quant)
+                    .is_err()
+                {
+                    continue;
+                }
+                let key = ArtifactCache::key(&model.module, p.mode(), &quant);
+                let text = std::fs::read_to_string(dir.join(format!("{key}.json"))).unwrap();
+                let payload = serde_json::parse_value(&text).unwrap();
+                let names = member_names(&payload);
+                assert!(
+                    !names.contains(&"symbol"),
+                    "{label}: a payload states a symbol"
+                );
+                assert!(!names.contains(&"input_index"), "{label}");
+                libraries += 1;
+                continue;
+            }
+            let (_, artifact) =
+                relay_build_with_artifact(&model.module, p.mode(), cost.clone()).unwrap();
+            let lib = dir.join("model.so.json");
+            artifact.unwrap().export_library(&lib).unwrap();
+            let text = std::fs::read_to_string(&lib).unwrap();
+            let library = serde_json::parse_value(&text).unwrap();
+            assert!(!member_names(&library).contains(&"input_index"), "{label}");
+
+            let nodes = library["graph"]["nodes"].as_array().unwrap();
+            let params = nodes.iter().filter(|n| n["kind"].get("Param").is_some());
+            let declared: Vec<&Value> = params.map(|n| &n["out_types"]).collect();
+            param_nodes += declared.len();
+            assert!(
+                declared
+                    .iter()
+                    .all(|t| t.as_array().is_some_and(Vec::is_empty)),
+                "{label}: a param node declares a type"
+            );
+
+            let externals = library["externals"].as_array().unwrap();
+            for entry in externals {
+                let names = member_names(&entry["payload"]);
+                assert!(
+                    !names.contains(&"symbol"),
+                    "{label}: a payload states a symbol"
+                );
+            }
+            let called = nodes
+                .iter()
+                .filter_map(|n| n["kind"]["External"]["symbol"].as_str());
+            let called: Vec<&str> = called.collect();
+            assert_eq!(called.is_empty(), p == Permutation::TvmOnly, "{label}");
+            for symbol in &called {
+                let stated = externals
+                    .iter()
+                    .filter(|e| e["symbol"].as_str() == Some(symbol));
+                assert_eq!(stated.count(), 1, "{label}: {symbol} is stated once");
+            }
+            assert_eq!(externals.len(), called.len(), "{label}: one entry per call");
+            libraries += 1;
+        }
+    }
+    assert_eq!(
+        libraries, 9,
+        "four models under two TVM-side modes, one NP-only"
+    );
+    assert!(param_nodes > 0, "the host graphs hold weights");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
