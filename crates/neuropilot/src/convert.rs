@@ -29,9 +29,8 @@ use tvmnp_relay::expr::{CallTarget, Expr, ExprKind, Function, Module};
 use tvmnp_relay::infer::{infer_types, TypeMap};
 use tvmnp_relay::visit::topo_order;
 use tvmnp_relay::{
-    ClipAttrs, ConcatAttrs, Conv2dAttrs, DequantizeAttrs, LeakyReluAttrs, OpKind, PadAttrs,
-    Pool2dAttrs, QnnAddAttrs, QnnConcatAttrs, QnnConv2dAttrs, QnnDenseAttrs, QuantizeAttrs,
-    RequantizeAttrs, ReshapeAttrs, TransposeAttrs,
+    ConcatAttrs, DequantizeAttrs, OpKind, Pool2dAttrs, QnnAddAttrs, QnnConcatAttrs, QnnConv2dAttrs,
+    QnnDenseAttrs, QuantizeAttrs, RequantizeAttrs,
 };
 use tvmnp_tensor::QuantParams;
 
@@ -171,26 +170,13 @@ pub(crate) fn has_op_handler(op_name: &str) -> bool {
 /// attributes deliberately dropped — they move onto tensors).
 fn neuron_kind(op: &OpKind) -> Result<NeuronOpKind, NeuronError> {
     Ok(match op {
-        OpKind::Conv2d(a) => NeuronOpKind::Conv2d {
-            strides: a.strides,
-            padding: a.padding,
-            dilation: a.dilation,
-            groups: a.groups,
-        },
-        OpKind::QnnConv2d(a) => NeuronOpKind::Conv2d {
-            strides: a.conv.strides,
-            padding: a.conv.padding,
-            dilation: a.conv.dilation,
-            groups: a.conv.groups,
-        },
+        OpKind::Conv2d(a) => NeuronOpKind::Conv2d(*a),
+        OpKind::QnnConv2d(a) => NeuronOpKind::Conv2d(a.conv),
         OpKind::Dense | OpKind::QnnDense(_) => NeuronOpKind::FullyConnected,
         OpKind::BiasAdd => NeuronOpKind::BiasAdd,
         OpKind::Relu => NeuronOpKind::Relu,
-        OpKind::LeakyRelu(a) => NeuronOpKind::LeakyRelu { alpha: a.alpha },
-        OpKind::Clip(a) => NeuronOpKind::Clip {
-            min: a.min,
-            max: a.max,
-        },
+        OpKind::LeakyRelu(a) => NeuronOpKind::LeakyRelu(*a),
+        OpKind::Clip(a) => NeuronOpKind::Clip(*a),
         OpKind::Sigmoid => NeuronOpKind::Sigmoid,
         OpKind::Tanh => NeuronOpKind::Tanh,
         OpKind::MaxPool2d(a) => NeuronOpKind::MaxPool2d {
@@ -209,18 +195,11 @@ fn neuron_kind(op: &OpKind) -> Result<NeuronOpKind, NeuronError> {
         OpKind::QnnAdd(_) => NeuronOpKind::Add,
         OpKind::Multiply => NeuronOpKind::Mul,
         OpKind::Maximum => NeuronOpKind::Max,
-        OpKind::Reshape(a) => NeuronOpKind::Reshape {
-            new_shape: a.new_shape.clone(),
-        },
-        OpKind::Transpose(a) => NeuronOpKind::Transpose {
-            axes: a.axes.clone(),
-        },
-        OpKind::Concatenate(a) => NeuronOpKind::Concat { axis: a.axis },
-        OpKind::QnnConcatenate(a) => NeuronOpKind::Concat { axis: a.axis },
-        OpKind::Pad(a) => NeuronOpKind::Pad {
-            pads: a.pads.clone(),
-            value: a.value,
-        },
+        OpKind::Reshape(a) => NeuronOpKind::Reshape(a.clone()),
+        OpKind::Transpose(a) => NeuronOpKind::Transpose(a.clone()),
+        OpKind::Concatenate(a) => NeuronOpKind::Concat(*a),
+        OpKind::QnnConcatenate(a) => NeuronOpKind::Concat(ConcatAttrs { axis: a.axis }),
+        OpKind::Pad(a) => NeuronOpKind::Pad(a.clone()),
         OpKind::BatchFlatten => NeuronOpKind::BatchFlatten,
         OpKind::QnnQuantize(_) => NeuronOpKind::Quantize,
         OpKind::QnnDequantize(_) => NeuronOpKind::Dequantize,
@@ -264,29 +243,18 @@ pub fn relay_op(graph: &NeuronGraph, op: &NeuronOp) -> Result<OpKind, NeuronErro
         count_include_pad: false,
     };
     Ok(match &op.kind {
-        NeuronOpKind::Conv2d {
-            strides,
-            padding,
-            dilation,
-            groups,
-        } => {
-            let conv = Conv2dAttrs {
-                strides: *strides,
-                padding: *padding,
-                dilation: *dilation,
-                groups: *groups,
-            };
+        NeuronOpKind::Conv2d(conv) => {
             let x = operand(0)?;
             if x.dtype.is_quantized() {
                 OpKind::QnnConv2d(QnnConv2dAttrs {
-                    conv,
+                    conv: *conv,
                     input_q: quant(x)?,
                     weight_q: quant(operand(1)?)?,
                     output_q: quant(out)?,
                     out_dtype: out.dtype,
                 })
             } else {
-                OpKind::Conv2d(conv)
+                OpKind::Conv2d(*conv)
             }
         }
         NeuronOpKind::FullyConnected => {
@@ -315,11 +283,8 @@ pub fn relay_op(graph: &NeuronGraph, op: &NeuronOp) -> Result<OpKind, NeuronErro
         } => OpKind::AvgPool2d(pool(*kernel, *strides, *padding)),
         NeuronOpKind::GlobalAvgPool2d => OpKind::GlobalAvgPool2d,
         NeuronOpKind::Relu => OpKind::Relu,
-        NeuronOpKind::LeakyRelu { alpha } => OpKind::LeakyRelu(LeakyReluAttrs { alpha: *alpha }),
-        NeuronOpKind::Clip { min, max } => OpKind::Clip(ClipAttrs {
-            min: *min,
-            max: *max,
-        }),
+        NeuronOpKind::LeakyRelu(a) => OpKind::LeakyRelu(*a),
+        NeuronOpKind::Clip(a) => OpKind::Clip(*a),
         NeuronOpKind::Sigmoid => OpKind::Sigmoid,
         NeuronOpKind::Tanh => OpKind::Tanh,
         NeuronOpKind::Softmax => OpKind::Softmax,
@@ -338,26 +303,19 @@ pub fn relay_op(graph: &NeuronGraph, op: &NeuronOp) -> Result<OpKind, NeuronErro
         }
         NeuronOpKind::Mul => OpKind::Multiply,
         NeuronOpKind::Max => OpKind::Maximum,
-        NeuronOpKind::Reshape { new_shape } => OpKind::Reshape(ReshapeAttrs {
-            new_shape: new_shape.clone(),
-        }),
-        NeuronOpKind::Transpose { axes } => {
-            OpKind::Transpose(TransposeAttrs { axes: axes.clone() })
-        }
-        NeuronOpKind::Concat { axis } if out.dtype.is_quantized() => {
+        NeuronOpKind::Reshape(a) => OpKind::Reshape(a.clone()),
+        NeuronOpKind::Transpose(a) => OpKind::Transpose(a.clone()),
+        NeuronOpKind::Concat(a) if out.dtype.is_quantized() => {
             OpKind::QnnConcatenate(QnnConcatAttrs {
-                axis: *axis,
+                axis: a.axis,
                 input_qs: (0..op.inputs.len())
                     .map(|i| quant(operand(i)?))
                     .collect::<Result<_, _>>()?,
                 output_q: quant(out)?,
             })
         }
-        NeuronOpKind::Concat { axis } => OpKind::Concatenate(ConcatAttrs { axis: *axis }),
-        NeuronOpKind::Pad { pads, value } => OpKind::Pad(PadAttrs {
-            pads: pads.clone(),
-            value: *value,
-        }),
+        NeuronOpKind::Concat(a) => OpKind::Concatenate(*a),
+        NeuronOpKind::Pad(a) => OpKind::Pad(a.clone()),
         NeuronOpKind::BatchFlatten => OpKind::BatchFlatten,
         NeuronOpKind::Quantize => OpKind::QnnQuantize(QuantizeAttrs {
             out: quant(out)?,
@@ -462,11 +420,11 @@ pub fn quant_transparent(kind: &NeuronOpKind) -> bool {
             | NeuronOpKind::AvgPool2d { .. }
             | NeuronOpKind::GlobalAvgPool2d
             | NeuronOpKind::Relu
-            | NeuronOpKind::Clip { .. }
-            | NeuronOpKind::Reshape { .. }
-            | NeuronOpKind::Transpose { .. }
-            | NeuronOpKind::Concat { .. }
-            | NeuronOpKind::Pad { .. }
+            | NeuronOpKind::Clip(_)
+            | NeuronOpKind::Reshape(_)
+            | NeuronOpKind::Transpose(_)
+            | NeuronOpKind::Concat(_)
+            | NeuronOpKind::Pad(_)
             | NeuronOpKind::BatchFlatten
     )
 }
@@ -703,7 +661,7 @@ mod tests {
         // Output tensor carries the operator's output params.
         assert_eq!(g.tensors[g.outputs[0]].quant, Some(qy));
         // The op itself carries no quantization attributes at all.
-        assert!(matches!(g.ops[0].kind, NeuronOpKind::Conv2d { .. }));
+        assert!(matches!(g.ops[0].kind, NeuronOpKind::Conv2d(_)));
     }
 
     #[test]

@@ -10,6 +10,9 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tvmnp_hwsim::{WorkItem, WorkKey};
+use tvmnp_relay::{
+    ClipAttrs, ConcatAttrs, Conv2dAttrs, LeakyReluAttrs, PadAttrs, ReshapeAttrs, TransposeAttrs,
+};
 use tvmnp_tensor::{DType, QuantParams, Shape, Tensor};
 
 /// Index of a tensor within its [`NeuronGraph`].
@@ -47,20 +50,14 @@ impl NeuronTensor {
 /// Operator vocabulary of Neuron IR.
 ///
 /// Quantized and float variants share one opcode; the operand tensors'
-/// dtypes/quant params select the arithmetic.
+/// dtypes/quant params select the arithmetic. An opcode with attributes
+/// carries the Relay attribute struct of the op it converts from; the
+/// pools state their fields, because Neuron IR has no
+/// `count_include_pad`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NeuronOpKind {
     /// 2-D convolution.
-    Conv2d {
-        /// Stride (h, w).
-        strides: (usize, usize),
-        /// Padding (top, left, bottom, right).
-        padding: (usize, usize, usize, usize),
-        /// Dilation (h, w).
-        dilation: (usize, usize),
-        /// Feature groups.
-        groups: usize,
-    },
+    Conv2d(Conv2dAttrs),
     /// Fully connected layer.
     FullyConnected,
     /// Per-channel bias add.
@@ -88,17 +85,9 @@ pub enum NeuronOpKind {
     /// Rectified linear unit.
     Relu,
     /// Leaky ReLU.
-    LeakyRelu {
-        /// Negative slope.
-        alpha: f32,
-    },
+    LeakyRelu(LeakyReluAttrs),
     /// Clamp to `[min, max]`.
-    Clip {
-        /// Lower bound.
-        min: f32,
-        /// Upper bound.
-        max: f32,
-    },
+    Clip(ClipAttrs),
     /// Logistic sigmoid.
     Sigmoid,
     /// Hyperbolic tangent.
@@ -112,27 +101,13 @@ pub enum NeuronOpKind {
     /// Element-wise maximum.
     Max,
     /// Static reshape.
-    Reshape {
-        /// Target shape.
-        new_shape: Vec<usize>,
-    },
+    Reshape(ReshapeAttrs),
     /// Axis permutation.
-    Transpose {
-        /// Permutation.
-        axes: Vec<usize>,
-    },
+    Transpose(TransposeAttrs),
     /// Concatenation.
-    Concat {
-        /// Join axis.
-        axis: usize,
-    },
+    Concat(ConcatAttrs),
     /// Constant padding.
-    Pad {
-        /// Per-dim (before, after).
-        pads: Vec<(usize, usize)>,
-        /// Fill value (real domain).
-        value: f32,
-    },
+    Pad(PadAttrs),
     /// Collapse all but the batch dim.
     BatchFlatten,
     /// Float → quantized.
@@ -147,25 +122,25 @@ impl NeuronOpKind {
     /// Stable opcode name for diagnostics and support matrices.
     pub fn name(&self) -> &'static str {
         match self {
-            NeuronOpKind::Conv2d { .. } => "CONV_2D",
+            NeuronOpKind::Conv2d(_) => "CONV_2D",
             NeuronOpKind::FullyConnected => "FULLY_CONNECTED",
             NeuronOpKind::BiasAdd => "BIAS_ADD",
             NeuronOpKind::MaxPool2d { .. } => "MAX_POOL_2D",
             NeuronOpKind::AvgPool2d { .. } => "AVERAGE_POOL_2D",
             NeuronOpKind::GlobalAvgPool2d => "GLOBAL_AVERAGE_POOL_2D",
             NeuronOpKind::Relu => "RELU",
-            NeuronOpKind::LeakyRelu { .. } => "LEAKY_RELU",
-            NeuronOpKind::Clip { .. } => "CLIP",
+            NeuronOpKind::LeakyRelu(_) => "LEAKY_RELU",
+            NeuronOpKind::Clip(_) => "CLIP",
             NeuronOpKind::Sigmoid => "LOGISTIC",
             NeuronOpKind::Tanh => "TANH",
             NeuronOpKind::Softmax => "SOFTMAX",
             NeuronOpKind::Add => "ADD",
             NeuronOpKind::Mul => "MUL",
             NeuronOpKind::Max => "MAXIMUM",
-            NeuronOpKind::Reshape { .. } => "RESHAPE",
-            NeuronOpKind::Transpose { .. } => "TRANSPOSE",
-            NeuronOpKind::Concat { .. } => "CONCATENATION",
-            NeuronOpKind::Pad { .. } => "PAD",
+            NeuronOpKind::Reshape(_) => "RESHAPE",
+            NeuronOpKind::Transpose(_) => "TRANSPOSE",
+            NeuronOpKind::Concat(_) => "CONCATENATION",
+            NeuronOpKind::Pad(_) => "PAD",
             NeuronOpKind::BatchFlatten => "FLATTEN",
             NeuronOpKind::Quantize => "QUANTIZE",
             NeuronOpKind::Dequantize => "DEQUANTIZE",
@@ -177,16 +152,16 @@ impl NeuronOpKind {
     /// Relay operator it lifts to ([`crate::convert::relay_op`]).
     pub fn work_key(&self) -> WorkKey {
         match self {
-            NeuronOpKind::Conv2d { .. } | NeuronOpKind::FullyConnected => WorkKey::Mac,
+            NeuronOpKind::Conv2d(_) | NeuronOpKind::FullyConnected => WorkKey::Mac,
             NeuronOpKind::MaxPool2d { kernel, .. } | NeuronOpKind::AvgPool2d { kernel, .. } => {
                 WorkKey::Window(kernel.0, kernel.1)
             }
             NeuronOpKind::GlobalAvgPool2d => WorkKey::ReduceInput,
             NeuronOpKind::Softmax => WorkKey::Softmax,
-            NeuronOpKind::Reshape { .. }
-            | NeuronOpKind::Transpose { .. }
-            | NeuronOpKind::Concat { .. }
-            | NeuronOpKind::Pad { .. }
+            NeuronOpKind::Reshape(_)
+            | NeuronOpKind::Transpose(_)
+            | NeuronOpKind::Concat(_)
+            | NeuronOpKind::Pad(_)
             | NeuronOpKind::BatchFlatten => WorkKey::DataMovement,
             _ => WorkKey::Elementwise(1),
         }
@@ -289,7 +264,7 @@ impl NeuronGraph {
         for (k, op) in self.ops.iter().enumerate() {
             let name = op.kind.name();
             let rank = match op.kind {
-                NeuronOpKind::Conv2d { .. } => 4,
+                NeuronOpKind::Conv2d(_) => 4,
                 NeuronOpKind::FullyConnected => 2,
                 _ => 0,
             };

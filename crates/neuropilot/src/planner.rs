@@ -179,6 +179,7 @@ mod tests {
     use crate::nir::{NeuronOp, NeuronOpKind, NeuronTensor};
     use crate::CompiledNetwork;
     use tvmnp_hwsim::{CostEntry, CostModel, CostRole};
+    use tvmnp_relay::Conv2dAttrs;
     use tvmnp_tensor::DType;
 
     /// The `dispatch` and `transfer` entries of `g` compiled under `policy`:
@@ -222,12 +223,7 @@ mod tests {
         let y = g.add_tensor(act("y"));
         g.inputs = vec![x];
         g.outputs = vec![y];
-        let conv = NeuronOpKind::Conv2d {
-            strides: (1, 1),
-            padding: (0, 0, 0, 0),
-            dilation: (1, 1),
-            groups: 1,
-        };
+        let conv = NeuronOpKind::Conv2d(Conv2dAttrs::default());
         g.add_op(NeuronOp {
             kind: conv.clone(),
             inputs: vec![x, w1],
@@ -305,12 +301,7 @@ mod tests {
         g.inputs = vec![x];
         g.outputs = vec![z];
         g.add_op(NeuronOp {
-            kind: NeuronOpKind::Conv2d {
-                strides: (1, 1),
-                padding: (1, 1, 1, 1),
-                dilation: (1, 1),
-                groups: 1,
-            },
+            kind: NeuronOpKind::Conv2d(Conv2dAttrs::same(1)),
             inputs: vec![x, w],
             outputs: vec![y],
         });

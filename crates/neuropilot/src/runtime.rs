@@ -322,7 +322,9 @@ mod tests {
     use tvmnp_relay::builder;
     use tvmnp_relay::expr::{call, var, Function, Module};
     use tvmnp_relay::interp::run_module;
-    use tvmnp_relay::{Conv2dAttrs, DequantizeAttrs, QnnConv2dAttrs, QuantizeAttrs, TensorType};
+    use tvmnp_relay::{
+        ConcatAttrs, Conv2dAttrs, DequantizeAttrs, QnnConv2dAttrs, QuantizeAttrs, TensorType,
+    };
     use tvmnp_tensor::rng::TensorRng;
     use tvmnp_tensor::{DType, QuantParams};
 
@@ -446,7 +448,7 @@ mod tests {
         let graph = NeuronGraph {
             tensors: vec![t("x", [1, 2]), t("ghost", [1, 2]), t("y", [1, 4])],
             ops: vec![NeuronOp {
-                kind: NeuronOpKind::Concat { axis: 1 },
+                kind: NeuronOpKind::Concat(ConcatAttrs { axis: 1 }),
                 inputs: vec![0, 1],
                 outputs: vec![2],
             }],

@@ -45,7 +45,7 @@ pub fn device_supports(device: DeviceKind, op: &NeuronOpKind) -> bool {
             op,
             NeuronOpKind::Sigmoid
                 | NeuronOpKind::Tanh
-                | NeuronOpKind::LeakyRelu { .. }
+                | NeuronOpKind::LeakyRelu(_)
                 | NeuronOpKind::Mul
                 | NeuronOpKind::Max
         ),
@@ -143,12 +143,7 @@ mod tests {
         assert!(device_supports(DeviceKind::Apu, &NeuronOpKind::Softmax));
         assert!(device_supports(
             DeviceKind::Apu,
-            &NeuronOpKind::Conv2d {
-                strides: (1, 1),
-                padding: (0, 0, 0, 0),
-                dilation: (1, 1),
-                groups: 1
-            }
+            &NeuronOpKind::Conv2d(Conv2dAttrs::default())
         ));
     }
 

@@ -8,84 +8,10 @@
 use serde::{Deserialize, Serialize};
 use tvmnp_tensor::{DType, QuantParams};
 
-/// `nn.conv2d` / `qnn.conv2d` spatial attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Conv2dAttrs {
-    /// Stride (h, w).
-    pub strides: (usize, usize),
-    /// Padding (top, left, bottom, right).
-    pub padding: (usize, usize, usize, usize),
-    /// Dilation (h, w).
-    pub dilation: (usize, usize),
-    /// Feature groups (`groups == in_channels` is depthwise).
-    pub groups: usize,
-}
-
-impl Default for Conv2dAttrs {
-    fn default() -> Self {
-        Conv2dAttrs {
-            strides: (1, 1),
-            padding: (0, 0, 0, 0),
-            dilation: (1, 1),
-            groups: 1,
-        }
-    }
-}
-
-impl Conv2dAttrs {
-    /// Symmetric "same" padding constructor.
-    pub fn same(pad: usize) -> Self {
-        Conv2dAttrs {
-            padding: (pad, pad, pad, pad),
-            ..Default::default()
-        }
-    }
-
-    /// Convert into the kernel-side parameter struct.
-    pub fn to_kernel(&self) -> tvmnp_tensor::kernels::Conv2dParams {
-        tvmnp_tensor::kernels::Conv2dParams {
-            strides: self.strides,
-            padding: self.padding,
-            dilation: self.dilation,
-            groups: self.groups,
-        }
-    }
-}
-
-/// `nn.max_pool2d` / `nn.avg_pool2d` attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Pool2dAttrs {
-    /// Window (h, w).
-    pub kernel: (usize, usize),
-    /// Stride (h, w).
-    pub strides: (usize, usize),
-    /// Padding (top, left, bottom, right).
-    pub padding: (usize, usize, usize, usize),
-    /// Average-pool denominator policy.
-    pub count_include_pad: bool,
-}
-
-impl Pool2dAttrs {
-    /// Square window with stride = window.
-    pub fn square(k: usize) -> Self {
-        Pool2dAttrs {
-            kernel: (k, k),
-            strides: (k, k),
-            padding: (0, 0, 0, 0),
-            count_include_pad: false,
-        }
-    }
-
-    /// Convert into the kernel-side parameter struct.
-    pub fn to_kernel(&self) -> tvmnp_tensor::kernels::Pool2dParams {
-        tvmnp_tensor::kernels::Pool2dParams {
-            kernel: self.kernel,
-            strides: self.strides,
-            padding: self.padding,
-            count_include_pad: self.count_include_pad,
-        }
-    }
-}
+/// `nn.conv2d` / `qnn.conv2d` spatial attributes and `nn.max_pool2d` /
+/// `nn.avg_pool2d` attributes are the kernels' parameter structs: one
+/// record from the call through Neuron IR to the kernel.
+pub use tvmnp_tensor::kernels::{Conv2dParams as Conv2dAttrs, Pool2dParams as Pool2dAttrs};
 
 /// `nn.batch_norm` attributes (inference form; returns a single tensor).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -11,6 +11,7 @@
 use crate::expr::{Expr, ExprKind, Module};
 use crate::visit::post_order;
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// 64-bit FNV-1a — tiny, dependency-free, and stable across platforms.
 #[derive(Clone, Copy)]
@@ -38,6 +39,14 @@ impl Fnv64 {
     fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
         self.write(s.as_bytes());
+    }
+
+    /// `write_str` of `value`'s `Debug` text, rendered into `text`, the
+    /// one buffer every node of a function reuses.
+    fn write_debug(&mut self, text: &mut String, value: &impl std::fmt::Debug) {
+        text.clear();
+        let _ = write!(text, "{value:?}");
+        self.write_str(text);
     }
 
     fn finish(self) -> u64 {
@@ -68,12 +77,13 @@ pub fn module_fingerprint(module: &Module) -> String {
 /// (diamond vs duplicated subtree) is part of the digest.
 fn hash_function_body(h: &mut Fnv64, params: &[Expr], body: &Expr) {
     let mut ordinal: HashMap<usize, u64> = HashMap::new();
+    let mut text = String::new();
     // Parameters first, in declaration order, so `f(x, y)` and `f(y, x)`
     // differ even when the bodies are symmetric.
     for (i, p) in params.iter().enumerate() {
         ordinal.insert(p.id, i as u64);
         h.write_u64(i as u64);
-        hash_node_payload(h, p);
+        hash_node_payload(h, &mut text, p);
     }
     let mut next = params.len() as u64;
     post_order(body, |e| {
@@ -83,7 +93,7 @@ fn hash_function_body(h: &mut Fnv64, params: &[Expr], body: &Expr) {
         ordinal.insert(e.id, next);
         h.write_u64(next);
         next += 1;
-        hash_node_payload(h, e);
+        hash_node_payload(h, &mut text, e);
         for a in e.args() {
             // Children precede parents in post-order, so the ordinal is
             // always present.
@@ -94,18 +104,18 @@ fn hash_function_body(h: &mut Fnv64, params: &[Expr], body: &Expr) {
 }
 
 /// Hash one node's own payload (not its edges).
-fn hash_node_payload(h: &mut Fnv64, e: &Expr) {
+fn hash_node_payload(h: &mut Fnv64, text: &mut String, e: &Expr) {
     match &e.kind {
         ExprKind::Var(v) => {
             h.write_str("var");
             h.write_str(&v.name);
-            h.write_str(&format!("{:?}", v.ty));
+            h.write_debug(text, &v.ty);
         }
         ExprKind::Constant(c) => {
             h.write_str("const");
-            h.write_str(&format!("{:?}", c.value.shape()));
-            h.write_str(&format!("{:?}", c.value.dtype()));
-            h.write_str(&format!("{:?}", c.value.quant()));
+            h.write_debug(text, c.value.shape());
+            h.write_debug(text, &c.value.dtype());
+            h.write_debug(text, &c.value.quant());
             hash_tensor_payload(h, &c.value);
         }
         ExprKind::Call(call) => {
@@ -115,7 +125,7 @@ fn hash_node_payload(h: &mut Fnv64, e: &Expr) {
                     // Debug form includes the attribute structs (strides,
                     // padding, quant params …), which is exactly the
                     // compile-relevant content.
-                    h.write_str(&format!("{op:?}"));
+                    h.write_debug(text, op);
                 }
                 crate::expr::CallTarget::Global(g) => {
                     h.write_str("global");

@@ -146,7 +146,7 @@ pub fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
             expect_args(2).or_else(|_| expect_args(3))?;
             let x = tensor_arg(args, 0, name)?;
             let w = tensor_arg(args, 1, name)?;
-            conv_out(x, w, &a.to_kernel(), x.dtype, name)
+            conv_out(x, w, a, x.dtype, name)
         }
         OpKind::QnnConv2d(a) => {
             expect_args(2).or_else(|_| expect_args(3))?;
@@ -155,7 +155,7 @@ pub fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
             if !x.dtype.is_quantized() || !w.dtype.is_quantized() {
                 return Err(terr(format!("{name}: operands must be quantized")));
             }
-            conv_out(x, w, &a.conv.to_kernel(), a.out_dtype, name)
+            conv_out(x, w, &a.conv, a.out_dtype, name)
         }
         OpKind::Dense => {
             expect_args(2).or_else(|_| expect_args(3))?;
@@ -222,7 +222,7 @@ pub fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
         OpKind::MaxPool2d(a) | OpKind::AvgPool2d(a) => {
             expect_args(1)?;
             let x = tensor_arg(args, 0, name)?;
-            pool_out(x, &a.to_kernel(), name)
+            pool_out(x, a, name)
         }
         OpKind::GlobalAvgPool2d => {
             expect_args(1)?;

@@ -215,7 +215,7 @@ pub fn eval_op(op: &OpKind, args: &[&Tensor]) -> Result<Tensor, RunError> {
     match op {
         OpKind::Conv2d(a) => {
             let bias = if args.len() > 2 { Some(t(2)?) } else { None };
-            ok(kernels::conv2d_f32(t(0)?, t(1)?, bias, &a.to_kernel()))
+            ok(kernels::conv2d_f32(t(0)?, t(1)?, bias, a))
         }
         OpKind::QnnConv2d(a) => {
             let bias = if args.len() > 2 { Some(t(2)?) } else { None };
@@ -225,13 +225,7 @@ pub fn eval_op(op: &OpKind, args: &[&Tensor]) -> Result<Tensor, RunError> {
                 output: a.output_q,
                 out_dtype: a.out_dtype,
             };
-            ok(kernels::qconv2d(
-                t(0)?,
-                t(1)?,
-                bias,
-                &a.conv.to_kernel(),
-                &q,
-            ))
+            ok(kernels::qconv2d(t(0)?, t(1)?, bias, &a.conv, &q))
         }
         OpKind::Dense => {
             let bias = if args.len() > 2 { Some(t(2)?) } else { None };
@@ -252,10 +246,10 @@ pub fn eval_op(op: &OpKind, args: &[&Tensor]) -> Result<Tensor, RunError> {
         OpKind::BiasAdd => ok(kernels::bias_add(t(0)?, t(1)?)),
         OpKind::BatchNorm(a) => {
             let p = kernels::BatchNormParams {
-                gamma: t(1)?.clone(),
-                beta: t(2)?.clone(),
-                mean: t(3)?.clone(),
-                var: t(4)?.clone(),
+                gamma: t(1)?,
+                beta: t(2)?,
+                mean: t(3)?,
+                var: t(4)?,
                 epsilon: a.epsilon,
             };
             ok(kernels::batch_norm_f32(t(0)?, &p))
@@ -268,8 +262,8 @@ pub fn eval_op(op: &OpKind, args: &[&Tensor]) -> Result<Tensor, RunError> {
         OpKind::Exp => ok(kernels::unary(t(0)?, UnaryOp::Exp)),
         OpKind::Sqrt => ok(kernels::unary(t(0)?, UnaryOp::Sqrt)),
         OpKind::Negative => ok(kernels::unary(t(0)?, UnaryOp::Neg)),
-        OpKind::MaxPool2d(a) => ok(kernels::max_pool2d(t(0)?, &a.to_kernel())),
-        OpKind::AvgPool2d(a) => ok(kernels::avg_pool2d(t(0)?, &a.to_kernel())),
+        OpKind::MaxPool2d(a) => ok(kernels::max_pool2d(t(0)?, a)),
+        OpKind::AvgPool2d(a) => ok(kernels::avg_pool2d(t(0)?, a)),
         OpKind::GlobalAvgPool2d => ok(kernels::global_avg_pool2d(t(0)?)),
         OpKind::Softmax => ok(kernels::softmax_f32(t(0)?)),
         OpKind::LogSoftmax => ok(kernels::log_softmax_f32(t(0)?)),

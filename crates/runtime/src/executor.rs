@@ -281,12 +281,26 @@ pub fn work_key(op: &OpKind) -> WorkKey {
 /// entries, and a module → host transfer per result. Every entry carries
 /// its node, so a node's entries are the next run of that node index. A
 /// param's shape and dtype are its tensor's; a param node declaring a type
-/// too is refused by node.
+/// too, or an input or op node not declaring exactly one, is refused by
+/// node.
 fn compile(
     graph: &ExecutorGraph,
     modules: &ModuleRegistry,
     cost: &CostModel,
 ) -> Result<(Vec<CostEntry>, StepPlan), ExecError> {
+    for (idx, node) in graph.nodes.iter().enumerate() {
+        let n = node.out_types.len();
+        let msg = match node.kind {
+            NodeKind::Param { .. } if n != 0 => {
+                format!("node#{idx} is a param that declares a type")
+            }
+            NodeKind::Input { .. } | NodeKind::Op { .. } if n != 1 => {
+                format!("node#{idx} declares {n} types, expects 1")
+            }
+            _ => continue,
+        };
+        return Err(ExecError::new(msg).with_node(format!("node#{idx}")));
+    }
     // Every read is now an earlier output, an input or a param in range.
     let plan = StepPlan::new(graph)?;
     let operand = |r: &NodeRef| match graph.nodes[r.node].kind {
@@ -302,10 +316,6 @@ fn compile(
     let mut groups_dispatched: HashSet<usize> = HashSet::with_capacity(graph.nodes.len());
     for (idx, node) in graph.nodes.iter().enumerate() {
         match &node.kind {
-            NodeKind::Param { .. } if !node.out_types.is_empty() => {
-                let msg = format!("node#{idx} is a param that declares a type");
-                return Err(ExecError::new(msg).with_node(format!("node#{idx}")));
-            }
             NodeKind::Input { .. } | NodeKind::Param { .. } => {}
             NodeKind::Op { op, inputs, group } => {
                 let (args, out) = (inputs.iter().map(operand), &node.out_types[0]);

@@ -17,11 +17,12 @@
 use super::{kerr, KernelError};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Spatial attributes of a 2-D convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Spatial attributes of a 2-D convolution, also Relay's `Conv2dAttrs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Conv2dParams {
     /// Vertical/horizontal stride.
     pub strides: (usize, usize),

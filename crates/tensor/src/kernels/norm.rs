@@ -4,22 +4,22 @@ use super::{kerr, KernelError};
 use crate::tensor::Tensor;
 
 /// Inference-mode batch norm parameters (per channel, axis 1 of NCHW).
-#[derive(Debug, Clone)]
-pub struct BatchNormParams {
+#[derive(Debug, Clone, Copy)]
+pub struct BatchNormParams<'a> {
     /// Learned scale γ, shape `[c]`.
-    pub gamma: Tensor,
+    pub gamma: &'a Tensor,
     /// Learned shift β, shape `[c]`.
-    pub beta: Tensor,
+    pub beta: &'a Tensor,
     /// Running mean, shape `[c]`.
-    pub mean: Tensor,
+    pub mean: &'a Tensor,
     /// Running variance, shape `[c]`.
-    pub var: Tensor,
+    pub var: &'a Tensor,
     /// Stabilizer added to the variance.
     pub epsilon: f32,
 }
 
 /// `y = γ (x - μ) / sqrt(σ² + ε) + β`, per channel on `NCHW` input.
-pub fn batch_norm_f32(input: &Tensor, p: &BatchNormParams) -> Result<Tensor, KernelError> {
+pub fn batch_norm_f32(input: &Tensor, p: &BatchNormParams<'_>) -> Result<Tensor, KernelError> {
     let dims = input.shape().dims();
     if dims.len() != 4 {
         return Err(kerr("batch_norm expects rank-4 NCHW input".to_string()));
@@ -89,10 +89,10 @@ mod tests {
     fn identity_batch_norm() {
         let x = Tensor::from_f32([1, 2, 1, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let p = BatchNormParams {
-            gamma: ones(2),
-            beta: zeros(2),
-            mean: zeros(2),
-            var: ones(2),
+            gamma: &ones(2),
+            beta: &zeros(2),
+            mean: &zeros(2),
+            var: &ones(2),
             epsilon: 0.0,
         };
         let y = batch_norm_f32(&x, &p).unwrap();
@@ -103,10 +103,10 @@ mod tests {
     fn normalizes_mean_and_var() {
         let x = Tensor::from_f32([1, 1, 1, 2], vec![8.0, 12.0]).unwrap();
         let p = BatchNormParams {
-            gamma: ones(1),
-            beta: zeros(1),
-            mean: Tensor::from_f32([1], vec![10.0]).unwrap(),
-            var: Tensor::from_f32([1], vec![4.0]).unwrap(),
+            gamma: &ones(1),
+            beta: &zeros(1),
+            mean: &Tensor::from_f32([1], vec![10.0]).unwrap(),
+            var: &Tensor::from_f32([1], vec![4.0]).unwrap(),
             epsilon: 0.0,
         };
         let y = batch_norm_f32(&x, &p).unwrap();
@@ -117,10 +117,10 @@ mod tests {
     fn gamma_beta_applied() {
         let x = Tensor::from_f32([1, 1, 1, 1], vec![1.0]).unwrap();
         let p = BatchNormParams {
-            gamma: Tensor::from_f32([1], vec![2.0]).unwrap(),
-            beta: Tensor::from_f32([1], vec![3.0]).unwrap(),
-            mean: zeros(1),
-            var: ones(1),
+            gamma: &Tensor::from_f32([1], vec![2.0]).unwrap(),
+            beta: &Tensor::from_f32([1], vec![3.0]).unwrap(),
+            mean: &zeros(1),
+            var: &ones(1),
             epsilon: 0.0,
         };
         let y = batch_norm_f32(&x, &p).unwrap();

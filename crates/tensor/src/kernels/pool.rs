@@ -10,10 +10,11 @@
 use super::conv::{f32_payload, padded, BLOCK};
 use super::{kerr, KernelError};
 use crate::tensor::{with_payload, Data, Elem, IntElem, Tensor};
+use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Attributes of a 2-D pooling op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Attributes of a 2-D pooling op, also Relay's `Pool2dAttrs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Pool2dParams {
     /// Pooling window (h, w).
     pub kernel: (usize, usize),

@@ -2213,8 +2213,8 @@ fn every_model_geometry_matches_direct_loop() {
                 OpKind::Conv2d(a) => {
                     let (x, w, b) = (p.f32s(dims), constant(1).expect("weights"), constant(2));
                     assert_same_bits(
-                        kernels::conv2d_f32(&x, &w, b.as_ref(), &a.to_kernel()),
-                        reference::conv2d_f32(&x, &w, b.as_ref(), &a.to_kernel()),
+                        kernels::conv2d_f32(&x, &w, b.as_ref(), a),
+                        reference::conv2d_f32(&x, &w, b.as_ref(), a),
                         &what,
                     );
                     convs += 1;
@@ -2229,8 +2229,8 @@ fn every_model_geometry_matches_direct_loop() {
                         out_dtype: a.out_dtype,
                     };
                     assert_same_bits(
-                        kernels::qconv2d(&x, &w, b.as_ref(), &a.conv.to_kernel(), &q),
-                        reference::qconv2d(&x, &w, b.as_ref(), &a.conv.to_kernel(), &q),
+                        kernels::qconv2d(&x, &w, b.as_ref(), &a.conv, &q),
+                        reference::qconv2d(&x, &w, b.as_ref(), &a.conv, &q),
                         &what,
                     );
                     convs += 1;

@@ -138,6 +138,31 @@ for f in $(find crates/neuropilot/src -name '*.rs' | sort); do
     fi
 done
 
+# And an operator's attributes are one struct (DESIGN.md, the `tensor`,
+# `relay` and `neuropilot` rows): Relay's conv and pool attributes are the
+# kernels' parameter structs, and a Neuron opcode carries the Relay
+# attribute struct of the op it converts from, so no second declaration,
+# no conversion between two, and no opcode field restating one may grow
+# back. The pools keep their own fields: Neuron IR has no
+# `count_include_pad`.
+relay_code=$(for f in $(find crates/relay/src -name '*.rs' | sort); do
+    awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if grep -E 'struct (Conv2dAttrs|Pool2dAttrs)\b|fn to_kernel\b' <<<"$relay_code" ||
+    awk '/enum NeuronOpKind[ {]/ { inside = 1; next }
+        !inside { next }
+        /^}/ { exit }
+        { line = $0; sub(/\/\/.*/, "", line) }
+        line ~ /(MaxPool2d|AvgPool2d) *\{/ { pool = line !~ /\}/; next }
+        pool { if (line ~ /\}/) pool = 0; next }
+        line ~ /(^|[^A-Za-z0-9_])(strides|dilation|groups|alpha|new_shape|axes|axis|pads) *:/ {
+            print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }' crates/neuropilot/src/nir.rs; then
+    echo "one-attribute-struct gate: relay restates the kernels' conv / pool parameters or a Neuron opcode restates a Relay attribute field" >&2
+    exit 1
+fi
+
 # And a node is one span (DESIGN.md "The cost ledger"): a measured profile
 # is read off the cost ledger, so no telemetry detail mode, per-kernel
 # executor span or per-node series may grow back as a second copy of it.

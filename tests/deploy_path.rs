@@ -663,3 +663,117 @@ proptest! {
         prop_assert_eq!(serde_json::parse_value(&value.to_string()).unwrap(), value);
     }
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The bytes at the file boundary are pinned: `export_library`'s file of
+/// every showcase model under TVM-only and BYOC CPU+APU, and the NP-only
+/// disk-tier file less its `key` (the key hashes the module's `Debug`
+/// text, so it is not a file-format fact). A change to how an operator's
+/// attributes are held in memory must not move a byte of any of them.
+#[test]
+fn exported_library_bytes_are_pinned() {
+    let cost = CostModel::default();
+    let dir = scratch_dir("library-bytes");
+    let mut digests = Vec::new();
+    for model in showcase_models() {
+        for p in MODES {
+            let label = format!("{} / {}", model.name, p.label());
+            let bytes = if p == Permutation::NpCpuApu {
+                let cache = ArtifactCache::new(usize::MAX).with_disk_dir(&dir);
+                let quant = quant(&model);
+                if cache
+                    .get_or_build(&model.module, p.mode(), &cost, &quant)
+                    .is_err()
+                {
+                    continue;
+                }
+                let key = ArtifactCache::key(&model.module, p.mode(), &quant);
+                let text = std::fs::read_to_string(dir.join(format!("{key}.json"))).unwrap();
+                let mut file = serde_json::parse_value(&text).unwrap();
+                let Value::Object(members) = &mut file else {
+                    panic!("{label}: the file is an object");
+                };
+                assert!(members.remove("key").is_some(), "{label}: keyed");
+                file.to_string().into_bytes()
+            } else {
+                let (_, artifact) =
+                    relay_build_with_artifact(&model.module, p.mode(), cost.clone()).unwrap();
+                let lib = dir.join("model.so.json");
+                artifact.unwrap().export_library(&lib).unwrap();
+                std::fs::read(&lib).unwrap()
+            };
+            let (digest, n) = (fnv1a(&bytes), bytes.len());
+            digests.push(format!("{label}: {digest:016x} {n}"));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let want = [
+        "anti-spoofing / TVM-only: 3d9418767fca9536 1060432",
+        "anti-spoofing / BYOC CPU+APU: 183f6acb8a2a864c 1065253",
+        "emotion-detection / TVM-only: 2ed82c28e28dd02e 1005742",
+        "emotion-detection / BYOC CPU+APU: 739e4deeda92ddc6 1006700",
+        "emotion-detection / NP-only CPU+APU: b0fbe65d857ac405 1006336",
+        "mobilenet-ssd-quant / TVM-only: f444b74b156dfe72 93950",
+        "mobilenet-ssd-quant / BYOC CPU+APU: a7880166b4d5432c 94412",
+        "yolov3-tiny / TVM-only: 054a1c969fbb2fbd 316645",
+        "yolov3-tiny / BYOC CPU+APU: 8442128eabed235f 319086",
+    ];
+    assert_eq!(digests, want);
+}
+
+/// A library whose `Input` or `Op` node does not declare exactly one type
+/// — the executor prices and binds each by that type — is refused when
+/// the executor is made, by node, never a panic. The file is otherwise
+/// the emotion model's TVM-only export, loaded as a phone would.
+#[test]
+fn a_node_without_its_one_type_is_refused_by_node() {
+    let cost = CostModel::default();
+    let phone = phone(&cost);
+    let dir = scratch_dir("untyped-node");
+    let model = emotion::emotion_model(2);
+    let (_, artifact) =
+        relay_build_with_artifact(&model.module, TargetMode::TvmOnly, cost.clone()).unwrap();
+    let lib = dir.join("model.so.json");
+    artifact.unwrap().export_library(&lib).unwrap();
+    let exported = serde_json::parse_value(&std::fs::read_to_string(&lib).unwrap()).unwrap();
+    let nodes = exported["graph"]["nodes"].as_array().unwrap();
+    let first = |kind: &str| nodes.iter().position(|n| n["kind"].get(kind).is_some());
+    let (input, op) = (first("Input").unwrap(), first("Op").unwrap());
+    let typed = |k: usize| nodes[k]["out_types"].as_array().unwrap()[0].clone();
+    for (k, types) in [
+        (input, vec![]),
+        (op, vec![]),
+        (op, vec![typed(op), typed(op)]),
+    ] {
+        let mut file = exported.clone();
+        let Value::Object(members) = &mut file else {
+            unreachable!("a library is an object")
+        };
+        let Some(Value::Object(graph)) = members.get_mut("graph") else {
+            unreachable!("a library has a graph")
+        };
+        let Some(Value::Array(nodes)) = graph.get_mut("nodes") else {
+            unreachable!("a graph has nodes")
+        };
+        let Value::Object(node) = &mut nodes[k] else {
+            unreachable!("a node is an object")
+        };
+        let n = types.len();
+        node.insert("out_types".into(), Value::Array(types));
+        std::fs::write(&lib, file.to_string()).unwrap();
+        let loaded = Artifact::load_library(&lib).unwrap();
+        let err = phone.load(&loaded).err().expect("refused");
+        assert_eq!(err.context().node, Some(format!("node#{k}")));
+        assert_eq!(
+            err.message(),
+            format!("node#{k} declares {n} types, expects 1")
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -32,7 +32,7 @@ fn neuron_ir_is_tensor_oriented() {
         assert!(graph
             .ops
             .iter()
-            .any(|op| matches!(op.kind, NeuronOpKind::Conv2d { .. })));
+            .any(|op| matches!(op.kind, NeuronOpKind::Conv2d(_))));
     }
 }
 
@@ -72,10 +72,7 @@ fn propagation_covers_non_qnn_ops() {
         // Find quant-transparent ops and check their outputs carry params
         // whenever the tensor is quantized.
         for op in &graph.ops {
-            if matches!(
-                op.kind,
-                NeuronOpKind::Reshape { .. } | NeuronOpKind::Clip { .. }
-            ) {
+            if matches!(op.kind, NeuronOpKind::Reshape(_) | NeuronOpKind::Clip(_)) {
                 for &o in &op.outputs {
                     let t = &graph.tensors[o];
                     if t.dtype.is_quantized() {
@@ -128,11 +125,11 @@ fn propagation_chains_through_reshape_then_concat() {
         let graph = convert_function(&partitioned.functions[name]).unwrap();
         for op in &graph.ops {
             let relevant = match op.kind {
-                NeuronOpKind::Reshape { .. } => {
+                NeuronOpKind::Reshape(_) => {
                     saw_reshape = true;
                     true
                 }
-                NeuronOpKind::Concat { .. } => {
+                NeuronOpKind::Concat(_) => {
                     saw_concat = true;
                     true
                 }
