@@ -24,7 +24,7 @@ use tvm_neuropilot::relay::passes::{
 ///    policies.
 ///
 /// `tvmnp ablation [--profile] [--trace-out <path>]`
-pub fn ablation(telem: &mut Session) {
+pub(crate) fn ablation(telem: &mut Session) {
     let cost = CostModel::default();
 
     // ---- 1. BN folding ---------------------------------------------------

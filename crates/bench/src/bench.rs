@@ -112,7 +112,7 @@ impl FromStr for Slowdown {
 
 /// The parsed `bench` flags.
 #[derive(Default)]
-pub struct BenchCli {
+pub(crate) struct BenchCli {
     workload: Option<&'static Workload>,
     bench_out: Option<PathBuf>,
     check_against: Option<PathBuf>,
@@ -125,7 +125,7 @@ pub struct BenchCli {
 impl BenchCli {
     /// `bench`'s own four flags, then the serving flags, then the two
     /// measured-profile flags.
-    pub fn flags(&mut self) -> Vec<Flag<'_>> {
+    pub(crate) fn flags(&mut self) -> Vec<Flag<'_>> {
         let mut flags = vec![
             Flag::value("--workload", WORKLOAD_NAMES, &mut self.workload, |_| true),
             Flag::path("--bench-out", "path", &mut self.bench_out),
@@ -368,7 +368,7 @@ fn resilience_metrics(plan: &FaultPlan, cost: &CostModel) -> Metrics {
 /// directory, or one profile file) prints the ranked attribution against
 /// it, and a failing `--check-against` names its top cell as the likely
 /// cause.
-pub fn bench(argv: &[String]) -> ExitCode {
+pub(crate) fn bench(argv: &[String]) -> ExitCode {
     let mut args = BenchCli::default();
     let usage = parse_or_exit("bench", args.flags(), argv);
     let Some(workload) = args.workload else {

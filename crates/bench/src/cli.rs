@@ -15,7 +15,7 @@ type Setter<'a> = Box<dyn FnMut(&str) -> Result<(), String> + 'a>;
 
 /// One declared flag: its name, the placeholder its value is shown under
 /// in the usage line, and the setter borrowing the slot it fills.
-pub struct Flag<'a> {
+pub(crate) struct Flag<'a> {
     /// The flag as typed, leading dashes included.
     pub name: &'static str,
     /// Value placeholder for the usage line; `None` for a switch.
@@ -27,7 +27,7 @@ pub struct Flag<'a> {
 
 impl<'a> Flag<'a> {
     /// A flag that takes no value and sets `slot`.
-    pub fn switch(name: &'static str, slot: &'a mut bool) -> Self {
+    pub(crate) fn switch(name: &'static str, slot: &'a mut bool) -> Self {
         Flag {
             name,
             value: None,
@@ -64,7 +64,7 @@ impl<'a> Flag<'a> {
 
     /// A flag whose slot stays `None` unless it is given a value that
     /// parses as `T` and that `valid` accepts.
-    pub fn value<T: FromStr + 'a>(
+    pub(crate) fn value<T: FromStr + 'a>(
         name: &'static str,
         value: &'static str,
         slot: &'a mut Option<T>,
@@ -74,12 +74,16 @@ impl<'a> Flag<'a> {
     }
 
     /// An optional path: any value is accepted.
-    pub fn path(name: &'static str, value: &'static str, slot: &'a mut Option<PathBuf>) -> Self {
+    pub(crate) fn path(
+        name: &'static str,
+        value: &'static str,
+        slot: &'a mut Option<PathBuf>,
+    ) -> Self {
         Flag::value(name, value, slot, |_| true)
     }
 
     /// A flag that may repeat; each use appends its value to `slot`.
-    pub fn repeatable<T: FromStr + 'a>(
+    pub(crate) fn repeatable<T: FromStr + 'a>(
         name: &'static str,
         value: &'static str,
         slot: &'a mut Vec<T>,
@@ -93,7 +97,7 @@ impl<'a> Flag<'a> {
 
 /// Walk `args` once, filling the slots `flags` borrow. The error is the
 /// message for [`usage_error`]; slots filled before it stay filled.
-pub fn parse(flags: &mut [Flag], args: &[String]) -> Result<(), String> {
+pub(crate) fn parse(flags: &mut [Flag], args: &[String]) -> Result<(), String> {
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         let Some(flag) = flags.iter_mut().find(|f| f.name == arg) else {
@@ -112,7 +116,7 @@ pub fn parse(flags: &mut [Flag], args: &[String]) -> Result<(), String> {
 
 /// The usage line of `command`: every declared flag once, in declaration
 /// order.
-pub fn usage(command: &str, flags: &[Flag]) -> String {
+pub(crate) fn usage(command: &str, flags: &[Flag]) -> String {
     let mut line = format!("usage: tvmnp {command}");
     for f in flags {
         let value = f.value.map(|v| format!(" <{v}>")).unwrap_or_default();
@@ -124,7 +128,7 @@ pub fn usage(command: &str, flags: &[Flag]) -> String {
 
 /// The one exit for a bad command line: the message, the usage line, exit
 /// code 2.
-pub fn usage_error(message: &str, usage: &str) -> ! {
+pub(crate) fn usage_error(message: &str, usage: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("{usage}");
     std::process::exit(2);
@@ -132,14 +136,14 @@ pub fn usage_error(message: &str, usage: &str) -> ! {
 
 /// The one exit for a run that failed after its command line was
 /// accepted: the message, exit code 1.
-pub fn fail(message: &str) -> ! {
+pub(crate) fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(1);
 }
 
 /// [`parse`], leaving through [`usage_error`] on a bad flag. Returns the
 /// usage line for the subcommand's own post-parse checks.
-pub fn parse_or_exit(command: &str, mut flags: Vec<Flag>, args: &[String]) -> String {
+pub(crate) fn parse_or_exit(command: &str, mut flags: Vec<Flag>, args: &[String]) -> String {
     let usage = usage(command, &flags);
     if let Err(message) = parse(&mut flags, args) {
         usage_error(&message, &usage);

@@ -7,7 +7,7 @@ use tvmnp_conformance::{read_repro, run_suite, write_repro, CheckOptions, SuiteC
 
 /// The parsed `conformance` flags.
 #[derive(Default)]
-pub struct ConformanceCli {
+pub(crate) struct ConformanceCli {
     cases: Option<usize>,
     seed: Option<u64>,
     quant_every: Option<usize>,
@@ -17,7 +17,7 @@ pub struct ConformanceCli {
 
 impl ConformanceCli {
     /// The five flags.
-    pub fn flags(&mut self) -> Vec<Flag<'_>> {
+    pub(crate) fn flags(&mut self) -> Vec<Flag<'_>> {
         vec![
             Flag::value("--cases", "n", &mut self.cases, |_| true),
             Flag::value("--seed", "s", &mut self.seed, |_| true),
@@ -71,7 +71,7 @@ fn replay(path: &Path) -> ExitCode {
 /// # exit 1 = still fails, exit 2 = the file cannot be read.
 /// tvmnp conformance --replay target/conformance/divergence-BYOC-APU-seed42.repro
 /// ```
-pub fn conformance(argv: &[String]) -> ExitCode {
+pub(crate) fn conformance(argv: &[String]) -> ExitCode {
     let mut args = ConformanceCli::default();
     parse_or_exit("conformance", args.flags(), argv);
     if let Some(path) = &args.replay {

@@ -16,7 +16,7 @@ use tvm_neuropilot::prelude::*;
 /// is never slower — the introduction's motivation for the new flow.
 ///
 /// `tvmnp nnapi [--profile] [--trace-out <path>]`
-pub fn nnapi(telem: &mut Session) {
+pub(crate) fn nnapi(telem: &mut Session) {
     let cost = CostModel::default();
     println!("== NNAPI flow (prior work [11]) vs NeuroPilot-direct (this paper) ==\n");
     println!(
@@ -69,7 +69,7 @@ pub fn nnapi(telem: &mut Session) {
 /// the GPU entirely (the APU's int8 advantage is too large).
 ///
 /// `tvmnp gpu_ext [--profile] [--trace-out <path>]`
-pub fn gpu_ext(telem: &mut Session) {
+pub(crate) fn gpu_ext(telem: &mut Session) {
     let cost = CostModel::default();
     println!("== Extension: BYOC with the mobile GPU back-end (simulated ms) ==\n");
     println!(
@@ -116,7 +116,7 @@ pub fn gpu_ext(telem: &mut Session) {
 /// less than their float32 twins.
 ///
 /// `tvmnp energy [--profile] [--trace-out <path>]`
-pub fn energy(telem: &mut Session) {
+pub(crate) fn energy(telem: &mut Session) {
     let cost = CostModel::default();
     println!("== Extension: simulated inference energy (microjoules) ==\n");
     println!(

@@ -3,10 +3,65 @@
 
 use crate::session::Session;
 use crate::workloads::showcase_models;
-use crate::{check_figure_shape, figure_group};
 use tvm_neuropilot::hwsim::KernelClass;
 use tvm_neuropilot::models::zoo;
 use tvm_neuropilot::prelude::*;
+
+/// Render one figure group (a model's seven bars) as an aligned text row
+/// set, using `--` for missing bars as the paper's figures do.
+fn render_permutation_rows(model: &str, measurements: &[Measurement]) -> String {
+    let mut out = String::new();
+    out.push_str(&format!("{model}\n"));
+    for m in measurements {
+        let bar = match m.time_ms {
+            Some(t) => format!("{t:10.3} ms"),
+            None => format!("{:>10}   ", "--"),
+        };
+        let sub = if m.subgraphs > 0 {
+            format!("  [{} subgraph(s)]", m.subgraphs)
+        } else {
+            String::new()
+        };
+        out.push_str(&format!("  {:<16} {bar}{sub}\n", m.permutation.label()));
+    }
+    out
+}
+
+/// Measure one model across the seven permutations and render it.
+fn figure_group(
+    model: &tvm_neuropilot::models::Model,
+    cost: &CostModel,
+) -> (Vec<Measurement>, String) {
+    let ms = measure_all(&model.module, cost).expect("measure");
+    let rendered = render_permutation_rows(&model.name, &ms);
+    (ms, rendered)
+}
+
+/// Shape checks shared by the figure harnesses: TVM-only slowest among
+/// compiling bars; missing bars only in NP-only modes.
+fn check_figure_shape(model: &str, ms: &[Measurement]) {
+    let tvm = ms[0].time_ms.expect("TVM-only always compiles");
+    for r in &ms[1..] {
+        if let Some(t) = r.time_ms {
+            assert!(
+                tvm > t,
+                "{model}: TVM-only ({tvm:.3}) must exceed {} ({t:.3})",
+                r.permutation
+            );
+        }
+    }
+    for r in ms {
+        if r.time_ms.is_none() {
+            assert!(
+                matches!(
+                    r.permutation,
+                    Permutation::NpCpu | Permutation::NpApu | Permutation::NpCpuApu
+                ),
+                "{model}: only NP-only bars may be missing"
+            );
+        }
+    }
+}
 
 /// Figure 4: inference time for the three application-showcase models
 /// under the seven target permutations.
@@ -18,7 +73,7 @@ use tvm_neuropilot::prelude::*;
 /// the most subgraphs and the largest absolute time.
 ///
 /// `tvmnp fig4 [--profile] [--trace-out <path>]`
-pub fn fig4(telem: &mut Session) {
+pub(crate) fn fig4(telem: &mut Session) {
     let cost = CostModel::default();
     println!("== Figure 4: showcase-model inference time (simulated ms) ==\n");
 
@@ -102,7 +157,7 @@ pub fn fig4(telem: &mut Session) {
 /// overlap emotion across frames).
 ///
 /// `tvmnp fig5 [--profile] [--trace-out <path>]`
-pub fn fig5(telem: &mut Session) {
+pub(crate) fn fig5(telem: &mut Session) {
     // The pipeline figure executes no graph; its profile aggregates the
     // simulated stage spans instead of per-node executor spans.
     telem.profile_span = "scheduler.stage";
@@ -175,7 +230,7 @@ pub fn fig5(telem: &mut Session) {
 /// nasnet), quantized models gaining the most from the APU.
 ///
 /// `tvmnp fig6 [--profile] [--trace-out <path>]`
-pub fn fig6(telem: &mut Session) {
+pub(crate) fn fig6(telem: &mut Session) {
     let cost = CostModel::default();
     println!("== Figure 6: model-zoo inference time (simulated ms) ==\n");
 
@@ -224,7 +279,7 @@ pub fn fig6(telem: &mut Session) {
 /// Table 1: models used for testing and their data types.
 ///
 /// `tvmnp table1 [--profile] [--trace-out <path>]`
-pub fn table1(telem: &mut Session) {
+pub(crate) fn table1(telem: &mut Session) {
     println!("== Table 1: models used for testing and their data types ==\n");
     println!("{:<22} | Data Type", "Model");
     println!("{:-<22}-+-{:-<9}", "", "");
@@ -240,7 +295,7 @@ pub fn table1(telem: &mut Session) {
 /// 5G / MediaTek Dimensity 800), as modelled by the simulator.
 ///
 /// `tvmnp table2 [--profile] [--trace-out <path>]`
-pub fn table2(telem: &mut Session) {
+pub(crate) fn table2(telem: &mut Session) {
     let soc = SocSpec::dimensity_800();
     println!("== Table 2: experiment environment ==\n");
     for (label, value) in soc.table2_rows() {
@@ -268,4 +323,28 @@ pub fn table2(telem: &mut Session) {
     // The spec dump runs nothing; trace one model against this SoC so
     // --profile / --trace-out have an execute phase to show.
     telem.trace_model(&zoo::mobilenet_v2(600), &CostModel::default());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_group_renders_and_checks() {
+        let cost = CostModel::default();
+        let model = zoo::mobilenet_v1(1);
+        let (ms, text) = figure_group(&model, &cost);
+        check_figure_shape(&model.name, &ms);
+        assert!(text.contains("TVM-only"));
+        assert!(text.contains("mobilenet v1"));
+    }
+
+    #[test]
+    fn missing_bars_render_as_dashes() {
+        let cost = CostModel::default();
+        let model = zoo::nasnet(1);
+        let (ms, text) = figure_group(&model, &cost);
+        check_figure_shape(&model.name, &ms);
+        assert!(text.contains("--"));
+    }
 }

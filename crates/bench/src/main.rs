@@ -1,14 +1,41 @@
-//! `tvmnp <subcommand> [flags]`: the subcommand table and its dispatch.
+//! # tvmnp-bench
+//!
+//! The experiment harness: one binary, `tvmnp`, with one subcommand per
+//! paper table/figure, extension experiment and tool (`cargo run --release
+//! -p tvmnp-bench -- <subcommand> [flags]`; `tvmnp` alone lists them).
+//! This file holds the subcommand table and alone reads the process
+//! arguments; [`cli`] is the one flag parser, [`session`] the flags and
+//! run lifecycle every subcommand shares, [`workloads`] the set-ups more
+//! than one of them runs.
+//!
+//! Mapping (see DESIGN.md §4 for the full index):
+//! * `fig4`   — inference time of the three showcase models × 7 permutations
+//! * `fig5`   — the pipeline schedule prototype
+//! * `fig6`   — inference time of the model zoo × 7 permutations
+//! * `table1` — zoo models and data types
+//! * `table2` — testbed specification
+//! * `sched`  — §5.1 computation-scheduling assignment
 
+mod ablation;
+mod bench;
+mod cli;
+mod conformance;
+mod extensions;
+mod figures;
+mod obs_check;
+mod sched;
+mod session;
+mod workloads;
+
+use crate::ablation::ablation;
+use crate::bench::bench;
+use crate::conformance::conformance;
+use crate::extensions::{energy, gpu_ext, nnapi};
+use crate::figures::{fig4, fig5, fig6, table1, table2};
+use crate::obs_check::obs_check;
+use crate::sched::sched;
+use crate::session::Session;
 use std::process::ExitCode;
-use tvmnp_bench::ablation::ablation;
-use tvmnp_bench::bench::bench;
-use tvmnp_bench::conformance::conformance;
-use tvmnp_bench::extensions::{energy, gpu_ext, nnapi};
-use tvmnp_bench::figures::{fig4, fig5, fig6, table1, table2};
-use tvmnp_bench::obs_check::obs_check;
-use tvmnp_bench::sched::sched;
-use tvmnp_bench::session::Session;
 use Run::{Experiment, Serving, Tool};
 
 enum Run {
@@ -37,6 +64,8 @@ const SUBCOMMANDS: [(&str, Run, &str); 13] = [
     ("obs_check", Tool(obs_check), "check observability files"),
 ];
 
+// The one reader of the process arguments (crates/clippy.toml).
+#[allow(clippy::disallowed_methods)]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let subcommand = args.first().map(String::as_str);

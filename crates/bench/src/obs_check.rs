@@ -8,7 +8,7 @@ use tvm_neuropilot::profile::{validate_profile, Profile};
 
 /// The parsed `obs_check` flags.
 #[derive(Default)]
-pub struct ObsCheckCli {
+pub(crate) struct ObsCheckCli {
     stats: Option<PathBuf>,
     flight_dir: Option<PathBuf>,
     expect_kinds: Vec<String>,
@@ -17,7 +17,7 @@ pub struct ObsCheckCli {
 
 impl ObsCheckCli {
     /// The four flags.
-    pub fn flags(&mut self) -> Vec<Flag<'_>> {
+    pub(crate) fn flags(&mut self) -> Vec<Flag<'_>> {
         vec![
             Flag::path("--stats", "stats.jsonl", &mut self.stats),
             Flag::path("--flight-dir", "dir", &mut self.flight_dir),
@@ -176,7 +176,7 @@ fn check_profile(path: &Path) -> Result<(), String> {
 /// ```
 ///
 /// Exit code 0 means every requested check passed.
-pub fn obs_check(argv: &[String]) -> ExitCode {
+pub(crate) fn obs_check(argv: &[String]) -> ExitCode {
     let mut args = ObsCheckCli::default();
     let usage = parse_or_exit("obs_check", args.flags(), argv);
     if args.stats.is_none() && args.flight_dir.is_none() && args.profiles.is_empty() {

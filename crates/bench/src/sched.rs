@@ -21,7 +21,7 @@ use tvm_neuropilot::scheduler::computation::{best_assignment, ModelProfile};
 /// fallback chain as the injected faults demand, then prints the
 /// resilience report. Exit code 0 means every model was served (possibly
 /// degraded); an exhausted fallback chain exits nonzero.
-pub fn sched(telem: &mut Session) {
+pub(crate) fn sched(telem: &mut Session) {
     let cost = CostModel::default();
     println!("== Computation scheduling (paper 5.1) ==\n");
     let models = showcase_models(80);

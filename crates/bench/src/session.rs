@@ -48,14 +48,14 @@ use tvmnp_telemetry::{profile_table, write_chrome_trace};
 
 /// The parsed report flags, one field per flag above.
 #[derive(Debug, Clone, Default)]
-pub struct ObsCli {
+pub(crate) struct ObsCli {
     profile: bool,
     trace_out: Option<PathBuf>,
 }
 
 impl ObsCli {
     /// The two report flags.
-    pub fn flags(&mut self) -> Vec<Flag<'_>> {
+    pub(crate) fn flags(&mut self) -> Vec<Flag<'_>> {
         vec![
             Flag::switch("--profile", &mut self.profile),
             Flag::path("--trace-out", "path", &mut self.trace_out),
@@ -74,7 +74,7 @@ impl ObsCli {
 /// the default: no fault plan, concurrency 4, an in-memory cache, no
 /// observability plane.
 #[derive(Debug, Clone, Default)]
-pub struct ServeCli {
+pub(crate) struct ServeCli {
     fault_specs: Vec<String>,
     fault_seed: Option<u64>,
     concurrency: Option<usize>,
@@ -86,7 +86,7 @@ pub struct ServeCli {
 
 impl ServeCli {
     /// The seven serving flags, the three live-plane flags last.
-    pub fn flags(&mut self) -> Vec<Flag<'_>> {
+    pub(crate) fn flags(&mut self) -> Vec<Flag<'_>> {
         vec![
             Flag::repeatable("--inject-fault", "spec", &mut self.fault_specs),
             Flag::value("--fault-seed", "n", &mut self.fault_seed, |_| true),
@@ -103,7 +103,7 @@ impl ServeCli {
     /// Stand up (and install) the observability plane the three live
     /// flags describe; `None` when none was given. Also enables the telemetry
     /// collector — traced spans are the plane's raw material.
-    pub fn build_plane(&self) -> Option<Arc<ObservePlane>> {
+    pub(crate) fn build_plane(&self) -> Option<Arc<ObservePlane>> {
         if self.stats_out.is_none() && self.flight_out.is_none() && self.slo_ms.is_none() {
             return None;
         }
@@ -123,7 +123,7 @@ impl ServeCli {
 
     /// Finish the plane: final stats line, stream flush, sink removal,
     /// and a one-line summary of what was written where.
-    pub fn finish_plane(&self, plane: &ObservePlane) {
+    pub(crate) fn finish_plane(&self, plane: &ObservePlane) {
         if let Err(e) = plane.finish() {
             fail(&format!("failed to flush stats stream: {e}"));
         }
@@ -148,7 +148,7 @@ impl ServeCli {
     /// cache, `--concurrency` / `--cache-dir`, or the live plane it feeds,
     /// `--stats-out` / `--flight-out` / `--slo-ms`): a run that serves no
     /// frame refuses it rather than ignore it.
-    pub fn pool_flag(&self) -> Option<&'static str> {
+    pub(crate) fn pool_flag(&self) -> Option<&'static str> {
         [
             (self.concurrency.is_some(), "--concurrency"),
             (self.cache_dir.is_some(), "--cache-dir"),
@@ -161,13 +161,13 @@ impl ServeCli {
     }
 
     /// Frames in flight for the serving pool (`--concurrency`, default 4).
-    pub fn concurrency(&self) -> usize {
+    pub(crate) fn concurrency(&self) -> usize {
         self.concurrency.unwrap_or(4)
     }
 
     /// Fold the `--inject-fault` specs into a seeded [`FaultPlan`]; `None`
     /// when no spec was given. A malformed spec is a usage error.
-    pub fn fault_plan(&self, usage: &str) -> Option<FaultPlan> {
+    pub(crate) fn fault_plan(&self, usage: &str) -> Option<FaultPlan> {
         if self.fault_specs.is_empty() {
             return None;
         }
@@ -181,7 +181,7 @@ impl ServeCli {
     }
 
     /// A fresh artifact cache, spilling to `--cache-dir` when given.
-    pub fn cache(&self) -> Arc<ArtifactCache> {
+    pub(crate) fn cache(&self) -> Arc<ArtifactCache> {
         let mut cache = ArtifactCache::new(16 << 20);
         if let Some(dir) = &self.cache_dir {
             cache = cache.with_disk_dir(dir);
@@ -192,7 +192,7 @@ impl ServeCli {
 
 /// One experiment subcommand's observed run: the parsed flags plus the
 /// state accumulated while tracing.
-pub struct Session {
+pub(crate) struct Session {
     /// The parsed report flags.
     obs: ObsCli,
     /// The parsed serving flags (the defaults unless the subcommand
@@ -215,7 +215,7 @@ impl Session {
     /// flags, plus the serving flags when it `serves` frames — and enable
     /// the telemetry collector if any output needs it (fault-injected runs
     /// are always traced so the resilience report has data).
-    pub fn start(workload: &'static str, serves: bool, args: &[String]) -> Session {
+    pub(crate) fn start(workload: &'static str, serves: bool, args: &[String]) -> Session {
         let mut obs = ObsCli::default();
         let mut serve = ServeCli::default();
         let mut flags = obs.flags();
@@ -246,7 +246,7 @@ impl Session {
     /// `--profile` or `--trace-out` was given (the figure harnesses measure
     /// analytically and never execute). The run is no served frame: an
     /// observability plane does not see it.
-    pub fn trace_model(&mut self, model: &Model, cost: &CostModel) {
+    pub(crate) fn trace_model(&mut self, model: &Model, cost: &CostModel) {
         if !self.obs.reporting() {
             return;
         }
@@ -254,7 +254,7 @@ impl Session {
     }
 
     /// Emit the requested outputs and disable collection.
-    pub fn finish(self) {
+    pub(crate) fn finish(self) {
         if let Some(plane) = &self.plane {
             self.serve.finish_plane(plane);
         }

@@ -12,7 +12,7 @@ use tvm_neuropilot::vision::{FrameResult, ShowcaseFaults};
 
 /// The three application-showcase models (anti-spoofing, object
 /// detection, emotion) on consecutive seeds from `seed`.
-pub fn showcase_models(seed: u64) -> [Model; 3] {
+pub(crate) fn showcase_models(seed: u64) -> [Model; 3] {
     [
         anti_spoofing::anti_spoofing_model(seed),
         object_detection::mobilenet_ssd_model(seed + 1),
@@ -25,7 +25,7 @@ pub fn showcase_models(seed: u64) -> [Model; 3] {
 /// simulated µs. With the telemetry collector enabled this is what gives
 /// a trace its execute phase; the model's ledger is what a measured
 /// profile records.
-pub fn run_traced(model: &Model, cost: &CostModel) -> (CompiledModel, f64) {
+pub(crate) fn run_traced(model: &Model, cost: &CostModel) -> (CompiledModel, f64) {
     let mut compiled = relay_build(
         &model.module,
         TargetMode::Byoc(TargetPolicy::CpuApu),
@@ -47,7 +47,7 @@ pub fn run_traced(model: &Model, cost: &CostModel) -> (CompiledModel, f64) {
 /// concurrent timing of the clip and the pool's artifact-cache counters
 /// after serving; `Err` says how the concurrent pass diverged from the
 /// sequential one.
-pub fn serve_clip(
+pub(crate) fn serve_clip(
     seed: u64,
     cost: &CostModel,
     cache: Arc<ArtifactCache>,
@@ -123,7 +123,7 @@ pub fn serve_clip(
 /// plan. With a `cache`, fallback re-dispatch reuses any permutation
 /// built before. Returns the number of faults injected; `Err` names the
 /// model whose fallback chain was exhausted.
-pub fn resilient_showcase(
+pub(crate) fn resilient_showcase(
     plan: &FaultPlan,
     models: &[Model],
     cost: &CostModel,

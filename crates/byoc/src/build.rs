@@ -300,7 +300,7 @@ impl CachedArtifact {
     /// The instantiate half of `relay.build`, and the only place executors
     /// and networks are made from compile products: price them under the
     /// caller's `cost`. Pure load — no partition, codegen or planner span.
-    pub fn instantiate(self, cost: &CostModel) -> Result<CompiledModel, BuildError> {
+    pub(crate) fn instantiate(self, cost: &CostModel) -> Result<CompiledModel, BuildError> {
         match self {
             CachedArtifact::Tvm { graph, modules } => {
                 let mut registry = ModuleRegistry::new();

@@ -55,7 +55,7 @@ impl NeuronBlob {
     }
 
     /// Price the plan under `cost` and expose it to the graph executor.
-    pub fn link(self, cost: CostModel) -> NeuronModule {
+    pub(crate) fn link(self, cost: CostModel) -> NeuronModule {
         NeuronModule {
             symbol: self.symbol,
             policy: self.policy,
@@ -64,7 +64,7 @@ impl NeuronBlob {
     }
 
     /// This subgraph as an artifact's external entry.
-    pub fn to_external(&self) -> ExternalBlob {
+    pub(crate) fn to_external(&self) -> ExternalBlob {
         ExternalBlob {
             symbol: self.symbol.clone(),
             compiler: COMPILER.to_string(),

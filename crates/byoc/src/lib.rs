@@ -34,6 +34,6 @@ pub use build::{
 };
 pub use cache::{ArtifactCache, CacheStats};
 pub use codegen::{NeuronBlob, NeuronModule};
-pub use nnapi::{nnapi_supported, relay_build_nnapi, NnapiModule, NnapiSupport};
+pub use nnapi::relay_build_nnapi;
 pub use permutations::{measure_all, measure_one, Measurement, Permutation};
 pub use resilient::{FaultCause, ResilienceError, ResilientSession, RunOutcome};

@@ -31,20 +31,20 @@ use tvmnp_tensor::Tensor;
 
 /// Fixed HAL/binder round-trip charged per NNAPI execution, microseconds
 /// (scaled with the rest of the overhead model; see DESIGN.md).
-pub const NNAPI_HAL_OVERHEAD_US: f64 = 40.0;
+pub(crate) const NNAPI_HAL_OVERHEAD_US: f64 = 40.0;
 
 /// Relay ops Neuron IR converts but the NNAPI C API cannot express.
-pub const NNAPI_GAPS: &[&str] = &["nn.leaky_relu", "maximum", "nn.pad", "transpose"];
+pub(crate) const NNAPI_GAPS: &[&str] = &["nn.leaky_relu", "maximum", "nn.pad", "transpose"];
 
 /// Whether the NNAPI flow can take this Relay op: NNAPI drives the same
 /// compiled network underneath, so its surface is NeuroPilot's
 /// ([`neuron_supported`]) less [`NNAPI_GAPS`].
-pub fn nnapi_supported(op: &OpKind) -> bool {
+pub(crate) fn nnapi_supported(op: &OpKind) -> bool {
     neuron_supported(op) && !NNAPI_GAPS.contains(&op.name())
 }
 
 /// The `CompilerSupport` oracle of the NNAPI flow.
-pub struct NnapiSupport;
+pub(crate) struct NnapiSupport;
 
 impl CompilerSupport for NnapiSupport {
     fn name(&self) -> &str {
@@ -58,7 +58,7 @@ impl CompilerSupport for NnapiSupport {
 
 /// An NNAPI external module: the same compiled network underneath (NNAPI
 /// drives the same silicon), plus the HAL round trip per execution.
-pub struct NnapiModule {
+pub(crate) struct NnapiModule {
     inner: NeuronModule,
     /// The inner network's entries plus the HAL round trip — real charged
     /// time, so it is an entry like any other and lands on the dispatch

@@ -67,7 +67,7 @@ impl Permutation {
     /// [`Permutation::FALLBACK_CHAIN`] from `start` when it is on the
     /// chain, otherwise `start` followed by the whole chain (any
     /// permutation can degrade into it).
-    pub fn fallback_chain(start: Permutation) -> Vec<Permutation> {
+    pub(crate) fn fallback_chain(start: Permutation) -> Vec<Permutation> {
         match Permutation::FALLBACK_CHAIN.iter().position(|&p| p == start) {
             Some(i) => Permutation::FALLBACK_CHAIN[i..].to_vec(),
             None => {

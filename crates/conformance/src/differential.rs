@@ -98,7 +98,7 @@ pub struct CaseOutcome {
 
 /// Whether `main` contains a primitive call outside the NeuroPilot
 /// support matrix (the justification for an NP-only `Unsupported` skip).
-pub fn has_unsupported_op(module: &Module) -> bool {
+pub(crate) fn has_unsupported_op(module: &Module) -> bool {
     first_unsupported(module.main()).is_some()
 }
 

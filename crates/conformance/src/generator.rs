@@ -135,12 +135,12 @@ impl SpecOp {
     }
 
     /// The operand consumers fall back to when this op is deleted.
-    pub fn primary_operand(&self) -> usize {
+    pub(crate) fn primary_operand(&self) -> usize {
         self.operands()[0]
     }
 
     /// Rewrite operand indices through `f`.
-    pub fn map_operands(&mut self, f: impl Fn(usize) -> usize) {
+    pub(crate) fn map_operands(&mut self, f: impl Fn(usize) -> usize) {
         match self {
             SpecOp::Conv2d { input, .. }
             | SpecOp::Relu { input }
@@ -290,7 +290,7 @@ fn shape_after(op: &SpecOp, shapes: &[NodeShape]) -> Result<NodeShape, SpecError
 }
 
 /// Node shapes implied by a spec, or the first shape-rule violation.
-pub fn node_shapes(spec: &GraphSpec) -> Result<Vec<NodeShape>, SpecError> {
+pub(crate) fn node_shapes(spec: &GraphSpec) -> Result<Vec<NodeShape>, SpecError> {
     if spec.in_channels == 0 || spec.height == 0 || spec.width == 0 {
         return Err(SpecError("degenerate input shape".into()));
     }

@@ -44,7 +44,7 @@ pub struct CheckOptions {
 
 /// Statistics the invariant pass feeds back into the case outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InvariantStats {
+pub(crate) struct InvariantStats {
     /// External subgraphs in the BYOC partition.
     pub subgraphs: usize,
 }
@@ -222,7 +222,7 @@ fn check_memory_plan(module: &Module, label: &str) -> Result<(), CaseFailure> {
 /// estimate and energy estimate are bit-exactly the ledger's sums;
 /// per-device shares add back up to the total; every entry is finite and
 /// non-negative.
-pub fn check_ledger(compiled: &CompiledModel, run_us: f64) -> Result<(), CaseFailure> {
+pub(crate) fn check_ledger(compiled: &CompiledModel, run_us: f64) -> Result<(), CaseFailure> {
     let ledger = compiled.estimate_breakdown();
     let estimate_us = compiled.estimate_us();
     if run_us != estimate_us {
@@ -270,7 +270,7 @@ pub fn check_ledger(compiled: &CompiledModel, run_us: f64) -> Result<(), CaseFai
 }
 
 /// Run every invariant checker on a realized case.
-pub fn run_invariants(
+pub(crate) fn run_invariants(
     spec: &GraphSpec,
     built: &BuiltCase,
     reference: &Tensor,

@@ -15,12 +15,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod differential;
-pub mod generator;
-pub mod invariants;
+pub(crate) mod differential;
+pub(crate) mod generator;
+pub(crate) mod invariants;
 pub mod repro;
 pub mod shrink;
-pub mod suite;
+pub(crate) mod suite;
 
 pub use differential::{check_case, CaseFailure, CaseOutcome};
 pub use generator::{build_case, random_spec, BuiltCase, GraphSpec, SpecOp};

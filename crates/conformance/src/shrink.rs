@@ -30,7 +30,7 @@ pub struct ShrinkResult {
 
 /// Delete op `i`: consumers of node `i + 1` fall back to the op's primary
 /// operand, and every node index above `i + 1` shifts down by one.
-pub fn delete_op(spec: &GraphSpec, i: usize) -> GraphSpec {
+pub(crate) fn delete_op(spec: &GraphSpec, i: usize) -> GraphSpec {
     let removed = spec.ops[i].clone();
     let fallback = removed.primary_operand();
     let deleted_node = i + 1;

@@ -1,7 +1,9 @@
 //! The dead-pub gate (`scripts/dead_pub.sh`) on small synthetic trees: a
 //! called item passes, and an item reached only through its own
 //! definition, a `pub use`, a comment, a string literal or a test module
-//! fails unless `scripts/dead_pub.allow` names it with a reason.
+//! fails unless `scripts/dead_pub.allow` names it with a reason; so does a
+//! `pub` function or constant that nothing outside its crate's `src/`
+//! names.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -23,7 +25,9 @@ impl Tree {
         fs::copy(script, root.join("scripts/dead_pub.sh")).unwrap();
         fs::write(root.join("scripts/dead_pub.allow"), allow).unwrap();
         for (path, text) in files {
-            fs::write(root.join(path), text).unwrap();
+            let path = root.join(path);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
         }
         Tree(root)
     }
@@ -180,7 +184,7 @@ fn stale_allow_entry_fails() {
     let (ok, text) = tree.gate();
     assert!(!ok, "{text}");
     assert!(
-        text.contains("used is in scripts/dead_pub.allow but is not an uncalled pub item"),
+        text.contains("used is in scripts/dead_pub.allow but is neither uncalled nor local"),
         "{text}"
     );
 }
@@ -199,4 +203,136 @@ fn allow_entry_without_reason_fails() {
     let (ok, text) = tree.gate();
     assert!(!ok, "{text}");
     assert!(text.contains("lines must read 'name: reason'"), "{text}");
+}
+
+/// `inner` is called, but only inside crate `a`.
+const LOCAL: &str =
+    "pub fn used() -> u32 { inner() }\npub struct Kept;\npub fn inner() -> u32 { 1 }\n";
+
+#[test]
+fn pub_fn_called_only_inside_its_crate_fails() {
+    let tree = Tree::new(
+        "local",
+        &[
+            ("crates/a/src/lib.rs", LOCAL),
+            ("benchmark/src/main.rs", MAIN),
+        ],
+        "",
+    );
+    let (ok, text) = tree.gate();
+    assert!(!ok, "{text}");
+    assert!(
+        text.contains("inner is pub but nothing outside crates/a/src names it"),
+        "{text}"
+    );
+    assert!(!text.contains("used is pub"), "{text}");
+    assert!(!text.contains("has no non-test caller"), "{text}");
+}
+
+/// Another crate's source, its tests included, and the crate's own
+/// integration tests are outside: each needs `inner` to be `pub`.
+#[test]
+fn pub_fn_named_outside_its_crate_passes() {
+    for (name, path, text) in [
+        (
+            "other-crate",
+            "crates/b/src/lib.rs",
+            "pub(crate) fn b() -> u32 { a::inner() }\n",
+        ),
+        (
+            "other-crate-test",
+            "crates/b/src/lib.rs",
+            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { a::inner(); }\n}\n",
+        ),
+        (
+            "own-tests",
+            "crates/a/tests/t.rs",
+            "#[test]\nfn t() { a::inner(); }\n",
+        ),
+    ] {
+        let tree = Tree::new(
+            name,
+            &[
+                ("crates/a/src/lib.rs", LOCAL),
+                ("benchmark/src/main.rs", MAIN),
+                (path, text),
+            ],
+            "",
+        );
+        let (ok, text) = tree.gate();
+        assert!(ok, "{name}: {text}");
+    }
+}
+
+/// A `pub use` in another crate re-exports `inner` but reads nothing.
+#[test]
+fn reexport_in_another_crate_is_not_outside_use() {
+    let tree = Tree::new(
+        "local-reexport",
+        &[
+            ("crates/a/src/lib.rs", LOCAL),
+            ("crates/b/src/lib.rs", "pub use a::inner;\n"),
+            ("benchmark/src/main.rs", MAIN),
+        ],
+        "",
+    );
+    let (ok, text) = tree.gate();
+    assert!(!ok, "{text}");
+    assert!(text.contains("inner is pub but nothing outside"), "{text}");
+}
+
+#[test]
+fn allowlisted_local_pub_fn_passes() {
+    let tree = Tree::new(
+        "local-allowed",
+        &[
+            ("crates/a/src/lib.rs", LOCAL),
+            ("benchmark/src/main.rs", MAIN),
+        ],
+        "inner: reached only through a macro expansion in other crates\n",
+    );
+    let (ok, text) = tree.gate();
+    assert!(ok, "{text}");
+    assert!(text.contains("3 pub items, 1 allowlisted"), "{text}");
+}
+
+#[test]
+fn stale_local_allow_entry_fails() {
+    let tree = Tree::new(
+        "local-stale",
+        &[
+            ("crates/a/src/lib.rs", LOCAL),
+            (
+                "crates/b/src/lib.rs",
+                "pub(crate) fn b() -> u32 { a::inner() }\n",
+            ),
+            ("benchmark/src/main.rs", MAIN),
+        ],
+        "inner: no longer true, crate b calls it\n",
+    );
+    let (ok, text) = tree.gate();
+    assert!(!ok, "{text}");
+    assert!(
+        text.contains("inner is in scripts/dead_pub.allow but is neither uncalled nor local"),
+        "{text}"
+    );
+}
+
+/// A crate-visible item is rustc's: its `dead_code` lint resolves every
+/// use, so the gate neither counts nor checks it.
+#[test]
+fn crate_visible_items_are_left_to_rustc() {
+    let lib =
+        format!("{LIB}pub(crate) fn private_helper() {{}}\npub(crate) const LIMIT: u32 = 1;\n");
+    let tree = Tree::new(
+        "crate-visible",
+        &[
+            ("crates/a/src/lib.rs", &lib),
+            ("benchmark/src/main.rs", MAIN),
+        ],
+        "",
+    );
+    let (ok, text) = tree.gate();
+    assert!(ok, "{text}");
+    assert!(text.contains("2 pub items, 0 allowlisted"), "{text}");
 }

@@ -61,7 +61,7 @@ pub struct MxnetSymbol {
 }
 
 /// Parse an MXNet tuple-string attribute: `"(3, 3)"` → `[3, 3]`.
-pub fn parse_tuple(s: &str) -> Result<Vec<usize>, ImportError> {
+pub(crate) fn parse_tuple(s: &str) -> Result<Vec<usize>, ImportError> {
     let trimmed = s.trim().trim_start_matches('(').trim_end_matches(')');
     trimmed
         .split(',')

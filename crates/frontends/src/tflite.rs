@@ -41,11 +41,11 @@ pub struct TfliteTensor {
 /// TFLite padding mode.
 pub const PADDING_SAME: i64 = 0;
 /// TFLite padding mode.
-pub const PADDING_VALID: i64 = 1;
+pub(crate) const PADDING_VALID: i64 = 1;
 /// Fused activation: none.
-pub const ACT_NONE: i64 = 0;
+pub(crate) const ACT_NONE: i64 = 0;
 /// Fused activation: ReLU.
-pub const ACT_RELU: i64 = 1;
+pub(crate) const ACT_RELU: i64 = 1;
 /// Fused activation: ReLU6.
 pub const ACT_RELU6: i64 = 3;
 

@@ -2,11 +2,10 @@
 
 use crate::device::{DeviceKind, KernelClass};
 use crate::soc::SocSpec;
-use serde::{Deserialize, Serialize};
 use tvmnp_tensor::{DType, Shape};
 
 /// Broad kernel categories — they differ in how well devices run them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkKind {
     /// Dense MAC-bound kernels (conv, dense).
     MacHeavy,
@@ -54,7 +53,7 @@ impl WorkKind {
 }
 
 /// One kernel's worth of work, in device-neutral units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkItem {
     /// Multiply-accumulate count (each MAC = 2 ops).
     pub macs: u64,
@@ -172,7 +171,7 @@ impl CostModel {
     /// Scale the body time of kernels of `kind` **on `device` only** by
     /// `factor` (> 1.0 = slower). Thermal-throttle fault rules apply here
     /// (see `fault::FaultPlan::throttled_cost`).
-    pub fn with_device_kind_scale(
+    pub(crate) fn with_device_kind_scale(
         mut self,
         device: DeviceKind,
         kind: WorkKind,
@@ -185,7 +184,7 @@ impl CostModel {
 
     /// Apply a batch of per-(device, kind) multipliers, each as
     /// [`CostModel::with_device_kind_scale`] would.
-    pub fn with_device_kind_scales(
+    pub(crate) fn with_device_kind_scales(
         mut self,
         scales: impl IntoIterator<Item = (DeviceKind, WorkKind, f64)>,
     ) -> Self {
@@ -198,7 +197,12 @@ impl CostModel {
     /// Time for one kernel on one device, **excluding** launch overhead:
     /// roofline-style `max(compute, memory)`, times the (device, kind)
     /// multiplier.
-    pub fn kernel_body_us(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
+    pub(crate) fn kernel_body_us(
+        &self,
+        w: &WorkItem,
+        device: DeviceKind,
+        class: KernelClass,
+    ) -> f64 {
         let spec = self.soc.device(device);
         let gops = spec.effective_gops(w.int8, class).max(1e-9);
         // MacHeavy kernels use the full MAC array; other kinds are
@@ -227,7 +231,12 @@ impl CostModel {
 
     /// Energy of one kernel on one device, microjoules (compute + its own
     /// memory traffic).
-    pub fn kernel_energy_uj(&self, w: &WorkItem, device: DeviceKind, class: KernelClass) -> f64 {
+    pub(crate) fn kernel_energy_uj(
+        &self,
+        w: &WorkItem,
+        device: DeviceKind,
+        class: KernelClass,
+    ) -> f64 {
         let spec = self.soc.device(device);
         let ops = 2.0 * w.macs as f64 + w.bytes() as f64 * 0.1; // traffic-side ops
         spec.energy_uj(ops, w.int8, class)
@@ -235,7 +244,7 @@ impl CostModel {
     }
 
     /// Energy of one boundary transfer, microjoules.
-    pub fn transfer_energy_uj(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_energy_uj(&self, bytes: usize) -> f64 {
         self.soc.transfer.energy_uj(bytes)
     }
 }

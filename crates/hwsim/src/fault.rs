@@ -448,7 +448,8 @@ impl CircuitBreaker {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
+// The injector's own tests consult it directly.
+#[allow(clippy::unwrap_used, clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

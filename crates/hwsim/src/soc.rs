@@ -4,7 +4,7 @@ use crate::device::{DeviceKind, DeviceSpec};
 use serde::{Deserialize, Serialize};
 
 /// DRAM traffic energy, picojoules per byte moved across a boundary.
-pub const TRANSFER_PJ_PER_BYTE: f64 = 20.0;
+pub(crate) const TRANSFER_PJ_PER_BYTE: f64 = 20.0;
 
 /// Cost model for moving tensors between device-visible memories.
 ///

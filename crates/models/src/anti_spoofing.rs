@@ -16,11 +16,11 @@ use tvmnp_tensor::rng::TensorRng;
 use tvmnp_tensor::{DType, Tensor};
 
 /// Number of dense blocks in the scaled-down extractor.
-pub const NUM_BLOCKS: usize = 2;
+pub(crate) const NUM_BLOCKS: usize = 2;
 /// Dense layers per block.
-pub const LAYERS_PER_BLOCK: usize = 3;
+pub(crate) const LAYERS_PER_BLOCK: usize = 3;
 /// Growth rate (channels added per dense layer).
-pub const GROWTH: usize = 16;
+pub(crate) const GROWTH: usize = 16;
 
 /// Assemble the traced PyTorch module (the artifact of
 /// `torch.jit.trace(DeePixBiS(), input)`).

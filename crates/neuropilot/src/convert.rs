@@ -36,9 +36,7 @@ use tvmnp_tensor::QuantParams;
 
 /// Per-expression bookkeeping, as in paper Listing 1.
 #[derive(Debug, Clone, Default)]
-pub struct NodeEntry {
-    /// Tensor ids feeding this node.
-    pub inputs: Vec<TensorId>,
+pub(crate) struct NodeEntry {
     /// Tensor ids this node produces.
     pub outputs: Vec<TensorId>,
 }
@@ -108,13 +106,12 @@ impl Ctx<'_> {
     fn push(&mut self, e: &Expr, kind: NeuronOpKind, inputs: Vec<TensorId>, output: TensorId) {
         self.graph.add_op(NeuronOp {
             kind,
-            inputs: inputs.clone(),
+            inputs,
             outputs: vec![output],
         });
         self.node_entry_dict.insert(
             e.id,
             NodeEntry {
-                inputs,
                 outputs: vec![output],
             },
         );
@@ -432,7 +429,7 @@ pub fn quant_transparent(kind: &NeuronOpKind) -> bool {
 /// §3.3 propagation: sweep forward and backward, copying parameters across
 /// quantization-transparent ops until no tensor changes. Bounded by the op
 /// count, so it always terminates.
-pub fn propagate_quant_params(graph: &mut NeuronGraph) {
+pub(crate) fn propagate_quant_params(graph: &mut NeuronGraph) {
     for _ in 0..graph.ops.len() + 1 {
         let mut changed = false;
         // Forward: input params flow to outputs.
@@ -503,13 +500,8 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
                 data: None,
             });
             ctx.graph.inputs.push(id);
-            ctx.node_entry_dict.insert(
-                p.id,
-                NodeEntry {
-                    inputs: vec![id],
-                    outputs: vec![id],
-                },
-            );
+            ctx.node_entry_dict
+                .insert(p.id, NodeEntry { outputs: vec![id] });
         } else {
             return Err(NeuronError::Conversion(
                 "function parameter is not a Var".into(),
@@ -537,13 +529,8 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
                     quant: c.value.quant(),
                     data: Some(Arc::new(c.value.clone())),
                 });
-                ctx.node_entry_dict.insert(
-                    e.id,
-                    NodeEntry {
-                        inputs: vec![id],
-                        outputs: vec![id],
-                    },
-                );
+                ctx.node_entry_dict
+                    .insert(e.id, NodeEntry { outputs: vec![id] });
             }
             ExprKind::Tuple(fields) => {
                 // visit_tuple: gather the fields' outputs.
@@ -551,13 +538,7 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
                 for f in fields {
                     outputs.extend(ctx.node_entry_dict[&f.id].outputs.clone());
                 }
-                ctx.node_entry_dict.insert(
-                    e.id,
-                    NodeEntry {
-                        inputs: outputs.clone(),
-                        outputs,
-                    },
-                );
+                ctx.node_entry_dict.insert(e.id, NodeEntry { outputs });
             }
             ExprKind::TupleGetItem(t, i) => {
                 let outs = &ctx.node_entry_dict[&t.id].outputs;
@@ -567,7 +548,6 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
                 ctx.node_entry_dict.insert(
                     e.id,
                     NodeEntry {
-                        inputs: vec![picked],
                         outputs: vec![picked],
                     },
                 );

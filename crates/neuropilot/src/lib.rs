@@ -27,15 +27,15 @@
 pub mod convert;
 pub mod error;
 pub mod nir;
-pub mod oplevel;
-pub mod planner;
+pub(crate) mod oplevel;
+pub(crate) mod planner;
 pub mod runtime;
 pub mod support;
 
-pub use convert::{convert_function, NodeEntry};
+pub use convert::convert_function;
 pub use error::NeuronError;
-pub use nir::{NeuronGraph, NeuronOp, NeuronOpKind, NeuronTensor, TensorId};
+pub use nir::{NeuronGraph, NeuronOp, NeuronOpKind, NeuronTensor};
 pub use oplevel::plan_op_level;
 pub use planner::{ExecutionPlan, Planner, TargetPolicy};
 pub use runtime::CompiledNetwork;
-pub use support::{device_supports, neuron_supported, NeuronSupport};
+pub use support::{neuron_supported, NeuronSupport};

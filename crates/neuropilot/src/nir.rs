@@ -16,7 +16,7 @@ use tvmnp_relay::{
 use tvmnp_tensor::{DType, QuantParams, Shape, Tensor};
 
 /// Index of a tensor within its [`NeuronGraph`].
-pub type TensorId = usize;
+pub(crate) type TensorId = usize;
 
 /// One tensor slot of a Neuron network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,7 +42,7 @@ impl NeuronTensor {
     }
 
     /// Whether this slot is a baked-in constant.
-    pub fn is_const(&self) -> bool {
+    pub(crate) fn is_const(&self) -> bool {
         self.data.is_some()
     }
 }
@@ -194,13 +194,13 @@ pub struct NeuronGraph {
 
 impl NeuronGraph {
     /// Add a tensor slot, returning its id.
-    pub fn add_tensor(&mut self, t: NeuronTensor) -> TensorId {
+    pub(crate) fn add_tensor(&mut self, t: NeuronTensor) -> TensorId {
         self.tensors.push(t);
         self.tensors.len() - 1
     }
 
     /// Add an op node.
-    pub fn add_op(&mut self, op: NeuronOp) {
+    pub(crate) fn add_op(&mut self, op: NeuronOp) {
         self.ops.push(op);
     }
 

@@ -74,11 +74,11 @@ impl fmt::Display for TargetPolicy {
 /// Minimum MAC count for which the CPU+APU planner considers a *float* op
 /// worth the APU dispatch + transfer round trip (the Execution Planner's
 /// op-size heuristic; see [`TargetPolicy::CpuApu`]).
-pub const APU_OFFLOAD_MIN_MACS_F32: u64 = 2_000_000;
+pub(crate) const APU_OFFLOAD_MIN_MACS_F32: u64 = 2_000_000;
 
 /// The int8 threshold is higher: the vendor CPU's int8 kernels are already
 /// ~2x its float throughput, so the APU round trip amortizes later.
-pub const APU_OFFLOAD_MIN_MACS_INT8: u64 = 6_000_000;
+pub(crate) const APU_OFFLOAD_MIN_MACS_INT8: u64 = 6_000_000;
 
 /// One op's placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

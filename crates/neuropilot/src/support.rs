@@ -35,7 +35,7 @@ pub fn neuron_supported(op: &OpKind) -> bool {
 }
 
 /// Which Neuron opcodes each device can execute.
-pub fn device_supports(device: DeviceKind, op: &NeuronOpKind) -> bool {
+pub(crate) fn device_supports(device: DeviceKind, op: &NeuronOpKind) -> bool {
     match device {
         // The vendor CPU (and GPU) kernels cover the full Neuron opcode set.
         DeviceKind::Cpu | DeviceKind::Gpu => true,

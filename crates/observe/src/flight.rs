@@ -63,7 +63,7 @@ pub struct FlightRecorder {
 
 /// Default ring capacity: enough for the spans/faults of the last few
 /// dozen served frames.
-pub const DEFAULT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_CAPACITY: usize = 1024;
 
 impl FlightRecorder {
     /// A recorder holding at most `capacity` events, dumping into
@@ -101,7 +101,7 @@ impl FlightRecorder {
     /// Serialize the current window as a self-contained dump document.
     /// `reason` names the trigger; `context` is extra caller-provided
     /// state (e.g. the live stats snapshot) embedded alongside.
-    pub fn dump_value(&self, reason: &str, context: Value) -> Value {
+    pub(crate) fn dump_value(&self, reason: &str, context: Value) -> Value {
         let ring = self.ring.lock();
         let events: Vec<Value> = ring
             .events
@@ -132,7 +132,7 @@ impl FlightRecorder {
     /// output directory and return its path. Returns `Ok(None)` when
     /// there is no output directory, the ring is empty, or nothing new
     /// happened since the last dump (trigger-storm dedupe).
-    pub fn dump(&self, reason: &str, context: Value) -> std::io::Result<Option<PathBuf>> {
+    pub(crate) fn dump(&self, reason: &str, context: Value) -> std::io::Result<Option<PathBuf>> {
         let Some(dir) = &self.out_dir else {
             return Ok(None);
         };

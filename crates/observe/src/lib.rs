@@ -26,7 +26,7 @@
 
 pub mod flight;
 pub mod tail;
-pub mod trace_tree;
+pub(crate) mod trace_tree;
 
 pub use flight::{validate_dump, FlightRecorder};
 pub use tail::{attribute, TailAttribution, TailContributor};
@@ -177,7 +177,7 @@ impl ObservePlane {
 
     /// Append one stats line to the JSONL stream (no-op without a
     /// configured stream file).
-    pub fn emit_stats(&self, reason: &str) {
+    pub(crate) fn emit_stats(&self, reason: &str) {
         let mut guard = self.stream.lock();
         let Some(writer) = guard.as_mut() else { return };
         let seq = self.stream_seq.fetch_add(1, Ordering::Relaxed) + 1;

@@ -41,7 +41,7 @@ pub struct TailAttribution {
 }
 
 /// Frame-latency series name the serving layer records per pipeline.
-pub const FRAME_SERIES: &str = "frame_us";
+pub(crate) const FRAME_SERIES: &str = "frame_us";
 
 /// Compute the tail attribution for `pipeline` from the live snapshot
 /// and the reassembled span trees. Returns `None` when the pipeline has

@@ -25,6 +25,4 @@ pub mod diff;
 pub mod store;
 
 pub use diff::{diff_profiles, CellDelta, ProfileDiff};
-pub use store::{
-    parse_cell_key, profile_path, validate_profile, Profile, ProfileCell, PROFILE_SCHEMA_VERSION,
-};
+pub use store::{profile_path, validate_profile, Profile, ProfileCell};

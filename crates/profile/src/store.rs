@@ -19,7 +19,7 @@ use tvmnp_hwsim::ledger::{CostEntry, CostRole};
 use tvmnp_hwsim::{DeviceKind, KernelClass, WorkKind};
 
 /// Version stamp written into every profile file.
-pub const PROFILE_SCHEMA_VERSION: u64 = 3;
+pub(crate) const PROFILE_SCHEMA_VERSION: u64 = 3;
 
 /// One `(work kind, device, kernel class)` cell of a profile: the sums
 /// of its ledger entries.
@@ -35,7 +35,7 @@ pub struct ProfileCell {
 
 impl ProfileCell {
     /// Mean measured latency, µs (0 when empty).
-    pub fn mean_us(&self) -> f64 {
+    pub(crate) fn mean_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -45,7 +45,7 @@ impl ProfileCell {
 }
 
 /// Parse a `kind/device/class` cell key back into typed components.
-pub fn parse_cell_key(key: &str) -> Option<(WorkKind, DeviceKind, KernelClass)> {
+pub(crate) fn parse_cell_key(key: &str) -> Option<(WorkKind, DeviceKind, KernelClass)> {
     let mut it = key.splitn(3, '/');
     let kind = WorkKind::parse(it.next()?)?;
     let device = DeviceKind::parse(it.next()?)?;

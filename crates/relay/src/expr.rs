@@ -98,7 +98,7 @@ impl Drop for ExprNode {
 }
 
 /// Allocate a fresh node around `kind`.
-pub fn mk(kind: ExprKind) -> Expr {
+pub(crate) fn mk(kind: ExprKind) -> Expr {
     Arc::new(ExprNode {
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         kind,

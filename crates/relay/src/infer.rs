@@ -128,7 +128,7 @@ fn tensor_arg<'a>(args: &'a [&Type], i: usize, op: &str) -> Result<&'a TensorTyp
 }
 
 /// Infer the result type of one primitive op application.
-pub fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
+pub(crate) fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
     let name = op.name();
     let expect_args = |n: usize| -> Result<(), TypeError> {
         if args.len() != n {

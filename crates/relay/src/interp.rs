@@ -100,7 +100,7 @@ impl Value {
     }
 
     /// Consume into a tensor.
-    pub fn into_tensor(self) -> Result<Tensor, RunError> {
+    pub(crate) fn into_tensor(self) -> Result<Tensor, RunError> {
         match self {
             Value::Tensor(t) => Ok(t),
             Value::Tuple(_) => Err(rerr("expected tensor value, found tuple")),
@@ -125,13 +125,13 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Evaluate `main` and unwrap a single tensor output.
-    pub fn run_tensor(&self, inputs: &HashMap<String, Tensor>) -> Result<Tensor, RunError> {
+    pub(crate) fn run_tensor(&self, inputs: &HashMap<String, Tensor>) -> Result<Tensor, RunError> {
         self.run(inputs)?.into_tensor()
     }
 
     /// Evaluate `main` and also return every intermediate value keyed by
     /// node id — the calibration hook used by post-training quantization.
-    pub fn run_with_trace(
+    pub(crate) fn run_with_trace(
         &self,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<(Value, HashMap<usize, Value>), RunError> {
@@ -142,7 +142,7 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Evaluate a function with named inputs.
-    pub fn run_function(
+    pub(crate) fn run_function(
         &self,
         func: &Function,
         inputs: &HashMap<String, Tensor>,

@@ -24,7 +24,7 @@
 pub mod attrs;
 pub mod builder;
 pub mod expr;
-pub mod fingerprint;
+pub(crate) mod fingerprint;
 pub mod infer;
 pub mod interp;
 pub mod memory;

@@ -171,7 +171,7 @@ pub fn plan_memory(program: &impl Program) -> MemoryPlan {
 impl MemoryPlan {
     /// Storage slots of a step's outputs, in output order; empty for a
     /// step that writes nothing.
-    pub fn slots_of(&self, step: usize) -> &[usize] {
+    fn slots_of(&self, step: usize) -> &[usize] {
         &self.value_slots[self.first_value[step]..self.first_value[step + 1]]
     }
 
@@ -181,7 +181,7 @@ impl MemoryPlan {
     }
 
     /// The slots whose value is dead once step `step` has run.
-    pub fn dying_after(&self, step: usize) -> &[usize] {
+    fn dying_after(&self, step: usize) -> &[usize] {
         &self.dying[self.first_dying[step]..self.first_dying[step + 1]]
     }
 
@@ -428,6 +428,25 @@ mod tests {
         // `a` is live across step 1, so `b` may not take its slot.
         plan.value_slots[1] = plan.value_slots[0];
         assert_eq!(plan.check_no_alias(&toy), Some((r(0, 0), r(1, 0))));
+    }
+
+    /// A value nothing reads dies at the step that writes it: its slot is
+    /// freed right after, even when that step is the last.
+    #[test]
+    fn an_unread_value_dies_where_it_is_written() {
+        // a = step 0; b = f(a), returned; c = g(a), read by nothing.
+        let toy = Toy(
+            vec![
+                (vec![8], vec![]),
+                (vec![8], vec![r(0, 0)]),
+                (vec![8], vec![r(0, 0)]),
+            ],
+            vec![r(1, 0)],
+        );
+        let plan = plan_memory(&toy);
+        assert_eq!(plan.check_no_alias(&toy), None);
+        assert!(plan.dying_after(2).contains(&plan.slots_of(2)[0]));
+        assert!(!plan.dying_after(1).contains(&plan.slots_of(1)[0]));
     }
 
     /// A program whose steps write more than it declares: the runner's

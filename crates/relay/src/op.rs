@@ -146,7 +146,7 @@ impl OpKind {
 
     /// Whether this op anchors a fusion group (convolution and dense; see
     /// [`crate::passes::fuse_analysis`]).
-    pub fn is_compute_heavy(&self) -> bool {
+    pub(crate) fn is_compute_heavy(&self) -> bool {
         matches!(
             self,
             OpKind::Conv2d(_) | OpKind::Dense | OpKind::QnnConv2d(_) | OpKind::QnnDense(_)

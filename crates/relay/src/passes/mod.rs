@@ -18,16 +18,14 @@
 
 pub mod fold_batch_norm;
 pub mod fold_constants;
-pub mod fuse;
-pub mod partition;
+pub(crate) mod fuse;
+pub(crate) mod partition;
 pub mod quantize;
 pub mod simplify;
 
 pub use fold_batch_norm::{count_batch_norms, fold_batch_norm};
 pub use fold_constants::fold_constants;
 pub use fuse::{fuse_analysis, FusionGroup};
-pub use partition::{
-    partition_graph, CompilerSupport, PartitionError, PartitionReport, SupportAll, SupportByName,
-};
-pub use quantize::{calibrate, quantize_module, quantize_with_calibration, QuantizeError};
+pub use partition::{partition_graph, CompilerSupport, PartitionError, PartitionReport};
+pub use quantize::{quantize_with_calibration, QuantizeError};
 pub use simplify::simplify;

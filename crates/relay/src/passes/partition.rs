@@ -447,47 +447,6 @@ pub fn partition_graph(
     Ok((out, report))
 }
 
-/// A support oracle accepting everything — partitions the whole graph into
-/// one external function when it is connected (useful in tests and for the
-/// "NeuroPilot-only" permutations).
-pub struct SupportAll(pub String);
-
-impl CompilerSupport for SupportAll {
-    fn name(&self) -> &str {
-        &self.0
-    }
-
-    fn supported(&self, _op: &OpKind, _args: &[&Type]) -> bool {
-        true
-    }
-}
-
-/// A support oracle driven by a list of supported op names.
-pub struct SupportByName {
-    name: String,
-    ops: HashSet<&'static str>,
-}
-
-impl SupportByName {
-    /// New oracle for `name` supporting the given op-name list.
-    pub fn new(name: impl Into<String>, ops: impl IntoIterator<Item = &'static str>) -> Self {
-        SupportByName {
-            name: name.into(),
-            ops: ops.into_iter().collect(),
-        }
-    }
-}
-
-impl CompilerSupport for SupportByName {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn supported(&self, op: &OpKind, _args: &[&Type]) -> bool {
-        self.ops.contains(op.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,6 +458,46 @@ mod tests {
     use std::collections::HashMap as Map;
     use tvmnp_tensor::rng::TensorRng;
     use tvmnp_tensor::Tensor;
+
+    /// A support oracle accepting everything — partitions the whole graph into
+    /// one external function when it is connected.
+    struct SupportAll(pub String);
+
+    impl CompilerSupport for SupportAll {
+        fn name(&self) -> &str {
+            &self.0
+        }
+
+        fn supported(&self, _op: &OpKind, _args: &[&Type]) -> bool {
+            true
+        }
+    }
+
+    /// A support oracle driven by a list of supported op names.
+    struct SupportByName {
+        name: String,
+        ops: HashSet<&'static str>,
+    }
+
+    impl SupportByName {
+        /// New oracle for `name` supporting the given op-name list.
+        fn new(name: impl Into<String>, ops: impl IntoIterator<Item = &'static str>) -> Self {
+            SupportByName {
+                name: name.into(),
+                ops: ops.into_iter().collect(),
+            }
+        }
+    }
+
+    impl CompilerSupport for SupportByName {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn supported(&self, op: &OpKind, _args: &[&Type]) -> bool {
+            self.ops.contains(op.name())
+        }
+    }
 
     fn simple_cnn() -> (Module, Tensor) {
         let mut rng = TensorRng::new(3);

@@ -43,10 +43,10 @@ impl fmt::Display for QuantizeError {
 impl std::error::Error for QuantizeError {}
 
 /// Per-node calibrated value ranges.
-pub type Calibration = HashMap<usize, (f32, f32)>;
+pub(crate) type Calibration = HashMap<usize, (f32, f32)>;
 
 /// Run the module on each calibration input and record per-node min/max.
-pub fn calibrate(
+pub(crate) fn calibrate(
     module: &Module,
     calibration_inputs: &[HashMap<String, Tensor>],
 ) -> Result<Calibration, QuantizeError> {
@@ -138,7 +138,7 @@ fn const_tensor(e: &Expr) -> Result<Tensor, QuantizeError> {
 /// The result takes the *same float inputs* (a `qnn.quantize` is inserted
 /// at each input) and produces the same float outputs (a `qnn.dequantize`
 /// is appended), so it is a drop-in replacement for the float module.
-pub fn quantize_module(
+pub(crate) fn quantize_module(
     module: &Module,
     calibration: &Calibration,
 ) -> Result<Module, QuantizeError> {

@@ -80,7 +80,7 @@ type RewriteFn<'a> = Box<dyn FnMut(&Expr) -> Option<Expr> + 'a>;
 /// already rewritten and may return a replacement; returning `None` keeps
 /// the (child-rewritten) node. Sharing is preserved: a node reached twice
 /// is rewritten once.
-pub struct ExprMutator<'a> {
+pub(crate) struct ExprMutator<'a> {
     memo: HashMap<usize, Expr>,
     rewrite: RewriteFn<'a>,
 }
@@ -95,7 +95,7 @@ impl<'a> ExprMutator<'a> {
     }
 
     /// Rewrite the graph rooted at `root` (iterative, safe on deep graphs).
-    pub fn mutate(&mut self, root: &Expr) -> Expr {
+    pub(crate) fn mutate(&mut self, root: &Expr) -> Expr {
         for e in topo_order(root) {
             if self.memo.contains_key(&e.id) {
                 continue;
@@ -109,7 +109,7 @@ impl<'a> ExprMutator<'a> {
 }
 
 /// Map from node id to the ids of nodes that consume it (reverse edges).
-pub fn consumers(root: &Expr) -> HashMap<usize, Vec<usize>> {
+pub(crate) fn consumers(root: &Expr) -> HashMap<usize, Vec<usize>> {
     let mut map: HashMap<usize, Vec<usize>> = HashMap::new();
     post_order(root, |e| {
         for a in e.args() {

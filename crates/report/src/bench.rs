@@ -14,7 +14,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Bump when the JSON layout changes incompatibly.
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// One workload's recorded benchmark: named metrics in a stable schema.
 #[derive(Debug, Clone, PartialEq)]

@@ -20,10 +20,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod bench;
-pub mod resilience;
+pub(crate) mod resilience;
 pub mod util;
 
-pub use bench::{mismatches, BenchIoError, BenchRecord, Mismatch, SCHEMA_VERSION};
+pub use bench::{mismatches, BenchIoError, BenchRecord, Mismatch};
 pub use resilience::{FallbackEdge, FallbackTransition, ResilienceReport};
 pub use util::{
     utilization_from_schedule, utilization_from_snapshot, DeviceUtil, UtilizationReport,

@@ -124,17 +124,17 @@ impl ResilienceReport {
     }
 
     /// Total retries across devices.
-    pub fn total_retries(&self) -> u64 {
+    pub(crate) fn total_retries(&self) -> u64 {
         self.retries.values().sum()
     }
 
     /// Total degradation edges taken.
-    pub fn total_fallbacks(&self) -> u64 {
+    pub(crate) fn total_fallbacks(&self) -> u64 {
         self.fallbacks.iter().map(|f| f.count).sum()
     }
 
     /// Whether any resilience machinery fired at all.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self == &ResilienceReport::default()
     }
 

@@ -171,7 +171,7 @@ impl LoaderRegistry {
     }
 
     /// Instantiate every external module of an artifact.
-    pub fn load_all(&self, artifact: &Artifact) -> Result<ModuleRegistry, String> {
+    pub(crate) fn load_all(&self, artifact: &Artifact) -> Result<ModuleRegistry, String> {
         let mut registry = ModuleRegistry::new();
         for blob in &artifact.externals {
             let loader = self

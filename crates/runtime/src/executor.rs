@@ -65,37 +65,37 @@ impl ExecError {
     }
 
     /// Attach the failing node's identifier.
-    pub fn with_node(mut self, node: impl Into<String>) -> ExecError {
+    pub(crate) fn with_node(mut self, node: impl Into<String>) -> ExecError {
         self.context.node = Some(node.into());
         self
     }
 
     /// Attach the operator or external symbol being evaluated.
-    pub fn with_op(mut self, op: impl Into<String>) -> ExecError {
+    pub(crate) fn with_op(mut self, op: impl Into<String>) -> ExecError {
         self.context.op = Some(op.into());
         self
     }
 
     /// Attach the device the node was charged to.
-    pub fn with_device(mut self, device: impl Into<String>) -> ExecError {
+    pub(crate) fn with_device(mut self, device: impl Into<String>) -> ExecError {
         self.context.device = Some(device.into());
         self
     }
 
     /// Attach the dispatch attempt count of a device-fault failure.
-    pub fn with_attempt(mut self, attempt: u32) -> ExecError {
+    pub(crate) fn with_attempt(mut self, attempt: u32) -> ExecError {
         self.context.attempt = Some(attempt);
         self
     }
 
     /// Set the failure classification.
-    pub fn with_kind(mut self, kind: ExecErrorKind) -> ExecError {
+    pub(crate) fn with_kind(mut self, kind: ExecErrorKind) -> ExecError {
         self.kind = kind;
         self
     }
 
     /// Append one fault cause to the chain.
-    pub fn with_cause(mut self, cause: impl Into<String>) -> ExecError {
+    pub(crate) fn with_cause(mut self, cause: impl Into<String>) -> ExecError {
         self.causes.push(cause.into());
         self
     }
@@ -195,6 +195,8 @@ impl RunOptions<'_> {
     /// to the installed event sink (flight recorder). A fatal fault or an
     /// exhausted retry budget is an [`ExecErrorKind::DeviceFault`] error
     /// with device, attempt and cause filled. No injector, no fault.
+    // The one caller of `on_dispatch` (crates/clippy.toml).
+    #[allow(clippy::disallowed_methods)]
     pub fn dispatch(
         &self,
         device: DeviceKind,

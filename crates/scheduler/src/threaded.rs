@@ -91,6 +91,8 @@ impl ResourceLocks {
 /// A body that panics loses *that item only*: the panic is caught where
 /// it happened, the item's outcome is `Err` with the panic message, and
 /// every other item completes.
+// The one place that starts a thread or catches a panic (crates/clippy.toml).
+#[allow(clippy::disallowed_methods)]
 pub fn run_window<T: Sync, R: Send>(
     items: &[T],
     window: usize,
@@ -283,6 +285,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // a test may catch the panic it expects
     fn lock_order_inversion_is_detected() {
         let locks = ResourceLocks::new();
         // Correct order (ALL order) is fine, including nesting a later

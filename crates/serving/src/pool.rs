@@ -90,7 +90,7 @@ impl SessionPool {
     }
 
     /// The session serving frame `frame_index`.
-    pub fn session_for(&self, frame_index: usize) -> &Showcase {
+    pub(crate) fn session_for(&self, frame_index: usize) -> &Showcase {
         &self.sessions[frame_index % self.sessions.len()]
     }
 

@@ -337,6 +337,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // a test may start threads to race
     fn spans_are_thread_safe_and_tids_dense() {
         let _l = lock_global();
         enable();

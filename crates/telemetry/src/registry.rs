@@ -258,6 +258,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // a test may start threads to race
     fn concurrent_writers_lose_nothing() {
         let reg = StatsRegistry::default();
         std::thread::scope(|scope| {

@@ -157,7 +157,7 @@ pub(crate) fn stamp(record: &mut Record, ids: SpanIds) {
 }
 
 /// The current trace id, if a trace is active on this thread.
-pub fn current_trace_id() -> Option<u64> {
+pub(crate) fn current_trace_id() -> Option<u64> {
     CURRENT.with(|c| c.borrow().as_ref().map(|s| s.trace_id))
 }
 

@@ -9,12 +9,12 @@
 
 pub mod conv;
 pub mod dense;
-pub mod elementwise;
+pub(crate) mod elementwise;
 pub mod norm;
 pub mod pool;
 pub mod qconv;
 pub mod softmax;
-pub mod transform;
+pub(crate) mod transform;
 
 pub use conv::{conv2d_f32, Conv2dParams};
 pub use dense::{dense_f32, qdense};

@@ -16,7 +16,7 @@ impl Shape {
     }
 
     /// Scalar shape (rank 0, one element).
-    pub fn scalar() -> Self {
+    pub(crate) fn scalar() -> Self {
         Shape(Vec::new())
     }
 

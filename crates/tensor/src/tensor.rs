@@ -45,7 +45,7 @@ impl std::error::Error for TensorError {}
 
 /// Backing storage, one dense row-major buffer per dtype.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Data {
+pub(crate) enum Data {
     /// float32 elements.
     F32(Vec<f32>),
     /// int8 elements.

@@ -75,7 +75,7 @@ impl ShowcaseAssignment {
 
 /// Devices a target mode occupies, for the exclusivity locks and the
 /// Fig. 5 Gantt colors.
-pub fn resources_of(mode: TargetMode) -> &'static [DeviceKind] {
+pub(crate) fn resources_of(mode: TargetMode) -> &'static [DeviceKind] {
     match mode {
         TargetMode::TvmOnly => &[DeviceKind::Cpu],
         TargetMode::Byoc(p) | TargetMode::NeuroPilotOnly(p) => p.devices(),

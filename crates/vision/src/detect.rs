@@ -35,12 +35,12 @@ impl BBox {
     }
 
     /// Area in pixels.
-    pub fn area(&self) -> usize {
+    pub(crate) fn area(&self) -> usize {
         self.w * self.h
     }
 
     /// Intersection area with another box.
-    pub fn intersection(&self, o: &BBox) -> usize {
+    pub(crate) fn intersection(&self, o: &BBox) -> usize {
         let x0 = self.x.max(o.x);
         let y0 = self.y.max(o.y);
         let x1 = (self.x + self.w).min(o.x + o.w);
@@ -53,7 +53,7 @@ impl BBox {
     }
 
     /// Whether the boxes overlap at all.
-    pub fn overlaps(&self, o: &BBox) -> bool {
+    pub(crate) fn overlaps(&self, o: &BBox) -> bool {
         self.intersection(o) > 0
     }
 }

@@ -177,7 +177,7 @@ impl SyntheticVideo {
 
     /// Generate the next frame. Cycle of scenes: empty → person without
     /// face → person with real face → person with spoof face.
-    pub fn next_frame(&mut self) -> Frame {
+    pub(crate) fn next_frame(&mut self) -> Frame {
         let idx = self.next_index;
         self.next_index += 1;
         let (w, h) = (self.width, self.height);

@@ -14,13 +14,13 @@
 //! discriminative on the synthetic faces — untrained weights cannot be,
 //! and the paper's measured quantity is latency, not accuracy.
 
-pub mod app;
+pub(crate) mod app;
 pub mod detect;
 pub mod frame;
 
 pub use app::{
-    resources_of, DroppedStage, FaceResult, FrameResult, Showcase, ShowcaseAssignment,
-    ShowcaseFaults, ShowcaseTiming,
+    DroppedStage, FaceResult, FrameResult, Showcase, ShowcaseAssignment, ShowcaseFaults,
+    ShowcaseTiming,
 };
 pub use detect::{iou, luminance_saliency, match_faces, BBox};
 pub use frame::{FaceKind, Frame, GtObject, SyntheticVideo};

@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo fmt --check
+# clippy also holds crates/clippy.toml's one-site rules (a thread, a
+# caught panic, the process arguments, a dispatch fault) and rustc's
+# `dead_code` every crate-visible item.
 cargo clippy -- -D warnings
 
 # Kernel numerics gate (DESIGN.md "kernel numerics contract"). Hard step:
@@ -41,18 +44,6 @@ for f in crates/runtime/src/executor.rs crates/relay/src/memory.rs; do
         exit 1
     fi
 done
-# And there is one run loop (DESIGN.md "The execution plan"): only
-# `StepPlan::run` in relay/src/memory.rs stores a step's results in their
-# slots and frees the dying ones, so a second walk cannot grow back in
-# either runtime.
-for f in $(find crates/*/src -name '*.rs' | sort); do
-    [ "$f" = crates/relay/src/memory.rs ] && continue
-    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
-        grep -E 'dying_after\(|slots_of\('; then
-        echo "one-run-loop gate: $f walks slots itself (only StepPlan::run in relay/src/memory.rs may)" >&2
-        exit 1
-    fi
-done
 # And the cache must not take a size by printing an entry (DESIGN.md
 # "Compile products and the file boundary"): the LRU budget counts weight
 # bytes. The serializations a grep cannot see — the discarded export in
@@ -79,48 +70,18 @@ if awk '/#\[derive\(/ { derive = $0 }
     exit 1
 fi
 
-# And the harness must stay one binary over one flag parser (DESIGN.md,
-# the `bench` crate row): only main.rs reads the process arguments, and
-# no per-figure executable may grow back beside it.
-for f in crates/bench/src/*.rs; do
-    [ "$f" = crates/bench/src/main.rs ] && continue
-    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
-        grep -F 'env::args'; then
-        echo "one-binary gate: $f reads the process arguments (only main.rs may)" >&2
-        exit 1
-    fi
-done
+# And the harness must stay one binary (DESIGN.md, the `bench` crate row):
+# no per-figure executable may grow back beside `tvmnp`. (Only its `main`
+# reads the process arguments: crates/clippy.toml.)
 if [ -e crates/bench/src/bin ]; then
     echo "one-binary gate: crates/bench/src/bin exists again" >&2
     exit 1
 fi
 
-# And frames run on threads through one runtime (DESIGN.md "Wall clock: one
-# runtime"): only scheduler/src/threaded.rs may start a thread or catch a
-# panic, so a second worker loop or a second failure policy cannot grow
-# back beside `run_window`.
-for f in $(find crates/*/src -name '*.rs' | sort); do
-    [ "$f" = crates/scheduler/src/threaded.rs ] && continue
-    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
-        grep -E 'thread::spawn|thread::scope|thread::Builder|catch_unwind\('; then
-        echo "one-runtime gate: $f starts a thread or catches a panic (only scheduler/src/threaded.rs may)" >&2
-        exit 1
-    fi
-done
-
 # And faults strike at one layer (DESIGN.md "Faults: one layer"): the
-# runtime that dispatches consults the injector, through
-# `RunOptions::dispatch` in runtime/src/executor.rs, so a second retry
-# loop cannot grow back beside it — least of all in the Neuron runtime,
-# which only computes and must not know fault injection exists.
-for f in $(find crates/*/src -name '*.rs' | sort); do
-    case "$f" in crates/hwsim/src/fault.rs | crates/runtime/src/executor.rs) continue ;; esac
-    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
-        grep -F 'on_dispatch('; then
-        echo "one-fault-path gate: $f consults the injector at dispatch (only runtime/src/executor.rs may)" >&2
-        exit 1
-    fi
-done
+# runtime that dispatches consults the injector (crates/clippy.toml allows
+# `on_dispatch` only in `RunOptions::dispatch`), and the Neuron runtime,
+# which only computes, must not know fault injection exists.
 if grep -rnE 'FaultInjector|RetryPolicy' crates/neuropilot/src; then
     echo "one-fault-path gate: crates/neuropilot/src names the fault injector or the retry policy" >&2
     exit 1
@@ -233,10 +194,11 @@ done
 
 # A Neuron placement is priced where it is charged: only the runtime's
 # `build_ledger` asks the cost model for a kernel, dispatch or transfer
-# time, so the op-level planner searches against the ledger that judges it.
+# time or energy, or builds a kernel or transfer ledger entry, so the
+# op-level planner searches against the ledger that judges it.
 for f in $(find crates/neuropilot/src -name '*.rs' -not -path crates/neuropilot/src/runtime.rs | sort); do
     if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
-        grep -E '(kernel_us|subgraph_dispatch_us|transfer_us)\('; then
+        grep -E '(kernel_(body_)?us|subgraph_dispatch_us|transfer_us|kernel_energy_uj|transfer_energy_uj|CostEntry::(kernel_body|transfer))\('; then
         echo "one-cost-table gate: $f prices placements outside runtime::build_ledger" >&2
         exit 1
     fi
