@@ -10,7 +10,9 @@ use tvmnp_hwsim::{ledger, CostEntry, CostModel, CostRole};
 use tvmnp_neuropilot::support::{first_unsupported, NeuronSupport};
 use tvmnp_neuropilot::{CompiledNetwork, NeuronError, NeuronGraph, TargetPolicy};
 use tvmnp_relay::expr::Module;
-use tvmnp_relay::passes::{fold_constants, partition_graph, simplify, PartitionReport};
+use tvmnp_relay::passes::{
+    fold_constants, partition_graph, simplify, CompilerSupport, PartitionReport,
+};
 use tvmnp_runtime::{
     Artifact, ExecError, ExecutorGraph, GraphExecutor, ModuleRegistry, RunOptions,
 };
@@ -83,9 +85,23 @@ impl std::error::Error for BuildError {}
 /// partition for the NeuroPilot codegen. Returns the partitioned module
 /// and the partition report (subgraph counts drive Fig. 4's analysis).
 pub fn partition_for_nir(module: &Module) -> Result<(Module, PartitionReport), BuildError> {
+    partition(module, &NeuronSupport)
+}
+
+/// The relay passes every build runs first: simplify, then fold constants.
+fn prepare(module: &Module) -> Module {
+    fold_constants(&simplify(module))
+}
+
+/// The BYOC prelude every external compiler shares: [`prepare`], then
+/// partition for `support` under one `byoc.partition` span.
+pub(crate) fn partition(
+    module: &Module,
+    support: &dyn CompilerSupport,
+) -> Result<(Module, PartitionReport), BuildError> {
+    let prepared = prepare(module);
     let _span = tvmnp_telemetry::span!("byoc.partition");
-    let prepared = fold_constants(&simplify(module));
-    partition_graph(&prepared, &NeuronSupport).map_err(|e| BuildError::Partition(e.to_string()))
+    partition_graph(&prepared, support).map_err(|e| BuildError::Partition(e.to_string()))
 }
 
 /// A compiled, runnable model under one target mode.
@@ -261,20 +277,15 @@ pub enum CachedArtifact {
 /// the Neuron codegen. Emits every compile-side span; takes no cost model.
 pub fn compile(module: &Module, mode: TargetMode) -> Result<CachedArtifact, BuildError> {
     let _span = tvmnp_telemetry::span!("byoc.build", "mode" => mode.to_string());
-    let prepared = fold_constants(&simplify(module));
     let lower =
         |m: &Module| ExecutorGraph::build(m).map_err(|e| BuildError::Runtime(e.to_string()));
     match mode {
         TargetMode::TvmOnly => Ok(CachedArtifact::Tvm {
-            graph: lower(&prepared)?,
+            graph: lower(&prepare(module))?,
             modules: Vec::new(),
         }),
         TargetMode::Byoc(policy) => {
-            let (partitioned, _) = {
-                let _span = tvmnp_telemetry::span!("byoc.partition");
-                partition_graph(&prepared, &NeuronSupport)
-                    .map_err(|e| BuildError::Partition(e.to_string()))?
-            };
+            let (partitioned, _) = partition(module, &NeuronSupport)?;
             let graph = lower(&partitioned)?;
             let mut modules = Vec::new();
             for name in partitioned.external_functions() {
@@ -285,6 +296,7 @@ pub fn compile(module: &Module, mode: TargetMode) -> Result<CachedArtifact, Buil
             Ok(CachedArtifact::Tvm { graph, modules })
         }
         TargetMode::NeuroPilotOnly(policy) => {
+            let prepared = prepare(module);
             if let Some(op) = first_unsupported(prepared.main()) {
                 return Err(BuildError::Unsupported(op));
             }

@@ -15,16 +15,14 @@
 //! the consequence the paper's introduction claims: the NeuroPilot-direct
 //! flow dominates the NNAPI flow it replaced.
 
-use crate::build::{tvm_model, BuildError, CompiledModel};
+use crate::build::{partition, tvm_model, BuildError, CompiledModel};
 use crate::codegen::NeuronModule;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::CostModel;
 use tvmnp_neuropilot::{neuron_supported, TargetPolicy};
 use tvmnp_relay::expr::Module;
-use tvmnp_relay::passes::{
-    fold_constants, partition_graph, simplify, CompilerSupport, PartitionReport,
-};
-use tvmnp_relay::{OpKind, Type};
+use tvmnp_relay::passes::{CompilerSupport, PartitionReport};
+use tvmnp_relay::OpKind;
 use tvmnp_runtime::module::{ExternalModule, ModuleError};
 use tvmnp_runtime::{ExecutorGraph, ModuleRegistry};
 use tvmnp_tensor::Tensor;
@@ -33,14 +31,15 @@ use tvmnp_tensor::Tensor;
 /// (scaled with the rest of the overhead model; see DESIGN.md).
 pub(crate) const NNAPI_HAL_OVERHEAD_US: f64 = 40.0;
 
-/// Relay ops Neuron IR converts but the NNAPI C API cannot express.
-pub(crate) const NNAPI_GAPS: &[&str] = &["nn.leaky_relu", "maximum", "nn.pad", "transpose"];
-
 /// Whether the NNAPI flow can take this Relay op: NNAPI drives the same
 /// compiled network underneath, so its surface is NeuroPilot's
-/// ([`neuron_supported`]) less [`NNAPI_GAPS`].
+/// ([`neuron_supported`]) less the ops the NNAPI C API cannot express.
 pub(crate) fn nnapi_supported(op: &OpKind) -> bool {
-    neuron_supported(op) && !NNAPI_GAPS.contains(&op.name())
+    neuron_supported(op)
+        && !matches!(
+            op,
+            OpKind::LeakyRelu(_) | OpKind::Maximum | OpKind::Pad(_) | OpKind::Transpose(_)
+        )
 }
 
 /// The `CompilerSupport` oracle of the NNAPI flow.
@@ -51,7 +50,7 @@ impl CompilerSupport for NnapiSupport {
         "nnapi"
     }
 
-    fn supported(&self, op: &OpKind, _arg_types: &[&Type]) -> bool {
+    fn supported(&self, op: &OpKind) -> bool {
         nnapi_supported(op)
     }
 }
@@ -122,9 +121,7 @@ pub fn relay_build_nnapi(
     policy: TargetPolicy,
     cost: CostModel,
 ) -> Result<(CompiledModel, PartitionReport), BuildError> {
-    let prepared = fold_constants(&simplify(module));
-    let (partitioned, report) = partition_graph(&prepared, &NnapiSupport)
-        .map_err(|e| BuildError::Partition(e.to_string()))?;
+    let (partitioned, report) = partition(module, &NnapiSupport)?;
     let graph =
         ExecutorGraph::build(&partitioned).map_err(|e| BuildError::Runtime(e.to_string()))?;
     let mut registry = ModuleRegistry::new();
@@ -194,6 +191,73 @@ mod tests {
         }
     }
 
+    /// The whole support matrix, one instance of every `OpKind` variant
+    /// (and both counting average pools): whether NeuroPilot takes it,
+    /// and whether NNAPI does. A moved row is a moved Fig. 4/6 bar.
+    #[test]
+    fn support_matrix_is_pinned() {
+        use tvmnp_relay::*;
+        use tvmnp_tensor::{DType, QuantParams};
+        let q = QuantParams::new(0.05, 128);
+        let counting = |padding| Pool2dAttrs {
+            padding,
+            count_include_pad: true,
+            ..Pool2dAttrs::square(3)
+        };
+        #[rustfmt::skip]
+        let rows = [
+            (OpKind::Conv2d(Conv2dAttrs::same(1)), true, true),
+            (OpKind::Dense, true, true),
+            (OpKind::BiasAdd, true, true),
+            (OpKind::BatchNorm(BatchNormAttrs { epsilon: 1e-5 }), false, false),
+            (OpKind::Relu, true, true),
+            (OpKind::LeakyRelu(LeakyReluAttrs { alpha: 0.1 }), true, false),
+            (OpKind::Clip(ClipAttrs { min: 0.0, max: 6.0 }), true, true),
+            (OpKind::Sigmoid, true, true),
+            (OpKind::Tanh, true, true),
+            (OpKind::Exp, false, false),
+            (OpKind::Sqrt, false, false),
+            (OpKind::Negative, false, false),
+            (OpKind::MaxPool2d(Pool2dAttrs::square(2)), true, true),
+            (OpKind::AvgPool2d(Pool2dAttrs::square(2)), true, true),
+            (OpKind::AvgPool2d(counting((0, 0, 0, 0))), true, true),
+            (OpKind::AvgPool2d(counting((1, 1, 1, 1))), false, false),
+            (OpKind::GlobalAvgPool2d, true, true),
+            (OpKind::Softmax, true, true),
+            (OpKind::LogSoftmax, false, false),
+            (OpKind::Add, true, true),
+            (OpKind::Subtract, false, false),
+            (OpKind::Multiply, true, true),
+            (OpKind::Divide, false, false),
+            (OpKind::Maximum, true, false),
+            (OpKind::Minimum, false, false),
+            (OpKind::Reshape(ReshapeAttrs { new_shape: vec![1, 8] }), true, true),
+            (OpKind::Transpose(TransposeAttrs { axes: vec![1, 0] }), true, false),
+            (OpKind::Concatenate(ConcatAttrs { axis: 1 }), true, true),
+            (OpKind::Pad(PadAttrs { pads: vec![(0, 0), (1, 1)], value: 0.0 }), true, false),
+            (OpKind::StridedSlice(SliceAttrs { begin: vec![0], end: vec![1] }), false, false),
+            (OpKind::BatchFlatten, true, true),
+            (OpKind::Resize2d(Resize2dAttrs { out_h: 2, out_w: 2, bilinear: true }), false, false),
+            (OpKind::Mean(MeanAttrs { axes: vec![1] }), false, false),
+            (OpKind::Dropout, false, false),
+            (OpKind::QnnQuantize(QuantizeAttrs { out: q, out_dtype: DType::U8 }), true, true),
+            (OpKind::QnnDequantize(DequantizeAttrs { input: q }), true, true),
+            (OpKind::QnnRequantize(RequantizeAttrs { input: q, output: q, out_dtype: DType::U8 }), true, true),
+            (OpKind::QnnConv2d(QnnConv2dAttrs {
+                conv: Conv2dAttrs::same(1), input_q: q, weight_q: q, output_q: q, out_dtype: DType::U8,
+            }), true, true),
+            (OpKind::QnnDense(QnnDenseAttrs { input_q: q, weight_q: q, output_q: q, out_dtype: DType::U8 }), true, true),
+            (OpKind::QnnAdd(QnnAddAttrs { lhs_q: q, rhs_q: q, output_q: q, out_dtype: DType::U8 }), true, true),
+            (OpKind::QnnConcatenate(QnnConcatAttrs { axis: 1, input_qs: vec![q, q], output_q: q }), true, true),
+        ];
+        let names: std::collections::BTreeSet<_> = rows.iter().map(|(op, ..)| op.name()).collect();
+        assert_eq!(names.len(), 39, "one row per OpKind variant");
+        for (op, neuron, nnapi) in &rows {
+            assert_eq!(neuron_supported(op), *neuron, "NeuroPilot row {op:?}");
+            assert_eq!(nnapi_supported(op), *nnapi, "NNAPI row {op:?}");
+        }
+    }
+
     #[test]
     fn nnapi_flow_runs_and_matches_reference() {
         let (m, ins) = leaky_model();
@@ -237,8 +301,7 @@ mod tests {
             relay_build_nnapi(&m, TargetPolicy::CpuOnly, cost.clone()).unwrap();
         // Build the same partition through plain NeuronModules to isolate
         // the HAL term.
-        let prepared = fold_constants(&simplify(&m));
-        let (partitioned, _) = partition_graph(&prepared, &NnapiSupport).unwrap();
+        let (partitioned, _) = partition(&m, &NnapiSupport).unwrap();
         let graph = ExecutorGraph::build(&partitioned).unwrap();
         let mut registry = ModuleRegistry::new();
         for name in partitioned.external_functions() {

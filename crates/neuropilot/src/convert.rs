@@ -1,9 +1,8 @@
 //! Relay → Neuron IR conversion (paper §3.2, Listing 1).
 //!
-//! The converter walks the Relay AST with a post-order DFS, keeps a
-//! [`NodeEntry`] per visited expression in a `node_entry_dict`, and looks
-//! up each call's conversion logic in an `op_handler_dict` keyed by the
-//! Relay operator name — exactly the structure of the paper's listing:
+//! The converter walks the Relay AST with a post-order DFS and keeps a
+//! [`NodeEntry`] per visited expression in a `node_entry_dict`, exactly the
+//! structure of the paper's listing:
 //!
 //! ```text
 //! def visit_call(call):
@@ -13,18 +12,22 @@
 //!     node_entry_dict[call] = node_entry
 //! ```
 //!
-//! The §3.3 QNN flow is implemented in two parts: the `qnn.*` handlers
-//! stamp the operator-declared parameters onto the operand/result tensors
-//! (tensor-oriented form), and [`propagate_quant_params`] carries those
-//! parameters forward *and backward* through quantization-transparent
+//! The listing's `op_handler_dict` is one `match`, `neuron_kind`: the
+//! Neuron opcode each Relay op becomes, and so the only statement of which
+//! ops NeuroPilot takes (`support::neuron_supported` answers from it).
+//!
+//! The §3.3 QNN flow is implemented in two parts: `Ctx::declared_quant`
+//! stamps each `qnn.*` op's declared parameters onto its operand/result
+//! tensors (tensor-oriented form), and [`propagate_quant_params`] carries
+//! those parameters forward *and backward* through quantization-transparent
 //! non-QNN ops ("we pass the output quantization parameters directly to
 //! the input and continue passing them").
 
 use crate::error::NeuronError;
 use crate::nir::{NeuronGraph, NeuronOp, NeuronOpKind, NeuronTensor, TensorId};
-use crate::support::neuron_supported;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::slice;
+use std::sync::Arc;
 use tvmnp_relay::expr::{CallTarget, Expr, ExprKind, Function, Module};
 use tvmnp_relay::infer::{infer_types, TypeMap};
 use tvmnp_relay::visit::topo_order;
@@ -32,7 +35,7 @@ use tvmnp_relay::{
     ConcatAttrs, DequantizeAttrs, OpKind, Pool2dAttrs, QnnAddAttrs, QnnConcatAttrs, QnnConv2dAttrs,
     QnnDenseAttrs, QuantizeAttrs, RequantizeAttrs,
 };
-use tvmnp_tensor::QuantParams;
+use tvmnp_tensor::{DType, QuantParams};
 
 /// Per-expression bookkeeping, as in paper Listing 1.
 #[derive(Debug, Clone, Default)]
@@ -64,19 +67,19 @@ impl Ctx<'_> {
             .collect()
     }
 
-    /// Allocate the activation tensor for `e`'s (single-tensor) result.
-    fn new_output(
-        &mut self,
-        e: &Expr,
-        quant: Option<QuantParams>,
-    ) -> Result<TensorId, NeuronError> {
+    /// Emit `e` as one Neuron op of `kind`: its operands are its arguments'
+    /// tensors, its result a new activation tensor carrying the parameters
+    /// [`Ctx::declared_quant`] gives it.
+    fn emit(&mut self, e: &Expr, op: &OpKind, kind: NeuronOpKind) -> Result<(), NeuronError> {
+        let inputs = self.arg_ids(e)?;
         let ty = self.types.get(&e.id).ok_or_else(|| {
             NeuronError::Conversion(format!("no inferred type for node {}", e.label()))
         })?;
         let tt = ty
             .tensor()
             .ok_or_else(|| NeuronError::Conversion(format!("{} yields a tuple", e.label())))?;
-        Ok(self.graph.add_tensor(NeuronTensor {
+        let quant = self.declared_quant(op, &inputs, tt.dtype);
+        let output = self.graph.add_tensor(NeuronTensor {
             name: format!(
                 "{}_{}",
                 e.label().replace('.', "_"),
@@ -86,24 +89,7 @@ impl Ctx<'_> {
             dtype: tt.dtype,
             quant,
             data: None,
-        }))
-    }
-
-    /// Set/overwrite quantization parameters of a tensor slot.
-    fn set_quant(&mut self, id: TensorId, q: QuantParams) {
-        let t = &mut self.graph.tensors[id];
-        if t.quant.is_none() {
-            t.quant = Some(q);
-        }
-    }
-
-    /// Quant params currently on a slot.
-    fn quant_of(&self, id: TensorId) -> Option<QuantParams> {
-        self.graph.tensors[id].quant
-    }
-
-    /// Emit the op and record its entry.
-    fn push(&mut self, e: &Expr, kind: NeuronOpKind, inputs: Vec<TensorId>, output: TensorId) {
+        });
         self.graph.add_op(NeuronOp {
             kind,
             inputs,
@@ -115,58 +101,59 @@ impl Ctx<'_> {
                 outputs: vec![output],
             },
         );
+        Ok(())
+    }
+
+    /// §3.3's tensor-oriented form: a `qnn.*` op's declared operand
+    /// parameters go onto its input tensors (where none are set yet) and
+    /// its declared result parameters are returned. Any other op forwards
+    /// its first input's parameters when its result stays quantized, except
+    /// a float conv / dense, whose result scale is not its input's.
+    fn declared_quant(
+        &mut self,
+        op: &OpKind,
+        inputs: &[TensorId],
+        result: DType,
+    ) -> Option<QuantParams> {
+        let pair: [QuantParams; 2];
+        let (operands, declared): (&[QuantParams], _) = match op {
+            OpKind::QnnConv2d(a) => {
+                pair = [a.input_q, a.weight_q];
+                (&pair, Some(a.output_q))
+            }
+            OpKind::QnnDense(a) => {
+                pair = [a.input_q, a.weight_q];
+                (&pair, Some(a.output_q))
+            }
+            OpKind::QnnAdd(a) => {
+                pair = [a.lhs_q, a.rhs_q];
+                (&pair, Some(a.output_q))
+            }
+            OpKind::QnnConcatenate(a) => (&a.input_qs, Some(a.output_q)),
+            OpKind::QnnQuantize(a) => (&[], Some(a.out)),
+            OpKind::QnnDequantize(a) => (slice::from_ref(&a.input), None),
+            OpKind::QnnRequantize(a) => (slice::from_ref(&a.input), Some(a.output)),
+            OpKind::Conv2d(_) | OpKind::Dense => return None,
+            _ if result.is_quantized() => {
+                return inputs.first().and_then(|&i| self.graph.tensors[i].quant)
+            }
+            _ => return None,
+        };
+        for (&id, &q) in inputs.iter().zip(operands) {
+            self.graph.tensors[id].quant.get_or_insert(q);
+        }
+        declared
     }
 }
 
-type Handler = fn(&mut Ctx, &Expr, &OpKind) -> Result<(), NeuronError>;
-
-/// The op-handler dictionary of Listing 1: Relay op name → conversion
-/// logic. Its key set, less the attributes Neuron IR cannot express, is
-/// the NeuroPilot support matrix ([`neuron_supported`] asks it).
-fn op_handler_dict() -> &'static HashMap<&'static str, Handler> {
-    static DICT: OnceLock<HashMap<&'static str, Handler>> = OnceLock::new();
-    DICT.get_or_init(|| {
-        let mut d: HashMap<&'static str, Handler> = HashMap::new();
-        d.insert("nn.conv2d", h_mac);
-        d.insert("qnn.conv2d", h_mac);
-        d.insert("nn.dense", h_mac);
-        d.insert("qnn.dense", h_mac);
-        d.insert("nn.bias_add", h_simple);
-        d.insert("nn.relu", h_simple);
-        d.insert("nn.leaky_relu", h_simple);
-        d.insert("clip", h_simple);
-        d.insert("sigmoid", h_simple);
-        d.insert("tanh", h_simple);
-        d.insert("nn.max_pool2d", h_simple);
-        d.insert("nn.avg_pool2d", h_simple);
-        d.insert("nn.global_avg_pool2d", h_simple);
-        d.insert("nn.softmax", h_simple);
-        d.insert("add", h_simple);
-        d.insert("multiply", h_simple);
-        d.insert("maximum", h_simple);
-        d.insert("reshape", h_simple);
-        d.insert("transpose", h_simple);
-        d.insert("concatenate", h_simple);
-        d.insert("nn.pad", h_simple);
-        d.insert("nn.batch_flatten", h_simple);
-        d.insert("qnn.quantize", h_qnn_unary);
-        d.insert("qnn.dequantize", h_qnn_unary);
-        d.insert("qnn.requantize", h_qnn_unary);
-        d.insert("qnn.add", h_qnn_add);
-        d.insert("qnn.concatenate", h_qnn_concat);
-        d
-    })
-}
-
-/// Whether the dictionary converts the Relay op named `op_name`.
-pub(crate) fn has_op_handler(op_name: &str) -> bool {
-    op_handler_dict().contains_key(op_name)
-}
-
-/// Map a Relay op to its Neuron opcode (attributes carried over; quant
-/// attributes deliberately dropped — they move onto tensors).
-fn neuron_kind(op: &OpKind) -> Result<NeuronOpKind, NeuronError> {
-    Ok(match op {
+/// The Neuron opcode a Relay op converts to — the one statement of
+/// NeuroPilot's coverage (Listing 1's `op_handler_dict`, as a `match`
+/// with no wildcard arm). Attributes carry over; quantization attributes
+/// do not (they move onto tensors, `Ctx::declared_quant`). `None` for
+/// every op Neuron IR has no opcode for, including an average pool that
+/// counts padding taps: Neuron pools average over the valid taps only.
+pub(crate) fn neuron_kind(op: &OpKind) -> Option<NeuronOpKind> {
+    Some(match op {
         OpKind::Conv2d(a) => NeuronOpKind::Conv2d(*a),
         OpKind::QnnConv2d(a) => NeuronOpKind::Conv2d(a.conv),
         OpKind::Dense | OpKind::QnnDense(_) => NeuronOpKind::FullyConnected,
@@ -181,15 +168,16 @@ fn neuron_kind(op: &OpKind) -> Result<NeuronOpKind, NeuronError> {
             strides: a.strides,
             padding: a.padding,
         },
-        OpKind::AvgPool2d(a) => NeuronOpKind::AvgPool2d {
-            kernel: a.kernel,
-            strides: a.strides,
-            padding: a.padding,
-        },
+        OpKind::AvgPool2d(a) if !a.count_include_pad || a.padding == (0, 0, 0, 0) => {
+            NeuronOpKind::AvgPool2d {
+                kernel: a.kernel,
+                strides: a.strides,
+                padding: a.padding,
+            }
+        }
         OpKind::GlobalAvgPool2d => NeuronOpKind::GlobalAvgPool2d,
         OpKind::Softmax => NeuronOpKind::Softmax,
-        OpKind::Add => NeuronOpKind::Add,
-        OpKind::QnnAdd(_) => NeuronOpKind::Add,
+        OpKind::Add | OpKind::QnnAdd(_) => NeuronOpKind::Add,
         OpKind::Multiply => NeuronOpKind::Mul,
         OpKind::Maximum => NeuronOpKind::Max,
         OpKind::Reshape(a) => NeuronOpKind::Reshape(a.clone()),
@@ -201,7 +189,19 @@ fn neuron_kind(op: &OpKind) -> Result<NeuronOpKind, NeuronError> {
         OpKind::QnnQuantize(_) => NeuronOpKind::Quantize,
         OpKind::QnnDequantize(_) => NeuronOpKind::Dequantize,
         OpKind::QnnRequantize(_) => NeuronOpKind::Requantize,
-        other => return Err(NeuronError::UnsupportedOp(other.name().to_string())),
+        OpKind::AvgPool2d(_)
+        | OpKind::BatchNorm(_)
+        | OpKind::Exp
+        | OpKind::Sqrt
+        | OpKind::Negative
+        | OpKind::LogSoftmax
+        | OpKind::Subtract
+        | OpKind::Divide
+        | OpKind::Minimum
+        | OpKind::StridedSlice(_)
+        | OpKind::Resize2d(_)
+        | OpKind::Mean(_)
+        | OpKind::Dropout => return None,
     })
 }
 
@@ -327,85 +327,6 @@ pub fn relay_op(graph: &NeuronGraph, op: &NeuronOp) -> Result<OpKind, NeuronErro
             out_dtype: out.dtype,
         }),
     })
-}
-
-/// Generic handler: convert opcode, propagate input quant to the output
-/// when the result stays quantized (§3.3 forward propagation).
-fn h_simple(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
-    let inputs = ctx.arg_ids(e)?;
-    let out_quant = match ctx.types[&e.id].tensor() {
-        Some(tt) if tt.dtype.is_quantized() => inputs.first().and_then(|&i| ctx.quant_of(i)),
-        _ => None,
-    };
-    let out = ctx.new_output(e, out_quant)?;
-    ctx.push(e, neuron_kind(op)?, inputs, out);
-    Ok(())
-}
-
-/// conv2d / dense and their `qnn.*` forms: the QNN form stamps the
-/// operator-declared params onto input/weight/output tensors.
-fn h_mac(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
-    let inputs = ctx.arg_ids(e)?;
-    let qnn = match op {
-        OpKind::QnnConv2d(a) => Some((a.input_q, a.weight_q, a.output_q)),
-        OpKind::QnnDense(a) => Some((a.input_q, a.weight_q, a.output_q)),
-        _ => None,
-    };
-    let out_quant = qnn.map(|(input_q, weight_q, output_q)| {
-        ctx.set_quant(inputs[0], input_q);
-        ctx.set_quant(inputs[1], weight_q);
-        output_q
-    });
-    let out = ctx.new_output(e, out_quant)?;
-    ctx.push(e, neuron_kind(op)?, inputs, out);
-    Ok(())
-}
-
-/// qnn.quantize / qnn.dequantize / qnn.requantize.
-fn h_qnn_unary(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
-    let inputs = ctx.arg_ids(e)?;
-    let out_quant = match op {
-        OpKind::QnnQuantize(a) => Some(a.out),
-        OpKind::QnnDequantize(a) => {
-            ctx.set_quant(inputs[0], a.input);
-            None
-        }
-        OpKind::QnnRequantize(a) => {
-            ctx.set_quant(inputs[0], a.input);
-            Some(a.output)
-        }
-        _ => None,
-    };
-    let out = ctx.new_output(e, out_quant)?;
-    ctx.push(e, neuron_kind(op)?, inputs, out);
-    Ok(())
-}
-
-/// qnn.add: both operand params and the result param come from the op.
-fn h_qnn_add(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
-    let inputs = ctx.arg_ids(e)?;
-    let OpKind::QnnAdd(a) = op else {
-        unreachable!("h_qnn_add on {}", op.name())
-    };
-    ctx.set_quant(inputs[0], a.lhs_q);
-    ctx.set_quant(inputs[1], a.rhs_q);
-    let out = ctx.new_output(e, Some(a.output_q))?;
-    ctx.push(e, neuron_kind(op)?, inputs, out);
-    Ok(())
-}
-
-/// qnn.concatenate: per-input params plus the result param.
-fn h_qnn_concat(ctx: &mut Ctx, e: &Expr, op: &OpKind) -> Result<(), NeuronError> {
-    let inputs = ctx.arg_ids(e)?;
-    let OpKind::QnnConcatenate(a) = op else {
-        unreachable!()
-    };
-    for (&id, &q) in inputs.iter().zip(&a.input_qs) {
-        ctx.set_quant(id, q);
-    }
-    let out = ctx.new_output(e, Some(a.output_q))?;
-    ctx.push(e, neuron_kind(op)?, inputs, out);
-    Ok(())
 }
 
 /// Ops that neither create nor consume quantization information: their
@@ -554,10 +475,9 @@ pub fn convert_function(func: &Function) -> Result<NeuronGraph, NeuronError> {
             }
             ExprKind::Call(call) => match &call.target {
                 CallTarget::Op(op) => {
-                    let handler = (op_handler_dict().get(op.name()))
-                        .filter(|_| neuron_supported(op))
+                    let kind = neuron_kind(op)
                         .ok_or_else(|| NeuronError::UnsupportedOp(op.name().to_string()))?;
-                    handler(&mut ctx, &e, op)?;
+                    ctx.emit(&e, op, kind)?;
                 }
                 CallTarget::Global(g) => {
                     return Err(NeuronError::Conversion(format!(

@@ -5,8 +5,8 @@ use std::fmt;
 /// Failures of Neuron conversion, planning or execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NeuronError {
-    /// A Relay op has no entry in the op-handler dictionary — NeuroPilot
-    /// does not support it. This is the error behind the paper's missing
+    /// A Relay op the converter's opcode `match` has no opcode for —
+    /// NeuroPilot does not support it. This is the error behind the paper's missing
     /// NeuroPilot-only bars.
     UnsupportedOp(String),
     /// An op is supported by NeuroPilot but by none of the devices the

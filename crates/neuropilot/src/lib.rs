@@ -7,8 +7,8 @@
 //!
 //! * **Compiler** — a high-level, *tensor-oriented* IR ([`nir`]) plus the
 //!   Relay→Neuron converter ([`convert`]): a post-order DFS over the Relay
-//!   AST with `NodeEntry` bookkeeping and an `op_handler_dict` mapping each
-//!   Relay op name to conversion logic (paper Listing 1), including the
+//!   AST with `NodeEntry` bookkeeping and one `match` from each Relay op
+//!   to its Neuron opcode (paper Listing 1's `op_handler_dict`), including the
 //!   §3.3 QNN flow that turns Relay's operator-oriented quantization
 //!   parameters into per-tensor parameters and propagates them through
 //!   non-QNN ops. The **Execution Planner** ([`planner`]) then assigns
@@ -19,7 +19,8 @@
 //!   construction), while simulated time is charged on the `tvmnp-hwsim`
 //!   cost model.
 //!
-//! [`support`] holds the op-coverage matrices. NeuroPilot supporting
+//! [`support`] answers coverage questions: the converter's `match` for
+//! NeuroPilot as a whole, a device matrix per back-end. NeuroPilot supporting
 //! *fewer* ops than TVM is what produces the missing NeuroPilot-only bars
 //! in the paper's Figs. 4 and 6, and what makes the BYOC flow valuable.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

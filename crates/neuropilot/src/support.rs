@@ -5,7 +5,8 @@
 //! not be any statistics"). Two levels of coverage matter:
 //!
 //! * [`neuron_supported`] — can the Neuron compiler ingest the op at all?
-//!   This drives the BYOC annotate step and decides whether a
+//!   The converter's opcode `match` answers it, so coverage is stated
+//!   once. This drives the BYOC annotate step and decides whether a
 //!   NeuroPilot-only build succeeds (missing bars when it does not).
 //! * [`device_supports`] — can a given back-end target execute the Neuron
 //!   opcode? The APU's narrower coverage forces CPU fallbacks, which is
@@ -14,24 +15,24 @@
 use crate::nir::NeuronOpKind;
 use tvmnp_hwsim::DeviceKind;
 use tvmnp_relay::passes::CompilerSupport;
-use tvmnp_relay::{OpKind, Type};
+use tvmnp_relay::OpKind;
 
-/// Whether NeuroPilot can take this Relay op: the converter's op-handler
-/// dictionary has an entry for it, and Neuron IR can express its
-/// attributes. The one attribute it cannot is an average pool that counts
-/// padding taps (`count_include_pad` with nonzero padding): Neuron pools
-/// average over the valid taps only.
+/// Whether NeuroPilot can take this Relay op: the converter's opcode
+/// `match` (`convert::neuron_kind`) has an opcode for it. Reshape,
+/// transpose and pad, whose opcodes copy an attribute vector, are taken
+/// unconditionally and answered without building one, so a support query
+/// allocates nothing.
 ///
 /// Notable gaps (all of which appear in the paper's model set and produce
 /// its missing bars): unfused `nn.batch_norm` (vendor compilers expect BN
 /// folded at export), `exp`/`mean`/`image.resize2d` (detection post-
-/// processing), `strided_slice`, `nn.log_softmax`.
+/// processing), `strided_slice`, `nn.log_softmax`, and an average pool
+/// that counts padding taps.
 pub fn neuron_supported(op: &OpKind) -> bool {
-    let counts_padding = matches!(
+    matches!(
         op,
-        OpKind::AvgPool2d(a) if a.count_include_pad && a.padding != (0, 0, 0, 0)
-    );
-    crate::convert::has_op_handler(op.name()) && !counts_padding
+        OpKind::Reshape(_) | OpKind::Transpose(_) | OpKind::Pad(_)
+    ) || crate::convert::neuron_kind(op).is_some()
 }
 
 /// Which Neuron opcodes each device can execute.
@@ -61,7 +62,7 @@ impl CompilerSupport for NeuronSupport {
         "neuropilot"
     }
 
-    fn supported(&self, op: &OpKind, _arg_types: &[&Type]) -> bool {
+    fn supported(&self, op: &OpKind) -> bool {
         neuron_supported(op)
     }
 }
@@ -137,6 +138,22 @@ mod tests {
     }
 
     #[test]
+    fn vector_attribute_ops_have_opcodes() {
+        use crate::convert::neuron_kind;
+        use tvmnp_relay::{PadAttrs, ReshapeAttrs, TransposeAttrs};
+        for op in [
+            OpKind::Reshape(ReshapeAttrs { new_shape: vec![4] }),
+            OpKind::Transpose(TransposeAttrs { axes: vec![0] }),
+            OpKind::Pad(PadAttrs {
+                pads: vec![(1, 1)],
+                value: 0.0,
+            }),
+        ] {
+            assert!(neuron_supported(&op) && neuron_kind(&op).is_some());
+        }
+    }
+
+    #[test]
     fn apu_narrower_than_cpu() {
         assert!(device_supports(DeviceKind::Cpu, &NeuronOpKind::Sigmoid));
         assert!(!device_supports(DeviceKind::Apu, &NeuronOpKind::Sigmoid));
@@ -151,10 +168,11 @@ mod tests {
     fn oracle_matches_set() {
         use tvmnp_relay::passes::CompilerSupport as _;
         let s = NeuronSupport;
-        assert!(s.supported(&OpKind::Relu, &[]));
-        assert!(!s.supported(
-            &OpKind::BatchNorm(tvmnp_relay::BatchNormAttrs { epsilon: 1e-5 }),
-            &[]
-        ));
+        assert!(s.supported(&OpKind::Relu));
+        assert!(
+            !s.supported(&OpKind::BatchNorm(tvmnp_relay::BatchNormAttrs {
+                epsilon: 1e-5
+            }))
+        );
     }
 }

@@ -25,4 +25,4 @@ pub mod diff;
 pub mod store;
 
 pub use diff::{diff_profiles, CellDelta, ProfileDiff};
-pub use store::{profile_path, validate_profile, Profile, ProfileCell};
+pub use store::{profile_path, Profile, ProfileCell};

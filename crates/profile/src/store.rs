@@ -143,32 +143,50 @@ impl Profile {
         })
     }
 
-    /// Rebuild a profile from [`Profile::to_json`] output.
+    /// Rebuild a profile from [`Profile::to_json`] output — the one place
+    /// a profile document is checked, each field as it is read: the
+    /// schema version, a non-empty workload, `kind/device/class` cell
+    /// keys, counts > 0 whose sum fits a `u64`, and finite totals ≥ 0.
     pub fn from_json(doc: &Value) -> Result<Profile, ProfileError> {
-        if let Some(problem) = validate_profile(doc) {
-            return Err(ProfileError(problem));
+        if doc["schema_version"].as_u64() != Some(PROFILE_SCHEMA_VERSION) {
+            return Err(ProfileError(format!(
+                "bad schema_version: {} (expected {PROFILE_SCHEMA_VERSION})",
+                doc["schema_version"]
+            )));
         }
-        let workload = doc["workload"]
-            .as_str()
-            .ok_or_else(|| ProfileError("workload missing".to_string()))?;
-        let mut profile = Profile::new(workload);
+        let workload = (doc["workload"].as_str())
+            .filter(|w| !w.is_empty())
+            .ok_or_else(|| ProfileError("workload missing or empty".to_string()))?;
         let cells = doc["cells"]
             .as_object()
             .ok_or_else(|| ProfileError("cells is not an object".to_string()))?;
-        for (cell_key, raw) in cells {
-            let num = |name: &str| {
-                raw[name]
-                    .as_f64()
-                    .ok_or_else(|| ProfileError(format!("cell {cell_key}: {name} missing")))
+        let mut profile = Profile::new(workload);
+        // `Profile::total_count` sums the counts, so together they must fit.
+        let mut samples = 0u64;
+        for (key, raw) in cells {
+            let problem = |what: &str| ProfileError(format!("cell {key}: {what}"));
+            if parse_cell_key(key).is_none() {
+                return Err(ProfileError(format!(
+                    "cell key `{key}` is not kind/device/class"
+                )));
+            }
+            let count = (raw["count"].as_u64())
+                .filter(|&c| c > 0)
+                .ok_or_else(|| problem("count missing or zero"))?;
+            samples = samples
+                .checked_add(count)
+                .ok_or_else(|| problem("counts overflow a u64 sum"))?;
+            let total = |field: &str| {
+                (raw[field].as_f64())
+                    .filter(|v| v.is_finite() && *v >= 0.0)
+                    .ok_or_else(|| problem(&format!("{field} missing or invalid")))
             };
             let cell = ProfileCell {
-                count: raw["count"]
-                    .as_u64()
-                    .ok_or_else(|| ProfileError(format!("cell {cell_key}: count missing")))?,
-                total_us: num("total_us")?,
-                total_energy_uj: num("total_energy_uj")?,
+                count,
+                total_us: total("total_us")?,
+                total_energy_uj: total("total_energy_uj")?,
             };
-            profile.cells.insert(cell_key.clone(), cell);
+            profile.cells.insert(key.clone(), cell);
         }
         Ok(profile)
     }
@@ -200,45 +218,6 @@ impl Profile {
 /// The file a profile of `workload` is saved as inside `dir`.
 pub fn profile_path(dir: &Path, workload: &str) -> PathBuf {
     dir.join(format!("profile-{workload}.json"))
-}
-
-/// Schema validation for a profile document; `None` when well-formed,
-/// otherwise a description of the first problem (the `obs_check` CI
-/// binary surfaces it).
-pub fn validate_profile(doc: &Value) -> Option<String> {
-    if doc["schema_version"].as_u64() != Some(PROFILE_SCHEMA_VERSION) {
-        return Some(format!(
-            "bad schema_version: {} (expected {PROFILE_SCHEMA_VERSION})",
-            doc["schema_version"]
-        ));
-    }
-    if doc["workload"].as_str().is_none_or(str::is_empty) {
-        return Some("workload missing or empty".to_string());
-    }
-    let Some(cells) = doc["cells"].as_object() else {
-        return Some("cells is not an object".to_string());
-    };
-    // `Profile::total_count` sums the counts, so together they must fit.
-    let mut samples = 0u64;
-    for (key, cell) in cells {
-        if parse_cell_key(key).is_none() {
-            return Some(format!("cell key `{key}` is not kind/device/class"));
-        }
-        let Some(count) = cell["count"].as_u64().filter(|&c| c > 0) else {
-            return Some(format!("cell {key}: count missing or zero"));
-        };
-        let Some(sum) = samples.checked_add(count) else {
-            return Some(format!("cell {key}: counts overflow a u64 sum"));
-        };
-        samples = sum;
-        for field in ["total_us", "total_energy_uj"] {
-            match cell[field].as_f64() {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                _ => return Some(format!("cell {key}: {field} missing or invalid")),
-            }
-        }
-    }
-    None
 }
 
 /// Error from profile (de)serialization or file I/O.
@@ -281,25 +260,24 @@ mod tests {
         assert!(parse_cell_key("bogus/apu/vendor_tuned").is_none());
     }
 
+    /// The problem `from_json` names for `doc`.
+    fn refusal(doc: &Value) -> String {
+        Profile::from_json(doc).expect_err("must be rejected").0
+    }
+
     #[test]
     fn json_roundtrip_and_validation() {
         let p = sample_profile();
         let doc = p.to_json();
-        assert!(
-            validate_profile(&doc).is_none(),
-            "{:?}",
-            validate_profile(&doc)
-        );
         let back = Profile::from_json(&doc).unwrap();
         assert_eq!(back.workload, p.workload);
         assert_eq!(back.cells, p.cells);
-        // A truncated cell is rejected with a pointed message.
+        // A document of another schema version is rejected by its version.
         let mut broken = doc.clone();
         if let Value::Object(m) = &mut broken {
             m.insert("schema_version".into(), json!(99));
         }
-        assert!(validate_profile(&broken).is_some());
-        assert!(Profile::from_json(&broken).is_err());
+        assert!(refusal(&broken).contains("schema_version"));
     }
 
     #[test]
@@ -333,7 +311,7 @@ mod tests {
     fn hostile_cells_are_a_schema_violation_not_a_panic() {
         // What `obs_check --profile` runs on a file from disk.
         let well_formed = doc(r#""count":2,"total_energy_uj":1.0,"total_us":3.0"#);
-        assert_eq!(validate_profile(&well_formed), None);
+        assert!(Profile::from_json(&well_formed).is_ok());
         for (cell, want) in [
             (r#""count":0,"total_energy_uj":1.0,"total_us":3.0"#, "count"),
             (
@@ -350,13 +328,11 @@ mod tests {
                 "total_energy_uj",
             ),
         ] {
-            let hostile = doc(cell);
-            let problem = validate_profile(&hostile).expect("must be rejected");
+            let problem = refusal(&doc(cell));
             assert!(
                 problem.contains("mac/apu/vendor_tuned") && problem.contains(want),
                 "{cell}: {problem}"
             );
-            assert!(Profile::from_json(&hostile).is_err());
         }
         // Each count fits, their sum does not: `total_count` would wrap
         // (release) or panic (debug).
@@ -364,8 +340,11 @@ mod tests {
         let two = doc_with(&format!(
             r#""mac/apu/vendor_tuned":{half},"mac/cpu/vendor_tuned":{half}"#
         ));
-        let problem = validate_profile(&two).expect("must be rejected");
+        let problem = refusal(&two);
         assert!(problem.contains("counts overflow"), "{problem}");
+        // A key that is not `kind/device/class` is refused by name.
+        let problem = refusal(&doc_with(&format!(r#""mac/apu":{half}"#)));
+        assert!(problem.contains("`mac/apu`"), "{problem}");
     }
 
     #[test]
@@ -378,13 +357,10 @@ mod tests {
             .unwrap()
         };
         for workload in ["", r#","workload":"""#, r#","workload":4"#] {
-            let doc = with(workload);
-            let problem = validate_profile(&doc).expect("must be rejected");
+            let problem = refusal(&with(workload));
             assert!(problem.contains("workload"), "{workload}: {problem}");
-            assert!(Profile::from_json(&doc).is_err());
         }
         let named = with(r#","workload":"sched""#);
-        assert_eq!(validate_profile(&named), None);
         assert_eq!(Profile::from_json(&named).unwrap().workload, "sched");
     }
 

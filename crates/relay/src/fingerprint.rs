@@ -232,6 +232,27 @@ mod tests {
         // the hash inputs (new attrs, reordered traversal, FNV constants).
         let fp = module_fingerprint(&small_module(1.0));
         assert_eq!(fp, "722bed22d143496a");
+        // An op's key is its `Debug` text, which names its attribute
+        // structs: a renamed or reshaped struct moves this digest, and
+        // with it every disk-tier entry of a model using the op.
+        let x = var("x", TensorType::f32([1, 2, 4, 4]));
+        let w = Tensor::from_f32([2, 2, 3, 3], vec![0.25; 36]).unwrap();
+        let y = builder::conv2d(x.clone(), w, crate::Conv2dAttrs::same(1));
+        let y = builder::avg_pool2d(y, crate::Pool2dAttrs::square(2));
+        let q = tvmnp_tensor::QuantParams::new(0.05, 128);
+        let y = crate::expr::call(
+            crate::OpKind::QnnQuantize(crate::QuantizeAttrs {
+                out: q,
+                out_dtype: tvmnp_tensor::DType::U8,
+            }),
+            vec![y],
+        );
+        let y = crate::expr::call(
+            crate::OpKind::QnnDequantize(crate::DequantizeAttrs { input: q }),
+            vec![y],
+        );
+        let fp = module_fingerprint(&Module::from_main(Function::new(vec![x], y)));
+        assert_eq!(fp, "07236ec7b98213dd");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The operator vocabulary of the IR.
 //!
 //! Each [`OpKind`] variant carries its attributes inline, so a `Call` node is
-//! self-describing. [`OpKind::name`] yields TVM's canonical operator string —
-//! the key used by the NeuroPilot converter's `op_handler_dict` (Listing 1)
-//! and by the per-backend support matrices.
+//! self-describing. [`OpKind::name`] yields TVM's canonical operator string,
+//! the name diagnostics and reports print; the NeuroPilot converter and the
+//! support matrices match on the variant itself.
 
 use crate::attrs::*;
 use serde::{Deserialize, Serialize};

@@ -22,7 +22,6 @@ use crate::expr::{
 };
 use crate::infer::{infer_types, TypeMap};
 use crate::op::OpKind;
-use crate::ty::Type;
 use crate::visit::{consumers, topo_order};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -33,8 +32,8 @@ pub trait CompilerSupport {
     /// global-symbol prefix).
     fn name(&self) -> &str;
 
-    /// Whether the op (with these argument types) can be offloaded.
-    fn supported(&self, op: &OpKind, arg_types: &[&Type]) -> bool;
+    /// Whether the op can be offloaded.
+    fn supported(&self, op: &OpKind) -> bool;
 }
 
 /// Partitioning failure.
@@ -148,18 +147,7 @@ pub fn partition_graph(
             }
         }
 
-        let is_supported_call = match &e.kind {
-            ExprKind::Call(Call {
-                target: CallTarget::Op(op),
-                args: cargs,
-            }) => {
-                let argt: Vec<&Type> = cargs.iter().map(|a| &types[&a.id]).collect();
-                support.supported(op, &argt)
-            }
-            _ => false,
-        };
-
-        if is_supported_call {
+        if e.op().is_some_and(|op| support.supported(op)) {
             offloaded_calls += 1;
             // Candidate regions: regions of direct call-args.
             let mut candidates: Vec<usize> = Vec::new();
@@ -468,7 +456,7 @@ mod tests {
             &self.0
         }
 
-        fn supported(&self, _op: &OpKind, _args: &[&Type]) -> bool {
+        fn supported(&self, _op: &OpKind) -> bool {
             true
         }
     }
@@ -494,7 +482,7 @@ mod tests {
             &self.name
         }
 
-        fn supported(&self, op: &OpKind, _args: &[&Type]) -> bool {
+        fn supported(&self, op: &OpKind) -> bool {
             self.ops.contains(op.name())
         }
     }

@@ -8,7 +8,7 @@ use tvmnp_relay::expr::{call, var, Expr, Function, Module};
 use tvmnp_relay::infer::infer_types;
 use tvmnp_relay::interp::run_module;
 use tvmnp_relay::passes::{fold_constants, partition_graph, CompilerSupport};
-use tvmnp_relay::{OpKind, TensorType, Type};
+use tvmnp_relay::{OpKind, TensorType};
 use tvmnp_tensor::rng::TensorRng;
 use tvmnp_tensor::Tensor;
 
@@ -50,7 +50,7 @@ impl CompilerSupport for MaskSupport {
         "neuropilot"
     }
 
-    fn supported(&self, op: &OpKind, _args: &[&Type]) -> bool {
+    fn supported(&self, op: &OpKind) -> bool {
         let bit = match op {
             OpKind::Relu => 0,
             OpKind::Sigmoid => 1,

@@ -398,6 +398,16 @@ echo "$diff_out" | grep -q "^top regression cell: mac/" || {
 target/release/tvmnp obs_check \
     --profile "$obs_dir/prof-base/profile-fig4.json" \
     --profile "$obs_dir/prof-slow/profile-fig4.json"
+# `Profile::read` is the one profile check, and obs_check runs it: the
+# clean profile with one cell's count zeroed must be refused (nonzero
+# exit).
+sed -E 's/"count":[0-9]+/"count":0/' "$obs_dir/prof-base/profile-fig4.json" \
+    > "$obs_dir/profile-zero-count.json"
+if cmp -s "$obs_dir/prof-base/profile-fig4.json" "$obs_dir/profile-zero-count.json" ||
+    target/release/tvmnp obs_check --profile "$obs_dir/profile-zero-count.json"; then
+    echo "profile-reader gate: obs_check accepted a profile cell with count 0" >&2
+    exit 1
+fi
 
 # Conformance smoke: fixed-seed differential run across the seven target
 # permutations. Hard gate — any divergence from the interpreter or any
