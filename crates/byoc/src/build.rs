@@ -104,6 +104,31 @@ pub(crate) fn partition(
     partition_graph(&prepared, support).map_err(|e| BuildError::Partition(e.to_string()))
 }
 
+/// Lower a (partitioned) module's host side to the executor graph.
+fn lower(module: &Module) -> Result<ExecutorGraph, BuildError> {
+    ExecutorGraph::build(module).map_err(|e| BuildError::Runtime(e.to_string()))
+}
+
+/// The BYOC step every external compiler shares: [`partition`] for
+/// `support`, lower the host graph, and run the Neuron codegen on each
+/// external function under its own `byoc.codegen` span. The blobs come in
+/// link order.
+pub(crate) fn byoc_lower(
+    module: &Module,
+    support: &dyn CompilerSupport,
+    policy: TargetPolicy,
+) -> Result<(ExecutorGraph, Vec<NeuronBlob>, PartitionReport), BuildError> {
+    let (partitioned, report) = partition(module, support)?;
+    let graph = lower(&partitioned)?;
+    let mut blobs = Vec::new();
+    for name in partitioned.external_functions() {
+        let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => name.to_string());
+        let func = &partitioned.functions[name];
+        blobs.push(NeuronBlob::codegen(name, func, policy).map_err(BuildError::Neuron)?);
+    }
+    Ok((graph, blobs, report))
+}
+
 /// A compiled, runnable model under one target mode.
 // One per built model and never moved in bulk: boxing the executor would
 // cost an allocation per build to shrink a value nobody copies.
@@ -277,22 +302,13 @@ pub enum CachedArtifact {
 /// the Neuron codegen. Emits every compile-side span; takes no cost model.
 pub fn compile(module: &Module, mode: TargetMode) -> Result<CachedArtifact, BuildError> {
     let _span = tvmnp_telemetry::span!("byoc.build", "mode" => mode.to_string());
-    let lower =
-        |m: &Module| ExecutorGraph::build(m).map_err(|e| BuildError::Runtime(e.to_string()));
     match mode {
         TargetMode::TvmOnly => Ok(CachedArtifact::Tvm {
             graph: lower(&prepare(module))?,
             modules: Vec::new(),
         }),
         TargetMode::Byoc(policy) => {
-            let (partitioned, _) = partition(module, &NeuronSupport)?;
-            let graph = lower(&partitioned)?;
-            let mut modules = Vec::new();
-            for name in partitioned.external_functions() {
-                let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => name.to_string());
-                let func = &partitioned.functions[name];
-                modules.push(NeuronBlob::codegen(name, func, policy).map_err(BuildError::Neuron)?);
-            }
+            let (graph, modules, _) = byoc_lower(module, &NeuronSupport, policy)?;
             Ok(CachedArtifact::Tvm { graph, modules })
         }
         TargetMode::NeuroPilotOnly(policy) => {

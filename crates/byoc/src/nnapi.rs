@@ -15,7 +15,7 @@
 //! the consequence the paper's introduction claims: the NeuroPilot-direct
 //! flow dominates the NNAPI flow it replaced.
 
-use crate::build::{partition, tvm_model, BuildError, CompiledModel};
+use crate::build::{byoc_lower, tvm_model, BuildError, CompiledModel};
 use crate::codegen::NeuronModule;
 use tvmnp_hwsim::ledger::{self, CostEntry, CostRole};
 use tvmnp_hwsim::CostModel;
@@ -24,7 +24,7 @@ use tvmnp_relay::expr::Module;
 use tvmnp_relay::passes::{CompilerSupport, PartitionReport};
 use tvmnp_relay::OpKind;
 use tvmnp_runtime::module::{ExternalModule, ModuleError};
-use tvmnp_runtime::{ExecutorGraph, ModuleRegistry};
+use tvmnp_runtime::ModuleRegistry;
 use tvmnp_tensor::Tensor;
 
 /// Fixed HAL/binder round-trip charged per NNAPI execution, microseconds
@@ -55,8 +55,8 @@ impl CompilerSupport for NnapiSupport {
     }
 }
 
-/// An NNAPI external module: the same compiled network underneath (NNAPI
-/// drives the same silicon), plus the HAL round trip per execution.
+/// An NNAPI external module: a linked Neuron module (NNAPI drives the
+/// same silicon), plus the HAL round trip per execution.
 pub(crate) struct NnapiModule {
     inner: NeuronModule,
     /// The inner network's entries plus the HAL round trip — real charged
@@ -66,14 +66,8 @@ pub(crate) struct NnapiModule {
 }
 
 impl NnapiModule {
-    /// Run the NNAPI codegen on a partitioned Relay function.
-    pub fn codegen(
-        symbol: impl Into<String>,
-        func: &tvmnp_relay::Function,
-        policy: TargetPolicy,
-        cost: CostModel,
-    ) -> Result<Self, tvmnp_neuropilot::NeuronError> {
-        let inner = NeuronModule::codegen(symbol, func, policy, cost)?;
+    /// Drive `inner` through the HAL.
+    fn new(inner: NeuronModule) -> Self {
         let mut ledger = Vec::with_capacity(inner.ledger().len() + 1);
         ledger.extend_from_slice(inner.ledger());
         ledger.push(CostEntry::fixed(
@@ -83,7 +77,7 @@ impl NnapiModule {
             inner.dispatch_device(),
             NNAPI_HAL_OVERHEAD_US,
         ));
-        Ok(NnapiModule { inner, ledger })
+        NnapiModule { inner, ledger }
     }
 }
 
@@ -114,22 +108,17 @@ impl ExternalModule for NnapiModule {
     }
 }
 
-/// Build a module through the NNAPI flow: partition with the NNAPI op
-/// surface and execute external subgraphs through the HAL.
+/// Build a module through the NNAPI flow: the BYOC step under the NNAPI
+/// op surface, each external subgraph executed through the HAL.
 pub fn relay_build_nnapi(
     module: &Module,
     policy: TargetPolicy,
     cost: CostModel,
 ) -> Result<(CompiledModel, PartitionReport), BuildError> {
-    let (partitioned, report) = partition(module, &NnapiSupport)?;
-    let graph =
-        ExecutorGraph::build(&partitioned).map_err(|e| BuildError::Runtime(e.to_string()))?;
+    let (graph, blobs, report) = byoc_lower(module, &NnapiSupport, policy)?;
     let mut registry = ModuleRegistry::new();
-    for name in partitioned.external_functions() {
-        let func = &partitioned.functions[name];
-        let module =
-            NnapiModule::codegen(name, func, policy, cost.clone()).map_err(BuildError::Neuron)?;
-        registry.register(Box::new(module));
+    for blob in blobs {
+        registry.register(Box::new(NnapiModule::new(blob.link(cost.clone()))));
     }
     Ok((tvm_model(graph, registry, cost)?, report))
 }
@@ -137,8 +126,9 @@ pub fn relay_build_nnapi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{relay_build, TargetMode};
+    use crate::build::{partition, relay_build, TargetMode};
     use tvmnp_models_testutil::*;
+    use tvmnp_runtime::ExecutorGraph;
     use tvmnp_runtime::GraphExecutor;
 
     // Local mini-model helpers (the models crate depends on byoc's

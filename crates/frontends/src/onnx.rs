@@ -125,15 +125,18 @@ pub fn from_onnx(model: &OnnxModel) -> Result<Module, ImportError> {
     };
 
     for node in &model.nodes {
-        let input = |i: usize| -> Result<Expr, ImportError> {
-            let name = node
-                .inputs
+        let name = |i: usize| -> Result<&String, ImportError> {
+            node.inputs
                 .get(i)
-                .ok_or_else(|| ierr(format!("{}: missing input {i}", node.op_type)))?;
+                .ok_or_else(|| ierr(format!("{}: missing input {i}", node.op_type)))
+        };
+        let input = |i: usize| -> Result<Expr, ImportError> {
+            let name = name(i)?;
             env.get(name)
                 .cloned()
                 .ok_or_else(|| ierr(format!("{}: unknown value '{name}'", node.op_type)))
         };
+        let weight = |i: usize| init(name(i)?);
 
         let out: Expr = match node.op_type.as_str() {
             "Conv" => {
@@ -155,9 +158,9 @@ pub fn from_onnx(model: &OnnxModel) -> Result<Module, ImportError> {
                     dilation,
                     groups,
                 };
-                let conv = builder::conv2d(input(0)?, init(&node.inputs[1])?, attrs);
+                let conv = builder::conv2d(input(0)?, weight(1)?, attrs);
                 if node.inputs.len() > 2 {
-                    builder::bias_add(conv, init(&node.inputs[2])?)
+                    builder::bias_add(conv, weight(2)?)
                 } else {
                     conv
                 }
@@ -166,10 +169,10 @@ pub fn from_onnx(model: &OnnxModel) -> Result<Module, ImportError> {
                 let eps = node.float("epsilon", 1e-5);
                 builder::batch_norm(
                     input(0)?,
-                    init(&node.inputs[1])?,
-                    init(&node.inputs[2])?,
-                    init(&node.inputs[3])?,
-                    init(&node.inputs[4])?,
+                    weight(1)?,
+                    weight(2)?,
+                    weight(3)?,
+                    weight(4)?,
                     eps,
                 )
             }
@@ -221,9 +224,9 @@ pub fn from_onnx(model: &OnnxModel) -> Result<Module, ImportError> {
             "Gemm" => {
                 // y = x @ W^T + b; ONNX stores W as [units, in] with transB=1
                 // (the standard classifier export).
-                let d = builder::dense(input(0)?, init(&node.inputs[1])?);
+                let d = builder::dense(input(0)?, weight(1)?);
                 if node.inputs.len() > 2 {
-                    builder::bias_add(d, init(&node.inputs[2])?)
+                    builder::bias_add(d, weight(2)?)
                 } else {
                     d
                 }
@@ -232,7 +235,9 @@ pub fn from_onnx(model: &OnnxModel) -> Result<Module, ImportError> {
             "Dropout" => builder::dropout(input(0)?),
             other => return Err(ierr(format!("unmapped ONNX op '{other}'"))),
         };
-        env.insert(node.outputs[0].clone(), out);
+        let output =
+            (node.outputs.first()).ok_or_else(|| ierr(format!("{}: no output", node.op_type)))?;
+        env.insert(output.clone(), out);
     }
 
     let outs = model
@@ -303,6 +308,17 @@ mod tests {
         let mut m = tiny_onnx();
         m.initializers.remove("fc_w");
         assert!(from_onnx(&m).is_err());
+    }
+
+    #[test]
+    fn a_node_short_of_operands_is_an_import_error() {
+        let mut m = tiny_onnx();
+        m.nodes[0] = OnnxNode::new("Conv", &["x"], &["c1"]);
+        let err = from_onnx(&m).unwrap_err();
+        assert!(err.0.contains("Conv: missing input 1"), "{err}");
+        let mut m = tiny_onnx();
+        m.nodes[1] = OnnxNode::new("Relu", &["c1"], &[]);
+        assert!(from_onnx(&m).unwrap_err().0.contains("Relu: no output"));
     }
 
     #[test]

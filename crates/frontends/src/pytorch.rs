@@ -103,21 +103,24 @@ pub fn from_pytorch(
     };
 
     for node in &traced.nodes {
+        let name = |i: usize| -> Result<&String, ImportError> {
+            (node.inputs.get(i)).ok_or_else(|| ierr(format!("{}: missing input {i}", node.op)))
+        };
         let input = |i: usize| -> Result<Expr, ImportError> {
-            let name = node
-                .inputs
-                .get(i)
-                .ok_or_else(|| ierr(format!("{}: missing input {i}", node.op)))?;
+            let name = name(i)?;
             env.get(name)
                 .cloned()
                 .ok_or_else(|| ierr(format!("{}: unknown value '{name}'", node.op)))
         };
+        let param = |i: usize| weight(name(i)?);
+        // The optional bias of conv2d and linear: absent or named "".
+        let bias = node.inputs.get(2).filter(|n| !n.is_empty());
         let ints = |key: &str| node.int_attrs.get(key).cloned();
 
         let out: Expr = match node.op.as_str() {
             "aten::conv2d" => {
                 let x = input(0)?;
-                let w = weight(&node.inputs[1])?;
+                let w = param(1)?;
                 let strides = pair(&ints("stride").unwrap_or(vec![1, 1]), "stride")?;
                 let (ph, pw) = pair(&ints("padding").unwrap_or(vec![0, 0]), "padding")?;
                 let dilation = pair(&ints("dilation").unwrap_or(vec![1, 1]), "dilation")?;
@@ -129,23 +132,15 @@ pub fn from_pytorch(
                     groups,
                 };
                 let conv = builder::conv2d(x, w, attrs);
-                if node.inputs.len() > 2 && !node.inputs[2].is_empty() {
-                    builder::bias_add(conv, weight(&node.inputs[2])?)
-                } else {
-                    conv
+                match bias {
+                    Some(b) => builder::bias_add(conv, weight(b)?),
+                    None => conv,
                 }
             }
             "aten::batch_norm" => {
                 let x = input(0)?;
                 let eps = node.float_attrs.get("eps").copied().unwrap_or(1e-5) as f32;
-                builder::batch_norm(
-                    x,
-                    weight(&node.inputs[1])?,
-                    weight(&node.inputs[2])?,
-                    weight(&node.inputs[3])?,
-                    weight(&node.inputs[4])?,
-                    eps,
-                )
+                builder::batch_norm(x, param(1)?, param(2)?, param(3)?, param(4)?, eps)
             }
             "aten::relu" => builder::relu(input(0)?),
             "aten::leaky_relu" => {
@@ -216,12 +211,11 @@ pub fn from_pytorch(
             "aten::flatten" => builder::batch_flatten(input(0)?),
             "aten::linear" => {
                 let x = input(0)?;
-                let w = weight(&node.inputs[1])?;
+                let w = param(1)?;
                 let d = builder::dense(x, w);
-                if node.inputs.len() > 2 && !node.inputs[2].is_empty() {
-                    builder::bias_add(d, weight(&node.inputs[2])?)
-                } else {
-                    d
+                match bias {
+                    Some(b) => builder::bias_add(d, weight(b)?),
+                    None => d,
                 }
             }
             "aten::dropout" => builder::dropout(input(0)?),
@@ -303,6 +297,14 @@ mod tests {
         assert_eq!(out.shape().dims(), &[1, 7]);
         let sum: f32 = out.as_f32().unwrap().iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn a_node_short_of_operands_is_an_import_error() {
+        let mut traced = traced_cnn();
+        traced.nodes[0] = TorchNode::new("aten::conv2d", &["%x"], "%1");
+        let err = from_pytorch(&traced, &[("%x".into(), vec![1, 3, 8, 8])]).unwrap_err();
+        assert!(err.0.contains("aten::conv2d: missing input 1"), "{err}");
     }
 
     #[test]

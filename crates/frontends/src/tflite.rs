@@ -82,6 +82,17 @@ impl TfliteOp {
     fn opt(&self, key: &str, default: i64) -> i64 {
         self.options.get(key).copied().unwrap_or(default)
     }
+
+    /// Tensor index of operand `i`.
+    fn input(&self, i: usize) -> Result<usize, ImportError> {
+        (self.inputs.get(i).copied())
+            .ok_or_else(|| ierr(format!("{}: missing input {i}", self.opcode)))
+    }
+
+    /// Tensor index of the result.
+    fn output(&self) -> Result<usize, ImportError> {
+        (self.outputs.first().copied()).ok_or_else(|| ierr(format!("{}: no output", self.opcode)))
+    }
 }
 
 /// A TFLite model: tensor table + operator list.
@@ -163,8 +174,8 @@ impl Importer<'_> {
     }
 
     fn conv2d(&mut self, op: &TfliteOp, depthwise: bool) -> Result<(), ImportError> {
-        let x_idx = op.inputs[0];
-        let f_idx = op.inputs[1];
+        let x_idx = op.input(0)?;
+        let f_idx = op.input(1)?;
         let x = self.expr(x_idx)?;
         let xt = self.tensor(x_idx)?;
         let ft = self.tensor(f_idx)?;
@@ -173,13 +184,18 @@ impl Importer<'_> {
             other => return Err(ierr(format!("conv input must be NHWC, got {other:?}"))),
         };
         // OHWI (conv) or 1HWC (depthwise) filter.
-        let fd = ft.shape.clone();
-        let (kh, kw, filter, groups) = if depthwise {
+        let &[_, kh, kw, _] = ft.shape.as_slice() else {
+            return Err(ierr(format!(
+                "conv filter must be rank 4, got {:?}",
+                ft.shape
+            )));
+        };
+        let (filter, groups) = if depthwise {
             // [1, kh, kw, C] -> [C, 1, kh, kw]
-            (fd[1], fd[2], self.const_expr(f_idx, &[3, 0, 1, 2])?, in_c)
+            (self.const_expr(f_idx, &[3, 0, 1, 2])?, in_c)
         } else {
             // [O, kh, kw, I] -> [O, I, kh, kw]
-            (fd[1], fd[2], self.const_expr(f_idx, &[0, 3, 1, 2])?, 1)
+            (self.const_expr(f_idx, &[0, 3, 1, 2])?, 1)
         };
         let sh = op.opt("stride_h", 1) as usize;
         let sw = op.opt("stride_w", 1) as usize;
@@ -199,8 +215,8 @@ impl Importer<'_> {
             },
             input_q: self.quant(x_idx)?,
             weight_q: self.quant(f_idx)?,
-            output_q: self.quant(op.outputs[0])?,
-            out_dtype: self.tensor(op.outputs[0])?.dtype,
+            output_q: self.quant(op.output()?)?,
+            out_dtype: self.tensor(op.output()?)?.dtype,
         };
         let mut args = vec![x, filter];
         if let Some(&b_idx) = op.inputs.get(2) {
@@ -208,12 +224,12 @@ impl Importer<'_> {
         }
         let conv = call(OpKind::QnnConv2d(attrs), args);
         let out = self.fused_activation(conv, op.opt("fused_activation", ACT_NONE))?;
-        self.env.insert(op.outputs[0], out);
+        self.env.insert(op.output()?, out);
         Ok(())
     }
 
     fn pool(&mut self, op: &TfliteOp, max: bool) -> Result<(), ImportError> {
-        let x_idx = op.inputs[0];
+        let x_idx = op.input(0)?;
         let x = self.expr(x_idx)?;
         let xt = self.tensor(x_idx)?;
         let (in_h, in_w) = match xt.shape.as_slice() {
@@ -243,7 +259,7 @@ impl Importer<'_> {
             builder::avg_pool2d(x, attrs)
         };
         let out = self.fused_activation(out, op.opt("fused_activation", ACT_NONE))?;
-        self.env.insert(op.outputs[0], out);
+        self.env.insert(op.output()?, out);
         Ok(())
     }
 
@@ -255,8 +271,8 @@ impl Importer<'_> {
         op: &TfliteOp,
         build: impl Fn(Expr) -> Expr,
     ) -> Result<(), ImportError> {
-        let x_idx = op.inputs[0];
-        let o_idx = op.outputs[0];
+        let x_idx = op.input(0)?;
+        let o_idx = op.output()?;
         let x = self.expr(x_idx)?;
         let deq = call(
             OpKind::QnnDequantize(DequantizeAttrs {
@@ -301,25 +317,25 @@ pub fn from_tflite(model: &TfliteModel) -> Result<Module, ImportError> {
     for op in &model.ops {
         match op.opcode.as_str() {
             "QUANTIZE" => {
-                let o = op.outputs[0];
+                let o = op.output()?;
                 let out_t = imp.tensor(o)?;
                 let q = call(
                     OpKind::QnnQuantize(QuantizeAttrs {
                         out: imp.quant(o)?,
                         out_dtype: out_t.dtype,
                     }),
-                    vec![imp.expr(op.inputs[0])?],
+                    vec![imp.expr(op.input(0)?)?],
                 );
                 imp.env.insert(o, q);
             }
             "DEQUANTIZE" => {
                 let q = call(
                     OpKind::QnnDequantize(DequantizeAttrs {
-                        input: imp.quant(op.inputs[0])?,
+                        input: imp.quant(op.input(0)?)?,
                     }),
-                    vec![imp.expr(op.inputs[0])?],
+                    vec![imp.expr(op.input(0)?)?],
                 );
-                imp.env.insert(op.outputs[0], q);
+                imp.env.insert(op.output()?, q);
             }
             "CONV_2D" => imp.conv2d(op, false)?,
             "DEPTHWISE_CONV_2D" => imp.conv2d(op, true)?,
@@ -327,21 +343,21 @@ pub fn from_tflite(model: &TfliteModel) -> Result<Module, ImportError> {
             "AVERAGE_POOL_2D" => imp.pool(op, false)?,
             "ADD" => {
                 let attrs = QnnAddAttrs {
-                    lhs_q: imp.quant(op.inputs[0])?,
-                    rhs_q: imp.quant(op.inputs[1])?,
-                    output_q: imp.quant(op.outputs[0])?,
-                    out_dtype: imp.tensor(op.outputs[0])?.dtype,
+                    lhs_q: imp.quant(op.input(0)?)?,
+                    rhs_q: imp.quant(op.input(1)?)?,
+                    output_q: imp.quant(op.output()?)?,
+                    out_dtype: imp.tensor(op.output()?)?.dtype,
                 };
-                let a = imp.expr(op.inputs[0])?;
-                let b = imp.expr(op.inputs[1])?;
+                let a = imp.expr(op.input(0)?)?;
+                let b = imp.expr(op.input(1)?)?;
                 let s = call(OpKind::QnnAdd(attrs), vec![a, b]);
                 let out = imp.fused_activation(s, op.opt("fused_activation", ACT_NONE))?;
-                imp.env.insert(op.outputs[0], out);
+                imp.env.insert(op.output()?, out);
             }
             "CONCATENATION" => {
                 // Axis arrives in NHWC terms; map to NCHW for rank-4.
                 let axis_nhwc = op.opt("axis", 3) as usize;
-                let rank = imp.tensor(op.inputs[0])?.shape.len();
+                let rank = imp.tensor(op.input(0)?)?.shape.len();
                 let axis = if rank == 4 {
                     match axis_nhwc {
                         0 => 0,
@@ -361,7 +377,7 @@ pub fn from_tflite(model: &TfliteModel) -> Result<Module, ImportError> {
                 let attrs = QnnConcatAttrs {
                     axis,
                     input_qs,
-                    output_q: imp.quant(op.outputs[0])?,
+                    output_q: imp.quant(op.output()?)?,
                 };
                 let parts = op
                     .inputs
@@ -369,32 +385,32 @@ pub fn from_tflite(model: &TfliteModel) -> Result<Module, ImportError> {
                     .map(|&i| imp.expr(i))
                     .collect::<Result<Vec<_>, _>>()?;
                 imp.env
-                    .insert(op.outputs[0], call(OpKind::QnnConcatenate(attrs), parts));
+                    .insert(op.output()?, call(OpKind::QnnConcatenate(attrs), parts));
             }
             "RESHAPE" => {
-                let o = op.outputs[0];
+                let o = op.output()?;
                 let new_shape = to_nchw(&imp.tensor(o)?.shape);
                 let r = call(
                     OpKind::Reshape(ReshapeAttrs { new_shape }),
-                    vec![imp.expr(op.inputs[0])?],
+                    vec![imp.expr(op.input(0)?)?],
                 );
                 imp.env.insert(o, r);
             }
             "FULLY_CONNECTED" => {
                 let attrs = QnnDenseAttrs {
-                    input_q: imp.quant(op.inputs[0])?,
-                    weight_q: imp.quant(op.inputs[1])?,
-                    output_q: imp.quant(op.outputs[0])?,
-                    out_dtype: imp.tensor(op.outputs[0])?.dtype,
+                    input_q: imp.quant(op.input(0)?)?,
+                    weight_q: imp.quant(op.input(1)?)?,
+                    output_q: imp.quant(op.output()?)?,
+                    out_dtype: imp.tensor(op.output()?)?.dtype,
                 };
                 // TFLite FC weights are already [units, in].
-                let mut args = vec![imp.expr(op.inputs[0])?, imp.const_expr(op.inputs[1], &[])?];
+                let mut args = vec![imp.expr(op.input(0)?)?, imp.const_expr(op.input(1)?, &[])?];
                 if let Some(&b) = op.inputs.get(2) {
                     args.push(imp.const_expr(b, &[])?);
                 }
                 let d = call(OpKind::QnnDense(attrs), args);
                 let out = imp.fused_activation(d, op.opt("fused_activation", ACT_NONE))?;
-                imp.env.insert(op.outputs[0], out);
+                imp.env.insert(op.output()?, out);
             }
             "SOFTMAX" => imp.float_island(op, builder::softmax)?,
             "LOGISTIC" => imp.float_island(op, builder::sigmoid)?,
@@ -580,6 +596,26 @@ mod tests {
             outputs: vec![1],
         };
         assert!(from_tflite(&model).unwrap_err().0.contains("SVDF"));
+    }
+
+    #[test]
+    fn an_op_short_of_operands_is_an_import_error() {
+        let mut model = quantized_conv_model();
+        model.ops[0].inputs.truncate(1);
+        let err = from_tflite(&model).unwrap_err();
+        assert!(err.0.contains("CONV_2D: missing input 1"), "{err}");
+        let mut model = quantized_conv_model();
+        model.ops[0].outputs.clear();
+        assert!(from_tflite(&model)
+            .unwrap_err()
+            .0
+            .contains("CONV_2D: no output"));
+        let mut model = quantized_conv_model();
+        model.tensors[1].shape = vec![4, 3];
+        assert!(from_tflite(&model)
+            .unwrap_err()
+            .0
+            .contains("must be rank 4"));
     }
 
     #[test]

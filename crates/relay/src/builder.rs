@@ -2,46 +2,17 @@
 //! model zoo.
 
 use crate::attrs::*;
-use crate::expr::{call, constant, Expr, ExprKind};
-use crate::infer::{infer_op, TypeError};
+use crate::expr::{call, constant, Expr};
+use crate::infer::{type_body, TypeError, TypeMap};
 use crate::op::OpKind;
 use crate::ty::Type;
-use crate::visit::topo_order;
-use std::collections::HashMap;
 use tvmnp_tensor::Tensor;
 
-/// Infer the type of a standalone expression (no module context; `Global`
-/// calls are not supported here). Vars use their declared types.
+/// Infer the type of a standalone expression: [`crate::infer::infer_types`]'
+/// walk with no module context, so a `Global` call is an error. Vars use
+/// their declared types.
 pub fn expr_type(root: &Expr) -> Result<Type, TypeError> {
-    let mut types: HashMap<usize, Type> = HashMap::new();
-    for e in topo_order(root) {
-        let ty = match &e.kind {
-            ExprKind::Var(v) => Type::Tensor(v.ty.clone()),
-            ExprKind::Constant(c) => Type::Tensor(crate::ty::TensorType::new(
-                c.value.shape().clone(),
-                c.value.dtype(),
-            )),
-            ExprKind::Tuple(fs) => Type::Tuple(fs.iter().map(|f| types[&f.id].clone()).collect()),
-            ExprKind::TupleGetItem(t, i) => match &types[&t.id] {
-                Type::Tuple(ts) => ts
-                    .get(*i)
-                    .cloned()
-                    .ok_or_else(|| TypeError(format!("tuple index {i} out of range")))?,
-                _ => return Err(TypeError("TupleGetItem on non-tuple".into())),
-            },
-            ExprKind::Call(c) => match &c.target {
-                crate::expr::CallTarget::Op(op) => {
-                    let argt: Vec<&Type> = c.args.iter().map(|a| &types[&a.id]).collect();
-                    infer_op(op, &argt)?
-                }
-                crate::expr::CallTarget::Global(g) => {
-                    return Err(TypeError(format!("expr_type cannot resolve global @{g}")))
-                }
-            },
-        };
-        types.insert(e.id, ty);
-    }
-    Ok(types[&root.id].clone())
+    type_body(root, &mut TypeMap::new(), None)
 }
 
 /// `nn.conv2d(x, w)`, weight given as a constant tensor.

@@ -4,14 +4,26 @@
 //! typed against the callee's parameters and body, so a partitioned module
 //! type-checks exactly like the unpartitioned one — the invariant the BYOC
 //! flow rests on.
+//!
+//! An op's type has two halves. The dtype half is stated here: quantized
+//! operands, equal dtypes, `out_dtype`. The shape half is not: each op's
+//! output dims come from its kernel family's shape rule in
+//! `tvmnp_tensor::kernels` ([`ConvGeom::new`], [`pool2d_dims`], ...), the
+//! function the kernel sizes its output with, so a module that type-checks
+//! runs.
 
-use crate::expr::{CallTarget, ExprKind, Module};
+use crate::attrs::*;
+use crate::expr::{CallTarget, Expr, ExprKind, Module};
 use crate::op::OpKind;
 use crate::ty::{TensorType, Type};
 use crate::visit::topo_order;
 use std::collections::HashMap;
 use std::fmt;
-use tvmnp_tensor::kernels::{Conv2dParams, Pool2dParams};
+use tvmnp_tensor::kernels::{
+    batch_flatten_dims, batch_norm_dims, bias_add_dims, concat_dims, dense_geom,
+    global_pool2d_dims, kerr, mean_dims, pad_dims, pool2d_dims, resize2d_dims, slice_dims,
+    softmax_dims, transpose_dims, ConvGeom, KernelError,
+};
 use tvmnp_tensor::{DType, Shape};
 
 /// A type-checking failure with a human-readable explanation.
@@ -33,14 +45,23 @@ fn terr(msg: impl Into<String>) -> TypeError {
 /// Checked types for every node id in a module.
 pub type TypeMap = HashMap<usize, Type>;
 
+/// The functions `Global` calls of a body resolve to: the module's, and
+/// the result type of each one typed so far.
+pub(crate) struct Callees<'m> {
+    module: &'m Module,
+    results: HashMap<&'m str, Type>,
+}
+
 /// Infer types for all functions of `module`.
 ///
 /// Functions are processed so callees are typed before callers (externals
 /// before `main`).
 pub fn infer_types(module: &Module) -> Result<TypeMap, TypeError> {
     let mut types: TypeMap = HashMap::new();
-    let mut fn_result: HashMap<String, Type> = HashMap::new();
-    let mut fn_params: HashMap<String, Vec<TensorType>> = HashMap::new();
+    let mut callees = Callees {
+        module,
+        results: HashMap::new(),
+    };
 
     // Externals (and any non-main function) carry no cross-calls in this
     // reproduction, so typing them first resolves every Global target.
@@ -49,75 +70,85 @@ pub fn infer_types(module: &Module) -> Result<TypeMap, TypeError> {
 
     for name in names {
         let func = &module.functions[name];
-        let mut params = Vec::new();
         for p in &func.params {
             match &p.kind {
-                ExprKind::Var(v) => {
-                    types.insert(p.id, Type::Tensor(v.ty.clone()));
-                    params.push(v.ty.clone());
-                }
+                ExprKind::Var(v) => types.insert(p.id, Type::Tensor(v.ty.clone())),
                 _ => return Err(terr(format!("function @{name} parameter is not a Var"))),
-            }
-        }
-        fn_params.insert(name.clone(), params);
-
-        for e in topo_order(&func.body) {
-            if types.contains_key(&e.id) {
-                continue;
-            }
-            let ty = match &e.kind {
-                ExprKind::Var(v) => Type::Tensor(v.ty.clone()),
-                ExprKind::Constant(c) => {
-                    Type::Tensor(TensorType::new(c.value.shape().clone(), c.value.dtype()))
-                }
-                ExprKind::Tuple(fs) => {
-                    Type::Tuple(fs.iter().map(|f| types[&f.id].clone()).collect())
-                }
-                ExprKind::TupleGetItem(t, i) => match &types[&t.id] {
-                    Type::Tuple(ts) => ts
-                        .get(*i)
-                        .cloned()
-                        .ok_or_else(|| terr(format!("tuple index {i} out of range")))?,
-                    Type::Tensor(_) => return Err(terr("TupleGetItem on non-tuple".to_string())),
-                },
-                ExprKind::Call(c) => {
-                    let arg_tys: Vec<&Type> = c.args.iter().map(|a| &types[&a.id]).collect();
-                    match &c.target {
-                        CallTarget::Op(op) => infer_op(op, &arg_tys)?,
-                        CallTarget::Global(g) => {
-                            let params = fn_params
-                                .get(g)
-                                .ok_or_else(|| terr(format!("unknown global @{g}")))?;
-                            if params.len() != arg_tys.len() {
-                                return Err(terr(format!(
-                                    "@{g} expects {} args, got {}",
-                                    params.len(),
-                                    arg_tys.len()
-                                )));
-                            }
-                            for (i, (p, a)) in params.iter().zip(&arg_tys).enumerate() {
-                                let at = a
-                                    .tensor()
-                                    .ok_or_else(|| terr(format!("@{g} arg {i} is a tuple")))?;
-                                if at != p {
-                                    return Err(terr(format!(
-                                        "@{g} arg {i}: expected {p}, got {at}"
-                                    )));
-                                }
-                            }
-                            fn_result
-                                .get(g)
-                                .cloned()
-                                .ok_or_else(|| terr(format!("global @{g} not yet typed")))?
-                        }
-                    }
-                }
             };
-            types.insert(e.id, ty);
         }
-        fn_result.insert(name.clone(), types[&func.body.id].clone());
+        let result = type_body(&func.body, &mut types, Some(&callees))?;
+        callees.results.insert(name, result);
     }
     Ok(types)
+}
+
+/// Type every node under `root` not yet in `types` and return the root's
+/// type: the one walk behind [`infer_types`] and
+/// [`crate::builder::expr_type`]. Vars take their declared types; a
+/// `Global` call needs `callees`.
+pub(crate) fn type_body(
+    root: &Expr,
+    types: &mut TypeMap,
+    callees: Option<&Callees<'_>>,
+) -> Result<Type, TypeError> {
+    for e in topo_order(root) {
+        if types.contains_key(&e.id) {
+            continue;
+        }
+        let ty = match &e.kind {
+            ExprKind::Var(v) => Type::Tensor(v.ty.clone()),
+            ExprKind::Constant(c) => {
+                Type::Tensor(TensorType::new(c.value.shape().clone(), c.value.dtype()))
+            }
+            ExprKind::Tuple(fs) => Type::Tuple(fs.iter().map(|f| types[&f.id].clone()).collect()),
+            ExprKind::TupleGetItem(t, i) => match &types[&t.id] {
+                Type::Tuple(ts) => ts
+                    .get(*i)
+                    .cloned()
+                    .ok_or_else(|| terr(format!("tuple index {i} out of range")))?,
+                Type::Tensor(_) => return Err(terr("TupleGetItem on non-tuple".to_string())),
+            },
+            ExprKind::Call(c) => {
+                let arg_tys: Vec<&Type> = c.args.iter().map(|a| &types[&a.id]).collect();
+                match &c.target {
+                    CallTarget::Op(op) => infer_op(op, &arg_tys)?,
+                    CallTarget::Global(g) => match callees {
+                        Some(callees) => callees.call(g, &arg_tys)?,
+                        None => return Err(terr(format!("@{g} called outside a module"))),
+                    },
+                }
+            }
+        };
+        types.insert(e.id, ty);
+    }
+    Ok(types[&root.id].clone())
+}
+
+impl Callees<'_> {
+    /// The result type of calling `@g` on arguments of `arg_tys`, each of
+    /// which must be its parameter's declared type.
+    fn call(&self, g: &str, arg_tys: &[&Type]) -> Result<Type, TypeError> {
+        let callee =
+            (self.module.functions.get(g)).ok_or_else(|| terr(format!("unknown global @{g}")))?;
+        if callee.params.len() != arg_tys.len() {
+            return Err(terr(format!(
+                "@{g} expects {} args, got {}",
+                callee.params.len(),
+                arg_tys.len()
+            )));
+        }
+        for (i, (p, a)) in callee.params.iter().zip(arg_tys).enumerate() {
+            let at = a
+                .tensor()
+                .ok_or_else(|| terr(format!("@{g} arg {i} is a tuple")))?;
+            if let ExprKind::Var(v) = &p.kind {
+                if at != &v.ty {
+                    return Err(terr(format!("@{g} arg {i}: expected {}, got {at}", v.ty)));
+                }
+            }
+        }
+        (self.results.get(g).cloned()).ok_or_else(|| terr(format!("global @{g} not yet typed")))
+    }
 }
 
 fn tensor_arg<'a>(args: &'a [&Type], i: usize, op: &str) -> Result<&'a TensorType, TypeError> {
@@ -127,83 +158,98 @@ fn tensor_arg<'a>(args: &'a [&Type], i: usize, op: &str) -> Result<&'a TensorTyp
         .ok_or_else(|| terr(format!("{op}: argument {i} is a tuple")))
 }
 
-/// Infer the result type of one primitive op application.
+/// Infer the result type of one primitive op application: its dtype half
+/// here, its dims from the op's shape rule in the kernel crate.
 pub(crate) fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
     let name = op.name();
-    let expect_args = |n: usize| -> Result<(), TypeError> {
-        if args.len() != n {
-            Err(terr(format!(
-                "{name}: expected {n} args, got {}",
-                args.len()
-            )))
-        } else {
-            Ok(())
-        }
+    let (min, max) = match op {
+        OpKind::Conv2d(_) | OpKind::QnnConv2d(_) | OpKind::Dense | OpKind::QnnDense(_) => (2, 3),
+        OpKind::BiasAdd
+        | OpKind::Add
+        | OpKind::Subtract
+        | OpKind::Multiply
+        | OpKind::Divide
+        | OpKind::Maximum
+        | OpKind::Minimum
+        | OpKind::QnnAdd(_) => (2, 2),
+        OpKind::BatchNorm(_) => (5, 5),
+        OpKind::Concatenate(_) | OpKind::QnnConcatenate(_) => (1, usize::MAX),
+        _ => (1, 1),
+    };
+    if !(min..=max).contains(&args.len()) {
+        let n = args.len();
+        return Err(terr(format!("{name}: {n} args, expects {min} to {max}")));
+    }
+    let x = tensor_arg(args, 0, name)?;
+    let dims = |i: usize| tensor_arg(args, i, name).map(|t| t.shape.dims());
+    let same_dtypes = || {
+        (1..args.len()).try_for_each(|i| match tensor_arg(args, i, name)?.dtype {
+            d if d == x.dtype => Ok(()),
+            d => Err(terr(format!("{name}: dtype mismatch {} vs {d}", x.dtype))),
+        })
     };
 
-    match op {
-        OpKind::Conv2d(a) => {
-            expect_args(2).or_else(|_| expect_args(3))?;
-            let x = tensor_arg(args, 0, name)?;
-            let w = tensor_arg(args, 1, name)?;
-            conv_out(x, w, a, x.dtype, name)
+    let dtype = match op {
+        OpKind::Clip(a) if a.min.is_nan() || a.max.is_nan() || a.min > a.max => {
+            let (min, max) = (a.min, a.max);
+            return Err(terr(format!(
+                "{name}: bounds [{min}, {max}] are not a range"
+            )));
         }
-        OpKind::QnnConv2d(a) => {
-            expect_args(2).or_else(|_| expect_args(3))?;
-            let x = tensor_arg(args, 0, name)?;
-            let w = tensor_arg(args, 1, name)?;
-            if !x.dtype.is_quantized() || !w.dtype.is_quantized() {
-                return Err(terr(format!("{name}: operands must be quantized")));
-            }
-            conv_out(x, w, &a.conv, a.out_dtype, name)
+        OpKind::QnnConv2d(_)
+            if !x.dtype.is_quantized() || !tensor_arg(args, 1, name)?.dtype.is_quantized() =>
+        {
+            return Err(terr(format!("{name}: operands must be quantized")));
         }
-        OpKind::Dense => {
-            expect_args(2).or_else(|_| expect_args(3))?;
-            let x = tensor_arg(args, 0, name)?;
-            let w = tensor_arg(args, 1, name)?;
-            dense_out(x, w, x.dtype, name)
+        OpKind::QnnConcatenate(a) if a.input_qs.len() != args.len() => {
+            let (qs, n) = (a.input_qs.len(), args.len());
+            return Err(terr(format!(
+                "{name}: {qs} input quant params for {n} inputs"
+            )));
         }
-        OpKind::QnnDense(a) => {
-            expect_args(2).or_else(|_| expect_args(3))?;
-            let x = tensor_arg(args, 0, name)?;
-            let w = tensor_arg(args, 1, name)?;
-            dense_out(x, w, a.out_dtype, name)
+        OpKind::QnnQuantize(_) if !x.dtype.is_float() => {
+            return Err(terr(format!("{name}: input must be float")));
         }
-        OpKind::BiasAdd => {
-            expect_args(2)?;
-            let x = tensor_arg(args, 0, name)?;
-            let b = tensor_arg(args, 1, name)?;
-            if x.shape.rank() < 2 || b.shape.rank() != 1 || b.shape.dims()[0] != x.shape.dims()[1] {
-                return Err(terr(format!(
-                    "{name}: bias {} incompatible with input {}",
-                    b.shape, x.shape
-                )));
-            }
-            Ok(Type::Tensor(x.clone()))
+        OpKind::QnnDequantize(_) if !x.dtype.is_quantized() => {
+            return Err(terr(format!("{name}: input must be quantized")));
         }
+        OpKind::QnnRequantize(_) if x.dtype.is_float() => {
+            return Err(terr(format!("{name}: input must be integer")));
+        }
+        OpKind::Add
+        | OpKind::Subtract
+        | OpKind::Multiply
+        | OpKind::Divide
+        | OpKind::Maximum
+        | OpKind::Minimum
+        | OpKind::Concatenate(_)
+        | OpKind::QnnConcatenate(_) => {
+            same_dtypes()?;
+            x.dtype
+        }
+        OpKind::QnnConv2d(QnnConv2dAttrs { out_dtype, .. })
+        | OpKind::QnnDense(QnnDenseAttrs { out_dtype, .. })
+        | OpKind::QnnAdd(QnnAddAttrs { out_dtype, .. })
+        | OpKind::QnnQuantize(QuantizeAttrs { out_dtype, .. })
+        | OpKind::QnnRequantize(RequantizeAttrs { out_dtype, .. }) => *out_dtype,
+        OpKind::QnnDequantize(_) => DType::F32,
+        _ => x.dtype,
+    };
+
+    let d = x.shape.dims();
+    let bias = || args.get(2).map(|_| dims(2)).transpose();
+    let shape: Result<Shape, KernelError> = match op {
+        OpKind::Conv2d(a) | OpKind::QnnConv2d(QnnConv2dAttrs { conv: a, .. }) => {
+            ConvGeom::new(name, d, dims(1)?, bias()?, a).map(|g| g.output().into())
+        }
+        OpKind::Dense | OpKind::QnnDense(_) => {
+            dense_geom(name, d, dims(1)?, bias()?).map(|g| g.output()[..2].into())
+        }
+        OpKind::BiasAdd => bias_add_dims(d, dims(1)?).map(Shape::from),
         OpKind::BatchNorm(_) => {
-            expect_args(5)?;
-            let x = tensor_arg(args, 0, name)?;
-            if x.shape.rank() != 4 {
-                return Err(terr(format!("{name}: expects NCHW input, got {}", x.shape)));
-            }
-            let c = x.shape.dims()[1];
-            for i in 1..5 {
-                let p = tensor_arg(args, i, name)?;
-                if p.shape.dims() != [c] {
-                    return Err(terr(format!(
-                        "{name}: param {i} shape {} != [{c}]",
-                        p.shape
-                    )));
-                }
-            }
-            Ok(Type::Tensor(x.clone()))
+            let params = [dims(1)?, dims(2)?, dims(3)?, dims(4)?];
+            batch_norm_dims(d, params).map(Shape::from)
         }
-        // Shape-preserving unaries.
-        OpKind::Clip(a) if a.min.is_nan() || a.max.is_nan() || a.min > a.max => Err(terr(format!(
-            "{name}: bounds [{}, {}] are not a range",
-            a.min, a.max
-        ))),
         OpKind::Relu
         | OpKind::LeakyRelu(_)
         | OpKind::Clip(_)
@@ -212,291 +258,51 @@ pub(crate) fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
         | OpKind::Exp
         | OpKind::Sqrt
         | OpKind::Negative
-        | OpKind::Softmax
-        | OpKind::LogSoftmax
-        | OpKind::Dropout => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            Ok(Type::Tensor(x.clone()))
-        }
-        OpKind::MaxPool2d(a) | OpKind::AvgPool2d(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            pool_out(x, a, name)
-        }
-        OpKind::GlobalAvgPool2d => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            let d = x.shape.dims();
-            if d.len() != 4 {
-                return Err(terr(format!("{name}: expects rank-4 input")));
-            }
-            Ok(Type::Tensor(TensorType::new([d[0], d[1], 1, 1], x.dtype)))
-        }
+        | OpKind::Dropout
+        | OpKind::QnnQuantize(_)
+        | OpKind::QnnDequantize(_)
+        | OpKind::QnnRequantize(_) => Ok(x.shape.clone()),
+        OpKind::Softmax | OpKind::LogSoftmax => softmax_dims(d).map(Shape::from),
+        OpKind::MaxPool2d(a) => pool2d_dims(d, a, false).map(Shape::from),
+        OpKind::AvgPool2d(a) => pool2d_dims(d, a, true).map(Shape::from),
+        OpKind::GlobalAvgPool2d => global_pool2d_dims(d).map(Shape::from),
         OpKind::Add
         | OpKind::Subtract
         | OpKind::Multiply
         | OpKind::Divide
         | OpKind::Maximum
-        | OpKind::Minimum => {
-            expect_args(2)?;
-            let a = tensor_arg(args, 0, name)?;
-            let b = tensor_arg(args, 1, name)?;
-            if a.dtype != b.dtype {
-                return Err(terr(format!(
-                    "{name}: dtype mismatch {} vs {}",
-                    a.dtype, b.dtype
-                )));
-            }
-            let shape = a.shape.broadcast(&b.shape).ok_or_else(|| {
-                terr(format!(
-                    "{name}: cannot broadcast {} with {}",
-                    a.shape, b.shape
-                ))
-            })?;
-            Ok(Type::Tensor(TensorType::new(shape, a.dtype)))
-        }
-        OpKind::QnnAdd(a) => {
-            expect_args(2)?;
-            let l = tensor_arg(args, 0, name)?;
-            let r = tensor_arg(args, 1, name)?;
-            let shape = l.shape.broadcast(&r.shape).ok_or_else(|| {
-                terr(format!(
-                    "{name}: cannot broadcast {} with {}",
-                    l.shape, r.shape
-                ))
-            })?;
-            Ok(Type::Tensor(TensorType::new(shape, a.out_dtype)))
+        | OpKind::Minimum
+        | OpKind::QnnAdd(_) => {
+            let b = &tensor_arg(args, 1, name)?.shape;
+            let no = || kerr(format!("cannot broadcast {} with {b}", x.shape));
+            x.shape.broadcast(b).ok_or_else(no)
         }
         OpKind::Reshape(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
             let new = Shape::new(a.new_shape.clone());
-            if !x.shape.reshape_compatible(&new) {
-                return Err(terr(format!("{name}: {} cannot reshape to {new}", x.shape)));
-            }
-            Ok(Type::Tensor(TensorType::new(new, x.dtype)))
-        }
-        OpKind::Transpose(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            let d = x.shape.dims();
-            if a.axes.len() != d.len() {
-                return Err(terr(format!("{name}: axes rank mismatch")));
-            }
-            let mut seen = vec![false; d.len()];
-            let mut out = Vec::with_capacity(d.len());
-            for &ax in &a.axes {
-                if ax >= d.len() || seen[ax] {
-                    return Err(terr(format!("{name}: axes not a permutation")));
-                }
-                seen[ax] = true;
-                out.push(d[ax]);
-            }
-            Ok(Type::Tensor(TensorType::new(out, x.dtype)))
-        }
-        OpKind::Concatenate(a) => concat_out(args, a.axis, None, name),
-        OpKind::QnnConcatenate(a) => {
-            if a.input_qs.len() != args.len() {
-                return Err(terr(format!(
-                    "{name}: {} input quant params for {} inputs",
-                    a.input_qs.len(),
-                    args.len()
-                )));
-            }
-            concat_out(args, a.axis, None, name)
-        }
-        OpKind::Pad(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            let d = x.shape.dims();
-            if a.pads.len() != d.len() {
-                return Err(terr(format!("{name}: pad spec rank mismatch")));
-            }
-            let out: Vec<usize> = d
-                .iter()
-                .zip(&a.pads)
-                .map(|(&s, &(b, e))| s + b + e)
-                .collect();
-            Ok(Type::Tensor(TensorType::new(out, x.dtype)))
-        }
-        OpKind::StridedSlice(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            let d = x.shape.dims();
-            if a.begin.len() != d.len() || a.end.len() != d.len() {
-                return Err(terr(format!("{name}: begin/end rank mismatch")));
-            }
-            let mut out = Vec::with_capacity(d.len());
-            for (i, &dim) in d.iter().enumerate() {
-                if a.begin[i] >= a.end[i] || a.end[i] > dim {
-                    return Err(terr(format!("{name}: invalid range on dim {i}")));
-                }
-                out.push(a.end[i] - a.begin[i]);
-            }
-            Ok(Type::Tensor(TensorType::new(out, x.dtype)))
-        }
-        OpKind::BatchFlatten => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            let d = x.shape.dims();
-            if d.is_empty() {
-                return Err(terr(format!("{name}: rank must be >= 1")));
-            }
-            Ok(Type::Tensor(TensorType::new(
-                [d[0], d[1..].iter().product()],
-                x.dtype,
-            )))
-        }
-        OpKind::Resize2d(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            let d = x.shape.dims();
-            if d.len() != 4 {
-                return Err(terr(format!("{name}: expects rank-4 input")));
-            }
-            Ok(Type::Tensor(TensorType::new(
-                [d[0], d[1], a.out_h, a.out_w],
-                x.dtype,
-            )))
-        }
-        OpKind::Mean(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            let d = x.shape.dims();
-            for &ax in &a.axes {
-                if ax >= d.len() {
-                    return Err(terr(format!("{name}: axis {ax} out of range")));
-                }
-            }
-            let out: Vec<usize> = d
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !a.axes.contains(i))
-                .map(|(_, &s)| s)
-                .collect();
-            Ok(Type::Tensor(TensorType::new(out, x.dtype)))
-        }
-        OpKind::QnnQuantize(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            if !x.dtype.is_float() {
-                return Err(terr(format!("{name}: input must be float")));
-            }
-            Ok(Type::Tensor(TensorType::new(x.shape.clone(), a.out_dtype)))
-        }
-        OpKind::QnnDequantize(_) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            if !x.dtype.is_quantized() {
-                return Err(terr(format!("{name}: input must be quantized")));
-            }
-            Ok(Type::Tensor(TensorType::new(x.shape.clone(), DType::F32)))
-        }
-        OpKind::QnnRequantize(a) => {
-            expect_args(1)?;
-            let x = tensor_arg(args, 0, name)?;
-            if x.dtype.is_float() {
-                return Err(terr(format!("{name}: input must be integer")));
-            }
-            Ok(Type::Tensor(TensorType::new(x.shape.clone(), a.out_dtype)))
-        }
-    }
-}
-
-fn conv_out(
-    x: &TensorType,
-    w: &TensorType,
-    p: &Conv2dParams,
-    out_dtype: DType,
-    name: &str,
-) -> Result<Type, TypeError> {
-    let xd = x.shape.dims();
-    let wd = w.shape.dims();
-    if xd.len() != 4 || wd.len() != 4 {
-        return Err(terr(format!("{name}: expects rank-4 input/weight")));
-    }
-    if p.groups == 0
-        || !xd[1].is_multiple_of(p.groups)
-        || !wd[0].is_multiple_of(p.groups)
-        || wd[1] != xd[1] / p.groups
-    {
-        return Err(terr(format!(
-            "{name}: channel/group mismatch C={}, O={}, groups={}, w_ic={}",
-            xd[1], wd[0], p.groups, wd[1]
-        )));
-    }
-    let (oh, ow) = p
-        .out_hw(xd[2], xd[3], wd[2], wd[3])
-        .map_err(|e| terr(format!("{name}: {e}")))?;
-    Ok(Type::Tensor(TensorType::new(
-        [xd[0], wd[0], oh, ow],
-        out_dtype,
-    )))
-}
-
-fn dense_out(
-    x: &TensorType,
-    w: &TensorType,
-    out_dtype: DType,
-    name: &str,
-) -> Result<Type, TypeError> {
-    let xd = x.shape.dims();
-    let wd = w.shape.dims();
-    if xd.len() != 2 || wd.len() != 2 {
-        return Err(terr(format!("{name}: expects rank-2 operands")));
-    }
-    if xd[1] != wd[1] {
-        return Err(terr(format!(
-            "{name}: reduction mismatch {} vs {}",
-            xd[1], wd[1]
-        )));
-    }
-    Ok(Type::Tensor(TensorType::new([xd[0], wd[0]], out_dtype)))
-}
-
-fn pool_out(x: &TensorType, p: &Pool2dParams, name: &str) -> Result<Type, TypeError> {
-    let d = x.shape.dims();
-    if d.len() != 4 {
-        return Err(terr(format!("{name}: expects rank-4 input")));
-    }
-    let (oh, ow) = p
-        .out_hw(d[2], d[3])
-        .map_err(|e| terr(format!("{name}: {e}")))?;
-    Ok(Type::Tensor(TensorType::new([d[0], d[1], oh, ow], x.dtype)))
-}
-
-fn concat_out(args: &[&Type], axis: usize, _qs: Option<()>, name: &str) -> Result<Type, TypeError> {
-    if args.is_empty() {
-        return Err(terr(format!("{name}: no inputs")));
-    }
-    let first = tensor_arg(args, 0, name)?;
-    let rank = first.shape.rank();
-    if axis >= rank {
-        return Err(terr(format!("{name}: axis {axis} out of range")));
-    }
-    let mut out = first.shape.dims().to_vec();
-    let mut total = 0usize;
-    for i in 0..args.len() {
-        let t = tensor_arg(args, i, name)?;
-        if t.dtype != first.dtype || t.shape.rank() != rank {
-            return Err(terr(format!("{name}: input {i} dtype/rank mismatch")));
-        }
-        for d in 0..rank {
-            if d != axis && t.shape.dims()[d] != first.shape.dims()[d] {
-                return Err(terr(format!("{name}: input {i} dim {d} mismatch")));
+            match x.shape.reshape_compatible(&new) {
+                true => Ok(new),
+                false => Err(kerr(format!("{} cannot reshape to {new}", x.shape))),
             }
         }
-        total += t.shape.dims()[axis];
-    }
-    out[axis] = total;
-    Ok(Type::Tensor(TensorType::new(out, first.dtype)))
+        OpKind::Transpose(a) => transpose_dims(d, &a.axes).map(Shape::from),
+        OpKind::Concatenate(ConcatAttrs { axis })
+        | OpKind::QnnConcatenate(QnnConcatAttrs { axis, .. }) => {
+            let all = args.iter().filter_map(|a| a.tensor());
+            concat_dims(all.map(|t| t.shape.dims()), *axis).map(Shape::from)
+        }
+        OpKind::Pad(a) => pad_dims(d, &a.pads).map(Shape::from),
+        OpKind::StridedSlice(a) => slice_dims(d, &a.begin, &a.end).map(Shape::from),
+        OpKind::BatchFlatten => batch_flatten_dims(d).map(Shape::from),
+        OpKind::Resize2d(a) => resize2d_dims(d, a.out_h, a.out_w).map(Shape::from),
+        OpKind::Mean(a) => mean_dims(d, &a.axes).map(Shape::from),
+    };
+    let shape = shape.map_err(|e| terr(format!("{name}: {e}")))?;
+    Ok(Type::Tensor(TensorType { shape, dtype }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrs::*;
     use crate::expr::{call, call_global, constant, var, Function, Module};
     use tvmnp_tensor::Tensor;
 

@@ -21,6 +21,8 @@
 //!   concatenate`) with *operator-oriented* quantization attributes, the
 //!   representation §3.3 converts into Neuron's tensor-oriented form.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod attrs;
 pub mod builder;
 pub mod expr;

@@ -234,15 +234,12 @@ pub(crate) fn quantize_module(
                 let b = const_tensor(&c.args[1])?;
                 let out_qp = out_qp?;
                 let c_len = b.num_elements();
+                let bv = b
+                    .as_f32()
+                    .map_err(|e| QuantizeError::Other(e.to_string()))?;
                 let b_qp = QuantParams::from_range(
-                    b.as_f32()
-                        .map_err(|e| QuantizeError::Other(e.to_string()))?
-                        .iter()
-                        .fold(f32::INFINITY, |m, &v| m.min(v)),
-                    b.as_f32()
-                        .unwrap()
-                        .iter()
-                        .fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
+                    bv.iter().fold(f32::INFINITY, |m, &v| m.min(v)),
+                    bv.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
                     DType::U8,
                 );
                 let bq = b

@@ -125,24 +125,28 @@ pub(super) trait Arith: Sync {
 }
 
 /// A validated convolution problem (`NCHW` × `OIHW`, weight
-/// `[oc, c/groups, kh, kw]`).
-pub(super) struct ConvGeom {
+/// `[oc, c/groups, kh, kw]`): the shape rule of `nn.conv2d`, `qnn.conv2d`
+/// and, through [`super::dense_geom`], of the dense ops — the type checker
+/// and the kernels build the same one, only through [`ConvGeom::new`].
+pub struct ConvGeom {
     /// Input `[n, c, h, w]`.
-    pub input: [usize; 4],
+    pub(crate) input: [usize; 4],
     /// Weight `[oc, c/groups, kh, kw]`.
-    pub weight: [usize; 4],
+    pub(crate) weight: [usize; 4],
     /// Output `[n, oc, oh, ow]`.
-    pub output: [usize; 4],
+    pub(crate) output: [usize; 4],
     /// Strides, padding, dilation and groups.
-    pub params: Conv2dParams,
+    pub(crate) params: Conv2dParams,
 }
 
 impl ConvGeom {
-    pub(super) fn new(
+    /// Check input, weight and (when present) bias dims against `params`;
+    /// `op` names the operator in the error.
+    pub fn new(
         op: &str,
         ishape: &[usize],
         wshape: &[usize],
-        bias: Option<&Tensor>,
+        bias: Option<&[usize]>,
         params: &Conv2dParams,
     ) -> Result<Self, KernelError> {
         let (&[n, c, h, w], &[oc, wic, kh, kw]) = (ishape, wshape) else {
@@ -156,7 +160,7 @@ impl ConvGeom {
                 "{op} group/channel mismatch: C={c}, O={oc}, groups={groups}, w_ic={wic}"
             )));
         }
-        if bias.is_some_and(|b| b.num_elements() != oc) {
+        if bias.is_some_and(|b| b.iter().product::<usize>() != oc) {
             return Err(kerr(format!("{op} bias length != out channels {oc}")));
         }
         let (oh, ow) = params.out_hw(h, w, kh, kw)?;
@@ -166,6 +170,11 @@ impl ConvGeom {
             output: [n, oc, oh, ow],
             params: *params,
         })
+    }
+
+    /// Output dims `[n, oc, oh, ow]`.
+    pub fn output(&self) -> [usize; 4] {
+        self.output
     }
 
     /// Multiply-accumulates behind one output element, padding included.
@@ -368,7 +377,8 @@ pub fn conv2d_f32_with(
     packed: bool,
 ) -> Result<Tensor, KernelError> {
     let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
-    let g = ConvGeom::new("conv2d", ishape, wshape, bias, params)?;
+    let bias_dims = bias.map(|b| b.shape().dims());
+    let g = ConvGeom::new("conv2d", ishape, wshape, bias_dims, params)?;
     let (x, wt) = (f32_payload(input)?, f32_payload(weight)?);
     let b = bias.map(f32_payload).transpose()?;
     let out = if packed {

@@ -13,13 +13,16 @@ use crate::dtype::DType;
 use crate::quant::QuantParams;
 use crate::tensor::Tensor;
 
-fn dense_geom(
+/// The shape rule of `nn.dense` and `qnn.dense`: `input [n, k]` and
+/// `weight [units, k]` (and a bias of `units` elements) as the 1×1
+/// convolution the kernels run; the output is `[n, units]`, the first two
+/// of the geometry's output dims.
+pub fn dense_geom(
     op: &str,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
+    ishape: &[usize],
+    wshape: &[usize],
+    bias: Option<&[usize]>,
 ) -> Result<ConvGeom, KernelError> {
-    let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
     let (&[n, k], &[units, wk]) = (ishape, wshape) else {
         return Err(kerr(format!(
             "{op} expects rank-2 operands, got {ishape:?} / {wshape:?}"
@@ -35,7 +38,8 @@ pub fn dense_f32(
     weight: &Tensor,
     bias: Option<&Tensor>,
 ) -> Result<Tensor, KernelError> {
-    let g = dense_geom("dense", input, weight, bias)?;
+    let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
+    let g = dense_geom("dense", ishape, wshape, bias.map(|b| b.shape().dims()))?;
     let (x, wt) = (f32_payload(input)?, f32_payload(weight)?);
     let b = bias.map(f32_payload).transpose()?;
     let out = f32_conv(&g, x, wt, b)?;
@@ -52,7 +56,8 @@ pub fn qdense(
     output_q: QuantParams,
     out_dtype: DType,
 ) -> Result<Tensor, KernelError> {
-    let g = dense_geom("qdense", input, weight, bias)?;
+    let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
+    let g = dense_geom("qdense", ishape, wshape, bias.map(|b| b.shape().dims()))?;
     let quant = QConvQuant {
         input: input_q,
         weight: weight_q,

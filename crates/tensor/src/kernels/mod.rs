@@ -6,6 +6,12 @@
 //! matching the paper's correctness methodology of comparing the BYOC output
 //! against the origin framework's output. What differs per backend is the
 //! *simulated cost* charged by `tvmnp-hwsim`.
+//!
+//! Each kernel family also owns its op's shape rule, one function over
+//! operand dims and attributes ([`ConvGeom::new`], [`dense_geom`],
+//! [`pool2d_dims`], [`concat_dims`], ...): the kernel sizes its output
+//! through it, and Relay's type checker calls the same function, so what
+//! type-checks is what runs.
 
 pub mod conv;
 pub mod dense;
@@ -16,13 +22,13 @@ pub mod qconv;
 pub mod softmax;
 pub(crate) mod transform;
 
-pub use conv::{conv2d_f32, Conv2dParams};
-pub use dense::{dense_f32, qdense};
+pub use conv::{conv2d_f32, Conv2dParams, ConvGeom};
+pub use dense::{dense_f32, dense_geom, qdense};
 pub use elementwise::*;
-pub use norm::{batch_norm_f32, bias_add, BatchNormParams};
-pub use pool::{avg_pool2d, global_avg_pool2d, max_pool2d, Pool2dParams};
+pub use norm::*;
+pub use pool::*;
 pub use qconv::{qconv2d, QConvQuant};
-pub use softmax::{log_softmax_f32, softmax_f32};
+pub use softmax::*;
 pub use transform::*;
 
 /// Error type shared by kernels for invalid shapes/attributes.

@@ -18,20 +18,36 @@ pub struct BatchNormParams<'a> {
     pub epsilon: f32,
 }
 
+/// The shape rule of `nn.batch_norm`: `NCHW` input, each of γ, β, μ and
+/// σ² of dims `[c]`; the output has the input's dims.
+pub fn batch_norm_dims<'a>(
+    input: &'a [usize],
+    params: [&[usize]; 4],
+) -> Result<&'a [usize], KernelError> {
+    let &[_, c, _, _] = input else {
+        return Err(kerr(format!(
+            "batch_norm expects rank-4 NCHW input, got {input:?}"
+        )));
+    };
+    match params.iter().position(|p| *p != [c]) {
+        Some(i) => Err(kerr(format!(
+            "batch_norm parameter {} has dims {:?}, not [{c}]",
+            i + 1,
+            params[i]
+        ))),
+        None => Ok(input),
+    }
+}
+
 /// `y = γ (x - μ) / sqrt(σ² + ε) + β`, per channel on `NCHW` input.
 pub fn batch_norm_f32(input: &Tensor, p: &BatchNormParams<'_>) -> Result<Tensor, KernelError> {
-    let dims = input.shape().dims();
-    if dims.len() != 4 {
-        return Err(kerr("batch_norm expects rank-4 NCHW input".to_string()));
-    }
+    let ps = [p.gamma, p.beta, p.mean, p.var].map(|t| t.shape().dims());
+    let dims = batch_norm_dims(input.shape().dims(), ps)?;
     let c = dims[1];
     let gamma = p.gamma.as_f32().map_err(|e| kerr(e.to_string()))?;
     let beta = p.beta.as_f32().map_err(|e| kerr(e.to_string()))?;
     let mean = p.mean.as_f32().map_err(|e| kerr(e.to_string()))?;
     let var = p.var.as_f32().map_err(|e| kerr(e.to_string()))?;
-    if gamma.len() != c || beta.len() != c || mean.len() != c || var.len() != c {
-        return Err(kerr(format!("batch_norm parameter length != channels {c}")));
-    }
     let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
     let hw = dims[2] * dims[3];
     let mut out = vec![0.0f32; x.len()];
@@ -48,17 +64,21 @@ pub fn batch_norm_f32(input: &Tensor, p: &BatchNormParams<'_>) -> Result<Tensor,
     Tensor::from_f32(input.shape().clone(), out).map_err(|e| kerr(e.to_string()))
 }
 
+/// The shape rule of `nn.bias_add`: input of rank >= 2 and a bias of dims
+/// `[c]`, `c` the input's axis 1; the output has the input's dims.
+pub fn bias_add_dims<'a>(input: &'a [usize], bias: &[usize]) -> Result<&'a [usize], KernelError> {
+    match input {
+        [_, c, ..] if bias == [*c] => Ok(input),
+        _ => Err(kerr(format!(
+            "bias {bias:?} does not match axis 1 of input {input:?}"
+        ))),
+    }
+}
+
 /// Per-channel bias add on `NCHW` (axis 1) or `[n, units]` (axis 1) input.
 pub fn bias_add(input: &Tensor, bias: &Tensor) -> Result<Tensor, KernelError> {
-    let dims = input.shape().dims();
-    if dims.len() < 2 {
-        return Err(kerr("bias_add expects rank >= 2".to_string()));
-    }
-    let c = dims[1];
+    let dims = bias_add_dims(input.shape().dims(), bias.shape().dims())?;
     let b = bias.as_f32().map_err(|e| kerr(e.to_string()))?;
-    if b.len() != c {
-        return Err(kerr(format!("bias length {} != channel dim {c}", b.len())));
-    }
     let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
     // One run of `inner` elements per (batch item, channel), channels
     // cycling; an empty tensor has no runs.

@@ -64,6 +64,55 @@ impl Pool2dParams {
     }
 }
 
+/// The shape rule of the 2-D pools: `input [n, c, h, w]` pools to
+/// `[n, c, oh, ow]`. An average that leaves padding out of its count
+/// (`avg` without `count_include_pad`) has nothing to divide in a window
+/// wholly inside the padding, so that is refused; only the first or last
+/// window along an axis can be one. A maximum over no element is defined.
+pub fn pool2d_dims(
+    input: &[usize],
+    params: &Pool2dParams,
+    avg: bool,
+) -> Result<[usize; 4], KernelError> {
+    let &[n, c, h, w] = input else {
+        return Err(kerr(format!("pool2d expects rank-4 input, got {input:?}")));
+    };
+    let (oh, ow) = params.out_hw(h, w)?;
+    if avg && !params.count_include_pad {
+        let (pt, pl, _, _) = params.padding;
+        let empty = |o: usize, stride: usize, k: usize, pad: usize, len: usize| {
+            clip(0, stride, k, pad, len).is_empty() || clip(o - 1, stride, k, pad, len).is_empty()
+        };
+        let (kh, kw) = params.kernel;
+        let (sh, sw) = params.strides;
+        if empty(oh, sh, kh, pt, h) || empty(ow, sw, kw, pl, w) {
+            return Err(kerr("avg_pool2d window lies wholly in padding"));
+        }
+    }
+    Ok([n, c, oh, ow])
+}
+
+/// The shape rule of `nn.global_avg_pool2d`: `[n, c, h, w]` averages to
+/// `[n, c, 1, 1]`, one window over the whole non-empty plane.
+pub fn global_pool2d_dims(input: &[usize]) -> Result<[usize; 4], KernelError> {
+    let &[_, _, h, w] = input else {
+        return Err(kerr(format!(
+            "global_avg_pool2d expects rank-4 input, got {input:?}"
+        )));
+    };
+    pool2d_dims(input, &whole_plane(h, w), true)
+}
+
+/// The one window of a global pool over `h × w` planes.
+fn whole_plane(h: usize, w: usize) -> Pool2dParams {
+    Pool2dParams {
+        kernel: (h, w),
+        strides: (1, 1),
+        padding: (0, 0, 0, 0),
+        count_include_pad: false,
+    }
+}
+
 /// `[lo, hi)` of the window starting at `o * stride - pad`, clipped to `len`.
 fn clip(o: usize, stride: usize, k: usize, pad: usize, len: usize) -> Range<usize> {
     let start = o * stride;
@@ -80,15 +129,13 @@ fn pool<T: Elem + Default, A: Copy>(
     input: &Tensor,
     x: &[T],
     params: &Pool2dParams,
+    avg: bool,
     start: A,
     step: impl Fn(A, T) -> A,
-    finish: impl Fn(A, usize) -> Result<T, KernelError>,
+    finish: impl Fn(A, usize) -> T,
 ) -> Result<Tensor, KernelError> {
-    let d = input.shape().dims();
-    let &[n, c, h, w] = d else {
-        return Err(kerr(format!("pool2d expects rank-4 input, got {d:?}")));
-    };
-    let (oh, ow) = params.out_hw(h, w)?;
+    let [n, c, oh, ow] = pool2d_dims(input.shape().dims(), params, avg)?;
+    let (h, w) = (input.shape().dims()[2], input.shape().dims()[3]);
     let (pt, pl, _, _) = params.padding;
     let (kh, kw) = params.kernel;
     let (sh, sw) = params.strides;
@@ -129,7 +176,7 @@ fn pool<T: Elem + Default, A: Copy>(
                 }
                 let sums = acc.iter().zip(&cols);
                 for (o, (&acc, &cols)) in out[ox0..ox1].iter_mut().zip(sums) {
-                    *o = finish(acc, rows.len() * cols)?;
+                    *o = finish(acc, rows.len() * cols);
                 }
             }
         }
@@ -146,8 +193,8 @@ pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, Kerne
         params: &Pool2dParams,
     ) -> Result<Tensor, KernelError> {
         // An empty window's maximum is 0.
-        let finish = |m: T, taps: usize| Ok(if taps == 0 { T::narrow(0) } else { m });
-        pool(input, x, params, T::narrow(T::MIN), Ord::max, finish)
+        let finish = |m: T, taps: usize| if taps == 0 { T::narrow(0) } else { m };
+        pool(input, x, params, false, T::narrow(T::MIN), Ord::max, finish)
     }
     with_payload!(
         input,
@@ -155,7 +202,7 @@ pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, Kerne
         |x| int_max(input, x, params),
         else => {
             let x = f32_payload(input)?;
-            pool(input, x, params, f32::NEG_INFINITY, f32::max, |m, _| Ok(m))
+            pool(input, x, params, false, f32::NEG_INFINITY, f32::max, |m, _| m)
         }
     )
 }
@@ -164,31 +211,27 @@ pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, Kerne
 /// keeping the input quantization parameters (TFLite semantics).
 pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, KernelError> {
     let full = params.kernel.0 * params.kernel.1;
-    // Divisor of one window; excluding padding, a window wholly inside the
-    // padding has nothing to average.
-    let denom = |taps: usize| match (params.count_include_pad, taps) {
-        (true, _) => Ok(full),
-        (false, 0) => Err(kerr("avg_pool2d window lies wholly in padding".to_string())),
-        (false, taps) => Ok(taps),
-    };
-    let int_avg = |sum: i64, taps: usize| -> Result<i32, KernelError> {
-        let denom = denom(taps)? as i64;
+    // Divisor of one window; [`pool2d_dims`] refused a window with no
+    // element to divide by.
+    let denom = |taps: usize| if params.count_include_pad { full } else { taps };
+    let int_avg = |sum: i64, taps: usize| -> i32 {
+        let denom = denom(taps) as i64;
         // round-half-away-from-zero
-        Ok(if sum >= 0 {
+        (if sum >= 0 {
             (sum + denom / 2) / denom
         } else {
             (sum - denom / 2) / denom
-        } as i32)
+        }) as i32
     };
     fn int_sum<T: IntElem + Default>(
         input: &Tensor,
         x: &[T],
         params: &Pool2dParams,
-        avg: impl Fn(i64, usize) -> Result<i32, KernelError>,
+        avg: impl Fn(i64, usize) -> i32,
     ) -> Result<Tensor, KernelError> {
         let sum = |s: i64, v: T| s + v.widen() as i64;
-        pool(input, x, params, 0, sum, |s, taps| {
-            avg(s, taps).map(T::narrow)
+        pool(input, x, params, true, 0, sum, |s, taps| {
+            T::narrow(avg(s, taps))
         })
     }
     with_payload!(
@@ -197,8 +240,8 @@ pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, Kerne
         |x| int_sum(input, x, params, int_avg),
         else => {
             let x = f32_payload(input)?;
-            let avg = |s: f32, taps: usize| Ok(s / denom(taps)? as f32);
-            pool(input, x, params, empty_sum(), |s, v| s + v, avg)
+            let avg = |s: f32, taps: usize| s / denom(taps) as f32;
+            pool(input, x, params, true, empty_sum(), |s, v| s + v, avg)
         }
     )
 }
@@ -213,23 +256,13 @@ fn empty_sum() -> f32 {
 /// [`LANES`] planes advancing side by side.
 pub fn global_avg_pool2d(input: &Tensor) -> Result<Tensor, KernelError> {
     let d = input.shape().dims();
-    let &[n, c, h, w] = d else {
-        return Err(kerr(format!(
-            "global_avg_pool2d expects rank-4 input, got {d:?}"
-        )));
-    };
-    let params = Pool2dParams {
-        kernel: (h, w),
-        strides: (1, 1),
-        padding: (0, 0, 0, 0),
-        count_include_pad: false,
-    };
+    let dims = global_pool2d_dims(d)?;
+    let (h, w) = (d[2], d[3]);
     let Data::F32(x) = input.data() else {
-        return avg_pool2d(input, &params);
+        return avg_pool2d(input, &whole_plane(h, w));
     };
-    params.out_hw(h, w)?;
     let len = h * w;
-    let mut out = Vec::with_capacity(n * c);
+    let mut out = Vec::with_capacity(dims[0] * dims[1]);
     for planes in x.chunks(len * LANES) {
         if planes.len() == len * LANES {
             out.extend(plane_sums::<LANES>(planes, len));
@@ -242,7 +275,7 @@ pub fn global_avg_pool2d(input: &Tensor) -> Result<Tensor, KernelError> {
     for s in &mut out {
         *s /= len as f32;
     }
-    Tensor::from_f32([n, c, 1, 1], out).map_err(|e| kerr(e.to_string()))
+    Tensor::from_f32(dims, out).map_err(|e| kerr(e.to_string()))
 }
 
 /// The row-major sums of the `L` planes of `len` elements in `x`, side by

@@ -64,7 +64,8 @@ pub fn qconv2d_with(
     packed: bool,
 ) -> Result<Tensor, KernelError> {
     let (ishape, wshape) = (input.shape().dims(), weight.shape().dims());
-    let g = ConvGeom::new("qconv2d", ishape, wshape, bias, params)?;
+    let bias_dims = bias.map(|b| b.shape().dims());
+    let g = ConvGeom::new("qconv2d", ishape, wshape, bias_dims, params)?;
     let data = quantized_planes("qconv2d", &g, input, weight, bias, quant, packed)?;
     Tensor::from_data(g.output, data, Some(quant.output)).map_err(|e| kerr(e.to_string()))
 }

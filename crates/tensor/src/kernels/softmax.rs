@@ -3,15 +3,22 @@
 use super::{kerr, KernelError};
 use crate::tensor::Tensor;
 
+/// The shape rule of `nn.softmax` and `nn.log_softmax`: an input of rank
+/// >= 1, normalized along its last axis; the output has the input's dims.
+pub fn softmax_dims(input: &[usize]) -> Result<&[usize], KernelError> {
+    match input {
+        [] => Err(kerr("softmax needs rank >= 1")),
+        _ => Ok(input),
+    }
+}
+
 /// Numerically-stable softmax along the last axis.
 pub fn softmax_f32(input: &Tensor) -> Result<Tensor, KernelError> {
-    let Some(&axis_len) = input.shape().dims().last() else {
-        return Err(kerr("softmax needs rank >= 1".to_string()));
-    };
+    let dims = softmax_dims(input.shape().dims())?;
     let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
     let mut out = vec![0.0f32; x.len()];
     // An empty last axis leaves `x` empty: no rows, whatever the width.
-    let row = axis_len.max(1);
+    let row = dims.last().map_or(1, |&len| len.max(1));
     for (row_in, row_out) in x.chunks_exact(row).zip(out.chunks_exact_mut(row)) {
         let max = row_in.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
         let mut sum = 0.0f32;

@@ -3,6 +3,7 @@
 //! These ops are dtype-generic: they move elements without arithmetic, so
 //! quantized tensors keep their parameters.
 
+use super::conv::padded;
 use super::{kerr, KernelError};
 use crate::dtype::DType;
 use crate::shape::{for_each_row, Shape};
@@ -30,64 +31,72 @@ fn gather(
     Tensor::from_data(dims, data, input.quant()).map_err(|e| kerr(e.to_string()))
 }
 
-/// Permute axes: `transpose(x, axes)`.
-pub fn transpose(input: &Tensor, axes: &[usize]) -> Result<Tensor, KernelError> {
-    let dims = input.shape().dims();
-    if axes.len() != dims.len() {
+/// The shape rule of `transpose`: `axes` a permutation of the input's
+/// axes; output dim `i` is input dim `axes[i]`.
+pub fn transpose_dims(input: &[usize], axes: &[usize]) -> Result<Vec<usize>, KernelError> {
+    if axes.len() != input.len() {
         return Err(kerr(format!(
-            "transpose axes {axes:?} wrong rank for {dims:?}"
+            "transpose axes {axes:?} wrong rank for {input:?}"
         )));
     }
-    let mut seen = vec![false; dims.len()];
-    for &a in axes {
-        if a >= dims.len() || seen[a] {
-            return Err(kerr(format!("transpose axes {axes:?} not a permutation")));
-        }
-        seen[a] = true;
+    let fresh = |(i, &a): (usize, &usize)| a < input.len() && !axes[..i].contains(&a);
+    if !axes.iter().enumerate().all(fresh) {
+        return Err(kerr(format!("transpose axes {axes:?} not a permutation")));
     }
+    Ok(axes.iter().map(|&a| input[a]).collect())
+}
+
+/// Permute axes: `transpose(x, axes)`.
+pub fn transpose(input: &Tensor, axes: &[usize]) -> Result<Tensor, KernelError> {
+    let out_dims = transpose_dims(input.shape().dims(), axes)?;
     let in_strides = input.shape().strides();
-    let (out_dims, src_strides): (Vec<usize>, Vec<usize>) =
-        axes.iter().map(|&a| (dims[a], in_strides[a])).unzip();
+    let src_strides: Vec<usize> = axes.iter().map(|&a| in_strides[a]).collect();
     gather(input, out_dims, &src_strides, 0)
 }
 
-/// Concatenate along `axis`. All inputs must share dtype/rank and agree on
-/// every other dimension; quant params are taken from the first input (QNN
-/// concat requires pre-aligned scales, which the frontends guarantee).
-pub fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor, KernelError> {
-    if inputs.is_empty() {
-        return Err(kerr("concat of zero tensors".to_string()));
-    }
-    let first = inputs[0];
-    let rank = first.shape().rank();
+/// The shape rule of `concatenate`: one or more inputs of one rank that
+/// agree off `axis`; the output's `axis` dim is the sum of theirs.
+pub fn concat_dims<'a>(
+    inputs: impl IntoIterator<Item = &'a [usize]>,
+    axis: usize,
+) -> Result<Vec<usize>, KernelError> {
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Err(kerr("concat of zero tensors"));
+    };
+    let rank = first.len();
     if axis >= rank {
         return Err(kerr(format!(
             "concat axis {axis} out of range for rank {rank}"
         )));
     }
-    let mut out_dims = first.shape().dims().to_vec();
-    let mut axis_total = 0usize;
-    for t in inputs {
-        if t.dtype() != first.dtype() || t.shape().rank() != rank {
-            return Err(kerr("concat dtype/rank mismatch".to_string()));
+    let mut out = first.to_vec();
+    for dims in inputs {
+        if dims.len() != rank {
+            return Err(kerr(format!("concat of ranks {rank} and {}", dims.len())));
         }
-        for (d, (&a, &b)) in t
-            .shape()
-            .dims()
-            .iter()
-            .zip(first.shape().dims())
-            .enumerate()
-        {
+        for (d, (&a, &b)) in dims.iter().zip(first).enumerate() {
             if d != axis && a != b {
                 return Err(kerr(format!(
                     "concat non-axis dim {d} mismatch: {a} vs {b}"
                 )));
             }
         }
-        axis_total += t.shape().dims()[axis];
+        out[axis] = (out[axis].checked_add(dims[axis]))
+            .ok_or_else(|| kerr(format!("concat axis {axis} overflows")))?;
     }
-    out_dims[axis] = axis_total;
-    let out_shape = Shape::new(out_dims);
+    Ok(out)
+}
+
+/// Concatenate along `axis`. All inputs must share dtype and satisfy
+/// [`concat_dims`]; quant params are taken from the first input (QNN
+/// concat requires pre-aligned scales, which the frontends guarantee).
+pub fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor, KernelError> {
+    let out_shape = Shape::new(concat_dims(inputs.iter().map(|t| t.shape().dims()), axis)?);
+    let first = inputs[0];
+    if inputs.iter().any(|t| t.dtype() != first.dtype()) {
+        return Err(kerr("concat dtype mismatch"));
+    }
 
     // outer = product of dims before axis; inner = product after.
     let outer: usize = first.shape().dims()[..axis].iter().product();
@@ -118,22 +127,25 @@ pub fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor, KernelError> {
     Tensor::from_data(out_shape, data, first.quant()).map_err(|e| kerr(e.to_string()))
 }
 
-/// Constant-pad with per-dimension (before, after) amounts.
-pub fn pad(input: &Tensor, pads: &[(usize, usize)], value: f32) -> Result<Tensor, KernelError> {
-    let dims = input.shape().dims();
-    if pads.len() != dims.len() {
+/// The shape rule of `nn.pad`: one (before, after) pair per input dim,
+/// each added to it.
+pub fn pad_dims(input: &[usize], pads: &[(usize, usize)]) -> Result<Vec<usize>, KernelError> {
+    if pads.len() != input.len() {
         return Err(kerr(format!(
             "pad spec rank {} != tensor rank {}",
             pads.len(),
-            dims.len()
+            input.len()
         )));
     }
-    let out_dims: Vec<usize> = dims
-        .iter()
-        .zip(pads)
-        .map(|(&d, &(b, a))| d + b + a)
-        .collect();
-    let out_shape = Shape::new(out_dims);
+    let overflow = || kerr(format!("pad {pads:?} of {input:?} overflows"));
+    let pad = |(&d, &(b, a)): (&usize, &(usize, usize))| padded(d, b, a).ok_or_else(overflow);
+    input.iter().zip(pads).map(pad).collect()
+}
+
+/// Constant-pad with per-dimension (before, after) amounts.
+pub fn pad(input: &Tensor, pads: &[(usize, usize)], value: f32) -> Result<Tensor, KernelError> {
+    let dims = input.shape().dims();
+    let out_shape = Shape::new(pad_dims(dims, pads)?);
     let out_strides = out_shape.strides();
     // Where input element [0, .., 0] lands in the output.
     let base: usize = pads
@@ -175,34 +187,47 @@ pub fn pad(input: &Tensor, pads: &[(usize, usize)], value: f32) -> Result<Tensor
     Tensor::from_data(out_shape, data, input.quant()).map_err(|e| kerr(e.to_string()))
 }
 
-/// `strided_slice(begin, end)` with unit strides.
-pub fn slice(input: &Tensor, begin: &[usize], end: &[usize]) -> Result<Tensor, KernelError> {
-    let dims = input.shape().dims();
-    if begin.len() != dims.len() || end.len() != dims.len() {
-        return Err(kerr("slice begin/end rank mismatch".to_string()));
+/// The shape rule of `strided_slice` with unit strides: a non-empty
+/// `[begin, end)` inside every input dim; the output dim is its length.
+pub fn slice_dims(
+    input: &[usize],
+    begin: &[usize],
+    end: &[usize],
+) -> Result<Vec<usize>, KernelError> {
+    if begin.len() != input.len() || end.len() != input.len() {
+        return Err(kerr("slice begin/end rank mismatch"));
     }
-    for d in 0..dims.len() {
-        if begin[d] >= end[d] || end[d] > dims[d] {
+    for d in 0..input.len() {
+        if begin[d] >= end[d] || end[d] > input[d] {
             return Err(kerr(format!(
                 "slice range [{}, {}) invalid for dim {d} of size {}",
-                begin[d], end[d], dims[d]
+                begin[d], end[d], input[d]
             )));
         }
     }
-    let out_dims: Vec<usize> = begin.iter().zip(end).map(|(&b, &e)| e - b).collect();
+    Ok(begin.iter().zip(end).map(|(&b, &e)| e - b).collect())
+}
+
+/// `strided_slice(begin, end)` with unit strides.
+pub fn slice(input: &Tensor, begin: &[usize], end: &[usize]) -> Result<Tensor, KernelError> {
+    let out_dims = slice_dims(input.shape().dims(), begin, end)?;
     let strides = input.shape().strides();
     gather(input, out_dims, &strides, input.shape().offset(begin))
 }
 
+/// The shape rule of `nn.batch_flatten`: `[n, ...]` flattens to
+/// `[n, prod(...)]`.
+pub fn batch_flatten_dims(input: &[usize]) -> Result<[usize; 2], KernelError> {
+    match input {
+        [n, rest @ ..] => Ok([*n, rest.iter().product()]),
+        [] => Err(kerr("batch_flatten needs rank >= 1")),
+    }
+}
+
 /// `batch_flatten`: `[n, ...] → [n, prod(...)]`.
 pub fn batch_flatten(input: &Tensor) -> Result<Tensor, KernelError> {
-    let dims = input.shape().dims();
-    if dims.is_empty() {
-        return Err(kerr("batch_flatten needs rank >= 1".to_string()));
-    }
-    let n = dims[0];
-    let rest: usize = dims[1..].iter().product();
-    input.reshaped([n, rest]).map_err(|e| kerr(e.to_string()))
+    let dims = batch_flatten_dims(input.shape().dims())?;
+    input.reshaped(dims).map_err(|e| kerr(e.to_string()))
 }
 
 /// Interpolation used by [`resize2d`].
@@ -214,6 +239,26 @@ pub enum ResizeMethod {
     Bilinear,
 }
 
+/// The shape rule of `image.resize2d`: non-empty `NCHW` planes resized to
+/// a non-empty `out_h × out_w`.
+pub fn resize2d_dims(
+    input: &[usize],
+    out_h: usize,
+    out_w: usize,
+) -> Result<[usize; 4], KernelError> {
+    let &[n, c, h, w] = input else {
+        return Err(kerr(format!(
+            "resize2d expects rank-4 input, got {input:?}"
+        )));
+    };
+    if [h, w, out_h, out_w].contains(&0) {
+        return Err(kerr(format!(
+            "resize2d from {h}x{w} to {out_h}x{out_w}: both must be non-empty"
+        )));
+    }
+    Ok([n, c, out_h, out_w])
+}
+
 /// Resize `NCHW` activations to `(out_h, out_w)`.
 pub fn resize2d(
     input: &Tensor,
@@ -222,13 +267,8 @@ pub fn resize2d(
     method: ResizeMethod,
 ) -> Result<Tensor, KernelError> {
     let dims = input.shape().dims();
-    if dims.len() != 4 {
-        return Err(kerr("resize2d expects rank-4 input".to_string()));
-    }
+    let out_dims = resize2d_dims(dims, out_h, out_w)?;
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    if out_h == 0 || out_w == 0 {
-        return Err(kerr("resize2d target must be non-zero".to_string()));
-    }
     let fsrc = input.to_f32();
     let x = fsrc.as_f32().unwrap();
     let mut out = vec![0.0f32; n * c * out_h * out_w];
@@ -270,7 +310,7 @@ pub fn resize2d(
             }
         }
     }
-    let result = Tensor::from_f32([n, c, out_h, out_w], out).map_err(|e| kerr(e.to_string()))?;
+    let result = Tensor::from_f32(out_dims, out).map_err(|e| kerr(e.to_string()))?;
     if input.dtype().is_float() {
         Ok(result)
     } else {
@@ -283,21 +323,20 @@ pub fn resize2d(
     }
 }
 
+/// The shape rule of `mean` (keepdims = false): every axis inside the
+/// input's rank; the output drops those dims.
+pub fn mean_dims(input: &[usize], axes: &[usize]) -> Result<Vec<usize>, KernelError> {
+    if let Some(a) = axes.iter().find(|&&a| a >= input.len()) {
+        return Err(kerr(format!("mean axis {a} out of range")));
+    }
+    let kept = input.iter().enumerate().filter(|(d, _)| !axes.contains(d));
+    Ok(kept.map(|(_, &s)| s).collect())
+}
+
 /// Mean over the given axes (keepdims = false), float only.
 pub fn mean_f32(input: &Tensor, axes: &[usize]) -> Result<Tensor, KernelError> {
     let dims = input.shape().dims();
-    for &a in axes {
-        if a >= dims.len() {
-            return Err(kerr(format!("mean axis {a} out of range")));
-        }
-    }
-    let out_dims: Vec<usize> = dims
-        .iter()
-        .enumerate()
-        .filter(|(d, _)| !axes.contains(d))
-        .map(|(_, &s)| s)
-        .collect();
-    let out_shape = Shape::new(out_dims);
+    let out_shape = Shape::new(mean_dims(dims, axes)?);
     let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
     // Output stride of every input dimension: 0 along the reduced axes.
     let mut out_strides = vec![0usize; dims.len()];
@@ -311,7 +350,7 @@ pub fn mean_f32(input: &Tensor, axes: &[usize]) -> Result<Tensor, KernelError> {
         }
     }
     // Each output sees its inputs in flat input order, one row at a time.
-    let mut sums = vec![0.0f32; out_shape.num_elements().max(1)];
+    let mut sums = vec![0.0f32; out_shape.num_elements()];
     let len = dims.last().copied().unwrap_or(1);
     let reduce_rows = out_strides.last() == Some(&0);
     let mut rows = x.chunks(len.max(1));
