@@ -180,6 +180,30 @@ mod tests {
         }
     }
 
+    /// A spec Relay refuses is a `spec` failure — the kind the shrinker
+    /// never keeps when it shrinks another failure.
+    #[test]
+    fn a_spec_relay_refuses_fails_as_a_spec() {
+        use crate::generator::{GraphSpec, SpecOp};
+        let spec = GraphSpec {
+            seed: 1,
+            in_channels: 2,
+            height: 4,
+            width: 4,
+            quantize: false,
+            ops: vec![
+                SpecOp::MaxPool { input: 0 },
+                SpecOp::Multiply { lhs: 1, rhs: 0 },
+            ],
+        };
+        let failure = check_case(&spec, &CheckOptions::default()).unwrap_err();
+        assert_eq!(failure.kind(), "spec");
+        assert!(
+            failure.to_string().contains("op 1: type error: multiply"),
+            "{failure}"
+        );
+    }
+
     #[test]
     fn unsupported_float_case_skips_np_only_modes() {
         // Find a float spec whose *live* graph contains an NP-unsupported

@@ -8,6 +8,15 @@
 //! subexpressions and branching DAGs. The generated output expression is
 //! the last node, so trailing ops are always live.
 //!
+//! Generation is building. Each op is built with `relay::builder` and typed
+//! by Relay's checker (`builder::expr_type`) as it is drawn or replayed,
+//! and the checker is the one judge of whether it applies: this module
+//! states no shape rule of its own. The generator reads each node's
+//! `(c, h, w)` off its type to choose operands (even planes for the pools,
+//! the latest node's shape for the binary ops, its plane for concat), so
+//! every draw builds; a spec the checker refuses — from the shrinker or a
+//! `.repro` file — fails [`build_case`] with the checker's message.
+//!
 //! Two vocabularies are drawn from:
 //! - float mode mixes NeuroPilot-supported ops with `nn.batch_norm` /
 //!   `exp` (deliberately unsupported, the paper's "missing bars"), so
@@ -23,9 +32,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use tvmnp_relay::builder;
-use tvmnp_relay::expr::{var, Expr, Function, Module};
+use tvmnp_relay::expr::{call, var, Expr, Function, Module};
 use tvmnp_relay::passes::quantize_with_calibration;
-use tvmnp_relay::{Conv2dAttrs, Pool2dAttrs, TensorType};
+use tvmnp_relay::{Conv2dAttrs, OpKind, Pool2dAttrs, TensorType};
 use tvmnp_tensor::rng::TensorRng;
 use tvmnp_tensor::Tensor;
 
@@ -54,7 +63,8 @@ pub enum SpecOp {
         /// Operand node.
         input: usize,
     },
-    /// `nn.max_pool2d` 2×2/2 (halves spatial dims).
+    /// `nn.max_pool2d` 2×2/2 (halves spatial dims, an odd one rounding
+    /// down).
     MaxPool {
         /// Operand node.
         input: usize,
@@ -69,21 +79,21 @@ pub enum SpecOp {
         /// Operand node.
         input: usize,
     },
-    /// Elementwise `add` of two same-shape nodes.
+    /// Broadcasting `add` (the generator draws same-shape pairs).
     Add {
         /// Left operand node.
         lhs: usize,
         /// Right operand node.
         rhs: usize,
     },
-    /// Elementwise `multiply` (float vocabulary only).
+    /// Broadcasting `multiply` (float vocabulary only).
     Multiply {
         /// Left operand node.
         lhs: usize,
         /// Right operand node.
         rhs: usize,
     },
-    /// Elementwise `maximum` (float vocabulary only).
+    /// Broadcasting `maximum` (float vocabulary only).
     Maximum {
         /// Left operand node.
         lhs: usize,
@@ -202,8 +212,9 @@ impl fmt::Display for GraphSpec {
     }
 }
 
-/// A spec that cannot be realized as a well-typed module (shape rules
-/// violated after shrinking, or the quantizer rejected the graph).
+/// A spec that cannot be realized as a well-typed module: Relay's type
+/// checker refused an op (an operand index out of range included), or the
+/// quantizer rejected the graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecError(pub String);
 
@@ -223,90 +234,6 @@ pub struct BuiltCase {
     pub inputs: HashMap<String, Tensor>,
 }
 
-/// (channels, height, width) of each node during building/generation.
-type NodeShape = (usize, usize, usize);
-
-fn shape_after(op: &SpecOp, shapes: &[NodeShape]) -> Result<NodeShape, SpecError> {
-    let get = |i: usize| -> Result<NodeShape, SpecError> {
-        shapes
-            .get(i)
-            .copied()
-            .ok_or_else(|| SpecError(format!("operand {i} out of range")))
-    };
-    match *op {
-        SpecOp::Conv2d {
-            input,
-            out_channels,
-            kernel,
-            ..
-        } => {
-            let (_, h, w) = get(input)?;
-            if kernel != 1 && kernel != 3 {
-                return Err(SpecError(format!("conv kernel {kernel} not in {{1,3}}")));
-            }
-            if out_channels == 0 {
-                return Err(SpecError("conv with zero output channels".into()));
-            }
-            Ok((out_channels, h, w))
-        }
-        SpecOp::Relu { input }
-        | SpecOp::Sigmoid { input }
-        | SpecOp::BatchNorm { input }
-        | SpecOp::Exp { input } => get(input),
-        SpecOp::MaxPool { input } | SpecOp::AvgPool { input } => {
-            let (c, h, w) = get(input)?;
-            if h < 2 || w < 2 || h % 2 != 0 || w % 2 != 0 {
-                return Err(SpecError(format!("pool needs even dims >= 2, got {h}x{w}")));
-            }
-            Ok((c, h / 2, w / 2))
-        }
-        SpecOp::GlobalAvgPool { input } => {
-            let (c, _, _) = get(input)?;
-            Ok((c, 1, 1))
-        }
-        SpecOp::Add { lhs, rhs } | SpecOp::Multiply { lhs, rhs } | SpecOp::Maximum { lhs, rhs } => {
-            let a = get(lhs)?;
-            let b = get(rhs)?;
-            if a != b {
-                return Err(SpecError(format!("binary op on {a:?} vs {b:?}")));
-            }
-            Ok(a)
-        }
-        SpecOp::Concat { lhs, rhs } => {
-            let (ca, ha, wa) = get(lhs)?;
-            let (cb, hb, wb) = get(rhs)?;
-            if (ha, wa) != (hb, wb) {
-                return Err(SpecError(format!(
-                    "concat on {ha}x{wa} vs {hb}x{wb} spatial dims"
-                )));
-            }
-            Ok((ca + cb, ha, wa))
-        }
-        SpecOp::Reshape { input } => {
-            let (c, h, w) = get(input)?;
-            Ok((c, w, h))
-        }
-    }
-}
-
-/// Node shapes implied by a spec, or the first shape-rule violation.
-pub(crate) fn node_shapes(spec: &GraphSpec) -> Result<Vec<NodeShape>, SpecError> {
-    if spec.in_channels == 0 || spec.height == 0 || spec.width == 0 {
-        return Err(SpecError("degenerate input shape".into()));
-    }
-    let mut shapes: Vec<NodeShape> = vec![(spec.in_channels, spec.height, spec.width)];
-    for (j, op) in spec.ops.iter().enumerate() {
-        for &o in &op.operands() {
-            if o > j {
-                return Err(SpecError(format!("op {j} references future node {o}")));
-            }
-        }
-        let s = shape_after(op, &shapes)?;
-        shapes.push(s);
-    }
-    Ok(shapes)
-}
-
 /// Mix a per-op weight seed out of the case seed (splitmix64 step — the
 /// spec stays stable even if ops are removed around this one).
 fn op_seed(case_seed: u64, j: usize) -> u64 {
@@ -318,77 +245,96 @@ fn op_seed(case_seed: u64, j: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A built node: its expression and its `(c, h, w)`, read off the type
+/// Relay's checker gave it.
+struct Node {
+    expr: Expr,
+    chw: (usize, usize, usize),
+}
+
+/// The input variable `x` of a spec.
+fn input_node(spec: &GraphSpec) -> Node {
+    let shape = [1, spec.in_channels, spec.height, spec.width];
+    Node {
+        expr: var("x", TensorType::f32(shape)),
+        chw: (spec.in_channels, spec.height, spec.width),
+    }
+}
+
+/// Build op `j` over the earlier `nodes` — its weights drawn from
+/// `op_seed(seed, j)` — and type it. Relay's type checker is the one
+/// judge of whether the op applies; an operand index past the nodes built
+/// so far is refused too.
+fn push_op(nodes: &[Node], op: &SpecOp, seed: u64, j: usize) -> Result<Node, SpecError> {
+    let node = |i: usize| {
+        (nodes.get(i)).ok_or_else(|| SpecError(format!("op {j}: operand {i} out of range")))
+    };
+    let x = |i: usize| node(i).map(|n| n.expr.clone());
+    let mut rng = TensorRng::new(op_seed(seed, j));
+    let expr = match *op {
+        SpecOp::Conv2d {
+            input,
+            out_channels,
+            kernel,
+            bias,
+        } => {
+            let (c_in, _, _) = node(input)?.chw;
+            let w = rng.uniform_f32([out_channels, c_in, kernel, kernel], -0.5, 0.5);
+            let attrs = Conv2dAttrs::same(kernel / 2);
+            if bias {
+                let b = rng.uniform_f32([out_channels], -0.2, 0.2);
+                builder::conv2d_bias(x(input)?, w, b, attrs)
+            } else {
+                builder::conv2d(x(input)?, w, attrs)
+            }
+        }
+        SpecOp::Relu { input } => builder::relu(x(input)?),
+        SpecOp::Sigmoid { input } => builder::sigmoid(x(input)?),
+        SpecOp::MaxPool { input } => builder::max_pool2d(x(input)?, Pool2dAttrs::square(2)),
+        SpecOp::AvgPool { input } => builder::avg_pool2d(x(input)?, Pool2dAttrs::square(2)),
+        SpecOp::GlobalAvgPool { input } => builder::global_avg_pool2d(x(input)?),
+        SpecOp::Add { lhs, rhs } => builder::add(x(lhs)?, x(rhs)?),
+        SpecOp::Multiply { lhs, rhs } => builder::multiply(x(lhs)?, x(rhs)?),
+        SpecOp::Maximum { lhs, rhs } => call(OpKind::Maximum, vec![x(lhs)?, x(rhs)?]),
+        SpecOp::Concat { lhs, rhs } => builder::concatenate(vec![x(lhs)?, x(rhs)?], 1),
+        SpecOp::Reshape { input } => {
+            let (c, h, w) = node(input)?.chw;
+            builder::reshape(x(input)?, vec![1, c, w, h])
+        }
+        SpecOp::BatchNorm { input } => {
+            let (c, _, _) = node(input)?.chw;
+            builder::batch_norm(
+                x(input)?,
+                rng.uniform_f32([c], 0.9, 1.1),
+                rng.uniform_f32([c], -0.1, 0.1),
+                rng.uniform_f32([c], -0.1, 0.1),
+                rng.uniform_f32([c], 0.9, 1.1),
+                1e-5,
+            )
+        }
+        SpecOp::Exp { input } => call(OpKind::Exp, vec![x(input)?]),
+    };
+    let ty = builder::expr_type(&expr).map_err(|e| SpecError(format!("op {j}: {e}")))?;
+    match ty.tensor().map(|t| t.shape.dims()) {
+        Some(&[_, c, h, w]) => Ok(Node {
+            expr,
+            chw: (c, h, w),
+        }),
+        _ => Err(SpecError(format!("op {j}: {ty} is not an NCHW tensor"))),
+    }
+}
+
 /// Realize a spec as a Relay module plus deterministic inputs. Quantized
 /// specs are built float-first and rewritten through the post-training
 /// quantizer with seeded calibration inputs.
 pub fn build_case(spec: &GraphSpec) -> Result<BuiltCase, SpecError> {
-    let shapes = node_shapes(spec)?;
-    let x = var(
-        "x",
-        TensorType::f32([1, spec.in_channels, spec.height, spec.width]),
-    );
-    let mut nodes: Vec<Expr> = vec![x.clone()];
+    let mut nodes = vec![input_node(spec)];
     for (j, op) in spec.ops.iter().enumerate() {
-        let mut rng = TensorRng::new(op_seed(spec.seed, j));
-        let e = match *op {
-            SpecOp::Conv2d {
-                input,
-                out_channels,
-                kernel,
-                bias,
-            } => {
-                let (c_in, _, _) = shapes[input];
-                let w = rng.uniform_f32([out_channels, c_in, kernel, kernel], -0.5, 0.5);
-                let attrs = Conv2dAttrs::same(kernel / 2);
-                if bias {
-                    let b = rng.uniform_f32([out_channels], -0.2, 0.2);
-                    builder::conv2d_bias(nodes[input].clone(), w, b, attrs)
-                } else {
-                    builder::conv2d(nodes[input].clone(), w, attrs)
-                }
-            }
-            SpecOp::Relu { input } => builder::relu(nodes[input].clone()),
-            SpecOp::Sigmoid { input } => builder::sigmoid(nodes[input].clone()),
-            SpecOp::MaxPool { input } => {
-                builder::max_pool2d(nodes[input].clone(), Pool2dAttrs::square(2))
-            }
-            SpecOp::AvgPool { input } => {
-                builder::avg_pool2d(nodes[input].clone(), Pool2dAttrs::square(2))
-            }
-            SpecOp::GlobalAvgPool { input } => builder::global_avg_pool2d(nodes[input].clone()),
-            SpecOp::Add { lhs, rhs } => builder::add(nodes[lhs].clone(), nodes[rhs].clone()),
-            SpecOp::Multiply { lhs, rhs } => {
-                builder::multiply(nodes[lhs].clone(), nodes[rhs].clone())
-            }
-            SpecOp::Maximum { lhs, rhs } => tvmnp_relay::expr::call(
-                tvmnp_relay::OpKind::Maximum,
-                vec![nodes[lhs].clone(), nodes[rhs].clone()],
-            ),
-            SpecOp::Concat { lhs, rhs } => {
-                builder::concatenate(vec![nodes[lhs].clone(), nodes[rhs].clone()], 1)
-            }
-            SpecOp::Reshape { input } => {
-                let (c, h, w) = shapes[input];
-                builder::reshape(nodes[input].clone(), vec![1, c, w, h])
-            }
-            SpecOp::BatchNorm { input } => {
-                let (c, _, _) = shapes[input];
-                builder::batch_norm(
-                    nodes[input].clone(),
-                    rng.uniform_f32([c], 0.9, 1.1),
-                    rng.uniform_f32([c], -0.1, 0.1),
-                    rng.uniform_f32([c], -0.1, 0.1),
-                    rng.uniform_f32([c], 0.9, 1.1),
-                    1e-5,
-                )
-            }
-            SpecOp::Exp { input } => {
-                tvmnp_relay::expr::call(tvmnp_relay::OpKind::Exp, vec![nodes[input].clone()])
-            }
-        };
-        nodes.push(e);
+        let node = push_op(&nodes, op, spec.seed, j)?;
+        nodes.push(node);
     }
-    let body = nodes.last().expect("at least the input node").clone();
+    let x = nodes[0].expr.clone();
+    let body = nodes.last().expect("at least the input node").expr.clone();
     let module = Module::from_main(Function::new(vec![x], body));
 
     let input_shape = [1, spec.in_channels, spec.height, spec.width];
@@ -418,7 +364,9 @@ pub fn build_case(spec: &GraphSpec) -> Result<BuiltCase, SpecError> {
     Ok(BuiltCase { module, inputs })
 }
 
-/// Draw a random, always-buildable spec for `case_seed`.
+/// Draw a random, always-buildable spec for `case_seed`, building each
+/// drawn op as it goes: operands are chosen by the `(c, h, w)` of the
+/// nodes built so far.
 ///
 /// Quantized specs restrict the vocabulary to quantizer-supported ops;
 /// float specs sprinkle in NeuroPilot-unsupported ops (~1 in 5 draws) so
@@ -439,119 +387,107 @@ pub fn random_spec(case_seed: u64, quantize: bool) -> GraphSpec {
         quantize,
         ops: Vec::new(),
     };
-    let mut shapes: Vec<NodeShape> = vec![(in_channels, height, width)];
+    let mut nodes = vec![input_node(&spec)];
 
-    for _ in 0..num_ops {
+    for j in 0..num_ops {
         // Bias operand choice toward recent nodes so most ops stay live on
         // the path to the output; older picks create sharing/branching.
         let pick = |rng: &mut SmallRng, candidates: &[usize]| -> usize {
             let back = rng.gen_range(0..candidates.len().min(3));
             candidates[candidates.len() - 1 - back]
         };
-        let all: Vec<usize> = (0..shapes.len()).collect();
-        let poolable: Vec<usize> = all
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let (_, h, w) = shapes[i];
-                h >= 2 && w >= 2 && h % 2 == 0 && w % 2 == 0
-            })
-            .collect();
-        // Same-shape pairs for binary ops: group nodes by shape.
-        let mut by_shape: HashMap<NodeShape, Vec<usize>> = HashMap::new();
-        for (i, &s) in shapes.iter().enumerate() {
-            by_shape.entry(s).or_default().push(i);
-        }
-        let latest = shapes.len() - 1;
-        let binary_partner: Vec<usize> = by_shape[&shapes[latest]].clone();
-        // Concat partners only need matching spatial dims.
-        let concat_partner: Vec<usize> = all
-            .iter()
-            .copied()
-            .filter(|&i| (shapes[i].1, shapes[i].2) == (shapes[latest].1, shapes[latest].2))
-            .collect();
+        let all: Vec<usize> = (0..nodes.len()).collect();
+        let latest = nodes.len() - 1;
+        let (_, h, w) = nodes[latest].chw;
+        let drawn = |keep: &dyn Fn((usize, usize, usize)) -> bool| -> Vec<usize> {
+            all.iter()
+                .copied()
+                .filter(|&i| keep(nodes[i].chw))
+                .collect()
+        };
+        // Pools on even planes; binary partners of the latest node's
+        // shape; concat partners of its plane.
+        let poolable = drawn(&|(_, h, w)| h >= 2 && w >= 2 && h % 2 == 0 && w % 2 == 0);
+        let binary_partner = drawn(&|chw| chw == nodes[latest].chw);
+        let concat_partner = drawn(&|(_, ph, pw)| (ph, pw) == (h, w));
 
-        let op = loop {
-            let roll = rng.gen_range(0..100u32);
-            let candidate = if !quantize && roll < 18 {
-                // NP-unsupported draw (float vocabulary only).
-                if rng.gen_bool(0.5) {
-                    SpecOp::BatchNorm {
-                        input: pick(&mut rng, &all),
-                    }
-                } else {
-                    SpecOp::Exp {
-                        input: pick(&mut rng, &all),
-                    }
-                }
-            } else if roll < 40 {
-                SpecOp::Conv2d {
+        let roll = rng.gen_range(0..100u32);
+        let op = if !quantize && roll < 18 {
+            // NP-unsupported draw (float vocabulary only).
+            if rng.gen_bool(0.5) {
+                SpecOp::BatchNorm {
                     input: pick(&mut rng, &all),
-                    out_channels: rng.gen_range(1..=4usize),
-                    kernel: if rng.gen_bool(0.5) { 1 } else { 3 },
-                    bias: rng.gen_bool(0.5),
-                }
-            } else if roll < 50 {
-                SpecOp::Relu {
-                    input: pick(&mut rng, &all),
-                }
-            } else if roll < 56 && !quantize {
-                SpecOp::Sigmoid {
-                    input: pick(&mut rng, &all),
-                }
-            } else if roll < 62 && !poolable.is_empty() {
-                if rng.gen_bool(0.5) {
-                    SpecOp::MaxPool {
-                        input: pick(&mut rng, &poolable),
-                    }
-                } else {
-                    SpecOp::AvgPool {
-                        input: pick(&mut rng, &poolable),
-                    }
-                }
-            } else if roll < 66 {
-                SpecOp::GlobalAvgPool {
-                    input: pick(&mut rng, &all),
-                }
-            } else if roll < 78 {
-                let partner = pick(&mut rng, &binary_partner);
-                if quantize {
-                    SpecOp::Add {
-                        lhs: latest,
-                        rhs: partner,
-                    }
-                } else {
-                    match rng.gen_range(0..3u32) {
-                        0 => SpecOp::Add {
-                            lhs: latest,
-                            rhs: partner,
-                        },
-                        1 => SpecOp::Multiply {
-                            lhs: latest,
-                            rhs: partner,
-                        },
-                        _ => SpecOp::Maximum {
-                            lhs: latest,
-                            rhs: partner,
-                        },
-                    }
-                }
-            } else if roll < 90 {
-                SpecOp::Concat {
-                    lhs: latest,
-                    rhs: pick(&mut rng, &concat_partner),
                 }
             } else {
-                SpecOp::Reshape {
+                SpecOp::Exp {
                     input: pick(&mut rng, &all),
                 }
-            };
-            if shape_after(&candidate, &shapes).is_ok() {
-                break candidate;
+            }
+        } else if roll < 40 {
+            SpecOp::Conv2d {
+                input: pick(&mut rng, &all),
+                out_channels: rng.gen_range(1..=4usize),
+                kernel: if rng.gen_bool(0.5) { 1 } else { 3 },
+                bias: rng.gen_bool(0.5),
+            }
+        } else if roll < 50 {
+            SpecOp::Relu {
+                input: pick(&mut rng, &all),
+            }
+        } else if roll < 56 && !quantize {
+            SpecOp::Sigmoid {
+                input: pick(&mut rng, &all),
+            }
+        } else if roll < 62 && !poolable.is_empty() {
+            if rng.gen_bool(0.5) {
+                SpecOp::MaxPool {
+                    input: pick(&mut rng, &poolable),
+                }
+            } else {
+                SpecOp::AvgPool {
+                    input: pick(&mut rng, &poolable),
+                }
+            }
+        } else if roll < 66 {
+            SpecOp::GlobalAvgPool {
+                input: pick(&mut rng, &all),
+            }
+        } else if roll < 78 {
+            let partner = pick(&mut rng, &binary_partner);
+            if quantize {
+                SpecOp::Add {
+                    lhs: latest,
+                    rhs: partner,
+                }
+            } else {
+                match rng.gen_range(0..3u32) {
+                    0 => SpecOp::Add {
+                        lhs: latest,
+                        rhs: partner,
+                    },
+                    1 => SpecOp::Multiply {
+                        lhs: latest,
+                        rhs: partner,
+                    },
+                    _ => SpecOp::Maximum {
+                        lhs: latest,
+                        rhs: partner,
+                    },
+                }
+            }
+        } else if roll < 90 {
+            SpecOp::Concat {
+                lhs: latest,
+                rhs: pick(&mut rng, &concat_partner),
+            }
+        } else {
+            SpecOp::Reshape {
+                input: pick(&mut rng, &all),
             }
         };
-        let s = shape_after(&op, &shapes).expect("validated above");
-        shapes.push(s);
+        let node = push_op(&nodes, &op, case_seed, j)
+            .unwrap_or_else(|e| panic!("seed {case_seed}: a drawn op must type-check: {e}"));
+        nodes.push(node);
         spec.ops.push(op);
     }
     spec
@@ -592,6 +528,199 @@ mod tests {
             ops: vec![SpecOp::Relu { input: 5 }],
         };
         assert!(build_case(&spec).is_err());
+    }
+
+    /// Relay types a 2×2 pool on a 3×3 plane (the window count floors)
+    /// and an add of a one-channel node to a three-channel one (it
+    /// broadcasts), so both build, float and quantized, and conform on
+    /// every permutation.
+    #[test]
+    fn what_relay_types_builds_and_conforms() {
+        let spec = |in_channels, height, ops, quantize| GraphSpec {
+            seed: 7,
+            in_channels,
+            height,
+            width: height,
+            quantize,
+            ops,
+        };
+        let odd_plane = vec![SpecOp::MaxPool { input: 0 }, SpecOp::AvgPool { input: 0 }];
+        let one_channel = SpecOp::Conv2d {
+            input: 0,
+            out_channels: 1,
+            kernel: 3,
+            bias: true,
+        };
+        let broadcast = vec![one_channel, SpecOp::Add { lhs: 1, rhs: 0 }];
+        for quantize in [false, true] {
+            for spec in [
+                spec(2, 3, odd_plane.clone(), quantize),
+                spec(3, 4, broadcast.clone(), quantize),
+            ] {
+                build_case(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+                let out = crate::check_case(&spec, &crate::CheckOptions::default())
+                    .unwrap_or_else(|e| panic!("{spec}: {e}"));
+                assert_eq!(out.permutations_compared + out.permutations_skipped, 7);
+            }
+        }
+    }
+
+    /// What Relay refuses, the spec refuses, naming the op.
+    #[test]
+    fn what_relay_refuses_is_a_spec_error() {
+        let spec = |ops| GraphSpec {
+            seed: 1,
+            in_channels: 2,
+            height: 4,
+            width: 4,
+            quantize: false,
+            ops,
+        };
+        let pooled_concat = vec![
+            SpecOp::MaxPool { input: 0 },
+            SpecOp::Concat { lhs: 1, rhs: 0 },
+        ];
+        let conv = SpecOp::Conv2d {
+            input: 0,
+            out_channels: 3,
+            kernel: 1,
+            bias: false,
+        };
+        let mismatched_add = vec![conv, SpecOp::Add { lhs: 1, rhs: 0 }];
+        for (ops, op) in [(pooled_concat, "concatenate"), (mismatched_add, "add")] {
+            let err = build_case(&spec(ops)).err().expect("refused").to_string();
+            assert!(err.contains("op 1") && err.contains(op), "{err}");
+        }
+    }
+
+    /// An operand names an earlier node: one built by a later op is out of
+    /// range when this op is built, even though the spec holds it.
+    #[test]
+    fn a_forward_operand_reference_is_out_of_range() {
+        let spec = GraphSpec {
+            seed: 1,
+            in_channels: 2,
+            height: 4,
+            width: 4,
+            quantize: false,
+            ops: vec![SpecOp::Relu { input: 2 }, SpecOp::Relu { input: 0 }],
+        };
+        let err = build_case(&spec).err().expect("refused").to_string();
+        assert!(err.contains("op 0: operand 2 out of range"), "{err}");
+    }
+
+    /// The dims of a node, as Relay's checker types the spec's float graph
+    /// up to it.
+    fn dims_of(spec: &GraphSpec, node: usize) -> Vec<usize> {
+        let prefix = GraphSpec {
+            ops: spec.ops[..node].to_vec(),
+            quantize: false,
+            ..spec.clone()
+        };
+        let built = build_case(&prefix).unwrap_or_else(|e| panic!("{prefix}: {e}"));
+        let ty = builder::expr_type(&built.module.main().body).unwrap();
+        ty.tensor().expect("a tensor").shape.dims().to_vec()
+    }
+
+    /// A conv's channels, a pool's floored plane, concat's channel sum
+    /// and reshape's swapped plane are all read off the node types, so
+    /// later ops size their weights from them.
+    #[test]
+    fn node_dims_come_from_relay_types() {
+        let spec = GraphSpec {
+            seed: 5,
+            in_channels: 2,
+            height: 5,
+            width: 7,
+            quantize: false,
+            ops: vec![
+                SpecOp::Conv2d {
+                    input: 0,
+                    out_channels: 3,
+                    kernel: 3,
+                    bias: true,
+                },
+                SpecOp::MaxPool { input: 1 },
+                SpecOp::Concat { lhs: 2, rhs: 2 },
+                SpecOp::Reshape { input: 3 },
+                SpecOp::BatchNorm { input: 4 },
+                SpecOp::Conv2d {
+                    input: 5,
+                    out_channels: 1,
+                    kernel: 1,
+                    bias: false,
+                },
+            ],
+        };
+        let want: [&[usize]; 7] = [
+            &[1, 2, 5, 7],
+            &[1, 3, 5, 7],
+            &[1, 3, 2, 3],
+            &[1, 6, 2, 3],
+            &[1, 6, 3, 2],
+            &[1, 6, 3, 2],
+            &[1, 1, 3, 2],
+        ];
+        for (node, want) in want.into_iter().enumerate() {
+            assert_eq!(dims_of(&spec, node), want, "node {node}");
+        }
+    }
+
+    /// The generator draws pools on even planes, binary ops of the latest
+    /// node with a partner of its shape, and concats of the latest node
+    /// with a partner of its plane, as Relay types the nodes.
+    #[test]
+    fn drawn_operands_follow_the_partner_rules() {
+        for seed in 0..40u64 {
+            let spec = random_spec(seed, seed % 3 == 2);
+            for (j, op) in spec.ops.iter().enumerate() {
+                let dims = |node| dims_of(&spec, node);
+                match *op {
+                    SpecOp::MaxPool { input } | SpecOp::AvgPool { input } => {
+                        let d = dims(input);
+                        assert!(d[2] % 2 == 0 && d[3] % 2 == 0, "seed {seed} op {j}: {d:?}");
+                    }
+                    SpecOp::Add { lhs, rhs }
+                    | SpecOp::Multiply { lhs, rhs }
+                    | SpecOp::Maximum { lhs, rhs } => {
+                        assert_eq!(lhs, j, "seed {seed} op {j}");
+                        assert_eq!(dims(lhs), dims(rhs), "seed {seed} op {j}");
+                    }
+                    SpecOp::Concat { lhs, rhs } => {
+                        assert_eq!(lhs, j, "seed {seed} op {j}");
+                        assert_eq!(dims(lhs)[2..], dims(rhs)[2..], "seed {seed} op {j}");
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// A quantized spec is typed float-first: what the checker refuses is
+    /// named by op before the quantizer sees the graph.
+    #[test]
+    fn a_quantized_spec_the_checker_refuses_never_reaches_the_quantizer() {
+        let spec = GraphSpec {
+            seed: 2,
+            in_channels: 2,
+            height: 4,
+            width: 4,
+            quantize: true,
+            ops: vec![
+                SpecOp::Conv2d {
+                    input: 0,
+                    out_channels: 3,
+                    kernel: 1,
+                    bias: false,
+                },
+                SpecOp::Add { lhs: 1, rhs: 0 },
+            ],
+        };
+        let err = build_case(&spec).err().expect("refused").to_string();
+        assert!(
+            err.contains("op 1: type error: add") && !err.contains("quantizer"),
+            "{err}"
+        );
     }
 
     #[test]

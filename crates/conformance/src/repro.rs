@@ -128,6 +128,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Loading a repro does not judge its spec; replaying it does, and a
+    /// spec Relay refuses replays as a `spec` failure naming the op.
+    #[test]
+    fn a_repro_relay_refuses_loads_and_replays_as_a_spec_failure() {
+        let dir = std::env::temp_dir().join(format!("tvmnp-repro-spec-{}", std::process::id()));
+        let mut repro = sample();
+        repro.spec.ops = vec![
+            SpecOp::MaxPool { input: 0 },
+            SpecOp::Concat { lhs: 1, rhs: 0 },
+        ];
+        let path = dir.join(format!("{}.repro", repro.file_stem()));
+        write_repro(&path, &repro).unwrap();
+        let loaded = read_repro(&path).unwrap();
+        let failure = loaded.replay().unwrap_err();
+        assert_eq!(failure.kind(), "spec");
+        assert!(failure.to_string().contains("concatenate"), "{failure}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn version_mismatch_is_rejected() {
         let dir = std::env::temp_dir().join(format!("tvmnp-repro-ver-{}", std::process::id()));

@@ -8,10 +8,13 @@
 //!    drop biases.
 //!
 //! A candidate is accepted only when [`check_case`] still fails with the
-//! original [`CaseFailure::kind`]; shape-invalid candidates surface as
-//! `spec` failures and are naturally rejected. Because every candidate is
-//! strictly smaller (fewer ops, or smaller parameters with equal op
-//! count), the loop terminates.
+//! original [`CaseFailure::kind`]. Relay's type checker judges each
+//! candidate as it builds (see `generator`): one it refuses surfaces as a
+//! `spec` failure and is rejected, and one it types is kept even where the
+//! generator would not have drawn it — a pool on an odd plane, an add that
+//! broadcasts one channel. Because every candidate is strictly smaller
+//! (fewer ops, or smaller parameters with equal op count), the loop
+//! terminates.
 
 use crate::differential::{check_case, CaseFailure};
 use crate::generator::{GraphSpec, SpecOp};
@@ -163,6 +166,33 @@ mod tests {
             out.ops,
             vec![SpecOp::Relu { input: 0 }, SpecOp::Add { lhs: 1, rhs: 1 },]
         );
+    }
+
+    /// Deleting the relu between a one-channel conv and an add leaves an
+    /// add of `[1, h, w]` to `[3, h, w]`. Relay broadcasts it, so the
+    /// candidate builds and conforms instead of failing as a spec.
+    #[test]
+    fn a_deletion_leaving_a_broadcasting_add_is_a_candidate() {
+        let spec = GraphSpec {
+            seed: 3,
+            in_channels: 3,
+            height: 4,
+            width: 4,
+            quantize: false,
+            ops: vec![
+                SpecOp::Conv2d {
+                    input: 0,
+                    out_channels: 1,
+                    kernel: 1,
+                    bias: false,
+                },
+                SpecOp::Relu { input: 1 },
+                SpecOp::Add { lhs: 2, rhs: 0 },
+            ],
+        };
+        let candidate = delete_op(&spec, 1);
+        assert_eq!(candidate.ops[1], SpecOp::Add { lhs: 1, rhs: 0 });
+        check_case(&candidate, &CheckOptions::default()).unwrap_or_else(|f| panic!("{f}"));
     }
 
     #[test]

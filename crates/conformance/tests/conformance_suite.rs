@@ -152,3 +152,37 @@ fn executor_never_holds_more_than_the_memory_plan_predicts() {
     }
     assert!(checked >= 300, "only {checked} runs held anything");
 }
+
+/// The generator's draws are pinned: the specs of both configurations
+/// above — 500 from seed 1000, 60 from seed 9000 — hash, as JSON, to fixed
+/// values, so a change to the draw sequence (which changes every case the
+/// suite runs) is seen here, not as a silently different suite.
+#[test]
+fn the_suite_specs_are_pinned() {
+    let digest = |cases, base_seed, quant_every| {
+        let cfg = SuiteConfig {
+            cases,
+            base_seed,
+            quant_every,
+            options: CheckOptions::default(),
+        };
+        // FNV-1a over the specs' JSON.
+        (0..cases)
+            .flat_map(|i| {
+                serde_json::to_string(&case_spec(&cfg, i))
+                    .expect("a spec serializes")
+                    .into_bytes()
+            })
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    };
+    assert_eq!(
+        format!("{:#018x}", digest(500, 1000, 3)),
+        "0x6fee53f422f0ab18"
+    );
+    assert_eq!(
+        format!("{:#018x}", digest(60, 9000, 2)),
+        "0x3afa793529f77182"
+    );
+}

@@ -150,6 +150,7 @@ mod tests {
     use crate::expr::var;
     use crate::ty::TensorType;
     use tvmnp_tensor::rng::TensorRng;
+    use tvmnp_tensor::DType;
 
     #[test]
     fn chained_builder_types() {
@@ -159,6 +160,23 @@ mod tests {
         let y = relu(conv2d(x, w, Conv2dAttrs::same(1)));
         let t = expr_type(&y).unwrap();
         assert_eq!(t.as_tensor().shape.dims(), &[1, 8, 8, 8]);
+    }
+
+    /// A float kernel over an 8-bit tensor is refused wherever it sits in
+    /// the expression, and the refusal names it.
+    #[test]
+    fn expr_type_refuses_a_float_kernel_deep_in_the_expression() {
+        let chain = |dtype| {
+            let x = var("x", TensorType::new([1, 2, 4, 4], dtype));
+            relu(softmax(batch_flatten(max_pool2d(
+                x,
+                Pool2dAttrs::square(2),
+            ))))
+        };
+        let err = expr_type(&chain(DType::U8)).unwrap_err().to_string();
+        assert!(err.contains("nn.softmax: operand 0 is not float"), "{err}");
+        let t = expr_type(&chain(DType::F32)).unwrap();
+        assert_eq!(t.as_tensor().shape.dims(), &[1, 8]);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! type-checks exactly like the unpartitioned one — the invariant the BYOC
 //! flow rests on.
 //!
-//! An op's type has two halves. The dtype half is stated here: quantized
-//! operands, equal dtypes, `out_dtype`. The shape half is not: each op's
+//! An op's type has two halves. The dtype half is stated here: float
+//! operands for a float kernel, 8-bit operands (and an `int32` bias) for a
+//! quantized one, equal dtypes, `out_dtype` — the dtypes each op's kernel
+//! takes, as `tests/shape_rules.rs` checks. The shape half is not: each op's
 //! output dims come from its kernel family's shape rule in
 //! `tvmnp_tensor::kernels` ([`ConvGeom::new`], [`pool2d_dims`], ...), the
 //! function the kernel sizes its output with, so a module that type-checks
@@ -182,8 +184,9 @@ pub(crate) fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
     }
     let x = tensor_arg(args, 0, name)?;
     let dims = |i: usize| tensor_arg(args, i, name).map(|t| t.shape.dims());
+    let dtype_of = |i: usize| tensor_arg(args, i, name).map(|t| t.dtype);
     let same_dtypes = || {
-        (1..args.len()).try_for_each(|i| match tensor_arg(args, i, name)?.dtype {
+        (1..args.len()).try_for_each(|i| match dtype_of(i)? {
             d if d == x.dtype => Ok(()),
             d => Err(terr(format!("{name}: dtype mismatch {} vs {d}", x.dtype))),
         })
@@ -196,10 +199,53 @@ pub(crate) fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
                 "{name}: bounds [{min}, {max}] are not a range"
             )));
         }
-        OpKind::QnnConv2d(_)
-            if !x.dtype.is_quantized() || !tensor_arg(args, 1, name)?.dtype.is_quantized() =>
+        // Float kernels: every operand is float.
+        OpKind::Conv2d(_)
+        | OpKind::Dense
+        | OpKind::BiasAdd
+        | OpKind::BatchNorm(_)
+        | OpKind::Softmax
+        | OpKind::LogSoftmax
+        | OpKind::Mean(_)
+        | OpKind::Add
+        | OpKind::Subtract
+        | OpKind::Multiply
+        | OpKind::Divide
+        | OpKind::Maximum
+        | OpKind::Minimum => {
+            for i in 0..args.len() {
+                if !dtype_of(i)?.is_float() {
+                    return Err(terr(format!("{name}: operand {i} is not float")));
+                }
+            }
+            DType::F32
+        }
+        // Real-valued maps of a non-float tensor read its quantization
+        // parameters, which only the 8-bit types carry.
+        OpKind::Relu
+        | OpKind::LeakyRelu(_)
+        | OpKind::Clip(_)
+        | OpKind::Sigmoid
+        | OpKind::Tanh
+        | OpKind::Exp
+        | OpKind::Sqrt
+        | OpKind::Negative
+        | OpKind::Resize2d(_)
+            if x.dtype == DType::I32 =>
+        {
+            return Err(terr(format!(
+                "{name}: an int32 input has no quantization parameters"
+            )));
+        }
+        OpKind::QnnConv2d(_) | OpKind::QnnDense(_) | OpKind::QnnAdd(_)
+            if !x.dtype.is_quantized() || !dtype_of(1)?.is_quantized() =>
         {
             return Err(terr(format!("{name}: operands must be quantized")));
+        }
+        OpKind::QnnConv2d(_) | OpKind::QnnDense(_)
+            if args.len() > 2 && dtype_of(2)? != DType::I32 =>
+        {
+            return Err(terr(format!("{name}: bias must be int32")));
         }
         OpKind::QnnConcatenate(a) if a.input_qs.len() != args.len() => {
             let (qs, n) = (a.input_qs.len(), args.len());
@@ -210,20 +256,10 @@ pub(crate) fn infer_op(op: &OpKind, args: &[&Type]) -> Result<Type, TypeError> {
         OpKind::QnnQuantize(_) if !x.dtype.is_float() => {
             return Err(terr(format!("{name}: input must be float")));
         }
-        OpKind::QnnDequantize(_) if !x.dtype.is_quantized() => {
-            return Err(terr(format!("{name}: input must be quantized")));
-        }
-        OpKind::QnnRequantize(_) if x.dtype.is_float() => {
+        OpKind::QnnDequantize(_) | OpKind::QnnRequantize(_) if x.dtype.is_float() => {
             return Err(terr(format!("{name}: input must be integer")));
         }
-        OpKind::Add
-        | OpKind::Subtract
-        | OpKind::Multiply
-        | OpKind::Divide
-        | OpKind::Maximum
-        | OpKind::Minimum
-        | OpKind::Concatenate(_)
-        | OpKind::QnnConcatenate(_) => {
+        OpKind::Concatenate(_) | OpKind::QnnConcatenate(_) => {
             same_dtypes()?;
             x.dtype
         }
@@ -480,5 +516,168 @@ mod tests {
         let m = Module::from_main(Function::new(vec![x], y.clone()));
         let tys = infer_types(&m).unwrap();
         assert_eq!(tys[&y.id].as_tensor().shape.dims(), &[1, 7]);
+    }
+
+    /// Type-check `main(x0, x1, ..) = op(x0, x1, ..)` over `types`.
+    fn typed(op: OpKind, types: &[TensorType]) -> Result<TensorType, TypeError> {
+        let xs: Vec<_> = (types.iter().enumerate())
+            .map(|(i, t)| var(format!("x{i}"), t.clone()))
+            .collect();
+        let y = call(op, xs.clone());
+        let m = Module::from_main(Function::new(xs, y.clone()));
+        Ok(infer_types(&m)?[&y.id].as_tensor().clone())
+    }
+
+    #[track_caller]
+    fn refused(op: OpKind, types: &[TensorType], why: &str) {
+        let name = op.name();
+        let err = typed(op, types).unwrap_err().to_string();
+        assert!(err.contains(&format!("{name}: {why}")), "{err}");
+    }
+
+    fn t(dims: &[usize], dtype: DType) -> TensorType {
+        TensorType::new(dims, dtype)
+    }
+
+    #[test]
+    fn a_float_kernel_names_the_operand_that_is_not_float() {
+        let x = t(&[1, 2, 4, 4], DType::F32);
+        let mean = OpKind::Mean(MeanAttrs { axes: vec![2, 3] });
+        refused(
+            mean,
+            &[t(&[1, 2, 4, 4], DType::U8)],
+            "operand 0 is not float",
+        );
+        let conv = OpKind::Conv2d(Conv2dAttrs::same(1));
+        let w = t(&[3, 2, 3, 3], DType::I8);
+        refused(conv, &[x.clone(), w], "operand 1 is not float");
+        refused(
+            OpKind::Add,
+            &[x.clone(), t(&[1, 2, 4, 4], DType::I32)],
+            "operand 1 is not float",
+        );
+        let c = |dtype| t(&[2], dtype);
+        let bn = OpKind::BatchNorm(BatchNormAttrs { epsilon: 1e-5 });
+        let params = [c(DType::F32), c(DType::F32), c(DType::I8), c(DType::F32)];
+        refused(bn, &[&[x][..], &params].concat(), "operand 3 is not float");
+    }
+
+    #[test]
+    fn an_int32_tensor_has_no_real_valued_map() {
+        let resize = Resize2dAttrs {
+            out_h: 2,
+            out_w: 2,
+            bilinear: false,
+        };
+        let x = [t(&[1, 1, 2, 2], DType::I32)];
+        for op in [
+            OpKind::Relu,
+            OpKind::LeakyRelu(LeakyReluAttrs { alpha: 0.1 }),
+            OpKind::Clip(ClipAttrs { min: 0.0, max: 6.0 }),
+            OpKind::Sigmoid,
+            OpKind::Tanh,
+            OpKind::Exp,
+            OpKind::Sqrt,
+            OpKind::Negative,
+            OpKind::Resize2d(resize),
+        ] {
+            refused(op, &x, "an int32 input has no quantization parameters");
+        }
+    }
+
+    /// Maps of an 8-bit tensor read its parameters and stay in its dtype;
+    /// data movement and pooling keep it too.
+    #[test]
+    fn an_8_bit_tensor_keeps_its_dtype_through_maps_and_moves() {
+        let x = [t(&[1, 2, 4, 4], DType::I8)];
+        let resize = Resize2dAttrs {
+            out_h: 8,
+            out_w: 8,
+            bilinear: true,
+        };
+        for op in [
+            OpKind::Relu,
+            OpKind::Sigmoid,
+            OpKind::Tanh,
+            OpKind::Resize2d(resize),
+            OpKind::MaxPool2d(Pool2dAttrs::square(2)),
+            OpKind::Transpose(TransposeAttrs {
+                axes: vec![0, 2, 3, 1],
+            }),
+            OpKind::Reshape(ReshapeAttrs {
+                new_shape: vec![1, 32],
+            }),
+            OpKind::BatchFlatten,
+        ] {
+            let name = op.name();
+            let y = typed(op, &x).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(y.dtype, DType::I8, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_qnn_conv2d_bias_must_be_int32() {
+        let q = tvmnp_tensor::QuantParams::identity();
+        let conv = || {
+            OpKind::QnnConv2d(QnnConv2dAttrs {
+                conv: Conv2dAttrs::same(1),
+                input_q: q,
+                weight_q: q,
+                output_q: q,
+                out_dtype: DType::I8,
+            })
+        };
+        let (x, w) = (t(&[1, 2, 4, 4], DType::U8), t(&[3, 2, 3, 3], DType::I8));
+        for bias in [DType::I8, DType::U8, DType::F32] {
+            refused(
+                conv(),
+                &[x.clone(), w.clone(), t(&[3], bias)],
+                "bias must be int32",
+            );
+        }
+        let y = typed(conv(), &[x, w, t(&[3], DType::I32)]).unwrap();
+        assert_eq!((y.dtype, y.shape.dims()), (DType::I8, &[1, 3, 4, 4][..]));
+    }
+
+    #[test]
+    fn concatenate_refuses_mixed_dtypes() {
+        let cat = || OpKind::Concatenate(ConcatAttrs { axis: 1 });
+        let (f, u) = (t(&[1, 2, 4], DType::F32), t(&[1, 3, 4], DType::U8));
+        refused(cat(), &[f.clone(), u], "dtype mismatch float32 vs uint8");
+        let y = typed(cat(), &[f.clone(), f]).unwrap();
+        assert_eq!(y.shape.dims(), &[1, 4, 4]);
+    }
+
+    /// `qnn.dequantize` and `qnn.requantize` take any integer input, an
+    /// `int32` accumulator included; `qnn.quantize` takes a float one.
+    #[test]
+    fn the_qnn_conversions_take_the_domain_they_convert_from() {
+        let q = tvmnp_tensor::QuantParams::new(0.5, 3);
+        let dequantize = || OpKind::QnnDequantize(DequantizeAttrs { input: q });
+        let requantize = || {
+            OpKind::QnnRequantize(RequantizeAttrs {
+                input: q,
+                output: q,
+                out_dtype: DType::U8,
+            })
+        };
+        let quantize = || {
+            OpKind::QnnQuantize(QuantizeAttrs {
+                out: q,
+                out_dtype: DType::I8,
+            })
+        };
+        let x = |dtype| t(&[2, 3], dtype);
+        for d in [DType::I8, DType::U8, DType::I32] {
+            assert_eq!(typed(dequantize(), &[x(d)]).unwrap().dtype, DType::F32);
+            assert_eq!(typed(requantize(), &[x(d)]).unwrap().dtype, DType::U8);
+            refused(quantize(), &[x(d)], "input must be float");
+        }
+        refused(dequantize(), &[x(DType::F32)], "input must be integer");
+        refused(requantize(), &[x(DType::F32)], "input must be integer");
+        assert_eq!(
+            typed(quantize(), &[x(DType::F32)]).unwrap().dtype,
+            DType::I8
+        );
     }
 }

@@ -1,7 +1,9 @@
-//! Each op's shape rule is stated once, by its kernel family: for every
-//! `OpKind` variant, on drawn operand dims and attributes, valid and
-//! invalid, `expr_type` accepts exactly what `eval_op` runs on zero
-//! tensors of those dims, and on success both give one type.
+//! Each op's type rule is stated once: for every `OpKind` variant, on
+//! drawn operand dims, dtypes and attributes, valid and invalid,
+//! `expr_type` accepts exactly what `eval_op` runs on zero tensors of those
+//! types, and on success both give one type. The dims come from the kernel
+//! family's shape rule; the dtypes are the type checker's, held here to
+//! what each kernel takes.
 
 use proptest::prelude::*;
 use tvmnp_relay::builder::expr_type;
@@ -143,6 +145,14 @@ fn either(p: &mut Pick, dims: Vec<usize>) -> TensorType {
         u8t(dims)
     } else {
         f32t(dims)
+    }
+}
+
+/// `t` now and then under any of the four dtypes: the draws that hand a
+/// kernel an operand type it does not take.
+fn retype(p: &mut Pick, t: &mut TensorType) {
+    if p.below(4) == 0 {
+        t.dtype = [DType::F32, DType::I8, DType::U8, DType::I32][p.below(4)];
     }
 }
 
@@ -499,12 +509,17 @@ fn agree(op: &OpKind, types: &[TensorType]) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every variant, on drawn operands: accepted iff it runs.
+    /// Every variant, on drawn operands of every dtype: accepted iff it
+    /// runs.
+    #[test]
     fn type_checking_accepts_what_runs(seed in 0u64..1_000_000) {
         let mut p = Pick(seed);
         for k in 0..VARIANTS {
-            let (op, types) = draw(&mut p, k);
+            let (op, mut types) = draw(&mut p, k);
             prop_assert_eq!(family(&op), k);
+            for t in &mut types {
+                retype(&mut p, t);
+            }
             if let Err(e) = agree(&op, &types) {
                 prop_assert!(false, "{e}\n  operands: {types:?}\n  op: {op:?}");
             }
@@ -569,4 +584,110 @@ fn an_average_over_a_window_wholly_in_padding_is_refused() {
 #[test]
 fn a_bias_add_bias_of_rank_2_is_refused() {
     assert_refused(OpKind::BiasAdd, &[f32t(vec![2, 4]), f32t(vec![1, 4])]);
+}
+
+#[test]
+fn a_float_kernel_refuses_every_other_dtype() {
+    let x = |dtype| TensorType::new(vec![1, 2, 3, 3], dtype);
+    let c = |dtype| TensorType::new(vec![2], dtype);
+    let binaries = [
+        OpKind::Add,
+        OpKind::Subtract,
+        OpKind::Multiply,
+        OpKind::Divide,
+        OpKind::Maximum,
+        OpKind::Minimum,
+    ];
+    for d in [DType::I8, DType::U8, DType::I32] {
+        let f = DType::F32;
+        let conv = OpKind::Conv2d(Conv2dAttrs::same(1));
+        let w = |dtype| TensorType::new(vec![2, 2, 3, 3], dtype);
+        assert_refused(conv.clone(), &[x(d), w(f)]);
+        assert_refused(conv.clone(), &[x(f), w(d)]);
+        assert_refused(conv, &[x(f), w(f), c(d)]);
+        let (v, u) = (
+            |dtype| TensorType::new(vec![1, 4], dtype),
+            |dtype| TensorType::new(vec![3, 4], dtype),
+        );
+        assert_refused(OpKind::Dense, &[v(d), u(f)]);
+        assert_refused(OpKind::Dense, &[v(f), u(d)]);
+        assert_refused(OpKind::BiasAdd, &[x(d), c(f)]);
+        assert_refused(OpKind::BiasAdd, &[x(f), c(d)]);
+        let bn = OpKind::BatchNorm(BatchNormAttrs { epsilon: 1e-5 });
+        assert_refused(bn.clone(), &[x(d), c(f), c(f), c(f), c(f)]);
+        assert_refused(bn, &[x(f), c(f), c(f), c(d), c(f)]);
+        for op in [
+            OpKind::Softmax,
+            OpKind::LogSoftmax,
+            OpKind::Mean(MeanAttrs { axes: vec![1] }),
+        ] {
+            assert_refused(op, &[x(d)]);
+        }
+        for op in &binaries {
+            assert_refused(op.clone(), &[x(d), x(d)]);
+            assert_refused(op.clone(), &[x(f), x(d)]);
+        }
+    }
+}
+
+#[test]
+fn a_real_valued_map_of_an_int32_tensor_is_refused() {
+    let x = [TensorType::new(vec![1, 1, 2, 2], DType::I32)];
+    let resize = Resize2dAttrs {
+        out_h: 4,
+        out_w: 4,
+        bilinear: true,
+    };
+    for op in [
+        OpKind::Relu,
+        OpKind::Sigmoid,
+        OpKind::Exp,
+        OpKind::Resize2d(resize),
+    ] {
+        assert_refused(op, &x);
+    }
+    // Data movement and pooling take it.
+    for op in [
+        OpKind::BatchFlatten,
+        OpKind::MaxPool2d(Pool2dAttrs::square(2)),
+    ] {
+        agree(&op, &x).unwrap();
+        assert!(type_of(&op, &x).is_ok());
+    }
+}
+
+#[test]
+fn a_quantized_kernel_takes_8_bit_operands_and_an_int32_bias() {
+    let attrs = QnnDenseAttrs {
+        input_q: q(),
+        weight_q: q(),
+        output_q: q(),
+        out_dtype: DType::U8,
+    };
+    let t = |dims: Vec<usize>, dtype| TensorType::new(dims, dtype);
+    let (x, w, b) = (
+        t(vec![1, 4], DType::U8),
+        t(vec![3, 4], DType::I8),
+        t(vec![3], DType::I32),
+    );
+    let dense = OpKind::QnnDense(attrs);
+    agree(&dense, &[x.clone(), w.clone(), b.clone()]).unwrap();
+    assert!(type_of(&dense, &[x.clone(), w.clone(), b]).is_ok());
+    assert_refused(
+        dense.clone(),
+        &[x.clone(), w.clone(), t(vec![3], DType::I8)],
+    );
+    assert_refused(dense.clone(), &[t(vec![1, 4], DType::F32), w.clone()]);
+    assert_refused(dense, &[x.clone(), t(vec![3, 4], DType::I32)]);
+    let add = OpKind::QnnAdd(QnnAddAttrs {
+        lhs_q: q(),
+        rhs_q: q(),
+        output_q: q(),
+        out_dtype: DType::U8,
+    });
+    assert_refused(add, &[x.clone(), t(vec![1, 4], DType::I32)]);
+    // An int32 accumulator dequantizes, as TVM's `qnn.dequantize` allows.
+    let deq = OpKind::QnnDequantize(DequantizeAttrs { input: q() });
+    agree(&deq, &[t(vec![1, 4], DType::I32)]).unwrap();
+    assert!(type_of(&deq, &[t(vec![1, 4], DType::I32)]).is_ok());
 }

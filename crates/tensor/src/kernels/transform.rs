@@ -182,7 +182,10 @@ pub fn pad(input: &Tensor, pads: &[(usize, usize)], value: f32) -> Result<Tensor
         input,
         [I8 U8 I32],
         |x| place(x, dims, &out_strides, base, (IntElem::narrow(qv), n)),
-        else => place(input.as_f32().unwrap(), dims, &out_strides, base, (value, n))
+        else => {
+            let x = input.as_f32().map_err(|e| kerr(e.to_string()))?;
+            place(x, dims, &out_strides, base, (value, n))
+        }
     );
     Tensor::from_data(out_shape, data, input.quant()).map_err(|e| kerr(e.to_string()))
 }
@@ -270,7 +273,7 @@ pub fn resize2d(
     let out_dims = resize2d_dims(dims, out_h, out_w)?;
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     let fsrc = input.to_f32();
-    let x = fsrc.as_f32().unwrap();
+    let x = fsrc.as_f32().map_err(|e| kerr(e.to_string()))?;
     let mut out = vec![0.0f32; n * c * out_h * out_w];
     let sy = h as f32 / out_h as f32;
     let sx = w as f32 / out_w as f32;
@@ -316,10 +319,10 @@ pub fn resize2d(
     } else {
         // Requantize back into the source parameters to stay in the integer
         // domain end-to-end.
-        let qp = input.quant().expect("quantized tensor has params");
-        result
-            .quantize(qp, input.dtype())
-            .map_err(|e| kerr(e.to_string()))
+        let dtype = input.dtype();
+        let qp = (input.quant())
+            .ok_or_else(|| kerr(format!("resize2d of {dtype} needs quant params")))?;
+        result.quantize(qp, dtype).map_err(|e| kerr(e.to_string()))
     }
 }
 
@@ -445,6 +448,13 @@ mod tests {
     }
 
     #[test]
+    fn pad_float_fills_with_the_value() {
+        let x = Tensor::from_f32([2], vec![1.0, 2.0]).unwrap();
+        let y = pad(&x, &[(2, 1)], -7.5).unwrap();
+        assert_eq!(y.as_f32().unwrap(), &[-7.5, -7.5, 1.0, 2.0, -7.5]);
+    }
+
+    #[test]
     fn slice_middle() {
         let x = Tensor::from_f32([4, 4], (0..16).map(|v| v as f32).collect()).unwrap();
         let y = slice(&x, &[1, 1], &[3, 3]).unwrap();
@@ -484,6 +494,39 @@ mod tests {
         let v = y.as_f32().unwrap();
         // Half-pixel: values interpolate smoothly between 0 and 2.
         assert!(v[0] < v[1] && v[1] < v[2] && v[2] < v[3]);
+    }
+
+    /// An 8-bit resize interpolates real values and requantizes them into
+    /// the source's parameters.
+    #[test]
+    fn resize_quantized_stays_in_its_dtype_and_params() {
+        let qp = QuantParams::new(0.5, 10);
+        let x = Tensor::from_int_values([1, 1, 1, 2], &[10, 14], DType::U8, Some(qp)).unwrap();
+        for (method, want) in [
+            (ResizeMethod::Nearest, [10, 10, 14, 14]),
+            (ResizeMethod::Bilinear, [10, 11, 13, 14]),
+        ] {
+            let y = resize2d(&x, 1, 4, method).unwrap();
+            assert_eq!((y.dtype(), y.quant()), (DType::U8, Some(qp)));
+            assert_eq!(y.iter_int().collect::<Vec<_>>(), want, "{method:?}");
+        }
+    }
+
+    #[test]
+    fn resize_of_an_integer_tensor_without_params_is_an_error() {
+        let x = Tensor::from_int_values([1, 1, 2, 2], &[1, 2, 3, 4], DType::I32, None).unwrap();
+        let err = resize2d(&x, 4, 4, ResizeMethod::Nearest).unwrap_err();
+        assert!(
+            err.to_string().contains("int32 needs quant params"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn mean_refuses_an_integer_tensor() {
+        let qp = QuantParams::new(1.0, 0);
+        let x = Tensor::from_int_values([1, 2], &[1, 2], DType::U8, Some(qp)).unwrap();
+        assert!(mean_f32(&x, &[1]).is_err());
     }
 
     #[test]

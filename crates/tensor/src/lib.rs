@@ -20,6 +20,8 @@
 //! * convolution weights: `OIHW` (depthwise: groups = C, weights `[C*m, 1, kh, kw]`)
 //! * dense weights: `[units, in_features]`
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod dtype;
 pub mod kernels;
 pub mod quant;

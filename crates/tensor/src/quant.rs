@@ -140,31 +140,30 @@ impl FixedPointMultiplier {
     }
 }
 
-/// gemmlowp `SaturatingRoundingDoublingHighMul`.
+/// gemmlowp `SaturatingRoundingDoublingHighMul`: `(ab + nudge) / 2^31`,
+/// the division truncating toward zero, with the nudge `2^30` for
+/// `ab >= 0` and `1 − 2^30` below.
 #[inline]
 fn saturating_rounding_doubling_high_mul(a: i32, b: i32) -> i32 {
     if a == i32::MIN && b == i32::MIN {
         return i32::MAX;
     }
-    let ab = a as i64 * b as i64;
-    // The nudge is `2^30` for `ab >= 0` and `1 - 2^30` below, i.e.
-    // `2^30 + s - s·2^31` with `s` the sign bit — written as adds and shifts
-    // because accumulator signs are data, and a branch on them would be a
-    // coin toss.
-    let s = (ab as u64 >> 63) as i64;
-    (((ab + (1i64 << 30) + s) >> 31) - s) as i32
+    // For `ab < 0` the sum `ab + 1 − 2^30` is negative, and its truncated
+    // quotient is the floored quotient of the sum plus `2^31 − 1`, which is
+    // `ab + 2^30`: the nudge of `ab >= 0`. So one nudge and an arithmetic
+    // shift serve both signs, with no branch on the accumulator's sign,
+    // which is data.
+    ((a as i64 * b as i64 + (1 << 30)) >> 31) as i32
 }
 
-/// gemmlowp `RoundingDivideByPOT` (round-half-away-from-zero).
+/// gemmlowp `RoundingDivideByPOT` (round-half-away-from-zero); a negative
+/// exponent is a left shift, saturating to `i32`.
 #[inline]
 fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
     if exponent <= 0 {
-        // A negative exponent means a left shift (multiplier >= 1).
-        return x.checked_shl((-exponent) as u32).unwrap_or(if x >= 0 {
-            i32::MAX
-        } else {
-            i32::MIN
-        });
+        // Past 32 places every non-zero `x` saturates already.
+        let v = (x as i64) << exponent.unsigned_abs().min(32);
+        return v.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
     }
     let mask = (1i64 << exponent) - 1;
     let remainder = (x as i64) & mask;
@@ -235,8 +234,6 @@ pub(crate) mod sse2 {
         saturate: bool,
         m: __m128i,
         nudge: __m128i,
-        /// What a negative lane adds to the nudge: `1 − 2^30` less `2^30`.
-        nudge_neg: __m128i,
         mask: __m128i,
         half: __m128i,
         exponent: __m128i,
@@ -267,7 +264,6 @@ pub(crate) mod sse2 {
                 saturate: exponent < 1 || !small,
                 m: _mm_set1_epi32(m),
                 nudge: _mm_set1_epi64x(1 << 30),
-                nudge_neg: _mm_set1_epi64x(1 - (1 << 31)),
                 mask: _mm_set1_epi32(mask),
                 half: _mm_set1_epi32(mask >> 1),
                 exponent: _mm_cvtsi32_si128(exponent.clamp(0, 31)),
@@ -287,17 +283,15 @@ pub(crate) mod sse2 {
                 return _mm_setr_epi32(a, b, c, d);
             }
             // `saturating_rounding_doubling_high_mul`: with `u = x + 2^31`
-            // as an unsigned lane, `x·m + nudge = u·m + nudge − m·2^31`, so
+            // as an unsigned lane, `x·m + 2^30 = u·m + 2^30 − m·2^31`, so
             // the high half is that of the unsigned product plus the nudge,
             // less `m`. Only bits 31 to 62 of the 64-bit sum are kept, and
             // a logical shift leaves them as an arithmetic one would. Even
             // lanes sit in the low half of each 64-bit lane, odd lanes are
             // shifted there.
-            let sign = _mm_srai_epi32::<31>(v);
             let u = _mm_xor_si128(v, _mm_set1_epi32(i32::MIN));
-            let even = self.high(_mm_mul_epu32(u, self.m), _mm_shuffle_epi32::<0xA0>(sign));
-            let odd = _mm_mul_epu32(_mm_srli_epi64::<32>(u), self.m);
-            let odd = self.high(odd, _mm_shuffle_epi32::<0xF5>(sign));
+            let even = self.high(_mm_mul_epu32(u, self.m));
+            let odd = self.high(_mm_mul_epu32(_mm_srli_epi64::<32>(u), self.m));
             let high = _mm_set_epi32(-1, 0, -1, 0);
             let v = _mm_or_si128(_mm_andnot_si128(high, even), _mm_slli_epi64::<32>(odd));
             let v = _mm_sub_epi32(v, self.m);
@@ -319,14 +313,12 @@ pub(crate) mod sse2 {
             _mm_or_si128(_mm_and_si128(past, self.limit), _mm_andnot_si128(past, sum))
         }
 
-        /// Bits 31 to 62 of `product + nudge`, the nudge taken for the
-        /// lanes whose 64-bit `sign` is set, in the low half of each 64-bit
-        /// lane.
+        /// Bits 31 to 62 of `product + 2^30`, in the low half of each
+        /// 64-bit lane.
         #[inline]
         #[target_feature(enable = "sse2")]
-        fn high(&self, product: __m128i, sign: __m128i) -> __m128i {
-            let nudge = _mm_add_epi64(self.nudge, _mm_and_si128(sign, self.nudge_neg));
-            _mm_srli_epi64::<31>(_mm_add_epi64(product, nudge))
+        fn high(&self, product: __m128i) -> __m128i {
+            _mm_srli_epi64::<31>(_mm_add_epi64(product, self.nudge))
         }
     }
 
@@ -457,6 +449,57 @@ mod tests {
         assert_eq!(requantize_value(300, fpm, 0, DType::I8), 127);
         assert_eq!(requantize_value(-300, fpm, 0, DType::I8), -128);
         assert_eq!(requantize_value(100, fpm, 50, DType::U8), 150);
+    }
+
+    /// `x · 2^30` is `x / 2` in Q31: its ties round half up, so `-1` goes
+    /// to 0 (the truncating division gemmlowp writes) and `1` to 1. Only
+    /// `i32::MIN` squared saturates.
+    #[test]
+    fn doubling_high_mul_rounds_ties_up() {
+        for x in -1000..=1000 {
+            let got = saturating_rounding_doubling_high_mul(x, 1 << 30);
+            assert_eq!(got, (x + 1).div_euclid(2), "{x}");
+        }
+        let mul = saturating_rounding_doubling_high_mul;
+        assert_eq!(mul(i32::MIN, i32::MIN), i32::MAX);
+        assert_eq!(mul(i32::MIN, i32::MAX), i32::MIN + 1);
+        assert_eq!(mul(i32::MAX, i32::MAX), i32::MAX - 1);
+    }
+
+    /// A negative exponent shifts left, saturating at both `i32` ends for
+    /// any shift count; a positive one rounds half away from zero.
+    #[test]
+    fn rounding_divide_by_pot_saturates_left_shifts() {
+        assert_eq!(rounding_divide_by_pot(1, -30), 1 << 30);
+        assert_eq!(rounding_divide_by_pot(1, -31), i32::MAX);
+        assert_eq!(rounding_divide_by_pot(-1, -31), i32::MIN);
+        assert_eq!(rounding_divide_by_pot(-2, -31), i32::MIN);
+        for exponent in [-32, -33, -64, i32::MIN] {
+            assert_eq!(rounding_divide_by_pot(3, exponent), i32::MAX);
+            assert_eq!(rounding_divide_by_pot(-3, exponent), i32::MIN);
+            assert_eq!(rounding_divide_by_pot(0, exponent), 0);
+        }
+        assert_eq!(rounding_divide_by_pot(5, 1), 3);
+        assert_eq!(rounding_divide_by_pot(-5, 1), -3);
+        assert_eq!(rounding_divide_by_pot(-4, 1), -2);
+        assert_eq!(rounding_divide_by_pot(i32::MIN, 31), -1);
+    }
+
+    /// The zero point is added in 64 bits: an accumulator at either `i32`
+    /// end plus any zero point clamps to the target's range, never wraps.
+    #[test]
+    fn requantize_value_adds_the_zero_point_without_wrapping() {
+        let one = FixedPointMultiplier::from_real(1.0);
+        assert_eq!(
+            requantize_value(i32::MAX, one, i32::MAX, DType::I32),
+            i32::MAX
+        );
+        assert_eq!(
+            requantize_value(i32::MIN, one, i32::MIN, DType::I32),
+            i32::MIN
+        );
+        assert_eq!(requantize_value(i32::MAX, one, i32::MIN, DType::I32), -1);
+        assert_eq!(requantize_value(i32::MIN, one, 255, DType::U8), 0);
     }
 
     #[test]

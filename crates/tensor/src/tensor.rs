@@ -381,9 +381,9 @@ impl Tensor {
         let b = other.to_f32();
         assert_eq!(a.shape, b.shape, "max_abs_diff shape mismatch");
         a.as_f32()
-            .unwrap()
+            .expect("to_f32 yields a float tensor")
             .iter()
-            .zip(b.as_f32().unwrap())
+            .zip(b.as_f32().expect("to_f32 yields a float tensor"))
             .map(|(x, y)| (x - y).abs())
             .fold(0.0f32, f32::max)
     }
@@ -396,7 +396,7 @@ impl Tensor {
     /// Index of the maximum element (float view), for classification heads.
     pub fn argmax(&self) -> usize {
         let f = self.to_f32();
-        let v = f.as_f32().unwrap();
+        let v = f.as_f32().expect("to_f32 yields a float tensor");
         v.iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
@@ -468,6 +468,23 @@ mod tests {
     fn argmax_picks_peak() {
         let t = Tensor::from_f32([5], vec![0.1, 0.9, 0.3, 0.2, 0.05]).unwrap();
         assert_eq!(t.argmax(), 1);
+    }
+
+    #[test]
+    fn argmax_reads_an_integer_tensor_through_its_params() {
+        let qp = QuantParams::new(0.1, -3);
+        let t = Tensor::from_int_values([4], &[-5, 3, -128, 2], DType::I8, Some(qp)).unwrap();
+        assert_eq!(t.argmax(), 1);
+    }
+
+    #[test]
+    fn max_abs_diff_dequantizes_integer_operands() {
+        let qp = QuantParams::new(0.25, 4);
+        let q = Tensor::from_int_values([3], &[4, 8, 0], DType::U8, Some(qp)).unwrap();
+        let f = Tensor::from_f32([3], vec![0.0, 1.0, -0.5]).unwrap();
+        assert_eq!(q.max_abs_diff(&f), 0.5);
+        assert_eq!(f.max_abs_diff(&q), 0.5);
+        assert_eq!(q.max_abs_diff(&q), 0.0);
     }
 
     #[test]

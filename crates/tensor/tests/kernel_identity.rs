@@ -8,6 +8,8 @@
 //! `par_chunks_mut` spelled `chunks_mut`, otherwise untouched), so nothing
 //! here shares code with what it checks. Every comparison is on `to_bits`.
 
+mod gemmlowp;
+
 use tvmnp_models::{anti_spoofing, emotion, object_detection, zoo};
 use tvmnp_relay::{infer_types, visit::topo_order, ExprKind, OpKind};
 use tvmnp_tensor::kernels::conv::conv2d_f32_with;
@@ -23,7 +25,7 @@ mod reference {
     use tvmnp_tensor::kernels::{
         kerr, BinaryOp, Conv2dParams, KernelError, Pool2dParams, QConvQuant, UnaryOp,
     };
-    use tvmnp_tensor::quant::{requantize_value, FixedPointMultiplier, QuantParams};
+    use tvmnp_tensor::quant::{FixedPointMultiplier, QuantParams};
     use tvmnp_tensor::{DType, Shape, Tensor};
 
     pub fn conv2d_f32(
@@ -205,7 +207,8 @@ mod reference {
                             }
                         }
                         let acc32 = acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                        out_plane[oy * ow + ox] = requantize_value(acc32, fpm, zo, out_dtype);
+                        out_plane[oy * ow + ox] =
+                            requantize_value_scalar(acc32, fpm, zo, out_dtype);
                     }
                 }
             });
@@ -311,7 +314,7 @@ mod reference {
                         acc += (x_row[i] - zx) as i64 * (w_row[i] - zw) as i64;
                     }
                     let acc32 = acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                    *o = requantize_value(acc32, fpm, zo, out_dtype);
+                    *o = requantize_value_scalar(acc32, fpm, zo, out_dtype);
                 }
             });
         Tensor::from_int_values([n, units], &out, out_dtype, Some(output_q))
@@ -415,51 +418,18 @@ mod reference {
             .map_err(|e| kerr(e.to_string()))
     }
 
-    /// `FixedPointMultiplier::apply` + `requantize_value` as they were
-    /// before the block requantizer: gemmlowp's
-    /// `SaturatingRoundingDoublingHighMul` and `RoundingDivideByPOT`, one
-    /// value at a time.
+    /// `FixedPointMultiplier::apply` + `requantize_value`, one value at a
+    /// time, as gemmlowp defines them (`gemmlowp/mod.rs`).
     pub fn requantize_value_scalar(
         acc: i32,
         m: FixedPointMultiplier,
         out_zero_point: i32,
         out_dtype: DType,
     ) -> i32 {
-        fn saturating_rounding_doubling_high_mul(a: i32, b: i32) -> i32 {
-            if a == i32::MIN && b == i32::MIN {
-                return i32::MAX;
-            }
-            let ab = a as i64 * b as i64;
-            let nudge = if ab >= 0 {
-                1i64 << 30
-            } else {
-                1 - (1i64 << 30)
-            };
-            ((ab + nudge) >> 31) as i32
-        }
-        fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
-            if exponent <= 0 {
-                return x.checked_shl((-exponent) as u32).unwrap_or(if x >= 0 {
-                    i32::MAX
-                } else {
-                    i32::MIN
-                });
-            }
-            let mask = (1i64 << exponent) - 1;
-            let remainder = (x as i64) & mask;
-            let threshold = (mask >> 1) + i64::from(x < 0);
-            let mut result = x >> exponent;
-            if remainder > threshold {
-                result = result.wrapping_add(1);
-            }
-            result
-        }
-        let (lo, hi) = out_dtype
+        let range = out_dtype
             .int_range()
             .expect("requantize target must be integer");
-        let v = saturating_rounding_doubling_high_mul(acc, m.multiplier);
-        let v = rounding_divide_by_pot(v, -m.shift) as i64 + out_zero_point as i64;
-        v.clamp(lo as i64, hi as i64) as i32
+        crate::gemmlowp::requantize(acc, (m.multiplier, m.shift), out_zero_point, range)
     }
 
     /// `qnn.requantize` as the interpreter and the Neuron runtime each

@@ -124,6 +124,17 @@ if grep -E 'struct (Conv2dAttrs|Pool2dAttrs)\b|fn to_kernel\b' <<<"$relay_code" 
     exit 1
 fi
 
+# And a graph has one judge (DESIGN.md, the `conformance` row): the
+# generator builds each drawn op with `relay::builder` and types it with
+# Relay's checker, so no shape rule of its own may grow back beside it.
+conformance_code=$(for f in $(find crates/conformance/src -name '*.rs' | sort); do
+    awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if grep -E 'fn (shape_after|node_shapes)\b|type NodeShape\b' <<<"$conformance_code"; then
+    echo "one-judge gate: crates/conformance/src restates Relay's shape rules" >&2
+    exit 1
+fi
+
 # And a node is one span (DESIGN.md "The cost ledger"): a measured profile
 # is read off the cost ledger, so no telemetry detail mode, per-kernel
 # executor span or per-node series may grow back as a second copy of it.

@@ -213,7 +213,8 @@ pub mod prelude {
 }
 
 /// Property-test entry point; see the crate docs for the differences from
-/// real proptest (fixed seed, no shrinking).
+/// real proptest (fixed seed, no shrinking). As with real proptest, each
+/// property carries its own `#[test]`: the macro adds none.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -230,7 +231,6 @@ macro_rules! proptest {
 macro_rules! __proptest_impl {
     (($cfg:expr) $($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),* $(,)?) $body:block)*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             let mut rng = $crate::test_rng(stringify!($name));
@@ -323,6 +323,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// Ranges stay in bounds; vec lengths respect the size range.
+        #[test]
         fn generated_values_in_bounds(
             xs in prop::collection::vec(0u8..=255, 1..16),
             n in 0u64..10_000,
@@ -332,6 +333,44 @@ mod tests {
             prop_assert!(n < 10_000);
             prop_assert!((-100.0..100.0).contains(&f));
         }
+    }
+
+    thread_local! {
+        static CASES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(17))]
+        /// No `#[test]`: a plain function the tests below call.
+        fn counted(n in 0u8..4) {
+            CASES.with(|c| c.set(c.get() + 1));
+            prop_assert!(n < 4);
+        }
+
+        /// Fails on its first case.
+        fn fails_at_once(n in 5u32..6) {
+            prop_assert!(n < 5, "n is {}", n);
+        }
+    }
+
+    /// The macro adds no `#[test]`: a property without one is a plain
+    /// function, and a call runs its configured number of cases.
+    #[test]
+    fn a_property_without_test_runs_its_cases_when_called() {
+        CASES.with(|c| c.set(0));
+        counted();
+        assert_eq!(CASES.with(|c| c.get()), 17);
+    }
+
+    #[test]
+    fn a_failing_case_reports_its_number_and_inputs() {
+        let err = std::panic::catch_unwind(fails_at_once).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.contains("proptest 'fails_at_once' failed at case 1/17: n is 5")
+                && msg.contains("n = 5"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -149,8 +149,12 @@ fn output_digest(outs: &[Tensor]) -> u64 {
 
 /// Model-level numerics anchor that shares no code with the kernels it
 /// pins: the digests were captured at the commit before the tensor kernels
-/// were restructured for vectorisation (PR 14) and must never move — the
-/// kernel contract is "same per-element operation order, same bits".
+/// were restructured for vectorisation, and a kernel rewrite must not move
+/// them — the kernel contract is "same per-element operation order, same
+/// bits". A digest moves only with a fix to the numbers themselves: two
+/// int8 models, in which some negative accumulator sat on a rounding
+/// boundary, moved once when the doubling high multiply began truncating
+/// as gemmlowp's does (`crates/tensor/tests/requant_reference.rs`).
 #[test]
 fn model_output_digests_are_pinned() {
     const PINNED: [(&str, u64); 14] = [
@@ -163,10 +167,10 @@ fn model_output_digests_are_pinned() {
         ("nasnet", 0x19526c87e0fbc276),
         ("inception v3 quant", 0xcd0035a290a2fba2),
         ("mobilenet v1 quant", 0x7d8253432ee7f68e),
-        ("mobilenet v2 quant", 0x3aab75a734a90829),
+        ("mobilenet v2 quant", 0x52c804087301dcfa),
         ("anti-spoofing", 0x7697c70981109698),
         ("emotion-detection", 0x2a5b64baf56eb6f0),
-        ("mobilenet-ssd-quant", 0xdbc95ca400c8118d),
+        ("mobilenet-ssd-quant", 0x3593e63ec3ba0a3b),
         ("yolov3-tiny", 0x30a63429b298d523),
     ];
     let mut models = zoo::zoo(42);
