@@ -24,6 +24,9 @@ pub enum QuantizeError {
     Unsupported(String),
     /// Calibration produced no statistics for a node.
     MissingCalibration(String),
+    /// Calibration saw no finite range for a node (an empty tensor, or
+    /// an infinite or NaN value), so no scale quantizes it.
+    NonFiniteRange(String),
     /// Structural problem.
     Other(String),
 }
@@ -34,6 +37,9 @@ impl fmt::Display for QuantizeError {
             QuantizeError::Unsupported(op) => write!(f, "quantize: unsupported op '{op}'"),
             QuantizeError::MissingCalibration(n) => {
                 write!(f, "quantize: no calibration statistics for {n}")
+            }
+            QuantizeError::NonFiniteRange(n) => {
+                write!(f, "quantize: calibrated range of {n} is not finite")
             }
             QuantizeError::Other(m) => write!(f, "quantize: {m}"),
         }
@@ -88,6 +94,9 @@ impl Quantizer<'_> {
             .get(&e.id)
             .copied()
             .ok_or_else(|| QuantizeError::MissingCalibration(e.label()))?;
+        if !(lo.is_finite() && hi.is_finite()) {
+            return Err(QuantizeError::NonFiniteRange(e.label()));
+        }
         Ok(QuantParams::from_range(lo, hi, DType::U8))
     }
 
@@ -396,6 +405,18 @@ mod tests {
                 m
             })
             .collect()
+    }
+
+    /// An empty activation calibrates to `(inf, -inf)`; it used to
+    /// quantize with `scale: inf`.
+    #[test]
+    fn a_non_finite_calibrated_range_is_a_typed_error() {
+        let x = var("x", TensorType::f32([1, 0, 4, 4]));
+        let m = Module::from_main(Function::new(vec![x.clone()], builder::relu(x)));
+        let mut inputs = HashMap::new();
+        inputs.insert("x".to_string(), Tensor::zeros_f32([1, 0, 4, 4]));
+        let err = quantize_with_calibration(&m, &[inputs]).unwrap_err();
+        assert!(matches!(err, QuantizeError::NonFiniteRange(_)), "{err}");
     }
 
     #[test]

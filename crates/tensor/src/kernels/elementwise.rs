@@ -2,7 +2,7 @@
 
 use super::{kerr, KernelError};
 use crate::dtype::DType;
-use crate::quant::{requantize_block, round_to_i64, FixedPointMultiplier, QuantParams};
+use crate::quant::{requantize_block, FixedPointMultiplier, QuantParams, Quantize};
 use crate::shape::{for_each_row, Shape};
 use crate::tensor::{with_payload, Data, IntElem, Tensor};
 
@@ -143,13 +143,11 @@ pub fn unary(input: &Tensor, op: UnaryOp) -> Result<Tensor, KernelError> {
     Tensor::from_data(input.shape().clone(), data, Some(qp)).map_err(|e| kerr(e.to_string()))
 }
 
-/// Clamp to `[lo, hi]` (non-empty) in the widened domain.
+/// Clamp to `[lo, hi]`, a non-empty range of `T`, in `T` itself: for the
+/// 8-bit types a byte-wide loop (`pmaxub` / `pminub`).
 fn clamp_ints<T: IntElem>(x: &[T], lo: i32, hi: i32) -> Data {
-    T::wrap(
-        x.iter()
-            .map(|v| T::narrow(v.widen().max(lo).min(hi)))
-            .collect(),
-    )
+    let (lo, hi) = (T::narrow(lo), T::narrow(hi));
+    T::wrap(x.iter().map(|&v| v.max(lo).min(hi)).collect())
 }
 
 /// Binary float op.
@@ -205,7 +203,8 @@ pub fn binary_f32(a: &Tensor, b: &Tensor, op: BinaryOp) -> Result<Tensor, Kernel
 }
 
 /// Quantized addition (`qnn.add`): rescale both operands into the output's
-/// quantization and add, with saturation.
+/// quantization and add, with saturation — each element
+/// `out_q.quantize(a_q.dequantize(qa) + b_q.dequantize(qb))`.
 pub fn qadd(
     a: &Tensor,
     b: &Tensor,
@@ -218,17 +217,12 @@ pub fn qadd(
         .shape()
         .broadcast(b.shape())
         .ok_or_else(|| kerr(format!("cannot broadcast {} with {}", a.shape(), b.shape())))?;
-    let (lo, hi) = out_dtype.int_range().ok_or_else(|| {
+    let range = out_dtype.int_range().ok_or_else(|| {
         kerr(format!(
             "qadd output dtype {out_dtype} is not an integer type"
         ))
     })?;
-    let (lo, hi, zo) = (lo as i64, hi as i64, out_q.zero_point as i64);
-    // Owns its few scalars, so the loop keeps them in registers.
-    let add = move |qa: i32, qb: i32| {
-        let (ra, rb) = (a_q.dequantize(qa), b_q.dequantize(qb));
-        (round_to_i64((ra + rb) / out_q.scale) + zo).max(lo).min(hi) as i32
-    };
+    let (q, qp) = (Quantize::new(out_q, range), (a_q, b_q));
     let not_q8 = || kerr("qadd expects quantized operands".to_string());
     let data = with_payload!(
         a,
@@ -239,9 +233,9 @@ pub fn qadd(
             |bv| {
                 let (a, b) = ((&av[..], a.shape()), (&bv[..], b.shape()));
                 match out_dtype {
-                    DType::I8 => qadd_into::<_, _, i8>(a, b, &out_shape, add),
-                    DType::U8 => qadd_into::<_, _, u8>(a, b, &out_shape, add),
-                    _ => qadd_into::<_, _, i32>(a, b, &out_shape, add),
+                    DType::I8 => qadd_into::<_, _, i8>(a, b, &out_shape, qp, q),
+                    DType::U8 => qadd_into::<_, _, u8>(a, b, &out_shape, qp, q),
+                    _ => qadd_into::<_, _, i32>(a, b, &out_shape, qp, q),
                 }
             },
             else => return Err(not_q8())
@@ -251,15 +245,23 @@ pub fn qadd(
     Tensor::from_data(out_shape, data, Some(out_q)).map_err(|e| kerr(e.to_string()))
 }
 
+/// Same-shape operands in one [`Quantize::block`] over their real sums;
+/// broadcasts element by element.
 fn qadd_into<A: IntElem, B: IntElem, O: IntElem>(
-    a: (&[A], &Shape),
-    b: (&[B], &Shape),
+    (a, a_shape): (&[A], &Shape),
+    (b, b_shape): (&[B], &Shape),
     out_shape: &Shape,
-    add: impl Fn(i32, i32) -> i32,
+    (a_q, b_q): (QuantParams, QuantParams),
+    q: Quantize,
 ) -> Data {
-    O::wrap(broadcast_map(a, b, out_shape, move |x, y| {
-        O::narrow(add(x.widen(), y.widen()))
-    }))
+    let sum = move |x: A, y: B| a_q.dequantize(x.widen()) + b_q.dequantize(y.widen());
+    if a_shape != b_shape {
+        let add = |x, y| O::narrow(q.apply(sum(x, y)));
+        return O::wrap(broadcast_map((a, a_shape), (b, b_shape), out_shape, add));
+    }
+    let mut out = vec![O::narrow(0); a.len()];
+    q.block(a.iter().zip(b).map(|(&x, &y)| sum(x, y)), &mut out);
+    O::wrap(out)
 }
 
 /// `qnn.requantize`: `x` from `in_q` into `out_q` and `out_dtype`, through

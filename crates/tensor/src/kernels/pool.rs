@@ -214,30 +214,21 @@ pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, Kerne
     // Divisor of one window; [`pool2d_dims`] refused a window with no
     // element to divide by.
     let denom = |taps: usize| if params.count_include_pad { full } else { taps };
-    let int_avg = |sum: i64, taps: usize| -> i32 {
-        let denom = denom(taps) as i64;
-        // round-half-away-from-zero
-        (if sum >= 0 {
-            (sum + denom / 2) / denom
-        } else {
-            (sum - denom / 2) / denom
-        }) as i32
-    };
     fn int_sum<T: IntElem + Default>(
         input: &Tensor,
         x: &[T],
         params: &Pool2dParams,
-        avg: impl Fn(i64, usize) -> i32,
+        denom: impl Fn(usize) -> usize,
     ) -> Result<Tensor, KernelError> {
         let sum = |s: i64, v: T| s + v.widen() as i64;
         pool(input, x, params, true, 0, sum, |s, taps| {
-            T::narrow(avg(s, taps))
+            T::narrow(int_avg(s, denom(taps)))
         })
     }
     with_payload!(
         input,
         [I8 U8 I32],
-        |x| int_sum(input, x, params, int_avg),
+        |x| int_sum(input, x, params, denom),
         else => {
             let x = f32_payload(input)?;
             let avg = |s: f32, taps: usize| s / denom(taps) as f32;
@@ -246,22 +237,43 @@ pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor, Kerne
     )
 }
 
+/// `sum / denom`, rounded half away from zero.
+fn int_avg(sum: i64, denom: usize) -> i32 {
+    let denom = denom as i64;
+    (if sum >= 0 {
+        (sum + denom / 2) / denom
+    } else {
+        (sum - denom / 2) / denom
+    }) as i32
+}
+
 /// Where `Iterator::sum` of `f32`s starts, which the window sums keep.
 fn empty_sum() -> f32 {
     std::iter::empty::<f32>().sum()
 }
 
-/// Global average pooling to `[n, c, 1, 1]`: each plane's elements summed
-/// row-major from [`empty_sum`], then divided by their count, with
-/// [`LANES`] planes advancing side by side.
+/// Global average pooling to `[n, c, 1, 1]`: each float plane's elements
+/// summed row-major from [`empty_sum`], then divided by their count, with
+/// [`LANES`] planes advancing side by side; each integer plane's exact sum
+/// averaged as [`avg_pool2d`] does.
 pub fn global_avg_pool2d(input: &Tensor) -> Result<Tensor, KernelError> {
+    fn int_planes<T: IntElem>(x: &[T], len: usize) -> Data {
+        let avg = |p: &[T]| T::narrow(int_avg(p.iter().map(|v| v.widen() as i64).sum(), len));
+        T::wrap(x.chunks_exact(len).map(avg).collect())
+    }
     let d = input.shape().dims();
     let dims = global_pool2d_dims(d)?;
-    let (h, w) = (d[2], d[3]);
-    let Data::F32(x) = input.data() else {
-        return avg_pool2d(input, &whole_plane(h, w));
-    };
-    let len = h * w;
+    // `global_pool2d_dims` made the plane non-empty.
+    let len = d[2] * d[3];
+    let x = with_payload!(
+        input,
+        [I8 U8 I32],
+        |x| {
+            let data = int_planes(x, len);
+            return Tensor::from_data(dims, data, input.quant()).map_err(|e| kerr(e.to_string()));
+        },
+        else => f32_payload(input)?
+    );
     let mut out = Vec::with_capacity(dims[0] * dims[1]);
     for planes in x.chunks(len * LANES) {
         if planes.len() == len * LANES {

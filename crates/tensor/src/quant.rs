@@ -35,11 +35,10 @@ impl QuantParams {
 
     /// Quantize one real value into the given integer dtype with saturation.
     pub fn quantize(&self, real: f32, dtype: DType) -> i32 {
-        let (lo, hi) = dtype
+        let range = dtype
             .int_range()
             .expect("quantize target must be an integer type");
-        let q = round_to_i64(real / self.scale) + self.zero_point as i64;
-        q.clamp(lo as i64, hi as i64) as i32
+        Quantize::new(*self, range).apply(real)
     }
 
     /// Dequantize one stored value back to real.
@@ -87,6 +86,80 @@ impl QuantParams {
 pub(crate) fn round_to_i64(v: f32) -> i64 {
     let v = v as f64;
     (v + if v < 0.0 { -0.5 } else { 0.5 }) as i64
+}
+
+/// [`QuantParams::quantize`] into one storage range: `round_to_i64(real /
+/// scale) + zero_point`, saturated (NaN rounds to 0). With the range less
+/// the zero point inside `±2^22` it is `f32` lane arithmetic: the quotient
+/// clamped first (rounding is monotone), `|q| + 1.5·2^23` rounds ties to
+/// even, a tie rounded down moves up, and the bits give the integer.
+#[derive(Clone, Copy)]
+pub(crate) struct Quantize {
+    scale: f32,
+    zero_point: i32,
+    range: (i32, i32),
+    /// The range less the zero point, where it lies inside `±2^22`.
+    lanes: Option<(f32, f32)>,
+}
+
+/// `1.5·2^23`: for `0 <= a < 2^22`, `a + MAGIC` is an `f32` of unit
+/// spacing whose bits are those of `MAGIC` plus the rounded `a`.
+const MAGIC: f32 = 12_582_912.0;
+
+impl Quantize {
+    pub(crate) fn new(qp: QuantParams, range: (i32, i32)) -> Self {
+        let z = qp.zero_point as i64;
+        let (lo, hi) = (range.0 as i64 - z, range.1 as i64 - z);
+        let small = |v: i64| v.abs() < 1 << 22;
+        Quantize {
+            scale: qp.scale,
+            zero_point: qp.zero_point,
+            range,
+            lanes: (small(lo) && small(hi)).then_some((lo as f32, hi as f32)),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn apply(&self, real: f32) -> i32 {
+        match self.lanes {
+            Some(bounds) => self.lane(real, bounds),
+            None => self.wide(real),
+        }
+    }
+
+    /// Every value of `x` into `out`, narrowed to `O` (whose range must
+    /// hold this one's), one branch-free loop per call.
+    pub(crate) fn block<O: IntElem>(&self, x: impl Iterator<Item = f32>, out: &mut [O]) {
+        let pairs = out.iter_mut().zip(x);
+        match self.lanes {
+            Some(b) => pairs.for_each(|(o, v)| *o = O::narrow(self.lane(v, b))),
+            None => pairs.for_each(|(o, v)| *o = O::narrow(self.wide(v))),
+        }
+    }
+
+    #[inline]
+    fn lane(&self, real: f32, (lo, hi): (f32, f32)) -> i32 {
+        let q = real / self.scale;
+        let q = if q.is_nan() { 0.0 } else { q };
+        let q = if q < lo {
+            lo
+        } else if q > hi {
+            hi
+        } else {
+            q
+        };
+        let a = q.abs();
+        let y = a + MAGIC;
+        let n = (y.to_bits() - MAGIC.to_bits()) as i32 + i32::from(a - (y - MAGIC) == 0.5);
+        let sign = q.to_bits() as i32 >> 31;
+        ((n ^ sign) - sign).wrapping_add(self.zero_point)
+    }
+
+    fn wide(&self, real: f32) -> i32 {
+        let (lo, hi) = self.range;
+        let q = round_to_i64(real / self.scale).saturating_add(self.zero_point as i64);
+        q.clamp(lo as i64, hi as i64) as i32
+    }
 }
 
 /// A requantization multiplier in fixed point, as used by integer-only
@@ -187,12 +260,10 @@ pub fn requantize_value(
 }
 
 /// [`requantize_value`] of `acc(x[i])` over a block, into storage type `O`
-/// — the only ordered step of a quantized reduction. Everything that
-/// depends only on the multiplier (the shift direction, the rounding mask,
-/// its `i32::MIN` corner) is loop-invariant once `apply` is inlined. Two
-/// passes over a few lanes at a time: the fixed-point arithmetic saturating
-/// to `i32`, then the saturating narrow to `O`, which on its own is a
-/// vector loop.
+/// — the only ordered step of a quantized reduction. A positive
+/// significand with a right shift of 0 to 31 (every non-zero multiplier
+/// below 1) runs `sse2::Requantizer`'s arithmetic in `i32` lanes; other
+/// multipliers go through `apply`.
 pub(crate) fn requantize_block<X: Copy, O: IntElem>(
     x: &[X],
     acc: impl Fn(X) -> i32,
@@ -200,11 +271,39 @@ pub(crate) fn requantize_block<X: Copy, O: IntElem>(
     multiplier: FixedPointMultiplier,
     zero_point: i32,
 ) {
+    let (m, exponent) = (multiplier.multiplier, -multiplier.shift);
+    if m <= 0 || !(0..=31).contains(&exponent) {
+        let f = |q| multiplier.apply(acc(q)).saturating_add(zero_point);
+        return narrow_block(x, f, out);
+    }
+    let (mask, m64) = (((1i64 << exponent) - 1) as i32, m as u64);
+    // The doubling high multiply: `v·m + 2^30 = u·m + 2^30 − m·2^31` for
+    // the unsigned `u = v + 2^31`.
+    let high = move |v: i32| {
+        let u = (v as u32 ^ 1 << 31) as u64;
+        (((u * m64 + (1 << 30)) >> 31) as u32 as i32).wrapping_sub(m)
+    };
+    // `rounding_divide_by_pot`: round half away from zero.
+    let half = mask >> 1;
+    let divide = move |v: i32| (v >> exponent) + i32::from(v & mask > half + (v >> 31 & 1));
+    // Past a halving shift a small zero point cannot saturate.
+    if exponent >= 1 && (-(1 << 30)..1 << 30).contains(&zero_point) {
+        narrow_block(x, |q| divide(high(acc(q))) + zero_point, out);
+    } else {
+        let f = |q| divide(high(acc(q))).saturating_add(zero_point);
+        narrow_block(x, f, out);
+    }
+}
+
+/// `O::narrow(f(x[i]))` over a block, in two passes over a few lanes at a
+/// time: `f`, then the saturating narrow, each on its own a vector loop.
+#[inline]
+fn narrow_block<X: Copy, O: IntElem>(x: &[X], f: impl Fn(X) -> i32, out: &mut [O]) {
     const LANES: usize = 32;
     let mut wide = [0i32; LANES];
     for (x, out) in x.chunks(LANES).zip(out.chunks_mut(LANES)) {
         for (w, &q) in wide.iter_mut().zip(x) {
-            *w = multiplier.apply(acc(q)).saturating_add(zero_point);
+            *w = f(q);
         }
         for (o, &w) in out.iter_mut().zip(&wide) {
             *o = O::narrow(w);

@@ -1,7 +1,7 @@
 //! The dense tensor value type shared by every layer of the stack.
 
 use crate::dtype::DType;
-use crate::quant::QuantParams;
+use crate::quant::{QuantParams, Quantize};
 use crate::shape::Shape;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -354,11 +354,26 @@ impl Tensor {
         }
     }
 
-    /// Quantize a float tensor into `dtype` with the given params.
+    /// Quantize a float tensor into `dtype` with the given params: each
+    /// element [`QuantParams::quantize`]d, written as `dtype` in one pass.
     pub fn quantize(&self, qp: QuantParams, dtype: DType) -> Result<Tensor, TensorError> {
-        let vals = self.as_f32()?;
-        let ints: Vec<i32> = vals.iter().map(|&v| qp.quantize(v, dtype)).collect();
-        Tensor::from_int_values(self.shape.clone(), &ints, dtype, Some(qp))
+        fn into<T: IntElem>(x: &[f32], q: Quantize) -> Data {
+            let mut out = vec![T::narrow(0); x.len()];
+            q.block(x.iter().copied(), &mut out);
+            T::wrap(out)
+        }
+        let x = self.as_f32()?;
+        let mismatch = TensorError::DTypeMismatch {
+            expected: DType::I32,
+            got: DType::F32,
+        };
+        let q = Quantize::new(qp, dtype.int_range().ok_or(mismatch)?);
+        let data = match dtype {
+            DType::I8 => into::<i8>(x, q),
+            DType::U8 => into::<u8>(x, q),
+            _ => into::<i32>(x, q),
+        };
+        Tensor::from_data(self.shape.clone(), data, Some(qp))
     }
 
     /// Replace the shape without touching data (reshape).

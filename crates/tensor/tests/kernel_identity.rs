@@ -2234,3 +2234,243 @@ fn every_model_geometry_matches_direct_loop() {
         "walked {convs} convs, {denses} denses"
     );
 }
+
+/// `qnn.add`'s scalar formula, one element: both operands dequantized,
+/// added, divided by the output scale and rounded half away from zero,
+/// then the zero point added and saturated.
+fn qadd_formula(
+    qa: i32,
+    qb: i32,
+    (a_q, b_q, o_q): (QuantParams, QuantParams, QuantParams),
+    od: DType,
+) -> i32 {
+    let (lo, hi) = od.int_range().unwrap();
+    let real = a_q.dequantize(qa) + b_q.dequantize(qb);
+    let q = ((real / o_q.scale) as f64).round() as i64;
+    q.saturating_add(o_q.zero_point as i64)
+        .clamp(lo as i64, hi as i64) as i32
+}
+
+/// Every `(qa, qb)` pair of every 8-bit operand pairing, under three
+/// parameter sets, against the scalar formula; and a broadcast.
+#[test]
+fn qadd_matches_the_scalar_formula_on_every_operand_pair() {
+    let params = [
+        (
+            QuantParams::new(0.031, 128),
+            QuantParams::new(0.017, 3),
+            QuantParams::new(0.04, 7),
+        ),
+        (
+            QuantParams::new(1.0, 0),
+            QuantParams::new(1.0, 0),
+            QuantParams::new(1.0, 0),
+        ),
+        (
+            QuantParams::new(0.5, -128),
+            QuantParams::new(0.25, 255),
+            QuantParams::new(0.003, 127),
+        ),
+    ];
+    let ints = [DType::I8, DType::U8];
+    for q in params {
+        for (ad, bd) in ints.into_iter().flat_map(|a| ints.map(|b| (a, b))) {
+            let (alo, ahi) = ad.int_range().unwrap();
+            let (blo, bhi) = bd.int_range().unwrap();
+            let pairs: Vec<(i32, i32)> = (alo..=ahi)
+                .flat_map(|a| (blo..=bhi).map(move |b| (a, b)))
+                .collect();
+            let a: Vec<i32> = pairs.iter().map(|p| p.0).collect();
+            let b: Vec<i32> = pairs.iter().map(|p| p.1).collect();
+            let a = Tensor::from_int_values([pairs.len()], &a, ad, Some(q.0)).unwrap();
+            let b = Tensor::from_int_values([pairs.len()], &b, bd, Some(q.1)).unwrap();
+            for od in [DType::I8, DType::U8] {
+                let got = kernels::qadd(&a, &b, q.0, q.1, q.2, od).unwrap();
+                let want: Vec<i32> = pairs
+                    .iter()
+                    .map(|&(x, y)| qadd_formula(x, y, q, od))
+                    .collect();
+                assert_eq!(
+                    got.iter_int().collect::<Vec<_>>(),
+                    want,
+                    "{ad}/{bd} -> {od} {q:?}"
+                );
+            }
+        }
+    }
+    let (q, mut p) = (params[0], Pick(TensorRng::new(0xE5)));
+    let (a, b) = (
+        p.ints(&[2, 3, 4, 5], DType::U8, q.0),
+        p.ints(&[1, 3, 1, 1], DType::I8, q.1),
+    );
+    let got = kernels::qadd(&a, &b, q.0, q.1, q.2, DType::U8).unwrap();
+    let bv: Vec<i32> = b.iter_int().collect();
+    let want: Vec<i32> = a
+        .iter_int()
+        .enumerate()
+        .map(|(i, x)| qadd_formula(x, bv[i / 20 % 3], q, DType::U8))
+        .collect();
+    assert_eq!(got.iter_int().collect::<Vec<_>>(), want, "broadcast");
+}
+
+/// `qnn.quantize` against its scalar formula — `real / scale` in `f32`,
+/// rounded half away from zero, plus the zero point, saturated — on the
+/// values a lane gets wrong first: signed zeros, infinities, NaN, halves,
+/// the largest `f32` below one half, and values past the 8-bit range.
+#[test]
+fn quantize_matches_the_scalar_formula_on_special_values() {
+    let mut vals = vec![
+        0.0f32,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        0.49999997,
+        -0.49999997,
+        1e30,
+        -1e30,
+        f32::MAX,
+        f32::MIN,
+        8388607.5,
+        -8388607.5,
+    ];
+    for k in -300..300 {
+        vals.extend([k as f32 + 0.5, k as f32 - 0.5, k as f32]);
+    }
+    let mut p = Pick(TensorRng::new(0xE6));
+    vals.extend(p.f32s(&[4000]).as_f32().unwrap().iter().map(|v| v * 300.0));
+    let n = vals.len();
+    let x = Tensor::from_f32([n], vals.clone()).unwrap();
+    for scale in [1.0f32, 0.5, 0.02, 3.0] {
+        for (zp, dtype) in [
+            (0, DType::U8),
+            (255, DType::U8),
+            (128, DType::U8),
+            (-128, DType::I8),
+            (127, DType::I8),
+            (0, DType::I8),
+            (300, DType::U8),
+            (5_000_000, DType::I8),
+            (7, DType::I32),
+        ] {
+            let qp = QuantParams::new(scale, zp);
+            let (lo, hi) = dtype.int_range().unwrap();
+            let want: Vec<i32> = vals
+                .iter()
+                .map(|&v| {
+                    let q = if v.is_nan() {
+                        0
+                    } else {
+                        ((v / scale) as f64).round() as i64
+                    };
+                    q.saturating_add(zp as i64).clamp(lo as i64, hi as i64) as i32
+                })
+                .collect();
+            let got = x.quantize(qp, dtype).unwrap();
+            assert_eq!(
+                got.iter_int().collect::<Vec<_>>(),
+                want,
+                "scale {scale} zero point {zp} {dtype}"
+            );
+            for (&v, &w) in vals.iter().zip(&want) {
+                assert_eq!(
+                    qp.quantize(v, dtype),
+                    w,
+                    "{v:e} scale {scale} zero point {zp} {dtype}"
+                );
+            }
+        }
+    }
+}
+
+/// The integer global pool (exact plane sums) and `clip` / `relu` (a
+/// byte-wide clamp) at zero points on both ends of both storage ranges.
+#[test]
+fn int_global_pool_and_clip_match_direct_loop_at_extreme_zero_points() {
+    let mut p = Pick(TensorRng::new(0xE7));
+    for (dtype, zp) in [
+        (DType::U8, 0),
+        (DType::U8, 255),
+        (DType::I8, -128),
+        (DType::I8, 127),
+    ] {
+        let qp = QuantParams::new(0.05, zp);
+        for shape in [[1, 3, 1, 1], [2, 5, 7, 9], [1, 64, 16, 16]] {
+            let x = p.ints(&shape, dtype, qp);
+            assert_same_bits(
+                kernels::global_avg_pool2d(&x),
+                reference::avg_pool2d(
+                    &x,
+                    &Pool2dParams {
+                        kernel: (shape[2], shape[3]),
+                        strides: (1, 1),
+                        padding: (0, 0, 0, 0),
+                        count_include_pad: false,
+                    },
+                ),
+                &format!("global_avg_pool2d {dtype} zero point {zp} {shape:?}"),
+            );
+            for op in [
+                UnaryOp::Relu,
+                UnaryOp::Relu6,
+                UnaryOp::Clip(-0.3, 0.4),
+                UnaryOp::Clip(-100.0, 100.0),
+            ] {
+                assert_same_bits(
+                    kernels::unary(&x, op),
+                    reference::unary(&x, op),
+                    &format!("{op:?} {dtype} zero point {zp}"),
+                );
+            }
+        }
+    }
+}
+
+/// Int8 depthwise on the plane tile against the walk and the direct loop:
+/// channel counts off the 4-plane block, strides 2 and 3, dilation 2,
+/// every operand pairing, zero points at both ends of the storage range,
+/// and widths around the 8-column tile.
+#[test]
+fn qconv2d_depthwise_tile_edges_match_walk_and_direct_loop() {
+    let mut p = Pick(TensorRng::new(0xE8));
+    let ints = [DType::I8, DType::U8];
+    for (xd, wd) in ints.into_iter().flat_map(|x| ints.map(|w| (x, w))) {
+        let (xlo, xhi) = xd.int_range().unwrap();
+        let (wlo, whi) = wd.int_range().unwrap();
+        for (zx, zw) in [(xlo, wlo), (xhi, whi), (xlo, whi), (p.int(xlo, xhi), 0)] {
+            for (c, (sh, sw), (dh, dw)) in [
+                (1, (1, 1), (1, 1)),
+                (3, (2, 2), (1, 1)),
+                (5, (3, 3), (1, 1)),
+                (6, (1, 2), (2, 2)),
+                (9, (2, 1), (1, 2)),
+            ] {
+                let width = p.of(&[3, 4, 7, 8, 9, 12, 16, 17, 33]);
+                let k = p.of(&[1, 3, 5]);
+                let params = Conv2dParams {
+                    strides: (sh, sw),
+                    padding: (k / 2, k / 2, k / 2, p.range(0, 2)),
+                    dilation: (dh, dw),
+                    groups: c,
+                };
+                let xs = [p.of(&[1, 2]), c, p.range(3, 9), width];
+                if params.out_hw(xs[2], width, k, k).is_err() {
+                    continue;
+                }
+                let quant = QConvQuant {
+                    input: QuantParams::new(0.02, zx),
+                    weight: QuantParams::new(0.01, zw),
+                    output: QuantParams::new(p.of(&[0.05, 1.0, 40.0]), p.int(-10, 140)),
+                    out_dtype: p.of(&[DType::I8, DType::U8, DType::I32]),
+                };
+                let x = p.ints(&xs, xd, quant.input);
+                let w = p.ints(&[c, 1, k, k], wd, quant.weight);
+                let b = p
+                    .coin()
+                    .then(|| p.ints(&[c], DType::I32, QuantParams::identity()));
+                let what = format!("depthwise {xd}/{wd} zx={zx} zw={zw}: {xs:?} k={k} {params:?}");
+                assert_qconv((&x, &w, b.as_ref()), &params, &quant, &what);
+            }
+        }
+    }
+}
