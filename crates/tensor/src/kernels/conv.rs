@@ -404,40 +404,17 @@ pub(super) fn f32_conv(
     }
     SCRATCH.with_borrow_mut(|s| {
         let lay = Phases::new(g);
-        let x = match lay.sw {
-            1 => x,
-            _ => lay.fill(g, x, &mut s.x, |v| v)?,
-        };
+        let x = lay.fill(g, x, &mut s.x)?;
         let reads = lay.reads(g, &mut s.taps, &mut s.rows, &mut s.edges);
         #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
         if dense {
             return Ok(sse2::conv(g, &reads, x, wt, bias, &mut s.w));
         }
-        Ok(depthwise_conv(g, &reads, x, wt, &F32Depthwise(bias)))
-    })
-}
-
-/// The depthwise (`c / groups = 1`) convolution `g` on the plane tile in
-/// `t`'s arithmetic, over the column phases of `x` (a copy at every
-/// stride), each entry `phase(x)`, and the weights `wt`, each `weight(w)`.
-pub(super) fn depthwise<S: Copy, W: Copy, T: Depthwise<X = i16, W = i16>>(
-    g: &ConvGeom,
-    (x, phase): (&[S], impl Fn(S) -> i16),
-    (wt, weight): (&[W], impl Fn(W) -> i16),
-    t: &T,
-) -> Result<Vec<T::Out>, KernelError> {
-    SCRATCH.with_borrow_mut(|s| {
-        let lay = Phases::new(g);
-        let reads = lay.reads(g, &mut s.taps, &mut s.rows, &mut s.edges);
-        s.wq.clear();
-        s.wq.extend(wt.iter().map(|&w| weight(w)));
-        Ok(depthwise_conv(
-            g,
-            &reads,
-            lay.fill(g, x, &mut s.xq, phase)?,
-            &s.wq,
-            t,
-        ))
+        Ok(if reads.width() == V {
+            depthwise_conv::<V>(g, &reads, x, wt, bias)
+        } else {
+            depthwise_conv::<{ V / 2 }>(g, &reads, x, wt, bias)
+        })
     })
 }
 
@@ -446,10 +423,6 @@ pub(super) fn depthwise<S: Copy, W: Copy, T: Depthwise<X = i16, W = i16>>(
 struct Scratch {
     /// The input's column phases, at a stride above 1.
     x: Vec<f32>,
-    /// A quantized input's column phases and weights, less their zero
-    /// points.
-    xq: Vec<i16>,
-    wq: Vec<i16>,
     taps: Vec<(usize, usize)>,
     rows: Vec<usize>,
     edges: Vec<(usize, Range<usize>)>,
@@ -520,32 +493,33 @@ impl Phases {
         self.sw * self.wq
     }
 
-    /// The input `x` in this layout, each entry `f(x)`, in `buf` (a float
-    /// call at unit stride reads `x` itself instead).
-    fn fill<'a, S: Copy, T: Copy + Default>(
+    /// The input `x` in this layout: `x` itself at unit stride, else its
+    /// phases copied into `buf`.
+    fn fill<'a>(
         &self,
         g: &ConvGeom,
-        x: &[S],
-        buf: &'a mut Vec<T>,
-        f: impl Fn(S) -> T,
-    ) -> Result<&'a [T], KernelError> {
+        x: &'a [f32],
+        buf: &'a mut Vec<f32>,
+    ) -> Result<&'a [f32], KernelError> {
         let (w, pl, sw) = (g.input[3], g.params.padding.1, self.sw);
+        if sw == 1 {
+            return Ok(x);
+        }
         let len = (x.len() / w)
             .checked_mul(self.row())
             .ok_or_else(|| kerr("conv2d column phases overflow usize"))?;
         if buf.len() < len {
-            buf.resize(len, T::default());
+            buf.resize(len, 0.0);
         }
         for (src, dst) in x.chunks_exact(w).zip(buf.chunks_exact_mut(self.row())) {
             for (ph, dst) in dst.chunks_exact_mut(self.wq).enumerate() {
                 // The first entry of phase `ph` at or past column `pl`.
                 let e = pl.saturating_sub(ph).div_ceil(sw);
-                let src = src.get(e * sw + ph - pl..).unwrap_or(&[]).iter();
-                let dst = dst[e - self.lead..].iter_mut();
-                match sw {
-                    1 => dst.zip(src).for_each(|(d, &s)| *d = f(s)),
-                    _ => dst.zip(src.step_by(sw)).for_each(|(d, &s)| *d = f(s)),
-                }
+                let src = src.iter().skip(e * sw + ph - pl).step_by(sw);
+                dst[e - self.lead..]
+                    .iter_mut()
+                    .zip(src)
+                    .for_each(|(d, &s)| *d = s);
             }
         }
         Ok(&buf[..len])
@@ -634,83 +608,32 @@ fn in_image(start: usize, pad: usize, len: usize, k: usize, d: usize) -> Range<u
     lo..(len + pad).saturating_sub(start).div_ceil(d).clamp(lo, k)
 }
 
-/// The arithmetic of the depthwise plane tile, float or quantized: entries,
-/// weights, how a product joins a sum and how finished sums are stored.
-pub(super) trait Depthwise: Sync {
-    /// Output planes per parallel call, a multiple of [`OC_BLOCK`].
-    const GROUP: usize = usize::MAX;
-    type X: Copy + Sync;
-    type W: Copy + Sync;
-    type Acc: Copy;
-    type Out: Copy + Send + Default;
-    /// The sum output channel `o` starts from.
-    fn start(&self, o: usize) -> Self::Acc;
-    /// `acc + x·w`.
-    fn mac(&self, acc: Self::Acc, x: Self::X, w: Self::W) -> Self::Acc;
-    /// Store a run of finished sums.
-    fn finish(&self, acc: &[Self::Acc], out: &mut [Self::Out]);
-}
-
-/// Float depthwise arithmetic: the walk's `acc + x · w` in f32 from the bias.
-struct F32Depthwise<'a>(Option<&'a [f32]>);
-
-impl Depthwise for F32Depthwise<'_> {
-    type X = f32;
-    type W = f32;
-    type Acc = f32;
-    type Out = f32;
-    fn start(&self, o: usize) -> f32 {
-        self.0.map_or(0.0, |b| b[o])
-    }
-    #[inline]
-    fn mac(&self, acc: f32, x: f32, w: f32) -> f32 {
-        acc + x * w
-    }
-    fn finish(&self, acc: &[f32], out: &mut [f32]) {
-        out.copy_from_slice(acc);
-    }
-}
-
-/// The depthwise convolution `g` over `x` (column phases, or the input at
-/// unit stride) and weights `wt` in `t`'s arithmetic, one [`OC_BLOCK`] of
-/// planes per parallel task, on tiles as wide as `r`'s [`Reads::width`].
-fn depthwise_conv<T: Depthwise>(
+/// The depthwise (`c / groups = 1`) convolution `g` over the column phases
+/// `x`, one [`OC_BLOCK`] of output planes per parallel task, on tiles `C`
+/// columns wide (`r`'s [`Reads::width`]).
+fn depthwise_conv<const C: usize>(
     g: &ConvGeom,
     r: &Reads<'_>,
-    x: &[T::X],
-    wt: &[T::W],
-    t: &T,
-) -> Vec<T::Out> {
+    x: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
+) -> Vec<f32> {
+    debug_assert_eq!(r.width(), C);
     let [n, oc, oh, ow] = g.output;
     let plane_len = oh * ow;
-    let mut out = vec![T::Out::default(); n * oc * plane_len];
-    let groups = out
-        .chunks_mut(T::GROUP.saturating_mul(plane_len))
-        .enumerate();
-    for (k, out) in groups {
-        out.par_chunks_mut(plane_len * OC_BLOCK)
-            .enumerate()
-            .for_each(|(chunk, out)| {
-                let first = k * T::GROUP + chunk * OC_BLOCK;
-                match (out.len() == plane_len * OC_BLOCK, r.width() == V) {
-                    (true, true) => {
-                        depthwise_planes::<OC_BLOCK, V, T>(g, r, (x, wt), t, first, out)
-                    }
-                    (true, false) => {
-                        depthwise_planes::<OC_BLOCK, { V / 2 }, T>(g, r, (x, wt), t, first, out)
-                    }
-                    (false, wide) => {
-                        for (p, out) in (first..).zip(out.chunks_exact_mut(plane_len)) {
-                            if wide {
-                                depthwise_planes::<1, V, T>(g, r, (x, wt), t, p, out);
-                            } else {
-                                depthwise_planes::<1, { V / 2 }, T>(g, r, (x, wt), t, p, out);
-                            }
-                        }
-                    }
+    let mut out = vec![0.0; n * oc * plane_len];
+    out.par_chunks_mut(plane_len * OC_BLOCK)
+        .enumerate()
+        .for_each(|(chunk, out)| {
+            let first = chunk * OC_BLOCK;
+            if out.len() == plane_len * OC_BLOCK {
+                depthwise_planes::<OC_BLOCK, C>(g, r, x, wt, bias, first, out);
+            } else {
+                for (p, out) in (first..).zip(out.chunks_exact_mut(plane_len)) {
+                    depthwise_planes::<1, C>(g, r, x, wt, bias, p, out);
                 }
-            });
-    }
+            }
+        });
     out
 }
 
@@ -718,59 +641,54 @@ fn depthwise_conv<T: Depthwise>(
 /// `out`. Border columns run their in-image taps one column at a time;
 /// interior columns run a tile of `P` planes × `C` columns whose sums
 /// stay in registers, the last tile overlapping its neighbour. Every
-/// element is the start, then `mac` of `x·w` over its in-image taps in
-/// `ky, kx` order — the walk's bits.
-fn depthwise_planes<const P: usize, const C: usize, T: Depthwise>(
+/// element is `bias`, then `+ x·w` over its in-image taps in `ky, kx`
+/// order — the walk's bits.
+fn depthwise_planes<const P: usize, const C: usize>(
     g: &ConvGeom,
     r: &Reads<'_>,
-    (x, wt): (&[T::X], &[T::W]),
-    t: &T,
+    x: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
     first: usize,
-    out: &mut [T::Out],
+    out: &mut [f32],
 ) {
     let ([_, c, _, _], [oc, _, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
     let (og, plane_len, lead) = (oc / c, oh * ow, r.lead);
     // Plane `p` is output channel `p % oc` of image `p / oc`.
-    let xs: [&[T::X]; P] = std::array::from_fn(|i| {
+    let xs: [&[f32]; P] = std::array::from_fn(|i| {
         let p = first + i;
         &x[(p / oc * c + p % oc / og) * r.plane..][..r.plane]
     });
-    let ws: [&[T::W]; P] = std::array::from_fn(|i| &wt[(first + i) % oc * kh * kw..][..kh * kw]);
-    let start: [T::Acc; P] = std::array::from_fn(|i| t.start((first + i) % oc));
+    let ws: [&[f32]; P] = std::array::from_fn(|i| &wt[(first + i) % oc * kh * kw..][..kh * kw]);
+    let start: [f32; P] = std::array::from_fn(|i| bias.map_or(0.0, |b| b[(first + i) % oc]));
     for (oy, row) in r.rows.windows(2).enumerate() {
         let taps = &r.taps[row[0]..row[1]];
         let at = |i: usize, ox: usize| i * plane_len + oy * ow + ox;
         for (ox, kx) in r.edges {
             let mut acc = start;
             for row in taps.chunks_exact(kw) {
-                for &(xo, tap) in &row[kx.clone()] {
+                for &(xo, t) in &row[kx.clone()] {
                     for (i, acc) in acc.iter_mut().enumerate() {
-                        *acc = t.mac(*acc, xs[i][xo + ox - lead], ws[i][tap]);
+                        *acc += xs[i][xo + ox - lead] * ws[i][t];
                     }
                 }
             }
-            let mut sums = [T::Out::default(); P];
-            t.finish(&acc, &mut sums);
-            for (i, s) in sums.into_iter().enumerate() {
-                out[at(i, *ox)] = s;
+            for (i, acc) in acc.into_iter().enumerate() {
+                out[at(i, *ox)] = acc;
             }
         }
         for ox in r.tiles() {
             let mut acc = start.map(|s| [s; C]);
-            for &(xo, tap) in taps {
+            for &(xo, t) in taps {
                 for (i, acc) in acc.iter_mut().enumerate() {
-                    let (x, w) = (&xs[i][xo + ox - lead..][..C], ws[i][tap]);
+                    let (x, w) = (&xs[i][xo + ox - lead..][..C], ws[i][t]);
                     for (a, &x) in acc.iter_mut().zip(x) {
-                        *a = t.mac(*a, x, w);
+                        *a += x * w;
                     }
                 }
             }
-            // One finish for the tile, then a row per plane; the copy keeps
-            // `acc` itself in registers.
-            let (acc, mut sums) = (acc, [[T::Out::default(); C]; P]);
-            t.finish(acc.as_flattened(), sums.as_flattened_mut());
-            for (i, sums) in sums.iter().enumerate() {
-                out[at(i, ox)..][..C].copy_from_slice(sums);
+            for (i, acc) in acc.iter().enumerate() {
+                out[at(i, ox)..][..C].copy_from_slice(acc);
             }
         }
     }

@@ -2,12 +2,12 @@
 //! gemmlowp-style requantization — the arithmetic behind `qnn.conv2d` +
 //! `qnn.requantize` in Relay and behind the APU's integer datapath.
 //!
-//! Three paths compute the same exact integer sums: dense convolutions
-//! take the packed SSE2 tile (`sse2`), depthwise ones the float plane tile
-//! in integer arithmetic (`QDepthwise` over `conv::depthwise`), and the
-//! rest — and operands past the `i16` / `i32` proofs — the portable walk.
+//! Two paths compute the same exact integer sums: dense and depthwise
+//! convolutions with `i16` operands take the packed SSE2 tile (`sse2`),
+//! the rest — and operands past the `i16` / `i32` proofs — the portable
+//! walk, which `qconv2d_with(.., false)` forces for comparison.
 
-use super::conv::{conv_planes, depthwise, Arith, Conv2dParams, ConvGeom, Depthwise, Taps, BLOCK};
+use super::conv::{conv_planes, Arith, Conv2dParams, ConvGeom, Taps, BLOCK};
 use super::{kerr, KernelError};
 use crate::dtype::DType;
 use crate::quant::{
@@ -42,11 +42,10 @@ impl QConvQuant {
 /// present) an i32 tensor already scaled by `s_in * s_w`.
 ///
 /// Out-of-image taps read the input zero point, i.e. real value 0 (TFLite
-/// padding semantics), so they add nothing. With `i16` operands, dense
-/// convolutions run on a packed copy of the input (see `sse2`) and
-/// depthwise ones on the float plane tile (`conv::depthwise`); the rest
-/// runs the loop nest of [`super::conv2d_f32`] on the 8-bit operands in
-/// place, skipping those taps.
+/// padding semantics), so they add nothing. Dense and depthwise
+/// convolutions with `i16` operands run on a packed copy of the input
+/// (see `sse2`); the rest runs the loop nest of [`super::conv2d_f32`] on
+/// the 8-bit operands in place, skipping those taps.
 pub fn qconv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -58,8 +57,8 @@ pub fn qconv2d(
 }
 
 /// [`qconv2d`], on the portable walk alone unless `packed`: the walk `i64`
-/// accumulators, grouped convolutions and dense ones off SSE2 run, kept
-/// comparable bit for bit with the tiles.
+/// accumulators and non-SSE2 targets run, kept comparable bit for bit with
+/// the packed path.
 #[doc(hidden)]
 pub fn qconv2d_with(
     input: &Tensor,
@@ -78,7 +77,7 @@ pub fn qconv2d_with(
 
 /// Run `g` in quantized arithmetic, picking the instantiation for the
 /// operands' storage types, the accumulator width and the output type;
-/// `packed` lets `i16` operands take a tile where one applies.
+/// `packed` lets `i16` operands take the packed path where it applies.
 pub(super) fn quantized_planes(
     op: &str,
     g: &ConvGeom,
@@ -159,31 +158,20 @@ struct QArith<'a> {
 struct Typed<'q, 'a, T>(&'q QArith<'a>, PhantomData<T>);
 
 impl QArith<'_> {
-    /// `i16` operands into an `i32` accumulator: depthwise convolutions on
-    /// the plane tile, dense ones on the packed path, the walk elsewhere.
-    fn narrow<X: IntElem, W: IntElem, O: IntElem + Default>(
+    /// `i16` operands into an `i32` accumulator: the packed path where it
+    /// covers `g`, the walk elsewhere.
+    fn narrow<X: IntElem, W: IntElem, O: IntElem>(
         &self,
         g: &ConvGeom,
         x: &[X],
         w: &[W],
         packed: bool,
     ) -> Result<Data, KernelError> {
-        let empty = x.is_empty() || g.weight[0] == 0;
-        if packed && !empty && g.params.groups > 1 && g.weight[1] == 1 {
-            // The proof behind `narrow` puts every `x − zx` and `w − zw` in
-            // `i16`.
-            let x = (x, |x: X| (x.widen() - self.zx) as i16);
-            let w = (w, |w: W| (w.widen() - self.zw) as i16);
-            return Ok(O::wrap(depthwise(
-                g,
-                x,
-                w,
-                &QDepthwise::<O>(self, PhantomData),
-            )?));
-        }
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        if packed && !empty && g.params.groups == 1 {
-            return Ok(O::wrap(sse2::conv::<X, W, O>(self, g, x, w)?));
+        if packed {
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            if let Some(out) = sse2::conv::<X, W, O>(self, g, x, w)? {
+                return Ok(O::wrap(out));
+            }
         }
         Ok(self.run::<X, W, i32, O>(g, x, w))
     }
@@ -227,42 +215,19 @@ impl<X: IntElem, W: IntElem, A: Acc, O: IntElem> Arith for Typed<'_, '_, (X, W, 
     }
 }
 
-/// The plane tile's quantized arithmetic over column phases and weights
-/// that hold `x − zx` and `w − zw`: from the bias, `+ (x − zx)·(w − zw)` of
-/// `i16` operands into an `i32` sum, the finished sums requantized by
-/// [`requantize_block`]. Integer sums are exact, so any order gives the
-/// walk's bits.
-struct QDepthwise<'q, 'a, O>(&'q QArith<'a>, PhantomData<O>);
-
-impl<O: IntElem + Default> Depthwise for QDepthwise<'_, '_, O> {
-    /// The pair pack's grouping: 32 channels per parallel call.
-    const GROUP: usize = 32;
-    type X = i16;
-    type W = i16;
-    type Acc = i32;
-    type Out = O;
-    fn start(&self, o: usize) -> i32 {
-        self.0.bias.map_or(0, |b| b[o])
-    }
-    #[inline]
-    fn mac(&self, acc: i32, x: i16, w: i16) -> i32 {
-        acc + i32::from(x) * i32::from(w)
-    }
-    fn finish(&self, acc: &[i32], out: &mut [O]) {
-        requantize_block(acc, |a| a, out, self.0.multiplier, self.0.zo);
-    }
-}
-
-/// The packed path, for dense (`groups = 1`) convolutions with `i16`
-/// operands and an `i32` accumulator. Each call packs the input once: zero
-/// point subtracted, spatial zero padding materialised (an exact integer
-/// sum gains exactly 0 from it), two input channels of one column as the
-/// `i16` halves of an `i32`. The weights are packed once per call in the
-/// same pairing, each pair in all four lanes of an aligned [`Splat`]. A
-/// register tile of [`R`] output channels × [`V`] output columns then runs
-/// the whole tap loop as one `pmaddwd` + `paddd` per tap and register, and
-/// requantizes and narrows the sums in those registers
-/// (`quant::sse2::Requantizer`, four lanes at a time).
+/// The packed path, for dense (`groups = 1`) and depthwise
+/// (`groups = C = OC`) convolutions with `i16` operands and an `i32`
+/// accumulator. Each call packs the input once: zero point subtracted,
+/// spatial zero padding materialised (an exact integer sum gains exactly 0
+/// from it), two `i16` operands per `i32` — two input channels of one
+/// column (dense) or two kernel columns of one channel (depthwise, the
+/// last odd column beside a zero weight). The weights are packed once per
+/// call in the same pairing, each pair in all four lanes of an aligned
+/// [`Splat`]. A register tile of [`R`] output channels ×
+/// [`V`] output columns then runs the whole tap loop as one `pmaddwd` +
+/// `paddd` per tap and register, and requantizes and narrows the sums in
+/// those registers (`quant::sse2::Requantizer`, `requantize_block`'s
+/// arithmetic four lanes at a time).
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod sse2 {
     use super::{ConvGeom, IntElem, KernelError, QArith};
@@ -276,6 +241,9 @@ mod sse2 {
     const R: usize = 4;
     /// Output columns of a register tile, four per xmm register.
     const V: usize = 8;
+    /// Depthwise channels packed at a time: a block reads only its own
+    /// planes, so the scratch need not hold them all.
+    const DW_GROUP: usize = 32;
 
     /// A call's packed operands and the input offset of each tap.
     #[derive(Default)]
@@ -302,6 +270,7 @@ mod sse2 {
     /// phase `cc % sw`, entry `cc / sw`, so the columns a tap reads for
     /// adjacent outputs are adjacent at any stride.
     struct Layout {
+        depthwise: bool,
         /// Entries per phase: the output columns rounded up to [`V`], plus
         /// the furthest kernel column.
         wq: usize,
@@ -314,18 +283,27 @@ mod sse2 {
         (a as u16 as u32 | (b as u32) << 16) as i32
     }
 
-    /// The dense convolution `g` (non-empty input and output) on the
-    /// packed path.
+    /// The packed path's output, or `None` where it does not apply.
     pub(super) fn conv<X: IntElem, W: IntElem, O: IntElem>(
         q: &QArith<'_>,
         g: &ConvGeom,
         x: &[X],
         wt: &[W],
-    ) -> Result<Vec<O>, KernelError> {
-        let ([n, c, h, w], [oc, _, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
+    ) -> Result<Option<Vec<O>>, KernelError> {
+        let ([n, c, h, w], [oc, cg, kh, kw], [_, _, oh, ow]) = (g.input, g.weight, g.output);
         let ((sh, sw), (dh, dw)) = (g.params.strides, g.params.dilation);
-        // Packed planes: two input channels each.
-        let planes = c.div_ceil(2);
+        let depthwise = match g.params.groups {
+            _ if x.is_empty() || oc == 0 => return Ok(None),
+            1 => false,
+            groups if groups == c && oc == c => true,
+            _ => return Ok(None),
+        };
+        // Planes per pack; depthwise tiles read R channels' planes.
+        let (planes, tap_planes, kstep) = if depthwise {
+            (c.next_multiple_of(R).min(DW_GROUP), 1, 2)
+        } else {
+            (c.div_ceil(2), c.div_ceil(2), 1)
+        };
         let wq = ow.next_multiple_of(V) + (kw - 1) * dw / sw;
         let rows = (oh - 1) * sh + (kh - 1) * dh + 1;
         let Some(x_len) = [wq, rows, planes]
@@ -335,14 +313,19 @@ mod sse2 {
             return Err(kerr("qconv2d packed input overflows usize"));
         };
         let (row, plane) = (sw * wq, rows * sw * wq);
-        let lay = Layout { wq, row, plane };
+        let lay = Layout {
+            depthwise,
+            wq,
+            row,
+            plane,
+        };
         let plane_len = oh * ow;
         let mut out = vec![O::narrow(0); n * oc * plane_len];
         SCRATCH.with_borrow_mut(|s| {
             // Taps in `(plane, ky, kx)` order.
             s.taps.clear();
-            for (i, ky) in (0..planes).flat_map(|i| (0..kh).map(move |ky| (i, ky))) {
-                s.taps.extend((0..kw).map(|kx| {
+            for (i, ky) in (0..tap_planes).flat_map(|i| (0..kh).map(move |ky| (i, ky))) {
+                s.taps.extend((0..kw).step_by(kstep).map(|kx| {
                     let col = kx * dw;
                     i * plane + ky * dh * row + col % sw * wq + col / sw
                 }));
@@ -352,13 +335,20 @@ mod sse2 {
             s.w.clear();
             s.w.resize(oc.div_ceil(R) * t_len * R, Splat::default());
             let sub = |w: &W| w.widen() - q.zw;
-            for (o, wo) in wt.chunks_exact(c * kh * kw).enumerate() {
-                for (i, two) in wo.chunks(2 * kh * kw).enumerate() {
-                    let (a, b) = two.split_at(kh * kw);
-                    for (j, a) in a.iter().enumerate() {
-                        let t = i * kh * kw + j;
-                        let pair = pair(sub(a), b.get(j).map_or(0, sub));
-                        s.w[(o / R * t_len + t) * R + o % R] = Splat([pair; 4]);
+            for (o, wo) in wt.chunks_exact(cg * kh * kw).enumerate() {
+                let mut put = |t: usize, a: i32, b: i32| {
+                    s.w[(o / R * t_len + t) * R + o % R] = Splat([pair(a, b); 4])
+                };
+                if depthwise {
+                    for (t, p) in wo.chunks(kw).flat_map(|row| row.chunks(2)).enumerate() {
+                        put(t, sub(&p[0]), p.get(1).map_or(0, sub));
+                    }
+                } else {
+                    for (i, two) in wo.chunks(2 * kh * kw).enumerate() {
+                        let (a, b) = two.split_at(kh * kw);
+                        for (j, a) in a.iter().enumerate() {
+                            put(i * kh * kw + j, sub(a), b.get(j).map_or(0, sub));
+                        }
                     }
                 }
             }
@@ -369,36 +359,58 @@ mod sse2 {
             let block_w = taps.len() * R;
             let images = x.chunks_exact(c * h * w);
             for (image, out) in images.zip(out.chunks_exact_mut(oc * plane_len)) {
-                pack(xp, image, g, &lay, q.zx);
-                let xp = &*xp;
-                out.par_chunks_mut(R * plane_len)
-                    .enumerate()
-                    .for_each(|(b, out)| {
-                        let w = &wp[b * block_w..][..block_w];
-                        block::<O>(q, g, &lay, xp, taps, w, b, out)
-                    });
+                // The output planes that read one pack: all, or its channels.
+                let per_pack = if depthwise { planes } else { oc } * plane_len;
+                for (first, out) in (0..).step_by(planes).zip(out.chunks_mut(per_pack)) {
+                    pack(xp, image, g, &lay, first, q.zx);
+                    let xp = &*xp;
+                    out.par_chunks_mut(R * plane_len)
+                        .enumerate()
+                        .for_each(|(b, out)| {
+                            let xp = if depthwise { &xp[b * R * plane..] } else { xp };
+                            let b = first / R + b;
+                            let w = &wp[b * block_w..][..block_w];
+                            if depthwise {
+                                block::<true, O>(q, g, &lay, xp, taps, w, b, out)
+                            } else {
+                                block::<false, O>(q, g, &lay, xp, taps, w, b, out)
+                            }
+                        });
+                }
             }
         });
-        Ok(out)
+        Ok(Some(out))
     }
 
-    /// Pack one image `[c, h, w]` into `xp` as [`Layout`] says, each pair
-    /// straight from its source rows.
-    fn pack<X: IntElem>(xp: &mut [i32], x: &[X], g: &ConvGeom, lay: &Layout, zx: i32) {
+    /// Pack the planes of one image `[c, h, w]` from plane `first` on into
+    /// `xp` as [`Layout`] says, each pair straight from its source rows.
+    fn pack<X: IntElem>(
+        xp: &mut [i32],
+        x: &[X],
+        g: &ConvGeom,
+        lay: &Layout,
+        first: usize,
+        zx: i32,
+    ) {
         let ([_, c, h, w], (pt, pl, _, _)) = (g.input, g.params.padding);
-        let (sw, wq) = (g.params.strides.1, lay.wq);
+        let (sw, dw, wq) = (g.params.strides.1, g.params.dilation.1, lay.wq);
+        // The high lane reads `db` padded columns past the low one.
+        let db = if lay.depthwise { dw } else { 0 };
         let sub = |x: &X| x.widen() - zx;
         // Padded column `cc` of an input row: 0 off the image.
         let at = |src: &[X], cc: usize| src.get(cc.wrapping_sub(pl)).map_or(0, sub);
         for phase in 0..sw {
             // Entry `e` of the phase pairs padded column `e·sw + phase` of
-            // two channels' rows; in entries `lo..hi` it lands in the
-            // image, at `i`.
-            let lo = pl.saturating_sub(phase).div_ceil(sw).min(wq);
-            let hi = (pl + w).saturating_sub(phase).div_ceil(sw).clamp(lo, wq);
+            // the low lane's row with that `+ db` of the high lane's; in
+            // entries `lo..hi` both land in the image, the low one at `i`.
+            let start = |d: usize| pl.saturating_sub(phase + d).div_ceil(sw);
+            let stop = |d: usize| (pl + w).saturating_sub(phase + d).div_ceil(sw);
+            let lo = start(0).max(start(db)).min(wq);
+            let hi = stop(0).min(stop(db)).clamp(lo, wq);
             let i = (lo * sw + phase).saturating_sub(pl);
-            for (k, plane) in xp.chunks_exact_mut(lay.plane).enumerate() {
-                let (ca, cb) = (2 * k, 2 * k + 1);
+            for (k, plane) in (first..).zip(xp.chunks_exact_mut(lay.plane)) {
+                let ca = if lay.depthwise { k } else { 2 * k };
+                let cb = if lay.depthwise { k } else { ca + 1 };
                 for (py, row) in plane.chunks_exact_mut(lay.row).enumerate() {
                     let run = &mut row[phase * wq..][..wq];
                     let iy = py.wrapping_sub(pt);
@@ -413,7 +425,7 @@ mod sse2 {
                     let (mid, right) = rest.split_at_mut(hi - lo);
                     let edge = |e: usize| {
                         let cc = e * sw + phase;
-                        pair(at(a, cc), b.map_or(0, |b| at(b, cc)))
+                        pair(at(a, cc), b.map_or(0, |b| at(b, cc + db)))
                     };
                     for (e, v) in left.iter_mut().enumerate() {
                         *v = edge(e);
@@ -426,7 +438,7 @@ mod sse2 {
                     };
                     // Entry `lo + j` reads `a[j·sw]` and `b[j·sw]`.
                     let a = &a[i..][..=last];
-                    match b.map(|b| &b[i..][..=last]) {
+                    match b.map(|b| &b[i + db..][..=last]) {
                         Some(b) if sw == 1 => mid
                             .iter_mut()
                             .zip(a.iter().zip(b))
@@ -447,9 +459,10 @@ mod sse2 {
         }
     }
 
-    /// Every tile of output-channel block `b`, into its `out` planes.
+    /// Every tile of output-channel block `b`, into its `out` planes;
+    /// depthwise, `xp` starts at the block's first plane.
     #[allow(clippy::too_many_arguments)]
-    fn block<O: IntElem>(
+    fn block<const DW: bool, O: IntElem>(
         q: &QArith<'_>,
         g: &ConvGeom,
         lay: &Layout,
@@ -468,7 +481,7 @@ mod sse2 {
             for ox in (0..ow).step_by(V) {
                 // SAFETY: `tile` enables SSE2 alone, which every x86_64
                 // CPU has and this module is compiled only for.
-                let tile = unsafe { tile::<O>(&x_row[ox..], taps, w, bias, q) };
+                let tile = unsafe { tile::<DW, O>(&x_row[ox..], lay.plane, taps, w, bias, q) };
                 for (r, sums) in tile.iter().enumerate().take(planes) {
                     let out = &mut out[r * plane_len + oy * ow + ox..];
                     // A whole tile is one fixed-size store.
@@ -481,12 +494,14 @@ mod sse2 {
         }
     }
 
-    /// `bias[r] + Σ x[tap + v] ⋅ w[tap][r]` over every tap, a `pmaddwd` of
-    /// `i16` pairs with the accumulators in xmm registers throughout, then
-    /// requantized and narrowed to `O` in the same registers.
+    /// `bias[r] + Σ x[tap + r·plane + v] ⋅ w[tap][r]` over every tap, a
+    /// `pmaddwd` of `i16` pairs with the accumulators in xmm registers
+    /// throughout, then requantized and narrowed to `O` in the same
+    /// registers; dense tiles (`!DW`) read one input for all `r`.
     #[target_feature(enable = "sse2")]
-    fn tile<O: IntElem>(
+    fn tile<const DW: bool, O: IntElem>(
         x: &[i32],
+        plane: usize,
         taps: &[usize],
         w: &[Splat],
         bias: [i32; R],
@@ -497,8 +512,8 @@ mod sse2 {
             *a = [_mm_set1_epi32(b); V / 4];
         }
         for (&tap, w) in taps.iter().zip(w.chunks_exact(R)) {
-            let xs = &x[tap..][..V];
-            for (a, Splat(w)) in a.iter_mut().zip(w) {
+            for (r, (a, Splat(w))) in a.iter_mut().zip(w).enumerate() {
+                let xs = &x[tap + if DW { r * plane } else { 0 }..][..V];
                 let w = _mm_setr_epi32(w[0], w[1], w[2], w[3]);
                 for (a, s) in a.iter_mut().zip(xs.chunks_exact(4)) {
                     let xv = _mm_setr_epi32(s[0], s[1], s[2], s[3]);

@@ -2426,12 +2426,12 @@ fn int_global_pool_and_clip_match_direct_loop_at_extreme_zero_points() {
     }
 }
 
-/// Int8 depthwise on the plane tile against the walk and the direct loop:
-/// channel counts off the 4-plane block, strides 2 and 3, dilation 2,
-/// every operand pairing, zero points at both ends of the storage range,
-/// and widths around the 8-column tile.
+/// Int8 depthwise on the packed path against the walk and the direct
+/// loop: channel counts off the 4-channel tile, strides 2 and 3, dilation
+/// 2, every operand pairing, zero points at both ends of the storage
+/// range, and widths around the 8-column tile.
 #[test]
-fn qconv2d_depthwise_tile_edges_match_walk_and_direct_loop() {
+fn qconv2d_depthwise_edges_match_walk_and_direct_loop() {
     let mut p = Pick(TensorRng::new(0xE8));
     let ints = [DType::I8, DType::U8];
     for (xd, wd) in ints.into_iter().flat_map(|x| ints.map(|w| (x, w))) {
