@@ -7,7 +7,7 @@ use serde::{Deserialize, Map, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use tvmnp_hwsim::{ledger, CostEntry, CostModel, CostRole};
-use tvmnp_neuropilot::support::NeuronSupport;
+use tvmnp_neuropilot::support::{first_unsupported, NeuronSupport};
 use tvmnp_neuropilot::{CompiledNetwork, NeuronError, NeuronGraph, TargetPolicy};
 use tvmnp_relay::expr::Module;
 use tvmnp_relay::passes::{
@@ -313,14 +313,12 @@ pub fn compile(module: &Module, mode: TargetMode) -> Result<CachedArtifact, Buil
         }
         TargetMode::NeuroPilotOnly(policy) => {
             let prepared = prepare(module);
+            if let Some(op) = first_unsupported(prepared.main()) {
+                return Err(BuildError::Unsupported(op));
+            }
             let _span = tvmnp_telemetry::span!("byoc.codegen", "symbol" => "main");
-            // The converter refuses the first op Neuron IR lacks, in the
-            // post-order `first_unsupported` walks.
             let blob =
-                NeuronBlob::codegen("main", prepared.main(), policy).map_err(|e| match e {
-                    NeuronError::UnsupportedOp(op) => BuildError::Unsupported(op),
-                    e => BuildError::Neuron(e),
-                })?;
+                NeuronBlob::codegen("main", prepared.main(), policy).map_err(BuildError::Neuron)?;
             Ok(CachedArtifact::Neuron(blob))
         }
     }
