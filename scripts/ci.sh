@@ -17,9 +17,8 @@ cargo clippy -- -D warnings
 # (`cargo test` above ran the same suite under the dev profile). The face
 # matcher is held to its one-window loop the same way.
 cargo test --release -q -p tvmnp-tensor --test kernel_identity
-# The walk, `qnn.requantize` and the int8 elementwise kernels requantize
-# through `requantize_block`'s lane arithmetic: gemmlowp's definition, in
-# release.
+# The walk and `qnn.requantize` requantize through `requantize_block`'s
+# lane arithmetic: gemmlowp's definition, in release.
 cargo test --release -q -p tvmnp-tensor --test requant_reference
 cargo test --release -q -p tvmnp-vision --test face_matcher_identity
 # Listing 6 end to end (DESIGN.md "Compile products and the file
